@@ -1,6 +1,8 @@
-//! Criterion: the randomized framework's three pipeline phases in
+//! Criterion: the randomized framework's two pipeline phases in
 //! isolation (plus the bulk RNG sweep and the apply pass), so a perf
 //! regression is attributable to one phase instead of one lump number.
+//! Under the default `FlowMemory::Rounded` the SOS memory is the integral
+//! flows themselves, so there is no memory phase to time.
 //!
 //! Uses `sodiff_core::kernel`, the `#[doc(hidden)]` hot-path surface
 //! exported for exactly this purpose.
@@ -19,12 +21,11 @@ struct Fixture {
     loads: Vec<f64>,
     arc_frac: Vec<f64>,
     flows: Vec<i64>,
-    prev: Vec<f64>,
 }
 
-/// A 256×256 torus mid-simulation: loads and flow memory in a plausible
-/// post-warmup state so the rounding phase sees realistic fractional
-/// parts. One scatter pass is run here so `arc_frac` is populated up
+/// A 256×256 torus mid-simulation: loads and the last round's integral
+/// flows (the `Rounded` SOS memory) in a plausible post-warmup state so
+/// the rounding phase sees realistic fractional parts. One scatter pass is run here so `arc_frac` is populated up
 /// front — each benchmark below is self-contained and order-independent.
 fn fixture() -> Fixture {
     let graph = generators::torus2d(SIDE, SIDE);
@@ -33,11 +34,8 @@ fn fixture() -> Fixture {
     let tables = KernelTables::new(&graph, &speeds, true, 0.0);
     let m = tables.m;
     let loads: Vec<f64> = (0..n).map(|i| 1000.0 + ((i * 37) % 101) as f64).collect();
-    let mut prev: Vec<f64> = (0..m)
-        .map(|e| ((e * 31 % 17) as f64 - 8.0) * 0.37)
-        .collect();
+    let mut flows: Vec<i64> = (0..m).map(|e| (e * 31 % 17) as i64 - 8).collect();
     let mut arc_frac = vec![0.0; graph.arc_count()];
-    let mut flows = vec![0; m];
     kernel::edge_pass_scatter(
         &tables,
         0..m,
@@ -47,14 +45,13 @@ fn fixture() -> Fixture {
         |i| loads[i],
         &kernel::cells_f64(&mut arc_frac),
         &kernel::cells_i64(&mut flows),
-        &kernel::cells_f64(&mut prev),
+        &kernel::cells_f64(&mut []),
     );
     Fixture {
         tables,
         loads,
         arc_frac,
         flows,
-        prev,
     }
 }
 
@@ -65,7 +62,6 @@ fn bench_phases(c: &mut Criterion) {
         loads,
         mut arc_frac,
         mut flows,
-        mut prev,
     } = fixture();
     let (n, m) = (tables.n, tables.m);
 
@@ -90,7 +86,7 @@ fn bench_phases(c: &mut Criterion) {
                 |i| loads[i],
                 &kernel::cells_f64(&mut arc_frac),
                 &kernel::cells_i64(&mut flows),
-                &kernel::cells_f64(&mut prev),
+                &kernel::cells_f64(&mut []),
             );
         });
     });
@@ -108,16 +104,6 @@ fn bench_phases(c: &mut Criterion) {
                 &kernel::cells_f64(&mut arc_frac),
                 &kernel::cells_i64(&mut flows),
                 &mut scratch,
-            );
-        });
-    });
-
-    group.bench_function(BenchmarkId::from_parameter("prev_from_flows"), |b| {
-        b.iter(|| {
-            kernel::prev_from_flows(
-                0..m,
-                &kernel::cells_i64(&mut flows),
-                &kernel::cells_f64(&mut prev),
             );
         });
     });

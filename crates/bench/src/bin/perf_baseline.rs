@@ -141,12 +141,7 @@ fn measure(graph: &Graph, case: &Case, budget_secs: f64) -> Measurement {
     let mut tokens_per_round = 0.0;
     for _ in 0..3 {
         sim.step();
-        tokens_per_round += sim
-            .previous_flows_to_f64()
-            .iter()
-            .map(|f| f.abs())
-            .sum::<f64>()
-            / 3.0;
+        tokens_per_round += sim.previous_flows().iter().map(|f| f.abs()).sum::<f64>() / 3.0;
     }
     let start = Instant::now();
     let mut rounds = 0u64;

@@ -1015,6 +1015,34 @@ mod tests {
         assert_eq!(positions, [(1, "bad1", Some(2)), (3, "bad2", Some(4))]);
     }
 
+    /// A topology past the `u32` id space is refused as a typed build
+    /// error before any allocation, not as a `Panicked` scenario.
+    #[test]
+    fn oversized_topology_fails_with_a_typed_build_error() {
+        let specs = ScenarioSpec::parse_many(
+            "name=ok topology=cycle:8 seed=1 stop=rounds:5\n\
+             name=huge topology=torus2d:4000000000:4000000000 seed=1 stop=rounds:5\n",
+        )
+        .unwrap();
+        for driver in [Driver::new(), Driver::concurrent(2).unwrap()] {
+            let batch = driver.run_batch(&specs);
+            assert_eq!(batch.scenarios.len(), 1, "the good scenario still ran");
+            assert_eq!(batch.errors.len(), 1);
+            let err = &batch.errors[0];
+            assert_eq!((err.index, err.name.as_str(), err.attempts), (1, "huge", 1));
+            let ScenarioFailure::Build(BuildError::Scenario { name, source }) = &err.error else {
+                panic!("expected a typed build error, got {:?}", err.error);
+            };
+            assert_eq!(name, "huge");
+            match &**source {
+                BuildError::Graph(sodiff_graph::GraphError::InvalidParameter(msg)) => {
+                    assert!(msg.contains("u32 ids"), "{msg}")
+                }
+                other => panic!("expected a graph parameter error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn panicking_scenario_is_isolated() {
         let specs = ScenarioSpec::parse_many(

@@ -32,6 +32,7 @@
 //! sequential one — for integer and floating-point loads alike — and
 //! results never depend on the thread count.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use sodiff_graph::{Graph, Speeds};
@@ -44,10 +45,7 @@ use crate::error::{BuildError, CheckpointError};
 use crate::fault::{DivergenceWatch, FaultEvents, FaultSpec};
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
-use crate::kernel::{
-    cells_f32, cells_f64, cells_i32, cells_i64, AtomicsF32, AtomicsF64, AtomicsI32, AtomicsI64,
-    KernelTables, LoadStats,
-};
+use crate::kernel::{cells_f32, cells_f64, cells_i32, cells_i64, KernelTables, LoadStats};
 use crate::load::{LoadEvents, LoadSpec, SteadyStats, SteadyTracker};
 use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot, RemainingImbalance};
 use crate::observer::Observer;
@@ -314,25 +312,230 @@ pub struct RunReport {
     pub steady: Option<SteadyStats>,
 }
 
+/// The sequential executor's round state: plain vectors in one of four
+/// layouts (mode × memory width). Per-edge buffers hold only what the
+/// configuration needs: `flows` in discrete mode, `prev` where the SOS
+/// memory is not the integral flows (continuous mode — where `prev` also
+/// carries the round's flows — and [`FlowMemory::Scheduled`]), and
+/// `arc_frac` for the randomized framework.
 enum State {
     Discrete {
         loads: Vec<i64>,
-        int_flows: Vec<i64>,
+        flows: Vec<i64>,
+        prev: Vec<f64>,
+        arc_frac: Vec<f64>,
     },
     Continuous {
         loads: Vec<f64>,
+        prev: Vec<f64>,
     },
-    /// `mem=compact` discrete state: `i32` tokens and integral flows.
-    /// All per-round arithmetic still runs in `f64`; only the stored
-    /// representation narrows (see [`crate::kernel::BufI64`]).
+    /// `mem=compact` discrete state: `i32` tokens and integral flows,
+    /// `f32` memory and arc fractions. All per-round arithmetic still
+    /// runs in `f64`; only the stored representation narrows (see
+    /// [`crate::kernel::BufI64`]).
     DiscreteCompact {
         loads: Vec<i32>,
-        int_flows: Vec<i32>,
+        flows: Vec<i32>,
+        prev: Vec<f32>,
+        arc_frac: Vec<f32>,
     },
-    /// `mem=compact` continuous state: `f32` loads, `f64` arithmetic.
+    /// `mem=compact` continuous state: `f32` loads and flows, `f64`
+    /// arithmetic.
     ContinuousCompact {
         loads: Vec<f32>,
+        prev: Vec<f32>,
     },
+}
+
+impl State {
+    /// The round-0 state for `loads`, with `m` flow slots (`m` memory
+    /// slots too where `stored_prev`) and `arcs` arc-fraction slots.
+    /// `m = arcs = 0` builds the loads alone, to seed a pool job that
+    /// allocates its own per-edge state.
+    fn new(
+        mode: Mode,
+        compact: bool,
+        loads: Vec<i64>,
+        m: usize,
+        stored_prev: bool,
+        arcs: usize,
+    ) -> Self {
+        let prev = if stored_prev { m } else { 0 };
+        match (mode, compact) {
+            (Mode::Discrete(_), false) => State::Discrete {
+                loads,
+                flows: vec![0; m],
+                prev: vec![0.0; prev],
+                arc_frac: vec![0.0; arcs],
+            },
+            (Mode::Continuous, false) => State::Continuous {
+                loads: loads.iter().map(|&x| x as f64).collect(),
+                prev: vec![0.0; m],
+            },
+            // check_compact() bounded the total, so every per-node load
+            // (and any transient concentration of it) fits an i32.
+            (Mode::Discrete(_), true) => State::DiscreteCompact {
+                loads: loads.iter().map(|&x| x as i32).collect(),
+                flows: vec![0; m],
+                prev: vec![0.0; prev],
+                arc_frac: vec![0.0; arcs],
+            },
+            (Mode::Continuous, true) => State::ContinuousCompact {
+                loads: loads.iter().map(|&x| x as f32).collect(),
+                prev: vec![0.0; m],
+            },
+        }
+    }
+
+    /// The loads seeding a pool job (which also select its layout).
+    fn job_loads(&self) -> JobLoads<'_> {
+        match self {
+            State::Discrete { loads, .. } => JobLoads::I64(loads),
+            State::Continuous { loads, .. } => JobLoads::F64(loads),
+            State::DiscreteCompact { loads, .. } => JobLoads::I32(loads),
+            State::ContinuousCompact { loads, .. } => JobLoads::F32(loads),
+        }
+    }
+
+    fn is_discrete(&self) -> bool {
+        matches!(self, State::Discrete { .. } | State::DiscreteCompact { .. })
+    }
+
+    fn is_compact(&self) -> bool {
+        matches!(
+            self,
+            State::DiscreteCompact { .. } | State::ContinuousCompact { .. }
+        )
+    }
+
+    #[inline]
+    fn load_of(&self, i: usize) -> f64 {
+        match self {
+            State::Discrete { loads, .. } => loads[i] as f64,
+            State::Continuous { loads, .. } => loads[i],
+            State::DiscreteCompact { loads, .. } => loads[i] as f64,
+            State::ContinuousCompact { loads, .. } => f64::from(loads[i]),
+        }
+    }
+
+    /// The smallest load (the round-0 transient minimum).
+    fn min_load(&self) -> f64 {
+        match self {
+            State::Discrete { loads, .. } => loads.iter().copied().min().unwrap_or(0) as f64,
+            State::Continuous { loads, .. } => loads.iter().copied().fold(f64::INFINITY, f64::min),
+            State::DiscreteCompact { loads, .. } => loads.iter().copied().min().unwrap_or(0) as f64,
+            State::ContinuousCompact { loads, .. } => loads
+                .iter()
+                .map(|&x| f64::from(x))
+                .fold(f64::INFINITY, f64::min),
+        }
+    }
+
+    /// A copy of the loads in the layout-free (widened) snapshot form.
+    fn loads(&self) -> LoadsSnapshot {
+        match self {
+            State::Discrete { loads, .. } => LoadsSnapshot::Discrete(loads.clone()),
+            State::Continuous { loads, .. } => LoadsSnapshot::Continuous(loads.clone()),
+            State::DiscreteCompact { loads, .. } => {
+                LoadsSnapshot::Discrete(loads.iter().map(|&x| i64::from(x)).collect())
+            }
+            State::ContinuousCompact { loads, .. } => {
+                LoadsSnapshot::Continuous(loads.iter().map(|&x| f64::from(x)).collect())
+            }
+        }
+    }
+
+    /// The SOS memory as `f64`. With `rounded` (discrete mode under
+    /// [`FlowMemory::Rounded`]) it is materialized from the integral
+    /// flows, quantized exactly as a stored copy would be — the same
+    /// values [`crate::kernel::prev_from_flows`] produces on the pool.
+    fn memory(&self, rounded: bool) -> Cow<'_, [f64]> {
+        match self {
+            State::Discrete { flows, .. } if rounded => {
+                Cow::Owned(flows.iter().map(|&y| y as f64).collect())
+            }
+            State::Discrete { prev, .. } | State::Continuous { prev, .. } => Cow::Borrowed(prev),
+            State::DiscreteCompact { flows, .. } if rounded => {
+                Cow::Owned(flows.iter().map(|&y| f64::from(y as f32)).collect())
+            }
+            State::DiscreteCompact { prev, .. } | State::ContinuousCompact { prev, .. } => {
+                Cow::Owned(prev.iter().map(|&x| f64::from(x)).collect())
+            }
+        }
+    }
+
+    /// Overwrites the loads and the SOS memory from a snapshot the caller
+    /// validated against this layout (so every narrowing is exact).
+    fn write_state(&mut self, src: &LoadsSnapshot, memory: &[f64], rounded: bool) {
+        match (self, src) {
+            (
+                State::Discrete {
+                    loads, flows, prev, ..
+                },
+                LoadsSnapshot::Discrete(src),
+            ) => {
+                loads.copy_from_slice(src);
+                if rounded {
+                    for (f, &x) in flows.iter_mut().zip(memory) {
+                        *f = x as i64;
+                    }
+                } else {
+                    prev.copy_from_slice(memory);
+                }
+            }
+            (State::Continuous { loads, prev }, LoadsSnapshot::Continuous(src)) => {
+                loads.copy_from_slice(src);
+                prev.copy_from_slice(memory);
+            }
+            (
+                State::DiscreteCompact {
+                    loads, flows, prev, ..
+                },
+                LoadsSnapshot::Discrete(src),
+            ) => {
+                for (l, &x) in loads.iter_mut().zip(src) {
+                    *l = x as i32;
+                }
+                if rounded {
+                    for (f, &x) in flows.iter_mut().zip(memory) {
+                        *f = x as i32;
+                    }
+                } else {
+                    for (p, &x) in prev.iter_mut().zip(memory) {
+                        *p = x as f32;
+                    }
+                }
+            }
+            (State::ContinuousCompact { loads, prev }, LoadsSnapshot::Continuous(src)) => {
+                for (l, &x) in loads.iter_mut().zip(src) {
+                    *l = x as f32;
+                }
+                for (p, &x) in prev.iter_mut().zip(memory) {
+                    *p = x as f32;
+                }
+            }
+            _ => unreachable!("restore checked the mode"),
+        }
+    }
+
+    fn state_bytes(&self) -> usize {
+        match self {
+            State::Discrete {
+                loads,
+                flows,
+                prev,
+                arc_frac,
+            } => 8 * (loads.len() + flows.len() + prev.len() + arc_frac.len()),
+            State::Continuous { loads, prev } => 8 * (loads.len() + prev.len()),
+            State::DiscreteCompact {
+                loads,
+                flows,
+                prev,
+                arc_frac,
+            } => 4 * (loads.len() + flows.len() + prev.len() + arc_frac.len()),
+            State::ContinuousCompact { loads, prev } => 4 * (loads.len() + prev.len()),
+        }
+    }
 }
 
 /// The simulation's attachment to a worker pool: the pool itself (owned
@@ -340,6 +543,15 @@ enum State {
 struct PoolAttachment {
     pool: Arc<WorkerPool>,
     job: Arc<RoundJob>,
+}
+
+/// Where the round state lives — in exactly one place per executor.
+enum Store {
+    /// The sequential executor's plain vectors.
+    Local(State),
+    /// The worker pool: the job's atomics are the only copy of the
+    /// state, read (or copied out) by the accessors on request.
+    Pooled(PoolAttachment),
 }
 
 /// The run loop's local state, persisted across `run_*` calls so a
@@ -415,22 +627,12 @@ pub struct Simulator<'g> {
     scheme: Scheme,
     flow_memory: FlowMemory,
     threads: usize,
-    state: State,
-    /// Previous-round flow memory for SOS (`f64` storage; empty in
-    /// `mem=compact` runs, which use [`Simulator::prev_flow32`]).
-    prev_flow: Vec<f64>,
-    /// Compact twin of `prev_flow` (`mem=compact` only; empty otherwise).
-    prev_flow32: Vec<f32>,
-    /// Scratch: arc-indexed signed scheduled flows (sequential
-    /// randomized-framework path; empty in `mem=compact` runs).
-    arc_frac: Vec<f64>,
-    /// Compact twin of `arc_frac` (`mem=compact` only; empty otherwise).
-    arc_frac32: Vec<f32>,
+    /// Loads, flows and flow memory: local vectors, or the pool job's
+    /// atomics when `threads > 1`.
+    store: Store,
     /// Control-thread round scratch: framework rounding states plus
     /// random-matching generation buffers.
     scratch: RoundScratch,
-    /// Worker pool attachment (`threads > 1` only).
-    pool: Option<PoolAttachment>,
     round: u64,
     rounds_in_scheme: u64,
     min_transient: f64,
@@ -497,68 +699,26 @@ impl<'g> Simulator<'g> {
         let tables = Arc::new(KernelTables::new(graph, &speeds, framework, initial_total));
         scheme_kernel.finish(&tables);
         let scheme_kernel = Arc::new(scheme_kernel);
-        let state = match (config.mode, compact) {
-            (Mode::Discrete(_), false) => State::Discrete {
-                loads,
-                int_flows: vec![0; m],
-            },
-            (Mode::Continuous, false) => State::Continuous {
-                loads: loads.iter().map(|&x| x as f64).collect(),
-            },
-            // check_compact() bounded the total, so every per-node load
-            // (and any transient concentration of it) fits an i32.
-            (Mode::Discrete(_), true) => State::DiscreteCompact {
-                loads: loads.iter().map(|&x| x as i32).collect(),
-                int_flows: vec![0; m],
-            },
-            (Mode::Continuous, true) => State::ContinuousCompact {
-                loads: loads.iter().map(|&x| x as f32).collect(),
-            },
-        };
-        let min_transient = match &state {
-            State::Discrete { loads, .. } => loads.iter().copied().min().unwrap_or(0) as f64,
-            State::Continuous { loads } => loads.iter().copied().fold(f64::INFINITY, f64::min),
-            State::DiscreteCompact { loads, .. } => loads.iter().copied().min().unwrap_or(0) as f64,
-            State::ContinuousCompact { loads } => loads
-                .iter()
-                .map(|&x| f64::from(x))
-                .fold(f64::INFINITY, f64::min),
-        };
-        let pool = if threads > 1 {
-            let job_loads = match &state {
-                State::Discrete { loads, .. } => JobLoads::I64(loads),
-                State::Continuous { loads } => JobLoads::F64(loads),
-                State::DiscreteCompact { loads, .. } => JobLoads::I32(loads),
-                State::ContinuousCompact { loads } => JobLoads::F32(loads),
-            };
+        let (store, min_transient) = if threads > 1 {
+            // The job allocates its own per-edge state; the local loads
+            // only seed it and are dropped here.
+            let seed = State::new(config.mode, compact, loads, 0, false, 0);
             let pool = shared_pool.unwrap_or_else(|| Arc::new(WorkerPool::new(threads)));
             let job = Arc::new(RoundJob::new(
                 pool.threads(),
                 Arc::clone(&tables),
                 Arc::clone(&scheme_kernel),
                 config.flow_memory,
-                job_loads,
+                seed.job_loads(),
             ));
-            Some(PoolAttachment { pool, job })
+            (Store::Pooled(PoolAttachment { pool, job }), seed.min_load())
         } else {
-            None
-        };
-        // The sequential framework path needs the arc-indexed scheduled
-        // scratch; the fused edge-local path and the pool do not.
-        let seq_arcs = if framework && pool.is_none() {
-            graph.arc_count()
-        } else {
-            0
-        };
-        let arc_frac = if compact {
-            Vec::new()
-        } else {
-            vec![0.0; seq_arcs]
-        };
-        let arc_frac32 = if compact {
-            vec![0.0; seq_arcs]
-        } else {
-            Vec::new()
+            let stored_prev = matches!(config.mode, Mode::Continuous)
+                || config.flow_memory == FlowMemory::Scheduled;
+            let arcs = if framework { graph.arc_count() } else { 0 };
+            let state = State::new(config.mode, compact, loads, m, stored_prev, arcs);
+            let min_transient = state.min_load();
+            (Store::Local(state), min_transient)
         };
         Ok(Self {
             graph,
@@ -568,13 +728,8 @@ impl<'g> Simulator<'g> {
             scheme: config.scheme,
             flow_memory: config.flow_memory,
             threads,
-            state,
-            prev_flow: if compact { Vec::new() } else { vec![0.0; m] },
-            prev_flow32: if compact { vec![0.0; m] } else { Vec::new() },
-            arc_frac,
-            arc_frac32,
+            store,
             scratch: RoundScratch::new(),
-            pool,
             round: 0,
             rounds_in_scheme: 0,
             min_transient,
@@ -612,48 +767,68 @@ impl<'g> Simulator<'g> {
 
     /// Returns `true` in discrete mode.
     pub fn is_discrete(&self) -> bool {
-        matches!(
-            self.state,
-            State::Discrete { .. } | State::DiscreteCompact { .. }
-        )
+        match &self.store {
+            Store::Local(state) => state.is_discrete(),
+            Store::Pooled(attachment) => attachment.job.is_discrete(),
+        }
     }
 
     /// Returns `true` when this run stores state in the compact
     /// (`mem=compact`) `i32`/`f32` layout.
     pub fn is_compact(&self) -> bool {
-        matches!(
-            self.state,
-            State::DiscreteCompact { .. } | State::ContinuousCompact { .. }
-        )
+        match &self.store {
+            Store::Local(state) => state.is_compact(),
+            Store::Pooled(attachment) => attachment.job.is_compact(),
+        }
+    }
+
+    /// Whether the SOS memory is the integral flows themselves: discrete
+    /// mode under [`FlowMemory::Rounded`].
+    fn rounded_memory(&self) -> bool {
+        self.is_discrete() && self.flow_memory == FlowMemory::Rounded
     }
 
     /// Integer loads (full-width discrete mode only; `None` in
     /// continuous and `mem=compact` runs — use [`Simulator::load_of`]
-    /// or [`Simulator::loads_to_f64`] there).
-    pub fn loads_i64(&self) -> Option<&[i64]> {
-        match &self.state {
-            State::Discrete { loads, .. } => Some(loads),
+    /// or [`Simulator::loads_to_f64`] there). Borrowed on the sequential
+    /// executor; on the worker pool, whose atomics are the only store,
+    /// each call copies the loads out.
+    pub fn loads_i64(&self) -> Option<Cow<'_, [i64]>> {
+        match &self.store {
+            Store::Local(State::Discrete { loads, .. }) => Some(Cow::Borrowed(loads)),
+            Store::Pooled(attachment) if !attachment.job.is_compact() => {
+                match attachment.job.loads() {
+                    LoadsSnapshot::Discrete(loads) => Some(Cow::Owned(loads)),
+                    LoadsSnapshot::Continuous(_) => None,
+                }
+            }
             _ => None,
         }
     }
 
     /// Continuous loads (full-width continuous mode only; `None` in
-    /// discrete and `mem=compact` runs).
-    pub fn loads_f64(&self) -> Option<&[f64]> {
-        match &self.state {
-            State::Continuous { loads } => Some(loads),
+    /// discrete and `mem=compact` runs). Borrowed or copied like
+    /// [`Simulator::loads_i64`].
+    pub fn loads_f64(&self) -> Option<Cow<'_, [f64]>> {
+        match &self.store {
+            Store::Local(State::Continuous { loads, .. }) => Some(Cow::Borrowed(loads)),
+            Store::Pooled(attachment) if !attachment.job.is_compact() => {
+                match attachment.job.loads() {
+                    LoadsSnapshot::Continuous(loads) => Some(Cow::Owned(loads)),
+                    LoadsSnapshot::Discrete(_) => None,
+                }
+            }
             _ => None,
         }
     }
 
-    /// Load of node `i` as `f64`, regardless of mode or memory layout.
+    /// Load of node `i` as `f64`, regardless of mode, memory layout, or
+    /// executor.
     #[inline]
     pub fn load_of(&self, i: usize) -> f64 {
-        match &self.state {
-            State::Discrete { loads, .. } => loads[i] as f64,
-            State::Continuous { loads } => loads[i],
-            State::DiscreteCompact { loads, .. } => loads[i] as f64,
-            State::ContinuousCompact { loads } => f64::from(loads[i]),
+        match &self.store {
+            Store::Local(state) => state.load_of(i),
+            Store::Pooled(attachment) => attachment.job.load_of(i),
         }
     }
 
@@ -665,14 +840,10 @@ impl<'g> Simulator<'g> {
     }
 
     /// Current total load (must equal the initial total in discrete mode;
-    /// floats may drift by rounding error in continuous mode).
+    /// floats may drift by rounding error in continuous mode), summed in
+    /// node order.
     pub fn total_load(&self) -> f64 {
-        match &self.state {
-            State::Discrete { loads, .. } => loads.iter().map(|&x| x as f64).sum(),
-            State::Continuous { loads } => loads.iter().sum(),
-            State::DiscreteCompact { loads, .. } => loads.iter().map(|&x| x as f64).sum(),
-            State::ContinuousCompact { loads } => loads.iter().map(|&x| f64::from(x)).sum(),
-        }
+        (0..self.graph.node_count()).map(|i| self.load_of(i)).sum()
     }
 
     /// The total load at round 0.
@@ -687,42 +858,33 @@ impl<'g> Simulator<'g> {
     }
 
     /// Flow sent in the previous round, per canonical edge (the SOS
-    /// memory). **Empty in `mem=compact` runs**, which store flow memory
-    /// as `f32` — use [`Simulator::previous_flows_to_f64`] for a
-    /// layout-independent copy.
-    pub fn previous_flows(&self) -> &[f64] {
-        &self.prev_flow
-    }
-
-    /// Copies the previous-round flow memory into a fresh `f64` vector,
-    /// regardless of memory layout (compact `f32` values widen exactly).
-    pub fn previous_flows_to_f64(&self) -> Vec<f64> {
-        if self.is_compact() {
-            self.prev_flow32.iter().map(|&x| f64::from(x)).collect()
-        } else {
-            self.prev_flow.clone()
+    /// memory), as `f64` in every memory layout (compact `f32` values
+    /// widen exactly). Borrowed where the simulator stores an `f64`
+    /// memory vector (sequential continuous and
+    /// [`FlowMemory::Scheduled`] runs); otherwise a copy made on request
+    /// — materialized from the integral flows under
+    /// [`FlowMemory::Rounded`], read out of the job on the worker pool.
+    pub fn previous_flows(&self) -> Cow<'_, [f64]> {
+        match &self.store {
+            Store::Local(state) => state.memory(self.rounded_memory()),
+            Store::Pooled(attachment) => Cow::Owned(attachment.job.memory()),
         }
     }
 
     /// Bytes of per-node and per-edge simulation state this simulator
-    /// holds: loads, integral flows, SOS flow memory, and arc-fraction
-    /// scratch, plus the pool job's mirrors when running threaded.
-    /// `mem=compact` halves every category counted here; auxiliary
-    /// metadata (masks, per-block partials, kernel tables) is excluded
-    /// because both layouts share it unchanged.
+    /// holds, wherever it lives: loads, integral flows, a stored SOS
+    /// memory (continuous and [`FlowMemory::Scheduled`] runs only — under
+    /// [`FlowMemory::Rounded`] the integral flows are the memory), and
+    /// arc fractions (randomized framework). Each piece is held once: on
+    /// the worker pool the job's atomics are the only copy. `mem=compact`
+    /// halves every category counted here; auxiliary metadata (masks,
+    /// per-block partials, kernel tables) is excluded because both
+    /// layouts share it unchanged.
     pub fn state_bytes(&self) -> usize {
-        let own = match &self.state {
-            State::Discrete { loads, int_flows } => 8 * (loads.len() + int_flows.len()),
-            State::Continuous { loads } => 8 * loads.len(),
-            State::DiscreteCompact { loads, int_flows } => 4 * (loads.len() + int_flows.len()),
-            State::ContinuousCompact { loads } => 4 * loads.len(),
-        };
-        own + 8 * (self.prev_flow.len() + self.arc_frac.len())
-            + 4 * (self.prev_flow32.len() + self.arc_frac32.len())
-            + self
-                .pool
-                .as_ref()
-                .map_or(0, |attachment| attachment.job.state_bytes())
+        match &self.store {
+            Store::Local(state) => state.state_bytes(),
+            Store::Pooled(attachment) => attachment.job.state_bytes(),
+        }
     }
 
     /// Freezes the complete evolving state of this simulation at the
@@ -761,15 +923,9 @@ impl<'g> Simulator<'g> {
     ) -> Snapshot {
         // Compact state widens losslessly into the full-width snapshot
         // forms, so the on-disk format (and its VERSION) is layout-free.
-        let loads = match &self.state {
-            State::Discrete { loads, .. } => LoadsSnapshot::Discrete(loads.clone()),
-            State::Continuous { loads } => LoadsSnapshot::Continuous(loads.clone()),
-            State::DiscreteCompact { loads, .. } => {
-                LoadsSnapshot::Discrete(loads.iter().map(|&x| i64::from(x)).collect())
-            }
-            State::ContinuousCompact { loads } => {
-                LoadsSnapshot::Continuous(loads.iter().map(|&x| f64::from(x)).collect())
-            }
+        let loads = match &self.store {
+            Store::Local(state) => state.loads(),
+            Store::Pooled(attachment) => attachment.job.loads(),
         };
         let round_stats = self.round_stats.map(|s| {
             [
@@ -815,7 +971,7 @@ impl<'g> Simulator<'g> {
             initial_total: self.initial_total,
             round_stats,
             loads,
-            prev_flow: self.previous_flows_to_f64(),
+            prev_flow: self.previous_flows().into_owned(),
             fault_events: self.scratch.fault.events,
             load_events: self.scratch.load.events,
             churn_events: self.scratch.churn.events,
@@ -841,8 +997,10 @@ impl<'g> Simulator<'g> {
     /// # Errors
     ///
     /// [`CheckpointError::Mismatch`] when the snapshot does not fit this
-    /// simulation (wrong node/edge count, wrong mode, or a different
-    /// initial total). The simulator is left unmodified on error.
+    /// simulation (wrong node/edge count, wrong mode, a different
+    /// initial total, or — for a run that remembers rounded flows — a
+    /// flow memory that is not integral or does not fit the flow
+    /// storage). The simulator is left unmodified on error.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), CheckpointError> {
         let n = self.graph.node_count();
         let m = self.graph.edge_count();
@@ -918,44 +1076,33 @@ impl<'g> Simulator<'g> {
                 )));
             }
         }
-        match (&mut self.state, &snap.loads) {
-            (State::Discrete { loads, .. }, LoadsSnapshot::Discrete(src)) => {
-                loads.copy_from_slice(src);
+        // Under `Rounded` the memory is written into the integral flows,
+        // so every value must be one this run could have sent: integral
+        // and inside the flow storage's range (`i64`, or `i32` compact).
+        // Comparing bits also refuses `-0.0`, which no `i64 → f64` cast
+        // produces.
+        let rounded = self.rounded_memory();
+        if rounded {
+            let compact = self.is_compact();
+            let integral = |x: f64| {
+                let back = if compact {
+                    f64::from(x as i32)
+                } else {
+                    x as i64 as f64
+                };
+                back.to_bits() == x.to_bits()
+            };
+            if let Some(&bad) = snap.prev_flow.iter().find(|&&x| !integral(x)) {
+                return Err(CheckpointError::Mismatch(format!(
+                    "snapshot flow memory {bad} is not an integral flow of the \
+                     {} flow storage (this run remembers rounded flows)",
+                    if compact { "i32" } else { "i64" }
+                )));
             }
-            (State::Continuous { loads }, LoadsSnapshot::Continuous(src)) => {
-                loads.copy_from_slice(src);
-            }
-            (State::DiscreteCompact { loads, .. }, LoadsSnapshot::Discrete(src)) => {
-                for (l, &x) in loads.iter_mut().zip(src) {
-                    *l = x as i32;
-                }
-            }
-            (State::ContinuousCompact { loads }, LoadsSnapshot::Continuous(src)) => {
-                for (l, &x) in loads.iter_mut().zip(src) {
-                    *l = x as f32;
-                }
-            }
-            _ => unreachable!("mode checked above"),
         }
-        if self.is_compact() {
-            for (p, &x) in self.prev_flow32.iter_mut().zip(&snap.prev_flow) {
-                *p = x as f32;
-            }
-        } else {
-            self.prev_flow.copy_from_slice(&snap.prev_flow);
-        }
-        if let Some(attachment) = &self.pool {
-            match &self.state {
-                State::Discrete { loads, .. } => attachment.job.write_loads_i(loads),
-                State::Continuous { loads } => attachment.job.write_loads_f(loads),
-                State::DiscreteCompact { loads, .. } => attachment.job.write_loads_i32(loads),
-                State::ContinuousCompact { loads } => attachment.job.write_loads_f32(loads),
-            }
-            if self.is_compact() {
-                attachment.job.write_prev32(&self.prev_flow32);
-            } else {
-                attachment.job.write_prev(&self.prev_flow);
-            }
+        match &mut self.store {
+            Store::Local(state) => state.write_state(&snap.loads, &snap.prev_flow, rounded),
+            Store::Pooled(attachment) => attachment.job.write_state(&snap.loads, &snap.prev_flow),
         }
         self.round = snap.round;
         self.rounds_in_scheme = snap.rounds_in_scheme;
@@ -1125,38 +1272,43 @@ impl<'g> Simulator<'g> {
     /// Executes one synchronous round.
     pub fn step(&mut self) {
         let (mem, gain) = self.scheme.coefficients(self.rounds_in_scheme);
-        if self.pool.is_some() {
-            self.step_pooled(mem, gain);
-        } else {
-            self.step_sequential(mem, gain);
+        let stats = match self.store {
+            Store::Local(_) => self.step_sequential(mem, gain),
+            Store::Pooled(_) => self.step_pooled(mem, gain),
+        };
+        if stats.min_transient < self.min_transient {
+            self.min_transient = stats.min_transient;
         }
+        self.round_stats = Some(stats);
         self.round += 1;
         self.rounds_in_scheme += 1;
     }
 
-    fn step_sequential(&mut self, mem: f64, gain: f64) {
+    fn step_sequential(&mut self, mem: f64, gain: f64) -> LoadStats {
         let Self {
             graph,
             tables,
             scheme_kernel,
-            state,
-            prev_flow,
-            prev_flow32,
-            arc_frac,
-            arc_frac32,
+            store: Store::Local(state),
             scratch,
             flow_memory,
             round,
-            min_transient,
-            round_stats,
             ..
-        } = self;
+        } = self
+        else {
+            unreachable!("step_sequential requires the local store")
+        };
         let t = &**tables;
         // Each arm monomorphizes the generic round over its layout's
         // buffer handles; the full-width arms compile to the exact
         // pre-compact code (Cell wrappers are free).
-        let stats = match state {
-            State::Discrete { loads, int_flows } => scheme_kernel.run_discrete_seq(
+        match state {
+            State::Discrete {
+                loads,
+                flows,
+                prev,
+                arc_frac,
+            } => scheme_kernel.run_discrete_seq(
                 t,
                 graph,
                 mem,
@@ -1164,22 +1316,27 @@ impl<'g> Simulator<'g> {
                 *round,
                 *flow_memory,
                 &cells_i64(loads),
-                &cells_f64(prev_flow),
-                &cells_i64(int_flows),
+                &cells_f64(prev),
+                &cells_i64(flows),
                 &cells_f64(arc_frac),
                 scratch,
             ),
-            State::Continuous { loads } => scheme_kernel.run_continuous_seq(
+            State::Continuous { loads, prev } => scheme_kernel.run_continuous_seq(
                 t,
                 graph,
                 mem,
                 gain,
                 *round,
                 &cells_f64(loads),
-                &cells_f64(prev_flow),
+                &cells_f64(prev),
                 scratch,
             ),
-            State::DiscreteCompact { loads, int_flows } => scheme_kernel.run_discrete_seq(
+            State::DiscreteCompact {
+                loads,
+                flows,
+                prev,
+                arc_frac,
+            } => scheme_kernel.run_discrete_seq(
                 t,
                 graph,
                 mem,
@@ -1187,98 +1344,47 @@ impl<'g> Simulator<'g> {
                 *round,
                 *flow_memory,
                 &cells_i32(loads),
-                &cells_f32(prev_flow32),
-                &cells_i32(int_flows),
-                &cells_f32(arc_frac32),
+                &cells_f32(prev),
+                &cells_i32(flows),
+                &cells_f32(arc_frac),
                 scratch,
             ),
-            State::ContinuousCompact { loads } => scheme_kernel.run_continuous_seq(
+            State::ContinuousCompact { loads, prev } => scheme_kernel.run_continuous_seq(
                 t,
                 graph,
                 mem,
                 gain,
                 *round,
                 &cells_f32(loads),
-                &cells_f32(prev_flow32),
+                &cells_f32(prev),
                 scratch,
             ),
-        };
-        if stats.min_transient < *min_transient {
-            *min_transient = stats.min_transient;
         }
-        *round_stats = Some(stats);
     }
 
-    fn step_pooled(&mut self, mem: f64, gain: f64) {
+    fn step_pooled(&mut self, mem: f64, gain: f64) -> LoadStats {
         let Self {
             graph,
-            pool,
-            tables,
-            state,
-            prev_flow,
-            prev_flow32,
+            store: Store::Pooled(attachment),
             scratch,
             round,
-            min_transient,
-            round_stats,
             ..
-        } = self;
-        let attachment = pool.as_ref().expect("step_pooled requires a pool");
-        let compact = matches!(
-            state,
-            State::DiscreteCompact { .. } | State::ContinuousCompact { .. }
-        );
+        } = self
+        else {
+            unreachable!("step_pooled requires a pool")
+        };
         // Per-round plan state (the random-matching or fault-effective
         // mask, plus any fault perturbations of the loads) is produced
         // here, on the control thread, and published into the job before
         // the round's first barrier — results never depend on the
         // executor.
-        if compact {
-            attachment.job.kernel().prepare_pooled(
-                tables,
-                graph,
-                *round,
-                scratch,
-                &AtomicsI32(attachment.job.loads_i32_slots()),
-                &AtomicsF32(attachment.job.loads_f32_slots()),
-                attachment.job.mask_slots(),
-                attachment.job.stale_slots(),
-            );
-        } else {
-            attachment.job.kernel().prepare_pooled(
-                tables,
-                graph,
-                *round,
-                scratch,
-                &AtomicsI64(attachment.job.loads_i_slots()),
-                &AtomicsF64(attachment.job.loads_f_slots()),
-                attachment.job.mask_slots(),
-                attachment.job.stale_slots(),
-            );
-        }
-        let stats = attachment
+        attachment.job.prepare(graph, *round, scratch);
+        // The job's atomics are the simulation's only store, so the round
+        // is complete at its final barrier: there is no state to copy
+        // back, and the accessors read the job directly.
+        attachment
             .pool
-            .run_round(&attachment.job, mem, gain, *round, &mut scratch.fw);
-        if stats.min_transient < *min_transient {
-            *min_transient = stats.min_transient;
-        }
-        *round_stats = Some(stats);
-        // Mirror the job's canonical state back into the accessor-visible
-        // vectors (bit-exact copies). This eager O(n + m) sync keeps every
-        // `&self` accessor valid between rounds; threshold/plateau stop
-        // conditions and observers read loads each round anyway, so a lazy
-        // dirty-flag scheme would mostly shift the cost, not remove it.
-        match state {
-            State::Discrete { loads, .. } => attachment.job.read_loads_i(loads),
-            State::Continuous { loads } => attachment.job.read_loads_f(loads),
-            State::DiscreteCompact { loads, .. } => attachment.job.read_loads_i32(loads),
-            State::ContinuousCompact { loads } => attachment.job.read_loads_f32(loads),
-        }
-        if compact {
-            attachment.job.read_prev32(prev_flow32);
-        } else {
-            attachment.job.read_prev(prev_flow);
-        }
+            .run_round(&attachment.job, mem, gain, *round, &mut scratch.fw)
     }
 
     /// Runs until the stop condition fires; returns a report.
@@ -1983,7 +2089,7 @@ mod tests {
         assert_eq!(sim.speeds(), &speeds);
         assert_eq!(sim.initial_total(), 60.0);
         assert!(sim.loads_f64().is_none(), "discrete mode has no f64 loads");
-        assert_eq!(sim.loads_i64().unwrap(), &[10; 6]);
+        assert_eq!(sim.loads_i64().unwrap(), &[10; 6][..]);
         assert_eq!(sim.loads_to_f64(), vec![10.0; 6]);
         assert_eq!(sim.load_of(3), 10.0);
         // Pre-round transient equals the initial minimum load.
@@ -2001,7 +2107,57 @@ mod tests {
             .simulator();
         assert!(!sim.is_discrete());
         assert!(sim.loads_i64().is_none());
-        assert_eq!(sim.loads_f64().unwrap(), &[0.0, 40.0, 0.0, 0.0]);
+        assert_eq!(sim.loads_f64().unwrap(), &[0.0, 40.0, 0.0, 0.0][..]);
+    }
+
+    /// Under `Rounded` restore writes the memory into the integral flow
+    /// slots, so it refuses any value those slots could not hold — on
+    /// both widths and both executors — and leaves the target untouched.
+    #[test]
+    fn rounded_restore_refuses_unrepresentable_memory() {
+        let g = generators::torus2d(4, 4);
+        for (mem, threads) in [
+            (MemSpec::Full, 1),
+            (MemSpec::Full, 3),
+            (MemSpec::Compact, 1),
+            (MemSpec::Compact, 3),
+        ] {
+            let build = || {
+                Experiment::on(&g)
+                    .discrete(Rounding::nearest())
+                    .sos(1.5)
+                    .mem(mem)
+                    .threads(threads)
+                    .init(InitialLoad::point(0, 1600))
+                    .build()
+                    .unwrap()
+                    .simulator()
+            };
+            let mut source = build();
+            source.run_until(StopCondition::MaxRounds(6));
+            let good = source.snapshot();
+            let too_wide = match mem {
+                MemSpec::Full => 1e300,
+                MemSpec::Compact => 4_294_967_296.0,
+            };
+            for bad in [0.5, -0.0, f64::NAN, f64::INFINITY, too_wide] {
+                let mut snap = good.clone();
+                snap.prev_flow[3] = bad;
+                let mut target = build();
+                target.run_until(StopCondition::MaxRounds(2));
+                let before = target.snapshot();
+                match target.restore(&snap) {
+                    Err(CheckpointError::Mismatch(msg)) => {
+                        assert!(msg.contains("integral"), "{mem:?} t{threads} {bad}: {msg}")
+                    }
+                    other => panic!("{mem:?} t{threads}: {bad} accepted ({other:?})"),
+                }
+                assert_eq!(target.snapshot(), before, "{mem:?} t{threads} {bad}");
+            }
+            let mut target = build();
+            target.restore(&good).unwrap();
+            assert_eq!(target.snapshot(), good, "{mem:?} t{threads}");
+        }
     }
 
     #[test]

@@ -24,14 +24,14 @@
 //! the rounding is fused into the same pass, saving a full sweep over the
 //! edge arrays per round.
 //!
-//! # The streaming three-phase randomized pipeline
+//! # The streaming randomized pipeline
 //!
 //! The paper's randomized rounding framework is node-centric (each node
 //! rounds all its outgoing flows together), which used to cost four
 //! sweeps with two indirections each: a scheduled pass, an arc pass that
 //! *gathered* `sched[arc_edges[p]]`, a combine pass that gathered
-//! `arc_out[edge_arc_pos[e]]`, and the apply pass. It now runs as three
-//! streaming phases:
+//! `arc_out[edge_arc_pos[e]]`, and the apply pass. It now runs as two
+//! streaming phases ahead of the apply pass:
 //!
 //! 1. [`edge_pass_scatter`] — one sweep over edges computes the scheduled
 //!    flow `Ŷ_e`, floors the sending side's outflow `|Ŷ_e|` on the spot
@@ -53,17 +53,25 @@
 //!    stream counter ([`crate::rng::nth_u64`]), so draws are independent
 //!    `mix64` chains with no serial dependency, and the target arc is
 //!    found by a branchless count of passed prefix sums.
-//! 3. [`prev_from_flows`] — for [`FlowMemory::Rounded`], a pure zipped
-//!    edge sweep copies the integral flows into the SOS memory. Under
-//!    the worker pool this phase shares a barrier interval with the
-//!    apply pass (both only read `flows`), so the framework now costs
-//!    two internal barriers per round instead of three.
 //!
 //! The pipeline is bit-identical to the original formulation (golden
 //! traces in `tests/golden_trace.rs`, reference-equivalence tests below):
 //! the arc slots hold exactly the outflow values `Ŷ_e·sign` the gather
 //! produced, and the per-node token draws consume the same
 //! `(seed, node, round)`-keyed streams.
+//!
+//! # The SOS memory under [`FlowMemory::Rounded`]
+//!
+//! The memory the paper's discrete SOS process uses — "the amount that
+//! was sent in step t−1" — *is* the integral flow each round leaves in an
+//! edge's flow slot. Every discrete edge pass therefore reads it as
+//! `flows[e] as f64` ([`FlowsAsMemory`]) and keeps no per-edge `f64`
+//! copy: no round phase writes a memory vector, and the framework needs
+//! two internal barriers per round under the worker pool.
+//! [`prev_from_flows`] only materializes that memory as an `f64` vector
+//! on request (the simulator's `previous_flows()` accessor and its
+//! checkpoint snapshots). The `prev` buffer the passes take is used only
+//! under [`FlowMemory::Scheduled`], whose memory is the unrounded `Ŷ_e`.
 //!
 //! # Lane-chunked SIMD form, and why it is bit-exact
 //!
@@ -76,10 +84,11 @@
 //! arithmetic*: every per-edge value is computed by exactly the
 //! expression the scalar loop used, on exactly the operands the scalar
 //! loop read, because per-edge work is independent — edge `e` reads only
-//! `loads[..]` (not written in this pass), `prev[e]`, and the constant
-//! tables, and writes only `prev[e]`, `flows[e]`, and (scatter pass) the
-//! two arc slots owned by `e`. Hoisting the eight reads of `prev[e]`
-//! above the eight writes therefore never changes an operand, and no f64
+//! `loads[..]` (not written in this pass), its own memory slot (`prev[e]`,
+//! or `flows[e]` under [`FlowMemory::Rounded`]), and the constant tables,
+//! and writes only `prev[e]`, `flows[e]`, and (scatter pass) the two arc
+//! slots owned by `e`. Hoisting the eight memory reads above the eight
+//! writes therefore never changes an operand, and no f64
 //! addition is regrouped anywhere. The same argument covers the apply
 //! passes: each node's arc reduction keeps its exact sequential order
 //! inside its lane, and the fused statistics (`LoadStats::absorb` and
@@ -94,6 +103,7 @@
 //! benches can time each phase in isolation; it is **not** a stable API.
 
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI32, AtomicI64, AtomicU32, AtomicU64, Ordering::Relaxed};
 
@@ -305,6 +315,9 @@ pub trait BufF64 {
     fn read(e: &Self::Elem) -> f64;
     /// Writes one element.
     fn write(e: &Self::Elem, v: f64);
+    /// The value a [`BufF64::write`] of `v` reads back as: `v` itself
+    /// for `f64` storage, `v` rounded through `f32` for compact storage.
+    fn quantize(v: f64) -> f64;
     /// Reads element `i`.
     #[inline(always)]
     fn get(&self, i: usize) -> f64 {
@@ -394,6 +407,66 @@ pub fn cells_i32(s: &mut [i32]) -> CellsI32<'_> {
     CellsI32(Cell::from_mut(s).as_slice_of_cells())
 }
 
+/// The SOS memory under [`FlowMemory::Rounded`], read straight from the
+/// integral flows: edge `e`'s memory is `flows[e] as f64`, quantized to
+/// the storage width of the memory buffer `P` it stands in for. That is
+/// bit for bit what a stored copy written with `P::write(y as f64)` would
+/// read back (an `i64 → f64` cast never yields `-0.0`, and compact `f32`
+/// memory sees the same `f32` rounding), so the flow slot *is* the memory
+/// and no per-edge `f64` copy is kept. Writes are no-ops: the edge pass
+/// updates the memory by writing the new flow.
+pub struct FlowsAsMemory<'a, F, P> {
+    flows: &'a F,
+    width: PhantomData<fn(&P)>,
+}
+
+impl<'a, F: BufI64, P: BufF64> FlowsAsMemory<'a, F, P> {
+    /// The memory view of `flows`, quantized like `_prev`'s storage.
+    pub fn of(flows: &'a F, _prev: &P) -> Self {
+        Self {
+            flows,
+            width: PhantomData,
+        }
+    }
+}
+
+impl<F: BufI64, P: BufF64> BufF64 for FlowsAsMemory<'_, F, P> {
+    type Elem = F::Elem;
+    #[inline(always)]
+    fn elems(&self) -> &[F::Elem] {
+        self.flows.elems()
+    }
+    #[inline(always)]
+    fn read(e: &F::Elem) -> f64 {
+        P::quantize(F::read(e) as f64)
+    }
+    #[inline(always)]
+    fn write(_e: &F::Elem, _v: f64) {}
+    #[inline(always)]
+    fn quantize(v: f64) -> f64 {
+        P::quantize(v)
+    }
+}
+
+/// Evaluates `$body` with `$memory` bound to the SOS memory `flow_memory`
+/// selects: `prev` itself under [`FlowMemory::Scheduled`], the integral
+/// flows through [`FlowsAsMemory`] under [`FlowMemory::Rounded`] (where
+/// `prev` is never touched and may be empty).
+macro_rules! with_memory {
+    ($flow_memory:expr, $prev:expr, $flows:expr, |$memory:ident| $body:expr) => {
+        match $flow_memory {
+            FlowMemory::Rounded => {
+                let $memory = &FlowsAsMemory::of($flows, $prev);
+                $body
+            }
+            FlowMemory::Scheduled => {
+                let $memory = $prev;
+                $body
+            }
+        }
+    };
+}
+
 impl BufF64 for CellsF64<'_> {
     type Elem = Cell<f64>;
     #[inline(always)]
@@ -407,6 +480,10 @@ impl BufF64 for CellsF64<'_> {
     #[inline(always)]
     fn write(e: &Cell<f64>, v: f64) {
         e.set(v);
+    }
+    #[inline(always)]
+    fn quantize(v: f64) -> f64 {
+        v
     }
 }
 
@@ -440,6 +517,10 @@ impl BufF64 for AtomicsF64<'_> {
     fn write(e: &AtomicU64, v: f64) {
         e.store(v.to_bits(), Relaxed);
     }
+    #[inline(always)]
+    fn quantize(v: f64) -> f64 {
+        v
+    }
 }
 
 impl BufI64 for AtomicsI64<'_> {
@@ -472,6 +553,10 @@ impl BufF64 for CellsF32<'_> {
     fn write(e: &Cell<f32>, v: f64) {
         e.set(v as f32);
     }
+    #[inline(always)]
+    fn quantize(v: f64) -> f64 {
+        f64::from(v as f32)
+    }
 }
 
 impl BufI64 for CellsI32<'_> {
@@ -503,6 +588,10 @@ impl BufF64 for AtomicsF32<'_> {
     #[inline(always)]
     fn write(e: &AtomicU32, v: f64) {
         e.store((v as f32).to_bits(), Relaxed);
+    }
+    #[inline(always)]
+    fn quantize(v: f64) -> f64 {
+        f64::from(v as f32)
     }
 }
 
@@ -567,12 +656,14 @@ fn ceil_i64(r: f64) -> i64 {
 /// `Ŷ_e = mem·prev_e + gain·(coef_tail·x_tail − coef_head·x_head)`,
 /// rounds it, and updates the SOS flow memory, all in one zipped sweep
 /// over `edges` (bounds checks hoisted by slicing the range up front).
+/// Under [`FlowMemory::Rounded`] the memory is the flow slot itself
+/// ([`FlowsAsMemory`]) and `prev` is left untouched; under
+/// [`FlowMemory::Scheduled`] `prev` records `Ŷ_e`.
 ///
 /// # Panics
 ///
 /// Panics for [`Rounding::RandomizedFramework`], which is node-centric and
-/// runs through [`edge_pass_scatter`] → [`arc_round_streamed`] →
-/// [`prev_from_flows`].
+/// runs through [`edge_pass_scatter`] → [`arc_round_streamed`].
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
 pub fn edge_pass_fused<P: BufF64, F: BufI64>(
     t: &KernelTables,
@@ -582,6 +673,25 @@ pub fn edge_pass_fused<P: BufF64, F: BufI64>(
     round: u64,
     rounding: Rounding,
     flow_memory: FlowMemory,
+    x: impl Fn(usize) -> f64,
+    prev: &P,
+    flows: &F,
+) {
+    with_memory!(flow_memory, prev, flows, |memory| fused_pass(
+        t, edges, mem, gain, round, rounding, x, memory, flows
+    ))
+}
+
+/// [`edge_pass_fused`] over one memory view: `memory` records `Ŷ_e`
+/// (a no-op write for [`FlowsAsMemory`]).
+#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
+fn fused_pass<P: BufF64, F: BufI64>(
+    t: &KernelTables,
+    edges: Range<usize>,
+    mem: f64,
+    gain: f64,
+    round: u64,
+    rounding: Rounding,
     x: impl Fn(usize) -> f64,
     prev: &P,
     flows: &F,
@@ -618,13 +728,7 @@ pub fn edge_pass_fused<P: BufF64, F: BufI64>(
                     let $s = s_lanes[l];
                     let y: i64 = $round_expr;
                     F::write(&fc[l], y);
-                    P::write(
-                        &pc[l],
-                        match flow_memory {
-                            FlowMemory::Rounded => y as f64,
-                            FlowMemory::Scheduled => $s,
-                        },
-                    );
+                    P::write(&pc[l], $s);
                 }
             }
             for $k in main..len {
@@ -632,13 +736,7 @@ pub fn edge_pass_fused<P: BufF64, F: BufI64>(
                     + gain * (cts[$k] * x(tails[$k] as usize) - chs[$k] * x(heads[$k] as usize));
                 let y: i64 = $round_expr;
                 F::write(&flow_elems[$k], y);
-                P::write(
-                    &prevs[$k],
-                    match flow_memory {
-                        FlowMemory::Rounded => y as f64,
-                        FlowMemory::Scheduled => $s,
-                    },
-                );
+                P::write(&prevs[$k], $s);
             }
         }};
     }
@@ -690,6 +788,27 @@ pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
     prev: &P,
     flows: &F,
 ) {
+    with_memory!(flow_memory, prev, flows, |memory| fused_masked_pass(
+        t, coef_tail, coef_head, edges, mask, mem, gain, round, rounding, x, memory, flows
+    ))
+}
+
+/// [`edge_pass_fused_masked`] over one memory view (see [`fused_pass`]).
+#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
+fn fused_masked_pass<P: BufF64, F: BufI64>(
+    t: &KernelTables,
+    coef_tail: &[f64],
+    coef_head: &[f64],
+    edges: Range<usize>,
+    mask: impl Fn(usize) -> u64,
+    mem: f64,
+    gain: f64,
+    round: u64,
+    rounding: Rounding,
+    x: impl Fn(usize) -> f64,
+    prev: &P,
+    flows: &F,
+) {
     let e0 = edges.start;
     let tails = &t.tail[edges.clone()];
     let heads = &t.head[edges.clone()];
@@ -721,13 +840,7 @@ pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
                     let $s = s_lanes[l];
                     let y: i64 = $round_expr;
                     F::write(&fc[l], y);
-                    P::write(
-                        &pc[l],
-                        match flow_memory {
-                            FlowMemory::Rounded => y as f64,
-                            FlowMemory::Scheduled => $s,
-                        },
-                    );
+                    P::write(&pc[l], $s);
                 }
             }
             for $k in main..len {
@@ -739,13 +852,7 @@ pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
                             * (cts[$k] * x(tails[$k] as usize) - chs[$k] * x(heads[$k] as usize)));
                 let y: i64 = $round_expr;
                 F::write(&flow_elems[$k], y);
-                P::write(
-                    &prevs[$k],
-                    match flow_memory {
-                        FlowMemory::Rounded => y as f64,
-                        FlowMemory::Scheduled => $s,
-                    },
-                );
+                P::write(&prevs[$k], $s);
             }
         }};
     }
@@ -771,7 +878,9 @@ pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
 /// into the sending side's arc slot (`0.0` into the receiving side's).
 /// The node-centric rounding phase then only sums its contiguous frac
 /// slots and distributes excess tokens. For [`FlowMemory::Scheduled`]
-/// the SOS memory is updated in the same sweep.
+/// the SOS memory is updated in the same sweep; under
+/// [`FlowMemory::Rounded`] it is read from the flow slots
+/// ([`FlowsAsMemory`]) and `prev` is left untouched.
 ///
 /// The sending-side selection is computed with arithmetic masks rather
 /// than branches — the sign of `Ŷ_e` is data-dependent and essentially
@@ -784,6 +893,23 @@ pub fn edge_pass_scatter<A: BufF64, F: BufI64, P: BufF64>(
     mem: f64,
     gain: f64,
     flow_memory: FlowMemory,
+    x: impl Fn(usize) -> f64,
+    arc_frac: &A,
+    flows: &F,
+    prev: &P,
+) {
+    with_memory!(flow_memory, prev, flows, |memory| scatter_pass(
+        t, edges, mem, gain, x, arc_frac, flows, memory
+    ))
+}
+
+/// [`edge_pass_scatter`] over one memory view (see [`fused_pass`]).
+#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
+fn scatter_pass<A: BufF64, F: BufI64, P: BufF64>(
+    t: &KernelTables,
+    edges: Range<usize>,
+    mem: f64,
+    gain: f64,
     x: impl Fn(usize) -> f64,
     arc_frac: &A,
     flows: &F,
@@ -816,9 +942,7 @@ pub fn edge_pass_scatter<A: BufF64, F: BufI64, P: BufF64>(
         arc_frac.set(pt as usize, frac_tail);
         arc_frac.set(ph as usize, frac - frac_tail);
         F::write(fe, base);
-        if matches!(flow_memory, FlowMemory::Scheduled) {
-            P::write(pe, s);
-        }
+        P::write(pe, s);
     };
     for k0 in (0..main).step_by(LANES) {
         // The arc slots live at data-dependent positions the hardware
@@ -876,6 +1000,26 @@ pub fn edge_pass_scatter_masked<A: BufF64, F: BufI64, P: BufF64>(
     flows: &F,
     prev: &P,
 ) {
+    with_memory!(flow_memory, prev, flows, |memory| scatter_masked_pass(
+        t, coef_tail, coef_head, edges, mask, mem, gain, x, arc_frac, flows, memory
+    ))
+}
+
+/// [`edge_pass_scatter_masked`] over one memory view (see [`fused_pass`]).
+#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
+fn scatter_masked_pass<A: BufF64, F: BufI64, P: BufF64>(
+    t: &KernelTables,
+    coef_tail: &[f64],
+    coef_head: &[f64],
+    edges: Range<usize>,
+    mask: impl Fn(usize) -> u64,
+    mem: f64,
+    gain: f64,
+    x: impl Fn(usize) -> f64,
+    arc_frac: &A,
+    flows: &F,
+    prev: &P,
+) {
     let e0 = edges.start;
     let tails = &t.tail[edges.clone()];
     let heads = &t.head[edges.clone()];
@@ -894,9 +1038,7 @@ pub fn edge_pass_scatter_masked<A: BufF64, F: BufI64, P: BufF64>(
         arc_frac.set(pt as usize, frac_tail);
         arc_frac.set(ph as usize, frac - frac_tail);
         F::write(fe, base);
-        if matches!(flow_memory, FlowMemory::Scheduled) {
-            P::write(pe, s);
-        }
+        P::write(pe, s);
     };
     for k0 in (0..main).step_by(LANES) {
         for &(pt, ph) in positions.iter().skip(k0 + prefetch::DIST).take(LANES) {
@@ -1142,11 +1284,12 @@ pub fn arc_round_streamed<A: BufF64, F: BufI64>(
     }
 }
 
-/// Phase 3 of the randomized framework under [`FlowMemory::Rounded`]: a
-/// pure zipped streaming sweep copying the integral flows into the SOS
-/// memory. ([`FlowMemory::Scheduled`] already updated the memory in
-/// phase 1.) Under the worker pool this runs in the same barrier interval
-/// as the apply pass — both only read `flows`.
+/// Materializes the [`FlowMemory::Rounded`] SOS memory: a pure zipped
+/// sweep copying the integral flows into `prev` (quantized by `P`'s
+/// storage width). No round phase runs it — the edge passes read the
+/// memory straight from the flows ([`FlowsAsMemory`]) — it only builds
+/// the `f64` memory vector the simulator's accessors and checkpoint
+/// snapshots hand out.
 pub fn prev_from_flows<F: BufI64, P: BufF64>(edges: Range<usize>, flows: &F, prev: &P) {
     let flow_elems = &flows.elems()[edges.clone()];
     let prevs = &prev.elems()[edges];
@@ -1599,17 +1742,23 @@ mod tests {
         let m = t.m;
         let loads: Vec<f64> = (0..12).map(|i| ((i * 7) % 5) as f64).collect();
         let prev_init: Vec<f64> = (0..m).map(|e| (e as f64) * 0.11 - 0.9).collect();
-        let expected: Vec<f64> = (0..m)
-            .map(|e| {
-                0.3 * prev_init[e]
-                    + 1.7
-                        * (t.coef_tail[e] * loads[t.tail[e] as usize]
-                            - t.coef_head[e] * loads[t.head[e] as usize])
-            })
-            .collect();
+        // The last round's integral flows: the memory under `Rounded`.
+        let flows_init: Vec<i64> = (0..m as i64).map(|e| e % 7 - 3).collect();
         for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
+            let expected: Vec<f64> = (0..m)
+                .map(|e| {
+                    let remembered = match memory {
+                        FlowMemory::Rounded => flows_init[e] as f64,
+                        FlowMemory::Scheduled => prev_init[e],
+                    };
+                    0.3 * remembered
+                        + 1.7
+                            * (t.coef_tail[e] * loads[t.tail[e] as usize]
+                                - t.coef_head[e] * loads[t.head[e] as usize])
+                })
+                .collect();
             let mut arc_frac = vec![9.9f64; g.arc_count()];
-            let mut flows = vec![77i64; m];
+            let mut flows = flows_init.clone();
             let mut prev = prev_init.clone();
             edge_pass_scatter(
                 &t,
@@ -1633,9 +1782,56 @@ mod tests {
                 assert_eq!(arc_frac[ph as usize], want_h, "{memory:?} head frac {e}");
             }
             match memory {
-                FlowMemory::Rounded => assert_eq!(prev, prev_init),
+                FlowMemory::Rounded => assert_eq!(prev, prev_init, "prev is left untouched"),
                 FlowMemory::Scheduled => assert_eq!(prev, expected),
             }
+        }
+    }
+
+    /// Under `Rounded` the fused pass reads the memory from the flow
+    /// slots — exactly what a stored `f64` (or compact `f32`) copy of
+    /// the last flows would hold — and never touches `prev`.
+    #[test]
+    fn rounded_memory_is_read_from_flows() {
+        let g = generators::torus2d(5, 5);
+        let t = KernelTables::new(&g, &Speeds::uniform(25), false, 0.0);
+        let m = t.m;
+        let loads: Vec<f64> = (0..25).map(|i| ((i * 13) % 17) as f64).collect();
+        let last: Vec<i64> = (0..m as i64).map(|e| (e * 5) % 11 - 5).collect();
+        let run = |flows: &mut Vec<i64>, prev: &mut Vec<f64>, memory| {
+            edge_pass_fused(
+                &t,
+                0..m,
+                0.4,
+                1.6,
+                3,
+                Rounding::nearest(),
+                memory,
+                |i| loads[i],
+                &cells_f64(prev),
+                &cells_i64(flows),
+            )
+        };
+        // Reference: the last flows stored as `Scheduled` memory.
+        let mut ref_flows = vec![0i64; m];
+        let mut ref_prev: Vec<f64> = last.iter().map(|&y| y as f64).collect();
+        run(&mut ref_flows, &mut ref_prev, FlowMemory::Scheduled);
+        let mut flows = last.clone();
+        let mut untouched = vec![f64::NAN; m];
+        run(&mut flows, &mut untouched, FlowMemory::Rounded);
+        assert_eq!(flows, ref_flows);
+        assert!(
+            untouched.iter().all(|p| p.is_nan()),
+            "prev is never read or written"
+        );
+        // Compact: the memory is quantized through f32 like a stored copy.
+        let big: Vec<i32> = (0..m as i32).map(|e| (1 << 25) + 1 + e).collect();
+        let mut flows32 = big.clone();
+        let mut prev32: Vec<f32> = Vec::new();
+        let cells = cells_i32(&mut flows32);
+        let view = FlowsAsMemory::of(&cells, &cells_f32(&mut prev32));
+        for (e, &y) in big.iter().enumerate() {
+            assert_eq!(view.get(e), f64::from(y as f32), "edge {e}");
         }
     }
 

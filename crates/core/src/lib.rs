@@ -235,8 +235,8 @@
 //! **Persistent worker pool + concurrent scenario scheduling** (`pool` /
 //! `driver` modules). With [`ExperimentBuilder::threads`]`(t > 1)`,
 //! `t − 1` workers are spawned once and park on a barrier between rounds;
-//! the framework now needs two internal barriers per round (the
-//! flow-memory copy shares the apply pass's barrier interval). The batch
+//! the framework needs two internal barriers per round (after the
+//! scatter pass and after the node-centric rounding). The batch
 //! [`Driver`] re-targets one pool at every simulation of a scenario file
 //! ([`Driver::with_threads`]) or — new — schedules **independent
 //! scenarios concurrently** ([`Driver::concurrent`]): K workers pull
@@ -374,7 +374,8 @@
 //! loads and per-edge state (integral flows, SOS flow memory, arc
 //! fractions) store as `i32`/`f32` — exactly half the bytes per element,
 //! verified end to end by [`Simulator::state_bytes`] (the pool job's
-//! atomic mirrors shrink too; [`sodiff_graph::Graph::memory_bytes`]
+//! atomics — a pooled run's only state — shrink too;
+//! [`sodiff_graph::Graph::memory_bytes`]
 //! accounts the CSR side, ~2.9 GB at 10⁸ edges). All arithmetic stays
 //! `f64`; each store narrows (nearest for `f32`, exact for in-range
 //! `i32` — the builder rejects initial loads whose total exceeds
@@ -389,6 +390,27 @@
 //! edge ids in node-block-major order so flows stream in the same order
 //! as loads (opt-in: edge ids key the per-(edge, round) RNG streams, so
 //! reordering changes which random outcomes a run draws).
+//!
+//! **One copy of the round state** (2026-10). Each piece of per-node and
+//! per-edge state now lives in exactly one buffer. On the worker pool the
+//! job's atomics are the simulation's only store — the simulator keeps no
+//! load, flow or memory vectors beside them, so a pooled round ends at
+//! its last barrier with no O(n + m) copy back to the control thread, and
+//! [`Simulator::loads_i64`], [`Simulator::loads_f64`] and
+//! [`Simulator::previous_flows`] hand out a copy only when asked
+//! (borrowed on the sequential executor, which keeps plain vectors so
+//! its kernels stay plain loads and stores rather than atomics). Under
+//! the default [`FlowMemory::Rounded`] the SOS memory is the integral
+//! flow itself, read as `flows[e] as f64` by every discrete edge pass —
+//! bit for bit the value the old stored `f64` copy held — so that copy
+//! and its per-round rewrite are gone; a stored memory remains only for
+//! continuous runs and [`FlowMemory::Scheduled`]. State bytes on the
+//! 256² torus (SOS, randomized rounding): 7 340 032 → 3 670 016 on the
+//! 2-thread pool (loads 0.5 MiB, arc fractions 2 MiB, flows 1 MiB) and
+//! 4 718 592 → 3 670 016 sequential. End to end on the
+//! `torus_sos_balance` benchmark workload (2-vCPU host, 10 alternating
+//! pairs): peak RSS 22.9 → 19.4 MB and process CPU 3.64 → 3.22 s
+//! (medians), with identical rounds and final imbalance.
 
 // Unsafe is forbidden outside the `accel` feature. With `accel` on, the
 // only unsafe in the crate is the `_mm_prefetch` intrinsic inside

@@ -105,7 +105,10 @@ impl Observer for Recorder {
         }
         self.rows.push(MetricsRow {
             round: sim.round(),
-            metrics: sim.metrics(),
+            // The fused snapshot of the round just run (bit-identical to
+            // `metrics()`, without its node sweep); `metrics()` only
+            // before the first round, when nothing has been fused yet.
+            metrics: sim.round_metrics().unwrap_or_else(|| sim.metrics()),
             min_transient: sim.min_transient_load(),
             total_load: sim.total_load(),
         });

@@ -10,11 +10,15 @@
 //!   waits instead of the `threads × phases` thread spawns of the old
 //!   per-round `thread::scope` executor.
 //! * [`RoundJob`] owns one simulation's shared state (kernel tables,
-//!   chunk boundaries, loads, flow memory, scratch) in relaxed atomics.
-//!   Attaching a different job retargets the same threads at a different
-//!   simulation — no respawn, no rejoin. The per-round phase sequence
-//!   itself lives in the job's [`crate::scheme_kernel::SchemeKernel`]:
-//!   the pool is scheme-agnostic.
+//!   chunk boundaries, loads, flows, flow memory, scratch) in relaxed
+//!   atomics. While a simulation runs on the pool these atomics are its
+//!   **only** state store: the simulator keeps no load or flow vectors
+//!   beside them, so a round ends at its last barrier with nothing to
+//!   copy back, and the simulator's accessors read (or copy out of) the
+//!   job on request. Attaching a different job retargets the same
+//!   threads at a different simulation — no respawn, no rejoin. The
+//!   per-round phase sequence itself lives in the job's
+//!   [`crate::scheme_kernel::SchemeKernel`]: the pool is scheme-agnostic.
 //!
 //! Phases are separated by the barrier, which provides the necessary
 //! happens-before edges, so the pool needs no `unsafe` and stays within
@@ -28,13 +32,17 @@ use std::sync::atomic::{AtomicBool, AtomicI32, AtomicI64, AtomicU32, AtomicU64, 
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
 
+use sodiff_graph::Graph;
+
+use crate::checkpoint::LoadsSnapshot;
 use crate::engine::FlowMemory;
 use crate::kernel::{
-    self, AtomicsF32, AtomicsF64, AtomicsI32, AtomicsI64, FwScratch, KernelTables, LoadStats,
+    self, AtomicsF32, AtomicsF64, AtomicsI32, AtomicsI64, BufF64, BufI64, FwScratch, KernelTables,
+    LoadStats,
 };
 use crate::matchgen::mask_words;
 use crate::metrics::DEV_BLOCK;
-use crate::scheme_kernel::{ChunkBufs, SchemeKernel};
+use crate::scheme_kernel::{ChunkBufs, RoundScratch, SchemeKernel};
 
 /// One simulation's state as seen by the pool: everything a worker needs
 /// to run its share of a round. The phase sequence itself lives in the
@@ -51,12 +59,15 @@ pub(crate) struct RoundJob {
     mem_bits: AtomicU64,
     gain_bits: AtomicU64,
     round: AtomicU64,
-    /// Canonical state while the job is attached (bit-exact mirrors are
-    /// copied back into the simulator's vectors after each round). A job
-    /// is either full-width (the `*_i`/`*_f`/64-bit vectors are sized,
-    /// the `*32` twins empty) or compact (`mem=compact`: the `*32`
-    /// twins sized, the full-width vectors empty) — never both, so the
-    /// unused layout costs nothing.
+    /// The simulation's state — its only copy while it runs on the pool.
+    /// A job is either full-width (the `*_i`/`*_f`/64-bit vectors are
+    /// sized, the `*32` twins empty) or compact (`mem=compact`: the
+    /// `*32` twins sized, the full-width vectors empty) — never both, so
+    /// the unused layout costs nothing. Within a layout only the mode's
+    /// vectors are sized: loads of one kind, `flows` in discrete mode,
+    /// and `prev` only where the SOS memory is not the integral flows
+    /// (continuous mode, whose `prev` also carries the round's flows,
+    /// and [`FlowMemory::Scheduled`]).
     loads_i: Vec<AtomicI64>,
     loads_f: Vec<AtomicU64>,
     prev: Vec<AtomicU64>,
@@ -71,6 +82,8 @@ pub(crate) struct RoundJob {
     flows32: Vec<AtomicI32>,
     /// Whether this job runs the compact (`i32`/`f32`) state layout.
     compact: bool,
+    /// Whether this job runs discrete (integer-token) mode.
+    discrete: bool,
     /// Active-edge bitmask words (random-matching jobs, or any job with
     /// edge faults), published by the control thread before each round's
     /// first barrier.
@@ -165,6 +178,7 @@ impl RoundJob {
         let staled = kernel.needs_stale_mask();
         let compact = matches!(loads, JobLoads::I32(_) | JobLoads::F32(_));
         let discrete = matches!(loads, JobLoads::I64(_) | JobLoads::I32(_));
+        let stored_prev = !discrete || flow_memory == FlowMemory::Scheduled;
         let sized = |yes: bool, len: usize| if yes { len } else { 0 };
         Self {
             tables,
@@ -183,7 +197,7 @@ impl RoundJob {
                 JobLoads::F64(src) => src.iter().map(|&x| AtomicU64::new(x.to_bits())).collect(),
                 _ => Vec::new(),
             },
-            prev: (0..sized(!compact, m))
+            prev: (0..sized(stored_prev && !compact, m))
                 .map(|_| AtomicU64::new(0f64.to_bits()))
                 .collect(),
             arc_frac: (0..sized(framework && !compact, arcs))
@@ -200,7 +214,7 @@ impl RoundJob {
                 JobLoads::F32(src) => src.iter().map(|&x| AtomicU32::new(x.to_bits())).collect(),
                 _ => Vec::new(),
             },
-            prev32: (0..sized(compact, m))
+            prev32: (0..sized(stored_prev && compact, m))
                 .map(|_| AtomicU32::new(0f32.to_bits()))
                 .collect(),
             arc_frac32: (0..sized(framework && compact, arcs))
@@ -210,6 +224,7 @@ impl RoundJob {
                 .map(|_| AtomicI32::new(0))
                 .collect(),
             compact,
+            discrete,
             mask: (0..if masked { mask_words(m) } else { 0 })
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -221,34 +236,6 @@ impl RoundJob {
                 .map(|_| AtomicU64::new(0))
                 .collect(),
         }
-    }
-
-    /// This job's scheme kernel (the simulator drives round preparation
-    /// through it).
-    pub fn kernel(&self) -> &Arc<SchemeKernel> {
-        &self.kernel
-    }
-
-    /// The job's active-edge mask words (empty unless the kernel draws
-    /// random matchings or injects edge faults).
-    pub fn mask_slots(&self) -> &[AtomicU64] {
-        &self.mask
-    }
-
-    /// The job's stale-edge mask words (empty unless the kernel injects
-    /// stale flows).
-    pub fn stale_slots(&self) -> &[AtomicU64] {
-        &self.stale
-    }
-
-    /// The job's canonical integer loads (empty in continuous mode).
-    pub fn loads_i_slots(&self) -> &[AtomicI64] {
-        &self.loads_i
-    }
-
-    /// The job's canonical continuous load bits (empty in discrete mode).
-    pub fn loads_f_slots(&self) -> &[AtomicU64] {
-        &self.loads_f
     }
 
     /// Runs participant `t`'s share of one round. Called by workers and —
@@ -311,118 +298,162 @@ impl RoundJob {
         self.stats[t].store(stats);
     }
 
-    /// Copies the job's integer loads back into `out`.
-    pub fn read_loads_i(&self, out: &mut [i64]) {
-        for (o, a) in out.iter_mut().zip(&self.loads_i) {
-            *o = a.load(Ordering::Relaxed);
+    /// Whether the job runs discrete (integer-token) mode.
+    pub fn is_discrete(&self) -> bool {
+        self.discrete
+    }
+
+    /// Whether the job stores the compact (`mem=compact`) layout.
+    pub fn is_compact(&self) -> bool {
+        self.compact
+    }
+
+    /// Whether the SOS memory is the integral flows (discrete mode under
+    /// [`FlowMemory::Rounded`]) rather than the `prev` atomics.
+    fn rounded_memory(&self) -> bool {
+        self.discrete && self.flow_memory == FlowMemory::Rounded
+    }
+
+    /// Control-thread round preparation
+    /// ([`SchemeKernel::prepare_pooled`]) against this job's loads and
+    /// mask words; the workers are parked, so it has exclusive access.
+    pub fn prepare(&self, graph: &Graph, round: u64, scratch: &mut RoundScratch) {
+        let t = &*self.tables;
+        if self.compact {
+            self.kernel.prepare_pooled(
+                t,
+                graph,
+                round,
+                scratch,
+                &AtomicsI32(&self.loads_i32),
+                &AtomicsF32(&self.loads_f32),
+                &self.mask,
+                &self.stale,
+            );
+        } else {
+            self.kernel.prepare_pooled(
+                t,
+                graph,
+                round,
+                scratch,
+                &AtomicsI64(&self.loads_i),
+                &AtomicsF64(&self.loads_f),
+                &self.mask,
+                &self.stale,
+            );
         }
     }
 
-    /// Copies the job's continuous loads back into `out`.
-    pub fn read_loads_f(&self, out: &mut [f64]) {
-        for (o, a) in out.iter_mut().zip(&self.loads_f) {
-            *o = f64::from_bits(a.load(Ordering::Relaxed));
+    /// Load of node `i` as `f64` (compact values widen exactly).
+    pub fn load_of(&self, i: usize) -> f64 {
+        match (self.discrete, self.compact) {
+            (true, false) => self.loads_i[i].load(Ordering::Relaxed) as f64,
+            (false, false) => AtomicsF64(&self.loads_f).get(i),
+            (true, true) => f64::from(self.loads_i32[i].load(Ordering::Relaxed)),
+            (false, true) => AtomicsF32(&self.loads_f32).get(i),
         }
     }
 
-    /// Copies the job's flow memory back into `out`.
-    pub fn read_prev(&self, out: &mut [f64]) {
-        for (o, a) in out.iter_mut().zip(&self.prev) {
-            *o = f64::from_bits(a.load(Ordering::Relaxed));
+    /// A copy of the loads in the layout-free (widened) snapshot form.
+    pub fn loads(&self) -> LoadsSnapshot {
+        match (self.discrete, self.compact) {
+            (true, false) => LoadsSnapshot::Discrete(
+                self.loads_i
+                    .iter()
+                    .map(|a| a.load(Ordering::Relaxed))
+                    .collect(),
+            ),
+            (false, false) => LoadsSnapshot::Continuous(atomics_to_f64(&AtomicsF64(&self.loads_f))),
+            (true, true) => LoadsSnapshot::Discrete(
+                self.loads_i32
+                    .iter()
+                    .map(|a| i64::from(a.load(Ordering::Relaxed)))
+                    .collect(),
+            ),
+            (false, true) => {
+                LoadsSnapshot::Continuous(atomics_to_f64(&AtomicsF32(&self.loads_f32)))
+            }
         }
     }
 
-    /// Overwrites the job's integer loads from `src` (checkpoint
-    /// restore; control thread only, workers parked between rounds).
-    pub fn write_loads_i(&self, src: &[i64]) {
-        for (a, &x) in self.loads_i.iter().zip(src) {
-            a.store(x, Ordering::Relaxed);
+    /// A copy of the SOS memory as `f64`: materialized from the integral
+    /// flows under [`FlowMemory::Rounded`] (quantized like a stored
+    /// copy), widened from the `prev` atomics otherwise.
+    pub fn memory(&self) -> Vec<f64> {
+        let m = self.tables.m;
+        match (self.rounded_memory(), self.compact) {
+            (true, false) => {
+                let mut out = vec![0.0; m];
+                let flows = AtomicsI64(&self.flows);
+                kernel::prev_from_flows(0..m, &flows, &kernel::cells_f64(&mut out));
+                out
+            }
+            (true, true) => {
+                let mut out = vec![0.0f32; m];
+                let flows = AtomicsI32(&self.flows32);
+                kernel::prev_from_flows(0..m, &flows, &kernel::cells_f32(&mut out));
+                out.into_iter().map(f64::from).collect()
+            }
+            (false, false) => atomics_to_f64(&AtomicsF64(&self.prev)),
+            (false, true) => atomics_to_f64(&AtomicsF32(&self.prev32)),
         }
     }
 
-    /// Overwrites the job's continuous loads from `src` (checkpoint
-    /// restore; control thread only, workers parked between rounds).
-    pub fn write_loads_f(&self, src: &[f64]) {
-        for (a, &x) in self.loads_f.iter().zip(src) {
-            a.store(x.to_bits(), Ordering::Relaxed);
+    /// Overwrites the loads and the SOS memory (checkpoint restore;
+    /// control thread only, workers parked between rounds). The caller
+    /// has validated that every value fits the job's layout: memory
+    /// values are integral under [`FlowMemory::Rounded`] and `f32`-exact
+    /// in compact jobs, so each store is exact.
+    pub fn write_state(&self, loads: &LoadsSnapshot, memory: &[f64]) {
+        // Exactly one buffer of each pair is sized; the other zips empty.
+        match loads {
+            LoadsSnapshot::Discrete(src) => {
+                fill_i(&AtomicsI64(&self.loads_i), src.iter().copied());
+                fill_i(&AtomicsI32(&self.loads_i32), src.iter().copied());
+            }
+            LoadsSnapshot::Continuous(src) => {
+                fill_f(&AtomicsF64(&self.loads_f), src);
+                fill_f(&AtomicsF32(&self.loads_f32), src);
+            }
         }
-    }
-
-    /// Overwrites the job's flow memory from `src` (checkpoint restore;
-    /// control thread only, workers parked between rounds).
-    pub fn write_prev(&self, src: &[f64]) {
-        for (a, &x) in self.prev.iter().zip(src) {
-            a.store(x.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// The job's canonical compact integer loads (`mem=compact`,
-    /// discrete mode; empty otherwise).
-    pub fn loads_i32_slots(&self) -> &[AtomicI32] {
-        &self.loads_i32
-    }
-
-    /// The job's canonical compact continuous load bits (`mem=compact`,
-    /// continuous mode; empty otherwise).
-    pub fn loads_f32_slots(&self) -> &[AtomicU32] {
-        &self.loads_f32
-    }
-
-    /// Copies the job's compact integer loads back into `out`.
-    pub fn read_loads_i32(&self, out: &mut [i32]) {
-        for (o, a) in out.iter_mut().zip(&self.loads_i32) {
-            *o = a.load(Ordering::Relaxed);
-        }
-    }
-
-    /// Copies the job's compact continuous loads back into `out`.
-    pub fn read_loads_f32(&self, out: &mut [f32]) {
-        for (o, a) in out.iter_mut().zip(&self.loads_f32) {
-            *o = f32::from_bits(a.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Copies the job's compact flow memory back into `out`.
-    pub fn read_prev32(&self, out: &mut [f32]) {
-        for (o, a) in out.iter_mut().zip(&self.prev32) {
-            *o = f32::from_bits(a.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Overwrites the job's compact integer loads from `src` (checkpoint
-    /// restore; control thread only, workers parked between rounds).
-    pub fn write_loads_i32(&self, src: &[i32]) {
-        for (a, &x) in self.loads_i32.iter().zip(src) {
-            a.store(x, Ordering::Relaxed);
-        }
-    }
-
-    /// Overwrites the job's compact continuous loads from `src`
-    /// (checkpoint restore; control thread only, workers parked between
-    /// rounds).
-    pub fn write_loads_f32(&self, src: &[f32]) {
-        for (a, &x) in self.loads_f32.iter().zip(src) {
-            a.store(x.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Overwrites the job's compact flow memory from `src` (checkpoint
-    /// restore; control thread only, workers parked between rounds).
-    pub fn write_prev32(&self, src: &[f32]) {
-        for (a, &x) in self.prev32.iter().zip(src) {
-            a.store(x.to_bits(), Ordering::Relaxed);
+        if self.rounded_memory() {
+            let integral = || memory.iter().map(|&x| x as i64);
+            fill_i(&AtomicsI64(&self.flows), integral());
+            fill_i(&AtomicsI32(&self.flows32), integral());
+        } else {
+            fill_f(&AtomicsF64(&self.prev), memory);
+            fill_f(&AtomicsF32(&self.prev32), memory);
         }
     }
 
     /// Bytes of per-node and per-edge simulation state this job holds
-    /// (loads, flow memory, integral flows, arc fractions). Masks and
-    /// per-block partials are metadata and excluded; the compact layout
-    /// halves every category counted here.
+    /// (loads, integral flows, stored flow memory, arc fractions). Masks
+    /// and per-block partials are metadata and excluded; the compact
+    /// layout halves every category counted here.
     pub fn state_bytes(&self) -> usize {
         8 * (self.loads_i.len() + self.loads_f.len() + self.prev.len())
             + 8 * (self.arc_frac.len() + self.flows.len())
             + 4 * (self.loads_i32.len() + self.loads_f32.len() + self.prev32.len())
             + 4 * (self.arc_frac32.len() + self.flows32.len())
+    }
+}
+
+/// Copies a whole atomic `f64`/`f32` buffer out as `f64`.
+fn atomics_to_f64<B: BufF64>(buf: &B) -> Vec<f64> {
+    buf.elems().iter().map(B::read).collect()
+}
+
+/// Overwrites a real-valued buffer from `src` (stopping at the shorter).
+fn fill_f<B: BufF64>(buf: &B, src: &[f64]) {
+    for (e, &x) in buf.elems().iter().zip(src) {
+        B::write(e, x);
+    }
+}
+
+/// Overwrites an integer buffer from `src` (stopping at the shorter).
+fn fill_i<B: BufI64>(buf: &B, src: impl Iterator<Item = i64>) {
+    for (e, x) in buf.elems().iter().zip(src) {
+        B::write(e, x);
     }
 }
 
@@ -644,9 +675,9 @@ mod tests {
         assert_eq!(stats.max_dev, 0.0);
         assert_eq!(stats.min_dev, 0.0);
         assert_eq!(stats.sum_sq_dev, 0.0);
-        let mut out = vec![0i64; 16];
-        job.read_loads_i(&mut out);
-        assert_eq!(out, loads);
+        assert_eq!(job.loads(), LoadsSnapshot::Discrete(loads));
+        // Rounded discrete memory lives in the flows: no `prev` atomics.
+        assert_eq!(job.state_bytes(), 8 * (16 + 32));
         drop(pool); // must not hang
     }
 
@@ -680,8 +711,6 @@ mod tests {
             let s2 = pool.run_round(&job2, 0.0, 1.0, round, &mut scratch);
             assert_eq!(s2.min_transient, 3.0);
         }
-        let mut out = vec![0i64; 15];
-        job1.read_loads_i(&mut out);
-        assert_eq!(out, vec![7i64; 15]);
+        assert_eq!(job1.loads(), LoadsSnapshot::Discrete(vec![7i64; 15]));
     }
 }

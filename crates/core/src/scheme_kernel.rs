@@ -10,7 +10,8 @@
 //!
 //! * [`FlowPass`] — *how* an active edge's flow is computed and rounded:
 //!   the continuous pass, the fused edge-local discrete pass, or the
-//!   three-phase randomized-framework pipeline. These call straight into
+//!   two-phase randomized-framework pipeline (scatter, then node-centric
+//!   rounding). These call straight into
 //!   the division-free kernels of [`crate::kernel`], so the diffusion
 //!   paths keep their exact pre-refactor codegen (pinned bit-for-bit by
 //!   `tests/golden_trace.rs`).
@@ -96,7 +97,7 @@ pub(crate) enum FlowPass {
     /// Discrete mode with an edge-local rounding: one fused sweep.
     EdgeLocal(Rounding),
     /// Discrete mode with the node-centric randomized framework: the
-    /// streaming three-phase pipeline.
+    /// streaming scatter + rounding pipeline.
     Framework {
         /// RNG seed of the framework's per-(node, round) streams.
         seed: u64,
@@ -174,11 +175,14 @@ pub(crate) struct ChunkBufs<'a, LI, LF, P, F, A> {
     pub loads_i: LI,
     /// Continuous loads (continuous mode; empty otherwise).
     pub loads_f: LF,
-    /// Per-edge flow memory.
+    /// Per-edge SOS memory (continuous mode — where it also carries the
+    /// round's flows — and [`FlowMemory::Scheduled`]; empty under
+    /// [`FlowMemory::Rounded`], whose memory is `flows`).
     pub prev: P,
     /// Arc-indexed fractional parts (framework flow pass only).
     pub arc_frac: A,
-    /// Per-edge integral flows (discrete mode).
+    /// Per-edge integral flows (discrete mode), kept across rounds: they
+    /// are the SOS memory under [`FlowMemory::Rounded`].
     pub flows: F,
     /// Active-edge bitmask words (random matching plan, or any plan
     /// under edge faults), published by the control thread before the
@@ -733,9 +737,6 @@ impl SchemeKernel {
                     }
                 }
                 kernel::arc_round_streamed(t, 0..n, seed, round, arc_frac, flows, fw);
-                if matches!(flow_memory, FlowMemory::Rounded) {
-                    kernel::prev_from_flows(0..m, flows, prev);
-                }
             }
             FlowPass::Continuous => unreachable!("continuous flow pass on discrete state"),
         }
@@ -868,8 +869,7 @@ impl SchemeKernel {
     /// One pool participant's share of a round: the same kernel calls as
     /// the sequential methods, separated by `barrier` between phases
     /// (one internal barrier for the edge-local and continuous passes,
-    /// two for the framework pipeline — the flow-memory copy shares the
-    /// apply pass's interval). Returns the chunk's fused load
+    /// two for the framework pipeline). Returns the chunk's fused load
     /// statistics.
     #[allow(clippy::too_many_arguments)] // one pool participant's full round context
     pub fn run_chunk<LI: BufI64, LF: BufF64, P: BufF64, F: BufI64, A: BufF64>(
@@ -1094,7 +1094,7 @@ impl SchemeKernel {
                 match &mask {
                     None => kernel::edge_pass_scatter(
                         t,
-                        edges.clone(),
+                        edges,
                         mem,
                         gain,
                         flow_memory,
@@ -1109,7 +1109,7 @@ impl SchemeKernel {
                             t,
                             ct,
                             ch,
-                            edges.clone(),
+                            edges,
                             mf,
                             mem,
                             gain,
@@ -1132,12 +1132,6 @@ impl SchemeKernel {
                     scratch,
                 );
                 barrier.wait();
-                // Same barrier interval as the apply pass: both only read
-                // the flows (the copy writes `prev`, the apply writes
-                // `loads` — disjoint).
-                if matches!(flow_memory, FlowMemory::Rounded) {
-                    kernel::prev_from_flows(edges, flows, prev);
-                }
                 match &stale {
                     None => kernel::apply_discrete(
                         t,
@@ -1319,8 +1313,10 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(loads, vec![5, 5]);
+        // Under `Rounded` the flow slot is the SOS memory; `prev` is
+        // never written.
         assert_eq!(flows, vec![5]);
-        assert_eq!(prev, vec![5.0]);
+        assert_eq!(prev, vec![0.0]);
         assert_eq!(stats.min_transient, 0.0); // node 1: 0 − 0; node 0: 10 − 5
     }
 

@@ -132,8 +132,10 @@ impl TopologySpec {
     /// Returns [`GraphError::InvalidParameter`] for parameters the
     /// corresponding generator would reject (zero-sized tori, cycles below
     /// 3 nodes, hypercube dimension ≥ 32, `p` outside `[0, 1]`, negative
-    /// radius, or impossible regular-graph configurations).
+    /// radius, or impossible regular-graph configurations), and for sizes
+    /// whose node or edge count does not fit the `u32` ids.
     pub fn build(&self) -> Result<Graph, GraphError> {
+        self.check_id_space()?;
         let invalid = |msg: String| Err(GraphError::InvalidParameter(msg));
         match self {
             TopologySpec::Torus2d { rows, cols } => {
@@ -193,6 +195,53 @@ impl TopologySpec {
                 }
                 Ok(generators::rgg_paper(*n, *seed))
             }
+        }
+    }
+
+    /// Refuses a spec whose node count, or deterministic edge count,
+    /// does not fit the `u32` node and edge ids — before anything is
+    /// allocated. Counts are computed with checked arithmetic, so a
+    /// product that overflows `usize` is refused too. The random
+    /// families whose edge count is drawn (`erdos_renyi`, `geometric`,
+    /// `rgg`) are checked on their node count only.
+    fn check_id_space(&self) -> Result<(), GraphError> {
+        let half = |m: Option<usize>| m.map(|m| m / 2);
+        let (nodes, edges) = match self {
+            TopologySpec::Torus2d { rows, cols } | TopologySpec::Grid2d { rows, cols } => {
+                let n = rows.checked_mul(*cols);
+                (n, n.and_then(|n| n.checked_mul(2)))
+            }
+            TopologySpec::Torus { dims } => {
+                let n = dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+                (n, n.and_then(|n| n.checked_mul(dims.len())))
+            }
+            TopologySpec::Hypercube { dim } => {
+                let n = 1usize.checked_shl(*dim);
+                (n, half(n.and_then(|n| n.checked_mul(*dim as usize))))
+            }
+            TopologySpec::Cycle { n } => (Some(*n), Some(*n)),
+            TopologySpec::Path { n } | TopologySpec::Star { n } => {
+                (Some(*n), Some(n.saturating_sub(1)))
+            }
+            TopologySpec::Complete { n } => (Some(*n), half(n.checked_mul(n.saturating_sub(1)))),
+            TopologySpec::RandomRegular { n, d, .. } => (Some(*n), half(n.checked_mul(*d))),
+            TopologySpec::RandomCm { n, .. } => {
+                let d = n.max(&1).ilog2() as usize;
+                (Some(*n), half(n.checked_mul(d)))
+            }
+            TopologySpec::ErdosRenyi { n, .. }
+            | TopologySpec::Geometric { n, .. }
+            | TopologySpec::RggPaper { n, .. } => (Some(*n), Some(0)),
+        };
+        let ids = u32::MAX as usize;
+        match (nodes, edges) {
+            (Some(n), Some(m)) if n <= ids && m <= ids => Ok(()),
+            _ => Err(GraphError::InvalidParameter(format!(
+                "topology {self} needs more nodes or edges than the u32 ids address \
+                 ({} nodes, {} edges)",
+                nodes.map_or("overflowing".to_string(), |n| n.to_string()),
+                edges.map_or("overflowing".to_string(), |m| m.to_string()),
+            ))),
         }
     }
 }
@@ -370,6 +419,34 @@ impl FromStr for TopologySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversized_specs_are_refused_before_allocating() {
+        for text in [
+            "torus2d:4000000000:4000000000",
+            "torus2d:70000:70000",
+            "grid2d:65536:65536",
+            "torus:65536:65536:65536",
+            "hypercube:31",
+            "complete:100000",
+            "random_regular:3000000000:4:1",
+            "cycle:5000000000",
+            "erdos_renyi:5000000000:0.5:1",
+        ] {
+            let spec: TopologySpec = text.parse().unwrap();
+            match spec.build() {
+                Err(GraphError::InvalidParameter(msg)) => {
+                    assert!(msg.contains("u32 ids"), "{text}: {msg}")
+                }
+                other => panic!("{text}: expected a typed refusal, got {other:?}"),
+            }
+        }
+        // The largest ids still fit: the checks pass (nothing is built).
+        for text in ["torus2d:65535:32768", "hypercube:28", "complete:92681"] {
+            let spec: TopologySpec = text.parse().unwrap();
+            assert_eq!(spec.check_id_space(), Ok(()), "{text}");
+        }
+    }
 
     #[test]
     fn parse_build_roundtrip() {

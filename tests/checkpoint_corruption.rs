@@ -166,10 +166,10 @@ fn committed_v1_fixture_resumes_under_v2_reader() {
             h = h.wrapping_mul(0x100_0000_01b3);
         }
     };
-    for &x in resumed.loads_i64().unwrap() {
+    for &x in resumed.loads_i64().unwrap().iter() {
         eat(&x.to_le_bytes());
     }
-    for &f in resumed.previous_flows() {
+    for &f in resumed.previous_flows().iter() {
         eat(&f.to_bits().to_le_bytes());
     }
     eat(&resumed.min_transient_load().to_bits().to_le_bytes());

@@ -29,10 +29,10 @@ fn state_checksum(sim: &Simulator<'_>) -> u64 {
             h = h.wrapping_mul(0x100_0000_01b3);
         }
     };
-    for &x in sim.loads_i64().expect("golden traces are discrete") {
+    for &x in sim.loads_i64().expect("golden traces are discrete").iter() {
         eat(&x.to_le_bytes());
     }
-    for &f in sim.previous_flows() {
+    for &f in sim.previous_flows().iter() {
         eat(&f.to_bits().to_le_bytes());
     }
     eat(&sim.min_transient_load().to_bits().to_le_bytes());

@@ -28,7 +28,7 @@ fn state_checksum(sim: &Simulator<'_>) -> u64 {
     for i in 0..sim.graph().node_count() {
         eat(&sim.load_of(i).to_bits().to_le_bytes());
     }
-    for &f in &sim.previous_flows_to_f64() {
+    for &f in sim.previous_flows().iter() {
         eat(&f.to_bits().to_le_bytes());
     }
     eat(&sim.min_transient_load().to_bits().to_le_bytes());

@@ -95,7 +95,7 @@ fn run_fingerprint(
         .unwrap()
         .simulator();
     sim.run_until(StopCondition::MaxRounds(rounds));
-    let loads_i = sim.loads_i64().map(<[i64]>::to_vec).unwrap_or_default();
+    let loads_i = sim.loads_i64().map(|l| l.to_vec()).unwrap_or_default();
     let loads_f = sim
         .loads_f64()
         .map(|l| l.iter().map(|x| x.to_bits()).collect())

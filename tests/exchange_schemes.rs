@@ -62,7 +62,7 @@ fn continuous_de_is_exact_pairwise_averaging() {
         .unwrap()
         .simulator();
     sim.step();
-    assert_eq!(sim.loads_f64().unwrap(), &[20.0, 20.0]);
+    assert_eq!(sim.loads_f64().unwrap(), &[20.0, 20.0][..]);
 }
 
 #[test]
@@ -79,7 +79,7 @@ fn heterogeneous_de_balances_proportionally_to_speeds() {
         .unwrap()
         .simulator();
     sim.step();
-    assert_eq!(sim.loads_f64().unwrap(), &[10.0, 30.0]);
+    assert_eq!(sim.loads_f64().unwrap(), &[10.0, 30.0][..]);
 }
 
 #[test]

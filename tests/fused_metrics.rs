@@ -164,3 +164,64 @@ fn threshold_reports_bit_identical_across_thread_counts() {
         assert_eq!(seq, run(threads), "{threads} threads");
     }
 }
+
+/// Records the from-scratch `metrics()` of every round, the way
+/// `Recorder` did before it switched to the fused snapshot.
+struct ScratchRecorder(Vec<(u64, MetricsSnapshot)>);
+
+impl Observer for ScratchRecorder {
+    fn on_round(&mut self, sim: &Simulator<'_>) {
+        self.0.push((sim.round(), sim.metrics()));
+    }
+}
+
+/// `Recorder` rows carry the fused `round_metrics()` snapshot; it must
+/// agree with the from-scratch recompute bit for bit on every row — on
+/// the sequential executor and on the pool, with the perturbation axes
+/// (which move load on the control thread) switched on too.
+#[test]
+fn recorder_rows_match_from_scratch_metrics() {
+    let specs = [
+        "topology=torus2d:9:7 scheme=sos:1.7 rounding=randomized seed=3 init=point:0:63000",
+        "topology=torus2d:9:7 scheme=sos:1.7 mode=continuous init=point:0:63000",
+        "topology=hypercube:6 scheme=matching:random:7:1 rounding=nearest init=point:0:6400 \
+         faults=crash:0.1:7+shock:0.25:3 load=poisson:2:42",
+        "topology=torus2d:8:8 scheme=sos:1.6 rounding=nearest init=point:0:6400 \
+         churn=flux:0.08:0.3:9:25 mem=compact",
+    ];
+    for body in specs {
+        for threads in [1usize, 2, 3] {
+            let spec: ScenarioSpec = format!("name=rec {body} threads={threads} stop=rounds:40")
+                .parse()
+                .unwrap();
+            let graph = spec.build_graph().unwrap();
+            let experiment = spec.experiment_on(&graph).unwrap();
+            let mut sim = experiment.simulator();
+            let mut rec = Recorder::new();
+            let mut scratch = ScratchRecorder(Vec::new());
+            {
+                let mut both = MultiObserver::new(vec![&mut rec, &mut scratch]);
+                sim.run_until_with(StopCondition::MaxRounds(40), &mut both);
+            }
+            assert_eq!(rec.rows().len(), 40);
+            for (row, (round, metrics)) in rec.rows().iter().zip(&scratch.0) {
+                assert_eq!(row.round, *round);
+                let bits = |m: &MetricsSnapshot| {
+                    [
+                        m.max_minus_avg,
+                        m.min_minus_avg,
+                        m.max_local_diff,
+                        m.potential_over_n,
+                        m.min_load,
+                    ]
+                    .map(f64::to_bits)
+                };
+                assert_eq!(
+                    bits(&row.metrics),
+                    bits(metrics),
+                    "{body} t{threads} round {round}"
+                );
+            }
+        }
+    }
+}

@@ -1,0 +1,234 @@
+//! One copy of the round state, observed through every accessor.
+//!
+//! On the worker pool the job's atomics are the simulation's only state
+//! store, and under `flow_memory=rounded` the integral flows are the SOS
+//! memory. These tests pin that neither changes anything observable:
+//! after single `step()`s and after a whole `run_until`, every thread
+//! count reports the sequential run's loads, flow memory, total load,
+//! metrics and checkpoint bytes bit for bit; a snapshot restored into a
+//! pooled simulator continues exactly; and a snapshot whose memory a
+//! rounded run could never have held is refused with a typed error.
+
+use std::path::{Path, PathBuf};
+
+use sodiff::prelude::*;
+use sodiff::{read_checkpoint, write_checkpoint, ScenarioSpec};
+
+/// Spec bodies (without `name=`, `threads=`, `stop=`) covering both
+/// memory sources, both rounding pipelines, both widths and both modes,
+/// plus the perturbation axes that write loads on the control thread.
+const SPECS: &[&str] = &[
+    "topology=torus2d:9:7 scheme=sos:1.7 rounding=randomized seed=3 init=point:0:63000",
+    "topology=torus2d:9:7 scheme=sos:1.7 rounding=nearest init=point:0:63000",
+    "topology=torus2d:9:7 scheme=sos:1.7 rounding=randomized seed=3 init=point:0:63000 \
+     flow_memory=scheduled",
+    "topology=torus2d:9:7 scheme=sos:1.7 rounding=unbiased seed=5 init=point:0:63000 \
+     mem=compact",
+    "topology=torus2d:9:7 scheme=sos:1.7 rounding=randomized seed=3 init=point:0:63000 \
+     mem=compact",
+    "topology=torus2d:9:7 scheme=sos:1.7 mode=continuous init=point:0:63000",
+    "topology=torus2d:9:7 scheme=sos:1.7 mode=continuous init=point:0:63000 mem=compact",
+    "topology=hypercube:6 scheme=matching:random:7:1 rounding=randomized seed=2 \
+     init=point:0:6400 faults=crash:0.1:7+shock:0.25:3+stale:0.1:4 load=poisson:2:42",
+    "topology=torus2d:8:8 scheme=sos:1.6 rounding=nearest init=point:0:6400 \
+     faults=edgedrop:0.05:3 churn=flux:0.08:0.3:9:25",
+];
+
+const THREADS: &[usize] = &[2, 3, 5];
+
+fn spec(body: &str, threads: usize, rounds: usize) -> ScenarioSpec {
+    format!("name=store {body} threads={threads} stop=rounds:{rounds}")
+        .parse()
+        .unwrap_or_else(|e| panic!("{body}: {e}"))
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("sodiff-single-store-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Everything the accessors expose, as raw bits.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    round: u64,
+    loads_i64: Option<Vec<i64>>,
+    loads_f64: Option<Vec<u64>>,
+    loads: Vec<u64>,
+    previous_flows: Vec<u64>,
+    total_load: u64,
+    min_transient: u64,
+    metrics: Vec<u64>,
+    round_metrics: Option<Vec<u64>>,
+    snapshot: Vec<u8>,
+}
+
+fn metric_bits(m: &MetricsSnapshot) -> Vec<u64> {
+    [
+        m.max_minus_avg,
+        m.min_minus_avg,
+        m.max_local_diff,
+        m.potential_over_n,
+        m.min_load,
+    ]
+    .iter()
+    .map(|x| x.to_bits())
+    .collect()
+}
+
+/// Every observable of `sim`, including the encoded checkpoint bytes
+/// (written under the same spec line whatever the thread count, so the
+/// files are comparable byte for byte).
+fn observe(sim: &Simulator<'_>, line: &ScenarioSpec, path: &Path) -> Observed {
+    write_checkpoint(path, line, &sim.snapshot()).unwrap();
+    Observed {
+        round: sim.round(),
+        loads_i64: sim.loads_i64().map(|l| l.to_vec()),
+        loads_f64: sim
+            .loads_f64()
+            .map(|l| l.iter().map(|x| x.to_bits()).collect()),
+        loads: sim.loads_to_f64().iter().map(|x| x.to_bits()).collect(),
+        previous_flows: sim.previous_flows().iter().map(|x| x.to_bits()).collect(),
+        total_load: sim.total_load().to_bits(),
+        min_transient: sim.min_transient_load().to_bits(),
+        metrics: metric_bits(&sim.metrics()),
+        round_metrics: sim.round_metrics().as_ref().map(metric_bits),
+        snapshot: std::fs::read(path).unwrap(),
+    }
+}
+
+/// The observation trail of one run: after each of `steps` single
+/// `step()`s, then after a `run_until` of `rest` more rounds.
+fn trail(body: &str, threads: usize, steps: usize, rest: usize, dir: &Path) -> Vec<Observed> {
+    let line = spec(body, 1, steps + rest);
+    let run = spec(body, threads, steps + rest);
+    let graph = run.build_graph().unwrap();
+    let experiment = run.experiment_on(&graph).unwrap();
+    let mut sim = experiment.simulator();
+    assert_eq!(sim.threads(), threads);
+    let path = dir.join(format!("t{threads}.ckpt"));
+    let mut out = vec![observe(&sim, &line, &path)];
+    for _ in 0..steps {
+        sim.step();
+        out.push(observe(&sim, &line, &path));
+    }
+    sim.run_until(StopCondition::MaxRounds(rest));
+    out.push(observe(&sim, &line, &path));
+    out
+}
+
+/// Threads {2, 3, 5} reproduce the sequential run's every observable,
+/// bit for bit, after single steps and after a whole run.
+#[test]
+fn pooled_accessors_match_sequential_bit_for_bit() {
+    let dir = scratch_dir("accessors");
+    for body in SPECS {
+        let seq = trail(body, 1, 5, 37, &dir);
+        for &threads in THREADS {
+            let pooled = trail(body, threads, 5, 37, &dir);
+            for (a, b) in seq.iter().zip(&pooled) {
+                assert_eq!(a, b, "{body}: {threads} threads, round {}", a.round);
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run's state bytes count each piece once: under `Rounded` no `f64`
+/// memory exists beside the flows, and the pool holds no second copy.
+#[test]
+fn state_bytes_count_one_copy() {
+    let (n, m, arcs) = (63usize, 126usize, 252usize);
+    for threads in [1, 2, 3, 5] {
+        let bytes = |body: &str| {
+            let run = spec(body, threads, 1);
+            let graph = run.build_graph().unwrap();
+            run.experiment_on(&graph).unwrap().simulator().state_bytes()
+        };
+        // loads + flows + arc fractions; no stored memory.
+        assert_eq!(bytes(SPECS[0]), 8 * (n + m + arcs), "{threads} threads");
+        // loads + flows.
+        assert_eq!(bytes(SPECS[1]), 8 * (n + m), "{threads} threads");
+        // Scheduled memory is stored beside the flows.
+        assert_eq!(bytes(SPECS[2]), 8 * (n + 2 * m + arcs), "{threads} threads");
+        // Continuous: loads + memory (which carries the flows).
+        assert_eq!(bytes(SPECS[5]), 8 * (n + m), "{threads} threads");
+        assert_eq!(bytes(SPECS[6]), 4 * (n + m), "{threads} threads");
+    }
+}
+
+/// A snapshot taken mid-run — by either executor — restored into a
+/// pooled simulator continues exactly like the uninterrupted run.
+#[test]
+fn restore_into_pool_continues_exactly() {
+    let dir = scratch_dir("restore");
+    let (at, total) = (21usize, 50usize);
+    for body in SPECS {
+        let line = spec(body, 1, total);
+        let graph = line.build_graph().unwrap();
+        let path = dir.join("cmp.ckpt");
+        let straight = {
+            let mut sim = line.experiment_on(&graph).unwrap().simulator();
+            sim.run_until(StopCondition::MaxRounds(total));
+            observe(&sim, &line, &path)
+        };
+        for from in [1usize, 3] {
+            let source = spec(body, from, total);
+            let mut sim = source.experiment_on(&graph).unwrap().simulator();
+            sim.run_until(StopCondition::MaxRounds(at));
+            let ckpt_path = dir.join("mid.ckpt");
+            write_checkpoint(&ckpt_path, &line, &sim.snapshot()).unwrap();
+            let ckpt = read_checkpoint(&ckpt_path).unwrap();
+            for &threads in THREADS {
+                let target = spec(body, threads, total);
+                let mut resumed = target.experiment_on(&graph).unwrap().simulator();
+                resumed.restore(&ckpt.snapshot).unwrap();
+                resumed.run_until(StopCondition::MaxRounds(total - at));
+                assert_eq!(
+                    observe(&resumed, &line, &path),
+                    straight,
+                    "{body}: {from}-thread snapshot resumed on {threads} threads"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run that remembers rounded flows keeps its memory in the integral
+/// flow slots, so a snapshot whose memory is not integral (here: one
+/// taken under `flow_memory=scheduled`) cannot be restored into it — on
+/// either executor — and the refusal leaves the target untouched.
+#[test]
+fn rounded_restore_refuses_non_integral_memory() {
+    let dir = scratch_dir("refuse");
+    let body = SPECS[0];
+    let scheduled = spec(&format!("{body} flow_memory=scheduled"), 1, 30);
+    let graph = scheduled.build_graph().unwrap();
+    let mut source = scheduled.experiment_on(&graph).unwrap().simulator();
+    source.run_until(StopCondition::MaxRounds(12));
+    let snap = source.snapshot();
+    assert!(
+        source.previous_flows().iter().any(|f| f.fract() != 0.0),
+        "the scheduled memory must hold a non-integral value"
+    );
+    for threads in [1, 3] {
+        let rounded = spec(body, threads, 30);
+        let mut target = rounded.experiment_on(&graph).unwrap().simulator();
+        target.run_until(StopCondition::MaxRounds(4));
+        let path = dir.join("before.ckpt");
+        let before = observe(&target, &rounded, &path);
+        let err = target.restore(&snap).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Mismatch(msg) if msg.contains("integral")),
+            "{threads} threads: {err}"
+        );
+        assert_eq!(
+            observe(&target, &rounded, &path),
+            before,
+            "{threads} threads"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
