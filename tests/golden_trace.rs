@@ -41,8 +41,9 @@
 use sodiff::graph::generators;
 use sodiff::prelude::*;
 
-/// FNV-1a over the full simulation state: loads, previous flows (bits),
-/// and the minimum transient load (bits).
+/// FNV-1a over the full simulation state: loads (`i64`, or `f64` bits
+/// where the run has no full-width integer loads), previous flows
+/// (bits), and the minimum transient load (bits).
 fn state_checksum(sim: &Simulator<'_>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
@@ -51,8 +52,18 @@ fn state_checksum(sim: &Simulator<'_>) -> u64 {
             h = h.wrapping_mul(0x100_0000_01b3);
         }
     };
-    for &x in sim.loads_i64().expect("golden traces are discrete").iter() {
-        eat(&x.to_le_bytes());
+    match sim.loads_i64() {
+        Some(loads) => {
+            for &x in loads.iter() {
+                eat(&x.to_le_bytes());
+            }
+        }
+        // Continuous and compact runs hash their loads as f64 bits.
+        None => {
+            for x in sim.loads_to_f64() {
+                eat(&x.to_bits().to_le_bytes());
+            }
+        }
     }
     for &f in sim.previous_flows().iter() {
         eat(&f.to_bits().to_le_bytes());
@@ -318,4 +329,191 @@ fn regular_matching_random_heterogeneous() {
             .simulator();
         run_and_check("regular_matching_random", 0x7cbb471521179a82, sim, 80);
     }
+}
+
+// ---------------------------------------------------------------------
+// Perturbation table: every scheme family × perturbation combination ×
+// mode, pinned together with the event counters the run reports. Each
+// row runs on the sequential executor and, against the same pins, on
+// the pool.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over every field of the three perturbation event reports
+/// (floats as bits).
+fn events_checksum(sim: &Simulator<'_>) -> u64 {
+    let f = sim.fault_events();
+    let l = sim.load_events();
+    let c = sim.churn_events();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for word in [
+        f.crashes,
+        f.rejoins,
+        f.edges_dropped,
+        f.shocks,
+        f.stale_edges,
+        l.arrivals,
+        l.departures,
+        l.injected.to_bits(),
+        c.departures,
+        c.arrivals,
+        c.handoffs,
+        c.joined.to_bits(),
+        c.departed.to_bits(),
+    ] {
+        for b in word.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The perturbation sets of the table, by name.
+fn perturbation(set: &str) -> (FaultSpec, LoadSpec, ChurnSpec) {
+    let flux = ChurnSpec::none().with_flux(0.08, 0.3, 9).with_initial(25.0);
+    match set {
+        "crash+edgedrop+stale+shock" => (
+            FaultSpec::none()
+                .with_crash(0.1, 7)
+                .with_edgedrop(0.05, 9)
+                .with_stale(0.05, 5)
+                .with_shock(0.2, 3),
+            LoadSpec::none(),
+            ChurnSpec::none(),
+        ),
+        "shock+stale" => (
+            FaultSpec::none().with_shock(0.3, 4).with_stale(0.1, 6),
+            LoadSpec::none(),
+            ChurnSpec::none(),
+        ),
+        "flux" => (FaultSpec::none(), LoadSpec::none(), flux),
+        "crash+flux+edgedrop" => (
+            FaultSpec::none().with_crash(0.1, 7).with_edgedrop(0.05, 9),
+            LoadSpec::none(),
+            flux,
+        ),
+        "flux+load" => (
+            FaultSpec::none(),
+            LoadSpec::none()
+                .with_poisson(0.5, 7)
+                .with_hotspot(3, 50, 8, 11)
+                .with_diurnal(12.5, 16)
+                .with_adversarial(40, 12, 13),
+            flux,
+        ),
+        other => panic!("unknown perturbation set {other}"),
+    }
+}
+
+/// The table's schemes, by name.
+fn table_scheme(name: &str) -> Scheme {
+    match name {
+        "sos" => Scheme::sos(1.7),
+        "de" => Scheme::dimension_exchange(1.0),
+        "matching_rr" => Scheme::matching_round_robin(1.0),
+        "matching_random" => Scheme::matching_random(5, 1.0),
+        other => panic!("unknown scheme {other}"),
+    }
+}
+
+/// `(scheme, perturbation set, mode, state checksum, events checksum)`.
+/// Modes: `nearest` (discrete, nearest rounding), `continuous`, and
+/// `compact` (discrete nearest under `mem=compact`).
+#[rustfmt::skip]
+const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64)] = &[
+    ("sos", "crash+edgedrop+stale+shock", "nearest", 0x9c49c86baea9b67a, 0x7dce1b91e068a362),
+    ("sos", "crash+edgedrop+stale+shock", "continuous", 0xb13cbac39993e33e, 0x7dce1b91e068a362),
+    ("sos", "shock+stale", "nearest", 0xeb90babb7d4f8f7e, 0x3c8b2bcc4670a1c4),
+    ("sos", "shock+stale", "continuous", 0x78d09f78c6d8c244, 0x3c8b2bcc4670a1c4),
+    ("sos", "flux", "nearest", 0x7e2c2b500623f7e6, 0x82ad8397c7322d52),
+    ("sos", "flux", "continuous", 0x128e1637a0185fa5, 0x82ad8397c7322d52),
+    ("sos", "crash+flux+edgedrop", "nearest", 0xfed25686f5404496, 0x4b068d43602a8aa1),
+    ("sos", "crash+flux+edgedrop", "continuous", 0xc71c40041c7a67a9, 0x4b068d43602a8aa1),
+    ("sos", "flux+load", "nearest", 0xd25684a554bfaca9, 0x168c2d9184208ffc),
+    ("sos", "flux+load", "continuous", 0x18d3450cef851cf8, 0x19b4dbc345915dd0),
+    ("de", "crash+edgedrop+stale+shock", "nearest", 0x78cc71f89d2dd2c6, 0xef398a34c05c8a43),
+    ("de", "crash+edgedrop+stale+shock", "continuous", 0x021ca16ba42e487f, 0xef398a34c05c8a43),
+    ("de", "shock+stale", "nearest", 0x2fc64b57819521d2, 0x4a157713be699537),
+    ("de", "shock+stale", "continuous", 0x6850be8e328e61d5, 0x4a157713be699537),
+    ("de", "flux", "nearest", 0x380d2c46aba31273, 0x82ad8397c7322d52),
+    ("de", "flux", "continuous", 0x3927beb03818dceb, 0x82ad8397c7322d52),
+    ("de", "crash+flux+edgedrop", "nearest", 0xb84e33c5b77bcfcf, 0xeec0b9a6663f5917),
+    ("de", "crash+flux+edgedrop", "continuous", 0xaf329f08d132175e, 0xeec0b9a6663f5917),
+    ("de", "flux+load", "nearest", 0xe5d073fb0f3acc5d, 0x168c2d9184208ffc),
+    ("de", "flux+load", "continuous", 0x1b81826a144b8809, 0x19b4dbc345915dd0),
+    ("matching_rr", "crash+edgedrop+stale+shock", "nearest", 0xfa27c8fd7ee3d605, 0xb6683f18ae4b48a0),
+    ("matching_rr", "crash+edgedrop+stale+shock", "continuous", 0x8f6baf7fe24616ba, 0xb6683f18ae4b48a0),
+    ("matching_rr", "shock+stale", "nearest", 0x2fc64b57819521d2, 0x4a157713be699537),
+    ("matching_rr", "shock+stale", "continuous", 0x6850be8e328e61d5, 0x4a157713be699537),
+    ("matching_rr", "flux", "nearest", 0xa26d99bce7117b50, 0x82ad8397c7322d52),
+    ("matching_rr", "flux", "continuous", 0x26cb2d1c87b6cf24, 0x82ad8397c7322d52),
+    ("matching_rr", "crash+flux+edgedrop", "nearest", 0x2e2bf2a8811d0ac0, 0x9b01a59fa2332f83),
+    ("matching_rr", "crash+flux+edgedrop", "continuous", 0xab0504f4c04b256a, 0x9b01a59fa2332f83),
+    ("matching_rr", "flux+load", "nearest", 0x43a100a184da730e, 0x168c2d9184208ffc),
+    ("matching_rr", "flux+load", "continuous", 0x460f06b5fab8da7f, 0x19b4dbc345915dd0),
+    ("matching_random", "crash+edgedrop+stale+shock", "nearest", 0xde1e5ccd37fbf208, 0xf2a7d75dbb36da1a),
+    ("matching_random", "crash+edgedrop+stale+shock", "continuous", 0x69432fb076d9c6a2, 0xf2a7d75dbb36da1a),
+    ("matching_random", "shock+stale", "nearest", 0xd3dd6bd011627c1f, 0x244342cf3ac82384),
+    ("matching_random", "shock+stale", "continuous", 0x8915086d0aeb556d, 0x244342cf3ac82384),
+    ("matching_random", "flux", "nearest", 0xb7dca1178fad6aae, 0x8e39bff394471315),
+    ("matching_random", "flux", "continuous", 0xbbecaa521709a051, 0x8e39bff394471315),
+    ("matching_random", "crash+flux+edgedrop", "nearest", 0xb68477ddc75884ec, 0x576f3d3d9a5ec952),
+    ("matching_random", "crash+flux+edgedrop", "continuous", 0xd3aee2afc04f822d, 0x576f3d3d9a5ec952),
+    ("matching_random", "flux+load", "nearest", 0xec5ed01d103fa36b, 0x168c2d9184208ffc),
+    ("matching_random", "flux+load", "continuous", 0x31dbeefe772249ed, 0x19b4dbc345915dd0),
+    ("sos", "crash+flux+edgedrop", "compact", 0xb168a0868096fb5a, 0x4b068d43602a8aa1),
+    ("matching_random", "flux+load", "compact", 0xc3e4752c1f6ff926, 0x168c2d9184208ffc),
+];
+
+#[test]
+fn perturbation_table() {
+    let g = generators::torus2d(8, 8);
+    let mut report = String::new();
+    let mut failed = false;
+    for &(scheme, set, mode, state, events) in PERTURBATION_TABLE {
+        for threads in [1, 3] {
+            let (faults, load, churn) = perturbation(set);
+            let builder = Experiment::on(&g);
+            let builder = match mode {
+                "continuous" => builder.continuous(),
+                _ => builder.discrete(Rounding::nearest()),
+            };
+            let mem = if mode == "compact" {
+                MemSpec::Compact
+            } else {
+                MemSpec::Full
+            };
+            let mut sim = builder
+                .scheme(table_scheme(scheme))
+                .threads(threads)
+                .init(InitialLoad::point(0, 6400))
+                .faults(faults)
+                .load(load)
+                .churn(churn)
+                .mem(mem)
+                .build()
+                .unwrap()
+                .simulator();
+            for _ in 0..64 {
+                sim.step();
+            }
+            let got = (state_checksum(&sim), events_checksum(&sim));
+            if got != (state, events) {
+                failed = true;
+            }
+            if threads == 1 {
+                report.push_str(&format!(
+                    "    (\"{scheme}\", \"{set}\", \"{mode}\", {:#018x}, {:#018x}),\n",
+                    got.0, got.1
+                ));
+            } else if got != (state, events) {
+                report.push_str(&format!("    // threads {threads} differs\n"));
+            }
+        }
+    }
+    assert!(
+        !failed,
+        "perturbation table diverged from the pinned implementation; \
+         observed rows:\n{report}"
+    );
 }

@@ -1,6 +1,7 @@
 //! Property tests for the scenario text format: `Display` → `FromStr`
 //! round-trips exactly for arbitrary valid specs over the whole
-//! scheme × rounding × mode × topology × stop-condition × load space.
+//! scheme × rounding × mode × topology × stop-condition × faults × load
+//! × churn space.
 
 use proptest::prelude::*;
 
@@ -129,6 +130,48 @@ fn any_load() -> impl Strategy<Value = LoadSpec> {
         )
 }
 
+fn any_faults() -> impl Strategy<Value = FaultSpec> {
+    // A bitmask picks which channels are present (0 = `faults=none`).
+    (
+        0u64..16,
+        (0.0f64..=1.0, any::<u64>()),
+        (0.0f64..=1.0, any::<u64>()),
+        (0.0f64..=1.0, any::<u64>()),
+        (0.0f64..=1.0, any::<u64>()),
+    )
+        .prop_map(|(mask, crash, edgedrop, shock, stale)| {
+            let mut spec = FaultSpec::none();
+            if mask & 1 != 0 {
+                spec = spec.with_crash(crash.0, crash.1);
+            }
+            if mask & 2 != 0 {
+                spec = spec.with_edgedrop(edgedrop.0, edgedrop.1);
+            }
+            if mask & 4 != 0 {
+                spec = spec.with_shock(shock.0, shock.1);
+            }
+            if mask & 8 != 0 {
+                spec = spec.with_stale(stale.0, stale.1);
+            }
+            spec
+        })
+}
+
+fn any_churn() -> impl Strategy<Value = ChurnSpec> {
+    prop_oneof![
+        Just(ChurnSpec::none()),
+        (0.0f64..=1.0, 0.0f64..=1.0, any::<u64>())
+            .prop_map(|(leave, join, seed)| ChurnSpec::none().with_flux(leave, join, seed)),
+        (0.0f64..=1.0, 0.0f64..=1.0, any::<u64>(), 0.0f64..1e9).prop_map(
+            |(leave, join, seed, init)| {
+                ChurnSpec::none()
+                    .with_flux(leave, join, seed)
+                    .with_initial(init)
+            }
+        ),
+    ]
+}
+
 fn any_hybrid() -> impl Strategy<Value = Option<SwitchPolicy>> {
     prop_oneof![
         Just(None),
@@ -162,7 +205,7 @@ fn any_spec() -> impl Strategy<Value = ScenarioSpec> {
         ),
         (
             any_stop(),
-            any_load(),
+            (any_load(), any_faults(), any_churn()),
             any_hybrid(),
             any_ckpt(),
             (any::<bool>(), 0usize..5, 1usize..9),
@@ -171,7 +214,7 @@ fn any_spec() -> impl Strategy<Value = ScenarioSpec> {
         .prop_map(
             |(
                 (topology, speeds, scheme, mode, init),
-                (stop, load, hybrid, ckpt, (seeded, name_pick, threads)),
+                (stop, (load, faults, churn), hybrid, ckpt, (seeded, name_pick, threads)),
             )| {
                 let mut spec = ScenarioSpec::new(topology);
                 spec.name = ["scenario", "fig_01", "a", "sweep-3", "x9"][name_pick].to_string();
@@ -182,6 +225,8 @@ fn any_spec() -> impl Strategy<Value = ScenarioSpec> {
                 spec.init = init;
                 spec.stop = stop;
                 spec.load = load;
+                spec.faults = faults;
+                spec.churn = churn;
                 spec.threads = threads;
                 spec.flow_memory = if seeded {
                     FlowMemory::Scheduled
