@@ -95,12 +95,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use crate::churn::ChurnEvents;
 use crate::engine::{RunReport, StopCondition};
 use crate::error::{CheckpointError, ParseError};
-use crate::fault::FaultEvents;
-use crate::load::LoadEvents;
 use crate::observer::{NullObserver, Observer};
+use crate::perturb::{ChurnEvents, FaultEvents, LoadEvents};
 use crate::scenario::{ScenarioSpec, StopSpec};
 
 /// Magic bytes every checkpoint file starts with.

@@ -40,20 +40,21 @@ use sodiff_graph::{Graph, Speeds};
 use crate::checkpoint::{
     self, CheckpointConfig, LoadsSnapshot, PlateauSnapshot, Snapshot, SteadySnapshot, WatchSnapshot,
 };
-use crate::churn::{ChurnEvents, ChurnSpec};
 use crate::error::{BuildError, CheckpointError};
-use crate::fault::{DivergenceWatch, FaultEvents, FaultSpec};
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
 use crate::kernel::{cells_f32, cells_f64, cells_i32, cells_i64, KernelTables, LoadStats};
-use crate::load::{LoadEvents, LoadSpec, SteadyStats, SteadyTracker};
 use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot, RemainingImbalance};
 use crate::observer::Observer;
+use crate::perturb::{
+    ChurnEvents, ChurnSpec, FaultEvents, FaultSpec, LoadEvents, LoadSpec, Perturb, PerturbSpec,
+};
 use crate::pool::{JobLoads, RoundJob, WorkerPool};
 use crate::rounding::Rounding;
 use crate::scenario::MemSpec;
 use crate::scheme::Scheme;
 use crate::scheme_kernel::{RoundScratch, SchemeKernel};
+use crate::watch::{DivergenceWatch, SteadyStats, SteadyTracker};
 
 /// Continuous vs discrete execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -691,9 +692,11 @@ impl<'g> Simulator<'g> {
             config.mode,
             graph,
             &speeds,
-            config.faults,
-            config.load,
-            config.churn,
+            PerturbSpec {
+                faults: config.faults,
+                load: config.load,
+                churn: config.churn,
+            },
         )?;
         let framework = scheme_kernel.needs_arc_plan();
         let tables = Arc::new(KernelTables::new(graph, &speeds, framework, initial_total));
@@ -972,14 +975,14 @@ impl<'g> Simulator<'g> {
             round_stats,
             loads,
             prev_flow: self.previous_flows().into_owned(),
-            fault_events: self.scratch.fault.events,
-            load_events: self.scratch.load.events,
-            churn_events: self.scratch.churn.events,
+            fault_events: self.scratch.perturb.faults,
+            load_events: self.scratch.perturb.load,
+            churn_events: self.scratch.perturb.churn,
             // The active-node overlay is the churn axis's one
             // history-dependent piece of state (a Markov chain over
             // epochs), so it is persisted verbatim; empty = churn never
-            // ran, so restore leaves the default all-active overlay.
-            churn_active: self.scratch.churn.active_words().to_vec(),
+            // ran (churn=none, or no round yet).
+            churn_active: self.scratch.perturb.churn_words().to_vec(),
             watch,
             steady,
             plateau,
@@ -998,9 +1001,10 @@ impl<'g> Simulator<'g> {
     ///
     /// [`CheckpointError::Mismatch`] when the snapshot does not fit this
     /// simulation (wrong node/edge count, wrong mode, a different
-    /// initial total, or — for a run that remembers rounded flows — a
-    /// flow memory that is not integral or does not fit the flow
-    /// storage). The simulator is left unmodified on error.
+    /// initial total, for a run that remembers rounded flows a flow
+    /// memory that is not integral or does not fit the flow storage, or
+    /// a churn overlay that does not fit the run's churn plan and node
+    /// count). The simulator is left unmodified on error.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), CheckpointError> {
         let n = self.graph.node_count();
         let m = self.graph.edge_count();
@@ -1100,6 +1104,21 @@ impl<'g> Simulator<'g> {
                 )));
             }
         }
+        // Crash masks are pure per-epoch functions of the spec's seeds,
+        // so restore re-derives the pre-resume epoch; the churn overlay
+        // is history-dependent, so it is installed verbatim. The
+        // cumulative event counters continue from the snapshot's.
+        let mut perturb = Perturb::restore(
+            &self.scheme_kernel.perturb,
+            self.graph,
+            self.scheme_kernel.sweep_family(),
+            snap.round,
+            &snap.churn_active,
+        )
+        .map_err(CheckpointError::Mismatch)?;
+        perturb.faults = snap.fault_events;
+        perturb.load = snap.load_events;
+        perturb.churn = snap.churn_events;
         match &mut self.store {
             Store::Local(state) => state.write_state(&snap.loads, &snap.prev_flow, rounded),
             Store::Pooled(attachment) => attachment.job.write_state(&snap.loads, &snap.prev_flow),
@@ -1125,51 +1144,7 @@ impl<'g> Simulator<'g> {
         if snap.switch_round.is_some() && self.scheme.is_diffusion() {
             self.scheme = Scheme::fos();
         }
-        // Fault masks are pure per-epoch functions of the spec's seeds
-        // (never incremental), so materializing the pre-resume epoch
-        // once puts every mask exactly where an uninterrupted run would
-        // have it; the cumulative event counters are then overwritten
-        // with the snapshot's so future epochs extend the original
-        // counts.
-        self.scratch.fault = Default::default();
-        if snap.round > 0 {
-            self.scratch.fault.begin_round(
-                &self.scheme_kernel.faults,
-                self.graph,
-                snap.round - 1,
-                self.scheme_kernel.fault_sweep_family(),
-            );
-        }
-        self.scratch.fault.events = snap.fault_events;
-        self.scratch.load = Default::default();
-        self.scratch.load.events = snap.load_events;
-        // The churn overlay is history-dependent (unlike the per-epoch
-        // fault redraw), so restore installs the persisted words
-        // verbatim — never redrawing a transition — and re-derives the
-        // epoch's masks from them against the rematerialized crash-live
-        // set. The memoized epoch is the last *processed* round's, so
-        // the next round transitions exactly when an uninterrupted run
-        // would.
-        self.scratch.churn = Default::default();
-        if !snap.churn_active.is_empty() {
-            self.scratch.churn.restore(
-                n,
-                snap.churn_active.clone(),
-                snap.round.saturating_sub(1) / crate::fault::EPOCH_LEN,
-            );
-            let fault_live = self
-                .scheme_kernel
-                .faults
-                .crash
-                .is_some()
-                .then(|| self.scratch.fault.live_node_words());
-            self.scratch.churn.rebuild_masks(
-                self.graph,
-                fault_live,
-                self.scheme_kernel.sweep_family(),
-            );
-        }
-        self.scratch.churn.events = snap.churn_events;
+        self.scratch.perturb = perturb;
         self.saved_loop = SavedLoop {
             run_start: snap.run_start,
             switch_round: snap.switch_round,
@@ -1373,8 +1348,8 @@ impl<'g> Simulator<'g> {
         else {
             unreachable!("step_pooled requires a pool")
         };
-        // Per-round plan state (the random-matching or fault-effective
-        // mask, plus any fault perturbations of the loads) is produced
+        // Per-round plan state (the random-matching or effective mask,
+        // plus the perturbation channels' load deltas) is produced
         // here, on the control thread, and published into the job before
         // the round's first barrier — results never depend on the
         // executor.
@@ -1474,16 +1449,12 @@ impl<'g> Simulator<'g> {
             StopCondition::Horizon(r) => (r, None, None, Some(SteadyTracker::horizon(r))),
         };
         let mut tracker = window.map(RemainingImbalance::new);
-        // Graceful degradation: under fault or dynamic-load injection,
+        // Graceful degradation: under fault, load or churn injection,
         // watch the fused per-round deviation for runaway growth (or
         // non-finite values) and fall back SOS→FOS through the ordinary
         // hybrid switching machinery. Disarmed (and branch-free after
         // the first check) for unperturbed runs.
-        let mut watch = DivergenceWatch::new(
-            !self.scheme_kernel.faults.is_none()
-                || !self.scheme_kernel.loads.is_none()
-                || !self.scheme_kernel.churn.is_none(),
-        );
+        let mut watch = DivergenceWatch::new(!self.scheme_kernel.perturb.is_none());
         let mut degraded = false;
         let mut reason = match condition {
             StopCondition::Horizon(_) => StopReason::Horizon,
@@ -1644,21 +1615,21 @@ impl<'g> Simulator<'g> {
     /// Fault events injected over this simulator's lifetime (all zero
     /// for `faults=none`).
     pub fn fault_events(&self) -> FaultEvents {
-        self.scratch.fault.events
+        self.scratch.perturb.faults
     }
 
     /// Dynamic-load events injected over this simulator's lifetime (all
     /// zero for `load=none`). The `injected` field is the net token
     /// delta, so conservation reads `total == initial + injected`.
     pub fn load_events(&self) -> LoadEvents {
-        self.scratch.load.events
+        self.scratch.perturb.load
     }
 
     /// Topology-churn events over this simulator's lifetime (all zero
     /// for `churn=none`). With churn active, conservation reads
     /// `total == initial + injected + joined − departed`.
     pub fn churn_events(&self) -> ChurnEvents {
-        self.scratch.churn.events
+        self.scratch.perturb.churn
     }
 
     /// Maximum absolute per-node load difference to another simulation on
@@ -2158,6 +2129,56 @@ mod tests {
             target.restore(&good).unwrap();
             assert_eq!(target.snapshot(), good, "{mem:?} t{threads}");
         }
+    }
+
+    #[test]
+    fn malformed_churn_overlay_is_a_mismatch() {
+        // 70 nodes: two overlay words, the second with 6 valid bits.
+        let g = generators::cycle(70);
+        let build = |churn: ChurnSpec| {
+            Experiment::on(&g)
+                .discrete(Rounding::nearest())
+                .init(InitialLoad::point(0, 7000))
+                .churn(churn)
+                .build()
+                .unwrap()
+                .simulator()
+        };
+        let flux = ChurnSpec::none().with_flux(0.2, 0.3, 4);
+        let mut source = build(flux);
+        source.run_until(StopCondition::MaxRounds(20));
+        let good = source.snapshot();
+        assert_eq!(good.churn_active.len(), 2);
+        let mut unchurned = build(ChurnSpec::none());
+        unchurned.run_until(StopCondition::MaxRounds(20));
+        let mut stray = unchurned.snapshot();
+        stray.churn_active = good.churn_active.clone();
+        let mut long = good.clone();
+        long.churn_active.push(0);
+        let mut short = good.clone();
+        short.churn_active.pop();
+        let mut high = good.clone();
+        high.churn_active[1] |= 1 << 6;
+        for (what, spec, snap) in [
+            ("extra word", flux, long),
+            ("missing word", flux, short),
+            ("slot past n", flux, high),
+            ("overlay under churn=none", ChurnSpec::none(), stray),
+        ] {
+            let mut target = build(spec);
+            target.run_until(StopCondition::MaxRounds(3));
+            let before = target.snapshot();
+            match target.restore(&snap) {
+                Err(CheckpointError::Mismatch(msg)) => {
+                    assert!(msg.contains("churn overlay"), "{what}: {msg}")
+                }
+                other => panic!("{what} accepted ({other:?})"),
+            }
+            assert_eq!(target.snapshot(), before, "{what}");
+        }
+        let mut target = build(flux);
+        target.restore(&good).unwrap();
+        assert_eq!(target.snapshot(), good);
     }
 
     #[test]

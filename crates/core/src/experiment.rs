@@ -32,15 +32,13 @@ use std::marker::PhantomData;
 use sodiff_graph::{Graph, Speeds};
 
 use crate::checkpoint::CheckpointConfig;
-use crate::churn::ChurnSpec;
 use crate::deviation::DeviationSeries;
 use crate::engine::{FlowMemory, Mode, RunReport, SimulationConfig, Simulator, StopCondition};
 use crate::error::BuildError;
-use crate::fault::FaultSpec;
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
-use crate::load::LoadSpec;
 use crate::observer::Observer;
+use crate::perturb::{ChurnSpec, FaultSpec, LoadSpec};
 use crate::rounding::{Rounding, RoundingSpec};
 use crate::scenario::MemSpec;
 use crate::scheme::Scheme;
@@ -281,7 +279,8 @@ impl<'g> ExperimentBuilder<'g, Ready> {
     /// [`BuildError::SpeedsLengthMismatch`], [`BuildError::MissingSeed`],
     /// [`BuildError::ZeroThreads`], [`BuildError::InvalidInitialLoad`],
     /// [`BuildError::InvalidStopCondition`], [`BuildError::InvalidFaults`],
-    /// or [`BuildError::InvalidLoad`].
+    /// [`BuildError::InvalidLoad`], [`BuildError::InvalidChurn`], or
+    /// [`BuildError::InvalidCheckpoint`].
     pub fn build(self) -> Result<Experiment<'g>, BuildError> {
         let Parts {
             graph,

@@ -111,7 +111,6 @@ use sodiff_graph::{Graph, Speeds};
 
 use crate::engine::FlowMemory;
 use crate::metrics::DEV_BLOCK;
-use crate::prefetch;
 use crate::rng::{self, SplitMix64};
 use crate::rounding::Rounding;
 
@@ -945,13 +944,6 @@ fn scatter_pass<A: BufF64, F: BufI64, P: BufF64>(
         P::write(pe, s);
     };
     for k0 in (0..main).step_by(LANES) {
-        // The arc slots live at data-dependent positions the hardware
-        // prefetcher cannot follow; hint the lines a fixed distance
-        // ahead (no-op without the `accel` feature).
-        for &(pt, ph) in positions.iter().skip(k0 + prefetch::DIST).take(LANES) {
-            prefetch::read_index(arc_frac.elems(), pt as usize);
-            prefetch::read_index(arc_frac.elems(), ph as usize);
-        }
         let tc = &tails[k0..k0 + LANES];
         let hc = &heads[k0..k0 + LANES];
         let ctc = &cts[k0..k0 + LANES];
@@ -1041,10 +1033,6 @@ fn scatter_masked_pass<A: BufF64, F: BufI64, P: BufF64>(
         P::write(pe, s);
     };
     for k0 in (0..main).step_by(LANES) {
-        for &(pt, ph) in positions.iter().skip(k0 + prefetch::DIST).take(LANES) {
-            prefetch::read_index(arc_frac.elems(), pt as usize);
-            prefetch::read_index(arc_frac.elems(), ph as usize);
-        }
         let tc = &tails[k0..k0 + LANES];
         let hc = &heads[k0..k0 + LANES];
         let ctc = &cts[k0..k0 + LANES];

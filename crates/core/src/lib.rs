@@ -85,28 +85,28 @@
 //!
 //! Every scheme's per-round flow computation — edge pass, rounding hook,
 //! apply pass, and barrier plan — lives in one crate-internal layer, the
-//! `scheme_kernel` module. A scheme is the combination of five
+//! `scheme_kernel` module. A scheme is the combination of two
 //! statically dispatched axes: a *flow pass* (continuous / fused
-//! edge-local discrete / the three-phase randomized-framework pipeline),
-//! an *active plan* (all edges every round, a precomputed family of edge
-//! bitmasks swept round-robin, or a fresh random maximal matching per
-//! round), a *fault plan* ([`FaultSpec`]: deterministic node
-//! crash/rejoin churn, per-round edge drops, load shocks, and stale-flow
-//! injection, all drawn from counter-indexed RNG streams — see the
-//! `fault` module docs), a *load plan* ([`LoadSpec`]: per-round
-//! dynamic-workload injection — Poisson arrivals/departures, periodic
-//! hotspot bursts, diurnal swings, and an adversarial injector that
-//! re-targets the currently most-loaded node, drawn from the same
-//! salted counter-indexed streams — see the `load` module docs), and a
-//! *churn plan* ([`ChurnSpec`]: live topology churn — epoch-aligned
-//! node departures and (re)arrivals over the graph's reserved node
-//! capacity, with conservation-exact handoff of a departing node's
-//! entire load to its live neighbors, configurable initial load on
-//! arrival, and incremental per-epoch repair of the sweep-plan mask
-//! families over the shrunken/regrown active set — see the `churn`
-//! module docs). `faults=none`, `load=none`, and `churn=none` plans
-//! keep every hot loop on the original unperturbed kernels.
-//! Orthogonal to those five axes, the
+//! edge-local discrete / the three-phase randomized-framework pipeline)
+//! and an *active plan* (all edges every round, a precomputed family of
+//! edge bitmasks swept round-robin, or a fresh random maximal matching
+//! per round). Around that update rule sits one *perturbation layer*
+//! (the `perturb` module docs): a *fault plan* ([`FaultSpec`]:
+//! deterministic node crash/rejoin, per-round edge drops, load shocks,
+//! and stale-flow injection), a *load plan* ([`LoadSpec`]: Poisson
+//! arrivals/departures, periodic hotspot bursts, diurnal swings, and an
+//! adversarial injector that re-targets the currently most-loaded
+//! node), and a *churn plan* ([`ChurnSpec`]: epoch-aligned node
+//! departures and (re)arrivals over the graph's reserved node capacity,
+//! with conservation-exact handoff of a departing node's entire load to
+//! its live neighbors). All three draw from salted counter-indexed RNG
+//! streams, plan their load changes as `(node, delta)` pairs applied by
+//! the control thread before the flow pass, and share one membership
+//! layer: crash and churn derive one up-node set per 16-round epoch,
+//! its up-edge mask, and one incrementally repaired sweep family.
+//! `faults=none`, `load=none`, and `churn=none` plans keep every hot
+//! loop on the original unperturbed kernels.
+//! Orthogonal to those axes, the
 //! **memory layout** (`mem=full` / `mem=compact`, [`MemSpec`]) selects
 //! the state-storage width: the whole per-round phase sequence is
 //! generic over five buffer handles (loads, flow memory, integral
@@ -298,7 +298,7 @@
 //! by the same-run `sos_discrete_nearest` ratio, so they are immune to
 //! this drift.)
 //!
-//! The dynamic-workload axis (`load` module, 2026-08) follows the fault
+//! The dynamic-workload axis (`load=`, 2026-08) follows the fault
 //! axis's cost discipline and is held to it by CI: with `load=none` the
 //! round loop takes the exact pre-load code paths (same-run min-batch
 //! ns/edge ratio vs the fault-free baseline measured at 0.998, gated at
@@ -308,7 +308,7 @@
 //! its own `load=none` twin (`sos_load_poisson` / `sos_load_none` in
 //! `BENCH_rounds.json`, ratio-gated at +25% like the other kernels).
 //!
-//! The churn axis (`churn` module, 2026-08) is held to the same
+//! The churn axis (`churn=`, 2026-08) is held to the same
 //! discipline: with `churn=none` the kernel's plan predicates all
 //! compile the churn path away and the round loop takes the exact
 //! pre-churn code (same-run min-batch ns/edge ratio vs the churn-free
@@ -329,8 +329,7 @@
 //! scatter, and greedy passes that are random-access bound; see
 //! [`matchgen`] for the layout choices that keep them cache-resident.
 //!
-//! **8-lane chunked SIMD edge/apply kernels + software prefetch**
-//! (PR 9). Every hot per-edge pass — the fused discrete kernels, the
+//! **8-lane chunked SIMD edge/apply kernels** (PR 9). Every hot per-edge pass — the fused discrete kernels, the
 //! framework's scatter pass, the continuous kernel, their masked
 //! pairwise/fault variants, and both apply passes — now runs as 8-lane
 //! chunks with a scalar tail, the same shape that paid off in
@@ -342,9 +341,8 @@
 //! largest where the old loops carried a per-edge branch: the masked
 //! pairwise/fault kernels hoist the mask word per lane group and go
 //! branchless. The random-matching generator additionally packs the
-//! greedy pass's endpoint pairs into one `u64` stream and issues
-//! software prefetches ([`matchgen`], the `prefetch` module) ahead of
-//! its random-access bucket writes. Same-day A/B, 256×256 torus,
+//! greedy pass's endpoint pairs into one `u64` stream ([`matchgen`]).
+//! Same-day A/B, 256×256 torus,
 //! single-thread default build (min-estimator ns/edge):
 //!
 //! | case | before | after |
@@ -359,18 +357,19 @@
 //! The unmasked diffusion kernels were already pure multiply–add
 //! streams, so lane-chunking mostly helps the compiler's scheduling
 //! there; the masked kernels are where the restructuring removes real
-//! work. An optional `accel` feature adds an x86-64 intrinsics path
-//! (guarded, with the chunked-scalar form as the portable fallback) —
-//! CI builds and tests both. Levers tried and **rejected** on
-//! measurement, so they are not re-attempted blindly: splatting a
+//! work. Levers tried and **rejected** on measurement, so they are not
+//! re-attempted blindly: an opt-in x86-64 software-prefetch path for
+//! the matchgen and scatter passes (removed 2026-10: 6 alternating
+//! `perf_baseline` pairs on a 2-vCPU host showed no resolvable gain —
+//! random matching 48.5 vs 47.9 min ns/edge, 3–3 pairs), splatting a
 //! uniform coefficient across lanes (no gain — the loads are the
 //! bottleneck, not the coefficient reads), a degree-4 specialization of
 //! the apply pass (regressed irregular graphs), and replacing
 //! nearest-rounding with truncation (~1–1.5 ns/edge cheaper but
 //! bit-pinned: rounding mode is part of the golden surface).
 //!
-//! **Compact-state memory diet** (`mem=compact`, PR 9). The fifth
-//! config axis above is the capacity lever for 10⁸-edge graphs: per-node
+//! **Compact-state memory diet** (`mem=compact`, PR 9). The memory
+//! layout axis above is the capacity lever for 10⁸-edge graphs: per-node
 //! loads and per-edge state (integral flows, SOS flow memory, arc
 //! fractions) store as `i32`/`f32` — exactly half the bytes per element,
 //! verified end to end by [`Simulator::state_bytes`] (the pool job's
@@ -412,87 +411,79 @@
 //! pairs): peak RSS 22.9 → 19.4 MB and process CPU 3.64 → 3.22 s
 //! (medians), with identical rounds and final imbalance.
 
-// Unsafe is forbidden outside the `accel` feature. With `accel` on, the
-// only unsafe in the crate is the `_mm_prefetch` intrinsic inside
-// [`prefetch`] (explicitly `#[allow]`ed there); everything else stays
-// denied so new unsafe cannot creep in behind the feature gate.
-#![cfg_attr(not(feature = "accel"), forbid(unsafe_code))]
-#![cfg_attr(feature = "accel", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-mod churn;
 pub mod deviation;
 pub mod divergence;
 mod driver;
 mod engine;
 mod error;
 mod experiment;
-mod fault;
 pub mod hybrid;
 mod init;
 #[doc(hidden)]
 pub mod kernel;
-mod load;
 #[doc(hidden)]
 pub mod matchgen;
 pub mod metrics;
 mod observer;
+mod perturb;
 mod pool;
-mod prefetch;
 pub mod rng;
 mod rounding;
 mod scenario;
 mod scheme;
 mod scheme_kernel;
 pub mod theory;
+mod watch;
 
 pub use checkpoint::{
     read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig, CheckpointPolicy, Snapshot,
 };
-pub use churn::{ChurnChannel, ChurnEvents, ChurnSpec};
 pub use driver::{BatchReport, Driver, ScenarioError, ScenarioFailure, ScenarioReport};
 pub use engine::{
     FlowMemory, Mode, RunReport, SimulationConfig, Simulator, StopCondition, StopReason,
 };
 pub use error::{BuildError, CheckpointError, ParseError};
 pub use experiment::{Experiment, ExperimentBuilder, NeedsMode, Ready};
-pub use fault::{FaultChannel, FaultEvents, FaultSpec, EPOCH_LEN};
 pub use hybrid::SwitchPolicy;
 pub use init::InitialLoad;
-pub use load::{
-    AdversarialLoad, DiurnalLoad, HotspotLoad, LoadEvents, LoadSpec, PoissonLoad, SteadyStats,
-    MAX_BURST, MAX_RATE,
-};
 pub use metrics::MetricsSnapshot;
 pub use observer::{MetricsRow, MultiObserver, NullObserver, Observer, Recorder};
+pub use perturb::{
+    AdversarialLoad, ChurnChannel, ChurnEvents, ChurnSpec, DiurnalLoad, FaultChannel, FaultEvents,
+    FaultSpec, HotspotLoad, LoadEvents, LoadSpec, PoissonLoad, EPOCH_LEN, MAX_BURST, MAX_RATE,
+};
 pub use rounding::{Rounding, RoundingSpec};
 pub use scenario::{InitSpec, MemSpec, ModeSpec, ScenarioSpec, SchemeSpec, SpeedsSpec, StopSpec};
 pub use scheme::{MatchingStrategy, Scheme};
+pub use watch::SteadyStats;
 
 /// Convenient glob import: `use sodiff_core::prelude::*;`.
 pub mod prelude {
     pub use crate::checkpoint::{
         read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig, CheckpointPolicy, Snapshot,
     };
-    pub use crate::churn::{ChurnChannel, ChurnEvents, ChurnSpec};
     pub use crate::driver::{BatchReport, Driver, ScenarioError, ScenarioFailure, ScenarioReport};
     pub use crate::engine::{
         FlowMemory, Mode, RunReport, SimulationConfig, Simulator, StopCondition, StopReason,
     };
     pub use crate::error::{BuildError, CheckpointError, ParseError};
     pub use crate::experiment::{Experiment, ExperimentBuilder};
-    pub use crate::fault::{FaultChannel, FaultEvents, FaultSpec};
     pub use crate::hybrid::SwitchPolicy;
     pub use crate::init::InitialLoad;
-    pub use crate::load::{
-        AdversarialLoad, DiurnalLoad, HotspotLoad, LoadEvents, LoadSpec, PoissonLoad, SteadyStats,
-    };
     pub use crate::metrics::MetricsSnapshot;
     pub use crate::observer::{MetricsRow, MultiObserver, NullObserver, Observer, Recorder};
+    pub use crate::perturb::{
+        AdversarialLoad, ChurnChannel, ChurnEvents, ChurnSpec, DiurnalLoad, FaultChannel,
+        FaultEvents, FaultSpec, HotspotLoad, LoadEvents, LoadSpec, PoissonLoad,
+    };
     pub use crate::rounding::{Rounding, RoundingSpec};
     pub use crate::scenario::{MemSpec, ScenarioSpec};
     pub use crate::scheme::{MatchingStrategy, Scheme};
+    pub use crate::watch::SteadyStats;
     pub use sodiff_graph::{Speeds, TopologySpec};
     pub use sodiff_linalg::spectral::beta_opt;
 }

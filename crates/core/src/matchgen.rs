@@ -25,11 +25,6 @@
 //!    only remaining random accesses probe the L1-resident per-node
 //!    `matched` bitset.
 //!
-//! The counting and scatter passes' random accesses (the bucket counts
-//! table, the scattered pair slots) additionally issue software
-//! prefetches a batch ahead under the `accel` feature
-//! (the `prefetch` module); results are bit-identical either way.
-//!
 //! The visit order is deterministic per `(seed, round)` and generated on
 //! the control thread only, so sequential and pooled execution stay
 //! bit-identical. It is *not* the same order the full-key sort produced
@@ -52,7 +47,6 @@
 use sodiff_graph::EdgeId;
 
 use crate::kernel::KernelTables;
-use crate::prefetch;
 use crate::rng;
 
 /// Number of 64-bit words of an edge bitmask over `m` edges.
@@ -138,14 +132,9 @@ fn greedy_match(uv: &[u64], order: &[EdgeId], matched: &mut [u64], mask: &mut [u
 /// same visit order and same per-edge decision as [`greedy_match`], but
 /// every input is a sequential read — the endpoint gather already
 /// happened at scatter time — so the pass runs at streaming speed with
-/// only the L1-resident `matched` bitset probed at random (hinted a few
-/// iterations ahead under `accel`).
+/// only the L1-resident `matched` bitset probed at random.
 fn greedy_match_packed(slots: &[(EdgeId, u64)], matched: &mut [u64], mask: &mut [u64]) {
-    for (i, &(e, pair)) in slots.iter().enumerate() {
-        if let Some(&(_, ahead)) = slots.get(i + prefetch::DIST) {
-            prefetch::read_index(matched, (ahead & 0xffff_ffff) as usize >> 6);
-            prefetch::read_index(matched, (ahead >> 32) as usize >> 6);
-        }
+    for &(e, pair) in slots {
         let (u, v) = ((pair & 0xffff_ffff) as usize, (pair >> 32) as usize);
         let (wu, bu) = (u >> 6, 1u64 << (u & 63));
         let (wv, bv) = (v >> 6, 1u64 << (v & 63));
@@ -193,13 +182,6 @@ pub fn fill_random_matching(
     while e0 < m {
         let len = (m - e0).min(64);
         rng::fill_first_draws(rk, e0, &mut draws[..len]);
-        // Issue the batch's count-line hints up front (no-op without
-        // `accel`): the increments hit the counts table at random, and
-        // draining the batch's misses in parallel beats paying them one
-        // load at a time.
-        for &draw in &draws[..len] {
-            prefetch::read_index(&mg.counts, (draw >> shift) as usize + 1);
-        }
         for &draw in &draws[..len] {
             mg.counts[(draw >> shift) as usize + 1] += 1;
         }
@@ -218,9 +200,6 @@ pub fn fill_random_matching(
     while e0 < m {
         let len = (m - e0).min(64);
         rng::fill_first_draws(rk, e0, &mut draws[..len]);
-        for &draw in &draws[..len] {
-            prefetch::read_index(&mg.counts, (draw >> shift) as usize);
-        }
         for (i, &draw) in draws[..len].iter().enumerate() {
             let slot = &mut mg.counts[(draw >> shift) as usize];
             mg.slots[*slot as usize] = ((e0 + i) as EdgeId, uv[e0 + i]);

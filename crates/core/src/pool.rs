@@ -84,9 +84,9 @@ pub(crate) struct RoundJob {
     compact: bool,
     /// Whether this job runs discrete (integer-token) mode.
     discrete: bool,
-    /// Active-edge bitmask words (random-matching jobs, or any job with
-    /// edge faults), published by the control thread before each round's
-    /// first barrier.
+    /// Active-edge bitmask words (random-matching jobs, or any job under
+    /// crash, edgedrop or churn), published by the control thread before
+    /// each round's first barrier.
     mask: Vec<AtomicU64>,
     /// Stale-edge bitmask words (stale-fault jobs only), published by
     /// the control thread before each round's first barrier.
@@ -173,8 +173,7 @@ impl RoundJob {
         let m = tables.m;
         let arcs = tables.arc_edges.len();
         let framework = kernel.needs_arc_plan();
-        let masked =
-            kernel.needs_random_mask() || kernel.needs_fault_mask() || kernel.needs_churn_mask();
+        let masked = kernel.publishes_mask();
         let staled = kernel.needs_stale_mask();
         let compact = matches!(loads, JobLoads::I32(_) | JobLoads::F32(_));
         let discrete = matches!(loads, JobLoads::I64(_) | JobLoads::I32(_));
@@ -644,9 +643,7 @@ mod tests {
                 mode,
                 graph,
                 &speeds,
-                crate::fault::FaultSpec::none(),
-                crate::load::LoadSpec::none(),
-                crate::churn::ChurnSpec::none(),
+                crate::perturb::PerturbSpec::default(),
             )
             .unwrap(),
         )

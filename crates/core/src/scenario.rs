@@ -31,9 +31,9 @@
 //! | `stop` | `rounds:N`, `balanced:THRESHOLD:MAX`, `plateau:WINDOW:MAX`, `steady:WINDOW`, `horizon:R` | `rounds:1000` |
 //! | `threads` | positive integer | `1` |
 //! | `flow_memory` | `rounded`, `scheduled` | `rounded` |
-//! | `faults` | `none`, or `+`-joined `crash:P:SEED`, `edgedrop:P:SEED`, `shock:RATE:SEED`, `stale:P:SEED` | `none` |
-//! | `load` | `none`, or `+`-joined `poisson:RATE:SEED`, `hotspot:NODE:BURST:PERIOD:SEED`, `diurnal:AMP:PERIOD`, `adversarial:BURST:PERIOD:SEED` | `none` |
-//! | `churn` | `none`, or `flux:P_LEAVE:P_JOIN:SEED[:INIT]` (epoch-aligned node join/leave with conservation-exact handoff; see [`crate::churn`]) | `none` |
+//! | `faults` | `none`, or `+`-joined `crash:P:SEED`, `edgedrop:P:SEED`, `shock:RATE:SEED`, `stale:P:SEED` (see [`crate::perturb`]) | `none` |
+//! | `load` | `none`, or `+`-joined `poisson:RATE:SEED`, `hotspot:NODE:BURST:PERIOD:SEED`, `diurnal:AMP:PERIOD`, `adversarial:BURST:PERIOD:SEED` (see [`crate::perturb`]) | `none` |
+//! | `churn` | `none`, or `flux:P_LEAVE:P_JOIN:SEED[:INIT]` (epoch-aligned node join/leave with conservation-exact handoff; see [`crate::perturb`]) | `none` |
 //! | `ckpt` | `every:N:DIR` (snapshot to `DIR/<name>.ckpt` every `N` rounds; see [`crate::checkpoint`]) | *unset* |
 //! | `mem` | `full` (f64/i64 state), `compact` (f32/i32 state at half the bytes; see [`MemSpec`]) | `full` |
 //! | `hybrid` | `at:R`, `local_diff:T`, `max_minus_avg:T`, `never` | *unset* |
@@ -44,14 +44,12 @@ use std::str::FromStr;
 use sodiff_graph::{Graph, Speeds, TopologySpec};
 
 use crate::checkpoint::{CheckpointConfig, CheckpointPolicy};
-use crate::churn::ChurnSpec;
 use crate::engine::{FlowMemory, RunReport, StopCondition};
 use crate::error::{BuildError, ParseError};
 use crate::experiment::Experiment;
-use crate::fault::FaultSpec;
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
-use crate::load::LoadSpec;
+use crate::perturb::{ChurnSpec, FaultSpec, LoadSpec};
 use crate::rounding::RoundingSpec;
 use crate::scheme::Scheme;
 

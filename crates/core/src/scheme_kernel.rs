@@ -21,32 +21,17 @@
 //!   matching-based balancing over maximal matchings), or a fresh random
 //!   maximal matching drawn per round from a `(seed, round)`-keyed greedy
 //!   order.
-//! * [`crate::FaultSpec`] — *what goes wrong* each round: deterministic
-//!   node crash/rejoin churn, per-round edge drops, load shocks, and
-//!   stale-flow injection, all drawn from counter-indexed RNG streams
-//!   (see the `fault` module). With edge faults active, every plan's
-//!   mask is intersected with the round's live/undropped edge set (sweep
-//!   families are incrementally repaired at crash epochs); with
-//!   `faults=none` every hot loop below takes exactly its original
-//!   unperturbed path.
-//! * [`crate::LoadSpec`] — *what work arrives* each round: Poisson
-//!   arrivals/departures, periodic hotspot bursts, a diurnal swing, and
-//!   an adversarial most-loaded-node injector, all planned and applied
-//!   by the control thread before the round's flow pass (see the `load`
-//!   module). With `load=none` every run takes exactly the pre-load
-//!   code paths.
-//! * [`crate::ChurnSpec`] — *which nodes exist* each round: live
-//!   topology churn over the graph's reserved node capacity, with
-//!   epoch-aligned departures/(re)arrivals drawn from the same
-//!   counter-indexed streams, conservation-exact handoff of a departing
-//!   node's entire load to its live neighbors, and per-epoch incremental
-//!   repair of the sweep-plan mask families against the combined
-//!   churn-active × crash-live node set (see the `churn` module). With
-//!   churn active every plan — including diffusion — routes through the
-//!   published active-edge mask; with `churn=none` every hot loop takes
-//!   exactly its pre-churn path. Per round the control thread runs
-//!   fault → churn → load injection before the flow pass, so a
-//!   departing node's handoff lands before new work arrives.
+//! * the perturbation layer (the `perturb` module) — *what happens
+//!   around* each round: the fault, load and churn channels of
+//!   [`crate::FaultSpec`], [`crate::LoadSpec`] and [`crate::ChurnSpec`],
+//!   drawn from counter-indexed RNG streams and run by the control
+//!   thread before the flow pass, in the fixed order crash epoch →
+//!   shock → churn handoff → load injection (so a departing node's
+//!   handoff lands before new work arrives). Under crash, edgedrop or
+//!   churn every plan's mask — diffusion's too — is composed with the
+//!   epoch's up-edge set and the round's drops, and sweep families are
+//!   repaired incrementally at membership epochs; with every channel
+//!   `none` each hot loop below takes exactly its unperturbed path.
 //!
 //! The masked plans run through `*_masked` kernel variants that force
 //! inactive edges' flows to zero with a branchless bit test; the
@@ -78,13 +63,11 @@ use std::sync::Barrier;
 
 use sodiff_graph::{matching, EdgeId, Graph, Speeds};
 
-use crate::churn::{ChurnSpec, ChurnState};
 use crate::engine::{FlowMemory, Mode};
 use crate::error::BuildError;
-use crate::fault::{EffBase, FaultSpec, FaultState};
 use crate::kernel::{self, AtomicsF64, BufF64, BufI64, FwScratch, KernelTables, LoadStats};
-use crate::load::{LoadSpec, LoadState};
 use crate::matchgen::{self, mask_words, MatchScratch};
+use crate::perturb::{Fluid, Perturb, PerturbSpec, Tokens};
 use crate::rounding::Rounding;
 use crate::scheme::{MatchingStrategy, Scheme};
 
@@ -142,16 +125,9 @@ pub(crate) struct RoundScratch {
     /// Per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials of
     /// the sequential apply pass (the pool keeps its own atomic buffer).
     block_sums: Vec<f64>,
-    /// Fault-injection state: live sets, repaired sweep masks, per-round
+    /// Perturbation state: the epoch's membership masks, the round's
     /// drop/stale masks, and the accumulated event counters.
-    pub fault: FaultState,
-    /// Dynamic-workload state: the round's planned injection deltas and
-    /// the accumulated event counters / injected-total account.
-    pub load: LoadState,
-    /// Topology-churn state: the active-node overlay, its induced
-    /// active-edge mask, the per-epoch repaired sweep families, the
-    /// epoch's handoff deltas, and the accumulated event counters.
-    pub churn: ChurnState,
+    pub perturb: Perturb,
 }
 
 impl RoundScratch {
@@ -185,8 +161,8 @@ pub(crate) struct ChunkBufs<'a, LI, LF, P, F, A> {
     /// are the SOS memory under [`FlowMemory::Rounded`].
     pub flows: F,
     /// Active-edge bitmask words (random matching plan, or any plan
-    /// under edge faults), published by the control thread before the
-    /// round's first barrier.
+    /// under crash, edgedrop or churn), published by the control thread
+    /// before the round's first barrier.
     pub mask: &'a [AtomicU64],
     /// The round's stale-edge words (stale fault channel only),
     /// published by the control thread before the round's first barrier
@@ -209,12 +185,8 @@ pub(crate) struct SchemeKernel {
     /// Packed per-edge endpoints for the random-matching generator's
     /// greedy pass ([`matchgen::edge_pairs`]; empty for other plans).
     match_pairs: Vec<u64>,
-    /// The fault-injection axis (`FaultSpec::none()` = unperturbed).
-    pub faults: FaultSpec,
-    /// The dynamic-workload axis (`LoadSpec::none()` = static load).
-    pub loads: LoadSpec,
-    /// The topology-churn axis (`ChurnSpec::none()` = fixed node set).
-    pub churn: ChurnSpec,
+    /// The fault, load and churn channels (all `none` = unperturbed).
+    pub perturb: PerturbSpec,
 }
 
 /// Builds the edge bitmask of one active set.
@@ -275,14 +247,10 @@ impl SchemeKernel {
         mode: Mode,
         graph: &Graph,
         speeds: &Speeds,
-        faults: FaultSpec,
-        loads: LoadSpec,
-        churn: ChurnSpec,
+        perturb: PerturbSpec,
     ) -> Result<Self, BuildError> {
         Self::validate(scheme, graph)?;
-        faults.check()?;
-        loads.check()?;
-        churn.check()?;
+        perturb.check()?;
         let flow = match mode {
             Mode::Continuous => FlowPass::Continuous,
             Mode::Discrete(Rounding::RandomizedFramework { seed }) => FlowPass::Framework { seed },
@@ -334,9 +302,7 @@ impl SchemeKernel {
             coef_tail,
             coef_head,
             match_pairs: Vec::new(),
-            faults,
-            loads,
-            churn,
+            perturb,
         })
     }
 
@@ -354,36 +320,23 @@ impl SchemeKernel {
         matches!(self.flow, FlowPass::Framework { .. })
     }
 
-    /// Whether the plan publishes a per-round mask through the job's
-    /// atomic mask words (the random-matching plan).
-    pub fn needs_random_mask(&self) -> bool {
-        matches!(self.plan, ActivePlan::Random { .. })
+    /// Whether the control thread publishes a per-round mask through the
+    /// job's atomic mask words: the random-matching plan does, and so
+    /// does every plan — diffusion included — under crash, edgedrop or
+    /// churn.
+    pub fn publishes_mask(&self) -> bool {
+        matches!(self.plan, ActivePlan::Random { .. }) || self.perturb.masks_edges()
     }
 
-    /// Whether the fault axis forces per-round edge masking (crash or
-    /// edgedrop channel active), routing every plan — including
-    /// diffusion — through the published mask words.
-    pub fn needs_fault_mask(&self) -> bool {
-        self.faults.has_edge_faults()
-    }
-
-    /// Whether the fault axis publishes a per-round stale mask for the
-    /// apply pass.
+    /// Whether the stale channel publishes a per-round stale mask for
+    /// the apply pass.
     pub fn needs_stale_mask(&self) -> bool {
-        self.faults.stale.is_some()
-    }
-
-    /// Whether the churn axis forces per-round edge masking (a flux
-    /// channel is active), routing every plan — including diffusion —
-    /// through the published mask words so a departed node's incident
-    /// edges carry no flow.
-    pub fn needs_churn_mask(&self) -> bool {
-        !self.churn.is_none()
+        self.perturb.faults.stale.is_some()
     }
 
     /// The pairwise coefficient tables for masked passes, falling back
     /// to the diffusion `α_e/s` tables when this kernel is a diffusion
-    /// scheme that only became masked through the fault axis.
+    /// scheme that only became masked through a perturbation channel.
     fn masked_coefs<'a>(&'a self, t: &'a KernelTables) -> (&'a [f64], &'a [f64]) {
         if self.coef_tail.is_empty() {
             (&t.coef_tail, &t.coef_head)
@@ -393,24 +346,12 @@ impl SchemeKernel {
     }
 
     /// The sweep family and its repair style, if the plan is a sweep.
-    /// Crate-visible so checkpoint restore can re-materialize the fault
+    /// Crate-visible so checkpoint restore can re-derive the membership
     /// epoch the snapshot was taken in.
     pub(crate) fn sweep_family(&self) -> Option<(&[Vec<u64>], bool)> {
         match &self.plan {
             ActivePlan::Sweep { masks, recover } => Some((masks, *recover)),
             _ => None,
-        }
-    }
-
-    /// The sweep family the *fault* state should repair at crash epochs:
-    /// `None` while churn is active, because [`ChurnState`] then rebuilds
-    /// the family each epoch against the combined churn-active ×
-    /// crash-live node set, superseding the crash-only repair.
-    pub(crate) fn fault_sweep_family(&self) -> Option<(&[Vec<u64>], bool)> {
-        if self.needs_churn_mask() {
-            None
-        } else {
-            self.sweep_family()
         }
     }
 
@@ -433,85 +374,28 @@ impl SchemeKernel {
         }
     }
 
-    /// The round's *effective* active mask under the fault and churn
-    /// axes: the plan's mask intersected with the churn-active edge set
-    /// (when a flux channel is on) and with the live/undropped edge set
-    /// (when edge faults are on, counting drop and stale events), the
-    /// plain [`SchemeKernel::active_mask`] otherwise. Control-thread
-    /// only; [`FaultState::begin_round`] and [`ChurnState::begin_round`]
-    /// must already have run this round. With churn active, sweep plans
-    /// use the churn state's repaired families (rebuilt each epoch
-    /// against the combined churn-active × crash-live node set), which
-    /// supersede the fault state's crash-only repairs.
+    /// The round's *effective* active mask: the plan's mask composed
+    /// with the perturbation channels ([`Perturb::compose`]).
+    /// Control-thread only; [`Perturb::begin_round`] must already have
+    /// run this round.
     fn round_mask<'a>(
         &'a self,
         round: u64,
         t: &KernelTables,
         mg: &'a mut MatchScratch,
-        fault: &'a mut FaultState,
-        churn: &'a mut ChurnState,
+        perturb: &'a mut Perturb,
     ) -> Option<&'a [u64]> {
-        let churned = self.needs_churn_mask();
-        if self.faults.has_edge_faults() {
-            let base = match &self.plan {
-                ActivePlan::All => {
-                    if churned {
-                        EffBase::External(churn.active_edge_words())
-                    } else {
-                        EffBase::All
-                    }
-                }
-                ActivePlan::Sweep { masks, .. } => {
-                    let idx = (round % masks.len() as u64) as usize;
-                    if churned {
-                        EffBase::External(churn.repaired_mask(idx))
-                    } else if self.faults.crash.is_some() {
-                        EffBase::Repaired(idx)
-                    } else {
-                        EffBase::External(&masks[idx])
-                    }
-                }
-                ActivePlan::Random { seed } => {
-                    matchgen::fill_random_matching(*seed, round, t, &self.match_pairs, mg);
-                    if churned {
-                        EffBase::External(churn.compose(&mg.mask, t.m))
-                    } else {
-                        EffBase::External(&mg.mask)
-                    }
-                }
-            };
-            return Some(fault.compose_eff(&self.faults, t.m, base));
-        }
-        if churned {
-            let mask = match &self.plan {
-                ActivePlan::All => churn.active_edge_words(),
-                ActivePlan::Sweep { masks, .. } => {
-                    churn.repaired_mask((round % masks.len() as u64) as usize)
-                }
-                ActivePlan::Random { seed } => {
-                    matchgen::fill_random_matching(*seed, round, t, &self.match_pairs, mg);
-                    churn.compose(&mg.mask, t.m)
-                }
-            };
-            if self.faults.stale.is_some() {
-                fault.count_stale(Some(mask), t.m);
-            }
-            return Some(mask);
-        }
-        let mask = self.active_mask(round, t, mg);
-        if self.faults.stale.is_some() {
-            fault.count_stale(mask, t.m);
-        }
-        mask
+        let plan = self.active_mask(round, t, mg);
+        perturb.compose(&self.perturb, plan, round, t.m)
     }
 
     /// Pool-mode round preparation, run by the control thread *before*
-    /// the round's first barrier: advances the fault state (epoch churn,
-    /// drop/stale draws, load shocks applied through the job's atomics —
-    /// exclusive, the workers are parked), generates the random matching
-    /// (if the plan draws one), and publishes the round's effective mask
-    /// and stale words. Fault-free sweep plans need no publication —
-    /// workers index the kernel's immutable masks directly.
+    /// the round's first barrier: runs the perturbation channels against
+    /// the job's atomics (exclusive, the workers are parked), generates
+    /// the random matching (if the plan draws one), and publishes the
+    /// round's effective mask and stale words. Unperturbed sweep plans
+    /// need no publication — workers index the kernel's immutable masks
+    /// directly.
     #[allow(clippy::too_many_arguments)] // the job's full shared state, flat by design
     pub fn prepare_pooled<LI: BufI64, LF: BufF64>(
         &self,
@@ -525,86 +409,24 @@ impl SchemeKernel {
         stale_out: &[AtomicU64],
     ) {
         let RoundScratch {
-            matchgen,
-            fault,
-            load,
-            churn,
-            ..
+            matchgen, perturb, ..
         } = scratch;
-        let discrete = loads_f.elems().is_empty();
-        if !self.faults.is_none() {
-            fault.begin_round(&self.faults, graph, round, self.fault_sweep_family());
-            if let Some((donor, hotspot)) = fault.shock_targets(&self.faults, round, t.n) {
-                if discrete {
-                    let amt = loads_i.get(donor) / 4;
-                    if amt != 0 {
-                        loads_i.set(donor, loads_i.get(donor) - amt);
-                        loads_i.set(hotspot, loads_i.get(hotspot) + amt);
-                        fault.events.shocks += 1;
-                    }
-                } else {
-                    let amt = loads_f.get(donor) / 4.0;
-                    if amt != 0.0 {
-                        loads_f.set(donor, loads_f.get(donor) - amt);
-                        loads_f.set(hotspot, loads_f.get(hotspot) + amt);
-                        fault.events.shocks += 1;
-                    }
-                }
-            }
+        let sweep = self.sweep_family();
+        if loads_f.elems().is_empty() {
+            perturb.begin_round(&self.perturb, graph, round, sweep, &Tokens(loads_i));
+        } else {
+            perturb.begin_round(&self.perturb, graph, round, sweep, &Fluid(loads_f));
         }
-        if !self.churn.is_none() {
-            // Churn transitions and handoff deltas land after the fault
-            // epoch (so repairs see the current crash-live set) and
-            // before load injection, per the round ordering
-            // churn → load inject → flow pass.
-            let fault_live = self.faults.crash.is_some().then(|| fault.live_node_words());
-            if discrete {
-                churn.begin_round(
-                    &self.churn,
-                    graph,
-                    round,
-                    true,
-                    fault_live,
-                    self.sweep_family(),
-                    |i| loads_i.get(i) as f64,
-                );
-                churn.apply_i64(loads_i);
-            } else {
-                churn.begin_round(
-                    &self.churn,
-                    graph,
-                    round,
-                    false,
-                    fault_live,
-                    self.sweep_family(),
-                    |i| loads_f.get(i),
-                );
-                churn.apply_f64(loads_f);
-            }
-        }
-        if !self.loads.is_none() {
-            // Load deltas land before the flow pass and before the first
-            // barrier (workers parked), same as the shock channel, so
-            // both executors balance identical per-round loads.
-            if discrete {
-                load.plan_round(&self.loads, round, t.n, true, |i| loads_i.get(i) as f64);
-                load.apply_i64(loads_i);
-            } else {
-                load.plan_round(&self.loads, round, t.n, false, |i| loads_f.get(i));
-                load.apply_f64(loads_f);
-            }
-        }
-        let publish =
-            self.needs_random_mask() || self.needs_fault_mask() || self.needs_churn_mask();
-        if let Some(mask) = self.round_mask(round, t, matchgen, fault, churn) {
+        let publish = self.publishes_mask();
+        if let Some(mask) = self.round_mask(round, t, matchgen, perturb) {
             if publish {
                 for (word, &w) in mask_out.iter().zip(mask) {
                     word.store(w, Relaxed);
                 }
             }
         }
-        if self.faults.stale.is_some() {
-            for (word, &w) in stale_out.iter().zip(&fault.stale) {
+        if self.needs_stale_mask() {
+            for (word, &w) in stale_out.iter().zip(perturb.stale_words()) {
                 word.store(w, Relaxed);
             }
         }
@@ -639,39 +461,11 @@ impl SchemeKernel {
             fw,
             matchgen,
             block_sums,
-            fault,
-            load,
-            churn,
+            perturb,
         } = scratch;
-        if !self.faults.is_none() {
-            fault.begin_round(&self.faults, graph, round, self.fault_sweep_family());
-            if let Some((donor, hotspot)) = fault.shock_targets(&self.faults, round, n) {
-                let amt = loads.get(donor) / 4;
-                if amt != 0 {
-                    loads.set(donor, loads.get(donor) - amt);
-                    loads.set(hotspot, loads.get(hotspot) + amt);
-                    fault.events.shocks += 1;
-                }
-            }
-        }
-        if !self.churn.is_none() {
-            let fault_live = self.faults.crash.is_some().then(|| fault.live_node_words());
-            churn.begin_round(
-                &self.churn,
-                graph,
-                round,
-                true,
-                fault_live,
-                self.sweep_family(),
-                |i| loads.get(i) as f64,
-            );
-            churn.apply_i64(loads);
-        }
-        if !self.loads.is_none() {
-            load.plan_round(&self.loads, round, n, true, |i| loads.get(i) as f64);
-            load.apply_i64(loads);
-        }
-        let mask = self.round_mask(round, t, matchgen, fault, churn);
+        let sweep = self.sweep_family();
+        perturb.begin_round(&self.perturb, graph, round, sweep, &Tokens(loads));
+        let mask = self.round_mask(round, t, matchgen, perturb);
         match self.flow {
             FlowPass::EdgeLocal(rounding) => match mask {
                 None => kernel::edge_pass_fused(
@@ -742,10 +536,10 @@ impl SchemeKernel {
         }
         let blocks = kernel::dev_blocks(n);
         block_sums.resize(blocks, 0.0);
-        let mut stats = if self.faults.stale.is_some() {
+        let mut stats = if self.needs_stale_mask() {
             // Lossy apply: the flow was computed and recorded in the
             // flow memory above, but a stale edge's tokens never land.
-            let stale: &[u64] = &fault.stale;
+            let stale = perturb.stale_words();
             kernel::apply_discrete(
                 t,
                 0..n,
@@ -785,40 +579,12 @@ impl SchemeKernel {
         let RoundScratch {
             matchgen,
             block_sums,
-            fault,
-            load,
-            churn,
+            perturb,
             ..
         } = scratch;
-        if !self.faults.is_none() {
-            fault.begin_round(&self.faults, graph, round, self.fault_sweep_family());
-            if let Some((donor, hotspot)) = fault.shock_targets(&self.faults, round, n) {
-                let amt = loads.get(donor) / 4.0;
-                if amt != 0.0 {
-                    loads.set(donor, loads.get(donor) - amt);
-                    loads.set(hotspot, loads.get(hotspot) + amt);
-                    fault.events.shocks += 1;
-                }
-            }
-        }
-        if !self.churn.is_none() {
-            let fault_live = self.faults.crash.is_some().then(|| fault.live_node_words());
-            churn.begin_round(
-                &self.churn,
-                graph,
-                round,
-                false,
-                fault_live,
-                self.sweep_family(),
-                |i| loads.get(i),
-            );
-            churn.apply_f64(loads);
-        }
-        if !self.loads.is_none() {
-            load.plan_round(&self.loads, round, n, false, |i| loads.get(i));
-            load.apply_f64(loads);
-        }
-        let mask = self.round_mask(round, t, matchgen, fault, churn);
+        let sweep = self.sweep_family();
+        perturb.begin_round(&self.perturb, graph, round, sweep, &Fluid(loads));
+        let mask = self.round_mask(round, t, matchgen, perturb);
         match mask {
             None => kernel::edge_pass_continuous(t, 0..m, mem, gain, |i| loads.get(i), prev),
             Some(words) => {
@@ -838,8 +604,8 @@ impl SchemeKernel {
         }
         let blocks = kernel::dev_blocks(n);
         block_sums.resize(blocks, 0.0);
-        let mut stats = if self.faults.stale.is_some() {
-            let stale: &[u64] = &fault.stale;
+        let mut stats = if self.needs_stale_mask() {
+            let stale = perturb.stale_words();
             kernel::apply_continuous(
                 t,
                 0..n,
@@ -940,10 +706,7 @@ impl SchemeKernel {
         A: BufF64,
         SF: Fn(usize) -> u64,
     {
-        if self.needs_fault_mask() || self.needs_churn_mask() {
-            // Edge faults and topology churn route *every* plan through
-            // the effective mask the control thread published for the
-            // round.
+        if self.publishes_mask() {
             return self.chunk_phases(
                 t,
                 barrier,
@@ -991,20 +754,7 @@ impl SchemeKernel {
                     stale,
                 )
             }
-            ActivePlan::Random { .. } => self.chunk_phases(
-                t,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                flow_memory,
-                bufs,
-                scratch,
-                Some(|w: usize| bufs.mask[w].load(Relaxed)),
-                stale,
-            ),
+            ActivePlan::Random { .. } => unreachable!("the random plan publishes its mask"),
         }
     }
 
@@ -1247,9 +997,7 @@ mod tests {
             Mode::Discrete(Rounding::nearest()),
             &g,
             &Speeds::uniform(16),
-            FaultSpec::none(),
-            LoadSpec::none(),
-            ChurnSpec::none(),
+            PerturbSpec::default(),
         )
         .unwrap();
         let ActivePlan::Sweep { masks, recover } = &k.plan else {
@@ -1289,9 +1037,7 @@ mod tests {
             Mode::Discrete(Rounding::nearest()),
             &g,
             &speeds,
-            FaultSpec::none(),
-            LoadSpec::none(),
-            ChurnSpec::none(),
+            PerturbSpec::default(),
         )
         .unwrap();
         let t = tables(&g);
@@ -1331,9 +1077,7 @@ mod tests {
             Mode::Discrete(Rounding::nearest()),
             &g,
             &speeds,
-            FaultSpec::none(),
-            LoadSpec::none(),
-            ChurnSpec::none(),
+            PerturbSpec::default(),
         )
         .unwrap();
         let t = tables(&g);
@@ -1372,7 +1116,7 @@ mod tests {
     #[test]
     fn crashed_nodes_freeze_loads_and_conserve_total() {
         let g = generators::torus2d(4, 4);
-        let faults = FaultSpec::none().with_crash(0.3, 9);
+        let faults = crate::FaultSpec::none().with_crash(0.3, 9);
         let live = faults.live_nodes(0, 16);
         assert!(
             live.iter().any(|&l| !l),
@@ -1383,9 +1127,10 @@ mod tests {
             Mode::Discrete(Rounding::nearest()),
             &g,
             &Speeds::uniform(16),
-            faults,
-            LoadSpec::none(),
-            ChurnSpec::none(),
+            PerturbSpec {
+                faults,
+                ..Default::default()
+            },
         )
         .unwrap();
         let t = tables(&g);
@@ -1395,7 +1140,7 @@ mod tests {
         let mut prev = vec![0.0f64; t.m];
         let mut flows = vec![0i64; t.m];
         let mut scratch = RoundScratch::new();
-        for round in 0..crate::fault::EPOCH_LEN {
+        for round in 0..crate::perturb::EPOCH_LEN {
             k.run_discrete_seq(
                 &t,
                 &g,
@@ -1416,6 +1161,6 @@ mod tests {
                 }
             }
         }
-        assert!(scratch.fault.events.crashes > 0);
+        assert!(scratch.perturb.faults.crashes > 0);
     }
 }
