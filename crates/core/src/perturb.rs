@@ -296,13 +296,10 @@ impl FaultSpec {
         match self.crash {
             None => vec![true; n],
             Some(FaultChannel { p, seed }) => {
-                let mut draws = vec![0u64; n];
-                fill_first_draws(
-                    salted_stream_key(seed, CRASH_SALT, round / EPOCH_LEN),
-                    0,
-                    &mut draws,
-                );
-                draws.iter().map(|&d| unit_f64(d) >= p).collect()
+                bulk_draws(&mut Vec::new(), seed, CRASH_SALT, round / EPOCH_LEN, n)
+                    .iter()
+                    .map(|&d| unit_f64(d) >= p)
+                    .collect()
             }
         }
     }
@@ -894,6 +891,14 @@ fn bit(words: &[u64], i: usize) -> bool {
     (words[i >> 6] >> (i & 63)) & 1 == 1
 }
 
+/// The first draw of ids `0..len` in the `(seed ⊕ salt, index)` stream,
+/// written into the reusable `buf`.
+fn bulk_draws(buf: &mut Vec<u64>, seed: u64, salt: u64, index: u64, len: usize) -> &[u64] {
+    buf.resize(buf.len().max(len), 0);
+    fill_first_draws(salted_stream_key(seed, salt, index), 0, &mut buf[..len]);
+    &buf[..len]
+}
+
 /// Samples a Poisson(`rate`) count from `key`'s draw stream starting at
 /// counter `*k` (advanced past the draws used): the number of unit-rate
 /// exponential inter-arrival gaps that fit into `rate`, accumulated in
@@ -1031,12 +1036,7 @@ impl Perturb {
     /// (everything live before the first epoch).
     fn draw_crash(&mut self, FaultChannel { p, seed }: FaultChannel, epoch: u64, n: usize) {
         let nw = n.div_ceil(64).max(1);
-        self.draws.resize(self.draws.len().max(n), 0);
-        fill_first_draws(
-            salted_stream_key(seed, CRASH_SALT, epoch),
-            0,
-            &mut self.draws[..n],
-        );
+        let draws = bulk_draws(&mut self.draws, seed, CRASH_SALT, epoch, n);
         let first = self.live.is_empty();
         self.live.resize(nw, 0);
         self.live_count = 0;
@@ -1045,7 +1045,7 @@ impl Perturb {
             let base = w * 64;
             let mut word = 0u64;
             for b in 0..64.min(n.saturating_sub(base)) {
-                word |= u64::from(unit_f64(self.draws[base + b]) >= p) << b;
+                word |= u64::from(unit_f64(draws[base + b]) >= p) << b;
             }
             let old = if first { valid } else { self.live[w] };
             self.faults.crashes += u64::from((old & !word).count_ones());
@@ -1058,12 +1058,7 @@ impl Perturb {
     /// Draws one per-round Bernoulli edge mask: the drop mask, or the
     /// stale mask.
     fn fill_edge_mask(&mut self, drop: bool, c: FaultChannel, salt: u64, round: u64, m: usize) {
-        self.draws.resize(self.draws.len().max(m), 0);
-        fill_first_draws(
-            salted_stream_key(c.seed, salt, round),
-            0,
-            &mut self.draws[..m],
-        );
+        let draws = bulk_draws(&mut self.draws, c.seed, salt, round, m);
         let out = if drop {
             &mut self.drop
         } else {
@@ -1071,7 +1066,7 @@ impl Perturb {
         };
         out.clear();
         out.resize(m.div_ceil(64).max(1), 0);
-        for (e, &draw) in self.draws[..m].iter().enumerate() {
+        for (e, &draw) in draws.iter().enumerate() {
             out[e >> 6] |= u64::from(unit_f64(draw) < c.p) << (e & 63);
         }
     }
@@ -1137,17 +1132,12 @@ impl Perturb {
         if self.active.capacity() != n {
             self.active = ActiveSet::all_active(n);
         }
-        self.draws.resize(self.draws.len().max(n), 0);
-        fill_first_draws(
-            salted_stream_key(flux.seed, FLUX_SALT, epoch),
-            0,
-            &mut self.draws[..n],
-        );
+        let draws = bulk_draws(&mut self.draws, flux.seed, FLUX_SALT, epoch, n);
         // Each slot's move depends only on its own state and draw, so
         // the chain steps in place.
         let (mut departing, mut arriving) = (Vec::new(), Vec::new());
         for v in 0..n as u32 {
-            let u = unit_f64(self.draws[v as usize]);
+            let u = unit_f64(draws[v as usize]);
             if self.active.is_active(v) {
                 if u < flux.leave {
                     self.active.deactivate(v);
