@@ -392,6 +392,14 @@ fn perturbation(set: &str) -> (FaultSpec, LoadSpec, ChurnSpec) {
             LoadSpec::none(),
             flux,
         ),
+        // Shocks every round and heavy churn, with the adversarial
+        // generator firing on every epoch boundary, so the channel order
+        // (shock, then churn handoff, then injection) shows in the state.
+        "crash+shock+flux+adversarial" => (
+            FaultSpec::none().with_crash(0.1, 7).with_shock(1.0, 4),
+            LoadSpec::none().with_adversarial(40, 16, 13),
+            ChurnSpec::none().with_flux(0.3, 0.3, 9).with_initial(25.0),
+        ),
         "flux+load" => (
             FaultSpec::none(),
             LoadSpec::none()
@@ -429,6 +437,8 @@ const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64)] = &[
     ("sos", "flux", "continuous", 0x128e1637a0185fa5, 0x82ad8397c7322d52),
     ("sos", "crash+flux+edgedrop", "nearest", 0xfed25686f5404496, 0x4b068d43602a8aa1),
     ("sos", "crash+flux+edgedrop", "continuous", 0xc71c40041c7a67a9, 0x4b068d43602a8aa1),
+    ("sos", "crash+shock+flux+adversarial", "nearest", 0x2ce7442179541bec, 0xd6fceca6aa40e934),
+    ("sos", "crash+shock+flux+adversarial", "continuous", 0xa93004c93aa76e06, 0x092f772aff1dfb1c),
     ("sos", "flux+load", "nearest", 0xd25684a554bfaca9, 0x168c2d9184208ffc),
     ("sos", "flux+load", "continuous", 0x18d3450cef851cf8, 0x19b4dbc345915dd0),
     ("de", "crash+edgedrop+stale+shock", "nearest", 0x78cc71f89d2dd2c6, 0xef398a34c05c8a43),
@@ -439,6 +449,8 @@ const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64)] = &[
     ("de", "flux", "continuous", 0x3927beb03818dceb, 0x82ad8397c7322d52),
     ("de", "crash+flux+edgedrop", "nearest", 0xb84e33c5b77bcfcf, 0xeec0b9a6663f5917),
     ("de", "crash+flux+edgedrop", "continuous", 0xaf329f08d132175e, 0xeec0b9a6663f5917),
+    ("de", "crash+shock+flux+adversarial", "nearest", 0x71daa547c78bfce8, 0xbd41b0a7be047b06),
+    ("de", "crash+shock+flux+adversarial", "continuous", 0xaca59aa497d03bfb, 0x6d6112680ba8c1dd),
     ("de", "flux+load", "nearest", 0xe5d073fb0f3acc5d, 0x168c2d9184208ffc),
     ("de", "flux+load", "continuous", 0x1b81826a144b8809, 0x19b4dbc345915dd0),
     ("matching_rr", "crash+edgedrop+stale+shock", "nearest", 0xfa27c8fd7ee3d605, 0xb6683f18ae4b48a0),
@@ -449,6 +461,8 @@ const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64)] = &[
     ("matching_rr", "flux", "continuous", 0x26cb2d1c87b6cf24, 0x82ad8397c7322d52),
     ("matching_rr", "crash+flux+edgedrop", "nearest", 0x2e2bf2a8811d0ac0, 0x9b01a59fa2332f83),
     ("matching_rr", "crash+flux+edgedrop", "continuous", 0xab0504f4c04b256a, 0x9b01a59fa2332f83),
+    ("matching_rr", "crash+shock+flux+adversarial", "nearest", 0xc043fd8d449fe80e, 0xde6b3aaaa4d13e41),
+    ("matching_rr", "crash+shock+flux+adversarial", "continuous", 0xf38c63f9d5bfdc15, 0xf84411d080ca8a36),
     ("matching_rr", "flux+load", "nearest", 0x43a100a184da730e, 0x168c2d9184208ffc),
     ("matching_rr", "flux+load", "continuous", 0x460f06b5fab8da7f, 0x19b4dbc345915dd0),
     ("matching_random", "crash+edgedrop+stale+shock", "nearest", 0xde1e5ccd37fbf208, 0xf2a7d75dbb36da1a),
@@ -459,6 +473,8 @@ const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64)] = &[
     ("matching_random", "flux", "continuous", 0xbbecaa521709a051, 0x8e39bff394471315),
     ("matching_random", "crash+flux+edgedrop", "nearest", 0xb68477ddc75884ec, 0x576f3d3d9a5ec952),
     ("matching_random", "crash+flux+edgedrop", "continuous", 0xd3aee2afc04f822d, 0x576f3d3d9a5ec952),
+    ("matching_random", "crash+shock+flux+adversarial", "nearest", 0x049a2dcfa7223f8d, 0xe952114f0de4d6ac),
+    ("matching_random", "crash+shock+flux+adversarial", "continuous", 0x52c629e494a3edce, 0xa9fc9b35772d05e1),
     ("matching_random", "flux+load", "nearest", 0xec5ed01d103fa36b, 0x168c2d9184208ffc),
     ("matching_random", "flux+load", "continuous", 0x31dbeefe772249ed, 0x19b4dbc345915dd0),
     ("sos", "crash+flux+edgedrop", "compact", 0xb168a0868096fb5a, 0x4b068d43602a8aa1),
