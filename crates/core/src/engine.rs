@@ -1349,7 +1349,7 @@ impl<'g> Simulator<'g> {
             unreachable!("step_pooled requires a pool")
         };
         // Per-round plan state (the random-matching or effective mask,
-        // plus the perturbation channels' load deltas) is produced
+        // plus the perturbation channels' load changes) is produced
         // here, on the control thread, and published into the job before
         // the round's first barrier — results never depend on the
         // executor.

@@ -100,10 +100,10 @@
 //! departures and (re)arrivals over the graph's reserved node capacity,
 //! with conservation-exact handoff of a departing node's entire load to
 //! its live neighbors). All three draw from salted counter-indexed RNG
-//! streams, plan their load changes as `(node, delta)` pairs applied by
-//! the control thread before the flow pass, and share one membership
-//! layer: crash and churn derive one up-node set per 16-round epoch,
-//! its up-edge mask, and one incrementally repaired sweep family.
+//! streams, write their load changes on the control thread before the
+//! flow pass, and share one membership layer: crash and churn derive
+//! one up-node set per 16-round epoch, its up-edge mask, and one
+//! incrementally repaired sweep family.
 //! `faults=none`, `load=none`, and `churn=none` plans keep every hot
 //! loop on the original unperturbed kernels.
 //! Orthogonal to those axes, the
@@ -115,7 +115,7 @@
 //! instantiates to the exact pre-compact code while `mem=compact`
 //! stores loads and per-edge state as `i32`/`f32` at half the bytes,
 //! widening on every read and narrowing on every write but keeping all
-//! arithmetic in `f64`. Load deltas are planned and applied on
+//! arithmetic in `f64`. Perturbation load changes are written on
 //! the control thread before each round's flow pass (and before the
 //! pool's first barrier), so both the sequential executor and the
 //! worker pool balance identical per-round loads and run the same

@@ -71,14 +71,15 @@
 //! masked kernels; shocks, stale losses and every load generator leave
 //! it on the unmasked ones.
 //!
-//! **One plan, one apply.** Per round the channels run in a fixed
-//! order — crash epoch, edge draws, shock, churn transition, load
-//! injection — and each plans its load changes as `(node, delta)` pairs
-//! that one [`Perturb::apply`] writes through the executor's load
-//! buffer before the next channel reads loads. So churn sees the loads
-//! after the shock and the adversarial generator sees them after the
-//! churn handoff. A discrete delta is a whole token count carried as
-//! `f64`, exact for any load below 2⁵³ tokens.
+//! **One write path.** Per round the channels run in a fixed order —
+//! crash epoch, edge draws, shock, churn transition, load injection —
+//! and write their load changes straight through one [`Loads`] view of
+//! the executor's load buffer. So churn sees the loads after the shock,
+//! and the adversarial generator sees them after the churn handoff (and
+//! before the round's other injections). A shock moves exactly a
+//! quarter of the donor's load, in the buffer's own arithmetic; churn
+//! and injection deltas are whole token counts carried as `f64`, exact
+//! for any load below 2⁵³ tokens.
 //!
 //! In scenario text the channels of one spec join with `+`; see the
 //! grammar table in [`crate::scenario`]. A spec of `none` (the default)
@@ -827,17 +828,19 @@ impl PerturbSpec {
 }
 
 /// A round's load buffer as the channels see it: read a node's load,
-/// and add a planned delta to it.
+/// add a delta to it, or move a shock's quarter between two nodes.
 pub(crate) trait Loads {
     /// Whether the loads are whole tokens.
     const DISCRETE: bool;
     /// Node `i`'s load as `f64`.
     fn get(&self, i: usize) -> f64;
-    /// A quarter of node `i`'s load — the amount a shock moves (integer
-    /// division in discrete mode).
-    fn quarter(&self, i: usize) -> f64;
-    /// Adds `delta` to node `i`'s load.
+    /// Adds `delta` to node `i`'s load (a whole token count in discrete
+    /// mode).
     fn add(&self, i: usize, delta: f64);
+    /// Moves a quarter of `from`'s load to `to` — integer division on
+    /// tokens, so exact for any `i64` load — and reports whether any
+    /// load moved.
+    fn shift_quarter(&self, from: usize, to: usize) -> bool;
 }
 
 /// Discrete loads behind any [`BufI64`].
@@ -851,11 +854,16 @@ impl<L: BufI64> Loads for Tokens<'_, L> {
     fn get(&self, i: usize) -> f64 {
         self.0.get(i) as f64
     }
-    fn quarter(&self, i: usize) -> f64 {
-        (self.0.get(i) / 4) as f64
-    }
     fn add(&self, i: usize, delta: f64) {
         self.0.set(i, self.0.get(i) + delta as i64);
+    }
+    fn shift_quarter(&self, from: usize, to: usize) -> bool {
+        let amt = self.0.get(from) / 4;
+        if amt != 0 {
+            self.0.set(from, self.0.get(from) - amt);
+            self.0.set(to, self.0.get(to) + amt);
+        }
+        amt != 0
     }
 }
 
@@ -864,11 +872,16 @@ impl<L: BufF64> Loads for Fluid<'_, L> {
     fn get(&self, i: usize) -> f64 {
         self.0.get(i)
     }
-    fn quarter(&self, i: usize) -> f64 {
-        self.0.get(i) / 4.0
-    }
     fn add(&self, i: usize, delta: f64) {
         self.0.set(i, self.0.get(i) + delta);
+    }
+    fn shift_quarter(&self, from: usize, to: usize) -> bool {
+        let amt = self.0.get(from) / 4.0;
+        if amt != 0.0 {
+            self.0.set(from, self.0.get(from) - amt);
+            self.0.set(to, self.0.get(to) + amt);
+        }
+        amt != 0.0
     }
 }
 
@@ -931,8 +944,8 @@ fn other_node(word: u64, n: usize, exclude: usize) -> usize {
 
 /// Control-thread perturbation state carried between rounds: the
 /// epoch's membership (crash-live set, churn overlay, the derived up
-/// edges and repaired sweep family), the round's drop/stale masks and
-/// planned load deltas, and the accumulated event counters. Lives in
+/// edges and repaired sweep family), the round's drop/stale masks, and
+/// the accumulated event counters. Lives in
 /// [`crate::scheme_kernel::RoundScratch`], so the sequential executor
 /// and the pool's control thread share one code path.
 #[derive(Default)]
@@ -962,9 +975,6 @@ pub(crate) struct Perturb {
     eff: Vec<u64>,
     /// Raw draw scratch for the bulk RNG sweeps.
     draws: Vec<u64>,
-    /// The current channel's planned load changes as `(node, delta)`
-    /// pairs, written by [`Perturb::apply`].
-    deltas: Vec<(usize, f64)>,
     /// Accumulated fault counters.
     pub faults: FaultEvents,
     /// Accumulated injection counters and the injected-total account.
@@ -977,8 +987,8 @@ impl Perturb {
     /// Per-round control-thread preparation, run before the round's flow
     /// pass in every executor: at epoch boundaries redraws the crash
     /// schedule and takes the churn transition, draws the round's drop
-    /// and stale masks, and plans and applies the shock, churn and
-    /// injection deltas in that order. `sweep` is the plan's base sweep
+    /// and stale masks, and writes the shock, churn and injection load
+    /// changes through `loads` in that order. `sweep` is the plan's base sweep
     /// family and its repair style (`true` re-covers freed nodes).
     pub fn begin_round<L: Loads>(
         &mut self,
@@ -1004,30 +1014,17 @@ impl Perturb {
             self.fill_edge_mask(false, c, STALE_SALT, round, m);
         }
         if let Some(shock) = spec.faults.shock {
-            self.plan_shock(shock, spec.faults.crash.is_some(), round, n, loads);
-            self.apply(loads);
+            self.shock(shock, spec.faults.crash.is_some(), round, n, loads);
         }
         if let (true, Some(flux)) = (boundary, spec.churn.flux) {
-            self.plan_flux(flux, graph, epoch, loads);
-            self.apply(loads);
+            self.flux(flux, graph, epoch, loads);
         }
         if !spec.load.is_none() {
-            self.plan_load(&spec.load, round, n, loads);
-            self.apply(loads);
+            self.inject(&spec.load, round, n, loads);
         }
         if boundary {
             self.derive_membership(spec, graph, sweep);
             self.epoch = Some(epoch);
-        }
-    }
-
-    /// Writes the planned deltas through the load buffer, in plan order,
-    /// and clears the plan. Control-thread only: on the pool the workers
-    /// are parked, so the relaxed atomic read/add/write is exclusive and
-    /// the arithmetic matches the sequential executor's exactly.
-    fn apply<L: Loads>(&mut self, loads: &L) {
-        for (node, delta) in self.deltas.drain(..) {
-            loads.add(node, delta);
         }
     }
 
@@ -1092,10 +1089,10 @@ impl Perturb {
         None
     }
 
-    /// Plans the round's shock, if one fires: a quarter of a crash-live
+    /// Runs the round's shock, if one fires: a quarter of a crash-live
     /// donor's load moves to a distinct crash-live hotspot, counted iff
     /// tokens move.
-    fn plan_shock<L: Loads>(
+    fn shock<L: Loads>(
         &mut self,
         FaultChannel { p, seed }: FaultChannel,
         crash: bool,
@@ -1114,20 +1111,18 @@ impl Perturb {
         let Some((donor, _)) = self.pick_live(crash, key, k, n, Some(hotspot)) else {
             return;
         };
-        let amt = loads.quarter(donor);
-        if amt != 0.0 {
-            self.deltas.push((donor, -amt));
-            self.deltas.push((hotspot, amt));
+        if loads.shift_quarter(donor, hotspot) {
             self.faults.shocks += 1;
         }
     }
 
-    /// Takes the churn chain's transition for `epoch` and plans its
-    /// conservation-exact handoff and arrival deltas. Transition first,
+    /// Takes the churn chain's transition for `epoch` and writes its
+    /// conservation-exact handoff and arrival loads. Transition first,
     /// handoff second: a departing machine hands its load to neighbors
     /// active *after* the boundary, so load never lands on a slot
-    /// emptying in the same epoch.
-    fn plan_flux<L: Loads>(&mut self, flux: ChurnChannel, graph: &Graph, epoch: u64, loads: &L) {
+    /// emptying in the same epoch (and no departing load is read after
+    /// a handoff wrote to it).
+    fn flux<L: Loads>(&mut self, flux: ChurnChannel, graph: &Graph, epoch: u64, loads: &L) {
         let n = graph.node_count();
         if self.active.capacity() != n {
             self.active = ActiveSet::all_active(n);
@@ -1160,7 +1155,7 @@ impl Perturb {
                 .filter(|&&u| self.active.is_active(u))
                 .map(|&u| u as usize)
                 .collect();
-            self.deltas.push((v as usize, -load));
+            loads.add(v as usize, -load);
             let k = targets.len();
             if k == 0 {
                 self.churn.departed += load;
@@ -1174,16 +1169,15 @@ impl Perturb {
                 for (i, &u) in targets.iter().enumerate() {
                     let share = q + i64::from(i < r);
                     if share != 0 {
-                        self.deltas.push((u, share as f64));
+                        loads.add(u, share as f64);
                     }
                 }
             } else {
                 let share = load / k as f64;
                 for &u in &targets[..k - 1] {
-                    self.deltas.push((u, share));
+                    loads.add(u, share);
                 }
-                self.deltas
-                    .push((targets[k - 1], load - share * (k - 1) as f64));
+                loads.add(targets[k - 1], load - share * (k - 1) as f64);
             }
         }
         let init = if L::DISCRETE {
@@ -1194,25 +1188,42 @@ impl Perturb {
         for v in arriving {
             self.churn.arrivals += 1;
             if init != 0.0 {
-                self.deltas.push((v as usize, init));
+                loads.add(v as usize, init);
                 self.churn.joined += init;
             }
         }
     }
 
-    /// Plans one round's injection events from every active generator's
+    /// Injects one round's events from every active generator's
     /// counter-indexed stream, with the event accounting. The
-    /// adversarial generator scans the loads only on its firing rounds.
-    fn plan_load<L: Loads>(&mut self, spec: &LoadSpec, round: u64, n: usize, loads: &L) {
-        let Self { deltas, load, .. } = self;
+    /// adversarial generator scans the loads only on its firing rounds,
+    /// and before any generator writes, so its target does not depend
+    /// on the round's other injections.
+    fn inject<L: Loads>(&mut self, spec: &LoadSpec, round: u64, n: usize, loads: &L) {
+        let adversary = spec
+            .adversarial
+            .filter(|a| round.is_multiple_of(a.period) && n > 1)
+            .map(|a| {
+                let mut hot = 0usize;
+                let mut best = loads.get(0);
+                for i in 1..n {
+                    let x = loads.get(i);
+                    if x > best {
+                        best = x;
+                        hot = i;
+                    }
+                }
+                (a, hot)
+            });
+        let events = &mut self.load;
         let mut push = |node: usize, delta: f64| {
             if delta > 0.0 {
-                load.arrivals += 1;
+                events.arrivals += 1;
             } else {
-                load.departures += 1;
+                events.departures += 1;
             }
-            load.injected += delta;
-            deltas.push((node, delta));
+            events.injected += delta;
+            loads.add(node, delta);
         };
         if let Some(PoissonLoad { rate, seed }) = spec.poisson.filter(|p| p.rate > 0.0) {
             let key = salted_stream_key(seed, POISSON_SALT, round);
@@ -1240,21 +1251,10 @@ impl Perturb {
                 push((round % n as u64) as usize, delta);
             }
         }
-        if let Some(a) = spec.adversarial {
-            if round.is_multiple_of(a.period) && n > 1 {
-                let mut hot = 0usize;
-                let mut best = loads.get(0);
-                for i in 1..n {
-                    let x = loads.get(i);
-                    if x > best {
-                        best = x;
-                        hot = i;
-                    }
-                }
-                let key = salted_stream_key(a.seed, ADVERSE_SALT, round);
-                push(hot, a.burst as f64);
-                push(other_node(nth_u64(key, 0), n, hot), -(a.burst as f64));
-            }
+        if let Some((a, hot)) = adversary {
+            let key = salted_stream_key(a.seed, ADVERSE_SALT, round);
+            push(hot, a.burst as f64);
+            push(other_node(nth_u64(key, 0), n, hot), -(a.burst as f64));
         }
     }
 
@@ -1735,6 +1735,13 @@ mod tests {
         // Rate 0.5 over 200 rounds: the count concentrates around 100.
         assert!((60..=140).contains(&fired), "{fired} shocks at rate 0.5");
         assert_eq!(loads.iter().sum::<i64>(), 400 * 36, "shocks conserve");
+        // Rate 0 never fires, and never touches the loads.
+        let mut quiet = Perturb::default();
+        let zero = faults(FaultSpec::none().with_shock(0.0, 13));
+        for round in 0..200 {
+            quiet.begin_round(&zero, &g, round, None, &Untouchable);
+        }
+        assert_eq!(quiet.faults.shocks, 0);
         // A single-node graph cannot host a donor/hotspot pair.
         let mut single = Perturb::default();
         let one = faults(FaultSpec::none().with_shock(1.0, 13));
@@ -1743,18 +1750,44 @@ mod tests {
     }
 
     #[test]
-    fn poisson_plan_is_deterministic_and_rate_plausible() {
+    fn discrete_shocks_move_the_exact_quarter_of_any_load() {
+        // 2⁶⁰ + 7 tokens: the quarter, 2⁵⁸ + 1, has no exact f64.
+        let big = (1i64 << 60) + 7;
+        let spec = faults(FaultSpec::none().with_shock(1.0, 5));
+        let mut state = Perturb::default();
+        let mut loads = [big, big];
+        drive(&mut state, &spec, &generators::path(2), 0..1, &mut loads);
+        assert_eq!(state.faults.shocks, 1);
+        loads.sort_unstable();
+        assert_eq!(loads, [big - big / 4, big + big / 4]);
+    }
+
+    /// A load view that fails the test on any read or write.
+    struct Untouchable;
+
+    impl Loads for Untouchable {
+        const DISCRETE: bool = true;
+        fn get(&self, i: usize) -> f64 {
+            unreachable!("read node {i}")
+        }
+        fn add(&self, i: usize, _: f64) {
+            unreachable!("wrote node {i}")
+        }
+        fn shift_quarter(&self, from: usize, to: usize) -> bool {
+            unreachable!("shifted {from} -> {to}")
+        }
+    }
+
+    #[test]
+    fn poisson_injection_is_deterministic_and_rate_plausible() {
         let spec = LoadSpec::none().with_poisson(2.0, 11);
-        let loads = [0i64; 36].map(|_| Default::default());
-        let view = Tokens(&crate::kernel::CellsI64(&loads));
+        let (mut la, mut lb) = ([0i64; 36], [0i64; 36]);
         let mut a = Perturb::default();
         let mut b = Perturb::default();
         for round in 0..200 {
-            a.plan_load(&spec, round, 36, &view);
-            b.plan_load(&spec, round, 36, &view);
-            assert_eq!(a.deltas, b.deltas, "round {round}");
-            a.deltas.clear();
-            b.deltas.clear();
+            a.inject(&spec, round, 36, &Tokens(&cells_i64(&mut la)));
+            b.inject(&spec, round, 36, &Tokens(&cells_i64(&mut lb)));
+            assert_eq!(la, lb, "round {round}");
         }
         // Rate 2 over 200 rounds: the arrival count concentrates near 400.
         let arrivals = a.load.arrivals;
@@ -1762,37 +1795,38 @@ mod tests {
             (280..=520).contains(&arrivals),
             "{arrivals} arrivals at rate 2"
         );
-        // Injected stays integral and equals arrivals − departures.
+        // Injected stays integral, equals arrivals − departures, and
+        // accounts for the realized total.
         assert_eq!(
             a.load.injected,
             a.load.arrivals as f64 - a.load.departures as f64
         );
+        assert_eq!(la.iter().sum::<i64>() as f64, a.load.injected);
         // Rate 0 never fires.
         let mut c = Perturb::default();
-        c.plan_load(&LoadSpec::none().with_poisson(0.0, 11), 0, 36, &view);
-        assert!(c.deltas.is_empty());
+        c.inject(&LoadSpec::none().with_poisson(0.0, 11), 0, 36, &Untouchable);
+        assert_eq!(c.load, LoadEvents::default());
     }
 
     #[test]
     fn hotspot_fires_on_period_and_conserves() {
         let spec = LoadSpec::none().with_hotspot(40, 25, 8, 3);
         let n = 16;
-        let loads = [0i64; 16].map(|_| Default::default());
-        let view = Tokens(&crate::kernel::CellsI64(&loads));
+        let target = 40 % n;
+        let mut loads = [0i64; 16];
         let mut state = Perturb::default();
         for round in 0..32 {
-            state.plan_load(&spec, round, n, &view);
+            let before = loads;
+            state.inject(&spec, round, n, &Tokens(&cells_i64(&mut loads)));
+            let changed: Vec<usize> = (0..n).filter(|&v| loads[v] != before[v]).collect();
             if round % 8 == 0 {
-                assert_eq!(state.deltas.len(), 2, "round {round}");
-                let (target, inflow) = state.deltas[0];
-                let (donor, outflow) = state.deltas[1];
-                assert_eq!(target, 40 % n, "node is taken modulo n");
-                assert_eq!((inflow, outflow), (25.0, -25.0));
-                assert_ne!(donor, target);
+                assert_eq!(changed.len(), 2, "round {round}");
+                assert_eq!(loads[target] - before[target], 25, "node is taken modulo n");
+                let donor = changed.into_iter().find(|&v| v != target).unwrap();
+                assert_eq!(loads[donor] - before[donor], -25);
             } else {
-                assert!(state.deltas.is_empty(), "round {round}");
+                assert!(changed.is_empty(), "round {round}");
             }
-            state.deltas.clear();
         }
         assert_eq!(state.load.injected, 0.0, "bursts conserve the total");
         assert_eq!((state.load.arrivals, state.load.departures), (4, 4));
@@ -1801,49 +1835,62 @@ mod tests {
     #[test]
     fn diurnal_swings_and_rounds_in_discrete_mode() {
         let spec = LoadSpec::none().with_diurnal(10.0, 8);
-        let tokens = [0i64; 4].map(|_| Default::default());
+        let mut tokens = [0i64; 4];
         let mut state = Perturb::default();
         let (mut surplus, mut deficit) = (false, false);
         for round in 0..8 {
-            state.plan_load(&spec, round, 4, &Tokens(&crate::kernel::CellsI64(&tokens)));
-            for &(_, delta) in &state.deltas {
-                assert_eq!(delta, delta.round(), "discrete deltas are integral");
-                surplus |= delta > 0.0;
-                deficit |= delta < 0.0;
-            }
-            state.deltas.clear();
+            let (total, injected) = (tokens.iter().sum::<i64>(), state.load.injected);
+            state.inject(&spec, round, 4, &Tokens(&cells_i64(&mut tokens)));
+            let delta = state.load.injected - injected;
+            assert_eq!(delta, delta.round(), "discrete deltas are integral");
+            assert_eq!((tokens.iter().sum::<i64>() - total) as f64, delta);
+            surplus |= delta > 0.0;
+            deficit |= delta < 0.0;
         }
         assert!(surplus && deficit, "a full period swings both ways");
         // A full sine period integrates to zero injected load.
         assert_eq!(state.load.injected, 0.0);
         // Continuous mode keeps the fractional amplitude.
-        let fluid = [0f64; 4].map(|_| Default::default());
+        let mut fluid = [0f64; 4];
         let mut c = Perturb::default();
-        c.plan_load(&spec, 1, 4, &Fluid(&crate::kernel::CellsF64(&fluid)));
-        let (node, delta) = c.deltas[0];
-        assert_eq!(node, 1, "delta lands on the rotating node");
-        assert!((delta - 10.0 * (std::f64::consts::TAU / 8.0).sin()).abs() < 1e-12);
+        c.inject(&spec, 1, 4, &Fluid(&cells_f64(&mut fluid)));
+        let swing = 10.0 * (std::f64::consts::TAU / 8.0).sin();
+        assert!(
+            (fluid[1] - swing).abs() < 1e-12,
+            "delta lands on the rotating node"
+        );
+        assert_eq!([fluid[0], fluid[2], fluid[3]], [0.0; 3]);
     }
 
     #[test]
     fn adversarial_targets_the_most_loaded_node() {
         let spec = LoadSpec::none().with_adversarial(30, 4, 7);
-        let mut loads = [5.0, 80.0, 2.0, 80.0, 1.0];
+        let before = [5.0, 80.0, 2.0, 80.0, 1.0];
+        let mut loads = before;
         let mut state = Perturb::default();
-        state.plan_load(&spec, 0, 5, &Fluid(&cells_f64(&mut loads)));
-        let (hot, inflow) = state.deltas[0];
-        let (donor, outflow) = state.deltas[1];
-        assert_eq!(hot, 1, "first argmax wins ties");
-        assert_eq!((inflow, outflow), (30.0, -30.0));
-        assert_ne!(donor, hot);
-        // Off-period rounds stay quiet.
-        state.deltas.clear();
-        state.plan_load(&spec, 1, 5, &Fluid(&cells_f64(&mut loads)));
-        assert!(state.deltas.is_empty());
+        state.inject(&spec, 0, 5, &Fluid(&cells_f64(&mut loads)));
+        assert_eq!(loads[1], 110.0, "first argmax wins ties");
+        let donors: Vec<usize> = (0..5).filter(|&v| loads[v] < before[v]).collect();
+        assert_eq!(donors.len(), 1);
+        assert_eq!(loads[donors[0]], before[donors[0]] - 30.0);
+        // Off-period rounds stay quiet and never read the loads.
+        state.inject(&spec, 1, 5, &Untouchable);
+        assert_eq!((state.load.arrivals, state.load.departures), (1, 1));
+        // The target is the argmax before the round's other injections:
+        // a same-round hotspot burst onto node 4 does not draw it.
+        let hotspot = LoadSpec::none().with_hotspot(4, 500, 4, 1);
+        let both = LoadSpec {
+            adversarial: spec.adversarial,
+            ..hotspot
+        };
+        let (mut with, mut without) = (before, before);
+        Perturb::default().inject(&both, 0, 5, &Fluid(&cells_f64(&mut with)));
+        Perturb::default().inject(&hotspot, 0, 5, &Fluid(&cells_f64(&mut without)));
+        assert_eq!(with[1] - without[1], 30.0);
     }
 
     #[test]
-    fn applied_deltas_match_across_representations() {
+    fn injection_matches_across_representations() {
         let spec = load(
             LoadSpec::none()
                 .with_poisson(1.5, 3)
@@ -1910,42 +1957,40 @@ mod tests {
             .find(|&seed| {
                 let flux = ChurnSpec::none().with_flux(0.5, 0.0, seed).flux.unwrap();
                 let mut state = Perturb::default();
-                state.plan_flux(flux, &g, 0, &Tokens(&cells_i64(&mut [7, 0, 0, 0])));
+                state.flux(flux, &g, 0, &Tokens(&cells_i64(&mut [7, 0, 0, 0])));
                 !state.active.is_active(0) && state.active.active_count() == 3
             })
             .expect("some seed departs the hub alone");
         let flux = ChurnSpec::none().with_flux(0.5, 0.0, seed).flux.unwrap();
         let mut state = Perturb::default();
         let mut loads = [7i64, 0, 0, 0];
-        state.plan_flux(flux, &g, 0, &Tokens(&cells_i64(&mut loads)));
-        let leaves = g.neighbor_nodes(0);
-        let shares: Vec<(usize, f64)> = leaves
-            .iter()
-            .zip([3.0, 2.0, 2.0])
-            .map(|(&u, share)| (u as usize, share))
-            .collect();
-        assert_eq!(state.deltas[0], (0, -7.0));
-        assert_eq!(state.deltas[1..], shares[..]);
+        state.flux(flux, &g, 0, &Tokens(&cells_i64(&mut loads)));
+        let mut expected = [0i64; 4];
+        for (&u, share) in g.neighbor_nodes(0).iter().zip([3, 2, 2]) {
+            expected[u as usize] = share;
+        }
+        assert_eq!(loads, expected);
         assert_eq!(state.churn.handoffs, 1);
     }
 
     #[test]
     fn proportional_split_conserves_the_departing_load() {
         // Continuous: an awkward load splits across k neighbors with the
-        // last share absorbing the rounding remainder, so the deltas
-        // cancel up to floating-point summation order.
+        // last share absorbing the rounding remainder, so the total is
+        // kept up to floating-point summation order.
         let g = generators::complete(5);
         let mut checked = 0;
         for seed in 0..32 {
             let flux = ChurnSpec::none().with_flux(0.4, 0.0, seed).flux.unwrap();
             let mut state = Perturb::default();
             let mut loads = [0.1f64, 7.3, 11.0, 0.0, 2.25];
-            state.plan_flux(flux, &g, 0, &Fluid(&cells_f64(&mut loads)));
+            let before: f64 = loads.iter().sum();
+            state.flux(flux, &g, 0, &Fluid(&cells_f64(&mut loads)));
             if state.churn.handoffs > 0 && state.churn.departed == 0.0 {
-                let sum: f64 = state.deltas.iter().map(|&(_, d)| d).sum();
+                let after: f64 = loads.iter().sum();
                 assert!(
-                    sum.abs() < 1e-12,
-                    "seed {seed}: handoff deltas sum to {sum}"
+                    (after - before).abs() < 1e-12,
+                    "seed {seed}: total {before} became {after}"
                 );
                 checked += 1;
             }
