@@ -343,16 +343,11 @@ fn main() {
     let ckpt_dir = std::env::temp_dir().join(format!("sodiff-bench-ckpt-{}", std::process::id()));
     std::fs::create_dir_all(&ckpt_dir).expect("create checkpoint scratch dir");
 
-    // Large-graph locality probes (skipped under `--quick`): a
-    // 2048×2048 torus (4.2M nodes, 8.4M edges — per-edge state far past
-    // the last-level cache) in generator edge order, and the same graph
-    // after `reorder_edges_blocked` renumbers edges node-block-major so
-    // flow arrays stream in load order. The blocked graph runs a
-    // *different but equally valid* simulation (edge ids key the RNG
-    // streams), so these rows are locality probes, not golden surfaces;
-    // the compact row shows the diet's bytes cut at this scale.
+    // Large-graph probes (skipped under `--quick`): a 2048×2048 torus
+    // (4.2M nodes, 8.4M edges — per-edge state far past the last-level
+    // cache), in full and in compact state storage; the compact row
+    // shows the diet's bytes cut at this scale.
     let huge = (!quick).then(|| generators::torus2d(2048, 2048));
-    let huge_blocked = huge.as_ref().map(|g| g.reorder_edges_blocked(32 * 1024));
 
     let mut cases: Vec<(&Graph, Case)> = vec![
         (
@@ -770,7 +765,7 @@ fn main() {
             },
         ),
     ];
-    if let (Some(huge), Some(huge_blocked)) = (&huge, &huge_blocked) {
+    if let Some(huge) = &huge {
         let fos_case = |graph_name: &'static str, config_name: &'static str, mem: MemSpec| Case {
             graph_name,
             config_name,
@@ -789,16 +784,8 @@ fn main() {
             fos_case("torus2048x2048", "fos_huge_nearest", MemSpec::Full),
         ));
         cases.push((
-            huge_blocked,
-            fos_case("torus2048x2048_blocked", "fos_huge_nearest", MemSpec::Full),
-        ));
-        cases.push((
-            huge_blocked,
-            fos_case(
-                "torus2048x2048_blocked",
-                "fos_huge_compact",
-                MemSpec::Compact,
-            ),
+            huge,
+            fos_case("torus2048x2048", "fos_huge_compact", MemSpec::Compact),
         ));
     }
 

@@ -618,8 +618,8 @@ fn write_or_die(path: &std::path::Path, spec_line: &str, snap: &Snapshot) {
 pub struct Simulator<'g> {
     graph: &'g Graph,
     speeds: Speeds,
-    /// Division-free coefficient tables and SoA adjacency, shared with the
-    /// worker pool.
+    /// Division-free coefficient tables over a shared clone of the graph,
+    /// shared with the worker pool.
     tables: Arc<KernelTables>,
     /// The scheme-kernel layer: per-round flow computation (edge pass,
     /// rounding hook, apply pass, barrier plan) for the configured
@@ -888,6 +888,25 @@ impl<'g> Simulator<'g> {
             Store::Local(state) => state.state_bytes(),
             Store::Pooled(attachment) => attachment.job.state_bytes(),
         }
+    }
+
+    /// Heap bytes of the kernel tables this simulator owns: the
+    /// coefficient tables (one shared buffer under uniform speeds), the
+    /// randomized framework's edge-to-arc positions, and the
+    /// balanced-load table. The graph's CSR is not counted: the tables
+    /// share it with the caller's graph, whose
+    /// [`Graph::memory_bytes`](sodiff_graph::Graph::memory_bytes) counts
+    /// it once. A diffusion run's footprint is therefore
+    /// `graph.memory_bytes() + table_bytes() + state_bytes()`.
+    pub fn table_bytes(&self) -> usize {
+        self.tables.memory_bytes()
+    }
+
+    /// The kernel tables the round passes read. Exposed for layout
+    /// tests; not a stable API.
+    #[doc(hidden)]
+    pub fn kernel_tables(&self) -> &KernelTables {
+        &self.tables
     }
 
     /// Freezes the complete evolving state of this simulation at the

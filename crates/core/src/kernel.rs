@@ -16,13 +16,17 @@
 //!
 //! The per-edge work is division-free: [`KernelTables`] precomputes the
 //! coefficient tables `coef_tail[e] = α_e/s_u` and `coef_head[e] = α_e/s_v`
-//! at simulator construction, so the scheduled-flow pass is a fused
-//! multiply–add over five flat arrays
+//! at simulator construction (one shared table under uniform speeds,
+//! where the two are the same numbers), so the scheduled-flow pass is a
+//! fused multiply–add over the graph's canonical `(u, v)` edge list, the
+//! two coefficient slices and the flow memory
 //! (`Ŷ_e = mem·prev_e + gain·(coef_tail[e]·x_u − coef_head[e]·x_v)`)
 //! instead of the two `f64` divisions per edge the naive form
-//! `α_e·(x_u/s_u − x_v/s_v)` costs. For the edge-local rounding schemes
-//! the rounding is fused into the same pass, saving a full sweep over the
-//! edge arrays per round.
+//! `α_e·(x_u/s_u − x_v/s_v)` costs. The tables own no adjacency: the
+//! passes read the CSR arrays of the [`Graph`] clone the tables hold,
+//! which shares its arrays with the caller's graph. For the edge-local
+//! rounding schemes the rounding is fused into the same pass, saving a
+//! full sweep over the edge arrays per round.
 //!
 //! # The streaming randomized pipeline
 //!
@@ -106,6 +110,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI32, AtomicI64, AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 use sodiff_graph::{Graph, Speeds};
 
@@ -123,27 +128,28 @@ pub const LANES: usize = 8;
 const _: () = assert!(DEV_BLOCK.is_multiple_of(LANES));
 
 /// Immutable per-simulation tables shared by the sequential executor and
-/// the worker pool (via `Arc`): division-free edge coefficients plus a
-/// structure-of-arrays copy of the CSR adjacency.
+/// the worker pool (via `Arc`): division-free edge coefficients, plus a
+/// clone of the [`Graph`] whose CSR the passes read.
+///
+/// The graph's arrays are shared, not copied ([`Graph`]'s `clone` bumps a
+/// reference count), so the tables own only what the graph does not
+/// have: the coefficient tables, the randomized framework's
+/// [`Self::edge_arc_pos`] and the balanced-load table [`Self::ideal`].
+/// Under uniform speeds `α_e/s_u` and `α_e/s_v` are the same `f64`, so
+/// [`Self::coef_tail`] and [`Self::coef_head`] then share one buffer; the
+/// passes read the two slices either way.
 pub struct KernelTables {
     /// Node count.
     pub n: usize,
     /// Edge count.
     pub m: usize,
-    /// Canonical tail (`u` of `(u, v)`, `u < v`) per edge.
-    pub tail: Vec<u32>,
-    /// Canonical head per edge.
-    pub head: Vec<u32>,
+    /// The simulated graph (shares the caller's CSR arrays).
+    graph: Graph,
     /// `α_e / s_tail` per edge.
-    pub coef_tail: Vec<f64>,
-    /// `α_e / s_head` per edge.
-    pub coef_head: Vec<f64>,
-    /// CSR arc offsets, length `n + 1`.
-    pub offsets: Vec<usize>,
-    /// Arc-indexed edge ids.
-    pub arc_edges: Vec<u32>,
-    /// Arc-indexed orientation signs (`+1` = owner is the tail).
-    pub arc_signs: Vec<i8>,
+    pub coef_tail: Arc<[f64]>,
+    /// `α_e / s_head` per edge (the same buffer as [`Self::coef_tail`]
+    /// under uniform speeds).
+    pub coef_head: Arc<[f64]>,
     /// Per-edge arc positions `(tail side, head side)`; built only when the
     /// randomized rounding framework needs the arc decomposition.
     pub edge_arc_pos: Vec<(u32, u32)>,
@@ -163,25 +169,13 @@ impl KernelTables {
     pub fn new(graph: &Graph, speeds: &Speeds, needs_arc_plan: bool, total_load: f64) -> Self {
         let n = graph.node_count();
         let m = graph.edge_count();
-        let mut tail = Vec::with_capacity(m);
-        let mut head = Vec::with_capacity(m);
-        let mut coef_tail = Vec::with_capacity(m);
-        let mut coef_head = Vec::with_capacity(m);
-        for &(u, v) in graph.edges() {
+        let (coef_tail, coef_head) = coef_pair(graph, speeds, |u, v| {
             let alpha = graph.alpha(u, v);
-            tail.push(u);
-            head.push(v);
-            coef_tail.push(alpha / speeds.get(u as usize));
-            coef_head.push(alpha / speeds.get(v as usize));
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        for v in 0..=n {
-            offsets.push(if v == n {
-                graph.arc_count()
-            } else {
-                graph.arc_range(v as u32).start
-            });
-        }
+            (
+                alpha / speeds.get(u as usize),
+                alpha / speeds.get(v as usize),
+            )
+        });
         let edge_arc_pos = if needs_arc_plan {
             let mut pos = vec![(0u32, 0u32); m];
             for v in graph.nodes() {
@@ -207,16 +201,65 @@ impl KernelTables {
         Self {
             n,
             m,
-            tail,
-            head,
+            graph: graph.clone(),
             coef_tail,
             coef_head,
-            offsets,
-            arc_edges: graph.arc_edge_ids().to_vec(),
-            arc_signs: graph.arc_orientations().to_vec(),
             edge_arc_pos,
             ideal,
         }
+    }
+
+    /// The graph the tables were built for.
+    #[inline]
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// Heap bytes the tables own: the coefficient tables (a shared
+    /// coefficient buffer counts once), [`Self::edge_arc_pos`] and
+    /// [`Self::ideal`]. The graph's CSR is not counted; it is
+    /// [`Graph::memory_bytes`].
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let coef_buffers = if Arc::ptr_eq(&self.coef_tail, &self.coef_head) {
+            1
+        } else {
+            2
+        };
+        coef_buffers * self.m * size_of::<f64>()
+            + self.edge_arc_pos.len() * size_of::<(u32, u32)>()
+            + self.ideal.len() * size_of::<f64>()
+    }
+}
+
+/// A per-edge `(coef_tail, coef_head)` coefficient table pair; both
+/// halves are one shared buffer when they hold the same numbers.
+pub(crate) type CoefPair = (Arc<[f64]>, Arc<[f64]>);
+
+/// Builds a per-edge `(coef_tail, coef_head)` table pair from `coefs(u,
+/// v)` over the canonical edges. Under uniform speeds every coefficient
+/// this crate builds is symmetric in the two endpoint speeds, so both
+/// halves are the same `f64` and one table is built and shared; otherwise
+/// the two tables are built separately.
+pub(crate) fn coef_pair(
+    graph: &Graph,
+    speeds: &Speeds,
+    coefs: impl Fn(u32, u32) -> (f64, f64),
+) -> CoefPair {
+    let edges = graph.edges().iter();
+    if speeds.is_uniform() {
+        let shared: Arc<[f64]> = edges
+            .map(|&(u, v)| {
+                let (tail, head) = coefs(u, v);
+                debug_assert_eq!(tail.to_bits(), head.to_bits(), "asymmetric coefficient");
+                tail
+            })
+            .collect();
+        (Arc::clone(&shared), shared)
+    } else {
+        let tail = edges.clone().map(|&(u, v)| coefs(u, v).0).collect();
+        let head = edges.map(|&(u, v)| coefs(u, v).1).collect();
+        (tail, head)
     }
 }
 
@@ -696,13 +739,12 @@ fn fused_pass<P: BufF64, F: BufI64>(
     flows: &F,
 ) {
     let e0 = edges.start;
-    let tails = &t.tail[edges.clone()];
-    let heads = &t.head[edges.clone()];
+    let pairs = &t.graph().edges()[edges.clone()];
     let cts = &t.coef_tail[edges.clone()];
     let chs = &t.coef_head[edges.clone()];
     let prevs = &prev.elems()[edges.clone()];
     let flow_elems = &flows.elems()[edges];
-    let len = tails.len();
+    let len = pairs.len();
     let main = len - len % LANES;
     macro_rules! fused_loop {
         (|$k:ident, $s:ident| $round_expr:expr) => {{
@@ -711,8 +753,7 @@ fn fused_pass<P: BufF64, F: BufI64>(
             // independent scheduled flows, lane 2 rounds and writes them
             // in the same ascending edge order as the scalar tail.
             for k0 in (0..main).step_by(LANES) {
-                let tc = &tails[k0..k0 + LANES];
-                let hc = &heads[k0..k0 + LANES];
+                let uvc = &pairs[k0..k0 + LANES];
                 let ctc = &cts[k0..k0 + LANES];
                 let chc = &chs[k0..k0 + LANES];
                 let pc = &prevs[k0..k0 + LANES];
@@ -720,7 +761,7 @@ fn fused_pass<P: BufF64, F: BufI64>(
                 let mut s_lanes = [0.0f64; LANES];
                 for l in 0..LANES {
                     s_lanes[l] = mem * P::read(&pc[l])
-                        + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize));
+                        + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize));
                 }
                 for l in 0..LANES {
                     let $k = k0 + l;
@@ -732,7 +773,8 @@ fn fused_pass<P: BufF64, F: BufI64>(
             }
             for $k in main..len {
                 let $s = mem * P::read(&prevs[$k])
-                    + gain * (cts[$k] * x(tails[$k] as usize) - chs[$k] * x(heads[$k] as usize));
+                    + gain
+                        * (cts[$k] * x(pairs[$k].0 as usize) - chs[$k] * x(pairs[$k].1 as usize));
                 let y: i64 = $round_expr;
                 F::write(&flow_elems[$k], y);
                 P::write(&prevs[$k], $s);
@@ -809,19 +851,17 @@ fn fused_masked_pass<P: BufF64, F: BufI64>(
     flows: &F,
 ) {
     let e0 = edges.start;
-    let tails = &t.tail[edges.clone()];
-    let heads = &t.head[edges.clone()];
+    let pairs = &t.graph().edges()[edges.clone()];
     let cts = &coef_tail[edges.clone()];
     let chs = &coef_head[edges.clone()];
     let prevs = &prev.elems()[edges.clone()];
     let flow_elems = &flows.elems()[edges];
-    let len = tails.len();
+    let len = pairs.len();
     let main = len - len % LANES;
     macro_rules! fused_loop {
         (|$k:ident, $s:ident| $round_expr:expr) => {{
             for k0 in (0..main).step_by(LANES) {
-                let tc = &tails[k0..k0 + LANES];
-                let hc = &heads[k0..k0 + LANES];
+                let uvc = &pairs[k0..k0 + LANES];
                 let ctc = &cts[k0..k0 + LANES];
                 let chc = &chs[k0..k0 + LANES];
                 let pc = &prevs[k0..k0 + LANES];
@@ -832,7 +872,8 @@ fn fused_masked_pass<P: BufF64, F: BufI64>(
                     let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
                     s_lanes[l] = act
                         * (mem * P::read(&pc[l])
-                            + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize)));
+                            + gain
+                                * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)));
                 }
                 for l in 0..LANES {
                     let $k = k0 + l;
@@ -848,7 +889,8 @@ fn fused_masked_pass<P: BufF64, F: BufI64>(
                 let $s = act
                     * (mem * P::read(&prevs[$k])
                         + gain
-                            * (cts[$k] * x(tails[$k] as usize) - chs[$k] * x(heads[$k] as usize)));
+                            * (cts[$k] * x(pairs[$k].0 as usize)
+                                - chs[$k] * x(pairs[$k].1 as usize)));
                 let y: i64 = $round_expr;
                 F::write(&flow_elems[$k], y);
                 P::write(&prevs[$k], $s);
@@ -914,14 +956,13 @@ fn scatter_pass<A: BufF64, F: BufI64, P: BufF64>(
     flows: &F,
     prev: &P,
 ) {
-    let tails = &t.tail[edges.clone()];
-    let heads = &t.head[edges.clone()];
+    let pairs = &t.graph().edges()[edges.clone()];
     let cts = &t.coef_tail[edges.clone()];
     let chs = &t.coef_head[edges.clone()];
     let positions = &t.edge_arc_pos[edges.clone()];
     let prevs = &prev.elems()[edges.clone()];
     let flow_elems = &flows.elems()[edges];
-    let len = tails.len();
+    let len = pairs.len();
     let main = len - len % LANES;
     // Per-edge body shared by the chunked lane-2 loop and the scalar
     // tail. `trunc(Ŷ) = sign·⌊|Ŷ|⌋` *is* the signed base flow, and
@@ -944,8 +985,7 @@ fn scatter_pass<A: BufF64, F: BufI64, P: BufF64>(
         P::write(pe, s);
     };
     for k0 in (0..main).step_by(LANES) {
-        let tc = &tails[k0..k0 + LANES];
-        let hc = &heads[k0..k0 + LANES];
+        let uvc = &pairs[k0..k0 + LANES];
         let ctc = &cts[k0..k0 + LANES];
         let chc = &chs[k0..k0 + LANES];
         let pc = &prevs[k0..k0 + LANES];
@@ -959,13 +999,13 @@ fn scatter_pass<A: BufF64, F: BufI64, P: BufF64>(
         // keep by hoisting the bounds checks into the slice splits above.
         for l in 0..LANES {
             let s = mem * P::read(&pc[l])
-                + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize));
+                + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize));
             scatter_one(&poc[l], &pc[l], &fc[l], s);
         }
     }
     for k in main..len {
         let s = mem * P::read(&prevs[k])
-            + gain * (cts[k] * x(tails[k] as usize) - chs[k] * x(heads[k] as usize));
+            + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize));
         scatter_one(&positions[k], &prevs[k], &flow_elems[k], s);
     }
 }
@@ -1013,14 +1053,13 @@ fn scatter_masked_pass<A: BufF64, F: BufI64, P: BufF64>(
     prev: &P,
 ) {
     let e0 = edges.start;
-    let tails = &t.tail[edges.clone()];
-    let heads = &t.head[edges.clone()];
+    let pairs = &t.graph().edges()[edges.clone()];
     let cts = &coef_tail[edges.clone()];
     let chs = &coef_head[edges.clone()];
     let positions = &t.edge_arc_pos[edges.clone()];
     let prevs = &prev.elems()[edges.clone()];
     let flow_elems = &flows.elems()[edges];
-    let len = tails.len();
+    let len = pairs.len();
     let main = len - len % LANES;
     let scatter_one = |&(pt, ph): &(u32, u32), pe: &P::Elem, fe: &F::Elem, s: f64| {
         let base = trunc_i64(s);
@@ -1033,8 +1072,7 @@ fn scatter_masked_pass<A: BufF64, F: BufI64, P: BufF64>(
         P::write(pe, s);
     };
     for k0 in (0..main).step_by(LANES) {
-        let tc = &tails[k0..k0 + LANES];
-        let hc = &heads[k0..k0 + LANES];
+        let uvc = &pairs[k0..k0 + LANES];
         let ctc = &cts[k0..k0 + LANES];
         let chc = &chs[k0..k0 + LANES];
         let pc = &prevs[k0..k0 + LANES];
@@ -1047,7 +1085,7 @@ fn scatter_masked_pass<A: BufF64, F: BufI64, P: BufF64>(
             let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
             let s = act
                 * (mem * P::read(&pc[l])
-                    + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize)));
+                    + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)));
             scatter_one(&poc[l], &pc[l], &fc[l], s);
         }
     }
@@ -1056,7 +1094,7 @@ fn scatter_masked_pass<A: BufF64, F: BufI64, P: BufF64>(
         let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
         let s = act
             * (mem * P::read(&prevs[k])
-                + gain * (cts[k] * x(tails[k] as usize) - chs[k] * x(heads[k] as usize)));
+                + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize)));
         scatter_one(&positions[k], &prevs[k], &flow_elems[k], s);
     }
 }
@@ -1072,23 +1110,21 @@ pub fn edge_pass_continuous<P: BufF64>(
     x: impl Fn(usize) -> f64,
     prev: &P,
 ) {
-    let tails = &t.tail[edges.clone()];
-    let heads = &t.head[edges.clone()];
+    let pairs = &t.graph().edges()[edges.clone()];
     let cts = &t.coef_tail[edges.clone()];
     let chs = &t.coef_head[edges.clone()];
     let prevs = &prev.elems()[edges];
-    let len = tails.len();
+    let len = pairs.len();
     let main = len - len % LANES;
     for k0 in (0..main).step_by(LANES) {
-        let tc = &tails[k0..k0 + LANES];
-        let hc = &heads[k0..k0 + LANES];
+        let uvc = &pairs[k0..k0 + LANES];
         let ctc = &cts[k0..k0 + LANES];
         let chc = &chs[k0..k0 + LANES];
         let pc = &prevs[k0..k0 + LANES];
         let mut s_lanes = [0.0f64; LANES];
         for l in 0..LANES {
             s_lanes[l] = mem * P::read(&pc[l])
-                + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize));
+                + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize));
         }
         for (l, &s) in s_lanes.iter().enumerate() {
             P::write(&pc[l], s);
@@ -1096,7 +1132,7 @@ pub fn edge_pass_continuous<P: BufF64>(
     }
     for k in main..len {
         let s = mem * P::read(&prevs[k])
-            + gain * (cts[k] * x(tails[k] as usize) - chs[k] * x(heads[k] as usize));
+            + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize));
         P::write(&prevs[k], s);
     }
 }
@@ -1117,16 +1153,14 @@ pub fn edge_pass_continuous_masked<P: BufF64>(
     prev: &P,
 ) {
     let e0 = edges.start;
-    let tails = &t.tail[edges.clone()];
-    let heads = &t.head[edges.clone()];
+    let pairs = &t.graph().edges()[edges.clone()];
     let cts = &coef_tail[edges.clone()];
     let chs = &coef_head[edges.clone()];
     let prevs = &prev.elems()[edges];
-    let len = tails.len();
+    let len = pairs.len();
     let main = len - len % LANES;
     for k0 in (0..main).step_by(LANES) {
-        let tc = &tails[k0..k0 + LANES];
-        let hc = &heads[k0..k0 + LANES];
+        let uvc = &pairs[k0..k0 + LANES];
         let ctc = &cts[k0..k0 + LANES];
         let chc = &chs[k0..k0 + LANES];
         let pc = &prevs[k0..k0 + LANES];
@@ -1136,7 +1170,7 @@ pub fn edge_pass_continuous_masked<P: BufF64>(
             let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
             s_lanes[l] = act
                 * (mem * P::read(&pc[l])
-                    + gain * (ctc[l] * x(tc[l] as usize) - chc[l] * x(hc[l] as usize)));
+                    + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)));
         }
         for (l, &s) in s_lanes.iter().enumerate() {
             P::write(&pc[l], s);
@@ -1147,7 +1181,7 @@ pub fn edge_pass_continuous_masked<P: BufF64>(
         let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
         let s = act
             * (mem * P::read(&prevs[k])
-                + gain * (cts[k] * x(tails[k] as usize) - chs[k] * x(heads[k] as usize)));
+                + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize)));
         P::write(&prevs[k], s);
     }
 }
@@ -1207,11 +1241,11 @@ pub fn arc_round_streamed<A: BufF64, F: BufI64>(
     // Walk the chunk's arc ranges by splitting running slices instead of
     // re-slicing from `offsets` per node — one length computation and
     // three `split_at`s per node, no repeated global-range checks.
-    let chunk_arcs = t.offsets[nodes.start]..t.offsets[nodes.end];
+    let offsets = &t.graph().arc_offsets()[nodes.start..=nodes.end];
+    let chunk_arcs = offsets[0]..offsets[offsets.len() - 1];
     let mut fracs_rest = &arc_frac.elems()[chunk_arcs.clone()];
-    let mut edges_rest = &t.arc_edges[chunk_arcs.clone()];
-    let mut signs_rest = &t.arc_signs[chunk_arcs];
-    let offsets = &t.offsets[nodes.start..=nodes.end];
+    let mut edges_rest = &t.graph().arc_edge_ids()[chunk_arcs.clone()];
+    let mut signs_rest = &t.graph().arc_orientations()[chunk_arcs];
     for (deg, &state) in offsets.windows(2).map(|w| w[1] - w[0]).zip(states.iter()) {
         let (fracs, rest) = fracs_rest.split_at(deg);
         fracs_rest = rest;
@@ -1330,10 +1364,10 @@ pub fn apply_discrete<L: BufI64>(
     // Walk the chunk's arc ranges by splitting running slices (as
     // `arc_round_streamed` does) and zip the per-node tables, so the
     // inner loop carries no repeated global-range bounds checks.
-    let chunk_arcs = t.offsets[nodes.start]..t.offsets[nodes.end];
-    let mut edges_rest = &t.arc_edges[chunk_arcs.clone()];
-    let mut signs_rest = &t.arc_signs[chunk_arcs];
-    let offsets = &t.offsets[nodes.start..=nodes.end];
+    let offsets = &t.graph().arc_offsets()[nodes.start..=nodes.end];
+    let chunk_arcs = offsets[0]..offsets[offsets.len() - 1];
+    let mut edges_rest = &t.graph().arc_edge_ids()[chunk_arcs.clone()];
+    let mut signs_rest = &t.graph().arc_orientations()[chunk_arcs];
     let ideals = &t.ideal[nodes.clone()];
     let load_elems = &loads.elems()[nodes.clone()];
     let len = nodes.len();
@@ -1425,10 +1459,10 @@ pub fn apply_continuous<L: BufF64>(
     let mut stats = LoadStats::identity();
     let mut block_acc = 0.0f64;
     let last = nodes.end;
-    let chunk_arcs = t.offsets[nodes.start]..t.offsets[nodes.end];
-    let mut edges_rest = &t.arc_edges[chunk_arcs.clone()];
-    let mut signs_rest = &t.arc_signs[chunk_arcs];
-    let offsets = &t.offsets[nodes.start..=nodes.end];
+    let offsets = &t.graph().arc_offsets()[nodes.start..=nodes.end];
+    let chunk_arcs = offsets[0]..offsets[offsets.len() - 1];
+    let mut edges_rest = &t.graph().arc_edge_ids()[chunk_arcs.clone()];
+    let mut signs_rest = &t.graph().arc_orientations()[chunk_arcs];
     let ideals = &t.ideal[nodes.clone()];
     let load_elems = &loads.elems()[nodes.clone()];
     let len = nodes.len();
@@ -1517,18 +1551,20 @@ mod tests {
         assert_eq!(t.m, g.edge_count());
         for e in 0..t.m {
             let (u, v) = g.edge(e as u32);
-            assert_eq!((t.tail[e], t.head[e]), (u, v));
+            assert_eq!(g.edges()[e], (u, v));
             let alpha = g.alpha(u, v);
             assert_eq!(t.coef_tail[e], alpha / s.get(u as usize));
             assert_eq!(t.coef_head[e], alpha / s.get(v as usize));
             let (pt, ph) = t.edge_arc_pos[e];
-            assert_eq!(t.arc_edges[pt as usize], e as u32);
-            assert_eq!(t.arc_edges[ph as usize], e as u32);
-            assert_eq!(t.arc_signs[pt as usize], 1);
-            assert_eq!(t.arc_signs[ph as usize], -1);
+            assert_eq!(t.graph().arc_edge_ids()[pt as usize], e as u32);
+            assert_eq!(t.graph().arc_edge_ids()[ph as usize], e as u32);
+            assert_eq!(t.graph().arc_orientations()[pt as usize], 1);
+            assert_eq!(t.graph().arc_orientations()[ph as usize], -1);
         }
-        assert_eq!(t.offsets.len(), 21);
-        assert_eq!(*t.offsets.last().unwrap(), g.arc_count());
+        assert_eq!(t.graph().arc_offsets().len(), 21);
+        assert_eq!(*t.graph().arc_offsets().last().unwrap(), g.arc_count());
+        // Heterogeneous speeds keep two coefficient tables.
+        assert!(!Arc::ptr_eq(&t.coef_tail, &t.coef_head));
     }
 
     #[test]
@@ -1650,8 +1686,8 @@ mod tests {
                 .map(|e| {
                     0.4 * prev_init[e]
                         + 1.6
-                            * (t.coef_tail[e] * loads[t.tail[e] as usize]
-                                - t.coef_head[e] * loads[t.head[e] as usize])
+                            * (t.coef_tail[e] * loads[t.graph().edges()[e].0 as usize]
+                                - t.coef_head[e] * loads[t.graph().edges()[e].1 as usize])
                 })
                 .collect();
             assert_eq!(fused_prev, sched, "{rounding:?} flow memory");
@@ -1741,8 +1777,8 @@ mod tests {
                     };
                     0.3 * remembered
                         + 1.7
-                            * (t.coef_tail[e] * loads[t.tail[e] as usize]
-                                - t.coef_head[e] * loads[t.head[e] as usize])
+                            * (t.coef_tail[e] * loads[t.graph().edges()[e].0 as usize]
+                                - t.coef_head[e] * loads[t.graph().edges()[e].1 as usize])
                 })
                 .collect();
             let mut arc_frac = vec![9.9f64; g.arc_count()];

@@ -197,17 +197,21 @@
 //!
 //! **Division-free fused edge kernels** (`kernel` module, crate-private).
 //! At construction the simulator precomputes per-edge coefficient tables
-//! `coef_tail[e] = α_e/s_u` and `coef_head[e] = α_e/s_v` plus flat
-//! structure-of-arrays copies of the CSR adjacency (edge ids, orientation
-//! signs), so the scheduled-flow pass is a pure multiply–add sweep
+//! `coef_tail[e] = α_e/s_u` and `coef_head[e] = α_e/s_v` (one shared
+//! table under uniform speeds, where the two are the same `f64`), so the
+//! scheduled-flow pass is a pure multiply–add sweep
 //! `Ŷ_e = mem·prev_e + gain·(coef_tail[e]·x_u − coef_head[e]·x_v)` with no
-//! `f64` division, no `Speeds::get` indirection, and no tuple-of-pairs
-//! adjacency loads. For the edge-local rounding schemes (round-down,
-//! nearest, per-edge unbiased) the rounding and the SOS flow-memory update
-//! are fused into the same sweep, and rounding itself avoids libm
-//! (`trunc`/`round`/`floor` become exact integer-cast sequences — on
-//! baseline x86-64 the libm calls dominated the old kernel). Hot loops zip
-//! pre-sliced ranges so bounds checks vanish without any `unsafe`.
+//! `f64` division and no `Speeds::get` indirection. The endpoints come
+//! from the graph's canonical `(u, v)` edge list and the apply passes
+//! walk the graph's own flat arc arrays (edge ids, orientation signs):
+//! the kernel tables hold a clone of the [`sodiff_graph::Graph`], whose
+//! CSR arrays are shared, not copied. For the edge-local rounding schemes
+//! (round-down, nearest, per-edge unbiased) the rounding and the SOS
+//! flow-memory update are fused into the same sweep, and rounding itself
+//! avoids libm (`trunc`/`round`/`floor` become exact integer-cast
+//! sequences — on baseline x86-64 the libm calls dominated the old
+//! kernel). Hot loops zip pre-sliced ranges so bounds checks vanish
+//! without any `unsafe`.
 //!
 //! **Streaming three-phase randomized pipeline** (`kernel` module). The
 //! paper's randomized rounding framework — long the slowest discrete
@@ -361,7 +365,12 @@
 //! re-attempted blindly: an opt-in x86-64 software-prefetch path for
 //! the matchgen and scatter passes (removed 2026-10: 6 alternating
 //! `perf_baseline` pairs on a 2-vCPU host showed no resolvable gain —
-//! random matching 48.5 vs 47.9 min ns/edge, 3–3 pairs), splatting a
+//! random matching 48.5 vs 47.9 min ns/edge, 3–3 pairs), an opt-in
+//! cache-blocked edge renumbering for graphs whose per-edge state
+//! outgrows the last-level cache (removed 2026-10: 6 alternating
+//! `perf_baseline` runs of FOS on the 2048² torus, 2-vCPU host, median
+//! min ns/edge 7.26 plain vs 7.28 blocked, blocked faster in 2 of 6),
+//! splatting a
 //! uniform coefficient across lanes (no gain — the loads are the
 //! bottleneck, not the coefficient reads), a degree-4 specialization of
 //! the apply pass (regressed irregular graphs), and replacing
@@ -383,12 +392,7 @@
 //! (`tests/compact_mode.rs`), still bit-identical across executors and
 //! thread counts, still exactly checkpoint/resumable (snapshots widen
 //! losslessly; restore re-narrows after validating representability),
-//! and within a small tolerance of `mem=full` final metrics. For graphs
-//! whose per-edge state outgrows the last-level cache,
-//! [`sodiff_graph::Graph::reorder_edges_blocked`] optionally renumbers
-//! edge ids in node-block-major order so flows stream in the same order
-//! as loads (opt-in: edge ids key the per-(edge, round) RNG streams, so
-//! reordering changes which random outcomes a run draws).
+//! and within a small tolerance of `mem=full` final metrics.
 //!
 //! **One copy of the round state** (2026-10). Each piece of per-node and
 //! per-edge state now lives in exactly one buffer. On the worker pool the
@@ -410,6 +414,24 @@
 //! `torus_sos_balance` benchmark workload (2-vCPU host, 10 alternating
 //! pairs): peak RSS 22.9 → 19.4 MB and process CPU 3.64 → 3.22 s
 //! (medians), with identical rounds and final imbalance.
+//!
+//! **One copy of every table** (2026-10). The graph's CSR arrays live
+//! behind one shared allocation, so a [`sodiff_graph::Graph`] clone is a
+//! reference-count bump. The kernel tables hold such a clone and read
+//! the adjacency and the canonical edge list from it instead of copying
+//! them, and under uniform speeds `coef_tail` and `coef_head` (and the
+//! pairwise schemes' λ-scaled pair) are one buffer, since the two halves
+//! are the same `f64`s. A simulation's footprint is therefore graph
+//! bytes + table bytes + state bytes
+//! ([`sodiff_graph::Graph::memory_bytes`] + [`Simulator::table_bytes`] +
+//! [`Simulator::state_bytes`]); on the 256² torus (SOS, randomized
+//! rounding) that is 3 932 168 + 2 621 440 + 3 670 016 B, where the
+//! tables held 6 553 608 B before. Every table is fully written when it
+//! is built, so the saving is resident for the whole run: VmRSS right
+//! after the simulator is built drops 15.9 → 12.1 MB, and the
+//! `torus_sos_balance` peak RSS (VmHWM) 19.53 → 15.78 MB (medians of 10
+//! alternating pairs, 2-vCPU host), with identical rounds and final
+//! imbalance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

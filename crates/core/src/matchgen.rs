@@ -95,17 +95,17 @@ fn bucket_bits(m: usize) -> u32 {
         .clamp(1, 16)
 }
 
-/// The interleaved endpoint table the greedy pass probes: edge `e`'s
-/// tail in the low 32 bits, head in the high 32. One packed word per
-/// edge means one random cache-line touch where the kernel tables' SoA
-/// `tail`/`head` pair would cost two — the greedy pass visits edges in
-/// random order, so those touches miss. Built once per simulation (the
-/// scheme kernel owns it for the random plan) and shared across rounds.
+/// The packed endpoint table the bucket scatter carries: edge `e`'s
+/// canonical tail in the low 32 bits, head in the high 32 — the graph's
+/// `(tail, head)` pairs as one `u64` word each, so each scattered slot is
+/// a single `(edge id, word)` store. Built once per simulation (the
+/// scheme kernel owns it for the random plan only) and shared across
+/// rounds.
 pub fn edge_pairs(t: &KernelTables) -> Vec<u64> {
-    t.tail
+    t.graph()
+        .edges()
         .iter()
-        .zip(&t.head)
-        .map(|(&u, &v)| u as u64 | ((v as u64) << 32))
+        .map(|&(u, v)| u as u64 | ((v as u64) << 32))
         .collect()
 }
 

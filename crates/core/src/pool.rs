@@ -171,7 +171,7 @@ impl RoundJob {
     ) -> Self {
         let n = tables.n;
         let m = tables.m;
-        let arcs = tables.arc_edges.len();
+        let arcs = tables.graph().arc_count();
         let framework = kernel.needs_arc_plan();
         let masked = kernel.publishes_mask();
         let staled = kernel.needs_stale_mask();

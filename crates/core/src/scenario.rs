@@ -225,6 +225,12 @@ impl SchemeSpec {
             SchemeSpec::Fos => Scheme::Fos,
             SchemeSpec::Sos { beta } => Scheme::try_sos(beta)?,
             SchemeSpec::SosOpt => {
+                // A network with fewer than two nodes or more than one
+                // component has λ = 1, where β_opt reaches 2, outside
+                // (0, 2); the spectral analysis refuses it outright.
+                if graph.node_count() < 2 || !graph.is_connected() {
+                    return Err(BuildError::InvalidBeta(2.0));
+                }
                 let lambda = sodiff_linalg::spectral::analyze(graph, speeds).lambda;
                 if !(0.0..1.0).contains(&lambda) {
                     return Err(BuildError::InvalidBeta(lambda));

@@ -65,7 +65,9 @@ use sodiff_graph::{matching, EdgeId, Graph, Speeds};
 
 use crate::engine::{FlowMemory, Mode};
 use crate::error::BuildError;
-use crate::kernel::{self, AtomicsF64, BufF64, BufI64, FwScratch, KernelTables, LoadStats};
+use crate::kernel::{
+    self, AtomicsF64, BufF64, BufI64, CoefPair, FwScratch, KernelTables, LoadStats,
+};
 use crate::matchgen::{self, mask_words, MatchScratch};
 use crate::perturb::{Fluid, Perturb, PerturbSpec, Tokens};
 use crate::rounding::Rounding;
@@ -178,10 +180,10 @@ pub(crate) struct ChunkBufs<'a, LI, LF, P, F, A> {
 pub(crate) struct SchemeKernel {
     flow: FlowPass,
     plan: ActivePlan,
-    /// λ-scaled pairwise coefficients (empty for diffusion, which uses
-    /// the `α_e/s` tables baked into [`KernelTables`]).
-    coef_tail: Vec<f64>,
-    coef_head: Vec<f64>,
+    /// λ-scaled pairwise coefficients `(coef_tail, coef_head)` (`None`
+    /// for diffusion, which uses the `α_e/s` tables baked into
+    /// [`KernelTables`]); one shared buffer under uniform speeds.
+    pair_coefs: Option<CoefPair>,
     /// Packed per-edge endpoints for the random-matching generator's
     /// greedy pass ([`matchgen::edge_pairs`]; empty for other plans).
     match_pairs: Vec<u64>,
@@ -201,17 +203,12 @@ fn class_mask(m: usize, edges: &[EdgeId]) -> Vec<u64> {
 /// The λ-scaled harmonic-speed coefficient tables of the pairwise
 /// schemes: `coef_tail[e] = λ·s_v/(s_u+s_v)`, `coef_head[e] = λ·s_u/(s_u+s_v)`,
 /// so `y_e = coef_tail·x_u − coef_head·x_v = λ·(s_u·s_v/(s_u+s_v))·(x_u/s_u − x_v/s_v)`.
-fn exchange_coefs(graph: &Graph, speeds: &Speeds, lambda: f64) -> (Vec<f64>, Vec<f64>) {
-    let m = graph.edge_count();
-    let mut coef_tail = Vec::with_capacity(m);
-    let mut coef_head = Vec::with_capacity(m);
-    for &(u, v) in graph.edges() {
+fn exchange_coefs(graph: &Graph, speeds: &Speeds, lambda: f64) -> CoefPair {
+    kernel::coef_pair(graph, speeds, |u, v| {
         let su = speeds.get(u as usize);
         let sv = speeds.get(v as usize);
-        coef_tail.push(lambda * sv / (su + sv));
-        coef_head.push(lambda * su / (su + sv));
-    }
-    (coef_tail, coef_head)
+        (lambda * sv / (su + sv), lambda * su / (su + sv))
+    })
 }
 
 impl SchemeKernel {
@@ -292,15 +289,10 @@ impl SchemeKernel {
                 (plan, Some(lambda))
             }
         };
-        let (coef_tail, coef_head) = match lambda {
-            Some(lambda) => exchange_coefs(graph, speeds, lambda),
-            None => (Vec::new(), Vec::new()),
-        };
         Ok(Self {
             flow,
             plan,
-            coef_tail,
-            coef_head,
+            pair_coefs: lambda.map(|lambda| exchange_coefs(graph, speeds, lambda)),
             match_pairs: Vec::new(),
             perturb,
         })
@@ -338,11 +330,11 @@ impl SchemeKernel {
     /// to the diffusion `α_e/s` tables when this kernel is a diffusion
     /// scheme that only became masked through a perturbation channel.
     fn masked_coefs<'a>(&'a self, t: &'a KernelTables) -> (&'a [f64], &'a [f64]) {
-        if self.coef_tail.is_empty() {
-            (&t.coef_tail, &t.coef_head)
-        } else {
-            (&self.coef_tail, &self.coef_head)
-        }
+        let (tail, head) = match &self.pair_coefs {
+            Some((tail, head)) => (tail, head),
+            None => (&t.coef_tail, &t.coef_head),
+        };
+        (&tail[..], &head[..])
     }
 
     /// The sweep family and its repair style, if the plan is a sweep.
@@ -956,9 +948,26 @@ impl SchemeKernel {
 mod tests {
     use super::*;
     use sodiff_graph::generators;
+    use std::sync::Arc;
 
     fn tables(graph: &Graph) -> KernelTables {
         KernelTables::new(graph, &Speeds::uniform(graph.node_count()), false, 0.0)
+    }
+
+    #[test]
+    fn pairwise_coefficients_share_one_table_under_uniform_speeds() {
+        let g = generators::torus2d(6, 6);
+        let (tail, head) = exchange_coefs(&g, &Speeds::uniform(36), 0.5);
+        assert!(Arc::ptr_eq(&tail, &head));
+        assert!(tail.iter().all(|&c| c == 0.25));
+        let speeds = Speeds::two_class(36, 9, 3.0);
+        let (tail, head) = exchange_coefs(&g, &speeds, 0.5);
+        assert!(!Arc::ptr_eq(&tail, &head));
+        for (e, &(u, v)) in g.edges().iter().enumerate() {
+            let (su, sv) = (speeds.get(u as usize), speeds.get(v as usize));
+            assert_eq!(tail[e], 0.5 * sv / (su + sv));
+            assert_eq!(head[e], 0.5 * su / (su + sv));
+        }
     }
 
     #[test]

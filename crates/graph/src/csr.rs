@@ -1,6 +1,7 @@
 //! Immutable CSR graph representation.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Dense node identifier in `0..n`.
 pub type NodeId = u32;
@@ -46,8 +47,22 @@ pub enum GraphKind {
 /// [`Self::arc_orientations`]), so kernel code that only needs one of the
 /// three streams (the simulator's apply pass, BFS, the rounding framework)
 /// touches a third of the memory an array-of-pairs layout would.
+///
+/// The arrays are immutable after construction and live behind one
+/// shared allocation, so `clone` is a reference-count bump that shares
+/// them rather than a copy. The simulator relies on this: its kernel
+/// tables (which its worker threads own) hold a clone of the graph and
+/// read the adjacency and the canonical edge list from it, so a run keeps
+/// exactly one copy of the CSR.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
+    csr: Arc<Csr>,
+    kind: GraphKind,
+}
+
+/// The shared CSR arrays of a [`Graph`].
+#[derive(PartialEq, Eq)]
+struct Csr {
     /// CSR offsets, length `n + 1`.
     offsets: Vec<usize>,
     /// Arc-indexed neighbor ids.
@@ -59,7 +74,6 @@ pub struct Graph {
     adj_signs: Vec<i8>,
     /// Canonical edge list, `edges[e] = (u, v)` with `u < v`.
     edges: Vec<(NodeId, NodeId)>,
-    kind: GraphKind,
 }
 
 impl Graph {
@@ -70,7 +84,8 @@ impl Graph {
         edges: Vec<(NodeId, NodeId)>,
         kind: GraphKind,
     ) -> Self {
-        debug_assert_eq!(*offsets.last().unwrap(), adj_nodes.len());
+        debug_assert_eq!(offsets.first(), Some(&0));
+        debug_assert_eq!(offsets.last(), Some(&adj_nodes.len()));
         debug_assert_eq!(adj_nodes.len(), adj_edges.len());
         debug_assert_eq!(adj_nodes.len(), 2 * edges.len());
         let mut adj_signs = vec![0i8; adj_nodes.len()];
@@ -80,11 +95,13 @@ impl Graph {
             }
         }
         Self {
-            offsets,
-            adj_nodes,
-            adj_edges,
-            adj_signs,
-            edges,
+            csr: Arc::new(Csr {
+                offsets,
+                adj_nodes,
+                adj_edges,
+                adj_signs,
+                edges,
+            }),
             kind,
         }
     }
@@ -92,20 +109,20 @@ impl Graph {
     /// Number of nodes `n`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.csr.offsets.len() - 1
     }
 
     /// Number of undirected edges `m`.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.csr.edges.len()
     }
 
     /// Degree of node `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
         let v = v as usize;
-        self.offsets[v + 1] - self.offsets[v]
+        self.csr.offsets[v + 1] - self.csr.offsets[v]
     }
 
     /// Maximum degree over all nodes (0 for the empty graph).
@@ -133,29 +150,29 @@ impl Graph {
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
         let r = self.arc_range(v);
-        self.adj_nodes[r.clone()]
+        self.csr.adj_nodes[r.clone()]
             .iter()
             .copied()
-            .zip(self.adj_edges[r].iter().copied())
+            .zip(self.csr.adj_edges[r].iter().copied())
     }
 
     /// The neighbor ids of `v` (arc order).
     #[inline]
     pub fn neighbor_nodes(&self, v: NodeId) -> &[NodeId] {
-        &self.adj_nodes[self.arc_range(v)]
+        &self.csr.adj_nodes[self.arc_range(v)]
     }
 
     /// The incident edge ids of `v` (arc order).
     #[inline]
     pub fn neighbor_edges(&self, v: NodeId) -> &[EdgeId] {
-        &self.adj_edges[self.arc_range(v)]
+        &self.csr.adj_edges[self.arc_range(v)]
     }
 
     /// Orientation signs of `v`'s incident edges (arc order): `+1` when
     /// `v` is the canonical tail, `-1` otherwise.
     #[inline]
     pub fn neighbor_signs(&self, v: NodeId) -> &[i8] {
-        &self.adj_signs[self.arc_range(v)]
+        &self.csr.adj_signs[self.arc_range(v)]
     }
 
     /// Number of directed arcs (`2·m`); arcs are the entries of the flat
@@ -163,26 +180,26 @@ impl Graph {
     /// directed half-edge leaving `v` towards `self.arc_targets()[p]`.
     #[inline]
     pub fn arc_count(&self) -> usize {
-        self.adj_nodes.len()
+        self.csr.adj_nodes.len()
     }
 
     /// The full arc-indexed neighbor array (see [`Self::arc_range`]).
     #[inline]
     pub fn arc_targets(&self) -> &[NodeId] {
-        &self.adj_nodes
+        &self.csr.adj_nodes
     }
 
     /// The full arc-indexed edge-id array.
     #[inline]
     pub fn arc_edge_ids(&self) -> &[EdgeId] {
-        &self.adj_edges
+        &self.csr.adj_edges
     }
 
     /// The full arc-indexed orientation-sign array (`+1` = arc leaves the
     /// canonical tail of its edge).
     #[inline]
     pub fn arc_orientations(&self) -> &[i8] {
-        &self.adj_signs
+        &self.csr.adj_signs
     }
 
     /// The arc-index range owned by node `v` (positions into the flat
@@ -191,19 +208,26 @@ impl Graph {
     #[inline]
     pub fn arc_range(&self, v: NodeId) -> std::ops::Range<usize> {
         let v = v as usize;
-        self.offsets[v]..self.offsets[v + 1]
+        self.csr.offsets[v]..self.csr.offsets[v + 1]
+    }
+
+    /// The full CSR offset array (length `n + 1`): node `v`'s arcs are
+    /// positions `offsets[v]..offsets[v + 1]` of the flat arc arrays.
+    #[inline]
+    pub fn arc_offsets(&self) -> &[usize] {
+        &self.csr.offsets
     }
 
     /// The canonical endpoints `(u, v)` with `u < v` of edge `e`.
     #[inline]
     pub fn edge(&self, e: EdgeId) -> (NodeId, NodeId) {
-        self.edges[e as usize]
+        self.csr.edges[e as usize]
     }
 
     /// All canonical edges in id order.
     #[inline]
     pub fn edges(&self) -> &[(NodeId, NodeId)] {
-        &self.edges
+        &self.csr.edges
     }
 
     /// Sign convention for flows: `+1` if `v` is the canonical tail
@@ -214,7 +238,7 @@ impl Graph {
     /// endpoint.
     #[inline]
     pub fn orientation(&self, v: NodeId, e: EdgeId) -> f64 {
-        if self.edges[e as usize].0 == v {
+        if self.csr.edges[e as usize].0 == v {
             1.0
         } else {
             -1.0
@@ -257,55 +281,18 @@ impl Graph {
 
     /// Heap bytes of the graph's CSR arrays: the offsets, the three
     /// arc-indexed adjacency streams, and the canonical edge list.
-    /// Useful together with the simulator's state accounting when sizing
-    /// runs against available memory (a 10⁸-edge graph is ~2.9 GB here).
+    /// Clones share these arrays, so they are counted once however many
+    /// clones (the simulator's kernel tables hold one) are alive. Useful
+    /// together with the simulator's table and state accounting when
+    /// sizing runs against available memory (a 10⁸-edge graph is ~2.9 GB
+    /// here).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.offsets.len() * size_of::<usize>()
-            + self.adj_nodes.len() * size_of::<NodeId>()
-            + self.adj_edges.len() * size_of::<EdgeId>()
-            + self.adj_signs.len() * size_of::<i8>()
-            + self.edges.len() * size_of::<(NodeId, NodeId)>()
-    }
-
-    /// Returns a copy of this graph with canonical edge ids renumbered
-    /// in **cache-blocked order**: edges are grouped by the
-    /// `block_nodes`-sized block of their canonical tail, with ties
-    /// broken by the head's block and then by the original id, so the
-    /// reordering is deterministic. Per-edge state vectors indexed by
-    /// [`EdgeId`] (integral flows, SOS flow memory) then stream in the
-    /// same block-major order as the per-node load vectors during the
-    /// edge and apply passes, which cuts cache misses on graphs much
-    /// larger than the last-level cache.
-    ///
-    /// Edge ids are part of the simulation's deterministic surface (the
-    /// per-(edge, round) RNG streams key on them), so a reordered graph
-    /// runs a *different but equally valid* simulation. For that reason
-    /// no generator applies this automatically — it is strictly opt-in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_nodes` is zero.
-    pub fn reorder_edges_blocked(&self, block_nodes: usize) -> Graph {
-        assert!(block_nodes > 0, "block_nodes must be positive");
-        let m = self.edge_count();
-        let mut order: Vec<EdgeId> = (0..m as EdgeId).collect();
-        order.sort_unstable_by_key(|&e| {
-            let (u, v) = self.edges[e as usize];
-            (u as usize / block_nodes, v as usize / block_nodes, e)
-        });
-        let mut perm = vec![0 as EdgeId; m]; // old id -> new id
-        for (new_id, &old_id) in order.iter().enumerate() {
-            perm[old_id as usize] = new_id as EdgeId;
-        }
-        Graph {
-            offsets: self.offsets.clone(),
-            adj_nodes: self.adj_nodes.clone(),
-            adj_edges: self.adj_edges.iter().map(|&e| perm[e as usize]).collect(),
-            adj_signs: self.adj_signs.clone(),
-            edges: order.iter().map(|&old| self.edges[old as usize]).collect(),
-            kind: self.kind.clone(),
-        }
+        self.csr.offsets.len() * size_of::<usize>()
+            + self.csr.adj_nodes.len() * size_of::<NodeId>()
+            + self.csr.adj_edges.len() * size_of::<EdgeId>()
+            + self.csr.adj_signs.len() * size_of::<i8>()
+            + self.csr.edges.len() * size_of::<(NodeId, NodeId)>()
     }
 }
 
@@ -547,45 +534,6 @@ mod tests {
         let g = triangle();
         // 4 offsets × 8 + 6 arcs × (4 + 4 + 1) + 3 edges × 8.
         assert_eq!(g.memory_bytes(), 4 * 8 + 6 * 9 + 3 * 8);
-    }
-
-    #[test]
-    fn blocked_reorder_preserves_structure() {
-        let g = crate::generators::torus2d(6, 5);
-        let b = g.reorder_edges_blocked(8);
-        assert_eq!(b.node_count(), g.node_count());
-        assert_eq!(b.edge_count(), g.edge_count());
-        assert_eq!(b.kind(), g.kind());
-        // Same adjacency structure: per-node neighbor sets are unchanged
-        // (edge ids differ), and the edge list is a permutation.
-        for u in g.nodes() {
-            assert_eq!(b.neighbor_nodes(u), g.neighbor_nodes(u));
-            assert_eq!(b.neighbor_signs(u), g.neighbor_signs(u));
-        }
-        let mut before: Vec<_> = g.edges().to_vec();
-        let mut after: Vec<_> = b.edges().to_vec();
-        before.sort_unstable();
-        after.sort_unstable();
-        assert_eq!(before, after);
-        // Canonical orientation survives, and arc edge ids stay in sync
-        // with the permuted edge list.
-        for u in b.nodes() {
-            for (v, e) in b.neighbors(u) {
-                let (lo, hi) = b.edge(e);
-                assert_eq!((lo, hi), (u.min(v), u.max(v)));
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_reorder_groups_by_tail_block() {
-        let g = crate::generators::torus2d(8, 8);
-        let b = g.reorder_edges_blocked(16);
-        let blocks: Vec<usize> = b.edges().iter().map(|&(u, _)| u as usize / 16).collect();
-        assert!(
-            blocks.windows(2).all(|w| w[0] <= w[1]),
-            "tail blocks sorted"
-        );
     }
 
     #[test]

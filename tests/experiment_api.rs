@@ -107,6 +107,30 @@ fn scenario_error_paths_return_build_errors() {
     assert!(matches!(spec.run().unwrap_err(), BuildError::Graph(_)));
 }
 
+/// `sos_opt` derives β from the spectrum, which a single node or a
+/// disconnected network does not have: both are a typed build error, not
+/// a panic inside the spectral analysis.
+#[test]
+fn sos_opt_on_a_degenerate_network_is_a_build_error() {
+    for text in [
+        "topology=path:1 scheme=sos_opt seed=1 stop=rounds:5",
+        // 40 nodes at edge probability 0.01: disconnected.
+        "topology=erdos_renyi:40:0.01:3 scheme=sos_opt seed=1 stop=rounds:5",
+    ] {
+        let spec: ScenarioSpec = text.parse().unwrap();
+        let graph = spec.build_graph().unwrap();
+        if graph.node_count() > 1 {
+            assert!(!graph.is_connected(), "'{text}' must be disconnected");
+        }
+        assert_eq!(
+            spec.experiment_on(&graph).unwrap_err(),
+            BuildError::InvalidBeta(2.0),
+            "'{text}'"
+        );
+        assert_eq!(spec.run().unwrap_err(), BuildError::InvalidBeta(2.0));
+    }
+}
+
 /// Acceptance criterion: a scenario text file fed to the `Driver`
 /// reproduces the same `RunReport` (bit-identical metrics) as the
 /// equivalent hand-built `Simulator`.
