@@ -10,20 +10,15 @@
 //! kernel under an (unreachable) `BalancedWithin` stop condition, so it
 //! measures what a metric-stopped round costs — since the fused in-loop
 //! metrics reduction landed, the same as a bare round instead of a round
-//! plus an `O(n + m)` metrics sweep. Two fault-axis cases ride the same
-//! SOS kernel: `sos_faults_none` (the `sos_threshold_stop` configuration
-//! with an explicit `FaultSpec::none()`, CI's zero-cost comparator) and
+//! plus an `O(n + m)` metrics sweep. The perturbation and persistence
+//! axes each time their active path on the same SOS kernel:
 //! `sos_faults_crash` (crash churn at `p = 0.05`, timing the
-//! effective-mask/repair hot loop). Two checkpoint-axis cases do
-//! the same for persistence: `sos_ckpt_none` (the `sos_load_none`
-//! configuration with the checkpoint axis spelled out as disabled, CI's
-//! zero-cost comparator) and `sos_ckpt_every16` (a full versioned
-//! snapshot to disk every 16 rounds, timing serialization + write).
-//! Two churn-axis cases do the same for live topology churn:
-//! `sos_churn_none` (the `sos_mem_full` configuration with the churn
-//! plan spelled out as disabled, CI's zero-cost comparator) and
-//! `sos_churn_flux` (epoch-aligned join/leave flux with
-//! conservation-exact handoff, timing the active-mask round loop).
+//! effective-mask/repair hot loop), `sos_load_poisson` (Poisson load
+//! injection), `sos_ckpt_every16` (a full versioned snapshot to disk
+//! every 16 rounds, timing serialization + write) and `sos_churn_flux`
+//! (epoch-aligned join/leave flux with conservation-exact handoff,
+//! timing the active-mask round loop). That a disabled axis stays off
+//! the hot path is checked exactly by a test, not timed here.
 //! A `driver_batch` entry additionally
 //! times a batch of scenarios through one pooled `Driver` (threads
 //! spawned once) against the same scenarios as separate `Simulator`s
@@ -73,9 +68,6 @@ struct Case {
     /// Auto-checkpoint config; `None` keeps the case on the
     /// persistence-free round loop.
     ckpt: Option<CheckpointConfig>,
-    /// State-storage width; `MemSpec::Full` keeps the case on the
-    /// default full-width (`f64`/`i64`) code paths.
-    mem: MemSpec,
 }
 
 struct Measurement {
@@ -89,15 +81,14 @@ struct Measurement {
     ns_per_round: f64,
     ns_per_edge: f64,
     /// Fastest 8-round batch, per edge: the low-noise estimator (OS and
-    /// cache noise is strictly additive) that the CI zero-cost gate
-    /// compares at a 2% tolerance, where the budget-wide mean is too
-    /// jittery on shared runners.
+    /// cache noise is strictly additive), where the budget-wide mean is
+    /// too jittery on shared runners.
     ns_per_edge_min: f64,
     edge_updates_per_sec: f64,
     tokens_per_sec: f64,
     /// Bytes of mutable simulation state (loads, flow memory, integral
     /// flows, arc fractions — sequential buffers plus the pool job's
-    /// atomic mirrors). `mem=compact` halves this.
+    /// atomic mirrors).
     state_bytes: usize,
 }
 
@@ -109,22 +100,13 @@ fn measure(graph: &Graph, case: &Case, budget_secs: f64) -> Measurement {
         Some(rounding) => builder.discrete(rounding),
         None => builder.continuous(),
     };
-    // `paper_default` is 1000·n tokens at node 0; on multi-million-node
-    // graphs that exceeds the compact layout's i32 total cap, so compact
-    // cases fall back to 100·n (round cost is init-magnitude independent).
-    let init = if case.mem == MemSpec::Compact && 1000 * n as i64 > i64::from(i32::MAX / 4) {
-        InitialLoad::point(0, 100 * n as i64)
-    } else {
-        InitialLoad::paper_default(n)
-    };
     let builder = builder
         .scheme(case.scheme)
         .threads(case.threads)
-        .init(init)
+        .init(InitialLoad::paper_default(n))
         .faults(case.faults)
         .load(case.loads)
-        .churn(case.churn)
-        .mem(case.mem);
+        .churn(case.churn);
     let builder = match &case.ckpt {
         Some(ckpt) => builder.checkpoint(ckpt.clone()),
         None => builder,
@@ -343,10 +325,9 @@ fn main() {
     let ckpt_dir = std::env::temp_dir().join(format!("sodiff-bench-ckpt-{}", std::process::id()));
     std::fs::create_dir_all(&ckpt_dir).expect("create checkpoint scratch dir");
 
-    // Large-graph probes (skipped under `--quick`): a 2048×2048 torus
+    // Large-graph probe (skipped under `--quick`): a 2048×2048 torus
     // (4.2M nodes, 8.4M edges — per-edge state far past the last-level
-    // cache), in full and in compact state storage; the compact row
-    // shows the diet's bytes cut at this scale.
+    // cache).
     let huge = (!quick).then(|| generators::torus2d(2048, 2048));
 
     let mut cases: Vec<(&Graph, Case)> = vec![
@@ -363,7 +344,6 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         (
@@ -379,7 +359,6 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         (
@@ -395,7 +374,6 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         (
@@ -411,7 +389,6 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         (
@@ -427,7 +404,6 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         (
@@ -443,7 +419,6 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         (
@@ -459,7 +434,6 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         (
@@ -475,7 +449,6 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         // Metric-stopped rounds: same kernel as sos_discrete_nearest but
@@ -495,33 +468,12 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
-        // Fault-injection axis. `sos_faults_none` is the exact
-        // `sos_threshold_stop` configuration with the fault plan spelled
-        // out as `FaultSpec::none()`: the CI zero-cost gate compares the
-        // two in the same run to prove a disabled fault axis costs
-        // nothing. `sos_faults_crash` measures the faulted hot loop —
-        // effective-mask composition, crash epochs, matching repair —
-        // and is gated at +25% over the committed ratio like the other
-        // kernels.
-        (
-            &mid,
-            Case {
-                graph_name: mid_name,
-                config_name: "sos_faults_none",
-                threads: 1,
-                scheme: Scheme::sos(beta_mid),
-                rounding: Some(Rounding::nearest()),
-                threshold_stop: true,
-                faults: FaultSpec::none(),
-                loads: LoadSpec::none(),
-                churn: ChurnSpec::none(),
-                ckpt: None,
-                mem: MemSpec::Full,
-            },
-        ),
+        // Fault-injection axis. `sos_faults_crash` measures the faulted
+        // hot loop — effective-mask composition, crash epochs, matching
+        // repair — and is gated at +25% over the committed ratio like
+        // the other kernels.
         (
             &mid,
             Case {
@@ -535,33 +487,12 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
-        // Dynamic-workload axis. `sos_load_none` is the exact
-        // `sos_faults_none` configuration with the load plan spelled out
-        // as `LoadSpec::none()`: the CI zero-cost gate compares the two
-        // in the same run to prove a disabled load axis costs nothing.
-        // `sos_load_poisson` measures the loaded hot loop — the
-        // control-thread generator draws plus the sparse delta
-        // application, with no extra per-round sweep — and is gated at
-        // +25% over the committed ratio like the other kernels.
-        (
-            &mid,
-            Case {
-                graph_name: mid_name,
-                config_name: "sos_load_none",
-                threads: 1,
-                scheme: Scheme::sos(beta_mid),
-                rounding: Some(Rounding::nearest()),
-                threshold_stop: true,
-                faults: FaultSpec::none(),
-                loads: LoadSpec::none(),
-                churn: ChurnSpec::none(),
-                ckpt: None,
-                mem: MemSpec::Full,
-            },
-        ),
+        // Dynamic-workload axis. `sos_load_poisson` measures the loaded
+        // hot loop — the control-thread generator draws plus the sparse
+        // delta application, with no extra per-round sweep — and is
+        // gated at +25% over the committed ratio like the other kernels.
         (
             &mid,
             Case {
@@ -575,33 +506,12 @@ fn main() {
                 loads: LoadSpec::none().with_poisson(2.0, 42),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
-        // Checkpoint axis. `sos_ckpt_none` is the exact `sos_load_none`
-        // configuration with the checkpoint config spelled out as `None`:
-        // the CI zero-cost gate compares the two in the same run to prove
-        // a disabled persistence axis costs nothing in the round loop.
-        // `sos_ckpt_every16` auto-writes the full versioned snapshot to
-        // disk every 16 rounds — serialization plus the fsync-free file
-        // write — and is gated at +25% over the committed ratio like the
-        // other kernels.
-        (
-            &mid,
-            Case {
-                graph_name: mid_name,
-                config_name: "sos_ckpt_none",
-                threads: 1,
-                scheme: Scheme::sos(beta_mid),
-                rounding: Some(Rounding::nearest()),
-                threshold_stop: true,
-                faults: FaultSpec::none(),
-                loads: LoadSpec::none(),
-                churn: ChurnSpec::none(),
-                ckpt: None,
-                mem: MemSpec::Full,
-            },
-        ),
+        // Checkpoint axis. `sos_ckpt_every16` auto-writes the full
+        // versioned snapshot to disk every 16 rounds — serialization plus
+        // the fsync-free file write — and is gated at +25% over the
+        // committed ratio like the other kernels.
         (
             &mid,
             Case {
@@ -624,76 +534,13 @@ fn main() {
                         "name=sos_ckpt_every16 topology=torus2d:{mid_side}:{mid_side}"
                     ),
                 }),
-                mem: MemSpec::Full,
             },
         ),
-        // Memory-layout axis. `sos_mem_full` is the exact
-        // `sos_ckpt_none` configuration with the state width spelled
-        // out as `MemSpec::Full`: the CI zero-cost gate compares the
-        // two in the same run to prove the generic-buffer plumbing
-        // costs nothing on the default layout. `sos_mem_compact` runs
-        // the same kernel on the half-width (`i32`/`f32`) state — the
-        // widen/narrow conversions per access are the measured price of
-        // halving `state_bytes` — and is gated at +25% over the
-        // committed ratio like the other kernels.
-        (
-            &mid,
-            Case {
-                graph_name: mid_name,
-                config_name: "sos_mem_full",
-                threads: 1,
-                scheme: Scheme::sos(beta_mid),
-                rounding: Some(Rounding::nearest()),
-                threshold_stop: true,
-                faults: FaultSpec::none(),
-                loads: LoadSpec::none(),
-                churn: ChurnSpec::none(),
-                ckpt: None,
-                mem: MemSpec::Full,
-            },
-        ),
-        (
-            &mid,
-            Case {
-                graph_name: mid_name,
-                config_name: "sos_mem_compact",
-                threads: 1,
-                scheme: Scheme::sos(beta_mid),
-                rounding: Some(Rounding::nearest()),
-                threshold_stop: true,
-                faults: FaultSpec::none(),
-                loads: LoadSpec::none(),
-                churn: ChurnSpec::none(),
-                ckpt: None,
-                mem: MemSpec::Compact,
-            },
-        ),
-        // Topology-churn axis. `sos_churn_none` is the exact
-        // `sos_mem_full` configuration with the churn plan spelled out
-        // as `ChurnSpec::none()`: the CI zero-cost gate compares the two
-        // in the same run to prove a disabled churn axis costs nothing —
-        // `churn=none` compiles to the exact pre-churn code paths.
-        // `sos_churn_flux` measures the churned hot loop — per-epoch
-        // membership transitions, conservation-exact handoff, the
-        // active-edge mask routing every plan through the masked pass —
-        // and is gated at +25% over the committed ratio like the other
-        // kernels.
-        (
-            &mid,
-            Case {
-                graph_name: mid_name,
-                config_name: "sos_churn_none",
-                threads: 1,
-                scheme: Scheme::sos(beta_mid),
-                rounding: Some(Rounding::nearest()),
-                threshold_stop: true,
-                faults: FaultSpec::none(),
-                loads: LoadSpec::none(),
-                churn: ChurnSpec::none(),
-                ckpt: None,
-                mem: MemSpec::Full,
-            },
-        ),
+        // Topology-churn axis. `sos_churn_flux` measures the churned hot
+        // loop — per-epoch membership transitions, conservation-exact
+        // handoff, the active-edge mask routing every plan through the
+        // masked pass — and is gated at +25% over the committed ratio
+        // like the other kernels.
         (
             &mid,
             Case {
@@ -709,7 +556,6 @@ fn main() {
                     .with_flux(0.05, 0.4, 42)
                     .with_initial(100.0),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         // Pairwise schemes (scheme-kernel layer): the masked edge pass
@@ -729,7 +575,6 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         (
@@ -745,7 +590,6 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
         (
@@ -761,31 +605,24 @@ fn main() {
                 loads: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::Full,
             },
         ),
     ];
     if let Some(huge) = &huge {
-        let fos_case = |graph_name: &'static str, config_name: &'static str, mem: MemSpec| Case {
-            graph_name,
-            config_name,
-            threads: 1,
-            scheme: Scheme::fos(),
-            rounding: Some(Rounding::nearest()),
-            threshold_stop: false,
-            faults: FaultSpec::none(),
-            loads: LoadSpec::none(),
-            churn: ChurnSpec::none(),
-            ckpt: None,
-            mem,
-        };
         cases.push((
             huge,
-            fos_case("torus2048x2048", "fos_huge_nearest", MemSpec::Full),
-        ));
-        cases.push((
-            huge,
-            fos_case("torus2048x2048", "fos_huge_compact", MemSpec::Compact),
+            Case {
+                graph_name: "torus2048x2048",
+                config_name: "fos_huge_nearest",
+                threads: 1,
+                scheme: Scheme::fos(),
+                rounding: Some(Rounding::nearest()),
+                threshold_stop: false,
+                faults: FaultSpec::none(),
+                loads: LoadSpec::none(),
+                churn: ChurnSpec::none(),
+                ckpt: None,
+            },
         ));
     }
 

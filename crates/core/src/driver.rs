@@ -191,7 +191,8 @@ pub struct BatchReport {
     pub total_rounds: u64,
     /// Total wall-clock time of the batch.
     pub total_wall: Duration,
-    /// Worst final `max − avg` across successful scenarios.
+    /// Worst (largest) final `max − avg` across successful scenarios;
+    /// `0` when none succeeded.
     pub worst_max_minus_avg: f64,
     /// Mean final `max − avg` across successful scenarios.
     pub mean_max_minus_avg: f64,
@@ -219,7 +220,7 @@ impl BatchReport {
             .iter()
             .map(|s| s.report.final_metrics.max_minus_avg)
             .collect();
-        let worst = finals.iter().copied().fold(0.0f64, f64::max);
+        let worst = finals.iter().copied().reduce(f64::max).unwrap_or(0.0);
         let mean = if finals.is_empty() {
             0.0
         } else {

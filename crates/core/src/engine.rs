@@ -43,7 +43,7 @@ use crate::checkpoint::{
 use crate::error::{BuildError, CheckpointError};
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
-use crate::kernel::{cells_f32, cells_f64, cells_i32, cells_i64, KernelTables, LoadStats};
+use crate::kernel::{cells_f64, cells_i64, KernelTables, LoadStats};
 use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot, RemainingImbalance};
 use crate::observer::Observer;
 use crate::perturb::{
@@ -51,7 +51,6 @@ use crate::perturb::{
 };
 use crate::pool::{JobLoads, RoundJob, WorkerPool};
 use crate::rounding::Rounding;
-use crate::scenario::MemSpec;
 use crate::scheme::Scheme;
 use crate::scheme_kernel::{RoundScratch, SchemeKernel};
 use crate::watch::{DivergenceWatch, SteadyStats, SteadyTracker};
@@ -107,11 +106,6 @@ pub struct SimulationConfig {
     /// Periodic checkpointing (`None` = never snapshot; the zero-cost
     /// default, branch-predicted away in the round loop).
     pub ckpt: Option<CheckpointConfig>,
-    /// State-storage width ([`MemSpec::Full`] = the bit-pinned `i64`/`f64`
-    /// reference layout; [`MemSpec::Compact`] halves per-node and per-edge
-    /// state bytes by storing loads and flow memory as `i32`/`f32` while
-    /// keeping all arithmetic in `f64`).
-    pub mem: MemSpec,
 }
 
 impl SimulationConfig {
@@ -313,8 +307,8 @@ pub struct RunReport {
     pub steady: Option<SteadyStats>,
 }
 
-/// The sequential executor's round state: plain vectors in one of four
-/// layouts (mode × memory width). Per-edge buffers hold only what the
+/// The sequential executor's round state: plain vectors in one of two
+/// layouts (one per mode). Per-edge buffers hold only what the
 /// configuration needs: `flows` in discrete mode, `prev` where the SOS
 /// memory is not the integral flows (continuous mode — where `prev` also
 /// carries the round's flows — and [`FlowMemory::Scheduled`]), and
@@ -330,22 +324,6 @@ enum State {
         loads: Vec<f64>,
         prev: Vec<f64>,
     },
-    /// `mem=compact` discrete state: `i32` tokens and integral flows,
-    /// `f32` memory and arc fractions. All per-round arithmetic still
-    /// runs in `f64`; only the stored representation narrows (see
-    /// [`crate::kernel::BufI64`]).
-    DiscreteCompact {
-        loads: Vec<i32>,
-        flows: Vec<i32>,
-        prev: Vec<f32>,
-        arc_frac: Vec<f32>,
-    },
-    /// `mem=compact` continuous state: `f32` loads and flows, `f64`
-    /// arithmetic.
-    ContinuousCompact {
-        loads: Vec<f32>,
-        prev: Vec<f32>,
-    },
 }
 
 impl State {
@@ -353,60 +331,32 @@ impl State {
     /// slots too where `stored_prev`) and `arcs` arc-fraction slots.
     /// `m = arcs = 0` builds the loads alone, to seed a pool job that
     /// allocates its own per-edge state.
-    fn new(
-        mode: Mode,
-        compact: bool,
-        loads: Vec<i64>,
-        m: usize,
-        stored_prev: bool,
-        arcs: usize,
-    ) -> Self {
+    fn new(mode: Mode, loads: Vec<i64>, m: usize, stored_prev: bool, arcs: usize) -> Self {
         let prev = if stored_prev { m } else { 0 };
-        match (mode, compact) {
-            (Mode::Discrete(_), false) => State::Discrete {
+        match mode {
+            Mode::Discrete(_) => State::Discrete {
                 loads,
                 flows: vec![0; m],
                 prev: vec![0.0; prev],
                 arc_frac: vec![0.0; arcs],
             },
-            (Mode::Continuous, false) => State::Continuous {
+            Mode::Continuous => State::Continuous {
                 loads: loads.iter().map(|&x| x as f64).collect(),
-                prev: vec![0.0; m],
-            },
-            // check_compact() bounded the total, so every per-node load
-            // (and any transient concentration of it) fits an i32.
-            (Mode::Discrete(_), true) => State::DiscreteCompact {
-                loads: loads.iter().map(|&x| x as i32).collect(),
-                flows: vec![0; m],
-                prev: vec![0.0; prev],
-                arc_frac: vec![0.0; arcs],
-            },
-            (Mode::Continuous, true) => State::ContinuousCompact {
-                loads: loads.iter().map(|&x| x as f32).collect(),
                 prev: vec![0.0; m],
             },
         }
     }
 
-    /// The loads seeding a pool job (which also select its layout).
+    /// The loads seeding a pool job (which also select its mode).
     fn job_loads(&self) -> JobLoads<'_> {
         match self {
             State::Discrete { loads, .. } => JobLoads::I64(loads),
             State::Continuous { loads, .. } => JobLoads::F64(loads),
-            State::DiscreteCompact { loads, .. } => JobLoads::I32(loads),
-            State::ContinuousCompact { loads, .. } => JobLoads::F32(loads),
         }
     }
 
     fn is_discrete(&self) -> bool {
-        matches!(self, State::Discrete { .. } | State::DiscreteCompact { .. })
-    }
-
-    fn is_compact(&self) -> bool {
-        matches!(
-            self,
-            State::DiscreteCompact { .. } | State::ContinuousCompact { .. }
-        )
+        matches!(self, State::Discrete { .. })
     }
 
     #[inline]
@@ -414,8 +364,6 @@ impl State {
         match self {
             State::Discrete { loads, .. } => loads[i] as f64,
             State::Continuous { loads, .. } => loads[i],
-            State::DiscreteCompact { loads, .. } => loads[i] as f64,
-            State::ContinuousCompact { loads, .. } => f64::from(loads[i]),
         }
     }
 
@@ -424,49 +372,33 @@ impl State {
         match self {
             State::Discrete { loads, .. } => loads.iter().copied().min().unwrap_or(0) as f64,
             State::Continuous { loads, .. } => loads.iter().copied().fold(f64::INFINITY, f64::min),
-            State::DiscreteCompact { loads, .. } => loads.iter().copied().min().unwrap_or(0) as f64,
-            State::ContinuousCompact { loads, .. } => loads
-                .iter()
-                .map(|&x| f64::from(x))
-                .fold(f64::INFINITY, f64::min),
         }
     }
 
-    /// A copy of the loads in the layout-free (widened) snapshot form.
+    /// A copy of the loads in snapshot form.
     fn loads(&self) -> LoadsSnapshot {
         match self {
             State::Discrete { loads, .. } => LoadsSnapshot::Discrete(loads.clone()),
             State::Continuous { loads, .. } => LoadsSnapshot::Continuous(loads.clone()),
-            State::DiscreteCompact { loads, .. } => {
-                LoadsSnapshot::Discrete(loads.iter().map(|&x| i64::from(x)).collect())
-            }
-            State::ContinuousCompact { loads, .. } => {
-                LoadsSnapshot::Continuous(loads.iter().map(|&x| f64::from(x)).collect())
-            }
         }
     }
 
     /// The SOS memory as `f64`. With `rounded` (discrete mode under
     /// [`FlowMemory::Rounded`]) it is materialized from the integral
-    /// flows, quantized exactly as a stored copy would be — the same
-    /// values [`crate::kernel::prev_from_flows`] produces on the pool.
+    /// flows — the same values [`crate::kernel::prev_from_flows`]
+    /// produces on the pool.
     fn memory(&self, rounded: bool) -> Cow<'_, [f64]> {
         match self {
             State::Discrete { flows, .. } if rounded => {
                 Cow::Owned(flows.iter().map(|&y| y as f64).collect())
             }
             State::Discrete { prev, .. } | State::Continuous { prev, .. } => Cow::Borrowed(prev),
-            State::DiscreteCompact { flows, .. } if rounded => {
-                Cow::Owned(flows.iter().map(|&y| f64::from(y as f32)).collect())
-            }
-            State::DiscreteCompact { prev, .. } | State::ContinuousCompact { prev, .. } => {
-                Cow::Owned(prev.iter().map(|&x| f64::from(x)).collect())
-            }
         }
     }
 
     /// Overwrites the loads and the SOS memory from a snapshot the caller
-    /// validated against this layout (so every narrowing is exact).
+    /// validated against this state (mode and, under `rounded`, integral
+    /// memory values).
     fn write_state(&mut self, src: &LoadsSnapshot, memory: &[f64], rounded: bool) {
         match (self, src) {
             (
@@ -488,33 +420,6 @@ impl State {
                 loads.copy_from_slice(src);
                 prev.copy_from_slice(memory);
             }
-            (
-                State::DiscreteCompact {
-                    loads, flows, prev, ..
-                },
-                LoadsSnapshot::Discrete(src),
-            ) => {
-                for (l, &x) in loads.iter_mut().zip(src) {
-                    *l = x as i32;
-                }
-                if rounded {
-                    for (f, &x) in flows.iter_mut().zip(memory) {
-                        *f = x as i32;
-                    }
-                } else {
-                    for (p, &x) in prev.iter_mut().zip(memory) {
-                        *p = x as f32;
-                    }
-                }
-            }
-            (State::ContinuousCompact { loads, prev }, LoadsSnapshot::Continuous(src)) => {
-                for (l, &x) in loads.iter_mut().zip(src) {
-                    *l = x as f32;
-                }
-                for (p, &x) in prev.iter_mut().zip(memory) {
-                    *p = x as f32;
-                }
-            }
             _ => unreachable!("restore checked the mode"),
         }
     }
@@ -528,13 +433,6 @@ impl State {
                 arc_frac,
             } => 8 * (loads.len() + flows.len() + prev.len() + arc_frac.len()),
             State::Continuous { loads, prev } => 8 * (loads.len() + prev.len()),
-            State::DiscreteCompact {
-                loads,
-                flows,
-                prev,
-                arc_frac,
-            } => 4 * (loads.len() + flows.len() + prev.len() + arc_frac.len()),
-            State::ContinuousCompact { loads, prev } => 4 * (loads.len() + prev.len()),
         }
     }
 }
@@ -679,11 +577,6 @@ impl<'g> Simulator<'g> {
             return Err(BuildError::ZeroThreads);
         }
         init.check(n).map_err(BuildError::InvalidInitialLoad)?;
-        let compact = config.mem == MemSpec::Compact;
-        if compact {
-            init.check_compact(n)
-                .map_err(BuildError::InvalidInitialLoad)?;
-        }
         let loads = init.materialize(n);
         let initial_total = loads.iter().map(|&x| x as f64).sum();
         let m = graph.edge_count();
@@ -705,7 +598,7 @@ impl<'g> Simulator<'g> {
         let (store, min_transient) = if threads > 1 {
             // The job allocates its own per-edge state; the local loads
             // only seed it and are dropped here.
-            let seed = State::new(config.mode, compact, loads, 0, false, 0);
+            let seed = State::new(config.mode, loads, 0, false, 0);
             let pool = shared_pool.unwrap_or_else(|| Arc::new(WorkerPool::new(threads)));
             let job = Arc::new(RoundJob::new(
                 pool.threads(),
@@ -719,7 +612,7 @@ impl<'g> Simulator<'g> {
             let stored_prev = matches!(config.mode, Mode::Continuous)
                 || config.flow_memory == FlowMemory::Scheduled;
             let arcs = if framework { graph.arc_count() } else { 0 };
-            let state = State::new(config.mode, compact, loads, m, stored_prev, arcs);
+            let state = State::new(config.mode, loads, m, stored_prev, arcs);
             let min_transient = state.min_load();
             (Store::Local(state), min_transient)
         };
@@ -776,57 +669,41 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    /// Returns `true` when this run stores state in the compact
-    /// (`mem=compact`) `i32`/`f32` layout.
-    pub fn is_compact(&self) -> bool {
-        match &self.store {
-            Store::Local(state) => state.is_compact(),
-            Store::Pooled(attachment) => attachment.job.is_compact(),
-        }
-    }
-
     /// Whether the SOS memory is the integral flows themselves: discrete
     /// mode under [`FlowMemory::Rounded`].
     fn rounded_memory(&self) -> bool {
         self.is_discrete() && self.flow_memory == FlowMemory::Rounded
     }
 
-    /// Integer loads (full-width discrete mode only; `None` in
-    /// continuous and `mem=compact` runs — use [`Simulator::load_of`]
-    /// or [`Simulator::loads_to_f64`] there). Borrowed on the sequential
-    /// executor; on the worker pool, whose atomics are the only store,
-    /// each call copies the loads out.
+    /// Integer loads (discrete mode only; `None` in continuous runs —
+    /// use [`Simulator::load_of`] or [`Simulator::loads_to_f64`] there).
+    /// Borrowed on the sequential executor; on the worker pool, whose
+    /// atomics are the only store, each call copies the loads out.
     pub fn loads_i64(&self) -> Option<Cow<'_, [i64]>> {
         match &self.store {
             Store::Local(State::Discrete { loads, .. }) => Some(Cow::Borrowed(loads)),
-            Store::Pooled(attachment) if !attachment.job.is_compact() => {
-                match attachment.job.loads() {
-                    LoadsSnapshot::Discrete(loads) => Some(Cow::Owned(loads)),
-                    LoadsSnapshot::Continuous(_) => None,
-                }
-            }
+            Store::Pooled(attachment) => match attachment.job.loads() {
+                LoadsSnapshot::Discrete(loads) => Some(Cow::Owned(loads)),
+                LoadsSnapshot::Continuous(_) => None,
+            },
             _ => None,
         }
     }
 
-    /// Continuous loads (full-width continuous mode only; `None` in
-    /// discrete and `mem=compact` runs). Borrowed or copied like
-    /// [`Simulator::loads_i64`].
+    /// Continuous loads (continuous mode only; `None` in discrete
+    /// runs). Borrowed or copied like [`Simulator::loads_i64`].
     pub fn loads_f64(&self) -> Option<Cow<'_, [f64]>> {
         match &self.store {
             Store::Local(State::Continuous { loads, .. }) => Some(Cow::Borrowed(loads)),
-            Store::Pooled(attachment) if !attachment.job.is_compact() => {
-                match attachment.job.loads() {
-                    LoadsSnapshot::Continuous(loads) => Some(Cow::Owned(loads)),
-                    LoadsSnapshot::Discrete(_) => None,
-                }
-            }
+            Store::Pooled(attachment) => match attachment.job.loads() {
+                LoadsSnapshot::Continuous(loads) => Some(Cow::Owned(loads)),
+                LoadsSnapshot::Discrete(_) => None,
+            },
             _ => None,
         }
     }
 
-    /// Load of node `i` as `f64`, regardless of mode, memory layout, or
-    /// executor.
+    /// Load of node `i` as `f64`, regardless of mode or executor.
     #[inline]
     pub fn load_of(&self, i: usize) -> f64 {
         match &self.store {
@@ -861,8 +738,7 @@ impl<'g> Simulator<'g> {
     }
 
     /// Flow sent in the previous round, per canonical edge (the SOS
-    /// memory), as `f64` in every memory layout (compact `f32` values
-    /// widen exactly). Borrowed where the simulator stores an `f64`
+    /// memory), as `f64`. Borrowed where the simulator stores an `f64`
     /// memory vector (sequential continuous and
     /// [`FlowMemory::Scheduled`] runs); otherwise a copy made on request
     /// — materialized from the integral flows under
@@ -879,10 +755,8 @@ impl<'g> Simulator<'g> {
     /// memory (continuous and [`FlowMemory::Scheduled`] runs only — under
     /// [`FlowMemory::Rounded`] the integral flows are the memory), and
     /// arc fractions (randomized framework). Each piece is held once: on
-    /// the worker pool the job's atomics are the only copy. `mem=compact`
-    /// halves every category counted here; auxiliary metadata (masks,
-    /// per-block partials, kernel tables) is excluded because both
-    /// layouts share it unchanged.
+    /// the worker pool the job's atomics are the only copy. Auxiliary
+    /// metadata (masks, per-block partials, kernel tables) is excluded.
     pub fn state_bytes(&self) -> usize {
         match &self.store {
             Store::Local(state) => state.state_bytes(),
@@ -943,8 +817,6 @@ impl<'g> Simulator<'g> {
         steady: Option<&SteadyTracker>,
         plateau: Option<&RemainingImbalance>,
     ) -> Snapshot {
-        // Compact state widens losslessly into the full-width snapshot
-        // forms, so the on-disk format (and its VERSION) is layout-free.
         let loads = match &self.store {
             Store::Local(state) => state.loads(),
             Store::Pooled(attachment) => attachment.job.loads(),
@@ -1063,63 +935,18 @@ impl<'g> Simulator<'g> {
                 snap.initial_total, self.initial_total
             )));
         }
-        // Compact runs must be able to re-narrow the widened snapshot
-        // bit-exactly; validate every value BEFORE touching any state so
-        // the simulator stays unmodified on error. (Snapshots taken from
-        // a compact run always pass: widening f32→f64 / i32→i64 is
-        // lossless. Only a snapshot from a *full-width* run of the same
-        // spec could fail, and then the state genuinely doesn't fit.)
-        if self.is_compact() {
-            match &snap.loads {
-                LoadsSnapshot::Discrete(src) => {
-                    if let Some(&bad) = src.iter().find(|&&x| i64::from(x as i32) != x) {
-                        return Err(CheckpointError::Mismatch(format!(
-                            "snapshot load {bad} does not fit the mem=compact i32 storage"
-                        )));
-                    }
-                }
-                LoadsSnapshot::Continuous(src) => {
-                    if let Some(&bad) = src
-                        .iter()
-                        .find(|&&x| f64::from(x as f32).to_bits() != x.to_bits())
-                    {
-                        return Err(CheckpointError::Mismatch(format!(
-                            "snapshot load {bad} does not narrow exactly to the                              mem=compact f32 storage"
-                        )));
-                    }
-                }
-            }
-            if let Some(&bad) = snap
-                .prev_flow
-                .iter()
-                .find(|&&x| f64::from(x as f32).to_bits() != x.to_bits())
-            {
-                return Err(CheckpointError::Mismatch(format!(
-                    "snapshot flow memory {bad} does not narrow exactly to the                      mem=compact f32 storage"
-                )));
-            }
-        }
-        // Under `Rounded` the memory is written into the integral flows,
-        // so every value must be one this run could have sent: integral
-        // and inside the flow storage's range (`i64`, or `i32` compact).
-        // Comparing bits also refuses `-0.0`, which no `i64 → f64` cast
-        // produces.
+        // Under `Rounded` the memory is written into the integral `i64`
+        // flows, so every value must be one this run could have sent.
+        // Validated BEFORE touching any state so the simulator stays
+        // unmodified on error. Comparing bits also refuses `-0.0`, which
+        // no `i64 → f64` cast produces.
         let rounded = self.rounded_memory();
         if rounded {
-            let compact = self.is_compact();
-            let integral = |x: f64| {
-                let back = if compact {
-                    f64::from(x as i32)
-                } else {
-                    x as i64 as f64
-                };
-                back.to_bits() == x.to_bits()
-            };
+            let integral = |x: f64| (x as i64 as f64).to_bits() == x.to_bits();
             if let Some(&bad) = snap.prev_flow.iter().find(|&&x| !integral(x)) {
                 return Err(CheckpointError::Mismatch(format!(
                     "snapshot flow memory {bad} is not an integral flow of the \
-                     {} flow storage (this run remembers rounded flows)",
-                    if compact { "i32" } else { "i64" }
+                     i64 flow storage (this run remembers rounded flows)"
                 )));
             }
         }
@@ -1293,9 +1120,8 @@ impl<'g> Simulator<'g> {
             unreachable!("step_sequential requires the local store")
         };
         let t = &**tables;
-        // Each arm monomorphizes the generic round over its layout's
-        // buffer handles; the full-width arms compile to the exact
-        // pre-compact code (Cell wrappers are free).
+        // Each arm monomorphizes the generic round over `Cell`-backed
+        // buffer handles (the wrappers are free).
         match state {
             State::Discrete {
                 loads,
@@ -1323,34 +1149,6 @@ impl<'g> Simulator<'g> {
                 *round,
                 &cells_f64(loads),
                 &cells_f64(prev),
-                scratch,
-            ),
-            State::DiscreteCompact {
-                loads,
-                flows,
-                prev,
-                arc_frac,
-            } => scheme_kernel.run_discrete_seq(
-                t,
-                graph,
-                mem,
-                gain,
-                *round,
-                *flow_memory,
-                &cells_i32(loads),
-                &cells_f32(prev),
-                &cells_i32(flows),
-                &cells_f32(arc_frac),
-                scratch,
-            ),
-            State::ContinuousCompact { loads, prev } => scheme_kernel.run_continuous_seq(
-                t,
-                graph,
-                mem,
-                gain,
-                *round,
-                &cells_f32(loads),
-                &cells_f32(prev),
                 scratch,
             ),
         }
@@ -2035,7 +1833,6 @@ mod tests {
             load: LoadSpec::none(),
             churn: ChurnSpec::none(),
             ckpt: None,
-            mem: MemSpec::Full,
         };
         config.with_threads(0);
     }
@@ -2053,7 +1850,6 @@ mod tests {
             load: LoadSpec::none(),
             churn: ChurnSpec::none(),
             ckpt: None,
-            mem: MemSpec::Full,
         };
         let mut sim = Simulator::build(&g, config, InitialLoad::EqualPerNode(10), None).unwrap();
         sim.step();
@@ -2102,21 +1898,15 @@ mod tests {
 
     /// Under `Rounded` restore writes the memory into the integral flow
     /// slots, so it refuses any value those slots could not hold — on
-    /// both widths and both executors — and leaves the target untouched.
+    /// both executors — and leaves the target untouched.
     #[test]
     fn rounded_restore_refuses_unrepresentable_memory() {
         let g = generators::torus2d(4, 4);
-        for (mem, threads) in [
-            (MemSpec::Full, 1),
-            (MemSpec::Full, 3),
-            (MemSpec::Compact, 1),
-            (MemSpec::Compact, 3),
-        ] {
+        for threads in [1, 3] {
             let build = || {
                 Experiment::on(&g)
                     .discrete(Rounding::nearest())
                     .sos(1.5)
-                    .mem(mem)
                     .threads(threads)
                     .init(InitialLoad::point(0, 1600))
                     .build()
@@ -2126,11 +1916,7 @@ mod tests {
             let mut source = build();
             source.run_until(StopCondition::MaxRounds(6));
             let good = source.snapshot();
-            let too_wide = match mem {
-                MemSpec::Full => 1e300,
-                MemSpec::Compact => 4_294_967_296.0,
-            };
-            for bad in [0.5, -0.0, f64::NAN, f64::INFINITY, too_wide] {
+            for bad in [0.5, -0.0, f64::NAN, f64::INFINITY, 1e300] {
                 let mut snap = good.clone();
                 snap.prev_flow[3] = bad;
                 let mut target = build();
@@ -2138,15 +1924,15 @@ mod tests {
                 let before = target.snapshot();
                 match target.restore(&snap) {
                     Err(CheckpointError::Mismatch(msg)) => {
-                        assert!(msg.contains("integral"), "{mem:?} t{threads} {bad}: {msg}")
+                        assert!(msg.contains("integral"), "t{threads} {bad}: {msg}")
                     }
-                    other => panic!("{mem:?} t{threads}: {bad} accepted ({other:?})"),
+                    other => panic!("t{threads}: {bad} accepted ({other:?})"),
                 }
-                assert_eq!(target.snapshot(), before, "{mem:?} t{threads} {bad}");
+                assert_eq!(target.snapshot(), before, "t{threads} {bad}");
             }
             let mut target = build();
             target.restore(&good).unwrap();
-            assert_eq!(target.snapshot(), good, "{mem:?} t{threads}");
+            assert_eq!(target.snapshot(), good, "t{threads}");
         }
     }
 

@@ -88,7 +88,8 @@ pub enum BuildError {
     /// The executor was configured with zero worker threads.
     ZeroThreads,
     /// The initial load references nodes outside the graph, carries a
-    /// negative total, or has the wrong length.
+    /// negative total or one that overflows `i64`, or has the wrong
+    /// length.
     InvalidInitialLoad(String),
     /// The stop condition is degenerate (zero plateau window or a
     /// non-finite threshold).

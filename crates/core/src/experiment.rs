@@ -40,7 +40,6 @@ use crate::init::InitialLoad;
 use crate::observer::Observer;
 use crate::perturb::{ChurnSpec, FaultSpec, LoadSpec};
 use crate::rounding::{Rounding, RoundingSpec};
-use crate::scenario::MemSpec;
 use crate::scheme::Scheme;
 
 /// Typestate: the builder still needs an execution mode
@@ -86,7 +85,6 @@ struct Parts<'g> {
     load: LoadSpec,
     churn: ChurnSpec,
     ckpt: Option<CheckpointConfig>,
-    mem: MemSpec,
 }
 
 /// Typestate builder for [`Experiment`]s; see [`Experiment::on`].
@@ -159,8 +157,8 @@ impl<'g, S> ExperimentBuilder<'g, S> {
 
     /// Sets the initial token placement (default:
     /// [`InitialLoad::paper_default`], `1000·n` tokens on node 0).
-    /// Out-of-range nodes and negative totals are reported as
-    /// [`BuildError::InvalidInitialLoad`] at build.
+    /// Out-of-range nodes, negative totals and totals that overflow
+    /// `i64` are reported as [`BuildError::InvalidInitialLoad`] at build.
     pub fn init(mut self, init: InitialLoad) -> Self {
         self.parts.init = Some(init);
         self
@@ -229,17 +227,6 @@ impl<'g, S> ExperimentBuilder<'g, S> {
         self.parts.ckpt = Some(ckpt);
         self
     }
-
-    /// Selects the state-storage width (default [`MemSpec::Full`]).
-    /// [`MemSpec::Compact`] stores per-node and per-edge state as
-    /// f32/i32 — half the resident bytes — while all arithmetic stays
-    /// f64/i64; see [`MemSpec`] for the accuracy contract. Discrete
-    /// initial loads whose total exceeds the i32 range are reported as
-    /// [`BuildError::InvalidInitialLoad`] at build.
-    pub fn mem(mut self, mem: MemSpec) -> Self {
-        self.parts.mem = mem;
-        self
-    }
 }
 
 impl<'g> ExperimentBuilder<'g, NeedsMode> {
@@ -297,7 +284,6 @@ impl<'g> ExperimentBuilder<'g, Ready> {
             load,
             churn,
             ckpt,
-            mem,
         } = self.parts;
         let n = graph.node_count();
         if n == 0 {
@@ -334,10 +320,6 @@ impl<'g> ExperimentBuilder<'g, Ready> {
         }
         let init = init.unwrap_or_else(|| InitialLoad::paper_default(n));
         init.check(n).map_err(BuildError::InvalidInitialLoad)?;
-        if mem == MemSpec::Compact {
-            init.check_compact(n)
-                .map_err(BuildError::InvalidInitialLoad)?;
-        }
         stop.check()?;
         faults.check()?;
         load.check()?;
@@ -366,7 +348,6 @@ impl<'g> ExperimentBuilder<'g, Ready> {
                 load,
                 churn,
                 ckpt,
-                mem,
             },
             init,
             hybrid,
@@ -409,7 +390,6 @@ impl<'g> Experiment<'g> {
                 load: LoadSpec::none(),
                 churn: ChurnSpec::none(),
                 ckpt: None,
-                mem: MemSpec::default(),
             },
             _state: PhantomData,
         }
@@ -458,11 +438,6 @@ impl<'g> Experiment<'g> {
     /// The live-topology churn plan ([`ChurnSpec::none`] when unset).
     pub fn churn(&self) -> ChurnSpec {
         self.config.churn
-    }
-
-    /// The state-storage width ([`MemSpec::Full`] when unset).
-    pub fn mem(&self) -> MemSpec {
-        self.config.mem
     }
 
     /// The stop condition of [`Experiment::run`].
@@ -539,9 +514,6 @@ impl<'g> Experiment<'g> {
             churn: self.config.churn,
             // The twin is a transient comparison run; never checkpoint it.
             ckpt: None,
-            // The twin shares the storage width so compact-mode deviation
-            // measurements compare the process actually being run.
-            mem: self.config.mem,
         };
         let mut continuous =
             Simulator::build(self.graph, continuous_config, self.init.clone(), None)

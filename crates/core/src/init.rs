@@ -54,7 +54,9 @@ impl InitialLoad {
 
     /// Validates the distribution against an `n`-node network, returning
     /// the message the builder wraps into
-    /// [`crate::BuildError::InvalidInitialLoad`].
+    /// [`crate::BuildError::InvalidInitialLoad`]. Besides the shape checks
+    /// it refuses any distribution whose total does not fit the `i64`
+    /// token counters (every per-node value then fits as well).
     pub(crate) fn check(&self, n: usize) -> Result<(), String> {
         match self {
             InitialLoad::Point { node, total } => {
@@ -91,35 +93,29 @@ impl InitialLoad {
                 }
             }
         }
+        if self.checked_total(n).is_none() {
+            return Err(format!("total load on {n} nodes overflows i64"));
+        }
         Ok(())
     }
 
-    /// Extra validation for compact-state runs (`mem=compact`), where
-    /// per-node loads are stored as `i32`: the distribution's total —
-    /// and, for `Custom`, every per-node value — must fit in an `i32`
-    /// with 4× headroom, so transient concentrations (the whole total
-    /// piling onto one node) plus a reasonable amount of injected load
-    /// cannot overflow the narrow storage.
-    pub(crate) fn check_compact(&self, n: usize) -> Result<(), String> {
-        const LIMIT: i64 = (i32::MAX / 4) as i64;
-        if let InitialLoad::Custom(loads) = self {
-            for &l in loads {
-                if l.unsigned_abs() > LIMIT as u64 {
-                    return Err(format!(
-                        "custom per-node load {l} too large for mem=compact \
-                         (i32 storage caps magnitudes at {LIMIT})"
-                    ));
-                }
+    /// The total as `i64`, or `None` when it does not fit.
+    fn checked_total(&self, n: usize) -> Option<i64> {
+        match self {
+            InitialLoad::Point { total, .. } | InitialLoad::UniformRandom { total, .. } => {
+                Some(*total)
+            }
+            InitialLoad::EqualPerNode(per) => per.checked_mul(i64::try_from(n).ok()?),
+            InitialLoad::Ramp { max_per_node } => i64::try_from(
+                (0..n)
+                    .map(|i| i128::from(ramp(*max_per_node, i, n)))
+                    .sum::<i128>(),
+            )
+            .ok(),
+            InitialLoad::Custom(loads) => {
+                i64::try_from(loads.iter().map(|&x| i128::from(x)).sum::<i128>()).ok()
             }
         }
-        let total = self.total(n);
-        if total > LIMIT {
-            return Err(format!(
-                "total load {total} too large for mem=compact \
-                 (i32 storage caps totals at {LIMIT})"
-            ));
-        }
-        Ok(())
     }
 
     /// Materializes the distribution for an `n`-node network.
@@ -153,12 +149,7 @@ impl InitialLoad {
             }
             InitialLoad::Ramp { max_per_node } => {
                 assert!(*max_per_node >= 0, "negative ramp load");
-                if n <= 1 {
-                    return vec![*max_per_node; n];
-                }
-                (0..n)
-                    .map(|i| max_per_node * i as i64 / (n as i64 - 1))
-                    .collect()
+                (0..n).map(|i| ramp(*max_per_node, i, n)).collect()
             }
             InitialLoad::Custom(loads) => {
                 assert_eq!(loads.len(), n, "custom load vector length mismatch");
@@ -168,14 +159,25 @@ impl InitialLoad {
     }
 
     /// Total number of tokens this distribution places on `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the total does not fit an `i64` (the builders refuse
+    /// such distributions as [`crate::BuildError::InvalidInitialLoad`]).
     pub fn total(&self, n: usize) -> i64 {
-        match self {
-            InitialLoad::Point { total, .. } => *total,
-            InitialLoad::EqualPerNode(per) => per * n as i64,
-            InitialLoad::UniformRandom { total, .. } => *total,
-            InitialLoad::Ramp { .. } | InitialLoad::Custom(_) => self.materialize(n).iter().sum(),
-        }
+        self.checked_total(n)
+            .expect("initial load total overflows i64")
     }
+}
+
+/// Node `i`'s load under [`InitialLoad::Ramp`] on `n` nodes:
+/// `i·max/(n−1)`, widened so the product cannot overflow (the quotient
+/// is at most `max` and narrows back exactly); `max` on a single node.
+fn ramp(max: i64, i: usize, n: usize) -> i64 {
+    if n <= 1 {
+        return max;
+    }
+    (i128::from(max) * i as i128 / (n as i128 - 1)) as i64
 }
 
 #[cfg(test)]
@@ -221,6 +223,17 @@ mod tests {
         let v = vec![5, 0, 7];
         assert_eq!(InitialLoad::Custom(v.clone()).materialize(3), v);
         assert_eq!(InitialLoad::Custom(v).total(3), 12);
+    }
+
+    #[test]
+    fn ramp_never_overflows_and_custom_totals_are_checked() {
+        let max = i64::MAX;
+        let loads = InitialLoad::Ramp { max_per_node: max }.materialize(16);
+        assert_eq!((loads[0], loads[15]), (0, max));
+        assert!(loads.windows(2).all(|w| w[0] <= w[1]));
+        let err = InitialLoad::Custom(vec![max, 1]).check(2).unwrap_err();
+        assert!(err.contains("overflows i64"), "{err}");
+        assert_eq!(InitialLoad::Custom(vec![max - 1, 1]).check(2), Ok(()));
     }
 
     #[test]

@@ -107,9 +107,8 @@
 //! benches can time each phase in isolation; it is **not** a stable API.
 
 use std::cell::Cell;
-use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicI32, AtomicI64, AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use sodiff_graph::{Graph, Speeds};
@@ -357,9 +356,6 @@ pub trait BufF64 {
     fn read(e: &Self::Elem) -> f64;
     /// Writes one element.
     fn write(e: &Self::Elem, v: f64);
-    /// The value a [`BufF64::write`] of `v` reads back as: `v` itself
-    /// for `f64` storage, `v` rounded through `f32` for compact storage.
-    fn quantize(v: f64) -> f64;
     /// Reads element `i`.
     #[inline(always)]
     fn get(&self, i: usize) -> f64 {
@@ -406,29 +402,6 @@ pub struct AtomicsF64<'a>(pub &'a [AtomicU64]);
 /// [`BufI64`] over relaxed atomics (worker pool).
 pub struct AtomicsI64<'a>(pub &'a [AtomicI64]);
 
-/// [`BufF64`] over **compact** `f32` storage (single-threaded): reads
-/// widen losslessly (`f32 → f64` is exact), writes round to the nearest
-/// `f32`. All arithmetic between a read and a write still happens in
-/// `f64`, so compact mode is deterministic and executor-independent like
-/// full mode — it just quantizes what *persists* across rounds. Halves
-/// the per-element state bytes.
-pub struct CellsF32<'a>(pub &'a [Cell<f32>]);
-
-/// [`BufI64`] over **compact** `i32` storage (single-threaded): reads
-/// widen exactly, writes truncate with two's-complement wrapping. The
-/// simulator builder bounds the initial total so in-range values never
-/// wrap (see `engine.rs`); wrapping on contract violation is still
-/// deterministic.
-pub struct CellsI32<'a>(pub &'a [Cell<i32>]);
-
-/// [`BufF64`] over relaxed atomics storing compact `f32` bits (worker
-/// pool twin of [`CellsF32`]).
-pub struct AtomicsF32<'a>(pub &'a [AtomicU32]);
-
-/// [`BufI64`] over relaxed compact atomics (worker pool twin of
-/// [`CellsI32`]).
-pub struct AtomicsI32<'a>(pub &'a [AtomicI32]);
-
 /// Shared-writable view of a mutable `f64` slice.
 pub fn cells_f64(s: &mut [f64]) -> CellsF64<'_> {
     CellsF64(Cell::from_mut(s).as_slice_of_cells())
@@ -439,55 +412,26 @@ pub fn cells_i64(s: &mut [i64]) -> CellsI64<'_> {
     CellsI64(Cell::from_mut(s).as_slice_of_cells())
 }
 
-/// Shared-writable view of a mutable compact `f32` slice.
-pub fn cells_f32(s: &mut [f32]) -> CellsF32<'_> {
-    CellsF32(Cell::from_mut(s).as_slice_of_cells())
-}
-
-/// Shared-writable view of a mutable compact `i32` slice.
-pub fn cells_i32(s: &mut [i32]) -> CellsI32<'_> {
-    CellsI32(Cell::from_mut(s).as_slice_of_cells())
-}
-
 /// The SOS memory under [`FlowMemory::Rounded`], read straight from the
-/// integral flows: edge `e`'s memory is `flows[e] as f64`, quantized to
-/// the storage width of the memory buffer `P` it stands in for. That is
-/// bit for bit what a stored copy written with `P::write(y as f64)` would
-/// read back (an `i64 → f64` cast never yields `-0.0`, and compact `f32`
-/// memory sees the same `f32` rounding), so the flow slot *is* the memory
-/// and no per-edge `f64` copy is kept. Writes are no-ops: the edge pass
-/// updates the memory by writing the new flow.
-pub struct FlowsAsMemory<'a, F, P> {
-    flows: &'a F,
-    width: PhantomData<fn(&P)>,
-}
+/// integral flows: edge `e`'s memory is `flows[e] as f64`. That is bit
+/// for bit what a stored `f64` copy of the last flows would hold (an
+/// `i64 → f64` cast never yields `-0.0`), so the flow slot *is* the
+/// memory and no per-edge `f64` copy is kept. Writes are no-ops: the
+/// edge pass updates the memory by writing the new flow.
+pub struct FlowsAsMemory<'a, F>(pub &'a F);
 
-impl<'a, F: BufI64, P: BufF64> FlowsAsMemory<'a, F, P> {
-    /// The memory view of `flows`, quantized like `_prev`'s storage.
-    pub fn of(flows: &'a F, _prev: &P) -> Self {
-        Self {
-            flows,
-            width: PhantomData,
-        }
-    }
-}
-
-impl<F: BufI64, P: BufF64> BufF64 for FlowsAsMemory<'_, F, P> {
+impl<F: BufI64> BufF64 for FlowsAsMemory<'_, F> {
     type Elem = F::Elem;
     #[inline(always)]
     fn elems(&self) -> &[F::Elem] {
-        self.flows.elems()
+        self.0.elems()
     }
     #[inline(always)]
     fn read(e: &F::Elem) -> f64 {
-        P::quantize(F::read(e) as f64)
+        F::read(e) as f64
     }
     #[inline(always)]
     fn write(_e: &F::Elem, _v: f64) {}
-    #[inline(always)]
-    fn quantize(v: f64) -> f64 {
-        P::quantize(v)
-    }
 }
 
 /// Evaluates `$body` with `$memory` bound to the SOS memory `flow_memory`
@@ -498,7 +442,7 @@ macro_rules! with_memory {
     ($flow_memory:expr, $prev:expr, $flows:expr, |$memory:ident| $body:expr) => {
         match $flow_memory {
             FlowMemory::Rounded => {
-                let $memory = &FlowsAsMemory::of($flows, $prev);
+                let $memory = &FlowsAsMemory($flows);
                 $body
             }
             FlowMemory::Scheduled => {
@@ -522,10 +466,6 @@ impl BufF64 for CellsF64<'_> {
     #[inline(always)]
     fn write(e: &Cell<f64>, v: f64) {
         e.set(v);
-    }
-    #[inline(always)]
-    fn quantize(v: f64) -> f64 {
-        v
     }
 }
 
@@ -559,10 +499,6 @@ impl BufF64 for AtomicsF64<'_> {
     fn write(e: &AtomicU64, v: f64) {
         e.store(v.to_bits(), Relaxed);
     }
-    #[inline(always)]
-    fn quantize(v: f64) -> f64 {
-        v
-    }
 }
 
 impl BufI64 for AtomicsI64<'_> {
@@ -578,78 +514,6 @@ impl BufI64 for AtomicsI64<'_> {
     #[inline(always)]
     fn write(e: &AtomicI64, v: i64) {
         e.store(v, Relaxed);
-    }
-}
-
-impl BufF64 for CellsF32<'_> {
-    type Elem = Cell<f32>;
-    #[inline(always)]
-    fn elems(&self) -> &[Cell<f32>] {
-        self.0
-    }
-    #[inline(always)]
-    fn read(e: &Cell<f32>) -> f64 {
-        f64::from(e.get())
-    }
-    #[inline(always)]
-    fn write(e: &Cell<f32>, v: f64) {
-        e.set(v as f32);
-    }
-    #[inline(always)]
-    fn quantize(v: f64) -> f64 {
-        f64::from(v as f32)
-    }
-}
-
-impl BufI64 for CellsI32<'_> {
-    type Elem = Cell<i32>;
-    #[inline(always)]
-    fn elems(&self) -> &[Cell<i32>] {
-        self.0
-    }
-    #[inline(always)]
-    fn read(e: &Cell<i32>) -> i64 {
-        i64::from(e.get())
-    }
-    #[inline(always)]
-    fn write(e: &Cell<i32>, v: i64) {
-        e.set(v as i32);
-    }
-}
-
-impl BufF64 for AtomicsF32<'_> {
-    type Elem = AtomicU32;
-    #[inline(always)]
-    fn elems(&self) -> &[AtomicU32] {
-        self.0
-    }
-    #[inline(always)]
-    fn read(e: &AtomicU32) -> f64 {
-        f64::from(f32::from_bits(e.load(Relaxed)))
-    }
-    #[inline(always)]
-    fn write(e: &AtomicU32, v: f64) {
-        e.store((v as f32).to_bits(), Relaxed);
-    }
-    #[inline(always)]
-    fn quantize(v: f64) -> f64 {
-        f64::from(v as f32)
-    }
-}
-
-impl BufI64 for AtomicsI32<'_> {
-    type Elem = AtomicI32;
-    #[inline(always)]
-    fn elems(&self) -> &[AtomicI32] {
-        self.0
-    }
-    #[inline(always)]
-    fn read(e: &AtomicI32) -> i64 {
-        i64::from(e.load(Relaxed))
-    }
-    #[inline(always)]
-    fn write(e: &AtomicI32, v: i64) {
-        e.store(v as i32, Relaxed);
     }
 }
 
@@ -1307,11 +1171,10 @@ pub fn arc_round_streamed<A: BufF64, F: BufI64>(
 }
 
 /// Materializes the [`FlowMemory::Rounded`] SOS memory: a pure zipped
-/// sweep copying the integral flows into `prev` (quantized by `P`'s
-/// storage width). No round phase runs it — the edge passes read the
-/// memory straight from the flows ([`FlowsAsMemory`]) — it only builds
-/// the `f64` memory vector the simulator's accessors and checkpoint
-/// snapshots hand out.
+/// sweep copying the integral flows into `prev`. No round phase runs
+/// it — the edge passes read the memory straight from the flows
+/// ([`FlowsAsMemory`]) — it only builds the `f64` memory vector the
+/// simulator's accessors and checkpoint snapshots hand out.
 pub fn prev_from_flows<F: BufI64, P: BufF64>(edges: Range<usize>, flows: &F, prev: &P) {
     let flow_elems = &flows.elems()[edges.clone()];
     let prevs = &prev.elems()[edges];
@@ -1618,43 +1481,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_buffers_widen_and_narrow() {
-        // f32 storage: reads widen exactly, writes round to nearest f32,
-        // and the Cell and atomic twins agree bit for bit.
-        let mut plain = vec![0.0f32; 4];
-        let atomics: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
-        let vals = [1.5f64, 0.1, -3.25e7, f64::from(f32::MAX) * 2.0];
-        {
-            let cells = cells_f32(&mut plain);
-            for (i, &v) in vals.iter().enumerate() {
-                cells.set(i, v);
-                AtomicsF32(&atomics).set(i, v);
-                assert_eq!(cells.get(i), f64::from(v as f32), "narrow {v}");
-                assert_eq!(cells.get(i), AtomicsF32(&atomics).get(i));
-            }
-        }
-        assert_eq!(plain[0], 1.5);
-        assert_eq!(plain[3], f32::INFINITY); // overflow saturates like `as f32`
-                                             // i32 storage: exact in range; two's-complement wrap (the
-                                             // documented contract-violation behavior) out of range.
-        let mut ints = vec![0i32; 3];
-        let iatomics: Vec<AtomicI32> = (0..3).map(|_| AtomicI32::new(0)).collect();
-        {
-            let cells = cells_i32(&mut ints);
-            for (i, v) in [7i64, -(1 << 30), i64::from(i32::MAX) + 1]
-                .into_iter()
-                .enumerate()
-            {
-                cells.set(i, v);
-                AtomicsI32(&iatomics).set(i, v);
-                assert_eq!(cells.get(i), i64::from(v as i32), "narrow {v}");
-                assert_eq!(cells.get(i), AtomicsI32(&iatomics).get(i));
-            }
-        }
-        assert_eq!(ints, vec![7, -(1 << 30), i32::MIN]);
-    }
-
-    #[test]
     fn fused_pass_matches_two_phase_for_edge_local_schemes() {
         // One fused sweep must equal "scheduled pass then rounding pass".
         let g = generators::torus2d(5, 5);
@@ -1813,8 +1639,8 @@ mod tests {
     }
 
     /// Under `Rounded` the fused pass reads the memory from the flow
-    /// slots — exactly what a stored `f64` (or compact `f32`) copy of
-    /// the last flows would hold — and never touches `prev`.
+    /// slots — exactly what a stored `f64` copy of the last flows would
+    /// hold — and never touches `prev`.
     #[test]
     fn rounded_memory_is_read_from_flows() {
         let g = generators::torus2d(5, 5);
@@ -1848,15 +1674,6 @@ mod tests {
             untouched.iter().all(|p| p.is_nan()),
             "prev is never read or written"
         );
-        // Compact: the memory is quantized through f32 like a stored copy.
-        let big: Vec<i32> = (0..m as i32).map(|e| (1 << 25) + 1 + e).collect();
-        let mut flows32 = big.clone();
-        let mut prev32: Vec<f32> = Vec::new();
-        let cells = cells_i32(&mut flows32);
-        let view = FlowsAsMemory::of(&cells, &cells_f32(&mut prev32));
-        for (e, &y) in big.iter().enumerate() {
-            assert_eq!(view.get(e), f64::from(y as f32), "edge {e}");
-        }
     }
 
     #[test]

@@ -106,16 +106,8 @@
 //! incrementally repaired sweep family.
 //! `faults=none`, `load=none`, and `churn=none` plans keep every hot
 //! loop on the original unperturbed kernels.
-//! Orthogonal to those axes, the
-//! **memory layout** (`mem=full` / `mem=compact`, [`MemSpec`]) selects
-//! the state-storage width: the whole per-round phase sequence is
-//! generic over five buffer handles (loads, flow memory, integral
-//! flows, arc fractions — see the `BufF64`/`BufI64` traits in the
-//! kernel layer) and monomorphizes per layout, so `mem=full`
-//! instantiates to the exact pre-compact code while `mem=compact`
-//! stores loads and per-edge state as `i32`/`f32` at half the bytes,
-//! widening on every read and narrowing on every write but keeping all
-//! arithmetic in `f64`. Perturbation load changes are written on
+//! State is `i64` tokens and `f64` loads and flow memory throughout.
+//! Perturbation load changes are written on
 //! the control thread before each round's flow pass (and before the
 //! pool's first barrier), so both the sequential executor and the
 //! worker pool balance identical per-round loads and run the same
@@ -303,21 +295,22 @@
 //! this drift.)
 //!
 //! The dynamic-workload axis (`load=`, 2026-08) follows the fault
-//! axis's cost discipline and is held to it by CI: with `load=none` the
-//! round loop takes the exact pre-load code paths (same-run min-batch
-//! ns/edge ratio vs the fault-free baseline measured at 0.998, gated at
-//! ≤ 1.02), and an active `load=poisson:2:42` plan adds only the
-//! control-thread generator draw plus a sparse delta application — no
-//! extra per-round sweep — measured at 8.40 vs 8.45 min ns/edge against
-//! its own `load=none` twin (`sos_load_poisson` / `sos_load_none` in
-//! `BENCH_rounds.json`, ratio-gated at +25% like the other kernels).
+//! axis's cost discipline: with `load=none` the round loop takes the
+//! exact pre-load code paths (same-run min-batch ns/edge ratio vs the
+//! fault-free baseline measured at 0.998), and an active
+//! `load=poisson:2:42` plan adds only the control-thread generator draw
+//! plus a sparse delta application — no extra per-round sweep —
+//! measured at 8.40 vs 8.45 min ns/edge against its own `load=none`
+//! twin (`sos_load_poisson` in `BENCH_rounds.json`, ratio-gated at +25%
+//! like the other kernels).
 //!
 //! The churn axis (`churn=`, 2026-08) is held to the same
 //! discipline: with `churn=none` the kernel's plan predicates all
 //! compile the churn path away and the round loop takes the exact
-//! pre-churn code (same-run min-batch ns/edge ratio vs the churn-free
-//! baseline gated at ≤ 1.02 — `sos_churn_none` vs `sos_mem_full` in
-//! `BENCH_rounds.json`). An active `churn=flux:…` plan does all of its
+//! pre-churn code. That the all-off path (`faults=none load=none
+//! churn=none`) publishes no mask is checked exactly by a scheme-kernel
+//! unit test; the old same-run ≤ 1.02 timing gates compared one
+//! configuration with itself and were removed (2026-10). An active `churn=flux:…` plan does all of its
 //! work on the control thread at 16-round epoch boundaries — one bulk
 //! counter-indexed draw sweep over the node capacity, a sparse handoff
 //! delta list, and an incremental sweep-mask repair — and between
@@ -370,29 +363,21 @@
 //! outgrows the last-level cache (removed 2026-10: 6 alternating
 //! `perf_baseline` runs of FOS on the 2048² torus, 2-vCPU host, median
 //! min ns/edge 7.26 plain vs 7.28 blocked, blocked faster in 2 of 6),
+//! a compact state layout storing loads and per-edge state as
+//! `i32`/`f32` (`mem=compact`, removed 2026-10: single 10-round runs
+//! through the `scenarios` example on a 2-vCPU host cut peak RSS only
+//! 707 → 580 MB on the 2048² torus and 2757 → 2309 MB on the 4096²
+//! torus under SOS with randomized rounding, and 467 → 451 MB on the
+//! 2048² torus under FOS with nearest rounding, because the graph and
+//! kernel tables dominate; and its `i32` storage capped the total load
+//! at 2²⁹ tokens, so it refused the paper's own `init=paper` on every
+//! torus from 1024² up — the only sizes where the saving mattered),
 //! splatting a
 //! uniform coefficient across lanes (no gain — the loads are the
 //! bottleneck, not the coefficient reads), a degree-4 specialization of
 //! the apply pass (regressed irregular graphs), and replacing
 //! nearest-rounding with truncation (~1–1.5 ns/edge cheaper but
 //! bit-pinned: rounding mode is part of the golden surface).
-//!
-//! **Compact-state memory diet** (`mem=compact`, PR 9). The memory
-//! layout axis above is the capacity lever for 10⁸-edge graphs: per-node
-//! loads and per-edge state (integral flows, SOS flow memory, arc
-//! fractions) store as `i32`/`f32` — exactly half the bytes per element,
-//! verified end to end by [`Simulator::state_bytes`] (the pool job's
-//! atomics — a pooled run's only state — shrink too;
-//! [`sodiff_graph::Graph::memory_bytes`]
-//! accounts the CSR side, ~2.9 GB at 10⁸ edges). All arithmetic stays
-//! `f64`; each store narrows (nearest for `f32`, exact for in-range
-//! `i32` — the builder rejects initial loads whose total exceeds
-//! `i32::MAX/4`). Compact is therefore a *different but equally valid*
-//! deterministic process with its own pinned golden traces
-//! (`tests/compact_mode.rs`), still bit-identical across executors and
-//! thread counts, still exactly checkpoint/resumable (snapshots widen
-//! losslessly; restore re-narrows after validating representability),
-//! and within a small tolerance of `mem=full` final metrics.
 //!
 //! **One copy of the round state** (2026-10). Each piece of per-node and
 //! per-edge state now lives in exactly one buffer. On the worker pool the
@@ -479,7 +464,7 @@ pub use perturb::{
     FaultSpec, HotspotLoad, LoadEvents, LoadSpec, PoissonLoad, EPOCH_LEN, MAX_BURST, MAX_RATE,
 };
 pub use rounding::{Rounding, RoundingSpec};
-pub use scenario::{InitSpec, MemSpec, ModeSpec, ScenarioSpec, SchemeSpec, SpeedsSpec, StopSpec};
+pub use scenario::{InitSpec, ModeSpec, ScenarioSpec, SchemeSpec, SpeedsSpec, StopSpec};
 pub use scheme::{MatchingStrategy, Scheme};
 pub use watch::SteadyStats;
 
@@ -503,7 +488,7 @@ pub mod prelude {
         FaultEvents, FaultSpec, HotspotLoad, LoadEvents, LoadSpec, PoissonLoad,
     };
     pub use crate::rounding::{Rounding, RoundingSpec};
-    pub use crate::scenario::{MemSpec, ScenarioSpec};
+    pub use crate::scenario::ScenarioSpec;
     pub use crate::scheme::{MatchingStrategy, Scheme};
     pub use crate::watch::SteadyStats;
     pub use sodiff_graph::{Speeds, TopologySpec};

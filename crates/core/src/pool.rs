@@ -28,7 +28,7 @@
 //! sequential ones for every scheme × rounding × mode combination
 //! regardless of thread count.
 
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
 
@@ -37,8 +37,7 @@ use sodiff_graph::Graph;
 use crate::checkpoint::LoadsSnapshot;
 use crate::engine::FlowMemory;
 use crate::kernel::{
-    self, AtomicsF32, AtomicsF64, AtomicsI32, AtomicsI64, BufF64, BufI64, FwScratch, KernelTables,
-    LoadStats,
+    self, AtomicsF64, AtomicsI64, BufF64, BufI64, FwScratch, KernelTables, LoadStats,
 };
 use crate::matchgen::mask_words;
 use crate::metrics::DEV_BLOCK;
@@ -60,28 +59,16 @@ pub(crate) struct RoundJob {
     gain_bits: AtomicU64,
     round: AtomicU64,
     /// The simulation's state — its only copy while it runs on the pool.
-    /// A job is either full-width (the `*_i`/`*_f`/64-bit vectors are
-    /// sized, the `*32` twins empty) or compact (`mem=compact`: the
-    /// `*32` twins sized, the full-width vectors empty) — never both, so
-    /// the unused layout costs nothing. Within a layout only the mode's
-    /// vectors are sized: loads of one kind, `flows` in discrete mode,
-    /// and `prev` only where the SOS memory is not the integral flows
-    /// (continuous mode, whose `prev` also carries the round's flows,
-    /// and [`FlowMemory::Scheduled`]).
+    /// Only the mode's vectors are sized: loads of one kind, `flows` in
+    /// discrete mode, and `prev` only where the SOS memory is not the
+    /// integral flows (continuous mode, whose `prev` also carries the
+    /// round's flows, and [`FlowMemory::Scheduled`]).
     loads_i: Vec<AtomicI64>,
     loads_f: Vec<AtomicU64>,
     prev: Vec<AtomicU64>,
     /// Arc-indexed fractional parts (framework jobs only).
     arc_frac: Vec<AtomicU64>,
     flows: Vec<AtomicI64>,
-    /// Compact twins of the five state vectors above (`mem=compact`).
-    loads_i32: Vec<AtomicI32>,
-    loads_f32: Vec<AtomicU32>,
-    prev32: Vec<AtomicU32>,
-    arc_frac32: Vec<AtomicU32>,
-    flows32: Vec<AtomicI32>,
-    /// Whether this job runs the compact (`i32`/`f32`) state layout.
-    compact: bool,
     /// Whether this job runs discrete (integer-token) mode.
     discrete: bool,
     /// Active-edge bitmask words (random-matching jobs, or any job under
@@ -145,23 +132,18 @@ impl StatSlots {
 }
 
 /// The initial loads seeding a [`RoundJob`], which also select the job's
-/// state layout: full-width `i64`/`f64` or the compact (`mem=compact`)
-/// `i32`/`f32` twins.
+/// mode.
 pub(crate) enum JobLoads<'a> {
-    /// Full-width discrete loads.
+    /// Discrete loads.
     I64(&'a [i64]),
-    /// Full-width continuous loads.
+    /// Continuous loads.
     F64(&'a [f64]),
-    /// Compact discrete loads.
-    I32(&'a [i32]),
-    /// Compact continuous loads.
-    F32(&'a [f32]),
 }
 
 impl RoundJob {
     /// Captures one simulation's state for execution on a pool with
     /// `threads` participants. The `loads` variant matches the mode and
-    /// memory layout and seeds the job's canonical state.
+    /// seeds the job's canonical state.
     pub fn new(
         threads: usize,
         tables: Arc<KernelTables>,
@@ -175,8 +157,7 @@ impl RoundJob {
         let framework = kernel.needs_arc_plan();
         let masked = kernel.publishes_mask();
         let staled = kernel.needs_stale_mask();
-        let compact = matches!(loads, JobLoads::I32(_) | JobLoads::F32(_));
-        let discrete = matches!(loads, JobLoads::I64(_) | JobLoads::I32(_));
+        let discrete = matches!(loads, JobLoads::I64(_));
         let stored_prev = !discrete || flow_memory == FlowMemory::Scheduled;
         let sized = |yes: bool, len: usize| if yes { len } else { 0 };
         Self {
@@ -196,33 +177,13 @@ impl RoundJob {
                 JobLoads::F64(src) => src.iter().map(|&x| AtomicU64::new(x.to_bits())).collect(),
                 _ => Vec::new(),
             },
-            prev: (0..sized(stored_prev && !compact, m))
+            prev: (0..sized(stored_prev, m))
                 .map(|_| AtomicU64::new(0f64.to_bits()))
                 .collect(),
-            arc_frac: (0..sized(framework && !compact, arcs))
+            arc_frac: (0..sized(framework, arcs))
                 .map(|_| AtomicU64::new(0))
                 .collect(),
-            flows: (0..sized(discrete && !compact, m))
-                .map(|_| AtomicI64::new(0))
-                .collect(),
-            loads_i32: match loads {
-                JobLoads::I32(src) => src.iter().map(|&x| AtomicI32::new(x)).collect(),
-                _ => Vec::new(),
-            },
-            loads_f32: match loads {
-                JobLoads::F32(src) => src.iter().map(|&x| AtomicU32::new(x.to_bits())).collect(),
-                _ => Vec::new(),
-            },
-            prev32: (0..sized(stored_prev && compact, m))
-                .map(|_| AtomicU32::new(0f32.to_bits()))
-                .collect(),
-            arc_frac32: (0..sized(framework && compact, arcs))
-                .map(|_| AtomicU32::new(0))
-                .collect(),
-            flows32: (0..sized(discrete && compact, m))
-                .map(|_| AtomicI32::new(0))
-                .collect(),
-            compact,
+            flows: (0..sized(discrete, m)).map(|_| AtomicI64::new(0)).collect(),
             discrete,
             mask: (0..if masked { mask_words(m) } else { 0 })
                 .map(|_| AtomicU64::new(0))
@@ -247,64 +208,34 @@ impl RoundJob {
         let round = self.round.load(Ordering::Relaxed);
         let edges = self.edge_bounds[t]..self.edge_bounds[t + 1];
         let nodes = self.node_bounds[t]..self.node_bounds[t + 1];
-        let stats = if self.compact {
-            let bufs = ChunkBufs {
-                loads_i: AtomicsI32(&self.loads_i32),
-                loads_f: AtomicsF32(&self.loads_f32),
-                prev: AtomicsF32(&self.prev32),
-                arc_frac: AtomicsF32(&self.arc_frac32),
-                flows: AtomicsI32(&self.flows32),
-                mask: &self.mask,
-                stale: &self.stale,
-                block_sums: &self.block_sums,
-            };
-            self.kernel.run_chunk(
-                tables,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                self.flow_memory,
-                &bufs,
-                scratch,
-            )
-        } else {
-            let bufs = ChunkBufs {
-                loads_i: AtomicsI64(&self.loads_i),
-                loads_f: AtomicsF64(&self.loads_f),
-                prev: AtomicsF64(&self.prev),
-                arc_frac: AtomicsF64(&self.arc_frac),
-                flows: AtomicsI64(&self.flows),
-                mask: &self.mask,
-                stale: &self.stale,
-                block_sums: &self.block_sums,
-            };
-            self.kernel.run_chunk(
-                tables,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                self.flow_memory,
-                &bufs,
-                scratch,
-            )
+        let bufs = ChunkBufs {
+            loads_i: AtomicsI64(&self.loads_i),
+            loads_f: AtomicsF64(&self.loads_f),
+            prev: AtomicsF64(&self.prev),
+            arc_frac: AtomicsF64(&self.arc_frac),
+            flows: AtomicsI64(&self.flows),
+            mask: &self.mask,
+            stale: &self.stale,
+            block_sums: &self.block_sums,
         };
+        let stats = self.kernel.run_chunk(
+            tables,
+            barrier,
+            edges,
+            nodes,
+            mem,
+            gain,
+            round,
+            self.flow_memory,
+            &bufs,
+            scratch,
+        );
         self.stats[t].store(stats);
     }
 
     /// Whether the job runs discrete (integer-token) mode.
     pub fn is_discrete(&self) -> bool {
         self.discrete
-    }
-
-    /// Whether the job stores the compact (`mem=compact`) layout.
-    pub fn is_compact(&self) -> bool {
-        self.compact
     }
 
     /// Whether the SOS memory is the integral flows (discrete mode under
@@ -317,139 +248,98 @@ impl RoundJob {
     /// ([`SchemeKernel::prepare_pooled`]) against this job's loads and
     /// mask words; the workers are parked, so it has exclusive access.
     pub fn prepare(&self, graph: &Graph, round: u64, scratch: &mut RoundScratch) {
-        let t = &*self.tables;
-        if self.compact {
-            self.kernel.prepare_pooled(
-                t,
-                graph,
-                round,
-                scratch,
-                &AtomicsI32(&self.loads_i32),
-                &AtomicsF32(&self.loads_f32),
-                &self.mask,
-                &self.stale,
-            );
-        } else {
-            self.kernel.prepare_pooled(
-                t,
-                graph,
-                round,
-                scratch,
-                &AtomicsI64(&self.loads_i),
-                &AtomicsF64(&self.loads_f),
-                &self.mask,
-                &self.stale,
-            );
-        }
+        self.kernel.prepare_pooled(
+            &self.tables,
+            graph,
+            round,
+            scratch,
+            &AtomicsI64(&self.loads_i),
+            &AtomicsF64(&self.loads_f),
+            &self.mask,
+            &self.stale,
+        );
     }
 
-    /// Load of node `i` as `f64` (compact values widen exactly).
+    /// Load of node `i` as `f64`.
     pub fn load_of(&self, i: usize) -> f64 {
-        match (self.discrete, self.compact) {
-            (true, false) => self.loads_i[i].load(Ordering::Relaxed) as f64,
-            (false, false) => AtomicsF64(&self.loads_f).get(i),
-            (true, true) => f64::from(self.loads_i32[i].load(Ordering::Relaxed)),
-            (false, true) => AtomicsF32(&self.loads_f32).get(i),
+        if self.discrete {
+            self.loads_i[i].load(Ordering::Relaxed) as f64
+        } else {
+            AtomicsF64(&self.loads_f).get(i)
         }
     }
 
-    /// A copy of the loads in the layout-free (widened) snapshot form.
+    /// A copy of the loads in snapshot form.
     pub fn loads(&self) -> LoadsSnapshot {
-        match (self.discrete, self.compact) {
-            (true, false) => LoadsSnapshot::Discrete(
+        if self.discrete {
+            LoadsSnapshot::Discrete(
                 self.loads_i
                     .iter()
                     .map(|a| a.load(Ordering::Relaxed))
                     .collect(),
-            ),
-            (false, false) => LoadsSnapshot::Continuous(atomics_to_f64(&AtomicsF64(&self.loads_f))),
-            (true, true) => LoadsSnapshot::Discrete(
-                self.loads_i32
-                    .iter()
-                    .map(|a| i64::from(a.load(Ordering::Relaxed)))
-                    .collect(),
-            ),
-            (false, true) => {
-                LoadsSnapshot::Continuous(atomics_to_f64(&AtomicsF32(&self.loads_f32)))
-            }
+            )
+        } else {
+            LoadsSnapshot::Continuous(atomics_to_f64(&AtomicsF64(&self.loads_f)))
         }
     }
 
     /// A copy of the SOS memory as `f64`: materialized from the integral
-    /// flows under [`FlowMemory::Rounded`] (quantized like a stored
-    /// copy), widened from the `prev` atomics otherwise.
+    /// flows under [`FlowMemory::Rounded`], read from the `prev` atomics
+    /// otherwise.
     pub fn memory(&self) -> Vec<f64> {
-        let m = self.tables.m;
-        match (self.rounded_memory(), self.compact) {
-            (true, false) => {
-                let mut out = vec![0.0; m];
-                let flows = AtomicsI64(&self.flows);
-                kernel::prev_from_flows(0..m, &flows, &kernel::cells_f64(&mut out));
-                out
-            }
-            (true, true) => {
-                let mut out = vec![0.0f32; m];
-                let flows = AtomicsI32(&self.flows32);
-                kernel::prev_from_flows(0..m, &flows, &kernel::cells_f32(&mut out));
-                out.into_iter().map(f64::from).collect()
-            }
-            (false, false) => atomics_to_f64(&AtomicsF64(&self.prev)),
-            (false, true) => atomics_to_f64(&AtomicsF32(&self.prev32)),
+        if self.rounded_memory() {
+            let m = self.tables.m;
+            let mut out = vec![0.0; m];
+            let flows = AtomicsI64(&self.flows);
+            kernel::prev_from_flows(0..m, &flows, &kernel::cells_f64(&mut out));
+            out
+        } else {
+            atomics_to_f64(&AtomicsF64(&self.prev))
         }
     }
 
     /// Overwrites the loads and the SOS memory (checkpoint restore;
     /// control thread only, workers parked between rounds). The caller
-    /// has validated that every value fits the job's layout: memory
-    /// values are integral under [`FlowMemory::Rounded`] and `f32`-exact
-    /// in compact jobs, so each store is exact.
+    /// has validated that the snapshot matches the job's mode and that
+    /// memory values are integral under [`FlowMemory::Rounded`], so each
+    /// store is exact.
     pub fn write_state(&self, loads: &LoadsSnapshot, memory: &[f64]) {
-        // Exactly one buffer of each pair is sized; the other zips empty.
         match loads {
-            LoadsSnapshot::Discrete(src) => {
-                fill_i(&AtomicsI64(&self.loads_i), src.iter().copied());
-                fill_i(&AtomicsI32(&self.loads_i32), src.iter().copied());
-            }
-            LoadsSnapshot::Continuous(src) => {
-                fill_f(&AtomicsF64(&self.loads_f), src);
-                fill_f(&AtomicsF32(&self.loads_f32), src);
-            }
+            LoadsSnapshot::Discrete(src) => fill_i(&AtomicsI64(&self.loads_i), src.iter().copied()),
+            LoadsSnapshot::Continuous(src) => fill_f(&AtomicsF64(&self.loads_f), src),
         }
         if self.rounded_memory() {
-            let integral = || memory.iter().map(|&x| x as i64);
-            fill_i(&AtomicsI64(&self.flows), integral());
-            fill_i(&AtomicsI32(&self.flows32), integral());
+            fill_i(&AtomicsI64(&self.flows), memory.iter().map(|&x| x as i64));
         } else {
             fill_f(&AtomicsF64(&self.prev), memory);
-            fill_f(&AtomicsF32(&self.prev32), memory);
         }
     }
 
     /// Bytes of per-node and per-edge simulation state this job holds
     /// (loads, integral flows, stored flow memory, arc fractions). Masks
-    /// and per-block partials are metadata and excluded; the compact
-    /// layout halves every category counted here.
+    /// and per-block partials are metadata and excluded.
     pub fn state_bytes(&self) -> usize {
-        8 * (self.loads_i.len() + self.loads_f.len() + self.prev.len())
-            + 8 * (self.arc_frac.len() + self.flows.len())
-            + 4 * (self.loads_i32.len() + self.loads_f32.len() + self.prev32.len())
-            + 4 * (self.arc_frac32.len() + self.flows32.len())
+        8 * (self.loads_i.len()
+            + self.loads_f.len()
+            + self.prev.len()
+            + self.arc_frac.len()
+            + self.flows.len())
     }
 }
 
-/// Copies a whole atomic `f64`/`f32` buffer out as `f64`.
+/// Copies a whole atomic `f64` buffer out.
 fn atomics_to_f64<B: BufF64>(buf: &B) -> Vec<f64> {
     buf.elems().iter().map(B::read).collect()
 }
 
-/// Overwrites a real-valued buffer from `src` (stopping at the shorter).
+/// Overwrites a real-valued buffer from `src`.
 fn fill_f<B: BufF64>(buf: &B, src: &[f64]) {
     for (e, &x) in buf.elems().iter().zip(src) {
         B::write(e, x);
     }
 }
 
-/// Overwrites an integer buffer from `src` (stopping at the shorter).
+/// Overwrites an integer buffer from `src`.
 fn fill_i<B: BufI64>(buf: &B, src: impl Iterator<Item = i64>) {
     for (e, x) in buf.elems().iter().zip(src) {
         B::write(e, x);

@@ -35,7 +35,6 @@
 //! | `load` | `none`, or `+`-joined `poisson:RATE:SEED`, `hotspot:NODE:BURST:PERIOD:SEED`, `diurnal:AMP:PERIOD`, `adversarial:BURST:PERIOD:SEED` (see [`crate::perturb`]) | `none` |
 //! | `churn` | `none`, or `flux:P_LEAVE:P_JOIN:SEED[:INIT]` (epoch-aligned node join/leave with conservation-exact handoff; see [`crate::perturb`]) | `none` |
 //! | `ckpt` | `every:N:DIR` (snapshot to `DIR/<name>.ckpt` every `N` rounds; see [`crate::checkpoint`]) | *unset* |
-//! | `mem` | `full` (f64/i64 state), `compact` (f32/i32 state at half the bytes; see [`MemSpec`]) | `full` |
 //! | `hybrid` | `at:R`, `local_diff:T`, `max_minus_avg:T`, `never` | *unset* |
 
 use std::fmt;
@@ -312,48 +311,6 @@ impl FromStr for SchemeSpec {
             _ => Err(ParseError::new(format!(
                 "unknown scheme '{s}' (expected fos, sos:BETA, sos_opt, de:LAMBDA, \
                  matching:rr:LAMBDA, or matching:random:SEED:LAMBDA)"
-            ))),
-        }
-    }
-}
-
-/// State-storage width as data (`mem=` key).
-///
-/// Selects how the simulator *stores* its per-node and per-edge state;
-/// all arithmetic stays f64/i64 in either mode, so runs remain
-/// deterministic and thread-count independent. `compact` halves the
-/// resident state (f32 loads/flow-memory/arc fractions, i32 discrete
-/// loads/flows) at the price of narrowing on every store — results
-/// drift from `full` at f32 precision but stay within the discrete
-/// schemes' deviation bounds. `full` is the default and takes exactly
-/// the same code paths as before the key existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemSpec {
-    /// f64/i64 state storage (`full`): the bit-pinned reference.
-    #[default]
-    Full,
-    /// f32/i32 state storage (`compact`): half the bytes per element.
-    Compact,
-}
-
-impl fmt::Display for MemSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MemSpec::Full => f.write_str("full"),
-            MemSpec::Compact => f.write_str("compact"),
-        }
-    }
-}
-
-impl FromStr for MemSpec {
-    type Err = ParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "full" => Ok(MemSpec::Full),
-            "compact" => Ok(MemSpec::Compact),
-            other => Err(ParseError::new(format!(
-                "unknown mem '{other}' (expected full or compact)"
             ))),
         }
     }
@@ -658,9 +615,6 @@ pub struct ScenarioSpec {
     /// snapshots the full simulation state to `DIR/<name>.ckpt` every
     /// `N` rounds, exactly resumable via [`crate::checkpoint`].
     pub ckpt: Option<CheckpointPolicy>,
-    /// State-storage width ([`MemSpec::Full`] = the bit-pinned f64/i64
-    /// reference, [`MemSpec::Compact`] = f32/i32 at half the bytes).
-    pub mem: MemSpec,
     /// Optional SOS→FOS hybrid switch.
     pub hybrid: Option<SwitchPolicy>,
     /// 1-based line of the scenario file this spec came from, when
@@ -689,7 +643,6 @@ impl PartialEq for ScenarioSpec {
             && self.load == other.load
             && self.churn == other.churn
             && self.ckpt == other.ckpt
-            && self.mem == other.mem
             && self.hybrid == other.hybrid
     }
 }
@@ -712,7 +665,6 @@ impl ScenarioSpec {
             load: LoadSpec::none(),
             churn: ChurnSpec::none(),
             ckpt: None,
-            mem: MemSpec::default(),
             hybrid: None,
             source_line: None,
         }
@@ -754,8 +706,7 @@ impl ScenarioSpec {
             .stop(self.stop.to_condition())
             .faults(self.faults)
             .load(self.load)
-            .churn(self.churn)
-            .mem(self.mem);
+            .churn(self.churn);
         if !matches!(self.speeds, SpeedsSpec::Uniform) {
             builder = builder.speeds(speeds);
         }
@@ -855,9 +806,6 @@ impl fmt::Display for ScenarioSpec {
         if let Some(ckpt) = &self.ckpt {
             write!(f, " ckpt={ckpt}")?;
         }
-        if self.mem != MemSpec::Full {
-            write!(f, " mem={}", self.mem)?;
-        }
         if let Some(policy) = self.hybrid {
             write!(f, " hybrid={policy}")?;
         }
@@ -884,7 +832,6 @@ impl FromStr for ScenarioSpec {
         let mut load = None;
         let mut churn = None;
         let mut ckpt = None;
-        let mut mem = None;
         let mut hybrid = None;
         for token in s.split_whitespace() {
             let (key, value) = token
@@ -983,10 +930,6 @@ impl FromStr for ScenarioSpec {
                     duplicate(ckpt.is_some())?;
                     ckpt = Some(value.parse::<CheckpointPolicy>()?);
                 }
-                "mem" => {
-                    duplicate(mem.is_some())?;
-                    mem = Some(value.parse::<MemSpec>()?);
-                }
                 "hybrid" => {
                     duplicate(hybrid.is_some())?;
                     hybrid = Some(value.parse::<SwitchPolicy>()?);
@@ -1022,7 +965,6 @@ impl FromStr for ScenarioSpec {
             load: load.unwrap_or_else(LoadSpec::none),
             churn: churn.unwrap_or_else(ChurnSpec::none),
             ckpt,
-            mem: mem.unwrap_or_default(),
             hybrid,
             source_line: None,
         })
@@ -1199,33 +1141,6 @@ mod tests {
                 err.message
             );
         }
-    }
-
-    #[test]
-    fn mem_key_roundtrips_and_defaults_to_full() {
-        let spec: ScenarioSpec = "topology=cycle:8".parse().unwrap();
-        assert_eq!(spec.mem, MemSpec::Full);
-        assert!(!spec.to_string().contains("mem="));
-
-        let spec: ScenarioSpec = "topology=cycle:8 mem=compact".parse().unwrap();
-        assert_eq!(spec.mem, MemSpec::Compact);
-        let text = spec.to_string();
-        assert!(text.contains("mem=compact"), "{text}");
-        let again: ScenarioSpec = text.parse().unwrap();
-        assert_eq!(again, spec);
-
-        let err = "topology=cycle:8 mem=tiny"
-            .parse::<ScenarioSpec>()
-            .unwrap_err();
-        assert!(err.message.contains("unknown mem"), "{}", err.message);
-        let err = "topology=cycle:8 mem=full mem=full"
-            .parse::<ScenarioSpec>()
-            .unwrap_err();
-        assert!(
-            err.message.contains("duplicate key 'mem'"),
-            "{}",
-            err.message
-        );
     }
 
     #[test]

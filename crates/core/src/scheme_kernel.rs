@@ -66,7 +66,8 @@ use sodiff_graph::{matching, EdgeId, Graph, Speeds};
 use crate::engine::{FlowMemory, Mode};
 use crate::error::BuildError;
 use crate::kernel::{
-    self, AtomicsF64, BufF64, BufI64, CoefPair, FwScratch, KernelTables, LoadStats,
+    self, AtomicsF64, AtomicsI64, BufF64, BufI64, CellsF64, CellsI64, CoefPair, FwScratch,
+    KernelTables, LoadStats,
 };
 use crate::matchgen::{self, mask_words, MatchScratch};
 use crate::perturb::{Fluid, Perturb, PerturbSpec, Tokens};
@@ -141,27 +142,20 @@ impl RoundScratch {
 
 /// One simulation's shared atomic state as seen by a pool participant;
 /// see [`SchemeKernel::run_chunk`].
-///
-/// Generic over the five load/flow buffer handles so the compact
-/// (`mem=compact`) jobs thread their `i32`/`f32` atomic twins through
-/// the *same* phase sequence the full-width jobs monomorphize: the
-/// full-width instantiation ([`crate::kernel::AtomicsI64`] /
-/// [`crate::kernel::AtomicsF64`]) keeps its exact pre-compact codegen.
-/// The mask/stale/potential words stay `u64` in both layouts.
-pub(crate) struct ChunkBufs<'a, LI, LF, P, F, A> {
+pub(crate) struct ChunkBufs<'a> {
     /// Integer loads (discrete mode; empty otherwise).
-    pub loads_i: LI,
+    pub loads_i: AtomicsI64<'a>,
     /// Continuous loads (continuous mode; empty otherwise).
-    pub loads_f: LF,
+    pub loads_f: AtomicsF64<'a>,
     /// Per-edge SOS memory (continuous mode — where it also carries the
     /// round's flows — and [`FlowMemory::Scheduled`]; empty under
     /// [`FlowMemory::Rounded`], whose memory is `flows`).
-    pub prev: P,
+    pub prev: AtomicsF64<'a>,
     /// Arc-indexed fractional parts (framework flow pass only).
-    pub arc_frac: A,
+    pub arc_frac: AtomicsF64<'a>,
     /// Per-edge integral flows (discrete mode), kept across rounds: they
     /// are the SOS memory under [`FlowMemory::Rounded`].
-    pub flows: F,
+    pub flows: AtomicsI64<'a>,
     /// Active-edge bitmask words (random matching plan, or any plan
     /// under crash, edgedrop or churn), published by the control thread
     /// before the round's first barrier.
@@ -389,14 +383,14 @@ impl SchemeKernel {
     /// need no publication — workers index the kernel's immutable masks
     /// directly.
     #[allow(clippy::too_many_arguments)] // the job's full shared state, flat by design
-    pub fn prepare_pooled<LI: BufI64, LF: BufF64>(
+    pub fn prepare_pooled(
         &self,
         t: &KernelTables,
         graph: &Graph,
         round: u64,
         scratch: &mut RoundScratch,
-        loads_i: &LI,
-        loads_f: &LF,
+        loads_i: &AtomicsI64<'_>,
+        loads_f: &AtomicsF64<'_>,
         mask_out: &[AtomicU64],
         stale_out: &[AtomicU64],
     ) {
@@ -427,14 +421,8 @@ impl SchemeKernel {
     /// One full sequential round in discrete mode; returns the round's
     /// fused load statistics (minimum transient load plus the post-round
     /// min/max/deviation reduction of the apply pass).
-    ///
-    /// Generic over the load/flow buffer handles so `mem=full`
-    /// monomorphizes to the exact pre-compact code (Cell-backed `i64` /
-    /// `f64` slices) while `mem=compact` threads its `i32`/`f32` twins
-    /// through the same phase sequence; all arithmetic stays `f64` in
-    /// both instantiations.
     #[allow(clippy::too_many_arguments)] // the engine's full round state, flat by design
-    pub fn run_discrete_seq<L: BufI64, P: BufF64, F: BufI64, A: BufF64>(
+    pub fn run_discrete_seq(
         &self,
         t: &KernelTables,
         graph: &Graph,
@@ -442,10 +430,10 @@ impl SchemeKernel {
         gain: f64,
         round: u64,
         flow_memory: FlowMemory,
-        loads: &L,
-        prev: &P,
-        flows: &F,
-        arc_frac: &A,
+        loads: &CellsI64<'_>,
+        prev: &CellsF64<'_>,
+        flows: &CellsI64<'_>,
+        arc_frac: &CellsF64<'_>,
         scratch: &mut RoundScratch,
     ) -> LoadStats {
         let (n, m) = (t.n, t.m);
@@ -553,18 +541,17 @@ impl SchemeKernel {
     }
 
     /// One full sequential round in continuous mode; returns the round's
-    /// fused load statistics. Generic over the load/flow buffer handles
-    /// like [`SchemeKernel::run_discrete_seq`].
+    /// fused load statistics.
     #[allow(clippy::too_many_arguments)] // the engine's full round state, flat by design
-    pub fn run_continuous_seq<LF: BufF64, P: BufF64>(
+    pub fn run_continuous_seq(
         &self,
         t: &KernelTables,
         graph: &Graph,
         mem: f64,
         gain: f64,
         round: u64,
-        loads: &LF,
-        prev: &P,
+        loads: &CellsF64<'_>,
+        prev: &CellsF64<'_>,
         scratch: &mut RoundScratch,
     ) -> LoadStats {
         let (n, m) = (t.n, t.m);
@@ -630,7 +617,7 @@ impl SchemeKernel {
     /// two for the framework pipeline). Returns the chunk's fused load
     /// statistics.
     #[allow(clippy::too_many_arguments)] // one pool participant's full round context
-    pub fn run_chunk<LI: BufI64, LF: BufF64, P: BufF64, F: BufI64, A: BufF64>(
+    pub fn run_chunk(
         &self,
         t: &KernelTables,
         barrier: &Barrier,
@@ -640,7 +627,7 @@ impl SchemeKernel {
         gain: f64,
         round: u64,
         flow_memory: FlowMemory,
-        bufs: &ChunkBufs<'_, LI, LF, P, F, A>,
+        bufs: &ChunkBufs<'_>,
         scratch: &mut FwScratch,
     ) -> LoadStats {
         if self.needs_stale_mask() {
@@ -676,7 +663,7 @@ impl SchemeKernel {
 
     /// [`SchemeKernel::run_chunk`] monomorphized per stale-mask source.
     #[allow(clippy::too_many_arguments)] // one pool participant's full round context
-    fn run_chunk_inner<LI, LF, P, F, A, SF>(
+    fn run_chunk_inner<SF>(
         &self,
         t: &KernelTables,
         barrier: &Barrier,
@@ -686,16 +673,11 @@ impl SchemeKernel {
         gain: f64,
         round: u64,
         flow_memory: FlowMemory,
-        bufs: &ChunkBufs<'_, LI, LF, P, F, A>,
+        bufs: &ChunkBufs<'_>,
         scratch: &mut FwScratch,
         stale: Option<SF>,
     ) -> LoadStats
     where
-        LI: BufI64,
-        LF: BufF64,
-        P: BufF64,
-        F: BufI64,
-        A: BufF64,
         SF: Fn(usize) -> u64,
     {
         if self.publishes_mask() {
@@ -754,7 +736,7 @@ impl SchemeKernel {
     /// the all-edges diffusion paths keep their original unmasked
     /// codegen.
     #[allow(clippy::too_many_arguments)] // one pool participant's full round context
-    fn chunk_phases<LI, LF, P, F, A, MF, SF>(
+    fn chunk_phases<MF, SF>(
         &self,
         t: &KernelTables,
         barrier: &Barrier,
@@ -764,17 +746,12 @@ impl SchemeKernel {
         gain: f64,
         round: u64,
         flow_memory: FlowMemory,
-        bufs: &ChunkBufs<'_, LI, LF, P, F, A>,
+        bufs: &ChunkBufs<'_>,
         scratch: &mut FwScratch,
         mask: Option<MF>,
         stale: Option<SF>,
     ) -> LoadStats
     where
-        LI: BufI64,
-        LF: BufF64,
-        P: BufF64,
-        F: BufI64,
-        A: BufF64,
         MF: Fn(usize) -> u64,
         SF: Fn(usize) -> u64,
     {
@@ -1171,5 +1148,56 @@ mod tests {
             }
         }
         assert!(scratch.perturb.faults.crashes > 0);
+    }
+
+    /// The all-off perturbation path, checked exactly rather than timed:
+    /// for every scheme, a spec with `faults=none load=none churn=none`
+    /// spelled out is the same spec as one that leaves them at the
+    /// default, and its kernel never publishes a mask (except the random
+    /// matching plan's own) or a stale mask in any mode.
+    #[test]
+    fn all_off_perturbation_stays_on_the_unperturbed_paths() {
+        use crate::scenario::ScenarioSpec;
+        let g = generators::torus2d(8, 8);
+        let speeds = Speeds::uniform(64);
+        for scheme in [
+            "fos",
+            "sos:1.5",
+            "sos_opt",
+            "de:1",
+            "matching:rr:1",
+            "matching:random:7:1",
+        ] {
+            let base = format!("topology=torus2d:8:8 scheme={scheme} seed=1");
+            let default: ScenarioSpec = base.parse().unwrap();
+            let explicit: ScenarioSpec = format!("{base} faults=none load=none churn=none")
+                .parse()
+                .unwrap();
+            assert_eq!(default, explicit, "{scheme}");
+            let perturb = PerturbSpec {
+                faults: explicit.faults,
+                load: explicit.load,
+                churn: explicit.churn,
+            };
+            assert!(perturb.is_none(), "{scheme}");
+            let resolved = explicit.scheme.resolve(&g, &speeds).unwrap();
+            let random = matches!(
+                resolved,
+                Scheme::Matching {
+                    strategy: MatchingStrategy::Random { .. },
+                    ..
+                }
+            );
+            for mode in [
+                Mode::Continuous,
+                Mode::Discrete(Rounding::nearest()),
+                Mode::Discrete(Rounding::randomized(1)),
+            ] {
+                let kernel = SchemeKernel::new(resolved, mode, &g, &speeds, perturb).unwrap();
+                assert!(kernel.perturb.is_none(), "{scheme} {mode:?}");
+                assert_eq!(kernel.publishes_mask(), random, "{scheme} {mode:?}");
+                assert!(!kernel.needs_stale_mask(), "{scheme} {mode:?}");
+            }
+        }
     }
 }

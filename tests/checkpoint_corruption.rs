@@ -152,13 +152,27 @@ fn committed_v1_fixture_resumes_under_v2_reader() {
     assert_eq!(ckpt.snapshot.round(), 33);
     assert!(ckpt.spec.churn.is_none(), "a v1 writer predates churn");
 
+    // The same FNV digest `tests/golden_trace.rs` pins for the
+    // uninterrupted torus_sos_crash_churn run.
+    assert_eq!(
+        resumed_digest(&ckpt, 64),
+        0x8cc7ad550f849948,
+        "v1 fixture resumed under the v2 reader diverged from the pinned golden trace"
+    );
+}
+
+/// Restores `ckpt` into a fresh simulator of its own spec, runs it to
+/// round `end`, and returns the FNV-1a state digest
+/// `tests/golden_trace.rs` pins (integer loads, previous flows, minimum
+/// transient load).
+fn resumed_digest(ckpt: &sodiff::Checkpoint, end: u64) -> u64 {
     let graph = ckpt.spec.build_graph().unwrap();
     let experiment = ckpt.spec.experiment_on(&graph).unwrap();
     let mut resumed = experiment.simulator();
     resumed.restore(&ckpt.snapshot).unwrap();
-    resumed.run_until(StopCondition::MaxRounds(64 - 33));
-    // The same FNV digest `tests/golden_trace.rs` pins for the
-    // uninterrupted torus_sos_crash_churn run.
+    resumed.run_until(StopCondition::MaxRounds(
+        (end - ckpt.snapshot.round()) as usize,
+    ));
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -173,9 +187,40 @@ fn committed_v1_fixture_resumes_under_v2_reader() {
         eat(&f.to_bits().to_le_bytes());
     }
     eat(&resumed.min_transient_load().to_bits().to_le_bytes());
+    h
+}
+
+/// The current on-disk format, pinned: the committed version-2 fixture
+/// (`tests/fixtures/checkpoint_v2.ckpt`, the churn golden scenario
+/// frozen at round 33) is byte-identical to a checkpoint written fresh
+/// from its own spec, and resumes to the exact pinned golden checksum of
+/// `tests/golden_trace.rs::torus_sos_flux`.
+#[test]
+fn committed_v2_fixture_matches_a_fresh_write_and_resumes() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v2.ckpt");
+    let bytes = fs::read(&path).unwrap();
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
+    let ckpt = read_checkpoint(&path).unwrap();
+    assert_eq!(ckpt.snapshot.round(), 33);
+    assert!(!ckpt.spec.churn.is_none(), "the fixture exercises churn");
+
+    let graph = ckpt.spec.build_graph().unwrap();
+    let mut fresh = ckpt.spec.experiment_on(&graph).unwrap().simulator();
+    fresh.run_until(StopCondition::MaxRounds(33));
+    let dir = scratch_dir("v2fix");
+    let rewritten = dir.join("v2fix.ckpt");
+    write_checkpoint(&rewritten, &ckpt.spec, &fresh.snapshot()).unwrap();
+    assert!(
+        fs::read(&rewritten).unwrap() == bytes,
+        "a fresh write of the fixture's spec must reproduce its bytes"
+    );
+    fs::remove_dir_all(&dir).ok();
+
     assert_eq!(
-        h, 0x8cc7ad550f849948,
-        "v1 fixture resumed under the v2 reader diverged from the pinned golden trace"
+        resumed_digest(&ckpt, 64),
+        0x7e2c2b500623f7e6,
+        "v2 fixture resumed diverged from the pinned golden trace"
     );
 }
 

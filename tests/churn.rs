@@ -373,3 +373,20 @@ fn churn_scenarios_run_through_the_driver() {
     let reparsed: ScenarioSpec = batch.scenarios[0].spec.parse().unwrap();
     assert_eq!(reparsed.churn, specs[0].churn);
 }
+
+/// The batch's worst final `max − avg` is the largest final, even when
+/// every final is negative, as under this saturating flux plan — not a
+/// `0.0` that no scenario reported.
+#[test]
+fn batch_worst_is_the_largest_final_even_when_negative() {
+    let spec: ScenarioSpec =
+        "topology=torus2d:4:4 seed=1 scheme=fos churn=flux:1:1:3:5 stop=rounds:3"
+            .parse()
+            .unwrap();
+    let batch = Driver::new().run_batch(&[spec]);
+    assert!(batch.errors.is_empty(), "{:?}", batch.errors);
+    let only = batch.scenarios[0].report.final_metrics.max_minus_avg;
+    assert!(only < 0.0, "the repro must end negative, got {only}");
+    assert_eq!(batch.worst_max_minus_avg, only);
+    assert_eq!(batch.mean_max_minus_avg, only);
+}

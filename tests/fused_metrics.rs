@@ -187,7 +187,7 @@ fn recorder_rows_match_from_scratch_metrics() {
         "topology=hypercube:6 scheme=matching:random:7:1 rounding=nearest init=point:0:6400 \
          faults=crash:0.1:7+shock:0.25:3 load=poisson:2:42",
         "topology=torus2d:8:8 scheme=sos:1.6 rounding=nearest init=point:0:6400 \
-         churn=flux:0.08:0.3:9:25 mem=compact",
+         churn=flux:0.08:0.3:9:25",
     ];
     for body in specs {
         for threads in [1usize, 2, 3] {

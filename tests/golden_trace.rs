@@ -42,7 +42,7 @@ use sodiff::graph::generators;
 use sodiff::prelude::*;
 
 /// FNV-1a over the full simulation state: loads (`i64`, or `f64` bits
-/// where the run has no full-width integer loads), previous flows
+/// where the run has no integer loads), previous flows
 /// (bits), and the minimum transient load (bits).
 fn state_checksum(sim: &Simulator<'_>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -58,7 +58,7 @@ fn state_checksum(sim: &Simulator<'_>) -> u64 {
                 eat(&x.to_le_bytes());
             }
         }
-        // Continuous and compact runs hash their loads as f64 bits.
+        // Continuous runs hash their loads as f64 bits.
         None => {
             for x in sim.loads_to_f64() {
                 eat(&x.to_bits().to_le_bytes());
@@ -425,8 +425,7 @@ fn table_scheme(name: &str) -> Scheme {
 }
 
 /// `(scheme, perturbation set, mode, state checksum, events checksum)`.
-/// Modes: `nearest` (discrete, nearest rounding), `continuous`, and
-/// `compact` (discrete nearest under `mem=compact`).
+/// Modes: `nearest` (discrete, nearest rounding) and `continuous`.
 #[rustfmt::skip]
 const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64)] = &[
     ("sos", "crash+edgedrop+stale+shock", "nearest", 0x9c49c86baea9b67a, 0x7dce1b91e068a362),
@@ -477,8 +476,6 @@ const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64)] = &[
     ("matching_random", "crash+shock+flux+adversarial", "continuous", 0x52c629e494a3edce, 0xa9fc9b35772d05e1),
     ("matching_random", "flux+load", "nearest", 0xec5ed01d103fa36b, 0x168c2d9184208ffc),
     ("matching_random", "flux+load", "continuous", 0x31dbeefe772249ed, 0x19b4dbc345915dd0),
-    ("sos", "crash+flux+edgedrop", "compact", 0xb168a0868096fb5a, 0x4b068d43602a8aa1),
-    ("matching_random", "flux+load", "compact", 0xc3e4752c1f6ff926, 0x168c2d9184208ffc),
 ];
 
 #[test]
@@ -494,11 +491,6 @@ fn perturbation_table() {
                 "continuous" => builder.continuous(),
                 _ => builder.discrete(Rounding::nearest()),
             };
-            let mem = if mode == "compact" {
-                MemSpec::Compact
-            } else {
-                MemSpec::Full
-            };
             let mut sim = builder
                 .scheme(table_scheme(scheme))
                 .threads(threads)
@@ -506,7 +498,6 @@ fn perturbation_table() {
                 .faults(faults)
                 .load(load)
                 .churn(churn)
-                .mem(mem)
                 .build()
                 .unwrap()
                 .simulator();

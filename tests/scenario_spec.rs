@@ -235,11 +235,6 @@ fn any_spec() -> impl Strategy<Value = ScenarioSpec> {
                 };
                 spec.hybrid = hybrid;
                 spec.ckpt = ckpt;
-                spec.mem = if name_pick % 2 == 1 {
-                    MemSpec::Compact
-                } else {
-                    MemSpec::Full
-                };
                 spec
             },
         )
@@ -399,4 +394,56 @@ fn topology_display_roundtrip_exhaustive_kinds() {
         let spec: TopologySpec = text.parse().unwrap();
         assert_eq!(spec.to_string(), text);
     }
+}
+
+/// State is `i64`/`f64` only: the removed `mem=` key (either of its old
+/// values) is an unknown key — a typed [`ParseError`] from a single
+/// line, and one carrying the line number from a scenario file.
+#[test]
+fn mem_key_is_rejected() {
+    for value in ["compact", "full"] {
+        let line = format!("topology=cycle:8 mem={value}");
+        let err = line.parse::<ScenarioSpec>().unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("unknown key 'mem'"), "{}", err.message);
+
+        let file = format!("# header\ntopology=cycle:8\n\n{line}\n");
+        let err = ScenarioSpec::parse_many(&file).unwrap_err();
+        assert_eq!(err.line, 4, "{value}");
+        assert!(err.message.contains("unknown key 'mem'"), "{}", err.message);
+    }
+}
+
+/// Initial loads whose total does not fit the `i64` token counters are
+/// refused at build, as a typed error, for every spelling that
+/// multiplies or sums — instead of overflowing (or silently wrapping)
+/// while the loads are laid out.
+#[test]
+fn initial_load_totals_that_overflow_i64_are_refused() {
+    for init in [
+        "ramp:9223372036854775807",
+        "equal:9223372036854775807",
+        "equal:576460752303423488",
+    ] {
+        let spec: ScenarioSpec =
+            format!("topology=torus2d:4:4 seed=1 scheme=fos init={init} stop=rounds:3")
+                .parse()
+                .unwrap();
+        let graph = spec.build_graph().unwrap();
+        match spec.experiment_on(&graph) {
+            Err(BuildError::InvalidInitialLoad(msg)) => {
+                assert!(msg.contains("overflows i64"), "{init}: {msg}")
+            }
+            Err(other) => panic!("{init}: unexpected error {other}"),
+            Ok(_) => panic!("{init}: accepted"),
+        }
+    }
+    // The largest equal split that fits (2^59 per node on 16 nodes is
+    // 2^63 and overflows; one less per node fits) still builds.
+    let spec: ScenarioSpec =
+        "topology=torus2d:4:4 seed=1 scheme=fos init=equal:576460752303423487 stop=rounds:3"
+            .parse()
+            .unwrap();
+    let graph = spec.build_graph().unwrap();
+    assert!(spec.experiment_on(&graph).is_ok());
 }

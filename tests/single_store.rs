@@ -15,19 +15,15 @@ use sodiff::prelude::*;
 use sodiff::{read_checkpoint, write_checkpoint, ScenarioSpec};
 
 /// Spec bodies (without `name=`, `threads=`, `stop=`) covering both
-/// memory sources, both rounding pipelines, both widths and both modes,
+/// memory sources, both rounding pipelines and both modes,
 /// plus the perturbation axes that write loads on the control thread.
 const SPECS: &[&str] = &[
     "topology=torus2d:9:7 scheme=sos:1.7 rounding=randomized seed=3 init=point:0:63000",
     "topology=torus2d:9:7 scheme=sos:1.7 rounding=nearest init=point:0:63000",
     "topology=torus2d:9:7 scheme=sos:1.7 rounding=randomized seed=3 init=point:0:63000 \
      flow_memory=scheduled",
-    "topology=torus2d:9:7 scheme=sos:1.7 rounding=unbiased seed=5 init=point:0:63000 \
-     mem=compact",
-    "topology=torus2d:9:7 scheme=sos:1.7 rounding=randomized seed=3 init=point:0:63000 \
-     mem=compact",
+    "topology=torus2d:9:7 scheme=sos:1.7 rounding=unbiased seed=5 init=point:0:63000",
     "topology=torus2d:9:7 scheme=sos:1.7 mode=continuous init=point:0:63000",
-    "topology=torus2d:9:7 scheme=sos:1.7 mode=continuous init=point:0:63000 mem=compact",
     "topology=hypercube:6 scheme=matching:random:7:1 rounding=randomized seed=2 \
      init=point:0:6400 faults=crash:0.1:7+shock:0.25:3+stale:0.1:4 load=poisson:2:42",
     "topology=torus2d:8:8 scheme=sos:1.6 rounding=nearest init=point:0:6400 \
@@ -153,8 +149,7 @@ fn state_bytes_count_one_copy() {
         // Scheduled memory is stored beside the flows.
         assert_eq!(bytes(SPECS[2]), 8 * (n + 2 * m + arcs), "{threads} threads");
         // Continuous: loads + memory (which carries the flows).
-        assert_eq!(bytes(SPECS[5]), 8 * (n + m), "{threads} threads");
-        assert_eq!(bytes(SPECS[6]), 4 * (n + m), "{threads} threads");
+        assert_eq!(bytes(SPECS[4]), 8 * (n + m), "{threads} threads");
     }
 }
 
