@@ -43,7 +43,7 @@ use crate::checkpoint::{
 use crate::error::{BuildError, CheckpointError};
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
-use crate::kernel::{cells_f64, cells_i64, KernelTables, LoadStats};
+use crate::kernel::{cells_f64, cells_i64, CellsF64, CellsI64, KernelTables, LoadStats};
 use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot, RemainingImbalance};
 use crate::observer::Observer;
 use crate::perturb::{
@@ -52,7 +52,7 @@ use crate::perturb::{
 use crate::pool::{JobLoads, RoundJob, WorkerPool};
 use crate::rounding::Rounding;
 use crate::scheme::Scheme;
-use crate::scheme_kernel::{RoundScratch, SchemeKernel};
+use crate::scheme_kernel::{ChunkBufs, RoundArgs, RoundScratch, SchemeKernel};
 use crate::watch::{DivergenceWatch, SteadyStats, SteadyTracker};
 
 /// Continuous vs discrete execution.
@@ -352,6 +352,32 @@ impl State {
         match self {
             State::Discrete { loads, .. } => JobLoads::I64(loads),
             State::Continuous { loads, .. } => JobLoads::F64(loads),
+        }
+    }
+
+    /// `Cell` views of the state as round buffers (the other mode's
+    /// buffers empty).
+    fn bufs(&mut self) -> ChunkBufs<CellsI64<'_>, CellsF64<'_>> {
+        match self {
+            State::Discrete {
+                loads,
+                flows,
+                prev,
+                arc_frac,
+            } => ChunkBufs {
+                loads_i: cells_i64(loads),
+                loads_f: cells_f64(&mut []),
+                prev: cells_f64(prev),
+                arc_frac: cells_f64(arc_frac),
+                flows: cells_i64(flows),
+            },
+            State::Continuous { loads, prev } => ChunkBufs {
+                loads_i: cells_i64(&mut []),
+                loads_f: cells_f64(loads),
+                prev: cells_f64(prev),
+                arc_frac: cells_f64(&mut []),
+                flows: cells_i64(&mut []),
+            },
         }
     }
 
@@ -1093,9 +1119,30 @@ impl<'g> Simulator<'g> {
     /// Executes one synchronous round.
     pub fn step(&mut self) {
         let (mem, gain) = self.scheme.coefficients(self.rounds_in_scheme);
-        let stats = match self.store {
-            Store::Local(_) => self.step_sequential(mem, gain),
-            Store::Pooled(_) => self.step_pooled(mem, gain),
+        let args = RoundArgs {
+            mem,
+            gain,
+            round: self.round,
+            flow_memory: self.flow_memory,
+        };
+        let (t, graph, scratch) = (&*self.tables, self.graph, &mut self.scratch);
+        let stats = match &mut self.store {
+            Store::Local(state) => {
+                self.scheme_kernel
+                    .run_sequential(t, graph, &args, &state.bufs(), scratch)
+            }
+            Store::Pooled(attachment) => {
+                // The round's plan state (the random-matching or effective
+                // mask, plus the perturbation channels' load changes) is
+                // produced here, on the control thread, and published into
+                // the job before the round's first barrier — results never
+                // depend on the executor. The job's atomics are the
+                // simulation's only store, so the round is complete at its
+                // final barrier: there is no state to copy back.
+                let PoolAttachment { pool, job } = attachment;
+                job.prepare(graph, args.round, scratch);
+                pool.run_round(job, mem, gain, args.round, &mut scratch.fw)
+            }
         };
         if stats.min_transient < self.min_transient {
             self.min_transient = stats.min_transient;
@@ -1103,80 +1150,6 @@ impl<'g> Simulator<'g> {
         self.round_stats = Some(stats);
         self.round += 1;
         self.rounds_in_scheme += 1;
-    }
-
-    fn step_sequential(&mut self, mem: f64, gain: f64) -> LoadStats {
-        let Self {
-            graph,
-            tables,
-            scheme_kernel,
-            store: Store::Local(state),
-            scratch,
-            flow_memory,
-            round,
-            ..
-        } = self
-        else {
-            unreachable!("step_sequential requires the local store")
-        };
-        let t = &**tables;
-        // Each arm monomorphizes the generic round over `Cell`-backed
-        // buffer handles (the wrappers are free).
-        match state {
-            State::Discrete {
-                loads,
-                flows,
-                prev,
-                arc_frac,
-            } => scheme_kernel.run_discrete_seq(
-                t,
-                graph,
-                mem,
-                gain,
-                *round,
-                *flow_memory,
-                &cells_i64(loads),
-                &cells_f64(prev),
-                &cells_i64(flows),
-                &cells_f64(arc_frac),
-                scratch,
-            ),
-            State::Continuous { loads, prev } => scheme_kernel.run_continuous_seq(
-                t,
-                graph,
-                mem,
-                gain,
-                *round,
-                &cells_f64(loads),
-                &cells_f64(prev),
-                scratch,
-            ),
-        }
-    }
-
-    fn step_pooled(&mut self, mem: f64, gain: f64) -> LoadStats {
-        let Self {
-            graph,
-            store: Store::Pooled(attachment),
-            scratch,
-            round,
-            ..
-        } = self
-        else {
-            unreachable!("step_pooled requires a pool")
-        };
-        // Per-round plan state (the random-matching or effective mask,
-        // plus the perturbation channels' load changes) is produced
-        // here, on the control thread, and published into the job before
-        // the round's first barrier — results never depend on the
-        // executor.
-        attachment.job.prepare(graph, *round, scratch);
-        // The job's atomics are the simulation's only store, so the round
-        // is complete at its final barrier: there is no state to copy
-        // back, and the accessors read the job directly.
-        attachment
-            .pool
-            .run_round(&attachment.job, mem, gain, *round, &mut scratch.fw)
     }
 
     /// Runs until the stop condition fires; returns a report.

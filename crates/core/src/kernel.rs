@@ -9,6 +9,13 @@
 //! * the persistent worker pool instantiates the *same* passes with
 //!   [`AtomicsF64`] / [`AtomicsI64`] wrappers over relaxed atomics.
 //!
+//! The edge passes are also generic over *which* edges carry flow, an
+//! [`EdgeGate`]: [`AllEdges`] for the diffusion plan, with no mask test
+//! in the loop, or [`MaskBits`] for a round's active-edge bitset. So each
+//! pass has one loop body for every plan; `edge_pass_*` are the
+//! all-edges entry points and `edge_pass_*_gated` take the gate and the
+//! coefficient pair.
+//!
 //! Because both executors run byte-for-byte the same arithmetic in the
 //! same per-element order, parallel results are bit-identical to
 //! sequential ones by construction — the property `tests/determinism.rs`
@@ -89,7 +96,8 @@
 //! expression the scalar loop used, on exactly the operands the scalar
 //! loop read, because per-edge work is independent — edge `e` reads only
 //! `loads[..]` (not written in this pass), its own memory slot (`prev[e]`,
-//! or `flows[e]` under [`FlowMemory::Rounded`]), and the constant tables,
+//! or `flows[e]` under [`FlowMemory::Rounded`]), its own mask bit under
+//! [`MaskBits`], and the constant tables,
 //! and writes only `prev[e]`, `flows[e]`, and (scatter pass) the two arc
 //! slots owned by `e`. Hoisting the eight memory reads above the eight
 //! writes therefore never changes an operand, and no f64
@@ -557,8 +565,82 @@ fn ceil_i64(r: f64) -> i64 {
     t.saturating_add(i64::from((t as f64) < r))
 }
 
+/// A bitset's 64-bit words, read by word index: plain words (the
+/// sequential executor and the precomputed sweep families) or the
+/// relaxed atomics the pool's control thread publishes each round.
+pub trait Words {
+    /// Word `w`.
+    fn word(&self, w: usize) -> u64;
+    /// Bit `e` (bit `e % 64` of word `e / 64`) as `0` or `1`.
+    #[inline(always)]
+    fn bit(&self, e: usize) -> u64 {
+        (self.word(e >> 6) >> (e & 63)) & 1
+    }
+}
+
+impl Words for [u64] {
+    #[inline(always)]
+    fn word(&self, w: usize) -> u64 {
+        self[w]
+    }
+}
+
+impl Words for [AtomicU64] {
+    #[inline(always)]
+    fn word(&self, w: usize) -> u64 {
+        self[w].load(Relaxed)
+    }
+}
+
+/// Which edges an edge pass lets carry flow, applied to each edge's
+/// scheduled flow and dispatched statically, so each gate compiles to
+/// its own loop.
+pub trait EdgeGate {
+    /// Edge `e`'s scheduled flow `s` after the gate.
+    fn gate(&self, e: usize, s: f64) -> f64;
+}
+
+/// Every edge is active: the scheduled flow passes unchanged, with no
+/// mask test in the loop (the diffusion plan).
+pub struct AllEdges;
+
+impl EdgeGate for AllEdges {
+    #[inline(always)]
+    fn gate(&self, _e: usize, s: f64) -> f64 {
+        s
+    }
+}
+
+/// Only the edges whose bit is set are active: the scheduled flow is
+/// multiplied by the edge's bit (one bit load per edge, no branch), so
+/// an inactive edge rounds to a zero flow, scatters zero fractional
+/// parts and leaves its endpoints untouched. The bit is indexed by the
+/// global edge id, so any split of the edge range reads the same bits.
+pub struct MaskBits<'a, W: ?Sized>(pub &'a W);
+
+impl<W: Words + ?Sized> EdgeGate for MaskBits<'_, W> {
+    #[inline(always)]
+    fn gate(&self, e: usize, s: f64) -> f64 {
+        self.0.bit(e) as f64 * s
+    }
+}
+
+/// A per-edge `(coef_tail, coef_head)` coefficient slice pair: the
+/// diffusion `α_e/s` tables of [`KernelTables`], or the λ-scaled
+/// harmonic-speed pair of the pairwise schemes.
+pub type Coefs<'a> = (&'a [f64], &'a [f64]);
+
+impl KernelTables {
+    /// The diffusion coefficient pair `(α_e/s_tail, α_e/s_head)`.
+    #[inline]
+    pub fn coefs(&self) -> Coefs<'_> {
+        (&self.coef_tail[..], &self.coef_head[..])
+    }
+}
+
 /// Fused edge pass for the **edge-local** rounding schemes in discrete
-/// mode: computes the scheduled flow
+/// mode, over every edge with the diffusion coefficients: computes the
+/// scheduled flow
 /// `Ŷ_e = mem·prev_e + gain·(coef_tail·x_tail − coef_head·x_head)`,
 /// rounds it, and updates the SOS flow memory, all in one zipped sweep
 /// over `edges` (bounds checks hoisted by slicing the range up front).
@@ -583,107 +665,30 @@ pub fn edge_pass_fused<P: BufF64, F: BufI64>(
     prev: &P,
     flows: &F,
 ) {
-    with_memory!(flow_memory, prev, flows, |memory| fused_pass(
-        t, edges, mem, gain, round, rounding, x, memory, flows
-    ))
+    edge_pass_fused_gated(
+        t,
+        t.coefs(),
+        &AllEdges,
+        edges,
+        mem,
+        gain,
+        round,
+        rounding,
+        flow_memory,
+        x,
+        prev,
+        flows,
+    );
 }
 
-/// [`edge_pass_fused`] over one memory view: `memory` records `Ŷ_e`
-/// (a no-op write for [`FlowsAsMemory`]).
+/// [`edge_pass_fused`] with explicit coefficients and an edge `gate`
+/// ([`AllEdges`] or [`MaskBits`]).
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-fn fused_pass<P: BufF64, F: BufI64>(
+pub fn edge_pass_fused_gated<G: EdgeGate, P: BufF64, F: BufI64>(
     t: &KernelTables,
+    coefs: Coefs<'_>,
+    gate: &G,
     edges: Range<usize>,
-    mem: f64,
-    gain: f64,
-    round: u64,
-    rounding: Rounding,
-    x: impl Fn(usize) -> f64,
-    prev: &P,
-    flows: &F,
-) {
-    let e0 = edges.start;
-    let pairs = &t.graph().edges()[edges.clone()];
-    let cts = &t.coef_tail[edges.clone()];
-    let chs = &t.coef_head[edges.clone()];
-    let prevs = &prev.elems()[edges.clone()];
-    let flow_elems = &flows.elems()[edges];
-    let len = pairs.len();
-    let main = len - len % LANES;
-    macro_rules! fused_loop {
-        (|$k:ident, $s:ident| $round_expr:expr) => {{
-            // Lane-chunked main loop (see the module docs for the
-            // bit-exactness argument): chunk lane 1 computes the eight
-            // independent scheduled flows, lane 2 rounds and writes them
-            // in the same ascending edge order as the scalar tail.
-            for k0 in (0..main).step_by(LANES) {
-                let uvc = &pairs[k0..k0 + LANES];
-                let ctc = &cts[k0..k0 + LANES];
-                let chc = &chs[k0..k0 + LANES];
-                let pc = &prevs[k0..k0 + LANES];
-                let fc = &flow_elems[k0..k0 + LANES];
-                let mut s_lanes = [0.0f64; LANES];
-                for l in 0..LANES {
-                    s_lanes[l] = mem * P::read(&pc[l])
-                        + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize));
-                }
-                for l in 0..LANES {
-                    let $k = k0 + l;
-                    let $s = s_lanes[l];
-                    let y: i64 = $round_expr;
-                    F::write(&fc[l], y);
-                    P::write(&pc[l], $s);
-                }
-            }
-            for $k in main..len {
-                let $s = mem * P::read(&prevs[$k])
-                    + gain
-                        * (cts[$k] * x(pairs[$k].0 as usize) - chs[$k] * x(pairs[$k].1 as usize));
-                let y: i64 = $round_expr;
-                F::write(&flow_elems[$k], y);
-                P::write(&prevs[$k], $s);
-            }
-        }};
-    }
-    match rounding {
-        Rounding::RoundDown => fused_loop!(|_k, s| trunc_i64(s)),
-        Rounding::Nearest => fused_loop!(|_k, s| round_i64(s)),
-        Rounding::UnbiasedEdge { seed } => fused_loop!(|k, s| {
-            let mut rng = SplitMix64::for_node_round(seed, (e0 + k) as u32, round);
-            let (floor, frac) = floor_frac(s);
-            floor + i64::from(rng.next_f64() < frac)
-        }),
-        Rounding::RandomizedFramework { .. } => {
-            panic!("the randomized framework is node-centric; use the arc passes")
-        }
-    }
-}
-
-/// Masked variant of [`edge_pass_fused`] for the pairwise schemes
-/// (dimension exchange, matching-based balancing): the scheduled flow of
-/// an edge outside the round's active matching is forced to zero by an
-/// arithmetic mask (one bit load per edge, no branch), so inactive edges
-/// round to a zero flow and leave their endpoints untouched. The
-/// coefficient tables are passed explicitly because the pairwise schemes
-/// use the λ-scaled harmonic-speed coefficients instead of the diffusion
-/// `α_e/s` tables baked into [`KernelTables`].
-///
-/// `mask` returns the `w`-th 64-bit word of the active-edge bitset
-/// (edge `e` is active iff bit `e % 64` of word `e / 64` is set). This is
-/// a separate function rather than a flag on [`edge_pass_fused`] so the
-/// diffusion hot path keeps its exact codegen.
-///
-/// # Panics
-///
-/// Panics for [`Rounding::RandomizedFramework`] (node-centric; use
-/// [`edge_pass_scatter_masked`]).
-#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
-    t: &KernelTables,
-    coef_tail: &[f64],
-    coef_head: &[f64],
-    edges: Range<usize>,
-    mask: impl Fn(usize) -> u64,
     mem: f64,
     gain: f64,
     round: u64,
@@ -693,19 +698,19 @@ pub fn edge_pass_fused_masked<P: BufF64, F: BufI64>(
     prev: &P,
     flows: &F,
 ) {
-    with_memory!(flow_memory, prev, flows, |memory| fused_masked_pass(
-        t, coef_tail, coef_head, edges, mask, mem, gain, round, rounding, x, memory, flows
+    with_memory!(flow_memory, prev, flows, |memory| fused_pass(
+        t, coefs, gate, edges, mem, gain, round, rounding, x, memory, flows
     ))
 }
 
-/// [`edge_pass_fused_masked`] over one memory view (see [`fused_pass`]).
+/// [`edge_pass_fused_gated`] over one memory view: `memory` records `Ŷ_e`
+/// (a no-op write for [`FlowsAsMemory`]).
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-fn fused_masked_pass<P: BufF64, F: BufI64>(
+fn fused_pass<G: EdgeGate, P: BufF64, F: BufI64>(
     t: &KernelTables,
-    coef_tail: &[f64],
-    coef_head: &[f64],
+    (coef_tail, coef_head): Coefs<'_>,
+    gate: &G,
     edges: Range<usize>,
-    mask: impl Fn(usize) -> u64,
     mem: f64,
     gain: f64,
     round: u64,
@@ -724,6 +729,10 @@ fn fused_masked_pass<P: BufF64, F: BufI64>(
     let main = len - len % LANES;
     macro_rules! fused_loop {
         (|$k:ident, $s:ident| $round_expr:expr) => {{
+            // Lane-chunked main loop (see the module docs for the
+            // bit-exactness argument): chunk lane 1 computes the eight
+            // independent scheduled flows, lane 2 rounds and writes them
+            // in the same ascending edge order as the scalar tail.
             for k0 in (0..main).step_by(LANES) {
                 let uvc = &pairs[k0..k0 + LANES];
                 let ctc = &cts[k0..k0 + LANES];
@@ -732,12 +741,12 @@ fn fused_masked_pass<P: BufF64, F: BufI64>(
                 let fc = &flow_elems[k0..k0 + LANES];
                 let mut s_lanes = [0.0f64; LANES];
                 for l in 0..LANES {
-                    let e = e0 + k0 + l;
-                    let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-                    s_lanes[l] = act
-                        * (mem * P::read(&pc[l])
+                    s_lanes[l] = gate.gate(
+                        e0 + k0 + l,
+                        mem * P::read(&pc[l])
                             + gain
-                                * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)));
+                                * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)),
+                    );
                 }
                 for l in 0..LANES {
                     let $k = k0 + l;
@@ -748,13 +757,13 @@ fn fused_masked_pass<P: BufF64, F: BufI64>(
                 }
             }
             for $k in main..len {
-                let e = e0 + $k;
-                let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-                let $s = act
-                    * (mem * P::read(&prevs[$k])
+                let $s = gate.gate(
+                    e0 + $k,
+                    mem * P::read(&prevs[$k])
                         + gain
                             * (cts[$k] * x(pairs[$k].0 as usize)
-                                - chs[$k] * x(pairs[$k].1 as usize)));
+                                - chs[$k] * x(pairs[$k].1 as usize)),
+                );
                 let y: i64 = $round_expr;
                 F::write(&flow_elems[$k], y);
                 P::write(&prevs[$k], $s);
@@ -775,7 +784,8 @@ fn fused_masked_pass<P: BufF64, F: BufI64>(
     }
 }
 
-/// Phase 1 of the randomized framework: computes the scheduled flow
+/// Phase 1 of the randomized framework, over every edge with the
+/// diffusion coefficients: computes the scheduled flow
 /// `Ŷ_e`, **floors it right here** (the sending side's outflow is `|Ŷ_e|`
 /// and its floor is the edge's base flow, so the per-arc floor pass of the
 /// old formulation collapses into this per-edge one), writes the signed
@@ -803,15 +813,50 @@ pub fn edge_pass_scatter<A: BufF64, F: BufI64, P: BufF64>(
     flows: &F,
     prev: &P,
 ) {
+    edge_pass_scatter_gated(
+        t,
+        t.coefs(),
+        &AllEdges,
+        edges,
+        mem,
+        gain,
+        flow_memory,
+        x,
+        arc_frac,
+        flows,
+        prev,
+    );
+}
+
+/// [`edge_pass_scatter`] with explicit coefficients and an edge `gate`.
+/// A gated-out edge scatters a zero base flow and zero fractional parts,
+/// so the rounding phase ([`arc_round_streamed`]) runs unchanged: a node
+/// whose arcs are all inactive sums `r = 0` and skips out.
+#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
+pub fn edge_pass_scatter_gated<G: EdgeGate, A: BufF64, F: BufI64, P: BufF64>(
+    t: &KernelTables,
+    coefs: Coefs<'_>,
+    gate: &G,
+    edges: Range<usize>,
+    mem: f64,
+    gain: f64,
+    flow_memory: FlowMemory,
+    x: impl Fn(usize) -> f64,
+    arc_frac: &A,
+    flows: &F,
+    prev: &P,
+) {
     with_memory!(flow_memory, prev, flows, |memory| scatter_pass(
-        t, edges, mem, gain, x, arc_frac, flows, memory
+        t, coefs, gate, edges, mem, gain, x, arc_frac, flows, memory
     ))
 }
 
-/// [`edge_pass_scatter`] over one memory view (see [`fused_pass`]).
+/// [`edge_pass_scatter_gated`] over one memory view (see [`fused_pass`]).
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-fn scatter_pass<A: BufF64, F: BufI64, P: BufF64>(
+fn scatter_pass<G: EdgeGate, A: BufF64, F: BufI64, P: BufF64>(
     t: &KernelTables,
+    (coef_tail, coef_head): Coefs<'_>,
+    gate: &G,
     edges: Range<usize>,
     mem: f64,
     gain: f64,
@@ -820,9 +865,10 @@ fn scatter_pass<A: BufF64, F: BufI64, P: BufF64>(
     flows: &F,
     prev: &P,
 ) {
+    let e0 = edges.start;
     let pairs = &t.graph().edges()[edges.clone()];
-    let cts = &t.coef_tail[edges.clone()];
-    let chs = &t.coef_head[edges.clone()];
+    let cts = &coef_tail[edges.clone()];
+    let chs = &coef_head[edges.clone()];
     let positions = &t.edge_arc_pos[edges.clone()];
     let prevs = &prev.elems()[edges.clone()];
     let flow_elems = &flows.elems()[edges];
@@ -862,110 +908,28 @@ fn scatter_pass<A: BufF64, F: BufI64, P: BufF64>(
         // ~10% slower on out-of-cache tori). The chunk still earns its
         // keep by hoisting the bounds checks into the slice splits above.
         for l in 0..LANES {
-            let s = mem * P::read(&pc[l])
-                + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize));
+            let s = gate.gate(
+                e0 + k0 + l,
+                mem * P::read(&pc[l])
+                    + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)),
+            );
             scatter_one(&poc[l], &pc[l], &fc[l], s);
         }
     }
     for k in main..len {
-        let s = mem * P::read(&prevs[k])
-            + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize));
+        let s = gate.gate(
+            e0 + k,
+            mem * P::read(&prevs[k])
+                + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize)),
+        );
         scatter_one(&positions[k], &prevs[k], &flow_elems[k], s);
     }
 }
 
-/// Masked variant of [`edge_pass_scatter`] for the pairwise schemes under
-/// the randomized rounding framework: inactive edges contribute a zero
-/// base flow and zero fractional parts, so the node-centric rounding
-/// phase ([`arc_round_streamed`]) runs unchanged — a node whose arcs are
-/// all inactive sums `r = 0` and skips out. See
-/// [`edge_pass_fused_masked`] for the mask convention and why this is a
-/// separate function.
-#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_scatter_masked<A: BufF64, F: BufI64, P: BufF64>(
-    t: &KernelTables,
-    coef_tail: &[f64],
-    coef_head: &[f64],
-    edges: Range<usize>,
-    mask: impl Fn(usize) -> u64,
-    mem: f64,
-    gain: f64,
-    flow_memory: FlowMemory,
-    x: impl Fn(usize) -> f64,
-    arc_frac: &A,
-    flows: &F,
-    prev: &P,
-) {
-    with_memory!(flow_memory, prev, flows, |memory| scatter_masked_pass(
-        t, coef_tail, coef_head, edges, mask, mem, gain, x, arc_frac, flows, memory
-    ))
-}
-
-/// [`edge_pass_scatter_masked`] over one memory view (see [`fused_pass`]).
-#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-fn scatter_masked_pass<A: BufF64, F: BufI64, P: BufF64>(
-    t: &KernelTables,
-    coef_tail: &[f64],
-    coef_head: &[f64],
-    edges: Range<usize>,
-    mask: impl Fn(usize) -> u64,
-    mem: f64,
-    gain: f64,
-    x: impl Fn(usize) -> f64,
-    arc_frac: &A,
-    flows: &F,
-    prev: &P,
-) {
-    let e0 = edges.start;
-    let pairs = &t.graph().edges()[edges.clone()];
-    let cts = &coef_tail[edges.clone()];
-    let chs = &coef_head[edges.clone()];
-    let positions = &t.edge_arc_pos[edges.clone()];
-    let prevs = &prev.elems()[edges.clone()];
-    let flow_elems = &flows.elems()[edges];
-    let len = pairs.len();
-    let main = len - len % LANES;
-    let scatter_one = |&(pt, ph): &(u32, u32), pe: &P::Elem, fe: &F::Elem, s: f64| {
-        let base = trunc_i64(s);
-        let frac = (s - base as f64).abs();
-        let tail_sends = f64::from(u8::from(s > 0.0));
-        let frac_tail = frac * tail_sends;
-        arc_frac.set(pt as usize, frac_tail);
-        arc_frac.set(ph as usize, frac - frac_tail);
-        F::write(fe, base);
-        P::write(pe, s);
-    };
-    for k0 in (0..main).step_by(LANES) {
-        let uvc = &pairs[k0..k0 + LANES];
-        let ctc = &cts[k0..k0 + LANES];
-        let chc = &chs[k0..k0 + LANES];
-        let pc = &prevs[k0..k0 + LANES];
-        let poc = &positions[k0..k0 + LANES];
-        let fc = &flow_elems[k0..k0 + LANES];
-        // Compute and scatter fused per lane, as in [`edge_pass_scatter`]:
-        // staging the scheduled flows bursts the data-dependent stores.
-        for l in 0..LANES {
-            let e = e0 + k0 + l;
-            let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-            let s = act
-                * (mem * P::read(&pc[l])
-                    + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)));
-            scatter_one(&poc[l], &pc[l], &fc[l], s);
-        }
-    }
-    for k in main..len {
-        let e = e0 + k;
-        let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-        let s = act
-            * (mem * P::read(&prevs[k])
-                + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize)));
-        scatter_one(&positions[k], &prevs[k], &flow_elems[k], s);
-    }
-}
-
-/// Fused edge pass for continuous mode: the scheduled flow *is* the flow,
-/// so it is written straight into the flow memory (which the apply pass
-/// then reads as this round's flows).
+/// Fused edge pass for continuous mode, over every edge with the
+/// diffusion coefficients: the scheduled flow *is* the flow, so it is
+/// written straight into the flow memory (which the apply pass then
+/// reads as this round's flows).
 pub fn edge_pass_continuous<P: BufF64>(
     t: &KernelTables,
     edges: Range<usize>,
@@ -974,43 +938,17 @@ pub fn edge_pass_continuous<P: BufF64>(
     x: impl Fn(usize) -> f64,
     prev: &P,
 ) {
-    let pairs = &t.graph().edges()[edges.clone()];
-    let cts = &t.coef_tail[edges.clone()];
-    let chs = &t.coef_head[edges.clone()];
-    let prevs = &prev.elems()[edges];
-    let len = pairs.len();
-    let main = len - len % LANES;
-    for k0 in (0..main).step_by(LANES) {
-        let uvc = &pairs[k0..k0 + LANES];
-        let ctc = &cts[k0..k0 + LANES];
-        let chc = &chs[k0..k0 + LANES];
-        let pc = &prevs[k0..k0 + LANES];
-        let mut s_lanes = [0.0f64; LANES];
-        for l in 0..LANES {
-            s_lanes[l] = mem * P::read(&pc[l])
-                + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize));
-        }
-        for (l, &s) in s_lanes.iter().enumerate() {
-            P::write(&pc[l], s);
-        }
-    }
-    for k in main..len {
-        let s = mem * P::read(&prevs[k])
-            + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize));
-        P::write(&prevs[k], s);
-    }
+    edge_pass_continuous_gated(t, t.coefs(), &AllEdges, edges, mem, gain, x, prev);
 }
 
-/// Masked variant of [`edge_pass_continuous`] for the pairwise schemes:
-/// inactive edges carry a zero flow this round. See
-/// [`edge_pass_fused_masked`] for the mask convention.
+/// [`edge_pass_continuous`] with explicit coefficients and an edge
+/// `gate`: a gated-out edge carries a zero flow this round.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_continuous_masked<P: BufF64>(
+pub fn edge_pass_continuous_gated<G: EdgeGate, P: BufF64>(
     t: &KernelTables,
-    coef_tail: &[f64],
-    coef_head: &[f64],
+    (coef_tail, coef_head): Coefs<'_>,
+    gate: &G,
     edges: Range<usize>,
-    mask: impl Fn(usize) -> u64,
     mem: f64,
     gain: f64,
     x: impl Fn(usize) -> f64,
@@ -1030,22 +968,22 @@ pub fn edge_pass_continuous_masked<P: BufF64>(
         let pc = &prevs[k0..k0 + LANES];
         let mut s_lanes = [0.0f64; LANES];
         for l in 0..LANES {
-            let e = e0 + k0 + l;
-            let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-            s_lanes[l] = act
-                * (mem * P::read(&pc[l])
-                    + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)));
+            s_lanes[l] = gate.gate(
+                e0 + k0 + l,
+                mem * P::read(&pc[l])
+                    + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)),
+            );
         }
         for (l, &s) in s_lanes.iter().enumerate() {
             P::write(&pc[l], s);
         }
     }
     for k in main..len {
-        let e = e0 + k;
-        let act = ((mask(e >> 6) >> (e & 63)) & 1) as f64;
-        let s = act
-            * (mem * P::read(&prevs[k])
-                + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize)));
+        let s = gate.gate(
+            e0 + k,
+            mem * P::read(&prevs[k])
+                + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize)),
+        );
         P::write(&prevs[k], s);
     }
 }
@@ -1634,6 +1572,111 @@ mod tests {
             match memory {
                 FlowMemory::Rounded => assert_eq!(prev, prev_init, "prev is left untouched"),
                 FlowMemory::Scheduled => assert_eq!(prev, expected),
+            }
+        }
+    }
+
+    /// Runs one gated edge pass (`0` fused, `1` scatter, `2` continuous)
+    /// over each chunk between consecutive `bounds` in turn, from a fixed mid-run state on a
+    /// heterogeneous-speed torus; returns the flows, memory and arc
+    /// fractions it leaves.
+    fn run_gated<G: EdgeGate>(
+        t: &KernelTables,
+        pass: usize,
+        rounding: Rounding,
+        memory: FlowMemory,
+        gate: &G,
+        bounds: &[usize],
+    ) -> (Vec<i64>, Vec<f64>, Vec<f64>) {
+        let m = t.m;
+        let x = |i: usize| ((i * 13) % 17) as f64;
+        let mut flows: Vec<i64> = (0..m as i64).map(|e| e % 5 - 2).collect();
+        let mut prev: Vec<f64> = (0..m).map(|e| e as f64 * 0.17 - 2.0).collect();
+        let mut arc_frac = vec![9.9f64; t.graph().arc_count()];
+        {
+            let (fl, pr) = (cells_i64(&mut flows), cells_f64(&mut prev));
+            let af = cells_f64(&mut arc_frac);
+            for w in bounds.windows(2) {
+                let r = w[0]..w[1];
+                match pass {
+                    0 => edge_pass_fused_gated(
+                        t,
+                        t.coefs(),
+                        gate,
+                        r,
+                        0.4,
+                        1.6,
+                        9,
+                        rounding,
+                        memory,
+                        x,
+                        &pr,
+                        &fl,
+                    ),
+                    1 => edge_pass_scatter_gated(
+                        t,
+                        t.coefs(),
+                        gate,
+                        r,
+                        0.4,
+                        1.6,
+                        memory,
+                        x,
+                        &af,
+                        &fl,
+                        &pr,
+                    ),
+                    _ => edge_pass_continuous_gated(t, t.coefs(), gate, r, 0.4, 1.6, x, &pr),
+                }
+            }
+        }
+        (flows, prev, arc_frac)
+    }
+
+    /// Every gated pass, under both flow memories: an all-ones
+    /// [`MaskBits`] equals [`AllEdges`] bit for bit, and a random mask run
+    /// as two chunks split off the lane grid equals one whole-range pass
+    /// — the gate indexes bits by global edge id `e0 + k`, not by the
+    /// chunk-local offset.
+    #[test]
+    fn edge_gates_agree_and_index_bits_by_global_edge_id() {
+        let g = generators::torus2d(6, 7); // m = 84: two mask words
+        let t = KernelTables::new(&g, &Speeds::linear_ramp(42, 3.0), true, 0.0);
+        let m = t.m;
+        let ones = [u64::MAX; 2];
+        let mut rng = SplitMix64::new(99);
+        let random = [rng.next_u64(), rng.next_u64()];
+        let off = (0..m).filter(|&e| random[..].bit(e) == 0).count();
+        assert!(off > 0 && off < m, "the mask gates some edges out");
+        for (pass, rounding) in [
+            (0, Rounding::nearest()),
+            (0, Rounding::unbiased_edge(7)),
+            (1, Rounding::randomized(1)),
+            (2, Rounding::nearest()),
+        ] {
+            for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
+                let case = format!("pass {pass} {rounding:?} {memory:?}");
+                let run = |gate: &MaskBits<'_, [u64]>, bounds: &[usize]| {
+                    run_gated(&t, pass, rounding, memory, gate, bounds)
+                };
+                let all = run_gated(&t, pass, rounding, memory, &AllEdges, &[0, m]);
+                assert_eq!(run(&MaskBits(&ones[..]), &[0, m]), all, "{case}");
+                let whole = run(&MaskBits(&random[..]), &[0, m]);
+                assert_ne!(whole, all, "{case}: the mask changes the pass");
+                for a in [1, 13, 37, 67, 83] {
+                    assert_ne!(a % LANES, 0);
+                    let split = run(&MaskBits(&random[..]), &[0, a, m]);
+                    assert_eq!(split, whole, "{case} split at {a}");
+                }
+                // A gated-out edge carries no flow (continuous: its flow
+                // is the memory slot).
+                let (flows, prev, _) = &whole;
+                for e in (0..m).filter(|&e| random[..].bit(e) == 0) {
+                    match pass {
+                        2 => assert_eq!(prev[e], 0.0, "{case} edge {e}"),
+                        _ => assert_eq!(flows[e], 0, "{case} edge {e}"),
+                    }
+                }
             }
         }
     }

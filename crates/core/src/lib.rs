@@ -221,12 +221,15 @@
 //! per-node `SplitMix64` formulation (`tests/golden_trace.rs`,
 //! `tests/golden_rng.rs`).
 //!
-//! **Scheme-kernel dispatch** (`scheme_kernel` module). The per-round
-//! phase sequence is selected once per simulation through plain enums
-//! (flow pass × active plan) and monomorphized per mask source, so the
-//! diffusion hot paths run the *original unmasked* kernels — the layer
-//! adds no per-round indirection to FOS/SOS — while the pairwise schemes
-//! get masked variants of the same passes.
+//! **Scheme-kernel dispatch** (`scheme_kernel` module). One phase
+//! sequence serves both executors: the sequential round runs it over
+//! every edge and node, each pool participant over its chunk with the
+//! barrier between phases. The flow pass × active plan is selected once
+//! per simulation through plain enums, and each edge pass is
+//! monomorphized per edge gate, so the diffusion hot paths run with no
+//! mask test — the layer adds no per-round indirection to FOS/SOS —
+//! while the pairwise schemes and the masking fault channels run the
+//! same loop bodies under a branchless per-edge mask bit.
 //!
 //! **Persistent worker pool + concurrent scenario scheduling** (`pool` /
 //! `driver` modules). With [`ExperimentBuilder::threads`]`(t > 1)`,
@@ -241,13 +244,6 @@
 //! without any per-round synchronization. Pooled and concurrent results
 //! are **bit-identical** to sequential ones (`tests/determinism.rs`,
 //! `tests/driver_concurrent.rs`).
-//!
-//! **Measured baseline** (single-core CI container, 2026-07; sequential
-//! unless noted; ns per edge per round). **Caveat for every row: the
-//! benchmark host is single-core**, so thread counts above 1 and the
-//! `driver_batch_concurrent` entry of `BENCH_rounds.json` measure pure
-//! scheduling overhead, never parallel wall-clock gains — re-measure on
-//! a multi-core host before drawing scaling conclusions.
 //!
 //! **Fused in-loop metrics** (`kernel::LoadStats` + the apply passes).
 //! The apply pass reduces, in the same sweep that applies flows, the
@@ -327,16 +323,16 @@
 //! [`matchgen`] for the layout choices that keep them cache-resident.
 //!
 //! **8-lane chunked SIMD edge/apply kernels** (PR 9). Every hot per-edge pass — the fused discrete kernels, the
-//! framework's scatter pass, the continuous kernel, their masked
-//! pairwise/fault variants, and both apply passes — now runs as 8-lane
+//! framework's scatter pass and the continuous kernel, under either
+//! edge gate, and both apply passes — now runs as 8-lane
 //! chunks with a scalar tail, the same shape that paid off in
 //! [`rng::fill_node_states`]. Per-edge work is independent and each
 //! lane performs the identical operation sequence on its own edge, so
 //! the chunked loops are **bit-identical** to the scalar originals (the
 //! full argument lives in the `kernel` module docs; every pinned
 //! checksum in `tests/golden_trace.rs` is unchanged). The win is
-//! largest where the old loops carried a per-edge branch: the masked
-//! pairwise/fault kernels hoist the mask word per lane group and go
+//! largest where the old loops carried a per-edge branch: under a mask
+//! the pairwise/fault passes multiply by the edge's bit and go
 //! branchless. The random-matching generator additionally packs the
 //! greedy pass's endpoint pairs into one `u64` stream ([`matchgen`]).
 //! Same-day A/B, 256×256 torus,

@@ -67,9 +67,9 @@
 //! [`sodiff_graph::matching::mask_dead_edges`]) from the pristine base
 //! family. Each round's effective mask is then `plan mask ∧ up-edges ∧
 //! ¬dropped`, composed in one loop that also counts drops and stale
-//! losses. Only crash, edgedrop and churn route a round through the
-//! masked kernels; shocks, stale losses and every load generator leave
-//! it on the unmasked ones.
+//! losses. Only crash, edgedrop and churn gate a round's edge pass by
+//! this mask ([`crate::kernel::MaskBits`]); shocks, stale losses and
+//! every load generator leave it on the plan's own gate.
 //!
 //! **One write path.** Per round the channels run in a fixed order —
 //! crash epoch, edge draws, shock, churn transition, load injection —
@@ -942,6 +942,15 @@ fn other_node(word: u64, n: usize, exclude: usize) -> usize {
     }
 }
 
+/// One round's edge masks, as the flow passes consume them.
+pub(crate) struct RoundMasks<'a> {
+    /// The effective active-edge words (`None` = every edge).
+    pub active: Option<&'a [u64]>,
+    /// The stale-edge words the apply pass drops (`None` unless the
+    /// stale channel is on).
+    pub stale: Option<&'a [u64]>,
+}
+
 /// Control-thread perturbation state carried between rounds: the
 /// epoch's membership (crash-live set, churn overlay, the derived up
 /// edges and repaired sweep family), the round's drop/stale masks, and
@@ -1301,22 +1310,25 @@ impl Perturb {
         }
     }
 
-    /// The round's effective active mask: `plan ∧ up-edges ∧ ¬dropped`
-    /// (`plan` `None` = all edges; a sweep plan's class is replaced by
-    /// its repaired twin under a membership channel), counting the
-    /// dropped and stale edges among the active ones. Returns `plan`
-    /// itself when no channel masks edges.
+    /// The round's masks: the effective active mask `plan ∧ up-edges ∧
+    /// ¬dropped` (`plan` `None` = all edges; a sweep plan's class is
+    /// replaced by its repaired twin under a membership channel), and the
+    /// stale words, counting the dropped and stale edges among the active
+    /// ones. The active mask is `plan` itself when no channel masks edges.
     pub fn compose<'a>(
         &'a mut self,
         spec: &PerturbSpec,
         plan: Option<&'a [u64]>,
         round: u64,
         m: usize,
-    ) -> Option<&'a [u64]> {
+    ) -> RoundMasks<'a> {
         let masked = spec.masks_edges();
         let staling = spec.faults.stale.is_some();
         if !masked && !staling {
-            return plan;
+            return RoundMasks {
+                active: plan,
+                stale: None,
+            };
         }
         let Self {
             repaired,
@@ -1350,16 +1362,10 @@ impl Perturb {
             }
             *out = word;
         }
-        if masked {
-            Some(eff)
-        } else {
-            plan
+        RoundMasks {
+            active: if masked { Some(&eff[..]) } else { plan },
+            stale: staling.then_some(&stale[..]),
         }
-    }
-
-    /// The round's stale-edge words (stale channel only).
-    pub fn stale_words(&self) -> &[u64] {
-        &self.stale
     }
 
     /// The churn overlay words for checkpointing (empty before the first
@@ -1683,7 +1689,7 @@ mod tests {
         let mut state = Perturb::default();
         drive(&mut state, &spec, &g, 0..1, &mut [0i64; 25]);
         let drop = state.drop.clone();
-        let eff = state.compose(&spec, None, 0, m).unwrap().to_vec();
+        let eff = state.compose(&spec, None, 0, m).active.unwrap().to_vec();
         let live = fs.live_nodes(0, g.node_count());
         for (e, &(u, v)) in g.edges().iter().enumerate() {
             assert_eq!(
@@ -1703,9 +1709,15 @@ mod tests {
         let g = generators::cycle(64);
         let mut state = Perturb::default();
         drive(&mut state, &spec, &g, 0..1, &mut [10i64; 64]);
-        assert!(state.compose(&spec, None, 0, g.edge_count()).is_none());
-        let stale = state.stale_words().iter().map(|w| w.count_ones() as u64);
-        assert_eq!(state.faults.stale_edges, stale.sum::<u64>());
+        let masks = state.compose(&spec, None, 0, g.edge_count());
+        assert!(masks.active.is_none());
+        let stale: u64 = masks
+            .stale
+            .unwrap()
+            .iter()
+            .map(|w| w.count_ones() as u64)
+            .sum();
+        assert_eq!(state.faults.stale_edges, stale);
     }
 
     #[test]
@@ -2108,7 +2120,7 @@ mod tests {
         state.begin_round(&spec, &g, 0, Some((&masks, true)), &view);
         for (i, base) in masks.iter().enumerate() {
             let eff = state.compose(&spec, Some(base), i as u64, g.edge_count());
-            let eff = eff.unwrap().to_vec();
+            let eff = eff.active.unwrap().to_vec();
             let repaired: Vec<_> = (0..g.edge_count())
                 .filter(|&e| bit(&eff, e))
                 .map(|e| e as sodiff_graph::EdgeId)

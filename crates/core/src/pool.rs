@@ -37,11 +37,12 @@ use sodiff_graph::Graph;
 use crate::checkpoint::LoadsSnapshot;
 use crate::engine::FlowMemory;
 use crate::kernel::{
-    self, AtomicsF64, AtomicsI64, BufF64, BufI64, FwScratch, KernelTables, LoadStats,
+    self, AllEdges, AtomicsF64, AtomicsI64, BufF64, BufI64, FwScratch, KernelTables, LoadStats,
+    MaskBits,
 };
 use crate::matchgen::mask_words;
 use crate::metrics::DEV_BLOCK;
-use crate::scheme_kernel::{ChunkBufs, RoundScratch, SchemeKernel};
+use crate::scheme_kernel::{ChunkBufs, RoundArgs, RoundScratch, SchemeKernel};
 
 /// One simulation's state as seen by the pool: everything a worker needs
 /// to run its share of a round. The phase sequence itself lives in the
@@ -198,38 +199,54 @@ impl RoundJob {
         }
     }
 
-    /// Runs participant `t`'s share of one round. Called by workers and —
-    /// for participant 0 — by the simulator thread itself. `barrier` is
-    /// the owning pool's phase barrier.
-    fn run_chunk(&self, barrier: &Barrier, t: usize, scratch: &mut FwScratch) {
-        let tables = &*self.tables;
-        let mem = f64::from_bits(self.mem_bits.load(Ordering::Relaxed));
-        let gain = f64::from_bits(self.gain_bits.load(Ordering::Relaxed));
-        let round = self.round.load(Ordering::Relaxed);
-        let edges = self.edge_bounds[t]..self.edge_bounds[t + 1];
-        let nodes = self.node_bounds[t]..self.node_bounds[t + 1];
-        let bufs = ChunkBufs {
+    /// The job's atomics as round buffers.
+    fn bufs(&self) -> ChunkBufs<AtomicsI64<'_>, AtomicsF64<'_>> {
+        ChunkBufs {
             loads_i: AtomicsI64(&self.loads_i),
             loads_f: AtomicsF64(&self.loads_f),
             prev: AtomicsF64(&self.prev),
             arc_frac: AtomicsF64(&self.arc_frac),
             flows: AtomicsI64(&self.flows),
-            mask: &self.mask,
-            stale: &self.stale,
-            block_sums: &self.block_sums,
+        }
+    }
+
+    /// Runs participant `t`'s share of one round
+    /// ([`SchemeKernel::phases`] with the barrier as its sync hook).
+    /// Called by workers and — for participant 0 — by the simulator
+    /// thread itself. `barrier` is the owning pool's phase barrier.
+    fn run_chunk(&self, barrier: &Barrier, t: usize, fw: &mut FwScratch) {
+        let tables = &*self.tables;
+        let k = &*self.kernel;
+        let args = RoundArgs {
+            mem: f64::from_bits(self.mem_bits.load(Ordering::Relaxed)),
+            gain: f64::from_bits(self.gain_bits.load(Ordering::Relaxed)),
+            round: self.round.load(Ordering::Relaxed),
+            flow_memory: self.flow_memory,
         };
-        let stats = self.kernel.run_chunk(
-            tables,
-            barrier,
-            edges,
-            nodes,
-            mem,
-            gain,
-            round,
-            self.flow_memory,
-            &bufs,
-            scratch,
-        );
+        let edges = self.edge_bounds[t]..self.edge_bounds[t + 1];
+        let nodes = self.node_bounds[t]..self.node_bounds[t + 1];
+        let (bufs, sums) = (self.bufs(), AtomicsF64(&self.block_sums));
+        let stale = k.needs_stale_mask().then_some(&self.stale[..]);
+        let sync = || {
+            barrier.wait();
+        };
+        // A published mask is read from the job's words; an unperturbed
+        // sweep plan indexes the kernel's immutable family directly.
+        let stats = if k.publishes_mask() {
+            let gate = MaskBits(&self.mask[..]);
+            k.phases(
+                tables, &args, edges, nodes, &bufs, &sums, fw, gate, stale, sync,
+            )
+        } else if let Some(words) = k.sweep_class(args.round) {
+            let gate = MaskBits(words);
+            k.phases(
+                tables, &args, edges, nodes, &bufs, &sums, fw, gate, stale, sync,
+            )
+        } else {
+            k.phases(
+                tables, &args, edges, nodes, &bufs, &sums, fw, AllEdges, stale, sync,
+            )
+        };
         self.stats[t].store(stats);
     }
 
@@ -244,20 +261,23 @@ impl RoundJob {
         self.discrete && self.flow_memory == FlowMemory::Rounded
     }
 
-    /// Control-thread round preparation
-    /// ([`SchemeKernel::prepare_pooled`]) against this job's loads and
-    /// mask words; the workers are parked, so it has exclusive access.
+    /// Control-thread round preparation ([`SchemeKernel::prepare`])
+    /// against this job's loads; the workers are parked, so it has
+    /// exclusive access. Publishes the round's mask and stale words into
+    /// the job's atomics (each empty unless the kernel needs it).
     pub fn prepare(&self, graph: &Graph, round: u64, scratch: &mut RoundScratch) {
-        self.kernel.prepare_pooled(
-            &self.tables,
-            graph,
-            round,
-            scratch,
-            &AtomicsI64(&self.loads_i),
-            &AtomicsF64(&self.loads_f),
-            &self.mask,
-            &self.stale,
-        );
+        let RoundScratch {
+            matchgen, perturb, ..
+        } = scratch;
+        let bufs = self.bufs();
+        let masks = self
+            .kernel
+            .prepare(&self.tables, graph, round, &bufs, matchgen, perturb);
+        for (out, words) in [(&self.mask, masks.active), (&self.stale, masks.stale)] {
+            for (word, &w) in out.iter().zip(words.unwrap_or_default()) {
+                word.store(w, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Load of node `i` as `f64`.

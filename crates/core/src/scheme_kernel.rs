@@ -10,10 +10,9 @@
 //!
 //! * [`FlowPass`] — *how* an active edge's flow is computed and rounded:
 //!   the continuous pass, the fused edge-local discrete pass, or the
-//!   two-phase randomized-framework pipeline (scatter, then node-centric
-//!   rounding). These call straight into
-//!   the division-free kernels of [`crate::kernel`], so the diffusion
-//!   paths keep their exact pre-refactor codegen (pinned bit-for-bit by
+//!   three-phase randomized-framework pipeline (scatter, node-centric
+//!   rounding, apply). These call straight into the division-free
+//!   kernels of [`crate::kernel`] (pinned bit-for-bit by
 //!   `tests/golden_trace.rs`).
 //! * [`ActivePlan`] — *which* edges are active each round: all of them
 //!   (diffusion), a precomputed family of bitmasks swept round-robin
@@ -33,15 +32,23 @@
 //!   repaired incrementally at membership epochs; with every channel
 //!   `none` each hot loop below takes exactly its unperturbed path.
 //!
-//! The masked plans run through `*_masked` kernel variants that force
-//! inactive edges' flows to zero with a branchless bit test; the
-//! diffusion plan runs through the original unmasked kernels. Both the
-//! sequential executor ([`SchemeKernel::run_discrete_seq`] /
-//! [`SchemeKernel::run_continuous_seq`]) and the worker pool
-//! ([`SchemeKernel::run_chunk`]) execute the *same* kernel calls in the
-//! same per-element order, so pooled results remain bit-identical to
-//! sequential ones for every scheme — the property
-//! `tests/determinism.rs` and the golden traces check.
+//! A round is two functions. [`SchemeKernel::prepare`] runs on the
+//! control thread: the perturbation channels, the random matching (if
+//! the plan draws one) and the round's effective mask — so per-round
+//! plan state never depends on the executor; the pool then publishes the
+//! mask words into its job. [`SchemeKernel::phases`] is the one phase
+//! sequence — edge pass, the framework's rounding phase, apply pass —
+//! generic over the buffer views (`Cell`s or atomics), the mask and
+//! stale word sources, and a sync hook between phases (a no-op in the
+//! sequential round, the barrier on the pool). Each edge pass is gated
+//! statically: the all-edges plan runs [`kernel::AllEdges`], with no
+//! mask test in the loop; a mask runs [`kernel::MaskBits`], which forces
+//! an inactive edge's flow to zero with a branchless bit test. The
+//! sequential executor ([`SchemeKernel::run_sequential`]) and every pool
+//! participant therefore execute the *same* kernel calls in the same
+//! per-element order, so pooled results are bit-identical to sequential
+//! ones for every scheme — the property `tests/determinism.rs` and the
+//! golden traces check.
 //!
 //! Pairwise schemes replace the diffusion coefficients `α_e/s` with the
 //! λ-scaled harmonic-speed pair `coef_tail = λ·s_v/(s_u+s_v)`,
@@ -49,28 +56,21 @@
 //! `y = λ·(s_u·s_v/(s_u+s_v))·(x_u/s_u − x_v/s_v)` — exact pairwise
 //! averaging at `λ = 1` under uniform speeds.
 //!
-//! Per-round matching state (the random plan's mask) is produced by the
-//! *control* thread — [`SchemeKernel::prepare_pooled`] before the round's
-//! first barrier on the pool, or inline in the sequential round — so
-//! results never depend on the executor.
-//!
 //! See the "adding a scheme" walkthrough in the crate docs
 //! ([`crate`]) for the end-to-end list of touch points.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Barrier;
 
 use sodiff_graph::{matching, EdgeId, Graph, Speeds};
 
 use crate::engine::{FlowMemory, Mode};
 use crate::error::BuildError;
 use crate::kernel::{
-    self, AtomicsF64, AtomicsI64, BufF64, BufI64, CellsF64, CellsI64, CoefPair, FwScratch,
-    KernelTables, LoadStats,
+    self, AllEdges, BufF64, BufI64, CellsF64, CellsI64, CoefPair, EdgeGate, FwScratch,
+    KernelTables, LoadStats, MaskBits, Words,
 };
 use crate::matchgen::{self, mask_words, MatchScratch};
-use crate::perturb::{Fluid, Perturb, PerturbSpec, Tokens};
+use crate::perturb::{Fluid, Perturb, PerturbSpec, RoundMasks, Tokens};
 use crate::rounding::Rounding;
 use crate::scheme::{MatchingStrategy, Scheme};
 
@@ -140,34 +140,38 @@ impl RoundScratch {
     }
 }
 
-/// One simulation's shared atomic state as seen by a pool participant;
-/// see [`SchemeKernel::run_chunk`].
-pub(crate) struct ChunkBufs<'a> {
-    /// Integer loads (discrete mode; empty otherwise).
-    pub loads_i: AtomicsI64<'a>,
-    /// Continuous loads (continuous mode; empty otherwise).
-    pub loads_f: AtomicsF64<'a>,
+/// One simulation's round state as a round participant sees it: `Cell`
+/// views of the sequential executor's vectors ([`CellsI64`] /
+/// [`CellsF64`]) or the pool job's relaxed atomics
+/// ([`kernel::AtomicsI64`] / [`kernel::AtomicsF64`]). Buffers the mode
+/// does not use are empty.
+pub(crate) struct ChunkBufs<I, F> {
+    /// Integer loads (discrete mode).
+    pub loads_i: I,
+    /// Continuous loads (continuous mode).
+    pub loads_f: F,
     /// Per-edge SOS memory (continuous mode — where it also carries the
     /// round's flows — and [`FlowMemory::Scheduled`]; empty under
     /// [`FlowMemory::Rounded`], whose memory is `flows`).
-    pub prev: AtomicsF64<'a>,
+    pub prev: F,
     /// Arc-indexed fractional parts (framework flow pass only).
-    pub arc_frac: AtomicsF64<'a>,
+    pub arc_frac: F,
     /// Per-edge integral flows (discrete mode), kept across rounds: they
     /// are the SOS memory under [`FlowMemory::Rounded`].
-    pub flows: AtomicsI64<'a>,
-    /// Active-edge bitmask words (random matching plan, or any plan
-    /// under crash, edgedrop or churn), published by the control thread
-    /// before the round's first barrier.
-    pub mask: &'a [AtomicU64],
-    /// The round's stale-edge words (stale fault channel only),
-    /// published by the control thread before the round's first barrier
-    /// and consumed by the apply pass.
-    pub stale: &'a [AtomicU64],
-    /// Per-block squared-deviation partials written by the apply pass
-    /// (one writer per block: node chunks are block-aligned), folded by
-    /// the control thread after the round.
-    pub block_sums: &'a [AtomicU64],
+    pub flows: I,
+}
+
+/// A round's scalar inputs.
+#[derive(Clone, Copy)]
+pub(crate) struct RoundArgs {
+    /// The SOS memory coefficient (`0` for FOS and the pairwise schemes).
+    pub mem: f64,
+    /// The scheduled-flow gain.
+    pub gain: f64,
+    /// The round number, which keys every per-round random draw.
+    pub round: u64,
+    /// Which flow the SOS memory remembers.
+    pub flow_memory: FlowMemory,
 }
 
 /// The per-simulation scheme kernel; see the module docs above.
@@ -320,15 +324,13 @@ impl SchemeKernel {
         self.perturb.faults.stale.is_some()
     }
 
-    /// The pairwise coefficient tables for masked passes, falling back
-    /// to the diffusion `α_e/s` tables when this kernel is a diffusion
-    /// scheme that only became masked through a perturbation channel.
-    fn masked_coefs<'a>(&'a self, t: &'a KernelTables) -> (&'a [f64], &'a [f64]) {
-        let (tail, head) = match &self.pair_coefs {
+    /// The edge coefficient pair: the pairwise schemes' λ-scaled
+    /// tables, or the diffusion `α_e/s` tables of [`KernelTables`].
+    fn coefs<'a>(&'a self, t: &'a KernelTables) -> kernel::Coefs<'a> {
+        match &self.pair_coefs {
             Some((tail, head)) => (tail, head),
-            None => (&t.coef_tail, &t.coef_head),
-        };
-        (&tail[..], &head[..])
+            None => t.coefs(),
+        }
     }
 
     /// The sweep family and its repair style, if the plan is a sweep.
@@ -341,582 +343,197 @@ impl SchemeKernel {
         }
     }
 
-    /// The round's active-edge mask (`None` = all edges active),
-    /// generating the random matching into `mg` when the plan calls for
-    /// one. Control-thread only.
-    fn active_mask<'a>(
-        &'a self,
-        round: u64,
-        t: &KernelTables,
-        mg: &'a mut MatchScratch,
-    ) -> Option<&'a [u64]> {
-        match &self.plan {
-            ActivePlan::All => None,
-            ActivePlan::Sweep { masks, .. } => Some(&masks[(round % masks.len() as u64) as usize]),
-            ActivePlan::Random { seed } => {
-                matchgen::fill_random_matching(*seed, round, t, &self.match_pairs, mg);
-                Some(&mg.mask)
-            }
-        }
+    /// The sweep plan's class for `round` (`None` for the other plans).
+    pub fn sweep_class(&self, round: u64) -> Option<&[u64]> {
+        let (masks, _) = self.sweep_family()?;
+        Some(&masks[(round % masks.len() as u64) as usize])
     }
 
-    /// The round's *effective* active mask: the plan's mask composed
-    /// with the perturbation channels ([`Perturb::compose`]).
-    /// Control-thread only; [`Perturb::begin_round`] must already have
-    /// run this round.
-    fn round_mask<'a>(
+    /// Control-thread round preparation, before any flow is computed:
+    /// runs the perturbation channels against the loads
+    /// ([`Perturb::begin_round`]), generates the random matching (if the
+    /// plan draws one), and returns the round's effective active mask
+    /// composed with the channels ([`Perturb::compose`]) and its stale
+    /// words. On the pool the workers are parked, so the control thread
+    /// has exclusive access to the job's atomics.
+    pub fn prepare<'a, I: BufI64, F: BufF64>(
         &'a self,
-        round: u64,
         t: &KernelTables,
-        mg: &'a mut MatchScratch,
+        graph: &Graph,
+        round: u64,
+        bufs: &ChunkBufs<I, F>,
+        matchgen: &'a mut MatchScratch,
         perturb: &'a mut Perturb,
-    ) -> Option<&'a [u64]> {
-        let plan = self.active_mask(round, t, mg);
-        perturb.compose(&self.perturb, plan, round, t.m)
+    ) -> RoundMasks<'a> {
+        let (spec, sweep) = (&self.perturb, self.sweep_family());
+        match self.flow {
+            FlowPass::Continuous => {
+                perturb.begin_round(spec, graph, round, sweep, &Fluid(&bufs.loads_f));
+            }
+            _ => perturb.begin_round(spec, graph, round, sweep, &Tokens(&bufs.loads_i)),
+        }
+        let plan = match self.plan {
+            ActivePlan::Random { seed } => {
+                matchgen::fill_random_matching(seed, round, t, &self.match_pairs, matchgen);
+                Some(&matchgen.mask[..])
+            }
+            _ => self.sweep_class(round),
+        };
+        perturb.compose(spec, plan, round, t.m)
     }
 
-    /// Pool-mode round preparation, run by the control thread *before*
-    /// the round's first barrier: runs the perturbation channels against
-    /// the job's atomics (exclusive, the workers are parked), generates
-    /// the random matching (if the plan draws one), and publishes the
-    /// round's effective mask and stale words. Unperturbed sweep plans
-    /// need no publication — workers index the kernel's immutable masks
-    /// directly.
-    #[allow(clippy::too_many_arguments)] // the job's full shared state, flat by design
-    pub fn prepare_pooled(
+    /// One full sequential round: [`Self::prepare`], then [`Self::phases`]
+    /// over every edge and node, then the block fold. Returns the round's
+    /// fused load statistics.
+    pub fn run_sequential(
         &self,
         t: &KernelTables,
         graph: &Graph,
-        round: u64,
-        scratch: &mut RoundScratch,
-        loads_i: &AtomicsI64<'_>,
-        loads_f: &AtomicsF64<'_>,
-        mask_out: &[AtomicU64],
-        stale_out: &[AtomicU64],
-    ) {
-        let RoundScratch {
-            matchgen, perturb, ..
-        } = scratch;
-        let sweep = self.sweep_family();
-        if loads_f.elems().is_empty() {
-            perturb.begin_round(&self.perturb, graph, round, sweep, &Tokens(loads_i));
-        } else {
-            perturb.begin_round(&self.perturb, graph, round, sweep, &Fluid(loads_f));
-        }
-        let publish = self.publishes_mask();
-        if let Some(mask) = self.round_mask(round, t, matchgen, perturb) {
-            if publish {
-                for (word, &w) in mask_out.iter().zip(mask) {
-                    word.store(w, Relaxed);
-                }
-            }
-        }
-        if self.needs_stale_mask() {
-            for (word, &w) in stale_out.iter().zip(perturb.stale_words()) {
-                word.store(w, Relaxed);
-            }
-        }
-    }
-
-    /// One full sequential round in discrete mode; returns the round's
-    /// fused load statistics (minimum transient load plus the post-round
-    /// min/max/deviation reduction of the apply pass).
-    #[allow(clippy::too_many_arguments)] // the engine's full round state, flat by design
-    pub fn run_discrete_seq(
-        &self,
-        t: &KernelTables,
-        graph: &Graph,
-        mem: f64,
-        gain: f64,
-        round: u64,
-        flow_memory: FlowMemory,
-        loads: &CellsI64<'_>,
-        prev: &CellsF64<'_>,
-        flows: &CellsI64<'_>,
-        arc_frac: &CellsF64<'_>,
+        args: &RoundArgs,
+        bufs: &ChunkBufs<CellsI64<'_>, CellsF64<'_>>,
         scratch: &mut RoundScratch,
     ) -> LoadStats {
-        let (n, m) = (t.n, t.m);
         let RoundScratch {
             fw,
             matchgen,
             block_sums,
             perturb,
         } = scratch;
-        let sweep = self.sweep_family();
-        perturb.begin_round(&self.perturb, graph, round, sweep, &Tokens(loads));
-        let mask = self.round_mask(round, t, matchgen, perturb);
-        match self.flow {
-            FlowPass::EdgeLocal(rounding) => match mask {
-                None => kernel::edge_pass_fused(
-                    t,
-                    0..m,
-                    mem,
-                    gain,
-                    round,
-                    rounding,
-                    flow_memory,
-                    |i| loads.get(i) as f64,
-                    prev,
-                    flows,
-                ),
-                Some(words) => {
-                    let (ct, ch) = self.masked_coefs(t);
-                    kernel::edge_pass_fused_masked(
-                        t,
-                        ct,
-                        ch,
-                        0..m,
-                        |w| words[w],
-                        mem,
-                        gain,
-                        round,
-                        rounding,
-                        flow_memory,
-                        |i| loads.get(i) as f64,
-                        prev,
-                        flows,
-                    )
-                }
-            },
-            FlowPass::Framework { seed } => {
-                match mask {
-                    None => kernel::edge_pass_scatter(
-                        t,
-                        0..m,
-                        mem,
-                        gain,
-                        flow_memory,
-                        |i| loads.get(i) as f64,
-                        arc_frac,
-                        flows,
-                        prev,
-                    ),
-                    Some(words) => {
-                        let (ct, ch) = self.masked_coefs(t);
-                        kernel::edge_pass_scatter_masked(
-                            t,
-                            ct,
-                            ch,
-                            0..m,
-                            |w| words[w],
-                            mem,
-                            gain,
-                            flow_memory,
-                            |i| loads.get(i) as f64,
-                            arc_frac,
-                            flows,
-                            prev,
-                        )
-                    }
-                }
-                kernel::arc_round_streamed(t, 0..n, seed, round, arc_frac, flows, fw);
-            }
-            FlowPass::Continuous => unreachable!("continuous flow pass on discrete state"),
-        }
-        let blocks = kernel::dev_blocks(n);
+        let masks = self.prepare(t, graph, args.round, bufs, matchgen, perturb);
+        let blocks = kernel::dev_blocks(t.n);
         block_sums.resize(blocks, 0.0);
-        let mut stats = if self.needs_stale_mask() {
-            // Lossy apply: the flow was computed and recorded in the
-            // flow memory above, but a stale edge's tokens never land.
-            let stale = perturb.stale_words();
-            kernel::apply_discrete(
+        let sums = kernel::cells_f64(block_sums);
+        let (edges, nodes, stale) = (0..t.m, 0..t.n, masks.stale);
+        let mut stats = match masks.active {
+            None => self.phases(
                 t,
-                0..n,
-                |e| flows.get(e) * (((stale[e >> 6] >> (e & 63)) & 1) ^ 1) as i64,
-                loads,
-                &kernel::cells_f64(block_sums),
-            )
-        } else {
-            kernel::apply_discrete(
-                t,
-                0..n,
-                |e| flows.get(e),
-                loads,
-                &kernel::cells_f64(block_sums),
-            )
-        };
-        stats.sum_sq_dev = kernel::fold_block_sums(blocks, &kernel::cells_f64(block_sums));
-        stats
-    }
-
-    /// One full sequential round in continuous mode; returns the round's
-    /// fused load statistics.
-    #[allow(clippy::too_many_arguments)] // the engine's full round state, flat by design
-    pub fn run_continuous_seq(
-        &self,
-        t: &KernelTables,
-        graph: &Graph,
-        mem: f64,
-        gain: f64,
-        round: u64,
-        loads: &CellsF64<'_>,
-        prev: &CellsF64<'_>,
-        scratch: &mut RoundScratch,
-    ) -> LoadStats {
-        let (n, m) = (t.n, t.m);
-        let RoundScratch {
-            matchgen,
-            block_sums,
-            perturb,
-            ..
-        } = scratch;
-        let sweep = self.sweep_family();
-        perturb.begin_round(&self.perturb, graph, round, sweep, &Fluid(loads));
-        let mask = self.round_mask(round, t, matchgen, perturb);
-        match mask {
-            None => kernel::edge_pass_continuous(t, 0..m, mem, gain, |i| loads.get(i), prev),
-            Some(words) => {
-                let (ct, ch) = self.masked_coefs(t);
-                kernel::edge_pass_continuous_masked(
-                    t,
-                    ct,
-                    ch,
-                    0..m,
-                    |w| words[w],
-                    mem,
-                    gain,
-                    |i| loads.get(i),
-                    prev,
-                )
-            }
-        }
-        let blocks = kernel::dev_blocks(n);
-        block_sums.resize(blocks, 0.0);
-        let mut stats = if self.needs_stale_mask() {
-            let stale = perturb.stale_words();
-            kernel::apply_continuous(
-                t,
-                0..n,
-                |e| {
-                    if (stale[e >> 6] >> (e & 63)) & 1 == 1 {
-                        0.0
-                    } else {
-                        prev.get(e)
-                    }
-                },
-                loads,
-                &kernel::cells_f64(block_sums),
-            )
-        } else {
-            kernel::apply_continuous(
-                t,
-                0..n,
-                |e| prev.get(e),
-                loads,
-                &kernel::cells_f64(block_sums),
-            )
-        };
-        stats.sum_sq_dev = kernel::fold_block_sums(blocks, &kernel::cells_f64(block_sums));
-        stats
-    }
-
-    /// One pool participant's share of a round: the same kernel calls as
-    /// the sequential methods, separated by `barrier` between phases
-    /// (one internal barrier for the edge-local and continuous passes,
-    /// two for the framework pipeline). Returns the chunk's fused load
-    /// statistics.
-    #[allow(clippy::too_many_arguments)] // one pool participant's full round context
-    pub fn run_chunk(
-        &self,
-        t: &KernelTables,
-        barrier: &Barrier,
-        edges: Range<usize>,
-        nodes: Range<usize>,
-        mem: f64,
-        gain: f64,
-        round: u64,
-        flow_memory: FlowMemory,
-        bufs: &ChunkBufs<'_>,
-        scratch: &mut FwScratch,
-    ) -> LoadStats {
-        if self.needs_stale_mask() {
-            self.run_chunk_inner(
-                t,
-                barrier,
+                args,
                 edges,
                 nodes,
-                mem,
-                gain,
-                round,
-                flow_memory,
                 bufs,
-                scratch,
-                Some(|w: usize| bufs.stale[w].load(Relaxed)),
-            )
-        } else {
-            self.run_chunk_inner(
-                t,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                flow_memory,
-                bufs,
-                scratch,
-                None::<fn(usize) -> u64>,
-            )
-        }
-    }
-
-    /// [`SchemeKernel::run_chunk`] monomorphized per stale-mask source.
-    #[allow(clippy::too_many_arguments)] // one pool participant's full round context
-    fn run_chunk_inner<SF>(
-        &self,
-        t: &KernelTables,
-        barrier: &Barrier,
-        edges: Range<usize>,
-        nodes: Range<usize>,
-        mem: f64,
-        gain: f64,
-        round: u64,
-        flow_memory: FlowMemory,
-        bufs: &ChunkBufs<'_>,
-        scratch: &mut FwScratch,
-        stale: Option<SF>,
-    ) -> LoadStats
-    where
-        SF: Fn(usize) -> u64,
-    {
-        if self.publishes_mask() {
-            return self.chunk_phases(
-                t,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                flow_memory,
-                bufs,
-                scratch,
-                Some(|w: usize| bufs.mask[w].load(Relaxed)),
+                &sums,
+                fw,
+                AllEdges,
                 stale,
-            );
-        }
-        match &self.plan {
-            ActivePlan::All => self.chunk_phases(
-                t,
-                barrier,
-                edges,
-                nodes,
-                mem,
-                gain,
-                round,
-                flow_memory,
-                bufs,
-                scratch,
-                None::<fn(usize) -> u64>,
-                stale,
+                || {},
             ),
-            ActivePlan::Sweep { masks, .. } => {
-                let words = &masks[(round % masks.len() as u64) as usize];
-                self.chunk_phases(
-                    t,
-                    barrier,
-                    edges,
-                    nodes,
-                    mem,
-                    gain,
-                    round,
-                    flow_memory,
-                    bufs,
-                    scratch,
-                    Some(|w: usize| words[w]),
-                    stale,
-                )
-            }
-            ActivePlan::Random { .. } => unreachable!("the random plan publishes its mask"),
-        }
+            Some(w) => self.phases(
+                t,
+                args,
+                edges,
+                nodes,
+                bufs,
+                &sums,
+                fw,
+                MaskBits(w),
+                stale,
+                || {},
+            ),
+        };
+        stats.sum_sq_dev = kernel::fold_block_sums(blocks, &sums);
+        stats
     }
 
-    /// The phase sequence of one chunk, monomorphized per mask source so
-    /// the all-edges diffusion paths keep their original unmasked
-    /// codegen.
-    #[allow(clippy::too_many_arguments)] // one pool participant's full round context
-    fn chunk_phases<MF, SF>(
+    /// The one phase sequence of a round, over one participant's `edges`
+    /// and `nodes`: the gated edge pass, the framework's rounding phase,
+    /// then the apply pass with its fused statistics, with `sync` between
+    /// phases — a no-op in the sequential round, the pool's barrier on a
+    /// participant. Every executor runs the same kernel calls in the same
+    /// per-element order, so pooled results are bit-identical to
+    /// sequential ones. `stale`, when set, marks the edges whose flow
+    /// never lands. Per-block squared-deviation partials go to `sums`
+    /// (the returned statistics leave `sum_sq_dev` to the caller's fold).
+    #[allow(clippy::too_many_arguments)] // one participant's full round context
+    pub fn phases<I, F, G, S>(
         &self,
         t: &KernelTables,
-        barrier: &Barrier,
+        args: &RoundArgs,
         edges: Range<usize>,
         nodes: Range<usize>,
-        mem: f64,
-        gain: f64,
-        round: u64,
-        flow_memory: FlowMemory,
-        bufs: &ChunkBufs<'_>,
-        scratch: &mut FwScratch,
-        mask: Option<MF>,
-        stale: Option<SF>,
+        bufs: &ChunkBufs<I, F>,
+        sums: &F,
+        fw: &mut FwScratch,
+        gate: G,
+        stale: Option<&S>,
+        sync: impl Fn(),
     ) -> LoadStats
     where
-        MF: Fn(usize) -> u64,
-        SF: Fn(usize) -> u64,
+        I: BufI64,
+        F: BufF64,
+        G: EdgeGate,
+        S: Words + ?Sized,
     {
-        let prev = &bufs.prev;
-        let flows = &bufs.flows;
+        let &RoundArgs {
+            mem,
+            gain,
+            round,
+            flow_memory,
+        } = args;
+        let (coefs, flows, prev) = (self.coefs(t), &bufs.flows, &bufs.prev);
+        let x = |i| bufs.loads_i.get(i) as f64;
         match self.flow {
-            FlowPass::EdgeLocal(rounding) => {
-                match &mask {
-                    None => kernel::edge_pass_fused(
-                        t,
-                        edges,
-                        mem,
-                        gain,
-                        round,
-                        rounding,
-                        flow_memory,
-                        |i| bufs.loads_i.get(i) as f64,
-                        prev,
-                        flows,
-                    ),
-                    Some(mf) => {
-                        let (ct, ch) = self.masked_coefs(t);
-                        kernel::edge_pass_fused_masked(
-                            t,
-                            ct,
-                            ch,
-                            edges,
-                            mf,
-                            mem,
-                            gain,
-                            round,
-                            rounding,
-                            flow_memory,
-                            |i| bufs.loads_i.get(i) as f64,
-                            prev,
-                            flows,
-                        )
-                    }
-                }
-                barrier.wait();
-                match &stale {
-                    None => kernel::apply_discrete(
-                        t,
-                        nodes,
-                        |e| bufs.flows.get(e),
-                        &bufs.loads_i,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                    Some(sf) => kernel::apply_discrete(
-                        t,
-                        nodes,
-                        |e| bufs.flows.get(e) * (((sf(e >> 6) >> (e & 63)) & 1) ^ 1) as i64,
-                        &bufs.loads_i,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                }
-            }
-            FlowPass::Framework { seed } => {
-                match &mask {
-                    None => kernel::edge_pass_scatter(
-                        t,
-                        edges,
-                        mem,
-                        gain,
-                        flow_memory,
-                        |i| bufs.loads_i.get(i) as f64,
-                        &bufs.arc_frac,
-                        flows,
-                        prev,
-                    ),
-                    Some(mf) => {
-                        let (ct, ch) = self.masked_coefs(t);
-                        kernel::edge_pass_scatter_masked(
-                            t,
-                            ct,
-                            ch,
-                            edges,
-                            mf,
-                            mem,
-                            gain,
-                            flow_memory,
-                            |i| bufs.loads_i.get(i) as f64,
-                            &bufs.arc_frac,
-                            flows,
-                            prev,
-                        )
-                    }
-                }
-                barrier.wait();
-                kernel::arc_round_streamed(
-                    t,
-                    nodes.clone(),
-                    seed,
-                    round,
-                    &bufs.arc_frac,
-                    flows,
-                    scratch,
-                );
-                barrier.wait();
-                match &stale {
-                    None => kernel::apply_discrete(
-                        t,
-                        nodes,
-                        |e| bufs.flows.get(e),
-                        &bufs.loads_i,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                    Some(sf) => kernel::apply_discrete(
-                        t,
-                        nodes,
-                        |e| bufs.flows.get(e) * (((sf(e >> 6) >> (e & 63)) & 1) ^ 1) as i64,
-                        &bufs.loads_i,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                }
-            }
             FlowPass::Continuous => {
-                match &mask {
-                    None => kernel::edge_pass_continuous(
-                        t,
-                        edges,
-                        mem,
-                        gain,
-                        |i| bufs.loads_f.get(i),
-                        prev,
-                    ),
-                    Some(mf) => {
-                        let (ct, ch) = self.masked_coefs(t);
-                        kernel::edge_pass_continuous_masked(
-                            t,
-                            ct,
-                            ch,
-                            edges,
-                            mf,
-                            mem,
-                            gain,
-                            |i| bufs.loads_f.get(i),
-                            prev,
-                        )
-                    }
-                }
-                barrier.wait();
-                match &stale {
-                    None => kernel::apply_continuous(
+                let x = |i| bufs.loads_f.get(i);
+                kernel::edge_pass_continuous_gated(t, coefs, &gate, edges, mem, gain, x, prev);
+                sync();
+                let loads = &bufs.loads_f;
+                return match stale {
+                    None => kernel::apply_continuous(t, nodes, |e| prev.get(e), loads, sums),
+                    Some(s) => kernel::apply_continuous(
                         t,
                         nodes,
-                        |e| bufs.prev.get(e),
-                        &bufs.loads_f,
-                        &AtomicsF64(bufs.block_sums),
+                        |e| if s.bit(e) == 1 { 0.0 } else { prev.get(e) },
+                        loads,
+                        sums,
                     ),
-                    Some(sf) => kernel::apply_continuous(
-                        t,
-                        nodes,
-                        |e| {
-                            if (sf(e >> 6) >> (e & 63)) & 1 == 1 {
-                                0.0
-                            } else {
-                                bufs.prev.get(e)
-                            }
-                        },
-                        &bufs.loads_f,
-                        &AtomicsF64(bufs.block_sums),
-                    ),
-                }
+                };
             }
+            FlowPass::EdgeLocal(rounding) => kernel::edge_pass_fused_gated(
+                t,
+                coefs,
+                &gate,
+                edges,
+                mem,
+                gain,
+                round,
+                rounding,
+                flow_memory,
+                x,
+                prev,
+                flows,
+            ),
+            FlowPass::Framework { seed } => {
+                let arc_frac = &bufs.arc_frac;
+                kernel::edge_pass_scatter_gated(
+                    t,
+                    coefs,
+                    &gate,
+                    edges,
+                    mem,
+                    gain,
+                    flow_memory,
+                    x,
+                    arc_frac,
+                    flows,
+                    prev,
+                );
+                sync();
+                kernel::arc_round_streamed(t, nodes.clone(), seed, round, arc_frac, flows, fw);
+            }
+        }
+        sync();
+        // A stale edge's flow was computed and recorded in the flow
+        // memory above, but its tokens never land.
+        let loads = &bufs.loads_i;
+        match stale {
+            None => kernel::apply_discrete(t, nodes, |e| flows.get(e), loads, sums),
+            Some(s) => kernel::apply_discrete(
+                t,
+                nodes,
+                |e| flows.get(e) * (s.bit(e) ^ 1) as i64,
+                loads,
+                sums,
+            ),
         }
     }
 }
@@ -929,6 +546,35 @@ mod tests {
 
     fn tables(graph: &Graph) -> KernelTables {
         KernelTables::new(graph, &Speeds::uniform(graph.node_count()), false, 0.0)
+    }
+
+    /// One sequential discrete round (`mem = 0`, `gain = 1`, rounded
+    /// memory) over plain vectors.
+    #[allow(clippy::too_many_arguments)]
+    fn discrete_round(
+        k: &SchemeKernel,
+        t: &KernelTables,
+        g: &Graph,
+        round: u64,
+        loads: &mut [i64],
+        prev: &mut [f64],
+        flows: &mut [i64],
+        scratch: &mut RoundScratch,
+    ) -> LoadStats {
+        let bufs = ChunkBufs {
+            loads_i: kernel::cells_i64(loads),
+            loads_f: kernel::cells_f64(&mut []),
+            prev: kernel::cells_f64(prev),
+            arc_frac: kernel::cells_f64(&mut []),
+            flows: kernel::cells_i64(flows),
+        };
+        let args = RoundArgs {
+            mem: 0.0,
+            gain: 1.0,
+            round,
+            flow_memory: FlowMemory::Rounded,
+        };
+        k.run_sequential(t, g, &args, &bufs, scratch)
     }
 
     #[test]
@@ -1031,17 +677,14 @@ mod tests {
         let mut prev = vec![0.0f64; 1];
         let mut flows = vec![0i64; 1];
         let mut scratch = RoundScratch::new();
-        let stats = k.run_discrete_seq(
+        let stats = discrete_round(
+            &k,
             &t,
             &g,
-            0.0,
-            1.0,
             0,
-            FlowMemory::Rounded,
-            &kernel::cells_i64(&mut loads),
-            &kernel::cells_f64(&mut prev),
-            &kernel::cells_i64(&mut flows),
-            &kernel::cells_f64(&mut []),
+            &mut loads,
+            &mut prev,
+            &mut flows,
             &mut scratch,
         );
         assert_eq!(loads, vec![5, 5]);
@@ -1072,17 +715,14 @@ mod tests {
         let mut flows = vec![0i64; 4];
         let mut scratch = RoundScratch::new();
         for round in 0..2 {
-            k.run_discrete_seq(
+            discrete_round(
+                &k,
                 &t,
                 &g,
-                0.0,
-                1.0,
                 round,
-                FlowMemory::Rounded,
-                &kernel::cells_i64(&mut loads),
-                &kernel::cells_f64(&mut prev),
-                &kernel::cells_i64(&mut flows),
-                &kernel::cells_f64(&mut []),
+                &mut loads,
+                &mut prev,
+                &mut flows,
                 &mut scratch,
             );
             let ActivePlan::Sweep { masks, .. } = &k.plan else {
@@ -1127,17 +767,14 @@ mod tests {
         let mut flows = vec![0i64; t.m];
         let mut scratch = RoundScratch::new();
         for round in 0..crate::perturb::EPOCH_LEN {
-            k.run_discrete_seq(
+            discrete_round(
+                &k,
                 &t,
                 &g,
-                0.0,
-                1.0,
                 round,
-                FlowMemory::Rounded,
-                &kernel::cells_i64(&mut loads),
-                &kernel::cells_f64(&mut prev),
-                &kernel::cells_i64(&mut flows),
-                &kernel::cells_f64(&mut []),
+                &mut loads,
+                &mut prev,
+                &mut flows,
                 &mut scratch,
             );
             assert_eq!(loads.iter().sum::<i64>(), total, "round {round}");

@@ -60,7 +60,7 @@ fn main() {
     );
     for s in &batch.scenarios {
         println!(
-            "{:<16} {:>9} {:>9} {:>8} {:>12.2} {:>12.2} {:>10} {:>9.2?}",
+            "{:<16} {:>9} {:>9} {:>8} {:>12.2} {:>12.2} {:>10} {:>10}",
             s.name,
             s.nodes,
             s.edges,
@@ -71,13 +71,13 @@ fn main() {
                 .switch_round
                 .map(|r| r.to_string())
                 .unwrap_or_else(|| "-".into()),
-            round_duration(s.wall),
+            millis(s.wall),
         );
     }
     println!(
-        "\nbatch: {} rounds in {:.2?} (worst max-avg {:.2}, mean {:.2})",
+        "\nbatch: {} rounds in {} (worst max-avg {:.2}, mean {:.2})",
         batch.total_rounds,
-        round_duration(batch.total_wall),
+        millis(batch.total_wall),
         batch.worst_max_minus_avg,
         batch.mean_max_minus_avg
     );
@@ -93,7 +93,7 @@ fn main() {
     }
 }
 
-/// Truncates sub-millisecond noise for stable-looking output.
-fn round_duration(d: Duration) -> Duration {
-    Duration::from_millis(d.as_millis() as u64)
+/// A wall time in milliseconds with two decimals (`0.37ms`, `2.41ms`).
+fn millis(d: Duration) -> String {
+    format!("{:.2}ms", d.as_secs_f64() * 1e3)
 }

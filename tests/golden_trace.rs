@@ -425,7 +425,9 @@ fn table_scheme(name: &str) -> Scheme {
 }
 
 /// `(scheme, perturbation set, mode, state checksum, events checksum)`.
-/// Modes: `nearest` (discrete, nearest rounding) and `continuous`.
+/// Modes: `nearest` (discrete, nearest rounding), `randomized` (the
+/// node-centric randomized framework: masked scatter pass, rounding phase
+/// and stale apply) and `continuous`.
 #[rustfmt::skip]
 const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64)] = &[
     ("sos", "crash+edgedrop+stale+shock", "nearest", 0x9c49c86baea9b67a, 0x7dce1b91e068a362),
@@ -476,6 +478,30 @@ const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64)] = &[
     ("matching_random", "crash+shock+flux+adversarial", "continuous", 0x52c629e494a3edce, 0xa9fc9b35772d05e1),
     ("matching_random", "flux+load", "nearest", 0xec5ed01d103fa36b, 0x168c2d9184208ffc),
     ("matching_random", "flux+load", "continuous", 0x31dbeefe772249ed, 0x19b4dbc345915dd0),
+    ("sos", "crash+edgedrop+stale+shock", "randomized", 0xf3524ad8f4376b89, 0x7dce1b91e068a362),
+    ("sos", "shock+stale", "randomized", 0x1f956c47722adb1b, 0x3c8b2bcc4670a1c4),
+    ("sos", "flux", "randomized", 0xa9f16b97b6adacf1, 0x82ad8397c7322d52),
+    ("sos", "crash+flux+edgedrop", "randomized", 0xc46117b3ca360059, 0x4b068d43602a8aa1),
+    ("sos", "crash+shock+flux+adversarial", "randomized", 0xf93a149cb4b0a4a9, 0x8c5f9ca8331c0a44),
+    ("sos", "flux+load", "randomized", 0x34016d2255c8d615, 0x168c2d9184208ffc),
+    ("de", "crash+edgedrop+stale+shock", "randomized", 0x52bb28d18e920fff, 0xef398a34c05c8a43),
+    ("de", "shock+stale", "randomized", 0x22cb348e3b961fa4, 0x4a157713be699537),
+    ("de", "flux", "randomized", 0x52443d4dfd2b0290, 0x82ad8397c7322d52),
+    ("de", "crash+flux+edgedrop", "randomized", 0x20a3df73e8c523ad, 0xeec0b9a6663f5917),
+    ("de", "crash+shock+flux+adversarial", "randomized", 0xe65b023323b8c2be, 0x447360a809a13cb6),
+    ("de", "flux+load", "randomized", 0x3dd5ac859bf5ecd6, 0x168c2d9184208ffc),
+    ("matching_rr", "crash+edgedrop+stale+shock", "randomized", 0x95587227d8e91b6a, 0xb6683f18ae4b48a0),
+    ("matching_rr", "shock+stale", "randomized", 0x22cb348e3b961fa4, 0x4a157713be699537),
+    ("matching_rr", "flux", "randomized", 0x6a4de8156925a992, 0x82ad8397c7322d52),
+    ("matching_rr", "crash+flux+edgedrop", "randomized", 0x89b6d6c2de4c85d9, 0x9b01a59fa2332f83),
+    ("matching_rr", "crash+shock+flux+adversarial", "randomized", 0x2be4b4d7c5d97f3e, 0x420a2aa9bc34a731),
+    ("matching_rr", "flux+load", "randomized", 0x15d54cf93ce54651, 0x168c2d9184208ffc),
+    ("matching_random", "crash+edgedrop+stale+shock", "randomized", 0x7ffac1a67bdb0186, 0xf2a7d75dbb36da1a),
+    ("matching_random", "shock+stale", "randomized", 0x4e756aa06dc70a9a, 0x244342cf3ac82384),
+    ("matching_random", "flux", "randomized", 0xca88a5fa94e3e4d5, 0x8e39bff394471315),
+    ("matching_random", "crash+flux+edgedrop", "randomized", 0x587b9d4878021b8b, 0x576f3d3d9a5ec952),
+    ("matching_random", "crash+shock+flux+adversarial", "randomized", 0xd1a686f06af88fd8, 0x196f094e9825d024),
+    ("matching_random", "flux+load", "randomized", 0xf50da1e4c9b6cdca, 0x168c2d9184208ffc),
 ];
 
 #[test]
@@ -489,6 +515,7 @@ fn perturbation_table() {
             let builder = Experiment::on(&g);
             let builder = match mode {
                 "continuous" => builder.continuous(),
+                "randomized" => builder.discrete(Rounding::randomized(3)),
                 _ => builder.discrete(Rounding::nearest()),
             };
             let mut sim = builder
