@@ -14,8 +14,7 @@
 //!
 //! Simulators are built through the [`crate::ExperimentBuilder`], which
 //! validates every input and returns a typed [`BuildError`] instead of
-//! panicking. (The pre-0.2 `SimulationConfig` constructors and
-//! `Simulator::new` shims were removed after their deprecation release.)
+//! panicking; the configuration it validates is crate-internal.
 //!
 //! # Parallel execution
 //!
@@ -24,13 +23,21 @@
 //! [`crate::pool`]): threads are spawned once and park on a barrier
 //! between rounds, so the per-round executor overhead is a handful of
 //! barrier waits instead of `threads × phases` thread spawns. The batch
-//! [`crate::Driver`] shares one pool across a whole scenario file. Every
-//! phase of a round is decomposed into pure per-edge or per-node passes
-//! (node-centric application, per-(node, round)-keyed RNG streams) that
-//! run through the same division-free kernels ([`crate::kernel`]) as the
-//! sequential executor, so the parallel path is **bit-identical** to the
-//! sequential one — for integer and floating-point loads alike — and
-//! results never depend on the thread count.
+//! [`crate::Driver`] can share one pool across a whole scenario file.
+//!
+//! Either way the simulation's state lives in one container,
+//! [`RoundState`] — plain vectors on the sequential executor, relaxed
+//! atomics in the pool's job — and every accessor is written once,
+//! generic over the two. A round is the same three steps on both
+//! executors: prepare on the control thread, the one participant
+//! function ([`SchemeKernel::participate`]) — once over every edge and
+//! node sequentially, once per chunk with the barrier between phases on
+//! the pool — and collect. Every phase is a pure per-edge or per-node
+//! pass (node-centric application, per-(node, round)-keyed RNG streams)
+//! through the same division-free kernels ([`crate::kernel`]), so the
+//! parallel path is **bit-identical** to the sequential one — for
+//! integer and floating-point loads alike — and results never depend on
+//! the thread count.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -43,16 +50,16 @@ use crate::checkpoint::{
 use crate::error::{BuildError, CheckpointError};
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
-use crate::kernel::{cells_f64, cells_i64, CellsF64, CellsI64, KernelTables, LoadStats};
+use crate::kernel::{KernelTables, LoadStats};
 use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot, RemainingImbalance};
 use crate::observer::Observer;
 use crate::perturb::{
     ChurnEvents, ChurnSpec, FaultEvents, FaultSpec, LoadEvents, LoadSpec, Perturb, PerturbSpec,
 };
-use crate::pool::{JobLoads, RoundJob, WorkerPool};
+use crate::pool::{RoundJob, WorkerPool};
 use crate::rounding::Rounding;
 use crate::scheme::Scheme;
-use crate::scheme_kernel::{ChunkBufs, RoundArgs, RoundScratch, SchemeKernel};
+use crate::scheme_kernel::{RoundArgs, RoundScratch, RoundState, SchemeKernel};
 use crate::watch::{DivergenceWatch, SteadyStats, SteadyTracker};
 
 /// Continuous vs discrete execution.
@@ -79,12 +86,10 @@ pub enum FlowMemory {
     Scheduled,
 }
 
-/// Full configuration of a simulation run.
-///
-/// Prefer building simulations through [`crate::Experiment::on`]; this
-/// struct remains the validated internal form.
+/// Full configuration of a simulation run: the validated internal form
+/// [`crate::ExperimentBuilder::build`] hands to [`Simulator::build`].
 #[derive(Debug, Clone)]
-pub struct SimulationConfig {
+pub(crate) struct SimulationConfig {
     /// FOS or SOS.
     pub scheme: Scheme,
     /// Continuous or discrete execution.
@@ -106,67 +111,6 @@ pub struct SimulationConfig {
     /// Periodic checkpointing (`None` = never snapshot; the zero-cost
     /// default, branch-predicted away in the round loop).
     pub ckpt: Option<CheckpointConfig>,
-}
-
-impl SimulationConfig {
-    /// Sets heterogeneous node speeds.
-    pub fn with_speeds(mut self, speeds: Speeds) -> Self {
-        self.speeds = Some(speeds);
-        self
-    }
-
-    /// Sets the SOS flow-memory source.
-    pub fn with_flow_memory(mut self, memory: FlowMemory) -> Self {
-        self.flow_memory = memory;
-        self
-    }
-
-    /// Sets the fault-injection plan (validated at build time).
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the dynamic-load plan (validated at build time).
-    pub fn with_load(mut self, load: LoadSpec) -> Self {
-        self.load = load;
-        self
-    }
-
-    /// Sets the topology-churn plan (validated at build time).
-    pub fn with_churn(mut self, churn: ChurnSpec) -> Self {
-        self.churn = churn;
-        self
-    }
-
-    /// Sets the periodic checkpoint policy (validated at build time).
-    pub fn with_checkpoint(mut self, ckpt: CheckpointConfig) -> Self {
-        self.ckpt = Some(ckpt);
-        self
-    }
-
-    /// Runs rounds on a persistent pool of `threads` workers (spawned once
-    /// at simulator construction, parked on a barrier between rounds).
-    /// Results are bit-identical to the sequential executor.
-    ///
-    /// Diffusion rounds are memory-bandwidth-bound. With the persistent
-    /// pool the per-round executor overhead is a few barrier waits
-    /// (micro­seconds), so threads start paying off around ~10⁴ edges on
-    /// multi-core hosts — roughly where one round's work outweighs the
-    /// rendezvous cost — instead of the ~10⁵-edge break-even the old
-    /// per-round `thread::scope` executor had. Keep the default of 1 for
-    /// small graphs or single-core machines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`. (The builder's
-    /// [`crate::ExperimentBuilder::threads`] reports this as
-    /// [`BuildError::ZeroThreads`] instead.)
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be positive");
-        self.threads = threads;
-        self
-    }
 }
 
 /// When to stop a [`Simulator::run_until`] loop.
@@ -207,46 +151,32 @@ pub enum StopCondition {
 }
 
 impl StopCondition {
-    /// Validates the condition's parameters.
+    /// Validates the condition's parameters. The steady modes allocate
+    /// their sample ring up front, so a ring whose length overflows or
+    /// that the allocator cannot reserve is refused here — a typed error
+    /// instead of an allocation abort no batch driver could isolate.
     pub(crate) fn check(&self) -> Result<(), BuildError> {
-        match *self {
-            StopCondition::MaxRounds(_) => Ok(()),
-            StopCondition::BalancedWithin { threshold, .. } => {
-                if threshold.is_nan() {
-                    Err(BuildError::InvalidStopCondition(
-                        "balance threshold must not be NaN".into(),
-                    ))
-                } else {
-                    Ok(())
-                }
+        let invalid = |msg: String| Err(BuildError::InvalidStopCondition(msg));
+        let ring = match *self {
+            StopCondition::BalancedWithin { threshold, .. } if threshold.is_nan() => {
+                return invalid("balance threshold must not be NaN".into());
             }
-            StopCondition::Plateau { window, .. } => {
-                if window == 0 {
-                    Err(BuildError::InvalidStopCondition(
-                        "plateau window must be positive".into(),
-                    ))
-                } else {
-                    Ok(())
-                }
+            StopCondition::Plateau { window: 0, .. } => {
+                return invalid("plateau window must be positive".into());
             }
-            StopCondition::Steady { window } => {
-                if window == 0 {
-                    Err(BuildError::InvalidStopCondition(
-                        "steady window must be positive".into(),
-                    ))
-                } else {
-                    Ok(())
-                }
+            StopCondition::Steady { window: 0 } => {
+                return invalid("steady window must be positive".into());
             }
-            StopCondition::Horizon(rounds) => {
-                if rounds == 0 {
-                    Err(BuildError::InvalidStopCondition(
-                        "horizon must be positive".into(),
-                    ))
-                } else {
-                    Ok(())
-                }
-            }
+            StopCondition::Horizon(0) => return invalid("horizon must be positive".into()),
+            StopCondition::Steady { window } => SteadyTracker::steady_ring(window),
+            StopCondition::Horizon(rounds) => Some(rounds),
+            _ => return Ok(()),
+        };
+        match ring {
+            Some(len) if Vec::<f64>::new().try_reserve_exact(len).is_ok() => Ok(()),
+            _ => invalid(format!(
+                "{self:?} needs a sample ring too large to allocate"
+            )),
         }
     }
 }
@@ -307,162 +237,6 @@ pub struct RunReport {
     pub steady: Option<SteadyStats>,
 }
 
-/// The sequential executor's round state: plain vectors in one of two
-/// layouts (one per mode). Per-edge buffers hold only what the
-/// configuration needs: `flows` in discrete mode, `prev` where the SOS
-/// memory is not the integral flows (continuous mode — where `prev` also
-/// carries the round's flows — and [`FlowMemory::Scheduled`]), and
-/// `arc_frac` for the randomized framework.
-enum State {
-    Discrete {
-        loads: Vec<i64>,
-        flows: Vec<i64>,
-        prev: Vec<f64>,
-        arc_frac: Vec<f64>,
-    },
-    Continuous {
-        loads: Vec<f64>,
-        prev: Vec<f64>,
-    },
-}
-
-impl State {
-    /// The round-0 state for `loads`, with `m` flow slots (`m` memory
-    /// slots too where `stored_prev`) and `arcs` arc-fraction slots.
-    /// `m = arcs = 0` builds the loads alone, to seed a pool job that
-    /// allocates its own per-edge state.
-    fn new(mode: Mode, loads: Vec<i64>, m: usize, stored_prev: bool, arcs: usize) -> Self {
-        let prev = if stored_prev { m } else { 0 };
-        match mode {
-            Mode::Discrete(_) => State::Discrete {
-                loads,
-                flows: vec![0; m],
-                prev: vec![0.0; prev],
-                arc_frac: vec![0.0; arcs],
-            },
-            Mode::Continuous => State::Continuous {
-                loads: loads.iter().map(|&x| x as f64).collect(),
-                prev: vec![0.0; m],
-            },
-        }
-    }
-
-    /// The loads seeding a pool job (which also select its mode).
-    fn job_loads(&self) -> JobLoads<'_> {
-        match self {
-            State::Discrete { loads, .. } => JobLoads::I64(loads),
-            State::Continuous { loads, .. } => JobLoads::F64(loads),
-        }
-    }
-
-    /// `Cell` views of the state as round buffers (the other mode's
-    /// buffers empty).
-    fn bufs(&mut self) -> ChunkBufs<CellsI64<'_>, CellsF64<'_>> {
-        match self {
-            State::Discrete {
-                loads,
-                flows,
-                prev,
-                arc_frac,
-            } => ChunkBufs {
-                loads_i: cells_i64(loads),
-                loads_f: cells_f64(&mut []),
-                prev: cells_f64(prev),
-                arc_frac: cells_f64(arc_frac),
-                flows: cells_i64(flows),
-            },
-            State::Continuous { loads, prev } => ChunkBufs {
-                loads_i: cells_i64(&mut []),
-                loads_f: cells_f64(loads),
-                prev: cells_f64(prev),
-                arc_frac: cells_f64(&mut []),
-                flows: cells_i64(&mut []),
-            },
-        }
-    }
-
-    fn is_discrete(&self) -> bool {
-        matches!(self, State::Discrete { .. })
-    }
-
-    #[inline]
-    fn load_of(&self, i: usize) -> f64 {
-        match self {
-            State::Discrete { loads, .. } => loads[i] as f64,
-            State::Continuous { loads, .. } => loads[i],
-        }
-    }
-
-    /// The smallest load (the round-0 transient minimum).
-    fn min_load(&self) -> f64 {
-        match self {
-            State::Discrete { loads, .. } => loads.iter().copied().min().unwrap_or(0) as f64,
-            State::Continuous { loads, .. } => loads.iter().copied().fold(f64::INFINITY, f64::min),
-        }
-    }
-
-    /// A copy of the loads in snapshot form.
-    fn loads(&self) -> LoadsSnapshot {
-        match self {
-            State::Discrete { loads, .. } => LoadsSnapshot::Discrete(loads.clone()),
-            State::Continuous { loads, .. } => LoadsSnapshot::Continuous(loads.clone()),
-        }
-    }
-
-    /// The SOS memory as `f64`. With `rounded` (discrete mode under
-    /// [`FlowMemory::Rounded`]) it is materialized from the integral
-    /// flows — the same values [`crate::kernel::prev_from_flows`]
-    /// produces on the pool.
-    fn memory(&self, rounded: bool) -> Cow<'_, [f64]> {
-        match self {
-            State::Discrete { flows, .. } if rounded => {
-                Cow::Owned(flows.iter().map(|&y| y as f64).collect())
-            }
-            State::Discrete { prev, .. } | State::Continuous { prev, .. } => Cow::Borrowed(prev),
-        }
-    }
-
-    /// Overwrites the loads and the SOS memory from a snapshot the caller
-    /// validated against this state (mode and, under `rounded`, integral
-    /// memory values).
-    fn write_state(&mut self, src: &LoadsSnapshot, memory: &[f64], rounded: bool) {
-        match (self, src) {
-            (
-                State::Discrete {
-                    loads, flows, prev, ..
-                },
-                LoadsSnapshot::Discrete(src),
-            ) => {
-                loads.copy_from_slice(src);
-                if rounded {
-                    for (f, &x) in flows.iter_mut().zip(memory) {
-                        *f = x as i64;
-                    }
-                } else {
-                    prev.copy_from_slice(memory);
-                }
-            }
-            (State::Continuous { loads, prev }, LoadsSnapshot::Continuous(src)) => {
-                loads.copy_from_slice(src);
-                prev.copy_from_slice(memory);
-            }
-            _ => unreachable!("restore checked the mode"),
-        }
-    }
-
-    fn state_bytes(&self) -> usize {
-        match self {
-            State::Discrete {
-                loads,
-                flows,
-                prev,
-                arc_frac,
-            } => 8 * (loads.len() + flows.len() + prev.len() + arc_frac.len()),
-            State::Continuous { loads, prev } => 8 * (loads.len() + prev.len()),
-        }
-    }
-}
-
 /// The simulation's attachment to a worker pool: the pool itself (owned
 /// here or shared with a [`crate::Driver`]) plus this simulation's job.
 struct PoolAttachment {
@@ -470,13 +244,36 @@ struct PoolAttachment {
     job: Arc<RoundJob>,
 }
 
-/// Where the round state lives — in exactly one place per executor.
+impl PoolAttachment {
+    /// The job, which the pool detaches at the end of every round, so
+    /// between rounds this attachment holds it alone.
+    fn job_mut(&mut self) -> &mut RoundJob {
+        Arc::get_mut(&mut self.job).expect("the pool detaches a job after its round")
+    }
+}
+
+/// Where the [`RoundState`] lives — in exactly one place per executor.
 enum Store {
     /// The sequential executor's plain vectors.
-    Local(State),
+    Local(RoundState<i64, f64>),
     /// The worker pool: the job's atomics are the only copy of the
     /// state, read (or copied out) by the accessors on request.
     Pooled(PoolAttachment),
+}
+
+/// Evaluates `$body` with `$state` bound to the simulation's
+/// [`RoundState`], wherever it lives, so each accessor is written once,
+/// generic over the executor's element types.
+macro_rules! with_state {
+    ($store:expr, |$state:ident| $body:expr) => {
+        match $store {
+            Store::Local($state) => $body,
+            Store::Pooled(attachment) => {
+                let $state = &attachment.job.state;
+                $body
+            }
+        }
+    };
 }
 
 /// The run loop's local state, persisted across `run_*` calls so a
@@ -605,7 +402,6 @@ impl<'g> Simulator<'g> {
         init.check(n).map_err(BuildError::InvalidInitialLoad)?;
         let loads = init.materialize(n);
         let initial_total = loads.iter().map(|&x| x as f64).sum();
-        let m = graph.edge_count();
         let mut scheme_kernel = SchemeKernel::new(
             config.scheme,
             config.mode,
@@ -621,27 +417,28 @@ impl<'g> Simulator<'g> {
         let tables = Arc::new(KernelTables::new(graph, &speeds, framework, initial_total));
         scheme_kernel.finish(&tables);
         let scheme_kernel = Arc::new(scheme_kernel);
-        let (store, min_transient) = if threads > 1 {
-            // The job allocates its own per-edge state; the local loads
-            // only seed it and are dropped here.
-            let seed = State::new(config.mode, loads, 0, false, 0);
+        let store = if threads > 1 {
             let pool = shared_pool.unwrap_or_else(|| Arc::new(WorkerPool::new(threads)));
-            let job = Arc::new(RoundJob::new(
+            let state = RoundState::new(&scheme_kernel, &tables, config.flow_memory, loads);
+            let job = RoundJob::new(
                 pool.threads(),
                 Arc::clone(&tables),
                 Arc::clone(&scheme_kernel),
-                config.flow_memory,
-                seed.job_loads(),
-            ));
-            (Store::Pooled(PoolAttachment { pool, job }), seed.min_load())
+                state,
+            );
+            Store::Pooled(PoolAttachment {
+                pool,
+                job: Arc::new(job),
+            })
         } else {
-            let stored_prev = matches!(config.mode, Mode::Continuous)
-                || config.flow_memory == FlowMemory::Scheduled;
-            let arcs = if framework { graph.arc_count() } else { 0 };
-            let state = State::new(config.mode, loads, m, stored_prev, arcs);
-            let min_transient = state.min_load();
-            (Store::Local(state), min_transient)
+            Store::Local(RoundState::new(
+                &scheme_kernel,
+                &tables,
+                config.flow_memory,
+                loads,
+            ))
         };
+        let min_transient = with_state!(&store, |state| state.min_load());
         Ok(Self {
             graph,
             speeds,
@@ -689,16 +486,7 @@ impl<'g> Simulator<'g> {
 
     /// Returns `true` in discrete mode.
     pub fn is_discrete(&self) -> bool {
-        match &self.store {
-            Store::Local(state) => state.is_discrete(),
-            Store::Pooled(attachment) => attachment.job.is_discrete(),
-        }
-    }
-
-    /// Whether the SOS memory is the integral flows themselves: discrete
-    /// mode under [`FlowMemory::Rounded`].
-    fn rounded_memory(&self) -> bool {
-        self.is_discrete() && self.flow_memory == FlowMemory::Rounded
+        with_state!(&self.store, |state| state.is_discrete())
     }
 
     /// Integer loads (discrete mode only; `None` in continuous runs —
@@ -706,36 +494,19 @@ impl<'g> Simulator<'g> {
     /// Borrowed on the sequential executor; on the worker pool, whose
     /// atomics are the only store, each call copies the loads out.
     pub fn loads_i64(&self) -> Option<Cow<'_, [i64]>> {
-        match &self.store {
-            Store::Local(State::Discrete { loads, .. }) => Some(Cow::Borrowed(loads)),
-            Store::Pooled(attachment) => match attachment.job.loads() {
-                LoadsSnapshot::Discrete(loads) => Some(Cow::Owned(loads)),
-                LoadsSnapshot::Continuous(_) => None,
-            },
-            _ => None,
-        }
+        with_state!(&self.store, |state| state.loads_i64())
     }
 
     /// Continuous loads (continuous mode only; `None` in discrete
     /// runs). Borrowed or copied like [`Simulator::loads_i64`].
     pub fn loads_f64(&self) -> Option<Cow<'_, [f64]>> {
-        match &self.store {
-            Store::Local(State::Continuous { loads, .. }) => Some(Cow::Borrowed(loads)),
-            Store::Pooled(attachment) => match attachment.job.loads() {
-                LoadsSnapshot::Continuous(loads) => Some(Cow::Owned(loads)),
-                LoadsSnapshot::Discrete(_) => None,
-            },
-            _ => None,
-        }
+        with_state!(&self.store, |state| state.loads_f64())
     }
 
     /// Load of node `i` as `f64`, regardless of mode or executor.
     #[inline]
     pub fn load_of(&self, i: usize) -> f64 {
-        match &self.store {
-            Store::Local(state) => state.load_of(i),
-            Store::Pooled(attachment) => attachment.job.load_of(i),
-        }
+        with_state!(&self.store, |state| state.load_of(i))
     }
 
     /// Copies the loads into a fresh `f64` vector.
@@ -770,10 +541,7 @@ impl<'g> Simulator<'g> {
     /// — materialized from the integral flows under
     /// [`FlowMemory::Rounded`], read out of the job on the worker pool.
     pub fn previous_flows(&self) -> Cow<'_, [f64]> {
-        match &self.store {
-            Store::Local(state) => state.memory(self.rounded_memory()),
-            Store::Pooled(attachment) => Cow::Owned(attachment.job.memory()),
-        }
+        with_state!(&self.store, |state| state.memory())
     }
 
     /// Bytes of per-node and per-edge simulation state this simulator
@@ -784,10 +552,7 @@ impl<'g> Simulator<'g> {
     /// the worker pool the job's atomics are the only copy. Auxiliary
     /// metadata (masks, per-block partials, kernel tables) is excluded.
     pub fn state_bytes(&self) -> usize {
-        match &self.store {
-            Store::Local(state) => state.state_bytes(),
-            Store::Pooled(attachment) => attachment.job.state_bytes(),
-        }
+        with_state!(&self.store, |state| state.state_bytes())
     }
 
     /// Heap bytes of the kernel tables this simulator owns: the
@@ -843,10 +608,7 @@ impl<'g> Simulator<'g> {
         steady: Option<&SteadyTracker>,
         plateau: Option<&RemainingImbalance>,
     ) -> Snapshot {
-        let loads = match &self.store {
-            Store::Local(state) => state.loads(),
-            Store::Pooled(attachment) => attachment.job.loads(),
-        };
+        let loads = with_state!(&self.store, |state| state.loads());
         let round_stats = self.round_stats.map(|s| {
             [
                 s.min_transient,
@@ -966,7 +728,7 @@ impl<'g> Simulator<'g> {
         // Validated BEFORE touching any state so the simulator stays
         // unmodified on error. Comparing bits also refuses `-0.0`, which
         // no `i64 → f64` cast produces.
-        let rounded = self.rounded_memory();
+        let rounded = with_state!(&self.store, |state| state.rounded_memory());
         if rounded {
             let integral = |x: f64| (x as i64 as f64).to_bits() == x.to_bits();
             if let Some(&bad) = snap.prev_flow.iter().find(|&&x| !integral(x)) {
@@ -991,9 +753,10 @@ impl<'g> Simulator<'g> {
         perturb.faults = snap.fault_events;
         perturb.load = snap.load_events;
         perturb.churn = snap.churn_events;
+        let (loads, memory) = (&snap.loads, &snap.prev_flow[..]);
         match &mut self.store {
-            Store::Local(state) => state.write_state(&snap.loads, &snap.prev_flow, rounded),
-            Store::Pooled(attachment) => attachment.job.write_state(&snap.loads, &snap.prev_flow),
+            Store::Local(state) => state.write_state(loads, memory),
+            Store::Pooled(attachment) => attachment.job_mut().state.write_state(loads, memory),
         }
         self.round = snap.round;
         self.rounds_in_scheme = snap.rounds_in_scheme;
@@ -1125,23 +888,32 @@ impl<'g> Simulator<'g> {
             round: self.round,
             flow_memory: self.flow_memory,
         };
-        let (t, graph, scratch) = (&*self.tables, self.graph, &mut self.scratch);
+        let (k, t, graph) = (&*self.scheme_kernel, &*self.tables, self.graph);
+        // Both executors run the round's three steps: prepare on the
+        // control thread (the perturbation channels, the random matching
+        // and the round's masks, so plan state never depends on the
+        // executor), every participant's share of the one phase sequence,
+        // then collect.
         let stats = match &mut self.store {
             Store::Local(state) => {
-                self.scheme_kernel
-                    .run_sequential(t, graph, &args, &state.bufs(), scratch)
+                let RoundScratch {
+                    fw,
+                    matchgen,
+                    perturb,
+                } = &mut self.scratch;
+                let bufs = state.bufs();
+                let masks = k.prepare(t, graph, args.round, &bufs, matchgen, perturb);
+                let stats = k.participate(t, &args, 0..t.m, 0..t.n, &bufs, masks, fw, || {});
+                bufs.collect([stats])
             }
             Store::Pooled(attachment) => {
-                // The round's plan state (the random-matching or effective
-                // mask, plus the perturbation channels' load changes) is
-                // produced here, on the control thread, and published into
-                // the job before the round's first barrier — results never
-                // depend on the executor. The job's atomics are the
-                // simulation's only store, so the round is complete at its
-                // final barrier: there is no state to copy back.
-                let PoolAttachment { pool, job } = attachment;
-                job.prepare(graph, args.round, scratch);
-                pool.run_round(job, mem, gain, args.round, &mut scratch.fw)
+                // The job's atomics are the simulation's only store, so
+                // the round is complete at its final barrier: there is no
+                // state to copy back.
+                attachment.job_mut().prepare(graph, args, &mut self.scratch);
+                attachment
+                    .pool
+                    .run_round(&attachment.job, &mut self.scratch.fw)
             }
         };
         if stats.min_transient < self.min_transient {
@@ -1791,23 +1563,6 @@ mod tests {
             sim.loads_i64().unwrap().to_vec()
         };
         assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count must be positive")]
-    fn zero_threads_rejected() {
-        let config = SimulationConfig {
-            scheme: Scheme::fos(),
-            mode: Mode::Continuous,
-            speeds: None,
-            flow_memory: FlowMemory::Rounded,
-            threads: 1,
-            faults: FaultSpec::none(),
-            load: LoadSpec::none(),
-            churn: ChurnSpec::none(),
-            ckpt: None,
-        };
-        config.with_threads(0);
     }
 
     #[test]

@@ -79,9 +79,9 @@
 //! `flows[e] as f64` ([`FlowsAsMemory`]) and keeps no per-edge `f64`
 //! copy: no round phase writes a memory vector, and the framework needs
 //! two internal barriers per round under the worker pool.
-//! [`prev_from_flows`] only materializes that memory as an `f64` vector
-//! on request (the simulator's `previous_flows()` accessor and its
-//! checkpoint snapshots). The `prev` buffer the passes take is used only
+//! That memory becomes an `f64` vector only on request (the simulator's
+//! `previous_flows()` accessor and its checkpoint snapshots), by the
+//! cast [`prev_from_flows`] performs. The `prev` buffer the passes take is used only
 //! under [`FlowMemory::Scheduled`], whose memory is the unrounded `Ŷ_e`.
 //!
 //! # Lane-chunked SIMD form, and why it is bit-exact
@@ -1111,8 +1111,9 @@ pub fn arc_round_streamed<A: BufF64, F: BufI64>(
 /// Materializes the [`FlowMemory::Rounded`] SOS memory: a pure zipped
 /// sweep copying the integral flows into `prev`. No round phase runs
 /// it — the edge passes read the memory straight from the flows
-/// ([`FlowsAsMemory`]) — it only builds the `f64` memory vector the
-/// simulator's accessors and checkpoint snapshots hand out.
+/// ([`FlowsAsMemory`]); it is the kernel form of the cast the round
+/// state makes when the simulator's accessors and checkpoint snapshots
+/// ask for the memory.
 pub fn prev_from_flows<F: BufI64, P: BufF64>(edges: Range<usize>, flows: &F, prev: &P) {
     let flow_elems = &flows.elems()[edges.clone()];
     let prevs = &prev.elems()[edges];

@@ -76,10 +76,9 @@
 //!     < batch.scenarios[1].report.final_metrics.max_minus_avg);
 //! ```
 //!
-//! The pre-0.2 surface (`SimulationConfig::{discrete,continuous}`,
-//! `Simulator::new`, the `run_hybrid*` free functions) has been removed
-//! after one deprecation release; the builder and the `Simulator` methods
-//! above are the only entry points.
+//! The builder and the `Simulator` methods above are the only entry
+//! points: the configuration struct they fill is crate-internal, and the
+//! pre-0.2 constructors and `run_hybrid*` free functions are gone.
 //!
 //! # The scheme-kernel layer, and adding a scheme
 //!
@@ -141,8 +140,7 @@
 //!    `recover` flag of the sweep plan.
 //! 3. **`error.rs`** — add `BuildError` variants for configurations the
 //!    scheme cannot run on, and report them from
-//!    `SchemeKernel::validate` so both the builder and hand-built
-//!    `SimulationConfig`s reject them.
+//!    `SchemeKernel::validate`, which the builder calls.
 //! 4. **`scenario.rs`** — add the [`SchemeSpec`] variant with its
 //!    `scheme=` text form (`Display`/`FromStr` must round-trip exactly;
 //!    extend the proptest strategies in `tests/scenario_spec.rs`).
@@ -221,10 +219,15 @@
 //! per-node `SplitMix64` formulation (`tests/golden_trace.rs`,
 //! `tests/golden_rng.rs`).
 //!
-//! **Scheme-kernel dispatch** (`scheme_kernel` module). One phase
-//! sequence serves both executors: the sequential round runs it over
-//! every edge and node, each pool participant over its chunk with the
-//! barrier between phases. The flow pass × active plan is selected once
+//! **Scheme-kernel dispatch** (`scheme_kernel` module). Both executors
+//! keep their state in one container, `RoundState` (plain vectors on the
+//! sequential executor, relaxed atomics on the pool), and drive a round
+//! through the same three steps: `prepare` on the control thread, one
+//! participant function that picks the edge gate and runs the one phase
+//! sequence — over every edge and node sequentially, over its chunk with
+//! the barrier between phases on each pool participant — and `collect`,
+//! which merges the statistics and folds the block partials. The flow
+//! pass × active plan is selected once
 //! per simulation through plain enums, and each edge pass is
 //! monomorphized per edge gate, so the diffusion hot paths run with no
 //! mask test — the layer adds no per-round indirection to FOS/SOS —
@@ -377,7 +380,7 @@
 //!
 //! **One copy of the round state** (2026-10). Each piece of per-node and
 //! per-edge state now lives in exactly one buffer. On the worker pool the
-//! job's atomics are the simulation's only store — the simulator keeps no
+//! job's atomic `RoundState` is the simulation's only store — the simulator keeps no
 //! load, flow or memory vectors beside them, so a pooled round ends at
 //! its last barrier with no O(n + m) copy back to the control thread, and
 //! [`Simulator::loads_i64`], [`Simulator::loads_f64`] and
@@ -446,9 +449,7 @@ pub use checkpoint::{
     read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig, CheckpointPolicy, Snapshot,
 };
 pub use driver::{BatchReport, Driver, ScenarioError, ScenarioFailure, ScenarioReport};
-pub use engine::{
-    FlowMemory, Mode, RunReport, SimulationConfig, Simulator, StopCondition, StopReason,
-};
+pub use engine::{FlowMemory, Mode, RunReport, Simulator, StopCondition, StopReason};
 pub use error::{BuildError, CheckpointError, ParseError};
 pub use experiment::{Experiment, ExperimentBuilder, NeedsMode, Ready};
 pub use hybrid::SwitchPolicy;
@@ -470,9 +471,7 @@ pub mod prelude {
         read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig, CheckpointPolicy, Snapshot,
     };
     pub use crate::driver::{BatchReport, Driver, ScenarioError, ScenarioFailure, ScenarioReport};
-    pub use crate::engine::{
-        FlowMemory, Mode, RunReport, SimulationConfig, Simulator, StopCondition, StopReason,
-    };
+    pub use crate::engine::{FlowMemory, Mode, RunReport, Simulator, StopCondition, StopReason};
     pub use crate::error::{BuildError, CheckpointError, ParseError};
     pub use crate::experiment::{Experiment, ExperimentBuilder};
     pub use crate::hybrid::SwitchPolicy;

@@ -32,23 +32,32 @@
 //!   repaired incrementally at membership epochs; with every channel
 //!   `none` each hot loop below takes exactly its unperturbed path.
 //!
-//! A round is two functions. [`SchemeKernel::prepare`] runs on the
-//! control thread: the perturbation channels, the random matching (if
-//! the plan draws one) and the round's effective mask — so per-round
-//! plan state never depends on the executor; the pool then publishes the
-//! mask words into its job. [`SchemeKernel::phases`] is the one phase
-//! sequence — edge pass, the framework's rounding phase, apply pass —
-//! generic over the buffer views (`Cell`s or atomics), the mask and
-//! stale word sources, and a sync hook between phases (a no-op in the
-//! sequential round, the barrier on the pool). Each edge pass is gated
-//! statically: the all-edges plan runs [`kernel::AllEdges`], with no
-//! mask test in the loop; a mask runs [`kernel::MaskBits`], which forces
-//! an inactive edge's flow to zero with a branchless bit test. The
-//! sequential executor ([`SchemeKernel::run_sequential`]) and every pool
-//! participant therefore execute the *same* kernel calls in the same
-//! per-element order, so pooled results are bit-identical to sequential
-//! ones for every scheme — the property `tests/determinism.rs` and the
-//! golden traces check.
+//! The simulation's state lives in one container, [`RoundState`], whose
+//! element types are the executor's (plain values sequentially, relaxed
+//! atomics on the pool) and which participants see through
+//! [`ChunkBufs`] views. A round is three steps on both executors:
+//!
+//! 1. [`SchemeKernel::prepare`] runs on the control thread: the
+//!    perturbation channels, the random matching (if the plan draws one)
+//!    and the round's effective mask — so per-round plan state never
+//!    depends on the executor; the pool then publishes the mask words
+//!    into its job.
+//! 2. [`SchemeKernel::participate`] runs one participant's share: it
+//!    picks the edge gate and calls the one phase sequence — edge pass,
+//!    the framework's rounding phase, apply pass — with a sync hook
+//!    between phases (a no-op for the sequential executor's single
+//!    participant over every edge and node, the barrier on the pool).
+//!    Each edge pass is gated statically: the all-edges plan runs
+//!    [`kernel::AllEdges`], with no mask test in the loop; a mask runs
+//!    [`kernel::MaskBits`], which forces an inactive edge's flow to zero
+//!    with a branchless bit test.
+//! 3. [`ChunkBufs::collect`] merges the participants' statistics and
+//!    folds the per-block partials in block order.
+//!
+//! Every participant therefore executes the *same* kernel calls in the
+//! same per-element order, so pooled results are bit-identical to
+//! sequential ones for every scheme — the property
+//! `tests/determinism.rs` and the golden traces check.
 //!
 //! Pairwise schemes replace the diffusion coefficients `α_e/s` with the
 //! λ-scaled harmonic-speed pair `coef_tail = λ·s_v/(s_u+s_v)`,
@@ -59,15 +68,18 @@
 //! See the "adding a scheme" walkthrough in the crate docs
 //! ([`crate`]) for the end-to-end list of touch points.
 
+use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 use sodiff_graph::{matching, EdgeId, Graph, Speeds};
 
+use crate::checkpoint::LoadsSnapshot;
 use crate::engine::{FlowMemory, Mode};
 use crate::error::BuildError;
 use crate::kernel::{
-    self, AllEdges, BufF64, BufI64, CellsF64, CellsI64, CoefPair, EdgeGate, FwScratch,
-    KernelTables, LoadStats, MaskBits, Words,
+    self, AllEdges, AtomicsF64, AtomicsI64, BufF64, BufI64, CellsF64, CellsI64, CoefPair, EdgeGate,
+    FwScratch, KernelTables, LoadStats, MaskBits, Words,
 };
 use crate::matchgen::{self, mask_words, MatchScratch};
 use crate::perturb::{Fluid, Perturb, PerturbSpec, RoundMasks, Tokens};
@@ -117,17 +129,14 @@ pub(crate) enum ActivePlan {
 }
 
 /// Everything a simulation's control thread needs between rounds: the
-/// framework rounding scratch, the matching-generation scratch, and the
-/// sequential executor's potential-block buffer.
+/// framework rounding scratch, the matching-generation scratch and the
+/// perturbation state.
 #[derive(Default)]
 pub(crate) struct RoundScratch {
     /// Participant-0 scratch of the randomized framework's rounding phase.
     pub fw: FwScratch,
     /// Random-matching generation scratch.
     pub matchgen: MatchScratch,
-    /// Per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials of
-    /// the sequential apply pass (the pool keeps its own atomic buffer).
-    block_sums: Vec<f64>,
     /// Perturbation state: the epoch's membership masks, the round's
     /// drop/stale masks, and the accumulated event counters.
     pub perturb: Perturb,
@@ -140,11 +149,261 @@ impl RoundScratch {
     }
 }
 
-/// One simulation's round state as a round participant sees it: `Cell`
-/// views of the sequential executor's vectors ([`CellsI64`] /
-/// [`CellsF64`]) or the pool job's relaxed atomics
-/// ([`kernel::AtomicsI64`] / [`kernel::AtomicsF64`]). Buffers the mode
-/// does not use are empty.
+/// One element of round state: a plain value on the sequential executor,
+/// a relaxed atomic on the worker pool. Reads go through `&self`; writes
+/// through `&mut self` (atomics via `get_mut`), so only the control
+/// thread writes through a slot, between rounds. Round participants
+/// write through the [`ChunkBufs`] views instead.
+pub(crate) trait Slot: Sized {
+    /// The stored value.
+    type Val: Copy;
+    /// A slot holding `v`.
+    fn of(v: Self::Val) -> Self;
+    /// The slot's value.
+    fn get(&self) -> Self::Val;
+    /// Overwrites the slot.
+    fn set(&mut self, v: Self::Val);
+    /// The slots' values: borrowed where the slots are plain values,
+    /// copied out of atomics.
+    fn values(slots: &[Self]) -> Cow<'_, [Self::Val]> {
+        Cow::Owned(slots.iter().map(Self::get).collect())
+    }
+}
+
+macro_rules! plain_slot {
+    ($($t:ty),*) => {$(
+        impl Slot for $t {
+            type Val = $t;
+            fn of(v: $t) -> Self {
+                v
+            }
+            fn get(&self) -> $t {
+                *self
+            }
+            fn set(&mut self, v: $t) {
+                *self = v;
+            }
+            fn values(slots: &[$t]) -> Cow<'_, [$t]> {
+                Cow::Borrowed(slots)
+            }
+        }
+    )*};
+}
+
+plain_slot!(i64, f64);
+
+impl Slot for AtomicI64 {
+    type Val = i64;
+    fn of(v: i64) -> Self {
+        AtomicI64::new(v)
+    }
+    fn get(&self) -> i64 {
+        self.load(Relaxed)
+    }
+    fn set(&mut self, v: i64) {
+        *self.get_mut() = v;
+    }
+}
+
+/// An `f64` stored as its bits.
+impl Slot for AtomicU64 {
+    type Val = f64;
+    fn of(v: f64) -> Self {
+        AtomicU64::new(v.to_bits())
+    }
+    fn get(&self) -> f64 {
+        f64::from_bits(self.load(Relaxed))
+    }
+    fn set(&mut self, v: f64) {
+        *self.get_mut() = v.to_bits();
+    }
+}
+
+/// One simulation's evolving round state, in the one layout both
+/// executors share: loads, the integral flows (the SOS memory "sent in
+/// step t−1" under [`FlowMemory::Rounded`]), the stored SOS memory, the
+/// randomized framework's arc fractions, and the apply pass's
+/// per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials. Each
+/// piece lives here and nowhere else.
+///
+/// The element types are the executor's: plain `i64`/`f64` on the
+/// sequential executor, viewed as `Cell`s from `&mut` each round (so the
+/// simulator stays `Sync`), and relaxed atomics on the worker pool.
+/// Running the sequential executor on atomics too — a one-participant
+/// pool state — passed every golden but cost +6.2% `mixed_sweep` CPU
+/// time by median (5.639 → 5.987 s, slower in 10 of 10 alternating
+/// pairs), so the element storage stays separate.
+pub(crate) struct RoundState<I, F> {
+    loads_i: Vec<I>,
+    loads_f: Vec<F>,
+    prev: Vec<F>,
+    arc_frac: Vec<F>,
+    flows: Vec<I>,
+    block_sums: Vec<F>,
+    discrete: bool,
+    /// Whether the SOS memory is the integral flows (discrete mode under
+    /// [`FlowMemory::Rounded`]) rather than `prev`.
+    rounded: bool,
+}
+
+impl<I: Slot<Val = i64>, F: Slot<Val = f64>> RoundState<I, F> {
+    /// The round-0 state for `loads`, sized by the one rule: loads of the
+    /// mode's kind, `flows` in discrete mode, `prev` only where the SOS
+    /// memory is not the integral flows (continuous mode — whose `prev`
+    /// also carries the round's flows — and [`FlowMemory::Scheduled`]),
+    /// and `arc_frac` only for the randomized framework.
+    pub fn new(
+        k: &SchemeKernel,
+        t: &KernelTables,
+        flow_memory: FlowMemory,
+        loads: Vec<i64>,
+    ) -> Self {
+        let discrete = !matches!(k.flow, FlowPass::Continuous);
+        let stored_prev = !discrete || flow_memory == FlowMemory::Scheduled;
+        let zeros = |len: usize| (0..len).map(|_| F::of(0.0)).collect();
+        let sized = |yes: bool, len: usize| if yes { len } else { 0 };
+        let (loads_i, loads_f) = if discrete {
+            (loads.into_iter().map(I::of).collect(), Vec::new())
+        } else {
+            let loads_f = loads.iter().map(|&x| F::of(x as f64)).collect();
+            (Vec::new(), loads_f)
+        };
+        Self {
+            loads_i,
+            loads_f,
+            prev: zeros(sized(stored_prev, t.m)),
+            arc_frac: zeros(sized(k.needs_arc_plan(), t.graph().arc_count())),
+            flows: (0..sized(discrete, t.m)).map(|_| I::of(0)).collect(),
+            block_sums: zeros(kernel::dev_blocks(t.n)),
+            discrete,
+            rounded: discrete && flow_memory == FlowMemory::Rounded,
+        }
+    }
+
+    /// Whether the state holds discrete (integer-token) loads.
+    pub fn is_discrete(&self) -> bool {
+        self.discrete
+    }
+
+    /// Whether the SOS memory is the integral flows themselves: discrete
+    /// mode under [`FlowMemory::Rounded`].
+    pub fn rounded_memory(&self) -> bool {
+        self.rounded
+    }
+
+    /// Load of node `i` as `f64`.
+    #[inline]
+    pub fn load_of(&self, i: usize) -> f64 {
+        if self.discrete {
+            self.loads_i[i].get() as f64
+        } else {
+            self.loads_f[i].get()
+        }
+    }
+
+    /// The integer loads (`None` in continuous mode).
+    pub fn loads_i64(&self) -> Option<Cow<'_, [i64]>> {
+        self.discrete.then(|| I::values(&self.loads_i))
+    }
+
+    /// The continuous loads (`None` in discrete mode).
+    pub fn loads_f64(&self) -> Option<Cow<'_, [f64]>> {
+        (!self.discrete).then(|| F::values(&self.loads_f))
+    }
+
+    /// A copy of the loads in snapshot form.
+    pub fn loads(&self) -> LoadsSnapshot {
+        match self.loads_i64() {
+            Some(loads) => LoadsSnapshot::Discrete(loads.into_owned()),
+            None => LoadsSnapshot::Continuous(F::values(&self.loads_f).into_owned()),
+        }
+    }
+
+    /// The smallest load (the round-0 transient minimum).
+    pub fn min_load(&self) -> f64 {
+        if self.discrete {
+            self.loads_i.iter().map(I::get).min().unwrap_or(0) as f64
+        } else {
+            self.loads_f
+                .iter()
+                .map(F::get)
+                .fold(f64::INFINITY, f64::min)
+        }
+    }
+
+    /// The SOS memory as `f64`: materialized from the integral flows
+    /// under [`FlowMemory::Rounded`] (the values
+    /// [`kernel::prev_from_flows`] produces), `prev` otherwise.
+    pub fn memory(&self) -> Cow<'_, [f64]> {
+        if self.rounded {
+            Cow::Owned(self.flows.iter().map(|y| y.get() as f64).collect())
+        } else {
+            F::values(&self.prev)
+        }
+    }
+
+    /// Overwrites the loads and the SOS memory (checkpoint restore). The
+    /// caller has checked that the snapshot matches the mode and, under
+    /// [`FlowMemory::Rounded`], that every memory value is integral, so
+    /// each store is exact.
+    pub fn write_state(&mut self, loads: &LoadsSnapshot, memory: &[f64]) {
+        fn fill<S: Slot>(slots: &mut [S], src: impl Iterator<Item = S::Val>) {
+            for (slot, v) in slots.iter_mut().zip(src) {
+                slot.set(v);
+            }
+        }
+        match loads {
+            LoadsSnapshot::Discrete(src) => fill(&mut self.loads_i, src.iter().copied()),
+            LoadsSnapshot::Continuous(src) => fill(&mut self.loads_f, src.iter().copied()),
+        }
+        if self.rounded {
+            fill(&mut self.flows, memory.iter().map(|&x| x as i64));
+        } else {
+            fill(&mut self.prev, memory.iter().copied());
+        }
+    }
+
+    /// Bytes of per-node and per-edge simulation state: loads, integral
+    /// flows, stored memory and arc fractions (the block partials are
+    /// metadata and excluded).
+    pub fn state_bytes(&self) -> usize {
+        let edges = self.prev.len() + self.arc_frac.len() + self.flows.len();
+        8 * (self.loads_i.len() + self.loads_f.len() + edges)
+    }
+}
+
+impl RoundState<i64, f64> {
+    /// `Cell` views of the plain vectors, for one sequential round.
+    pub fn bufs(&mut self) -> ChunkBufs<CellsI64<'_>, CellsF64<'_>> {
+        ChunkBufs {
+            loads_i: kernel::cells_i64(&mut self.loads_i),
+            loads_f: kernel::cells_f64(&mut self.loads_f),
+            prev: kernel::cells_f64(&mut self.prev),
+            arc_frac: kernel::cells_f64(&mut self.arc_frac),
+            flows: kernel::cells_i64(&mut self.flows),
+            block_sums: kernel::cells_f64(&mut self.block_sums),
+        }
+    }
+}
+
+impl RoundState<AtomicI64, AtomicU64> {
+    /// Views of the atomics, shared by every pool participant.
+    pub fn bufs(&self) -> ChunkBufs<AtomicsI64<'_>, AtomicsF64<'_>> {
+        ChunkBufs {
+            loads_i: AtomicsI64(&self.loads_i),
+            loads_f: AtomicsF64(&self.loads_f),
+            prev: AtomicsF64(&self.prev),
+            arc_frac: AtomicsF64(&self.arc_frac),
+            flows: AtomicsI64(&self.flows),
+            block_sums: AtomicsF64(&self.block_sums),
+        }
+    }
+}
+
+/// A [`RoundState`] as a round participant sees it: `Cell` views of the
+/// sequential executor's vectors ([`CellsI64`] / [`CellsF64`]) or the
+/// pool's relaxed atomics ([`AtomicsI64`] / [`AtomicsF64`]). Buffers the
+/// configuration does not use are empty.
 pub(crate) struct ChunkBufs<I, F> {
     /// Integer loads (discrete mode).
     pub loads_i: I,
@@ -159,10 +418,29 @@ pub(crate) struct ChunkBufs<I, F> {
     /// Per-edge integral flows (discrete mode), kept across rounds: they
     /// are the SOS memory under [`FlowMemory::Rounded`].
     pub flows: I,
+    /// Per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials of
+    /// the apply pass; node chunks are block-aligned, so each has one
+    /// writer per round.
+    pub block_sums: F,
+}
+
+impl<I, F: BufF64> ChunkBufs<I, F> {
+    /// The last step of a round, on the control thread: merges the
+    /// participants' fused statistics in participant order (the min/max
+    /// merges are exact) and folds the block partials in block order, so
+    /// `sum_sq_dev` never depends on the executor or the thread count.
+    pub fn collect(&self, stats: impl IntoIterator<Item = LoadStats>) -> LoadStats {
+        let mut merged = stats
+            .into_iter()
+            .fold(LoadStats::identity(), LoadStats::merge);
+        let blocks = self.block_sums.elems().len();
+        merged.sum_sq_dev = kernel::fold_block_sums(blocks, &self.block_sums);
+        merged
+    }
 }
 
 /// A round's scalar inputs.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub(crate) struct RoundArgs {
     /// The SOS memory coefficient (`0` for FOS and the pairwise schemes).
     pub mem: f64,
@@ -310,8 +588,8 @@ impl SchemeKernel {
         matches!(self.flow, FlowPass::Framework { .. })
     }
 
-    /// Whether the control thread publishes a per-round mask through the
-    /// job's atomic mask words: the random-matching plan does, and so
+    /// Whether the control thread publishes a per-round mask into the
+    /// pool's job: the random-matching plan does, and so
     /// does every plan — diffusion included — under crash, edgedrop or
     /// churn.
     pub fn publishes_mask(&self) -> bool {
@@ -354,8 +632,7 @@ impl SchemeKernel {
     /// ([`Perturb::begin_round`]), generates the random matching (if the
     /// plan draws one), and returns the round's effective active mask
     /// composed with the channels ([`Perturb::compose`]) and its stale
-    /// words. On the pool the workers are parked, so the control thread
-    /// has exclusive access to the job's atomics.
+    /// words. The first step of every round, on either executor.
     pub fn prepare<'a, I: BufI64, F: BufF64>(
         &'a self,
         t: &KernelTables,
@@ -382,94 +659,63 @@ impl SchemeKernel {
         perturb.compose(spec, plan, round, t.m)
     }
 
-    /// One full sequential round: [`Self::prepare`], then [`Self::phases`]
-    /// over every edge and node, then the block fold. Returns the round's
-    /// fused load statistics.
-    pub fn run_sequential(
-        &self,
-        t: &KernelTables,
-        graph: &Graph,
-        args: &RoundArgs,
-        bufs: &ChunkBufs<CellsI64<'_>, CellsF64<'_>>,
-        scratch: &mut RoundScratch,
-    ) -> LoadStats {
-        let RoundScratch {
-            fw,
-            matchgen,
-            block_sums,
-            perturb,
-        } = scratch;
-        let masks = self.prepare(t, graph, args.round, bufs, matchgen, perturb);
-        let blocks = kernel::dev_blocks(t.n);
-        block_sums.resize(blocks, 0.0);
-        let sums = kernel::cells_f64(block_sums);
-        let (edges, nodes, stale) = (0..t.m, 0..t.n, masks.stale);
-        let mut stats = match masks.active {
-            None => self.phases(
-                t,
-                args,
-                edges,
-                nodes,
-                bufs,
-                &sums,
-                fw,
-                AllEdges,
-                stale,
-                || {},
-            ),
-            Some(w) => self.phases(
-                t,
-                args,
-                edges,
-                nodes,
-                bufs,
-                &sums,
-                fw,
-                MaskBits(w),
-                stale,
-                || {},
-            ),
-        };
-        stats.sum_sq_dev = kernel::fold_block_sums(blocks, &sums);
-        stats
-    }
-
-    /// The one phase sequence of a round, over one participant's `edges`
-    /// and `nodes`: the gated edge pass, the framework's rounding phase,
-    /// then the apply pass with its fused statistics, with `sync` between
-    /// phases — a no-op in the sequential round, the pool's barrier on a
-    /// participant. Every executor runs the same kernel calls in the same
-    /// per-element order, so pooled results are bit-identical to
-    /// sequential ones. `stale`, when set, marks the edges whose flow
-    /// never lands. Per-block squared-deviation partials go to `sums`
-    /// (the returned statistics leave `sum_sq_dev` to the caller's fold).
+    /// One participant's share of a round, over its `edges` and `nodes`:
+    /// picks the edge gate — the round's mask words if it has any, else
+    /// the sweep plan's class, else every edge — and runs
+    /// [`Self::phases`] with `sync` between phases: a no-op for the
+    /// sequential executor's one participant over every edge and node,
+    /// the barrier on the pool. The only caller of `phases`.
     #[allow(clippy::too_many_arguments)] // one participant's full round context
-    pub fn phases<I, F, G, S>(
+    pub fn participate<I: BufI64, F: BufF64>(
         &self,
         t: &KernelTables,
         args: &RoundArgs,
         edges: Range<usize>,
         nodes: Range<usize>,
         bufs: &ChunkBufs<I, F>,
-        sums: &F,
+        masks: RoundMasks<'_>,
+        fw: &mut FwScratch,
+        sync: impl Fn(),
+    ) -> LoadStats {
+        let stale = masks.stale;
+        match masks.active.or_else(|| self.sweep_class(args.round)) {
+            Some(words) => {
+                let gate = MaskBits(words);
+                self.phases(t, args, edges, nodes, bufs, fw, gate, stale, sync)
+            }
+            None => self.phases(t, args, edges, nodes, bufs, fw, AllEdges, stale, sync),
+        }
+    }
+
+    /// The one phase sequence of a round, over one participant's `edges`
+    /// and `nodes`: the gated edge pass, the framework's rounding phase,
+    /// then the apply pass with its fused statistics, with `sync` between
+    /// phases. Every executor runs the same kernel calls in the same
+    /// per-element order, so pooled results are bit-identical to
+    /// sequential ones. `stale`, when set, marks the edges whose flow
+    /// never lands. Per-block squared-deviation partials go to
+    /// `bufs.block_sums` (the returned statistics leave `sum_sq_dev` to
+    /// [`ChunkBufs::collect`]).
+    #[allow(clippy::too_many_arguments)] // one participant's full round context
+    fn phases<I: BufI64, F: BufF64, G: EdgeGate>(
+        &self,
+        t: &KernelTables,
+        args: &RoundArgs,
+        edges: Range<usize>,
+        nodes: Range<usize>,
+        bufs: &ChunkBufs<I, F>,
         fw: &mut FwScratch,
         gate: G,
-        stale: Option<&S>,
+        stale: Option<&[u64]>,
         sync: impl Fn(),
-    ) -> LoadStats
-    where
-        I: BufI64,
-        F: BufF64,
-        G: EdgeGate,
-        S: Words + ?Sized,
-    {
+    ) -> LoadStats {
         let &RoundArgs {
             mem,
             gain,
             round,
             flow_memory,
         } = args;
-        let (coefs, flows, prev) = (self.coefs(t), &bufs.flows, &bufs.prev);
+        let (coefs, flows, prev, sums) = (self.coefs(t), &bufs.flows, &bufs.prev, &bufs.block_sums);
         let x = |i| bufs.loads_i.get(i) as f64;
         match self.flow {
             FlowPass::Continuous => {
@@ -549,32 +795,30 @@ mod tests {
     }
 
     /// One sequential discrete round (`mem = 0`, `gain = 1`, rounded
-    /// memory) over plain vectors.
-    #[allow(clippy::too_many_arguments)]
+    /// memory): prepare, one participant over everything, collect.
     fn discrete_round(
         k: &SchemeKernel,
         t: &KernelTables,
         g: &Graph,
         round: u64,
-        loads: &mut [i64],
-        prev: &mut [f64],
-        flows: &mut [i64],
+        state: &mut RoundState<i64, f64>,
         scratch: &mut RoundScratch,
     ) -> LoadStats {
-        let bufs = ChunkBufs {
-            loads_i: kernel::cells_i64(loads),
-            loads_f: kernel::cells_f64(&mut []),
-            prev: kernel::cells_f64(prev),
-            arc_frac: kernel::cells_f64(&mut []),
-            flows: kernel::cells_i64(flows),
-        };
         let args = RoundArgs {
             mem: 0.0,
             gain: 1.0,
             round,
             flow_memory: FlowMemory::Rounded,
         };
-        k.run_sequential(t, g, &args, &bufs, scratch)
+        let RoundScratch {
+            fw,
+            matchgen,
+            perturb,
+        } = scratch;
+        let bufs = state.bufs();
+        let masks = k.prepare(t, g, round, &bufs, matchgen, perturb);
+        let stats = k.participate(t, &args, 0..t.m, 0..t.n, &bufs, masks, fw, || {});
+        bufs.collect([stats])
     }
 
     #[test]
@@ -673,25 +917,14 @@ mod tests {
         )
         .unwrap();
         let t = tables(&g);
-        let mut loads = vec![10i64, 0];
-        let mut prev = vec![0.0f64; 1];
-        let mut flows = vec![0i64; 1];
+        let mut state = RoundState::new(&k, &t, FlowMemory::Rounded, vec![10, 0]);
         let mut scratch = RoundScratch::new();
-        let stats = discrete_round(
-            &k,
-            &t,
-            &g,
-            0,
-            &mut loads,
-            &mut prev,
-            &mut flows,
-            &mut scratch,
-        );
-        assert_eq!(loads, vec![5, 5]);
-        // Under `Rounded` the flow slot is the SOS memory; `prev` is
-        // never written.
-        assert_eq!(flows, vec![5]);
-        assert_eq!(prev, vec![0.0]);
+        let stats = discrete_round(&k, &t, &g, 0, &mut state, &mut scratch);
+        assert_eq!(state.loads_i64().unwrap(), &[5, 5][..]);
+        // Under `Rounded` the flow slot is the SOS memory: no `f64`
+        // memory is stored beside it.
+        assert_eq!(state.memory(), &[5.0][..]);
+        assert_eq!(state.state_bytes(), 8 * (2 + 1));
         assert_eq!(stats.min_transient, 0.0); // node 1: 0 − 0; node 0: 10 − 5
     }
 
@@ -710,33 +943,23 @@ mod tests {
         )
         .unwrap();
         let t = tables(&g);
-        let mut loads = vec![100i64, 0, 0, 0];
-        let mut prev = vec![0.0f64; 4];
-        let mut flows = vec![0i64; 4];
+        let mut state = RoundState::new(&k, &t, FlowMemory::Rounded, vec![100, 0, 0, 0]);
         let mut scratch = RoundScratch::new();
         for round in 0..2 {
-            discrete_round(
-                &k,
-                &t,
-                &g,
-                round,
-                &mut loads,
-                &mut prev,
-                &mut flows,
-                &mut scratch,
-            );
+            discrete_round(&k, &t, &g, round, &mut state, &mut scratch);
             let ActivePlan::Sweep { masks, .. } = &k.plan else {
                 unreachable!()
             };
             let words = &masks[(round % masks.len() as u64) as usize];
-            for (e, &f) in flows.iter().enumerate() {
+            for (e, &f) in state.memory().iter().enumerate() {
                 let active = (words[e >> 6] >> (e & 63)) & 1 == 1;
                 if !active {
-                    assert_eq!(f, 0, "round {round}: inactive edge {e} moved {f}");
+                    assert_eq!(f, 0.0, "round {round}: inactive edge {e} moved {f}");
                 }
             }
         }
-        assert_eq!(loads.iter().sum::<i64>(), 100, "tokens conserved");
+        let total: i64 = state.loads_i64().unwrap().iter().sum();
+        assert_eq!(total, 100, "tokens conserved");
     }
 
     #[test]
@@ -760,23 +983,13 @@ mod tests {
         )
         .unwrap();
         let t = tables(&g);
-        let mut loads: Vec<i64> = (0..16).map(|i| i * 3).collect();
-        let total: i64 = loads.iter().sum();
-        let frozen = loads.clone();
-        let mut prev = vec![0.0f64; t.m];
-        let mut flows = vec![0i64; t.m];
+        let frozen: Vec<i64> = (0..16).map(|i| i * 3).collect();
+        let total: i64 = frozen.iter().sum();
+        let mut state = RoundState::new(&k, &t, FlowMemory::Rounded, frozen.clone());
         let mut scratch = RoundScratch::new();
         for round in 0..crate::perturb::EPOCH_LEN {
-            discrete_round(
-                &k,
-                &t,
-                &g,
-                round,
-                &mut loads,
-                &mut prev,
-                &mut flows,
-                &mut scratch,
-            );
+            discrete_round(&k, &t, &g, round, &mut state, &mut scratch);
+            let loads = state.loads_i64().unwrap();
             assert_eq!(loads.iter().sum::<i64>(), total, "round {round}");
             for (v, &was) in frozen.iter().enumerate() {
                 if !live[v] {

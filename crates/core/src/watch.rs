@@ -131,7 +131,14 @@ pub(crate) struct SteadyTracker {
 impl SteadyTracker {
     /// A tracker for `stop=steady:window`.
     pub fn steady(window: usize) -> Self {
-        Self::with_capacity(window, 2 * window, true)
+        let ring = Self::steady_ring(window).expect("StopCondition::check bounds the window");
+        Self::with_capacity(window, ring, true)
+    }
+
+    /// The sample ring length of `stop=steady:window`, `2·window`
+    /// (`None` when that overflows).
+    pub fn steady_ring(window: usize) -> Option<usize> {
+        window.checked_mul(2)
     }
 
     /// A tracker for `stop=horizon:rounds`.

@@ -6,9 +6,10 @@
 //!
 //! Each non-comment line of the file is one `ScenarioSpec` (`key=value`
 //! pairs; see the `sodiff::ScenarioSpec` docs for the format). The batch
-//! `Driver` executes all of them over a single persistent worker pool and
-//! prints the aggregated report. Without arguments, the bundled
-//! `examples/scenarios.txt` matrix is run.
+//! `Driver` executes all of them and prints the aggregated report: on the
+//! sequential executor with the default `--threads 1`, over a single
+//! persistent worker pool of `t` participants with `--threads t` (t > 1).
+//! Without arguments, the bundled `examples/scenarios.txt` matrix is run.
 
 use std::time::Duration;
 

@@ -6,7 +6,7 @@
 use sodiff::graph::{generators, GraphBuilder};
 use sodiff::linalg::spectral;
 use sodiff::prelude::*;
-use sodiff::{BuildError, Driver};
+use sodiff::{BuildError, Driver, ScenarioFailure};
 
 #[test]
 fn invalid_beta_returns_build_error() {
@@ -207,4 +207,50 @@ fn experiment_run_matches_manual_hybrid_loop() {
     let manual_report = manual.run_hybrid(SwitchPolicy::AtRound(30), StopCondition::MaxRounds(100));
     assert_eq!(report, manual_report);
     assert_eq!(report.switch_round, Some(30));
+}
+
+/// A parse-valid stop whose sample ring no allocator can provide (a
+/// horizon of 10¹⁷ rounds needs 8·10¹⁷ bytes) is a typed build error
+/// that fails only its own scenario: the next one in the batch still
+/// runs. Before the check, that allocation aborted the whole process.
+#[test]
+fn unallocatable_stop_ring_fails_only_its_scenario() {
+    let specs = ScenarioSpec::parse_many(
+        "name=huge topology=cycle:8 seed=1 stop=horizon:100000000000000000\n\
+         name=fine topology=cycle:8 seed=1 stop=rounds:10\n",
+    )
+    .unwrap();
+    let batch = Driver::new().run_batch(&specs);
+    assert_eq!(batch.errors.len(), 1, "{:?}", batch.errors);
+    let error = &batch.errors[0];
+    assert_eq!(error.index, 0);
+    let ScenarioFailure::Build(BuildError::Scenario { source, .. }) = &error.error else {
+        panic!("not a build error: {error}");
+    };
+    assert!(
+        matches!(**source, BuildError::InvalidStopCondition(_)),
+        "{error}"
+    );
+    assert_eq!(batch.scenarios.len(), 1);
+    assert_eq!(batch.scenarios[0].name, "fine");
+    assert_eq!(batch.scenarios[0].report.rounds, 10);
+    // A `steady:W` ring holds 2·W samples; a length that overflows
+    // `usize` is refused as well.
+    let g = generators::cycle(8);
+    for stop in [
+        StopCondition::Steady {
+            window: usize::MAX / 2 + 1,
+        },
+        StopCondition::Horizon(usize::MAX),
+    ] {
+        let err = Experiment::on(&g)
+            .continuous()
+            .stop(stop)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, BuildError::InvalidStopCondition(_)),
+            "{stop:?}: {err:?}"
+        );
+    }
 }

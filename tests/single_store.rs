@@ -5,8 +5,8 @@
 //! memory. These tests pin that neither changes anything observable:
 //! after single `step()`s and after a whole `run_until`, every thread
 //! count reports the sequential run's loads, flow memory, total load,
-//! metrics and checkpoint bytes bit for bit; a snapshot restored into a
-//! pooled simulator continues exactly; and a snapshot whose memory a
+//! metrics and checkpoint bytes bit for bit; a snapshot restored into
+//! any executor continues exactly; and a snapshot whose memory a
 //! rounded run could never have held is refused with a typed error.
 
 use std::path::{Path, PathBuf};
@@ -31,6 +31,14 @@ const SPECS: &[&str] = &[
 ];
 
 const THREADS: &[usize] = &[2, 3, 5];
+
+/// A simulation (and the experiment that builds it) can be shared with
+/// and sent to other threads, whichever executor holds its state.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Simulator<'static>>();
+    send_sync::<Experiment<'static>>();
+};
 
 fn spec(body: &str, threads: usize, rounds: usize) -> ScenarioSpec {
     format!("name=store {body} threads={threads} stop=rounds:{rounds}")
@@ -154,7 +162,8 @@ fn state_bytes_count_one_copy() {
 }
 
 /// A snapshot taken mid-run — by either executor — restored into a
-/// pooled simulator continues exactly like the uninterrupted run.
+/// pooled simulator, or into the sequential one, continues exactly like
+/// the uninterrupted run.
 #[test]
 fn restore_into_pool_continues_exactly() {
     let dir = scratch_dir("restore");
@@ -175,7 +184,7 @@ fn restore_into_pool_continues_exactly() {
             let ckpt_path = dir.join("mid.ckpt");
             write_checkpoint(&ckpt_path, &line, &sim.snapshot()).unwrap();
             let ckpt = read_checkpoint(&ckpt_path).unwrap();
-            for &threads in THREADS {
+            for threads in [1, 2, 3, 5] {
                 let target = spec(body, threads, total);
                 let mut resumed = target.experiment_on(&graph).unwrap().simulator();
                 resumed.restore(&ckpt.snapshot).unwrap();
