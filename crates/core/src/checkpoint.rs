@@ -15,8 +15,7 @@
 //!
 //! * the load vector (integer tokens or continuous) and the SOS flow
 //!   memory (`prev_flow`),
-//! * the round counters (`round`, `rounds_in_scheme`, the run origin)
-//!   and the hybrid/switch state (`switch_round`, `degraded`),
+//! * the round counters (`round`, `rounds_in_scheme`),
 //! * the fused per-round statistics (`min_transient`, the last round's
 //!   [`crate::kernel::LoadStats`]),
 //! * the cumulative [`FaultEvents`]/[`LoadEvents`]/[`ChurnEvents`]
@@ -26,9 +25,11 @@
 //!   history-dependent piece of axis state (a Markov chain over
 //!   epochs), persisted verbatim so restore installs it without ever
 //!   redrawing a transition,
-//! * the divergence-watchdog window, the steady-state ring, and the
-//!   plateau history — the small metric rings the stop conditions and
-//!   the degradation logic read.
+//! * the run loop's one record of its state: the run origin, the
+//!   hybrid/degradation state (`switch_round`, `degraded`), the
+//!   divergence-watchdog window, the steady-state ring and the plateau
+//!   tracker. The run loop updates that record in place, so a snapshot
+//!   carries it as it is, at any round boundary.
 //!
 //! Everything else — graph, speeds, kernels, coefficient tables, sweep
 //! families — is deterministically rebuilt from the [`ScenarioSpec`]
@@ -39,16 +40,14 @@
 //! Little-endian throughout: an 8-byte magic (`SODIFFCK`), a `u32`
 //! format version, a length-prefixed [`ScenarioSpec`] display line, the
 //! encoded snapshot payload, and a trailing FNV-1a checksum over every
-//! preceding byte. Version 2 (the churn release) appends the churn
-//! event counters and the active-node overlay words after the version-1
-//! payload; **version-1 files still load** — their churn fields decode
-//! to the "churn never ran" defaults, which is exactly right because a
-//! v1 writer predates the axis. Unknown (v3+) or zero versions are
-//! rejected as [`CheckpointError::UnsupportedVersion`]. Files are
-//! written to a temporary sibling and atomically renamed, so a crash
-//! mid-write never leaves a torn "latest" checkpoint. Loading **never
-//! panics**: truncation, bit corruption, and version skew surface as
-//! typed [`CheckpointError`] variants.
+//! preceding byte. Version 2 is the only version this build reads or
+//! writes; any other version (the pre-churn version 1 included) is
+//! rejected as [`CheckpointError::UnsupportedVersion`] before the
+//! checksum is checked. Files are written to a temporary sibling and
+//! atomically renamed, so a crash mid-write never leaves a torn "latest"
+//! checkpoint. Loading **never panics**: truncation, bit corruption,
+//! version skew and tracker state the run loop could not have produced
+//! surface as typed [`CheckpointError`] variants.
 //!
 //! # Usage
 //!
@@ -97,18 +96,17 @@ use std::str::FromStr;
 
 use crate::engine::{RunReport, StopCondition};
 use crate::error::{CheckpointError, ParseError};
+use crate::kernel::LoadStats;
+use crate::metrics::RemainingImbalance;
 use crate::observer::{NullObserver, Observer};
 use crate::perturb::{ChurnEvents, FaultEvents, LoadEvents};
-use crate::scenario::{ScenarioSpec, StopSpec};
+use crate::scenario::ScenarioSpec;
+use crate::watch::{DivergenceWatch, RunRecord, SteadyTracker};
 
 /// Magic bytes every checkpoint file starts with.
 const MAGIC: &[u8; 8] = b"SODIFFCK";
-/// The format version this build writes. Version 2 appended the churn
-/// event counters and the active-node overlay; every version from
-/// [`MIN_VERSION`] up is still readable.
+/// The format version this build reads and writes.
 const VERSION: u32 = 2;
-/// The oldest format version this build still reads.
-const MIN_VERSION: u32 = 1;
 
 /// When and where to checkpoint: the `ckpt=every:N:DIR` scenario key as
 /// data.
@@ -189,34 +187,6 @@ impl CheckpointConfig {
     }
 }
 
-/// The divergence-watchdog ring at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WatchSnapshot {
-    pub armed: bool,
-    pub ring: Vec<f64>,
-    pub len: usize,
-    pub pos: usize,
-}
-
-/// The steady-state tracker ring at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SteadySnapshot {
-    pub window: usize,
-    pub ring: Vec<f64>,
-    pub pos: usize,
-    pub len: usize,
-    pub newer_sum: f64,
-    pub older_sum: f64,
-    pub check: bool,
-}
-
-/// The plateau tracker's history tail at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PlateauSnapshot {
-    pub window: usize,
-    pub history: Vec<f64>,
-}
-
 /// The load vector in the snapshot's execution mode.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum LoadsSnapshot {
@@ -237,31 +207,24 @@ pub(crate) enum LoadsSnapshot {
 pub struct Snapshot {
     pub(crate) round: u64,
     pub(crate) rounds_in_scheme: u64,
-    /// `round` at the start of the interrupted `run_*` call: the origin
-    /// hybrid triggers count from, and what turns the spec's absolute
-    /// stop budget into a remaining one.
-    pub(crate) run_start: u64,
-    pub(crate) switch_round: Option<u64>,
-    pub(crate) degraded: bool,
     pub(crate) min_transient: f64,
     /// Total initial load baked into the kernel tables; restore
     /// validates it bit-exactly against the target simulator's.
     pub(crate) initial_total: f64,
     /// The last round's fused statistics, if a round has run.
-    pub(crate) round_stats: Option<[f64; 5]>,
+    pub(crate) round_stats: Option<LoadStats>,
     pub(crate) loads: LoadsSnapshot,
     pub(crate) prev_flow: Vec<f64>,
     pub(crate) fault_events: FaultEvents,
     pub(crate) load_events: LoadEvents,
     pub(crate) churn_events: ChurnEvents,
     /// The churn axis's active-node overlay words at snapshot time
-    /// (empty = churn never ran; version-1 files always decode to
-    /// empty). Persisted verbatim because the overlay is a Markov chain
-    /// over epochs — restore must never redraw a transition.
+    /// (empty = churn never ran). Persisted verbatim because the
+    /// overlay is a Markov chain over epochs — restore must never redraw
+    /// a transition.
     pub(crate) churn_active: Vec<u64>,
-    pub(crate) watch: Option<WatchSnapshot>,
-    pub(crate) steady: Option<SteadySnapshot>,
-    pub(crate) plateau: Option<PlateauSnapshot>,
+    /// The run loop's state, as it is at the snapshot's round boundary.
+    pub(crate) run: RunRecord,
 }
 
 impl Snapshot {
@@ -272,36 +235,32 @@ impl Snapshot {
 
     /// Rounds executed by the interrupted run up to this snapshot.
     pub fn rounds_done(&self) -> u64 {
-        self.round.saturating_sub(self.run_start)
+        self.round.saturating_sub(self.run.origin)
     }
 
-    /// Converts the spec's (absolute) stop condition into the condition
+    /// Converts the run's (absolute) stop condition into the condition
     /// for the *remaining* run after this snapshot. Round-count budgets
-    /// shrink by [`Self::rounds_done`]; `steady:` keeps watching the
-    /// restored ring.
-    pub(crate) fn remaining_stop(&self, stop: StopSpec) -> StopCondition {
+    /// shrink by [`Self::rounds_done`] (a finished `horizon:` leaves
+    /// `Horizon(0)`, which still reports the restored ring's statistics);
+    /// `steady:` keeps watching the restored ring, and its built-in cap
+    /// counts from the run origin.
+    pub(crate) fn remaining_stop(&self, stop: StopCondition) -> StopCondition {
         let done = self.rounds_done() as usize;
         match stop {
-            StopSpec::Rounds(r) => StopCondition::MaxRounds(r.saturating_sub(done)),
-            StopSpec::Balanced {
+            StopCondition::MaxRounds(r) => StopCondition::MaxRounds(r.saturating_sub(done)),
+            StopCondition::BalancedWithin {
                 threshold,
                 max_rounds,
             } => StopCondition::BalancedWithin {
                 threshold,
                 max_rounds: max_rounds.saturating_sub(done),
             },
-            StopSpec::Plateau { window, max_rounds } => StopCondition::Plateau {
+            StopCondition::Plateau { window, max_rounds } => StopCondition::Plateau {
                 window,
                 max_rounds: max_rounds.saturating_sub(done),
             },
-            StopSpec::Steady { window } => StopCondition::Steady { window },
-            StopSpec::Horizon(r) => {
-                if r > done {
-                    StopCondition::Horizon(r - done)
-                } else {
-                    StopCondition::MaxRounds(0)
-                }
-            }
+            StopCondition::Steady { .. } => stop,
+            StopCondition::Horizon(r) => StopCondition::Horizon(r.saturating_sub(done)),
         }
     }
 }
@@ -335,13 +294,7 @@ impl Checkpoint {
     pub fn resume_with(&self, observer: &mut dyn Observer) -> Result<RunReport, CheckpointError> {
         let graph = self.spec.build_graph()?;
         let experiment = self.spec.experiment_on(&graph)?;
-        let mut sim = experiment.simulator();
-        sim.restore(&self.snapshot)?;
-        let stop = self.snapshot.remaining_stop(self.spec.stop);
-        Ok(match experiment.hybrid_policy() {
-            Some(policy) => sim.run_hybrid_with(policy, stop, observer),
-            None => sim.run_until_with(stop, observer),
-        })
+        experiment.resume_on(&mut experiment.simulator(), &self.snapshot, observer)
     }
 }
 
@@ -394,7 +347,12 @@ impl Enc {
             None => self.bool(false),
         }
     }
-    fn vec_f64(&mut self, xs: &[f64]) {
+    fn vec_f64<'a, I>(&mut self, xs: I)
+    where
+        I: IntoIterator<Item = &'a f64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let xs = xs.into_iter();
         self.usize(xs.len());
         for &x in xs {
             self.f64(x);
@@ -490,22 +448,32 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn encode_snapshot(enc: &mut Enc, snap: &Snapshot, version: u32) {
+/// Refuses tracker state the run loop could not have produced: resuming
+/// from it would not continue the run exactly.
+fn impossible(what: &str) -> CheckpointError {
+    CheckpointError::Mismatch(format!("its {what} could not have come from the run loop"))
+}
+
+fn encode_snapshot(enc: &mut Enc, snap: &Snapshot) {
+    let run = &snap.run;
     enc.u64(snap.round);
     enc.u64(snap.rounds_in_scheme);
-    enc.u64(snap.run_start);
-    enc.opt_u64(snap.switch_round);
-    enc.bool(snap.degraded);
+    enc.u64(run.origin);
+    enc.opt_u64(run.switch_round);
+    enc.bool(run.degraded);
     enc.f64(snap.min_transient);
     enc.f64(snap.initial_total);
-    match snap.round_stats {
-        Some(stats) => {
-            enc.bool(true);
-            for x in stats {
-                enc.f64(x);
-            }
+    enc.bool(snap.round_stats.is_some());
+    if let Some(s) = snap.round_stats {
+        for x in [
+            s.min_transient,
+            s.min_load,
+            s.max_dev,
+            s.min_dev,
+            s.sum_sq_dev,
+        ] {
+            enc.f64(x);
         }
-        None => enc.bool(false),
     }
     match &snap.loads {
         LoadsSnapshot::Discrete(loads) => {
@@ -528,64 +496,53 @@ fn encode_snapshot(enc: &mut Enc, snap: &Snapshot, version: u32) {
     enc.u64(le.arrivals);
     enc.u64(le.departures);
     enc.f64(le.injected);
-    match &snap.watch {
-        Some(w) => {
-            enc.bool(true);
-            enc.bool(w.armed);
-            enc.vec_f64(&w.ring);
-            enc.usize(w.len);
-            enc.usize(w.pos);
-        }
-        None => enc.bool(false),
+    enc.bool(run.watch.is_some());
+    if let Some(w) = &run.watch {
+        enc.bool(w.armed);
+        enc.vec_f64(&w.window);
+        enc.usize(w.len);
+        enc.usize(w.pos);
     }
-    match &snap.steady {
-        Some(s) => {
-            enc.bool(true);
-            enc.usize(s.window);
-            enc.vec_f64(&s.ring);
-            enc.usize(s.pos);
-            enc.usize(s.len);
-            enc.f64(s.newer_sum);
-            enc.f64(s.older_sum);
-            enc.bool(s.check);
-        }
-        None => enc.bool(false),
+    enc.bool(run.steady.is_some());
+    if let Some(s) = &run.steady {
+        enc.usize(s.window);
+        enc.vec_f64(&s.ring);
+        enc.usize(s.pos);
+        enc.usize(s.len);
+        enc.f64(s.newer_sum);
+        enc.f64(s.older_sum);
+        enc.bool(s.check);
     }
-    match &snap.plateau {
-        Some(p) => {
-            enc.bool(true);
-            enc.usize(p.window);
-            enc.vec_f64(&p.history);
-        }
-        None => enc.bool(false),
+    enc.bool(run.plateau.is_some());
+    if let Some(p) = &run.plateau {
+        enc.usize(p.window);
+        enc.vec_f64(&p.history);
     }
-    // Version 2 appends the churn axis: event counters plus the
-    // active-node overlay words (the history-dependent Markov state).
-    if version >= 2 {
-        let ce = snap.churn_events;
-        enc.u64(ce.departures);
-        enc.u64(ce.arrivals);
-        enc.u64(ce.handoffs);
-        enc.f64(ce.joined);
-        enc.f64(ce.departed);
-        enc.vec_u64(&snap.churn_active);
-    }
+    let ce = snap.churn_events;
+    enc.u64(ce.departures);
+    enc.u64(ce.arrivals);
+    enc.u64(ce.handoffs);
+    enc.f64(ce.joined);
+    enc.f64(ce.departed);
+    enc.vec_u64(&snap.churn_active);
 }
 
-fn decode_snapshot(dec: &mut Dec<'_>, version: u32) -> Result<Snapshot, CheckpointError> {
+fn decode_snapshot(dec: &mut Dec<'_>) -> Result<Snapshot, CheckpointError> {
     let round = dec.u64()?;
     let rounds_in_scheme = dec.u64()?;
-    let run_start = dec.u64()?;
+    let origin = dec.u64()?;
     let switch_round = dec.opt_u64()?;
     let degraded = dec.bool()?;
     let min_transient = dec.f64()?;
     let initial_total = dec.f64()?;
     let round_stats = if dec.bool()? {
-        let mut stats = [0.0; 5];
-        for x in &mut stats {
-            *x = dec.f64()?;
-        }
-        Some(stats)
+        Some(LoadStats {
+            min_transient: dec.f64()?,
+            min_load: dec.f64()?,
+            max_dev: dec.f64()?,
+            min_dev: dec.f64()?,
+            sum_sq_dev: dec.f64()?,
+        })
     } else {
         None
     };
@@ -609,65 +566,69 @@ fn decode_snapshot(dec: &mut Dec<'_>, version: u32) -> Result<Snapshot, Checkpoi
     };
     let watch = if dec.bool()? {
         let armed = dec.bool()?;
-        let ring = dec.vec_f64()?;
-        let len = dec.usize()?;
-        let pos = dec.usize()?;
-        Some(WatchSnapshot {
+        let window = dec.vec_f64()?;
+        let w = DivergenceWatch {
             armed,
-            ring,
-            len,
-            pos,
-        })
+            window: window.try_into().map_err(|_| impossible("watchdog ring"))?,
+            len: dec.usize()?,
+            pos: dec.usize()?,
+        };
+        if w.len > w.window.len() || w.pos >= w.window.len() {
+            return Err(impossible("watchdog ring"));
+        }
+        Some(w)
     } else {
         None
     };
     let steady = if dec.bool()? {
-        let window = dec.usize()?;
-        let ring = dec.vec_f64()?;
-        let pos = dec.usize()?;
-        let len = dec.usize()?;
-        let newer_sum = dec.f64()?;
-        let older_sum = dec.f64()?;
-        let check = dec.bool()?;
-        Some(SteadySnapshot {
-            window,
-            ring,
-            pos,
-            len,
-            newer_sum,
-            older_sum,
-            check,
-        })
+        let s = SteadyTracker {
+            window: dec.usize()?,
+            ring: dec.vec_f64()?,
+            pos: dec.usize()?,
+            len: dec.usize()?,
+            newer_sum: dec.f64()?,
+            older_sum: dec.f64()?,
+            check: dec.bool()?,
+        };
+        let capacity = if s.check {
+            s.window.checked_mul(2)
+        } else {
+            Some(s.window)
+        };
+        if s.window == 0
+            || capacity != Some(s.ring.len())
+            || s.pos >= s.ring.len()
+            || s.len > s.ring.len()
+        {
+            return Err(impossible("steady-state ring"));
+        }
+        Some(s)
     } else {
         None
     };
     let plateau = if dec.bool()? {
         let window = dec.usize()?;
         let history = dec.vec_f64()?;
-        Some(PlateauSnapshot { window, history })
+        if window == 0 || history.len() > window.saturating_mul(2) {
+            return Err(impossible("plateau history"));
+        }
+        Some(RemainingImbalance {
+            window,
+            history: history.into(),
+        })
     } else {
         None
     };
-    // Version-1 files predate the churn axis: their churn fields decode
-    // to the "churn never ran" defaults (empty overlay, zero counters).
-    let (churn_events, churn_active) = if version >= 2 {
-        let churn_events = ChurnEvents {
-            departures: dec.u64()?,
-            arrivals: dec.u64()?,
-            handoffs: dec.u64()?,
-            joined: dec.f64()?,
-            departed: dec.f64()?,
-        };
-        (churn_events, dec.vec_u64()?)
-    } else {
-        (ChurnEvents::default(), Vec::new())
+    let churn_events = ChurnEvents {
+        departures: dec.u64()?,
+        arrivals: dec.u64()?,
+        handoffs: dec.u64()?,
+        joined: dec.f64()?,
+        departed: dec.f64()?,
     };
     Ok(Snapshot {
         round,
         rounds_in_scheme,
-        run_start,
-        switch_round,
-        degraded,
         min_transient,
         initial_total,
         round_stats,
@@ -676,10 +637,15 @@ fn decode_snapshot(dec: &mut Dec<'_>, version: u32) -> Result<Snapshot, Checkpoi
         fault_events,
         load_events,
         churn_events,
-        churn_active,
-        watch,
-        steady,
-        plateau,
+        churn_active: dec.vec_u64()?,
+        run: RunRecord {
+            origin,
+            switch_round,
+            degraded,
+            watch,
+            steady,
+            plateau,
+        },
     })
 }
 
@@ -688,20 +654,13 @@ fn decode_snapshot(dec: &mut Dec<'_>, version: u32) -> Result<Snapshot, Checkpoi
 /// scenario line: the engine's auto-checkpoint path carries the line,
 /// not the parsed spec.
 fn encode_checkpoint_line(spec_line: &str, snap: &Snapshot) -> Vec<u8> {
-    encode_checkpoint_line_at(spec_line, snap, VERSION)
-}
-
-/// Serializes at an explicit (older) format version. Production writes
-/// always use [`VERSION`]; the back-compat fixture generator uses this
-/// to emit a faithful version-1 file.
-pub(crate) fn encode_checkpoint_line_at(spec_line: &str, snap: &Snapshot, version: u32) -> Vec<u8> {
     let mut enc = Enc {
         buf: Vec::with_capacity(256 + 16 * snap.prev_flow.len()),
     };
     enc.buf.extend_from_slice(MAGIC);
-    enc.u32(version);
+    enc.u32(VERSION);
     enc.str(spec_line);
-    encode_snapshot(&mut enc, snap, version);
+    encode_snapshot(&mut enc, snap);
     let checksum = fnv1a(&enc.buf);
     enc.u64(checksum);
     enc.buf
@@ -720,7 +679,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
         pos: MAGIC.len(),
     };
     let version = dec.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion { found: version });
     }
     if bytes.len() < MAGIC.len() + 4 + 8 {
@@ -736,7 +695,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
     dec.bytes = &bytes[..body_len];
     let spec_line = dec.str()?;
     let spec: ScenarioSpec = spec_line.parse()?;
-    let snapshot = decode_snapshot(&mut dec, version)?;
+    let snapshot = decode_snapshot(&mut dec)?;
     Ok(Checkpoint { spec, snapshot })
 }
 
@@ -785,9 +744,10 @@ pub(crate) fn write_checkpoint_line(
 /// [`CheckpointError::Io`] (unreadable), [`CheckpointError::BadMagic`]
 /// (not a checkpoint), [`CheckpointError::UnsupportedVersion`],
 /// [`CheckpointError::Truncated`],
-/// [`CheckpointError::ChecksumMismatch`] (bit corruption), or
-/// [`CheckpointError::Spec`] (unparseable embedded scenario). Never
-/// panics on malformed input.
+/// [`CheckpointError::ChecksumMismatch`] (bit corruption),
+/// [`CheckpointError::Spec`] (unparseable embedded scenario), or
+/// [`CheckpointError::Mismatch`] (run-loop tracker state the run loop
+/// could not have produced). Never panics on malformed input.
 pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
     let bytes = fs::read(path).map_err(|e| CheckpointError::io(path, e))?;
     decode_checkpoint(&bytes)
@@ -798,15 +758,24 @@ mod tests {
     use super::*;
 
     fn sample_snapshot() -> Snapshot {
+        let mut steady = SteadyTracker::steady(4);
+        let mut plateau = RemainingImbalance::new(3);
+        for x in [9.0, 8.0, 7.5, 7.25, 7.25, 7.25, 7.0] {
+            steady.push(x);
+            plateau.push(x);
+        }
         Snapshot {
             round: 40,
             rounds_in_scheme: 12,
-            run_start: 8,
-            switch_round: Some(36),
-            degraded: true,
             min_transient: -3.5,
             initial_total: 6400.0,
-            round_stats: Some([1.0, 2.0, 3.0, -4.0, 5.5]),
+            round_stats: Some(LoadStats {
+                min_transient: 1.0,
+                min_load: 2.0,
+                max_dev: 3.0,
+                min_dev: -4.0,
+                sum_sq_dev: 5.5,
+            }),
             loads: LoadsSnapshot::Discrete(vec![3, -1, 98]),
             prev_flow: vec![0.25, -7.125],
             fault_events: FaultEvents {
@@ -829,25 +798,19 @@ mod tests {
                 departed: 17.5,
             },
             churn_active: vec![0xdead_beef_0042_1337, 0b101],
-            watch: Some(WatchSnapshot {
-                armed: true,
-                ring: (0..16).map(|i| i as f64).collect(),
-                len: 16,
-                pos: 5,
-            }),
-            steady: Some(SteadySnapshot {
-                window: 4,
-                ring: vec![1.0; 8],
-                pos: 3,
-                len: 8,
-                newer_sum: 4.0,
-                older_sum: 4.0,
-                check: true,
-            }),
-            plateau: Some(PlateauSnapshot {
-                window: 3,
-                history: vec![9.0, 8.0, 7.5, 7.25, 7.25, 7.25],
-            }),
+            run: RunRecord {
+                origin: 8,
+                switch_round: Some(36),
+                degraded: true,
+                watch: Some(DivergenceWatch {
+                    armed: true,
+                    window: std::array::from_fn(|i| i as f64),
+                    len: 16,
+                    pos: 5,
+                }),
+                steady: Some(steady),
+                plateau: Some(plateau),
+            },
         }
     }
 
@@ -874,60 +837,13 @@ mod tests {
 
         // A continuous snapshot with all the optionals absent.
         let snap = Snapshot {
-            switch_round: None,
             round_stats: None,
             loads: LoadsSnapshot::Continuous(vec![1.5, 2.5]),
-            watch: None,
-            steady: None,
-            plateau: None,
-            degraded: false,
+            run: RunRecord::default(),
             ..snap
         };
         let back = decode_checkpoint(&encode_checkpoint_line(&spec.to_string(), &snap)).unwrap();
         assert_eq!(back.snapshot, snap);
-    }
-
-    /// Regenerates the committed version-1 back-compat fixture
-    /// (`tests/fixtures/checkpoint_v1.ckpt`): the crash-churn golden
-    /// scenario run to round 33, encoded with the v1 codec (no churn
-    /// fields). `tests/checkpoint_corruption.rs` resumes it under the
-    /// v2 reader and must land on the pinned golden checksum. Ignored:
-    /// run `cargo test -p sodiff-core regenerate_v1 -- --ignored` only
-    /// when the fixture scenario itself changes.
-    #[test]
-    #[ignore]
-    fn regenerate_v1_fixture() {
-        let line = "name=v1fix topology=torus2d:8:8 rounding=nearest scheme=sos:1.7 \
-                    init=point:0:6400 faults=crash:0.1:7 stop=rounds:64";
-        let spec: ScenarioSpec = line.parse().unwrap();
-        let graph = spec.build_graph().unwrap();
-        let mut sim = spec.experiment_on(&graph).unwrap().simulator();
-        sim.run_until(StopCondition::MaxRounds(33));
-        let bytes = encode_checkpoint_line_at(&spec.to_string(), &sim.snapshot(), 1);
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../tests/fixtures/checkpoint_v1.ckpt");
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &bytes).unwrap();
-        // The file we just wrote must decode as a v1 checkpoint.
-        let back = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(back.snapshot.round, 33);
-        assert_eq!(back.snapshot.churn_active, Vec::<u64>::new());
-    }
-
-    #[test]
-    fn version_one_files_decode_with_churn_defaults() {
-        let spec: ScenarioSpec = "name=t topology=cycle:8 stop=rounds:80".parse().unwrap();
-        let snap = sample_snapshot();
-        let v1 = encode_checkpoint_line_at(&spec.to_string(), &snap, 1);
-        let back = decode_checkpoint(&v1).unwrap();
-        // Everything the v1 format carries round-trips; the churn
-        // fields decode to "churn never ran".
-        let expected = Snapshot {
-            churn_events: ChurnEvents::default(),
-            churn_active: Vec::new(),
-            ..snap
-        };
-        assert_eq!(back.snapshot, expected);
     }
 
     #[test]
@@ -964,30 +880,65 @@ mod tests {
         }
     }
 
+    /// Tracker state the run loop could not have produced is refused at
+    /// decode, each kind by name.
+    #[test]
+    fn impossible_tracker_state_is_refused() {
+        let spec: ScenarioSpec = "name=t topology=cycle:8".parse().unwrap();
+        let refused = |edit: &dyn Fn(&mut RunRecord), what: &str| {
+            let mut snap = sample_snapshot();
+            edit(&mut snap.run);
+            match decode_checkpoint(&encode_checkpoint_line(&spec.to_string(), &snap)) {
+                Err(CheckpointError::Mismatch(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: {other:?}"),
+            }
+        };
+        refused(&|r| r.watch.as_mut().unwrap().pos = 16, "watchdog ring");
+        refused(&|r| r.watch.as_mut().unwrap().len = 17, "watchdog ring");
+        refused(&|r| r.steady.as_mut().unwrap().pos = 8, "steady-state ring");
+        refused(&|r| r.steady.as_mut().unwrap().len = 9, "steady-state ring");
+        refused(
+            &|r| r.steady.as_mut().unwrap().window = 3,
+            "steady-state ring",
+        );
+        refused(
+            &|r| r.steady.as_mut().unwrap().check = false,
+            "steady-state ring",
+        );
+        refused(
+            &|r| r.plateau.as_mut().unwrap().history.push_back(1.0),
+            "plateau history",
+        );
+        refused(
+            &|r| r.plateau.as_mut().unwrap().window = 0,
+            "plateau history",
+        );
+    }
+
     #[test]
     fn remaining_stop_shrinks_budgets() {
-        let snap = Snapshot {
-            run_start: 0,
+        let mut snap = Snapshot {
             round: 30,
             ..sample_snapshot()
         };
+        snap.run.origin = 0;
         assert_eq!(
-            snap.remaining_stop(StopSpec::Rounds(80)),
+            snap.remaining_stop(StopCondition::MaxRounds(80)),
             StopCondition::MaxRounds(50)
         );
         assert_eq!(
-            snap.remaining_stop(StopSpec::Horizon(30)),
-            StopCondition::MaxRounds(0)
+            snap.remaining_stop(StopCondition::Horizon(30)),
+            StopCondition::Horizon(0)
         );
         assert_eq!(
-            snap.remaining_stop(StopSpec::Horizon(31)),
+            snap.remaining_stop(StopCondition::Horizon(31)),
             StopCondition::Horizon(1)
         );
         assert_eq!(
-            snap.remaining_stop(StopSpec::Steady { window: 16 }),
+            snap.remaining_stop(StopCondition::Steady { window: 16 }),
             StopCondition::Steady { window: 16 }
         );
-        let plateau = snap.remaining_stop(StopSpec::Plateau {
+        let plateau = snap.remaining_stop(StopCondition::Plateau {
             window: 10,
             max_rounds: 100,
         });

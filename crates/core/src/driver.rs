@@ -471,6 +471,17 @@ impl Driver {
     /// Build failures are wrapped as [`BuildError::Scenario`] carrying the
     /// scenario's name.
     pub fn run_spec(&self, spec: &ScenarioSpec) -> Result<ScenarioReport, BuildError> {
+        self.run_spec_from(spec, None)
+    }
+
+    /// [`Driver::run_spec`], continued from `ckpt` when one is given:
+    /// the snapshot is restored into the freshly built simulator and only
+    /// the remaining part of the spec's stop condition runs.
+    fn run_spec_from(
+        &self,
+        spec: &ScenarioSpec,
+        ckpt: Option<&Checkpoint>,
+    ) -> Result<ScenarioReport, BuildError> {
         let wrap = |source: BuildError| BuildError::Scenario {
             name: spec.name.clone(),
             source: Box::new(source),
@@ -484,15 +495,16 @@ impl Driver {
         let mut spec = spec.clone();
         spec.threads = self.threads;
         let experiment = spec.experiment_on(&graph).map_err(wrap)?;
-        let report = match self.attached_pool() {
-            Some(pool) => {
-                let mut sim = experiment.simulator_on(pool);
-                experiment.run_on(&mut sim, &mut crate::observer::NullObserver)
-            }
-            None => {
-                let mut sim = experiment.simulator();
-                experiment.run_on(&mut sim, &mut crate::observer::NullObserver)
-            }
+        let mut sim = match self.attached_pool() {
+            Some(pool) => experiment.simulator_on(pool),
+            None => experiment.simulator(),
+        };
+        let observer = &mut crate::observer::NullObserver;
+        let report = match ckpt {
+            Some(ckpt) => experiment
+                .resume_on(&mut sim, &ckpt.snapshot, observer)
+                .map_err(|e| wrap(e.into()))?,
+            None => experiment.run_on(&mut sim, observer),
         };
         Ok(ScenarioReport {
             name: spec.name.clone(),
@@ -789,57 +801,12 @@ impl Driver {
 
         let mut report =
             self.run_batch_core(&run_specs, Some(&run_indices), Some(&sink), &|pos, spec| {
-                match &checkpoints[pos] {
-                    Some(ckpt) => self.run_spec_resumed(spec, ckpt),
-                    None => self.run_spec(spec),
-                }
+                self.run_spec_from(spec, checkpoints[pos].as_ref())
             });
         report.errors.extend(ckpt_errors);
         report.errors.sort_by_key(|e| e.index);
         report.total_wall = start.elapsed();
         Ok(report)
-    }
-
-    /// [`Driver::run_spec`] continued from a checkpoint: restores the
-    /// snapshot into a freshly built simulator (attached to this
-    /// driver's pool) and runs only the remaining part of the spec's
-    /// stop condition.
-    fn run_spec_resumed(
-        &self,
-        spec: &ScenarioSpec,
-        ckpt: &Checkpoint,
-    ) -> Result<ScenarioReport, BuildError> {
-        let wrap = |source: BuildError| BuildError::Scenario {
-            name: spec.name.clone(),
-            source: Box::new(source),
-        };
-        let start = Instant::now();
-        let graph = spec.build_graph().map_err(wrap)?;
-        let mut spec = spec.clone();
-        spec.threads = self.threads;
-        let experiment = spec.experiment_on(&graph).map_err(wrap)?;
-        let mut sim = match self.attached_pool() {
-            Some(pool) => experiment.simulator_on(pool),
-            None => experiment.simulator(),
-        };
-        sim.restore(&ckpt.snapshot)
-            .map_err(BuildError::from)
-            .map_err(wrap)?;
-        let stop = ckpt.snapshot.remaining_stop(spec.stop);
-        let observer = &mut crate::observer::NullObserver;
-        let report = match experiment.hybrid_policy() {
-            Some(policy) => sim.run_hybrid_with(policy, stop, observer),
-            None => sim.run_until_with(stop, observer),
-        };
-        Ok(ScenarioReport {
-            name: spec.name.clone(),
-            spec: spec.to_string(),
-            nodes: graph.node_count(),
-            edges: graph.edge_count(),
-            report,
-            wall: start.elapsed(),
-            attempts: 1,
-        })
     }
 }
 

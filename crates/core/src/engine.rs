@@ -44,14 +44,12 @@ use std::sync::Arc;
 
 use sodiff_graph::{Graph, Speeds};
 
-use crate::checkpoint::{
-    self, CheckpointConfig, LoadsSnapshot, PlateauSnapshot, Snapshot, SteadySnapshot, WatchSnapshot,
-};
+use crate::checkpoint::{self, CheckpointConfig, LoadsSnapshot, Snapshot};
 use crate::error::{BuildError, CheckpointError};
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
 use crate::kernel::{KernelTables, LoadStats};
-use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot, RemainingImbalance};
+use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot};
 use crate::observer::Observer;
 use crate::perturb::{
     ChurnEvents, ChurnSpec, FaultEvents, FaultSpec, LoadEvents, LoadSpec, Perturb, PerturbSpec,
@@ -60,7 +58,7 @@ use crate::pool::{RoundJob, WorkerPool};
 use crate::rounding::Rounding;
 use crate::scheme::Scheme;
 use crate::scheme_kernel::{RoundArgs, RoundScratch, RoundState, SchemeKernel};
-use crate::watch::{DivergenceWatch, SteadyStats, SteadyTracker};
+use crate::watch::{RunRecord, SteadyStats, SteadyTracker};
 
 /// Continuous vs discrete execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,8 +136,10 @@ pub enum StopCondition {
     /// under a dynamic workload: the mean `max − avg` over the newest
     /// `window` rounds no longer improves on the window before it
     /// (within 1%). The report carries windowed deviation statistics
-    /// ([`RunReport::steady`]). A built-in cap of 100 000 rounds
-    /// guards against workloads that never settle.
+    /// ([`RunReport::steady`]). A built-in cap of 100 000 rounds,
+    /// counted from the run origin (so a resumed run stops at the same
+    /// round as an uninterrupted one), guards against workloads that
+    /// never settle.
     Steady {
         /// Steady-state detection window in rounds.
         window: usize,
@@ -276,26 +276,6 @@ macro_rules! with_state {
     };
 }
 
-/// The run loop's local state, persisted across `run_*` calls so a
-/// [`Simulator::snapshot`] taken at any round boundary carries the
-/// origin, hybrid/degradation flags, and metric rings a later
-/// [`Simulator::restore`] needs to continue the interrupted run
-/// bit-identically.
-#[derive(Default)]
-struct SavedLoop {
-    /// `round` at the start of the current/last `run_*` call; hybrid
-    /// `AtRound` triggers count from here.
-    run_start: u64,
-    switch_round: Option<u64>,
-    degraded: bool,
-    watch: Option<DivergenceWatch>,
-    steady: Option<SteadyTracker>,
-    plateau: Option<RemainingImbalance>,
-    /// Set by [`Simulator::restore`]: the next `run_loop` call seeds its
-    /// locals from this state instead of starting fresh.
-    pending_resume: bool,
-}
-
 /// SOS→FOS switch-trigger variants for the unified run loop.
 enum Trigger<'a> {
     /// No hybrid behavior.
@@ -364,9 +344,11 @@ pub struct Simulator<'g> {
     initial_total: f64,
     /// Periodic checkpoint sink (`None` = never snapshot).
     ckpt: Option<CheckpointConfig>,
-    /// Run-loop state preserved across `run_*` calls for
-    /// [`Simulator::snapshot`] / [`Simulator::restore`].
-    saved_loop: SavedLoop,
+    /// The run loop's state, updated in place by every `run_*` call.
+    run: RunRecord,
+    /// Set by [`Simulator::restore`]: the next `run_*` call continues
+    /// the restored run instead of starting a fresh one.
+    resuming: bool,
 }
 
 impl<'g> Simulator<'g> {
@@ -455,7 +437,8 @@ impl<'g> Simulator<'g> {
             round_stats: None,
             initial_total,
             ckpt: config.ckpt,
-            saved_loop: SavedLoop::default(),
+            run: RunRecord::default(),
+            resuming: false,
         })
     }
 
@@ -581,78 +564,21 @@ impl<'g> Simulator<'g> {
     /// streams (no serial RNG state — see [`crate::rng`]), the snapshot
     /// plus the originating [`crate::ScenarioSpec`] is enough to
     /// continue the run **bit-identically**: loads, SOS flow memory,
-    /// round counters, hybrid/degradation state, cumulative
-    /// fault/load event counters, and the stop-condition metric rings.
-    /// Persist it with [`checkpoint::write_checkpoint`].
+    /// round counters, cumulative fault/load/churn event counters, and
+    /// the run loop's state — its origin, hybrid/degradation flags and
+    /// stop-condition trackers. The run loop keeps that state in one
+    /// place and updates it in place, so a snapshot is complete at every
+    /// round boundary: between `run_*` calls, from an [`Observer`], or
+    /// by the auto-checkpoint. Persist it with
+    /// [`checkpoint::write_checkpoint`].
     pub fn snapshot(&self) -> Snapshot {
-        let saved = &self.saved_loop;
-        self.make_snapshot(
-            saved.run_start,
-            saved.switch_round,
-            saved.degraded,
-            saved.watch.as_ref(),
-            saved.steady.as_ref(),
-            saved.plateau.as_ref(),
-        )
-    }
-
-    /// Assembles a [`Snapshot`] from the simulator state plus the given
-    /// run-loop locals (the live ones mid-run, the saved ones between
-    /// runs).
-    fn make_snapshot(
-        &self,
-        run_start: u64,
-        switch_round: Option<u64>,
-        degraded: bool,
-        watch: Option<&DivergenceWatch>,
-        steady: Option<&SteadyTracker>,
-        plateau: Option<&RemainingImbalance>,
-    ) -> Snapshot {
-        let loads = with_state!(&self.store, |state| state.loads());
-        let round_stats = self.round_stats.map(|s| {
-            [
-                s.min_transient,
-                s.min_load,
-                s.max_dev,
-                s.min_dev,
-                s.sum_sq_dev,
-            ]
-        });
-        let watch = watch.map(|w| {
-            let (armed, ring, len, pos) = w.raw_parts();
-            WatchSnapshot {
-                armed,
-                ring: ring.to_vec(),
-                len,
-                pos,
-            }
-        });
-        let steady = steady.map(|s| {
-            let (window, ring, pos, len, newer_sum, older_sum, check) = s.raw_parts();
-            SteadySnapshot {
-                window,
-                ring: ring.to_vec(),
-                pos,
-                len,
-                newer_sum,
-                older_sum,
-                check,
-            }
-        });
-        let plateau = plateau.map(|p| PlateauSnapshot {
-            window: p.window(),
-            history: p.history_tail().to_vec(),
-        });
         Snapshot {
             round: self.round,
             rounds_in_scheme: self.rounds_in_scheme,
-            run_start,
-            switch_round,
-            degraded,
             min_transient: self.min_transient,
             initial_total: self.initial_total,
-            round_stats,
-            loads,
+            round_stats: self.round_stats,
+            loads: with_state!(&self.store, |state| state.loads()),
             prev_flow: self.previous_flows().into_owned(),
             fault_events: self.scratch.perturb.faults,
             load_events: self.scratch.perturb.load,
@@ -662,19 +588,18 @@ impl<'g> Simulator<'g> {
             // epochs), so it is persisted verbatim; empty = churn never
             // ran (churn=none, or no round yet).
             churn_active: self.scratch.perturb.churn_words().to_vec(),
-            watch,
-            steady,
-            plateau,
+            run: self.run.clone(),
         }
     }
 
     /// Restores a [`Snapshot`] into this simulator, which must have been
     /// built from the same [`crate::ScenarioSpec`] (same graph, scheme,
     /// mode, seeds, and initial load — the thread count is free to
-    /// differ, since results never depend on it). The next `run_*` call
-    /// continues the interrupted run: hybrid triggers keep counting from
-    /// the original run origin and the stop-condition rings resume
-    /// where they left off.
+    /// differ, since results never depend on it). The snapshot may come
+    /// from any round boundary, an observer's included. The next `run_*`
+    /// call continues the interrupted run: hybrid triggers and the
+    /// `steady:` cap keep counting from the original run origin, and the
+    /// stop-condition trackers resume where they left off.
     ///
     /// # Errors
     ///
@@ -761,50 +686,17 @@ impl<'g> Simulator<'g> {
         self.round = snap.round;
         self.rounds_in_scheme = snap.rounds_in_scheme;
         self.min_transient = snap.min_transient;
-        self.round_stats =
-            snap.round_stats
-                .map(
-                    |[min_transient, min_load, max_dev, min_dev, sum_sq_dev]| LoadStats {
-                        min_transient,
-                        min_load,
-                        max_dev,
-                        min_dev,
-                        sum_sq_dev,
-                    },
-                );
+        self.round_stats = snap.round_stats;
         // A fired hybrid/degradation switch means the scheme is FOS from
         // `switch_round` on, whatever the spec's scheme was. (Set
         // directly — `switch_scheme` would clear the restored
         // `rounds_in_scheme` warm-up counter.)
-        if snap.switch_round.is_some() && self.scheme.is_diffusion() {
+        if snap.run.switch_round.is_some() && self.scheme.is_diffusion() {
             self.scheme = Scheme::fos();
         }
         self.scratch.perturb = perturb;
-        self.saved_loop = SavedLoop {
-            run_start: snap.run_start,
-            switch_round: snap.switch_round,
-            degraded: snap.degraded,
-            watch: snap
-                .watch
-                .as_ref()
-                .and_then(|w| DivergenceWatch::from_raw_parts(w.armed, &w.ring, w.len, w.pos)),
-            steady: snap.steady.as_ref().and_then(|s| {
-                SteadyTracker::from_raw_parts(
-                    s.window,
-                    s.ring.clone(),
-                    s.pos,
-                    s.len,
-                    s.newer_sum,
-                    s.older_sum,
-                    s.check,
-                )
-            }),
-            plateau: snap
-                .plateau
-                .as_ref()
-                .and_then(|p| RemainingImbalance::from_history(p.window, p.history.clone())),
-            pending_resume: true,
-        };
+        self.run = snap.run.clone();
+        self.resuming = true;
         Ok(())
     }
 
@@ -998,66 +890,36 @@ impl<'g> Simulator<'g> {
         /// against dynamic workloads that never settle.
         const STEADY_CAP: usize = 100_000;
         let start_round = self.round;
-        let (cap, threshold, window, mut steady) = match condition {
-            StopCondition::MaxRounds(r) => (r, None, None, None),
-            StopCondition::BalancedWithin {
-                threshold,
-                max_rounds,
-            } => (max_rounds, Some(threshold), None, None),
-            StopCondition::Plateau { window, max_rounds } => (max_rounds, None, Some(window), None),
-            StopCondition::Steady { window } => {
-                (STEADY_CAP, None, None, Some(SteadyTracker::steady(window)))
+        // Graceful degradation: under fault, load or churn injection, the
+        // watchdog watches the fused per-round deviation for runaway
+        // growth (or non-finite values) and falls back SOS→FOS through
+        // the ordinary hybrid switching machinery. Disarmed for
+        // unperturbed runs.
+        let armed = !self.scheme_kernel.perturb.is_none();
+        let resume = std::mem::take(&mut self.resuming);
+        self.run.begin(start_round, condition, armed, resume);
+        let cap = match condition {
+            StopCondition::MaxRounds(r) | StopCondition::Horizon(r) => r,
+            StopCondition::BalancedWithin { max_rounds, .. }
+            | StopCondition::Plateau { max_rounds, .. } => max_rounds,
+            StopCondition::Steady { .. } => {
+                STEADY_CAP.saturating_sub((start_round - self.run.origin) as usize)
             }
-            StopCondition::Horizon(r) => (r, None, None, Some(SteadyTracker::horizon(r))),
         };
-        let mut tracker = window.map(RemainingImbalance::new);
-        // Graceful degradation: under fault, load or churn injection,
-        // watch the fused per-round deviation for runaway growth (or
-        // non-finite values) and fall back SOS→FOS through the ordinary
-        // hybrid switching machinery. Disarmed (and branch-free after
-        // the first check) for unperturbed runs.
-        let mut watch = DivergenceWatch::new(!self.scheme_kernel.perturb.is_none());
-        let mut degraded = false;
-        let mut reason = match condition {
-            StopCondition::Horizon(_) => StopReason::Horizon,
-            _ => StopReason::MaxRounds,
+        // A run restored at the round it stopped at stops again at once,
+        // as the uninterrupted run did after that round.
+        let mut stop = match self.round_stats {
+            Some(stats) if resume => self.run.stopped(stats.max_dev, condition),
+            _ => None,
         };
-        let mut remaining = None;
-        let mut switch_round = None;
-        // The round hybrid triggers count from: `start_round` for a fresh
-        // run, the interrupted run's origin after a restore.
-        let mut origin = start_round;
-        let resumed = std::mem::take(&mut self.saved_loop);
-        if resumed.pending_resume {
-            origin = resumed.run_start;
-            switch_round = resumed.switch_round;
-            degraded = resumed.degraded;
-            if let Some(w) = resumed.watch {
-                if w.armed() == watch.armed() {
-                    watch = w;
-                }
-            }
-            if let Some(s) = resumed.steady {
-                if steady
-                    .as_ref()
-                    .is_some_and(|fresh| fresh.checks_steadiness() == s.checks_steadiness())
-                {
-                    steady = Some(s);
-                }
-            }
-            if let Some(p) = resumed.plateau {
-                if window == Some(p.window()) {
-                    tracker = Some(p);
-                }
-            }
-        }
+        let cap = if stop.is_some() { 0 } else { cap };
         let sink = self.ckpt.clone();
         for _ in 0..cap {
-            if switch_round.is_none() {
+            if self.run.switch_round.is_none() {
                 let fire = match &mut trigger {
                     Trigger::None => false,
                     Trigger::Policy(policy) => match *policy {
-                        SwitchPolicy::AtRound(r) => self.round - origin >= r,
+                        SwitchPolicy::AtRound(r) => self.round - self.run.origin >= r,
                         SwitchPolicy::MaxLocalDiffBelow(t) => {
                             // An edge metric: the one policy that costs a
                             // sweep (over edges) per round while armed.
@@ -1070,107 +932,60 @@ impl<'g> Simulator<'g> {
                 };
                 if fire {
                     self.switch_scheme(Scheme::fos());
-                    switch_round = Some(self.round);
+                    self.run.switch_round = Some(self.round);
                 }
             }
             self.step();
-            observer.on_round(self);
-            if watch.armed() {
-                let max_dev = self
-                    .round_stats
-                    .expect("step() fills the fused round statistics")
-                    .max_dev;
-                if watch.observe(max_dev) {
-                    degraded = true;
-                    // Preserve the pre-degradation state for post-mortem
-                    // before the SOS→FOS fallback rewrites the scheme.
-                    if let Some(cfg) = &sink {
-                        let snap = self.make_snapshot(
-                            origin,
-                            switch_round,
-                            degraded,
-                            Some(&watch),
-                            steady.as_ref(),
-                            tracker.as_ref(),
-                        );
-                        write_or_die(&cfg.degraded_path(), &cfg.spec_line, &snap);
-                    }
-                    if switch_round.is_none() && self.scheme.is_sos() {
-                        self.switch_scheme(Scheme::fos());
-                        switch_round = Some(self.round);
-                    }
+            let max_dev = self
+                .round_stats
+                .expect("step() fills the fused round statistics")
+                .max_dev;
+            if self.run.watch.as_mut().is_some_and(|w| w.observe(max_dev)) {
+                self.run.degraded = true;
+                // Preserve the pre-degradation state for post-mortem
+                // before the SOS→FOS fallback rewrites the scheme.
+                if let Some(cfg) = &sink {
+                    write_or_die(&cfg.degraded_path(), &cfg.spec_line, &self.snapshot());
+                }
+                if self.run.switch_round.is_none() && self.scheme.is_sos() {
+                    self.switch_scheme(Scheme::fos());
+                    self.run.switch_round = Some(self.round);
                 }
             }
+            // The round is complete once the trackers have its sample:
+            // only then do the observer and the auto-checkpoint see it.
+            stop = self.run.feed(max_dev, condition);
+            observer.on_round(self);
             if let Some(cfg) = &sink {
                 if self.round.is_multiple_of(cfg.policy.every) {
-                    let snap = self.make_snapshot(
-                        origin,
-                        switch_round,
-                        degraded,
-                        Some(&watch),
-                        steady.as_ref(),
-                        tracker.as_ref(),
-                    );
-                    write_or_die(&cfg.latest_path(), &cfg.spec_line, &snap);
+                    write_or_die(&cfg.latest_path(), &cfg.spec_line, &self.snapshot());
                 }
             }
-            if threshold.is_some() || tracker.is_some() {
-                let max_minus_avg = self
-                    .round_stats
-                    .expect("step() fills the fused round statistics")
-                    .max_dev;
-                if let Some(t) = threshold {
-                    if max_minus_avg <= t {
-                        reason = StopReason::Threshold;
-                        break;
-                    }
-                }
-                if let Some(tr) = tracker.as_mut() {
-                    tr.push(max_minus_avg);
-                    if tr.converged() {
-                        reason = StopReason::Plateau;
-                        remaining = tr.value();
-                        break;
-                    }
-                }
-            }
-            if let Some(st) = steady.as_mut() {
-                st.push(
-                    self.round_stats
-                        .expect("step() fills the fused round statistics")
-                        .max_dev,
-                );
-                if st.is_steady() {
-                    reason = StopReason::Steady;
-                    break;
-                }
+            if stop.is_some() {
+                break;
             }
         }
-        let steady_stats = steady.as_ref().and_then(SteadyTracker::stats);
-        // Persist the loop locals so a snapshot taken after this call
-        // still captures the run origin and the metric rings.
-        self.saved_loop = SavedLoop {
-            run_start: origin,
-            switch_round,
-            degraded,
-            watch: Some(watch),
-            steady,
-            plateau: tracker,
-            pending_resume: false,
-        };
+        let reason = stop.unwrap_or(match condition {
+            StopCondition::Horizon(_) => StopReason::Horizon,
+            _ => StopReason::MaxRounds,
+        });
+        let run = &self.run;
         RunReport {
             rounds: self.round - start_round,
             // Fused on every exit path; `metrics()` only for zero-round
             // runs on a freshly built simulator (nothing to fuse yet).
             final_metrics: self.round_metrics().unwrap_or_else(|| self.metrics()),
             reason,
-            remaining_imbalance: remaining,
-            switch_round,
-            degraded,
+            remaining_imbalance: match reason {
+                StopReason::Plateau => run.plateau.as_ref().and_then(|p| p.value()),
+                _ => None,
+            },
+            switch_round: run.switch_round,
+            degraded: run.degraded,
             faults: self.fault_events(),
             load: self.load_events(),
             churn: self.churn_events(),
-            steady: steady_stats,
+            steady: run.steady.as_ref().and_then(SteadyTracker::stats),
         }
     }
 

@@ -242,7 +242,9 @@ pub enum CheckpointError {
     /// The scenario line embedded in the header does not parse.
     Spec(ParseError),
     /// The snapshot does not fit the simulation it is being restored
-    /// into (node/edge count, mode, or initial-total mismatch).
+    /// into (node/edge count, mode, or initial-total mismatch), or a
+    /// decoded file carries run-loop tracker state that no run could
+    /// have produced.
     Mismatch(String),
     /// A recovery journal line is malformed; `line` is 1-based.
     Journal {

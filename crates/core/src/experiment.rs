@@ -31,10 +31,10 @@ use std::marker::PhantomData;
 
 use sodiff_graph::{Graph, Speeds};
 
-use crate::checkpoint::CheckpointConfig;
+use crate::checkpoint::{CheckpointConfig, Snapshot};
 use crate::deviation::DeviationSeries;
 use crate::engine::{FlowMemory, Mode, RunReport, SimulationConfig, Simulator, StopCondition};
-use crate::error::BuildError;
+use crate::error::{BuildError, CheckpointError};
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
 use crate::observer::Observer;
@@ -484,9 +484,33 @@ impl<'g> Experiment<'g> {
     /// [`Experiment::simulator`]) to this experiment's stop condition
     /// with its hybrid policy.
     pub fn run_on(&self, sim: &mut Simulator<'g>, observer: &mut dyn Observer) -> RunReport {
+        self.run_to(sim, self.stop, observer)
+    }
+
+    /// Continues an interrupted run: restores `snapshot` into `sim`,
+    /// then runs the remainder of the stop condition under the hybrid
+    /// policy. [`crate::Checkpoint::resume_with`] and the batch
+    /// [`crate::Driver`] both resume through here.
+    pub(crate) fn resume_on(
+        &self,
+        sim: &mut Simulator<'g>,
+        snapshot: &Snapshot,
+        observer: &mut dyn Observer,
+    ) -> Result<RunReport, CheckpointError> {
+        sim.restore(snapshot)?;
+        Ok(self.run_to(sim, snapshot.remaining_stop(self.stop), observer))
+    }
+
+    /// Runs `sim` to `stop` under this experiment's hybrid policy.
+    fn run_to(
+        &self,
+        sim: &mut Simulator<'g>,
+        stop: StopCondition,
+        observer: &mut dyn Observer,
+    ) -> RunReport {
         match self.hybrid {
-            Some(policy) => sim.run_hybrid_with(policy, self.stop, observer),
-            None => sim.run_until_with(self.stop, observer),
+            Some(policy) => sim.run_hybrid_with(policy, stop, observer),
+            None => sim.run_until_with(stop, observer),
         }
     }
 

@@ -1,5 +1,7 @@
 //! Quality metrics for load distributions (paper Section VI).
 
+use std::collections::VecDeque;
+
 use sodiff_graph::{Graph, Speeds};
 
 /// Snapshot of the load-distribution quality metrics the paper tracks.
@@ -156,11 +158,12 @@ pub fn snapshot_i64(graph: &Graph, speeds: &Speeds, loads: &[i64]) -> MetricsSna
 ///
 /// Feed one `max_minus_avg` value per round; [`RemainingImbalance::value`]
 /// reports the minimum over the trailing window once the improvement over
-/// a full window is below one token.
+/// a full window is below one token. Only the trailing `2·window` samples
+/// are kept: they are all the detection reads.
 #[derive(Debug, Clone)]
 pub struct RemainingImbalance {
-    window: usize,
-    history: Vec<f64>,
+    pub(crate) window: usize,
+    pub(crate) history: VecDeque<f64>,
 }
 
 impl RemainingImbalance {
@@ -173,60 +176,39 @@ impl RemainingImbalance {
         assert!(window > 0, "window must be positive");
         Self {
             window,
-            history: Vec::new(),
+            history: VecDeque::new(),
         }
     }
 
     /// Records the `max − avg` value of one round.
     pub fn push(&mut self, max_minus_avg: f64) {
-        self.history.push(max_minus_avg);
+        if self.history.len() == self.window.saturating_mul(2) {
+            self.history.pop_front();
+        }
+        self.history.push_back(max_minus_avg);
     }
 
     /// Returns `true` once the metric has stopped improving: the best
     /// value in the latest window is no more than one token better than
     /// the best value in the window before it.
     pub fn converged(&self) -> bool {
-        if self.history.len() < 2 * self.window {
-            return false;
-        }
-        let latest = &self.history[self.history.len() - self.window..];
-        let before =
-            &self.history[self.history.len() - 2 * self.window..self.history.len() - self.window];
-        let min_latest = latest.iter().copied().fold(f64::INFINITY, f64::min);
-        let min_before = before.iter().copied().fold(f64::INFINITY, f64::min);
-        min_latest > min_before - 1.0
-    }
-
-    /// The detection window, for checkpointing.
-    pub(crate) fn window(&self) -> usize {
-        self.window
-    }
-
-    /// The trailing `2·window` samples — all [`Self::converged`] and
-    /// [`Self::value`] ever look at — for checkpointing.
-    pub(crate) fn history_tail(&self) -> &[f64] {
-        let keep = self.history.len().min(2 * self.window);
-        &self.history[self.history.len() - keep..]
-    }
-
-    /// Rebuilds a tracker from a checkpointed history tail; returns
-    /// `None` when `window == 0`.
-    pub(crate) fn from_history(window: usize, history: Vec<f64>) -> Option<Self> {
-        if window == 0 {
-            return None;
-        }
-        Some(Self { window, history })
+        self.history.len() == self.window.saturating_mul(2)
+            && self.latest_min() > window_min(self.history.iter().take(self.window)) - 1.0
     }
 
     /// The remaining imbalance: minimum `max − avg` over the latest
     /// window; `None` until [`Self::converged`].
     pub fn value(&self) -> Option<f64> {
-        if !self.converged() {
-            return None;
-        }
-        let latest = &self.history[self.history.len() - self.window..];
-        Some(latest.iter().copied().fold(f64::INFINITY, f64::min))
+        self.converged().then(|| self.latest_min())
     }
+
+    fn latest_min(&self) -> f64 {
+        window_min(self.history.iter().skip(self.window))
+    }
+}
+
+fn window_min<'a>(samples: impl Iterator<Item = &'a f64>) -> f64 {
+    samples.copied().fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
@@ -303,6 +285,38 @@ mod tests {
         }
         assert!(tracker.converged());
         assert_eq!(tracker.value(), Some(7.0));
+    }
+
+    /// The tracker keeps only the trailing `2·window` samples, and
+    /// answers exactly as an unbounded history read the same way would.
+    #[test]
+    fn remaining_imbalance_history_is_bounded() {
+        let window = 7;
+        let mut tracker = RemainingImbalance::new(window);
+        let mut all = Vec::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for round in 0..10 * window {
+            // Decay, then noise around a plateau of 5 tokens.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let noise = (x % 400) as f64 / 100.0;
+            let sample = 200.0 / (round + 1) as f64 + 5.0 + noise;
+            tracker.push(sample);
+            all.push(sample);
+            assert!(tracker.history.len() <= 2 * window);
+            let (converged, value) = if all.len() < 2 * window {
+                (false, None)
+            } else {
+                let min = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
+                let latest = min(&all[all.len() - window..]);
+                let before = min(&all[all.len() - 2 * window..all.len() - window]);
+                let converged = latest > before - 1.0;
+                (converged, converged.then_some(latest))
+            };
+            assert_eq!(tracker.converged(), converged, "round {round}");
+            assert_eq!(tracker.value(), value, "round {round}");
+        }
     }
 
     #[test]

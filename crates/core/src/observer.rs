@@ -5,7 +5,9 @@ use crate::metrics::MetricsSnapshot;
 
 /// Callback invoked after every simulated round.
 pub trait Observer {
-    /// Called once per round, after loads have been updated.
+    /// Called once per round, after loads have been updated and the run
+    /// loop has taken the round in (hybrid switch, watchdog, stop
+    /// trackers), so a [`Simulator::snapshot`] taken here is complete.
     fn on_round(&mut self, sim: &Simulator<'_>);
 }
 

@@ -1,7 +1,12 @@
-//! Run-loop watchers fed by the fused per-round `max_dev` statistic of
-//! [`crate::kernel::LoadStats`] (so neither adds a per-round sweep): the
-//! divergence watchdog behind graceful degradation, and the windowed
-//! steady-state tracker behind the `steady:`/`horizon:` stop modes.
+//! The run loop's state, [`RunRecord`], and the watchers in it. The
+//! watchers are fed by the fused per-round `max_dev` statistic of
+//! [`crate::kernel::LoadStats`] (so none adds a per-round sweep): the
+//! divergence watchdog behind graceful degradation, the windowed
+//! steady-state tracker behind the `steady:`/`horizon:` stop modes, and
+//! the plateau tracker behind `plateau:`.
+
+use crate::engine::{StopCondition, StopReason};
+use crate::metrics::RemainingImbalance;
 
 /// Window length of the divergence watchdog.
 const WATCH_WINDOW: usize = 16;
@@ -12,42 +17,15 @@ const WATCH_WINDOW: usize = 16;
 /// or grew more than 8× over the best of the last [`WATCH_WINDOW`]
 /// rounds (clamped below at 1.0 so settled runs never trip on noise).
 /// Armed only while faults are injected, so clean runs are untouched.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DivergenceWatch {
-    armed: bool,
-    window: [f64; WATCH_WINDOW],
-    len: usize,
-    pos: usize,
+    pub(crate) armed: bool,
+    pub(crate) window: [f64; WATCH_WINDOW],
+    pub(crate) len: usize,
+    pub(crate) pos: usize,
 }
 
 impl DivergenceWatch {
-    /// Whether this watchdog can ever fire.
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// The observation ring as raw parts `(armed, window, len, pos)` for
-    /// checkpointing.
-    pub fn raw_parts(&self) -> (bool, &[f64], usize, usize) {
-        (self.armed, &self.window, self.len, self.pos)
-    }
-
-    /// Rebuilds a watchdog from checkpointed [`Self::raw_parts`];
-    /// returns `None` when the parts are not a valid ring.
-    pub fn from_raw_parts(armed: bool, window: &[f64], len: usize, pos: usize) -> Option<Self> {
-        if window.len() != WATCH_WINDOW || len > WATCH_WINDOW || pos >= WATCH_WINDOW {
-            return None;
-        }
-        let mut ring = [0.0; WATCH_WINDOW];
-        ring.copy_from_slice(window);
-        Some(Self {
-            armed,
-            window: ring,
-            len,
-            pos,
-        })
-    }
-
     /// A watchdog; `armed = false` never fires.
     pub fn new(armed: bool) -> Self {
         Self {
@@ -112,20 +90,20 @@ pub struct SteadyStats {
 /// declared steady. In *horizon* mode the ring holds the whole horizon
 /// and the steadiness check never fires. Both maintain the window sums
 /// incrementally (O(1) per round).
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SteadyTracker {
     /// The statistics window (`W` for steady, the horizon for horizon).
-    window: usize,
+    pub(crate) window: usize,
     /// Sample ring: capacity `2W` (steady) or `W` (horizon).
-    ring: Vec<f64>,
-    pos: usize,
-    len: usize,
+    pub(crate) ring: Vec<f64>,
+    pub(crate) pos: usize,
+    pub(crate) len: usize,
     /// Running sum of the newest `window` samples.
-    newer_sum: f64,
+    pub(crate) newer_sum: f64,
     /// Running sum of the preceding `window` samples (steady mode).
-    older_sum: f64,
+    pub(crate) older_sum: f64,
     /// Whether the steadiness trigger is evaluated (steady mode).
-    check: bool,
+    pub(crate) check: bool,
 }
 
 impl SteadyTracker {
@@ -144,53 +122,6 @@ impl SteadyTracker {
     /// A tracker for `stop=horizon:rounds`.
     pub fn horizon(rounds: usize) -> Self {
         Self::with_capacity(rounds, rounds, false)
-    }
-
-    /// Whether this tracker evaluates the steadiness trigger (steady
-    /// mode) rather than recording a fixed horizon.
-    pub fn checks_steadiness(&self) -> bool {
-        self.check
-    }
-
-    /// The ring and running sums as raw parts
-    /// `(window, ring, pos, len, newer_sum, older_sum, check)` for
-    /// checkpointing.
-    #[allow(clippy::type_complexity)]
-    pub fn raw_parts(&self) -> (usize, &[f64], usize, usize, f64, f64, bool) {
-        (
-            self.window,
-            &self.ring,
-            self.pos,
-            self.len,
-            self.newer_sum,
-            self.older_sum,
-            self.check,
-        )
-    }
-
-    /// Rebuilds a tracker from checkpointed [`Self::raw_parts`]; returns
-    /// `None` when the parts are not a valid ring.
-    pub fn from_raw_parts(
-        window: usize,
-        ring: Vec<f64>,
-        pos: usize,
-        len: usize,
-        newer_sum: f64,
-        older_sum: f64,
-        check: bool,
-    ) -> Option<Self> {
-        if ring.is_empty() || pos >= ring.len() || len > ring.len() || window == 0 {
-            return None;
-        }
-        Some(Self {
-            window,
-            ring,
-            pos,
-            len,
-            newer_sum,
-            older_sum,
-            check,
-        })
     }
 
     fn with_capacity(window: usize, capacity: usize, check: bool) -> Self {
@@ -254,6 +185,102 @@ impl SteadyTracker {
             max_dev: samples[count - 1],
             p99_dev: samples[p99_idx],
         })
+    }
+}
+
+/// The run loop's state besides the loads: the origin, the SOS→FOS
+/// switch, the degradation flag and the three watchers. It lives once, on
+/// the [`crate::Simulator`], and the run loop updates it in place, so a
+/// [`crate::checkpoint::Snapshot`] taken at any round boundary (between
+/// calls, from an observer, or by the auto-checkpoint) carries it as it
+/// is, and [`crate::Simulator::restore`] puts it back.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunRecord {
+    /// `round` at the start of the run. Hybrid `AtRound` triggers and the
+    /// `steady:` cap count from here, and a resume subtracts the rounds
+    /// since it from the spec's stop budget.
+    pub(crate) origin: u64,
+    /// The round the SOS→FOS switch fired (hybrid policy or degradation).
+    pub(crate) switch_round: Option<u64>,
+    /// Whether the divergence watchdog fired during the run.
+    pub(crate) degraded: bool,
+    /// The divergence watchdog; `None` until the first run.
+    pub(crate) watch: Option<DivergenceWatch>,
+    /// The `steady:`/`horizon:` sample ring.
+    pub(crate) steady: Option<SteadyTracker>,
+    /// The `plateau:` tracker.
+    pub(crate) plateau: Option<RemainingImbalance>,
+}
+
+impl PartialEq for RunRecord {
+    fn eq(&self, other: &Self) -> bool {
+        let plateau = self.plateau.as_ref().map(|p| (p.window, &p.history));
+        (self.origin, self.switch_round, self.degraded)
+            == (other.origin, other.switch_round, other.degraded)
+            && (&self.watch, &self.steady) == (&other.watch, &other.steady)
+            && plateau == other.plateau.as_ref().map(|p| (p.window, &p.history))
+    }
+}
+
+impl RunRecord {
+    /// Arms the record for a run from `round` to `stop`. A fresh run
+    /// starts everything anew; a resumed one keeps the restored origin
+    /// and flags, and each restored watcher that fits the run.
+    pub fn begin(&mut self, round: u64, stop: StopCondition, armed: bool, resume: bool) {
+        if !resume {
+            *self = RunRecord {
+                origin: round,
+                ..RunRecord::default()
+            };
+        }
+        if self.watch.as_ref().is_none_or(|w| w.armed != armed) {
+            self.watch = Some(DivergenceWatch::new(armed));
+        }
+        let checks = self.steady.as_ref().map(|s| s.check);
+        self.steady = match stop {
+            StopCondition::Steady { window } if checks != Some(true) => {
+                Some(SteadyTracker::steady(window))
+            }
+            StopCondition::Horizon(rounds) if checks != Some(false) => {
+                Some(SteadyTracker::horizon(rounds))
+            }
+            StopCondition::Steady { .. } | StopCondition::Horizon(_) => self.steady.take(),
+            _ => None,
+        };
+        self.plateau = match (stop, self.plateau.take()) {
+            (StopCondition::Plateau { window, .. }, Some(p)) if p.window == window => Some(p),
+            (StopCondition::Plateau { window, .. }, _) => Some(RemainingImbalance::new(window)),
+            _ => None,
+        };
+    }
+
+    /// Feeds one round's fused `max − avg` to the watchers; returns why
+    /// the run stops after this round, if it does.
+    pub fn feed(&mut self, max_dev: f64, stop: StopCondition) -> Option<StopReason> {
+        if let Some(p) = &mut self.plateau {
+            p.push(max_dev);
+        }
+        if let Some(s) = &mut self.steady {
+            s.push(max_dev);
+        }
+        self.stopped(max_dev, stop)
+    }
+
+    /// Why `stop` holds after a round whose fused `max − avg` was
+    /// `max_dev` and whose sample the watchers already hold, if it does.
+    pub fn stopped(&self, max_dev: f64, stop: StopCondition) -> Option<StopReason> {
+        match stop {
+            StopCondition::BalancedWithin { threshold, .. } => {
+                (max_dev <= threshold).then_some(StopReason::Threshold)
+            }
+            StopCondition::Plateau { .. } => {
+                (self.plateau.as_ref()?.converged()).then_some(StopReason::Plateau)
+            }
+            StopCondition::Steady { .. } => {
+                (self.steady.as_ref()?.is_steady()).then_some(StopReason::Steady)
+            }
+            StopCondition::MaxRounds(_) | StopCondition::Horizon(_) => None,
+        }
     }
 }
 

@@ -6,12 +6,15 @@
 //!
 //! Stages a batch the way a killed process would leave it — a durable
 //! journal with every spec recorded but only the first scenario marked
-//! `done`, plus an in-flight `ckpt=every:N:DIR` scenario whose latest
-//! auto-checkpoint sits mid-run on disk — then calls
+//! `done`, plus two in-flight `ckpt=every:N:DIR` scenarios whose latest
+//! auto-checkpoints sit mid-run on disk — then calls
 //! [`Driver::resume_batch`]. The resume skips finished work, restores
-//! the in-flight scenario from its snapshot (running only the remaining
-//! rounds), re-runs the untouched one from round 0, and lands on final
-//! metrics bit-identical to an uninterrupted batch.
+//! the in-flight scenarios from their snapshots (running only the
+//! remaining rounds), re-runs the untouched one from round 0, and lands
+//! on final metrics bit-identical to an uninterrupted batch. The second
+//! in-flight scenario is a `horizon:` run with a hybrid switch, so its
+//! resumed steady-state statistics and switch round must match too: the
+//! checkpoint carries the run loop's trackers, not just the loads.
 
 use std::fs;
 
@@ -23,13 +26,16 @@ fn main() {
     fs::create_dir_all(&dir).expect("create scratch dir");
     let journal = dir.join("batch.journal");
 
-    // Three scenarios; the middle one auto-checkpoints every 16 rounds.
+    // Four scenarios; the middle two auto-checkpoint every 16 and 20
+    // rounds.
     let lines = format!(
         "name=warmup topology=cycle:64 seed=1 stop=rounds:120\n\
          name=inflight topology=torus2d:16:16 scheme=sos:1.7 rounding=nearest \
-         init=point:0:25600 faults=crash:0.1:7 ckpt=every:16:{} stop=rounds:96\n\
+         init=point:0:25600 faults=crash:0.1:7 ckpt=every:16:{dir} stop=rounds:96\n\
+         name=horizon topology=torus2d:16:16 scheme=sos:1.7 rounding=nearest \
+         init=point:0:25600 load=poisson:2:5 hybrid=at:40 ckpt=every:20:{dir} stop=horizon:96\n\
          name=untouched topology=hypercube:8 seed=5 stop=rounds:80\n",
-        ckpts.display()
+        dir = ckpts.display()
     );
     let specs = ScenarioSpec::parse_many(&lines).expect("valid scenario lines");
 
@@ -57,8 +63,19 @@ fn main() {
     sim.run_until(StopCondition::MaxRounds(60));
     drop(sim);
     let latest = read_checkpoint(&ckpts.join("inflight.ckpt")).expect("read latest snapshot");
+
+    // Run `horizon` through: its latest auto-checkpoint (round 80, the
+    // last multiple of 20 before the horizon of 96) is what a kill after
+    // round 80 leaves behind.
+    specs[2].run().expect("horizon runs");
+    let horizon_at = read_checkpoint(&ckpts.join("horizon.ckpt"))
+        .expect("read latest snapshot")
+        .snapshot
+        .round();
+    assert_eq!(horizon_at, 80);
     println!(
-        "crashed batch: 1/3 scenarios done, `inflight` checkpointed at round {}",
+        "crashed batch: 1/4 scenarios done, `inflight` checkpointed at round {}, \
+         `horizon` at round {horizon_at}",
         latest.snapshot.round()
     );
 
@@ -76,10 +93,10 @@ fn main() {
         );
     }
 
-    // `warmup` was skipped, `inflight` ran only the remaining rounds from
-    // its snapshot, `untouched` ran in full — and both land on EXACTLY the
-    // state of the uninterrupted batch.
-    assert_eq!(resumed.scenarios.len(), 2);
+    // `warmup` was skipped, `inflight` and `horizon` ran only the
+    // remaining rounds from their snapshots, `untouched` ran in full — and
+    // all three land on EXACTLY the state of the uninterrupted batch.
+    assert_eq!(resumed.scenarios.len(), 3);
     let inflight = &resumed.scenarios[0];
     assert_eq!(inflight.name, "inflight");
     assert_eq!(inflight.report.rounds, 96 - latest.snapshot.round());
@@ -87,7 +104,18 @@ fn main() {
         inflight.report.final_metrics,
         clean.scenarios[1].report.final_metrics
     );
-    assert_eq!(resumed.scenarios[1].report, clean.scenarios[2].report);
+    // The horizon run's statistics cover all 96 rounds and its switch
+    // fired at round 40, before the checkpoint: both come back from the
+    // snapshot's run-loop state.
+    let (horizon, whole) = (&resumed.scenarios[1].report, &clean.scenarios[2].report);
+    assert_eq!(resumed.scenarios[1].name, "horizon");
+    assert_eq!(horizon.rounds, 96 - horizon_at);
+    assert_eq!(whole.steady.map(|s| s.window), Some(96));
+    assert_eq!(horizon.steady, whole.steady);
+    assert_eq!(whole.switch_round, Some(40));
+    assert_eq!(horizon.switch_round, whole.switch_round);
+    assert_eq!(horizon.final_metrics, whole.final_metrics);
+    assert_eq!(resumed.scenarios[2].report, clean.scenarios[3].report);
 
     // The resume journaled its own outcomes: running it again is a no-op.
     let again = Driver::new()
@@ -95,7 +123,7 @@ fn main() {
         .expect("journal replays");
     assert!(again.scenarios.is_empty() && again.errors.is_empty());
     println!("\nsecond resume: nothing left to do — every outcome is journaled");
-    println!("resumed `inflight` matches the uninterrupted run bit-for-bit");
+    println!("resumed `inflight` and `horizon` match the uninterrupted runs bit-for-bit");
 
     fs::remove_dir_all(&dir).ok();
 }

@@ -89,9 +89,10 @@ fn version_bump_and_foreign_files_are_typed() {
     let dir = scratch_dir("version");
     let bytes = checkpoint_bytes(&dir);
 
-    // Future (v3+) and nonsense (0) format versions are refused by
-    // number, not by checksum; the accepted range is exactly {1, 2}.
-    for found in [0u32, 3, 4, 0x7f7f_7f7f] {
+    // Every version but 2 is refused by number, before the checksum is
+    // checked: future (v3+), nonsense (0), and the pre-churn version 1,
+    // whose reader is gone.
+    for found in [0u32, 1, 3, 4, 0x7f7f_7f7f] {
         let mut future = bytes.clone();
         future[8..12].copy_from_slice(&found.to_le_bytes());
         let path = dir.join("future.ckpt");
@@ -101,18 +102,6 @@ fn version_bump_and_foreign_files_are_typed() {
             other => panic!("version {found}: unexpected {other:?}"),
         }
     }
-
-    // Patching the version *down* to 1 is a checksum mismatch, not a
-    // version error: the v2 payload no longer matches what a v1 reader
-    // would expect, and the FNV trailer covers the version word.
-    let mut downgraded = bytes.clone();
-    downgraded[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let path = dir.join("downgraded.ckpt");
-    fs::write(&path, &downgraded).unwrap();
-    assert!(matches!(
-        read_checkpoint(&path).unwrap_err(),
-        CheckpointError::ChecksumMismatch { .. }
-    ));
 
     // A file that was never a checkpoint.
     let path = dir.join("foreign.ckpt");
@@ -131,15 +120,12 @@ fn version_bump_and_foreign_files_are_typed() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Backward compatibility with the pre-churn on-disk format: the
-/// committed version-1 fixture (`tests/fixtures/checkpoint_v1.ckpt`,
-/// the crash-churn golden scenario frozen at round 33 by a v1 writer —
-/// regenerate with `cargo test -p sodiff-core regenerate_v1 --
-/// --ignored`) must load under the v2 reader with "churn never ran"
-/// defaults and resume to the exact pinned golden checksum of
-/// `tests/golden_trace.rs::torus_sos_crash_churn`.
+/// The pre-churn version-1 format is no longer read: the committed
+/// version-1 fixture (`tests/fixtures/checkpoint_v1.ckpt`, the
+/// crash-churn golden scenario frozen at round 33 by a v1 writer) is
+/// refused by its version number.
 #[test]
-fn committed_v1_fixture_resumes_under_v2_reader() {
+fn committed_v1_fixture_is_refused_as_unsupported() {
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v1.ckpt");
     let bytes = fs::read(&path).unwrap();
@@ -148,16 +134,9 @@ fn committed_v1_fixture_resumes_under_v2_reader() {
         1,
         "the committed fixture must actually be a version-1 file"
     );
-    let ckpt = read_checkpoint(&path).unwrap();
-    assert_eq!(ckpt.snapshot.round(), 33);
-    assert!(ckpt.spec.churn.is_none(), "a v1 writer predates churn");
-
-    // The same FNV digest `tests/golden_trace.rs` pins for the
-    // uninterrupted torus_sos_crash_churn run.
     assert_eq!(
-        resumed_digest(&ckpt, 64),
-        0x8cc7ad550f849948,
-        "v1 fixture resumed under the v2 reader diverged from the pinned golden trace"
+        read_checkpoint(&path).unwrap_err(),
+        CheckpointError::UnsupportedVersion { found: 1 }
     );
 }
 
@@ -239,19 +218,52 @@ fn header_spec_is_parse_checked() {
     for b in &mut rotten[16..16 + spec_len] {
         *b = b'?';
     }
-    // Recompute the trailing FNV-1a over everything before the digest.
-    let body_len = rotten.len() - 8;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &rotten[..body_len] {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    rotten[body_len..].copy_from_slice(&h.to_le_bytes());
+    rechecksum(&mut rotten);
     let path = dir.join("badspec.ckpt");
     fs::write(&path, &rotten).unwrap();
     assert!(matches!(
         read_checkpoint(&path).unwrap_err(),
         CheckpointError::Spec(_)
     ));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Recomputes the trailing FNV-1a over everything before the digest, so
+/// an edited file passes the checksum and reaches the payload checks.
+fn rechecksum(bytes: &mut [u8]) {
+    let body_len = bytes.len() - 8;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &bytes[..body_len] {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    bytes[body_len..].copy_from_slice(&h.to_le_bytes());
+}
+
+/// A checksum-valid file whose divergence-watchdog ring position lies
+/// outside its 16-slot ring is refused typed: resuming it with a fresh
+/// watchdog instead would not continue the run exactly.
+#[test]
+fn impossible_watchdog_ring_is_typed() {
+    let dir = scratch_dir("ring");
+    let bytes = checkpoint_bytes(&dir);
+    // The victim runs `stop=rounds` without churn, so its file ends with
+    // the watchdog's `pos` word, the absent steady and plateau flags, the
+    // five churn counters, the empty overlay's length and the checksum.
+    let pos = bytes.len() - (8 + 1 + 1 + 5 * 8 + 8 + 8);
+    let with_pos = |value: u64| {
+        let mut edited = bytes.clone();
+        edited[pos..pos + 8].copy_from_slice(&value.to_le_bytes());
+        rechecksum(&mut edited);
+        let path = dir.join("ring.ckpt");
+        fs::write(&path, &edited).unwrap();
+        read_checkpoint(&path)
+    };
+    // The last slot still loads, so the edit hits the watchdog's `pos`.
+    assert_eq!(with_pos(15).unwrap().snapshot.round(), 10);
+    match with_pos(16).unwrap_err() {
+        CheckpointError::Mismatch(msg) => assert!(msg.contains("watchdog ring"), "{msg}"),
+        other => panic!("unexpected {other:?}"),
+    }
     fs::remove_dir_all(&dir).ok();
 }

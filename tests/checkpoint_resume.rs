@@ -17,10 +17,11 @@
 use std::path::PathBuf;
 
 use sodiff::prelude::*;
-use sodiff::{read_checkpoint, write_checkpoint, ScenarioSpec};
+use sodiff::{read_checkpoint, write_checkpoint, Checkpoint, ScenarioSpec, Snapshot};
 
-/// FNV-1a over the full simulation state — the same digest
-/// `tests/golden_trace.rs` pins.
+/// FNV-1a over the full simulation state — for discrete runs the same
+/// digest `tests/golden_trace.rs` pins; continuous runs hash the load
+/// bits instead of the integer loads.
 fn state_checksum(sim: &Simulator<'_>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
@@ -29,8 +30,12 @@ fn state_checksum(sim: &Simulator<'_>) -> u64 {
             h = h.wrapping_mul(0x100_0000_01b3);
         }
     };
-    for &x in sim.loads_i64().expect("golden traces are discrete").iter() {
-        eat(&x.to_le_bytes());
+    match sim.loads_i64() {
+        Some(loads) => loads.iter().for_each(|x| eat(&x.to_le_bytes())),
+        None => sim
+            .loads_to_f64()
+            .iter()
+            .for_each(|x| eat(&x.to_bits().to_le_bytes())),
     }
     for &f in sim.previous_flows().iter() {
         eat(&f.to_bits().to_le_bytes());
@@ -292,4 +297,179 @@ fn restore_rejects_mismatched_simulators() {
         before,
         "failed restore must not mutate the target"
     );
+}
+
+/// Takes a snapshot from inside the run loop, after round `at`.
+struct SnapshotAt {
+    at: u64,
+    snapshot: Option<Snapshot>,
+}
+
+impl Observer for SnapshotAt {
+    fn on_round(&mut self, sim: &Simulator<'_>) {
+        if sim.round() == self.at {
+            self.snapshot = Some(sim.snapshot());
+        }
+    }
+}
+
+/// Records the state checksum after every round, so the last one is the
+/// final state of a run that builds its own simulator (`None` if it ran
+/// no round).
+#[derive(Default)]
+struct FinalState(Option<u64>);
+
+impl Observer for FinalState {
+    fn on_round(&mut self, sim: &Simulator<'_>) {
+        self.0 = Some(state_checksum(sim));
+    }
+}
+
+/// Runs `line` uninterrupted at each of `run_threads`, resumes it at
+/// threads 1 and 3 from the checkpoint `interrupt` returns, and asserts
+/// that the resumed run finishes exactly as the uninterrupted one did:
+/// the remaining rounds, the stop reason, the remaining imbalance, the
+/// switch round, the steady statistics and the final state.
+fn assert_resumes_exactly(
+    line: &str,
+    run_threads: &[usize],
+    interrupt: impl Fn(&ScenarioSpec, &Experiment<'_>) -> (RunReport, u64, Checkpoint),
+) {
+    for &threads in run_threads {
+        let spec: ScenarioSpec = format!("{line} threads={threads}").parse().unwrap();
+        let graph = spec.build_graph().unwrap();
+        let experiment = spec.experiment_on(&graph).unwrap();
+        let (full, checksum, mut ckpt) = interrupt(&spec, &experiment);
+        let at = ckpt.snapshot.round();
+        // The final state of a resume that runs no round is the snapshot's.
+        let mut restored = experiment.simulator();
+        restored.restore(&ckpt.snapshot).unwrap();
+        let at_snapshot = state_checksum(&restored);
+        for resume_threads in [1, 3] {
+            ckpt.spec.threads = resume_threads;
+            let mut last = FinalState::default();
+            let resumed = ckpt.resume_with(&mut last).unwrap();
+            let what = format!("{line}: t{threads} run, resumed on t{resume_threads} at {at}");
+            assert_eq!(resumed.rounds, full.rounds - at, "{what}: rounds");
+            assert_eq!(resumed.reason, full.reason, "{what}: reason");
+            assert_eq!(
+                resumed.remaining_imbalance, full.remaining_imbalance,
+                "{what}: remaining imbalance"
+            );
+            assert_eq!(resumed.switch_round, full.switch_round, "{what}: switch");
+            assert_eq!(resumed.steady, full.steady, "{what}: steady stats");
+            assert_eq!(resumed.final_metrics, full.final_metrics, "{what}: metrics");
+            assert_eq!(
+                last.0.unwrap_or(at_snapshot),
+                checksum,
+                "{what}: final state"
+            );
+        }
+    }
+}
+
+/// Runs `experiment` uninterrupted; returns its report, its final state
+/// checksum and the latest checkpoint its `ckpt=` key wrote.
+fn run_and_read_latest(
+    spec: &ScenarioSpec,
+    experiment: &Experiment<'_>,
+) -> (RunReport, u64, Checkpoint) {
+    let mut sim = experiment.simulator();
+    let full = experiment.run_on(&mut sim, &mut NullObserver);
+    let policy = spec.ckpt.as_ref().expect("the scenario checkpoints");
+    let ckpt = read_checkpoint(&policy.dir.join(format!("{}.ckpt", spec.name))).unwrap();
+    (full, state_checksum(&sim), ckpt)
+}
+
+/// A snapshot an observer takes in the middle of a run carries the run
+/// loop's live state — the plateau history, the run origin and the
+/// hybrid switch — so resuming it finishes the run exactly.
+#[test]
+fn observer_snapshot_resumes_exactly() {
+    for stop in ["stop=plateau:20:2000", "stop=rounds:200 hybrid=at:20"] {
+        let line = format!(
+            "name=observed topology=torus2d:16:16 scheme=sos:1.8 rounding=randomized seed=3 \
+             init=point:0:25600 {stop}"
+        );
+        assert_resumes_exactly(&line, &[1, 3], |spec, experiment| {
+            let mut sim = experiment.simulator();
+            let mut observer = SnapshotAt {
+                at: 60,
+                snapshot: None,
+            };
+            let full = experiment.run_on(&mut sim, &mut observer);
+            let ckpt = Checkpoint {
+                spec: spec.clone(),
+                snapshot: observer.snapshot.expect("the run passes round 60"),
+            };
+            (full, state_checksum(&sim), ckpt)
+        });
+    }
+}
+
+/// The auto-checkpoint is written after the round's sample reaches the
+/// steady-state ring, so a `horizon:` run resumed from it reports its
+/// statistics over the whole horizon, with the hybrid switch intact.
+#[test]
+fn auto_checkpoint_holds_the_rounds_tracker_sample() {
+    let dir = scratch_dir("horizon");
+    let line = format!(
+        "name=horizon topology=torus2d:16:16 scheme=sos:1.7 rounding=nearest init=point:0:25600 \
+         load=poisson:2:5 hybrid=at:40 ckpt=every:20:{} stop=horizon:96",
+        dir.display()
+    );
+    assert_resumes_exactly(&line, &[1, 3], |spec, experiment| {
+        let (full, checksum, ckpt) = run_and_read_latest(spec, experiment);
+        assert_eq!(ckpt.snapshot.round(), 80);
+        assert_eq!(full.steady.map(|s| s.window), Some(96));
+        (full, checksum, ckpt)
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `steady:` mode's built-in 100,000-round cap counts from the run
+/// origin, so a run resumed after round 90,000 stops at the same
+/// 100,000th round as the uninterrupted one. The uninterrupted run goes
+/// through on one thread only, to keep the test short in the dev
+/// profile; the resumes run on both executors.
+#[test]
+fn steady_cap_counts_from_the_run_origin() {
+    let dir = scratch_dir("cap");
+    let line = format!(
+        "name=cap topology=cycle:256 mode=continuous scheme=fos init=point:0:256000 \
+         ckpt=every:90000:{} stop=steady:64",
+        dir.display()
+    );
+    assert_resumes_exactly(&line, &[1], |spec, experiment| {
+        let (full, checksum, ckpt) = run_and_read_latest(spec, experiment);
+        assert_eq!((full.rounds, full.reason), (100_000, StopReason::MaxRounds));
+        assert_eq!(ckpt.snapshot.round(), 90_000);
+        (full, checksum, ckpt)
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint written at the round a run stopped at resumes to that
+/// same stop: no further round, the same reason and the same report.
+#[test]
+fn final_round_checkpoint_resumes_to_the_same_stop() {
+    let dir = scratch_dir("final");
+    for stop in [
+        "stop=plateau:20:2000",
+        "stop=balanced:30:2000",
+        "load=poisson:2:5 stop=steady:16",
+        "load=poisson:2:5 hybrid=at:40 stop=horizon:96",
+    ] {
+        let line = format!(
+            "name=last topology=torus2d:16:16 scheme=sos:1.8 rounding=randomized seed=3 \
+             init=point:0:25600 ckpt=every:1:{} {stop}",
+            dir.display()
+        );
+        assert_resumes_exactly(&line, &[1, 3], |spec, experiment| {
+            let (full, checksum, ckpt) = run_and_read_latest(spec, experiment);
+            assert_eq!(ckpt.snapshot.round(), full.rounds, "{stop}");
+            (full, checksum, ckpt)
+        });
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
