@@ -448,7 +448,7 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Refuses tracker state the run loop could not have produced: resuming
+/// Refuses run-loop state the run loop could not have produced: resuming
 /// from it would not continue the run exactly.
 fn impossible(what: &str) -> CheckpointError {
     CheckpointError::Mismatch(format!("its {what} could not have come from the run loop"))
@@ -531,6 +531,9 @@ fn decode_snapshot(dec: &mut Dec<'_>) -> Result<Snapshot, CheckpointError> {
     let round = dec.u64()?;
     let rounds_in_scheme = dec.u64()?;
     let origin = dec.u64()?;
+    if origin > round {
+        return Err(impossible("run origin"));
+    }
     let switch_round = dec.opt_u64()?;
     let degraded = dec.bool()?;
     let min_transient = dec.f64()?;
@@ -893,6 +896,7 @@ mod tests {
                 other => panic!("{what}: {other:?}"),
             }
         };
+        refused(&|r| r.origin = 41, "run origin");
         refused(&|r| r.watch.as_mut().unwrap().pos = 16, "watchdog ring");
         refused(&|r| r.watch.as_mut().unwrap().len = 17, "watchdog ring");
         refused(&|r| r.steady.as_mut().unwrap().pos = 8, "steady-state ring");

@@ -161,13 +161,15 @@
 //! because all randomness is drawn from counter-indexed streams with no
 //! serial generator state (see [`rng`]): a snapshot only carries the
 //! genuinely evolving state — loads, SOS flow memory, round counters,
-//! hybrid/degradation flags, cumulative event counters, the churn axis's
-//! active-node overlay (the one history-dependent piece of axis state,
-//! persisted verbatim since format v2 so restore never redraws a
-//! transition), and the stop-condition metric rings — while kernels,
-//! coefficient tables, and fault/churn masks are re-derived from the
-//! [`ScenarioSpec`] embedded in the checkpoint header. Format v1 files
-//! (pre-churn) still load, defaulting to a churn-never-ran overlay. Scenario files opt in with `ckpt=every:N:DIR`
+//! cumulative event counters, the churn axis's active-node overlay (the
+//! one history-dependent piece of axis state, persisted verbatim so
+//! restore never redraws a transition), and the run loop's one record
+//! of its origin, hybrid/degradation flags and stop-condition trackers,
+//! complete at every round boundary — while kernels, coefficient tables,
+//! and fault/churn masks are re-derived from the [`ScenarioSpec`]
+//! embedded in the checkpoint header. Only format v2 loads; the
+//! pre-churn v1 is refused as an unsupported version. Scenario files opt
+//! in with `ckpt=every:N:DIR`
 //! (plus an automatic pre-degradation snapshot when the divergence
 //! watchdog trips); programmatic runs use
 //! [`ExperimentBuilder::checkpoint`] or

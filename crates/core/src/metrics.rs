@@ -295,6 +295,8 @@ mod tests {
         let mut tracker = RemainingImbalance::new(window);
         let mut all = Vec::new();
         let mut x = 0x2545_f491_4f6c_dd1du64;
+        // Which answers a full window gave: not converged, converged.
+        let mut seen = [false; 2];
         for round in 0..10 * window {
             // Decay, then noise around a plateau of 5 tokens.
             x ^= x << 13;
@@ -316,7 +318,11 @@ mod tests {
             };
             assert_eq!(tracker.converged(), converged, "round {round}");
             assert_eq!(tracker.value(), value, "round {round}");
+            if all.len() >= 2 * window {
+                seen[usize::from(converged)] = true;
+            }
         }
+        assert_eq!(seen, [true, true], "the samples exercise both answers");
     }
 
     #[test]
