@@ -685,7 +685,9 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Propagates every [`BuildError`] of the underlying
-    /// [`crate::ExperimentBuilder`], plus speed/scheme resolution errors.
+    /// [`crate::ExperimentBuilder`], plus speed/scheme resolution errors
+    /// and [`BuildError::InvalidCheckpoint`] for a `ckpt` policy whose
+    /// `every:N:DIR` text does not parse back to the same policy.
     pub fn experiment_on<'g>(&self, graph: &'g Graph) -> Result<Experiment<'g>, BuildError> {
         let n = graph.node_count();
         if n == 0 {
@@ -714,6 +716,16 @@ impl ScenarioSpec {
             builder = builder.seed(seed);
         }
         if let Some(policy) = &self.ckpt {
+            // Every checkpoint header embeds this scenario's line, so a
+            // policy that would not read back from it (whitespace in the
+            // directory splits the key; a non-UTF-8 one displays lossily)
+            // would make each file it writes unreadable.
+            let text = policy.to_string();
+            if text.contains(char::is_whitespace) || text.parse().ok().as_ref() != Some(policy) {
+                return Err(BuildError::InvalidCheckpoint(format!(
+                    "'{text}' does not parse back from the scenario line"
+                )));
+            }
             builder = builder.checkpoint(CheckpointConfig {
                 policy: policy.clone(),
                 name: self.name.clone(),

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use sodiff::{
     read_checkpoint, write_checkpoint, CheckpointError, Driver, ScenarioFailure, ScenarioSpec,
-    StopCondition,
+    StopCondition, StopSpec,
 };
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -244,5 +244,32 @@ fn malformed_journals_error_with_line_numbers() {
         Driver::new().resume_batch(&missing).unwrap_err(),
         CheckpointError::Io { .. }
     ));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A durable batch refuses, before it creates the journal, a spec whose
+/// line does not parse back: journaling it would make the whole journal
+/// unreadable to `resume_batch`.
+#[test]
+fn durable_batch_refuses_a_spec_that_does_not_parse_back() {
+    let dir = scratch_dir("parse-back");
+    let journal = dir.join("batch.journal");
+    let good: ScenarioSpec = "name=good topology=cycle:8 seed=1 stop=rounds:5"
+        .parse()
+        .unwrap();
+    let mut nan = good.clone();
+    nan.name = "nan-threshold".into();
+    nan.stop = StopSpec::Balanced {
+        threshold: f64::NAN,
+        max_rounds: 5,
+    };
+    match Driver::new().run_batch_durable(&[good, nan], &journal) {
+        Err(CheckpointError::Spec(e)) => {
+            assert_eq!(e.line, 2, "the spec's 1-based batch position");
+            assert!(e.message.contains("nan-threshold"), "{e}");
+        }
+        other => panic!("expected a typed spec error, got {other:?}"),
+    }
+    assert!(!journal.exists(), "no journal is created");
     fs::remove_dir_all(&dir).ok();
 }

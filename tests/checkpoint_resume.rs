@@ -17,7 +17,10 @@
 use std::path::PathBuf;
 
 use sodiff::prelude::*;
-use sodiff::{read_checkpoint, write_checkpoint, Checkpoint, ScenarioSpec, Snapshot};
+use sodiff::{
+    read_checkpoint, write_checkpoint, BuildError, Checkpoint, CheckpointPolicy, ScenarioSpec,
+    Snapshot,
+};
 
 /// FNV-1a over the full simulation state — for discrete runs the same
 /// digest `tests/golden_trace.rs` pins; continuous runs hash the load
@@ -472,4 +475,39 @@ fn final_round_checkpoint_resumes_to_the_same_stop() {
         });
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `ckpt` directory whose `every:N:DIR` text would not read back from
+/// the scenario line every checkpoint header embeds — whitespace splits
+/// the key, and a non-UTF-8 directory displays lossily — is refused at
+/// build, before any checkpoint is written.
+#[test]
+fn ckpt_policy_that_does_not_parse_back_is_refused() {
+    let base = scratch_dir("parse-back");
+    let mut dirs = vec![base.join("ckpt dir"), base.join("tab\tdir")];
+    #[cfg(unix)]
+    {
+        use std::os::unix::ffi::OsStringExt;
+        let raw = std::ffi::OsString::from_vec(b"ckpt-\xff".to_vec());
+        dirs.push(base.join(raw));
+    }
+    let mut spec: ScenarioSpec = "name=spaced topology=torus2d:4:4 seed=1 stop=rounds:3"
+        .parse()
+        .unwrap();
+    let graph = spec.build_graph().unwrap();
+    for dir in dirs {
+        spec.ckpt = Some(CheckpointPolicy {
+            every: 1,
+            dir: dir.clone(),
+        });
+        match spec.experiment_on(&graph) {
+            Err(BuildError::InvalidCheckpoint(msg)) => {
+                assert!(msg.contains("parse back"), "{dir:?}: {msg}")
+            }
+            Err(other) => panic!("{dir:?}: wrong error {other:?}"),
+            Ok(_) => panic!("{dir:?}: a policy that does not parse back was accepted"),
+        }
+        assert!(!dir.exists(), "{dir:?}: nothing is written");
+    }
+    std::fs::remove_dir_all(&base).ok();
 }
