@@ -43,9 +43,9 @@ fn fixture() -> Fixture {
         1.6,
         sodiff_core::FlowMemory::Rounded,
         |i| loads[i],
-        &kernel::cells_f64(&mut arc_frac),
-        &kernel::cells_i64(&mut flows),
-        &kernel::cells_f64(&mut []),
+        &kernel::cells(&mut arc_frac),
+        &kernel::cells(&mut flows),
+        &kernel::cells::<f64>(&mut []),
     );
     Fixture {
         tables,
@@ -84,9 +84,9 @@ fn bench_phases(c: &mut Criterion) {
                 1.6,
                 sodiff_core::FlowMemory::Rounded,
                 |i| loads[i],
-                &kernel::cells_f64(&mut arc_frac),
-                &kernel::cells_i64(&mut flows),
-                &kernel::cells_f64(&mut []),
+                &kernel::cells(&mut arc_frac),
+                &kernel::cells(&mut flows),
+                &kernel::cells::<f64>(&mut []),
             );
         });
     });
@@ -101,8 +101,8 @@ fn bench_phases(c: &mut Criterion) {
                 0..n,
                 SEED,
                 round,
-                &kernel::cells_f64(&mut arc_frac),
-                &kernel::cells_i64(&mut flows),
+                &kernel::cells(&mut arc_frac),
+                &kernel::cells(&mut flows),
                 &mut scratch,
             );
         });
@@ -112,12 +112,12 @@ fn bench_phases(c: &mut Criterion) {
         let mut int_loads: Vec<i64> = (0..n).map(|i| 1000 + ((i * 37) % 101) as i64).collect();
         let mut block_sums = vec![0.0f64; kernel::dev_blocks(n)];
         b.iter(|| {
-            black_box(kernel::apply_discrete(
+            black_box(kernel::apply(
                 &tables,
                 0..n,
                 |e| flows[e],
-                &kernel::cells_i64(&mut int_loads),
-                &kernel::cells_f64(&mut block_sums),
+                &kernel::cells(&mut int_loads),
+                &kernel::cells(&mut block_sums),
             ))
         });
     });

@@ -708,7 +708,9 @@ impl Driver {
                 Err(e) => e.message,
             };
             let message = format!("scenario '{}' does not parse back: {why}", spec.name);
-            return Err(CheckpointError::Spec(ParseError::new(message).at_line(i + 1)));
+            return Err(CheckpointError::Spec(
+                ParseError::new(message).at_line(i + 1),
+            ));
         }
         let io = |e: std::io::Error| CheckpointError::io(journal, e);
         if let Some(parent) = journal.parent() {

@@ -57,7 +57,7 @@ use crate::perturb::{
 use crate::pool::{RoundJob, WorkerPool};
 use crate::rounding::Rounding;
 use crate::scheme::Scheme;
-use crate::scheme_kernel::{RoundArgs, RoundScratch, RoundState, SchemeKernel};
+use crate::scheme_kernel::{PlainSlots, RoundArgs, RoundScratch, RoundState, SchemeKernel};
 use crate::watch::{RunRecord, SteadyStats, SteadyTracker};
 
 /// Continuous vs discrete execution.
@@ -255,7 +255,7 @@ impl PoolAttachment {
 /// Where the [`RoundState`] lives — in exactly one place per executor.
 enum Store {
     /// The sequential executor's plain vectors.
-    Local(RoundState<i64, f64>),
+    Local(RoundState<PlainSlots>),
     /// The worker pool: the job's atomics are the only copy of the
     /// state, read (or copied out) by the accessors on request.
     Pooled(PoolAttachment),

@@ -1,20 +1,34 @@
 //! Division-free fused round kernels over flat structure-of-arrays state.
 //!
 //! Every phase of a simulation round is expressed here as a pure pass over
-//! an index range, parameterized over *how* state is read and written:
+//! an index range, parameterized over *what* values it moves and *how*
+//! state is read and written:
 //!
-//! * the sequential executor instantiates the passes with [`CellsF64`] /
-//!   [`CellsI64`] wrappers over plain slices (zero-cost shared-writable
-//!   views via [`std::cell::Cell`]),
-//! * the persistent worker pool instantiates the *same* passes with
-//!   [`AtomicsF64`] / [`AtomicsI64`] wrappers over relaxed atomics.
+//! * one [`Value`] trait covers both of the paper's value domains, whole
+//!   tokens (`i64`, the discrete process) and fluid (`f64`, the
+//!   continuous one). The two processes share one update rule, so the
+//!   trait carries only what differs between them: the `f64` view, zero,
+//!   the conversion from `f64`, and relaxed-atomic storage.
+//! * one storage trait, [`Buf`], reads and writes either value type
+//!   through one of two views: the sequential executor's [`Cells`], a
+//!   zero-cost shared-writable view of a plain slice via
+//!   [`std::cell::Cell`], and the persistent worker pool's [`Atomics`],
+//!   relaxed atomics. Both executors instantiate the *same* passes.
+//!
+//! The apply pass ([`apply`], with its stale-edge form [`apply_flows`])
+//! exists once for both value types: each node's arc reduction and the
+//! fused statistics are written once, and the lane loop and the scalar
+//! tail share them. The three edge passes (fused, scatter, continuous)
+//! compute the scheduled flow through one inline helper, so the
+//! expression exists once, with the same operands in the same order in
+//! every pass.
 //!
 //! The edge passes are also generic over *which* edges carry flow, an
 //! [`EdgeGate`]: [`AllEdges`] for the diffusion plan, with no mask test
 //! in the loop, or [`MaskBits`] for a round's active-edge bitset. So each
-//! pass has one loop body for every plan; `edge_pass_*` are the
-//! all-edges entry points and `edge_pass_*_gated` take the gate and the
-//! coefficient pair.
+//! pass has one loop body for every plan; `edge_pass_*_gated` take the
+//! gate and the coefficient pair, and the fused and scatter passes keep
+//! all-edges entry points with the diffusion coefficients.
 //!
 //! Because both executors run byte-for-byte the same arithmetic in the
 //! same per-element order, parallel results are bit-identical to
@@ -86,7 +100,7 @@
 //!
 //! # Lane-chunked SIMD form, and why it is bit-exact
 //!
-//! The edge passes and the apply passes run in [`LANES`]-wide chunks with
+//! The edge passes and the apply pass run in [`LANES`]-wide chunks with
 //! a scalar tail (the same shape as the bulk RNG sweeps in
 //! [`crate::rng`]): each chunk first computes the eight scheduled flows —
 //! a pure independent multiply–add chain the compiler keeps in vector
@@ -102,12 +116,15 @@
 //! slots owned by `e`. Hoisting the eight memory reads above the eight
 //! writes therefore never changes an operand, and no f64
 //! addition is regrouped anywhere. The same argument covers the apply
-//! passes: each node's arc reduction keeps its exact sequential order
-//! inside its lane, and the fused statistics (`LoadStats::absorb` and
+//! pass: each node's arc reduction keeps its exact sequential order
+//! inside its lane, and the fused statistics (`StatsFold::node` and
 //! the per-block squared-deviation partials) are folded lane 0..8 in node
 //! order, identical to the scalar sequence. Hence all golden-trace
 //! checksums are unchanged by construction — the property
-//! `tests/golden_trace.rs` pins. The one deliberately scalar loop is
+//! `tests/golden_trace.rs` pins. Folding the token and fluid apply
+//! passes into one generic pass changes no arithmetic either: each
+//! [`Value`] operation is the one the per-type pass used, so each
+//! monomorphized pass computes what it did. The one deliberately scalar loop is
 //! [`arc_round_streamed`]'s prefix-sum token selection, whose sequential
 //! f64 prefix is itself the pinned quantity (see the comment there).
 //!
@@ -115,7 +132,7 @@
 //! benches can time each phase in isolation; it is **not** a stable API.
 
 use std::cell::Cell;
-use std::ops::Range;
+use std::ops::{Add, Div, Mul, Range, Sub};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -131,7 +148,7 @@ use crate::rounding::Rounding;
 /// per-chunk lane arrays always stay in registers.
 pub const LANES: usize = 8;
 
-// The apply passes rely on block boundaries only falling at chunk ends.
+// The apply pass relies on block boundaries only falling at chunk ends.
 const _: () = assert!(DEV_BLOCK.is_multiple_of(LANES));
 
 /// Immutable per-simulation tables shared by the sequential executor and
@@ -162,7 +179,7 @@ pub struct KernelTables {
     pub edge_arc_pos: Vec<(u32, u32)>,
     /// Per-node speed-proportional balanced load `x̄_i = T·s_i/S`, where
     /// `T` is the total load passed at construction (the conserved
-    /// initial total for real simulations). The apply passes reduce load
+    /// initial total for real simulations). The apply pass reduces load
     /// deviations against this table in the same sweep that applies
     /// flows, so stop conditions never pay a separate metrics pass.
     pub ideal: Vec<f64>,
@@ -270,7 +287,7 @@ pub(crate) fn coef_pair(
     }
 }
 
-/// Per-chunk load statistics fused into the apply passes: the round's
+/// Per-chunk load statistics fused into the apply pass: the round's
 /// minimum transient load plus everything the node-derived half of a
 /// [`crate::metrics::MetricsSnapshot`] needs (deviations are measured
 /// against [`KernelTables::ideal`]). Sequential executors reduce one
@@ -278,7 +295,7 @@ pub(crate) fn coef_pair(
 /// control thread [`LoadStats::merge`]s them in chunk order at the
 /// round's final barrier. The min/max fields combine exactly regardless
 /// of chunking; the squared-deviation sum is **not** carried per chunk —
-/// the apply passes write per-[`DEV_BLOCK`] partial sums into a shared
+/// the apply pass writes per-[`DEV_BLOCK`] partial sums into a shared
 /// block buffer and the round driver folds them in block order
 /// ([`fold_block_sums`]), so `sum_sq_dev` too is bit-identical for every
 /// executor and thread count (see `tests/fused_metrics.rs`).
@@ -292,8 +309,8 @@ pub struct LoadStats {
     pub max_dev: f64,
     /// Minimum post-round deviation.
     pub min_dev: f64,
-    /// Sum of squared post-round deviations. The apply passes return
-    /// `0.0` here (they emit per-block partials instead); the round
+    /// Sum of squared post-round deviations. The apply pass returns
+    /// `0.0` here (it emits per-block partials instead); the round
     /// driver fills it from [`fold_block_sums`].
     pub sum_sq_dev: f64,
 }
@@ -310,32 +327,6 @@ impl LoadStats {
         }
     }
 
-    /// Folds one node's min/max contributions into the chunk statistics
-    /// (the squared deviation goes to the block accumulator instead).
-    ///
-    /// Compare-and-assign instead of `f64::min`/`f64::max`: the updates
-    /// are rare once the extrema stabilize, so these are four
-    /// well-predicted branches per node, not four IEEE min/max µop
-    /// sequences (measured ~0.7 ns/edge cheaper on the 256×256 SOS
-    /// nearest case). `metrics::snapshot_with_total` reduces with the
-    /// same comparisons, keeping the fused and from-scratch snapshots
-    /// bit-identical (NaNs lose every comparison on both paths alike).
-    #[inline(always)]
-    fn absorb(&mut self, load: f64, dev: f64, transient: f64) {
-        if transient < self.min_transient {
-            self.min_transient = transient;
-        }
-        if load < self.min_load {
-            self.min_load = load;
-        }
-        if dev > self.max_dev {
-            self.max_dev = dev;
-        }
-        if dev < self.min_dev {
-            self.min_dev = dev;
-        }
-    }
-
     /// Combines two chunks' statistics (associative; `other` is the
     /// higher-indexed chunk so sequential merge order is well defined).
     pub fn merge(self, other: Self) -> Self {
@@ -349,86 +340,171 @@ impl LoadStats {
     }
 }
 
-/// Shared-writable `f64` storage: a plain slice (sequential executor) or
-/// relaxed atomics (worker pool) behind one interface.
+/// One value domain of the kernels: whole tokens (`i64`) or fluid
+/// (`f64`). The discrete and continuous processes share one update rule,
+/// so the storage views and the apply pass are written once over this
+/// trait, which carries only what differs between the two domains. Each
+/// item is the exact operation the per-domain code spelled out, so a
+/// pass monomorphized for either type computes what it always did.
+pub trait Value:
+    Copy
+    + PartialOrd
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + 'static
+{
+    /// Relaxed-atomic storage of one value: `AtomicI64`, or `AtomicU64`
+    /// holding the `f64` bits.
+    type Atomic: Send + Sync;
+    /// Zero (`+0.0` for fluid).
+    const ZERO: Self;
+    /// Whether values are whole tokens.
+    const INTEGRAL: bool;
+    /// The value as `f64`.
+    fn to_f64(self) -> f64;
+    /// `x` as a value, truncated toward zero for tokens (exact for the
+    /// small integers the kernels convert: arc signs, a shock's divisor).
+    fn from_f64(x: f64) -> Self;
+    /// A relaxed atomic holding `self`.
+    fn atomic(self) -> Self::Atomic;
+    /// Reads a relaxed atomic.
+    fn load(a: &Self::Atomic) -> Self;
+    /// Writes a relaxed atomic.
+    fn store(a: &Self::Atomic, v: Self);
+}
+
+impl Value for i64 {
+    type Atomic = AtomicI64;
+    const ZERO: i64 = 0;
+    const INTEGRAL: bool = true;
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+    fn from_f64(x: f64) -> i64 {
+        x as i64
+    }
+    fn atomic(self) -> AtomicI64 {
+        AtomicI64::new(self)
+    }
+    fn load(a: &AtomicI64) -> i64 {
+        a.load(Relaxed)
+    }
+    fn store(a: &AtomicI64, v: i64) {
+        a.store(v, Relaxed);
+    }
+}
+
+impl Value for f64 {
+    type Atomic = AtomicU64;
+    const ZERO: f64 = 0.0;
+    const INTEGRAL: bool = false;
+    fn to_f64(self) -> f64 {
+        self
+    }
+    fn from_f64(x: f64) -> f64 {
+        x
+    }
+    fn atomic(self) -> AtomicU64 {
+        AtomicU64::new(self.to_bits())
+    }
+    fn load(a: &AtomicU64) -> f64 {
+        f64::from_bits(a.load(Relaxed))
+    }
+    fn store(a: &AtomicU64, v: f64) {
+        a.store(v.to_bits(), Relaxed);
+    }
+}
+
+/// Shared-writable storage of one [`Value`] type: a `Cell` view of a
+/// plain slice ([`Cells`], the sequential executor) or relaxed atomics
+/// ([`Atomics`], the worker pool) behind one interface.
 ///
 /// The element slice is exposed so hot loops can zip a sub-range and let
 /// the compiler elide per-element bounds checks; `get`/`set` cover random
 /// access.
-pub trait BufF64 {
-    /// Storage element (`Cell<f64>` or `AtomicU64`).
+pub trait Buf {
+    /// The stored value type.
+    type Val: Value;
+    /// Storage element (`Cell<Val>` or `Val::Atomic`).
     type Elem;
     /// The backing elements.
     fn elems(&self) -> &[Self::Elem];
     /// Reads one element.
-    fn read(e: &Self::Elem) -> f64;
+    fn read(e: &Self::Elem) -> Self::Val;
     /// Writes one element.
-    fn write(e: &Self::Elem, v: f64);
+    fn write(e: &Self::Elem, v: Self::Val);
     /// Reads element `i`.
     #[inline(always)]
-    fn get(&self, i: usize) -> f64 {
+    fn get(&self, i: usize) -> Self::Val {
         Self::read(&self.elems()[i])
     }
     /// Writes element `i`.
     #[inline(always)]
-    fn set(&self, i: usize, v: f64) {
+    fn set(&self, i: usize, v: Self::Val) {
         Self::write(&self.elems()[i], v);
     }
 }
 
-/// Shared-writable `i64` storage (see [`BufF64`]).
-pub trait BufI64 {
-    /// Storage element (`Cell<i64>` or `AtomicI64`).
-    type Elem;
-    /// The backing elements.
-    fn elems(&self) -> &[Self::Elem];
-    /// Reads one element.
-    fn read(e: &Self::Elem) -> i64;
-    /// Writes one element.
-    fn write(e: &Self::Elem, v: i64);
-    /// Reads element `i`.
+/// [`Buf`] over a plain slice via `Cell` (single-threaded).
+pub struct Cells<'a, V>(pub &'a [Cell<V>]);
+
+/// [`Buf`] over relaxed atomics (worker pool).
+pub struct Atomics<'a, V: Value>(pub &'a [V::Atomic]);
+
+impl<V: Value> Buf for Cells<'_, V> {
+    type Val = V;
+    type Elem = Cell<V>;
     #[inline(always)]
-    fn get(&self, i: usize) -> i64 {
-        Self::read(&self.elems()[i])
+    fn elems(&self) -> &[Cell<V>] {
+        self.0
     }
-    /// Writes element `i`.
     #[inline(always)]
-    fn set(&self, i: usize, v: i64) {
-        Self::write(&self.elems()[i], v);
+    fn read(e: &Cell<V>) -> V {
+        e.get()
+    }
+    #[inline(always)]
+    fn write(e: &Cell<V>, v: V) {
+        e.set(v);
     }
 }
 
-/// [`BufF64`] over a plain slice via `Cell` (single-threaded).
-pub struct CellsF64<'a>(pub &'a [Cell<f64>]);
-
-/// [`BufI64`] over a plain slice via `Cell` (single-threaded).
-pub struct CellsI64<'a>(pub &'a [Cell<i64>]);
-
-/// [`BufF64`] over relaxed atomics storing `f64` bits (worker pool).
-pub struct AtomicsF64<'a>(pub &'a [AtomicU64]);
-
-/// [`BufI64`] over relaxed atomics (worker pool).
-pub struct AtomicsI64<'a>(pub &'a [AtomicI64]);
-
-/// Shared-writable view of a mutable `f64` slice.
-pub fn cells_f64(s: &mut [f64]) -> CellsF64<'_> {
-    CellsF64(Cell::from_mut(s).as_slice_of_cells())
+impl<V: Value> Buf for Atomics<'_, V> {
+    type Val = V;
+    type Elem = V::Atomic;
+    #[inline(always)]
+    fn elems(&self) -> &[V::Atomic] {
+        self.0
+    }
+    #[inline(always)]
+    fn read(e: &V::Atomic) -> V {
+        V::load(e)
+    }
+    #[inline(always)]
+    fn write(e: &V::Atomic, v: V) {
+        V::store(e, v);
+    }
 }
 
-/// Shared-writable view of a mutable `i64` slice.
-pub fn cells_i64(s: &mut [i64]) -> CellsI64<'_> {
-    CellsI64(Cell::from_mut(s).as_slice_of_cells())
+/// Shared-writable view of a mutable slice.
+pub fn cells<V>(s: &mut [V]) -> Cells<'_, V> {
+    Cells(Cell::from_mut(s).as_slice_of_cells())
 }
 
-/// The SOS memory under [`FlowMemory::Rounded`], read straight from the
-/// integral flows: edge `e`'s memory is `flows[e] as f64`. That is bit
-/// for bit what a stored `f64` copy of the last flows would hold (an
+// The per-type names the stand-alone `perfbench` package calls.
+pub use self::{apply as apply_discrete, cells as cells_f64, cells as cells_i64};
+
+/// The SOS memory under [`FlowMemory::Rounded`]: an `f64` view of the
+/// integral flows, where edge `e`'s memory is `flows[e] as f64`. That is
+/// bit for bit what a stored `f64` copy of the last flows would hold (an
 /// `i64 → f64` cast never yields `-0.0`), so the flow slot *is* the
 /// memory and no per-edge `f64` copy is kept. Writes are no-ops: the
 /// edge pass updates the memory by writing the new flow.
 pub struct FlowsAsMemory<'a, F>(pub &'a F);
 
-impl<F: BufI64> BufF64 for FlowsAsMemory<'_, F> {
+impl<F: Buf<Val = i64>> Buf for FlowsAsMemory<'_, F> {
+    type Val = f64;
     type Elem = F::Elem;
     #[inline(always)]
     fn elems(&self) -> &[F::Elem] {
@@ -459,70 +535,6 @@ macro_rules! with_memory {
             }
         }
     };
-}
-
-impl BufF64 for CellsF64<'_> {
-    type Elem = Cell<f64>;
-    #[inline(always)]
-    fn elems(&self) -> &[Cell<f64>] {
-        self.0
-    }
-    #[inline(always)]
-    fn read(e: &Cell<f64>) -> f64 {
-        e.get()
-    }
-    #[inline(always)]
-    fn write(e: &Cell<f64>, v: f64) {
-        e.set(v);
-    }
-}
-
-impl BufI64 for CellsI64<'_> {
-    type Elem = Cell<i64>;
-    #[inline(always)]
-    fn elems(&self) -> &[Cell<i64>] {
-        self.0
-    }
-    #[inline(always)]
-    fn read(e: &Cell<i64>) -> i64 {
-        e.get()
-    }
-    #[inline(always)]
-    fn write(e: &Cell<i64>, v: i64) {
-        e.set(v);
-    }
-}
-
-impl BufF64 for AtomicsF64<'_> {
-    type Elem = AtomicU64;
-    #[inline(always)]
-    fn elems(&self) -> &[AtomicU64] {
-        self.0
-    }
-    #[inline(always)]
-    fn read(e: &AtomicU64) -> f64 {
-        f64::from_bits(e.load(Relaxed))
-    }
-    #[inline(always)]
-    fn write(e: &AtomicU64, v: f64) {
-        e.store(v.to_bits(), Relaxed);
-    }
-}
-
-impl BufI64 for AtomicsI64<'_> {
-    type Elem = AtomicI64;
-    #[inline(always)]
-    fn elems(&self) -> &[AtomicI64] {
-        self.0
-    }
-    #[inline(always)]
-    fn read(e: &AtomicI64) -> i64 {
-        e.load(Relaxed)
-    }
-    #[inline(always)]
-    fn write(e: &AtomicI64, v: i64) {
-        e.store(v, Relaxed);
-    }
 }
 
 /// `s.trunc() as i64` without the libm call: the `f64 → i64` cast *is*
@@ -638,13 +650,200 @@ impl KernelTables {
     }
 }
 
+/// The scheduled-flow operands of one edge range, sliced once: the
+/// canonical endpoints, the coefficient pair and the flow memory, plus
+/// the round's gate, scalars and load reader.
+struct Schedule<'a, G, M: Buf, X> {
+    gate: &'a G,
+    x: &'a X,
+    mem: f64,
+    gain: f64,
+    /// Global id of local edge 0 (the gate indexes bits by global id).
+    e0: usize,
+    pairs: &'a [(u32, u32)],
+    cts: &'a [f64],
+    chs: &'a [f64],
+    memory: &'a [M::Elem],
+}
+
+impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M, X> {
+    /// The schedule over every edge of `t`.
+    fn new(
+        t: &'a KernelTables,
+        (cts, chs): Coefs<'a>,
+        gate: &'a G,
+        mem: f64,
+        gain: f64,
+        x: &'a X,
+        memory: &'a M,
+    ) -> Self {
+        let (pairs, memory) = (t.graph().edges(), memory.elems());
+        Self {
+            gate,
+            x,
+            mem,
+            gain,
+            e0: 0,
+            pairs,
+            cts,
+            chs,
+            memory,
+        }
+    }
+
+    /// The schedule over local edges `r`: a whole pass's edge range, or
+    /// one [`LANES`]-edge chunk, whose fixed length lets the compiler
+    /// drop the lane loop's bounds checks.
+    #[inline(always)]
+    fn sub(&self, r: Range<usize>) -> Self {
+        Self {
+            gate: self.gate,
+            x: self.x,
+            mem: self.mem,
+            gain: self.gain,
+            e0: self.e0 + r.start,
+            pairs: &self.pairs[r.clone()],
+            cts: &self.cts[r.clone()],
+            chs: &self.chs[r.clone()],
+            memory: &self.memory[r],
+        }
+    }
+
+    /// Local edge `k`'s gated scheduled flow
+    /// `Ŷ_e = mem·prev_e + gain·(coef_tail·x_u − coef_head·x_v)`: the one
+    /// place the edge passes compute it.
+    #[inline(always)]
+    fn flow(&self, k: usize) -> f64 {
+        let (u, v) = self.pairs[k];
+        let x = self.x;
+        self.gate.gate(
+            self.e0 + k,
+            self.mem * M::read(&self.memory[k])
+                + self.gain * (self.cts[k] * x(u as usize) - self.chs[k] * x(v as usize)),
+        )
+    }
+
+    /// The edge-local discrete pass ([`edge_pass_fused_gated`]) over this
+    /// schedule's memory view: rounds each flow into `flows` and records
+    /// `Ŷ_e` in the memory (a no-op write for [`FlowsAsMemory`]).
+    fn fused<F: Buf<Val = i64>>(&self, round: u64, rounding: Rounding, flows: &F) {
+        let (e0, len) = (self.e0, self.pairs.len());
+        let flow_elems = &flows.elems()[e0..e0 + len];
+        let main = len - len % LANES;
+        macro_rules! fused_loop {
+            (|$k:ident, $s:ident| $round_expr:expr) => {{
+                // Lane-chunked main loop (see the module docs for the
+                // bit-exactness argument): lane 1 computes the eight
+                // independent scheduled flows, lane 2 rounds and writes
+                // them in the same ascending edge order as the scalar tail.
+                for k0 in (0..main).step_by(LANES) {
+                    let c = self.sub(k0..k0 + LANES);
+                    let fc = &flow_elems[k0..k0 + LANES];
+                    let s_lanes: [f64; LANES] = std::array::from_fn(|l| c.flow(l));
+                    for l in 0..LANES {
+                        let $k = k0 + l;
+                        let $s = s_lanes[l];
+                        let y: i64 = $round_expr;
+                        F::write(&fc[l], y);
+                        M::write(&c.memory[l], $s);
+                    }
+                }
+                for $k in main..len {
+                    let $s = self.flow($k);
+                    let y: i64 = $round_expr;
+                    F::write(&flow_elems[$k], y);
+                    M::write(&self.memory[$k], $s);
+                }
+            }};
+        }
+        match rounding {
+            Rounding::RoundDown => fused_loop!(|_k, s| trunc_i64(s)),
+            Rounding::Nearest => fused_loop!(|_k, s| round_i64(s)),
+            Rounding::UnbiasedEdge { seed } => fused_loop!(|k, s| {
+                let mut rng = SplitMix64::for_node_round(seed, (e0 + k) as u32, round);
+                let (floor, frac) = floor_frac(s);
+                floor + i64::from(rng.next_f64() < frac)
+            }),
+            Rounding::RandomizedFramework { .. } => {
+                panic!("the randomized framework is node-centric; use the arc passes")
+            }
+        }
+    }
+
+    /// The framework's scatter pass ([`edge_pass_scatter_gated`]) over
+    /// this schedule's memory view.
+    fn scatter<A: Buf<Val = f64>, F: Buf<Val = i64>>(
+        &self,
+        positions: &[(u32, u32)],
+        arc_frac: &A,
+        flows: &F,
+    ) {
+        let (e0, len) = (self.e0, self.pairs.len());
+        let flow_elems = &flows.elems()[e0..e0 + len];
+        let main = len - len % LANES;
+        // Per-edge body shared by the chunked loop and the scalar tail.
+        // `trunc(Ŷ) = sign·⌊|Ŷ|⌋` *is* the signed base flow, and
+        // `|Ŷ − trunc(Ŷ)|` is exactly the sending side's fractional part
+        // (the subtraction is exact by Sterbenz, and negation is exact),
+        // so one saturating cast replaces the abs/floor/sign-multiply
+        // chain. The sending-side selection uses arithmetic masks rather
+        // than branches — the sign of `Ŷ_e` is essentially random
+        // mid-simulation, so a branch would mispredict about half the
+        // time: tail sends iff `Ŷ_e > 0`, and the receiving slot gets
+        // `frac − frac_send`, which is exactly `+0.0` or `frac`.
+        let scatter_one = |&(pt, ph): &(u32, u32), pe: &M::Elem, fe: &F::Elem, s: f64| {
+            let base = trunc_i64(s);
+            let frac = (s - base as f64).abs();
+            let tail_sends = f64::from(u8::from(s > 0.0));
+            let frac_tail = frac * tail_sends;
+            arc_frac.set(pt as usize, frac_tail);
+            arc_frac.set(ph as usize, frac - frac_tail);
+            F::write(fe, base);
+            M::write(pe, s);
+        };
+        for k0 in (0..main).step_by(LANES) {
+            let c = self.sub(k0..k0 + LANES);
+            let poc = &positions[k0..k0 + LANES];
+            let fc = &flow_elems[k0..k0 + LANES];
+            // Unlike the fused pass, compute and scatter stay fused per
+            // lane: the scatter's two data-dependent stores dominate here,
+            // and staging eight scheduled flows first only bursts those
+            // stores into back-to-back groups that stall the store buffer
+            // (measured ~10% slower on out-of-cache tori). The chunk still
+            // earns its keep by hoisting the bounds checks into the slice
+            // splits above.
+            for l in 0..LANES {
+                scatter_one(&poc[l], &c.memory[l], &fc[l], c.flow(l));
+            }
+        }
+        for k in main..len {
+            scatter_one(&positions[k], &self.memory[k], &flow_elems[k], self.flow(k));
+        }
+    }
+
+    /// The continuous pass ([`edge_pass_continuous_gated`]): writes each
+    /// scheduled flow into the memory.
+    fn continuous(&self) {
+        let len = self.pairs.len();
+        let main = len - len % LANES;
+        for k0 in (0..main).step_by(LANES) {
+            let c = self.sub(k0..k0 + LANES);
+            let s_lanes: [f64; LANES] = std::array::from_fn(|l| c.flow(l));
+            for (l, &s) in s_lanes.iter().enumerate() {
+                M::write(&c.memory[l], s);
+            }
+        }
+        for k in main..len {
+            M::write(&self.memory[k], self.flow(k));
+        }
+    }
+}
+
 /// Fused edge pass for the **edge-local** rounding schemes in discrete
 /// mode, over every edge with the diffusion coefficients: computes the
-/// scheduled flow
-/// `Ŷ_e = mem·prev_e + gain·(coef_tail·x_tail − coef_head·x_head)`,
-/// rounds it, and updates the SOS flow memory, all in one zipped sweep
-/// over `edges` (bounds checks hoisted by slicing the range up front).
-/// Under [`FlowMemory::Rounded`] the memory is the flow slot itself
+/// scheduled flow `Ŷ_e` (see the module docs), rounds it, and updates the SOS
+/// flow memory, all in one sweep over `edges`. Under
+/// [`FlowMemory::Rounded`] the memory is the flow slot itself
 /// ([`FlowsAsMemory`]) and `prev` is left untouched; under
 /// [`FlowMemory::Scheduled`] `prev` records `Ŷ_e`.
 ///
@@ -653,7 +852,7 @@ impl KernelTables {
 /// Panics for [`Rounding::RandomizedFramework`], which is node-centric and
 /// runs through [`edge_pass_scatter`] → [`arc_round_streamed`].
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_fused<P: BufF64, F: BufI64>(
+pub fn edge_pass_fused<P: Buf<Val = f64>, F: Buf<Val = i64>>(
     t: &KernelTables,
     edges: Range<usize>,
     mem: f64,
@@ -684,7 +883,7 @@ pub fn edge_pass_fused<P: BufF64, F: BufI64>(
 /// [`edge_pass_fused`] with explicit coefficients and an edge `gate`
 /// ([`AllEdges`] or [`MaskBits`]).
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_fused_gated<G: EdgeGate, P: BufF64, F: BufI64>(
+pub fn edge_pass_fused_gated<G: EdgeGate, P: Buf<Val = f64>, F: Buf<Val = i64>>(
     t: &KernelTables,
     coefs: Coefs<'_>,
     gate: &G,
@@ -698,90 +897,10 @@ pub fn edge_pass_fused_gated<G: EdgeGate, P: BufF64, F: BufI64>(
     prev: &P,
     flows: &F,
 ) {
-    with_memory!(flow_memory, prev, flows, |memory| fused_pass(
-        t, coefs, gate, edges, mem, gain, round, rounding, x, memory, flows
-    ))
-}
-
-/// [`edge_pass_fused_gated`] over one memory view: `memory` records `Ŷ_e`
-/// (a no-op write for [`FlowsAsMemory`]).
-#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-fn fused_pass<G: EdgeGate, P: BufF64, F: BufI64>(
-    t: &KernelTables,
-    (coef_tail, coef_head): Coefs<'_>,
-    gate: &G,
-    edges: Range<usize>,
-    mem: f64,
-    gain: f64,
-    round: u64,
-    rounding: Rounding,
-    x: impl Fn(usize) -> f64,
-    prev: &P,
-    flows: &F,
-) {
-    let e0 = edges.start;
-    let pairs = &t.graph().edges()[edges.clone()];
-    let cts = &coef_tail[edges.clone()];
-    let chs = &coef_head[edges.clone()];
-    let prevs = &prev.elems()[edges.clone()];
-    let flow_elems = &flows.elems()[edges];
-    let len = pairs.len();
-    let main = len - len % LANES;
-    macro_rules! fused_loop {
-        (|$k:ident, $s:ident| $round_expr:expr) => {{
-            // Lane-chunked main loop (see the module docs for the
-            // bit-exactness argument): chunk lane 1 computes the eight
-            // independent scheduled flows, lane 2 rounds and writes them
-            // in the same ascending edge order as the scalar tail.
-            for k0 in (0..main).step_by(LANES) {
-                let uvc = &pairs[k0..k0 + LANES];
-                let ctc = &cts[k0..k0 + LANES];
-                let chc = &chs[k0..k0 + LANES];
-                let pc = &prevs[k0..k0 + LANES];
-                let fc = &flow_elems[k0..k0 + LANES];
-                let mut s_lanes = [0.0f64; LANES];
-                for l in 0..LANES {
-                    s_lanes[l] = gate.gate(
-                        e0 + k0 + l,
-                        mem * P::read(&pc[l])
-                            + gain
-                                * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)),
-                    );
-                }
-                for l in 0..LANES {
-                    let $k = k0 + l;
-                    let $s = s_lanes[l];
-                    let y: i64 = $round_expr;
-                    F::write(&fc[l], y);
-                    P::write(&pc[l], $s);
-                }
-            }
-            for $k in main..len {
-                let $s = gate.gate(
-                    e0 + $k,
-                    mem * P::read(&prevs[$k])
-                        + gain
-                            * (cts[$k] * x(pairs[$k].0 as usize)
-                                - chs[$k] * x(pairs[$k].1 as usize)),
-                );
-                let y: i64 = $round_expr;
-                F::write(&flow_elems[$k], y);
-                P::write(&prevs[$k], $s);
-            }
-        }};
-    }
-    match rounding {
-        Rounding::RoundDown => fused_loop!(|_k, s| trunc_i64(s)),
-        Rounding::Nearest => fused_loop!(|_k, s| round_i64(s)),
-        Rounding::UnbiasedEdge { seed } => fused_loop!(|k, s| {
-            let mut rng = SplitMix64::for_node_round(seed, (e0 + k) as u32, round);
-            let (floor, frac) = floor_frac(s);
-            floor + i64::from(rng.next_f64() < frac)
-        }),
-        Rounding::RandomizedFramework { .. } => {
-            panic!("the randomized framework is node-centric; use the arc passes")
-        }
-    }
+    with_memory!(flow_memory, prev, flows, |memory| {
+        let sched = Schedule::new(t, coefs, gate, mem, gain, &x, memory);
+        sched.sub(edges.clone()).fused(round, rounding, flows)
+    })
 }
 
 /// Phase 1 of the randomized framework, over every edge with the
@@ -802,7 +921,7 @@ fn fused_pass<G: EdgeGate, P: BufF64, F: BufI64>(
 /// random mid-simulation, so a branch here would mispredict about half
 /// the time.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_scatter<A: BufF64, F: BufI64, P: BufF64>(
+pub fn edge_pass_scatter<A: Buf<Val = f64>, F: Buf<Val = i64>, P: Buf<Val = f64>>(
     t: &KernelTables,
     edges: Range<usize>,
     mem: f64,
@@ -833,7 +952,12 @@ pub fn edge_pass_scatter<A: BufF64, F: BufI64, P: BufF64>(
 /// so the rounding phase ([`arc_round_streamed`]) runs unchanged: a node
 /// whose arcs are all inactive sums `r = 0` and skips out.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_scatter_gated<G: EdgeGate, A: BufF64, F: BufI64, P: BufF64>(
+pub fn edge_pass_scatter_gated<
+    G: EdgeGate,
+    A: Buf<Val = f64>,
+    F: Buf<Val = i64>,
+    P: Buf<Val = f64>,
+>(
     t: &KernelTables,
     coefs: Coefs<'_>,
     gate: &G,
@@ -846,107 +970,21 @@ pub fn edge_pass_scatter_gated<G: EdgeGate, A: BufF64, F: BufI64, P: BufF64>(
     flows: &F,
     prev: &P,
 ) {
-    with_memory!(flow_memory, prev, flows, |memory| scatter_pass(
-        t, coefs, gate, edges, mem, gain, x, arc_frac, flows, memory
-    ))
-}
-
-/// [`edge_pass_scatter_gated`] over one memory view (see [`fused_pass`]).
-#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-fn scatter_pass<G: EdgeGate, A: BufF64, F: BufI64, P: BufF64>(
-    t: &KernelTables,
-    (coef_tail, coef_head): Coefs<'_>,
-    gate: &G,
-    edges: Range<usize>,
-    mem: f64,
-    gain: f64,
-    x: impl Fn(usize) -> f64,
-    arc_frac: &A,
-    flows: &F,
-    prev: &P,
-) {
-    let e0 = edges.start;
-    let pairs = &t.graph().edges()[edges.clone()];
-    let cts = &coef_tail[edges.clone()];
-    let chs = &coef_head[edges.clone()];
     let positions = &t.edge_arc_pos[edges.clone()];
-    let prevs = &prev.elems()[edges.clone()];
-    let flow_elems = &flows.elems()[edges];
-    let len = pairs.len();
-    let main = len - len % LANES;
-    // Per-edge body shared by the chunked lane-2 loop and the scalar
-    // tail. `trunc(Ŷ) = sign·⌊|Ŷ|⌋` *is* the signed base flow, and
-    // `|Ŷ − trunc(Ŷ)|` is exactly the sending side's fractional part
-    // (the subtraction is exact by Sterbenz, and negation is exact), so
-    // one saturating cast replaces the abs/floor/sign-multiply chain.
-    // The sending-side selection uses arithmetic masks rather than
-    // branches — the sign of `Ŷ_e` is essentially random mid-simulation,
-    // so a branch would mispredict about half the time: tail sends iff
-    // `Ŷ_e > 0`, and the receiving slot gets `frac − frac_send`, which is
-    // exactly `+0.0` or `frac`.
-    let scatter_one = |&(pt, ph): &(u32, u32), pe: &P::Elem, fe: &F::Elem, s: f64| {
-        let base = trunc_i64(s);
-        let frac = (s - base as f64).abs();
-        let tail_sends = f64::from(u8::from(s > 0.0));
-        let frac_tail = frac * tail_sends;
-        arc_frac.set(pt as usize, frac_tail);
-        arc_frac.set(ph as usize, frac - frac_tail);
-        F::write(fe, base);
-        P::write(pe, s);
-    };
-    for k0 in (0..main).step_by(LANES) {
-        let uvc = &pairs[k0..k0 + LANES];
-        let ctc = &cts[k0..k0 + LANES];
-        let chc = &chs[k0..k0 + LANES];
-        let pc = &prevs[k0..k0 + LANES];
-        let poc = &positions[k0..k0 + LANES];
-        let fc = &flow_elems[k0..k0 + LANES];
-        // Unlike the fused pass, compute and scatter stay fused per lane:
-        // the scatter's two data-dependent stores dominate here, and
-        // staging eight scheduled flows first only bursts those stores
-        // into back-to-back groups that stall the store buffer (measured
-        // ~10% slower on out-of-cache tori). The chunk still earns its
-        // keep by hoisting the bounds checks into the slice splits above.
-        for l in 0..LANES {
-            let s = gate.gate(
-                e0 + k0 + l,
-                mem * P::read(&pc[l])
-                    + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)),
-            );
-            scatter_one(&poc[l], &pc[l], &fc[l], s);
-        }
-    }
-    for k in main..len {
-        let s = gate.gate(
-            e0 + k,
-            mem * P::read(&prevs[k])
-                + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize)),
-        );
-        scatter_one(&positions[k], &prevs[k], &flow_elems[k], s);
-    }
+    with_memory!(flow_memory, prev, flows, |memory| {
+        let sched = Schedule::new(t, coefs, gate, mem, gain, &x, memory);
+        sched.sub(edges.clone()).scatter(positions, arc_frac, flows)
+    })
 }
 
-/// Fused edge pass for continuous mode, over every edge with the
-/// diffusion coefficients: the scheduled flow *is* the flow, so it is
-/// written straight into the flow memory (which the apply pass then
-/// reads as this round's flows).
-pub fn edge_pass_continuous<P: BufF64>(
-    t: &KernelTables,
-    edges: Range<usize>,
-    mem: f64,
-    gain: f64,
-    x: impl Fn(usize) -> f64,
-    prev: &P,
-) {
-    edge_pass_continuous_gated(t, t.coefs(), &AllEdges, edges, mem, gain, x, prev);
-}
-
-/// [`edge_pass_continuous`] with explicit coefficients and an edge
-/// `gate`: a gated-out edge carries a zero flow this round.
+/// Edge pass for continuous mode, with explicit coefficients and an edge
+/// `gate` (a gated-out edge carries a zero flow this round): the
+/// scheduled flow *is* the flow, so it is written straight into the flow
+/// memory, which the apply pass then reads as this round's flows.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_continuous_gated<G: EdgeGate, P: BufF64>(
+pub fn edge_pass_continuous_gated<G: EdgeGate, P: Buf<Val = f64>>(
     t: &KernelTables,
-    (coef_tail, coef_head): Coefs<'_>,
+    coefs: Coefs<'_>,
     gate: &G,
     edges: Range<usize>,
     mem: f64,
@@ -954,38 +992,9 @@ pub fn edge_pass_continuous_gated<G: EdgeGate, P: BufF64>(
     x: impl Fn(usize) -> f64,
     prev: &P,
 ) {
-    let e0 = edges.start;
-    let pairs = &t.graph().edges()[edges.clone()];
-    let cts = &coef_tail[edges.clone()];
-    let chs = &coef_head[edges.clone()];
-    let prevs = &prev.elems()[edges];
-    let len = pairs.len();
-    let main = len - len % LANES;
-    for k0 in (0..main).step_by(LANES) {
-        let uvc = &pairs[k0..k0 + LANES];
-        let ctc = &cts[k0..k0 + LANES];
-        let chc = &chs[k0..k0 + LANES];
-        let pc = &prevs[k0..k0 + LANES];
-        let mut s_lanes = [0.0f64; LANES];
-        for l in 0..LANES {
-            s_lanes[l] = gate.gate(
-                e0 + k0 + l,
-                mem * P::read(&pc[l])
-                    + gain * (ctc[l] * x(uvc[l].0 as usize) - chc[l] * x(uvc[l].1 as usize)),
-            );
-        }
-        for (l, &s) in s_lanes.iter().enumerate() {
-            P::write(&pc[l], s);
-        }
-    }
-    for k in main..len {
-        let s = gate.gate(
-            e0 + k,
-            mem * P::read(&prevs[k])
-                + gain * (cts[k] * x(pairs[k].0 as usize) - chs[k] * x(pairs[k].1 as usize)),
-        );
-        P::write(&prevs[k], s);
-    }
+    Schedule::new(t, coefs, gate, mem, gain, &x, prev)
+        .sub(edges)
+        .continuous();
 }
 
 /// Reusable per-participant scratch of the randomized framework's
@@ -1026,7 +1035,7 @@ impl FwScratch {
 /// from the stream counter ([`crate::rng::nth_u64`]), so successive draws
 /// have no serial RNG dependency. Draw-for-draw identical to
 /// [`SplitMix64::for_node_round`].
-pub fn arc_round_streamed<A: BufF64, F: BufI64>(
+pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
     t: &KernelTables,
     nodes: Range<usize>,
     seed: u64,
@@ -1114,7 +1123,11 @@ pub fn arc_round_streamed<A: BufF64, F: BufI64>(
 /// ([`FlowsAsMemory`]); it is the kernel form of the cast the round
 /// state makes when the simulator's accessors and checkpoint snapshots
 /// ask for the memory.
-pub fn prev_from_flows<F: BufI64, P: BufF64>(edges: Range<usize>, flows: &F, prev: &P) {
+pub fn prev_from_flows<F: Buf<Val = i64>, P: Buf<Val = f64>>(
+    edges: Range<usize>,
+    flows: &F,
+    prev: &P,
+) {
     let flow_elems = &flows.elems()[edges.clone()];
     let prevs = &prev.elems()[edges];
     for (fe, pe) in flow_elems.iter().zip(prevs) {
@@ -1123,7 +1136,7 @@ pub fn prev_from_flows<F: BufI64, P: BufF64>(edges: Range<usize>, flows: &F, pre
 }
 
 /// Number of [`DEV_BLOCK`]-node potential blocks over `n` nodes: the
-/// length of the block-partial buffer the apply passes write.
+/// length of the block-partial buffer the apply pass writes.
 pub fn dev_blocks(n: usize) -> usize {
     n.div_ceil(DEV_BLOCK)
 }
@@ -1132,7 +1145,7 @@ pub fn dev_blocks(n: usize) -> usize {
 /// block order. Shared by the sequential executor, the pool's control
 /// thread, and (structurally) `metrics::snapshot_with_total`, so the
 /// potential's summation order never depends on the executor.
-pub fn fold_block_sums(blocks: usize, sums: &impl BufF64) -> f64 {
+pub fn fold_block_sums(blocks: usize, sums: &impl Buf<Val = f64>) -> f64 {
     let mut total = 0.0;
     for b in 0..blocks {
         total += sums.get(b);
@@ -1140,29 +1153,74 @@ pub fn fold_block_sums(blocks: usize, sums: &impl BufF64) -> f64 {
     total
 }
 
-/// Node-centric application of integer flows to `nodes`; returns the
-/// chunk's fused [`LoadStats`] — the minimum transient load
-/// `min_i (x_i − Σ outgoing)` plus the post-round min/max/deviation
-/// reduction against [`KernelTables::ideal`] — computed in the same
-/// sweep, so stop conditions never pay a separate `O(n)` metrics pass.
+/// The apply pass's running statistics: the chunk's [`LoadStats`] and
+/// the squared-deviation partial of the current potential block.
+struct StatsFold {
+    stats: LoadStats,
+    block: f64,
+}
+
+impl StatsFold {
+    /// Folds one node's post-round `load` and `transient` load.
+    ///
+    /// Compare-and-assign instead of `f64::min`/`f64::max`: the updates
+    /// are rare once the extrema stabilize, so these are four
+    /// well-predicted branches per node, not four IEEE min/max µop
+    /// sequences (measured ~0.7 ns/edge cheaper on the 256×256 SOS
+    /// nearest case). `metrics::snapshot_with_total` reduces with the
+    /// same comparisons, keeping the fused and from-scratch snapshots
+    /// bit-identical (NaNs lose every comparison on both paths alike).
+    #[inline(always)]
+    fn node(&mut self, load: f64, ideal: f64, transient: f64) {
+        let (dev, st) = (load - ideal, &mut self.stats);
+        if transient < st.min_transient {
+            st.min_transient = transient;
+        }
+        if load < st.min_load {
+            st.min_load = load;
+        }
+        if dev > st.max_dev {
+            st.max_dev = dev;
+        }
+        if dev < st.min_dev {
+            st.min_dev = dev;
+        }
+        self.block += dev * dev;
+    }
+
+    /// Stores the block partial into `sums` if global node `end − 1`
+    /// closes a [`DEV_BLOCK`] or the chunk (`end == last`).
+    #[inline(always)]
+    fn close(&mut self, end: usize, last: usize, sums: &impl Buf<Val = f64>) {
+        if end.is_multiple_of(DEV_BLOCK) || end == last {
+            sums.set((end - 1) / DEV_BLOCK, self.block);
+            self.block = 0.0;
+        }
+    }
+}
+
+/// Node-centric application of this round's `flows` to `nodes`, over
+/// whole tokens or fluid alike; returns the chunk's fused [`LoadStats`] —
+/// the minimum transient load `min_i (x_i − Σ outgoing)` plus the
+/// post-round min/max/deviation reduction against
+/// [`KernelTables::ideal`] — computed in the same sweep, so stop
+/// conditions never pay a separate `O(n)` metrics pass.
 /// Per-[`DEV_BLOCK`] squared-deviation partials go to `block_sums`
 /// (indexed by global block id `i / DEV_BLOCK`); `nodes.start` must be
 /// block-aligned so each block has exactly one writer — the pool aligns
 /// its node chunks to guarantee it.
-pub fn apply_discrete<L: BufI64>(
+pub fn apply<L: Buf>(
     t: &KernelTables,
     nodes: Range<usize>,
-    flows: impl Fn(usize) -> i64,
+    flows: impl Fn(usize) -> L::Val,
     loads: &L,
-    block_sums: &impl BufF64,
+    block_sums: &impl Buf<Val = f64>,
 ) -> LoadStats {
     debug_assert!(
         nodes.start.is_multiple_of(DEV_BLOCK),
         "chunk must be block-aligned"
     );
-    let mut stats = LoadStats::identity();
-    let mut block_acc = 0.0f64;
-    let last = nodes.end;
+    let zero = <L::Val as Value>::ZERO;
     // Walk the chunk's arc ranges by splitting running slices (as
     // `arc_round_streamed` does) and zip the per-node tables, so the
     // inner loop carries no repeated global-range bounds checks.
@@ -1172,171 +1230,89 @@ pub fn apply_discrete<L: BufI64>(
     let mut signs_rest = &t.graph().arc_orientations()[chunk_arcs];
     let ideals = &t.ideal[nodes.clone()];
     let load_elems = &loads.elems()[nodes.clone()];
-    let len = nodes.len();
-    let main = len - len % LANES;
-    // 8-node chunks: lane 1 runs each node's arc reduction in its exact
-    // sequential order and stages the results; lane 2 folds the fused
-    // statistics in lane (= node) order, identical to the scalar
-    // sequence. `nodes.start` is block-aligned and `DEV_BLOCK` is a
-    // multiple of `LANES`, so a potential-block boundary (or `last` on a
-    // full chunk) can only fall at a chunk end — checked once per chunk.
-    for k0 in (0..main).step_by(LANES) {
-        let mut news = [0i64; LANES];
-        let mut transients = [0i64; LANES];
-        for l in 0..LANES {
-            let deg = offsets[k0 + l + 1] - offsets[k0 + l];
-            let (arc_edges, rest) = edges_rest.split_at(deg);
-            edges_rest = rest;
-            let (arc_signs, rest) = signs_rest.split_at(deg);
-            signs_rest = rest;
-            let mut outgoing: i64 = 0;
-            let mut net: i64 = 0;
-            for (&e, &sg) in arc_edges.iter().zip(arc_signs) {
-                let y = flows(e as usize) * sg as i64;
-                // Branchless: token direction is essentially random
-                // mid-run, so `y > 0` would mispredict about half the
-                // time; `max` compiles to a conditional move and is
-                // exactly the branch's sum (integers).
-                outgoing += y.max(0);
-                net += y;
-            }
-            let x = L::read(&load_elems[k0 + l]);
-            news[l] = x - net;
-            transients[l] = x - outgoing;
-        }
-        for l in 0..LANES {
-            let new = news[l];
-            let dev = new as f64 - ideals[k0 + l];
-            stats.absorb(new as f64, dev, transients[l] as f64);
-            block_acc += dev * dev;
-            L::write(&load_elems[k0 + l], new);
-        }
-        let i = nodes.start + k0 + LANES; // one past the chunk's last node
-        if i.is_multiple_of(DEV_BLOCK) || i == last {
-            block_sums.set((i - 1) / DEV_BLOCK, block_acc);
-            block_acc = 0.0;
-        }
-    }
-    for k in main..len {
+    // Local node `k`'s arc reduction, in its exact sequential arc order:
+    // its new load `x − Σ y` and its transient load `x − Σ max(y, 0)`.
+    let mut reduce = |k: usize| {
         let deg = offsets[k + 1] - offsets[k];
         let (arc_edges, rest) = edges_rest.split_at(deg);
         edges_rest = rest;
         let (arc_signs, rest) = signs_rest.split_at(deg);
         signs_rest = rest;
-        let mut outgoing: i64 = 0;
-        let mut net: i64 = 0;
+        let (mut outgoing, mut net) = (zero, zero);
         for (&e, &sg) in arc_edges.iter().zip(arc_signs) {
-            let y = flows(e as usize) * sg as i64;
-            outgoing += y.max(0);
-            net += y;
+            let y = flows(e as usize) * L::Val::from_f64(f64::from(sg));
+            // The positive part, branchless: flow direction is essentially
+            // random mid-run, so a `y > 0` branch would mispredict about
+            // half the time. The select compiles to a conditional move
+            // (tokens) or `maxsd` (fluid) and yields exactly `y` or zero;
+            // a fluid accumulator that starts at `+0.0` and only adds
+            // these is never `-0.0`, so `acc + 0.0 == acc` bit for bit:
+            // identical to skipping non-positive `y`, NaN included.
+            outgoing = outgoing + if y > zero { y } else { zero };
+            net = net + y;
         }
-        let le = &load_elems[k];
-        let x = L::read(le);
-        let new = x - net;
-        let dev = new as f64 - ideals[k];
-        stats.absorb(new as f64, dev, (x - outgoing) as f64);
-        block_acc += dev * dev;
-        let i = nodes.start + k;
-        if (i + 1).is_multiple_of(DEV_BLOCK) || i + 1 == last {
-            block_sums.set(i / DEV_BLOCK, block_acc);
-            block_acc = 0.0;
+        let x = L::read(&load_elems[k]);
+        (x - net, x - outgoing)
+    };
+    let mut fold = StatsFold {
+        stats: LoadStats::identity(),
+        block: 0.0,
+    };
+    let (start, last) = (nodes.start, nodes.end);
+    let len = nodes.len();
+    let main = len - len % LANES;
+    // 8-node chunks: lane 1 runs each node's arc reduction and stages the
+    // results; lane 2 folds the fused statistics in lane (= node) order,
+    // identical to the scalar sequence. `nodes.start` is block-aligned
+    // and `DEV_BLOCK` is a multiple of `LANES`, so a potential-block
+    // boundary (or `last` on a full chunk) can only fall at a chunk end —
+    // checked once per chunk.
+    for k0 in (0..main).step_by(LANES) {
+        let mut news = [zero; LANES];
+        let mut transients = [zero; LANES];
+        for l in 0..LANES {
+            (news[l], transients[l]) = reduce(k0 + l);
         }
-        L::write(le, new);
+        for l in 0..LANES {
+            fold.node(news[l].to_f64(), ideals[k0 + l], transients[l].to_f64());
+            L::write(&load_elems[k0 + l], news[l]);
+        }
+        fold.close(start + k0 + LANES, last, block_sums);
     }
-    stats
+    for k in main..len {
+        let (new, transient) = reduce(k);
+        fold.node(new.to_f64(), ideals[k], transient.to_f64());
+        fold.close(start + k + 1, last, block_sums);
+        L::write(&load_elems[k], new);
+    }
+    fold.stats
 }
 
-/// Continuous analog of [`apply_discrete`].
-pub fn apply_continuous<L: BufF64>(
+/// [`apply`] with the round's `flows` read from their buffer, where the
+/// edges set in `stale` land nothing: such an edge applies as zero. The
+/// stale step is a select, not a product — for fluid, `0·y` is NaN when
+/// `y` is infinite or NaN and `−0.0` when `y < 0`.
+pub fn apply_flows<L: Buf, Y: Buf<Val = L::Val>>(
     t: &KernelTables,
     nodes: Range<usize>,
-    flows: impl Fn(usize) -> f64,
+    flows: &Y,
+    stale: Option<&[u64]>,
     loads: &L,
-    block_sums: &impl BufF64,
+    block_sums: &impl Buf<Val = f64>,
 ) -> LoadStats {
-    debug_assert!(
-        nodes.start.is_multiple_of(DEV_BLOCK),
-        "chunk must be block-aligned"
-    );
-    let mut stats = LoadStats::identity();
-    let mut block_acc = 0.0f64;
-    let last = nodes.end;
-    let offsets = &t.graph().arc_offsets()[nodes.start..=nodes.end];
-    let chunk_arcs = offsets[0]..offsets[offsets.len() - 1];
-    let mut edges_rest = &t.graph().arc_edge_ids()[chunk_arcs.clone()];
-    let mut signs_rest = &t.graph().arc_orientations()[chunk_arcs];
-    let ideals = &t.ideal[nodes.clone()];
-    let load_elems = &loads.elems()[nodes.clone()];
-    let len = nodes.len();
-    let main = len - len % LANES;
-    // Branchless positive-part accumulation, shared by both loops below:
-    // flow direction is essentially random mid-run, so `y > 0.0` would
-    // mispredict about half the time. The select adds exactly `y` or
-    // `+0.0`; the accumulator starts at `+0.0` and only ever adds
-    // non-negative values, so it is never `-0.0` and `acc + 0.0 == acc`
-    // bit for bit — identical to the skipping branch (also for NaN `y`,
-    // where both forms leave the accumulator unchanged).
-    let pos = |y: f64| if y > 0.0 { y } else { 0.0 };
-    for k0 in (0..main).step_by(LANES) {
-        let mut news = [0.0f64; LANES];
-        let mut transients = [0.0f64; LANES];
-        for l in 0..LANES {
-            let deg = offsets[k0 + l + 1] - offsets[k0 + l];
-            let (arc_edges, rest) = edges_rest.split_at(deg);
-            edges_rest = rest;
-            let (arc_signs, rest) = signs_rest.split_at(deg);
-            signs_rest = rest;
-            let mut outgoing = 0.0;
-            let mut net = 0.0;
-            for (&e, &sg) in arc_edges.iter().zip(arc_signs) {
-                let y = flows(e as usize) * sg as f64;
-                outgoing += pos(y);
-                net += y;
-            }
-            let x = L::read(&load_elems[k0 + l]);
-            news[l] = x - net;
-            transients[l] = x - outgoing;
-        }
-        for l in 0..LANES {
-            let new = news[l];
-            let dev = new - ideals[k0 + l];
-            stats.absorb(new, dev, transients[l]);
-            block_acc += dev * dev;
-            L::write(&load_elems[k0 + l], new);
-        }
-        let i = nodes.start + k0 + LANES;
-        if i.is_multiple_of(DEV_BLOCK) || i == last {
-            block_sums.set((i - 1) / DEV_BLOCK, block_acc);
-            block_acc = 0.0;
+    match stale {
+        None => apply(t, nodes, |e| flows.get(e), loads, block_sums),
+        Some(s) => {
+            let landed = |e| {
+                if s.bit(e) == 1 {
+                    L::Val::ZERO
+                } else {
+                    flows.get(e)
+                }
+            };
+            apply(t, nodes, landed, loads, block_sums)
         }
     }
-    for k in main..len {
-        let deg = offsets[k + 1] - offsets[k];
-        let (arc_edges, rest) = edges_rest.split_at(deg);
-        edges_rest = rest;
-        let (arc_signs, rest) = signs_rest.split_at(deg);
-        signs_rest = rest;
-        let mut outgoing = 0.0;
-        let mut net = 0.0;
-        for (&e, &sg) in arc_edges.iter().zip(arc_signs) {
-            let y = flows(e as usize) * sg as f64;
-            outgoing += pos(y);
-            net += y;
-        }
-        let le = &load_elems[k];
-        let x = L::read(le);
-        let new = x - net;
-        let dev = new - ideals[k];
-        stats.absorb(new, dev, x - outgoing);
-        block_acc += dev * dev;
-        let i = nodes.start + k;
-        if (i + 1).is_multiple_of(DEV_BLOCK) || i + 1 == last {
-            block_sums.set(i / DEV_BLOCK, block_acc);
-            block_acc = 0.0;
-        }
-        L::write(le, new);
-    }
-    stats
 }
 
 #[cfg(test)]
@@ -1407,13 +1383,13 @@ mod tests {
         let mut plain = vec![0.0f64; 8];
         let atomics: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(0)).collect();
         {
-            let cells = cells_f64(&mut plain);
+            let cells = cells(&mut plain);
             for i in 0..8 {
                 cells.set(i, i as f64 * 1.5 - 2.0);
-                AtomicsF64(&atomics).set(i, i as f64 * 1.5 - 2.0);
+                Atomics::<f64>(&atomics).set(i, i as f64 * 1.5 - 2.0);
             }
             for i in 0..8 {
-                assert_eq!(cells.get(i), AtomicsF64(&atomics).get(i));
+                assert_eq!(cells.get(i), Atomics::<f64>(&atomics).get(i));
             }
         }
         assert_eq!(plain[4], 4.0);
@@ -1444,8 +1420,8 @@ mod tests {
                 rounding,
                 FlowMemory::Scheduled,
                 |i| loads[i],
-                &cells_f64(&mut fused_prev),
-                &cells_i64(&mut fused_flows),
+                &cells(&mut fused_prev),
+                &cells(&mut fused_flows),
             );
             let sched: Vec<f64> = (0..m)
                 .map(|e| {
@@ -1509,15 +1485,15 @@ mod tests {
                     lo..hi,
                     11,
                     5,
-                    &cells_f64(&mut arc_frac),
-                    &cells_i64(&mut flows),
+                    &cells(&mut arc_frac),
+                    &cells(&mut flows),
                     &mut scratch,
                 );
                 lo = hi;
             }
             assert_eq!(flows, direct, "split {split}");
             let mut prev = vec![0.5f64; m];
-            prev_from_flows(0..m, &cells_i64(&mut flows), &cells_f64(&mut prev));
+            prev_from_flows(0..m, &cells(&mut flows), &cells(&mut prev));
             let as_f64: Vec<f64> = direct.iter().map(|&y| y as f64).collect();
             assert_eq!(prev, as_f64, "split {split} flow memory");
         }
@@ -1556,9 +1532,9 @@ mod tests {
                 1.7,
                 memory,
                 |i| loads[i],
-                &cells_f64(&mut arc_frac),
-                &cells_i64(&mut flows),
-                &cells_f64(&mut prev),
+                &cells(&mut arc_frac),
+                &cells(&mut flows),
+                &cells(&mut prev),
             );
             for (e, &(pt, ph)) in t.edge_arc_pos.iter().enumerate() {
                 let s = expected[e];
@@ -1595,8 +1571,8 @@ mod tests {
         let mut prev: Vec<f64> = (0..m).map(|e| e as f64 * 0.17 - 2.0).collect();
         let mut arc_frac = vec![9.9f64; t.graph().arc_count()];
         {
-            let (fl, pr) = (cells_i64(&mut flows), cells_f64(&mut prev));
-            let af = cells_f64(&mut arc_frac);
+            let (fl, pr) = (cells(&mut flows), cells(&mut prev));
+            let af = cells(&mut arc_frac);
             for w in bounds.windows(2) {
                 let r = w[0]..w[1];
                 match pass {
@@ -1702,8 +1678,8 @@ mod tests {
                 Rounding::nearest(),
                 memory,
                 |i| loads[i],
-                &cells_f64(prev),
-                &cells_i64(flows),
+                &cells(prev),
+                &cells(flows),
             )
         };
         // Reference: the last flows stored as `Scheduled` memory.
@@ -1730,12 +1706,12 @@ mod tests {
         let flows = [3i64; 4];
         let mut loads = vec![10i64, 0, 0, 0, 0];
         let mut blocks = vec![0.0f64; dev_blocks(5)];
-        let st = apply_discrete(
+        let st = apply(
             &t,
             0..5,
             |e| flows[e],
-            &cells_i64(&mut loads),
-            &cells_f64(&mut blocks),
+            &cells(&mut loads),
+            &cells(&mut blocks),
         );
         assert_eq!(loads, vec![-2, 3, 3, 3, 3]);
         assert_eq!(st.min_transient, -2.0); // hub transient: 10 − 12
@@ -1744,22 +1720,22 @@ mod tests {
         assert_eq!(st.min_dev, -4.0); // hub at −2 vs ideal 2
         assert_eq!(st.sum_sq_dev, 0.0, "apply leaves the sum to the fold");
         // Block partials: 16 + 4·1 = 20 squared deviation in one block.
-        assert_eq!(fold_block_sums(blocks.len(), &cells_f64(&mut blocks)), 20.0);
+        assert_eq!(fold_block_sums(blocks.len(), &cells(&mut blocks)), 20.0);
         let flows_f = [2.5f64; 4];
         let mut loads_f = vec![10.0f64, 0.0, 0.0, 0.0, 0.0];
-        let st = apply_continuous(
+        let st = apply(
             &t,
             0..5,
             |e| flows_f[e],
-            &cells_f64(&mut loads_f),
-            &cells_f64(&mut blocks),
+            &cells(&mut loads_f),
+            &cells(&mut blocks),
         );
         assert_eq!(loads_f, vec![0.0, 2.5, 2.5, 2.5, 2.5]);
         assert_eq!(st.min_transient, 0.0);
         assert_eq!(st.min_load, 0.0);
         assert_eq!(st.max_dev, 0.5);
         assert_eq!(st.min_dev, -2.0);
-        assert_eq!(fold_block_sums(blocks.len(), &cells_f64(&mut blocks)), 5.0);
+        assert_eq!(fold_block_sums(blocks.len(), &cells(&mut blocks)), 5.0);
     }
 
     /// The block-partial fold must be independent of chunking: any
@@ -1778,15 +1754,15 @@ mod tests {
             let mut blocks = vec![0.0f64; dev_blocks(n)];
             let mut merged = LoadStats::identity();
             for w in bounds.windows(2) {
-                merged = merged.merge(apply_discrete(
+                merged = merged.merge(apply(
                     &t,
                     w[0]..w[1],
                     |e| flows[e],
-                    &cells_i64(&mut loads),
-                    &cells_f64(&mut blocks),
+                    &cells(&mut loads),
+                    &cells(&mut blocks),
                 ));
             }
-            merged.sum_sq_dev = fold_block_sums(blocks.len(), &cells_f64(&mut blocks));
+            merged.sum_sq_dev = fold_block_sums(blocks.len(), &cells(&mut blocks));
             merged
         };
         let whole = run(&[0, n]);
@@ -1797,5 +1773,72 @@ mod tests {
         ] {
             assert_eq!(run(&bounds), whole, "bounds {bounds:?}");
         }
+    }
+
+    /// Bit patterns of every [`LoadStats`] field, so `-0.0` and NaN
+    /// compare exactly.
+    fn stats_bits(s: &LoadStats) -> [u64; 5] {
+        [
+            s.min_transient.to_bits(),
+            s.min_load.to_bits(),
+            s.max_dev.to_bits(),
+            s.min_dev.to_bits(),
+            s.sum_sq_dev.to_bits(),
+        ]
+    }
+
+    /// One apply pass over `init` with `flows` (stale edges in `stale`):
+    /// the loads as `f64` bits, the statistics' bits and the block
+    /// partials' bits.
+    fn apply_run<V: Value>(
+        t: &KernelTables,
+        init: &[V],
+        flows: &mut [V],
+        stale: Option<&[u64]>,
+    ) -> (Vec<u64>, [u64; 5], Vec<u64>) {
+        let blocks = dev_blocks(t.n);
+        let mut loads = init.to_vec();
+        let mut sums = vec![0.0f64; blocks];
+        let (l, b) = (cells(&mut loads), cells(&mut sums));
+        let mut st = apply_flows(t, 0..t.n, &cells(flows), stale, &l, &b);
+        st.sum_sq_dev = fold_block_sums(blocks, &b);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        let loads: Vec<f64> = loads.iter().map(|x| x.to_f64()).collect();
+        (bits(&loads), stats_bits(&st), bits(&sums))
+    }
+
+    /// The one apply pass over whole tokens and over fluid holding the
+    /// same integral values agrees: equal loads, bit-equal statistics
+    /// and block partials, on a graph whose node count leaves a scalar
+    /// tail and spans several potential blocks. A stale edge lands
+    /// nothing, whatever its fluid flow holds.
+    #[test]
+    fn apply_pass_agrees_across_value_types() {
+        let g = generators::grid2d(9, 15); // n = 135: 16 chunks + a tail of 7
+        let n = g.node_count();
+        assert!(!n.is_multiple_of(LANES) && n > 2 * DEV_BLOCK);
+        let init: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 29 - 6).collect();
+        let total = init.iter().sum::<i64>() as f64;
+        let t = KernelTables::new(&g, &Speeds::linear_ramp(n, 3.0), false, total);
+        let mut flows: Vec<i64> = (0..t.m as i64).map(|e| (e * 11) % 9 - 4).collect();
+        let init_f: Vec<f64> = init.iter().map(|&x| x as f64).collect();
+        let mut flows_f: Vec<f64> = flows.iter().map(|&y| y as f64).collect();
+        let tokens = apply_run(&t, &init, &mut flows, None);
+        assert_eq!(tokens, apply_run(&t, &init_f, &mut flows_f, None));
+        // A stale edge applies as zero: its endpoints' loads, the
+        // transient and the statistics are those of a zero flow.
+        let e = 57;
+        let mut stale = [0u64; 4];
+        stale[e >> 6] |= 1 << (e & 63);
+        flows_f[e] = 0.0;
+        let want = apply_run(&t, &init_f, &mut flows_f, None);
+        assert_ne!(want, tokens, "edge {e} carries flow");
+        for y in [-3.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            flows_f[e] = y;
+            let got = apply_run(&t, &init_f, &mut flows_f, Some(&stale));
+            assert_eq!(got, want, "stale flow {y}");
+        }
+        flows[e] = -3;
+        assert_eq!(apply_run(&t, &init, &mut flows, Some(&stale)), want);
     }
 }

@@ -194,8 +194,8 @@
 //! scheduled-flow pass is a pure multiply–add sweep
 //! `Ŷ_e = mem·prev_e + gain·(coef_tail[e]·x_u − coef_head[e]·x_v)` with no
 //! `f64` division and no `Speeds::get` indirection. The endpoints come
-//! from the graph's canonical `(u, v)` edge list and the apply passes
-//! walk the graph's own flat arc arrays (edge ids, orientation signs):
+//! from the graph's canonical `(u, v)` edge list and the apply pass
+//! walks the graph's own flat arc arrays (edge ids, orientation signs):
 //! the kernel tables hold a clone of the [`sodiff_graph::Graph`], whose
 //! CSR arrays are shared, not copied. For the edge-local rounding schemes
 //! (round-down, nearest, per-edge unbiased) the rounding and the SOS
@@ -250,7 +250,7 @@
 //! are **bit-identical** to sequential ones (`tests/determinism.rs`,
 //! `tests/driver_concurrent.rs`).
 //!
-//! **Fused in-loop metrics** (`kernel::LoadStats` + the apply passes).
+//! **Fused in-loop metrics** (`kernel::LoadStats` + the apply pass).
 //! The apply pass reduces, in the same sweep that applies flows, the
 //! minimum transient load, the post-round min/max deviations against a
 //! precomputed balanced-load table ([`KernelTables`'s `ideal`]), and
@@ -329,7 +329,7 @@
 //!
 //! **8-lane chunked SIMD edge/apply kernels** (PR 9). Every hot per-edge pass — the fused discrete kernels, the
 //! framework's scatter pass and the continuous kernel, under either
-//! edge gate, and both apply passes — now runs as 8-lane
+//! edge gate, and the apply pass — now runs as 8-lane
 //! chunks with a scalar tail, the same shape that paid off in
 //! [`rng::fill_node_states`]. Per-edge work is independent and each
 //! lane performs the identical operation sequence on its own edge, so

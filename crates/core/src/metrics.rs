@@ -4,6 +4,8 @@ use std::collections::VecDeque;
 
 use sodiff_graph::{Graph, Speeds};
 
+use crate::kernel::Value;
+
 /// Snapshot of the load-distribution quality metrics the paper tracks.
 ///
 /// All values are in token units. In the heterogeneous model, "average"
@@ -81,7 +83,7 @@ pub fn snapshot_with_total(
     let mut block_acc = 0.0;
     let mut min_load = f64::INFINITY;
     // Compare-and-assign extrema, matching the fused apply-pass
-    // reduction (`kernel::LoadStats::absorb`) operation for operation so
+    // reduction (`kernel::StatsFold::node`) operation for operation so
     // the two paths agree bit for bit.
     for i in 0..n {
         let x = load_of(i);
@@ -128,28 +130,18 @@ pub fn local_diff_with(graph: &Graph, speeds: &Speeds, load_of: impl Fn(usize) -
     max_local
 }
 
-/// Computes all metrics for a load vector.
+/// Computes all metrics for a load vector of whole tokens or fluid.
 ///
 /// # Panics
 ///
 /// Panics if `loads.len()` does not match the graph/speeds.
-pub fn snapshot(graph: &Graph, speeds: &Speeds, loads: &[f64]) -> MetricsSnapshot {
+pub fn snapshot<V: Value>(graph: &Graph, speeds: &Speeds, loads: &[V]) -> MetricsSnapshot {
     assert_eq!(
         loads.len(),
         graph.node_count(),
         "load vector length mismatch"
     );
-    snapshot_with(graph, speeds, |i| loads[i])
-}
-
-/// Convenience wrapper for integer load vectors.
-pub fn snapshot_i64(graph: &Graph, speeds: &Speeds, loads: &[i64]) -> MetricsSnapshot {
-    assert_eq!(
-        loads.len(),
-        graph.node_count(),
-        "load vector length mismatch"
-    );
-    snapshot_with(graph, speeds, |i| loads[i] as f64)
+    snapshot_with(graph, speeds, |i| loads[i].to_f64())
 }
 
 /// Detects the *remaining imbalance* of a converged discrete system
@@ -263,12 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_i64_matches_f64() {
+    fn token_snapshot_matches_fluid() {
         let g = generators::torus2d(3, 3);
         let s = Speeds::uniform(9);
         let ints: Vec<i64> = (0..9).map(|i| i * i).collect();
         let floats: Vec<f64> = ints.iter().map(|&x| x as f64).collect();
-        assert_eq!(snapshot_i64(&g, &s, &ints), snapshot(&g, &s, &floats));
+        assert_eq!(snapshot(&g, &s, &ints), snapshot(&g, &s, &floats));
     }
 
     #[test]

@@ -92,7 +92,7 @@ use std::str::FromStr;
 use sodiff_graph::{matching, ActiveSet, Graph};
 
 use crate::error::{BuildError, ParseError};
-use crate::kernel::{BufF64, BufI64};
+use crate::kernel::{Buf, Value};
 use crate::rng::{fill_first_draws, nth_u64, salted_stream_key, unit_f64};
 
 /// Length of a membership epoch in rounds: the crash schedule redraws
@@ -828,7 +828,9 @@ impl PerturbSpec {
 }
 
 /// A round's load buffer as the channels see it: read a node's load,
-/// add a delta to it, or move a shock's quarter between two nodes.
+/// add a delta to it, or move a shock's quarter between two nodes. Every
+/// [`Buf`] is one, tokens and fluid alike (one impl over the buffer's
+/// [`Value`] type); tests add views that refuse any access.
 pub(crate) trait Loads {
     /// Whether the loads are whole tokens.
     const DISCRETE: bool;
@@ -843,45 +845,25 @@ pub(crate) trait Loads {
     fn shift_quarter(&self, from: usize, to: usize) -> bool;
 }
 
-/// Discrete loads behind any [`BufI64`].
-pub(crate) struct Tokens<'a, L>(pub &'a L);
-
-/// Continuous loads behind any [`BufF64`].
-pub(crate) struct Fluid<'a, L>(pub &'a L);
-
-impl<L: BufI64> Loads for Tokens<'_, L> {
-    const DISCRETE: bool = true;
+/// Tokens or fluid behind any [`Buf`], in the buffer's own arithmetic:
+/// a delta converts to the value type (truncated for tokens), and a
+/// shock's quarter is the value type's division by four.
+impl<B: Buf> Loads for B {
+    const DISCRETE: bool = B::Val::INTEGRAL;
     fn get(&self, i: usize) -> f64 {
-        self.0.get(i) as f64
+        Buf::get(self, i).to_f64()
     }
     fn add(&self, i: usize, delta: f64) {
-        self.0.set(i, self.0.get(i) + delta as i64);
+        self.set(i, Buf::get(self, i) + B::Val::from_f64(delta));
     }
     fn shift_quarter(&self, from: usize, to: usize) -> bool {
-        let amt = self.0.get(from) / 4;
-        if amt != 0 {
-            self.0.set(from, self.0.get(from) - amt);
-            self.0.set(to, self.0.get(to) + amt);
+        let amt = Buf::get(self, from) / B::Val::from_f64(4.0);
+        let moved = amt != B::Val::ZERO;
+        if moved {
+            self.set(from, Buf::get(self, from) - amt);
+            self.set(to, Buf::get(self, to) + amt);
         }
-        amt != 0
-    }
-}
-
-impl<L: BufF64> Loads for Fluid<'_, L> {
-    const DISCRETE: bool = false;
-    fn get(&self, i: usize) -> f64 {
-        self.0.get(i)
-    }
-    fn add(&self, i: usize, delta: f64) {
-        self.0.set(i, self.0.get(i) + delta);
-    }
-    fn shift_quarter(&self, from: usize, to: usize) -> bool {
-        let amt = self.0.get(from) / 4.0;
-        if amt != 0.0 {
-            self.0.set(from, self.0.get(from) - amt);
-            self.0.set(to, self.0.get(to) + amt);
-        }
-        amt != 0.0
+        moved
     }
 }
 
@@ -978,7 +960,7 @@ pub(crate) struct Perturb {
     /// The round's dropped-edge words (edgedrop channel only).
     drop: Vec<u64>,
     /// The round's stale-edge words (stale channel only), consumed by
-    /// the apply passes.
+    /// the apply pass.
     stale: Vec<u64>,
     /// The round's composed effective mask.
     eff: Vec<u64>,
@@ -1430,7 +1412,7 @@ impl Perturb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{cells_f64, cells_i64, AtomicsI64};
+    use crate::kernel::{cells, Atomics};
     use sodiff_graph::generators;
     use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 
@@ -1464,7 +1446,7 @@ mod tests {
         loads: &mut [i64],
     ) {
         for round in rounds {
-            state.begin_round(spec, graph, round, None, &Tokens(&cells_i64(loads)));
+            state.begin_round(spec, graph, round, None, &cells(loads));
         }
     }
 
@@ -1797,8 +1779,8 @@ mod tests {
         let mut a = Perturb::default();
         let mut b = Perturb::default();
         for round in 0..200 {
-            a.inject(&spec, round, 36, &Tokens(&cells_i64(&mut la)));
-            b.inject(&spec, round, 36, &Tokens(&cells_i64(&mut lb)));
+            a.inject(&spec, round, 36, &cells(&mut la));
+            b.inject(&spec, round, 36, &cells(&mut lb));
             assert_eq!(la, lb, "round {round}");
         }
         // Rate 2 over 200 rounds: the arrival count concentrates near 400.
@@ -1829,7 +1811,7 @@ mod tests {
         let mut state = Perturb::default();
         for round in 0..32 {
             let before = loads;
-            state.inject(&spec, round, n, &Tokens(&cells_i64(&mut loads)));
+            state.inject(&spec, round, n, &cells(&mut loads));
             let changed: Vec<usize> = (0..n).filter(|&v| loads[v] != before[v]).collect();
             if round % 8 == 0 {
                 assert_eq!(changed.len(), 2, "round {round}");
@@ -1852,7 +1834,7 @@ mod tests {
         let (mut surplus, mut deficit) = (false, false);
         for round in 0..8 {
             let (total, injected) = (tokens.iter().sum::<i64>(), state.load.injected);
-            state.inject(&spec, round, 4, &Tokens(&cells_i64(&mut tokens)));
+            state.inject(&spec, round, 4, &cells(&mut tokens));
             let delta = state.load.injected - injected;
             assert_eq!(delta, delta.round(), "discrete deltas are integral");
             assert_eq!((tokens.iter().sum::<i64>() - total) as f64, delta);
@@ -1865,7 +1847,7 @@ mod tests {
         // Continuous mode keeps the fractional amplitude.
         let mut fluid = [0f64; 4];
         let mut c = Perturb::default();
-        c.inject(&spec, 1, 4, &Fluid(&cells_f64(&mut fluid)));
+        c.inject(&spec, 1, 4, &cells(&mut fluid));
         let swing = 10.0 * (std::f64::consts::TAU / 8.0).sin();
         assert!(
             (fluid[1] - swing).abs() < 1e-12,
@@ -1880,7 +1862,7 @@ mod tests {
         let before = [5.0, 80.0, 2.0, 80.0, 1.0];
         let mut loads = before;
         let mut state = Perturb::default();
-        state.inject(&spec, 0, 5, &Fluid(&cells_f64(&mut loads)));
+        state.inject(&spec, 0, 5, &cells(&mut loads));
         assert_eq!(loads[1], 110.0, "first argmax wins ties");
         let donors: Vec<usize> = (0..5).filter(|&v| loads[v] < before[v]).collect();
         assert_eq!(donors.len(), 1);
@@ -1896,8 +1878,8 @@ mod tests {
             ..hotspot
         };
         let (mut with, mut without) = (before, before);
-        Perturb::default().inject(&both, 0, 5, &Fluid(&cells_f64(&mut with)));
-        Perturb::default().inject(&hotspot, 0, 5, &Fluid(&cells_f64(&mut without)));
+        Perturb::default().inject(&both, 0, 5, &cells(&mut with));
+        Perturb::default().inject(&hotspot, 0, 5, &cells(&mut without));
         assert_eq!(with[1] - without[1], 30.0);
     }
 
@@ -1915,8 +1897,8 @@ mod tests {
         let mut a = Perturb::default();
         let mut b = Perturb::default();
         for round in 0..24 {
-            a.begin_round(&spec, &g, round, None, &Tokens(&cells_i64(&mut seq)));
-            b.begin_round(&spec, &g, round, None, &Tokens(&AtomicsI64(&atomics)));
+            a.begin_round(&spec, &g, round, None, &cells(&mut seq));
+            b.begin_round(&spec, &g, round, None, &Atomics::<i64>(&atomics));
         }
         let pooled: Vec<i64> = atomics.iter().map(|x| x.load(Relaxed)).collect();
         assert_eq!(seq, pooled);
@@ -1969,14 +1951,14 @@ mod tests {
             .find(|&seed| {
                 let flux = ChurnSpec::none().with_flux(0.5, 0.0, seed).flux.unwrap();
                 let mut state = Perturb::default();
-                state.flux(flux, &g, 0, &Tokens(&cells_i64(&mut [7, 0, 0, 0])));
+                state.flux(flux, &g, 0, &cells(&mut [7, 0, 0, 0]));
                 !state.active.is_active(0) && state.active.active_count() == 3
             })
             .expect("some seed departs the hub alone");
         let flux = ChurnSpec::none().with_flux(0.5, 0.0, seed).flux.unwrap();
         let mut state = Perturb::default();
         let mut loads = [7i64, 0, 0, 0];
-        state.flux(flux, &g, 0, &Tokens(&cells_i64(&mut loads)));
+        state.flux(flux, &g, 0, &cells(&mut loads));
         let mut expected = [0i64; 4];
         for (&u, share) in g.neighbor_nodes(0).iter().zip([3, 2, 2]) {
             expected[u as usize] = share;
@@ -1997,7 +1979,7 @@ mod tests {
             let mut state = Perturb::default();
             let mut loads = [0.1f64, 7.3, 11.0, 0.0, 2.25];
             let before: f64 = loads.iter().sum();
-            state.flux(flux, &g, 0, &Fluid(&cells_f64(&mut loads)));
+            state.flux(flux, &g, 0, &cells(&mut loads));
             if state.churn.handoffs > 0 && state.churn.departed == 0.0 {
                 let after: f64 = loads.iter().sum();
                 assert!(
@@ -2052,7 +2034,7 @@ mod tests {
         };
         let run = |state: &mut Perturb, rounds: std::ops::Range<u64>, loads: &mut Vec<i64>| {
             for round in rounds {
-                state.begin_round(&spec, &g, round, sweep, &Tokens(&cells_i64(loads)));
+                state.begin_round(&spec, &g, round, sweep, &cells(loads));
             }
         };
         let mut full = Perturb::default();
@@ -2115,9 +2097,8 @@ mod tests {
             ..Default::default()
         };
         let mut state = Perturb::default();
-        let loads = [0i64; 16].map(|_| Default::default());
-        let view = Tokens(&crate::kernel::CellsI64(&loads));
-        state.begin_round(&spec, &g, 0, Some((&masks, true)), &view);
+        let mut loads = [0i64; 16];
+        state.begin_round(&spec, &g, 0, Some((&masks, true)), &cells(&mut loads));
         for (i, base) in masks.iter().enumerate() {
             let eff = state.compose(&spec, Some(base), i as u64, g.edge_count());
             let eff = eff.active.unwrap().to_vec();

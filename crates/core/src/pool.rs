@@ -30,7 +30,7 @@
 //! results are **bit-identical** to sequential ones for every scheme ×
 //! rounding × mode combination regardless of thread count.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
 
@@ -39,7 +39,7 @@ use sodiff_graph::Graph;
 use crate::kernel::{FwScratch, KernelTables, LoadStats};
 use crate::metrics::DEV_BLOCK;
 use crate::perturb::RoundMasks;
-use crate::scheme_kernel::{RoundArgs, RoundScratch, RoundState, SchemeKernel};
+use crate::scheme_kernel::{AtomicSlots, RoundArgs, RoundScratch, RoundState, SchemeKernel};
 
 /// One simulation as the pool runs it. The phase sequence itself lives in
 /// the job's [`SchemeKernel`]; the job owns the state, the chunking, and
@@ -51,7 +51,7 @@ pub(crate) struct RoundJob {
     edge_bounds: Vec<usize>,
     node_bounds: Vec<usize>,
     /// The simulation's state — its only copy while it runs on the pool.
-    pub state: RoundState<AtomicI64, AtomicU64>,
+    pub state: RoundState<AtomicSlots>,
     /// The round's scalars, published by [`RoundJob::prepare`].
     args: RoundArgs,
     /// The round's active-edge words (random-matching jobs, or any job
@@ -71,7 +71,7 @@ impl RoundJob {
         threads: usize,
         tables: Arc<KernelTables>,
         kernel: Arc<SchemeKernel>,
-        state: RoundState<AtomicI64, AtomicU64>,
+        state: RoundState<AtomicSlots>,
     ) -> Self {
         Self {
             edge_bounds: chunk_bounds(tables.m, threads),

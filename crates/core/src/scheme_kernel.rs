@@ -33,9 +33,12 @@
 //!   `none` each hot loop below takes exactly its unperturbed path.
 //!
 //! The simulation's state lives in one container, [`RoundState`], whose
-//! element types are the executor's (plain values sequentially, relaxed
-//! atomics on the pool) and which participants see through
-//! [`ChunkBufs`] views. A round is three steps on both executors:
+//! element [`Storage`] is the executor's (plain values sequentially,
+//! relaxed atomics on the pool) and which participants see through
+//! [`ChunkBufs`], one [`kernel::Buf`] view per buffer. The kernels are
+//! generic over the value type too ([`kernel::Value`]: tokens or fluid),
+//! so one phase sequence, ending in one apply-with-stale step, serves
+//! both modes. A round is three steps on both executors:
 //!
 //! 1. [`SchemeKernel::prepare`] runs on the control thread: the
 //!    perturbation channels, the random matching (if the plan draws one)
@@ -70,7 +73,6 @@
 
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 use sodiff_graph::{matching, EdgeId, Graph, Speeds};
 
@@ -78,11 +80,11 @@ use crate::checkpoint::LoadsSnapshot;
 use crate::engine::{FlowMemory, Mode};
 use crate::error::BuildError;
 use crate::kernel::{
-    self, AllEdges, AtomicsF64, AtomicsI64, BufF64, BufI64, CellsF64, CellsI64, CoefPair, EdgeGate,
-    FwScratch, KernelTables, LoadStats, MaskBits, Words,
+    self, AllEdges, Atomics, Buf, Cells, CoefPair, EdgeGate, FwScratch, KernelTables, LoadStats,
+    MaskBits, Value,
 };
 use crate::matchgen::{self, mask_words, MatchScratch};
-use crate::perturb::{Fluid, Perturb, PerturbSpec, RoundMasks, Tokens};
+use crate::perturb::{Perturb, PerturbSpec, RoundMasks};
 use crate::rounding::Rounding;
 use crate::scheme::{MatchingStrategy, Scheme};
 
@@ -149,73 +151,51 @@ impl RoundScratch {
     }
 }
 
-/// One element of round state: a plain value on the sequential executor,
-/// a relaxed atomic on the worker pool. Reads go through `&self`; writes
-/// through `&mut self` (atomics via `get_mut`), so only the control
-/// thread writes through a slot, between rounds. Round participants
-/// write through the [`ChunkBufs`] views instead.
-pub(crate) trait Slot: Sized {
-    /// The stored value.
-    type Val: Copy;
+/// Where a [`RoundState`] keeps its elements: plain values on the
+/// sequential executor ([`PlainSlots`]), relaxed atomics on the worker
+/// pool ([`AtomicSlots`]). Reads go through `&`; writes replace a slot
+/// through `&mut`, so only the control thread writes one, between rounds.
+/// Round participants write through the [`ChunkBufs`] views instead.
+pub(crate) trait Storage {
+    /// One element holding a `V`.
+    type Slot<V: Value>;
     /// A slot holding `v`.
-    fn of(v: Self::Val) -> Self;
+    fn of<V: Value>(v: V) -> Self::Slot<V>;
     /// The slot's value.
-    fn get(&self) -> Self::Val;
-    /// Overwrites the slot.
-    fn set(&mut self, v: Self::Val);
+    fn get<V: Value>(slot: &Self::Slot<V>) -> V;
     /// The slots' values: borrowed where the slots are plain values,
     /// copied out of atomics.
-    fn values(slots: &[Self]) -> Cow<'_, [Self::Val]> {
+    fn values<V: Value>(slots: &[Self::Slot<V>]) -> Cow<'_, [V]> {
         Cow::Owned(slots.iter().map(Self::get).collect())
     }
 }
 
-macro_rules! plain_slot {
-    ($($t:ty),*) => {$(
-        impl Slot for $t {
-            type Val = $t;
-            fn of(v: $t) -> Self {
-                v
-            }
-            fn get(&self) -> $t {
-                *self
-            }
-            fn set(&mut self, v: $t) {
-                *self = v;
-            }
-            fn values(slots: &[$t]) -> Cow<'_, [$t]> {
-                Cow::Borrowed(slots)
-            }
-        }
-    )*};
-}
+/// Plain values: the sequential executor's storage.
+pub(crate) enum PlainSlots {}
 
-plain_slot!(i64, f64);
-
-impl Slot for AtomicI64 {
-    type Val = i64;
-    fn of(v: i64) -> Self {
-        AtomicI64::new(v)
+impl Storage for PlainSlots {
+    type Slot<V: Value> = V;
+    fn of<V: Value>(v: V) -> V {
+        v
     }
-    fn get(&self) -> i64 {
-        self.load(Relaxed)
+    fn get<V: Value>(slot: &V) -> V {
+        *slot
     }
-    fn set(&mut self, v: i64) {
-        *self.get_mut() = v;
+    fn values<V: Value>(slots: &[V]) -> Cow<'_, [V]> {
+        Cow::Borrowed(slots)
     }
 }
 
-/// An `f64` stored as its bits.
-impl Slot for AtomicU64 {
-    type Val = f64;
-    fn of(v: f64) -> Self {
-        AtomicU64::new(v.to_bits())
+/// Relaxed atomics: the worker pool's storage.
+pub(crate) enum AtomicSlots {}
+
+impl Storage for AtomicSlots {
+    type Slot<V: Value> = V::Atomic;
+    fn of<V: Value>(v: V) -> V::Atomic {
+        v.atomic()
     }
-    fn get(&self) -> f64 {
-        f64::from_bits(self.load(Relaxed))
-    }
-    fn set(&mut self, v: f64) {
-        *self.get_mut() = v.to_bits();
+    fn get<V: Value>(slot: &V::Atomic) -> V {
+        V::load(slot)
     }
 }
 
@@ -226,27 +206,30 @@ impl Slot for AtomicU64 {
 /// per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials. Each
 /// piece lives here and nowhere else.
 ///
-/// The element types are the executor's: plain `i64`/`f64` on the
-/// sequential executor, viewed as `Cell`s from `&mut` each round (so the
-/// simulator stays `Sync`), and relaxed atomics on the worker pool.
+/// The element storage is the executor's [`Storage`]: plain `i64`/`f64`
+/// on the sequential executor, viewed as `Cell`s from `&mut` each round
+/// (so the simulator stays `Sync`), and relaxed atomics on the worker
+/// pool. Both storages hold either [`Value`] type through one slot
+/// family, so each accessor below is written once.
+///
 /// Running the sequential executor on atomics too — a one-participant
 /// pool state — passed every golden but cost +6.2% `mixed_sweep` CPU
 /// time by median (5.639 → 5.987 s, slower in 10 of 10 alternating
 /// pairs), so the element storage stays separate.
-pub(crate) struct RoundState<I, F> {
-    loads_i: Vec<I>,
-    loads_f: Vec<F>,
-    prev: Vec<F>,
-    arc_frac: Vec<F>,
-    flows: Vec<I>,
-    block_sums: Vec<F>,
+pub(crate) struct RoundState<S: Storage> {
+    loads_i: Vec<S::Slot<i64>>,
+    loads_f: Vec<S::Slot<f64>>,
+    prev: Vec<S::Slot<f64>>,
+    arc_frac: Vec<S::Slot<f64>>,
+    flows: Vec<S::Slot<i64>>,
+    block_sums: Vec<S::Slot<f64>>,
     discrete: bool,
     /// Whether the SOS memory is the integral flows (discrete mode under
     /// [`FlowMemory::Rounded`]) rather than `prev`.
     rounded: bool,
 }
 
-impl<I: Slot<Val = i64>, F: Slot<Val = f64>> RoundState<I, F> {
+impl<S: Storage> RoundState<S> {
     /// The round-0 state for `loads`, sized by the one rule: loads of the
     /// mode's kind, `flows` in discrete mode, `prev` only where the SOS
     /// memory is not the integral flows (continuous mode — whose `prev`
@@ -260,12 +243,12 @@ impl<I: Slot<Val = i64>, F: Slot<Val = f64>> RoundState<I, F> {
     ) -> Self {
         let discrete = !matches!(k.flow, FlowPass::Continuous);
         let stored_prev = !discrete || flow_memory == FlowMemory::Scheduled;
-        let zeros = |len: usize| (0..len).map(|_| F::of(0.0)).collect();
+        let zeros = |len: usize| (0..len).map(|_| S::of(0.0)).collect();
         let sized = |yes: bool, len: usize| if yes { len } else { 0 };
         let (loads_i, loads_f) = if discrete {
-            (loads.into_iter().map(I::of).collect(), Vec::new())
+            (loads.into_iter().map(S::of).collect(), Vec::new())
         } else {
-            let loads_f = loads.iter().map(|&x| F::of(x as f64)).collect();
+            let loads_f = loads.iter().map(|&x| S::of(x as f64)).collect();
             (Vec::new(), loads_f)
         };
         Self {
@@ -273,7 +256,7 @@ impl<I: Slot<Val = i64>, F: Slot<Val = f64>> RoundState<I, F> {
             loads_f,
             prev: zeros(sized(stored_prev, t.m)),
             arc_frac: zeros(sized(k.needs_arc_plan(), t.graph().arc_count())),
-            flows: (0..sized(discrete, t.m)).map(|_| I::of(0)).collect(),
+            flows: (0..sized(discrete, t.m)).map(|_| S::of(0)).collect(),
             block_sums: zeros(kernel::dev_blocks(t.n)),
             discrete,
             rounded: discrete && flow_memory == FlowMemory::Rounded,
@@ -295,38 +278,38 @@ impl<I: Slot<Val = i64>, F: Slot<Val = f64>> RoundState<I, F> {
     #[inline]
     pub fn load_of(&self, i: usize) -> f64 {
         if self.discrete {
-            self.loads_i[i].get() as f64
+            S::get(&self.loads_i[i]) as f64
         } else {
-            self.loads_f[i].get()
+            S::get(&self.loads_f[i])
         }
     }
 
     /// The integer loads (`None` in continuous mode).
     pub fn loads_i64(&self) -> Option<Cow<'_, [i64]>> {
-        self.discrete.then(|| I::values(&self.loads_i))
+        self.discrete.then(|| S::values(&self.loads_i))
     }
 
     /// The continuous loads (`None` in discrete mode).
     pub fn loads_f64(&self) -> Option<Cow<'_, [f64]>> {
-        (!self.discrete).then(|| F::values(&self.loads_f))
+        (!self.discrete).then(|| S::values(&self.loads_f))
     }
 
     /// A copy of the loads in snapshot form.
     pub fn loads(&self) -> LoadsSnapshot {
         match self.loads_i64() {
             Some(loads) => LoadsSnapshot::Discrete(loads.into_owned()),
-            None => LoadsSnapshot::Continuous(F::values(&self.loads_f).into_owned()),
+            None => LoadsSnapshot::Continuous(S::values(&self.loads_f).into_owned()),
         }
     }
 
     /// The smallest load (the round-0 transient minimum).
     pub fn min_load(&self) -> f64 {
         if self.discrete {
-            self.loads_i.iter().map(I::get).min().unwrap_or(0) as f64
+            self.loads_i.iter().map(S::get).min().unwrap_or(0) as f64
         } else {
             self.loads_f
                 .iter()
-                .map(F::get)
+                .map(S::get)
                 .fold(f64::INFINITY, f64::min)
         }
     }
@@ -336,9 +319,9 @@ impl<I: Slot<Val = i64>, F: Slot<Val = f64>> RoundState<I, F> {
     /// [`kernel::prev_from_flows`] produces), `prev` otherwise.
     pub fn memory(&self) -> Cow<'_, [f64]> {
         if self.rounded {
-            Cow::Owned(self.flows.iter().map(|y| y.get() as f64).collect())
+            Cow::Owned(self.flows.iter().map(|y| S::get(y) as f64).collect())
         } else {
-            F::values(&self.prev)
+            S::values(&self.prev)
         }
     }
 
@@ -347,19 +330,19 @@ impl<I: Slot<Val = i64>, F: Slot<Val = f64>> RoundState<I, F> {
     /// [`FlowMemory::Rounded`], that every memory value is integral, so
     /// each store is exact.
     pub fn write_state(&mut self, loads: &LoadsSnapshot, memory: &[f64]) {
-        fn fill<S: Slot>(slots: &mut [S], src: impl Iterator<Item = S::Val>) {
+        fn fill<S: Storage, V: Value>(slots: &mut [S::Slot<V>], src: impl Iterator<Item = V>) {
             for (slot, v) in slots.iter_mut().zip(src) {
-                slot.set(v);
+                *slot = S::of(v);
             }
         }
         match loads {
-            LoadsSnapshot::Discrete(src) => fill(&mut self.loads_i, src.iter().copied()),
-            LoadsSnapshot::Continuous(src) => fill(&mut self.loads_f, src.iter().copied()),
+            LoadsSnapshot::Discrete(src) => fill::<S, _>(&mut self.loads_i, src.iter().copied()),
+            LoadsSnapshot::Continuous(src) => fill::<S, _>(&mut self.loads_f, src.iter().copied()),
         }
         if self.rounded {
-            fill(&mut self.flows, memory.iter().map(|&x| x as i64));
+            fill::<S, _>(&mut self.flows, memory.iter().map(|&x| x as i64));
         } else {
-            fill(&mut self.prev, memory.iter().copied());
+            fill::<S, _>(&mut self.prev, memory.iter().copied());
         }
     }
 
@@ -372,38 +355,38 @@ impl<I: Slot<Val = i64>, F: Slot<Val = f64>> RoundState<I, F> {
     }
 }
 
-impl RoundState<i64, f64> {
+impl RoundState<PlainSlots> {
     /// `Cell` views of the plain vectors, for one sequential round.
-    pub fn bufs(&mut self) -> ChunkBufs<CellsI64<'_>, CellsF64<'_>> {
+    pub fn bufs(&mut self) -> ChunkBufs<Cells<'_, i64>, Cells<'_, f64>> {
         ChunkBufs {
-            loads_i: kernel::cells_i64(&mut self.loads_i),
-            loads_f: kernel::cells_f64(&mut self.loads_f),
-            prev: kernel::cells_f64(&mut self.prev),
-            arc_frac: kernel::cells_f64(&mut self.arc_frac),
-            flows: kernel::cells_i64(&mut self.flows),
-            block_sums: kernel::cells_f64(&mut self.block_sums),
+            loads_i: kernel::cells(&mut self.loads_i),
+            loads_f: kernel::cells(&mut self.loads_f),
+            prev: kernel::cells(&mut self.prev),
+            arc_frac: kernel::cells(&mut self.arc_frac),
+            flows: kernel::cells(&mut self.flows),
+            block_sums: kernel::cells(&mut self.block_sums),
         }
     }
 }
 
-impl RoundState<AtomicI64, AtomicU64> {
+impl RoundState<AtomicSlots> {
     /// Views of the atomics, shared by every pool participant.
-    pub fn bufs(&self) -> ChunkBufs<AtomicsI64<'_>, AtomicsF64<'_>> {
+    pub fn bufs(&self) -> ChunkBufs<Atomics<'_, i64>, Atomics<'_, f64>> {
         ChunkBufs {
-            loads_i: AtomicsI64(&self.loads_i),
-            loads_f: AtomicsF64(&self.loads_f),
-            prev: AtomicsF64(&self.prev),
-            arc_frac: AtomicsF64(&self.arc_frac),
-            flows: AtomicsI64(&self.flows),
-            block_sums: AtomicsF64(&self.block_sums),
+            loads_i: Atomics(&self.loads_i),
+            loads_f: Atomics(&self.loads_f),
+            prev: Atomics(&self.prev),
+            arc_frac: Atomics(&self.arc_frac),
+            flows: Atomics(&self.flows),
+            block_sums: Atomics(&self.block_sums),
         }
     }
 }
 
-/// A [`RoundState`] as a round participant sees it: `Cell` views of the
-/// sequential executor's vectors ([`CellsI64`] / [`CellsF64`]) or the
-/// pool's relaxed atomics ([`AtomicsI64`] / [`AtomicsF64`]). Buffers the
-/// configuration does not use are empty.
+/// A [`RoundState`] as a round participant sees it: one [`Buf`] view per
+/// buffer, `i64` views `I` and `f64` views `F` — [`Cells`] over the
+/// sequential executor's vectors or [`Atomics`] over the pool's. Buffers
+/// the configuration does not use are empty.
 pub(crate) struct ChunkBufs<I, F> {
     /// Integer loads (discrete mode).
     pub loads_i: I,
@@ -424,7 +407,7 @@ pub(crate) struct ChunkBufs<I, F> {
     pub block_sums: F,
 }
 
-impl<I, F: BufF64> ChunkBufs<I, F> {
+impl<I, F: Buf<Val = f64>> ChunkBufs<I, F> {
     /// The last step of a round, on the control thread: merges the
     /// participants' fused statistics in participant order (the min/max
     /// merges are exact) and folds the block partials in block order, so
@@ -633,7 +616,7 @@ impl SchemeKernel {
     /// plan draws one), and returns the round's effective active mask
     /// composed with the channels ([`Perturb::compose`]) and its stale
     /// words. The first step of every round, on either executor.
-    pub fn prepare<'a, I: BufI64, F: BufF64>(
+    pub fn prepare<'a, I: Buf<Val = i64>, F: Buf<Val = f64>>(
         &'a self,
         t: &KernelTables,
         graph: &Graph,
@@ -644,10 +627,8 @@ impl SchemeKernel {
     ) -> RoundMasks<'a> {
         let (spec, sweep) = (&self.perturb, self.sweep_family());
         match self.flow {
-            FlowPass::Continuous => {
-                perturb.begin_round(spec, graph, round, sweep, &Fluid(&bufs.loads_f));
-            }
-            _ => perturb.begin_round(spec, graph, round, sweep, &Tokens(&bufs.loads_i)),
+            FlowPass::Continuous => perturb.begin_round(spec, graph, round, sweep, &bufs.loads_f),
+            _ => perturb.begin_round(spec, graph, round, sweep, &bufs.loads_i),
         }
         let plan = match self.plan {
             ActivePlan::Random { seed } => {
@@ -666,7 +647,7 @@ impl SchemeKernel {
     /// sequential executor's one participant over every edge and node,
     /// the barrier on the pool. The only caller of `phases`.
     #[allow(clippy::too_many_arguments)] // one participant's full round context
-    pub fn participate<I: BufI64, F: BufF64>(
+    pub fn participate<I: Buf<Val = i64>, F: Buf<Val = f64>>(
         &self,
         t: &KernelTables,
         args: &RoundArgs,
@@ -697,7 +678,7 @@ impl SchemeKernel {
     /// `bufs.block_sums` (the returned statistics leave `sum_sq_dev` to
     /// [`ChunkBufs::collect`]).
     #[allow(clippy::too_many_arguments)] // one participant's full round context
-    fn phases<I: BufI64, F: BufF64, G: EdgeGate>(
+    fn phases<I: Buf<Val = i64>, F: Buf<Val = f64>, G: EdgeGate>(
         &self,
         t: &KernelTables,
         args: &RoundArgs,
@@ -721,18 +702,6 @@ impl SchemeKernel {
             FlowPass::Continuous => {
                 let x = |i| bufs.loads_f.get(i);
                 kernel::edge_pass_continuous_gated(t, coefs, &gate, edges, mem, gain, x, prev);
-                sync();
-                let loads = &bufs.loads_f;
-                return match stale {
-                    None => kernel::apply_continuous(t, nodes, |e| prev.get(e), loads, sums),
-                    Some(s) => kernel::apply_continuous(
-                        t,
-                        nodes,
-                        |e| if s.bit(e) == 1 { 0.0 } else { prev.get(e) },
-                        loads,
-                        sums,
-                    ),
-                };
             }
             FlowPass::EdgeLocal(rounding) => kernel::edge_pass_fused_gated(
                 t,
@@ -768,18 +737,12 @@ impl SchemeKernel {
             }
         }
         sync();
-        // A stale edge's flow was computed and recorded in the flow
-        // memory above, but its tokens never land.
-        let loads = &bufs.loads_i;
-        match stale {
-            None => kernel::apply_discrete(t, nodes, |e| flows.get(e), loads, sums),
-            Some(s) => kernel::apply_discrete(
-                t,
-                nodes,
-                |e| flows.get(e) * (s.bit(e) ^ 1) as i64,
-                loads,
-                sums,
-            ),
+        // The one apply-with-stale step: a stale edge's flow was computed
+        // and recorded in the flow memory above, but it never lands. The
+        // continuous flows are the memory the edge pass just wrote.
+        match self.flow {
+            FlowPass::Continuous => kernel::apply_flows(t, nodes, prev, stale, &bufs.loads_f, sums),
+            _ => kernel::apply_flows(t, nodes, flows, stale, &bufs.loads_i, sums),
         }
     }
 }
@@ -801,7 +764,7 @@ mod tests {
         t: &KernelTables,
         g: &Graph,
         round: u64,
-        state: &mut RoundState<i64, f64>,
+        state: &mut RoundState<PlainSlots>,
         scratch: &mut RoundScratch,
     ) -> LoadStats {
         let args = RoundArgs {

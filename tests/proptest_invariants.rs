@@ -203,13 +203,13 @@ proptest! {
         g in connected_graph(),
         base in 0i64..100,
     ) {
-        use sodiff::core::metrics::snapshot_i64;
+        use sodiff::core::metrics::snapshot;
         let n = g.node_count();
         let speeds = Speeds::uniform(n);
         let loads: Vec<i64> = (0..n as i64).map(|i| (i * 7) % 23).collect();
         let shifted: Vec<i64> = loads.iter().map(|&x| x + base).collect();
-        let a = snapshot_i64(&g, &speeds, &loads);
-        let b = snapshot_i64(&g, &speeds, &shifted);
+        let a = snapshot(&g, &speeds, &loads);
+        let b = snapshot(&g, &speeds, &shifted);
         prop_assert!((a.max_minus_avg - b.max_minus_avg).abs() < 1e-9);
         prop_assert!((a.max_local_diff - b.max_local_diff).abs() < 1e-9);
         prop_assert!((a.potential_over_n - b.potential_over_n).abs() < 1e-6);
