@@ -691,9 +691,9 @@ impl Driver {
     /// [`CheckpointError::Spec`], before the journal is created, when a
     /// spec's line does not parse back to the same spec (`line` is the
     /// spec's 1-based position in `specs`); [`CheckpointError::Io`] when
-    /// the journal cannot be created or seeded. Scenario failures do **not** error the call — they are
-    /// recorded in the report (and the journal) exactly like in
-    /// [`Driver::run_batch`].
+    /// the journal cannot be created or seeded. Scenario failures do
+    /// **not** error the call — they are recorded in the report (and the
+    /// journal) exactly like in [`Driver::run_batch`].
     pub fn run_batch_durable(
         &self,
         specs: &[ScenarioSpec],

@@ -8,7 +8,8 @@
 //!   tokens (`i64`, the discrete process) and fluid (`f64`, the
 //!   continuous one). The two processes share one update rule, so the
 //!   trait carries only what differs between them: the `f64` view, zero,
-//!   the conversion from `f64`, and relaxed-atomic storage.
+//!   the conversion from `f64`, and relaxed-atomic storage (arc signs
+//!   convert through `From<i8>`).
 //! * one storage trait, [`Buf`], reads and writes either value type
 //!   through one of two views: the sequential executor's [`Cells`], a
 //!   zero-cost shared-writable view of a plain slice via
@@ -121,12 +122,13 @@
 //! the per-block squared-deviation partials) are folded lane 0..8 in node
 //! order, identical to the scalar sequence. Hence all golden-trace
 //! checksums are unchanged by construction — the property
-//! `tests/golden_trace.rs` pins. Folding the token and fluid apply
-//! passes into one generic pass changes no arithmetic either: each
-//! [`Value`] operation is the one the per-type pass used, so each
-//! monomorphized pass computes what it did. The one deliberately scalar loop is
-//! [`arc_round_streamed`]'s prefix-sum token selection, whose sequential
-//! f64 prefix is itself the pinned quantity (see the comment there).
+//! `tests/golden_trace.rs` pins. The same holds across value types:
+//! each [`Value`] operation monomorphizes to the plain `i64` or `f64`
+//! operation, so the token pass and the fluid pass each compute exactly
+//! what a pass written by hand for that type would. The one
+//! deliberately scalar loop is [`arc_round_streamed`]'s prefix-sum token
+//! selection, whose sequential f64 prefix is itself the pinned quantity
+//! (see the comment there).
 //!
 //! This module is exported `#[doc(hidden)]` so the workspace's criterion
 //! benches can time each phase in isolation; it is **not** a stable API.
@@ -344,8 +346,9 @@ impl LoadStats {
 /// (`f64`). The discrete and continuous processes share one update rule,
 /// so the storage views and the apply pass are written once over this
 /// trait, which carries only what differs between the two domains. Each
-/// item is the exact operation the per-domain code spelled out, so a
-/// pass monomorphized for either type computes what it always did.
+/// item monomorphizes to the plain per-type operation, so a pass
+/// computes for either type exactly what a pass written by hand for
+/// that type would.
 pub trait Value:
     Copy
     + PartialOrd
@@ -353,7 +356,7 @@ pub trait Value:
     + Sub<Output = Self>
     + Mul<Output = Self>
     + Div<Output = Self>
-    + 'static
+    + From<i8>
 {
     /// Relaxed-atomic storage of one value: `AtomicI64`, or `AtomicU64`
     /// holding the `f64` bits.
@@ -364,8 +367,7 @@ pub trait Value:
     const INTEGRAL: bool;
     /// The value as `f64`.
     fn to_f64(self) -> f64;
-    /// `x` as a value, truncated toward zero for tokens (exact for the
-    /// small integers the kernels convert: arc signs, a shock's divisor).
+    /// `x` as a value, truncated toward zero for tokens.
     fn from_f64(x: f64) -> Self;
     /// A relaxed atomic holding `self`.
     fn atomic(self) -> Self::Atomic;
@@ -739,7 +741,10 @@ impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M,
                 for k0 in (0..main).step_by(LANES) {
                     let c = self.sub(k0..k0 + LANES);
                     let fc = &flow_elems[k0..k0 + LANES];
-                    let s_lanes: [f64; LANES] = std::array::from_fn(|l| c.flow(l));
+                    let mut s_lanes = [0.0f64; LANES];
+                    for (l, s) in s_lanes.iter_mut().enumerate() {
+                        *s = c.flow(l);
+                    }
                     for l in 0..LANES {
                         let $k = k0 + l;
                         let $s = s_lanes[l];
@@ -828,7 +833,10 @@ impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M,
         let main = len - len % LANES;
         for k0 in (0..main).step_by(LANES) {
             let c = self.sub(k0..k0 + LANES);
-            let s_lanes: [f64; LANES] = std::array::from_fn(|l| c.flow(l));
+            let mut s_lanes = [0.0f64; LANES];
+            for (l, s) in s_lanes.iter_mut().enumerate() {
+                *s = c.flow(l);
+            }
             for (l, &s) in s_lanes.iter().enumerate() {
                 M::write(&c.memory[l], s);
             }
@@ -1240,7 +1248,7 @@ pub fn apply<L: Buf>(
         signs_rest = rest;
         let (mut outgoing, mut net) = (zero, zero);
         for (&e, &sg) in arc_edges.iter().zip(arc_signs) {
-            let y = flows(e as usize) * L::Val::from_f64(f64::from(sg));
+            let y = flows(e as usize) * L::Val::from(sg);
             // The positive part, branchless: flow direction is essentially
             // random mid-run, so a `y > 0` branch would mispredict about
             // half the time. The select compiles to a conditional move

@@ -857,7 +857,7 @@ impl<B: Buf> Loads for B {
         self.set(i, Buf::get(self, i) + B::Val::from_f64(delta));
     }
     fn shift_quarter(&self, from: usize, to: usize) -> bool {
-        let amt = Buf::get(self, from) / B::Val::from_f64(4.0);
+        let amt = Buf::get(self, from) / B::Val::from(4);
         let moved = amt != B::Val::ZERO;
         if moved {
             self.set(from, Buf::get(self, from) - amt);

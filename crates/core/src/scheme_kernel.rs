@@ -302,16 +302,14 @@ impl<S: Storage> RoundState<S> {
         }
     }
 
-    /// The smallest load (the round-0 transient minimum).
+    /// The smallest load (the round-0 transient minimum). Exact for
+    /// tokens too: the `i64 → f64` cast is monotone, so it commutes with
+    /// taking the minimum.
     pub fn min_load(&self) -> f64 {
-        if self.discrete {
-            self.loads_i.iter().map(S::get).min().unwrap_or(0) as f64
-        } else {
-            self.loads_f
-                .iter()
-                .map(S::get)
-                .fold(f64::INFINITY, f64::min)
-        }
+        let n = self.loads_i.len() + self.loads_f.len();
+        (0..n)
+            .map(|i| self.load_of(i))
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// The SOS memory as `f64`: materialized from the integral flows
@@ -326,23 +324,20 @@ impl<S: Storage> RoundState<S> {
     }
 
     /// Overwrites the loads and the SOS memory (checkpoint restore). The
-    /// caller has checked that the snapshot matches the mode and, under
-    /// [`FlowMemory::Rounded`], that every memory value is integral, so
-    /// each store is exact.
+    /// caller has checked that the snapshot matches the mode and the
+    /// node and edge counts and, under [`FlowMemory::Rounded`], that every
+    /// memory value is integral, so each store is exact.
     pub fn write_state(&mut self, loads: &LoadsSnapshot, memory: &[f64]) {
-        fn fill<S: Storage, V: Value>(slots: &mut [S::Slot<V>], src: impl Iterator<Item = V>) {
-            for (slot, v) in slots.iter_mut().zip(src) {
-                *slot = S::of(v);
+        match loads {
+            LoadsSnapshot::Discrete(src) => self.loads_i = src.iter().map(|&x| S::of(x)).collect(),
+            LoadsSnapshot::Continuous(src) => {
+                self.loads_f = src.iter().map(|&x| S::of(x)).collect()
             }
         }
-        match loads {
-            LoadsSnapshot::Discrete(src) => fill::<S, _>(&mut self.loads_i, src.iter().copied()),
-            LoadsSnapshot::Continuous(src) => fill::<S, _>(&mut self.loads_f, src.iter().copied()),
-        }
         if self.rounded {
-            fill::<S, _>(&mut self.flows, memory.iter().map(|&x| x as i64));
+            self.flows = memory.iter().map(|&x| S::of(x as i64)).collect();
         } else {
-            fill::<S, _>(&mut self.prev, memory.iter().copied());
+            self.prev = memory.iter().map(|&x| S::of(x)).collect();
         }
     }
 
