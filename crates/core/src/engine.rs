@@ -263,7 +263,7 @@ enum Store {
 
 /// Evaluates `$body` with `$state` bound to the simulation's
 /// [`RoundState`], wherever it lives, so each accessor is written once,
-/// generic over the executor's element types.
+/// generic over the executor's element storage.
 macro_rules! with_state {
     ($store:expr, |$state:ident| $body:expr) => {
         match $store {

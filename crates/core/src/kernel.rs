@@ -1228,7 +1228,7 @@ pub fn apply<L: Buf>(
         nodes.start.is_multiple_of(DEV_BLOCK),
         "chunk must be block-aligned"
     );
-    let zero = <L::Val as Value>::ZERO;
+    let zero = L::Val::ZERO;
     // Walk the chunk's arc ranges by splitting running slices (as
     // `arc_round_streamed` does) and zip the per-node tables, so the
     // inner loop carries no repeated global-range bounds checks.

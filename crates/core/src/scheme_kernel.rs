@@ -153,9 +153,9 @@ impl RoundScratch {
 
 /// Where a [`RoundState`] keeps its elements: plain values on the
 /// sequential executor ([`PlainSlots`]), relaxed atomics on the worker
-/// pool ([`AtomicSlots`]). Reads go through `&`; writes replace a slot
-/// through `&mut`, so only the control thread writes one, between rounds.
-/// Round participants write through the [`ChunkBufs`] views instead.
+/// pool ([`AtomicSlots`]). Slots are read through `&` and only ever
+/// built, by the control thread between rounds (at construction and on
+/// restore); round participants write through the [`ChunkBufs`] views.
 pub(crate) trait Storage {
     /// One element holding a `V`.
     type Slot<V: Value>;
