@@ -689,9 +689,10 @@ impl Driver {
     /// # Errors
     ///
     /// [`CheckpointError::Spec`], before the journal is created, when a
-    /// spec's line does not parse back to the same spec (`line` is the
-    /// spec's 1-based position in `specs`); [`CheckpointError::Io`] when
-    /// the journal cannot be created or seeded. Scenario failures do
+    /// spec's line does not parse back to the same spec, name aside
+    /// (`Display` sanitizes names; `line` is the spec's 1-based position
+    /// in `specs`); [`CheckpointError::Io`] when the journal cannot be
+    /// created or seeded. Scenario failures do
     /// **not** error the call — they are recorded in the report (and the
     /// journal) exactly like in [`Driver::run_batch`].
     pub fn run_batch_durable(
@@ -702,15 +703,10 @@ impl Driver {
         // `resume_batch` reads every spec back from its journal line, so
         // one that does not parse back would strand the whole batch.
         for (i, spec) in specs.iter().enumerate() {
-            let why = match spec.to_string().parse::<ScenarioSpec>() {
-                Ok(parsed) if parsed == *spec => continue,
-                Ok(_) => "it reads back as a different spec".to_string(),
-                Err(e) => e.message,
-            };
-            let message = format!("scenario '{}' does not parse back: {why}", spec.name);
-            return Err(CheckpointError::Spec(
-                ParseError::new(message).at_line(i + 1),
-            ));
+            spec.check_reads_back().map_err(|why| {
+                let message = format!("scenario '{}': {why}", spec.name);
+                CheckpointError::Spec(ParseError::new(message).at_line(i + 1))
+            })?;
         }
         let io = |e: std::io::Error| CheckpointError::io(journal, e);
         if let Some(parent) = journal.parent() {

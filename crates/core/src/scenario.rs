@@ -670,6 +670,27 @@ impl ScenarioSpec {
         }
     }
 
+    /// Checks that this spec's line — what a checkpoint header or a
+    /// batch journal stores — parses back to the same spec. The name is
+    /// left out of the comparison: `Display` replaces whitespace and `=`
+    /// in it on purpose.
+    ///
+    /// # Errors
+    ///
+    /// Why the line does not read back: its parse error, or that it
+    /// parses back to a different spec.
+    pub(crate) fn check_reads_back(&self) -> Result<(), String> {
+        let why = "the scenario line does not parse back";
+        let parsed = self.to_string().parse::<Self>();
+        let mut parsed = parsed.map_err(|e| format!("{why}: {}", e.message))?;
+        parsed.name.clone_from(&self.name);
+        if parsed == *self {
+            Ok(())
+        } else {
+            Err(format!("{why} to the same spec"))
+        }
+    }
+
     /// Builds the scenario's graph instance.
     ///
     /// # Errors
@@ -686,8 +707,10 @@ impl ScenarioSpec {
     ///
     /// Propagates every [`BuildError`] of the underlying
     /// [`crate::ExperimentBuilder`], plus speed/scheme resolution errors
-    /// and [`BuildError::InvalidCheckpoint`] for a `ckpt` policy whose
-    /// `every:N:DIR` text does not parse back to the same policy.
+    /// and [`BuildError::InvalidCheckpoint`] when a `ckpt` policy is set
+    /// and the scenario's line (name aside, which `Display` sanitizes)
+    /// does not parse back to the same spec, e.g. for whitespace or
+    /// non-UTF-8 bytes in the checkpoint directory.
     pub fn experiment_on<'g>(&self, graph: &'g Graph) -> Result<Experiment<'g>, BuildError> {
         let n = graph.node_count();
         if n == 0 {
@@ -717,15 +740,10 @@ impl ScenarioSpec {
         }
         if let Some(policy) = &self.ckpt {
             // Every checkpoint header embeds this scenario's line, so a
-            // policy that would not read back from it (whitespace in the
-            // directory splits the key; a non-UTF-8 one displays lossily)
-            // would make each file it writes unreadable.
-            let text = policy.to_string();
-            if text.contains(char::is_whitespace) || text.parse().ok().as_ref() != Some(policy) {
-                return Err(BuildError::InvalidCheckpoint(format!(
-                    "'{text}' does not parse back from the scenario line"
-                )));
-            }
+            // line that does not read back would make each file it
+            // writes unreadable.
+            self.check_reads_back()
+                .map_err(BuildError::InvalidCheckpoint)?;
             builder = builder.checkpoint(CheckpointConfig {
                 policy: policy.clone(),
                 name: self.name.clone(),

@@ -263,7 +263,7 @@ fn durable_batch_refuses_a_spec_that_does_not_parse_back() {
         threshold: f64::NAN,
         max_rounds: 5,
     };
-    match Driver::new().run_batch_durable(&[good, nan], &journal) {
+    match Driver::new().run_batch_durable(&[good.clone(), nan], &journal) {
         Err(CheckpointError::Spec(e)) => {
             assert_eq!(e.line, 2, "the spec's 1-based batch position");
             assert!(e.message.contains("nan-threshold"), "{e}");
@@ -271,5 +271,31 @@ fn durable_batch_refuses_a_spec_that_does_not_parse_back() {
         other => panic!("expected a typed spec error, got {other:?}"),
     }
     assert!(!journal.exists(), "no journal is created");
+
+    // A name that `Display` sanitizes still reads back: it is journaled
+    // as `name=my_scenario` / `name=a_b`, runs, and resumes.
+    let mut spaced = good.clone();
+    spaced.name = "my scenario".into();
+    let mut keyed = good;
+    keyed.name = "a=b".into();
+    let report = Driver::new()
+        .run_batch_durable(&[spaced, keyed], &journal)
+        .unwrap();
+    assert_eq!(report.scenarios.len(), 2);
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let text = fs::read_to_string(&journal).unwrap();
+    assert!(text.contains("spec name=my_scenario ") && text.contains("spec name=a_b "));
+    // Drop the outcome lines so the resume has to read both specs back
+    // and run them again.
+    let specs_only: String = text
+        .lines()
+        .filter(|l| !l.starts_with("done "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    fs::write(&journal, specs_only).unwrap();
+    let resumed = Driver::new().resume_batch(&journal).unwrap();
+    assert_eq!(resumed.scenarios.len(), 2);
+    assert!(resumed.errors.is_empty(), "{:?}", resumed.errors);
+    assert_eq!(resumed.total_rounds, report.total_rounds);
     fs::remove_dir_all(&dir).ok();
 }

@@ -509,5 +509,15 @@ fn ckpt_policy_that_does_not_parse_back_is_refused() {
         }
         assert!(!dir.exists(), "{dir:?}: nothing is written");
     }
+    // A name that `Display` sanitizes does not count: the header holds
+    // `name=my_scenario`, which reads back.
+    spec.name = "my scenario".into();
+    spec.ckpt = Some(CheckpointPolicy {
+        every: 1,
+        dir: base.join("plain"),
+    });
+    spec.experiment_on(&graph).unwrap().run();
+    let ckpt = read_checkpoint(&base.join("plain").join("my scenario.ckpt")).unwrap();
+    assert_eq!(ckpt.spec.name, "my_scenario");
     std::fs::remove_dir_all(&base).ok();
 }
