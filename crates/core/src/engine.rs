@@ -12,9 +12,11 @@
 //! arrives — which is the quantity the paper's negative-load results
 //! (Section V) bound.
 //!
-//! Simulators are built through the [`crate::ExperimentBuilder`], which
-//! validates every input and returns a typed [`BuildError`] instead of
-//! panicking; the configuration it validates is crate-internal.
+//! Simulators are minted by a built [`crate::Experiment`]. Its builder
+//! fills one crate-internal configuration and validates it once, at
+//! [`crate::ExperimentBuilder::build`], returning a typed [`BuildError`]
+//! instead of panicking; the simulator reads that configuration as it
+//! is, so constructing one cannot fail.
 //!
 //! # Parallel execution
 //!
@@ -40,20 +42,20 @@
 //! the thread count.
 
 use std::borrow::Cow;
+use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use sodiff_graph::{Graph, Speeds};
 
 use crate::checkpoint::{self, CheckpointConfig, LoadsSnapshot, Snapshot};
-use crate::error::{BuildError, CheckpointError};
+use crate::error::{BuildError, CheckpointError, ParseError};
+use crate::experiment::Config;
 use crate::hybrid::SwitchPolicy;
-use crate::init::InitialLoad;
 use crate::kernel::{KernelTables, LoadStats};
 use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot};
 use crate::observer::Observer;
-use crate::perturb::{
-    ChurnEvents, ChurnSpec, FaultEvents, FaultSpec, LoadEvents, LoadSpec, Perturb, PerturbSpec,
-};
+use crate::perturb::{ChurnEvents, FaultEvents, LoadEvents, Perturb};
 use crate::pool::{RoundJob, WorkerPool};
 use crate::rounding::Rounding;
 use crate::scheme::Scheme;
@@ -82,33 +84,6 @@ pub enum FlowMemory {
     /// slightly less noise accumulation, but requires remembering a real
     /// number per edge).
     Scheduled,
-}
-
-/// Full configuration of a simulation run: the validated internal form
-/// [`crate::ExperimentBuilder::build`] hands to [`Simulator::build`].
-#[derive(Debug, Clone)]
-pub(crate) struct SimulationConfig {
-    /// FOS or SOS.
-    pub scheme: Scheme,
-    /// Continuous or discrete execution.
-    pub mode: Mode,
-    /// Node speeds; `None` means the homogeneous model.
-    pub speeds: Option<Speeds>,
-    /// SOS memory source in discrete mode (ignored otherwise).
-    pub flow_memory: FlowMemory,
-    /// Worker threads for the round executor (1 = sequential).
-    pub threads: usize,
-    /// Deterministic fault injection ([`FaultSpec::none`] = unperturbed).
-    pub faults: FaultSpec,
-    /// Deterministic dynamic-load injection ([`LoadSpec::none`] = the
-    /// static workload, taking the exact pre-load code paths).
-    pub load: LoadSpec,
-    /// Deterministic topology churn ([`ChurnSpec::none`] = the fixed
-    /// node set, taking the exact pre-churn code paths).
-    pub churn: ChurnSpec,
-    /// Periodic checkpointing (`None` = never snapshot; the zero-cost
-    /// default, branch-predicted away in the round loop).
-    pub ckpt: Option<CheckpointConfig>,
 }
 
 /// When to stop a [`Simulator::run_until`] loop.
@@ -150,24 +125,38 @@ pub enum StopCondition {
     Horizon(usize),
 }
 
+impl Default for StopCondition {
+    /// `MaxRounds(1000)`: the builder's and the `stop=` key's default.
+    fn default() -> Self {
+        StopCondition::MaxRounds(1000)
+    }
+}
+
 impl StopCondition {
+    /// The range rule of the parameters, shared by `FromStr` and
+    /// [`StopCondition::check`]: `Err` says why the condition is
+    /// degenerate.
+    fn ranges(&self) -> Result<(), &'static str> {
+        match *self {
+            StopCondition::BalancedWithin { threshold, .. } if threshold.is_nan() => {
+                Err("balance threshold must not be NaN")
+            }
+            StopCondition::Plateau { window: 0, .. } => Err("plateau window must be positive"),
+            StopCondition::Steady { window: 0 } => Err("steady window must be positive"),
+            StopCondition::Horizon(0) => Err("horizon must be positive"),
+            _ => Ok(()),
+        }
+    }
+
     /// Validates the condition's parameters. The steady modes allocate
     /// their sample ring up front, so a ring whose length overflows or
     /// that the allocator cannot reserve is refused here — a typed error
     /// instead of an allocation abort no batch driver could isolate.
     pub(crate) fn check(&self) -> Result<(), BuildError> {
         let invalid = |msg: String| Err(BuildError::InvalidStopCondition(msg));
+        self.ranges()
+            .map_err(|why| BuildError::InvalidStopCondition(why.into()))?;
         let ring = match *self {
-            StopCondition::BalancedWithin { threshold, .. } if threshold.is_nan() => {
-                return invalid("balance threshold must not be NaN".into());
-            }
-            StopCondition::Plateau { window: 0, .. } => {
-                return invalid("plateau window must be positive".into());
-            }
-            StopCondition::Steady { window: 0 } => {
-                return invalid("steady window must be positive".into());
-            }
-            StopCondition::Horizon(0) => return invalid("horizon must be positive".into()),
             StopCondition::Steady { window } => SteadyTracker::steady_ring(window),
             StopCondition::Horizon(rounds) => Some(rounds),
             _ => return Ok(()),
@@ -178,6 +167,62 @@ impl StopCondition {
                 "{self:?} needs a sample ring too large to allocate"
             )),
         }
+    }
+}
+
+impl fmt::Display for StopCondition {
+    /// Scenario-file form: `rounds:N`, `balanced:THRESHOLD:MAX`,
+    /// `plateau:WINDOW:MAX`, `steady:WINDOW`, or `horizon:R`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StopCondition::MaxRounds(r) => write!(f, "rounds:{r}"),
+            StopCondition::BalancedWithin {
+                threshold,
+                max_rounds,
+            } => write!(f, "balanced:{threshold}:{max_rounds}"),
+            StopCondition::Plateau { window, max_rounds } => {
+                write!(f, "plateau:{window}:{max_rounds}")
+            }
+            StopCondition::Steady { window } => write!(f, "steady:{window}"),
+            StopCondition::Horizon(r) => write!(f, "horizon:{r}"),
+        }
+    }
+}
+
+impl FromStr for StopCondition {
+    type Err = ParseError;
+
+    /// Parses the `Display` form. Range violations are refused here too,
+    /// by the same rule the experiment's build check applies, so
+    /// scenario files get a line-anchored parse error instead of a late
+    /// build failure.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let bad = || {
+            ParseError::new(format!(
+                "invalid stop condition '{s}' (expected rounds:N, balanced:THRESHOLD:MAX, \
+                 plateau:WINDOW:MAX, steady:WINDOW, or horizon:R)"
+            ))
+        };
+        let count = |text: &str| text.parse::<usize>().map_err(|_| bad());
+        let stop = match s.split(':').collect::<Vec<_>>().as_slice() {
+            ["rounds", r] => StopCondition::MaxRounds(count(r)?),
+            ["balanced", threshold, max] => StopCondition::BalancedWithin {
+                threshold: threshold.parse().map_err(|_| bad())?,
+                max_rounds: count(max)?,
+            },
+            ["plateau", window, max] => StopCondition::Plateau {
+                window: count(window)?,
+                max_rounds: count(max)?,
+            },
+            ["steady", window] => StopCondition::Steady {
+                window: count(window)?,
+            },
+            ["horizon", r] => StopCondition::Horizon(count(r)?),
+            _ => return Err(bad()),
+        };
+        stop.ranges()
+            .map_err(|why| ParseError::new(format!("invalid stop condition '{s}': {why}")))?;
+        Ok(stop)
     }
 }
 
@@ -352,49 +397,25 @@ pub struct Simulator<'g> {
 }
 
 impl<'g> Simulator<'g> {
-    /// Fallible constructor behind the builder and the batch driver.
-    /// `shared_pool` overrides `config.threads` with an externally owned
-    /// pool (the driver's), avoiding a per-simulation thread spawn.
+    /// The constructor behind [`crate::Experiment::simulator`] and the
+    /// batch driver. `config` was validated when its experiment was
+    /// built, so nothing here can fail. `shared_pool` overrides
+    /// `config.threads` with an externally owned pool (the driver's),
+    /// avoiding a per-simulation thread spawn.
     pub(crate) fn build(
         graph: &'g Graph,
-        config: SimulationConfig,
-        init: InitialLoad,
+        config: &Config,
         shared_pool: Option<Arc<WorkerPool>>,
-    ) -> Result<Self, BuildError> {
+    ) -> Self {
         let n = graph.node_count();
-        let speeds = match config.speeds {
-            Some(speeds) => {
-                if speeds.len() != n {
-                    return Err(BuildError::SpeedsLengthMismatch {
-                        expected: n,
-                        got: speeds.len(),
-                    });
-                }
-                speeds
-            }
-            None => Speeds::uniform(n),
-        };
-        let threads = match &shared_pool {
-            Some(pool) => pool.threads(),
-            None => config.threads,
-        };
-        if threads == 0 {
-            return Err(BuildError::ZeroThreads);
-        }
-        init.check(n).map_err(BuildError::InvalidInitialLoad)?;
-        let loads = init.materialize(n);
+        let speeds = config.speeds.clone().unwrap_or_else(|| Speeds::uniform(n));
+        let threads = shared_pool
+            .as_ref()
+            .map_or(config.threads, |pool| pool.threads());
+        let loads = config.init.materialize(n);
         let initial_total = loads.iter().map(|&x| x as f64).sum();
-        let mut scheme_kernel = SchemeKernel::new(
-            config.scheme,
-            config.mode,
-            graph,
-            &speeds,
-            PerturbSpec {
-                faults: config.faults,
-                load: config.load,
-                churn: config.churn,
-            },
-        )?;
+        let mut scheme_kernel =
+            SchemeKernel::new(config.scheme, config.mode, graph, &speeds, config.perturb);
         let framework = scheme_kernel.needs_arc_plan();
         let tables = Arc::new(KernelTables::new(graph, &speeds, framework, initial_total));
         scheme_kernel.finish(&tables);
@@ -421,7 +442,7 @@ impl<'g> Simulator<'g> {
             ))
         };
         let min_transient = with_state!(&store, |state| state.min_load());
-        Ok(Self {
+        Self {
             graph,
             speeds,
             tables,
@@ -436,10 +457,10 @@ impl<'g> Simulator<'g> {
             min_transient,
             round_stats: None,
             initial_total,
-            ckpt: config.ckpt,
+            ckpt: config.ckpt.clone(),
             run: RunRecord::default(),
             resuming: false,
-        })
+        }
     }
 
     /// The network this simulation runs on.
@@ -1028,6 +1049,8 @@ impl<'g> Simulator<'g> {
 mod tests {
     use super::*;
     use crate::experiment::Experiment;
+    use crate::init::InitialLoad;
+    use crate::perturb::ChurnSpec;
     use sodiff_graph::generators;
 
     /// Shorthand: a discrete FOS simulator through the builder.
@@ -1378,25 +1401,6 @@ mod tests {
             sim.loads_i64().unwrap().to_vec()
         };
         assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn hand_built_config_runs_through_fallible_constructor() {
-        let g = generators::cycle(6);
-        let config = SimulationConfig {
-            scheme: Scheme::fos(),
-            mode: Mode::Discrete(Rounding::nearest()),
-            speeds: None,
-            flow_memory: FlowMemory::Rounded,
-            threads: 1,
-            faults: FaultSpec::none(),
-            load: LoadSpec::none(),
-            churn: ChurnSpec::none(),
-            ckpt: None,
-        };
-        let mut sim = Simulator::build(&g, config, InitialLoad::EqualPerNode(10), None).unwrap();
-        sim.step();
-        assert_eq!(sim.total_load(), 60.0);
     }
 
     #[test]

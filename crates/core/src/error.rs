@@ -1,10 +1,9 @@
 //! Typed errors for the experiment API.
 //!
-//! Every invalid configuration that used to panic in the old
-//! `SimulationConfig` + `Simulator::new` surface is reported as a
-//! [`BuildError`] by the [`crate::ExperimentBuilder`] and the scenario
-//! [`crate::Driver`]; text-format problems in scenario files surface as
-//! [`ParseError`].
+//! Every invalid configuration is reported as a [`BuildError`] by the
+//! one validation point, [`crate::ExperimentBuilder::build`], and by the
+//! scenario [`crate::Driver`]; text-format problems in scenario files
+//! surface as [`ParseError`].
 
 use std::error::Error;
 use std::fmt;
@@ -73,6 +72,9 @@ pub enum BuildError {
     /// The SOS→FOS hybrid switch only applies to diffusion schemes;
     /// carries the offending scheme's display form.
     HybridRequiresDiffusion(String),
+    /// The SOS→FOS switch policy is degenerate (a NaN threshold, which
+    /// could never fire).
+    InvalidHybrid(String),
     /// The speeds vector length does not match the graph's node count.
     SpeedsLengthMismatch {
         /// Node count of the graph.
@@ -81,7 +83,8 @@ pub enum BuildError {
         got: usize,
     },
     /// A speeds specification carried invalid values (speeds below 1,
-    /// non-finite values, or a fast-node count exceeding `n`).
+    /// non-finite values, a negative skew exponent, or a fast-node count
+    /// exceeding `n`), or the speeds sum to a non-finite total.
     InvalidSpeeds(String),
     /// A randomized rounding scheme was selected without an RNG seed.
     MissingSeed(&'static str),
@@ -145,6 +148,7 @@ impl fmt::Display for BuildError {
                 f,
                 "the SOS→FOS hybrid switch requires a diffusion scheme (FOS/SOS), got {scheme}"
             ),
+            BuildError::InvalidHybrid(msg) => write!(f, "invalid hybrid policy: {msg}"),
             BuildError::SpeedsLengthMismatch { expected, got } => write!(
                 f,
                 "speeds length must match node count: graph has {expected} nodes, \

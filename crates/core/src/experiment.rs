@@ -3,12 +3,17 @@
 //!
 //! [`Experiment::on`] starts an [`ExperimentBuilder`] in the
 //! [`NeedsMode`] state; choosing continuous or discrete execution moves it
-//! to [`Ready`], where [`ExperimentBuilder::build`] validates every input
-//! and returns a typed [`BuildError`] instead of panicking. The resulting
-//! [`Experiment`] is a validated, reusable description: it can mint fresh
-//! [`Simulator`]s, run itself to completion (including the paper's SOS→FOS
-//! hybrid switch via [`ExperimentBuilder::hybrid`]), or measure the
-//! discrete/continuous deviation of its configuration.
+//! to [`Ready`]. Every setter writes into one crate-internal
+//! configuration, which [`ExperimentBuilder::build`] validates exactly
+//! once, returning a typed [`BuildError`] instead of panicking. The
+//! resulting [`Experiment`] holds that configuration as it is: it can
+//! mint fresh [`Simulator`]s from it — which cannot fail, since nothing
+//! downstream re-checks it — run itself to completion (including the
+//! paper's SOS→FOS hybrid switch via [`ExperimentBuilder::hybrid`]), or
+//! measure the discrete/continuous deviation of its configuration.
+//! Scenario text resolves its seedless rounding kind with
+//! [`RoundingSpec::seeded`](crate::RoundingSpec::seeded) before it
+//! reaches the builder.
 //!
 //! # Example
 //!
@@ -33,14 +38,15 @@ use sodiff_graph::{Graph, Speeds};
 
 use crate::checkpoint::{CheckpointConfig, Snapshot};
 use crate::deviation::DeviationSeries;
-use crate::engine::{FlowMemory, Mode, RunReport, SimulationConfig, Simulator, StopCondition};
+use crate::engine::{FlowMemory, Mode, RunReport, Simulator, StopCondition};
 use crate::error::{BuildError, CheckpointError};
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
 use crate::observer::Observer;
-use crate::perturb::{ChurnSpec, FaultSpec, LoadSpec};
-use crate::rounding::{Rounding, RoundingSpec};
+use crate::perturb::{ChurnSpec, FaultSpec, LoadSpec, PerturbSpec};
+use crate::rounding::Rounding;
 use crate::scheme::Scheme;
+use crate::scheme_kernel::SchemeKernel;
 
 /// Typestate: the builder still needs an execution mode
 /// ([`ExperimentBuilder::continuous`] or [`ExperimentBuilder::discrete`]).
@@ -51,40 +57,92 @@ pub struct NeedsMode(());
 #[derive(Debug)]
 pub struct Ready(());
 
-/// Scheme selection deferred to `build` so invalid `β` values surface as
-/// [`BuildError::InvalidBeta`] rather than a panic.
-#[derive(Debug, Clone, Copy)]
-enum SchemeChoice {
-    Fos,
-    SosBeta(f64),
-    Given(Scheme),
-}
-
-/// Mode selection, with or without a pre-seeded rounding.
-#[derive(Debug, Clone, Copy)]
-enum ModeChoice {
-    Continuous,
-    Seeded(Rounding),
-    Spec(RoundingSpec),
-}
-
-/// Accumulated builder state (shared by both typestates).
+/// One experiment's whole configuration: the builder fills it,
+/// [`Experiment`] holds it, and [`Simulator::build`] reads it. It is
+/// validated exactly once, by [`Config::validate`] at
+/// [`ExperimentBuilder::build`].
 #[derive(Debug, Clone)]
-struct Parts<'g> {
-    graph: &'g Graph,
-    scheme: SchemeChoice,
-    mode: Option<ModeChoice>,
-    seed: Option<u64>,
-    speeds: Option<Speeds>,
-    flow_memory: FlowMemory,
-    threads: usize,
-    init: Option<InitialLoad>,
-    hybrid: Option<SwitchPolicy>,
-    stop: StopCondition,
-    faults: FaultSpec,
-    load: LoadSpec,
-    churn: ChurnSpec,
-    ckpt: Option<CheckpointConfig>,
+pub(crate) struct Config {
+    /// The balancing scheme.
+    pub scheme: Scheme,
+    /// Continuous or discrete execution (`Continuous` until the
+    /// typestate builder picks one).
+    pub mode: Mode,
+    /// Node speeds; `None` means the homogeneous model.
+    pub speeds: Option<Speeds>,
+    /// SOS memory source in discrete mode (ignored otherwise).
+    pub flow_memory: FlowMemory,
+    /// Worker threads for the round executor (1 = sequential).
+    pub threads: usize,
+    /// The initial token placement.
+    pub init: InitialLoad,
+    /// The SOS→FOS switch of [`Experiment::run`], if any.
+    pub hybrid: Option<SwitchPolicy>,
+    /// The stop condition of [`Experiment::run`].
+    pub stop: StopCondition,
+    /// The fault, load and churn plans (all `none` = unperturbed, taking
+    /// the exact unperturbed code paths).
+    pub perturb: PerturbSpec,
+    /// Periodic checkpointing (`None` = never snapshot).
+    pub ckpt: Option<CheckpointConfig>,
+}
+
+impl Config {
+    /// The one validation point of an experiment: everything
+    /// [`ExperimentBuilder::build`] documents, checked in that order.
+    fn validate(&self, graph: &Graph) -> Result<(), BuildError> {
+        let n = graph.node_count();
+        if n == 0 {
+            return Err(BuildError::EmptyGraph);
+        }
+        // Parameter ranges (β, λ) plus the pairwise schemes' structural
+        // needs (an edge coloring / a matching exists iff the graph has
+        // edges).
+        SchemeKernel::validate(self.scheme, graph)?;
+        if let Some(policy) = self.hybrid {
+            if !self.scheme.is_diffusion() {
+                return Err(BuildError::HybridRequiresDiffusion(self.scheme.to_string()));
+            }
+            policy
+                .check()
+                .map_err(|why| BuildError::InvalidHybrid(why.into()))?;
+        }
+        if let Some(speeds) = &self.speeds {
+            if speeds.len() != n {
+                return Err(BuildError::SpeedsLengthMismatch {
+                    expected: n,
+                    got: speeds.len(),
+                });
+            }
+            // Every speed is finite, but their sum `s` can still overflow,
+            // and the balanced loads `m·s_i/s` divide by it.
+            if !speeds.total().is_finite() {
+                return Err(BuildError::InvalidSpeeds(format!(
+                    "the speeds sum to {}, which is not finite",
+                    speeds.total()
+                )));
+            }
+        }
+        if self.threads == 0 {
+            return Err(BuildError::ZeroThreads);
+        }
+        self.init.check(n).map_err(BuildError::InvalidInitialLoad)?;
+        self.stop.check()?;
+        self.perturb.check()?;
+        if let Some(ckpt) = &self.ckpt {
+            if ckpt.policy.every == 0 {
+                return Err(BuildError::InvalidCheckpoint(
+                    "interval must be positive".into(),
+                ));
+            }
+            if ckpt.policy.dir.as_os_str().is_empty() {
+                return Err(BuildError::InvalidCheckpoint(
+                    "directory must not be empty".into(),
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Typestate builder for [`Experiment`]s; see [`Experiment::on`].
@@ -94,34 +152,26 @@ struct Parts<'g> {
 /// continuous vs discrete" is a compile error, not a runtime panic.
 #[derive(Debug)]
 pub struct ExperimentBuilder<'g, S = NeedsMode> {
-    parts: Parts<'g>,
+    graph: &'g Graph,
+    config: Config,
     _state: PhantomData<S>,
 }
 
 impl<'g, S> ExperimentBuilder<'g, S> {
-    fn transition<T>(self) -> ExperimentBuilder<'g, T> {
-        ExperimentBuilder {
-            parts: self.parts,
-            _state: PhantomData,
-        }
-    }
-
     /// Uses the first-order scheme (the default).
-    pub fn fos(mut self) -> Self {
-        self.parts.scheme = SchemeChoice::Fos;
-        self
+    pub fn fos(self) -> Self {
+        self.scheme(Scheme::Fos)
     }
 
     /// Uses the second-order scheme with relaxation parameter `beta`.
     /// The convergence range `β ∈ (0, 2)` is checked at
     /// [`ExperimentBuilder::build`], which reports violations as
     /// [`BuildError::InvalidBeta`].
-    pub fn sos(mut self, beta: f64) -> Self {
-        self.parts.scheme = SchemeChoice::SosBeta(beta);
-        self
+    pub fn sos(self, beta: f64) -> Self {
+        self.scheme(Scheme::Sos { beta })
     }
 
-    /// Uses a pre-constructed [`Scheme`] (still re-validated at build):
+    /// Uses a pre-constructed [`Scheme`] (validated at build):
     /// FOS/SOS diffusion, [`Scheme::dimension_exchange`], or one of the
     /// [`Scheme::matching_round_robin`] / [`Scheme::matching_random`]
     /// matching-based schemes. Pairwise schemes need a graph with at
@@ -129,21 +179,23 @@ impl<'g, S> ExperimentBuilder<'g, S> {
     /// [`BuildError::NoMatching`]) and `λ ∈ (0, 1]`
     /// ([`BuildError::InvalidLambda`]).
     pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.parts.scheme = SchemeChoice::Given(scheme);
+        self.config.scheme = scheme;
         self
     }
 
     /// Sets heterogeneous node speeds. The length is checked against the
-    /// graph at build ([`BuildError::SpeedsLengthMismatch`]).
+    /// graph at build ([`BuildError::SpeedsLengthMismatch`]), and speeds
+    /// whose sum overflows `f64` are reported as
+    /// [`BuildError::InvalidSpeeds`].
     pub fn speeds(mut self, speeds: Speeds) -> Self {
-        self.parts.speeds = Some(speeds);
+        self.config.speeds = Some(speeds);
         self
     }
 
     /// Sets the SOS flow-memory source (discrete mode; default
     /// [`FlowMemory::Rounded`], the stateless process the paper analyzes).
     pub fn flow_memory(mut self, memory: FlowMemory) -> Self {
-        self.parts.flow_memory = memory;
+        self.config.flow_memory = memory;
         self
     }
 
@@ -151,7 +203,7 @@ impl<'g, S> ExperimentBuilder<'g, S> {
     /// bit-identical to the sequential executor. `0` is reported as
     /// [`BuildError::ZeroThreads`] at build.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.parts.threads = threads;
+        self.config.threads = threads;
         self
     }
 
@@ -160,14 +212,7 @@ impl<'g, S> ExperimentBuilder<'g, S> {
     /// Out-of-range nodes, negative totals and totals that overflow
     /// `i64` are reported as [`BuildError::InvalidInitialLoad`] at build.
     pub fn init(mut self, init: InitialLoad) -> Self {
-        self.parts.init = Some(init);
-        self
-    }
-
-    /// Sets the RNG seed used to resolve seedless [`RoundingSpec`]s (see
-    /// [`ExperimentBuilder::discrete_spec`]).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.parts.seed = Some(seed);
+        self.config.init = init;
         self
     }
 
@@ -176,16 +221,18 @@ impl<'g, S> ExperimentBuilder<'g, S> {
     /// flips the scheme to FOS at most once. This replaces the old
     /// `run_hybrid*` free functions. Only the diffusion schemes support
     /// it — with a pairwise scheme, `build` reports
-    /// [`BuildError::HybridRequiresDiffusion`].
+    /// [`BuildError::HybridRequiresDiffusion`] — and a NaN threshold,
+    /// which could never fire, is reported as
+    /// [`BuildError::InvalidHybrid`].
     pub fn hybrid(mut self, policy: SwitchPolicy) -> Self {
-        self.parts.hybrid = Some(policy);
+        self.config.hybrid = Some(policy);
         self
     }
 
     /// Sets the stop condition of [`Experiment::run`] (default:
-    /// `MaxRounds(1000)`).
+    /// [`StopCondition::default`], `MaxRounds(1000)`).
     pub fn stop(mut self, condition: StopCondition) -> Self {
-        self.parts.stop = condition;
+        self.config.stop = condition;
         self
     }
 
@@ -193,7 +240,7 @@ impl<'g, S> ExperimentBuilder<'g, S> {
     /// [`FaultSpec::none`]). Probabilities outside `[0, 1]` are reported
     /// as [`BuildError::InvalidFaults`] at build.
     pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.parts.faults = faults;
+        self.config.perturb.faults = faults;
         self
     }
 
@@ -201,7 +248,7 @@ impl<'g, S> ExperimentBuilder<'g, S> {
     /// [`LoadSpec::none`]). Out-of-range generator parameters are
     /// reported as [`BuildError::InvalidLoad`] at build.
     pub fn load(mut self, load: LoadSpec) -> Self {
-        self.parts.load = load;
+        self.config.perturb.load = load;
         self
     }
 
@@ -211,7 +258,7 @@ impl<'g, S> ExperimentBuilder<'g, S> {
     /// graph's reserved capacity. Out-of-range probabilities or initial
     /// loads are reported as [`BuildError::InvalidChurn`] at build.
     pub fn churn(mut self, churn: ChurnSpec) -> Self {
-        self.parts.churn = churn;
+        self.config.perturb.churn = churn;
         self
     }
 
@@ -224,37 +271,41 @@ impl<'g, S> ExperimentBuilder<'g, S> {
     /// interval, empty directory) are reported as
     /// [`BuildError::InvalidCheckpoint`] at build.
     pub fn checkpoint(mut self, ckpt: CheckpointConfig) -> Self {
-        self.parts.ckpt = Some(ckpt);
+        self.config.ckpt = Some(ckpt);
         self
     }
 }
 
 impl<'g> ExperimentBuilder<'g, NeedsMode> {
+    fn with_mode(self, mode: Mode) -> ExperimentBuilder<'g, Ready> {
+        ExperimentBuilder {
+            graph: self.graph,
+            config: Config {
+                mode,
+                ..self.config
+            },
+            _state: PhantomData,
+        }
+    }
+
     /// Continuous (idealized) execution: loads are `f64`, flows are not
     /// rounded.
-    pub fn continuous(mut self) -> ExperimentBuilder<'g, Ready> {
-        self.parts.mode = Some(ModeChoice::Continuous);
-        self.transition()
+    pub fn continuous(self) -> ExperimentBuilder<'g, Ready> {
+        self.with_mode(Mode::Continuous)
     }
 
     /// Discrete execution with a fully specified (seed included) rounding
-    /// scheme.
-    pub fn discrete(mut self, rounding: Rounding) -> ExperimentBuilder<'g, Ready> {
-        self.parts.mode = Some(ModeChoice::Seeded(rounding));
-        self.transition()
-    }
-
-    /// Discrete execution with a seedless rounding kind; randomized kinds
-    /// take their seed from [`ExperimentBuilder::seed`], and a missing
-    /// seed is reported as [`BuildError::MissingSeed`] at build.
-    pub fn discrete_spec(mut self, spec: RoundingSpec) -> ExperimentBuilder<'g, Ready> {
-        self.parts.mode = Some(ModeChoice::Spec(spec));
-        self.transition()
+    /// scheme. A seedless [`crate::RoundingSpec`] resolves to one with
+    /// [`crate::RoundingSpec::seeded`].
+    pub fn discrete(self, rounding: Rounding) -> ExperimentBuilder<'g, Ready> {
+        self.with_mode(Mode::Discrete(rounding))
     }
 }
 
 impl<'g> ExperimentBuilder<'g, Ready> {
-    /// Validates the accumulated configuration.
+    /// Validates the accumulated configuration — the experiment's one
+    /// validation point: the simulators it mints read the configuration
+    /// without checking it again.
     ///
     /// # Errors
     ///
@@ -263,95 +314,17 @@ impl<'g> ExperimentBuilder<'g, Ready> {
     /// [`BuildError::InvalidLambda`], [`BuildError::NoColoring`],
     /// [`BuildError::NoMatching`],
     /// [`BuildError::HybridRequiresDiffusion`],
-    /// [`BuildError::SpeedsLengthMismatch`], [`BuildError::MissingSeed`],
+    /// [`BuildError::InvalidHybrid`],
+    /// [`BuildError::SpeedsLengthMismatch`], [`BuildError::InvalidSpeeds`],
     /// [`BuildError::ZeroThreads`], [`BuildError::InvalidInitialLoad`],
     /// [`BuildError::InvalidStopCondition`], [`BuildError::InvalidFaults`],
     /// [`BuildError::InvalidLoad`], [`BuildError::InvalidChurn`], or
     /// [`BuildError::InvalidCheckpoint`].
     pub fn build(self) -> Result<Experiment<'g>, BuildError> {
-        let Parts {
-            graph,
-            scheme,
-            mode,
-            seed,
-            speeds,
-            flow_memory,
-            threads,
-            init,
-            hybrid,
-            stop,
-            faults,
-            load,
-            churn,
-            ckpt,
-        } = self.parts;
-        let n = graph.node_count();
-        if n == 0 {
-            return Err(BuildError::EmptyGraph);
-        }
-        let scheme = match scheme {
-            SchemeChoice::Fos => Scheme::Fos,
-            SchemeChoice::SosBeta(beta) => Scheme::try_sos(beta)?,
-            SchemeChoice::Given(scheme) => scheme,
-        };
-        // Parameter ranges (β, λ) plus the pairwise schemes' structural
-        // needs (an edge coloring / a matching exists iff the graph has
-        // edges) — the same check the simulator's scheme kernel performs,
-        // pulled forward so `Experiment::simulator` cannot fail later.
-        crate::scheme_kernel::SchemeKernel::validate(scheme, graph)?;
-        if hybrid.is_some() && !scheme.is_diffusion() {
-            return Err(BuildError::HybridRequiresDiffusion(scheme.to_string()));
-        }
-        let mode = match mode.expect("typestate guarantees a mode") {
-            ModeChoice::Continuous => Mode::Continuous,
-            ModeChoice::Seeded(rounding) => Mode::Discrete(rounding),
-            ModeChoice::Spec(spec) => Mode::Discrete(spec.seeded(seed)?),
-        };
-        if let Some(speeds) = &speeds {
-            if speeds.len() != n {
-                return Err(BuildError::SpeedsLengthMismatch {
-                    expected: n,
-                    got: speeds.len(),
-                });
-            }
-        }
-        if threads == 0 {
-            return Err(BuildError::ZeroThreads);
-        }
-        let init = init.unwrap_or_else(|| InitialLoad::paper_default(n));
-        init.check(n).map_err(BuildError::InvalidInitialLoad)?;
-        stop.check()?;
-        faults.check()?;
-        load.check()?;
-        churn.check()?;
-        if let Some(ckpt) = &ckpt {
-            if ckpt.policy.every == 0 {
-                return Err(BuildError::InvalidCheckpoint(
-                    "interval must be positive".into(),
-                ));
-            }
-            if ckpt.policy.dir.as_os_str().is_empty() {
-                return Err(BuildError::InvalidCheckpoint(
-                    "directory must not be empty".into(),
-                ));
-            }
-        }
+        self.config.validate(self.graph)?;
         Ok(Experiment {
-            graph,
-            config: SimulationConfig {
-                scheme,
-                mode,
-                speeds,
-                flow_memory,
-                threads,
-                faults,
-                load,
-                churn,
-                ckpt,
-            },
-            init,
-            hybrid,
-            stop,
+            graph: self.graph,
+            config: self.config,
         })
     }
 }
@@ -365,30 +338,24 @@ impl<'g> ExperimentBuilder<'g, Ready> {
 #[derive(Debug, Clone)]
 pub struct Experiment<'g> {
     graph: &'g Graph,
-    config: SimulationConfig,
-    init: InitialLoad,
-    hybrid: Option<SwitchPolicy>,
-    stop: StopCondition,
+    config: Config,
 }
 
 impl<'g> Experiment<'g> {
     /// Starts building an experiment on `graph`.
     pub fn on(graph: &'g Graph) -> ExperimentBuilder<'g, NeedsMode> {
         ExperimentBuilder {
-            parts: Parts {
-                graph,
-                scheme: SchemeChoice::Fos,
-                mode: None,
-                seed: None,
+            graph,
+            config: Config {
+                scheme: Scheme::Fos,
+                mode: Mode::Continuous,
                 speeds: None,
                 flow_memory: FlowMemory::default(),
                 threads: 1,
-                init: None,
+                init: InitialLoad::paper_default(graph.node_count()),
                 hybrid: None,
-                stop: StopCondition::MaxRounds(1000),
-                faults: FaultSpec::none(),
-                load: LoadSpec::none(),
-                churn: ChurnSpec::none(),
+                stop: StopCondition::default(),
+                perturb: PerturbSpec::default(),
                 ckpt: None,
             },
             _state: PhantomData,
@@ -417,39 +384,38 @@ impl<'g> Experiment<'g> {
 
     /// The initial token placement.
     pub fn initial_load(&self) -> &InitialLoad {
-        &self.init
+        &self.config.init
     }
 
     /// The hybrid switch policy, if any.
     pub fn hybrid_policy(&self) -> Option<SwitchPolicy> {
-        self.hybrid
+        self.config.hybrid
     }
 
     /// The fault-injection plan ([`FaultSpec::none`] when unset).
     pub fn faults(&self) -> FaultSpec {
-        self.config.faults
+        self.config.perturb.faults
     }
 
     /// The dynamic-load plan ([`LoadSpec::none`] when unset).
     pub fn load(&self) -> LoadSpec {
-        self.config.load
+        self.config.perturb.load
     }
 
     /// The live-topology churn plan ([`ChurnSpec::none`] when unset).
     pub fn churn(&self) -> ChurnSpec {
-        self.config.churn
+        self.config.perturb.churn
     }
 
     /// The stop condition of [`Experiment::run`].
     pub fn stop_condition(&self) -> StopCondition {
-        self.stop
+        self.config.stop
     }
 
     /// Mints a fresh simulator at round 0. The experiment can create any
     /// number of independent simulators (e.g. for lockstep comparisons).
     pub fn simulator(&self) -> Simulator<'g> {
-        Simulator::build(self.graph, self.config.clone(), self.init.clone(), None)
-            .expect("experiment was validated at build")
+        Simulator::build(self.graph, &self.config, None)
     }
 
     /// Mints a simulator that executes rounds on an externally owned
@@ -459,13 +425,7 @@ impl<'g> Experiment<'g> {
         &self,
         pool: std::sync::Arc<crate::pool::WorkerPool>,
     ) -> Simulator<'g> {
-        Simulator::build(
-            self.graph,
-            self.config.clone(),
-            self.init.clone(),
-            Some(pool),
-        )
-        .expect("experiment was validated at build")
+        Simulator::build(self.graph, &self.config, Some(pool))
     }
 
     /// Runs a fresh simulator to the stop condition, applying the hybrid
@@ -484,7 +444,7 @@ impl<'g> Experiment<'g> {
     /// [`Experiment::simulator`]) to this experiment's stop condition
     /// with its hybrid policy.
     pub fn run_on(&self, sim: &mut Simulator<'g>, observer: &mut dyn Observer) -> RunReport {
-        self.run_to(sim, self.stop, observer)
+        self.run_to(sim, self.config.stop, observer)
     }
 
     /// Continues an interrupted run: restores `snapshot` into `sim`,
@@ -498,7 +458,7 @@ impl<'g> Experiment<'g> {
         observer: &mut dyn Observer,
     ) -> Result<RunReport, CheckpointError> {
         sim.restore(snapshot)?;
-        Ok(self.run_to(sim, snapshot.remaining_stop(self.stop), observer))
+        Ok(self.run_to(sim, snapshot.remaining_stop(self.config.stop), observer))
     }
 
     /// Runs `sim` to `stop` under this experiment's hybrid policy.
@@ -508,7 +468,7 @@ impl<'g> Experiment<'g> {
         stop: StopCondition,
         observer: &mut dyn Observer,
     ) -> RunReport {
-        match self.hybrid {
+        match self.config.hybrid {
             Some(policy) => sim.run_hybrid_with(policy, stop, observer),
             None => sim.run_until_with(stop, observer),
         }
@@ -527,21 +487,13 @@ impl<'g> Experiment<'g> {
             return Err(BuildError::RequiresDiscrete("coupled_deviation"));
         }
         let mut discrete = self.simulator();
-        let continuous_config = SimulationConfig {
-            scheme: self.config.scheme,
+        // The twin is a transient comparison run; never checkpoint it.
+        let twin = Config {
             mode: Mode::Continuous,
-            speeds: self.config.speeds.clone(),
-            flow_memory: self.config.flow_memory,
-            threads: self.config.threads,
-            faults: self.config.faults,
-            load: self.config.load,
-            churn: self.config.churn,
-            // The twin is a transient comparison run; never checkpoint it.
             ckpt: None,
+            ..self.config.clone()
         };
-        let mut continuous =
-            Simulator::build(self.graph, continuous_config, self.init.clone(), None)
-                .expect("continuous twin of a validated experiment");
+        let mut continuous = Simulator::build(self.graph, &twin, None);
         let mut per_round = Vec::with_capacity(rounds);
         for _ in 0..rounds {
             discrete.step();
@@ -555,7 +507,7 @@ impl<'g> Experiment<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::BuildError;
+    use crate::rounding::RoundingSpec;
     use sodiff_graph::{generators, GraphBuilder};
 
     #[test]
@@ -619,23 +571,15 @@ mod tests {
     #[test]
     fn missing_seed_is_reported() {
         let g = generators::cycle(4);
-        let err = Experiment::on(&g)
-            .discrete_spec(RoundingSpec::Randomized)
-            .build()
-            .unwrap_err();
+        let err = RoundingSpec::Randomized.seeded(None).unwrap_err();
         assert!(matches!(err, BuildError::MissingSeed("randomized")));
         // With a seed the same spec builds.
-        let exp = Experiment::on(&g)
-            .discrete_spec(RoundingSpec::Randomized)
-            .seed(5)
-            .build()
-            .unwrap();
+        let rounding = RoundingSpec::Randomized.seeded(Some(5)).unwrap();
+        let exp = Experiment::on(&g).discrete(rounding).build().unwrap();
         assert_eq!(exp.mode(), Mode::Discrete(Rounding::randomized(5)));
         // Deterministic kinds never need one.
-        assert!(Experiment::on(&g)
-            .discrete_spec(RoundingSpec::Nearest)
-            .build()
-            .is_ok());
+        let rounding = RoundingSpec::Nearest.seeded(None).unwrap();
+        assert!(Experiment::on(&g).discrete(rounding).build().is_ok());
     }
 
     #[test]

@@ -39,6 +39,22 @@ pub enum SwitchPolicy {
     Never,
 }
 
+impl SwitchPolicy {
+    /// The range rule, shared by `FromStr` and the experiment's build
+    /// check: a NaN threshold compares false with every metric, so the
+    /// switch could never fire.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        match *self {
+            SwitchPolicy::MaxLocalDiffBelow(t) | SwitchPolicy::MaxMinusAvgBelow(t)
+                if t.is_nan() =>
+            {
+                Err("switch threshold must not be NaN")
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 impl fmt::Display for SwitchPolicy {
     /// Scenario-file form: `at:R`, `local_diff:T`, `max_minus_avg:T`, or
     /// `never`.
@@ -66,18 +82,17 @@ impl FromStr for SwitchPolicy {
             return Ok(SwitchPolicy::Never);
         }
         let (kind, value) = s.split_once(':').ok_or_else(bad)?;
-        match kind {
-            "at" => value.parse().map(SwitchPolicy::AtRound).map_err(|_| bad()),
-            "local_diff" => value
-                .parse()
-                .map(SwitchPolicy::MaxLocalDiffBelow)
-                .map_err(|_| bad()),
-            "max_minus_avg" => value
-                .parse()
-                .map(SwitchPolicy::MaxMinusAvgBelow)
-                .map_err(|_| bad()),
-            _ => Err(bad()),
-        }
+        let threshold = || value.parse().map_err(|_| bad());
+        let policy = match kind {
+            "at" => SwitchPolicy::AtRound(value.parse().map_err(|_| bad())?),
+            "local_diff" => SwitchPolicy::MaxLocalDiffBelow(threshold()?),
+            "max_minus_avg" => SwitchPolicy::MaxMinusAvgBelow(threshold()?),
+            _ => return Err(bad()),
+        };
+        policy
+            .check()
+            .map_err(|why| ParseError::new(format!("invalid hybrid policy '{s}': {why}")))?;
+        Ok(policy)
     }
 }
 

@@ -4,6 +4,11 @@ use sodiff_graph::NodeId;
 
 use crate::rng::SplitMix64;
 
+/// The largest [`InitialLoad::UniformRandom`] total. The placement draws
+/// one random node per token, so its time grows with the total: at even
+/// one nanosecond per draw, 2^40 draws take 18 minutes.
+const MAX_RANDOM_TOTAL: i64 = 1 << 40;
+
 /// How the `m` tokens are placed at round 0.
 ///
 /// The paper's default initialization assigns `1000·n` tokens to a fixed
@@ -20,7 +25,9 @@ pub enum InitialLoad {
     },
     /// Every node starts with the same number of tokens.
     EqualPerNode(i64),
-    /// `total` tokens dropped on nodes independently and uniformly.
+    /// `total` tokens dropped on nodes independently and uniformly, one
+    /// draw per token; `total` is capped at 2^40, since the placement
+    /// time grows with it.
     UniformRandom {
         /// Total number of tokens.
         total: i64,
@@ -77,6 +84,12 @@ impl InitialLoad {
             InitialLoad::UniformRandom { total, .. } => {
                 if *total < 0 {
                     return Err(format!("negative total load {total}"));
+                }
+                if *total > MAX_RANDOM_TOTAL {
+                    return Err(format!(
+                        "random placement draws one node per token; \
+                         {total} tokens exceed the cap of 2^40"
+                    ));
                 }
             }
             InitialLoad::Ramp { max_per_node } => {

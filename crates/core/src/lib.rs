@@ -127,8 +127,9 @@
 //!    coefficients (return `(0.0, 1.0)` if the scheme has no flow
 //!    memory).
 //! 2. **`scheme_kernel.rs`** — map the variant to a flow pass × active
-//!    plan in `SchemeKernel::new`. If the scheme activates a subset of
-//!    edges, build its masks here (e.g. from
+//!    plan in `SchemeKernel::new`, which is infallible: it only ever
+//!    receives a configuration validated at build. If the scheme
+//!    activates a subset of edges, build its masks here (e.g. from
 //!    [`sodiff_graph::matching`]); if it needs new per-edge
 //!    coefficients, compute them here. Only a genuinely new *phase
 //!    structure* requires touching `kernel.rs` itself. The fault axis
@@ -140,7 +141,9 @@
 //!    `recover` flag of the sweep plan.
 //! 3. **`error.rs`** — add `BuildError` variants for configurations the
 //!    scheme cannot run on, and report them from
-//!    `SchemeKernel::validate`, which the builder calls.
+//!    `SchemeKernel::validate`. The experiment's one validation point,
+//!    `ExperimentBuilder::build`, calls it once; nothing downstream
+//!    checks the configuration again.
 //! 4. **`scenario.rs`** — add the [`SchemeSpec`] variant with its
 //!    `scheme=` text form (`Display`/`FromStr` must round-trip exactly;
 //!    extend the proptest strategies in `tests/scenario_spec.rs`).
@@ -463,7 +466,7 @@ pub use perturb::{
     FaultSpec, HotspotLoad, LoadEvents, LoadSpec, PoissonLoad, EPOCH_LEN, MAX_BURST, MAX_RATE,
 };
 pub use rounding::{Rounding, RoundingSpec};
-pub use scenario::{InitSpec, ModeSpec, ScenarioSpec, SchemeSpec, SpeedsSpec, StopSpec};
+pub use scenario::{InitSpec, ModeSpec, ScenarioSpec, SchemeSpec, SpeedsSpec};
 pub use scheme::{MatchingStrategy, Scheme};
 pub use watch::SteadyStats;
 

@@ -305,7 +305,6 @@ mod tests {
         let total = loads.iter().sum::<i64>() as f64;
         let tables = KernelTables::new(graph, &speeds, false, total);
         let kernel = SchemeKernel::new(Scheme::fos(), mode, graph, &speeds, Default::default());
-        let kernel = kernel.unwrap();
         let state = RoundState::new(&kernel, &tables, FlowMemory::Rounded, loads);
         let (tables, kernel) = (Arc::new(tables), Arc::new(kernel));
         Arc::new(RoundJob::new(pool.threads(), tables, kernel, state))

@@ -18,12 +18,11 @@ use crate::error::{BuildError, ParseError};
 use crate::rng::SplitMix64;
 
 /// A rounding scheme *kind*, without its RNG seed: the serializable form
-/// used by [`crate::ScenarioSpec`] and the builder's
-/// [`crate::ExperimentBuilder::discrete_spec`]. Seeds are supplied
-/// separately (`seed=` / `.seed(..)`), so the same spec text can be run
-/// under many seeds; [`RoundingSpec::seeded`] resolves the pair into a
-/// concrete [`Rounding`], reporting a missing seed as a
-/// [`BuildError::MissingSeed`] instead of panicking.
+/// used by [`crate::ScenarioSpec`]. Seeds are supplied separately
+/// (`seed=`), so the same spec text can be run under many seeds;
+/// [`RoundingSpec::seeded`] resolves the pair into a concrete
+/// [`Rounding`] for [`crate::ExperimentBuilder::discrete`], reporting a
+/// missing seed as a [`BuildError::MissingSeed`] instead of panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoundingSpec {
     /// The paper's randomized rounding framework (needs a seed).

@@ -16,6 +16,15 @@
 //! [`crate::Driver`]; [`ScenarioSpec::parse_many`] handles `#` comments
 //! and blank lines.
 //!
+//! [`ScenarioSpec::experiment_on`] resolves the pieces that need the
+//! graph or the seed — speeds, `sos_opt`'s β, the seeded rounding — and
+//! hands everything to the [`crate::ExperimentBuilder`], whose `build`
+//! is the experiment's one validation point. The parse-time range checks
+//! (β, λ, stop conditions, hybrid thresholds) call the same rules the
+//! build applies, so a scenario file gets a line-anchored error instead
+//! of a late build failure. The `stop=` value is a [`StopCondition`] as
+//! it is.
+//!
 //! Keys and defaults:
 //!
 //! | key | values | default |
@@ -89,7 +98,10 @@ impl SpeedsSpec {
     /// # Errors
     ///
     /// Returns [`BuildError::InvalidSpeeds`] for speeds below 1,
-    /// non-finite values, or a fast-node count above `n`.
+    /// non-finite values (a ramp's intermediate products included), a
+    /// negative skew exponent, or a fast-node count above `n`. A total
+    /// that overflows `f64` is refused when the experiment builds, for
+    /// hand-built speeds too.
     pub fn build(&self, n: usize) -> Result<Speeds, BuildError> {
         let invalid = |msg: String| Err(BuildError::InvalidSpeeds(msg));
         match *self {
@@ -107,6 +119,11 @@ impl SpeedsSpec {
                 if !max.is_finite() || max < 1.0 {
                     return invalid(format!("ramp maximum must be finite and >= 1, got {max}"));
                 }
+                // The ramp scales `max − 1` by the node index before it
+                // divides by `n − 1`.
+                if !((max - 1.0) * n.saturating_sub(1) as f64).is_finite() {
+                    return invalid(format!("ramp maximum {max} overflows on {n} nodes"));
+                }
                 Ok(Speeds::linear_ramp(n, max))
             }
             SpeedsSpec::Skewed {
@@ -119,6 +136,11 @@ impl SpeedsSpec {
                 }
                 if !exponent.is_finite() {
                     return invalid(format!("skew exponent must be finite, got {exponent}"));
+                }
+                // `U^exponent` with `U ∈ [0, 1)` is unbounded for a
+                // negative exponent.
+                if exponent < 0.0 {
+                    return invalid(format!("skew exponent must be >= 0, got {exponent}"));
                 }
                 Ok(Speeds::random_skewed(n, max, exponent, seed))
             }
@@ -422,143 +444,6 @@ impl FromStr for InitSpec {
     }
 }
 
-/// Stop condition as data (`stop=` key).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StopSpec {
-    /// Exactly `N` rounds (`rounds:N`).
-    Rounds(usize),
-    /// Until `max − avg ≤ threshold`, capped (`balanced:THRESHOLD:MAX`).
-    Balanced {
-        /// Target `max − avg` in tokens.
-        threshold: f64,
-        /// Hard round cap.
-        max_rounds: usize,
-    },
-    /// Until the imbalance plateaus, capped (`plateau:WINDOW:MAX`).
-    Plateau {
-        /// Plateau detection window.
-        window: usize,
-        /// Hard round cap.
-        max_rounds: usize,
-    },
-    /// Until the deviation reaches steady state under a dynamic
-    /// workload (`steady:WINDOW`; built-in 100 000-round cap).
-    Steady {
-        /// Steady-state detection window.
-        window: usize,
-    },
-    /// Exactly `R` rounds with whole-run deviation statistics
-    /// (`horizon:R`).
-    Horizon(usize),
-}
-
-impl Default for StopSpec {
-    fn default() -> Self {
-        StopSpec::Rounds(1000)
-    }
-}
-
-impl StopSpec {
-    /// Converts to the engine's [`StopCondition`].
-    pub fn to_condition(self) -> StopCondition {
-        match self {
-            StopSpec::Rounds(r) => StopCondition::MaxRounds(r),
-            StopSpec::Balanced {
-                threshold,
-                max_rounds,
-            } => StopCondition::BalancedWithin {
-                threshold,
-                max_rounds,
-            },
-            StopSpec::Plateau { window, max_rounds } => {
-                StopCondition::Plateau { window, max_rounds }
-            }
-            StopSpec::Steady { window } => StopCondition::Steady { window },
-            StopSpec::Horizon(r) => StopCondition::Horizon(r),
-        }
-    }
-}
-
-impl fmt::Display for StopSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StopSpec::Rounds(r) => write!(f, "rounds:{r}"),
-            StopSpec::Balanced {
-                threshold,
-                max_rounds,
-            } => write!(f, "balanced:{threshold}:{max_rounds}"),
-            StopSpec::Plateau { window, max_rounds } => {
-                write!(f, "plateau:{window}:{max_rounds}")
-            }
-            StopSpec::Steady { window } => write!(f, "steady:{window}"),
-            StopSpec::Horizon(r) => write!(f, "horizon:{r}"),
-        }
-    }
-}
-
-impl FromStr for StopSpec {
-    type Err = ParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split(':').collect();
-        let bad = || {
-            ParseError::new(format!(
-                "invalid stop condition '{s}' (expected rounds:N, balanced:THRESHOLD:MAX, \
-                 plateau:WINDOW:MAX, steady:WINDOW, or horizon:R)"
-            ))
-        };
-        // Range violations are caught here so scenario files get a
-        // line-anchored parse error instead of a late build failure; the
-        // authoritative ranges live in `StopCondition::check`.
-        match parts.as_slice() {
-            ["rounds", r] => Ok(StopSpec::Rounds(r.parse().map_err(|_| bad())?)),
-            ["balanced", threshold, max] => {
-                let threshold: f64 = threshold.parse().map_err(|_| bad())?;
-                if threshold.is_nan() {
-                    return Err(ParseError::new(format!(
-                        "invalid stop condition '{s}': balance threshold must not be NaN"
-                    )));
-                }
-                Ok(StopSpec::Balanced {
-                    threshold,
-                    max_rounds: max.parse().map_err(|_| bad())?,
-                })
-            }
-            ["plateau", window, max] => {
-                let window: usize = window.parse().map_err(|_| bad())?;
-                if window == 0 {
-                    return Err(ParseError::new(format!(
-                        "invalid stop condition '{s}': plateau window must be positive"
-                    )));
-                }
-                Ok(StopSpec::Plateau {
-                    window,
-                    max_rounds: max.parse().map_err(|_| bad())?,
-                })
-            }
-            ["steady", window] => {
-                let window: usize = window.parse().map_err(|_| bad())?;
-                if window == 0 {
-                    return Err(ParseError::new(format!(
-                        "invalid stop condition '{s}': steady window must be positive"
-                    )));
-                }
-                Ok(StopSpec::Steady { window })
-            }
-            ["horizon", r] => {
-                let r: usize = r.parse().map_err(|_| bad())?;
-                if r == 0 {
-                    return Err(ParseError::new(format!(
-                        "invalid stop condition '{s}': horizon must be positive"
-                    )));
-                }
-                Ok(StopSpec::Horizon(r))
-            }
-            _ => Err(bad()),
-        }
-    }
-}
-
 /// One experiment described entirely as data; see the module docs above
 /// for the text format.
 ///
@@ -597,7 +482,7 @@ pub struct ScenarioSpec {
     /// Initial token placement.
     pub init: InitSpec,
     /// Stop condition.
-    pub stop: StopSpec,
+    pub stop: StopCondition,
     /// Worker threads (a batch [`crate::Driver`] overrides this with its
     /// own pool size; results are thread-count independent).
     pub threads: usize,
@@ -658,7 +543,7 @@ impl ScenarioSpec {
             mode: ModeSpec::default(),
             seed: None,
             init: InitSpec::default(),
-            stop: StopSpec::default(),
+            stop: StopCondition::default(),
             threads: 1,
             flow_memory: FlowMemory::default(),
             faults: FaultSpec::none(),
@@ -706,8 +591,9 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Propagates every [`BuildError`] of the underlying
-    /// [`crate::ExperimentBuilder`], plus speed/scheme resolution errors
-    /// and [`BuildError::InvalidCheckpoint`] when a `ckpt` policy is set
+    /// [`crate::ExperimentBuilder`], plus speed/scheme resolution errors,
+    /// [`BuildError::MissingSeed`] for a randomized rounding kind without
+    /// `seed=`, and [`BuildError::InvalidCheckpoint`] when a `ckpt` policy is set
     /// and the scenario's line (name aside, which `Display` sanitizes)
     /// does not parse back to the same spec, e.g. for whitespace or
     /// non-UTF-8 bytes in the checkpoint directory.
@@ -718,25 +604,17 @@ impl ScenarioSpec {
         }
         let speeds = self.speeds.build(n)?;
         let scheme = self.scheme.resolve(graph, &speeds)?;
-        let builder = Experiment::on(graph);
-        let mut builder = match self.mode {
-            ModeSpec::Continuous => builder.continuous(),
-            ModeSpec::Discrete(spec) => builder.discrete_spec(spec),
-        };
-        builder = builder
+        let mut builder = Experiment::on(graph)
             .scheme(scheme)
             .flow_memory(self.flow_memory)
             .threads(self.threads)
             .init(self.init.resolve(n))
-            .stop(self.stop.to_condition())
+            .stop(self.stop)
             .faults(self.faults)
             .load(self.load)
             .churn(self.churn);
         if !matches!(self.speeds, SpeedsSpec::Uniform) {
             builder = builder.speeds(speeds);
-        }
-        if let Some(seed) = self.seed {
-            builder = builder.seed(seed);
         }
         if let Some(policy) = &self.ckpt {
             // Every checkpoint header embeds this scenario's line, so a
@@ -753,7 +631,11 @@ impl ScenarioSpec {
         if let Some(policy) = self.hybrid {
             builder = builder.hybrid(policy);
         }
-        builder.build()
+        match self.mode {
+            ModeSpec::Continuous => builder.continuous(),
+            ModeSpec::Discrete(spec) => builder.discrete(spec.seeded(self.seed)?),
+        }
+        .build()
     }
 
     /// Builds the graph and runs the scenario to completion.
@@ -923,7 +805,7 @@ impl FromStr for ScenarioSpec {
                 }
                 "stop" => {
                     duplicate(stop.is_some())?;
-                    stop = Some(value.parse::<StopSpec>()?);
+                    stop = Some(value.parse::<StopCondition>()?);
                 }
                 "threads" => {
                     duplicate(threads.is_some())?;
@@ -1011,7 +893,7 @@ mod tests {
         assert_eq!(spec.name, "scenario");
         assert_eq!(spec.topology, TopologySpec::Cycle { n: 8 });
         assert_eq!(spec.mode, ModeSpec::Discrete(RoundingSpec::Randomized));
-        assert_eq!(spec.stop, StopSpec::Rounds(1000));
+        assert_eq!(spec.stop, StopCondition::MaxRounds(1000));
         assert_eq!(spec.threads, 1);
     }
 
@@ -1120,7 +1002,7 @@ mod tests {
                 .with_poisson(0.5, 7)
                 .with_hotspot(0, 100, 16, 3)
         );
-        assert_eq!(spec.stop, StopSpec::Steady { window: 32 });
+        assert_eq!(spec.stop, StopCondition::Steady { window: 32 });
         let text = spec.to_string();
         assert!(
             text.contains("load=poisson:0.5:7+hotspot:0:100:16:3"),

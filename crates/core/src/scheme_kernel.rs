@@ -466,8 +466,9 @@ fn exchange_coefs(graph: &Graph, speeds: &Speeds, lambda: f64) -> CoefPair {
 }
 
 impl SchemeKernel {
-    /// Validates `scheme` against `graph` without building anything: the
-    /// builder-level check behind [`crate::ExperimentBuilder::build`].
+    /// Validates `scheme` against `graph` without building anything:
+    /// part of the experiment's one validation point,
+    /// [`crate::ExperimentBuilder::build`].
     ///
     /// # Errors
     ///
@@ -488,20 +489,15 @@ impl SchemeKernel {
         Ok(())
     }
 
-    /// Builds the kernel for one validated simulation.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`SchemeKernel::validate`] reports.
+    /// Builds the kernel for one simulation whose configuration passed
+    /// [`SchemeKernel::validate`] and the perturbation checks at build.
     pub fn new(
         scheme: Scheme,
         mode: Mode,
         graph: &Graph,
         speeds: &Speeds,
         perturb: PerturbSpec,
-    ) -> Result<Self, BuildError> {
-        Self::validate(scheme, graph)?;
-        perturb.check()?;
+    ) -> Self {
         let flow = match mode {
             Mode::Continuous => FlowPass::Continuous,
             Mode::Discrete(Rounding::RandomizedFramework { seed }) => FlowPass::Framework { seed },
@@ -543,13 +539,13 @@ impl SchemeKernel {
                 (plan, Some(lambda))
             }
         };
-        Ok(Self {
+        Self {
             flow,
             plan,
             pair_coefs: lambda.map(|lambda| exchange_coefs(graph, speeds, lambda)),
             match_pairs: Vec::new(),
             perturb,
-        })
+        }
     }
 
     /// Builds the per-simulation matchgen endpoint table once the kernel
@@ -832,8 +828,7 @@ mod tests {
             &g,
             &Speeds::uniform(16),
             PerturbSpec::default(),
-        )
-        .unwrap();
+        );
         let ActivePlan::Sweep { masks, recover } = &k.plan else {
             panic!("DE should sweep masks");
         };
@@ -872,8 +867,7 @@ mod tests {
             &g,
             &speeds,
             PerturbSpec::default(),
-        )
-        .unwrap();
+        );
         let t = tables(&g);
         let mut state = RoundState::new(&k, &t, FlowMemory::Rounded, vec![10, 0]);
         let mut scratch = RoundScratch::new();
@@ -898,8 +892,7 @@ mod tests {
             &g,
             &speeds,
             PerturbSpec::default(),
-        )
-        .unwrap();
+        );
         let t = tables(&g);
         let mut state = RoundState::new(&k, &t, FlowMemory::Rounded, vec![100, 0, 0, 0]);
         let mut scratch = RoundScratch::new();
@@ -938,8 +931,7 @@ mod tests {
                 faults,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let t = tables(&g);
         let frozen: Vec<i64> = (0..16).map(|i| i * 3).collect();
         let total: i64 = frozen.iter().sum();
@@ -1001,7 +993,7 @@ mod tests {
                 Mode::Discrete(Rounding::nearest()),
                 Mode::Discrete(Rounding::randomized(1)),
             ] {
-                let kernel = SchemeKernel::new(resolved, mode, &g, &speeds, perturb).unwrap();
+                let kernel = SchemeKernel::new(resolved, mode, &g, &speeds, perturb);
                 assert!(kernel.perturb.is_none(), "{scheme} {mode:?}");
                 assert_eq!(kernel.publishes_mask(), random, "{scheme} {mode:?}");
                 assert!(!kernel.needs_stale_mask(), "{scheme} {mode:?}");

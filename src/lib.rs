@@ -66,7 +66,7 @@ pub use sodiff_core::{
     FaultEvents, FaultSpec, InitSpec, InitialLoad, MatchingStrategy, MetricsSnapshot, Mode,
     ModeSpec, ParseError, Rounding, RoundingSpec, RunReport, ScenarioError, ScenarioFailure,
     ScenarioReport, ScenarioSpec, Scheme, SchemeSpec, Snapshot, SpeedsSpec, StopCondition,
-    StopReason, StopSpec, SwitchPolicy,
+    StopReason, SwitchPolicy,
 };
 pub use sodiff_graph::{Speeds, TopologySpec};
 

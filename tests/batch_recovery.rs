@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use sodiff::{
     read_checkpoint, write_checkpoint, CheckpointError, Driver, ScenarioFailure, ScenarioSpec,
-    StopCondition, StopSpec,
+    StopCondition,
 };
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -259,7 +259,7 @@ fn durable_batch_refuses_a_spec_that_does_not_parse_back() {
         .unwrap();
     let mut nan = good.clone();
     nan.name = "nan-threshold".into();
-    nan.stop = StopSpec::Balanced {
+    nan.stop = StopCondition::BalancedWithin {
         threshold: f64::NAN,
         max_rounds: 5,
     };

@@ -56,20 +56,24 @@ fn empty_graph_returns_build_error() {
 
 #[test]
 fn randomized_rounding_without_seed_returns_build_error() {
-    let g = generators::cycle(8);
     for spec in [RoundingSpec::Randomized, RoundingSpec::UnbiasedEdge] {
-        let err = Experiment::on(&g).discrete_spec(spec).build().unwrap_err();
+        let err = spec.seeded(None).unwrap_err();
         assert!(
             matches!(err, BuildError::MissingSeed(_)),
             "{spec:?}: {err:?}"
         );
     }
-    // The error names the missing piece for the user.
-    let err = Experiment::on(&g)
-        .discrete_spec(RoundingSpec::Randomized)
-        .build()
-        .unwrap_err();
-    assert!(err.to_string().contains("seed"), "{err}");
+    // A seedless scenario reaches the same error at build, and the error
+    // names the missing piece for the user.
+    for rounding in ["randomized", "unbiased"] {
+        let spec: ScenarioSpec = format!("topology=cycle:8 rounding={rounding}")
+            .parse()
+            .unwrap();
+        let g = spec.build_graph().unwrap();
+        let err = spec.experiment_on(&g).unwrap_err();
+        assert!(matches!(err, BuildError::MissingSeed(_)), "{rounding}");
+        assert!(err.to_string().contains("seed"), "{err}");
+    }
 }
 
 #[test]
@@ -77,7 +81,7 @@ fn scenario_error_paths_return_build_errors() {
     // Through the text surface too: a whole matrix of invalid scenarios,
     // each mapping to its typed variant, none panicking.
     type Check = fn(&BuildError) -> bool;
-    let cases: [(&str, Check); 3] = [
+    let cases: [(&str, Check); 5] = [
         ("topology=cycle:8 rounding=randomized", |e| {
             matches!(e, BuildError::MissingSeed(_))
         }),
@@ -87,6 +91,17 @@ fn scenario_error_paths_return_build_errors() {
         ("topology=cycle:8 seed=1 init=point:99:100", |e| {
             matches!(e, BuildError::InvalidInitialLoad(_))
         }),
+        // Speeds outside the paper's finite `s_i ≥ 1` model: a negative
+        // skew exponent draws unbounded speeds, and finite speeds can
+        // still sum to `+∞`.
+        (
+            "topology=cycle:64 speeds=skewed:4:-1000:7 seed=1 stop=rounds:5",
+            |e| matches!(e, BuildError::InvalidSpeeds(_)),
+        ),
+        (
+            "topology=cycle:64 speeds=two_class:64:1e307 seed=1 stop=rounds:5",
+            |e| matches!(e, BuildError::InvalidSpeeds(_)),
+        ),
     ];
     for (text, check) in cases {
         let spec: ScenarioSpec = text.parse().unwrap();
@@ -253,4 +268,60 @@ fn unallocatable_stop_ring_fails_only_its_scenario() {
             "{stop:?}: {err:?}"
         );
     }
+}
+
+/// Speeds that are each finite can still sum to `+∞`, and the balanced
+/// loads divide by that sum: hand-built speeds get the same typed error
+/// at build as scenario text (see `scenario_error_paths_return_build_errors`).
+#[test]
+fn hand_built_speeds_whose_total_overflows_return_build_error() {
+    let g = generators::cycle(64);
+    let build = |speed| {
+        Experiment::on(&g)
+            .discrete(Rounding::nearest())
+            .speeds(Speeds::two_class(64, 64, speed))
+            .build()
+    };
+    let err = build(1e307).unwrap_err();
+    assert!(matches!(err, BuildError::InvalidSpeeds(_)), "{err:?}");
+    assert!(err.to_string().contains("not finite"), "{err}");
+    assert!(build(1e305).is_ok());
+}
+
+/// A NaN switch threshold compares false with every metric, so the
+/// switch could never fire: a hand-built policy is refused at build.
+/// (Scenario text refuses it at parse; see `tests/scenario_spec.rs`.)
+#[test]
+fn nan_hybrid_threshold_returns_build_error() {
+    let g = generators::torus2d(4, 4);
+    for policy in [
+        SwitchPolicy::MaxLocalDiffBelow(f64::NAN),
+        SwitchPolicy::MaxMinusAvgBelow(f64::NAN),
+    ] {
+        let err = Experiment::on(&g)
+            .discrete(Rounding::randomized(1))
+            .sos(1.9)
+            .hybrid(policy)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, BuildError::InvalidHybrid(_)),
+            "{policy:?}: {err:?}"
+        );
+        let mut spec: ScenarioSpec = "topology=torus2d:4:4 scheme=sos:1.9 seed=1 stop=rounds:50"
+            .parse()
+            .unwrap();
+        spec.hybrid = Some(policy);
+        assert!(
+            matches!(spec.run(), Err(BuildError::InvalidHybrid(_))),
+            "{policy:?}"
+        );
+    }
+    // Infinite thresholds are well-defined (always / never below).
+    assert!(Experiment::on(&g)
+        .continuous()
+        .sos(1.9)
+        .hybrid(SwitchPolicy::MaxMinusAvgBelow(f64::INFINITY))
+        .build()
+        .is_ok());
 }

@@ -1,14 +1,96 @@
 //! Property tests for the scenario text format: `Display` → `FromStr`
 //! round-trips exactly for arbitrary valid specs over the whole
 //! scheme × rounding × mode × topology × stop-condition × faults × load
-//! × churn space.
+//! × churn space, and hostile specs — every numeric field also drawn
+//! outside its valid range — fail with a typed error or run, never
+//! panic.
 
 use proptest::prelude::*;
 
+use std::panic::catch_unwind;
 use std::path::PathBuf;
 
 use sodiff::core::prelude::*;
-use sodiff::core::{CheckpointPolicy, InitSpec, ModeSpec, SchemeSpec, SpeedsSpec, StopSpec};
+use sodiff::core::{CheckpointPolicy, InitSpec, ModeSpec, SchemeSpec, SpeedsSpec};
+
+/// How the strategies below draw a numeric field: from its valid range
+/// only, or — in a hostile spec's one hostile group — half the time
+/// from values outside it: NaN, the infinities, zero, negatives, and
+/// huge magnitudes.
+#[derive(Clone, Copy)]
+struct Ranges {
+    hostile: bool,
+}
+
+/// The field groups of a spec. A hostile spec draws one group out of
+/// range and keeps the rest valid, so each case reaches the check — or
+/// the run — that its hostile values test.
+#[derive(Clone, Copy, PartialEq)]
+enum Group {
+    Speeds,
+    Scheme,
+    Init,
+    Stop,
+    Perturb,
+    Hybrid,
+}
+
+const GROUPS: [Group; 6] = [
+    Group::Speeds,
+    Group::Scheme,
+    Group::Init,
+    Group::Stop,
+    Group::Perturb,
+    Group::Hybrid,
+];
+
+const WILD_REALS: &[f64] = &[
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.0,
+    -0.5,
+    -1.0,
+    -1000.0,
+    -1e9,
+    -1e300,
+    1e300,
+    f64::MAX,
+];
+const WILD_TOKENS: &[i64] = &[i64::MIN, -1, 0, i64::MAX / 2, i64::MAX];
+const WILD_COUNTS: &[u64] = &[0, 1 << 40, u64::MAX / 2 + 1, u64::MAX];
+
+impl Ranges {
+    fn widen<T: Copy + 'static>(
+        self,
+        valid: impl Strategy<Value = T> + 'static,
+        wild: &'static [T],
+    ) -> BoxedStrategy<T> {
+        if !self.hostile {
+            return valid.boxed();
+        }
+        (any::<bool>(), valid, 0..wild.len())
+            .prop_map(move |(wild_pick, value, i)| if wild_pick { wild[i] } else { value })
+            .boxed()
+    }
+
+    fn real(self, valid: impl Strategy<Value = f64> + 'static) -> BoxedStrategy<f64> {
+        self.widen(valid, WILD_REALS)
+    }
+
+    fn tokens(self, valid: impl Strategy<Value = i64> + 'static) -> BoxedStrategy<i64> {
+        self.widen(valid, WILD_TOKENS)
+    }
+
+    fn count(self, valid: impl Strategy<Value = u64> + 'static) -> BoxedStrategy<u64> {
+        self.widen(valid, WILD_COUNTS)
+    }
+
+    fn size(self, valid: impl Strategy<Value = usize> + 'static) -> BoxedStrategy<usize> {
+        let valid = valid.prop_map(|x| x as u64);
+        self.count(valid).prop_map(|x| x as usize).boxed()
+    }
+}
 
 fn any_topology() -> impl Strategy<Value = TopologySpec> {
     prop_oneof![
@@ -31,29 +113,52 @@ fn any_topology() -> impl Strategy<Value = TopologySpec> {
     ]
 }
 
-fn any_speeds() -> impl Strategy<Value = SpeedsSpec> {
+/// Topologies of at most 200 nodes, so hostile specs that build also
+/// run in a few milliseconds.
+fn small_topology() -> impl Strategy<Value = TopologySpec> {
+    prop_oneof![
+        (1usize..15, 1usize..15).prop_map(|(rows, cols)| TopologySpec::Torus2d { rows, cols }),
+        proptest::collection::vec(1usize..6, 1..4).prop_map(|dims| TopologySpec::Torus { dims }),
+        (1u32..8).prop_map(|dim| TopologySpec::Hypercube { dim }),
+        (3usize..200).prop_map(|n| TopologySpec::Cycle { n }),
+        (1usize..60).prop_map(|n| TopologySpec::Complete { n }),
+        (1usize..200).prop_map(|n| TopologySpec::Star { n }),
+        (2usize..100, 1usize..6, any::<u64>())
+            .prop_map(|(n, d, seed)| TopologySpec::RandomRegular { n, d, seed }),
+        (1usize..100, 0.0f64..1.0, any::<u64>())
+            .prop_map(|(n, p, seed)| TopologySpec::ErdosRenyi { n, p, seed }),
+        (2usize..200, any::<u64>()).prop_map(|(n, seed)| TopologySpec::RggPaper { n, seed }),
+    ]
+}
+
+fn any_speeds(r: Ranges) -> impl Strategy<Value = SpeedsSpec> {
     prop_oneof![
         Just(SpeedsSpec::Uniform),
-        (0usize..64, 1.0f64..16.0).prop_map(|(fast, speed)| SpeedsSpec::TwoClass { fast, speed }),
-        (1.0f64..16.0).prop_map(|max| SpeedsSpec::Ramp { max }),
-        (1.0f64..16.0, 0.1f64..4.0, any::<u64>()).prop_map(|(max, exponent, seed)| {
-            SpeedsSpec::Skewed {
+        (r.size(0usize..64), r.real(1.0f64..16.0))
+            .prop_map(|(fast, speed)| SpeedsSpec::TwoClass { fast, speed }),
+        r.real(1.0f64..16.0)
+            .prop_map(|max| SpeedsSpec::Ramp { max }),
+        (r.real(1.0f64..16.0), r.real(0.1f64..4.0), any::<u64>()).prop_map(
+            |(max, exponent, seed)| SpeedsSpec::Skewed {
                 max,
                 exponent,
                 seed,
             }
-        }),
+        ),
     ]
 }
 
-fn any_scheme() -> impl Strategy<Value = SchemeSpec> {
+fn any_scheme(r: Ranges) -> impl Strategy<Value = SchemeSpec> {
     prop_oneof![
         Just(SchemeSpec::Fos),
-        (0.01f64..1.99).prop_map(|beta| SchemeSpec::Sos { beta }),
+        r.real(0.01f64..1.99)
+            .prop_map(|beta| SchemeSpec::Sos { beta }),
         Just(SchemeSpec::SosOpt),
-        (0.01f64..=1.0).prop_map(|lambda| SchemeSpec::De { lambda }),
-        (0.01f64..=1.0).prop_map(|lambda| SchemeSpec::MatchingRr { lambda }),
-        (any::<u64>(), 0.01f64..=1.0)
+        r.real(0.01f64..=1.0)
+            .prop_map(|lambda| SchemeSpec::De { lambda }),
+        r.real(0.01f64..=1.0)
+            .prop_map(|lambda| SchemeSpec::MatchingRr { lambda }),
+        (any::<u64>(), r.real(0.01f64..=1.0))
             .prop_map(|(seed, lambda)| SchemeSpec::MatchingRandom { seed, lambda }),
     ]
 }
@@ -68,41 +173,49 @@ fn any_mode() -> impl Strategy<Value = ModeSpec> {
     ]
 }
 
-fn any_init() -> impl Strategy<Value = InitSpec> {
+fn any_init(r: Ranges) -> impl Strategy<Value = InitSpec> {
+    let node = r.count(0u64..100).prop_map(|node| node as u32);
     prop_oneof![
         Just(InitSpec::Paper),
-        (0u32..100, 0i64..1_000_000).prop_map(|(node, total)| InitSpec::Point { node, total }),
-        (0i64..10_000).prop_map(|per| InitSpec::Equal { per }),
-        (0i64..10_000).prop_map(|max| InitSpec::Ramp { max }),
-        (0i64..1_000_000, any::<u64>()).prop_map(|(total, seed)| InitSpec::Random { total, seed }),
+        (node, r.tokens(0i64..1_000_000)).prop_map(|(node, total)| InitSpec::Point { node, total }),
+        r.tokens(0i64..10_000)
+            .prop_map(|per| InitSpec::Equal { per }),
+        r.tokens(0i64..10_000)
+            .prop_map(|max| InitSpec::Ramp { max }),
+        (r.tokens(0i64..1_000_000), any::<u64>())
+            .prop_map(|(total, seed)| InitSpec::Random { total, seed }),
     ]
 }
 
-fn any_stop() -> impl Strategy<Value = StopSpec> {
+fn any_stop(r: Ranges) -> impl Strategy<Value = StopCondition> {
     prop_oneof![
-        (1usize..100_000).prop_map(StopSpec::Rounds),
-        (0.0f64..100.0, 1usize..100_000).prop_map(|(threshold, max_rounds)| {
-            StopSpec::Balanced {
+        r.size(1usize..100_000).prop_map(StopCondition::MaxRounds),
+        (r.real(0.0f64..100.0), r.size(1usize..100_000)).prop_map(|(threshold, max_rounds)| {
+            StopCondition::BalancedWithin {
                 threshold,
                 max_rounds,
             }
         }),
-        (1usize..500, 1usize..100_000)
-            .prop_map(|(window, max_rounds)| StopSpec::Plateau { window, max_rounds }),
-        (1usize..500).prop_map(|window| StopSpec::Steady { window }),
-        (1usize..100_000).prop_map(StopSpec::Horizon),
+        (r.size(1usize..500), r.size(1usize..100_000))
+            .prop_map(|(window, max_rounds)| StopCondition::Plateau { window, max_rounds }),
+        r.size(1usize..500)
+            .prop_map(|window| StopCondition::Steady { window }),
+        r.size(1usize..100_000).prop_map(StopCondition::Horizon),
     ]
 }
 
-fn any_load() -> impl Strategy<Value = LoadSpec> {
+fn any_load(r: Ranges) -> impl Strategy<Value = LoadSpec> {
     // A bitmask picks which generators are present (0 = `load=none`),
     // so every subset of channels — including the empty one — shows up.
     (
         0u64..16,
-        (0.0f64..1024.0, any::<u64>()),
-        ((0usize..100, 1i64..1000), (1u64..1000, any::<u64>())),
-        (0.0f64..1000.0, 1u64..1000),
-        ((1i64..1000, 1u64..1000), any::<u64>()),
+        (r.real(0.0f64..1024.0), any::<u64>()),
+        (
+            (r.size(0usize..100), r.tokens(1i64..1000)),
+            (r.count(1u64..1000), any::<u64>()),
+        ),
+        (r.real(0.0f64..1000.0), r.count(1u64..1000)),
+        ((r.tokens(1i64..1000), r.count(1u64..1000)), any::<u64>()),
     )
         .prop_map(
             |(
@@ -130,55 +243,56 @@ fn any_load() -> impl Strategy<Value = LoadSpec> {
         )
 }
 
-fn any_faults() -> impl Strategy<Value = FaultSpec> {
+fn any_faults(r: Ranges) -> impl Strategy<Value = FaultSpec> {
     // A bitmask picks which channels are present (0 = `faults=none`).
-    (
-        0u64..16,
-        (0.0f64..=1.0, any::<u64>()),
-        (0.0f64..=1.0, any::<u64>()),
-        (0.0f64..=1.0, any::<u64>()),
-        (0.0f64..=1.0, any::<u64>()),
-    )
-        .prop_map(|(mask, crash, edgedrop, shock, stale)| {
-            let mut spec = FaultSpec::none();
-            if mask & 1 != 0 {
-                spec = spec.with_crash(crash.0, crash.1);
-            }
-            if mask & 2 != 0 {
-                spec = spec.with_edgedrop(edgedrop.0, edgedrop.1);
-            }
-            if mask & 4 != 0 {
-                spec = spec.with_shock(shock.0, shock.1);
-            }
-            if mask & 8 != 0 {
-                spec = spec.with_stale(stale.0, stale.1);
-            }
-            spec
-        })
+    let p = move || (r.real(0.0f64..=1.0), any::<u64>());
+    (0u64..16, p(), p(), p(), p()).prop_map(|(mask, crash, edgedrop, shock, stale)| {
+        let mut spec = FaultSpec::none();
+        if mask & 1 != 0 {
+            spec = spec.with_crash(crash.0, crash.1);
+        }
+        if mask & 2 != 0 {
+            spec = spec.with_edgedrop(edgedrop.0, edgedrop.1);
+        }
+        if mask & 4 != 0 {
+            spec = spec.with_shock(shock.0, shock.1);
+        }
+        if mask & 8 != 0 {
+            spec = spec.with_stale(stale.0, stale.1);
+        }
+        spec
+    })
 }
 
-fn any_churn() -> impl Strategy<Value = ChurnSpec> {
+fn any_churn(r: Ranges) -> impl Strategy<Value = ChurnSpec> {
     prop_oneof![
         Just(ChurnSpec::none()),
-        (0.0f64..=1.0, 0.0f64..=1.0, any::<u64>())
+        (r.real(0.0f64..=1.0), r.real(0.0f64..=1.0), any::<u64>())
             .prop_map(|(leave, join, seed)| ChurnSpec::none().with_flux(leave, join, seed)),
-        (0.0f64..=1.0, 0.0f64..=1.0, any::<u64>(), 0.0f64..1e9).prop_map(
-            |(leave, join, seed, init)| {
+        (
+            r.real(0.0f64..=1.0),
+            r.real(0.0f64..=1.0),
+            any::<u64>(),
+            r.real(0.0f64..1e9)
+        )
+            .prop_map(|(leave, join, seed, init)| {
                 ChurnSpec::none()
                     .with_flux(leave, join, seed)
                     .with_initial(init)
-            }
-        ),
+            }),
     ]
 }
 
-fn any_hybrid() -> impl Strategy<Value = Option<SwitchPolicy>> {
+fn any_hybrid(r: Ranges) -> impl Strategy<Value = Option<SwitchPolicy>> {
     prop_oneof![
         Just(None),
         Just(Some(SwitchPolicy::Never)),
-        (0u64..10_000).prop_map(|r| Some(SwitchPolicy::AtRound(r))),
-        (0.0f64..100.0).prop_map(|t| Some(SwitchPolicy::MaxLocalDiffBelow(t))),
-        (0.0f64..100.0).prop_map(|t| Some(SwitchPolicy::MaxMinusAvgBelow(t))),
+        r.count(0u64..10_000)
+            .prop_map(|r| Some(SwitchPolicy::AtRound(r))),
+        r.real(0.0f64..100.0)
+            .prop_map(|t| Some(SwitchPolicy::MaxLocalDiffBelow(t))),
+        r.real(0.0f64..100.0)
+            .prop_map(|t| Some(SwitchPolicy::MaxMinusAvgBelow(t))),
     ]
 }
 
@@ -195,33 +309,54 @@ fn any_ckpt() -> impl Strategy<Value = Option<CheckpointPolicy>> {
 }
 
 fn any_spec() -> impl Strategy<Value = ScenarioSpec> {
+    spec_from(any_topology(), None)
+}
+
+/// A spec on at most 200 nodes with one hostile field group.
+fn hostile_spec() -> impl Strategy<Value = ScenarioSpec> {
+    (0..GROUPS.len()).prop_flat_map(|g| spec_from(small_topology(), Some(GROUPS[g])))
+}
+
+/// A spec on `topology` whose `hostile` field group, if any, is also
+/// drawn out of range.
+fn spec_from(
+    topology: impl Strategy<Value = TopologySpec>,
+    hostile: Option<Group>,
+) -> impl Strategy<Value = ScenarioSpec> {
+    let r = |group| Ranges {
+        hostile: hostile == Some(group),
+    };
     (
         (
-            any_topology(),
-            any_speeds(),
-            any_scheme(),
+            topology,
+            any_speeds(r(Group::Speeds)),
+            any_scheme(r(Group::Scheme)),
             any_mode(),
-            any_init(),
+            any_init(r(Group::Init)),
         ),
         (
-            any_stop(),
-            (any_load(), any_faults(), any_churn()),
-            any_hybrid(),
+            any_stop(r(Group::Stop)),
+            (
+                any_load(r(Group::Perturb)),
+                any_faults(r(Group::Perturb)),
+                any_churn(r(Group::Perturb)),
+            ),
+            any_hybrid(r(Group::Hybrid)),
             any_ckpt(),
-            (any::<bool>(), 0usize..5, 1usize..9),
+            (any::<bool>(), 0usize..5, 1usize..9, any::<u64>()),
         ),
     )
         .prop_map(
-            |(
+            move |(
                 (topology, speeds, scheme, mode, init),
-                (stop, (load, faults, churn), hybrid, ckpt, (seeded, name_pick, threads)),
+                (stop, (load, faults, churn), hybrid, ckpt, (seeded, name_pick, threads, seed)),
             )| {
                 let mut spec = ScenarioSpec::new(topology);
                 spec.name = ["scenario", "fig_01", "a", "sweep-3", "x9"][name_pick].to_string();
                 spec.speeds = speeds;
                 spec.scheme = scheme;
                 spec.mode = mode;
-                spec.seed = seeded.then_some(12345);
+                spec.seed = seeded.then_some(if hostile.is_some() { seed } else { 12345 });
                 spec.init = init;
                 spec.stop = stop;
                 spec.load = load;
@@ -266,6 +401,33 @@ proptest! {
         let reparsed = ScenarioSpec::parse_many(&text).unwrap();
         prop_assert_eq!(reparsed, specs);
     }
+
+    /// "Validated once": a hostile spec, taken through its text form,
+    /// either fails with a typed error — at parse, graph build or
+    /// experiment build — or builds a simulator that runs. Nothing on
+    /// that path may panic.
+    #[test]
+    fn hostile_specs_fail_typed_or_run(spec in hostile_spec()) {
+        let text = spec.to_string();
+        eprintln!("CASE {text}");
+        let t0 = std::time::Instant::now();
+        let outcome = catch_unwind(|| {
+            let Ok(spec) = text.parse::<ScenarioSpec>() else {
+                return;
+            };
+            let Ok(graph) = spec.build_graph() else {
+                return;
+            };
+            if let Ok(experiment) = spec.experiment_on(&graph) {
+                let mut sim = experiment.simulator();
+                for _ in 0..3 {
+                    sim.step();
+                }
+            }
+        });
+        eprintln!("TIME {:?}", t0.elapsed());
+        prop_assert!(outcome.is_ok(), "'{}' panicked", text);
+    }
 }
 
 /// Error paths of the text format: every malformed or out-of-range value
@@ -306,6 +468,15 @@ fn scenario_parse_error_paths_are_specific() {
         (
             "topology=cycle:8 hybrid=sometimes:1",
             "unknown hybrid policy",
+        ),
+        // A NaN threshold could never fire.
+        (
+            "topology=cycle:8 hybrid=local_diff:NaN",
+            "invalid hybrid policy 'local_diff:NaN': switch threshold must not be NaN",
+        ),
+        (
+            "topology=cycle:8 hybrid=max_minus_avg:NaN",
+            "switch threshold must not be NaN",
         ),
         // Stop conditions.
         ("topology=cycle:8 stop=rounds", "invalid stop condition"),
