@@ -19,23 +19,24 @@ const SEED: u64 = 42;
 struct Fixture {
     tables: KernelTables,
     loads: Vec<f64>,
-    arc_frac: Vec<f64>,
+    frac: Vec<f64>,
     flows: Vec<i64>,
 }
 
 /// A 256×256 torus mid-simulation: loads and the last round's integral
 /// flows (the `Rounded` SOS memory) in a plausible post-warmup state so
-/// the rounding phase sees realistic fractional parts. One scatter pass is run here so `arc_frac` is populated up
-/// front — each benchmark below is self-contained and order-independent.
+/// the rounding phase sees realistic fractional parts. One scatter pass
+/// is run here so `frac` (one slot per edge) is populated up front — each
+/// benchmark below is self-contained and order-independent.
 fn fixture() -> Fixture {
     let graph = generators::torus2d(SIDE, SIDE);
     let n = graph.node_count();
     let speeds = Speeds::uniform(n);
-    let tables = KernelTables::new(&graph, &speeds, true, 0.0);
+    let tables = KernelTables::new(&graph, &speeds, false, 0.0);
     let m = tables.m;
     let loads: Vec<f64> = (0..n).map(|i| 1000.0 + ((i * 37) % 101) as f64).collect();
     let mut flows: Vec<i64> = (0..m).map(|e| (e * 31 % 17) as i64 - 8).collect();
-    let mut arc_frac = vec![0.0; graph.arc_count()];
+    let mut frac = vec![0.0; m];
     kernel::edge_pass_scatter(
         &tables,
         0..m,
@@ -43,14 +44,14 @@ fn fixture() -> Fixture {
         1.6,
         sodiff_core::FlowMemory::Rounded,
         |i| loads[i],
-        &kernel::cells(&mut arc_frac),
+        &kernel::cells(&mut frac),
         &kernel::cells(&mut flows),
         &kernel::cells::<f64>(&mut []),
     );
     Fixture {
         tables,
         loads,
-        arc_frac,
+        frac,
         flows,
     }
 }
@@ -60,7 +61,7 @@ fn bench_phases(c: &mut Criterion) {
     let Fixture {
         tables,
         loads,
-        mut arc_frac,
+        mut frac,
         mut flows,
     } = fixture();
     let (n, m) = (tables.n, tables.m);
@@ -84,7 +85,7 @@ fn bench_phases(c: &mut Criterion) {
                 1.6,
                 sodiff_core::FlowMemory::Rounded,
                 |i| loads[i],
-                &kernel::cells(&mut arc_frac),
+                &kernel::cells(&mut frac),
                 &kernel::cells(&mut flows),
                 &kernel::cells::<f64>(&mut []),
             );
@@ -101,7 +102,7 @@ fn bench_phases(c: &mut Criterion) {
                 0..n,
                 SEED,
                 round,
-                &kernel::cells(&mut arc_frac),
+                &kernel::cells(&mut frac),
                 &kernel::cells(&mut flows),
                 &mut scratch,
             );

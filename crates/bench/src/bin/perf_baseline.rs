@@ -87,8 +87,8 @@ struct Measurement {
     edge_updates_per_sec: f64,
     tokens_per_sec: f64,
     /// Bytes of mutable simulation state (loads, flow memory, integral
-    /// flows, arc fractions — sequential buffers plus the pool job's
-    /// atomic mirrors).
+    /// flows, framework fractions — sequential buffers plus the pool
+    /// job's atomic mirrors).
     state_bytes: usize,
 }
 

@@ -416,8 +416,7 @@ impl<'g> Simulator<'g> {
         let initial_total = loads.iter().map(|&x| x as f64).sum();
         let mut scheme_kernel =
             SchemeKernel::new(config.scheme, config.mode, graph, &speeds, config.perturb);
-        let framework = scheme_kernel.needs_arc_plan();
-        let tables = Arc::new(KernelTables::new(graph, &speeds, framework, initial_total));
+        let tables = Arc::new(KernelTables::new(graph, &speeds, false, initial_total));
         scheme_kernel.finish(&tables);
         let scheme_kernel = Arc::new(scheme_kernel);
         let store = if threads > 1 {
@@ -552,16 +551,16 @@ impl<'g> Simulator<'g> {
     /// holds, wherever it lives: loads, integral flows, a stored SOS
     /// memory (continuous and [`FlowMemory::Scheduled`] runs only — under
     /// [`FlowMemory::Rounded`] the integral flows are the memory), and
-    /// arc fractions (randomized framework). Each piece is held once: on
-    /// the worker pool the job's atomics are the only copy. Auxiliary
-    /// metadata (masks, per-block partials, kernel tables) is excluded.
+    /// one fraction per edge (randomized framework). Each piece is held
+    /// once: on the worker pool the job's atomics are the only copy.
+    /// Auxiliary metadata (masks, per-block partials, kernel tables) is
+    /// excluded.
     pub fn state_bytes(&self) -> usize {
         with_state!(&self.store, |state| state.state_bytes())
     }
 
     /// Heap bytes of the kernel tables this simulator owns: the
-    /// coefficient tables (one shared buffer under uniform speeds), the
-    /// randomized framework's edge-to-arc positions, and the
+    /// coefficient tables (one shared buffer under uniform speeds) and the
     /// balanced-load table. The graph's CSR is not counted: the tables
     /// share it with the caller's graph, whose
     /// [`Graph::memory_bytes`](sodiff_graph::Graph::memory_bytes) counts

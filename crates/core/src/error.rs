@@ -157,7 +157,9 @@ impl fmt::Display for BuildError {
             BuildError::InvalidSpeeds(msg) => write!(f, "invalid speeds: {msg}"),
             BuildError::MissingSeed(what) => write!(
                 f,
-                "{what} rounding needs an RNG seed (set one with .seed(..) or seed=)"
+                "{what} rounding needs an RNG seed (set seed= in the scenario text, or in code \
+                 use RoundingSpec::seeded(Some(seed)) or a seeded constructor such as \
+                 Rounding::randomized(seed))"
             ),
             BuildError::ZeroThreads => write!(f, "thread count must be positive"),
             BuildError::InvalidInitialLoad(msg) => write!(f, "invalid initial load: {msg}"),
@@ -348,6 +350,17 @@ mod tests {
         };
         assert!(nested.to_string().contains("fig1"));
         assert!(nested.to_string().contains("no nodes"));
+    }
+
+    /// The message names only ways to supply a seed that exist.
+    #[test]
+    fn missing_seed_names_existing_seed_sources() {
+        assert_eq!(
+            BuildError::MissingSeed("randomized").to_string(),
+            "randomized rounding needs an RNG seed (set seed= in the scenario text, or in \
+             code use RoundingSpec::seeded(Some(seed)) or a seeded constructor such as \
+             Rounding::randomized(seed))"
+        );
     }
 
     #[test]

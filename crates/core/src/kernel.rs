@@ -53,38 +53,40 @@
 //! # The streaming randomized pipeline
 //!
 //! The paper's randomized rounding framework is node-centric (each node
-//! rounds all its outgoing flows together), which used to cost four
-//! sweeps with two indirections each: a scheduled pass, an arc pass that
-//! *gathered* `sched[arc_edges[p]]`, a combine pass that gathered
-//! `arc_out[edge_arc_pos[e]]`, and the apply pass. It now runs as two
-//! streaming phases ahead of the apply pass:
+//! rounds all its outgoing flows together), but every edge has exactly
+//! one sender, so a round needs only one fractional part per edge. The
+//! framework runs as two streaming phases ahead of the apply pass:
 //!
 //! 1. [`edge_pass_scatter`] — one sweep over edges computes the scheduled
-//!    flow `Ŷ_e`, floors the sending side's outflow `|Ŷ_e|` on the spot
-//!    (one floor per edge instead of one per positive arc), writes the
-//!    signed base straight into the edge's flow slot, and *scatters* the
-//!    fractional part into the sending arc's slot
-//!    (`arc_frac[pos_send] = {|Ŷ_e|}`, `arc_frac[pos_recv] = 0`), all
-//!    with branchless sign masks. For [`FlowMemory::Scheduled`] the SOS
-//!    memory is updated in the same pass.
-//! 2. [`arc_round_streamed`] — one sweep over nodes sums its arc range
-//!    of `arc_frac` **contiguously** (no edge-id chase; zero slots leave
-//!    the classic positive-outflow sum unchanged bit for bit), skips
-//!    nodes with `r = 0` — the common case away from the diffusion
-//!    wavefront — and distributes the `⌈r⌉` excess tokens using per-node
-//!    RNG streams whose warmed-up states a flat
-//!    [`crate::rng::fill_node_states`] sweep precomputed into a scratch
-//!    buffer (one `mix64` per node instead of key construction plus a
-//!    discarded warm-up draw); each token's draw comes straight off the
-//!    stream counter ([`crate::rng::nth_u64`]), so draws are independent
-//!    `mix64` chains with no serial dependency, and the target arc is
-//!    found by a branchless count of passed prefix sums.
+//!    flow `Ŷ_e`, truncates it on the spot (one truncation per edge
+//!    instead of one floor per positive arc), writes the signed base
+//!    `trunc(Ŷ_e)` straight into the edge's flow slot and the signed
+//!    fraction `g_e = Ŷ_e − trunc(Ŷ_e)` into the edge's slot of an
+//!    `m`-long buffer: three contiguous stores per edge and no per-edge
+//!    select. For [`FlowMemory::Scheduled`] the SOS memory is updated in
+//!    the same pass.
+//! 2. [`arc_round_streamed`] — one sweep over nodes gathers `g_e` through
+//!    each arc's edge id (which the walk reads anyway) and takes its own
+//!    share `max(σ·g_e, 0)` for the arc's orientation σ: the sender's
+//!    `|g_e|`, the receiver's `0.0`. It sums the shares to `r`, writing
+//!    each running sum once into a reusable prefix buffer, skips nodes
+//!    with `r = 0` — the common case away from the diffusion wavefront —
+//!    and distributes the `⌈r⌉` excess tokens using per-node RNG streams
+//!    whose warmed-up states a flat [`crate::rng::fill_node_states`]
+//!    sweep precomputed into a scratch buffer (one `mix64` per node
+//!    instead of key construction plus a discarded warm-up draw); each
+//!    token's draw comes straight off the stream counter
+//!    ([`crate::rng::nth_u64`]), so draws are independent `mix64` chains
+//!    with no serial dependency, and the target arc is found by a
+//!    branchless count of passed prefix sums.
 //!
 //! The pipeline is bit-identical to the original formulation (golden
 //! traces in `tests/golden_trace.rs`, reference-equivalence tests below):
-//! the arc slots hold exactly the outflow values `Ŷ_e·sign` the gather
-//! produced, and the per-node token draws consume the same
-//! `(seed, node, round)`-keyed streams.
+//! each arc's share is exactly the outflow fraction the classic per-node
+//! loop computes (a zero share's sign changes no sum or comparison, and a
+//! NaN flow leaves NaN at both ends, so neither sends a token), the
+//! prefix sums are the same adds in the same order, and the per-node
+//! token draws consume the same `(seed, node, round)`-keyed streams.
 //!
 //! # The SOS memory under [`FlowMemory::Rounded`]
 //!
@@ -113,8 +115,8 @@
 //! `loads[..]` (not written in this pass), its own memory slot (`prev[e]`,
 //! or `flows[e]` under [`FlowMemory::Rounded`]), its own mask bit under
 //! [`MaskBits`], and the constant tables,
-//! and writes only `prev[e]`, `flows[e]`, and (scatter pass) the two arc
-//! slots owned by `e`. Hoisting the eight memory reads above the eight
+//! and writes only `prev[e]`, `flows[e]`, and (scatter pass) `frac[e]`.
+//! Hoisting the eight memory reads above the eight
 //! writes therefore never changes an operand, and no f64
 //! addition is regrouped anywhere. The same argument covers the apply
 //! pass: each node's arc reduction keeps its exact sequential order
@@ -126,9 +128,12 @@
 //! each [`Value`] operation monomorphizes to the plain `i64` or `f64`
 //! operation, so the token pass and the fluid pass each compute exactly
 //! what a pass written by hand for that type would. The one
-//! deliberately scalar loop is [`arc_round_streamed`]'s prefix-sum token
-//! selection, whose sequential f64 prefix is itself the pinned quantity
-//! (see the comment there).
+//! deliberately scalar loop is [`arc_round_streamed`]'s per-node share
+//! sum, whose sequential f64 prefix is itself the pinned quantity: it
+//! feeds `⌈r⌉`, and every token compares its draw against the exact
+//! running prefix. The prefix is therefore built once per node, in arc
+//! order, and only read by the token loop; regrouping it across lanes
+//! would change which arc a token picks (see the comment there).
 //!
 //! This module is exported `#[doc(hidden)]` so the workspace's criterion
 //! benches can time each phase in isolation; it is **not** a stable API.
@@ -160,8 +165,10 @@ const _: () = assert!(DEV_BLOCK.is_multiple_of(LANES));
 ///
 /// The graph's arrays are shared, not copied ([`Graph`]'s `clone` bumps a
 /// reference count), so the tables own only what the graph does not
-/// have: the coefficient tables, the randomized framework's
-/// [`Self::edge_arc_pos`] and the balanced-load table [`Self::ideal`].
+/// have: the coefficient tables and the balanced-load table
+/// [`Self::ideal`]. The randomized framework needs nothing more: its
+/// scatter writes one fraction per edge and its rounding phase reads it
+/// back through the arc's edge id, which the CSR already holds.
 /// Under uniform speeds `α_e/s_u` and `α_e/s_v` are the same `f64`, so
 /// [`Self::coef_tail`] and [`Self::coef_head`] then share one buffer; the
 /// passes read the two slices either way.
@@ -177,9 +184,6 @@ pub struct KernelTables {
     /// `α_e / s_head` per edge (the same buffer as [`Self::coef_tail`]
     /// under uniform speeds).
     pub coef_head: Arc<[f64]>,
-    /// Per-edge arc positions `(tail side, head side)`; built only when the
-    /// randomized rounding framework needs the arc decomposition.
-    pub edge_arc_pos: Vec<(u32, u32)>,
     /// Per-node speed-proportional balanced load `x̄_i = T·s_i/S`, where
     /// `T` is the total load passed at construction (the conserved
     /// initial total for real simulations). The apply pass reduces load
@@ -193,9 +197,12 @@ impl KernelTables {
     /// seeds the [`KernelTables::ideal`] balanced-load table (pass the
     /// initial total; benches that ignore the fused stats may pass any
     /// value).
-    pub fn new(graph: &Graph, speeds: &Speeds, needs_arc_plan: bool, total_load: f64) -> Self {
+    ///
+    /// The third argument is ignored (every caller in this workspace
+    /// passes `false`); it remains only so that existing callers keep
+    /// compiling.
+    pub fn new(graph: &Graph, speeds: &Speeds, _arc_plan: bool, total_load: f64) -> Self {
         let n = graph.node_count();
-        let m = graph.edge_count();
         let (coef_tail, coef_head) = coef_pair(graph, speeds, |u, v| {
             let alpha = graph.alpha(u, v);
             (
@@ -203,23 +210,6 @@ impl KernelTables {
                 alpha / speeds.get(v as usize),
             )
         });
-        let edge_arc_pos = if needs_arc_plan {
-            let mut pos = vec![(0u32, 0u32); m];
-            for v in graph.nodes() {
-                let start = graph.arc_range(v).start;
-                for (idx, &e) in graph.neighbor_edges(v).iter().enumerate() {
-                    let p = (start + idx) as u32;
-                    if graph.neighbor_signs(v)[idx] > 0 {
-                        pos[e as usize].0 = p;
-                    } else {
-                        pos[e as usize].1 = p;
-                    }
-                }
-            }
-            pos
-        } else {
-            Vec::new()
-        };
         // Same per-node expression as `metrics::snapshot_with_total`, so
         // the fused deviations match a from-scratch recompute bit for bit.
         let ideal = (0..n)
@@ -227,11 +217,10 @@ impl KernelTables {
             .collect();
         Self {
             n,
-            m,
+            m: graph.edge_count(),
             graph: graph.clone(),
             coef_tail,
             coef_head,
-            edge_arc_pos,
             ideal,
         }
     }
@@ -243,9 +232,8 @@ impl KernelTables {
     }
 
     /// Heap bytes the tables own: the coefficient tables (a shared
-    /// coefficient buffer counts once), [`Self::edge_arc_pos`] and
-    /// [`Self::ideal`]. The graph's CSR is not counted; it is
-    /// [`Graph::memory_bytes`].
+    /// coefficient buffer counts once) and [`Self::ideal`]. The graph's
+    /// CSR is not counted; it is [`Graph::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let coef_buffers = if Arc::ptr_eq(&self.coef_tail, &self.coef_head) {
@@ -253,9 +241,7 @@ impl KernelTables {
         } else {
             2
         };
-        coef_buffers * self.m * size_of::<f64>()
-            + self.edge_arc_pos.len() * size_of::<(u32, u32)>()
-            + self.ideal.len() * size_of::<f64>()
+        (coef_buffers * self.m + self.ideal.len()) * size_of::<f64>()
     }
 }
 
@@ -628,9 +614,9 @@ impl EdgeGate for AllEdges {
 
 /// Only the edges whose bit is set are active: the scheduled flow is
 /// multiplied by the edge's bit (one bit load per edge, no branch), so
-/// an inactive edge rounds to a zero flow, scatters zero fractional
-/// parts and leaves its endpoints untouched. The bit is indexed by the
-/// global edge id, so any split of the edge range reads the same bits.
+/// an inactive edge rounds to a zero flow, writes a zero fraction and
+/// leaves its endpoints untouched. The bit is indexed by the global edge
+/// id, so any split of the edge range reads the same bits.
 pub struct MaskBits<'a, W: ?Sized>(pub &'a W);
 
 impl<W: Words + ?Sized> EdgeGate for MaskBits<'_, W> {
@@ -776,53 +762,44 @@ impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M,
     }
 
     /// The framework's scatter pass ([`edge_pass_scatter_gated`]) over
-    /// this schedule's memory view.
-    fn scatter<A: Buf<Val = f64>, F: Buf<Val = i64>>(
-        &self,
-        positions: &[(u32, u32)],
-        arc_frac: &A,
-        flows: &F,
-    ) {
+    /// this schedule's memory view: writes each edge's signed base flow
+    /// `trunc(Ŷ_e)` into `flows` and its signed fraction
+    /// `Ŷ_e − trunc(Ŷ_e)` into `frac`, both indexed by edge.
+    fn scatter<A: Buf<Val = f64>, F: Buf<Val = i64>>(&self, frac: &A, flows: &F) {
         let (e0, len) = (self.e0, self.pairs.len());
         let flow_elems = &flows.elems()[e0..e0 + len];
+        let frac_elems = &frac.elems()[e0..e0 + len];
         let main = len - len % LANES;
-        // Per-edge body shared by the chunked loop and the scalar tail.
         // `trunc(Ŷ) = sign·⌊|Ŷ|⌋` *is* the signed base flow, and
-        // `|Ŷ − trunc(Ŷ)|` is exactly the sending side's fractional part
-        // (the subtraction is exact by Sterbenz, and negation is exact),
-        // so one saturating cast replaces the abs/floor/sign-multiply
-        // chain. The sending-side selection uses arithmetic masks rather
-        // than branches — the sign of `Ŷ_e` is essentially random
-        // mid-simulation, so a branch would mispredict about half the
-        // time: tail sends iff `Ŷ_e > 0`, and the receiving slot gets
-        // `frac − frac_send`, which is exactly `+0.0` or `frac`.
-        let scatter_one = |&(pt, ph): &(u32, u32), pe: &M::Elem, fe: &F::Elem, s: f64| {
+        // `Ŷ − trunc(Ŷ)` is exact (Sterbenz for `|Ŷ| ≥ 1`, trivially
+        // below), so one saturating cast replaces the abs/floor/sign
+        // chain. Which end sends is left to the rounding phase: the
+        // fraction's sign says it, with no per-edge select here.
+        let scatter_one = |fr: &A::Elem, pe: &M::Elem, fe: &F::Elem, s: f64| {
             let base = trunc_i64(s);
-            let frac = (s - base as f64).abs();
-            let tail_sends = f64::from(u8::from(s > 0.0));
-            let frac_tail = frac * tail_sends;
-            arc_frac.set(pt as usize, frac_tail);
-            arc_frac.set(ph as usize, frac - frac_tail);
+            A::write(fr, s - base as f64);
             F::write(fe, base);
             M::write(pe, s);
         };
+        // Unlike the fused pass, compute and store stay fused per lane:
+        // staging the eight scheduled flows first was measured about 10%
+        // slower here, even with all three stores contiguous. The chunk
+        // still earns its keep by hoisting the bounds checks into the
+        // slice splits.
         for k0 in (0..main).step_by(LANES) {
             let c = self.chunk(k0);
-            let poc = &positions[k0..k0 + LANES];
-            let fc = &flow_elems[k0..k0 + LANES];
-            // Unlike the fused pass, compute and scatter stay fused per
-            // lane: the scatter's two data-dependent stores dominate here,
-            // and staging eight scheduled flows first only bursts those
-            // stores into back-to-back groups that stall the store buffer
-            // (measured ~10% slower on out-of-cache tori). The chunk still
-            // earns its keep by hoisting the bounds checks into the slice
-            // splits above.
+            let (frc, fc) = (&frac_elems[k0..k0 + LANES], &flow_elems[k0..k0 + LANES]);
             for l in 0..LANES {
-                scatter_one(&poc[l], &c.memory[l], &fc[l], c.flow(l));
+                scatter_one(&frc[l], &c.memory[l], &fc[l], c.flow(l));
             }
         }
         for k in main..len {
-            scatter_one(&positions[k], &self.memory[k], &flow_elems[k], self.flow(k));
+            scatter_one(
+                &frac_elems[k],
+                &self.memory[k],
+                &flow_elems[k],
+                self.flow(k),
+            );
         }
     }
 
@@ -912,22 +889,20 @@ pub fn edge_pass_fused_gated<G: EdgeGate, P: Buf<Val = f64>, F: Buf<Val = i64>>(
 }
 
 /// Phase 1 of the randomized framework, over every edge with the
-/// diffusion coefficients: computes the scheduled flow
-/// `Ŷ_e`, **floors it right here** (the sending side's outflow is `|Ŷ_e|`
-/// and its floor is the edge's base flow, so the per-arc floor pass of the
-/// old formulation collapses into this per-edge one), writes the signed
-/// base into the edge's flow slot, and *scatters* the fractional part
-/// into the sending side's arc slot (`0.0` into the receiving side's).
-/// The node-centric rounding phase then only sums its contiguous frac
-/// slots and distributes excess tokens. For [`FlowMemory::Scheduled`]
-/// the SOS memory is updated in the same sweep; under
-/// [`FlowMemory::Rounded`] it is read from the flow slots
+/// diffusion coefficients: computes the scheduled flow `Ŷ_e`, **truncates
+/// it right here** (the sending side's outflow is `|Ŷ_e|` and its floor
+/// is the edge's base flow, so the per-arc floor pass of the old
+/// formulation collapses into this per-edge one), writes the signed base
+/// `trunc(Ŷ_e)` into the edge's flow slot and the signed fraction
+/// `Ŷ_e − trunc(Ŷ_e)` into the edge's slot of `frac`. The fraction's sign
+/// names the sender (positive: the tail; negative: the head), so the
+/// node-centric rounding phase derives each arc's share from it. For
+/// [`FlowMemory::Scheduled`] the SOS memory is updated in the same sweep;
+/// under [`FlowMemory::Rounded`] it is read from the flow slots
 /// ([`FlowsAsMemory`]) and `prev` is left untouched.
 ///
-/// The sending-side selection is computed with arithmetic masks rather
-/// than branches — the sign of `Ŷ_e` is data-dependent and essentially
-/// random mid-simulation, so a branch here would mispredict about half
-/// the time.
+/// `frac` is indexed by edge id; a longer buffer (such as one sized by
+/// arc count) is accepted and its tail left alone.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
 pub fn edge_pass_scatter<A: Buf<Val = f64>, F: Buf<Val = i64>, P: Buf<Val = f64>>(
     t: &KernelTables,
@@ -936,7 +911,7 @@ pub fn edge_pass_scatter<A: Buf<Val = f64>, F: Buf<Val = i64>, P: Buf<Val = f64>
     gain: f64,
     flow_memory: FlowMemory,
     x: impl Fn(usize) -> f64,
-    arc_frac: &A,
+    frac: &A,
     flows: &F,
     prev: &P,
 ) {
@@ -949,16 +924,16 @@ pub fn edge_pass_scatter<A: Buf<Val = f64>, F: Buf<Val = i64>, P: Buf<Val = f64>
         gain,
         flow_memory,
         x,
-        arc_frac,
+        frac,
         flows,
         prev,
     );
 }
 
 /// [`edge_pass_scatter`] with explicit coefficients and an edge `gate`.
-/// A gated-out edge scatters a zero base flow and zero fractional parts,
-/// so the rounding phase ([`arc_round_streamed`]) runs unchanged: a node
-/// whose arcs are all inactive sums `r = 0` and skips out.
+/// A gated-out edge writes a zero base flow and a zero fraction, so the
+/// rounding phase ([`arc_round_streamed`]) runs unchanged: a node whose
+/// arcs are all inactive sums `r = 0` and skips out.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
 pub fn edge_pass_scatter_gated<
     G: EdgeGate,
@@ -974,14 +949,12 @@ pub fn edge_pass_scatter_gated<
     gain: f64,
     flow_memory: FlowMemory,
     x: impl Fn(usize) -> f64,
-    arc_frac: &A,
+    frac: &A,
     flows: &F,
     prev: &P,
 ) {
-    let positions = &t.edge_arc_pos[edges.clone()];
     with_memory!(flow_memory, prev, flows, |memory| {
-        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory)
-            .scatter(positions, arc_frac, flows)
+        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory).scatter(frac, flows)
     })
 }
 
@@ -1005,12 +978,15 @@ pub fn edge_pass_continuous_gated<G: EdgeGate, P: Buf<Val = f64>>(
 
 /// Reusable per-participant scratch of the randomized framework's
 /// rounding phase: the bulk-swept RNG states of the participant's node
-/// chunk.
+/// chunk, and one node's prefix sums of its arcs' fractions.
 #[derive(Default)]
 pub struct FwScratch {
     /// Warmed-up SplitMix64 states, one per node of the current chunk
     /// (filled by [`crate::rng::fill_node_states`]).
     states: Vec<u64>,
+    /// The current node's running fraction sums, one per arc; grows to
+    /// the largest degree seen and is then reused.
+    prefix: Vec<f64>,
 }
 
 impl FwScratch {
@@ -1022,16 +998,18 @@ impl FwScratch {
 
 /// Phase 2 of the randomized framework: node-centric excess-token
 /// distribution over `nodes` (paper Section III-B). Phase 1 already wrote
-/// every edge's floored base flow and scattered the fractional parts into
-/// arc slots, so each node only sums its **contiguous** `arc_frac` range
-/// to get `r` (slots of arcs that don't send are exactly `0.0` and leave
-/// the sum unchanged, so this equals the classic sum over positive
-/// outflows), skips out when `r == 0` — the common case away from the
-/// diffusion wavefront — and otherwise sends `⌈r⌉` excess tokens: each
-/// token picks the first arc whose cumulative frac exceeds its draw, via
-/// a branchless count of passed prefix sums (zero-frac slots can never be
+/// every edge's truncated base flow and its signed fraction `g_e` into
+/// `frac` (indexed by edge id; a longer buffer is accepted). Each node
+/// walks its arcs, gathers `g_e` through the arc's edge id and takes its
+/// own share `max(σ·g_e, 0)`, σ the arc's orientation: the sender gets
+/// `|g_e|` and the receiver `0.0`, the classic positive-outflow fraction.
+/// It sums the shares to `r`, writing each running sum into
+/// `scratch.prefix`, skips out when `r == 0` — the common case away from
+/// the diffusion wavefront — and otherwise sends `⌈r⌉` excess tokens:
+/// each token picks the first arc whose prefix sum exceeds its draw, via
+/// a branchless count of passed prefix sums (zero-share arcs can never be
 /// selected), and increments that edge's flow. Exactly one endpoint of an
-/// edge owns positive fracs for it, so flow slots have one writer.
+/// edge has a positive share of it, so flow slots have one writer.
 ///
 /// The per-node random streams are keyed by `(seed, node, round)` — so
 /// the result is independent of chunking — but their warmed-up states are
@@ -1046,48 +1024,59 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
     nodes: Range<usize>,
     seed: u64,
     round: u64,
-    arc_frac: &A,
+    frac: &A,
     flows: &F,
     scratch: &mut FwScratch,
 ) {
-    let states = &mut scratch.states;
+    let FwScratch { states, prefix } = scratch;
     if states.len() != nodes.len() {
         states.resize(nodes.len(), 0);
     }
     rng::fill_node_states(rng::round_key(seed, round), nodes.start, states);
+    let fracs = frac.elems();
     // Walk the chunk's arc ranges by splitting running slices instead of
     // re-slicing from `offsets` per node — one length computation and
-    // three `split_at`s per node, no repeated global-range checks.
+    // two `split_at`s per node, no repeated global-range checks.
     let offsets = &t.graph().arc_offsets()[nodes.start..=nodes.end];
     let chunk_arcs = offsets[0]..offsets[offsets.len() - 1];
-    let mut fracs_rest = &arc_frac.elems()[chunk_arcs.clone()];
     let mut edges_rest = &t.graph().arc_edge_ids()[chunk_arcs.clone()];
     let mut signs_rest = &t.graph().arc_orientations()[chunk_arcs];
     for (deg, &state) in offsets.windows(2).map(|w| w[1] - w[0]).zip(states.iter()) {
-        let (fracs, rest) = fracs_rest.split_at(deg);
-        fracs_rest = rest;
         let (edges, rest) = edges_rest.split_at(deg);
         edges_rest = rest;
         let (signs, rest) = signs_rest.split_at(deg);
         signs_rest = rest;
-        // Why the frac sum and the prefix-count selection below stay
+        if prefix.len() < deg {
+            prefix.resize(deg, 0.0);
+        }
+        let prefix = &mut prefix[..deg];
+        // Why the share sum and the prefix-count selection below stay
         // scalar while the RNG sweeps are lane-chunked: both reduce a
         // *sequential* f64 prefix whose per-element bit pattern is pinned
         // by the golden traces — `r` feeds `⌈r⌉` and every token compares
         // its draw against the exact running prefix, so any lane-split
-        // regrouping of these sums changes which arc a token picks and
-        // breaks bit-identity with the pre-pipeline formulation. (The
-        // fixed-lane variants were also measured slower here in PR 3:
-        // data-dependent trip counts of ~deg 4 defeat them.)
+        // regrouping of these sums changes which arc a token picks. The
+        // prefix is written once here and only compared against per
+        // token: the same adds in the same order as re-summing it.
         let mut r = 0.0f64;
-        // `first` ends up as the index of the node's first positive-frac
+        // `first` ends up as the index of the node's first positive-share
         // arc: the number of leading arcs whose cumulative sum is still
         // zero. It serves as the race-safe target of masked-out token
         // stores below (this node sends on it, so no other participant
         // ever writes that edge).
         let mut first = 0usize;
-        for fe in fracs {
-            r += A::read(fe);
+        for ((p, &e), &sg) in prefix.iter_mut().zip(edges).zip(signs) {
+            // The arc's share `max(σ·g_e, 0)`, branchless. `σ·g_e` is
+            // the exact negation of `g_e` on a head arc, so it is taken
+            // as a sign-bit flip (cheaper than converting σ and
+            // multiplying), and the select keeps it only where positive.
+            // The sign of a zero share changes no sum or comparison, and
+            // a NaN fraction stays NaN at both ends, so neither sends a
+            // token.
+            let flip = (i64::from(sg) as u64) & (1 << 63);
+            let x = f64::from_bits(A::read(&fracs[e as usize]).to_bits() ^ flip);
+            r += select_unpredictable(x <= 0.0, 0.0, x);
+            *p = r;
             first += usize::from(r == 0.0);
         }
         if r == 0.0 {
@@ -1101,21 +1090,16 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
         }
         let denom = tokens as f64;
         for k in 0..tokens as u64 {
-            // P(arc j) = frac_j / ⌈r⌉; P(stay) = 1 − r/⌈r⌉. The draw is
+            // P(arc j) = share_j / ⌈r⌉; P(stay) = 1 − r/⌈r⌉. The draw is
             // computed from the stream counter (`nth_u64`), so successive
             // tokens have no serial RNG dependency; the target arc is the
             // branchless count of passed prefix sums (a selected arc
-            // always has a positive frac, so this node owns its edge);
+            // always has a positive share, so this node owns its edge);
             // and a "stay" token degenerates to adding `0` to the first
             // sending arc's edge instead of a mispredict-prone skip.
             let u = rng::unit_f64(rng::nth_u64(state, k)) * denom;
-            let mut cum = 0.0;
-            let mut sel = 0usize;
-            for fe in fracs {
-                cum += A::read(fe);
-                sel += usize::from(u >= cum);
-            }
-            let sent = sel < fracs.len();
+            let sel: usize = prefix.iter().map(|&cum| usize::from(u >= cum)).sum();
+            let sent = sel < deg;
             let j = if sent { sel } else { first };
             let fe = &flows.elems()[edges[j] as usize];
             F::write(fe, F::read(fe) + signs[j] as i64 * i64::from(sent));
@@ -1334,7 +1318,7 @@ mod tests {
     fn tables_match_graph_structure() {
         let g = generators::torus2d(4, 5);
         let s = Speeds::linear_ramp(20, 3.0);
-        let t = KernelTables::new(&g, &s, true, 0.0);
+        let t = KernelTables::new(&g, &s, false, 0.0);
         assert_eq!(t.n, 20);
         assert_eq!(t.m, g.edge_count());
         for e in 0..t.m {
@@ -1343,16 +1327,15 @@ mod tests {
             let alpha = g.alpha(u, v);
             assert_eq!(t.coef_tail[e], alpha / s.get(u as usize));
             assert_eq!(t.coef_head[e], alpha / s.get(v as usize));
-            let (pt, ph) = t.edge_arc_pos[e];
-            assert_eq!(t.graph().arc_edge_ids()[pt as usize], e as u32);
-            assert_eq!(t.graph().arc_edge_ids()[ph as usize], e as u32);
-            assert_eq!(t.graph().arc_orientations()[pt as usize], 1);
-            assert_eq!(t.graph().arc_orientations()[ph as usize], -1);
         }
         assert_eq!(t.graph().arc_offsets().len(), 21);
         assert_eq!(*t.graph().arc_offsets().last().unwrap(), g.arc_count());
         // Heterogeneous speeds keep two coefficient tables.
         assert!(!Arc::ptr_eq(&t.coef_tail, &t.coef_head));
+        // The tables own the coefficients and `ideal`, nothing else.
+        assert_eq!(t.memory_bytes(), 8 * (2 * t.m + t.n));
+        let uniform = KernelTables::new(&g, &Speeds::uniform(20), false, 0.0);
+        assert_eq!(uniform.memory_bytes(), 8 * (t.m + t.n));
     }
 
     #[test]
@@ -1458,81 +1441,148 @@ mod tests {
         }
     }
 
+    /// The scheduled flows `Ŷ_e` the edge passes compute, recomputed
+    /// edge by edge with the same expression and operand order, gated by
+    /// `bits` (`None`: every edge).
+    fn scheduled(
+        t: &KernelTables,
+        bits: Option<&[u64]>,
+        (mem, gain): (f64, f64),
+        remembered: &[f64],
+        x: impl Fn(usize) -> f64,
+    ) -> Vec<f64> {
+        let g = t.graph();
+        (0..t.m)
+            .map(|e| {
+                let (u, v) = g.edges()[e];
+                let s = mem * remembered[e]
+                    + gain * (t.coef_tail[e] * x(u as usize) - t.coef_head[e] * x(v as usize));
+                bits.map_or(s, |b| b.bit(e) as f64 * s)
+            })
+            .collect()
+    }
+
+    /// One framework round through the real passes, from `flows` and
+    /// `prev`: [`edge_pass_scatter_gated`] over chunks of `5·split` edges,
+    /// then [`arc_round_streamed`] over chunks of `split` nodes (round 5,
+    /// seed 11). The fraction buffer is longer than `m`, with a NaN tail
+    /// that would poison any token it reached.
+    fn framework_round<G: EdgeGate>(
+        t: &KernelTables,
+        gate: &G,
+        memory: FlowMemory,
+        split: usize,
+        x: impl Fn(usize) -> f64 + Copy,
+        flows: &mut [i64],
+        prev: &mut [f64],
+    ) {
+        let (n, m) = (t.n, t.m);
+        let mut frac = vec![f64::NAN; t.graph().arc_count()];
+        let (fr, fl, pr) = (cells(&mut frac), cells(flows), cells(prev));
+        for lo in (0..m).step_by(5 * split) {
+            let edges = lo..(lo + 5 * split).min(m);
+            edge_pass_scatter_gated(
+                t,
+                t.coefs(),
+                gate,
+                edges,
+                0.4,
+                1.6,
+                memory,
+                x,
+                &fr,
+                &fl,
+                &pr,
+            );
+        }
+        let mut scratch = FwScratch::new();
+        for lo in (0..n).step_by(split) {
+            let nodes = lo..(lo + split).min(n);
+            arc_round_streamed(t, nodes, 11, 5, &fr, &fl, &mut scratch);
+        }
+    }
+
+    /// The real framework passes must reproduce the reference
+    /// node-centric rounding ([`Rounding::round_flows`]) of the
+    /// independently recomputed scheduled flows bit for bit: on a
+    /// configuration-model graph with degree-1 nodes, a geometric graph
+    /// whose maximum degree exceeds 32 and a hypercube; under every edge
+    /// gate, both flow memories and any chunking.
     #[test]
     fn streamed_pipeline_matches_round_flows() {
-        // Scatter + streamed rounding must reproduce the reference
-        // node-centric rounding exactly, for any node-chunk split.
-        let g = generators::torus2d(4, 4);
-        let s = Speeds::uniform(16);
-        let t = KernelTables::new(&g, &s, true, 0.0);
-        let m = t.m;
-        let sched: Vec<f64> = (0..m)
-            .map(|e| ((e * 31 % 17) as f64 - 8.0) * 0.37)
-            .collect();
-        let rounding = Rounding::randomized(11);
-        let mut direct = vec![0i64; m];
-        rounding.round_flows(&g, &sched, 5, &mut direct);
-        for split in [1usize, 3, 16] {
-            // Phase 1's floor + frac scatter, by hand (the edge pass
-            // itself is covered by the scatter test below and the
-            // engine-level golden-trace tests).
-            let mut arc_frac = vec![0.0f64; g.arc_count()];
-            let mut flows = vec![0i64; m];
-            for (e, &(pt, ph)) in t.edge_arc_pos.iter().enumerate() {
-                let s = sched[e];
-                let base = s.abs().floor();
-                let frac = s.abs() - base;
-                flows[e] = if s > 0.0 { base as i64 } else { -(base as i64) };
-                arc_frac[pt as usize] = if s > 0.0 { frac } else { 0.0 };
-                arc_frac[ph as usize] = if s > 0.0 { 0.0 } else { frac };
+        let graphs = [
+            generators::random_graph_cm(24, 22).unwrap(),
+            generators::rgg_paper(64, 5),
+            generators::hypercube(5),
+        ];
+        assert_eq!(graphs[0].min_degree(), 1, "degree-1 nodes");
+        assert!(graphs[1].max_degree() > 32, "Δ > 32");
+        for g in &graphs {
+            let (n, m) = (g.node_count(), g.edge_count());
+            let t = KernelTables::new(g, &Speeds::linear_ramp(n, 2.5), false, 0.0);
+            let x = |i: usize| ((i * 37) % 23) as f64 * 1.3;
+            let flows_init: Vec<i64> = (0..m as i64).map(|e| (e * 7) % 9 - 4).collect();
+            let prev_init: Vec<f64> = (0..m).map(|e| (e % 13) as f64 * 0.71 - 4.0).collect();
+            let mut rng = SplitMix64::new(m as u64);
+            let mask: Vec<u64> = (0..m.div_ceil(64)).map(|_| rng.next_u64()).collect();
+            for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
+                let remembered: Vec<f64> = match memory {
+                    FlowMemory::Rounded => flows_init.iter().map(|&y| y as f64).collect(),
+                    FlowMemory::Scheduled => prev_init.clone(),
+                };
+                for bits in [None, Some(&mask[..])] {
+                    let sched = scheduled(&t, bits, (0.4, 1.6), &remembered, x);
+                    let mut direct = vec![0i64; m];
+                    Rounding::randomized(11).round_flows(g, &sched, 5, &mut direct);
+                    for split in [1, 3, n] {
+                        let case =
+                            format!("n={n} {memory:?} mask={} split {split}", bits.is_some());
+                        let (mut flows, mut prev) = (flows_init.clone(), prev_init.clone());
+                        let (f, p) = (&mut flows[..], &mut prev[..]);
+                        match bits {
+                            None => framework_round(&t, &AllEdges, memory, split, x, f, p),
+                            Some(b) => framework_round(&t, &MaskBits(b), memory, split, x, f, p),
+                        }
+                        assert_eq!(flows, direct, "{case}");
+                        let bits_of = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                        match memory {
+                            // The next round's memory is the rounded flows,
+                            // copied by `prev_from_flows`.
+                            FlowMemory::Rounded => {
+                                let mut copy = vec![0.5f64; m];
+                                prev_from_flows(0..m, &cells(&mut flows), &cells(&mut copy));
+                                let as_f64: Vec<f64> = direct.iter().map(|&y| y as f64).collect();
+                                assert_eq!(bits_of(&copy), bits_of(&as_f64), "{case} flow memory");
+                            }
+                            FlowMemory::Scheduled => {
+                                assert_eq!(bits_of(&prev), bits_of(&sched), "{case} memory");
+                            }
+                        }
+                    }
+                }
             }
-            let mut scratch = FwScratch::new();
-            let mut lo = 0;
-            while lo < 16 {
-                let hi = (lo + split).min(16);
-                arc_round_streamed(
-                    &t,
-                    lo..hi,
-                    11,
-                    5,
-                    &cells(&mut arc_frac),
-                    &cells(&mut flows),
-                    &mut scratch,
-                );
-                lo = hi;
-            }
-            assert_eq!(flows, direct, "split {split}");
-            let mut prev = vec![0.5f64; m];
-            prev_from_flows(0..m, &cells(&mut flows), &cells(&mut prev));
-            let as_f64: Vec<f64> = direct.iter().map(|&y| y as f64).collect();
-            assert_eq!(prev, as_f64, "split {split} flow memory");
         }
     }
 
     #[test]
-    fn edge_pass_scatter_floors_flows_and_scatters_fracs() {
+    fn edge_pass_scatter_truncates_flows_and_writes_signed_fracs() {
         let g = generators::torus2d(3, 4);
         let s = Speeds::uniform(12);
-        let t = KernelTables::new(&g, &s, true, 0.0);
+        let t = KernelTables::new(&g, &s, false, 0.0);
         let m = t.m;
         let loads: Vec<f64> = (0..12).map(|i| ((i * 7) % 5) as f64).collect();
         let prev_init: Vec<f64> = (0..m).map(|e| (e as f64) * 0.11 - 0.9).collect();
         // The last round's integral flows: the memory under `Rounded`.
         let flows_init: Vec<i64> = (0..m as i64).map(|e| e % 7 - 3).collect();
         for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
-            let expected: Vec<f64> = (0..m)
-                .map(|e| {
-                    let remembered = match memory {
-                        FlowMemory::Rounded => flows_init[e] as f64,
-                        FlowMemory::Scheduled => prev_init[e],
-                    };
-                    0.3 * remembered
-                        + 1.7
-                            * (t.coef_tail[e] * loads[t.graph().edges()[e].0 as usize]
-                                - t.coef_head[e] * loads[t.graph().edges()[e].1 as usize])
-                })
-                .collect();
-            let mut arc_frac = vec![9.9f64; g.arc_count()];
+            let remembered: Vec<f64> = match memory {
+                FlowMemory::Rounded => flows_init.iter().map(|&y| y as f64).collect(),
+                FlowMemory::Scheduled => prev_init.clone(),
+            };
+            let expected = scheduled(&t, None, (0.3, 1.7), &remembered, |i| loads[i]);
+            assert!(expected.iter().any(|&y| y > 0.0 && y.fract() != 0.0));
+            assert!(expected.iter().any(|&y| y < 0.0 && y.fract() != 0.0));
+            let mut frac = vec![9.9f64; m];
             let mut flows = flows_init.clone();
             let mut prev = prev_init.clone();
             edge_pass_scatter(
@@ -1542,19 +1592,15 @@ mod tests {
                 1.7,
                 memory,
                 |i| loads[i],
-                &cells(&mut arc_frac),
+                &cells(&mut frac),
                 &cells(&mut flows),
                 &cells(&mut prev),
             );
-            for (e, &(pt, ph)) in t.edge_arc_pos.iter().enumerate() {
-                let s = expected[e];
-                let base = s.abs().floor();
-                let frac = s.abs() - base;
-                let signed_base = if s > 0.0 { base as i64 } else { -(base as i64) };
-                assert_eq!(flows[e], signed_base, "{memory:?} base flow {e}");
-                let (want_t, want_h) = if s > 0.0 { (frac, 0.0) } else { (0.0, frac) };
-                assert_eq!(arc_frac[pt as usize], want_t, "{memory:?} tail frac {e}");
-                assert_eq!(arc_frac[ph as usize], want_h, "{memory:?} head frac {e}");
+            for (e, &s) in expected.iter().enumerate() {
+                // The signed base and the signed fraction: the fraction
+                // carries the sign of the flow, so it names the sender.
+                assert_eq!(flows[e], s.trunc() as i64, "{memory:?} base flow {e}");
+                assert_eq!(frac[e], s - s.trunc(), "{memory:?} fraction {e}");
             }
             match memory {
                 FlowMemory::Rounded => assert_eq!(prev, prev_init, "prev is left untouched"),
@@ -1563,9 +1609,56 @@ mod tests {
         }
     }
 
+    /// A NaN scheduled flow truncates to a zero base and leaves a NaN
+    /// fraction at both ends, so neither endpoint sends a token on any of
+    /// its arcs: each of their sending edges keeps its base flow.
+    #[test]
+    fn nan_flow_sends_no_tokens() {
+        let g = generators::torus2d(4, 4);
+        let t = KernelTables::new(&g, &Speeds::uniform(16), false, 0.0);
+        let m = t.m;
+        let loads: Vec<f64> = (0..16).map(|i| ((i * 13) % 17) as f64).collect();
+        let mut prev: Vec<f64> = (0..m).map(|e| (e % 5) as f64 * 0.9 - 2.0).collect();
+        let bad = 5;
+        prev[bad] = f64::NAN;
+        let sched = scheduled(&t, None, (0.4, 1.6), &prev, |i| loads[i]);
+        assert!(sched[bad].is_nan() && sched.iter().filter(|y| y.is_nan()).count() == 1);
+        let mut frac = vec![0.0f64; m];
+        let mut flows = vec![0i64; m];
+        let (fr, fl) = (cells(&mut frac), cells(&mut flows));
+        edge_pass_scatter(
+            &t,
+            0..m,
+            0.4,
+            1.6,
+            FlowMemory::Scheduled,
+            |i| loads[i],
+            &fr,
+            &fl,
+            &cells(&mut prev),
+        );
+        assert!(fr.get(bad).is_nan());
+        assert_eq!(fl.get(bad), 0);
+        arc_round_streamed(&t, 0..16, 3, 2, &fr, &fl, &mut FwScratch::new());
+        let (u, v) = g.edges()[bad];
+        let mut checked = 0;
+        for w in [u, v] {
+            for (&e, &sg) in g.neighbor_edges(w).iter().zip(g.neighbor_signs(w)) {
+                let e = e as usize;
+                if e == bad || sched[e] * f64::from(sg) > 0.0 {
+                    assert_eq!(fl.get(e), sched[e].trunc() as i64, "node {w} edge {e}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 2, "the endpoints send on other edges too");
+        // Elsewhere tokens still move: some edge carries more than its base.
+        assert!((0..m).any(|e| fl.get(e) != sched[e].trunc() as i64));
+    }
+
     /// Runs one gated edge pass (`0` fused, `1` scatter, `2` continuous)
     /// over each chunk between consecutive `bounds` in turn, from a fixed mid-run state on a
-    /// heterogeneous-speed torus; returns the flows, memory and arc
+    /// heterogeneous-speed torus; returns the flows, memory and
     /// fractions it leaves.
     fn run_gated<G: EdgeGate>(
         t: &KernelTables,
@@ -1579,10 +1672,10 @@ mod tests {
         let x = |i: usize| ((i * 13) % 17) as f64;
         let mut flows: Vec<i64> = (0..m as i64).map(|e| e % 5 - 2).collect();
         let mut prev: Vec<f64> = (0..m).map(|e| e as f64 * 0.17 - 2.0).collect();
-        let mut arc_frac = vec![9.9f64; t.graph().arc_count()];
+        let mut frac = vec![9.9f64; m];
         {
             let (fl, pr) = (cells(&mut flows), cells(&mut prev));
-            let af = cells(&mut arc_frac);
+            let af = cells(&mut frac);
             for w in bounds.windows(2) {
                 let r = w[0]..w[1];
                 match pass {
@@ -1617,7 +1710,7 @@ mod tests {
                 }
             }
         }
-        (flows, prev, arc_frac)
+        (flows, prev, frac)
     }
 
     /// Every gated pass, under both flow memories: an all-ones
@@ -1628,7 +1721,7 @@ mod tests {
     #[test]
     fn edge_gates_agree_and_index_bits_by_global_edge_id() {
         let g = generators::torus2d(6, 7); // m = 84: two mask words
-        let t = KernelTables::new(&g, &Speeds::linear_ramp(42, 3.0), true, 0.0);
+        let t = KernelTables::new(&g, &Speeds::linear_ramp(42, 3.0), false, 0.0);
         let m = t.m;
         let ones = [u64::MAX; 2];
         let mut rng = SplitMix64::new(99);

@@ -211,10 +211,11 @@
 //! **Streaming three-phase randomized pipeline** (`kernel` module). The
 //! paper's randomized rounding framework — long the slowest discrete
 //! configuration — runs as three streaming phases instead of four
-//! gather-heavy sweeps: the edge pass floors the scheduled flow on the
-//! spot (one truncating cast per edge) and scatters the fractional part
-//! into the sending side's arc slot; the node-centric rounding phase then
-//! reads its fracs **contiguously**, skips token-free nodes, and
+//! gather-heavy sweeps: the edge pass truncates the scheduled flow on the
+//! spot (one truncating cast per edge) and writes its signed fractional
+//! part into one per-edge slot; the node-centric rounding phase then
+//! derives each arc's share from that slot and the arc's orientation,
+//! builds the node's prefix sums once, skips token-free nodes, and
 //! distributes excess tokens with per-node RNG streams whose warmed-up
 //! states come from a flat bulk sweep (`rng::fill_node_states`, the
 //! warm-up discard fused into the key mix) and whose draws come straight
@@ -421,6 +422,23 @@
 //! `torus_sos_balance` peak RSS (VmHWM) 19.53 → 15.78 MB (medians of 10
 //! alternating pairs, 2-vCPU host), with identical rounds and final
 //! imbalance.
+//!
+//! **One rounding fraction per edge** (2026-10). Every edge has exactly
+//! one sender, so the randomized framework keeps one signed fraction
+//! `Ŷ_e − trunc(Ŷ_e)` per edge instead of one slot per arc, and the
+//! rounding phase derives each arc's share from it and the arc's
+//! orientation; the edge-to-arc position table that located the arc
+//! slots is gone. On the 256² torus (SOS, randomized rounding) the
+//! footprint goes from 3 932 168 + 2 621 440 + 3 670 016 B to
+//! 3 932 168 + 1 572 864 + 2 621 440 B (graph + table + state bytes,
+//! −2 MiB), and the `torus_sos_balance` peak RSS (VmHWM) falls
+//! 15.31 → 13.74 MB (medians of 10 alternating pairs, 2-vCPU host),
+//! with identical rounds and final imbalance. The price is in the
+//! rounding phase, which now gathers each fraction through the arc's
+//! edge id: a few ns per node at degree 4, against about 1 ns per edge
+//! saved in the scatter. `torus_sos_balance` process CPU rose by 6.6%
+//! (2.47 → 2.63 s by median), and `mixed_sweep`'s fell by 9.8%
+//! (3.79 → 3.42 s, with a spread as wide as the change).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

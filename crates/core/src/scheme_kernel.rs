@@ -202,7 +202,7 @@ impl Storage for AtomicSlots {
 /// One simulation's evolving round state, in the one layout both
 /// executors share: loads, the integral flows (the SOS memory "sent in
 /// step t−1" under [`FlowMemory::Rounded`]), the stored SOS memory, the
-/// randomized framework's arc fractions, and the apply pass's
+/// randomized framework's per-edge fractions, and the apply pass's
 /// per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials. Each
 /// piece lives here and nowhere else.
 ///
@@ -220,7 +220,7 @@ pub(crate) struct RoundState<S: Storage> {
     loads_i: Vec<S::Slot<i64>>,
     loads_f: Vec<S::Slot<f64>>,
     prev: Vec<S::Slot<f64>>,
-    arc_frac: Vec<S::Slot<f64>>,
+    frac: Vec<S::Slot<f64>>,
     flows: Vec<S::Slot<i64>>,
     block_sums: Vec<S::Slot<f64>>,
     discrete: bool,
@@ -234,7 +234,7 @@ impl<S: Storage> RoundState<S> {
     /// mode's kind, `flows` in discrete mode, `prev` only where the SOS
     /// memory is not the integral flows (continuous mode — whose `prev`
     /// also carries the round's flows — and [`FlowMemory::Scheduled`]),
-    /// and `arc_frac` only for the randomized framework.
+    /// and `frac` (one slot per edge) only for the randomized framework.
     pub fn new(
         k: &SchemeKernel,
         t: &KernelTables,
@@ -255,7 +255,7 @@ impl<S: Storage> RoundState<S> {
             loads_i,
             loads_f,
             prev: zeros(sized(stored_prev, t.m)),
-            arc_frac: zeros(sized(k.needs_arc_plan(), t.graph().arc_count())),
+            frac: zeros(sized(k.needs_fracs(), t.m)),
             flows: (0..sized(discrete, t.m)).map(|_| S::of(0)).collect(),
             block_sums: zeros(kernel::dev_blocks(t.n)),
             discrete,
@@ -342,10 +342,10 @@ impl<S: Storage> RoundState<S> {
     }
 
     /// Bytes of per-node and per-edge simulation state: loads, integral
-    /// flows, stored memory and arc fractions (the block partials are
-    /// metadata and excluded).
+    /// flows, stored memory and framework fractions (the block partials
+    /// are metadata and excluded).
     pub fn state_bytes(&self) -> usize {
-        let edges = self.prev.len() + self.arc_frac.len() + self.flows.len();
+        let edges = self.prev.len() + self.frac.len() + self.flows.len();
         8 * (self.loads_i.len() + self.loads_f.len() + edges)
     }
 }
@@ -357,7 +357,7 @@ impl RoundState<PlainSlots> {
             loads_i: kernel::cells(&mut self.loads_i),
             loads_f: kernel::cells(&mut self.loads_f),
             prev: kernel::cells(&mut self.prev),
-            arc_frac: kernel::cells(&mut self.arc_frac),
+            frac: kernel::cells(&mut self.frac),
             flows: kernel::cells(&mut self.flows),
             block_sums: kernel::cells(&mut self.block_sums),
         }
@@ -371,7 +371,7 @@ impl RoundState<AtomicSlots> {
             loads_i: Atomics(&self.loads_i),
             loads_f: Atomics(&self.loads_f),
             prev: Atomics(&self.prev),
-            arc_frac: Atomics(&self.arc_frac),
+            frac: Atomics(&self.frac),
             flows: Atomics(&self.flows),
             block_sums: Atomics(&self.block_sums),
         }
@@ -391,8 +391,10 @@ pub(crate) struct ChunkBufs<I, F> {
     /// round's flows — and [`FlowMemory::Scheduled`]; empty under
     /// [`FlowMemory::Rounded`], whose memory is `flows`).
     pub prev: F,
-    /// Arc-indexed fractional parts (framework flow pass only).
-    pub arc_frac: F,
+    /// Per-edge signed fractional parts `Ŷ_e − trunc(Ŷ_e)`, written by
+    /// the framework's scatter and read back by its rounding phase
+    /// (framework flow pass only).
+    pub frac: F,
     /// Per-edge integral flows (discrete mode), kept across rounds: they
     /// are the SOS memory under [`FlowMemory::Rounded`].
     pub flows: I,
@@ -556,9 +558,9 @@ impl SchemeKernel {
         }
     }
 
-    /// Whether the flow pass needs the arc decomposition tables
-    /// (`edge_arc_pos` / `arc_frac`) of the randomized framework.
-    pub fn needs_arc_plan(&self) -> bool {
+    /// Whether the flow pass keeps the randomized framework's per-edge
+    /// fractions.
+    pub fn needs_fracs(&self) -> bool {
         matches!(self.flow, FlowPass::Framework { .. })
     }
 
@@ -709,7 +711,7 @@ impl SchemeKernel {
                 flows,
             ),
             FlowPass::Framework { seed } => {
-                let arc_frac = &bufs.arc_frac;
+                let frac = &bufs.frac;
                 kernel::edge_pass_scatter_gated(
                     t,
                     coefs,
@@ -719,12 +721,12 @@ impl SchemeKernel {
                     gain,
                     flow_memory,
                     x,
-                    arc_frac,
+                    frac,
                     flows,
                     prev,
                 );
                 sync();
-                kernel::arc_round_streamed(t, nodes.clone(), seed, round, arc_frac, flows, fw);
+                kernel::arc_round_streamed(t, nodes.clone(), seed, round, frac, flows, fw);
             }
         }
         sync();

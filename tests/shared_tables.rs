@@ -55,10 +55,10 @@ fn kernel_tables_read_the_graph_csr_and_share_uniform_coefficients() {
         assert!(same(tg.arc_orientations(), g.arc_orientations()));
         assert!(same(tg.edges(), g.edges()));
         assert!(Arc::ptr_eq(&t.coef_tail, &t.coef_head));
-        // One coefficient table, the edge-to-arc positions and the
-        // balanced-load table: (8 + 8)·m + 8·n bytes, nothing else.
-        assert_eq!(sim.table_bytes(), 16 * m + 8 * n);
-        assert_eq!(sim.table_bytes(), 2_621_440);
+        // One coefficient table and the balanced-load table:
+        // 8·m + 8·n bytes, nothing else.
+        assert_eq!(sim.table_bytes(), 8 * m + 8 * n);
+        assert_eq!(sim.table_bytes(), 1_572_864);
     }
 }
 
@@ -71,7 +71,6 @@ fn heterogeneous_speeds_keep_two_coefficient_tables() {
     assert!(same(t.graph().edges(), g.edges()));
     assert!(!Arc::ptr_eq(&t.coef_tail, &t.coef_head));
     assert_ne!(t.coef_tail[..], t.coef_head[..]);
-    // Two coefficient tables and the balanced-load table; no arc plan
-    // under edge-local rounding.
+    // Two coefficient tables and the balanced-load table.
     assert_eq!(sim.table_bytes(), 16 * m + 8 * n);
 }

@@ -143,19 +143,19 @@ fn pooled_accessors_match_sequential_bit_for_bit() {
 /// memory exists beside the flows, and the pool holds no second copy.
 #[test]
 fn state_bytes_count_one_copy() {
-    let (n, m, arcs) = (63usize, 126usize, 252usize);
+    let (n, m) = (63usize, 126usize);
     for threads in [1, 2, 3, 5] {
         let bytes = |body: &str| {
             let run = spec(body, threads, 1);
             let graph = run.build_graph().unwrap();
             run.experiment_on(&graph).unwrap().simulator().state_bytes()
         };
-        // loads + flows + arc fractions; no stored memory.
-        assert_eq!(bytes(SPECS[0]), 8 * (n + m + arcs), "{threads} threads");
+        // loads + flows + one fraction per edge; no stored memory.
+        assert_eq!(bytes(SPECS[0]), 8 * (n + m + m), "{threads} threads");
         // loads + flows.
         assert_eq!(bytes(SPECS[1]), 8 * (n + m), "{threads} threads");
         // Scheduled memory is stored beside the flows.
-        assert_eq!(bytes(SPECS[2]), 8 * (n + 2 * m + arcs), "{threads} threads");
+        assert_eq!(bytes(SPECS[2]), 8 * (n + 2 * m + m), "{threads} threads");
         // Continuous: loads + memory (which carries the flows).
         assert_eq!(bytes(SPECS[4]), 8 * (n + m), "{threads} threads");
     }
