@@ -249,10 +249,10 @@ impl SchemeSpec {
                 // A network with fewer than two nodes or more than one
                 // component has λ = 1, where β_opt reaches 2, outside
                 // (0, 2); the spectral analysis refuses it outright.
-                if graph.node_count() < 2 || !graph.is_connected() {
-                    return Err(BuildError::InvalidBeta(2.0));
-                }
-                let lambda = sodiff_linalg::spectral::analyze(graph, speeds).lambda;
+                let lambda = match sodiff_linalg::spectral::try_analyze(graph, speeds) {
+                    Ok(spectrum) => spectrum.lambda,
+                    Err(_) => return Err(BuildError::InvalidBeta(2.0)),
+                };
                 if !(0.0..1.0).contains(&lambda) {
                     return Err(BuildError::InvalidBeta(lambda));
                 }

@@ -14,7 +14,9 @@ pub type EdgeId = u32;
 /// The spectral code in `sodiff-linalg` uses this to dispatch to analytic
 /// eigenvalue formulas when they exist; everything else falls back to
 /// numerical solvers. A graph assembled by hand through
-/// [`crate::GraphBuilder`] is always [`GraphKind::Generic`].
+/// [`crate::GraphBuilder`] is always [`GraphKind::Generic`]; every other
+/// kind is attached only by the generator of that name, whose graph is
+/// connected, so code may rely on a non-generic kind being connected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum GraphKind {
@@ -40,6 +42,15 @@ pub enum GraphKind {
 /// edge list with `u < v`, and appears in the adjacency of both endpoints
 /// together with its [`EdgeId`]. Self-loops and parallel edges are rejected
 /// at construction time.
+///
+/// Edge ids follow `(u, v)` order and each node's arcs follow edge-id
+/// order, so the arrays are a function of the edge set alone. Generators
+/// and [`crate::GraphBuilder`] build them in `O(n + m)` without hashing:
+/// a counting sort of the edge list by tail, then one fill pass that
+/// writes offsets, targets, edge ids and signs together. Besides the
+/// edge list and these arrays, that assembly holds at most a 4-byte head
+/// per edge and one `n`-entry array (the builder's duplicate-detecting
+/// hash set lives only until it assembles).
 ///
 /// The adjacency is stored as a structure-of-arrays: per directed arc the
 /// neighbor id, the edge id, and the orientation sign live in three flat
@@ -77,23 +88,59 @@ struct Csr {
 }
 
 impl Graph {
-    pub(crate) fn from_parts(
-        offsets: Vec<usize>,
-        adj_nodes: Vec<NodeId>,
-        adj_edges: Vec<EdgeId>,
+    /// Fills the CSR arrays from a canonical edge list sorted by `(u, v)`
+    /// with no repeated pair, as [`crate::builder::sort_edges`] leaves it.
+    ///
+    /// One degree-count pass sizes every node's arc range; one scatter
+    /// pass then appends edge `e`'s two arcs to the ranges of `u` (sign
+    /// `+1`) and `v` (sign `-1`). Edges are visited in id order, so every
+    /// node's arcs follow edge-id order. The fill allocates nothing but
+    /// the arrays it returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more edges than [`EdgeId`] can number, or if a
+    /// node id is `>= node_count`.
+    pub(crate) fn from_sorted_edges(
+        node_count: usize,
         edges: Vec<(NodeId, NodeId)>,
         kind: GraphKind,
     ) -> Self {
-        debug_assert_eq!(offsets.first(), Some(&0));
-        debug_assert_eq!(offsets.last(), Some(&adj_nodes.len()));
-        debug_assert_eq!(adj_nodes.len(), adj_edges.len());
-        debug_assert_eq!(adj_nodes.len(), 2 * edges.len());
-        let mut adj_signs = vec![0i8; adj_nodes.len()];
-        for v in 0..offsets.len() - 1 {
-            for p in offsets[v]..offsets[v + 1] {
-                adj_signs[p] = if (v as NodeId) < adj_nodes[p] { 1 } else { -1 };
+        assert!(
+            EdgeId::try_from(edges.len()).is_ok(),
+            "{} edges do not fit the edge-id type",
+            edges.len()
+        );
+        debug_assert!(edges.is_sorted_by(|a, b| a < b));
+        let mut offsets = vec![0usize; node_count + 1];
+        for &(u, v) in &edges {
+            debug_assert!(u < v, "edge ({u}, {v}) is not canonical");
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for v in 0..node_count {
+            offsets[v + 1] += offsets[v];
+        }
+        let arcs = offsets[node_count];
+        let mut adj_nodes = vec![0 as NodeId; arcs];
+        let mut adj_edges = vec![0 as EdgeId; arcs];
+        let mut adj_signs = vec![0i8; arcs];
+        // `offsets[v]` serves as v's write cursor: the scatter advances it
+        // to where v's range ends, which is where v + 1's range starts, so
+        // shifting the array one place to the right restores the offsets.
+        for (e, &(u, v)) in edges.iter().enumerate() {
+            let e = e as EdgeId;
+            for (from, to, sign) in [(u, v, 1), (v, u, -1)] {
+                let p = offsets[from as usize];
+                offsets[from as usize] += 1;
+                adj_nodes[p] = to;
+                adj_edges[p] = e;
+                adj_signs[p] = sign;
             }
         }
+        debug_assert!(node_count == 0 || offsets[node_count - 1] == arcs);
+        offsets.copy_within(0..node_count, 1);
+        offsets[0] = 0;
         Self {
             csr: Arc::new(Csr {
                 offsets,
@@ -259,10 +306,6 @@ impl Graph {
     #[inline]
     pub fn kind(&self) -> &GraphKind {
         &self.kind
-    }
-
-    pub(crate) fn set_kind(&mut self, kind: GraphKind) {
-        self.kind = kind;
     }
 
     /// The diffusion weight `α_{u,v} = 1 / (max(deg u, deg v) + 1)` used by

@@ -3,12 +3,24 @@
 //!
 //! All randomized generators take an explicit seed and are fully
 //! deterministic for a fixed seed.
+//!
+//! Every generator emits its canonical `(u, v)` edge list (`u < v`) and
+//! hands it to one assembly routine that counting-sorts it into
+//! `(u, v)` order (a list already in order skips the sort) and fills
+//! the CSR arrays in `O(n + m)`, with no per-edge hashing. Edge ids
+//! therefore follow `(u, v)` order whatever order a generator emits in.
+//! Only [`random_regular`] (and [`random_graph_cm`] through it) and the
+//! component patch step of [`random_geometric`] can emit a pair twice,
+//! and only there are repeats dropped; the other generators emit each
+//! edge once. While it builds, a generator holds its edge list (8 bytes
+//! per edge) and at most a 4-byte head per edge and one `n`-entry array
+//! next to the finished graph.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::builder::GraphBuilder;
+use crate::builder::{assemble, sort_edges, Repeats};
 use crate::csr::{Graph, GraphKind, NodeId};
 use crate::error::GraphError;
 use crate::traversal::component_labels;
@@ -37,26 +49,39 @@ pub fn torus(dims: &[usize]) -> Graph {
     assert!(!dims.is_empty(), "torus needs at least one dimension");
     assert!(dims.iter().all(|&d| d > 0), "torus sides must be positive");
     let n: usize = dims.iter().product();
-    let mut b = GraphBuilder::with_edge_capacity(n, n * dims.len());
     let mut strides = vec![1usize; dims.len()];
     for i in (0..dims.len().saturating_sub(1)).rev() {
         strides[i] = strides[i + 1] * dims[i + 1];
     }
+    let mut edges = Vec::with_capacity(n * dims.len());
+    // `coords` steps through the row-major coordinates of `v`.
+    let mut coords = vec![0usize; dims.len()];
     for v in 0..n {
-        for (axis, &len) in dims.iter().enumerate() {
-            if len == 1 {
-                continue;
+        // Each edge is emitted once, from its lower end: the direct edge
+        // to the next coordinate, and from coordinate 0 the wrap-around
+        // edge to the last one. A side of 1 has no edge, and on a side of
+        // 2 the wrap-around edge is the direct one. The axes go from the
+        // last (stride 1) to the first, so the heads come out ascending
+        // (`(len - 1)·stride < len·stride`, the next axis's stride) and
+        // the list is already in `(u, v)` order.
+        for ((&coord, &len), &stride) in coords.iter().zip(dims).zip(&strides).rev() {
+            if coord + 1 < len {
+                edges.push((v as NodeId, (v + stride) as NodeId));
             }
-            let coord = (v / strides[axis]) % len;
-            let next = (coord + 1) % len;
-            // Replace `coord` with `next` along `axis`.
-            let u = v - coord * strides[axis] + next * strides[axis];
-            b.add_edge_dedup(v as NodeId, u as NodeId);
+            if coord == 0 && len > 2 {
+                edges.push((v as NodeId, (v + (len - 1) * stride) as NodeId));
+            }
+        }
+        for (coord, &len) in coords.iter_mut().zip(dims).rev() {
+            *coord += 1;
+            if *coord < len {
+                break;
+            }
+            *coord = 0;
         }
     }
-    let mut g = b.build();
-    g.set_kind(GraphKind::Torus(dims.iter().map(|&d| d as u32).collect()));
-    g
+    let dims = dims.iter().map(|&d| d as u32).collect();
+    assemble(n, edges, Repeats::Absent, GraphKind::Torus(dims))
 }
 
 /// Hypercube of dimension `dim` on `2^dim` nodes; nodes are adjacent iff
@@ -68,19 +93,16 @@ pub fn torus(dims: &[usize]) -> Graph {
 pub fn hypercube(dim: u32) -> Graph {
     assert!(dim < 32, "hypercube dimension must be < 32");
     let n = 1usize << dim;
-    let mut b = GraphBuilder::with_edge_capacity(n, n * dim as usize / 2);
+    let mut edges = Vec::with_capacity(n * dim as usize / 2);
     for v in 0..n {
         for bit in 0..dim {
             let u = v ^ (1usize << bit);
             if u > v {
-                b.add_edge(v as NodeId, u as NodeId)
-                    .expect("hypercube edge");
+                edges.push((v as NodeId, u as NodeId));
             }
         }
     }
-    let mut g = b.build();
-    g.set_kind(GraphKind::Hypercube(dim));
-    g
+    assemble(n, edges, Repeats::Absent, GraphKind::Hypercube(dim))
 }
 
 /// Cycle on `n ≥ 3` nodes.
@@ -90,68 +112,48 @@ pub fn hypercube(dim: u32) -> Graph {
 /// Panics if `n < 3`.
 pub fn cycle(n: usize) -> Graph {
     assert!(n >= 3, "cycle needs at least 3 nodes");
-    let mut b = GraphBuilder::with_edge_capacity(n, n);
-    for v in 0..n {
-        b.add_edge(v as NodeId, ((v + 1) % n) as NodeId)
-            .expect("cycle edge");
-    }
-    let mut g = b.build();
-    g.set_kind(GraphKind::Cycle);
-    g
+    let mut edges: Vec<_> = (1..n as NodeId).map(|v| (v - 1, v)).collect();
+    edges.push((0, n as NodeId - 1));
+    assemble(n, edges, Repeats::Absent, GraphKind::Cycle)
 }
 
 /// Path on `n ≥ 1` nodes.
 pub fn path(n: usize) -> Graph {
-    let mut b = GraphBuilder::with_edge_capacity(n, n.saturating_sub(1));
-    for v in 1..n {
-        b.add_edge((v - 1) as NodeId, v as NodeId)
-            .expect("path edge");
-    }
-    let mut g = b.build();
-    g.set_kind(GraphKind::Path);
-    g
+    let edges = (1..n as NodeId).map(|v| (v - 1, v)).collect();
+    assemble(n, edges, Repeats::Absent, GraphKind::Path)
 }
 
 /// Complete graph on `n` nodes.
 pub fn complete(n: usize) -> Graph {
-    let mut b = GraphBuilder::with_edge_capacity(n, n * n.saturating_sub(1) / 2);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            b.add_edge(u as NodeId, v as NodeId).expect("complete edge");
-        }
-    }
-    let mut g = b.build();
-    g.set_kind(GraphKind::Complete);
-    g
+    let n_id = n as NodeId;
+    let edges = (0..n_id)
+        .flat_map(|u| (u + 1..n_id).map(move |v| (u, v)))
+        .collect();
+    assemble(n, edges, Repeats::Absent, GraphKind::Complete)
 }
 
 /// Star with hub 0 and `n - 1` leaves.
 pub fn star(n: usize) -> Graph {
-    let mut b = GraphBuilder::with_edge_capacity(n, n.saturating_sub(1));
-    for v in 1..n {
-        b.add_edge(0, v as NodeId).expect("star edge");
-    }
-    let mut g = b.build();
-    g.set_kind(GraphKind::Star);
-    g
+    let edges = (1..n as NodeId).map(|v| (0, v)).collect();
+    assemble(n, edges, Repeats::Absent, GraphKind::Star)
 }
 
 /// Open (non-periodic) 2D grid `rows × cols` in row-major order.
 pub fn grid2d(rows: usize, cols: usize) -> Graph {
     let n = rows * cols;
-    let mut b = GraphBuilder::with_edge_capacity(n, 2 * n);
+    let mut edges = Vec::with_capacity(2 * n);
     for r in 0..rows {
         for c in 0..cols {
             let v = (r * cols + c) as NodeId;
             if c + 1 < cols {
-                b.add_edge(v, v + 1).expect("grid edge");
+                edges.push((v, v + 1));
             }
             if r + 1 < rows {
-                b.add_edge(v, v + cols as NodeId).expect("grid edge");
+                edges.push((v, v + cols as NodeId));
             }
         }
     }
-    b.build()
+    assemble(n, edges, Repeats::Absent, GraphKind::Generic)
 }
 
 /// Erdős–Rényi `G(n, p)` graph.
@@ -160,9 +162,9 @@ pub fn grid2d(rows: usize, cols: usize) -> Graph {
 /// number of generated edges rather than `n²`.
 pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-    let mut b = GraphBuilder::new(n);
+    let mut edges = Vec::new();
     if n < 2 || p == 0.0 {
-        return b.build();
+        return assemble(n, edges, Repeats::Absent, GraphKind::Generic);
     }
     let mut rng = StdRng::seed_from_u64(seed);
     if p >= 1.0 {
@@ -173,6 +175,7 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
     let log1p = (1.0 - p).ln();
     let mut v: i64 = 1;
     let mut w: i64 = -1;
+    let node_count = n;
     let n = n as i64;
     loop {
         let r: f64 = rng.random_range(0.0..1.0f64);
@@ -185,9 +188,9 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
         if v >= n {
             break;
         }
-        b.add_edge(v as NodeId, w as NodeId).expect("gnp edge");
+        edges.push((w as NodeId, v as NodeId));
     }
-    b.build()
+    assemble(node_count, edges, Repeats::Absent, GraphKind::Generic)
 }
 
 /// Random `d`-regular multigraph candidate via the configuration model
@@ -216,7 +219,7 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<Graph, GraphError
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let attempts = 4;
-    let mut best: Option<Graph> = None;
+    let mut best: Option<Vec<(NodeId, NodeId)>> = None;
     for _ in 0..attempts {
         // Stubs: node v owns stubs v*d .. (v+1)*d. A uniform perfect
         // matching on stubs is a random pairing of a shuffled list.
@@ -224,24 +227,28 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<Graph, GraphError
             .flat_map(|v| std::iter::repeat_n(v, d))
             .collect();
         stubs.shuffle(&mut rng);
-        let mut b = GraphBuilder::with_edge_capacity(n, n * d / 2);
-        for pair in stubs.chunks_exact(2) {
-            b.add_edge_dedup(pair[0], pair[1]);
-        }
-        let g = b.build();
+        let mut edges = Vec::with_capacity(n * d / 2);
+        edges.extend(
+            stubs
+                .chunks_exact(2)
+                .filter(|pair| pair[0] != pair[1])
+                .map(|pair| (pair[0].min(pair[1]), pair[0].max(pair[1]))),
+        );
+        sort_edges(n, &mut edges, Repeats::Drop);
         let better = match &best {
             None => true,
-            Some(prev) => g.edge_count() > prev.edge_count(),
+            Some(prev) => edges.len() > prev.len(),
         };
         if better {
-            let perfect = g.edge_count() == n * d / 2;
-            best = Some(g);
+            let perfect = edges.len() == n * d / 2;
+            best = Some(edges);
             if perfect {
                 break;
             }
         }
     }
-    Ok(best.expect("at least one attempt"))
+    let edges = best.expect("at least one attempt");
+    Ok(Graph::from_sorted_edges(n, edges, GraphKind::Generic))
 }
 
 /// Random geometric graph: `n` points uniform in `[0, √n]²`, nodes joined
@@ -259,9 +266,9 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
     let points: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.random_range(0.0..side), rng.random_range(0.0..side)))
         .collect();
-    let mut b = GraphBuilder::new(n);
+    let mut edges = Vec::new();
     if n == 0 {
-        return b.build();
+        return assemble(n, edges, Repeats::Absent, GraphKind::Generic);
     }
     // Uniform cell grid of cell size `radius`: only neighboring cells can
     // contain points within range.
@@ -297,13 +304,13 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
                     let q = points[j as usize];
                     let (ddx, ddy) = (p.0 - q.0, p.1 - q.1);
                     if ddx * ddx + ddy * ddy <= r2 {
-                        b.add_edge(i as NodeId, j).expect("rgg edge");
+                        edges.push((i as NodeId, j));
                     }
                 }
             }
         }
     }
-    let mut g = b.build();
+    let g = assemble(n, edges, Repeats::Absent, GraphKind::Generic);
     // Patch disconnected components: repeatedly connect every non-giant
     // component to its closest node in the giant component.
     let labels = component_labels(&g);
@@ -322,7 +329,8 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
         let giant_nodes: Vec<NodeId> = (0..n as NodeId)
             .filter(|&v| labels[v as usize] == giant)
             .collect();
-        let mut extra: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut edges = Vec::with_capacity(g.edge_count() + num_components - 1);
+        edges.extend_from_slice(g.edges());
         for comp in 0..num_components as u32 {
             if comp == giant {
                 continue;
@@ -339,16 +347,9 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
                 }
             }
             let (_, v, u) = best.expect("components are non-empty");
-            extra.push((v, u));
+            edges.push((v.min(u), v.max(u)));
         }
-        let mut b = GraphBuilder::with_edge_capacity(n, g.edge_count() + extra.len());
-        for &(u, v) in g.edges() {
-            b.add_edge(u, v).expect("existing edge");
-        }
-        for (u, v) in extra {
-            b.add_edge_dedup(u, v);
-        }
-        g = b.build();
+        return assemble(n, edges, Repeats::Drop, GraphKind::Generic);
     }
     g
 }

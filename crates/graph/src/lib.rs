@@ -35,6 +35,39 @@
 //! assert!(g.is_connected());
 //! assert_eq!(g.max_degree(), 4);
 //! ```
+//!
+//! # Performance
+//!
+//! Every generator hands its canonical `(u, v)` edge list to one
+//! assembly routine, which counting-sorts it by tail (skipping the sort
+//! for a list already in order), drops repeated pairs only for the
+//! configuration model and the random geometric graph's patch step, and
+//! fills the CSR arrays in one pass (`builder.rs` documents its cost
+//! and memory). The table compares it with the generators' former path
+//! through [`GraphBuilder`], which hashed every edge into a set and then
+//! sorted all `m` edges; the builder keeps its hash set, for hand-built
+//! graphs only, to report duplicates at insertion. Build time per
+//! generator call, minimum of 15 calls in one process, best of three
+//! alternating processes per side, release profile, on a shared 2-vCPU
+//! Intel Xeon virtual machine:
+//!
+//! | generator                 |       m | hashed builder | assembly |
+//! |---------------------------|--------:|---------------:|---------:|
+//! | `torus2d(256, 256)`       | 131,072 |       11.12 ms |  3.56 ms |
+//! | `torus2d(64, 64)`         |   8,192 |        0.41 ms |  0.12 ms |
+//! | `hypercube(12)`           |  24,576 |        0.92 ms |  0.61 ms |
+//! | `grid2d(256, 256)`        | 130,560 |        7.07 ms |  1.38 ms |
+//! | `complete(1000)`          | 499,500 |       47.6 ms  | 13.7 ms  |
+//! | `erdos_renyi(4096, .002)` |  16,662 |        2.82 ms |  0.68 ms |
+//! | `random_regular(640, 6)`  |   1,912 |        0.44 ms |  0.19 ms |
+//! | `random_graph_cm(640)`    |   2,862 |        0.66 ms |  0.30 ms |
+//! | `rgg_paper(512)`          |  24,962 |        2.44 ms |  1.21 ms |
+//!
+//! A first build in a fresh process also pays the kernel's page faults
+//! on every newly touched page: the 256² torus touches about 970 pages
+//! (the edge list and the finished CSR arrays) where the hashed builder
+//! touched about 1,800, and most of its first-build time is those
+//! faults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

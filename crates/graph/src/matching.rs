@@ -274,24 +274,31 @@ pub fn is_maximal_matching(graph: &Graph, edges: &[EdgeId]) -> bool {
 /// extended greedily in edge-id order until maximal. Together the family
 /// covers every edge at least once per sweep, and each round keeps more
 /// nodes paired than the bare class would.
+///
+/// Edge ids follow `(u, v)` order, so the greedy pass over the edges in id
+/// order is a pass over the nodes `u` in ascending order, each unmatched
+/// one taking its first free neighbor in adjacency (edge-id) order: its
+/// lower neighbors are all matched by then, since each was offered `u`
+/// on its own turn, so that neighbor is the first free `v > u`. This
+/// costs `O(n + m)` per color, with no rescan of the edges.
 pub fn maximal_matchings(graph: &Graph, coloring: &EdgeColoring) -> Vec<Vec<EdgeId>> {
-    let n = graph.node_count();
-    let mut matched = vec![u32::MAX; n]; // stamp buffer keyed by color
+    let mut matched = vec![u32::MAX; graph.node_count()]; // stamp buffer keyed by color
     let mut out = Vec::with_capacity(coloring.num_colors() as usize);
-    for c in 0..coloring.num_colors() {
-        let mut matching = Vec::new();
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
-            if coloring.colors[e] == c {
-                matched[u as usize] = c;
-                matched[v as usize] = c;
-                matching.push(e as EdgeId);
-            }
+    for (c, mut matching) in (0..).zip(coloring.classes()) {
+        for &e in &matching {
+            let (u, v) = graph.edge(e);
+            matched[u as usize] = c;
+            matched[v as usize] = c;
         }
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
-            if matched[u as usize] != c && matched[v as usize] != c {
+        for u in graph.nodes() {
+            if matched[u as usize] == c {
+                continue;
+            }
+            let targets = graph.neighbor_nodes(u);
+            if let Some(k) = targets.iter().position(|&v| matched[v as usize] != c) {
                 matched[u as usize] = c;
-                matched[v as usize] = c;
-                matching.push(e as EdgeId);
+                matched[targets[k] as usize] = c;
+                matching.push(graph.neighbor_edges(u)[k]);
             }
         }
         matching.sort_unstable();
@@ -505,6 +512,118 @@ mod tests {
                 }
             }
             assert!(covered.iter().all(|&c| c), "family covers every edge");
+        }
+    }
+
+    /// Reference for [`maximal_matchings`]: per color, one scan of all
+    /// edges collects the class and a second one extends it greedily in
+    /// edge-id order.
+    fn maximal_matchings_by_rescan(graph: &Graph, coloring: &EdgeColoring) -> Vec<Vec<EdgeId>> {
+        let mut matched = vec![u32::MAX; graph.node_count()];
+        let mut out = Vec::new();
+        for c in 0..coloring.num_colors() {
+            let mut matching = Vec::new();
+            for (e, &(u, v)) in graph.edges().iter().enumerate() {
+                if coloring.colors[e] == c {
+                    matched[u as usize] = c;
+                    matched[v as usize] = c;
+                    matching.push(e as EdgeId);
+                }
+            }
+            for (e, &(u, v)) in graph.edges().iter().enumerate() {
+                if matched[u as usize] != c && matched[v as usize] != c {
+                    matched[u as usize] = c;
+                    matched[v as usize] = c;
+                    matching.push(e as EdgeId);
+                }
+            }
+            matching.sort_unstable();
+            out.push(matching);
+        }
+        out
+    }
+
+    #[test]
+    fn maximal_matchings_equal_the_rescan_on_every_family() {
+        let mut graphs = vec![
+            generators::torus2d(5, 5),
+            generators::torus2d(6, 8),
+            generators::torus2d(2, 5),
+            generators::torus(&[3, 4, 5]),
+            generators::hypercube(6),
+            generators::cycle(9),
+            generators::path(7),
+            generators::complete(9),
+            generators::star(8),
+            generators::grid2d(5, 7),
+            generators::path(0),
+        ];
+        for seed in 0..4 {
+            graphs.push(generators::erdos_renyi(60, 0.08, seed));
+            graphs.push(generators::random_regular(80, 5, seed).unwrap());
+            graphs.push(generators::random_graph_cm(100, seed).unwrap());
+            graphs.push(generators::random_geometric(120, 1.5, seed));
+            graphs.push(generators::rgg_paper(200, seed));
+        }
+        for g in &graphs {
+            let c = edge_coloring(g);
+            assert_eq!(
+                maximal_matchings(g, &c),
+                maximal_matchings_by_rescan(g, &c),
+                "{g:?}"
+            );
+            // Any proper coloring, not only the one the kind selects. The
+            // singleton coloring costs O(m²), so it runs on the small graphs.
+            let mut colorings = vec![greedy_edge_coloring(g)];
+            if g.edge_count() <= 400 {
+                colorings.push(singleton_coloring(g));
+            }
+            for c in colorings {
+                assert_eq!(
+                    maximal_matchings(g, &c),
+                    maximal_matchings_by_rescan(g, &c),
+                    "{g:?} ({} colors)",
+                    c.num_colors()
+                );
+            }
+        }
+    }
+
+    /// The proper coloring with one edge per class, under which the
+    /// greedy extension builds almost every matching on its own.
+    fn singleton_coloring(g: &Graph) -> EdgeColoring {
+        let m = g.edge_count() as u32;
+        EdgeColoring {
+            colors: (0..m).collect(),
+            num_colors: m,
+        }
+    }
+
+    /// Strategy: a graph hand-built from a random edge list.
+    fn random_graph() -> impl proptest::Strategy<Value = Graph> {
+        use proptest::collection::vec as pvec;
+        use proptest::prelude::*;
+        (2usize..40).prop_flat_map(|n| {
+            pvec((0..n as NodeId, 0..n as NodeId), 0..150).prop_map(move |candidates| {
+                let mut b = crate::GraphBuilder::new(n);
+                for (u, v) in candidates {
+                    b.add_edge_dedup(u, v);
+                }
+                b.build()
+            })
+        })
+    }
+
+    proptest::proptest! {
+        /// The same on random graphs.
+        #[test]
+        fn maximal_matchings_equal_the_rescan_on_random_graphs(g in random_graph()) {
+            for c in [edge_coloring(&g), singleton_coloring(&g)] {
+                proptest::prop_assert_eq!(
+                    maximal_matchings(&g, &c),
+                    maximal_matchings_by_rescan(&g, &c)
+                );
+            }
         }
     }
 

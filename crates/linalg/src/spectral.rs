@@ -9,8 +9,14 @@
 //! 2. dense Jacobi eigendecomposition for small graphs,
 //! 3. shifted power iteration with deflation on the symmetrized operator
 //!    `B = S^{-1/2}·M·S^{1/2}` otherwise.
+//!
+//! The numerical solvers need a connected network, which one BFS checks;
+//! the closed forms apply only to generator-built graphs, which are
+//! connected by construction, so they run no search at all.
 
+use std::error::Error;
 use std::f64::consts::PI;
+use std::fmt;
 
 use sodiff_graph::{Graph, GraphKind, Speeds};
 
@@ -78,44 +84,92 @@ pub fn beta_opt(lambda: f64) -> f64 {
     2.0 / (1.0 + (1.0 - lambda * lambda).sqrt())
 }
 
+/// Why a network has no spectral gap: its `λ` is 1, so diffusion cannot
+/// balance it and `β_opt` is undefined.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum SpectralError {
+    /// The network has fewer than two nodes (the count is given).
+    TooFewNodes(usize),
+    /// The network has more than one connected component.
+    Disconnected,
+}
+
+impl fmt::Display for SpectralError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpectralError::TooFewNodes(n) => {
+                write!(f, "spectral analysis needs at least two nodes, got {n}")
+            }
+            SpectralError::Disconnected => {
+                f.write_str("spectral analysis requires a connected graph")
+            }
+        }
+    }
+}
+
+impl Error for SpectralError {}
+
+/// Computes the spectrum of `M = I − L·S⁻¹` for the given network, or
+/// says why it has none. Runs at most one connectivity search (none for
+/// the closed forms).
+///
+/// # Errors
+///
+/// Returns [`SpectralError::TooFewNodes`] for fewer than two nodes and
+/// [`SpectralError::Disconnected`] for more than one component.
+///
+/// # Panics
+///
+/// Panics if `speeds.len() != graph.node_count()`.
+pub fn try_analyze(graph: &Graph, speeds: &Speeds) -> Result<Spectrum, SpectralError> {
+    let n = graph.node_count();
+    if n < 2 {
+        return Err(SpectralError::TooFewNodes(n));
+    }
+    if speeds.is_unit() {
+        if let Some(spectrum) = analytic_spectrum(graph) {
+            debug_assert!(graph.is_connected(), "{:?} is disconnected", graph.kind());
+            return Ok(spectrum);
+        }
+    }
+    if !graph.is_connected() {
+        return Err(SpectralError::Disconnected);
+    }
+    Ok(if n <= DENSE_LIMIT {
+        dense_spectrum(graph, speeds)
+    } else {
+        power_spectrum(graph, speeds, PowerOptions::default())
+    })
+}
+
 /// Computes the spectrum of `M = I − L·S⁻¹` for the given network.
 ///
 /// # Panics
 ///
 /// Panics if the graph is disconnected (λ = 1: diffusion cannot balance
 /// across components and `β_opt` is undefined), if it has fewer than two
-/// nodes, or if `speeds.len() != graph.node_count()`.
+/// nodes, or if `speeds.len() != graph.node_count()`. [`try_analyze`]
+/// returns the first two as errors.
 pub fn analyze(graph: &Graph, speeds: &Speeds) -> Spectrum {
-    assert!(
-        graph.node_count() >= 2,
-        "spectral analysis needs at least two nodes"
-    );
-    assert!(
-        graph.is_connected(),
-        "spectral analysis requires a connected graph"
-    );
-    if speeds.is_unit() {
-        match graph.kind() {
-            GraphKind::Torus(dims) if dims.iter().all(|&d| d >= 3) => {
-                return torus_spectrum(dims);
-            }
-            GraphKind::Hypercube(dim) => return hypercube_spectrum(*dim),
-            GraphKind::Cycle => return cycle_spectrum(graph.node_count()),
-            GraphKind::Complete => {
-                return Spectrum {
-                    lambda: 0.0,
-                    lambda_2: 0.0,
-                    lambda_min: 0.0,
-                    method: SpectralMethod::AnalyticComplete,
-                };
-            }
-            _ => {}
-        }
-    }
-    if graph.node_count() <= DENSE_LIMIT {
-        dense_spectrum(graph, speeds)
-    } else {
-        power_spectrum(graph, speeds, PowerOptions::default())
+    try_analyze(graph, speeds).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The closed-form spectrum of a generator-built torus (all sides ≥ 3),
+/// hypercube, cycle or complete graph in the homogeneous model, if the
+/// graph is one.
+fn analytic_spectrum(graph: &Graph) -> Option<Spectrum> {
+    match graph.kind() {
+        GraphKind::Torus(dims) if dims.iter().all(|&d| d >= 3) => Some(torus_spectrum(dims)),
+        GraphKind::Hypercube(dim) => Some(hypercube_spectrum(*dim)),
+        GraphKind::Cycle => Some(cycle_spectrum(graph.node_count())),
+        GraphKind::Complete => Some(Spectrum {
+            lambda: 0.0,
+            lambda_2: 0.0,
+            lambda_min: 0.0,
+            method: SpectralMethod::AnalyticComplete,
+        }),
+        _ => None,
     }
 }
 
@@ -368,6 +422,23 @@ mod tests {
         // Heterogeneous power iteration agrees.
         let p = power_spectrum(&g, &s, PowerOptions::default());
         assert!((spec.lambda_2 - p.lambda_2).abs() < 1e-6);
+    }
+
+    #[test]
+    fn try_analyze_reports_why_there_is_no_gap() {
+        let mut b = sodiff_graph::GraphBuilder::new(4);
+        b.add_edge(0, 1).unwrap();
+        b.add_edge(2, 3).unwrap();
+        let g = b.build();
+        assert_eq!(
+            try_analyze(&g, &Speeds::uniform(4)).unwrap_err(),
+            SpectralError::Disconnected
+        );
+        let g = generators::path(1);
+        assert_eq!(
+            try_analyze(&g, &Speeds::uniform(1)).unwrap_err(),
+            SpectralError::TooFewNodes(1)
+        );
     }
 
     #[test]
