@@ -37,10 +37,30 @@
 //!
 //! # File format (version 2)
 //!
-//! Little-endian throughout: an 8-byte magic (`SODIFFCK`), a `u32`
-//! format version, a length-prefixed [`ScenarioSpec`] display line, the
-//! encoded snapshot payload, and a trailing FNV-1a checksum over every
-//! preceding byte. Version 2 is the only version this build reads or
+//! A file is an 8-byte magic (`SODIFFCK`), a `u32` format version, the
+//! [`ScenarioSpec`] display line, the snapshot payload, and a trailing
+//! `u64` FNV-1a checksum over every preceding byte. Every value follows
+//! one rule:
+//!
+//! * integers are little-endian at their width (`u8`, `u32`, `u64`,
+//!   `i64`); a `usize` is a `u64`, and an `f64` is its IEEE bits as a
+//!   `u64`;
+//! * a `bool` is one byte, `1` or `0`;
+//! * an `Option` is a `bool` presence flag, then the value if present;
+//! * a sequence (a vector or ring) is a `u64` element count, then the
+//!   elements; a string is a `u32` byte length, then its UTF-8 bytes;
+//! * a record is its fields in declaration order.
+//!
+//! The payload holds, in order: `round`, `rounds_in_scheme`, the run
+//! origin, `switch_round` (an `Option<u64>`), the `degraded` flag,
+//! `min_transient`, `initial_total`, the last round's `Option<LoadStats>`,
+//! the loads (a `u8` tag, `0` for discrete `i64` loads or `1` for
+//! continuous `f64` loads, then the sequence), `prev_flow`, the
+//! [`FaultEvents`] and [`LoadEvents`] counters, the watchdog,
+//! steady-state and plateau trackers (each an `Option`), the
+//! [`ChurnEvents`] counters, and the churn overlay words.
+//!
+//! Version 2 is the only version this build reads or
 //! writes; any other version (the pre-churn version 1 included) is
 //! rejected as [`CheckpointError::UnsupportedVersion`] before the
 //! checksum is checked. Files are written to a temporary sibling and
@@ -89,6 +109,7 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -312,139 +333,265 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-    fn bool(&mut self, x: bool) {
-        self.u8(x as u8);
-    }
-    fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn usize(&mut self, x: usize) {
-        self.u64(x as u64);
-    }
-    fn i64(&mut self, x: i64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-    fn opt_u64(&mut self, x: Option<u64>) {
-        match x {
-            Some(v) => {
-                self.bool(true);
-                self.u64(v);
-            }
-            None => self.bool(false),
-        }
-    }
-    fn vec_f64<'a, I>(&mut self, xs: I)
+/// One type's form in the version-2 format (the module docs list the
+/// rules): `put` appends it, `get` reads it back from the front of `r`
+/// and fails typed on bytes no `put` wrote.
+trait Wire {
+    /// The fewest bytes one value encodes to; bounds a length prefix.
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError>
     where
-        I: IntoIterator<Item = &'a f64>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let xs = xs.into_iter();
-        self.usize(xs.len());
-        for &x in xs {
-            self.f64(x);
+        Self: Sized;
+}
+
+/// Splits `n` bytes off the front of `r`.
+fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8], CheckpointError> {
+    let (head, tail) = r.split_at_checked(n).ok_or(CheckpointError::Truncated)?;
+    *r = tail;
+    Ok(head)
+}
+
+/// Integers: little-endian at their width.
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+                let bytes = take(r, Self::MIN_BYTES)?;
+                Ok(Self::from_le_bytes(bytes.try_into().expect("take returns the width")))
+            }
         }
+    )*};
+}
+
+wire_int!(u8, u32, u64, i64);
+
+/// `usize`: a `u64`; one this platform cannot hold reads as truncation.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
     }
-    fn vec_i64(&mut self, xs: &[i64]) {
-        self.usize(xs.len());
-        for &x in xs {
-            self.i64(x);
-        }
-    }
-    fn vec_u64(&mut self, xs: &[u64]) {
-        self.usize(xs.len());
-        for &x in xs {
-            self.u64(x);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        usize::try_from(u64::get(r)?).map_err(|_| CheckpointError::Truncated)
     }
 }
 
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// `f64`: its IEEE bits as a `u64`.
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        u64::get(r).map(f64::from_bits)
+    }
 }
 
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(CheckpointError::Truncated);
+/// `bool`: one byte, `1` or `0` (any nonzero byte reads as `true`).
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        Ok(u8::get(r)? != 0)
+    }
+}
+
+/// `Option`: a `bool` presence flag, then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(x) = self {
+            x.put(out);
         }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
     }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-    fn bool(&mut self) -> Result<bool, CheckpointError> {
-        Ok(self.u8()? != 0)
-    }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn usize(&mut self) -> Result<usize, CheckpointError> {
-        usize::try_from(self.u64()?).map_err(|_| CheckpointError::Truncated)
-    }
-    fn i64(&mut self) -> Result<i64, CheckpointError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
         } else {
             None
         })
     }
-    /// A length prefix, bounded by what the remaining bytes could hold
-    /// so a corrupted length can never trigger a huge allocation.
-    fn len(&mut self, elem_size: usize) -> Result<usize, CheckpointError> {
-        let n = self.usize()?;
-        if n.checked_mul(elem_size)
-            .is_none_or(|total| total > self.bytes.len() - self.pos)
+}
+
+/// Sequences: a `u64` element count, then the elements.
+fn put_seq<'a, T: Wire + 'a>(xs: impl ExactSizeIterator<Item = &'a T>, out: &mut Vec<u8>) {
+    xs.len().put(out);
+    for x in xs {
+        x.put(out);
+    }
+}
+
+/// The one reader of a sequence. Its count is checked against the bytes
+/// left before it sizes the allocation, so a corrupted count can never
+/// trigger a huge one.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self.iter(), out);
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        let n = usize::get(r)?;
+        if n.checked_mul(T::MIN_BYTES)
+            .is_none_or(|bytes| bytes > r.len())
         {
             return Err(CheckpointError::Truncated);
         }
-        Ok(n)
+        let mut xs = Vec::with_capacity(n);
+        for _ in 0..n {
+            xs.push(T::get(r)?);
+        }
+        Ok(xs)
     }
-    fn vec_f64(&mut self) -> Result<Vec<f64>, CheckpointError> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.f64()).collect()
+}
+
+impl<T: Wire> Wire for VecDeque<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self.iter(), out);
     }
-    fn vec_i64(&mut self) -> Result<Vec<i64>, CheckpointError> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.i64()).collect()
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        Vec::get(r).map(VecDeque::from)
     }
-    fn vec_u64(&mut self) -> Result<Vec<u64>, CheckpointError> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
+}
+
+/// The divergence watchdog's fixed ring, the format's one array: a
+/// sequence that must hold exactly `N` values.
+impl<const N: usize> Wire for [f64; N] {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self.iter(), out);
     }
-    fn str(&mut self) -> Result<String, CheckpointError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CheckpointError::Truncated)
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        Vec::get(r)?
+            .try_into()
+            .map_err(|_| impossible("watchdog ring"))
+    }
+}
+
+/// Strings: a `u32` byte length, then the UTF-8 bytes.
+impl Wire for str {
+    fn put(&self, out: &mut Vec<u8>) {
+        u32::try_from(self.len())
+            .expect("a scenario line is shorter than 4 GiB")
+            .put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_str().put(out);
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        let n = u32::get(r)? as usize;
+        String::from_utf8(take(r, n)?.to_vec()).map_err(|_| CheckpointError::Truncated)
+    }
+}
+
+/// Plain records: their fields, in the order listed (declaration order).
+macro_rules! wire_fields {
+    ($($t:ty { $($field:ident),* })*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+                Ok(Self { $($field: Wire::get(r)?),* })
+            }
+        }
+    )*};
+}
+
+wire_fields! {
+    LoadStats { min_transient, min_load, max_dev, min_dev, sum_sq_dev }
+    FaultEvents { crashes, rejoins, edges_dropped, shocks, stale_edges }
+    LoadEvents { arrivals, departures, injected }
+    ChurnEvents { departures, arrivals, handoffs, joined, departed }
+    DivergenceWatch { armed, window, len, pos }
+    SteadyTracker { window, ring, pos, len, newer_sum, older_sum, check }
+    RemainingImbalance { window, history }
+}
+
+/// The load vector: a `u8` mode tag (`0` discrete, `1` continuous), then
+/// the loads.
+impl Wire for LoadsSnapshot {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            LoadsSnapshot::Discrete(loads) => {
+                0u8.put(out);
+                loads.put(out);
+            }
+            LoadsSnapshot::Continuous(loads) => {
+                1u8.put(out);
+                loads.put(out);
+            }
+        }
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        match u8::get(r)? {
+            0 => Vec::get(r).map(LoadsSnapshot::Discrete),
+            1 => Vec::get(r).map(LoadsSnapshot::Continuous),
+            _ => Err(CheckpointError::Truncated),
+        }
+    }
+}
+
+/// The payload. Version 2 interleaves the run record's fields with the
+/// snapshot's own; the decoded record is checked for plausibility.
+impl Wire for Snapshot {
+    fn put(&self, out: &mut Vec<u8>) {
+        let run = &self.run;
+        self.round.put(out);
+        self.rounds_in_scheme.put(out);
+        run.origin.put(out);
+        run.switch_round.put(out);
+        run.degraded.put(out);
+        self.min_transient.put(out);
+        self.initial_total.put(out);
+        self.round_stats.put(out);
+        self.loads.put(out);
+        self.prev_flow.put(out);
+        self.fault_events.put(out);
+        self.load_events.put(out);
+        run.watch.put(out);
+        run.steady.put(out);
+        run.plateau.put(out);
+        self.churn_events.put(out);
+        self.churn_active.put(out);
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        let (round, rounds_in_scheme) = (Wire::get(r)?, Wire::get(r)?);
+        let (origin, switch_round, degraded) = (Wire::get(r)?, Wire::get(r)?, Wire::get(r)?);
+        let (min_transient, initial_total) = (Wire::get(r)?, Wire::get(r)?);
+        let (round_stats, loads, prev_flow) = (Wire::get(r)?, Wire::get(r)?, Wire::get(r)?);
+        let (fault_events, load_events) = (Wire::get(r)?, Wire::get(r)?);
+        let (watch, steady, plateau) = (Wire::get(r)?, Wire::get(r)?, Wire::get(r)?);
+        let snap = Snapshot {
+            round,
+            rounds_in_scheme,
+            min_transient,
+            initial_total,
+            round_stats,
+            loads,
+            prev_flow,
+            fault_events,
+            load_events,
+            churn_events: Wire::get(r)?,
+            churn_active: Wire::get(r)?,
+            run: RunRecord {
+                origin,
+                switch_round,
+                degraded,
+                watch,
+                steady,
+                plateau,
+            },
+        };
+        snap.run.check(snap.round)?;
+        Ok(snap)
     }
 }
 
@@ -454,202 +601,39 @@ fn impossible(what: &str) -> CheckpointError {
     CheckpointError::Mismatch(format!("its {what} could not have come from the run loop"))
 }
 
-fn encode_snapshot(enc: &mut Enc, snap: &Snapshot) {
-    let run = &snap.run;
-    enc.u64(snap.round);
-    enc.u64(snap.rounds_in_scheme);
-    enc.u64(run.origin);
-    enc.opt_u64(run.switch_round);
-    enc.bool(run.degraded);
-    enc.f64(snap.min_transient);
-    enc.f64(snap.initial_total);
-    enc.bool(snap.round_stats.is_some());
-    if let Some(s) = snap.round_stats {
-        for x in [
-            s.min_transient,
-            s.min_load,
-            s.max_dev,
-            s.min_dev,
-            s.sum_sq_dev,
+impl RunRecord {
+    /// Checks a record decoded at `round` against what the run loop can
+    /// produce, naming the first part it could not have.
+    fn check(&self, round: u64) -> Result<(), CheckpointError> {
+        let watch = self.watch.as_ref().is_none_or(|w| {
+            let cap = w.window.len();
+            w.len <= cap && w.pos < cap
+        });
+        let steady = self.steady.as_ref().is_none_or(|s| {
+            let cap = s.ring.len();
+            let expected = if s.check {
+                SteadyTracker::steady_ring(s.window)
+            } else {
+                Some(s.window)
+            };
+            s.window > 0 && expected == Some(cap) && s.len <= cap && s.pos < cap
+        });
+        let plateau = self
+            .plateau
+            .as_ref()
+            .is_none_or(|p| p.window > 0 && p.history.len() <= p.window.saturating_mul(2));
+        for (ok, what) in [
+            (self.origin <= round, "run origin"),
+            (watch, "watchdog ring"),
+            (steady, "steady-state ring"),
+            (plateau, "plateau history"),
         ] {
-            enc.f64(x);
+            if !ok {
+                return Err(impossible(what));
+            }
         }
+        Ok(())
     }
-    match &snap.loads {
-        LoadsSnapshot::Discrete(loads) => {
-            enc.u8(0);
-            enc.vec_i64(loads);
-        }
-        LoadsSnapshot::Continuous(loads) => {
-            enc.u8(1);
-            enc.vec_f64(loads);
-        }
-    }
-    enc.vec_f64(&snap.prev_flow);
-    let fe = snap.fault_events;
-    enc.u64(fe.crashes);
-    enc.u64(fe.rejoins);
-    enc.u64(fe.edges_dropped);
-    enc.u64(fe.shocks);
-    enc.u64(fe.stale_edges);
-    let le = snap.load_events;
-    enc.u64(le.arrivals);
-    enc.u64(le.departures);
-    enc.f64(le.injected);
-    enc.bool(run.watch.is_some());
-    if let Some(w) = &run.watch {
-        enc.bool(w.armed);
-        enc.vec_f64(&w.window);
-        enc.usize(w.len);
-        enc.usize(w.pos);
-    }
-    enc.bool(run.steady.is_some());
-    if let Some(s) = &run.steady {
-        enc.usize(s.window);
-        enc.vec_f64(&s.ring);
-        enc.usize(s.pos);
-        enc.usize(s.len);
-        enc.f64(s.newer_sum);
-        enc.f64(s.older_sum);
-        enc.bool(s.check);
-    }
-    enc.bool(run.plateau.is_some());
-    if let Some(p) = &run.plateau {
-        enc.usize(p.window);
-        enc.vec_f64(&p.history);
-    }
-    let ce = snap.churn_events;
-    enc.u64(ce.departures);
-    enc.u64(ce.arrivals);
-    enc.u64(ce.handoffs);
-    enc.f64(ce.joined);
-    enc.f64(ce.departed);
-    enc.vec_u64(&snap.churn_active);
-}
-
-fn decode_snapshot(dec: &mut Dec<'_>) -> Result<Snapshot, CheckpointError> {
-    let round = dec.u64()?;
-    let rounds_in_scheme = dec.u64()?;
-    let origin = dec.u64()?;
-    if origin > round {
-        return Err(impossible("run origin"));
-    }
-    let switch_round = dec.opt_u64()?;
-    let degraded = dec.bool()?;
-    let min_transient = dec.f64()?;
-    let initial_total = dec.f64()?;
-    let round_stats = if dec.bool()? {
-        Some(LoadStats {
-            min_transient: dec.f64()?,
-            min_load: dec.f64()?,
-            max_dev: dec.f64()?,
-            min_dev: dec.f64()?,
-            sum_sq_dev: dec.f64()?,
-        })
-    } else {
-        None
-    };
-    let loads = match dec.u8()? {
-        0 => LoadsSnapshot::Discrete(dec.vec_i64()?),
-        1 => LoadsSnapshot::Continuous(dec.vec_f64()?),
-        _ => return Err(CheckpointError::Truncated),
-    };
-    let prev_flow = dec.vec_f64()?;
-    let fault_events = FaultEvents {
-        crashes: dec.u64()?,
-        rejoins: dec.u64()?,
-        edges_dropped: dec.u64()?,
-        shocks: dec.u64()?,
-        stale_edges: dec.u64()?,
-    };
-    let load_events = LoadEvents {
-        arrivals: dec.u64()?,
-        departures: dec.u64()?,
-        injected: dec.f64()?,
-    };
-    let watch = if dec.bool()? {
-        let armed = dec.bool()?;
-        let window = dec.vec_f64()?;
-        let w = DivergenceWatch {
-            armed,
-            window: window.try_into().map_err(|_| impossible("watchdog ring"))?,
-            len: dec.usize()?,
-            pos: dec.usize()?,
-        };
-        if w.len > w.window.len() || w.pos >= w.window.len() {
-            return Err(impossible("watchdog ring"));
-        }
-        Some(w)
-    } else {
-        None
-    };
-    let steady = if dec.bool()? {
-        let s = SteadyTracker {
-            window: dec.usize()?,
-            ring: dec.vec_f64()?,
-            pos: dec.usize()?,
-            len: dec.usize()?,
-            newer_sum: dec.f64()?,
-            older_sum: dec.f64()?,
-            check: dec.bool()?,
-        };
-        let capacity = if s.check {
-            s.window.checked_mul(2)
-        } else {
-            Some(s.window)
-        };
-        if s.window == 0
-            || capacity != Some(s.ring.len())
-            || s.pos >= s.ring.len()
-            || s.len > s.ring.len()
-        {
-            return Err(impossible("steady-state ring"));
-        }
-        Some(s)
-    } else {
-        None
-    };
-    let plateau = if dec.bool()? {
-        let window = dec.usize()?;
-        let history = dec.vec_f64()?;
-        if window == 0 || history.len() > window.saturating_mul(2) {
-            return Err(impossible("plateau history"));
-        }
-        Some(RemainingImbalance {
-            window,
-            history: history.into(),
-        })
-    } else {
-        None
-    };
-    let churn_events = ChurnEvents {
-        departures: dec.u64()?,
-        arrivals: dec.u64()?,
-        handoffs: dec.u64()?,
-        joined: dec.f64()?,
-        departed: dec.f64()?,
-    };
-    Ok(Snapshot {
-        round,
-        rounds_in_scheme,
-        min_transient,
-        initial_total,
-        round_stats,
-        loads,
-        prev_flow,
-        fault_events,
-        load_events,
-        churn_events,
-        churn_active: dec.vec_u64()?,
-        run: RunRecord {
-            origin,
-            switch_round,
-            degraded,
-            watch,
-            steady,
-            plateau,
-        },
-    })
 }
 
 /// Serializes a checkpoint to bytes (magic, version, spec line,
@@ -657,48 +641,35 @@ fn decode_snapshot(dec: &mut Dec<'_>) -> Result<Snapshot, CheckpointError> {
 /// scenario line: the engine's auto-checkpoint path carries the line,
 /// not the parsed spec.
 fn encode_checkpoint_line(spec_line: &str, snap: &Snapshot) -> Vec<u8> {
-    let mut enc = Enc {
-        buf: Vec::with_capacity(256 + 16 * snap.prev_flow.len()),
-    };
-    enc.buf.extend_from_slice(MAGIC);
-    enc.u32(VERSION);
-    enc.str(spec_line);
-    encode_snapshot(&mut enc, snap);
-    let checksum = fnv1a(&enc.buf);
-    enc.u64(checksum);
-    enc.buf
+    let mut out = Vec::with_capacity(256 + 16 * snap.prev_flow.len());
+    out.extend_from_slice(MAGIC);
+    VERSION.put(&mut out);
+    spec_line.put(&mut out);
+    snap.put(&mut out);
+    fnv1a(&out).put(&mut out);
+    out
 }
 
-/// Parses checkpoint bytes; the inverse of [`encode_checkpoint`].
+/// Parses checkpoint bytes; the inverse of [`encode_checkpoint_line`].
 fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(CheckpointError::Truncated);
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
+    let mut r = bytes;
+    if take(&mut r, MAGIC.len())? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let mut dec = Dec {
-        bytes,
-        pos: MAGIC.len(),
-    };
-    let version = dec.u32()?;
+    let version = u32::get(&mut r)?;
     if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion { found: version });
     }
-    if bytes.len() < MAGIC.len() + 4 + 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let body_len = bytes.len() - 8;
-    let stored = u64::from_le_bytes(bytes[body_len..].try_into().unwrap());
-    let computed = fnv1a(&bytes[..body_len]);
+    // Decode only the body: the checksum trailer is not payload.
+    let body_len = r.len().checked_sub(8).ok_or(CheckpointError::Truncated)?;
+    let (mut body, mut trailer) = r.split_at(body_len);
+    let stored = u64::get(&mut trailer)?;
+    let computed = fnv1a(&bytes[..bytes.len() - 8]);
     if stored != computed {
         return Err(CheckpointError::ChecksumMismatch { stored, computed });
     }
-    // Decode only the body: the checksum trailer is not payload.
-    dec.bytes = &bytes[..body_len];
-    let spec_line = dec.str()?;
-    let spec: ScenarioSpec = spec_line.parse()?;
-    let snapshot = decode_snapshot(&mut dec)?;
+    let spec: ScenarioSpec = String::get(&mut body)?.parse()?;
+    let snapshot = Snapshot::get(&mut body)?;
     Ok(Checkpoint { spec, snapshot })
 }
 
@@ -726,17 +697,23 @@ pub(crate) fn write_checkpoint_line(
     spec_line: &str,
     snap: &Snapshot,
 ) -> Result<(), CheckpointError> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent).map_err(|e| CheckpointError::io(parent, e))?;
-        }
-    }
+    create_parent_dir(path)?;
     let bytes = encode_checkpoint_line(spec_line, snap);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     fs::write(&tmp, &bytes).map_err(|e| CheckpointError::io(&tmp, e))?;
     fs::rename(&tmp, path).map_err(|e| CheckpointError::io(path, e))
+}
+
+/// Creates `path`'s parent directory if it is missing.
+pub(crate) fn create_parent_dir(path: &Path) -> Result<(), CheckpointError> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => {
+            fs::create_dir_all(parent).map_err(|e| CheckpointError::io(parent, e))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Reads and validates a checkpoint file.
@@ -881,6 +858,72 @@ mod tests {
         for cut in [9, 15, 40, good.len() - 9, good.len() - 1] {
             assert!(decode_checkpoint(&good[..cut]).is_err());
         }
+    }
+
+    /// A checksum-valid file whose length prefix claims more than the
+    /// file holds is refused as truncation before the prefix sizes any
+    /// allocation: for every sequence in the payload and for the spec
+    /// line.
+    #[test]
+    fn oversized_length_prefixes_are_truncation() {
+        let spec_line = "name=t topology=cycle:8"
+            .parse::<ScenarioSpec>()
+            .unwrap()
+            .to_string();
+        let good = encode_checkpoint_line(&spec_line, &sample_snapshot());
+        let decode_with = |at: usize, prefix: &[u8]| {
+            let mut bytes = good.clone();
+            bytes[at..at + prefix.len()].copy_from_slice(prefix);
+            let body = bytes.len() - 8;
+            let checksum = fnv1a(&bytes[..body]);
+            bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+            decode_checkpoint(&bytes)
+        };
+        assert_eq!(
+            u32::from_le_bytes(good[12..16].try_into().unwrap()) as usize,
+            spec_line.len()
+        );
+        for prefix in [u32::MAX, (good.len() - 16) as u32 + 1] {
+            assert_eq!(
+                decode_with(12, &prefix.to_le_bytes()),
+                Err(CheckpointError::Truncated)
+            );
+        }
+
+        // Each sequence's count prefix starts at the first byte that an
+        // appended element changes (the watchdog ring has a fixed
+        // length, so its prefix is found as the byte after `armed`).
+        let refused = |what: &str, skip: usize, edit: &dyn Fn(&mut Snapshot)| {
+            let mut snap = sample_snapshot();
+            edit(&mut snap);
+            let edited = encode_checkpoint_line(&spec_line, &snap);
+            let at = skip + (0..good.len()).find(|&i| good[i] != edited[i]).unwrap();
+            let len = u64::from_le_bytes(good[at..at + 8].try_into().unwrap());
+            assert!((2..=16).contains(&len), "{what}: {len} is no length prefix");
+            let remaining = (good.len() - at - 8 - 8) as u64;
+            for prefix in [u64::MAX, 1 << 60, remaining / 8 + 1] {
+                assert_eq!(
+                    decode_with(at, &prefix.to_le_bytes()),
+                    Err(CheckpointError::Truncated),
+                    "{what} with a length prefix of {prefix}"
+                );
+            }
+        };
+        refused("loads", 0, &|s| match &mut s.loads {
+            LoadsSnapshot::Discrete(loads) => loads.push(0),
+            LoadsSnapshot::Continuous(_) => unreachable!(),
+        });
+        refused("prev_flow", 0, &|s| s.prev_flow.push(0.0));
+        refused("churn overlay", 0, &|s| s.churn_active.push(0));
+        refused("watchdog ring", 1, &|s| {
+            s.run.watch.as_mut().unwrap().armed = false
+        });
+        refused("steady ring", 0, &|s| {
+            s.run.steady.as_mut().unwrap().ring.push(0.0)
+        });
+        refused("plateau history", 0, &|s| {
+            s.run.plateau.as_mut().unwrap().history.push_back(0.0)
+        });
     }
 
     /// Tracker state the run loop could not have produced is refused at

@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::{read_checkpoint, Checkpoint, CheckpointConfig};
+use crate::checkpoint::{create_parent_dir, read_checkpoint, Checkpoint, CheckpointConfig};
 use crate::engine::RunReport;
 use crate::error::{BuildError, CheckpointError, ParseError};
 use crate::pool::WorkerPool;
@@ -256,10 +256,19 @@ impl BatchReport {
     }
 }
 
-/// Journal entries are line-oriented: flatten any embedded newlines out
-/// of failure messages before appending them.
-fn journal_text(message: &str) -> String {
-    message.replace(['\n', '\r'], " ")
+/// Appends and flushes scenario `index`'s `done` line, or its `fail`
+/// line when it failed with `error`. Journal entries are line-oriented,
+/// so newlines in the message are flattened. A journal write failure
+/// must not fail the batch: the worst case is re-running a finished
+/// scenario on resume.
+fn append_outcome(sink: &Mutex<fs::File>, index: usize, error: Option<&impl fmt::Display>) {
+    let entry = match error {
+        None => format!("done {index}"),
+        Some(e) => format!("fail {index} {}", e.to_string().replace(['\n', '\r'], " ")),
+    };
+    let mut file = sink.lock().unwrap_or_else(PoisonError::into_inner);
+    let _ = writeln!(file, "{entry}");
+    let _ = file.flush();
 }
 
 /// Parses a recovery journal into its specs (with journal-line
@@ -604,15 +613,7 @@ impl Driver {
         let run_one = |i: usize, spec: &ScenarioSpec| {
             let outcome = self.run_guarded(|| runner(i, spec));
             if let Some(sink) = journal {
-                let entry = match &outcome.0 {
-                    Ok(_) => format!("done {}", orig(i)),
-                    Err(e) => format!("fail {} {}", orig(i), journal_text(&e.to_string())),
-                };
-                let mut file = sink.lock().unwrap_or_else(PoisonError::into_inner);
-                // A journal write failure must not fail the batch: the
-                // worst case is re-running a finished scenario on resume.
-                let _ = writeln!(file, "{entry}");
-                let _ = file.flush();
+                append_outcome(sink, orig(i), outcome.0.as_ref().err());
             }
             outcome
         };
@@ -709,11 +710,7 @@ impl Driver {
             })?;
         }
         let io = |e: std::io::Error| CheckpointError::io(journal, e);
-        if let Some(parent) = journal.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent).map_err(|e| CheckpointError::io(parent, e))?;
-            }
-        }
+        create_parent_dir(journal)?;
         let mut file = fs::File::create(journal).map_err(io)?;
         writeln!(file, "{JOURNAL_HEADER}").map_err(io)?;
         for spec in specs {
@@ -788,11 +785,7 @@ impl Driver {
                     match loaded {
                         Ok(ckpt) => restored = Some(ckpt),
                         Err(e) => {
-                            {
-                                let mut file = sink.lock().unwrap_or_else(PoisonError::into_inner);
-                                let _ = writeln!(file, "fail {i} {}", journal_text(&e.to_string()));
-                                let _ = file.flush();
-                            }
+                            append_outcome(&sink, i, Some(&e));
                             ckpt_errors.push(ScenarioError {
                                 index: i,
                                 name: spec.name.clone(),

@@ -177,12 +177,12 @@
 //! watchdog trips); programmatic runs use
 //! [`ExperimentBuilder::checkpoint`] or
 //! [`Simulator::snapshot`]/[`Simulator::restore`] directly. The
-//! versioned, checksummed file format and the recovery story (the batch
-//! [`Driver`]'s journal, [`Driver::resume_batch`], bounded
-//! retry-with-backoff for panicked scenarios) live in the [`checkpoint`]
-//! module; loading a damaged file **never panics** — truncation, bit
-//! corruption, and version skew all surface as typed
-//! [`CheckpointError`] variants.
+//! [`checkpoint`] module holds the versioned, checksummed file format;
+//! the batch recovery story (the recovery journal,
+//! [`Driver::resume_batch`], bounded retry-with-backoff for panicked
+//! scenarios) lives in the batch [`Driver`], not there. Loading a
+//! damaged file **never panics** — truncation, bit corruption, and
+//! version skew all surface as typed [`CheckpointError`] variants.
 //!
 //! # Performance
 //!

@@ -152,7 +152,7 @@ pub fn snapshot<V: Value>(graph: &Graph, speeds: &Speeds, loads: &[V]) -> Metric
 /// reports the minimum over the trailing window once the improvement over
 /// a full window is below one token. Only the trailing `2·window` samples
 /// are kept: they are all the detection reads.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemainingImbalance {
     pub(crate) window: usize,
     pub(crate) history: VecDeque<f64>,

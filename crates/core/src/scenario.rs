@@ -25,6 +25,12 @@
 //! of a late build failure. The `stop=` value is a [`StopCondition`] as
 //! it is.
 //!
+//! A line is read in two passes. The first reads every token into a
+//! table of the keys below and refuses a token that is not `key=value`,
+//! an unknown key, or a repeated one. Only then are the values parsed,
+//! in the table's order. So a token error anywhere on the line is
+//! reported before any value error.
+//!
 //! Keys and defaults:
 //!
 //! | key | values | default |
@@ -725,159 +731,105 @@ impl fmt::Display for ScenarioSpec {
     }
 }
 
+/// The scenario line's keys, in `Display` order: the slots of
+/// [`ScenarioSpec::from_str`]'s key table.
+const KEYS: [&str; 16] = [
+    "name",
+    "topology",
+    "speeds",
+    "scheme",
+    "mode",
+    "rounding",
+    "seed",
+    "init",
+    "stop",
+    "threads",
+    "flow_memory",
+    "faults",
+    "load",
+    "churn",
+    "ckpt",
+    "hybrid",
+];
+
+/// Parses a key's value, or takes `default` when the key is absent.
+fn value_or<T: FromStr<Err = ParseError>>(
+    value: Option<&str>,
+    default: impl FnOnce() -> T,
+) -> Result<T, ParseError> {
+    value.map_or_else(|| Ok(default()), str::parse)
+}
+
 impl FromStr for ScenarioSpec {
     type Err = ParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut name = None;
-        let mut topology = None;
-        let mut speeds = None;
-        let mut scheme = None;
-        let mut mode = None;
-        let mut rounding = None;
-        let mut seed = None;
-        let mut init = None;
-        let mut stop = None;
-        let mut threads = None;
-        let mut flow_memory = None;
-        let mut faults = None;
-        let mut load = None;
-        let mut churn = None;
-        let mut ckpt = None;
-        let mut hybrid = None;
+        let mut table = [None; KEYS.len()];
         for token in s.split_whitespace() {
             let (key, value) = token
                 .split_once('=')
                 .ok_or_else(|| ParseError::new(format!("expected key=value, got '{token}'")))?;
-            let duplicate = |set: bool| {
-                if set {
-                    Err(ParseError::new(format!("duplicate key '{key}'")))
-                } else {
-                    Ok(())
-                }
-            };
-            match key {
-                "name" => {
-                    duplicate(name.is_some())?;
-                    name = Some(value.to_string());
-                }
-                "topology" => {
-                    duplicate(topology.is_some())?;
-                    topology = Some(value.parse::<TopologySpec>().map_err(|e| {
-                        ParseError::new(format!("invalid topology '{value}': {e}"))
-                    })?);
-                }
-                "speeds" => {
-                    duplicate(speeds.is_some())?;
-                    speeds = Some(value.parse::<SpeedsSpec>()?);
-                }
-                "scheme" => {
-                    duplicate(scheme.is_some())?;
-                    scheme = Some(value.parse::<SchemeSpec>()?);
-                }
-                "mode" => {
-                    duplicate(mode.is_some())?;
-                    mode = Some(match value {
-                        "continuous" => false,
-                        "discrete" => true,
-                        other => {
-                            return Err(ParseError::new(format!(
-                                "unknown mode '{other}' (expected continuous or discrete)"
-                            )))
-                        }
-                    });
-                }
-                "rounding" => {
-                    duplicate(rounding.is_some())?;
-                    rounding = Some(value.parse::<RoundingSpec>()?);
-                }
-                "seed" => {
-                    duplicate(seed.is_some())?;
-                    seed = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| ParseError::new(format!("invalid seed '{value}'")))?,
-                    );
-                }
-                "init" => {
-                    duplicate(init.is_some())?;
-                    init = Some(value.parse::<InitSpec>()?);
-                }
-                "stop" => {
-                    duplicate(stop.is_some())?;
-                    stop = Some(value.parse::<StopCondition>()?);
-                }
-                "threads" => {
-                    duplicate(threads.is_some())?;
-                    threads =
-                        Some(value.parse::<usize>().map_err(|_| {
-                            ParseError::new(format!("invalid thread count '{value}'"))
-                        })?);
-                }
-                "flow_memory" => {
-                    duplicate(flow_memory.is_some())?;
-                    flow_memory = Some(match value {
-                        "rounded" => FlowMemory::Rounded,
-                        "scheduled" => FlowMemory::Scheduled,
-                        other => {
-                            return Err(ParseError::new(format!(
-                                "unknown flow memory '{other}' (expected rounded or scheduled)"
-                            )))
-                        }
-                    });
-                }
-                "faults" => {
-                    duplicate(faults.is_some())?;
-                    faults = Some(value.parse::<FaultSpec>()?);
-                }
-                "load" => {
-                    duplicate(load.is_some())?;
-                    load = Some(value.parse::<LoadSpec>()?);
-                }
-                "churn" => {
-                    duplicate(churn.is_some())?;
-                    churn = Some(value.parse::<ChurnSpec>()?);
-                }
-                "ckpt" => {
-                    duplicate(ckpt.is_some())?;
-                    ckpt = Some(value.parse::<CheckpointPolicy>()?);
-                }
-                "hybrid" => {
-                    duplicate(hybrid.is_some())?;
-                    hybrid = Some(value.parse::<SwitchPolicy>()?);
-                }
-                other => {
-                    return Err(ParseError::new(format!("unknown key '{other}'")));
-                }
+            let slot = KEYS
+                .iter()
+                .position(|&k| k == key)
+                .ok_or_else(|| ParseError::new(format!("unknown key '{key}'")))?;
+            if table[slot].replace(value).is_some() {
+                return Err(ParseError::new(format!("duplicate key '{key}'")));
             }
         }
+        let [name, topology, speeds, scheme, mode, rounding, seed, init, stop, threads, flow_memory, faults, load, churn, ckpt, hybrid] =
+            table;
         let topology =
             topology.ok_or_else(|| ParseError::new("missing required key 'topology'"))?;
-        let mode = match (mode, rounding) {
-            (Some(false), None) => ModeSpec::Continuous,
-            (Some(false), Some(_)) => {
-                return Err(ParseError::new(
-                    "rounding= is only valid with mode=discrete",
-                ))
-            }
-            (Some(true) | None, rounding) => ModeSpec::Discrete(rounding.unwrap_or_default()),
-        };
         Ok(ScenarioSpec {
-            name: name.unwrap_or_else(|| "scenario".to_string()),
-            topology,
-            speeds: speeds.unwrap_or_default(),
-            scheme: scheme.unwrap_or_default(),
-            mode,
-            seed,
-            init: init.unwrap_or_default(),
-            stop: stop.unwrap_or_default(),
-            threads: threads.unwrap_or(1),
-            flow_memory: flow_memory.unwrap_or_default(),
-            faults: faults.unwrap_or_else(FaultSpec::none),
-            load: load.unwrap_or_else(LoadSpec::none),
-            churn: churn.unwrap_or_else(ChurnSpec::none),
-            ckpt,
-            hybrid,
+            name: name.unwrap_or("scenario").to_string(),
+            topology: topology
+                .parse()
+                .map_err(|e| ParseError::new(format!("invalid topology '{topology}': {e}")))?,
+            speeds: value_or(speeds, SpeedsSpec::default)?,
+            scheme: value_or(scheme, SchemeSpec::default)?,
+            mode: match (mode, rounding) {
+                (Some("continuous"), None) => ModeSpec::Continuous,
+                (Some("continuous"), Some(_)) => {
+                    return Err(ParseError::new(
+                        "rounding= is only valid with mode=discrete",
+                    ))
+                }
+                (Some("discrete") | None, rounding) => {
+                    ModeSpec::Discrete(value_or(rounding, RoundingSpec::default)?)
+                }
+                (Some(other), _) => {
+                    return Err(ParseError::new(format!(
+                        "unknown mode '{other}' (expected continuous or discrete)"
+                    )))
+                }
+            },
+            seed: seed
+                .map(|v| {
+                    v.parse()
+                        .map_err(|_| ParseError::new(format!("invalid seed '{v}'")))
+                })
+                .transpose()?,
+            init: value_or(init, InitSpec::default)?,
+            stop: value_or(stop, StopCondition::default)?,
+            threads: threads.map_or(Ok(1), |v| {
+                v.parse()
+                    .map_err(|_| ParseError::new(format!("invalid thread count '{v}'")))
+            })?,
+            flow_memory: match flow_memory {
+                None | Some("rounded") => FlowMemory::Rounded,
+                Some("scheduled") => FlowMemory::Scheduled,
+                Some(other) => {
+                    return Err(ParseError::new(format!(
+                        "unknown flow memory '{other}' (expected rounded or scheduled)"
+                    )))
+                }
+            },
+            faults: value_or(faults, FaultSpec::none)?,
+            load: value_or(load, LoadSpec::none)?,
+            churn: value_or(churn, ChurnSpec::none)?,
+            ckpt: ckpt.map(str::parse).transpose()?,
+            hybrid: hybrid.map(str::parse).transpose()?,
             source_line: None,
         })
     }

@@ -194,7 +194,7 @@ impl SteadyTracker {
 /// [`crate::checkpoint::Snapshot`] taken at any round boundary (between
 /// calls, from an observer, or by the auto-checkpoint) carries it as it
 /// is, and [`crate::Simulator::restore`] puts it back.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct RunRecord {
     /// `round` at the start of the run. Hybrid `AtRound` triggers and the
     /// `steady:` cap count from here, and a resume subtracts the rounds
@@ -210,16 +210,6 @@ pub(crate) struct RunRecord {
     pub(crate) steady: Option<SteadyTracker>,
     /// The `plateau:` tracker.
     pub(crate) plateau: Option<RemainingImbalance>,
-}
-
-impl PartialEq for RunRecord {
-    fn eq(&self, other: &Self) -> bool {
-        let plateau = self.plateau.as_ref().map(|p| (p.window, &p.history));
-        (self.origin, self.switch_round, self.degraded)
-            == (other.origin, other.switch_round, other.degraded)
-            && (&self.watch, &self.steady) == (&other.watch, &other.steady)
-            && plateau == other.plateau.as_ref().map(|p| (p.window, &p.history))
-    }
 }
 
 impl RunRecord {

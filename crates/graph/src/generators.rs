@@ -270,49 +270,30 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
     if n == 0 {
         return assemble(n, edges, Repeats::Absent, GraphKind::Generic);
     }
-    // Uniform cell grid of cell size `radius`: only neighboring cells can
-    // contain points within range.
-    // Cell size of `radius` makes neighbor search exact over the 3x3 cell
-    // block; cap the grid at ~n cells so a tiny radius cannot blow up memory.
+    // Cells of side `radius` make the neighbor search exact over the 3×3
+    // cell block; the grid is capped at ~n cells so a tiny radius cannot
+    // blow up memory.
     let min_cell = side / (n as f64).sqrt().ceil().max(1.0);
     let cell_size = radius.max(min_cell).max(1e-9);
     let cells_per_side = ((side / cell_size).ceil() as usize).max(1);
-    let cell_of = |p: (f64, f64)| -> (usize, usize) {
-        let cx = ((p.0 / cell_size) as usize).min(cells_per_side - 1);
-        let cy = ((p.1 / cell_size) as usize).min(cells_per_side - 1);
-        (cx, cy)
-    };
-    let mut grid: Vec<Vec<NodeId>> = vec![Vec::new(); cells_per_side * cells_per_side];
-    for (i, &p) in points.iter().enumerate() {
-        let (cx, cy) = cell_of(p);
-        grid[cy * cells_per_side + cx].push(i as NodeId);
-    }
+    let grid = CellGrid::new(cell_size, cells_per_side, &points, 0..n as NodeId);
     let r2 = radius * radius;
     for (i, &p) in points.iter().enumerate() {
-        let (cx, cy) = cell_of(p);
-        for dy in -1i64..=1 {
-            for dx in -1i64..=1 {
-                let nx = cx as i64 + dx;
-                let ny = cy as i64 + dy;
-                if nx < 0 || ny < 0 || nx >= cells_per_side as i64 || ny >= cells_per_side as i64 {
-                    continue;
-                }
-                for &j in &grid[ny as usize * cells_per_side + nx as usize] {
-                    if (j as usize) <= i {
-                        continue;
-                    }
-                    let q = points[j as usize];
-                    let (ddx, ddy) = (p.0 - q.0, p.1 - q.1);
-                    if ddx * ddx + ddy * ddy <= r2 {
-                        edges.push((i as NodeId, j));
-                    }
-                }
+        let c = grid.cell_of(p);
+        for &j in (0..=1).flat_map(|k| grid.ring(c, k)).flatten() {
+            if (j as usize) <= i {
+                continue;
+            }
+            let q = points[j as usize];
+            let (ddx, ddy) = (p.0 - q.0, p.1 - q.1);
+            if ddx * ddx + ddy * ddy <= r2 {
+                edges.push((i as NodeId, j));
             }
         }
     }
     let g = assemble(n, edges, Repeats::Absent, GraphKind::Generic);
-    // Patch disconnected components: repeatedly connect every non-giant
-    // component to its closest node in the giant component.
+    // Patch disconnected components: connect every non-giant component
+    // to its closest node in the giant component.
     let labels = component_labels(&g);
     let num_components = labels.iter().max().map(|&m| m as usize + 1).unwrap_or(0);
     if num_components > 1 {
@@ -326,32 +307,146 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
             .max_by_key(|&(_, s)| *s)
             .map(|(i, _)| i as u32)
             .expect("non-empty");
-        let giant_nodes: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&v| labels[v as usize] == giant)
-            .collect();
+        let giant_nodes = (0..n as NodeId).filter(|&v| labels[v as usize] == giant);
+        let giant_grid = CellGrid::new(cell_size, cells_per_side, &points, giant_nodes);
         let mut edges = Vec::with_capacity(g.edge_count() + num_components - 1);
         edges.extend_from_slice(g.edges());
-        for comp in 0..num_components as u32 {
-            if comp == giant {
-                continue;
-            }
-            let mut best: Option<(f64, NodeId, NodeId)> = None;
-            for v in (0..n as NodeId).filter(|&v| labels[v as usize] == comp) {
-                let p = points[v as usize];
-                for &u in &giant_nodes {
-                    let q = points[u as usize];
-                    let d2 = (p.0 - q.0).powi(2) + (p.1 - q.1).powi(2);
-                    if best.map(|(bd, _, _)| d2 < bd).unwrap_or(true) {
-                        best = Some((d2, v, u));
-                    }
-                }
-            }
-            let (_, v, u) = best.expect("components are non-empty");
-            edges.push((v.min(u), v.max(u)));
-        }
+        edges.extend(closest_giant_pairs(&points, &giant_grid, &labels, giant));
         return assemble(n, edges, Repeats::Drop, GraphKind::Generic);
     }
     g
+}
+
+/// The uniform cell grid of [`random_geometric`]: `side × side` square
+/// cells of side `size`, in row-major order, each listing its nodes in
+/// ascending order. The lists are stored back to back, so a run of
+/// cells in one row is one slice.
+struct CellGrid {
+    size: f64,
+    side: usize,
+    /// Cell `c`'s nodes are `nodes[start[c]..start[c + 1]]`.
+    start: Vec<usize>,
+    nodes: Vec<NodeId>,
+}
+
+impl CellGrid {
+    /// The grid of `ids`, placed by their `points`.
+    fn new(
+        size: f64,
+        side: usize,
+        points: &[(f64, f64)],
+        ids: impl Iterator<Item = NodeId>,
+    ) -> Self {
+        let mut grid = CellGrid {
+            size,
+            side,
+            start: vec![0; side * side + 1],
+            nodes: Vec::new(),
+        };
+        let placed: Vec<(usize, NodeId)> = ids
+            .map(|id| {
+                let (cx, cy) = grid.cell_of(points[id as usize]);
+                (cy * side + cx, id)
+            })
+            .collect();
+        for &(c, _) in &placed {
+            grid.start[c + 1] += 1;
+        }
+        for c in 0..side * side {
+            grid.start[c + 1] += grid.start[c];
+        }
+        let mut next = grid.start.clone();
+        grid.nodes = vec![0; placed.len()];
+        for (c, id) in placed {
+            grid.nodes[next[c]] = id;
+            next[c] += 1;
+        }
+        grid
+    }
+
+    fn cell_of(&self, p: (f64, f64)) -> (usize, usize) {
+        let cx = ((p.0 / self.size) as usize).min(self.side - 1);
+        let cy = ((p.1 / self.size) as usize).min(self.side - 1);
+        (cx, cy)
+    }
+
+    /// The nodes of the cells at Chebyshev distance `k` from cell `c`
+    /// (ring 0 is `c` itself), as one slice per row run.
+    fn ring(&self, (cx, cy): (usize, usize), k: usize) -> impl Iterator<Item = &[NodeId]> + '_ {
+        let last = self.side - 1;
+        let (lo, hi) = (cx.saturating_sub(k), (cx + k).min(last));
+        (cy.saturating_sub(k)..=(cy + k).min(last)).flat_map(move |y| {
+            // The ring's top and bottom rows are whole; the rows between
+            // hold only its two end cells.
+            let runs = if y.abs_diff(cy) == k {
+                [Some((lo, hi)), None]
+            } else {
+                [
+                    (cx >= k).then(|| (cx - k, cx - k)),
+                    (cx + k <= last).then(|| (cx + k, cx + k)),
+                ]
+            };
+            runs.into_iter().flatten().map(move |(a, b)| {
+                &self.nodes[self.start[y * self.side + a]..self.start[y * self.side + b + 1]]
+            })
+        })
+    }
+}
+
+/// The patch edge of every component but `giant`: its node pair `(v, u)`
+/// with `u` in the giant component at the least `(d², v, u)`, the pair a
+/// scan over every stray node `v` and giant node `u` in ascending order
+/// keeps under a strict `<`. Each `v` searches `giant_grid` (the giant's
+/// nodes only) ring by ring out from its own cell. Ring `k + 1` and
+/// beyond lie more than `k·size` away, so once the component's best pair
+/// is closer than that, no farther node can beat or tie it; one more
+/// ring is searched so that float rounding cannot hide a tie. A search
+/// that would cover more cells than the giant has nodes scans the giant
+/// directly instead, so no `v` costs more than that scan.
+fn closest_giant_pairs(
+    points: &[(f64, f64)],
+    giant_grid: &CellGrid,
+    labels: &[u32],
+    giant: u32,
+) -> Vec<(NodeId, NodeId)> {
+    let components = labels.iter().max().map_or(0, |&m| m as usize + 1);
+    let mut best: Vec<Option<(f64, NodeId, NodeId)>> = vec![None; components];
+    for (v, &label) in labels.iter().enumerate() {
+        if label == giant {
+            continue;
+        }
+        let (p, c) = (points[v], giant_grid.cell_of(points[v]));
+        let best = &mut best[label as usize];
+        let offer = |best: &mut Option<_>, us: &[NodeId]| {
+            for &u in us {
+                let q = points[u as usize];
+                let pair = ((p.0 - q.0).powi(2) + (p.1 - q.1).powi(2), v as NodeId, u);
+                if best.is_none_or(|b| pair < b) {
+                    *best = Some(pair);
+                }
+            }
+        };
+        let mut last_ring = giant_grid.side - 1;
+        let mut k = 0;
+        while k <= last_ring {
+            if (2 * k + 1).pow(2) > giant_grid.nodes.len() {
+                offer(best, &giant_grid.nodes);
+                break;
+            }
+            for run in giant_grid.ring(c, k) {
+                offer(best, run);
+            }
+            let bound = k as f64 * giant_grid.size;
+            if k < last_ring && best.is_some_and(|b| b.0 < bound * bound) {
+                last_ring = k + 1;
+            }
+            k += 1;
+        }
+    }
+    best.into_iter()
+        .flatten()
+        .map(|(_, v, u)| (v.min(u), v.max(u)))
+        .collect()
 }
 
 /// The paper's "Random Graph (CM)": configuration model with
@@ -520,6 +615,95 @@ mod tests {
         let g = random_geometric(20, 0.0, 2);
         assert_eq!(connected_components(&g), 1);
         assert_eq!(g.edge_count(), 19);
+    }
+
+    /// The patch step as it was first written: every stray node against
+    /// every giant node, in ascending order, keeping a strictly closer
+    /// pair.
+    fn closest_giant_pairs_brute_force(
+        points: &[(f64, f64)],
+        labels: &[u32],
+        giant: u32,
+    ) -> Vec<(NodeId, NodeId)> {
+        let n = points.len() as NodeId;
+        let giant_nodes: Vec<NodeId> = (0..n).filter(|&v| labels[v as usize] == giant).collect();
+        let components = labels.iter().max().map_or(0, |&m| m + 1);
+        let mut pairs = Vec::new();
+        for comp in (0..components).filter(|&c| c != giant) {
+            let mut best: Option<(f64, NodeId, NodeId)> = None;
+            for v in (0..n).filter(|&v| labels[v as usize] == comp) {
+                let p = points[v as usize];
+                for &u in &giant_nodes {
+                    let q = points[u as usize];
+                    let d2 = (p.0 - q.0).powi(2) + (p.1 - q.1).powi(2);
+                    if best.map(|(bd, _, _)| d2 < bd).unwrap_or(true) {
+                        best = Some((d2, v, u));
+                    }
+                }
+            }
+            if let Some((_, v, u)) = best {
+                pairs.push((v.min(u), v.max(u)));
+            }
+        }
+        pairs
+    }
+
+    /// The grid search of the patch step picks the pair the brute-force
+    /// double loop picks, on instances with many stray components: points
+    /// in general position and on an integer lattice (where equal
+    /// distances abound, so the tie-breaking is exercised), with cells of
+    /// the generator's size and of sizes unrelated to the radius, and with
+    /// a one-node giant (every node isolated).
+    #[test]
+    fn patch_step_matches_brute_force() {
+        let mut instances = 0;
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 150 + 50 * seed as usize;
+            let extent = (n as f64).sqrt();
+            let lattice = seed % 2 == 1;
+            let points: Vec<(f64, f64)> = (0..n)
+                .map(|_| {
+                    let p = (rng.random_range(0.0..extent), rng.random_range(0.0..extent));
+                    if lattice {
+                        (p.0.floor(), p.1.floor())
+                    } else {
+                        p
+                    }
+                })
+                .collect();
+            for radius in [0.0, 0.8, 1.0, 1.2] {
+                let mut uf = crate::unionfind::UnionFind::new(n);
+                for v in 0..n {
+                    for u in v + 1..n {
+                        let (p, q) = (points[v], points[u]);
+                        if (p.0 - q.0).powi(2) + (p.1 - q.1).powi(2) <= radius * radius {
+                            uf.union(v as u32, u as u32);
+                        }
+                    }
+                }
+                let labels: Vec<u32> = (0..n as u32).map(|v| uf.find(v)).collect();
+                let mut sizes = vec![0usize; n];
+                for &l in &labels {
+                    sizes[l as usize] += 1;
+                }
+                let giant = (0..n).max_by_key(|&l| sizes[l]).unwrap() as u32;
+                let expected = closest_giant_pairs_brute_force(&points, &labels, giant);
+                assert!(radius > 0.0 || lattice || expected.len() == n - 1);
+                for size in [radius.max(1.0), 0.37, 2.5] {
+                    let side = (extent / size).ceil() as usize;
+                    let giant_nodes = (0..n as NodeId).filter(|&v| labels[v as usize] == giant);
+                    let grid = CellGrid::new(size, side, &points, giant_nodes);
+                    assert_eq!(
+                        closest_giant_pairs(&points, &grid, &labels, giant),
+                        expected,
+                        "seed {seed}, radius {radius}, cell size {size}"
+                    );
+                    instances += 1;
+                }
+            }
+        }
+        assert_eq!(instances, 144);
     }
 
     #[test]
