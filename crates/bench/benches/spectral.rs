@@ -1,10 +1,10 @@
 //! Criterion: spectral-solver costs — analytic closed forms vs dense
-//! Jacobi vs shifted power iteration.
+//! Jacobi (the small-graph oracle) vs the Lanczos solver that
+//! `spectral::analyze` runs on every other graph.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use sodiff_graph::{generators, Speeds};
-use sodiff_linalg::power::PowerOptions;
 use sodiff_linalg::spectral;
 
 fn bench_spectral(c: &mut Criterion) {
@@ -20,21 +20,19 @@ fn bench_spectral(c: &mut Criterion) {
         b.iter(|| spectral::dense_spectrum(&small, &small_speeds))
     });
 
-    let medium = generators::torus2d(64, 64);
-    let medium_speeds = Speeds::uniform(64 * 64);
-    let opts = PowerOptions {
-        max_iterations: 2_000,
-        tolerance: 1e-8,
-        seed: 1,
-    };
+    // The torus with unit speeds has a closed form; heterogeneous speeds
+    // send it to the solver.
     group.sample_size(10);
-    group.bench_function("power_torus64", |b| {
-        b.iter(|| spectral::power_spectrum(&medium, &medium_speeds, opts))
+    let medium = generators::torus2d(64, 64);
+    let hetero = Speeds::linear_ramp(64 * 64, 8.0);
+    group.bench_function("lanczos_torus64_hetero", |b| {
+        b.iter(|| spectral::analyze(&medium, &hetero))
     });
 
-    let hetero = Speeds::linear_ramp(64 * 64, 8.0);
-    group.bench_function("power_torus64_hetero", |b| {
-        b.iter(|| spectral::power_spectrum(&medium, &hetero, opts))
+    let regular = generators::random_regular(640, 6, 1).expect("valid regular parameters");
+    let regular_speeds = Speeds::uniform(640);
+    group.bench_function("lanczos_random_regular_640_6", |b| {
+        b.iter(|| spectral::analyze(&regular, &regular_speeds))
     });
 
     group.finish();

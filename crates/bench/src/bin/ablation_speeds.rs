@@ -1,12 +1,13 @@
 //! Ablation: heterogeneous speed profiles. Runs SOS on a torus under
 //! several speed distributions and reports convergence rounds, the
 //! proportionality error, and how the spectral gap (and thus β_opt)
-//! shifts with heterogeneity.
+//! shifts with heterogeneity. `λ` comes from `spectral::analyze`: the
+//! closed form for unit speeds, the Lanczos solver otherwise, with its
+//! certified residual printed next to it.
 
 use sodiff_bench::ExpOpts;
 use sodiff_core::prelude::*;
 use sodiff_graph::generators;
-use sodiff_linalg::power::PowerOptions;
 use sodiff_linalg::spectral;
 
 fn main() {
@@ -16,8 +17,8 @@ fn main() {
     let n = graph.node_count();
     println!("Ablation: speed profiles on torus {side}x{side}");
     println!(
-        "{:<22} {:>8} {:>12} {:>10} {:>12} {:>16}",
-        "profile", "s_max", "lambda", "beta", "rounds", "max rel error"
+        "{:<22} {:>8} {:>12} {:>9} {:>10} {:>12} {:>16}",
+        "profile", "s_max", "lambda", "residual", "beta", "rounds", "max rel error"
     );
 
     let profiles: Vec<(&str, Speeds)> = vec![
@@ -33,15 +34,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, speeds) in profiles {
-        let spec = spectral::power_spectrum(
-            &graph,
-            &speeds,
-            PowerOptions {
-                max_iterations: 50_000,
-                tolerance: 1e-12,
-                seed: opts.seed,
-            },
-        );
+        let spec = spectral::analyze(&graph, &speeds);
         let beta = spec.beta_opt();
         let total = 500 * speeds.total() as i64;
         let mut sim = Experiment::on(&graph)
@@ -66,17 +59,19 @@ fn main() {
             })
             .fold(0.0f64, f64::max);
         println!(
-            "{name:<22} {:>8.0} {:>12.6} {:>10.4} {:>12} {:>16.4}",
+            "{name:<22} {:>8.0} {:>12.6} {:>9.1e} {:>10.4} {:>12} {:>16.4}",
             speeds.max(),
             spec.lambda,
+            spec.residual,
             beta,
             report.rounds,
             rel_err
         );
         rows.push(format!(
-            "{name},{},{},{},{},{}",
+            "{name},{},{},{},{},{},{}",
             speeds.max(),
             spec.lambda,
+            spec.residual,
             beta,
             report.rounds,
             rel_err
@@ -84,7 +79,7 @@ fn main() {
     }
     sodiff_bench::write_table(
         &opts.path("ablation_speeds"),
-        "profile,s_max,lambda,beta,rounds,max_rel_error",
+        "profile,s_max,lambda,residual,beta,rounds,max_rel_error",
         &rows,
     );
     println!("\nwrote {}", opts.path("ablation_speeds").display());

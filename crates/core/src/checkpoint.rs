@@ -66,8 +66,9 @@
 //! checksum is checked. Files are written to a temporary sibling and
 //! atomically renamed, so a crash mid-write never leaves a torn "latest"
 //! checkpoint. Loading **never panics**: truncation, bit corruption,
-//! version skew and tracker state the run loop could not have produced
-//! surface as typed [`CheckpointError`] variants.
+//! bytes left over after the snapshot, version skew and tracker state
+//! the run loop could not have produced surface as typed
+//! [`CheckpointError`] variants.
 //!
 //! # Usage
 //!
@@ -670,6 +671,9 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
     }
     let spec: ScenarioSpec = String::get(&mut body)?.parse()?;
     let snapshot = Snapshot::get(&mut body)?;
+    if !body.is_empty() {
+        return Err(CheckpointError::TrailingBytes(body.len()));
+    }
     Ok(Checkpoint { spec, snapshot })
 }
 

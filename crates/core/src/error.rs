@@ -9,6 +9,7 @@ use std::error::Error;
 use std::fmt;
 
 use sodiff_graph::GraphError;
+use sodiff_linalg::spectral::SpectralError;
 
 /// A scenario text could not be parsed.
 ///
@@ -125,6 +126,9 @@ pub enum BuildError {
     InvalidCheckpoint(String),
     /// Restoring from a checkpoint snapshot failed.
     Checkpoint(Box<CheckpointError>),
+    /// `sos_opt` could not derive `β` because the spectral solver did
+    /// not certify `λ`.
+    Spectral(SpectralError),
 }
 
 impl fmt::Display for BuildError {
@@ -177,6 +181,7 @@ impl fmt::Display for BuildError {
             }
             BuildError::InvalidCheckpoint(msg) => write!(f, "invalid checkpoint policy: {msg}"),
             BuildError::Checkpoint(e) => write!(f, "{e}"),
+            BuildError::Spectral(e) => write!(f, "sos_opt: {e}"),
         }
     }
 }
@@ -188,6 +193,7 @@ impl Error for BuildError {
             BuildError::Parse(e) => Some(e),
             BuildError::Scenario { source, .. } => Some(source),
             BuildError::Checkpoint(e) => Some(e),
+            BuildError::Spectral(e) => Some(e),
             _ => None,
         }
     }
@@ -237,6 +243,9 @@ pub enum CheckpointError {
     },
     /// The file ends before the encoded snapshot does.
     Truncated,
+    /// Bytes are left over between the encoded snapshot and the
+    /// checksum trailer (the count is given).
+    TrailingBytes(usize),
     /// The trailing FNV-1a checksum does not match the file contents
     /// (bit corruption).
     ChecksumMismatch {
@@ -284,6 +293,9 @@ impl fmt::Display for CheckpointError {
                 write!(f, "unsupported checkpoint format version {found}")
             }
             CheckpointError::Truncated => write!(f, "checkpoint file is truncated"),
+            CheckpointError::TrailingBytes(n) => {
+                write!(f, "checkpoint has {n} bytes after its snapshot")
+            }
             CheckpointError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"

@@ -56,6 +56,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use sodiff_graph::{Graph, Speeds, TopologySpec};
+use sodiff_linalg::spectral::SpectralError;
 
 use crate::checkpoint::{CheckpointConfig, CheckpointPolicy};
 use crate::engine::{FlowMemory, RunReport, StopCondition};
@@ -244,7 +245,9 @@ impl SchemeSpec {
     ///
     /// Returns [`BuildError::InvalidBeta`] for explicit `β` outside
     /// `(0, 2)` or when `sos_opt` is requested on a graph whose `λ` is
-    /// not in `[0, 1)` (disconnected or degenerate networks), and
+    /// not in `[0, 1)` (disconnected or degenerate networks),
+    /// [`BuildError::Spectral`] when `sos_opt`'s `λ` cannot be certified,
+    /// and
     /// [`BuildError::InvalidLambda`] for a pairwise exchange gain outside
     /// `(0, 1]`.
     pub fn resolve(&self, graph: &Graph, speeds: &Speeds) -> Result<Scheme, BuildError> {
@@ -254,9 +257,11 @@ impl SchemeSpec {
             SchemeSpec::SosOpt => {
                 // A network with fewer than two nodes or more than one
                 // component has λ = 1, where β_opt reaches 2, outside
-                // (0, 2); the spectral analysis refuses it outright.
+                // (0, 2); the spectral analysis refuses it outright, and
+                // refuses a λ its solver could not certify.
                 let lambda = match sodiff_linalg::spectral::try_analyze(graph, speeds) {
                     Ok(spectrum) => spectrum.lambda,
+                    Err(e @ SpectralError::NotCertified(_)) => return Err(BuildError::Spectral(e)),
                     Err(_) => return Err(BuildError::InvalidBeta(2.0)),
                 };
                 if !(0.0..1.0).contains(&lambda) {

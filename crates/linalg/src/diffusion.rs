@@ -33,10 +33,13 @@ pub struct DiffusionOperator<'a> {
     graph: &'a Graph,
     speeds: &'a Speeds,
     edge_alpha: Vec<f64>,
+    /// `√s_i` per node: the scaling of `B` and the principal vector.
+    sqrt_speeds: Vec<f64>,
 }
 
 impl<'a> DiffusionOperator<'a> {
-    /// Builds the operator, precomputing `α_e` for every canonical edge.
+    /// Builds the operator, precomputing `α_e` for every canonical edge
+    /// and `√s_i` for every node.
     ///
     /// # Panics
     ///
@@ -52,10 +55,12 @@ impl<'a> DiffusionOperator<'a> {
             .iter()
             .map(|&(u, v)| graph.alpha(u, v))
             .collect();
+        let sqrt_speeds = speeds.as_slice().iter().map(|s| s.sqrt()).collect();
         Self {
             graph,
             speeds,
             edge_alpha,
+            sqrt_speeds,
         }
     }
 
@@ -87,16 +92,8 @@ impl<'a> DiffusionOperator<'a> {
 
     /// `out = M·x`, i.e. `out_i = x_i − Σ_{j∈N(i)} α_{ij}·(x_i/s_i − x_j/s_j)`.
     pub fn apply(&self, x: &[f64], out: &mut [f64]) {
-        let n = self.len();
-        assert_eq!(x.len(), n);
-        assert_eq!(out.len(), n);
-        out.copy_from_slice(x);
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
-            let (u, v) = (u as usize, v as usize);
-            let flow = self.edge_alpha[e] * (x[u] / self.speeds.get(u) - x[v] / self.speeds.get(v));
-            out[u] -= flow;
-            out[v] += flow;
-        }
+        assert_eq!(x.len(), self.len());
+        self.apply_to(out, |i| x[i]);
     }
 
     /// The continuous FOS flow over every canonical edge for load vector
@@ -111,6 +108,21 @@ impl<'a> DiffusionOperator<'a> {
         }
     }
 
+    /// `out = M·y` for the vector `y_i = y(i)`, read where `M` needs it,
+    /// so a scaled input needs no temporary.
+    fn apply_to(&self, out: &mut [f64], y: impl Fn(usize) -> f64) {
+        assert_eq!(out.len(), self.len());
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = y(i);
+        }
+        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
+            let (u, v) = (u as usize, v as usize);
+            let flow = self.edge_alpha[e] * (y(u) / self.speeds.get(u) - y(v) / self.speeds.get(v));
+            out[u] -= flow;
+            out[v] += flow;
+        }
+    }
+
     /// `out = B·x` with the symmetrized operator
     /// `B = S^{-1/2}·M·S^{1/2}` (equal to `M` in the homogeneous model).
     pub fn apply_symmetrized(&self, x: &[f64], out: &mut [f64]) {
@@ -121,22 +133,18 @@ impl<'a> DiffusionOperator<'a> {
             self.apply(x, out);
             return;
         }
-        // B_{ij} = (S^{-1/2} M S^{1/2})_{ij}; work through temporaries.
-        let scaled: Vec<f64> = x
-            .iter()
-            .enumerate()
-            .map(|(i, &xi)| xi * self.speeds.get(i).sqrt())
-            .collect();
-        self.apply(&scaled, out);
-        for (i, o) in out.iter_mut().enumerate() {
-            *o /= self.speeds.get(i).sqrt();
+        // `B·x = S^{-1/2}·(M·y)` with `y = S^{1/2}·x`.
+        let sq = &self.sqrt_speeds;
+        self.apply_to(out, |i| x[i] * sq[i]);
+        for (o, &r) in out.iter_mut().zip(sq) {
+            *o /= r;
         }
     }
 
     /// The unit principal eigenvector of `B` (eigenvalue 1):
     /// `v_i ∝ √s_i`.
     pub fn principal_symmetrized_eigenvector(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = (0..self.len()).map(|i| self.speeds.get(i).sqrt()).collect();
+        let mut v = self.sqrt_speeds.clone();
         crate::vector::normalize(&mut v);
         v
     }
@@ -250,6 +258,26 @@ mod tests {
         for (a, b) in fast.iter().zip(&dense) {
             assert!((a - b).abs() < 1e-10);
         }
+    }
+
+    /// `B·x` reads `x_i·√s_i` in place of a scaled temporary; the bits
+    /// must equal those of scaling first, applying `M` and unscaling.
+    #[test]
+    fn symmetrized_apply_keeps_the_bits_of_a_scaled_temporary() {
+        let g = generators::random_regular(40, 4, 3).unwrap();
+        let s = Speeds::random_skewed(40, 6.0, 1.5, 5);
+        let op = DiffusionOperator::new(&g, &s);
+        let x: Vec<f64> = (0..40).map(|i| (i as f64 * 0.37).sin()).collect();
+        let scaled: Vec<f64> = (0..40).map(|i| x[i] * s.get(i).sqrt()).collect();
+        let mut expected = vec![0.0; 40];
+        op.apply(&scaled, &mut expected);
+        for (i, e) in expected.iter_mut().enumerate() {
+            *e /= s.get(i).sqrt();
+        }
+        let mut out = vec![0.0; 40];
+        op.apply_symmetrized(&x, &mut out);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&expected));
     }
 
     #[test]

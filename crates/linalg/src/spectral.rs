@@ -6,12 +6,16 @@
 //!
 //! 1. analytic closed forms for generated tori, hypercubes, cycles, and
 //!    complete graphs in the normalized homogeneous model (`s ≡ 1`),
-//! 2. dense Jacobi eigendecomposition for small graphs,
-//! 3. shifted power iteration with deflation on the symmetrized operator
-//!    `B = S^{-1/2}·M·S^{1/2}` otherwise.
+//! 2. the [`lanczos`] solver on the symmetrized operator
+//!    `B = S^{-1/2}·M·S^{1/2}` for every other graph, whatever its size.
 //!
-//! The numerical solvers need a connected network, which one BFS checks;
-//! the closed forms apply only to generator-built graphs, which are
+//! Every [`Spectrum`] states its accuracy: the closed forms are exact,
+//! and the solver certifies its Ritz residual (at most
+//! [`lanczos::TOLERANCE`]). [`dense_spectrum`] (dense Jacobi, `O(n³)`)
+//! is kept as the test oracle for small graphs.
+//!
+//! The solver needs a connected network, which one BFS checks; the
+//! closed forms apply only to generator-built graphs, which are
 //! connected by construction, so they run no search at all.
 
 use std::error::Error;
@@ -22,10 +26,7 @@ use sodiff_graph::{Graph, GraphKind, Speeds};
 
 use crate::diffusion::DiffusionOperator;
 use crate::jacobi;
-use crate::power::{dominant_eigenvalue, PowerOptions};
-
-/// Above this node count the dense Jacobi path is skipped.
-pub const DENSE_LIMIT: usize = 600;
+use crate::lanczos;
 
 /// How `λ` was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,10 +40,14 @@ pub enum SpectralMethod {
     AnalyticCycle,
     /// Closed form for the complete graph.
     AnalyticComplete,
-    /// Dense Jacobi eigendecomposition of `B`.
+    /// Dense Jacobi eigendecomposition of `B` ([`dense_spectrum`], the
+    /// small-graph test oracle).
     DenseJacobi,
-    /// Shifted power iteration with deflation on `B`.
+    /// Returned by no solver; kept because perfbench matches on it.
     PowerIteration,
+    /// Residual-certified Lanczos on `B`, deflated against the principal
+    /// vector.
+    Lanczos,
 }
 
 /// Spectral summary of a diffusion matrix.
@@ -57,9 +62,28 @@ pub struct Spectrum {
     pub lambda_min: f64,
     /// Which solver produced the numbers.
     pub method: SpectralMethod,
+    /// Accuracy bound: `λ₂` and `λ_min` each lie within this of an
+    /// eigenvalue of `B` (0 for the closed forms).
+    pub residual: f64,
 }
 
 impl Spectrum {
+    /// The spectrum with ends `λ₂` and `λ_min`; `λ` is the larger magnitude.
+    pub(crate) fn from_ends(
+        lambda_2: f64,
+        lambda_min: f64,
+        method: SpectralMethod,
+        residual: f64,
+    ) -> Self {
+        Self {
+            lambda: lambda_2.abs().max(lambda_min.abs()),
+            lambda_2,
+            lambda_min,
+            method,
+            residual,
+        }
+    }
+
     /// The eigenvalue gap `1 − λ`.
     pub fn gap(&self) -> f64 {
         1.0 - self.lambda
@@ -84,15 +108,19 @@ pub fn beta_opt(lambda: f64) -> f64 {
     2.0 / (1.0 + (1.0 - lambda * lambda).sqrt())
 }
 
-/// Why a network has no spectral gap: its `λ` is 1, so diffusion cannot
-/// balance it and `β_opt` is undefined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a network has no spectrum to give: its `λ` is 1, so diffusion
+/// cannot balance it and `β_opt` is undefined, or the solver could not
+/// certify its ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum SpectralError {
     /// The network has fewer than two nodes (the count is given).
     TooFewNodes(usize),
     /// The network has more than one connected component.
     Disconnected,
+    /// The solver reached its step cap with this Ritz residual, above
+    /// [`lanczos::TOLERANCE`]: its ends are not certified.
+    NotCertified(f64),
 }
 
 impl fmt::Display for SpectralError {
@@ -104,6 +132,12 @@ impl fmt::Display for SpectralError {
             SpectralError::Disconnected => {
                 f.write_str("spectral analysis requires a connected graph")
             }
+            SpectralError::NotCertified(residual) => write!(
+                f,
+                "spectral analysis stopped at its step cap with residual {residual:e}, \
+                 above {:e}",
+                lanczos::TOLERANCE
+            ),
         }
     }
 }
@@ -116,8 +150,10 @@ impl Error for SpectralError {}
 ///
 /// # Errors
 ///
-/// Returns [`SpectralError::TooFewNodes`] for fewer than two nodes and
-/// [`SpectralError::Disconnected`] for more than one component.
+/// Returns [`SpectralError::TooFewNodes`] for fewer than two nodes,
+/// [`SpectralError::Disconnected`] for more than one component, and
+/// [`SpectralError::NotCertified`] when the solver's residual stays above
+/// [`lanczos::TOLERANCE`] (a path of more than about 10,000 nodes).
 ///
 /// # Panics
 ///
@@ -136,11 +172,16 @@ pub fn try_analyze(graph: &Graph, speeds: &Speeds) -> Result<Spectrum, SpectralE
     if !graph.is_connected() {
         return Err(SpectralError::Disconnected);
     }
-    Ok(if n <= DENSE_LIMIT {
-        dense_spectrum(graph, speeds)
+    certified(lanczos::spectrum(graph, speeds))
+}
+
+/// `spectrum` if its residual is within [`lanczos::TOLERANCE`].
+fn certified(spectrum: Spectrum) -> Result<Spectrum, SpectralError> {
+    if spectrum.residual <= lanczos::TOLERANCE {
+        Ok(spectrum)
     } else {
-        power_spectrum(graph, speeds, PowerOptions::default())
-    })
+        Err(SpectralError::NotCertified(spectrum.residual))
+    }
 }
 
 /// Computes the spectrum of `M = I − L·S⁻¹` for the given network.
@@ -149,8 +190,9 @@ pub fn try_analyze(graph: &Graph, speeds: &Speeds) -> Result<Spectrum, SpectralE
 ///
 /// Panics if the graph is disconnected (λ = 1: diffusion cannot balance
 /// across components and `β_opt` is undefined), if it has fewer than two
-/// nodes, or if `speeds.len() != graph.node_count()`. [`try_analyze`]
-/// returns the first two as errors.
+/// nodes, if the solver cannot certify its ends, or if
+/// `speeds.len() != graph.node_count()`. [`try_analyze`] returns the
+/// first three as errors.
 pub fn analyze(graph: &Graph, speeds: &Speeds) -> Spectrum {
     try_analyze(graph, speeds).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -163,12 +205,12 @@ fn analytic_spectrum(graph: &Graph) -> Option<Spectrum> {
         GraphKind::Torus(dims) if dims.iter().all(|&d| d >= 3) => Some(torus_spectrum(dims)),
         GraphKind::Hypercube(dim) => Some(hypercube_spectrum(*dim)),
         GraphKind::Cycle => Some(cycle_spectrum(graph.node_count())),
-        GraphKind::Complete => Some(Spectrum {
-            lambda: 0.0,
-            lambda_2: 0.0,
-            lambda_min: 0.0,
-            method: SpectralMethod::AnalyticComplete,
-        }),
+        GraphKind::Complete => Some(Spectrum::from_ends(
+            0.0,
+            0.0,
+            SpectralMethod::AnalyticComplete,
+            0.0,
+        )),
         _ => None,
     }
 }
@@ -197,12 +239,7 @@ pub fn torus_spectrum(dims: &[u32]) -> Spectrum {
         .sum();
     let lambda_2 = 1.0 - alpha * min_nonzero;
     let lambda_min = 1.0 - alpha * max_l;
-    Spectrum {
-        lambda: lambda_2.abs().max(lambda_min.abs()),
-        lambda_2,
-        lambda_min,
-        method: SpectralMethod::AnalyticTorus,
-    }
+    Spectrum::from_ends(lambda_2, lambda_min, SpectralMethod::AnalyticTorus, 0.0)
 }
 
 /// Spectrum of the `dim`-dimensional hypercube (homogeneous model):
@@ -212,12 +249,7 @@ pub fn hypercube_spectrum(dim: u32) -> Spectrum {
     let d = dim as f64;
     let lambda_2 = 1.0 - 2.0 / (d + 1.0);
     let lambda_min = 1.0 - 2.0 * d / (d + 1.0);
-    Spectrum {
-        lambda: lambda_2.abs().max(lambda_min.abs()),
-        lambda_2,
-        lambda_min,
-        method: SpectralMethod::AnalyticHypercube,
-    }
+    Spectrum::from_ends(lambda_2, lambda_min, SpectralMethod::AnalyticHypercube, 0.0)
 }
 
 /// Spectrum of the cycle on `n ≥ 3` nodes (homogeneous model):
@@ -227,77 +259,20 @@ pub fn cycle_spectrum(n: usize) -> Spectrum {
     let lambda_2 = 1.0 - 2.0 / 3.0 * (1.0 - (2.0 * PI / n as f64).cos());
     let p = n / 2;
     let lambda_min = 1.0 - 2.0 / 3.0 * (1.0 - (2.0 * PI * p as f64 / n as f64).cos());
-    Spectrum {
-        lambda: lambda_2.abs().max(lambda_min.abs()),
-        lambda_2,
-        lambda_min,
-        method: SpectralMethod::AnalyticCycle,
-    }
+    Spectrum::from_ends(lambda_2, lambda_min, SpectralMethod::AnalyticCycle, 0.0)
 }
 
-/// Dense-Jacobi spectrum of an arbitrary small network.
+/// Dense-Jacobi spectrum of an arbitrary small network: the `O(n³)`
+/// oracle the solver is tested against. Like the closed forms it reports
+/// residual 0: Jacobi is exact to working precision.
 pub fn dense_spectrum(graph: &Graph, speeds: &Speeds) -> Spectrum {
     let op = DiffusionOperator::new(graph, speeds);
-    let b = op.to_dense_symmetrized();
-    let eig = jacobi::eigen_symmetric(&b);
+    let eig = jacobi::eigen_symmetric(&op.to_dense_symmetrized());
     // values are sorted descending; values[0] == 1 is the principal one.
+    let n = eig.values.len();
     let lambda_2 = eig.values[1];
-    let lambda_min = *eig.values.last().expect("n >= 2");
-    Spectrum {
-        lambda: lambda_2.abs().max(lambda_min.abs()),
-        lambda_2,
-        lambda_min,
-        method: SpectralMethod::DenseJacobi,
-    }
-}
-
-/// Power-iteration spectrum of a large network.
-///
-/// Runs two shifted, deflated power iterations on
-/// `B = S^{-1/2}·M·S^{1/2}`: `(B + I)/2` for `λ₂` and `(I − B)/2` for
-/// `λ_min`; both shifted operators have non-negative spectra, so the plain
-/// Rayleigh quotient converges without oscillation.
-pub fn power_spectrum(graph: &Graph, speeds: &Speeds, opts: PowerOptions) -> Spectrum {
-    let op = DiffusionOperator::new(graph, speeds);
-    let n = op.len();
-    let principal = op.principal_symmetrized_eigenvector();
-
-    // (B + I)/2: eigenvalues (μ+1)/2 ∈ [0, 1], dominant deflated = (λ₂+1)/2.
-    let r2 = dominant_eigenvalue(
-        n,
-        |x, y| {
-            op.apply_symmetrized(x, y);
-            for (yi, xi) in y.iter_mut().zip(x) {
-                *yi = 0.5 * (*yi + xi);
-            }
-        },
-        &[&principal],
-        opts,
-    );
-    let lambda_2 = 2.0 * r2.value - 1.0;
-
-    // (I − B)/2: eigenvalues (1−μ)/2 ≥ 0, dominant = (1−λ_min)/2. The
-    // principal direction maps to 0, so no deflation is needed, but it
-    // costs little and speeds convergence up.
-    let rm = dominant_eigenvalue(
-        n,
-        |x, y| {
-            op.apply_symmetrized(x, y);
-            for (yi, xi) in y.iter_mut().zip(x) {
-                *yi = 0.5 * (xi - *yi);
-            }
-        },
-        &[&principal],
-        opts,
-    );
-    let lambda_min = 1.0 - 2.0 * rm.value;
-
-    Spectrum {
-        lambda: lambda_2.abs().max(lambda_min.abs()),
-        lambda_2,
-        lambda_min,
-        method: SpectralMethod::PowerIteration,
-    }
+    let lambda_min = eig.values[n - 1];
+    Spectrum::from_ends(lambda_2, lambda_min, SpectralMethod::DenseJacobi, 0.0)
 }
 
 #[cfg(test)]
@@ -396,32 +371,83 @@ mod tests {
         assert!(d.lambda.abs() < 1e-10);
     }
 
-    #[test]
-    fn power_matches_dense_on_medium_graph() {
-        let g = generators::random_regular(120, 6, 1).unwrap();
-        let s = Speeds::uniform(120);
-        let d = dense_spectrum(&g, &s);
-        let p = power_spectrum(&g, &s, PowerOptions::default());
+    /// Asserts that the solver's ends match the dense oracle's within
+    /// 1e-10 and that it certified them.
+    fn assert_matches_dense(g: &Graph, s: &Speeds) {
+        let d = dense_spectrum(g, s);
+        let l = analyze(g, s);
+        assert_eq!(l.method, SpectralMethod::Lanczos);
+        assert!(l.residual <= lanczos::TOLERANCE, "residual {}", l.residual);
         assert!(
-            (d.lambda_2 - p.lambda_2).abs() < 1e-6,
-            "dense {} vs power {}",
+            (d.lambda_2 - l.lambda_2).abs() < 1e-10,
+            "lambda_2: dense {} vs lanczos {}",
             d.lambda_2,
-            p.lambda_2
+            l.lambda_2
         );
-        assert!((d.lambda_min - p.lambda_min).abs() < 1e-6);
+        assert!(
+            (d.lambda_min - l.lambda_min).abs() < 1e-10,
+            "lambda_min: dense {} vs lanczos {}",
+            d.lambda_min,
+            l.lambda_min
+        );
     }
 
     #[test]
-    fn heterogeneous_dense_spectrum_is_real() {
+    fn lanczos_matches_dense_on_medium_graph() {
+        let g = generators::random_regular(120, 6, 1).unwrap();
+        assert_matches_dense(&g, &Speeds::uniform(120));
+    }
+
+    #[test]
+    fn heterogeneous_spectrum_is_real() {
         let g = generators::torus2d(4, 4);
         let s = Speeds::linear_ramp(16, 8.0);
         let spec = analyze(&g, &s);
-        assert_eq!(spec.method, SpectralMethod::DenseJacobi);
         assert!(spec.lambda < 1.0);
         assert!(spec.lambda > 0.0);
-        // Heterogeneous power iteration agrees.
-        let p = power_spectrum(&g, &s, PowerOptions::default());
-        assert!((spec.lambda_2 - p.lambda_2).abs() < 1e-6);
+        assert_matches_dense(&g, &s);
+    }
+
+    /// Graphs whose symmetry gives `B` few distinct eigenvalues, so the
+    /// recurrence breaks down after a few steps and a start vector can
+    /// miss an eigenvector: the ends must still be the dense oracle's.
+    #[test]
+    fn symmetric_graphs_do_not_trap_the_solver() {
+        let bipartite = {
+            let mut b = sodiff_graph::GraphBuilder::new(10);
+            for u in 0..5 {
+                for v in 5..10 {
+                    b.add_edge(u, v).unwrap();
+                }
+            }
+            b.build()
+        };
+        let barbell = {
+            let mut b = sodiff_graph::GraphBuilder::new(12);
+            for (lo, hi) in [(0, 6), (6, 12)] {
+                for u in lo..hi {
+                    for v in u + 1..hi {
+                        b.add_edge(u, v).unwrap();
+                    }
+                }
+            }
+            b.add_edge(5, 6).unwrap();
+            b.build()
+        };
+        let graphs = [
+            generators::star(9),
+            bipartite,
+            barbell,
+            generators::path(11),
+            generators::torus2d(2, 5),
+            generators::path(2),
+            generators::path(3),
+        ];
+        for g in &graphs {
+            let n = g.node_count();
+            assert_matches_dense(g, &Speeds::uniform(n));
+            assert_matches_dense(g, &Speeds::linear_ramp(n, 4.0));
+        }
     }
 
     #[test]
@@ -441,6 +467,18 @@ mod tests {
         );
     }
 
+    /// A run cut off before it converges is refused, not used.
+    #[test]
+    fn an_uncertified_run_is_an_error() {
+        let g = generators::path(400);
+        let capped = lanczos::spectrum_within(&g, &Speeds::uniform(400), 50);
+        assert!(capped.residual > lanczos::TOLERANCE, "{}", capped.residual);
+        let err = certified(capped).unwrap_err();
+        assert_eq!(err, SpectralError::NotCertified(capped.residual));
+        assert!(err.to_string().contains("step cap"), "{err}");
+        assert!(certified(lanczos::spectrum(&g, &Speeds::uniform(400))).is_ok());
+    }
+
     #[test]
     #[should_panic(expected = "connected")]
     fn rejects_disconnected() {
@@ -452,12 +490,12 @@ mod tests {
     }
 
     #[test]
-    fn small_torus_sides_fall_back_to_dense() {
-        // torus2d(2, 2) degenerates to a 4-cycle whose analytic torus
-        // formula does not apply; dispatch must go numeric.
+    fn small_torus_sides_take_the_solver() {
+        // torus2d(2, 5) keeps one edge per pair along its 2-side, so its
+        // degree is 3 and the analytic torus formula does not apply;
+        // dispatch must go numeric.
         let g = generators::torus2d(2, 5);
-        let s = Speeds::uniform(10);
-        let spec = analyze(&g, &s);
-        assert_eq!(spec.method, SpectralMethod::DenseJacobi);
+        let spec = analyze(&g, &Speeds::uniform(10));
+        assert_eq!(spec.method, SpectralMethod::Lanczos);
     }
 }

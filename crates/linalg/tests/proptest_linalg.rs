@@ -3,12 +3,13 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sodiff_graph::{GraphBuilder, Speeds};
+use sodiff_graph::{generators, Graph, GraphBuilder, Speeds};
 use sodiff_linalg::dense::DenseMatrix;
 use sodiff_linalg::diffusion::DiffusionOperator;
 use sodiff_linalg::fourier::TorusModes;
 use sodiff_linalg::jacobi::eigen_symmetric;
-use sodiff_linalg::power::{dominant_eigenvalue, PowerOptions};
+use sodiff_linalg::lanczos::{self, TOLERANCE};
+use sodiff_linalg::spectral::{dense_spectrum, SpectralMethod};
 use sodiff_linalg::vector;
 
 fn random_symmetric(n: usize) -> impl Strategy<Value = DenseMatrix> {
@@ -54,6 +55,60 @@ fn network() -> impl Strategy<Value = (sodiff_graph::Graph, Speeds)> {
     })
 }
 
+/// A connected graph of up to 200 nodes from one of the generator
+/// families, with unit or heterogeneous speeds.
+fn family_network() -> impl Strategy<Value = (Graph, Speeds)> {
+    (0usize..9, 2usize..=200, any::<u64>(), 0usize..3).prop_map(|(family, n, seed, speeds)| {
+        let g = match family {
+            0 => generators::path(n),
+            1 => generators::star(n),
+            2 => generators::grid2d(2 + n % 9, 2 + n / 9 % 19),
+            3 => generators::erdos_renyi(n.max(8), 6.0 / n.max(8) as f64, seed),
+            4 => generators::random_regular(n.max(8) / 2 * 2, 3 + n % 5, seed).unwrap(),
+            5 => generators::rgg_paper(n, seed),
+            6 => generators::random_graph_cm(n.max(4), seed).unwrap(),
+            7 => generators::torus2d(2, 2 + n % 40),
+            // Closed-form families, which take the solver only with
+            // heterogeneous speeds; the solver itself runs on them here.
+            _ => match n % 4 {
+                0 => generators::cycle(3 + n % 60),
+                1 => generators::complete(2 + n % 40),
+                2 => generators::hypercube(1 + (n % 7) as u32),
+                _ => generators::torus2d(3 + n % 9, 3 + n / 9 % 12),
+            },
+        };
+        let n = g.node_count();
+        let speeds = match speeds {
+            0 => Speeds::uniform(n),
+            1 => Speeds::linear_ramp(n, 8.0),
+            _ => Speeds::random_skewed(n, 6.0, 1.5, seed),
+        };
+        (g, speeds)
+    })
+}
+
+/// The solver's ends agree with dense Jacobi's within 1e-10, and it
+/// certifies them.
+fn lanczos_matches_jacobi(g: &Graph, speeds: &Speeds) -> Result<(), TestCaseError> {
+    let spec = lanczos::spectrum(g, speeds);
+    let dense = dense_spectrum(g, speeds);
+    prop_assert_eq!(spec.method, SpectralMethod::Lanczos);
+    prop_assert!(spec.residual <= TOLERANCE, "residual {}", spec.residual);
+    prop_assert!(
+        (spec.lambda_2 - dense.lambda_2).abs() < 1e-10,
+        "lambda_2: lanczos {} vs jacobi {}",
+        spec.lambda_2,
+        dense.lambda_2
+    );
+    prop_assert!(
+        (spec.lambda_min - dense.lambda_min).abs() < 1e-10,
+        "lambda_min: lanczos {} vs jacobi {}",
+        spec.lambda_min,
+        dense.lambda_min
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -74,28 +129,11 @@ proptest! {
         }
     }
 
-    /// Power iteration with deflation agrees with Jacobi on the dominant
-    /// eigenvalue of shifted PSD matrices.
+    /// Lanczos agrees with Jacobi on random small networks with
+    /// heterogeneous speeds.
     #[test]
-    fn power_matches_jacobi(a in random_symmetric(6)) {
-        // Shift to make the spectrum non-negative so plain power iteration
-        // converges: B = A + 8I (|entries| ≤ 1 ⇒ ‖A‖ ≤ 6 < 8).
-        let e = eigen_symmetric(&a);
-        let r = dominant_eigenvalue(
-            6,
-            |x, y| {
-                a.matvec(x, y);
-                for (yi, xi) in y.iter_mut().zip(x) {
-                    *yi += 8.0 * xi;
-                }
-            },
-            &[],
-            PowerOptions { max_iterations: 200_000, tolerance: 1e-14, seed: 7 },
-        );
-        prop_assert!(
-            (r.value - (e.values[0] + 8.0)).abs() < 1e-5,
-            "power {} vs jacobi {}", r.value, e.values[0] + 8.0
-        );
+    fn lanczos_matches_jacobi_on_networks((g, speeds) in network()) {
+        lanczos_matches_jacobi(&g, &speeds)?;
     }
 
     /// The diffusion matrix always conserves load (column sums 1) and has
@@ -175,5 +213,19 @@ proptest! {
             vector::orthogonalize_against(&mut c, &unit);
             prop_assert!(vector::norm2(&c) < 1e-9);
         }
+    }
+}
+
+proptest! {
+    // Dense Jacobi on up to 200 nodes dominates; fewer cases keep the
+    // dev-profile run short.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Lanczos agrees with Jacobi on every generator family up to 200
+    /// nodes.
+    #[test]
+    fn lanczos_matches_jacobi_on_families((g, speeds) in family_network()) {
+        prop_assume!(g.is_connected());
+        lanczos_matches_jacobi(&g, &speeds)?;
     }
 }

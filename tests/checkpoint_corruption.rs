@@ -240,6 +240,27 @@ fn rechecksum(bytes: &mut [u8]) {
     bytes[body_len..].copy_from_slice(&h.to_le_bytes());
 }
 
+/// A checksum-valid file with junk spliced in between the snapshot and
+/// the checksum is refused with the leftover byte count, not loaded as
+/// if clean.
+#[test]
+fn spliced_trailing_bytes_are_typed() {
+    let dir = scratch_dir("trailing");
+    let bytes = checkpoint_bytes(&dir);
+    let body_end = bytes.len() - 8;
+    let mut spliced = bytes[..body_end].to_vec();
+    spliced.extend_from_slice(&[0xa5; 24]);
+    spliced.extend_from_slice(&bytes[body_end..]);
+    rechecksum(&mut spliced);
+    let path = dir.join("trailing.ckpt");
+    fs::write(&path, &spliced).unwrap();
+    assert_eq!(
+        read_checkpoint(&path).unwrap_err(),
+        CheckpointError::TrailingBytes(24)
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// A checksum-valid file whose divergence-watchdog ring position lies
 /// outside its 16-slot ring is refused typed: resuming it with a fresh
 /// watchdog instead would not continue the run exactly.
