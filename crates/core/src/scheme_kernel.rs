@@ -456,6 +456,16 @@ fn class_mask(m: usize, edges: &[EdgeId]) -> Vec<u64> {
     words
 }
 
+/// Builds the edge bitmask of every color class in one pass over the
+/// colors.
+fn color_masks(m: usize, coloring: &matching::EdgeColoring) -> Vec<Vec<u64>> {
+    let mut masks = vec![vec![0u64; mask_words(m)]; coloring.num_colors() as usize];
+    for (e, &c) in coloring.colors().iter().enumerate() {
+        masks[c as usize][e >> 6] |= 1u64 << (e & 63);
+    }
+    masks
+}
+
 /// The λ-scaled harmonic-speed coefficient tables of the pairwise
 /// schemes: `coef_tail[e] = λ·s_v/(s_u+s_v)`, `coef_head[e] = λ·s_u/(s_u+s_v)`,
 /// so `y_e = coef_tail·x_u − coef_head·x_v = λ·(s_u·s_v/(s_u+s_v))·(x_u/s_u − x_v/s_v)`.
@@ -509,15 +519,9 @@ impl SchemeKernel {
         let (plan, lambda) = match scheme {
             Scheme::Fos | Scheme::Sos { .. } => (ActivePlan::All, None),
             Scheme::DimensionExchange { lambda } => {
-                let coloring = matching::edge_coloring(graph);
-                let masks = coloring
-                    .classes()
-                    .iter()
-                    .map(|class| class_mask(m, class))
-                    .collect();
                 (
                     ActivePlan::Sweep {
-                        masks,
+                        masks: color_masks(m, &matching::edge_coloring(graph)),
                         recover: false,
                     },
                     Some(lambda),

@@ -16,7 +16,9 @@
 //! optimal colorings where the structure provides one (tori with even
 //! sides and hypercubes achieve the chromatic index `Δ`), and falls back
 //! to the deterministic [`greedy_edge_coloring`] (at most `2Δ − 1`
-//! colors) everywhere else. [`maximal_matchings`] extends every color
+//! colors) everywhere else. The greedy pass searches per-node color
+//! bitsets a word at a time, `O(m·Δ/64)`, with `n + m/16` words and `n`
+//! flags besides the colors. [`maximal_matchings`] extends every color
 //! class to a maximal matching, which keeps more nodes busy per round
 //! than the bare class.
 //!
@@ -52,16 +54,6 @@ impl EdgeColoring {
     #[inline]
     pub fn num_colors(&self) -> u32 {
         self.num_colors
-    }
-
-    /// The edges of one color class, in edge-id order.
-    pub fn class(&self, color: u32) -> Vec<EdgeId> {
-        self.colors
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c == color)
-            .map(|(e, _)| e as EdgeId)
-            .collect()
     }
 
     /// All color classes, indexed by color.
@@ -211,29 +203,74 @@ fn path_coloring(graph: &Graph) -> EdgeColoring {
 /// Deterministic greedy edge coloring: edges in id order each take the
 /// smallest color unused at either endpoint. Uses at most `2Δ − 1`
 /// colors (each endpoint blocks at most `Δ − 1` colors).
+///
+/// Edge `(u, v)` finds its color below `deg(u) + deg(v) − 1`, a range the
+/// bitset of its higher-degree endpoint covers: node `w` records the
+/// colors it uses below its capacity of at least `2·deg(w)` bits, in
+/// whole words. The search ORs the two endpoints' words and takes the
+/// first clear bit, `O(m·Δ/64)` in all. A color at or above a node's
+/// capacity only sets the node's *spilled* flag; where the search runs
+/// past the lower-degree endpoint's bitset and that endpoint has
+/// spilled, its colors there are read off its `min(deg(u), deg(v))`
+/// incident edges instead.
+///
+/// Memory besides the returned colors: `n + m/16` bitset words and `n`
+/// flags, with no per-arc arrays.
 pub fn greedy_edge_coloring(graph: &Graph) -> EdgeColoring {
+    greedy_coloring_counting_spills(graph).0
+}
+
+/// [`greedy_edge_coloring`], also returning how many words it searched
+/// through a spilled endpoint's incident edges.
+fn greedy_coloring_counting_spills(graph: &Graph) -> (EdgeColoring, usize) {
     const UNSET: u32 = u32::MAX;
-    let m = graph.edge_count();
-    let mut colors = vec![UNSET; m];
+    let n = graph.node_count();
+    let offsets = graph.arc_offsets();
+    // Node `w`'s words start at `w + offsets[w]/32`: it gets at least
+    // `1 + ⌊deg(w)/32⌋ ≥ ⌈2·deg(w)/64⌉` of them, `n + m/16` in all.
+    let start = |w: usize| w + offsets[w] / 32;
+    let mut bits = vec![0u64; start(n)];
+    let mut spilled = vec![false; n];
+    let mut colors = vec![UNSET; graph.edge_count()];
     let mut num_colors = 0u32;
-    let cap = (2 * graph.max_degree()).saturating_sub(1).max(1);
-    let mut used = vec![u32::MAX; cap]; // stamp buffer: used[c] == e means blocked
+    let mut spill_scans = 0;
     for (e, &(u, v)) in graph.edges().iter().enumerate() {
-        for w in [u, v] {
-            for &e2 in graph.neighbor_edges(w) {
-                let c = colors[e2 as usize];
-                if c != UNSET {
-                    used[c as usize] = e as u32;
+        let (u, v) = (u as usize, v as usize);
+        let (du, dv) = (offsets[u + 1] - offsets[u], offsets[v + 1] - offsets[v]);
+        let (h, l) = if du >= dv { (u, v) } else { (v, u) };
+        let range = du + dv - 1;
+        let high = &bits[start(h)..start(h) + range.div_ceil(64)];
+        let low = &bits[start(l)..start(l + 1)];
+        let mut k = 0;
+        let c = loop {
+            let mut word = high[k] | low.get(k).copied().unwrap_or(0);
+            if spilled[l] && k >= low.len() && word != u64::MAX {
+                spill_scans += 1;
+                for &e2 in graph.neighbor_edges(l as NodeId) {
+                    let c2 = colors[e2 as usize] as usize;
+                    if c2 / 64 == k {
+                        word |= 1u64 << (c2 % 64);
+                    }
                 }
             }
+            if word != u64::MAX {
+                break 64 * k + word.trailing_ones() as usize;
+            }
+            k += 1;
+        };
+        debug_assert!(c < range, "greedy color {c} outside [0, {range})");
+        for w in [u, v] {
+            let slot = start(w) + c / 64;
+            if slot < start(w + 1) {
+                bits[slot] |= 1u64 << (c % 64);
+            } else {
+                spilled[w] = true;
+            }
         }
-        let c = (0..cap as u32)
-            .find(|&c| used[c as usize] != e as u32)
-            .expect("greedy coloring always fits in 2*max_degree - 1 colors");
-        colors[e] = c;
-        num_colors = num_colors.max(c + 1);
+        colors[e] = c as u32;
+        num_colors = num_colors.max(c as u32 + 1);
     }
-    EdgeColoring { colors, num_colors }
+    (EdgeColoring { colors, num_colors }, spill_scans)
 }
 
 /// Returns `true` if `edges` is a matching of `graph` (no shared
@@ -451,23 +488,102 @@ mod tests {
         assert_eq!(edge_coloring(&single).num_colors(), 1);
     }
 
+    /// Reference for [`greedy_edge_coloring`]: per edge, a stamp buffer
+    /// marks the colors of both endpoints' incident edges, and the search
+    /// walks the colors from 0. `O(m·Δ)`.
+    fn greedy_by_stamps(graph: &Graph) -> EdgeColoring {
+        const UNSET: u32 = u32::MAX;
+        let mut colors = vec![UNSET; graph.edge_count()];
+        let mut num_colors = 0u32;
+        let cap = (2 * graph.max_degree()).saturating_sub(1).max(1);
+        let mut used = vec![u32::MAX; cap]; // used[c] == e means blocked
+        for (e, &(u, v)) in graph.edges().iter().enumerate() {
+            for w in [u, v] {
+                for &e2 in graph.neighbor_edges(w) {
+                    let c = colors[e2 as usize];
+                    if c != UNSET {
+                        used[c as usize] = e as u32;
+                    }
+                }
+            }
+            let c = (0..cap as u32)
+                .find(|&c| used[c as usize] != e as u32)
+                .expect("greedy coloring always fits in 2*max_degree - 1 colors");
+            colors[e] = c;
+            num_colors = num_colors.max(c + 1);
+        }
+        EdgeColoring { colors, num_colors }
+    }
+
+    /// A star whose leaves all also join one vertex of a clique. The hub's
+    /// edges come first, so leaf `i` takes color `i − 1`, far beyond the
+    /// bitset of a degree-2 node; the clique vertex then fills its low
+    /// words, so its later leaf edges search past the leaf's bitset.
+    fn star_glued_to_clique(leaves: usize, clique: usize) -> Graph {
+        let hub = 0;
+        let joint = leaves as NodeId + 1;
+        let mut b = crate::GraphBuilder::new(leaves + 1 + clique);
+        for leaf in 1..=leaves as NodeId {
+            b.add_edge_dedup(hub, leaf);
+            b.add_edge_dedup(leaf, joint);
+        }
+        for i in joint..joint + clique as NodeId {
+            for j in i + 1..joint + clique as NodeId {
+                b.add_edge_dedup(i, j);
+            }
+        }
+        b.build()
+    }
+
     #[test]
-    fn greedy_is_proper_and_bounded() {
-        for (name, g) in [
-            ("star", generators::star(9)),
-            ("complete", generators::complete(7)),
-            ("cm", generators::random_graph_cm(40, 3).unwrap()),
-            ("er", generators::erdos_renyi(30, 0.3, 5)),
-        ] {
-            let c = greedy_edge_coloring(&g);
-            assert!(c.is_proper(&g), "{name}");
+    fn greedy_equals_the_stamp_oracle_on_every_family() {
+        let mut graphs = vec![
+            generators::torus2d(5, 5),
+            generators::torus2d(16, 16),
+            generators::torus(&[3, 4, 5]),
+            generators::hypercube(7),
+            generators::cycle(9),
+            generators::path(7),
+            generators::path(1),
+            generators::complete(2),
+            generators::complete(7),
+            generators::complete(150),
+            generators::star(9),
+            generators::star(2000),
+            generators::grid2d(12, 17),
+            generators::erdos_renyi(30, 0.3, 5),
+            generators::random_graph_cm(40, 3).unwrap(),
+            star_glued_to_clique(300, 40),
+        ];
+        for seed in [1, 42] {
+            graphs.push(generators::erdos_renyi(300, 0.05, seed));
+            graphs.push(generators::random_regular(640, 6, seed).unwrap());
+            graphs.push(generators::random_graph_cm(640, seed).unwrap());
+            graphs.push(generators::random_geometric(400, 1.5, seed));
+            graphs.push(generators::rgg_paper(512, seed));
+        }
+        for g in &graphs {
+            let fast = greedy_edge_coloring(g);
+            let oracle = greedy_by_stamps(g);
+            assert_eq!(fast.colors(), oracle.colors(), "{:?}", g.kind());
+            assert_eq!(fast.num_colors(), oracle.num_colors(), "{:?}", g.kind());
+            assert!(fast.is_proper(g), "{:?}", g.kind());
             assert!(
-                (c.num_colors() as usize) < 2 * g.max_degree(),
-                "{name}: {} colors for Δ = {}",
-                c.num_colors(),
+                fast.num_colors() as usize <= (2 * g.max_degree()).saturating_sub(1),
+                "{:?}: {} colors for Δ = {}",
+                g.kind(),
+                fast.num_colors(),
                 g.max_degree()
             );
         }
+    }
+
+    #[test]
+    fn greedy_spill_path_runs_and_equals_the_oracle() {
+        let g = star_glued_to_clique(300, 40);
+        let (fast, spill_scans) = greedy_coloring_counting_spills(&g);
+        assert!(spill_scans > 0, "no search read a spilled endpoint");
+        assert_eq!(fast, greedy_by_stamps(&g));
     }
 
     #[test]
@@ -624,6 +740,12 @@ mod tests {
                     maximal_matchings_by_rescan(&g, &c)
                 );
             }
+        }
+
+        /// The bitset greedy coloring equals the stamp oracle.
+        #[test]
+        fn greedy_equals_the_stamp_oracle_on_random_graphs(g in random_graph()) {
+            proptest::prop_assert_eq!(greedy_edge_coloring(&g), greedy_by_stamps(&g));
         }
     }
 

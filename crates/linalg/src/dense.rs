@@ -1,12 +1,11 @@
 //! A minimal row-major dense matrix.
 
-use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// Row-major dense `rows × cols` matrix of `f64`.
 ///
 /// Only the operations needed by the eigensolvers and tests are provided.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
@@ -93,17 +92,6 @@ impl DenseMatrix {
         out
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
     /// Maximum absolute asymmetry `max |A_{ij} − A_{ji}|` (0 for symmetric).
     pub fn asymmetry(&self) -> f64 {
         assert_eq!(self.rows, self.cols);
@@ -137,19 +125,6 @@ impl IndexMut<(usize, usize)> for DenseMatrix {
     }
 }
 
-impl fmt::Debug for DenseMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "DenseMatrix {}x{} [", self.rows, self.cols)?;
-        for r in 0..self.rows.min(8) {
-            writeln!(f, "  {:?}", self.row(r))?;
-        }
-        if self.rows > 8 {
-            writeln!(f, "  ...")?;
-        }
-        write!(f, "]")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,13 +143,6 @@ mod tests {
         let b = DenseMatrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
         let c = a.matmul(&b);
         assert_eq!(c, DenseMatrix::from_vec(2, 2, vec![2.0, 1.0, 4.0, 3.0]));
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let a = DenseMatrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose()[(2, 1)], 6.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `M` itself is not symmetric but `B = S^{-1/2}·M·S^{1/2}` is, which is
 //! what the spectral routines operate on.
 
-use sodiff_graph::{EdgeId, Graph, Speeds};
+use sodiff_graph::{Graph, Speeds};
 
 use crate::dense::DenseMatrix;
 
@@ -64,48 +64,15 @@ impl<'a> DiffusionOperator<'a> {
         }
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// The node speeds.
-    pub fn speeds(&self) -> &Speeds {
-        self.speeds
-    }
-
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.graph.node_count()
-    }
-
-    /// Returns `true` for the empty graph.
-    pub fn is_empty(&self) -> bool {
-        self.graph.node_count() == 0
-    }
-
-    /// Diffusion weight `α_e` of canonical edge `e`.
-    #[inline]
-    pub fn alpha(&self, e: EdgeId) -> f64 {
-        self.edge_alpha[e as usize]
     }
 
     /// `out = M·x`, i.e. `out_i = x_i − Σ_{j∈N(i)} α_{ij}·(x_i/s_i − x_j/s_j)`.
     pub fn apply(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.len());
         self.apply_to(out, |i| x[i]);
-    }
-
-    /// The continuous FOS flow over every canonical edge for load vector
-    /// `x`: `flows[e] = α_e·(x_u/s_u − x_v/s_v)` with `(u, v)` the canonical
-    /// (ordered) endpoints. A positive value means load moves `u → v`.
-    pub fn fos_edge_flows(&self, x: &[f64], flows: &mut [f64]) {
-        assert_eq!(x.len(), self.len());
-        assert_eq!(flows.len(), self.graph.edge_count());
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
-            let (u, v) = (u as usize, v as usize);
-            flows[e] = self.edge_alpha[e] * (x[u] / self.speeds.get(u) - x[v] / self.speeds.get(v));
-        }
     }
 
     /// `out = M·y` for the vector `y_i = y(i)`, read where `M` needs it,
@@ -115,11 +82,22 @@ impl<'a> DiffusionOperator<'a> {
         for (i, o) in out.iter_mut().enumerate() {
             *o = y(i);
         }
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
-            let (u, v) = (u as usize, v as usize);
-            let flow = self.edge_alpha[e] * (y(u) / self.speeds.get(u) - y(v) / self.speeds.get(v));
-            out[u] -= flow;
-            out[v] += flow;
+        let edges = self.graph.edges().iter().zip(&self.edge_alpha);
+        if self.speeds.is_unit() {
+            // `y / 1.0 == y` exactly: the general loop's bits, no divides.
+            for (&(u, v), &alpha) in edges {
+                let (u, v) = (u as usize, v as usize);
+                let flow = alpha * (y(u) - y(v));
+                out[u] -= flow;
+                out[v] += flow;
+            }
+        } else {
+            for (&(u, v), &alpha) in edges {
+                let (u, v) = (u as usize, v as usize);
+                let flow = alpha * (y(u) / self.speeds.get(u) - y(v) / self.speeds.get(v));
+                out[u] -= flow;
+                out[v] += flow;
+            }
         }
     }
 
@@ -293,24 +271,28 @@ mod tests {
         }
     }
 
+    /// Under unit speeds `apply` skips the divides by 1; the bits must
+    /// equal those of the dividing loop.
     #[test]
-    fn fos_flows_are_conservative() {
-        let g = generators::torus2d(4, 4);
-        let s = Speeds::uniform(16);
+    fn unit_speed_apply_keeps_the_bits_of_the_divide_path() {
+        let g = generators::random_graph_cm(300, 42).unwrap();
+        let n = g.node_count();
+        let s = Speeds::uniform(n);
+        assert!(s.is_unit());
         let op = DiffusionOperator::new(&g, &s);
-        let x: Vec<f64> = (0..16).map(|i| (i % 5) as f64 * 10.0).collect();
-        let mut flows = vec![0.0; g.edge_count()];
-        op.fos_edge_flows(&x, &mut flows);
-        // Applying the flows reproduces M·x.
-        let mut by_flows = x.clone();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 1e3).collect();
+        let mut expected = x.clone();
         for (e, &(u, v)) in g.edges().iter().enumerate() {
-            by_flows[u as usize] -= flows[e];
-            by_flows[v as usize] += flows[e];
+            let (u, v) = (u as usize, v as usize);
+            let flow = op.edge_alpha[e] * (x[u] / s.get(u) - x[v] / s.get(v));
+            expected[u] -= flow;
+            expected[v] += flow;
         }
-        let mut direct = vec![0.0; 16];
-        op.apply(&x, &mut direct);
-        for (a, b) in by_flows.iter().zip(&direct) {
-            assert!((a - b).abs() < 1e-10);
-        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut out = vec![0.0; n];
+        op.apply(&x, &mut out);
+        assert_eq!(bits(&out), bits(&expected));
+        op.apply_symmetrized(&x, &mut out);
+        assert_eq!(bits(&out), bits(&expected));
     }
 }

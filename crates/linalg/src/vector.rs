@@ -17,12 +17,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Infinity norm `‖a‖_∞`.
-#[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0, |m, &x| m.max(x.abs()))
-}
-
 /// `y ← y + alpha·x`.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -61,7 +55,6 @@ mod tests {
         let a = [3.0, 4.0];
         assert_eq!(dot(&a, &a), 25.0);
         assert_eq!(norm2(&a), 5.0);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
     }
 
     #[test]
