@@ -24,7 +24,7 @@
 //! input order. A batch report therefore never depends on the driver's
 //! parallelism (proven by `tests/driver_concurrent.rs`).
 //!
-//! # Crash isolation, retries, and durable recovery
+//! # Crash isolation and durable recovery
 //!
 //! [`Driver::run_batch`] is infallible: a scenario that fails to build,
 //! panics mid-run, or diverges to non-finite loads is recorded as a
@@ -33,9 +33,8 @@
 //! keeps running**. Panics are caught per scenario; a pooled driver
 //! whose workers may be deserted mid-barrier by the panic quarantines
 //! that pool and transparently spawns a fresh one for the remaining
-//! scenarios. With [`Driver::retries`], panicked scenarios get bounded
-//! re-runs (fresh pool, capped exponential backoff) before being
-//! recorded; attempt counts land in [`ScenarioReport::attempts`].
+//! scenarios. Each scenario runs once: a run is deterministic in its
+//! spec, so a scenario that panicked would panic again.
 //!
 //! Whole batches survive process death too: [`Driver::run_batch_durable`]
 //! writes a plain-text **recovery journal** (all spec lines up front,
@@ -80,8 +79,8 @@ use crate::scenario::ScenarioSpec;
 /// First line of every recovery journal.
 const JOURNAL_HEADER: &str = "sodiff-journal v1";
 
-/// A scenario's outcome plus the number of attempts it consumed.
-type Outcome = (Result<ScenarioReport, ScenarioFailure>, u32);
+/// One scenario's outcome.
+type Outcome = Result<ScenarioReport, ScenarioFailure>;
 
 /// One scenario's outcome inside a [`BatchReport`].
 #[derive(Debug, Clone)]
@@ -99,9 +98,6 @@ pub struct ScenarioReport {
     pub report: RunReport,
     /// Wall-clock time of this scenario (graph build + rounds).
     pub wall: Duration,
-    /// How many attempts this scenario took (1 = first try succeeded;
-    /// each [`Driver::retries`] re-run after a panic adds one).
-    pub attempts: u32,
 }
 
 /// Why one scenario of a batch failed; see [`ScenarioError`].
@@ -157,9 +153,6 @@ pub struct ScenarioError {
     pub line: Option<usize>,
     /// What went wrong.
     pub error: ScenarioFailure,
-    /// How many attempts were made before giving up (0 when the
-    /// scenario never started, e.g. an unreadable checkpoint).
-    pub attempts: u32,
 }
 
 impl fmt::Display for ScenarioError {
@@ -200,8 +193,9 @@ pub struct BatchReport {
     /// that ran under a `stop=steady:`/`stop=horizon:` mode (`None`
     /// when no scenario reported steady-state statistics).
     pub worst_steady_p99: Option<f64>,
-    /// Total attempts across all scenarios (equals the scenario count
-    /// when nothing was retried; see [`Driver::retries`]).
+    /// Number of scenarios this call ran, failed ones included. A
+    /// scenario that [`Driver::resume_batch`] refuses to start because
+    /// its checkpoint cannot be restored counts 0.
     pub total_attempts: u64,
     /// Churn event totals summed across the successful scenarios (all
     /// zero when no scenario declared a `churn=` plan); see
@@ -230,8 +224,7 @@ impl BatchReport {
             .iter()
             .filter_map(|s| s.report.steady.map(|st| st.p99_dev))
             .reduce(f64::max);
-        let total_attempts = scenarios.iter().map(|s| u64::from(s.attempts)).sum::<u64>()
-            + errors.iter().map(|e| u64::from(e.attempts)).sum::<u64>();
+        let total_attempts = (scenarios.len() + errors.len()) as u64;
         let churn = scenarios.iter().map(|s| s.report.churn).fold(
             crate::ChurnEvents::default(),
             |acc, e| crate::ChurnEvents {
@@ -355,7 +348,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub struct Driver {
     threads: usize,
     concurrency: usize,
-    retries: usize,
     // Mutex (not a plain field) so a panicking scenario can quarantine a
     // pool whose workers it deserted mid-barrier and install a fresh one
     // for the rest of the batch.
@@ -369,7 +361,6 @@ impl Driver {
         Self {
             threads: 1,
             concurrency: 1,
-            retries: 0,
             pool: Mutex::new(None),
         }
     }
@@ -390,7 +381,6 @@ impl Driver {
         Ok(Self {
             threads,
             concurrency: 1,
-            retries: 0,
             pool: Mutex::new((threads > 1).then(|| Arc::new(WorkerPool::new(threads)))),
         })
     }
@@ -417,26 +407,8 @@ impl Driver {
         Ok(Self {
             threads: 1,
             concurrency: workers,
-            retries: 0,
             pool: Mutex::new(None),
         })
-    }
-
-    /// Gives every **panicking** scenario up to `n` additional attempts,
-    /// each on a freshly quarantined pool, after a capped exponential
-    /// backoff (25 ms doubling per attempt, at most 800 ms). Build
-    /// failures and divergence are deterministic and never retried.
-    /// Attempt counts are recorded on [`ScenarioReport::attempts`] and
-    /// [`ScenarioError::attempts`].
-    #[must_use]
-    pub fn retries(mut self, n: usize) -> Self {
-        self.retries = n;
-        self
-    }
-
-    /// Maximum extra attempts per panicking scenario (0 by default).
-    pub fn max_retries(&self) -> usize {
-        self.retries
     }
 
     /// Worker threads per simulation (1 = sequential).
@@ -522,53 +494,29 @@ impl Driver {
             edges: graph.edge_count(),
             report,
             wall: start.elapsed(),
-            attempts: 1,
         })
     }
 
     /// One crash-isolated scenario: build failures, panics, and
     /// non-finite results all come back as a typed failure instead of
-    /// unwinding into (and killing) the batch. Panics are retried up to
-    /// [`Driver::retries`] times, each attempt on a fresh quarantined
-    /// pool after a capped exponential backoff. Returns the outcome and
-    /// the number of attempts made.
-    fn run_guarded(&self, attempt: impl Fn() -> Result<ScenarioReport, BuildError>) -> Outcome {
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            let outcome = match panic::catch_unwind(AssertUnwindSafe(&attempt)) {
-                Ok(Ok(report)) => {
-                    let max_minus_avg = report.report.final_metrics.max_minus_avg;
-                    if max_minus_avg.is_finite() {
-                        Ok(report)
-                    } else {
-                        Err(ScenarioFailure::Diverged(format!(
-                            "final max − avg is {max_minus_avg}"
-                        )))
-                    }
+    /// unwinding into (and killing) the batch. A panic quarantines the
+    /// pool, so the next scenario runs on a fresh one.
+    fn run_guarded(&self, run: impl FnOnce() -> Result<ScenarioReport, BuildError>) -> Outcome {
+        match panic::catch_unwind(AssertUnwindSafe(run)) {
+            Ok(Ok(report)) => {
+                let max_minus_avg = report.report.final_metrics.max_minus_avg;
+                if max_minus_avg.is_finite() {
+                    Ok(report)
+                } else {
+                    Err(ScenarioFailure::Diverged(format!(
+                        "final max − avg is {max_minus_avg}"
+                    )))
                 }
-                Ok(Err(e)) => Err(ScenarioFailure::Build(e)),
-                Err(payload) => {
-                    self.quarantine_pool();
-                    Err(ScenarioFailure::Panicked(panic_message(payload)))
-                }
-            };
-            match outcome {
-                // Only panics are worth retrying: builds and divergence
-                // are deterministic in the spec, a panic may be a wedged
-                // environment the fresh pool already replaced.
-                Err(ScenarioFailure::Panicked(_)) if (attempts as usize) <= self.retries => {
-                    std::thread::sleep(Duration::from_millis(25u64 << (attempts - 1).min(5)));
-                }
-                outcome => {
-                    return (
-                        outcome.map(|mut report| {
-                            report.attempts = attempts;
-                            report
-                        }),
-                        attempts,
-                    );
-                }
+            }
+            Ok(Err(e)) => Err(ScenarioFailure::Build(e)),
+            Err(payload) => {
+                self.quarantine_pool();
+                Err(ScenarioFailure::Panicked(panic_message(payload)))
             }
         }
     }
@@ -613,7 +561,7 @@ impl Driver {
         let run_one = |i: usize, spec: &ScenarioSpec| {
             let outcome = self.run_guarded(|| runner(i, spec));
             if let Some(sink) = journal {
-                append_outcome(sink, orig(i), outcome.0.as_ref().err());
+                append_outcome(sink, orig(i), outcome.as_ref().err());
             }
             outcome
         };
@@ -653,7 +601,7 @@ impl Driver {
         };
         let mut scenarios = Vec::new();
         let mut errors = Vec::new();
-        for (index, (spec, (result, attempts))) in specs.iter().zip(results).enumerate() {
+        for (index, (spec, result)) in specs.iter().zip(results).enumerate() {
             match result {
                 Ok(report) => scenarios.push(report),
                 Err(error) => errors.push(ScenarioError {
@@ -661,7 +609,6 @@ impl Driver {
                     name: spec.name.clone(),
                     line: spec.source_line,
                     error,
-                    attempts,
                 }),
             }
         }
@@ -791,7 +738,6 @@ impl Driver {
                                 name: spec.name.clone(),
                                 line: spec.source_line,
                                 error: ScenarioFailure::Checkpoint(e),
-                                attempts: 0,
                             });
                             continue;
                         }
@@ -1001,7 +947,7 @@ mod tests {
             assert_eq!(batch.scenarios.len(), 1, "the good scenario still ran");
             assert_eq!(batch.errors.len(), 1);
             let err = &batch.errors[0];
-            assert_eq!((err.index, err.name.as_str(), err.attempts), (1, "huge", 1));
+            assert_eq!((err.index, err.name.as_str()), (1, "huge"));
             let ScenarioFailure::Build(BuildError::Scenario { name, source }) = &err.error else {
                 panic!("expected a typed build error, got {:?}", err.error);
             };
@@ -1015,78 +961,51 @@ mod tests {
         }
     }
 
+    /// Runs `specs` on `driver` with a runner that panics on `boom` and
+    /// counts its calls per scenario.
+    fn run_counting(driver: &Driver, specs: &[ScenarioSpec]) -> (BatchReport, Vec<usize>) {
+        let calls: Vec<AtomicUsize> = specs.iter().map(|_| AtomicUsize::new(0)).collect();
+        let batch = driver.run_batch_with(specs, |spec| {
+            let i = specs.iter().position(|s| s.name == spec.name).unwrap();
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            if spec.name == "boom" {
+                panic!("injected fault in {}", spec.name);
+            }
+            driver.run_spec(spec)
+        });
+        (
+            batch,
+            calls.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+        )
+    }
+
     #[test]
     fn panicking_scenario_is_isolated() {
         let specs = ScenarioSpec::parse_many(
             "name=ok topology=cycle:8 seed=1 stop=rounds:5\n\
              name=boom topology=cycle:8 seed=2 stop=rounds:5\n\
+             name=bad topology=cycle:8 rounding=randomized\n\
              name=ok2 topology=cycle:8 seed=3 stop=rounds:5\n",
         )
         .unwrap();
         for driver in [Driver::new(), Driver::concurrent(3).unwrap()] {
-            let batch = driver.run_batch_with(&specs, |spec| {
-                if spec.name == "boom" {
-                    panic!("injected fault in {}", spec.name);
-                }
-                driver.run_spec(spec)
-            });
-            assert_eq!(batch.scenarios.len(), 2, "batch survived the panic");
-            assert_eq!(batch.errors.len(), 1);
+            let (batch, calls) = run_counting(&driver, &specs);
+            assert_eq!(
+                calls, [1; 4],
+                "each scenario runs once, failed ones included"
+            );
+            assert_eq!(batch.total_attempts, 4);
+            let names: Vec<&str> = batch.scenarios.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, ["ok", "ok2"], "batch survived the panic");
+            assert_eq!(batch.errors.len(), 2);
             let err = &batch.errors[0];
             assert_eq!(err.name, "boom");
             match &err.error {
                 ScenarioFailure::Panicked(msg) => assert!(msg.contains("injected fault")),
                 other => panic!("unexpected error {other:?}"),
             }
+            assert!(matches!(batch.errors[1].error, ScenarioFailure::Build(_)));
         }
-    }
-
-    #[test]
-    fn retries_rerun_panicked_scenarios() {
-        let specs =
-            ScenarioSpec::parse_many("name=flaky topology=cycle:8 seed=1 stop=rounds:5").unwrap();
-        let driver = Driver::new().retries(2);
-        let calls = AtomicUsize::new(0);
-        let batch = driver.run_batch_with(&specs, |spec| {
-            if calls.fetch_add(1, Ordering::Relaxed) < 2 {
-                panic!("transient wedge");
-            }
-            driver.run_spec(spec)
-        });
-        assert!(batch.errors.is_empty(), "{:?}", batch.errors);
-        assert_eq!(batch.scenarios[0].attempts, 3);
-        assert_eq!(batch.total_attempts, 3);
-        // The retried report matches a clean first-try run.
-        let clean = Driver::new().run_batch(&specs);
-        assert_eq!(batch.scenarios[0].report, clean.scenarios[0].report);
-    }
-
-    #[test]
-    fn exhausted_retries_report_attempt_count() {
-        let specs =
-            ScenarioSpec::parse_many("name=doomed topology=cycle:8 seed=1 stop=rounds:5").unwrap();
-        let batch = Driver::new()
-            .retries(1)
-            .run_batch_with(&specs, |_| -> Result<ScenarioReport, BuildError> {
-                panic!("always wedged")
-            });
-        assert_eq!(batch.errors.len(), 1);
-        assert_eq!(batch.errors[0].attempts, 2);
-        assert!(matches!(
-            batch.errors[0].error,
-            ScenarioFailure::Panicked(_)
-        ));
-        // Deterministic failures are never retried.
-        let calls = AtomicUsize::new(0);
-        let bad =
-            ScenarioSpec::parse_many("name=bad topology=cycle:8 rounding=randomized").unwrap();
-        let driver = Driver::new().retries(3);
-        let batch = driver.run_batch_with(&bad, |spec| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            driver.run_spec(spec)
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        assert_eq!(batch.errors[0].attempts, 1);
     }
 
     #[test]
@@ -1136,12 +1055,12 @@ mod tests {
                 .parse()
                 .unwrap(),
         );
-        let batch = driver.run_batch_with(&specs_with_bomb, |spec| {
-            if spec.name == "boom" {
-                panic!("pool desertion");
-            }
-            driver.run_spec(spec)
-        });
+        let (batch, calls) = run_counting(&driver, &specs_with_bomb);
+        assert_eq!(
+            calls,
+            vec![1; specs_with_bomb.len()],
+            "each scenario runs once"
+        );
         assert_eq!(batch.errors.len(), 1);
         assert_eq!(batch.scenarios.len(), specs.len());
         // Scenarios after the panic still ran (on the replacement pool)

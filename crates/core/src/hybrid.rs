@@ -21,7 +21,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::engine::{Simulator, StopCondition};
 use crate::error::ParseError;
 
 /// When the hybrid controller flips from SOS to FOS.
@@ -96,24 +95,10 @@ impl FromStr for SwitchPolicy {
     }
 }
 
-/// Runs the pure-SOS baseline and the hybrid side by side on identical
-/// copies of a simulation and returns `(sos_final, hybrid_final)` maximum
-/// loads above average — the comparison in the paper's Figure 5.
-pub fn compare_sos_vs_hybrid<'g>(
-    mut sos: Simulator<'g>,
-    mut hybrid: Simulator<'g>,
-    policy: SwitchPolicy,
-    total_rounds: u64,
-) -> (f64, f64) {
-    let condition = StopCondition::MaxRounds(total_rounds as usize);
-    sos.run_until(condition);
-    hybrid.run_hybrid(policy, condition);
-    (sos.metrics().max_minus_avg, hybrid.metrics().max_minus_avg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Simulator, StopCondition};
     use crate::experiment::Experiment;
     use crate::rounding::Rounding;
     use crate::scheme::Scheme;
@@ -183,15 +168,18 @@ mod tests {
         assert_eq!(sim.scheme(), Scheme::fos());
     }
 
-    /// The paper's headline hybrid result: switching to FOS drops the
-    /// remaining imbalance below what pure SOS reaches.
+    /// The paper's headline hybrid result (Figure 5): on identical
+    /// copies of one simulation, switching to FOS drops the remaining
+    /// imbalance below what pure SOS reaches.
     #[test]
     fn hybrid_improves_remaining_imbalance() {
         let g = generators::torus2d(16, 16);
-        let sos = sos_sim(&g, 7);
-        let hybrid = sos_sim(&g, 7);
-        let (sos_final, hybrid_final) =
-            compare_sos_vs_hybrid(sos, hybrid, SwitchPolicy::AtRound(400), 800);
+        let (mut sos, mut hybrid) = (sos_sim(&g, 7), sos_sim(&g, 7));
+        let rounds = StopCondition::MaxRounds(800);
+        sos.run_until(rounds);
+        hybrid.run_hybrid(SwitchPolicy::AtRound(400), rounds);
+        let sos_final = sos.metrics().max_minus_avg;
+        let hybrid_final = hybrid.metrics().max_minus_avg;
         assert!(
             hybrid_final <= sos_final,
             "hybrid ({hybrid_final}) should not be worse than SOS ({sos_final})"

@@ -135,8 +135,9 @@
 //! order, and only read by the token loop; regrouping it across lanes
 //! would change which arc a token picks (see the comment there).
 //!
-//! This module is exported `#[doc(hidden)]` so the workspace's criterion
-//! benches can time each phase in isolation; it is **not** a stable API.
+//! This module is exported `#[doc(hidden)]` so the stand-alone
+//! `perfbench` package can time each phase in isolation; it is **not** a
+//! stable API.
 
 use std::cell::Cell;
 use std::hint::select_unpredictable;
@@ -174,7 +175,7 @@ const _: () = assert!(DEV_BLOCK.is_multiple_of(LANES));
 /// passes read the two slices either way.
 pub struct KernelTables {
     /// Node count.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Edge count.
     pub m: usize,
     /// The simulated graph (shares the caller's CSR arrays).
@@ -195,7 +196,7 @@ pub struct KernelTables {
 impl KernelTables {
     /// Builds the tables for `graph` with the given speeds. `total_load`
     /// seeds the [`KernelTables::ideal`] balanced-load table (pass the
-    /// initial total; benches that ignore the fused stats may pass any
+    /// initial total; callers that ignore the fused stats may pass any
     /// value).
     ///
     /// The third argument is ignored (every caller in this workspace

@@ -271,7 +271,8 @@
 //! The round-loop perf overhaul (PR 5) rebuilt the per-round overhead
 //! paths: sort-free `O(m)` random-matching generation
 //! ([`matchgen`]: counting-scatter buckets, measured 3.2× over the
-//! sort in isolation — `benches/matching_gen.rs`), the fused metrics
+//! sort in isolation by a since-retired criterion bench; perfbench's
+//! `matchgen.ns_per_edge` times the pass today), the fused metrics
 //! reduction above, lane-chunked bulk RNG sweeps
 //! ([`rng::fill_node_states`] / [`rng::fill_first_draws`], ~8%), and
 //! running-slice apply iteration (which alone took the masked pairwise

@@ -36,13 +36,12 @@
 //! matching is maximal, distinct rounds draw distinct matchings, and
 //! matching sizes stay tightly concentrated across rounds.
 //!
-//! [`fill_random_matching_sorted`] keeps the pre-optimization sort-based
-//! generator as a reference: `benches/matching_gen.rs` times the two
-//! side by side, and the tests here compare their outputs' statistics.
+//! The tests below keep the pre-optimization sort-based generator as an
+//! oracle and compare its outputs' statistics with the bucketed one's.
 //!
 //! This module is exported `#[doc(hidden)]` (like [`crate::kernel`]) so
-//! the workspace benches can time matching generation in isolation; it
-//! is **not** a stable API.
+//! `perfbench` can time matching generation in isolation; it is **not**
+//! a stable API.
 
 use sodiff_graph::EdgeId;
 
@@ -50,7 +49,7 @@ use crate::kernel::KernelTables;
 use crate::rng;
 
 /// Number of 64-bit words of an edge bitmask over `m` edges.
-pub fn mask_words(m: usize) -> usize {
+fn mask_words(m: usize) -> usize {
     m.div_ceil(64)
 }
 
@@ -64,9 +63,6 @@ pub struct MatchScratch {
     /// Bucket occupancy, then (after the prefix sum) bucket offsets;
     /// `2^k + 1` slots.
     counts: Vec<u32>,
-    /// Edge ids scattered into bucket order (the sort-based reference
-    /// generator's greedy visit order).
-    order: Vec<EdgeId>,
     /// `(edge id, packed endpoints)` scattered into bucket order — the
     /// bucketed generator's greedy visit stream. Carrying the endpoint
     /// word (a sequential read at scatter time) lets the greedy pass
@@ -77,10 +73,6 @@ pub struct MatchScratch {
     /// `⌈n/64⌉`-word bitset keeps the greedy pass's random endpoint
     /// probes L1-resident on graphs where a byte-per-node array is not).
     matched: Vec<u64>,
-    /// Full 64-bit keys of the sort-based reference generator.
-    keys: Vec<u64>,
-    /// `(key, edge)` pairs of the sort-based reference generator.
-    pairs: Vec<(u64, EdgeId)>,
 }
 
 /// Bucket-index width for `m` edges: `⌈log₂ m⌉ − 3` bits, i.e. ~8 edges
@@ -109,30 +101,11 @@ pub fn edge_pairs(t: &KernelTables) -> Vec<u64> {
         .collect()
 }
 
-/// Greedy maximal matching over `order`, writing endpoint bits into the
-/// `matched` bitset and active-edge bits into `mask` (the sort-based
-/// reference generator's tail; the bucketed generator streams
-/// [`greedy_match_packed`] instead). `uv` is the packed endpoint table
-/// of [`edge_pairs`].
-fn greedy_match(uv: &[u64], order: &[EdgeId], matched: &mut [u64], mask: &mut [u64]) {
-    for &e in order {
-        let pair = uv[e as usize];
-        let (u, v) = ((pair & 0xffff_ffff) as usize, (pair >> 32) as usize);
-        let (wu, bu) = (u >> 6, 1u64 << (u & 63));
-        let (wv, bv) = (v >> 6, 1u64 << (v & 63));
-        if (matched[wu] & bu) | (matched[wv] & bv) == 0 {
-            matched[wu] |= bu;
-            matched[wv] |= bv;
-            mask[(e >> 6) as usize] |= 1u64 << (e & 63);
-        }
-    }
-}
-
-/// Greedy maximal matching over the scattered `(edge, endpoints)` stream:
-/// same visit order and same per-edge decision as [`greedy_match`], but
-/// every input is a sequential read — the endpoint gather already
-/// happened at scatter time — so the pass runs at streaming speed with
-/// only the L1-resident `matched` bitset probed at random.
+/// Greedy maximal matching over the scattered `(edge, endpoints)` stream,
+/// in stream order: every input is a sequential read — the endpoint
+/// gather already happened at scatter time — so the pass runs at
+/// streaming speed with only the L1-resident `matched` bitset probed at
+/// random.
 fn greedy_match_packed(slots: &[(EdgeId, u64)], matched: &mut [u64], mask: &mut [u64]) {
     for &(e, pair) in slots {
         let (u, v) = ((pair & 0xffff_ffff) as usize, (pair >> 32) as usize);
@@ -212,41 +185,6 @@ pub fn fill_random_matching(
     greedy_match_packed(&mg.slots, &mut mg.matched, &mut mg.mask);
 }
 
-/// The pre-optimization sort-based generator: materializes the greedy
-/// order by sorting `(key, edge)` pairs — `O(m log m)` per round. Kept
-/// as the reference implementation for `benches/matching_gen.rs` and the
-/// distribution-sanity tests; the simulator always runs the bucketed
-/// [`fill_random_matching`].
-pub fn fill_random_matching_sorted(
-    seed: u64,
-    round: u64,
-    t: &KernelTables,
-    uv: &[u64],
-    mg: &mut MatchScratch,
-) {
-    let m = t.m;
-    mg.mask.clear();
-    mg.mask.resize(mask_words(m), 0);
-    if m == 0 {
-        return;
-    }
-    mg.keys.resize(m, 0);
-    rng::fill_first_draws(rng::round_key(seed, round), 0, &mut mg.keys);
-    mg.pairs.clear();
-    mg.pairs.extend(
-        mg.keys
-            .iter()
-            .enumerate()
-            .map(|(e, &key)| (key, e as EdgeId)),
-    );
-    mg.pairs.sort_unstable();
-    mg.order.clear();
-    mg.order.extend(mg.pairs.iter().map(|&(_, e)| e));
-    mg.matched.clear();
-    mg.matched.resize(mask_words(t.n), 0);
-    greedy_match(uv, &mg.order, &mut mg.matched, &mut mg.mask);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +193,26 @@ mod tests {
     fn tables(graph: &Graph) -> KernelTables {
         let n = graph.node_count();
         KernelTables::new(graph, &Speeds::uniform(n), false, 0.0)
+    }
+
+    /// The pre-optimization generator, kept as the distribution tests'
+    /// oracle: its greedy order sorts `(key, edge)` pairs on the full
+    /// 64-bit key, `O(m log m)` per round.
+    fn fill_random_matching_sorted(
+        seed: u64,
+        round: u64,
+        t: &KernelTables,
+        uv: &[u64],
+        mg: &mut MatchScratch,
+    ) {
+        let mut keys = vec![0u64; t.m];
+        rng::fill_first_draws(rng::round_key(seed, round), 0, &mut keys);
+        let mut pairs: Vec<(u64, EdgeId)> = keys.iter().zip(0..).map(|(&k, e)| (k, e)).collect();
+        pairs.sort_unstable();
+        let order: Vec<(EdgeId, u64)> = pairs.iter().map(|&(_, e)| (e, uv[e as usize])).collect();
+        mg.mask = vec![0; mask_words(t.m)];
+        mg.matched = vec![0; mask_words(t.n)];
+        greedy_match_packed(&order, &mut mg.matched, &mut mg.mask);
     }
 
     fn mask_edges(m: usize, mask: &[u64]) -> Vec<EdgeId> {

@@ -2014,18 +2014,7 @@ mod tests {
     fn restore_matches_the_uninterrupted_run() {
         // Crash and churn together on a sweep plan, cut mid-epoch.
         let g = generators::torus2d(5, 5);
-        let coloring = matching::edge_coloring(&g);
-        let masks: Vec<Vec<u64>> = coloring
-            .classes()
-            .iter()
-            .map(|class| {
-                let mut words = vec![0u64; g.edge_count().div_ceil(64)];
-                for &e in class {
-                    words[(e >> 6) as usize] |= 1u64 << (e & 63);
-                }
-                words
-            })
-            .collect();
+        let masks = matching::edge_coloring(&g).class_masks();
         let sweep = Some((&masks[..], false));
         let spec = PerturbSpec {
             faults: FaultSpec::none().with_crash(0.2, 5),
@@ -2079,18 +2068,7 @@ mod tests {
     #[test]
     fn repaired_sweep_masks_stay_matchings_over_the_up_set() {
         let g = generators::torus2d(4, 4);
-        let coloring = matching::edge_coloring(&g);
-        let families = matching::maximal_matchings(&g, &coloring);
-        let masks: Vec<Vec<u64>> = families
-            .iter()
-            .map(|f| {
-                let mut words = vec![0u64; g.edge_count().div_ceil(64).max(1)];
-                for &e in f {
-                    words[(e >> 6) as usize] |= 1u64 << (e & 63);
-                }
-                words
-            })
-            .collect();
+        let masks = matching::maximal_matchings(&g, &matching::edge_coloring(&g));
         let spec = PerturbSpec {
             faults: FaultSpec::none().with_crash(0.2, 3),
             churn: ChurnSpec::none().with_flux(0.4, 0.2, 23),

@@ -145,11 +145,12 @@ const SWEEP_LANES: usize = 8;
 /// The per-node cost is a single `mix64` (see `warmed_state` above) in a
 /// flat pass over consecutive node ids, restructured into fixed
 /// `SWEEP_LANES`-wide chunks (scalar tail) so the eight chains retire
-/// in parallel. Measured on the single-core build container (65536-node
-/// sweep, `framework_phases/bulk_rng_sweep`): 120 → 111 µs mean per
-/// sweep (~8%) over the plain `iter_mut().enumerate()` loop. Resuming
-/// `out[i]` with [`SplitMix64::new`] produces exactly the stream
-/// `for_node_round(seed, first_node + i, round)` would.
+/// in parallel. Measured on a single-core host (65536-node sweep, by a
+/// since-retired criterion bench; perfbench's
+/// `rng.node_states_ns_per_node` times the sweep today): 120 → 111 µs
+/// mean per sweep (~8%) over the plain `iter_mut().enumerate()` loop.
+/// Resuming `out[i]` with [`SplitMix64::new`] produces exactly the
+/// stream `for_node_round(seed, first_node + i, round)` would.
 pub fn fill_node_states(round_key: u64, first_node: usize, out: &mut [u64]) {
     let mut id = first_node as u64;
     let mut chunks = out.chunks_exact_mut(SWEEP_LANES);

@@ -74,7 +74,7 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
-use sodiff_graph::{matching, EdgeId, Graph, Speeds};
+use sodiff_graph::{matching, Graph, Speeds};
 
 use crate::checkpoint::LoadsSnapshot;
 use crate::engine::{FlowMemory, Mode};
@@ -83,7 +83,7 @@ use crate::kernel::{
     self, AllEdges, Atomics, Buf, Cells, CoefPair, EdgeGate, FwScratch, KernelTables, LoadStats,
     MaskBits, Value,
 };
-use crate::matchgen::{self, mask_words, MatchScratch};
+use crate::matchgen::{self, MatchScratch};
 use crate::perturb::{Perturb, PerturbSpec, RoundMasks};
 use crate::rounding::Rounding;
 use crate::scheme::{MatchingStrategy, Scheme};
@@ -447,25 +447,6 @@ pub(crate) struct SchemeKernel {
     pub perturb: PerturbSpec,
 }
 
-/// Builds the edge bitmask of one active set.
-fn class_mask(m: usize, edges: &[EdgeId]) -> Vec<u64> {
-    let mut words = vec![0u64; mask_words(m)];
-    for &e in edges {
-        words[(e >> 6) as usize] |= 1u64 << (e & 63);
-    }
-    words
-}
-
-/// Builds the edge bitmask of every color class in one pass over the
-/// colors.
-fn color_masks(m: usize, coloring: &matching::EdgeColoring) -> Vec<Vec<u64>> {
-    let mut masks = vec![vec![0u64; mask_words(m)]; coloring.num_colors() as usize];
-    for (e, &c) in coloring.colors().iter().enumerate() {
-        masks[c as usize][e >> 6] |= 1u64 << (e & 63);
-    }
-    masks
-}
-
 /// The λ-scaled harmonic-speed coefficient tables of the pairwise
 /// schemes: `coef_tail[e] = λ·s_v/(s_u+s_v)`, `coef_head[e] = λ·s_u/(s_u+s_v)`,
 /// so `y_e = coef_tail·x_u − coef_head·x_v = λ·(s_u·s_v/(s_u+s_v))·(x_u/s_u − x_v/s_v)`.
@@ -515,28 +496,21 @@ impl SchemeKernel {
             Mode::Discrete(Rounding::RandomizedFramework { seed }) => FlowPass::Framework { seed },
             Mode::Discrete(rounding) => FlowPass::EdgeLocal(rounding),
         };
-        let m = graph.edge_count();
         let (plan, lambda) = match scheme {
             Scheme::Fos | Scheme::Sos { .. } => (ActivePlan::All, None),
-            Scheme::DimensionExchange { lambda } => {
-                (
-                    ActivePlan::Sweep {
-                        masks: color_masks(m, &matching::edge_coloring(graph)),
-                        recover: false,
-                    },
-                    Some(lambda),
-                )
-            }
+            Scheme::DimensionExchange { lambda } => (
+                ActivePlan::Sweep {
+                    masks: matching::edge_coloring(graph).class_masks(),
+                    recover: false,
+                },
+                Some(lambda),
+            ),
             Scheme::Matching { lambda, strategy } => {
                 let plan = match strategy {
                     MatchingStrategy::RoundRobin => {
                         let coloring = matching::edge_coloring(graph);
-                        let masks = matching::maximal_matchings(graph, &coloring)
-                            .iter()
-                            .map(|matching| class_mask(m, matching))
-                            .collect();
                         ActivePlan::Sweep {
-                            masks,
+                            masks: matching::maximal_matchings(graph, &coloring),
                             recover: true,
                         }
                     }

@@ -20,7 +20,9 @@
 //! bitsets a word at a time, `O(m·Δ/64)`, with `n + m/16` words and `n`
 //! flags besides the colors. [`maximal_matchings`] extends every color
 //! class to a maximal matching, which keeps more nodes busy per round
-//! than the bare class.
+//! than the bare class. Matchings are edge bitmasks in canonical edge-id
+//! order ([`EdgeColoring::class_masks`]), the form the simulator's
+//! active-edge gates read.
 //!
 //! All functions are deterministic: the same graph always produces the
 //! same coloring and the same matchings.
@@ -38,10 +40,11 @@ pub struct EdgeColoring {
 }
 
 impl EdgeColoring {
-    /// The color of edge `e`.
-    #[inline]
-    pub fn color(&self, e: EdgeId) -> u32 {
-        self.colors[e as usize]
+    /// The coloring with the given per-edge colors, numbering `max + 1`
+    /// colors (0 for an edgeless graph).
+    fn from_colors(colors: Vec<u32>) -> Self {
+        let num_colors = colors.iter().max().map_or(0, |&c| c + 1);
+        Self { colors, num_colors }
     }
 
     /// Per-edge colors, indexed by [`EdgeId`].
@@ -56,13 +59,16 @@ impl EdgeColoring {
         self.num_colors
     }
 
-    /// All color classes, indexed by color.
-    pub fn classes(&self) -> Vec<Vec<EdgeId>> {
-        let mut classes = vec![Vec::new(); self.num_colors as usize];
+    /// The edge bitmask of every color class, indexed by color: bit `e`
+    /// of mask `c` (word `e / 64`, bit `e % 64`, `⌈m/64⌉` words) is set
+    /// iff edge `e` has color `c`. One pass over the colors.
+    pub fn class_masks(&self) -> Vec<Vec<u64>> {
+        let words = self.colors.len().div_ceil(64);
+        let mut masks = vec![vec![0u64; words]; self.num_colors as usize];
         for (e, &c) in self.colors.iter().enumerate() {
-            classes[c as usize].push(e as EdgeId);
+            masks[c as usize][e >> 6] |= 1u64 << (e & 63);
         }
-        classes
+        masks
     }
 
     /// Returns `true` if no two adjacent edges of `graph` share a color
@@ -120,14 +126,8 @@ pub fn edge_coloring(graph: &Graph) -> EdgeColoring {
 /// coloring with `dim` colors (each class is the perfect matching along
 /// that axis).
 fn hypercube_coloring(graph: &Graph) -> EdgeColoring {
-    let mut colors = Vec::with_capacity(graph.edge_count());
-    let mut num_colors = 0u32;
-    for &(u, v) in graph.edges() {
-        let axis = (u ^ v).trailing_zeros();
-        colors.push(axis);
-        num_colors = num_colors.max(axis + 1);
-    }
-    EdgeColoring { colors, num_colors }
+    let axes = graph.edges().iter().map(|&(u, v)| (u ^ v).trailing_zeros());
+    EdgeColoring::from_colors(axes.collect())
 }
 
 /// Colors used by one torus axis of side length `len`: the cycle's
@@ -190,14 +190,7 @@ fn torus_coloring(graph: &Graph, dims: &[u32]) -> EdgeColoring {
 /// Paths alternate two colors along the line (one color for a single
 /// edge).
 fn path_coloring(graph: &Graph) -> EdgeColoring {
-    let mut colors = Vec::with_capacity(graph.edge_count());
-    let mut num_colors = 0u32;
-    for &(u, _) in graph.edges() {
-        let c = u % 2;
-        colors.push(c);
-        num_colors = num_colors.max(c + 1);
-    }
-    EdgeColoring { colors, num_colors }
+    EdgeColoring::from_colors(graph.edges().iter().map(|&(u, _)| u % 2).collect())
 }
 
 /// Deterministic greedy edge coloring: edges in id order each take the
@@ -232,7 +225,6 @@ fn greedy_coloring_counting_spills(graph: &Graph) -> (EdgeColoring, usize) {
     let mut bits = vec![0u64; start(n)];
     let mut spilled = vec![false; n];
     let mut colors = vec![UNSET; graph.edge_count()];
-    let mut num_colors = 0u32;
     let mut spill_scans = 0;
     for (e, &(u, v)) in graph.edges().iter().enumerate() {
         let (u, v) = (u as usize, v as usize);
@@ -268,80 +260,116 @@ fn greedy_coloring_counting_spills(graph: &Graph) -> (EdgeColoring, usize) {
             }
         }
         colors[e] = c as u32;
-        num_colors = num_colors.max(c as u32 + 1);
     }
-    (EdgeColoring { colors, num_colors }, spill_scans)
+    (EdgeColoring::from_colors(colors), spill_scans)
 }
 
 /// Returns `true` if `edges` is a matching of `graph` (no shared
 /// endpoints).
 pub fn is_matching(graph: &Graph, edges: &[EdgeId]) -> bool {
-    let mut matched = vec![false; graph.node_count()];
-    for &e in edges {
-        let (u, v) = graph.edge(e);
-        if matched[u as usize] || matched[v as usize] {
-            return false;
-        }
-        matched[u as usize] = true;
-        matched[v as usize] = true;
-    }
-    true
+    matched_nodes(graph, edges).is_some()
 }
 
 /// Returns `true` if `edges` is a maximal matching of `graph`: a matching
 /// that no further edge can be added to.
 pub fn is_maximal_matching(graph: &Graph, edges: &[EdgeId]) -> bool {
+    matched_nodes(graph, edges).is_some_and(|matched| {
+        let covered = |&(u, v): &(NodeId, NodeId)| matched[u as usize] || matched[v as usize];
+        graph.edges().iter().all(covered)
+    })
+}
+
+/// The nodes `edges` cover, or `None` if two of them share an endpoint.
+fn matched_nodes(graph: &Graph, edges: &[EdgeId]) -> Option<Vec<bool>> {
     let mut matched = vec![false; graph.node_count()];
     for &e in edges {
         let (u, v) = graph.edge(e);
         if matched[u as usize] || matched[v as usize] {
-            return false;
+            return None;
         }
         matched[u as usize] = true;
         matched[v as usize] = true;
     }
-    graph
-        .edges()
-        .iter()
-        .all(|&(u, v)| matched[u as usize] || matched[v as usize])
+    Some(matched)
 }
 
-/// One maximal matching per color class of `coloring`: the class is taken
-/// as the base matching (proper classes are matchings by definition) and
+/// One maximal matching per color class of `coloring`, as edge bitmasks
+/// in the layout of [`EdgeColoring::class_masks`]: the class is taken as
+/// the base matching (proper classes are matchings by definition) and
 /// extended greedily in edge-id order until maximal. Together the family
 /// covers every edge at least once per sweep, and each round keeps more
 /// nodes paired than the bare class would.
 ///
-/// Edge ids follow `(u, v)` order, so the greedy pass over the edges in id
-/// order is a pass over the nodes `u` in ascending order, each unmatched
-/// one taking its first free neighbor in adjacency (edge-id) order: its
-/// lower neighbors are all matched by then, since each was offered `u`
-/// on its own turn, so that neighbor is the first free `v > u`. This
-/// costs `O(n + m)` per color, with no rescan of the edges.
-pub fn maximal_matchings(graph: &Graph, coloring: &EdgeColoring) -> Vec<Vec<EdgeId>> {
+/// One stamp buffer serves every class, so a class costs one pass over
+/// its mask words and one over the nodes, each unmatched node searching
+/// only its edges to higher neighbours; no class rescans all the edges.
+pub fn maximal_matchings(graph: &Graph, coloring: &EdgeColoring) -> Vec<Vec<u64>> {
+    let tails = tail_ranges(graph);
     let mut matched = vec![u32::MAX; graph.node_count()]; // stamp buffer keyed by color
-    let mut out = Vec::with_capacity(coloring.num_colors() as usize);
-    for (c, mut matching) in (0..).zip(coloring.classes()) {
-        for &e in &matching {
-            let (u, v) = graph.edge(e);
-            matched[u as usize] = c;
-            matched[v as usize] = c;
-        }
-        for u in graph.nodes() {
-            if matched[u as usize] == c {
-                continue;
-            }
-            let targets = graph.neighbor_nodes(u);
-            if let Some(k) = targets.iter().position(|&v| matched[v as usize] != c) {
-                matched[u as usize] = c;
-                matched[targets[k] as usize] = c;
-                matching.push(graph.neighbor_edges(u)[k]);
-            }
-        }
-        matching.sort_unstable();
-        out.push(matching);
+    let mut masks = coloring.class_masks();
+    for (c, mask) in (0..).zip(&mut masks) {
+        extend_greedy(graph, &tails, mask, &mut matched, c, |_| true);
     }
-    out
+    masks
+}
+
+/// Where each node's edges to higher neighbours start in the canonical
+/// edge list: edges are sorted by `(u, v)` with `u < v`, so node `u`'s
+/// are the ids `tails[u]..tails[u + 1]`, in ascending `v`.
+fn tail_ranges(graph: &Graph) -> Vec<usize> {
+    let mut tails = Vec::with_capacity(graph.node_count() + 1);
+    for (e, &(u, _)) in graph.edges().iter().enumerate() {
+        while tails.len() <= u as usize {
+            tails.push(e);
+        }
+    }
+    tails.resize(graph.node_count() + 1, graph.edge_count());
+    tails
+}
+
+/// The greedy extension behind [`maximal_matchings`] and
+/// [`extend_matching`]: the result of one scan of the edges in id order
+/// that adds each edge whose endpoints are both `eligible` and unmatched.
+///
+/// It first marks the endpoints of the matching `mask` in `matched` (a
+/// node is matched iff its entry equals `stamp`, so one buffer serves
+/// many calls with no reset). It then visits the nodes in ascending id;
+/// each unmatched eligible node `u` takes the first edge of its range in
+/// `tails` ([`tail_ranges`]) whose head is eligible and unmatched. That
+/// is the scan's choice: an eligible lower neighbour of `u` is matched by
+/// the time `u` is visited (it was offered `u` on its own turn), and a
+/// matched or ineligible node's range is skipped without a look.
+fn extend_greedy(
+    graph: &Graph,
+    tails: &[usize],
+    mask: &mut [u64],
+    matched: &mut [u32],
+    stamp: u32,
+    eligible: impl Fn(NodeId) -> bool,
+) {
+    let edges = graph.edges();
+    for (w, &word) in mask.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let (u, v) = edges[64 * w + bits.trailing_zeros() as usize];
+            matched[u as usize] = stamp;
+            matched[v as usize] = stamp;
+            bits &= bits - 1;
+        }
+    }
+    for u in graph.nodes() {
+        if matched[u as usize] == stamp || !eligible(u) {
+            continue;
+        }
+        let range = tails[u as usize]..tails[u as usize + 1];
+        let free = |&(_, v): &(NodeId, NodeId)| matched[v as usize] != stamp && eligible(v);
+        if let Some(k) = edges[range.clone()].iter().position(free) {
+            let e = range.start + k;
+            matched[u as usize] = stamp;
+            matched[edges[e].1 as usize] = stamp;
+            mask[e >> 6] |= 1u64 << (e & 63);
+        }
+    }
 }
 
 #[inline]
@@ -396,29 +424,11 @@ pub fn repair_matching(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {
 /// never removes an edge, so the result is a superset matching that is
 /// maximal on the live-induced subgraph.
 pub fn extend_matching(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {
-    let n = graph.node_count();
-    let mut matched = vec![false; n];
-    for (e, &(u, v)) in graph.edges().iter().enumerate() {
-        if (mask[e >> 6] >> (e & 63)) & 1 == 1 {
-            matched[u as usize] = true;
-            matched[v as usize] = true;
-        }
-    }
-    for u in graph.nodes() {
-        if matched[u as usize] || !live(live_nodes, u) {
-            continue;
-        }
-        for &e in graph.neighbor_edges(u) {
-            let (a, b) = graph.edge(e);
-            let v = if a == u { b } else { a };
-            if !matched[v as usize] && live(live_nodes, v) {
-                mask[(e >> 6) as usize] |= 1u64 << (e & 63);
-                matched[u as usize] = true;
-                matched[v as usize] = true;
-                break;
-            }
-        }
-    }
+    let mut matched = vec![u32::MAX; graph.node_count()];
+    let tails = tail_ranges(graph);
+    extend_greedy(graph, &tails, mask, &mut matched, 0, |v| {
+        live(live_nodes, v)
+    });
 }
 
 #[cfg(test)]
@@ -434,8 +444,9 @@ mod tests {
             assert_eq!(c.num_colors(), dim, "dim {dim}");
             assert!(c.is_proper(&g), "dim {dim}");
             // Each class is the perfect matching along one axis.
-            for class in c.classes() {
-                assert_eq!(class.len(), g.node_count() / 2);
+            for mask in c.class_masks() {
+                let size: u32 = mask.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(size as usize, g.node_count() / 2);
             }
         }
     }
@@ -596,17 +607,21 @@ mod tests {
     }
 
     #[test]
-    fn classes_partition_the_edges() {
+    fn class_masks_partition_the_edges() {
         let g = generators::torus2d(4, 6);
         let c = edge_coloring(&g);
-        let total: usize = c.classes().iter().map(Vec::len).sum();
-        assert_eq!(total, g.edge_count());
-        for (color, class) in c.classes().into_iter().enumerate() {
+        let masks = c.class_masks();
+        assert_eq!(masks.len(), c.num_colors() as usize);
+        let mut total = 0;
+        for (color, mask) in masks.iter().enumerate() {
+            let class = mask_edges(mask, g.edge_count());
             assert!(is_matching(&g, &class), "class {color}");
             for &e in &class {
-                assert_eq!(c.color(e), color as u32);
+                assert_eq!(c.colors()[e as usize], color as u32);
             }
+            total += class.len();
         }
+        assert_eq!(total, g.edge_count());
     }
 
     #[test]
@@ -621,9 +636,10 @@ mod tests {
             let family = maximal_matchings(&g, &c);
             assert_eq!(family.len(), c.num_colors() as usize);
             let mut covered = vec![false; g.edge_count()];
-            for (i, matching) in family.iter().enumerate() {
-                assert!(is_maximal_matching(&g, matching), "matching {i} of {g:?}");
-                for &e in matching {
+            for (i, mask) in family.iter().enumerate() {
+                let matching = mask_edges(mask, g.edge_count());
+                assert!(is_maximal_matching(&g, &matching), "matching {i} of {g:?}");
+                for e in matching {
                     covered[e as usize] = true;
                 }
             }
@@ -631,32 +647,45 @@ mod tests {
         }
     }
 
-    /// Reference for [`maximal_matchings`]: per color, one scan of all
-    /// edges collects the class and a second one extends it greedily in
-    /// edge-id order.
-    fn maximal_matchings_by_rescan(graph: &Graph, coloring: &EdgeColoring) -> Vec<Vec<EdgeId>> {
-        let mut matched = vec![u32::MAX; graph.node_count()];
-        let mut out = Vec::new();
-        for c in 0..coloring.num_colors() {
-            let mut matching = Vec::new();
-            for (e, &(u, v)) in graph.edges().iter().enumerate() {
-                if coloring.colors[e] == c {
-                    matched[u as usize] = c;
-                    matched[v as usize] = c;
-                    matching.push(e as EdgeId);
-                }
+    /// Reference for [`extend_greedy`]: one scan of all edges marks the
+    /// matched nodes, and a second one adds, in edge-id order, every edge
+    /// whose endpoints are both live and unmatched.
+    fn extend_by_rescan(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {
+        let mut matched = vec![false; graph.node_count()];
+        for (e, &(u, v)) in graph.edges().iter().enumerate() {
+            if (mask[e >> 6] >> (e & 63)) & 1 == 1 {
+                matched[u as usize] = true;
+                matched[v as usize] = true;
             }
-            for (e, &(u, v)) in graph.edges().iter().enumerate() {
-                if matched[u as usize] != c && matched[v as usize] != c {
-                    matched[u as usize] = c;
-                    matched[v as usize] = c;
-                    matching.push(e as EdgeId);
-                }
-            }
-            matching.sort_unstable();
-            out.push(matching);
         }
-        out
+        for (e, &(u, v)) in graph.edges().iter().enumerate() {
+            let (u, v) = (u as usize, v as usize);
+            let addable = !matched[u] && !matched[v];
+            if addable && live(live_nodes, u as NodeId) && live(live_nodes, v as NodeId) {
+                matched[u] = true;
+                matched[v] = true;
+                mask[e >> 6] |= 1u64 << (e & 63);
+            }
+        }
+    }
+
+    /// Reference for [`maximal_matchings`]: per color, one scan of all
+    /// edges collects the class mask and [`extend_by_rescan`] extends it
+    /// with every node live.
+    fn maximal_matchings_by_rescan(graph: &Graph, coloring: &EdgeColoring) -> Vec<Vec<u64>> {
+        let all_live = vec![u64::MAX; graph.node_count().div_ceil(64)];
+        (0..coloring.num_colors())
+            .map(|c| {
+                let mut mask = vec![0u64; graph.edge_count().div_ceil(64)];
+                for (e, &color) in coloring.colors.iter().enumerate() {
+                    if color == c {
+                        mask[e >> 6] |= 1u64 << (e & 63);
+                    }
+                }
+                extend_by_rescan(graph, &all_live, &mut mask);
+                mask
+            })
+            .collect()
     }
 
     #[test]
@@ -865,13 +894,18 @@ mod tests {
                 // live set (the simulator's loop); keep the last epoch's mask.
                 let mut stepped = Vec::new();
                 for alive in &history {
-                    stepped = edge_mask(&g, &base);
+                    stepped = base.clone();
                     repair_matching(&g, &bool_mask(alive), &mut stepped);
                 }
                 // One-shot rebuild from the pristine base, final live set.
-                let mut rebuilt = edge_mask(&g, &base);
+                let mut rebuilt = base.clone();
                 repair_matching(&g, &final_live, &mut rebuilt);
                 proptest::prop_assert_eq!(&stepped, &rebuilt);
+                // The same bits as the rescan oracle's extension.
+                let mut oracle = base.clone();
+                mask_dead_edges(&g, &final_live, &mut oracle);
+                extend_by_rescan(&g, &final_live, &mut oracle);
+                proptest::prop_assert_eq!(&oracle, &rebuilt);
                 // Fixed point: repairing a repaired mask changes nothing.
                 let mut again = rebuilt.clone();
                 repair_matching(&g, &final_live, &mut again);
@@ -906,6 +940,9 @@ mod tests {
             // maximal matching of the live subgraph.
             let mut mask = vec![0u64; g.edge_count().div_ceil(64).max(1)];
             extend_matching(&g, &alive, &mut mask);
+            let mut oracle = vec![0u64; mask.len()];
+            extend_by_rescan(&g, &alive, &mut oracle);
+            proptest::prop_assert_eq!(&mask, &oracle);
             let chosen = mask_edges(&mask, g.edge_count());
             proptest::prop_assert!(is_matching(&g, &chosen));
             let before = chosen.len();
@@ -924,8 +961,7 @@ mod tests {
         ] {
             let coloring = edge_coloring(&g);
             let live = node_mask(g.node_count(), &[0, 5, 9, 13, 21]);
-            for family in maximal_matchings(&g, &coloring) {
-                let mut mask = edge_mask(&g, &family);
+            for mut mask in maximal_matchings(&g, &coloring) {
                 let mut again = mask.clone();
                 repair_matching(&g, &live, &mut mask);
                 repair_matching(&g, &live, &mut again);

@@ -19,7 +19,7 @@
 //! [`Experiment`] builder, text-serializable [`ScenarioSpec`]s, and the
 //! batch [`Driver`] that executes scenario files over one persistent
 //! worker pool — with exact checkpoint/resume ([`core::checkpoint`]),
-//! durable recovery journals, and bounded retries for crashed scenarios.
+//! durable recovery journals, and crash isolation per scenario.
 //!
 //! # Quickstart
 //!

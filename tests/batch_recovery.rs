@@ -169,11 +169,14 @@ fn rotten_checkpoint_quarantines_only_its_scenario() {
     let err = &resumed.errors[0];
     assert_eq!((err.index, err.name.as_str()), (0, "rotten"));
     assert_eq!(err.line, Some(2), "anchored to the journal's spec line");
-    assert_eq!(err.attempts, 0, "the scenario never started");
     assert!(
         matches!(&err.error, ScenarioFailure::Checkpoint(_)),
         "{:?}",
         err.error
+    );
+    assert_eq!(
+        resumed.total_attempts, 1,
+        "only the healthy scenario ran; the rotten one never started"
     );
     // The failure was journaled, so the next resume has nothing to do.
     let again = Driver::new().resume_batch(&journal).unwrap();
