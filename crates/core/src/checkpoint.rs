@@ -256,7 +256,7 @@ impl Snapshot {
     }
 
     /// Rounds executed by the interrupted run up to this snapshot.
-    pub fn rounds_done(&self) -> u64 {
+    fn rounds_done(&self) -> u64 {
         self.round.saturating_sub(self.run.origin)
     }
 

@@ -70,7 +70,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::{create_parent_dir, read_checkpoint, Checkpoint, CheckpointConfig};
+use crate::checkpoint::{create_parent_dir, read_checkpoint, Checkpoint};
 use crate::engine::RunReport;
 use crate::error::{BuildError, CheckpointError, ParseError};
 use crate::pool::WorkerPool;
@@ -416,12 +416,6 @@ impl Driver {
         self.threads
     }
 
-    /// Scenarios scheduled concurrently by [`Driver::run_batch`]
-    /// (1 = back-to-back).
-    pub fn concurrency(&self) -> usize {
-        self.concurrency
-    }
-
     /// The pool simulations currently attach to, if any.
     fn attached_pool(&self) -> Option<Arc<WorkerPool>> {
         self.pool
@@ -709,12 +703,7 @@ impl Driver {
                 continue;
             }
             let mut restored = None;
-            if let Some(policy) = &spec.ckpt {
-                let cfg = CheckpointConfig {
-                    policy: policy.clone(),
-                    name: spec.name.clone(),
-                    spec_line: spec.to_string(),
-                };
+            if let Some(cfg) = spec.checkpoint_config() {
                 let path = cfg.latest_path();
                 if path.exists() {
                     let loaded = read_checkpoint(&path).and_then(|ckpt| {

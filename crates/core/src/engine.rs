@@ -364,15 +364,11 @@ fn write_or_die(path: &std::path::Path, spec_line: &str, snap: &Snapshot) {
 pub struct Simulator<'g> {
     graph: &'g Graph,
     speeds: Speeds,
-    /// Division-free coefficient tables over a shared clone of the graph,
-    /// shared with the worker pool.
-    tables: Arc<KernelTables>,
-    /// The scheme-kernel layer: per-round flow computation (edge pass,
-    /// rounding hook, apply pass, barrier plan) for the configured
-    /// scheme, shared with the worker pool.
+    /// The scheme-kernel layer: the simulation's immutable round plan
+    /// (kernel tables, flow pass, active plan, perturbation spec), shared
+    /// with the worker pool.
     scheme_kernel: Arc<SchemeKernel>,
     scheme: Scheme,
-    flow_memory: FlowMemory,
     threads: usize,
     /// Loads, flows and flow memory: local vectors, or the pool job's
     /// atomics when `threads > 1`.
@@ -414,40 +410,24 @@ impl<'g> Simulator<'g> {
             .map_or(config.threads, |pool| pool.threads());
         let loads = config.init.materialize(n);
         let initial_total = loads.iter().map(|&x| x as f64).sum();
-        let mut scheme_kernel =
-            SchemeKernel::new(config.scheme, config.mode, graph, &speeds, config.perturb);
-        let tables = Arc::new(KernelTables::new(graph, &speeds, false, initial_total));
-        scheme_kernel.finish(&tables);
-        let scheme_kernel = Arc::new(scheme_kernel);
+        let scheme_kernel = Arc::new(SchemeKernel::new(config, graph, &speeds, initial_total));
         let store = if threads > 1 {
             let pool = shared_pool.unwrap_or_else(|| Arc::new(WorkerPool::new(threads)));
-            let state = RoundState::new(&scheme_kernel, &tables, config.flow_memory, loads);
-            let job = RoundJob::new(
-                pool.threads(),
-                Arc::clone(&tables),
-                Arc::clone(&scheme_kernel),
-                state,
-            );
+            let state = RoundState::new(&scheme_kernel, loads);
+            let job = RoundJob::new(pool.threads(), Arc::clone(&scheme_kernel), state);
             Store::Pooled(PoolAttachment {
                 pool,
                 job: Arc::new(job),
             })
         } else {
-            Store::Local(RoundState::new(
-                &scheme_kernel,
-                &tables,
-                config.flow_memory,
-                loads,
-            ))
+            Store::Local(RoundState::new(&scheme_kernel, loads))
         };
         let min_transient = with_state!(&store, |state| state.min_load());
         Self {
             graph,
             speeds,
-            tables,
             scheme_kernel,
             scheme: config.scheme,
-            flow_memory: config.flow_memory,
             threads,
             store,
             scratch: RoundScratch::new(),
@@ -560,21 +540,23 @@ impl<'g> Simulator<'g> {
     }
 
     /// Heap bytes of the kernel tables this simulator owns: the
-    /// coefficient tables (one shared buffer under uniform speeds) and the
-    /// balanced-load table. The graph's CSR is not counted: the tables
-    /// share it with the caller's graph, whose
+    /// coefficient tables its rounds read (the diffusion `α_e/s` pair, or
+    /// the pairwise schemes' λ-scaled pair; one shared buffer under
+    /// uniform speeds) and the balanced-load table. The graph's CSR is not
+    /// counted: the tables share it with the caller's graph, whose
     /// [`Graph::memory_bytes`](sodiff_graph::Graph::memory_bytes) counts
     /// it once. A diffusion run's footprint is therefore
-    /// `graph.memory_bytes() + table_bytes() + state_bytes()`.
+    /// `graph.memory_bytes() + table_bytes() + state_bytes()`; the
+    /// pairwise schemes add their edge masks.
     pub fn table_bytes(&self) -> usize {
-        self.tables.memory_bytes()
+        self.scheme_kernel.tables.memory_bytes()
     }
 
     /// The kernel tables the round passes read. Exposed for layout
     /// tests; not a stable API.
     #[doc(hidden)]
     pub fn kernel_tables(&self) -> &KernelTables {
-        &self.tables
+        &self.scheme_kernel.tables
     }
 
     /// Freezes the complete evolving state of this simulation at the
@@ -798,9 +780,8 @@ impl<'g> Simulator<'g> {
             mem,
             gain,
             round: self.round,
-            flow_memory: self.flow_memory,
         };
-        let (k, t, graph) = (&*self.scheme_kernel, &*self.tables, self.graph);
+        let k = &*self.scheme_kernel;
         // Both executors run the round's three steps: prepare on the
         // control thread (the perturbation channels, the random matching
         // and the round's masks, so plan state never depends on the
@@ -814,15 +795,16 @@ impl<'g> Simulator<'g> {
                     perturb,
                 } = &mut self.scratch;
                 let bufs = state.bufs();
-                let masks = k.prepare(t, graph, args.round, &bufs, matchgen, perturb);
-                let stats = k.participate(t, &args, 0..t.m, 0..t.n, &bufs, masks, fw, || {});
+                let masks = k.prepare(args.round, &bufs, matchgen, perturb);
+                let (m, n) = (k.tables.m, k.tables.n);
+                let stats = k.participate(&args, 0..m, 0..n, &bufs, masks, fw, || {});
                 bufs.collect([stats])
             }
             Store::Pooled(attachment) => {
                 // The job's atomics are the simulation's only store, so
                 // the round is complete at its final barrier: there is no
                 // state to copy back.
-                attachment.job_mut().prepare(graph, args, &mut self.scratch);
+                attachment.job_mut().prepare(args, &mut self.scratch);
                 attachment
                     .pool
                     .run_round(&attachment.job, &mut self.scratch.fw)

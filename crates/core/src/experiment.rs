@@ -88,6 +88,25 @@ pub(crate) struct Config {
 }
 
 impl Config {
+    /// The builder's starting configuration on `graph`: continuous FOS
+    /// with uniform speeds, the paper's default initial load, one thread,
+    /// the default stop condition, and no hybrid switch, perturbation or
+    /// checkpointing.
+    pub(crate) fn new(graph: &Graph) -> Self {
+        Config {
+            scheme: Scheme::Fos,
+            mode: Mode::Continuous,
+            speeds: None,
+            flow_memory: FlowMemory::default(),
+            threads: 1,
+            init: InitialLoad::paper_default(graph.node_count()),
+            hybrid: None,
+            stop: StopCondition::default(),
+            perturb: PerturbSpec::default(),
+            ckpt: None,
+        }
+    }
+
     /// The one validation point of an experiment: everything
     /// [`ExperimentBuilder::build`] documents, checked in that order.
     fn validate(&self, graph: &Graph) -> Result<(), BuildError> {
@@ -346,18 +365,7 @@ impl<'g> Experiment<'g> {
     pub fn on(graph: &'g Graph) -> ExperimentBuilder<'g, NeedsMode> {
         ExperimentBuilder {
             graph,
-            config: Config {
-                scheme: Scheme::Fos,
-                mode: Mode::Continuous,
-                speeds: None,
-                flow_memory: FlowMemory::default(),
-                threads: 1,
-                init: InitialLoad::paper_default(graph.node_count()),
-                hybrid: None,
-                stop: StopCondition::default(),
-                perturb: PerturbSpec::default(),
-                ckpt: None,
-            },
+            config: Config::new(graph),
             _state: PhantomData,
         }
     }
@@ -382,16 +390,6 @@ impl<'g> Experiment<'g> {
         self.config.threads
     }
 
-    /// The initial token placement.
-    pub fn initial_load(&self) -> &InitialLoad {
-        &self.config.init
-    }
-
-    /// The hybrid switch policy, if any.
-    pub fn hybrid_policy(&self) -> Option<SwitchPolicy> {
-        self.config.hybrid
-    }
-
     /// The fault-injection plan ([`FaultSpec::none`] when unset).
     pub fn faults(&self) -> FaultSpec {
         self.config.perturb.faults
@@ -405,11 +403,6 @@ impl<'g> Experiment<'g> {
     /// The live-topology churn plan ([`ChurnSpec::none`] when unset).
     pub fn churn(&self) -> ChurnSpec {
         self.config.perturb.churn
-    }
-
-    /// The stop condition of [`Experiment::run`].
-    pub fn stop_condition(&self) -> StopCondition {
-        self.config.stop
     }
 
     /// Mints a fresh simulator at round 0. The experiment can create any

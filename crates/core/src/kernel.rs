@@ -26,10 +26,12 @@
 //!
 //! The edge passes are also generic over *which* edges carry flow, an
 //! [`EdgeGate`]: [`AllEdges`] for the diffusion plan, with no mask test
-//! in the loop, or [`MaskBits`] for a round's active-edge bitset. So each
-//! pass has one loop body for every plan; `edge_pass_*_gated` take the
-//! gate and the coefficient pair, and the fused and scatter passes keep
-//! all-edges entry points with the diffusion coefficients.
+//! in the loop, or [`MaskBits`], which reads a round's active-edge bitset
+//! straight from its `&[u64]` words. So each pass has one loop body for
+//! every plan: `edge_pass_*_gated` take the gate, and the fused and
+//! scatter passes keep all-edges entry points ([`edge_pass_fused`],
+//! [`edge_pass_scatter`]). No pass takes coefficients of its own: each
+//! reads the pair held by the [`KernelTables`] it is given.
 //!
 //! Because both executors run byte-for-byte the same arithmetic in the
 //! same per-element order, parallel results are bit-identical to
@@ -38,10 +40,11 @@
 //!
 //! The per-edge work is division-free: [`KernelTables`] precomputes the
 //! coefficient tables `coef_tail[e] = α_e/s_u` and `coef_head[e] = α_e/s_v`
-//! at simulator construction (one shared table under uniform speeds,
-//! where the two are the same numbers), so the scheduled-flow pass is a
-//! fused multiply–add over the graph's canonical `(u, v)` edge list, the
-//! two coefficient slices and the flow memory
+//! at simulator construction (for the pairwise schemes
+//! `λ·s_v/(s_u+s_v)` and `λ·s_u/(s_u+s_v)` instead; one shared table
+//! under uniform speeds, where the two are the same numbers), so the
+//! scheduled-flow pass is a fused multiply–add over the graph's canonical
+//! `(u, v)` edge list, the two coefficient slices and the flow memory
 //! (`Ŷ_e = mem·prev_e + gain·(coef_tail[e]·x_u − coef_head[e]·x_v)`)
 //! instead of the two `f64` divisions per edge the naive form
 //! `α_e·(x_u/s_u − x_v/s_v)` costs. The tables own no adjacency: the
@@ -160,9 +163,10 @@ pub const LANES: usize = 8;
 // The apply pass relies on block boundaries only falling at chunk ends.
 const _: () = assert!(DEV_BLOCK.is_multiple_of(LANES));
 
-/// Immutable per-simulation tables shared by the sequential executor and
-/// the worker pool (via `Arc`): division-free edge coefficients, plus a
-/// clone of the [`Graph`] whose CSR the passes read.
+/// Immutable per-simulation tables, owned by the simulation's scheme
+/// kernel (which both executors share through one `Arc`): division-free
+/// edge coefficients, plus a clone of the [`Graph`] whose CSR the passes
+/// read.
 ///
 /// The graph's arrays are shared, not copied ([`Graph`]'s `clone` bumps a
 /// reference count), so the tables own only what the graph does not
@@ -170,9 +174,12 @@ const _: () = assert!(DEV_BLOCK.is_multiple_of(LANES));
 /// [`Self::ideal`]. The randomized framework needs nothing more: its
 /// scatter writes one fraction per edge and its rounding phase reads it
 /// back through the arc's edge id, which the CSR already holds.
-/// Under uniform speeds `α_e/s_u` and `α_e/s_v` are the same `f64`, so
-/// [`Self::coef_tail`] and [`Self::coef_head`] then share one buffer; the
-/// passes read the two slices either way.
+/// The coefficients are the ones the simulation's rounds read: the
+/// diffusion `α_e/s` pair that [`Self::new`] builds, or the pairwise
+/// schemes' λ-scaled harmonic-speed pair. Under uniform speeds each pair's
+/// two halves are the same `f64`, so [`Self::coef_tail`] and
+/// [`Self::coef_head`] then share one buffer; the passes read the two
+/// slices either way.
 pub struct KernelTables {
     /// Node count.
     pub(crate) n: usize,
@@ -180,10 +187,12 @@ pub struct KernelTables {
     pub m: usize,
     /// The simulated graph (shares the caller's CSR arrays).
     graph: Graph,
-    /// `α_e / s_tail` per edge.
+    /// The tail coefficient per edge: `α_e / s_tail` for diffusion,
+    /// `λ·s_head/(s_tail+s_head)` for the pairwise schemes.
     pub coef_tail: Arc<[f64]>,
-    /// `α_e / s_head` per edge (the same buffer as [`Self::coef_tail`]
-    /// under uniform speeds).
+    /// The head coefficient per edge: `α_e / s_head` for diffusion,
+    /// `λ·s_tail/(s_tail+s_head)` for the pairwise schemes (the same
+    /// buffer as [`Self::coef_tail`] under uniform speeds).
     pub coef_head: Arc<[f64]>,
     /// Per-node speed-proportional balanced load `x̄_i = T·s_i/S`, where
     /// `T` is the total load passed at construction (the conserved
@@ -194,23 +203,34 @@ pub struct KernelTables {
 }
 
 impl KernelTables {
-    /// Builds the tables for `graph` with the given speeds. `total_load`
-    /// seeds the [`KernelTables::ideal`] balanced-load table (pass the
-    /// initial total; callers that ignore the fused stats may pass any
-    /// value).
+    /// Builds the diffusion tables for `graph` with the given speeds.
+    /// `total_load` seeds the [`KernelTables::ideal`] balanced-load table
+    /// (pass the initial total; callers that ignore the fused stats may
+    /// pass any value).
     ///
     /// The third argument is ignored (every caller in this workspace
     /// passes `false`); it remains only so that existing callers keep
     /// compiling.
     pub fn new(graph: &Graph, speeds: &Speeds, _arc_plan: bool, total_load: f64) -> Self {
-        let n = graph.node_count();
-        let (coef_tail, coef_head) = coef_pair(graph, speeds, |u, v| {
+        let coefs = coef_pair(graph, speeds, |u, v| {
             let alpha = graph.alpha(u, v);
             (
                 alpha / speeds.get(u as usize),
                 alpha / speeds.get(v as usize),
             )
         });
+        Self::with_coefs(graph, speeds, coefs, total_load)
+    }
+
+    /// [`Self::new`] with the coefficient pair `coefs` in place of the
+    /// diffusion `α_e/s` tables: the pairwise schemes' λ-scaled pair.
+    pub(crate) fn with_coefs(
+        graph: &Graph,
+        speeds: &Speeds,
+        (coef_tail, coef_head): CoefPair,
+        total_load: f64,
+    ) -> Self {
+        let n = graph.node_count();
         // Same per-node expression as `metrics::snapshot_with_total`, so
         // the fused deviations match a from-scratch recompute bit for bit.
         let ideal = (0..n)
@@ -567,31 +587,11 @@ fn ceil_i64(r: f64) -> i64 {
     t.saturating_add(i64::from((t as f64) < r))
 }
 
-/// A bitset's 64-bit words, read by word index: plain words (the
-/// sequential executor and the precomputed sweep families) or the
-/// relaxed atomics the pool's control thread publishes each round.
-pub trait Words {
-    /// Word `w`.
-    fn word(&self, w: usize) -> u64;
-    /// Bit `e` (bit `e % 64` of word `e / 64`) as `0` or `1`.
-    #[inline(always)]
-    fn bit(&self, e: usize) -> u64 {
-        (self.word(e >> 6) >> (e & 63)) & 1
-    }
-}
-
-impl Words for [u64] {
-    #[inline(always)]
-    fn word(&self, w: usize) -> u64 {
-        self[w]
-    }
-}
-
-impl Words for [AtomicU64] {
-    #[inline(always)]
-    fn word(&self, w: usize) -> u64 {
-        self[w].load(Relaxed)
-    }
+/// Bit `e` of the bitset `words` (bit `e % 64` of word `e / 64`) as `0`
+/// or `1`.
+#[inline(always)]
+fn bit(words: &[u64], e: usize) -> u64 {
+    (words[e >> 6] >> (e & 63)) & 1
 }
 
 /// Which edges an edge pass lets carry flow, applied to each edge's
@@ -618,25 +618,12 @@ impl EdgeGate for AllEdges {
 /// an inactive edge rounds to a zero flow, writes a zero fraction and
 /// leaves its endpoints untouched. The bit is indexed by the global edge
 /// id, so any split of the edge range reads the same bits.
-pub struct MaskBits<'a, W: ?Sized>(pub &'a W);
+pub struct MaskBits<'a>(pub &'a [u64]);
 
-impl<W: Words + ?Sized> EdgeGate for MaskBits<'_, W> {
+impl EdgeGate for MaskBits<'_> {
     #[inline(always)]
     fn gate(&self, e: usize, s: f64) -> f64 {
-        self.0.bit(e) as f64 * s
-    }
-}
-
-/// A per-edge `(coef_tail, coef_head)` coefficient slice pair: the
-/// diffusion `α_e/s` tables of [`KernelTables`], or the λ-scaled
-/// harmonic-speed pair of the pairwise schemes.
-pub type Coefs<'a> = (&'a [f64], &'a [f64]);
-
-impl KernelTables {
-    /// The diffusion coefficient pair `(α_e/s_tail, α_e/s_head)`.
-    #[inline]
-    pub fn coefs(&self) -> Coefs<'_> {
-        (&self.coef_tail[..], &self.coef_head[..])
+        bit(self.0, e) as f64 * s
     }
 }
 
@@ -658,10 +645,8 @@ struct Schedule<'a, G, M: Buf, X> {
 
 impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M, X> {
     /// The schedule over the edges `edges` of `t`.
-    #[allow(clippy::too_many_arguments)] // the pass's own operands, sliced once
     fn new(
         t: &'a KernelTables,
-        (cts, chs): Coefs<'a>,
         gate: &'a G,
         edges: Range<usize>,
         mem: f64,
@@ -676,8 +661,8 @@ impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M,
             gain,
             e0: edges.start,
             pairs: &t.graph().edges()[edges.clone()],
-            cts: &cts[edges.clone()],
-            chs: &chs[edges.clone()],
+            cts: &t.coef_tail[edges.clone()],
+            chs: &t.coef_head[edges.clone()],
             memory: &memory.elems()[edges],
         }
     }
@@ -826,7 +811,7 @@ impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M,
 }
 
 /// Fused edge pass for the **edge-local** rounding schemes in discrete
-/// mode, over every edge with the diffusion coefficients: computes the
+/// mode, over every edge with the tables' coefficients: computes the
 /// scheduled flow `Ŷ_e` (see the module docs), rounds it, and updates the SOS
 /// flow memory, all in one sweep over `edges`. Under
 /// [`FlowMemory::Rounded`] the memory is the flow slot itself
@@ -852,7 +837,6 @@ pub fn edge_pass_fused<P: Buf<Val = f64>, F: Buf<Val = i64>>(
 ) {
     edge_pass_fused_gated(
         t,
-        t.coefs(),
         &AllEdges,
         edges,
         mem,
@@ -866,12 +850,10 @@ pub fn edge_pass_fused<P: Buf<Val = f64>, F: Buf<Val = i64>>(
     );
 }
 
-/// [`edge_pass_fused`] with explicit coefficients and an edge `gate`
-/// ([`AllEdges`] or [`MaskBits`]).
+/// [`edge_pass_fused`] with an edge `gate` ([`AllEdges`] or [`MaskBits`]).
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
 pub fn edge_pass_fused_gated<G: EdgeGate, P: Buf<Val = f64>, F: Buf<Val = i64>>(
     t: &KernelTables,
-    coefs: Coefs<'_>,
     gate: &G,
     edges: Range<usize>,
     mem: f64,
@@ -884,13 +866,12 @@ pub fn edge_pass_fused_gated<G: EdgeGate, P: Buf<Val = f64>, F: Buf<Val = i64>>(
     flows: &F,
 ) {
     with_memory!(flow_memory, prev, flows, |memory| {
-        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory)
-            .fused(round, rounding, flows)
+        Schedule::new(t, gate, edges.clone(), mem, gain, &x, memory).fused(round, rounding, flows)
     })
 }
 
 /// Phase 1 of the randomized framework, over every edge with the
-/// diffusion coefficients: computes the scheduled flow `Ŷ_e`, **truncates
+/// tables' coefficients: computes the scheduled flow `Ŷ_e`, **truncates
 /// it right here** (the sending side's outflow is `|Ŷ_e|` and its floor
 /// is the edge's base flow, so the per-arc floor pass of the old
 /// formulation collapses into this per-edge one), writes the signed base
@@ -918,7 +899,6 @@ pub fn edge_pass_scatter<A: Buf<Val = f64>, F: Buf<Val = i64>, P: Buf<Val = f64>
 ) {
     edge_pass_scatter_gated(
         t,
-        t.coefs(),
         &AllEdges,
         edges,
         mem,
@@ -931,7 +911,7 @@ pub fn edge_pass_scatter<A: Buf<Val = f64>, F: Buf<Val = i64>, P: Buf<Val = f64>
     );
 }
 
-/// [`edge_pass_scatter`] with explicit coefficients and an edge `gate`.
+/// [`edge_pass_scatter`] with an edge `gate`.
 /// A gated-out edge writes a zero base flow and a zero fraction, so the
 /// rounding phase ([`arc_round_streamed`]) runs unchanged: a node whose
 /// arcs are all inactive sums `r = 0` and skips out.
@@ -943,7 +923,6 @@ pub fn edge_pass_scatter_gated<
     P: Buf<Val = f64>,
 >(
     t: &KernelTables,
-    coefs: Coefs<'_>,
     gate: &G,
     edges: Range<usize>,
     mem: f64,
@@ -955,18 +934,17 @@ pub fn edge_pass_scatter_gated<
     prev: &P,
 ) {
     with_memory!(flow_memory, prev, flows, |memory| {
-        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory).scatter(frac, flows)
+        Schedule::new(t, gate, edges.clone(), mem, gain, &x, memory).scatter(frac, flows)
     })
 }
 
-/// Edge pass for continuous mode, with explicit coefficients and an edge
-/// `gate` (a gated-out edge carries a zero flow this round): the
-/// scheduled flow *is* the flow, so it is written straight into the flow
-/// memory, which the apply pass then reads as this round's flows.
+/// Edge pass for continuous mode, with an edge `gate` (a gated-out edge
+/// carries a zero flow this round): the scheduled flow *is* the flow, so
+/// it is written straight into the flow memory, which the apply pass then
+/// reads as this round's flows.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
 pub fn edge_pass_continuous_gated<G: EdgeGate, P: Buf<Val = f64>>(
     t: &KernelTables,
-    coefs: Coefs<'_>,
     gate: &G,
     edges: Range<usize>,
     mem: f64,
@@ -974,7 +952,7 @@ pub fn edge_pass_continuous_gated<G: EdgeGate, P: Buf<Val = f64>>(
     x: impl Fn(usize) -> f64,
     prev: &P,
 ) {
-    Schedule::new(t, coefs, gate, edges, mem, gain, &x, prev).continuous();
+    Schedule::new(t, gate, edges, mem, gain, &x, prev).continuous();
 }
 
 /// Reusable per-participant scratch of the randomized framework's
@@ -1304,7 +1282,7 @@ pub fn apply_flows<L: Buf, Y: Buf<Val = L::Val>>(
     match stale {
         None => apply(t, nodes, |e| flows.get(e), loads, block_sums),
         Some(s) => {
-            let landed = |e| select_unpredictable(s.bit(e) == 1, L::Val::ZERO, flows.get(e));
+            let landed = |e| select_unpredictable(bit(s, e) == 1, L::Val::ZERO, flows.get(e));
             apply(t, nodes, landed, loads, block_sums)
         }
     }
@@ -1458,7 +1436,7 @@ mod tests {
                 let (u, v) = g.edges()[e];
                 let s = mem * remembered[e]
                     + gain * (t.coef_tail[e] * x(u as usize) - t.coef_head[e] * x(v as usize));
-                bits.map_or(s, |b| b.bit(e) as f64 * s)
+                bits.map_or(s, |b| bit(b, e) as f64 * s)
             })
             .collect()
     }
@@ -1482,19 +1460,7 @@ mod tests {
         let (fr, fl, pr) = (cells(&mut frac), cells(flows), cells(prev));
         for lo in (0..m).step_by(5 * split) {
             let edges = lo..(lo + 5 * split).min(m);
-            edge_pass_scatter_gated(
-                t,
-                t.coefs(),
-                gate,
-                edges,
-                0.4,
-                1.6,
-                memory,
-                x,
-                &fr,
-                &fl,
-                &pr,
-            );
+            edge_pass_scatter_gated(t, gate, edges, 0.4, 1.6, memory, x, &fr, &fl, &pr);
         }
         let mut scratch = FwScratch::new();
         for lo in (0..n).step_by(split) {
@@ -1681,33 +1647,10 @@ mod tests {
                 let r = w[0]..w[1];
                 match pass {
                     0 => edge_pass_fused_gated(
-                        t,
-                        t.coefs(),
-                        gate,
-                        r,
-                        0.4,
-                        1.6,
-                        9,
-                        rounding,
-                        memory,
-                        x,
-                        &pr,
-                        &fl,
+                        t, gate, r, 0.4, 1.6, 9, rounding, memory, x, &pr, &fl,
                     ),
-                    1 => edge_pass_scatter_gated(
-                        t,
-                        t.coefs(),
-                        gate,
-                        r,
-                        0.4,
-                        1.6,
-                        memory,
-                        x,
-                        &af,
-                        &fl,
-                        &pr,
-                    ),
-                    _ => edge_pass_continuous_gated(t, t.coefs(), gate, r, 0.4, 1.6, x, &pr),
+                    1 => edge_pass_scatter_gated(t, gate, r, 0.4, 1.6, memory, x, &af, &fl, &pr),
+                    _ => edge_pass_continuous_gated(t, gate, r, 0.4, 1.6, x, &pr),
                 }
             }
         }
@@ -1727,7 +1670,7 @@ mod tests {
         let ones = [u64::MAX; 2];
         let mut rng = SplitMix64::new(99);
         let random = [rng.next_u64(), rng.next_u64()];
-        let off = (0..m).filter(|&e| random[..].bit(e) == 0).count();
+        let off = (0..m).filter(|&e| bit(&random, e) == 0).count();
         assert!(off > 0 && off < m, "the mask gates some edges out");
         for (pass, rounding) in [
             (0, Rounding::nearest()),
@@ -1737,7 +1680,7 @@ mod tests {
         ] {
             for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
                 let case = format!("pass {pass} {rounding:?} {memory:?}");
-                let run = |gate: &MaskBits<'_, [u64]>, bounds: &[usize]| {
+                let run = |gate: &MaskBits<'_>, bounds: &[usize]| {
                     run_gated(&t, pass, rounding, memory, gate, bounds)
                 };
                 let all = run_gated(&t, pass, rounding, memory, &AllEdges, &[0, m]);
@@ -1752,7 +1695,7 @@ mod tests {
                 // A gated-out edge carries no flow (continuous: its flow
                 // is the memory slot).
                 let (flows, prev, _) = &whole;
-                for e in (0..m).filter(|&e| random[..].bit(e) == 0) {
+                for e in (0..m).filter(|&e| bit(&random, e) == 0) {
                     match pass {
                         2 => assert_eq!(prev[e], 0.0, "{case} edge {e}"),
                         _ => assert_eq!(flows[e], 0, "{case} edge {e}"),

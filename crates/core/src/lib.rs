@@ -130,9 +130,13 @@
 //!    plan in `SchemeKernel::new`, which is infallible: it only ever
 //!    receives a configuration validated at build. If the scheme
 //!    activates a subset of edges, build its masks here (e.g. from
-//!    [`sodiff_graph::matching`]); if it needs new per-edge
-//!    coefficients, compute them here. Only a genuinely new *phase
-//!    structure* requires touching `kernel.rs` itself. The fault axis
+//!    [`sodiff_graph::matching`]) and return the round's class from
+//!    `SchemeKernel::prepare`, the round's one gate decision; if it
+//!    needs its own per-edge coefficients, compute the pair here (as
+//!    `exchange_coefs` does for the pairwise schemes) and build the
+//!    kernel's tables from it with `KernelTables::with_coefs`, so every
+//!    pass reads it with no further plumbing. Only a genuinely new
+//!    *phase structure* requires touching `kernel.rs` itself. The fault axis
 //!    composes automatically: any masked plan is intersected with the
 //!    round's live/dropped edge sets, and sweep families are repaired
 //!    incrementally at crash epochs — a new scheme only needs to decide
@@ -191,9 +195,12 @@
 //! `BENCH_rounds.json` at the repo root). Its design, in three layers:
 //!
 //! **Division-free fused edge kernels** (`kernel` module, crate-private).
-//! At construction the simulator precomputes per-edge coefficient tables
-//! `coef_tail[e] = α_e/s_u` and `coef_head[e] = α_e/s_v` (one shared
-//! table under uniform speeds, where the two are the same `f64`), so the
+//! At construction the simulator's scheme kernel precomputes the
+//! per-edge coefficient tables its rounds read — `coef_tail[e] = α_e/s_u`
+//! and `coef_head[e] = α_e/s_v` for FOS/SOS, the λ-scaled pair
+//! `λ·s_v/(s_u+s_v)` and `λ·s_u/(s_u+s_v)` for dimension exchange and
+//! matchings, and nothing else (one shared table under uniform speeds,
+//! where the two halves are the same `f64`) — so the
 //! scheduled-flow pass is a pure multiply–add sweep
 //! `Ŷ_e = mem·prev_e + gain·(coef_tail[e]·x_u − coef_head[e]·x_v)` with no
 //! `f64` division and no `Speeds::get` indirection. The endpoints come
@@ -228,8 +235,9 @@
 //! **Scheme-kernel dispatch** (`scheme_kernel` module). Both executors
 //! keep their state in one container, `RoundState` (plain vectors on the
 //! sequential executor, relaxed atomics on the pool), and drive a round
-//! through the same three steps: `prepare` on the control thread, one
-//! participant function that picks the edge gate and runs the one phase
+//! through the same three steps: `prepare` on the control thread, which
+//! makes the round's one gate decision, one participant function that
+//! gates by the masks `prepare` returned and runs the one phase
 //! sequence — over every edge and node sequentially, over its chunk with
 //! the barrier between phases on each pool participant — and `collect`,
 //! which merges the statistics and folds the block partials. The flow

@@ -83,11 +83,6 @@ impl Recorder {
         &self.rows
     }
 
-    /// Consumes the recorder, returning the rows.
-    pub fn into_rows(self) -> Vec<MetricsRow> {
-        self.rows
-    }
-
     /// The last recorded row.
     pub fn last(&self) -> Option<&MetricsRow> {
         self.rows.last()

@@ -11,8 +11,9 @@
 //!   old per-round `thread::scope` executor.
 //! * [`RoundJob`] is one simulation as the pool runs it: its
 //!   [`RoundState`] over relaxed atomics — the simulation's **only**
-//!   state store — plus the chunk boundaries and the round's published
-//!   scalars and mask words. A job is attached for one round at a time:
+//!   state store — plus the chunk boundaries, the round's scalars, and
+//!   copies of the masks [`SchemeKernel::prepare`] returned. A job is
+//!   attached for one round at a time:
 //!   the workers release it before the round's last barrier and the pool
 //!   detaches it after, so between rounds the simulator holds its job
 //!   alone and its control thread prepares the next round (and restores
@@ -34,9 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
 
-use sodiff_graph::Graph;
-
-use crate::kernel::{FwScratch, KernelTables, LoadStats};
+use crate::kernel::{FwScratch, LoadStats};
 use crate::metrics::DEV_BLOCK;
 use crate::perturb::RoundMasks;
 use crate::scheme_kernel::{AtomicSlots, RoundArgs, RoundScratch, RoundState, SchemeKernel};
@@ -45,7 +44,6 @@ use crate::scheme_kernel::{AtomicSlots, RoundArgs, RoundScratch, RoundState, Sch
 /// the job's [`SchemeKernel`]; the job owns the state, the chunking, and
 /// what the control thread publishes for each round.
 pub(crate) struct RoundJob {
-    tables: Arc<KernelTables>,
     kernel: Arc<SchemeKernel>,
     /// Chunk boundaries over edges / nodes, one chunk per participant.
     edge_bounds: Vec<usize>,
@@ -54,11 +52,11 @@ pub(crate) struct RoundJob {
     pub state: RoundState<AtomicSlots>,
     /// The round's scalars, published by [`RoundJob::prepare`].
     args: RoundArgs,
-    /// The round's active-edge words (random-matching jobs, or any job
-    /// under crash, edgedrop or churn) and stale-edge words (stale-fault
-    /// jobs), published by [`RoundJob::prepare`]; empty otherwise.
-    mask: Vec<u64>,
-    stale: Vec<u64>,
+    /// The round's active-edge and stale-edge words, exactly as
+    /// [`SchemeKernel::prepare`] returned them (`None` where it returned
+    /// none), published by [`RoundJob::prepare`].
+    active: Option<Vec<u64>>,
+    stale: Option<Vec<u64>>,
     /// Per-participant fused load statistics of the last round, merged by
     /// the control thread after the round's final barrier.
     stats: Vec<Mutex<LoadStats>>,
@@ -67,21 +65,15 @@ pub(crate) struct RoundJob {
 impl RoundJob {
     /// One simulation's `state`, chunked for a pool with `threads`
     /// participants.
-    pub fn new(
-        threads: usize,
-        tables: Arc<KernelTables>,
-        kernel: Arc<SchemeKernel>,
-        state: RoundState<AtomicSlots>,
-    ) -> Self {
+    pub fn new(threads: usize, kernel: Arc<SchemeKernel>, state: RoundState<AtomicSlots>) -> Self {
         Self {
-            edge_bounds: chunk_bounds(tables.m, threads),
-            node_bounds: block_chunk_bounds(tables.n, threads),
-            tables,
+            edge_bounds: chunk_bounds(kernel.tables.m, threads),
+            node_bounds: block_chunk_bounds(kernel.tables.n, threads),
             kernel,
             state,
             args: RoundArgs::default(),
-            mask: Vec::new(),
-            stale: Vec::new(),
+            active: None,
+            stale: None,
             stats: (0..threads)
                 .map(|_| Mutex::new(LoadStats::identity()))
                 .collect(),
@@ -90,19 +82,26 @@ impl RoundJob {
 
     /// The first step of a pooled round, on the control thread while the
     /// job is detached: [`SchemeKernel::prepare`] against the job's loads,
-    /// then publishing the round's scalars and its mask and stale words
-    /// for the participants.
-    pub fn prepare(&mut self, graph: &Graph, args: RoundArgs, scratch: &mut RoundScratch) {
-        let k = &*self.kernel;
+    /// then publishing the round's scalars and exactly the masks it
+    /// returned for the participants.
+    pub fn prepare(&mut self, args: RoundArgs, scratch: &mut RoundScratch) {
         let bufs = self.state.bufs();
         let RoundScratch {
             matchgen, perturb, ..
         } = scratch;
-        let masks = k.prepare(&self.tables, graph, args.round, &bufs, matchgen, perturb);
-        let active = masks.active.filter(|_| k.publishes_mask());
-        for (out, words) in [(&mut self.mask, active), (&mut self.stale, masks.stale)] {
-            out.clear();
-            out.extend_from_slice(words.unwrap_or_default());
+        let masks = self.kernel.prepare(args.round, &bufs, matchgen, perturb);
+        for (out, words) in [
+            (&mut self.active, masks.active),
+            (&mut self.stale, masks.stale),
+        ] {
+            match words {
+                Some(words) => {
+                    let out = out.get_or_insert_default();
+                    out.clear();
+                    out.extend_from_slice(words);
+                }
+                None => *out = None,
+            }
         }
         self.args = args;
     }
@@ -111,10 +110,9 @@ impl RoundJob {
     /// over its chunk, with the barrier as the sync hook. Called by the
     /// workers and — as participant 0 — by the simulator thread.
     fn run_chunk(&self, barrier: &Barrier, t: usize, fw: &mut FwScratch) {
-        let k = &*self.kernel;
         let masks = RoundMasks {
-            active: k.publishes_mask().then_some(&self.mask[..]),
-            stale: k.needs_stale_mask().then_some(&self.stale[..]),
+            active: self.active.as_deref(),
+            stale: self.stale.as_deref(),
         };
         let edges = self.edge_bounds[t]..self.edge_bounds[t + 1];
         let nodes = self.node_bounds[t]..self.node_bounds[t + 1];
@@ -122,16 +120,9 @@ impl RoundJob {
         let sync = || {
             barrier.wait();
         };
-        let stats = k.participate(
-            &self.tables,
-            &self.args,
-            edges,
-            nodes,
-            &bufs,
-            masks,
-            fw,
-            sync,
-        );
+        let stats = self
+            .kernel
+            .participate(&self.args, edges, nodes, &bufs, masks, fw, sync);
         *self.stats[t].lock().expect("pool stats lock poisoned") = stats;
     }
 }
@@ -293,35 +284,36 @@ mod tests {
     }
 
     use crate::checkpoint::LoadsSnapshot;
-    use crate::engine::{FlowMemory, Mode};
+    use crate::engine::Mode;
+    use crate::experiment::Config;
     use crate::rounding::Rounding;
-    use crate::scheme::Scheme;
-    use sodiff_graph::{generators, Speeds};
+    use sodiff_graph::{generators, Graph, Speeds};
 
     /// A FOS job for the given mode on `graph` (uniform speeds, rounded
     /// memory), chunked for `pool`.
     fn fos_job(pool: &WorkerPool, graph: &Graph, mode: Mode, loads: Vec<i64>) -> Arc<RoundJob> {
         let speeds = Speeds::uniform(graph.node_count());
         let total = loads.iter().sum::<i64>() as f64;
-        let tables = KernelTables::new(graph, &speeds, false, total);
-        let kernel = SchemeKernel::new(Scheme::fos(), mode, graph, &speeds, Default::default());
-        let state = RoundState::new(&kernel, &tables, FlowMemory::Rounded, loads);
-        let (tables, kernel) = (Arc::new(tables), Arc::new(kernel));
-        Arc::new(RoundJob::new(pool.threads(), tables, kernel, state))
+        let config = Config {
+            mode,
+            ..Config::new(graph)
+        };
+        let kernel = SchemeKernel::new(&config, graph, &speeds, total);
+        let state = RoundState::new(&kernel, loads);
+        Arc::new(RoundJob::new(pool.threads(), Arc::new(kernel), state))
     }
 
     /// One FOS round (`mem = 0`, `gain = 1`) of `job`: prepared through
     /// `&mut` — the pool detached the job after its last round — then run.
-    fn fos_round(pool: &WorkerPool, job: &mut Arc<RoundJob>, g: &Graph, round: u64) -> LoadStats {
+    fn fos_round(pool: &WorkerPool, job: &mut Arc<RoundJob>, round: u64) -> LoadStats {
         let args = RoundArgs {
             mem: 0.0,
             gain: 1.0,
             round,
-            flow_memory: FlowMemory::Rounded,
         };
         let mut scratch = RoundScratch::new();
         let unshared = Arc::get_mut(job).expect("the pool detaches a job after its round");
-        unshared.prepare(g, args, &mut scratch);
+        unshared.prepare(args, &mut scratch);
         pool.run_round(job, &mut scratch.fw)
     }
 
@@ -332,7 +324,7 @@ mod tests {
         let mode = Mode::Discrete(Rounding::nearest());
         let mut job = fos_job(&pool, &g, mode, vec![10; 16]);
         // Balanced start: every scheduled flow is 0, loads stay put.
-        let stats = fos_round(&pool, &mut job, &g, 0);
+        let stats = fos_round(&pool, &mut job, 0);
         assert_eq!(stats.min_transient, 10.0);
         assert_eq!(stats.min_load, 10.0);
         // total 160 over 16 uniform nodes: already balanced, zero devs.
@@ -355,8 +347,8 @@ mod tests {
         let g2 = generators::cycle(9);
         let mut job2 = fos_job(&pool, &g2, Mode::Continuous, vec![3; 9]);
         for round in 0..4 {
-            assert_eq!(fos_round(&pool, &mut job1, &g1, round).min_transient, 7.0);
-            assert_eq!(fos_round(&pool, &mut job2, &g2, round).min_transient, 3.0);
+            assert_eq!(fos_round(&pool, &mut job1, round).min_transient, 7.0);
+            assert_eq!(fos_round(&pool, &mut job2, round).min_transient, 3.0);
         }
         assert_eq!(job1.state.loads(), LoadsSnapshot::Discrete(vec![7; 15]));
     }

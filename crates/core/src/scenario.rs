@@ -587,6 +587,17 @@ impl ScenarioSpec {
         }
     }
 
+    /// The checkpoint sink of the scenario's `ckpt=` key (`None` when it
+    /// has none): the key's policy, under the scenario's name, with the
+    /// scenario's line embedded in every snapshot header.
+    pub(crate) fn checkpoint_config(&self) -> Option<CheckpointConfig> {
+        Some(CheckpointConfig {
+            policy: self.ckpt.clone()?,
+            name: self.name.clone(),
+            spec_line: self.to_string(),
+        })
+    }
+
     /// Builds the scenario's graph instance.
     ///
     /// # Errors
@@ -627,17 +638,13 @@ impl ScenarioSpec {
         if !matches!(self.speeds, SpeedsSpec::Uniform) {
             builder = builder.speeds(speeds);
         }
-        if let Some(policy) = &self.ckpt {
+        if let Some(cfg) = self.checkpoint_config() {
             // Every checkpoint header embeds this scenario's line, so a
             // line that does not read back would make each file it
             // writes unreadable.
             self.check_reads_back()
                 .map_err(BuildError::InvalidCheckpoint)?;
-            builder = builder.checkpoint(CheckpointConfig {
-                policy: policy.clone(),
-                name: self.name.clone(),
-                spec_line: self.to_string(),
-            });
+            builder = builder.checkpoint(cfg);
         }
         if let Some(policy) = self.hybrid {
             builder = builder.hybrid(policy);

@@ -2,6 +2,12 @@
 //! per-round flow computation — edge pass, rounding hook, apply pass, and
 //! barrier plan — for **every** balancing scheme.
 //!
+//! A [`SchemeKernel`] is the simulation's one immutable round plan: the
+//! simulator and its pool job hold it as one `Arc`. It owns everything a
+//! round reads that never changes: the [`KernelTables`] with the
+//! scheme's coefficients, the flow memory, the active plan (with the
+//! random-matching endpoint table), and the perturbation spec.
+//!
 //! Before this layer existed, the flow computation was hard-wired through
 //! the engine (sequential rounds) and the worker pool (chunked rounds):
 //! adding a scheme meant re-threading its phase sequence through both by
@@ -42,15 +48,17 @@
 //!
 //! 1. [`SchemeKernel::prepare`] runs on the control thread: the
 //!    perturbation channels, the random matching (if the plan draws one)
-//!    and the round's effective mask — so per-round plan state never
-//!    depends on the executor; the pool then publishes the mask words
-//!    into its job.
+//!    and the round's [`RoundMasks`] — the plan's active set composed
+//!    with the channels, and the stale words — so per-round plan state
+//!    never depends on the executor. It is the round's one gate
+//!    decision: the pool publishes exactly the masks it returns into its
+//!    job.
 //! 2. [`SchemeKernel::participate`] runs one participant's share: it
-//!    picks the edge gate and calls the one phase sequence — edge pass,
-//!    the framework's rounding phase, apply pass — with a sync hook
+//!    reads the masks as given and calls the one phase sequence — edge
+//!    pass, the framework's rounding phase, apply pass — with a sync hook
 //!    between phases (a no-op for the sequential executor's single
 //!    participant over every edge and node, the barrier on the pool).
-//!    Each edge pass is gated statically: the all-edges plan runs
+//!    Each edge pass is gated statically: no active mask runs
 //!    [`kernel::AllEdges`], with no mask test in the loop; a mask runs
 //!    [`kernel::MaskBits`], which forces an inactive edge's flow to zero
 //!    with a branchless bit test.
@@ -62,11 +70,14 @@
 //! sequential ones for every scheme — the property
 //! `tests/determinism.rs` and the golden traces check.
 //!
-//! Pairwise schemes replace the diffusion coefficients `α_e/s` with the
-//! λ-scaled harmonic-speed pair `coef_tail = λ·s_v/(s_u+s_v)`,
-//! `coef_head = λ·s_u/(s_u+s_v)`, so an active edge schedules
+//! The kernel's tables hold only the coefficients its rounds read. For
+//! FOS/SOS those are the diffusion `α_e/s` pair. The pairwise schemes'
+//! tables hold the λ-scaled harmonic-speed pair
+//! `coef_tail = λ·s_v/(s_u+s_v)`, `coef_head = λ·s_u/(s_u+s_v)` instead,
+//! so an active edge schedules
 //! `y = λ·(s_u·s_v/(s_u+s_v))·(x_u/s_u − x_v/s_v)` — exact pairwise
-//! averaging at `λ = 1` under uniform speeds.
+//! averaging at `λ = 1` under uniform speeds — and no pairwise run
+//! builds a diffusion table.
 //!
 //! See the "adding a scheme" walkthrough in the crate docs
 //! ([`crate`]) for the end-to-end list of touch points.
@@ -79,6 +90,7 @@ use sodiff_graph::{matching, Graph, Speeds};
 use crate::checkpoint::LoadsSnapshot;
 use crate::engine::{FlowMemory, Mode};
 use crate::error::BuildError;
+use crate::experiment::Config;
 use crate::kernel::{
     self, AllEdges, Atomics, Buf, Cells, CoefPair, EdgeGate, FwScratch, KernelTables, LoadStats,
     MaskBits, Value,
@@ -235,12 +247,8 @@ impl<S: Storage> RoundState<S> {
     /// memory is not the integral flows (continuous mode — whose `prev`
     /// also carries the round's flows — and [`FlowMemory::Scheduled`]),
     /// and `frac` (one slot per edge) only for the randomized framework.
-    pub fn new(
-        k: &SchemeKernel,
-        t: &KernelTables,
-        flow_memory: FlowMemory,
-        loads: Vec<i64>,
-    ) -> Self {
+    pub fn new(k: &SchemeKernel, loads: Vec<i64>) -> Self {
+        let (t, flow_memory) = (&k.tables, k.flow_memory);
         let discrete = !matches!(k.flow, FlowPass::Continuous);
         let stored_prev = !discrete || flow_memory == FlowMemory::Scheduled;
         let zeros = |len: usize| (0..len).map(|_| S::of(0.0)).collect();
@@ -428,18 +436,20 @@ pub(crate) struct RoundArgs {
     pub gain: f64,
     /// The round number, which keys every per-round random draw.
     pub round: u64,
-    /// Which flow the SOS memory remembers.
-    pub flow_memory: FlowMemory,
 }
 
-/// The per-simulation scheme kernel; see the module docs above.
+/// The per-simulation scheme kernel: the simulation's one immutable
+/// round plan, which the simulator and its pool job share as one `Arc`.
+/// See the module docs above.
 pub(crate) struct SchemeKernel {
     flow: FlowPass,
     plan: ActivePlan,
-    /// λ-scaled pairwise coefficients `(coef_tail, coef_head)` (`None`
-    /// for diffusion, which uses the `α_e/s` tables baked into
-    /// [`KernelTables`]); one shared buffer under uniform speeds.
-    pair_coefs: Option<CoefPair>,
+    /// The tables the rounds read, with the scheme's coefficients: the
+    /// diffusion `α_e/s` pair, or the pairwise schemes' λ-scaled pair
+    /// ([`exchange_coefs`]).
+    pub tables: KernelTables,
+    /// Which flow the SOS memory remembers.
+    flow_memory: FlowMemory,
     /// Packed per-edge endpoints for the random-matching generator's
     /// greedy pass ([`matchgen::edge_pairs`]; empty for other plans).
     match_pairs: Vec<u64>,
@@ -482,21 +492,17 @@ impl SchemeKernel {
         Ok(())
     }
 
-    /// Builds the kernel for one simulation whose configuration passed
-    /// [`SchemeKernel::validate`] and the perturbation checks at build.
-    pub fn new(
-        scheme: Scheme,
-        mode: Mode,
-        graph: &Graph,
-        speeds: &Speeds,
-        perturb: PerturbSpec,
-    ) -> Self {
-        let flow = match mode {
+    /// Builds the round plan of one simulation whose `config` passed
+    /// [`SchemeKernel::validate`] and the perturbation checks at build:
+    /// the flow pass, the active plan, and the tables with the scheme's
+    /// coefficients and the balanced loads of `total_load` over `speeds`.
+    pub fn new(config: &Config, graph: &Graph, speeds: &Speeds, total_load: f64) -> Self {
+        let flow = match config.mode {
             Mode::Continuous => FlowPass::Continuous,
             Mode::Discrete(Rounding::RandomizedFramework { seed }) => FlowPass::Framework { seed },
             Mode::Discrete(rounding) => FlowPass::EdgeLocal(rounding),
         };
-        let (plan, lambda) = match scheme {
+        let (plan, lambda) = match config.scheme {
             Scheme::Fos | Scheme::Sos { .. } => (ActivePlan::All, None),
             Scheme::DimensionExchange { lambda } => (
                 ActivePlan::Sweep {
@@ -519,20 +525,24 @@ impl SchemeKernel {
                 (plan, Some(lambda))
             }
         };
+        let tables = match lambda {
+            Some(lambda) => {
+                let coefs = exchange_coefs(graph, speeds, lambda);
+                KernelTables::with_coefs(graph, speeds, coefs, total_load)
+            }
+            None => KernelTables::new(graph, speeds, false, total_load),
+        };
+        let match_pairs = match plan {
+            ActivePlan::Random { .. } => matchgen::edge_pairs(&tables),
+            _ => Vec::new(),
+        };
         Self {
             flow,
             plan,
-            pair_coefs: lambda.map(|lambda| exchange_coefs(graph, speeds, lambda)),
-            match_pairs: Vec::new(),
-            perturb,
-        }
-    }
-
-    /// Builds the per-simulation matchgen endpoint table once the kernel
-    /// tables exist (random-matching plan only; no-op otherwise).
-    pub fn finish(&mut self, t: &KernelTables) {
-        if matches!(self.plan, ActivePlan::Random { .. }) {
-            self.match_pairs = matchgen::edge_pairs(t);
+            tables,
+            flow_memory: config.flow_memory,
+            match_pairs,
+            perturb: config.perturb,
         }
     }
 
@@ -540,29 +550,6 @@ impl SchemeKernel {
     /// fractions.
     pub fn needs_fracs(&self) -> bool {
         matches!(self.flow, FlowPass::Framework { .. })
-    }
-
-    /// Whether the control thread publishes a per-round mask into the
-    /// pool's job: the random-matching plan does, and so
-    /// does every plan — diffusion included — under crash, edgedrop or
-    /// churn.
-    pub fn publishes_mask(&self) -> bool {
-        matches!(self.plan, ActivePlan::Random { .. }) || self.perturb.masks_edges()
-    }
-
-    /// Whether the stale channel publishes a per-round stale mask for
-    /// the apply pass.
-    pub fn needs_stale_mask(&self) -> bool {
-        self.perturb.faults.stale.is_some()
-    }
-
-    /// The edge coefficient pair: the pairwise schemes' λ-scaled
-    /// tables, or the diffusion `α_e/s` tables of [`KernelTables`].
-    fn coefs<'a>(&'a self, t: &'a KernelTables) -> kernel::Coefs<'a> {
-        match &self.pair_coefs {
-            Some((tail, head)) => (tail, head),
-            None => t.coefs(),
-        }
     }
 
     /// The sweep family and its repair style, if the plan is a sweep.
@@ -575,52 +562,48 @@ impl SchemeKernel {
         }
     }
 
-    /// The sweep plan's class for `round` (`None` for the other plans).
-    pub fn sweep_class(&self, round: u64) -> Option<&[u64]> {
-        let (masks, _) = self.sweep_family()?;
-        Some(&masks[(round % masks.len() as u64) as usize])
-    }
-
-    /// Control-thread round preparation, before any flow is computed:
-    /// runs the perturbation channels against the loads
-    /// ([`Perturb::begin_round`]), generates the random matching (if the
-    /// plan draws one), and returns the round's effective active mask
-    /// composed with the channels ([`Perturb::compose`]) and its stale
-    /// words. The first step of every round, on either executor.
+    /// Control-thread round preparation, before any flow is computed, and
+    /// the round's one gate decision: runs the perturbation channels
+    /// against the loads ([`Perturb::begin_round`]), generates the random
+    /// matching (if the plan draws one), and returns the round's masks —
+    /// the plan's active set (the sweep class or the matching; `None` =
+    /// every edge) composed with the channels ([`Perturb::compose`]), and
+    /// the stale words. The first step of every round, on either executor.
     pub fn prepare<'a, I: Buf<Val = i64>, F: Buf<Val = f64>>(
         &'a self,
-        t: &KernelTables,
-        graph: &Graph,
         round: u64,
         bufs: &ChunkBufs<I, F>,
         matchgen: &'a mut MatchScratch,
         perturb: &'a mut Perturb,
     ) -> RoundMasks<'a> {
-        let (spec, sweep) = (&self.perturb, self.sweep_family());
+        let (spec, sweep, t) = (&self.perturb, self.sweep_family(), &self.tables);
+        let graph = t.graph();
         match self.flow {
             FlowPass::Continuous => perturb.begin_round(spec, graph, round, sweep, &bufs.loads_f),
             _ => perturb.begin_round(spec, graph, round, sweep, &bufs.loads_i),
         }
         let plan = match self.plan {
+            ActivePlan::All => None,
+            ActivePlan::Sweep { ref masks, .. } => {
+                Some(&masks[(round % masks.len() as u64) as usize][..])
+            }
             ActivePlan::Random { seed } => {
                 matchgen::fill_random_matching(seed, round, t, &self.match_pairs, matchgen);
                 Some(&matchgen.mask[..])
             }
-            _ => self.sweep_class(round),
         };
         perturb.compose(spec, plan, round, t.m)
     }
 
     /// One participant's share of a round, over its `edges` and `nodes`:
-    /// picks the edge gate — the round's mask words if it has any, else
-    /// the sweep plan's class, else every edge — and runs
-    /// [`Self::phases`] with `sync` between phases: a no-op for the
-    /// sequential executor's one participant over every edge and node,
-    /// the barrier on the pool. The only caller of `phases`.
+    /// runs [`Self::phases`] gated by the `masks` [`Self::prepare`]
+    /// returned, as given — [`MaskBits`] over the active words if there
+    /// are any, else [`AllEdges`] — with `sync` between phases: a no-op
+    /// for the sequential executor's one participant over every edge and
+    /// node, the barrier on the pool. The only caller of `phases`.
     #[allow(clippy::too_many_arguments)] // one participant's full round context
     pub fn participate<I: Buf<Val = i64>, F: Buf<Val = f64>>(
         &self,
-        t: &KernelTables,
         args: &RoundArgs,
         edges: Range<usize>,
         nodes: Range<usize>,
@@ -630,12 +613,12 @@ impl SchemeKernel {
         sync: impl Fn(),
     ) -> LoadStats {
         let stale = masks.stale;
-        match masks.active.or_else(|| self.sweep_class(args.round)) {
+        match masks.active {
             Some(words) => {
                 let gate = MaskBits(words);
-                self.phases(t, args, edges, nodes, bufs, fw, gate, stale, sync)
+                self.phases(args, edges, nodes, bufs, fw, gate, stale, sync)
             }
-            None => self.phases(t, args, edges, nodes, bufs, fw, AllEdges, stale, sync),
+            None => self.phases(args, edges, nodes, bufs, fw, AllEdges, stale, sync),
         }
     }
 
@@ -651,7 +634,6 @@ impl SchemeKernel {
     #[allow(clippy::too_many_arguments)] // one participant's full round context
     fn phases<I: Buf<Val = i64>, F: Buf<Val = f64>, G: EdgeGate>(
         &self,
-        t: &KernelTables,
         args: &RoundArgs,
         edges: Range<usize>,
         nodes: Range<usize>,
@@ -661,22 +643,17 @@ impl SchemeKernel {
         stale: Option<&[u64]>,
         sync: impl Fn(),
     ) -> LoadStats {
-        let &RoundArgs {
-            mem,
-            gain,
-            round,
-            flow_memory,
-        } = args;
-        let (coefs, flows, prev, sums) = (self.coefs(t), &bufs.flows, &bufs.prev, &bufs.block_sums);
+        let &RoundArgs { mem, gain, round } = args;
+        let (t, flow_memory) = (&self.tables, self.flow_memory);
+        let (flows, prev, sums) = (&bufs.flows, &bufs.prev, &bufs.block_sums);
         let x = |i| bufs.loads_i.get(i) as f64;
         match self.flow {
             FlowPass::Continuous => {
                 let x = |i| bufs.loads_f.get(i);
-                kernel::edge_pass_continuous_gated(t, coefs, &gate, edges, mem, gain, x, prev);
+                kernel::edge_pass_continuous_gated(t, &gate, edges, mem, gain, x, prev);
             }
             FlowPass::EdgeLocal(rounding) => kernel::edge_pass_fused_gated(
                 t,
-                coefs,
                 &gate,
                 edges,
                 mem,
@@ -692,7 +669,6 @@ impl SchemeKernel {
                 let frac = &bufs.frac;
                 kernel::edge_pass_scatter_gated(
                     t,
-                    coefs,
                     &gate,
                     edges,
                     mem,
@@ -724,16 +700,22 @@ mod tests {
     use sodiff_graph::generators;
     use std::sync::Arc;
 
-    fn tables(graph: &Graph) -> KernelTables {
-        KernelTables::new(graph, &Speeds::uniform(graph.node_count()), false, 0.0)
+    /// The kernel of `scheme` in `mode` on `g` (uniform speeds, rounded
+    /// memory, balanced loads of a zero total).
+    fn kernel(g: &Graph, scheme: Scheme, mode: Mode, perturb: PerturbSpec) -> SchemeKernel {
+        let config = Config {
+            scheme,
+            mode,
+            perturb,
+            ..Config::new(g)
+        };
+        SchemeKernel::new(&config, g, &Speeds::uniform(g.node_count()), 0.0)
     }
 
-    /// One sequential discrete round (`mem = 0`, `gain = 1`, rounded
-    /// memory): prepare, one participant over everything, collect.
+    /// One sequential discrete round (`mem = 0`, `gain = 1`): prepare,
+    /// one participant over everything, collect.
     fn discrete_round(
         k: &SchemeKernel,
-        t: &KernelTables,
-        g: &Graph,
         round: u64,
         state: &mut RoundState<PlainSlots>,
         scratch: &mut RoundScratch,
@@ -742,7 +724,6 @@ mod tests {
             mem: 0.0,
             gain: 1.0,
             round,
-            flow_memory: FlowMemory::Rounded,
         };
         let RoundScratch {
             fw,
@@ -750,8 +731,9 @@ mod tests {
             perturb,
         } = scratch;
         let bufs = state.bufs();
-        let masks = k.prepare(t, g, round, &bufs, matchgen, perturb);
-        let stats = k.participate(t, &args, 0..t.m, 0..t.n, &bufs, masks, fw, || {});
+        let masks = k.prepare(round, &bufs, matchgen, perturb);
+        let (m, n) = (k.tables.m, k.tables.n);
+        let stats = k.participate(&args, 0..m, 0..n, &bufs, masks, fw, || {});
         bufs.collect([stats])
     }
 
@@ -802,11 +784,11 @@ mod tests {
     #[test]
     fn de_plan_sweeps_color_classes() {
         let g = generators::torus2d(4, 4);
-        let k = SchemeKernel::new(
-            Scheme::dimension_exchange(1.0),
-            Mode::Discrete(Rounding::nearest()),
+        let mode = Mode::Discrete(Rounding::nearest());
+        let k = kernel(
             &g,
-            &Speeds::uniform(16),
+            Scheme::dimension_exchange(1.0),
+            mode,
             PerturbSpec::default(),
         );
         let ActivePlan::Sweep { masks, recover } = &k.plan else {
@@ -840,18 +822,16 @@ mod tests {
         // rounded. One DE round on a 2-node path with loads (10, 0) moves
         // exactly 5 tokens.
         let g = generators::path(2);
-        let speeds = Speeds::uniform(2);
-        let k = SchemeKernel::new(
-            Scheme::dimension_exchange(1.0),
-            Mode::Discrete(Rounding::nearest()),
+        let mode = Mode::Discrete(Rounding::nearest());
+        let k = kernel(
             &g,
-            &speeds,
+            Scheme::dimension_exchange(1.0),
+            mode,
             PerturbSpec::default(),
         );
-        let t = tables(&g);
-        let mut state = RoundState::new(&k, &t, FlowMemory::Rounded, vec![10, 0]);
+        let mut state = RoundState::new(&k, vec![10, 0]);
         let mut scratch = RoundScratch::new();
-        let stats = discrete_round(&k, &t, &g, 0, &mut state, &mut scratch);
+        let stats = discrete_round(&k, 0, &mut state, &mut scratch);
         assert_eq!(state.loads_i64().unwrap(), &[5, 5][..]);
         // Under `Rounded` the flow slot is the SOS memory: no `f64`
         // memory is stored beside it.
@@ -865,19 +845,17 @@ mod tests {
         // On a 4-cycle (2 color classes) only the active class's edges
         // carry flow each round.
         let g = generators::cycle(4);
-        let speeds = Speeds::uniform(4);
-        let k = SchemeKernel::new(
-            Scheme::dimension_exchange(1.0),
-            Mode::Discrete(Rounding::nearest()),
+        let mode = Mode::Discrete(Rounding::nearest());
+        let k = kernel(
             &g,
-            &speeds,
+            Scheme::dimension_exchange(1.0),
+            mode,
             PerturbSpec::default(),
         );
-        let t = tables(&g);
-        let mut state = RoundState::new(&k, &t, FlowMemory::Rounded, vec![100, 0, 0, 0]);
+        let mut state = RoundState::new(&k, vec![100, 0, 0, 0]);
         let mut scratch = RoundScratch::new();
         for round in 0..2 {
-            discrete_round(&k, &t, &g, round, &mut state, &mut scratch);
+            discrete_round(&k, round, &mut state, &mut scratch);
             let ActivePlan::Sweep { masks, .. } = &k.plan else {
                 unreachable!()
             };
@@ -902,23 +880,22 @@ mod tests {
             live.iter().any(|&l| !l),
             "seed 9 should kill someone in epoch 0"
         );
-        let k = SchemeKernel::new(
+        let perturb = PerturbSpec {
+            faults,
+            ..Default::default()
+        };
+        let k = kernel(
+            &g,
             Scheme::fos(),
             Mode::Discrete(Rounding::nearest()),
-            &g,
-            &Speeds::uniform(16),
-            PerturbSpec {
-                faults,
-                ..Default::default()
-            },
+            perturb,
         );
-        let t = tables(&g);
         let frozen: Vec<i64> = (0..16).map(|i| i * 3).collect();
         let total: i64 = frozen.iter().sum();
-        let mut state = RoundState::new(&k, &t, FlowMemory::Rounded, frozen.clone());
+        let mut state = RoundState::new(&k, frozen.clone());
         let mut scratch = RoundScratch::new();
         for round in 0..crate::perturb::EPOCH_LEN {
-            discrete_round(&k, &t, &g, round, &mut state, &mut scratch);
+            discrete_round(&k, round, &mut state, &mut scratch);
             let loads = state.loads_i64().unwrap();
             assert_eq!(loads.iter().sum::<i64>(), total, "round {round}");
             for (v, &was) in frozen.iter().enumerate() {
@@ -933,8 +910,9 @@ mod tests {
     /// The all-off perturbation path, checked exactly rather than timed:
     /// for every scheme, a spec with `faults=none load=none churn=none`
     /// spelled out is the same spec as one that leaves them at the
-    /// default, and its kernel never publishes a mask (except the random
-    /// matching plan's own) or a stale mask in any mode.
+    /// default, and in every mode its kernel gates each round by the
+    /// plan's own active set (none for diffusion, the sweep class, the
+    /// random matching) and returns no stale mask.
     #[test]
     fn all_off_perturbation_stays_on_the_unperturbed_paths() {
         use crate::scenario::ScenarioSpec;
@@ -961,22 +939,30 @@ mod tests {
             };
             assert!(perturb.is_none(), "{scheme}");
             let resolved = explicit.scheme.resolve(&g, &speeds).unwrap();
-            let random = matches!(
-                resolved,
-                Scheme::Matching {
-                    strategy: MatchingStrategy::Random { .. },
-                    ..
-                }
-            );
             for mode in [
                 Mode::Continuous,
                 Mode::Discrete(Rounding::nearest()),
                 Mode::Discrete(Rounding::randomized(1)),
             ] {
-                let kernel = SchemeKernel::new(resolved, mode, &g, &speeds, perturb);
-                assert!(kernel.perturb.is_none(), "{scheme} {mode:?}");
-                assert_eq!(kernel.publishes_mask(), random, "{scheme} {mode:?}");
-                assert!(!kernel.needs_stale_mask(), "{scheme} {mode:?}");
+                let k = kernel(&g, resolved, mode, perturb);
+                assert!(k.perturb.is_none(), "{scheme} {mode:?}");
+                let mut state = RoundState::<PlainSlots>::new(&k, vec![1; 64]);
+                let mut scratch = RoundScratch::new();
+                for round in 0..3 {
+                    let bufs = state.bufs();
+                    let masks =
+                        k.prepare(round, &bufs, &mut scratch.matchgen, &mut scratch.perturb);
+                    assert!(masks.stale.is_none(), "{scheme} {mode:?}");
+                    let active = masks.active.map(<[u64]>::as_ptr);
+                    let own = match &k.plan {
+                        ActivePlan::All => None,
+                        ActivePlan::Sweep { masks, .. } => {
+                            Some(masks[round as usize % masks.len()].as_ptr())
+                        }
+                        ActivePlan::Random { .. } => Some(scratch.matchgen.mask.as_ptr()),
+                    };
+                    assert_eq!(active, own, "{scheme} {mode:?} round {round}");
+                }
             }
         }
     }

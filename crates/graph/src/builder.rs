@@ -136,15 +136,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Creates a builder with preallocated capacity for `edges` edges.
-    pub fn with_edge_capacity(node_count: usize, edges: usize) -> Self {
-        Self {
-            node_count,
-            edges: Vec::with_capacity(edges),
-            seen: HashSet::with_capacity(edges),
-        }
-    }
-
     /// Number of nodes this builder was created with.
     pub fn node_count(&self) -> usize {
         self.node_count
@@ -153,12 +144,6 @@ impl GraphBuilder {
     /// Number of edges added so far.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Returns `true` if the undirected edge `{u, v}` is already present.
-    pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.seen.contains(&key)
     }
 
     /// Adds the undirected edge `{u, v}`.
