@@ -52,10 +52,10 @@ use crate::checkpoint::{self, CheckpointConfig, LoadsSnapshot, Snapshot};
 use crate::error::{BuildError, CheckpointError, ParseError};
 use crate::experiment::Config;
 use crate::hybrid::SwitchPolicy;
-use crate::kernel::{KernelTables, LoadStats};
+use crate::kernel::{Buf, KernelTables, LoadStats};
 use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot};
 use crate::observer::Observer;
-use crate::perturb::{ChurnEvents, FaultEvents, LoadEvents, Perturb};
+use crate::perturb::{ChurnEvents, FaultEvents, LoadEvents, Perturb, RoundMasks};
 use crate::pool::{RoundJob, WorkerPool};
 use crate::rounding::Rounding;
 use crate::scheme::Scheme;
@@ -297,7 +297,44 @@ impl PoolAttachment {
     }
 }
 
+/// One round's flow-pass inputs as the control thread prepared them,
+/// handed to the [`Simulator::step_inspect`] hook. For reference-model
+/// tests; not a stable API.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct RoundInputs<'a> {
+    /// The round number, which keys every per-round random draw.
+    pub round: u64,
+    /// The SOS memory coefficient.
+    pub mem: f64,
+    /// The scheduled-flow gain.
+    pub gain: f64,
+    /// The loads the flow pass reads, after the round's shocks, churn
+    /// handoffs and load injection, as `f64` (exact for tokens).
+    pub loads: Vec<f64>,
+    /// The round's active-edge words (`None`: every edge).
+    pub active: Option<&'a [u64]>,
+    /// The round's stale-edge words (`None`: no stale channel).
+    pub stale: Option<&'a [u64]>,
+}
+
+impl<'a> RoundInputs<'a> {
+    fn new(args: &RoundArgs, loads: Vec<f64>, masks: &RoundMasks<'a>) -> Self {
+        Self {
+            round: args.round,
+            mem: args.mem,
+            gain: args.gain,
+            loads,
+            active: masks.active,
+            stale: masks.stale,
+        }
+    }
+}
+
 /// Where the [`RoundState`] lives — in exactly one place per executor.
+/// A simulator holds one, so the sequential variant is kept inline rather
+/// than boxed behind a pointer every accessor would follow.
+#[allow(clippy::large_enum_variant)]
 enum Store {
     /// The sequential executor's plain vectors.
     Local(RoundState<PlainSlots>),
@@ -775,6 +812,28 @@ impl<'g> Simulator<'g> {
 
     /// Executes one synchronous round.
     pub fn step(&mut self) {
+        self.round_with(None);
+    }
+
+    /// [`Simulator::step`], handing `inspect` the round's flow-pass
+    /// inputs once the control thread has prepared them: the loads after
+    /// the perturbation channels ran and the round's edge masks. For
+    /// reference-model tests; not a stable API.
+    #[doc(hidden)]
+    pub fn step_inspect(&mut self, inspect: &mut dyn FnMut(RoundInputs<'_>)) {
+        self.round_with(Some(inspect));
+    }
+
+    /// The fused load statistics of the last executed round (`None`
+    /// before the first), with `sum_sq_dev` folded in block order. For
+    /// reference-model tests; not a stable API.
+    #[doc(hidden)]
+    pub fn round_stats(&self) -> Option<LoadStats> {
+        self.round_stats
+    }
+
+    /// One round, with the optional [`Simulator::step_inspect`] hook.
+    fn round_with(&mut self, inspect: Option<&mut dyn FnMut(RoundInputs<'_>)>) {
         let (mem, gain) = self.scheme.coefficients(self.rounds_in_scheme);
         let args = RoundArgs {
             mem,
@@ -794,9 +853,20 @@ impl<'g> Simulator<'g> {
                     matchgen,
                     perturb,
                 } = &mut self.scratch;
+                let discrete = state.is_discrete();
                 let bufs = state.bufs();
                 let masks = k.prepare(args.round, &bufs, matchgen, perturb);
                 let (m, n) = (k.tables.m, k.tables.n);
+                if let Some(inspect) = inspect {
+                    let load = |i| {
+                        if discrete {
+                            bufs.loads_i.get(i) as f64
+                        } else {
+                            bufs.loads_f.get(i)
+                        }
+                    };
+                    inspect(RoundInputs::new(&args, (0..n).map(load).collect(), &masks));
+                }
                 let stats = k.participate(&args, 0..m, 0..n, &bufs, masks, fw, || {});
                 bufs.collect([stats])
             }
@@ -804,7 +874,12 @@ impl<'g> Simulator<'g> {
                 // The job's atomics are the simulation's only store, so
                 // the round is complete at its final barrier: there is no
                 // state to copy back.
-                attachment.job_mut().prepare(args, &mut self.scratch);
+                let job = attachment.job_mut();
+                job.prepare(args, &mut self.scratch);
+                if let Some(inspect) = inspect {
+                    let loads = (0..k.tables.n).map(|i| job.state.load_of(i)).collect();
+                    inspect(RoundInputs::new(&args, loads, &job.masks()));
+                }
                 attachment
                     .pool
                     .run_round(&attachment.job, &mut self.scratch.fw)

@@ -91,6 +91,36 @@
 //! prefix sums are the same adds in the same order, and the per-node
 //! token draws consume the same `(seed, node, round)`-keyed streams.
 //!
+//! # Matching rounds
+//!
+//! Dimension exchange and matching balancing activate a matching each
+//! round, so a node balances with at most one neighbour. Their rounds run
+//! two crate-internal passes instead of the gated scatter, rounding walk
+//! and apply walk, which cost `O(m)` and two `O(2m)` arc sweeps however
+//! few edges are active:
+//!
+//! 1. The edge step visits only the set bits of the round's active words
+//!    in a participant's edge chunk, which the pool cuts at 64-edge word
+//!    boundaries. Each active edge computes `Ŷ_e` through the one
+//!    scheduled-flow expression, rounds it inline — the edge-local
+//!    roundings as the fused pass does, and the randomized framework by
+//!    the sender's one draw, since a sender with a single positive share
+//!    `|g_e| < 1` has `⌈r⌉ = 1` — and lands the signed flow `σ·y` in a
+//!    per-node slot at each endpoint, unless the edge is stale. Under
+//!    [`FlowMemory::Rounded`] it also zeroes last round's flows on the
+//!    edges that went inactive, from a word set of the edges that may
+//!    still carry flow. Under a fluid memory the gated pass writes every
+//!    edge's memory first, because an inactive edge records
+//!    `0.0·Ŷ_e = ±0.0` and that sign is persisted.
+//! 2. The node step applies each node's one landed flow, `x − (0 + y)`
+//!    and `x − (0 + max(y, 0))`, and folds the fused statistics in node
+//!    order, resetting the slot.
+//!
+//! The results are the gated passes' bit for bit: every edge a node does
+//! not balance over carries a zero flow (`±0.0` in fluid, finite for
+//! validated inputs), and adding zeros to sums that start at `+0.0`
+//! changes neither the net flow nor the outgoing flow.
+//!
 //! # The SOS memory under [`FlowMemory::Rounded`]
 //!
 //! The memory the paper's discrete SOS process uses — "the amount that
@@ -580,6 +610,15 @@ fn floor_frac(s: f64) -> (i64, f64) {
     (f, s - f as f64)
 }
 
+/// Edge `e`'s unbiased rounding of `s` in `round`: `⌊s⌋ + 1` with
+/// probability `s − ⌊s⌋`, drawn from the edge's `(seed, e, round)` stream.
+#[inline(always)]
+fn unbiased_edge(seed: u64, e: usize, round: u64, s: f64) -> i64 {
+    let mut rng = SplitMix64::for_node_round(seed, e as u32, round);
+    let (floor, frac) = floor_frac(s);
+    floor + i64::from(rng.next_f64() < frac)
+}
+
 /// `r.ceil() as i64` for `r ≥ 0`, without libm (saturating).
 #[inline(always)]
 fn ceil_i64(r: f64) -> i64 {
@@ -736,11 +775,9 @@ impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M,
         match rounding {
             Rounding::RoundDown => fused_loop!(|_k, s| trunc_i64(s)),
             Rounding::Nearest => fused_loop!(|_k, s| round_i64(s)),
-            Rounding::UnbiasedEdge { seed } => fused_loop!(|k, s| {
-                let mut rng = SplitMix64::for_node_round(seed, (e0 + k) as u32, round);
-                let (floor, frac) = floor_frac(s);
-                floor + i64::from(rng.next_f64() < frac)
-            }),
+            Rounding::UnbiasedEdge { seed } => {
+                fused_loop!(|k, s| unbiased_edge(seed, e0 + k, round, s))
+            }
             Rounding::RandomizedFramework { .. } => {
                 panic!("the randomized framework is node-centric; use the arc passes")
             }
@@ -1286,6 +1323,222 @@ pub fn apply_flows<L: Buf, Y: Buf<Val = L::Val>>(
             apply(t, nodes, landed, loads, block_sums)
         }
     }
+}
+
+/// The `64`-edge words of the bitsets over a participant's `edges`. A
+/// matching round cuts its edge chunks at word boundaries, so each word —
+/// and each edge's landing at its endpoints — has one writer.
+fn word_range(t: &KernelTables, edges: &Range<usize>) -> Range<usize> {
+    debug_assert!(
+        edges.start.is_multiple_of(64) && (edges.end.is_multiple_of(64) || edges.end == t.m),
+        "matching-round edge chunks must be cut at word boundaries"
+    );
+    edges.start / 64..edges.end.div_ceil(64)
+}
+
+/// Calls `f` with every edge set in the bitset words `words[range]`, in
+/// ascending edge id.
+#[inline(always)]
+fn for_each_set_bit(words: &[u64], range: Range<usize>, mut f: impl FnMut(usize)) {
+    for w in range {
+        let mut bits = words[w];
+        while bits != 0 {
+            f(64 * w + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Whether edge `e` is set in the round's stale words, if there are any.
+#[inline(always)]
+fn is_stale(stale: Option<&[u64]>, e: usize) -> bool {
+    stale.is_some_and(|s| bit(s, e) == 1)
+}
+
+/// Lands the flow `y` of the matching edge `(u, v)` at its endpoints:
+/// each endpoint's signed flow `σ·y` goes into its slot of `sent`, with
+/// the arc orientation σ the apply pass multiplies by (`+1` at the tail,
+/// `−1` at the head). The endpoints are matched to no other edge, so each
+/// slot has this one writer in the round.
+#[inline(always)]
+fn land<S: Buf>(sent: &S, (u, v): (u32, u32), y: S::Val) {
+    sent.set(u as usize, y * S::Val::from(1));
+    sent.set(v as usize, y * S::Val::from(-1));
+}
+
+/// The randomized framework's excess token on a matching edge `(u, v)`
+/// whose scheduled flow has the signed fraction `g = Ŷ_e − trunc(Ŷ_e)`:
+/// `+1` if the tail sends it, `−1` if the head does, `0` if none is sent.
+///
+/// The sender (the tail for `g > 0`, the head for `g < 0`) has one
+/// positive share, `|g| < 1`, so its `⌈r⌉ = 1` and its one draw — the
+/// first of its `(seed, node, round)` stream under the round key `rk`,
+/// scaled by `⌈r⌉ = 1.0` — sends the token iff it falls below `|g|`:
+/// exactly what [`arc_round_streamed`]'s count of passed prefix sums
+/// decides for such a node. A zero or NaN fraction sends nothing there
+/// and here.
+#[inline(always)]
+fn framework_token(rk: u64, (u, v): (u32, u32), g: f64) -> i64 {
+    debug_assert!(
+        g.is_nan() || g.abs() < 1.0,
+        "a truncation's fraction is below 1"
+    );
+    if g == 0.0 {
+        return 0;
+    }
+    let (sender, sign) = if g > 0.0 { (u, 1) } else { (v, -1) };
+    let draw = rng::unit_f64(rng::nth_u64(rng::warmed_state(rk, sender as u64), 0));
+    sign * i64::from(draw < g.abs())
+}
+
+/// The edge step of a matching round in discrete mode under
+/// [`FlowMemory::Rounded`], over one participant's word-aligned `edges`:
+/// it visits only the set bits of `active`, the round's matching.
+///
+/// First it retires last round's flows: every edge set in `flowing` (the
+/// edges whose flow slot may be nonzero) but not in `active` gets a zero
+/// flow — the value a gated pass leaves on an inactive edge — and the
+/// words of `flowing` become `active`'s. Then each active edge computes
+/// its scheduled flow `Ŷ_e` through [`Schedule::flow`] (the expression
+/// and operands of every edge pass, the memory read from the flow slot),
+/// rounds it inline — the edge-local roundings as the fused pass does,
+/// the randomized framework by its sender's one draw
+/// ([`framework_token`]) — stores the flow, which is also the next
+/// round's memory, and [`land`]s it at both endpoints unless it is stale.
+/// No fraction buffer and no node-state sweep are needed.
+#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
+pub(crate) fn pair_edge_step<F: Buf<Val = i64>>(
+    t: &KernelTables,
+    edges: Range<usize>,
+    active: &[u64],
+    stale: Option<&[u64]>,
+    (mem, gain, round): (f64, f64, u64),
+    rounding: Rounding,
+    x: impl Fn(usize) -> f64,
+    flows: &F,
+    flowing: &F,
+    sent: &F,
+) {
+    let words = word_range(t, &edges);
+    for w in words.clone() {
+        let (now, was) = (active[w], flowing.get(w) as u64);
+        let mut retired = was & !now;
+        while retired != 0 {
+            flows.set(64 * w + retired.trailing_zeros() as usize, 0);
+            retired &= retired - 1;
+        }
+        flowing.set(w, now as i64);
+    }
+    let (gate, memory) = (MaskBits(active), FlowsAsMemory(flows));
+    let sched = Schedule::new(t, &gate, 0..t.m, mem, gain, &x, &memory);
+    let pairs = t.graph().edges();
+    macro_rules! step {
+        (|$e:ident, $s:ident| $round_expr:expr) => {
+            for_each_set_bit(active, words, |$e| {
+                let $s = sched.flow($e);
+                let y: i64 = $round_expr;
+                flows.set($e, y);
+                if !is_stale(stale, $e) {
+                    land(sent, pairs[$e], y);
+                }
+            })
+        };
+    }
+    match rounding {
+        Rounding::RoundDown => step!(|_e, s| trunc_i64(s)),
+        Rounding::Nearest => step!(|_e, s| round_i64(s)),
+        Rounding::UnbiasedEdge { seed } => step!(|e, s| unbiased_edge(seed, e, round, s)),
+        Rounding::RandomizedFramework { seed } => {
+            let rk = rng::round_key(seed, round);
+            step!(|e, s| {
+                let base = trunc_i64(s);
+                base + framework_token(rk, pairs[e], s - base as f64)
+            })
+        }
+    }
+}
+
+/// The randomized framework's rounding on the matching edges set in
+/// `active` over one participant's word-aligned `edges`, after
+/// [`edge_pass_scatter_gated`] wrote their base flows and fractions: each
+/// adds its sender's token ([`framework_token`]) to its base flow, in
+/// place of [`arc_round_streamed`]'s node sweep.
+pub(crate) fn pair_tokens<A: Buf<Val = f64>, F: Buf<Val = i64>>(
+    t: &KernelTables,
+    edges: Range<usize>,
+    active: &[u64],
+    (seed, round): (u64, u64),
+    frac: &A,
+    flows: &F,
+) {
+    let (rk, pairs) = (rng::round_key(seed, round), t.graph().edges());
+    for_each_set_bit(active, word_range(t, &edges), |e| {
+        flows.set(e, flows.get(e) + framework_token(rk, pairs[e], frac.get(e)));
+    });
+}
+
+/// [`land`]s the flow of every matching edge set in `active` over one
+/// participant's word-aligned `edges` that is not stale, as a gated edge
+/// pass left it in `flows` (the integral flows, or the memory that
+/// carries the continuous flows).
+pub(crate) fn pair_land<Y: Buf>(
+    t: &KernelTables,
+    edges: Range<usize>,
+    active: &[u64],
+    stale: Option<&[u64]>,
+    flows: &Y,
+    sent: &Y,
+) {
+    let pairs = t.graph().edges();
+    for_each_set_bit(active, word_range(t, &edges), |e| {
+        if !is_stale(stale, e) {
+            land(sent, pairs[e], flows.get(e));
+        }
+    });
+}
+
+/// The node step of a matching round over `nodes`: each node's new load
+/// `x − net` and transient load `x − outgoing` from the one signed flow
+/// `y` its matched edge landed in `sent` (`net = 0 + y`,
+/// `outgoing = 0 + max(y, 0)`; a node without a landed flow keeps its
+/// slot's zero), with the fused statistics folded in node order as
+/// [`apply`] folds them. It resets each slot to zero for the next round.
+///
+/// This is [`apply`]'s result bit for bit: the other arcs of a node carry
+/// a zero flow — `0.0·Ŷ_e = ±0.0` in fluid, which validated inputs keep
+/// finite, so it is never NaN — and adding `±0.0` to a sum that starts at
+/// `+0.0` changes neither `net` nor `outgoing`.
+pub(crate) fn pair_node_step<L: Buf>(
+    t: &KernelTables,
+    nodes: Range<usize>,
+    sent: &L,
+    loads: &L,
+    block_sums: &impl Buf<Val = f64>,
+) -> LoadStats {
+    debug_assert!(
+        nodes.start.is_multiple_of(DEV_BLOCK),
+        "chunk must be block-aligned"
+    );
+    let zero = L::Val::ZERO;
+    let mut fold = StatsFold {
+        stats: LoadStats::identity(),
+        block: 0.0,
+    };
+    let (start, last) = (nodes.start, nodes.end);
+    let slots = loads.elems()[nodes.clone()]
+        .iter()
+        .zip(&sent.elems()[nodes.clone()]);
+    for ((k, (le, se)), &ideal) in slots.enumerate().zip(&t.ideal[nodes]) {
+        let y = L::read(se);
+        L::write(se, zero);
+        let out = select_unpredictable(y > zero, y, zero);
+        let x = L::read(le);
+        let new = x - (zero + y);
+        fold.node(new.to_f64(), ideal, (x - (zero + out)).to_f64());
+        fold.close(start + k + 1, last, block_sums);
+        L::write(le, new);
+    }
+    fold.stats
 }
 
 #[cfg(test)]

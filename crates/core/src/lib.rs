@@ -237,22 +237,27 @@
 //! sequential executor, relaxed atomics on the pool), and drive a round
 //! through the same three steps: `prepare` on the control thread, which
 //! makes the round's one gate decision, one participant function that
-//! gates by the masks `prepare` returned and runs the one phase
-//! sequence — over every edge and node sequentially, over its chunk with
-//! the barrier between phases on each pool participant — and `collect`,
+//! runs the round's phase sequence on the masks `prepare` returned —
+//! over every edge and node sequentially, over its chunk with the
+//! barrier between phases on each pool participant — and `collect`,
 //! which merges the statistics and folds the block partials. The flow
-//! pass × active plan is selected once
-//! per simulation through plain enums, and each edge pass is
-//! monomorphized per edge gate, so the diffusion hot paths run with no
-//! mask test — the layer adds no per-round indirection to FOS/SOS —
-//! while the pairwise schemes and the masking fault channels run the
-//! same loop bodies under a branchless per-edge mask bit.
+//! pass × active plan is selected once per simulation through plain
+//! enums. The diffusion plan runs the gated phases, each edge pass
+//! monomorphized per edge gate, so FOS/SOS run with no mask test — the
+//! layer adds no per-round indirection to them — while the masking fault
+//! channels run the same loop bodies under a branchless per-edge mask
+//! bit. The pairwise plans' active sets are matchings, so they run a
+//! matching round instead: an edge step over the set bits of the round's
+//! matching (word-aligned edge chunks on the pool), one barrier, and a
+//! node step, `O(|M| + n)` per round rather than `O(m)` and two arc
+//! walks, with the gated phases' results bit for bit.
 //!
 //! **Persistent worker pool + concurrent scenario scheduling** (`pool` /
 //! `driver` modules). With [`ExperimentBuilder::threads`]`(t > 1)`,
 //! `t − 1` workers are spawned once and park on a barrier between rounds;
 //! the framework needs two internal barriers per round (after the
-//! scatter pass and after the node-centric rounding). The batch
+//! scatter pass and after the node-centric rounding), a matching round
+//! one (between its edge and node steps). The batch
 //! [`Driver`] re-targets one pool at every simulation of a scenario file
 //! ([`Driver::with_threads`]) or — new — schedules **independent
 //! scenarios concurrently** ([`Driver::concurrent`]): K workers pull
@@ -481,7 +486,7 @@ pub use checkpoint::{
     read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig, CheckpointPolicy, Snapshot,
 };
 pub use driver::{BatchReport, Driver, ScenarioError, ScenarioFailure, ScenarioReport};
-pub use engine::{FlowMemory, Mode, RunReport, Simulator, StopCondition, StopReason};
+pub use engine::{FlowMemory, Mode, RoundInputs, RunReport, Simulator, StopCondition, StopReason};
 pub use error::{BuildError, CheckpointError, ParseError};
 pub use experiment::{Experiment, ExperimentBuilder, NeedsMode, Ready};
 pub use hybrid::SwitchPolicy;

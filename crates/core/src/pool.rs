@@ -67,7 +67,7 @@ impl RoundJob {
     /// participants.
     pub fn new(threads: usize, kernel: Arc<SchemeKernel>, state: RoundState<AtomicSlots>) -> Self {
         Self {
-            edge_bounds: chunk_bounds(kernel.tables.m, threads),
+            edge_bounds: word_chunk_bounds(kernel.tables.m, threads),
             node_bounds: block_chunk_bounds(kernel.tables.n, threads),
             kernel,
             state,
@@ -106,14 +106,19 @@ impl RoundJob {
         self.args = args;
     }
 
+    /// The round's masks as [`RoundJob::prepare`] published them.
+    pub fn masks(&self) -> RoundMasks<'_> {
+        RoundMasks {
+            active: self.active.as_deref(),
+            stale: self.stale.as_deref(),
+        }
+    }
+
     /// Participant `t`'s share of the round: [`SchemeKernel::participate`]
     /// over its chunk, with the barrier as the sync hook. Called by the
     /// workers and — as participant 0 — by the simulator thread.
     fn run_chunk(&self, barrier: &Barrier, t: usize, fw: &mut FwScratch) {
-        let masks = RoundMasks {
-            active: self.active.as_deref(),
-            stale: self.stale.as_deref(),
-        };
+        let masks = self.masks();
         let edges = self.edge_bounds[t]..self.edge_bounds[t + 1];
         let nodes = self.node_bounds[t]..self.node_bounds[t + 1];
         let bufs = self.state.bufs();
@@ -245,10 +250,17 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Balanced chunk boundaries: `parts + 1` cut points over `len` items.
-pub(crate) fn chunk_bounds(len: usize, parts: usize) -> Vec<usize> {
+/// Edge chunk boundaries aligned down to multiples of 64 (the final
+/// boundary stays `len`), so every word of a round's edge bitsets lies in
+/// one participant's chunk: a matching round's edge step writes its
+/// flowing-edge words and lands its edges' flows from that chunk alone.
+/// Like the node alignment below, it never changes simulation results.
+pub(crate) fn word_chunk_bounds(len: usize, parts: usize) -> Vec<usize> {
     let parts = parts.max(1);
-    (0..=parts).map(|t| t * len / parts).collect()
+    let words = len.div_ceil(64);
+    (0..=parts)
+        .map(|t| (t * words / parts * 64).min(len))
+        .collect()
 }
 
 /// Node chunk boundaries aligned down to [`DEV_BLOCK`] multiples (the
@@ -275,12 +287,21 @@ mod tests {
 
     #[test]
     fn chunk_bounds_partition() {
-        for (len, parts) in [(10usize, 3usize), (7, 7), (5, 8), (0, 4), (100, 1)] {
-            let b = chunk_bounds(len, parts);
-            assert_eq!(b[0], 0);
-            assert_eq!(*b.last().unwrap(), len);
+        for (len, parts) in [
+            (10usize, 3usize),
+            (7, 7),
+            (5, 8),
+            (0, 4),
+            (100, 1),
+            (1000, 3),
+        ] {
+            let b = word_chunk_bounds(len, parts);
+            assert_eq!((b[0], *b.last().unwrap()), (0, len));
             assert!(b.windows(2).all(|w| w[0] <= w[1]));
+            assert!(b.iter().all(|&c| c % 64 == 0 || c == len));
         }
+        assert_eq!(word_chunk_bounds(200, 2), [0, 128, 200]);
+        assert_eq!(word_chunk_bounds(131_072, 2), [0, 65_536, 131_072]);
     }
 
     use crate::checkpoint::LoadsSnapshot;

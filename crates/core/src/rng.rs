@@ -128,7 +128,7 @@ pub fn unit_f64(word: u64) -> f64 {
 /// advancing the initial state by one `GAMMA` *is* discarding the first
 /// output — so the per-id cost is a single `mix64`.
 #[inline(always)]
-fn warmed_state(round_key: u64, id: u64) -> u64 {
+pub(crate) fn warmed_state(round_key: u64, id: u64) -> u64 {
     (round_key ^ mix64(id.wrapping_add(GAMMA))).wrapping_add(GAMMA)
 }
 

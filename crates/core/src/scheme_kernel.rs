@@ -25,7 +25,8 @@
 //!   (dimension exchange over the color classes of an edge coloring;
 //!   matching-based balancing over maximal matchings), or a fresh random
 //!   maximal matching drawn per round from a `(seed, round)`-keyed greedy
-//!   order.
+//!   order. Every active set of the two pairwise plans is a **matching**,
+//!   perturbed or not, which is what lets their rounds touch only it.
 //! * the perturbation layer (the `perturb` module) — *what happens
 //!   around* each round: the fault, load and churn channels of
 //!   [`crate::FaultSpec`], [`crate::LoadSpec`] and [`crate::ChurnSpec`],
@@ -54,14 +55,30 @@
 //!    decision: the pool publishes exactly the masks it returns into its
 //!    job.
 //! 2. [`SchemeKernel::participate`] runs one participant's share: it
-//!    reads the masks as given and calls the one phase sequence — edge
-//!    pass, the framework's rounding phase, apply pass — with a sync hook
-//!    between phases (a no-op for the sequential executor's single
-//!    participant over every edge and node, the barrier on the pool).
-//!    Each edge pass is gated statically: no active mask runs
-//!    [`kernel::AllEdges`], with no mask test in the loop; a mask runs
-//!    [`kernel::MaskBits`], which forces an inactive edge's flow to zero
-//!    with a branchless bit test.
+//!    reads the masks as given and calls one of two phase sequences, with
+//!    a sync hook between phases (a no-op for the sequential executor's
+//!    single participant over every edge and node, the barrier on the
+//!    pool).
+//!    * The diffusion plan runs the gated phases: edge pass, the
+//!      framework's rounding phase, apply pass. Each edge pass is gated
+//!      statically: no active mask runs [`kernel::AllEdges`], with no
+//!      mask test in the loop; a mask (crash, churn or edge drops)
+//!      runs [`kernel::MaskBits`], which forces an inactive edge's flow
+//!      to zero with a branchless bit test.
+//!    * The two matching plans run a **matching round** (the
+//!      random-matching model of Ghosh and Muthukrishnan, SPAA 1994):
+//!      an edge step that visits only the set bits of the round's
+//!      matching in the participant's word-aligned edge chunk, computes
+//!      and rounds those flows and lands each at its two endpoints, then
+//!      one barrier and a node step that applies the landed flows and
+//!      folds the fused statistics. A round costs `O(|M| + n)` instead of
+//!      the gated phases' `O(m)` scatter and two `O(2m)` arc walks, and
+//!      its results are theirs bit for bit. Under a fluid flow memory
+//!      (continuous mode, or [`FlowMemory::Scheduled`]) every inactive
+//!      edge still records `0.0·Ŷ_e`, whose sign checkpoints and the
+//!      golden traces keep, so there the gated pass still writes every
+//!      edge's memory and only the rounding, landing and apply are
+//!      sparse.
 //! 3. [`ChunkBufs::collect`] merges the participants' statistics and
 //!    folds the per-block partials in block order.
 //!
@@ -117,6 +134,15 @@ pub(crate) enum FlowPass {
 }
 
 /// Which edges are active each round.
+///
+/// The matching invariant: every active set of `Sweep` and `Random` is a
+/// matching — a color class, a maximal matching or a greedy random
+/// matching, and each crash, churn or edge-drop subset and repair of one
+/// ([`Perturb::compose`] only removes edges, and the churn repair re-covers
+/// freed nodes with a matching). So in their rounds each node balances
+/// with at most one neighbour, each endpoint of an active edge has
+/// exactly one writer on any executor, and [`SchemeKernel::prepare`]
+/// checks it with a `debug_assert!` every round.
 pub(crate) enum ActivePlan {
     /// Every edge, every round (the diffusion schemes).
     All,
@@ -140,6 +166,14 @@ pub(crate) enum ActivePlan {
         /// Seed of the per-round matching draws.
         seed: u64,
     },
+}
+
+impl ActivePlan {
+    /// Whether the plan's active sets are matchings (`Sweep` and
+    /// `Random`; see the matching invariant above).
+    fn is_matching(&self) -> bool {
+        !matches!(self, ActivePlan::All)
+    }
 }
 
 /// Everything a simulation's control thread needs between rounds: the
@@ -214,8 +248,9 @@ impl Storage for AtomicSlots {
 /// One simulation's evolving round state, in the one layout both
 /// executors share: loads, the integral flows (the SOS memory "sent in
 /// step t−1" under [`FlowMemory::Rounded`]), the stored SOS memory, the
-/// randomized framework's per-edge fractions, and the apply pass's
-/// per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials. Each
+/// randomized framework's per-edge fractions, the apply pass's
+/// per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials, and the
+/// matching rounds' per-node landing slots and flowing-edge words. Each
 /// piece lives here and nowhere else.
 ///
 /// The element storage is the executor's [`Storage`]: plain `i64`/`f64`
@@ -235,6 +270,9 @@ pub(crate) struct RoundState<S: Storage> {
     frac: Vec<S::Slot<f64>>,
     flows: Vec<S::Slot<i64>>,
     block_sums: Vec<S::Slot<f64>>,
+    sent_i: Vec<S::Slot<i64>>,
+    sent_f: Vec<S::Slot<f64>>,
+    flowing: Vec<S::Slot<i64>>,
     discrete: bool,
     /// Whether the SOS memory is the integral flows (discrete mode under
     /// [`FlowMemory::Rounded`]) rather than `prev`.
@@ -246,12 +284,17 @@ impl<S: Storage> RoundState<S> {
     /// mode's kind, `flows` in discrete mode, `prev` only where the SOS
     /// memory is not the integral flows (continuous mode — whose `prev`
     /// also carries the round's flows — and [`FlowMemory::Scheduled`]),
-    /// and `frac` (one slot per edge) only for the randomized framework.
+    /// `frac` (one slot per edge) only where the randomized framework's
+    /// rounding phase reads it ([`SchemeKernel::needs_fracs`]), and, for
+    /// the matching plans, one landing slot per node of the loads' kind
+    /// plus, under the rounded memory, the flowing-edge words.
     pub fn new(k: &SchemeKernel, loads: Vec<i64>) -> Self {
         let (t, flow_memory) = (&k.tables, k.flow_memory);
         let discrete = !matches!(k.flow, FlowPass::Continuous);
         let stored_prev = !discrete || flow_memory == FlowMemory::Scheduled;
+        let pairwise = k.plan.is_matching();
         let zeros = |len: usize| (0..len).map(|_| S::of(0.0)).collect();
+        let ints = |len: usize| (0..len).map(|_| S::of(0)).collect();
         let sized = |yes: bool, len: usize| if yes { len } else { 0 };
         let (loads_i, loads_f) = if discrete {
             (loads.into_iter().map(S::of).collect(), Vec::new())
@@ -264,8 +307,11 @@ impl<S: Storage> RoundState<S> {
             loads_f,
             prev: zeros(sized(stored_prev, t.m)),
             frac: zeros(sized(k.needs_fracs(), t.m)),
-            flows: (0..sized(discrete, t.m)).map(|_| S::of(0)).collect(),
+            flows: ints(sized(discrete, t.m)),
             block_sums: zeros(kernel::dev_blocks(t.n)),
+            sent_i: ints(sized(pairwise && discrete, t.n)),
+            sent_f: zeros(sized(pairwise && !discrete, t.n)),
+            flowing: ints(sized(k.sparse_rounding().is_some(), t.m.div_ceil(64))),
             discrete,
             rounded: discrete && flow_memory == FlowMemory::Rounded,
         }
@@ -344,14 +390,23 @@ impl<S: Storage> RoundState<S> {
         }
         if self.rounded {
             self.flows = memory.iter().map(|&x| S::of(x as i64)).collect();
+            if !self.flowing.is_empty() {
+                // Exactly the edges the restored memory has flowing.
+                let mut words = vec![0u64; self.flowing.len()];
+                for (e, _) in memory.iter().enumerate().filter(|&(_, &y)| y != 0.0) {
+                    words[e / 64] |= 1 << (e % 64);
+                }
+                self.flowing = words.into_iter().map(|w| S::of(w as i64)).collect();
+            }
         } else {
             self.prev = memory.iter().map(|&x| S::of(x)).collect();
         }
     }
 
     /// Bytes of per-node and per-edge simulation state: loads, integral
-    /// flows, stored memory and framework fractions (the block partials
-    /// are metadata and excluded).
+    /// flows, stored memory and framework fractions. The block partials,
+    /// the matching rounds' landing slots (zero between rounds) and their
+    /// flowing-edge words are round scratch and excluded.
     pub fn state_bytes(&self) -> usize {
         let edges = self.prev.len() + self.frac.len() + self.flows.len();
         8 * (self.loads_i.len() + self.loads_f.len() + edges)
@@ -368,6 +423,9 @@ impl RoundState<PlainSlots> {
             frac: kernel::cells(&mut self.frac),
             flows: kernel::cells(&mut self.flows),
             block_sums: kernel::cells(&mut self.block_sums),
+            sent_i: kernel::cells(&mut self.sent_i),
+            sent_f: kernel::cells(&mut self.sent_f),
+            flowing: kernel::cells(&mut self.flowing),
         }
     }
 }
@@ -382,6 +440,9 @@ impl RoundState<AtomicSlots> {
             frac: Atomics(&self.frac),
             flows: Atomics(&self.flows),
             block_sums: Atomics(&self.block_sums),
+            sent_i: Atomics(&self.sent_i),
+            sent_f: Atomics(&self.sent_f),
+            flowing: Atomics(&self.flowing),
         }
     }
 }
@@ -410,6 +471,17 @@ pub(crate) struct ChunkBufs<I, F> {
     /// the apply pass; node chunks are block-aligned, so each has one
     /// writer per round.
     pub block_sums: F,
+    /// Per-node signed flow `σ·y` the node's matching edge landed this
+    /// round, zero otherwise (matching plans in discrete mode): written by
+    /// the edge step, read and reset to zero by the node step.
+    pub sent_i: I,
+    /// [`Self::sent_i`] for continuous mode.
+    pub sent_f: F,
+    /// Words of the edges whose integral flow may be nonzero (matching
+    /// plans under [`FlowMemory::Rounded`]): the edges the next edge step
+    /// must zero if they are inactive then. Each word has one writer, the
+    /// participant whose word-aligned edge chunk holds it.
+    pub flowing: I,
 }
 
 impl<I, F: Buf<Val = f64>> ChunkBufs<I, F> {
@@ -547,9 +619,28 @@ impl SchemeKernel {
     }
 
     /// Whether the flow pass keeps the randomized framework's per-edge
-    /// fractions.
+    /// fractions: every framework round except the matching rounds whose
+    /// edge step rounds inline ([`Self::sparse_rounding`]).
     pub fn needs_fracs(&self) -> bool {
-        matches!(self.flow, FlowPass::Framework { .. })
+        matches!(self.flow, FlowPass::Framework { .. }) && self.sparse_rounding().is_none()
+    }
+
+    /// The rounding a matching round's edge step applies inline when it
+    /// visits only the matching: discrete mode under
+    /// [`FlowMemory::Rounded`]. A fluid memory (continuous mode, or
+    /// [`FlowMemory::Scheduled`]) records `0.0·Ŷ_e = ±0.0` on every
+    /// inactive edge, and checkpoints and the golden traces keep that
+    /// sign, so those rounds still write every edge's memory with the
+    /// gated pass.
+    fn sparse_rounding(&self) -> Option<Rounding> {
+        if !self.plan.is_matching() || self.flow_memory != FlowMemory::Rounded {
+            return None;
+        }
+        match self.flow {
+            FlowPass::Continuous => None,
+            FlowPass::EdgeLocal(rounding) => Some(rounding),
+            FlowPass::Framework { seed } => Some(Rounding::RandomizedFramework { seed }),
+        }
     }
 
     /// The sweep family and its repair style, if the plan is a sweep.
@@ -592,15 +683,25 @@ impl SchemeKernel {
                 Some(&matchgen.mask[..])
             }
         };
-        perturb.compose(spec, plan, round, t.m)
+        let masks = perturb.compose(spec, plan, round, t.m);
+        debug_assert!(
+            !self.plan.is_matching()
+                || masks
+                    .active
+                    .is_some_and(|words| matching::mask_is_matching(graph, words)),
+            "round {round}: a matching plan's active set must be a matching"
+        );
+        masks
     }
 
-    /// One participant's share of a round, over its `edges` and `nodes`:
-    /// runs [`Self::phases`] gated by the `masks` [`Self::prepare`]
-    /// returned, as given — [`MaskBits`] over the active words if there
-    /// are any, else [`AllEdges`] — with `sync` between phases: a no-op
-    /// for the sequential executor's one participant over every edge and
-    /// node, the barrier on the pool. The only caller of `phases`.
+    /// One participant's share of a round, over its `edges` and `nodes`,
+    /// on the `masks` [`Self::prepare`] returned, as given: a matching
+    /// plan runs [`Self::matching_round`] on its active words; the
+    /// diffusion plan runs [`Self::phases`] gated by [`MaskBits`] over the
+    /// active words if there are any, else [`AllEdges`]. `sync` runs
+    /// between phases: a no-op for the sequential executor's one
+    /// participant over every edge and node, the barrier on the pool. The
+    /// only caller of both.
     #[allow(clippy::too_many_arguments)] // one participant's full round context
     pub fn participate<I: Buf<Val = i64>, F: Buf<Val = f64>>(
         &self,
@@ -614,11 +715,121 @@ impl SchemeKernel {
     ) -> LoadStats {
         let stale = masks.stale;
         match masks.active {
+            Some(words) if self.plan.is_matching() => {
+                self.matching_round(args, edges, nodes, bufs, words, stale, sync)
+            }
             Some(words) => {
                 let gate = MaskBits(words);
                 self.phases(args, edges, nodes, bufs, fw, gate, stale, sync)
             }
             None => self.phases(args, edges, nodes, bufs, fw, AllEdges, stale, sync),
+        }
+    }
+
+    /// The gated edge pass of the flow pass over one participant's
+    /// `edges`: the continuous pass, the fused edge-local pass, or the
+    /// framework's scatter. The only call site of each edge pass.
+    fn edge_pass<I: Buf<Val = i64>, F: Buf<Val = f64>, G: EdgeGate>(
+        &self,
+        args: &RoundArgs,
+        edges: Range<usize>,
+        bufs: &ChunkBufs<I, F>,
+        gate: &G,
+    ) {
+        let &RoundArgs { mem, gain, round } = args;
+        let (t, flow_memory) = (&self.tables, self.flow_memory);
+        let (flows, prev) = (&bufs.flows, &bufs.prev);
+        let x = |i| bufs.loads_i.get(i) as f64;
+        match self.flow {
+            FlowPass::Continuous => {
+                let x = |i| bufs.loads_f.get(i);
+                kernel::edge_pass_continuous_gated(t, gate, edges, mem, gain, x, prev);
+            }
+            FlowPass::EdgeLocal(rounding) => kernel::edge_pass_fused_gated(
+                t,
+                gate,
+                edges,
+                mem,
+                gain,
+                round,
+                rounding,
+                flow_memory,
+                x,
+                prev,
+                flows,
+            ),
+            FlowPass::Framework { .. } => kernel::edge_pass_scatter_gated(
+                t,
+                gate,
+                edges,
+                mem,
+                gain,
+                flow_memory,
+                x,
+                &bufs.frac,
+                flows,
+                prev,
+            ),
+        }
+    }
+
+    /// One participant's share of a matching round (the `Sweep` and
+    /// `Random` plans, whose `active` words are a matching): an edge step
+    /// over the participant's word-aligned `edges`, `sync`, then a node
+    /// step over its `nodes`: two phases with one barrier on the pool.
+    ///
+    /// The edge step computes and rounds the matching's flows and lands
+    /// each non-stale one at its two endpoints ([`ChunkBufs::sent_i`]).
+    /// In discrete mode under [`FlowMemory::Rounded`] it visits only the
+    /// matching ([`kernel::pair_edge_step`]); under a fluid memory the
+    /// gated pass still writes every edge's memory, and only the rounding
+    /// ([`kernel::pair_tokens`]) and the landing ([`kernel::pair_land`])
+    /// visit the matching alone. The node step
+    /// ([`kernel::pair_node_step`]) applies the landed flows and folds the
+    /// fused statistics in node order. The result is the gated phase
+    /// sequence's ([`Self::phases`]) bit for bit: an inactive edge's flow
+    /// is zero there and moves no load.
+    #[allow(clippy::too_many_arguments)] // one participant's full round context
+    fn matching_round<I: Buf<Val = i64>, F: Buf<Val = f64>>(
+        &self,
+        args: &RoundArgs,
+        edges: Range<usize>,
+        nodes: Range<usize>,
+        bufs: &ChunkBufs<I, F>,
+        active: &[u64],
+        stale: Option<&[u64]>,
+        sync: impl Fn(),
+    ) -> LoadStats {
+        let &RoundArgs { mem, gain, round } = args;
+        let (t, sums) = (&self.tables, &bufs.block_sums);
+        let (flows, sent) = (&bufs.flows, &bufs.sent_i);
+        if let Some(rounding) = self.sparse_rounding() {
+            let x = |i| bufs.loads_i.get(i) as f64;
+            let scalars = (mem, gain, round);
+            let flowing = &bufs.flowing;
+            kernel::pair_edge_step(
+                t, edges, active, stale, scalars, rounding, x, flows, flowing, sent,
+            );
+        } else {
+            self.edge_pass(args, edges.clone(), bufs, &MaskBits(active));
+            match self.flow {
+                FlowPass::Continuous => {
+                    kernel::pair_land(t, edges, active, stale, &bufs.prev, &bufs.sent_f)
+                }
+                FlowPass::EdgeLocal(_) => kernel::pair_land(t, edges, active, stale, flows, sent),
+                FlowPass::Framework { seed } => {
+                    let frac = &bufs.frac;
+                    kernel::pair_tokens(t, edges.clone(), active, (seed, round), frac, flows);
+                    kernel::pair_land(t, edges, active, stale, flows, sent);
+                }
+            }
+        }
+        sync();
+        match self.flow {
+            FlowPass::Continuous => {
+                kernel::pair_node_step(t, nodes, &bufs.sent_f, &bufs.loads_f, sums)
+            }
+            _ => kernel::pair_node_step(t, nodes, sent, &bufs.loads_i, sums),
         }
     }
 
@@ -643,52 +854,21 @@ impl SchemeKernel {
         stale: Option<&[u64]>,
         sync: impl Fn(),
     ) -> LoadStats {
-        let &RoundArgs { mem, gain, round } = args;
-        let (t, flow_memory) = (&self.tables, self.flow_memory);
-        let (flows, prev, sums) = (&bufs.flows, &bufs.prev, &bufs.block_sums);
-        let x = |i| bufs.loads_i.get(i) as f64;
-        match self.flow {
-            FlowPass::Continuous => {
-                let x = |i| bufs.loads_f.get(i);
-                kernel::edge_pass_continuous_gated(t, &gate, edges, mem, gain, x, prev);
-            }
-            FlowPass::EdgeLocal(rounding) => kernel::edge_pass_fused_gated(
-                t,
-                &gate,
-                edges,
-                mem,
-                gain,
-                round,
-                rounding,
-                flow_memory,
-                x,
-                prev,
-                flows,
-            ),
-            FlowPass::Framework { seed } => {
-                let frac = &bufs.frac;
-                kernel::edge_pass_scatter_gated(
-                    t,
-                    &gate,
-                    edges,
-                    mem,
-                    gain,
-                    flow_memory,
-                    x,
-                    frac,
-                    flows,
-                    prev,
-                );
-                sync();
-                kernel::arc_round_streamed(t, nodes.clone(), seed, round, frac, flows, fw);
-            }
+        let t = &self.tables;
+        let (flows, sums) = (&bufs.flows, &bufs.block_sums);
+        self.edge_pass(args, edges, bufs, &gate);
+        if let FlowPass::Framework { seed } = self.flow {
+            sync();
+            kernel::arc_round_streamed(t, nodes.clone(), seed, args.round, &bufs.frac, flows, fw);
         }
         sync();
         // The one apply-with-stale step: a stale edge's flow was computed
         // and recorded in the flow memory above, but it never lands. The
         // continuous flows are the memory the edge pass just wrote.
         match self.flow {
-            FlowPass::Continuous => kernel::apply_flows(t, nodes, prev, stale, &bufs.loads_f, sums),
+            FlowPass::Continuous => {
+                kernel::apply_flows(t, nodes, &bufs.prev, stale, &bufs.loads_f, sums)
+            }
             _ => kernel::apply_flows(t, nodes, flows, stale, &bufs.loads_i, sums),
         }
     }
