@@ -94,32 +94,31 @@
 //! # Matching rounds
 //!
 //! Dimension exchange and matching balancing activate a matching each
-//! round, so a node balances with at most one neighbour. Their rounds run
-//! two crate-internal passes instead of the gated scatter, rounding walk
-//! and apply walk, which cost `O(m)` and two `O(2m)` arc sweeps however
-//! few edges are active:
+//! round, so a node balances with at most one neighbour. In discrete mode
+//! under [`FlowMemory::Rounded`] their rounds run two crate-internal
+//! passes instead of the gated scatter, rounding walk and apply walk,
+//! which cost `O(m)` and two `O(2m)` arc sweeps however few edges are
+//! active:
 //!
-//! 1. The edge step visits only the set bits of the round's active words
-//!    in a participant's edge chunk, which the pool cuts at 64-edge word
-//!    boundaries. Each active edge computes `Ŷ_e` through the one
-//!    scheduled-flow expression, rounds it inline — the edge-local
-//!    roundings as the fused pass does, and the randomized framework by
-//!    the sender's one draw, since a sender with a single positive share
-//!    `|g_e| < 1` has `⌈r⌉ = 1` — and lands the signed flow `σ·y` in a
-//!    per-node slot at each endpoint, unless the edge is stale. Under
-//!    [`FlowMemory::Rounded`] it also zeroes last round's flows on the
-//!    edges that went inactive, from a word set of the edges that may
-//!    still carry flow. Under a fluid memory the gated pass writes every
-//!    edge's memory first, because an inactive edge records
-//!    `0.0·Ŷ_e = ±0.0` and that sign is persisted.
-//! 2. The node step applies each node's one landed flow, `x − (0 + y)`
-//!    and `x − (0 + max(y, 0))`, and folds the fused statistics in node
-//!    order, resetting the slot.
+//! 1. The edge step (`pair_edge_step`) visits only the set bits of the
+//!    round's active words in a participant's edge chunk, which the pool
+//!    cuts at 64-edge word boundaries. Each active edge computes `Ŷ_e`
+//!    through the one scheduled-flow expression, rounds it inline — the
+//!    edge-local roundings as the fused pass does, and the randomized
+//!    framework by the sender's one draw, since a sender with a single
+//!    positive share `|g_e| < 1` has `⌈r⌉ = 1` — and lands the signed
+//!    flow `σ·y` in a per-node slot at each endpoint, unless the edge is
+//!    stale. It also zeroes last round's flows on the edges that went
+//!    inactive, from a word set of the edges that may still carry flow.
+//! 2. The node step (`pair_node_step`) applies each node's one landed
+//!    flow, `x − y` and `x − max(y, 0)`, and folds the fused statistics
+//!    in node order, resetting the slot.
 //!
 //! The results are the gated passes' bit for bit: every edge a node does
-//! not balance over carries a zero flow (`±0.0` in fluid, finite for
-//! validated inputs), and adding zeros to sums that start at `+0.0`
-//! changes neither the net flow nor the outgoing flow.
+//! not balance over carries a zero flow, and token sums are exact. A
+//! fluid memory (continuous mode, or [`FlowMemory::Scheduled`]) records
+//! `0.0·Ŷ_e = ±0.0` on every inactive edge and persists that sign, so
+//! those pairwise rounds keep the gated passes under [`MaskBits`].
 //!
 //! # The SOS memory under [`FlowMemory::Rounded`]
 //!
@@ -1325,17 +1324,6 @@ pub fn apply_flows<L: Buf, Y: Buf<Val = L::Val>>(
     }
 }
 
-/// The `64`-edge words of the bitsets over a participant's `edges`. A
-/// matching round cuts its edge chunks at word boundaries, so each word —
-/// and each edge's landing at its endpoints — has one writer.
-fn word_range(t: &KernelTables, edges: &Range<usize>) -> Range<usize> {
-    debug_assert!(
-        edges.start.is_multiple_of(64) && (edges.end.is_multiple_of(64) || edges.end == t.m),
-        "matching-round edge chunks must be cut at word boundaries"
-    );
-    edges.start / 64..edges.end.div_ceil(64)
-}
-
 /// Calls `f` with every edge set in the bitset words `words[range]`, in
 /// ascending edge id.
 #[inline(always)]
@@ -1361,9 +1349,9 @@ fn is_stale(stale: Option<&[u64]>, e: usize) -> bool {
 /// `−1` at the head). The endpoints are matched to no other edge, so each
 /// slot has this one writer in the round.
 #[inline(always)]
-fn land<S: Buf>(sent: &S, (u, v): (u32, u32), y: S::Val) {
-    sent.set(u as usize, y * S::Val::from(1));
-    sent.set(v as usize, y * S::Val::from(-1));
+fn land<S: Buf<Val = i64>>(sent: &S, (u, v): (u32, u32), y: i64) {
+    sent.set(u as usize, y);
+    sent.set(v as usize, -y);
 }
 
 /// The randomized framework's excess token on a matching edge `(u, v)`
@@ -1419,7 +1407,14 @@ pub(crate) fn pair_edge_step<F: Buf<Val = i64>>(
     flowing: &F,
     sent: &F,
 ) {
-    let words = word_range(t, &edges);
+    // The pool cuts a matching round's edge chunks at word boundaries,
+    // so each word — and each edge's landing at its endpoints — has one
+    // writer.
+    debug_assert!(
+        edges.start.is_multiple_of(64) && (edges.end.is_multiple_of(64) || edges.end == t.m),
+        "matching-round edge chunks must be cut at word boundaries"
+    );
+    let words = edges.start / 64..edges.end.div_ceil(64);
     for w in words.clone() {
         let (now, was) = (active[w], flowing.get(w) as u64);
         let mut retired = was & !now;
@@ -1458,57 +1453,16 @@ pub(crate) fn pair_edge_step<F: Buf<Val = i64>>(
     }
 }
 
-/// The randomized framework's rounding on the matching edges set in
-/// `active` over one participant's word-aligned `edges`, after
-/// [`edge_pass_scatter_gated`] wrote their base flows and fractions: each
-/// adds its sender's token ([`framework_token`]) to its base flow, in
-/// place of [`arc_round_streamed`]'s node sweep.
-pub(crate) fn pair_tokens<A: Buf<Val = f64>, F: Buf<Val = i64>>(
-    t: &KernelTables,
-    edges: Range<usize>,
-    active: &[u64],
-    (seed, round): (u64, u64),
-    frac: &A,
-    flows: &F,
-) {
-    let (rk, pairs) = (rng::round_key(seed, round), t.graph().edges());
-    for_each_set_bit(active, word_range(t, &edges), |e| {
-        flows.set(e, flows.get(e) + framework_token(rk, pairs[e], frac.get(e)));
-    });
-}
-
-/// [`land`]s the flow of every matching edge set in `active` over one
-/// participant's word-aligned `edges` that is not stale, as a gated edge
-/// pass left it in `flows` (the integral flows, or the memory that
-/// carries the continuous flows).
-pub(crate) fn pair_land<Y: Buf>(
-    t: &KernelTables,
-    edges: Range<usize>,
-    active: &[u64],
-    stale: Option<&[u64]>,
-    flows: &Y,
-    sent: &Y,
-) {
-    let pairs = t.graph().edges();
-    for_each_set_bit(active, word_range(t, &edges), |e| {
-        if !is_stale(stale, e) {
-            land(sent, pairs[e], flows.get(e));
-        }
-    });
-}
-
 /// The node step of a matching round over `nodes`: each node's new load
-/// `x − net` and transient load `x − outgoing` from the one signed flow
-/// `y` its matched edge landed in `sent` (`net = 0 + y`,
-/// `outgoing = 0 + max(y, 0)`; a node without a landed flow keeps its
-/// slot's zero), with the fused statistics folded in node order as
-/// [`apply`] folds them. It resets each slot to zero for the next round.
+/// `x − y` and transient load `x − max(y, 0)` from the one signed flow
+/// `y` its matched edge landed in `sent` (a node without a landed flow
+/// keeps its slot's zero), with the fused statistics folded in node
+/// order as [`apply`] folds them. It resets each slot to zero for the
+/// next round.
 ///
 /// This is [`apply`]'s result bit for bit: the other arcs of a node carry
-/// a zero flow — `0.0·Ŷ_e = ±0.0` in fluid, which validated inputs keep
-/// finite, so it is never NaN — and adding `±0.0` to a sum that starts at
-/// `+0.0` changes neither `net` nor `outgoing`.
-pub(crate) fn pair_node_step<L: Buf>(
+/// a zero flow, and token sums are exact.
+pub(crate) fn pair_node_step<L: Buf<Val = i64>>(
     t: &KernelTables,
     nodes: Range<usize>,
     sent: &L,
@@ -1519,7 +1473,6 @@ pub(crate) fn pair_node_step<L: Buf>(
         nodes.start.is_multiple_of(DEV_BLOCK),
         "chunk must be block-aligned"
     );
-    let zero = L::Val::ZERO;
     let mut fold = StatsFold {
         stats: LoadStats::identity(),
         block: 0.0,
@@ -1530,13 +1483,11 @@ pub(crate) fn pair_node_step<L: Buf>(
         .zip(&sent.elems()[nodes.clone()]);
     for ((k, (le, se)), &ideal) in slots.enumerate().zip(&t.ideal[nodes]) {
         let y = L::read(se);
-        L::write(se, zero);
-        let out = select_unpredictable(y > zero, y, zero);
+        L::write(se, 0);
         let x = L::read(le);
-        let new = x - (zero + y);
-        fold.node(new.to_f64(), ideal, (x - (zero + out)).to_f64());
+        fold.node((x - y) as f64, ideal, (x - y.max(0)) as f64);
         fold.close(start + k + 1, last, block_sums);
-        L::write(le, new);
+        L::write(le, x - y);
     }
     fold.stats
 }

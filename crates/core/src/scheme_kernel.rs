@@ -65,7 +65,8 @@
 //!      mask test in the loop; a mask (crash, churn or edge drops)
 //!      runs [`kernel::MaskBits`], which forces an inactive edge's flow
 //!      to zero with a branchless bit test.
-//!    * The two matching plans run a **matching round** (the
+//!    * The two matching plans in discrete mode under
+//!      [`FlowMemory::Rounded`] run a **matching round** (the
 //!      random-matching model of Ghosh and Muthukrishnan, SPAA 1994):
 //!      an edge step that visits only the set bits of the round's
 //!      matching in the participant's word-aligned edge chunk, computes
@@ -75,10 +76,9 @@
 //!      the gated phases' `O(m)` scatter and two `O(2m)` arc walks, and
 //!      its results are theirs bit for bit. Under a fluid flow memory
 //!      (continuous mode, or [`FlowMemory::Scheduled`]) every inactive
-//!      edge still records `0.0·Ŷ_e`, whose sign checkpoints and the
-//!      golden traces keep, so there the gated pass still writes every
-//!      edge's memory and only the rounding, landing and apply are
-//!      sparse.
+//!      edge records `0.0·Ŷ_e`, whose sign checkpoints and the golden
+//!      traces keep, so the round must write every edge's memory anyway:
+//!      those runs take the gated phases under [`kernel::MaskBits`].
 //! 3. [`ChunkBufs::collect`] merges the participants' statistics and
 //!    folds the per-block partials in block order.
 //!
@@ -270,8 +270,7 @@ pub(crate) struct RoundState<S: Storage> {
     frac: Vec<S::Slot<f64>>,
     flows: Vec<S::Slot<i64>>,
     block_sums: Vec<S::Slot<f64>>,
-    sent_i: Vec<S::Slot<i64>>,
-    sent_f: Vec<S::Slot<f64>>,
+    sent: Vec<S::Slot<i64>>,
     flowing: Vec<S::Slot<i64>>,
     discrete: bool,
     /// Whether the SOS memory is the integral flows (discrete mode under
@@ -286,13 +285,13 @@ impl<S: Storage> RoundState<S> {
     /// also carries the round's flows — and [`FlowMemory::Scheduled`]),
     /// `frac` (one slot per edge) only where the randomized framework's
     /// rounding phase reads it ([`SchemeKernel::needs_fracs`]), and, for
-    /// the matching plans, one landing slot per node of the loads' kind
-    /// plus, under the rounded memory, the flowing-edge words.
+    /// the matching rounds ([`SchemeKernel::sparse_rounding`]), one
+    /// landing slot per node and the flowing-edge words.
     pub fn new(k: &SchemeKernel, loads: Vec<i64>) -> Self {
         let (t, flow_memory) = (&k.tables, k.flow_memory);
         let discrete = !matches!(k.flow, FlowPass::Continuous);
         let stored_prev = !discrete || flow_memory == FlowMemory::Scheduled;
-        let pairwise = k.plan.is_matching();
+        let sparse = k.sparse_rounding().is_some();
         let zeros = |len: usize| (0..len).map(|_| S::of(0.0)).collect();
         let ints = |len: usize| (0..len).map(|_| S::of(0)).collect();
         let sized = |yes: bool, len: usize| if yes { len } else { 0 };
@@ -309,9 +308,8 @@ impl<S: Storage> RoundState<S> {
             frac: zeros(sized(k.needs_fracs(), t.m)),
             flows: ints(sized(discrete, t.m)),
             block_sums: zeros(kernel::dev_blocks(t.n)),
-            sent_i: ints(sized(pairwise && discrete, t.n)),
-            sent_f: zeros(sized(pairwise && !discrete, t.n)),
-            flowing: ints(sized(k.sparse_rounding().is_some(), t.m.div_ceil(64))),
+            sent: ints(sized(sparse, t.n)),
+            flowing: ints(sized(sparse, t.m.div_ceil(64))),
             discrete,
             rounded: discrete && flow_memory == FlowMemory::Rounded,
         }
@@ -423,8 +421,7 @@ impl RoundState<PlainSlots> {
             frac: kernel::cells(&mut self.frac),
             flows: kernel::cells(&mut self.flows),
             block_sums: kernel::cells(&mut self.block_sums),
-            sent_i: kernel::cells(&mut self.sent_i),
-            sent_f: kernel::cells(&mut self.sent_f),
+            sent: kernel::cells(&mut self.sent),
             flowing: kernel::cells(&mut self.flowing),
         }
     }
@@ -440,8 +437,7 @@ impl RoundState<AtomicSlots> {
             frac: Atomics(&self.frac),
             flows: Atomics(&self.flows),
             block_sums: Atomics(&self.block_sums),
-            sent_i: Atomics(&self.sent_i),
-            sent_f: Atomics(&self.sent_f),
+            sent: Atomics(&self.sent),
             flowing: Atomics(&self.flowing),
         }
     }
@@ -472,15 +468,13 @@ pub(crate) struct ChunkBufs<I, F> {
     /// writer per round.
     pub block_sums: F,
     /// Per-node signed flow `σ·y` the node's matching edge landed this
-    /// round, zero otherwise (matching plans in discrete mode): written by
-    /// the edge step, read and reset to zero by the node step.
-    pub sent_i: I,
-    /// [`Self::sent_i`] for continuous mode.
-    pub sent_f: F,
+    /// round, zero otherwise (matching rounds): written by the edge step,
+    /// read and reset to zero by the node step.
+    pub sent: I,
     /// Words of the edges whose integral flow may be nonzero (matching
-    /// plans under [`FlowMemory::Rounded`]): the edges the next edge step
-    /// must zero if they are inactive then. Each word has one writer, the
-    /// participant whose word-aligned edge chunk holds it.
+    /// rounds): the edges the next edge step must zero if they are
+    /// inactive then. Each word has one writer, the participant whose
+    /// word-aligned edge chunk holds it.
     pub flowing: I,
 }
 
@@ -625,13 +619,12 @@ impl SchemeKernel {
         matches!(self.flow, FlowPass::Framework { .. }) && self.sparse_rounding().is_none()
     }
 
-    /// The rounding a matching round's edge step applies inline when it
-    /// visits only the matching: discrete mode under
-    /// [`FlowMemory::Rounded`]. A fluid memory (continuous mode, or
-    /// [`FlowMemory::Scheduled`]) records `0.0·Ŷ_e = ±0.0` on every
-    /// inactive edge, and checkpoints and the golden traces keep that
-    /// sign, so those rounds still write every edge's memory with the
-    /// gated pass.
+    /// The rounding a matching round's edge step applies inline, if the
+    /// plan's rounds are matching rounds: a matching plan in discrete mode
+    /// under [`FlowMemory::Rounded`]. Under a fluid memory (continuous
+    /// mode, or [`FlowMemory::Scheduled`]) an inactive edge records
+    /// `0.0·Ŷ_e = ±0.0`, and checkpoints and the golden traces keep that
+    /// sign, so those rounds write every edge's memory in the gated phases.
     fn sparse_rounding(&self) -> Option<Rounding> {
         if !self.plan.is_matching() || self.flow_memory != FlowMemory::Rounded {
             return None;
@@ -696,12 +689,12 @@ impl SchemeKernel {
 
     /// One participant's share of a round, over its `edges` and `nodes`,
     /// on the `masks` [`Self::prepare`] returned, as given: a matching
-    /// plan runs [`Self::matching_round`] on its active words; the
-    /// diffusion plan runs [`Self::phases`] gated by [`MaskBits`] over the
-    /// active words if there are any, else [`AllEdges`]. `sync` runs
-    /// between phases: a no-op for the sequential executor's one
-    /// participant over every edge and node, the barrier on the pool. The
-    /// only caller of both.
+    /// round ([`Self::sparse_rounding`]) runs [`Self::matching_round`] on
+    /// its active words; every other round runs [`Self::phases`] gated by
+    /// [`MaskBits`] over the active words if there are any, else
+    /// [`AllEdges`]. `sync` runs between phases: a no-op for the
+    /// sequential executor's one participant over every edge and node,
+    /// the barrier on the pool. The only caller of both.
     #[allow(clippy::too_many_arguments)] // one participant's full round context
     pub fn participate<I: Buf<Val = i64>, F: Buf<Val = f64>>(
         &self,
@@ -714,85 +707,37 @@ impl SchemeKernel {
         sync: impl Fn(),
     ) -> LoadStats {
         let stale = masks.stale;
-        match masks.active {
-            Some(words) if self.plan.is_matching() => {
-                self.matching_round(args, edges, nodes, bufs, words, stale, sync)
+        match (masks.active, self.sparse_rounding()) {
+            (Some(words), Some(rounding)) => {
+                self.matching_round(args, rounding, edges, nodes, bufs, words, stale, sync)
             }
-            Some(words) => {
+            (Some(words), None) => {
                 let gate = MaskBits(words);
                 self.phases(args, edges, nodes, bufs, fw, gate, stale, sync)
             }
-            None => self.phases(args, edges, nodes, bufs, fw, AllEdges, stale, sync),
+            (None, _) => self.phases(args, edges, nodes, bufs, fw, AllEdges, stale, sync),
         }
     }
 
-    /// The gated edge pass of the flow pass over one participant's
-    /// `edges`: the continuous pass, the fused edge-local pass, or the
-    /// framework's scatter. The only call site of each edge pass.
-    fn edge_pass<I: Buf<Val = i64>, F: Buf<Val = f64>, G: EdgeGate>(
-        &self,
-        args: &RoundArgs,
-        edges: Range<usize>,
-        bufs: &ChunkBufs<I, F>,
-        gate: &G,
-    ) {
-        let &RoundArgs { mem, gain, round } = args;
-        let (t, flow_memory) = (&self.tables, self.flow_memory);
-        let (flows, prev) = (&bufs.flows, &bufs.prev);
-        let x = |i| bufs.loads_i.get(i) as f64;
-        match self.flow {
-            FlowPass::Continuous => {
-                let x = |i| bufs.loads_f.get(i);
-                kernel::edge_pass_continuous_gated(t, gate, edges, mem, gain, x, prev);
-            }
-            FlowPass::EdgeLocal(rounding) => kernel::edge_pass_fused_gated(
-                t,
-                gate,
-                edges,
-                mem,
-                gain,
-                round,
-                rounding,
-                flow_memory,
-                x,
-                prev,
-                flows,
-            ),
-            FlowPass::Framework { .. } => kernel::edge_pass_scatter_gated(
-                t,
-                gate,
-                edges,
-                mem,
-                gain,
-                flow_memory,
-                x,
-                &bufs.frac,
-                flows,
-                prev,
-            ),
-        }
-    }
-
-    /// One participant's share of a matching round (the `Sweep` and
-    /// `Random` plans, whose `active` words are a matching): an edge step
-    /// over the participant's word-aligned `edges`, `sync`, then a node
-    /// step over its `nodes`: two phases with one barrier on the pool.
+    /// One participant's share of a matching round (a `Sweep` or `Random`
+    /// plan in discrete mode under [`FlowMemory::Rounded`], whose `active`
+    /// words are a matching): an edge step over the participant's
+    /// word-aligned `edges`, `sync`, then a node step over its `nodes`:
+    /// two phases with one barrier on the pool.
     ///
-    /// The edge step computes and rounds the matching's flows and lands
-    /// each non-stale one at its two endpoints ([`ChunkBufs::sent_i`]).
-    /// In discrete mode under [`FlowMemory::Rounded`] it visits only the
-    /// matching ([`kernel::pair_edge_step`]); under a fluid memory the
-    /// gated pass still writes every edge's memory, and only the rounding
-    /// ([`kernel::pair_tokens`]) and the landing ([`kernel::pair_land`])
-    /// visit the matching alone. The node step
-    /// ([`kernel::pair_node_step`]) applies the landed flows and folds the
-    /// fused statistics in node order. The result is the gated phase
-    /// sequence's ([`Self::phases`]) bit for bit: an inactive edge's flow
-    /// is zero there and moves no load.
+    /// The edge step ([`kernel::pair_edge_step`]) visits only the
+    /// matching: it computes and rounds each active edge's flow with
+    /// `rounding` and lands each non-stale one at its two endpoints
+    /// ([`ChunkBufs::sent`]). The node step ([`kernel::pair_node_step`])
+    /// applies the landed flows and folds the fused statistics in node
+    /// order. The result is the gated phase sequence's ([`Self::phases`])
+    /// bit for bit: an inactive edge's flow is zero there and moves no
+    /// load.
     #[allow(clippy::too_many_arguments)] // one participant's full round context
     fn matching_round<I: Buf<Val = i64>, F: Buf<Val = f64>>(
         &self,
         args: &RoundArgs,
+        rounding: Rounding,
         edges: Range<usize>,
         nodes: Range<usize>,
         bufs: &ChunkBufs<I, F>,
@@ -801,36 +746,22 @@ impl SchemeKernel {
         sync: impl Fn(),
     ) -> LoadStats {
         let &RoundArgs { mem, gain, round } = args;
-        let (t, sums) = (&self.tables, &bufs.block_sums);
-        let (flows, sent) = (&bufs.flows, &bufs.sent_i);
-        if let Some(rounding) = self.sparse_rounding() {
-            let x = |i| bufs.loads_i.get(i) as f64;
-            let scalars = (mem, gain, round);
-            let flowing = &bufs.flowing;
-            kernel::pair_edge_step(
-                t, edges, active, stale, scalars, rounding, x, flows, flowing, sent,
-            );
-        } else {
-            self.edge_pass(args, edges.clone(), bufs, &MaskBits(active));
-            match self.flow {
-                FlowPass::Continuous => {
-                    kernel::pair_land(t, edges, active, stale, &bufs.prev, &bufs.sent_f)
-                }
-                FlowPass::EdgeLocal(_) => kernel::pair_land(t, edges, active, stale, flows, sent),
-                FlowPass::Framework { seed } => {
-                    let frac = &bufs.frac;
-                    kernel::pair_tokens(t, edges.clone(), active, (seed, round), frac, flows);
-                    kernel::pair_land(t, edges, active, stale, flows, sent);
-                }
-            }
-        }
+        let (t, flows, sent) = (&self.tables, &bufs.flows, &bufs.sent);
+        let x = |i| bufs.loads_i.get(i) as f64;
+        kernel::pair_edge_step(
+            t,
+            edges,
+            active,
+            stale,
+            (mem, gain, round),
+            rounding,
+            x,
+            flows,
+            &bufs.flowing,
+            sent,
+        );
         sync();
-        match self.flow {
-            FlowPass::Continuous => {
-                kernel::pair_node_step(t, nodes, &bufs.sent_f, &bufs.loads_f, sums)
-            }
-            _ => kernel::pair_node_step(t, nodes, sent, &bufs.loads_i, sums),
-        }
+        kernel::pair_node_step(t, nodes, sent, &bufs.loads_i, &bufs.block_sums)
     }
 
     /// The one phase sequence of a round, over one participant's `edges`
@@ -854,21 +785,52 @@ impl SchemeKernel {
         stale: Option<&[u64]>,
         sync: impl Fn(),
     ) -> LoadStats {
-        let t = &self.tables;
-        let (flows, sums) = (&bufs.flows, &bufs.block_sums);
-        self.edge_pass(args, edges, bufs, &gate);
-        if let FlowPass::Framework { seed } = self.flow {
-            sync();
-            kernel::arc_round_streamed(t, nodes.clone(), seed, args.round, &bufs.frac, flows, fw);
+        let &RoundArgs { mem, gain, round } = args;
+        let (t, flow_memory) = (&self.tables, self.flow_memory);
+        let (flows, prev, sums) = (&bufs.flows, &bufs.prev, &bufs.block_sums);
+        let x = |i| bufs.loads_i.get(i) as f64;
+        match self.flow {
+            FlowPass::Continuous => {
+                let x = |i| bufs.loads_f.get(i);
+                kernel::edge_pass_continuous_gated(t, &gate, edges, mem, gain, x, prev);
+            }
+            FlowPass::EdgeLocal(rounding) => kernel::edge_pass_fused_gated(
+                t,
+                &gate,
+                edges,
+                mem,
+                gain,
+                round,
+                rounding,
+                flow_memory,
+                x,
+                prev,
+                flows,
+            ),
+            FlowPass::Framework { seed } => {
+                let frac = &bufs.frac;
+                kernel::edge_pass_scatter_gated(
+                    t,
+                    &gate,
+                    edges,
+                    mem,
+                    gain,
+                    flow_memory,
+                    x,
+                    frac,
+                    flows,
+                    prev,
+                );
+                sync();
+                kernel::arc_round_streamed(t, nodes.clone(), seed, round, frac, flows, fw);
+            }
         }
         sync();
         // The one apply-with-stale step: a stale edge's flow was computed
         // and recorded in the flow memory above, but it never lands. The
         // continuous flows are the memory the edge pass just wrote.
         match self.flow {
-            FlowPass::Continuous => {
-                kernel::apply_flows(t, nodes, &bufs.prev, stale, &bufs.loads_f, sums)
-            }
+            FlowPass::Continuous => kernel::apply_flows(t, nodes, prev, stale, &bufs.loads_f, sums),
             _ => kernel::apply_flows(t, nodes, flows, stale, &bufs.loads_i, sums),
         }
     }

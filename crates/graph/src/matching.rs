@@ -284,26 +284,11 @@ pub fn is_maximal_matching(graph: &Graph, edges: &[EdgeId]) -> bool {
 /// [`EdgeColoring::class_masks`]) is a matching of `graph`: no bit at or
 /// past the edge count, and no two chosen edges sharing an endpoint.
 pub fn mask_is_matching(graph: &Graph, mask: &[u64]) -> bool {
-    let m = graph.edge_count();
-    let mut matched = vec![0u64; graph.node_count().div_ceil(64)];
-    for (w, &word) in mask.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let e = 64 * w + bits.trailing_zeros() as usize;
-            if e >= m {
-                return false;
-            }
-            for node in <[NodeId; 2]>::from(graph.edges()[e]) {
-                let (word, bit) = (node as usize / 64, 1u64 << (node % 64));
-                if matched[word] & bit != 0 {
-                    return false;
-                }
-                matched[word] |= bit;
-            }
-            bits &= bits - 1;
-        }
-    }
-    true
+    let ids: Vec<EdgeId> = (0..64 * mask.len())
+        .filter(|&e| (mask[e / 64] >> (e % 64)) & 1 == 1)
+        .map(|e| e as EdgeId)
+        .collect();
+    ids.iter().all(|&e| (e as usize) < graph.edge_count()) && is_matching(graph, &ids)
 }
 
 /// The nodes `edges` cover, or `None` if two of them share an endpoint.
@@ -327,24 +312,15 @@ fn matched_nodes(graph: &Graph, edges: &[EdgeId]) -> Option<Vec<bool>> {
 /// covers every edge at least once per sweep, and each round keeps more
 /// nodes paired than the bare class would.
 ///
-/// Every class keeps its own node bitset, filled in one pass over the
-/// edges with the endpoints of its edges. A class then walks its bitset's
-/// words to its unmatched nodes and searches only their edges to higher
-/// neighbours: no class rescans the mask words of every edge or visits
-/// every node one by one.
+/// One stamp buffer serves every class, so a class costs one pass over
+/// its mask words and one over the nodes, each unmatched node searching
+/// only its edges to higher neighbours; no class rescans all the edges.
 pub fn maximal_matchings(graph: &Graph, coloring: &EdgeColoring) -> Vec<Vec<u64>> {
-    let (n, words) = (graph.node_count(), graph.node_count().div_ceil(64));
-    let mut taken = vec![0u64; coloring.num_colors as usize * words];
-    for (&c, &(u, v)) in coloring.colors.iter().zip(graph.edges()) {
-        let class = &mut taken[c as usize * words..][..words];
-        take(class, u);
-        take(class, v);
-    }
     let tails = tail_ranges(graph);
+    let mut matched = vec![u32::MAX; graph.node_count()]; // stamp buffer keyed by color
     let mut masks = coloring.class_masks();
-    for (mask, class) in masks.iter_mut().zip(taken.chunks_exact_mut(words.max(1))) {
-        take_outside(class, n);
-        extend_greedy(graph, &tails, mask, class);
+    for (c, mask) in (0..).zip(&mut masks) {
+        extend_greedy(graph, &tails, mask, &mut matched, c, |_| true);
     }
     masks
 }
@@ -363,50 +339,47 @@ fn tail_ranges(graph: &Graph) -> Vec<usize> {
     tails
 }
 
-/// Sets node `v`'s bit in the node bitset `taken`.
-#[inline]
-fn take(taken: &mut [u64], v: NodeId) {
-    taken[(v >> 6) as usize] |= 1u64 << (v & 63);
-}
-
-/// Sets the bits of the node bitset `taken` that lie past the `n` nodes.
-fn take_outside(taken: &mut [u64], n: usize) {
-    if !n.is_multiple_of(64) {
-        taken[n / 64] |= u64::MAX << (n % 64);
-    }
-}
-
 /// The greedy extension behind [`maximal_matchings`] and
 /// [`extend_matching`]: the result of one scan of the edges in id order
-/// that adds each edge whose endpoints are both free.
+/// that adds each edge whose endpoints are both `eligible` and unmatched.
 ///
-/// On entry the node bitset `taken` holds every node that is not free:
-/// the endpoints of the matching `mask`, the ineligible nodes and the
-/// bits past the node count. The extension walks the free nodes in
-/// ascending id through the bitset's words; each free node `u` takes the
-/// first edge of its range in `tails` ([`tail_ranges`]) whose head is
-/// free. That is the scan's choice: a free lower neighbour of `u` was
-/// offered `u` on its own turn and is taken by the time `u` is visited.
-/// A visited node is marked taken, which changes no later choice, since
-/// later nodes search only higher neighbours.
-fn extend_greedy(graph: &Graph, tails: &[usize], mask: &mut [u64], taken: &mut [u64]) {
+/// It first marks the endpoints of the matching `mask` in `matched` (a
+/// node is matched iff its entry equals `stamp`, so one buffer serves
+/// many calls with no reset). It then visits the nodes in ascending id;
+/// each unmatched eligible node `u` takes the first edge of its range in
+/// `tails` ([`tail_ranges`]) whose head is eligible and unmatched. That
+/// is the scan's choice: an eligible lower neighbour of `u` is matched by
+/// the time `u` is visited (it was offered `u` on its own turn), and a
+/// matched or ineligible node's range is skipped without a look.
+fn extend_greedy(
+    graph: &Graph,
+    tails: &[usize],
+    mask: &mut [u64],
+    matched: &mut [u32],
+    stamp: u32,
+    eligible: impl Fn(NodeId) -> bool,
+) {
     let edges = graph.edges();
-    for w in 0..taken.len() {
-        loop {
-            let free = !taken[w];
-            if free == 0 {
-                break;
-            }
-            taken[w] |= free & free.wrapping_neg();
-            let u = 64 * w + free.trailing_zeros() as usize;
-            let range = tails[u]..tails[u + 1];
-            let head_free =
-                |&(_, v): &(NodeId, NodeId)| (taken[(v >> 6) as usize] >> (v & 63)) & 1 == 0;
-            if let Some(k) = edges[range.clone()].iter().position(head_free) {
-                let e = range.start + k;
-                take(taken, edges[e].1);
-                mask[e >> 6] |= 1u64 << (e & 63);
-            }
+    for (w, &word) in mask.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let (u, v) = edges[64 * w + bits.trailing_zeros() as usize];
+            matched[u as usize] = stamp;
+            matched[v as usize] = stamp;
+            bits &= bits - 1;
+        }
+    }
+    for u in graph.nodes() {
+        if matched[u as usize] == stamp || !eligible(u) {
+            continue;
+        }
+        let range = tails[u as usize]..tails[u as usize + 1];
+        let free = |&(_, v): &(NodeId, NodeId)| matched[v as usize] != stamp && eligible(v);
+        if let Some(k) = edges[range.clone()].iter().position(free) {
+            let e = range.start + k;
+            matched[u as usize] = stamp;
+            matched[edges[e].1 as usize] = stamp;
+            mask[e >> 6] |= 1u64 << (e & 63);
         }
     }
 }
@@ -463,19 +436,11 @@ pub fn repair_matching(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {
 /// never removes an edge, so the result is a superset matching that is
 /// maximal on the live-induced subgraph.
 pub fn extend_matching(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {
-    let n = graph.node_count();
-    let mut taken: Vec<u64> = live_nodes[..n.div_ceil(64)].iter().map(|&w| !w).collect();
-    take_outside(&mut taken, n);
-    for (w, &word) in mask.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let (u, v) = graph.edges()[64 * w + bits.trailing_zeros() as usize];
-            take(&mut taken, u);
-            take(&mut taken, v);
-            bits &= bits - 1;
-        }
-    }
-    extend_greedy(graph, &tail_ranges(graph), mask, &mut taken);
+    let mut matched = vec![u32::MAX; graph.node_count()];
+    let tails = tail_ranges(graph);
+    extend_greedy(graph, &tails, mask, &mut matched, 0, |v| {
+        live(live_nodes, v)
+    });
 }
 
 #[cfg(test)]
