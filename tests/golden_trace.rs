@@ -45,6 +45,17 @@ use sodiff::prelude::*;
 /// where the run has no integer loads), previous flows
 /// (bits), and the minimum transient load (bits).
 fn state_checksum(sim: &Simulator<'_>) -> u64 {
+    checksum(sim, true)
+}
+
+/// FNV-1a over the loads and the minimum transient load only: what the
+/// run balances, without the flow memory [`state_checksum`] also hashes.
+/// These pins show that a change to the memory alone moves no load.
+fn loads_checksum(sim: &Simulator<'_>) -> u64 {
+    checksum(sim, false)
+}
+
+fn checksum(sim: &Simulator<'_>, memory: bool) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -65,21 +76,30 @@ fn state_checksum(sim: &Simulator<'_>) -> u64 {
             }
         }
     }
-    for &f in sim.previous_flows().iter() {
-        eat(&f.to_bits().to_le_bytes());
+    if memory {
+        for &f in sim.previous_flows().iter() {
+            eat(&f.to_bits().to_le_bytes());
+        }
     }
     eat(&sim.min_transient_load().to_bits().to_le_bytes());
     h
 }
 
-fn run_and_check(name: &str, expected: u64, mut sim: Simulator<'_>, rounds: usize) {
+/// Runs `rounds` rounds and checks the pinned `(state, loads)` checksums.
+fn run_and_check(name: &str, expected: (u64, u64), mut sim: Simulator<'_>, rounds: usize) {
     for _ in 0..rounds {
         sim.step();
     }
+    let got = (state_checksum(&sim), loads_checksum(&sim));
     assert_eq!(
-        state_checksum(&sim),
-        expected,
-        "{name}: golden trace diverged from the pinned implementation"
+        got.1, expected.1,
+        "{name}: loads diverged from the pinned implementation (got {:#018x})",
+        got.1
+    );
+    assert_eq!(
+        got.0, expected.0,
+        "{name}: golden trace diverged from the pinned implementation (got {:#018x})",
+        got.0
     );
 }
 
@@ -92,7 +112,12 @@ fn torus_fos_rounded_memory() {
         .build()
         .unwrap()
         .simulator();
-    run_and_check("torus_fos_rounded", 0xc6a410e2f5b1eac5, sim, 60);
+    run_and_check(
+        "torus_fos_rounded",
+        (0xc6a410e2f5b1eac5, 0x5f653c8fe6998745),
+        sim,
+        60,
+    );
 }
 
 #[test]
@@ -105,7 +130,12 @@ fn torus_sos_scheduled_memory() {
         .build()
         .unwrap()
         .simulator();
-    run_and_check("torus_sos_scheduled", 0xdef99d824410227d, sim, 60);
+    run_and_check(
+        "torus_sos_scheduled",
+        (0xdef99d824410227d, 0x6de5e429d2815e79),
+        sim,
+        60,
+    );
 }
 
 #[test]
@@ -119,7 +149,12 @@ fn random_regular_sos_heterogeneous() {
         .build()
         .unwrap()
         .simulator();
-    run_and_check("regular_sos_het", 0xcda74ebcdaf7a3a9, sim, 80);
+    run_and_check(
+        "regular_sos_het",
+        (0xcda74ebcdaf7a3a9, 0x3f68c93f378486e9),
+        sim,
+        80,
+    );
 }
 
 #[test]
@@ -131,7 +166,12 @@ fn cycle_fos_odd_size() {
         .build()
         .unwrap()
         .simulator();
-    run_and_check("cycle_fos", 0x7a6af77403c77095, sim, 45);
+    run_and_check(
+        "cycle_fos",
+        (0x7a6af77403c77095, 0x7bb8638090cafebd),
+        sim,
+        45,
+    );
 }
 
 /// The pooled executor reproduces the same golden trace: the pipeline's
@@ -146,7 +186,12 @@ fn golden_trace_holds_on_the_pool() {
         .build()
         .unwrap()
         .simulator();
-    run_and_check("torus_fos_rounded (pooled)", 0xc6a410e2f5b1eac5, sim, 60);
+    run_and_check(
+        "torus_fos_rounded (pooled)",
+        (0xc6a410e2f5b1eac5, 0x5f653c8fe6998745),
+        sim,
+        60,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -184,7 +229,12 @@ fn torus_dimension_exchange_nearest() {
             Rounding::nearest(),
             threads,
         );
-        run_and_check("torus_de_nearest", 0x1059328902898be5, sim, 60);
+        run_and_check(
+            "torus_de_nearest",
+            (0x1059328902898be5, 0x9f5ac034fdf74cc5),
+            sim,
+            60,
+        );
     }
 }
 
@@ -200,7 +250,12 @@ fn torus_dimension_exchange_randomized_framework() {
             Rounding::randomized(42),
             threads,
         );
-        run_and_check("torus_de_randomized", 0x309b74ddad5025da, sim, 60);
+        run_and_check(
+            "torus_de_randomized",
+            (0x309b74ddad5025da, 0x44fa2a31a64f6903),
+            sim,
+            60,
+        );
     }
 }
 
@@ -214,7 +269,12 @@ fn cycle_matching_round_robin() {
             Rounding::nearest(),
             threads,
         );
-        run_and_check("cycle_matching_rr", 0xc26364164de48acf, sim, 45);
+        run_and_check(
+            "cycle_matching_rr",
+            (0xc26364164de48acf, 0xb79e68758bdd915f),
+            sim,
+            45,
+        );
     }
 }
 
@@ -237,7 +297,12 @@ fn torus_sos_crash_churn() {
             .build()
             .unwrap()
             .simulator();
-        run_and_check("torus_sos_crash_churn", 0x8cc7ad550f849948, sim, 64);
+        run_and_check(
+            "torus_sos_crash_churn",
+            (0x8cc7ad550f849948, 0xcf0bf564e1411da9),
+            sim,
+            64,
+        );
     }
 }
 
@@ -261,7 +326,12 @@ fn torus_sos_poisson() {
             .build()
             .unwrap()
             .simulator();
-        run_and_check("torus_sos_poisson", 0x528126d94fdd1296, sim, 64);
+        run_and_check(
+            "torus_sos_poisson",
+            (0x528126d94fdd1296, 0x5768e756f0880456),
+            sim,
+            64,
+        );
     }
 }
 
@@ -286,7 +356,12 @@ fn torus_sos_flux() {
             .build()
             .unwrap()
             .simulator();
-        run_and_check("torus_sos_flux", 0x7e2c2b500623f7e6, sim, 64);
+        run_and_check(
+            "torus_sos_flux",
+            (0x7e2c2b500623f7e6, 0xec9e387917f4d8b3),
+            sim,
+            64,
+        );
     }
 }
 
@@ -307,7 +382,12 @@ fn torus_sos_crash_flux() {
             .build()
             .unwrap()
             .simulator();
-        run_and_check("torus_sos_crash_flux", 0x98bbaa1b24facd58, sim, 64);
+        run_and_check(
+            "torus_sos_crash_flux",
+            (0x98bbaa1b24facd58, 0x4a6ea8957b38c311),
+            sim,
+            64,
+        );
     }
 }
 
@@ -327,7 +407,12 @@ fn regular_matching_random_heterogeneous() {
             .build()
             .unwrap()
             .simulator();
-        run_and_check("regular_matching_random", 0x7cbb471521179a82, sim, 80);
+        run_and_check(
+            "regular_matching_random",
+            (0x7cbb471521179a82, 0xc235b9b0b18379bb),
+            sim,
+            80,
+        );
     }
 }
 
@@ -424,84 +509,85 @@ fn table_scheme(name: &str) -> Scheme {
     }
 }
 
-/// `(scheme, perturbation set, mode, state checksum, events checksum)`.
+/// `(scheme, perturbation set, mode, state checksum, loads checksum,
+/// events checksum)`.
 /// Modes: `nearest` (discrete, nearest rounding), `randomized` (the
 /// node-centric randomized framework: masked scatter pass, rounding phase
 /// and stale apply) and `continuous`.
 #[rustfmt::skip]
-const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64)] = &[
-    ("sos", "crash+edgedrop+stale+shock", "nearest", 0x9c49c86baea9b67a, 0x7dce1b91e068a362),
-    ("sos", "crash+edgedrop+stale+shock", "continuous", 0xb13cbac39993e33e, 0x7dce1b91e068a362),
-    ("sos", "shock+stale", "nearest", 0xeb90babb7d4f8f7e, 0x3c8b2bcc4670a1c4),
-    ("sos", "shock+stale", "continuous", 0x78d09f78c6d8c244, 0x3c8b2bcc4670a1c4),
-    ("sos", "flux", "nearest", 0x7e2c2b500623f7e6, 0x82ad8397c7322d52),
-    ("sos", "flux", "continuous", 0x128e1637a0185fa5, 0x82ad8397c7322d52),
-    ("sos", "crash+flux+edgedrop", "nearest", 0xfed25686f5404496, 0x4b068d43602a8aa1),
-    ("sos", "crash+flux+edgedrop", "continuous", 0xc71c40041c7a67a9, 0x4b068d43602a8aa1),
-    ("sos", "crash+shock+flux+adversarial", "nearest", 0x2ce7442179541bec, 0xd6fceca6aa40e934),
-    ("sos", "crash+shock+flux+adversarial", "continuous", 0xa93004c93aa76e06, 0x092f772aff1dfb1c),
-    ("sos", "flux+load", "nearest", 0xd25684a554bfaca9, 0x168c2d9184208ffc),
-    ("sos", "flux+load", "continuous", 0x18d3450cef851cf8, 0x19b4dbc345915dd0),
-    ("de", "crash+edgedrop+stale+shock", "nearest", 0x78cc71f89d2dd2c6, 0xef398a34c05c8a43),
-    ("de", "crash+edgedrop+stale+shock", "continuous", 0x021ca16ba42e487f, 0xef398a34c05c8a43),
-    ("de", "shock+stale", "nearest", 0x2fc64b57819521d2, 0x4a157713be699537),
-    ("de", "shock+stale", "continuous", 0x6850be8e328e61d5, 0x4a157713be699537),
-    ("de", "flux", "nearest", 0x380d2c46aba31273, 0x82ad8397c7322d52),
-    ("de", "flux", "continuous", 0x3927beb03818dceb, 0x82ad8397c7322d52),
-    ("de", "crash+flux+edgedrop", "nearest", 0xb84e33c5b77bcfcf, 0xeec0b9a6663f5917),
-    ("de", "crash+flux+edgedrop", "continuous", 0xaf329f08d132175e, 0xeec0b9a6663f5917),
-    ("de", "crash+shock+flux+adversarial", "nearest", 0x71daa547c78bfce8, 0xbd41b0a7be047b06),
-    ("de", "crash+shock+flux+adversarial", "continuous", 0xaca59aa497d03bfb, 0x6d6112680ba8c1dd),
-    ("de", "flux+load", "nearest", 0xe5d073fb0f3acc5d, 0x168c2d9184208ffc),
-    ("de", "flux+load", "continuous", 0x1b81826a144b8809, 0x19b4dbc345915dd0),
-    ("matching_rr", "crash+edgedrop+stale+shock", "nearest", 0xfa27c8fd7ee3d605, 0xb6683f18ae4b48a0),
-    ("matching_rr", "crash+edgedrop+stale+shock", "continuous", 0x8f6baf7fe24616ba, 0xb6683f18ae4b48a0),
-    ("matching_rr", "shock+stale", "nearest", 0x2fc64b57819521d2, 0x4a157713be699537),
-    ("matching_rr", "shock+stale", "continuous", 0x6850be8e328e61d5, 0x4a157713be699537),
-    ("matching_rr", "flux", "nearest", 0xa26d99bce7117b50, 0x82ad8397c7322d52),
-    ("matching_rr", "flux", "continuous", 0x26cb2d1c87b6cf24, 0x82ad8397c7322d52),
-    ("matching_rr", "crash+flux+edgedrop", "nearest", 0x2e2bf2a8811d0ac0, 0x9b01a59fa2332f83),
-    ("matching_rr", "crash+flux+edgedrop", "continuous", 0xab0504f4c04b256a, 0x9b01a59fa2332f83),
-    ("matching_rr", "crash+shock+flux+adversarial", "nearest", 0xc043fd8d449fe80e, 0xde6b3aaaa4d13e41),
-    ("matching_rr", "crash+shock+flux+adversarial", "continuous", 0xf38c63f9d5bfdc15, 0xf84411d080ca8a36),
-    ("matching_rr", "flux+load", "nearest", 0x43a100a184da730e, 0x168c2d9184208ffc),
-    ("matching_rr", "flux+load", "continuous", 0x460f06b5fab8da7f, 0x19b4dbc345915dd0),
-    ("matching_random", "crash+edgedrop+stale+shock", "nearest", 0xde1e5ccd37fbf208, 0xf2a7d75dbb36da1a),
-    ("matching_random", "crash+edgedrop+stale+shock", "continuous", 0x69432fb076d9c6a2, 0xf2a7d75dbb36da1a),
-    ("matching_random", "shock+stale", "nearest", 0xd3dd6bd011627c1f, 0x244342cf3ac82384),
-    ("matching_random", "shock+stale", "continuous", 0x8915086d0aeb556d, 0x244342cf3ac82384),
-    ("matching_random", "flux", "nearest", 0xb7dca1178fad6aae, 0x8e39bff394471315),
-    ("matching_random", "flux", "continuous", 0xbbecaa521709a051, 0x8e39bff394471315),
-    ("matching_random", "crash+flux+edgedrop", "nearest", 0xb68477ddc75884ec, 0x576f3d3d9a5ec952),
-    ("matching_random", "crash+flux+edgedrop", "continuous", 0xd3aee2afc04f822d, 0x576f3d3d9a5ec952),
-    ("matching_random", "crash+shock+flux+adversarial", "nearest", 0x049a2dcfa7223f8d, 0xe952114f0de4d6ac),
-    ("matching_random", "crash+shock+flux+adversarial", "continuous", 0x52c629e494a3edce, 0xa9fc9b35772d05e1),
-    ("matching_random", "flux+load", "nearest", 0xec5ed01d103fa36b, 0x168c2d9184208ffc),
-    ("matching_random", "flux+load", "continuous", 0x31dbeefe772249ed, 0x19b4dbc345915dd0),
-    ("sos", "crash+edgedrop+stale+shock", "randomized", 0xf3524ad8f4376b89, 0x7dce1b91e068a362),
-    ("sos", "shock+stale", "randomized", 0x1f956c47722adb1b, 0x3c8b2bcc4670a1c4),
-    ("sos", "flux", "randomized", 0xa9f16b97b6adacf1, 0x82ad8397c7322d52),
-    ("sos", "crash+flux+edgedrop", "randomized", 0xc46117b3ca360059, 0x4b068d43602a8aa1),
-    ("sos", "crash+shock+flux+adversarial", "randomized", 0xf93a149cb4b0a4a9, 0x8c5f9ca8331c0a44),
-    ("sos", "flux+load", "randomized", 0x34016d2255c8d615, 0x168c2d9184208ffc),
-    ("de", "crash+edgedrop+stale+shock", "randomized", 0x52bb28d18e920fff, 0xef398a34c05c8a43),
-    ("de", "shock+stale", "randomized", 0x22cb348e3b961fa4, 0x4a157713be699537),
-    ("de", "flux", "randomized", 0x52443d4dfd2b0290, 0x82ad8397c7322d52),
-    ("de", "crash+flux+edgedrop", "randomized", 0x20a3df73e8c523ad, 0xeec0b9a6663f5917),
-    ("de", "crash+shock+flux+adversarial", "randomized", 0xe65b023323b8c2be, 0x447360a809a13cb6),
-    ("de", "flux+load", "randomized", 0x3dd5ac859bf5ecd6, 0x168c2d9184208ffc),
-    ("matching_rr", "crash+edgedrop+stale+shock", "randomized", 0x95587227d8e91b6a, 0xb6683f18ae4b48a0),
-    ("matching_rr", "shock+stale", "randomized", 0x22cb348e3b961fa4, 0x4a157713be699537),
-    ("matching_rr", "flux", "randomized", 0x6a4de8156925a992, 0x82ad8397c7322d52),
-    ("matching_rr", "crash+flux+edgedrop", "randomized", 0x89b6d6c2de4c85d9, 0x9b01a59fa2332f83),
-    ("matching_rr", "crash+shock+flux+adversarial", "randomized", 0x2be4b4d7c5d97f3e, 0x420a2aa9bc34a731),
-    ("matching_rr", "flux+load", "randomized", 0x15d54cf93ce54651, 0x168c2d9184208ffc),
-    ("matching_random", "crash+edgedrop+stale+shock", "randomized", 0x7ffac1a67bdb0186, 0xf2a7d75dbb36da1a),
-    ("matching_random", "shock+stale", "randomized", 0x4e756aa06dc70a9a, 0x244342cf3ac82384),
-    ("matching_random", "flux", "randomized", 0xca88a5fa94e3e4d5, 0x8e39bff394471315),
-    ("matching_random", "crash+flux+edgedrop", "randomized", 0x587b9d4878021b8b, 0x576f3d3d9a5ec952),
-    ("matching_random", "crash+shock+flux+adversarial", "randomized", 0xd1a686f06af88fd8, 0x196f094e9825d024),
-    ("matching_random", "flux+load", "randomized", 0xf50da1e4c9b6cdca, 0x168c2d9184208ffc),
+const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64, u64)] = &[
+    ("sos", "crash+edgedrop+stale+shock", "nearest", 0x9c49c86baea9b67a, 0xe516f90f9e07153f, 0x7dce1b91e068a362),
+    ("sos", "crash+edgedrop+stale+shock", "continuous", 0xb13cbac39993e33e, 0xac2dfe68823cbc52, 0x7dce1b91e068a362),
+    ("sos", "shock+stale", "nearest", 0xeb90babb7d4f8f7e, 0xbf3f4a358b7a8ba3, 0x3c8b2bcc4670a1c4),
+    ("sos", "shock+stale", "continuous", 0x78d09f78c6d8c244, 0xaaf7beff606da69c, 0x3c8b2bcc4670a1c4),
+    ("sos", "flux", "nearest", 0x7e2c2b500623f7e6, 0xec9e387917f4d8b3, 0x82ad8397c7322d52),
+    ("sos", "flux", "continuous", 0x128e1637a0185fa5, 0xf56924b71ae882f1, 0x82ad8397c7322d52),
+    ("sos", "crash+flux+edgedrop", "nearest", 0xfed25686f5404496, 0xceec26dc74630cab, 0x4b068d43602a8aa1),
+    ("sos", "crash+flux+edgedrop", "continuous", 0xc71c40041c7a67a9, 0xb2fcff2499a52d8b, 0x4b068d43602a8aa1),
+    ("sos", "crash+shock+flux+adversarial", "nearest", 0x2ce7442179541bec, 0xcdea24162b288ceb, 0xd6fceca6aa40e934),
+    ("sos", "crash+shock+flux+adversarial", "continuous", 0xa93004c93aa76e06, 0xfd2593939e3fa97c, 0x092f772aff1dfb1c),
+    ("sos", "flux+load", "nearest", 0xd25684a554bfaca9, 0x292580e9856dee51, 0x168c2d9184208ffc),
+    ("sos", "flux+load", "continuous", 0x18d3450cef851cf8, 0xd9bec46cd3206b73, 0x19b4dbc345915dd0),
+    ("de", "crash+edgedrop+stale+shock", "nearest", 0x78cc71f89d2dd2c6, 0xd32819649f47ba7d, 0xef398a34c05c8a43),
+    ("de", "crash+edgedrop+stale+shock", "continuous", 0x021ca16ba42e487f, 0x87b4009785a7daa3, 0xef398a34c05c8a43),
+    ("de", "shock+stale", "nearest", 0x2fc64b57819521d2, 0xd694265bc1b15289, 0x4a157713be699537),
+    ("de", "shock+stale", "continuous", 0x6850be8e328e61d5, 0xaf80b863924e097d, 0x4a157713be699537),
+    ("de", "flux", "nearest", 0x380d2c46aba31273, 0x1bf94bd4cfd6707b, 0x82ad8397c7322d52),
+    ("de", "flux", "continuous", 0x3927beb03818dceb, 0xeffdc64bf2ea6908, 0x82ad8397c7322d52),
+    ("de", "crash+flux+edgedrop", "nearest", 0xb84e33c5b77bcfcf, 0x20ac9f6d790b3997, 0xeec0b9a6663f5917),
+    ("de", "crash+flux+edgedrop", "continuous", 0xaf329f08d132175e, 0xb2be8101dd8af0e5, 0xeec0b9a6663f5917),
+    ("de", "crash+shock+flux+adversarial", "nearest", 0x71daa547c78bfce8, 0x682199ca07edd018, 0xbd41b0a7be047b06),
+    ("de", "crash+shock+flux+adversarial", "continuous", 0xaca59aa497d03bfb, 0xb59a430a1e90c3f7, 0x6d6112680ba8c1dd),
+    ("de", "flux+load", "nearest", 0xe5d073fb0f3acc5d, 0x6489549ee2248c6c, 0x168c2d9184208ffc),
+    ("de", "flux+load", "continuous", 0x1b81826a144b8809, 0x1baf2a63cd094c15, 0x19b4dbc345915dd0),
+    ("matching_rr", "crash+edgedrop+stale+shock", "nearest", 0xfa27c8fd7ee3d605, 0x4d472fe136cc4c9b, 0xb6683f18ae4b48a0),
+    ("matching_rr", "crash+edgedrop+stale+shock", "continuous", 0x8f6baf7fe24616ba, 0x9677fb275cdb04ff, 0xb6683f18ae4b48a0),
+    ("matching_rr", "shock+stale", "nearest", 0x2fc64b57819521d2, 0xd694265bc1b15289, 0x4a157713be699537),
+    ("matching_rr", "shock+stale", "continuous", 0x6850be8e328e61d5, 0xaf80b863924e097d, 0x4a157713be699537),
+    ("matching_rr", "flux", "nearest", 0xa26d99bce7117b50, 0x362cf977cbce44c5, 0x82ad8397c7322d52),
+    ("matching_rr", "flux", "continuous", 0x26cb2d1c87b6cf24, 0x4f4b694047464837, 0x82ad8397c7322d52),
+    ("matching_rr", "crash+flux+edgedrop", "nearest", 0x2e2bf2a8811d0ac0, 0x40a4b8dd7594b7b1, 0x9b01a59fa2332f83),
+    ("matching_rr", "crash+flux+edgedrop", "continuous", 0xab0504f4c04b256a, 0x8ab81ce936479a9f, 0x9b01a59fa2332f83),
+    ("matching_rr", "crash+shock+flux+adversarial", "nearest", 0xc043fd8d449fe80e, 0x8bdf62f6e58191e4, 0xde6b3aaaa4d13e41),
+    ("matching_rr", "crash+shock+flux+adversarial", "continuous", 0xf38c63f9d5bfdc15, 0xd35f450231cf56bd, 0xf84411d080ca8a36),
+    ("matching_rr", "flux+load", "nearest", 0x43a100a184da730e, 0x2e76f6cd64d62db6, 0x168c2d9184208ffc),
+    ("matching_rr", "flux+load", "continuous", 0x460f06b5fab8da7f, 0x0001cd43b601fef8, 0x19b4dbc345915dd0),
+    ("matching_random", "crash+edgedrop+stale+shock", "nearest", 0xde1e5ccd37fbf208, 0x07f4be6ac6cdd131, 0xf2a7d75dbb36da1a),
+    ("matching_random", "crash+edgedrop+stale+shock", "continuous", 0x69432fb076d9c6a2, 0xb822e5099dacd9c8, 0xf2a7d75dbb36da1a),
+    ("matching_random", "shock+stale", "nearest", 0xd3dd6bd011627c1f, 0x03f4726e44a956c9, 0x244342cf3ac82384),
+    ("matching_random", "shock+stale", "continuous", 0x8915086d0aeb556d, 0x3c26f066ca269efd, 0x244342cf3ac82384),
+    ("matching_random", "flux", "nearest", 0xb7dca1178fad6aae, 0x35788e88eb10dfd5, 0x8e39bff394471315),
+    ("matching_random", "flux", "continuous", 0xbbecaa521709a051, 0x9f5f67823a131902, 0x8e39bff394471315),
+    ("matching_random", "crash+flux+edgedrop", "nearest", 0xb68477ddc75884ec, 0x263e86ba00f0c841, 0x576f3d3d9a5ec952),
+    ("matching_random", "crash+flux+edgedrop", "continuous", 0xd3aee2afc04f822d, 0xb798d600d0051cbf, 0x576f3d3d9a5ec952),
+    ("matching_random", "crash+shock+flux+adversarial", "nearest", 0x049a2dcfa7223f8d, 0x2ba69266fc2f95cc, 0xe952114f0de4d6ac),
+    ("matching_random", "crash+shock+flux+adversarial", "continuous", 0x52c629e494a3edce, 0xb7acaa27a15fa99e, 0xa9fc9b35772d05e1),
+    ("matching_random", "flux+load", "nearest", 0xec5ed01d103fa36b, 0x2f4efa6fdeb307f2, 0x168c2d9184208ffc),
+    ("matching_random", "flux+load", "continuous", 0x31dbeefe772249ed, 0x818950bbabef4f90, 0x19b4dbc345915dd0),
+    ("sos", "crash+edgedrop+stale+shock", "randomized", 0xf3524ad8f4376b89, 0xec957b4fddc1446f, 0x7dce1b91e068a362),
+    ("sos", "shock+stale", "randomized", 0x1f956c47722adb1b, 0xb0f1441802a4f5db, 0x3c8b2bcc4670a1c4),
+    ("sos", "flux", "randomized", 0xa9f16b97b6adacf1, 0x0072cd6c8421ee49, 0x82ad8397c7322d52),
+    ("sos", "crash+flux+edgedrop", "randomized", 0xc46117b3ca360059, 0x76f28994061bd6d9, 0x4b068d43602a8aa1),
+    ("sos", "crash+shock+flux+adversarial", "randomized", 0xf93a149cb4b0a4a9, 0x458552ee7aa3fc98, 0x8c5f9ca8331c0a44),
+    ("sos", "flux+load", "randomized", 0x34016d2255c8d615, 0x22872b496443f7d7, 0x168c2d9184208ffc),
+    ("de", "crash+edgedrop+stale+shock", "randomized", 0x52bb28d18e920fff, 0xaee477152c778a39, 0xef398a34c05c8a43),
+    ("de", "shock+stale", "randomized", 0x22cb348e3b961fa4, 0x088086f88f3adba3, 0x4a157713be699537),
+    ("de", "flux", "randomized", 0x52443d4dfd2b0290, 0x9954e25dff821585, 0x82ad8397c7322d52),
+    ("de", "crash+flux+edgedrop", "randomized", 0x20a3df73e8c523ad, 0x49af08b6f2e138d5, 0xeec0b9a6663f5917),
+    ("de", "crash+shock+flux+adversarial", "randomized", 0xe65b023323b8c2be, 0xb7f1609df4394b42, 0x447360a809a13cb6),
+    ("de", "flux+load", "randomized", 0x3dd5ac859bf5ecd6, 0x004ccf7ae47a5fc2, 0x168c2d9184208ffc),
+    ("matching_rr", "crash+edgedrop+stale+shock", "randomized", 0x95587227d8e91b6a, 0x38d90110878e4d39, 0xb6683f18ae4b48a0),
+    ("matching_rr", "shock+stale", "randomized", 0x22cb348e3b961fa4, 0x088086f88f3adba3, 0x4a157713be699537),
+    ("matching_rr", "flux", "randomized", 0x6a4de8156925a992, 0x77925f86f9ab41c3, 0x82ad8397c7322d52),
+    ("matching_rr", "crash+flux+edgedrop", "randomized", 0x89b6d6c2de4c85d9, 0x44a4c95da9af8769, 0x9b01a59fa2332f83),
+    ("matching_rr", "crash+shock+flux+adversarial", "randomized", 0x2be4b4d7c5d97f3e, 0x10aa6f52739a45d2, 0x420a2aa9bc34a731),
+    ("matching_rr", "flux+load", "randomized", 0x15d54cf93ce54651, 0xd1fb2ace3b659b60, 0x168c2d9184208ffc),
+    ("matching_random", "crash+edgedrop+stale+shock", "randomized", 0x7ffac1a67bdb0186, 0x0b2877a2d9256cf7, 0xf2a7d75dbb36da1a),
+    ("matching_random", "shock+stale", "randomized", 0x4e756aa06dc70a9a, 0x0504fe4c00e28b07, 0x244342cf3ac82384),
+    ("matching_random", "flux", "randomized", 0xca88a5fa94e3e4d5, 0x8b730021327219b5, 0x8e39bff394471315),
+    ("matching_random", "crash+flux+edgedrop", "randomized", 0x587b9d4878021b8b, 0xd1e0c8594149fc95, 0x576f3d3d9a5ec952),
+    ("matching_random", "crash+shock+flux+adversarial", "randomized", 0xd1a686f06af88fd8, 0xdeae7572acba5473, 0x196f094e9825d024),
+    ("matching_random", "flux+load", "randomized", 0xf50da1e4c9b6cdca, 0x0345a44702942436, 0x168c2d9184208ffc),
 ];
 
 #[test]
@@ -509,7 +595,7 @@ fn perturbation_table() {
     let g = generators::torus2d(8, 8);
     let mut report = String::new();
     let mut failed = false;
-    for &(scheme, set, mode, state, events) in PERTURBATION_TABLE {
+    for &(scheme, set, mode, state, loads, events) in PERTURBATION_TABLE {
         for threads in [1, 3] {
             let (faults, load, churn) = perturbation(set);
             let builder = Experiment::on(&g);
@@ -531,16 +617,20 @@ fn perturbation_table() {
             for _ in 0..64 {
                 sim.step();
             }
-            let got = (state_checksum(&sim), events_checksum(&sim));
-            if got != (state, events) {
+            let got = (
+                state_checksum(&sim),
+                loads_checksum(&sim),
+                events_checksum(&sim),
+            );
+            if got != (state, loads, events) {
                 failed = true;
             }
             if threads == 1 {
                 report.push_str(&format!(
-                    "    (\"{scheme}\", \"{set}\", \"{mode}\", {:#018x}, {:#018x}),\n",
-                    got.0, got.1
+                    "    (\"{scheme}\", \"{set}\", \"{mode}\", {:#018x}, {:#018x}, {:#018x}),\n",
+                    got.0, got.1, got.2
                 ));
-            } else if got != (state, events) {
+            } else if got != (state, loads, events) {
                 report.push_str(&format!("    // threads {threads} differs\n"));
             }
         }
