@@ -14,7 +14,8 @@
 //! needs the genuinely evolving state:
 //!
 //! * the load vector (integer tokens or continuous) and the SOS flow
-//!   memory (`prev_flow`),
+//!   memory (`prev_flow`; `m` zeros for a pairwise run, which keeps no
+//!   memory, and ignored when one is restored),
 //! * the round counters (`round`, `rounds_in_scheme`),
 //! * the fused per-round statistics (`min_transient`, the last round's
 //!   [`crate::kernel::LoadStats`]),
@@ -55,7 +56,10 @@
 //! origin, `switch_round` (an `Option<u64>`), the `degraded` flag,
 //! `min_transient`, `initial_total`, the last round's `Option<LoadStats>`,
 //! the loads (a `u8` tag, `0` for discrete `i64` loads or `1` for
-//! continuous `f64` loads, then the sequence), `prev_flow`, the
+//! continuous `f64` loads, then the sequence), `prev_flow` (one value
+//! per edge in every run; a pairwise run writes zeros, and restore
+//! checks but ignores the values, so files that hold a pairwise run's
+//! last flows resume exactly), the
 //! [`FaultEvents`] and [`LoadEvents`] counters, the watchdog,
 //! steady-state and plateau trackers (each an `Option`), the
 //! [`ChurnEvents`] counters, and the churn overlay words.

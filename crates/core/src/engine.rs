@@ -557,9 +557,12 @@ impl<'g> Simulator<'g> {
     /// Flow sent in the previous round, per canonical edge (the SOS
     /// memory), as `f64`. Borrowed where the simulator stores an `f64`
     /// memory vector (sequential continuous and
-    /// [`FlowMemory::Scheduled`] runs); otherwise a copy made on request
-    /// — materialized from the integral flows under
+    /// [`FlowMemory::Scheduled`] diffusion runs); otherwise a copy made
+    /// on request — materialized from the integral flows under
     /// [`FlowMemory::Rounded`], read out of the job on the worker pool.
+    /// The pairwise schemes keep no flow memory (only SOS reads one), so
+    /// a dimension-exchange or matching run reads `m` zeros here, and its
+    /// checkpoints store those.
     pub fn previous_flows(&self) -> Cow<'_, [f64]> {
         with_state!(&self.store, |state| state.memory())
     }
@@ -568,10 +571,11 @@ impl<'g> Simulator<'g> {
     /// holds, wherever it lives: loads, integral flows, a stored SOS
     /// memory (continuous and [`FlowMemory::Scheduled`] runs only — under
     /// [`FlowMemory::Rounded`] the integral flows are the memory), and
-    /// one fraction per edge (randomized framework). Each piece is held
-    /// once: on the worker pool the job's atomics are the only copy.
-    /// Auxiliary metadata (masks, per-block partials, kernel tables) is
-    /// excluded.
+    /// one fraction per edge (randomized framework). A pairwise run holds
+    /// its loads alone, `8·n` bytes. Each piece is held once: on the
+    /// worker pool the job's atomics are the only copy. Auxiliary
+    /// metadata (masks, per-block partials, the matching rounds' landing
+    /// slots, kernel tables) is excluded.
     pub fn state_bytes(&self) -> usize {
         with_state!(&self.store, |state| state.state_bytes())
     }
@@ -648,6 +652,10 @@ impl<'g> Simulator<'g> {
     /// memory that is not integral or does not fit the flow storage, or
     /// a churn overlay that does not fit the run's churn plan and node
     /// count). The simulator is left unmodified on error.
+    ///
+    /// A pairwise run keeps no flow memory: its snapshot's memory passes
+    /// the same checks and is then ignored, so a snapshot that still
+    /// holds the last round's flows resumes exactly too.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), CheckpointError> {
         let n = self.graph.node_count();
         let m = self.graph.edge_count();
@@ -688,7 +696,8 @@ impl<'g> Simulator<'g> {
             )));
         }
         // Under `Rounded` the memory is written into the integral `i64`
-        // flows, so every value must be one this run could have sent.
+        // flows, so every value must be one this run could have sent (a
+        // pairwise run, which ignores it, is held to the same check).
         // Validated BEFORE touching any state so the simulator stays
         // unmodified on error. Comparing bits also refuses `-0.0`, which
         // no `i64 → f64` cast produces.

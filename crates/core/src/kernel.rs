@@ -94,44 +94,50 @@
 //! # Matching rounds
 //!
 //! Dimension exchange and matching balancing activate a matching each
-//! round, so a node balances with at most one neighbour. In discrete mode
-//! under [`FlowMemory::Rounded`] their rounds run two crate-internal
-//! passes instead of the gated scatter, rounding walk and apply walk,
-//! which cost `O(m)` and two `O(2m)` arc sweeps however few edges are
-//! active:
+//! round, so a node balances with at most one neighbour. They follow the
+//! random-matching model of Ghosh and Muthukrishnan (SPAA 1994) and keep
+//! no flow memory, so in every mode their rounds run two crate-internal
+//! passes instead of the gated edge pass and the arc walks, which cost
+//! `O(m)` and `O(2m)` however few edges are active:
 //!
 //! 1. The edge step (`pair_edge_step`) visits only the set bits of the
 //!    round's active words in a participant's edge chunk, which the pool
 //!    cuts at 64-edge word boundaries. Each active edge computes `Ŷ_e`
-//!    through the one scheduled-flow expression, rounds it inline — the
-//!    edge-local roundings as the fused pass does, and the randomized
-//!    framework by the sender's one draw, since a sender with a single
-//!    positive share `|g_e| < 1` has `⌈r⌉ = 1` — and lands the signed
-//!    flow `σ·y` in a per-node slot at each endpoint, unless the edge is
-//!    stale. It also zeroes last round's flows on the edges that went
-//!    inactive, from a word set of the edges that may still carry flow.
+//!    through the one scheduled-flow expression, against a memory that
+//!    reads `+0.0`, and turns it into its flow: fluid keeps it, and
+//!    tokens round it inline — the edge-local roundings as the fused
+//!    pass does, and the randomized framework by the sender's one draw,
+//!    since a sender with a single positive share `|g_e| < 1` has
+//!    `⌈r⌉ = 1`. Unless the edge is stale, it lands the signed flow
+//!    `σ·y` in a per-node slot at each endpoint. Nothing is stored per
+//!    edge.
 //! 2. The node step (`pair_node_step`) applies each node's one landed
-//!    flow, `x − y` and `x − max(y, 0)`, and folds the fused statistics
-//!    in node order, resetting the slot.
+//!    flow, `x − (0 + y)` and `x − (0 + max(y, 0))`, and folds the fused
+//!    statistics in node order, resetting the slot.
 //!
-//! The results are the gated passes' bit for bit: every edge a node does
-//! not balance over carries a zero flow, and token sums are exact. A
-//! fluid memory (continuous mode, or [`FlowMemory::Scheduled`]) records
-//! `0.0·Ŷ_e = ±0.0` on every inactive edge and persists that sign, so
-//! those pairwise rounds keep the gated passes under [`MaskBits`].
+//! The loads are the gated passes' bit for bit, in both value domains.
+//! Every edge a node does not balance over carries a `±0.0` or zero
+//! flow there, and [`apply`]'s accumulators start at `+0.0`, so adding
+//! those changes no sum: its net flow is exactly `+0.0 + σ·y`. A memory
+//! term `0·prev_e` can only flip the sign of a zero `Ŷ_e`, which rounds
+//! to no token and lands as `+0.0`. Validated inputs keep `Ŷ_e` finite,
+//! so no `0·∞` NaN arises on either path.
 //!
 //! # The SOS memory under [`FlowMemory::Rounded`]
 //!
 //! The memory the paper's discrete SOS process uses — "the amount that
 //! was sent in step t−1" — *is* the integral flow each round leaves in an
-//! edge's flow slot. Every discrete edge pass therefore reads it as
-//! `flows[e] as f64` ([`FlowsAsMemory`]) and keeps no per-edge `f64`
-//! copy: no round phase writes a memory vector, and the framework needs
-//! two internal barriers per round under the worker pool.
+//! edge's flow slot. Every discrete diffusion edge pass therefore reads
+//! it as `flows[e] as f64` ([`FlowsAsMemory`]) and keeps no per-edge
+//! `f64` copy: no round phase writes a memory vector, and the framework
+//! needs two internal barriers per round under the worker pool.
 //! That memory becomes an `f64` vector only on request (the simulator's
 //! `previous_flows()` accessor and its checkpoint snapshots), by the
 //! cast [`prev_from_flows`] performs. The `prev` buffer the passes take is used only
 //! under [`FlowMemory::Scheduled`], whose memory is the unrounded `Ŷ_e`.
+//! Only SOS reads the memory, and only FOS shares its rounds; the
+//! pairwise schemes keep none (see the matching rounds above), and
+//! their `previous_flows()` read zeros.
 //!
 //! # Lane-chunked SIMD form, and why it is bit-exact
 //!
@@ -1343,15 +1349,35 @@ fn is_stale(stale: Option<&[u64]>, e: usize) -> bool {
     stale.is_some_and(|s| bit(s, e) == 1)
 }
 
+/// The flow memory of a scheme that keeps none (the pairwise schemes):
+/// every edge reads `+0.0`, and writes are no-ops. Its elements are
+/// zero-sized, so the view spans any edge range and holds nothing.
+struct NoMemory;
+
+impl Buf for NoMemory {
+    type Val = f64;
+    type Elem = ();
+    #[inline(always)]
+    fn elems(&self) -> &[()] {
+        &[(); usize::MAX]
+    }
+    #[inline(always)]
+    fn read(_e: &()) -> f64 {
+        0.0
+    }
+    #[inline(always)]
+    fn write(_e: &(), _v: f64) {}
+}
+
 /// Lands the flow `y` of the matching edge `(u, v)` at its endpoints:
 /// each endpoint's signed flow `σ·y` goes into its slot of `sent`, with
 /// the arc orientation σ the apply pass multiplies by (`+1` at the tail,
 /// `−1` at the head). The endpoints are matched to no other edge, so each
 /// slot has this one writer in the round.
 #[inline(always)]
-fn land<S: Buf<Val = i64>>(sent: &S, (u, v): (u32, u32), y: i64) {
+fn land<S: Buf>(sent: &S, (u, v): (u32, u32), y: S::Val) {
     sent.set(u as usize, y);
-    sent.set(v as usize, -y);
+    sent.set(v as usize, y * S::Val::from(-1));
 }
 
 /// The randomized framework's excess token on a matching edge `(u, v)`
@@ -1379,90 +1405,77 @@ fn framework_token(rk: u64, (u, v): (u32, u32), g: f64) -> i64 {
     sign * i64::from(draw < g.abs())
 }
 
-/// The edge step of a matching round in discrete mode under
-/// [`FlowMemory::Rounded`], over one participant's word-aligned `edges`:
-/// it visits only the set bits of `active`, the round's matching.
-///
-/// First it retires last round's flows: every edge set in `flowing` (the
-/// edges whose flow slot may be nonzero) but not in `active` gets a zero
-/// flow — the value a gated pass leaves on an inactive edge — and the
-/// words of `flowing` become `active`'s. Then each active edge computes
-/// its scheduled flow `Ŷ_e` through [`Schedule::flow`] (the expression
-/// and operands of every edge pass, the memory read from the flow slot),
-/// rounds it inline — the edge-local roundings as the fused pass does,
-/// the randomized framework by its sender's one draw
-/// ([`framework_token`]) — stores the flow, which is also the next
-/// round's memory, and [`land`]s it at both endpoints unless it is stale.
-/// No fraction buffer and no node-state sweep are needed.
+/// The edge step of a matching round over one participant's word-aligned
+/// `edges`: it visits only the set bits of `active`, the round's
+/// matching. Each active edge computes its scheduled flow `Ŷ_e` from the
+/// `loads` through [`Schedule::flow`] — the expression and operands of
+/// every edge pass, against a memory that reads `+0.0` ([`NoMemory`]) —
+/// turns it into its flow `flow(e, Ŷ_e)` (fluid keeps it, tokens round
+/// it: [`pair_rounding`]), and [`land`]s that at both endpoints unless
+/// the edge is stale. Nothing is stored per edge.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub(crate) fn pair_edge_step<F: Buf<Val = i64>>(
+pub(crate) fn pair_edge_step<S: Buf>(
     t: &KernelTables,
     edges: Range<usize>,
     active: &[u64],
     stale: Option<&[u64]>,
-    (mem, gain, round): (f64, f64, u64),
-    rounding: Rounding,
-    x: impl Fn(usize) -> f64,
-    flows: &F,
-    flowing: &F,
-    sent: &F,
+    (mem, gain): (f64, f64),
+    loads: &S,
+    sent: &S,
+    flow: impl Fn(usize, f64) -> S::Val,
 ) {
     // The pool cuts a matching round's edge chunks at word boundaries,
-    // so each word — and each edge's landing at its endpoints — has one
-    // writer.
+    // so each word is visited by one participant.
     debug_assert!(
         edges.start.is_multiple_of(64) && (edges.end.is_multiple_of(64) || edges.end == t.m),
         "matching-round edge chunks must be cut at word boundaries"
     );
-    let words = edges.start / 64..edges.end.div_ceil(64);
-    for w in words.clone() {
-        let (now, was) = (active[w], flowing.get(w) as u64);
-        let mut retired = was & !now;
-        while retired != 0 {
-            flows.set(64 * w + retired.trailing_zeros() as usize, 0);
-            retired &= retired - 1;
-        }
-        flowing.set(w, now as i64);
-    }
-    let (gate, memory) = (MaskBits(active), FlowsAsMemory(flows));
-    let sched = Schedule::new(t, &gate, 0..t.m, mem, gain, &x, &memory);
+    let (gate, x) = (MaskBits(active), |i| loads.get(i).to_f64());
+    let sched = Schedule::new(t, &gate, 0..t.m, mem, gain, &x, &NoMemory);
     let pairs = t.graph().edges();
-    macro_rules! step {
-        (|$e:ident, $s:ident| $round_expr:expr) => {
-            for_each_set_bit(active, words, |$e| {
-                let $s = sched.flow($e);
-                let y: i64 = $round_expr;
-                flows.set($e, y);
-                if !is_stale(stale, $e) {
-                    land(sent, pairs[$e], y);
-                }
-            })
-        };
-    }
-    match rounding {
-        Rounding::RoundDown => step!(|_e, s| trunc_i64(s)),
-        Rounding::Nearest => step!(|_e, s| round_i64(s)),
-        Rounding::UnbiasedEdge { seed } => step!(|e, s| unbiased_edge(seed, e, round, s)),
+    for_each_set_bit(active, edges.start / 64..edges.end.div_ceil(64), |e| {
+        let y = flow(e, sched.flow(e));
+        if !is_stale(stale, e) {
+            land(sent, pairs[e], y);
+        }
+    });
+}
+
+/// A matching edge's integral flow in `round` for its scheduled flow `s`,
+/// rounded inline: by the edge-local roundings as the fused pass rounds,
+/// and by the randomized framework as its sender's one draw
+/// ([`framework_token`]), so no fraction buffer and no node-state sweep
+/// are needed.
+pub(crate) fn pair_rounding(
+    t: &KernelTables,
+    rounding: Rounding,
+    round: u64,
+) -> impl Fn(usize, f64) -> i64 + '_ {
+    let pairs = t.graph().edges();
+    move |e, s| match rounding {
+        Rounding::RoundDown => trunc_i64(s),
+        Rounding::Nearest => round_i64(s),
+        Rounding::UnbiasedEdge { seed } => unbiased_edge(seed, e, round, s),
         Rounding::RandomizedFramework { seed } => {
+            let base = trunc_i64(s);
             let rk = rng::round_key(seed, round);
-            step!(|e, s| {
-                let base = trunc_i64(s);
-                base + framework_token(rk, pairs[e], s - base as f64)
-            })
+            base + framework_token(rk, pairs[e], s - base as f64)
         }
     }
 }
 
-/// The node step of a matching round over `nodes`: each node's new load
-/// `x − y` and transient load `x − max(y, 0)` from the one signed flow
-/// `y` its matched edge landed in `sent` (a node without a landed flow
-/// keeps its slot's zero), with the fused statistics folded in node
-/// order as [`apply`] folds them. It resets each slot to zero for the
-/// next round.
+/// The node step of a matching round over `nodes`, over whole tokens or
+/// fluid alike: each node's new load `x − (0 + y)` and transient load
+/// `x − (0 + max(y, 0))` from the one signed flow `y` its matched edge
+/// landed in `sent` (a node without a landed flow keeps its slot's
+/// zero), with the fused statistics folded in node order as [`apply`]
+/// folds them. It resets each slot to zero for the next round.
 ///
-/// This is [`apply`]'s result bit for bit: the other arcs of a node carry
-/// a zero flow, and token sums are exact.
-pub(crate) fn pair_node_step<L: Buf<Val = i64>>(
+/// This is [`apply`]'s result bit for bit. Its accumulators also start
+/// at zero (`+0.0` for fluid), and a node's other arcs carry zero flows
+/// there, which change no sum, so a `−0.0` landing counts as `+0.0` in
+/// both.
+pub(crate) fn pair_node_step<L: Buf>(
     t: &KernelTables,
     nodes: Range<usize>,
     sent: &L,
@@ -1473,6 +1486,7 @@ pub(crate) fn pair_node_step<L: Buf<Val = i64>>(
         nodes.start.is_multiple_of(DEV_BLOCK),
         "chunk must be block-aligned"
     );
+    let zero = L::Val::ZERO;
     let mut fold = StatsFold {
         stats: LoadStats::identity(),
         block: 0.0,
@@ -1483,11 +1497,13 @@ pub(crate) fn pair_node_step<L: Buf<Val = i64>>(
         .zip(&sent.elems()[nodes.clone()]);
     for ((k, (le, se)), &ideal) in slots.enumerate().zip(&t.ideal[nodes]) {
         let y = L::read(se);
-        L::write(se, 0);
+        L::write(se, zero);
         let x = L::read(le);
-        fold.node((x - y) as f64, ideal, (x - y.max(0)) as f64);
+        let net = zero + y;
+        let outgoing = zero + select_unpredictable(y > zero, y, zero);
+        fold.node((x - net).to_f64(), ideal, (x - outgoing).to_f64());
         fold.close(start + k + 1, last, block_sums);
-        L::write(le, x - y);
+        L::write(le, x - net);
     }
     fold.stats
 }

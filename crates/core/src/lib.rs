@@ -246,14 +246,13 @@
 //! monomorphized per edge gate, so FOS/SOS run with no mask test — the
 //! layer adds no per-round indirection to them — while the masking fault
 //! channels run the same loop bodies under a branchless per-edge mask
-//! bit. The pairwise plans' active sets are matchings, so in discrete
-//! mode under the rounded flow memory they run a matching round instead:
-//! an edge step over the set bits of the round's matching (word-aligned
-//! edge chunks on the pool), one barrier, and a node step, `O(|M| + n)`
-//! per round rather than `O(m)` and two arc walks, with the gated
-//! phases' results bit for bit. Under a fluid memory (continuous mode,
-//! or the scheduled flow memory) every inactive edge records its signed
-//! zero, so those pairwise rounds keep the gated phases.
+//! bit. The pairwise plans' active sets are matchings, and the pairwise
+//! schemes keep no flow memory, so in every mode they run a matching
+//! round instead: an edge step over the set bits of the round's matching
+//! (word-aligned edge chunks on the pool), one barrier, and a node step,
+//! `O(|M| + n)` per round rather than `O(m)` and two arc walks, with the
+//! gated phases' loads bit for bit. A pairwise run's state is its loads
+//! alone.
 //!
 //! **Persistent worker pool + concurrent scenario scheduling** (`pool` /
 //! `driver` modules). With [`ExperimentBuilder::threads`]`(t > 1)`,

@@ -252,8 +252,8 @@ impl Drop for WorkerPool {
 
 /// Edge chunk boundaries aligned down to multiples of 64 (the final
 /// boundary stays `len`), so every word of a round's edge bitsets lies in
-/// one participant's chunk: a matching round's edge step writes its
-/// flowing-edge words and lands its edges' flows from that chunk alone.
+/// one participant's chunk: a matching round's edge step visits whole
+/// words and lands their edges' flows from that chunk alone.
 /// Like the node alignment below, it never changes simulation results.
 pub(crate) fn word_chunk_bounds(len: usize, parts: usize) -> Vec<usize> {
     let parts = parts.max(1);

@@ -65,20 +65,18 @@
 //!      mask test in the loop; a mask (crash, churn or edge drops)
 //!      runs [`kernel::MaskBits`], which forces an inactive edge's flow
 //!      to zero with a branchless bit test.
-//!    * The two matching plans in discrete mode under
-//!      [`FlowMemory::Rounded`] run a **matching round** (the
-//!      random-matching model of Ghosh and Muthukrishnan, SPAA 1994):
-//!      an edge step that visits only the set bits of the round's
+//!    * The two matching plans run a **matching round** in every mode
+//!      (the random-matching model of Ghosh and Muthukrishnan, SPAA
+//!      1994): an edge step that visits only the set bits of the round's
 //!      matching in the participant's word-aligned edge chunk, computes
-//!      and rounds those flows and lands each at its two endpoints, then
-//!      one barrier and a node step that applies the landed flows and
-//!      folds the fused statistics. A round costs `O(|M| + n)` instead of
-//!      the gated phases' `O(m)` scatter and two `O(2m)` arc walks, and
-//!      its results are theirs bit for bit. Under a fluid flow memory
-//!      (continuous mode, or [`FlowMemory::Scheduled`]) every inactive
-//!      edge records `0.0·Ŷ_e`, whose sign checkpoints and the golden
-//!      traces keep, so the round must write every edge's memory anyway:
-//!      those runs take the gated phases under [`kernel::MaskBits`].
+//!      those flows (and rounds them in discrete mode) and lands each at
+//!      its two endpoints, then one barrier and a node step that applies
+//!      the landed flows and folds the fused statistics. A round costs
+//!      `O(|M| + n)` instead of the gated phases' `O(m)` edge pass and
+//!      `O(2m)` arc walks, and its loads are theirs bit for bit. The
+//!      pairwise schemes keep no flow memory: only SOS reads one, and
+//!      `mem = 0` in every pairwise round, so their state is the loads
+//!      alone.
 //! 3. [`ChunkBufs::collect`] merges the participants' statistics and
 //!    folds the per-block partials in block order.
 //!
@@ -250,8 +248,9 @@ impl Storage for AtomicSlots {
 /// step t−1" under [`FlowMemory::Rounded`]), the stored SOS memory, the
 /// randomized framework's per-edge fractions, the apply pass's
 /// per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials, and the
-/// matching rounds' per-node landing slots and flowing-edge words. Each
-/// piece lives here and nowhere else.
+/// matching rounds' per-node landing slots. Each piece lives here and
+/// nowhere else. A pairwise run holds only its loads, its landing slots
+/// and the block partials: it keeps no per-edge state.
 ///
 /// The element storage is the executor's [`Storage`]: plain `i64`/`f64`
 /// on the sequential executor, viewed as `Cell`s from `&mut` each round
@@ -270,28 +269,34 @@ pub(crate) struct RoundState<S: Storage> {
     frac: Vec<S::Slot<f64>>,
     flows: Vec<S::Slot<i64>>,
     block_sums: Vec<S::Slot<f64>>,
-    sent: Vec<S::Slot<i64>>,
-    flowing: Vec<S::Slot<i64>>,
+    sent_i: Vec<S::Slot<i64>>,
+    sent_f: Vec<S::Slot<f64>>,
     discrete: bool,
-    /// Whether the SOS memory is the integral flows (discrete mode under
-    /// [`FlowMemory::Rounded`]) rather than `prev`.
+    /// Whether the memory is integral: discrete mode under
+    /// [`FlowMemory::Rounded`], whose SOS memory is the integral flows.
     rounded: bool,
+    /// The edge count of a run that keeps no flow memory (the pairwise
+    /// plans), whose memory reads as that many zeros; `None` for the
+    /// diffusion plan.
+    zero_memory: Option<usize>,
 }
 
 impl<S: Storage> RoundState<S> {
     /// The round-0 state for `loads`, sized by the one rule: loads of the
-    /// mode's kind, `flows` in discrete mode, `prev` only where the SOS
-    /// memory is not the integral flows (continuous mode — whose `prev`
-    /// also carries the round's flows — and [`FlowMemory::Scheduled`]),
-    /// `frac` (one slot per edge) only where the randomized framework's
-    /// rounding phase reads it ([`SchemeKernel::needs_fracs`]), and, for
-    /// the matching rounds ([`SchemeKernel::sparse_rounding`]), one
-    /// landing slot per node and the flowing-edge words.
+    /// mode's kind, and then by plan. The diffusion plan keeps `flows` in
+    /// discrete mode, `prev` only where the SOS memory is not the integral
+    /// flows (continuous mode — whose `prev` also carries the round's
+    /// flows — and [`FlowMemory::Scheduled`]), and `frac` (one slot per
+    /// edge) only for the randomized framework's rounding phase. The
+    /// matching plans keep one landing slot per node, of the mode's value
+    /// type, and nothing per edge.
     pub fn new(k: &SchemeKernel, loads: Vec<i64>) -> Self {
         let (t, flow_memory) = (&k.tables, k.flow_memory);
         let discrete = !matches!(k.flow, FlowPass::Continuous);
-        let stored_prev = !discrete || flow_memory == FlowMemory::Scheduled;
-        let sparse = k.sparse_rounding().is_some();
+        let pairwise = k.plan.is_matching();
+        let diffusion = !pairwise;
+        let stored_prev = diffusion && (!discrete || flow_memory == FlowMemory::Scheduled);
+        let framework = matches!(k.flow, FlowPass::Framework { .. });
         let zeros = |len: usize| (0..len).map(|_| S::of(0.0)).collect();
         let ints = |len: usize| (0..len).map(|_| S::of(0)).collect();
         let sized = |yes: bool, len: usize| if yes { len } else { 0 };
@@ -305,13 +310,14 @@ impl<S: Storage> RoundState<S> {
             loads_i,
             loads_f,
             prev: zeros(sized(stored_prev, t.m)),
-            frac: zeros(sized(k.needs_fracs(), t.m)),
-            flows: ints(sized(discrete, t.m)),
+            frac: zeros(sized(diffusion && framework, t.m)),
+            flows: ints(sized(diffusion && discrete, t.m)),
             block_sums: zeros(kernel::dev_blocks(t.n)),
-            sent: ints(sized(sparse, t.n)),
-            flowing: ints(sized(sparse, t.m.div_ceil(64))),
+            sent_i: ints(sized(pairwise && discrete, t.n)),
+            sent_f: zeros(sized(pairwise && !discrete, t.n)),
             discrete,
             rounded: discrete && flow_memory == FlowMemory::Rounded,
+            zero_memory: pairwise.then_some(t.m),
         }
     }
 
@@ -320,8 +326,9 @@ impl<S: Storage> RoundState<S> {
         self.discrete
     }
 
-    /// Whether the SOS memory is the integral flows themselves: discrete
-    /// mode under [`FlowMemory::Rounded`].
+    /// Whether the memory is integral: discrete mode under
+    /// [`FlowMemory::Rounded`], where the SOS memory is the integral
+    /// flows themselves.
     pub fn rounded_memory(&self) -> bool {
         self.rounded
     }
@@ -364,11 +371,14 @@ impl<S: Storage> RoundState<S> {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// The SOS memory as `f64`: materialized from the integral flows
-    /// under [`FlowMemory::Rounded`] (the values
-    /// [`kernel::prev_from_flows`] produces), `prev` otherwise.
+    /// The SOS memory as `f64`: `m` zeros for the pairwise plans, which
+    /// keep none; materialized from the integral flows under
+    /// [`FlowMemory::Rounded`] (the values [`kernel::prev_from_flows`]
+    /// produces), `prev` otherwise.
     pub fn memory(&self) -> Cow<'_, [f64]> {
-        if self.rounded {
+        if let Some(m) = self.zero_memory {
+            Cow::Owned(vec![0.0; m])
+        } else if self.rounded {
             Cow::Owned(self.flows.iter().map(|y| S::get(y) as f64).collect())
         } else {
             S::values(&self.prev)
@@ -378,7 +388,8 @@ impl<S: Storage> RoundState<S> {
     /// Overwrites the loads and the SOS memory (checkpoint restore). The
     /// caller has checked that the snapshot matches the mode and the
     /// node and edge counts and, under [`FlowMemory::Rounded`], that every
-    /// memory value is integral, so each store is exact.
+    /// memory value is integral, so each store is exact. A pairwise run
+    /// keeps no memory and ignores it: no round of its scheme reads one.
     pub fn write_state(&mut self, loads: &LoadsSnapshot, memory: &[f64]) {
         match loads {
             LoadsSnapshot::Discrete(src) => self.loads_i = src.iter().map(|&x| S::of(x)).collect(),
@@ -386,25 +397,19 @@ impl<S: Storage> RoundState<S> {
                 self.loads_f = src.iter().map(|&x| S::of(x)).collect()
             }
         }
-        if self.rounded {
+        if self.zero_memory.is_some() {
+            // Nothing to restore.
+        } else if self.rounded {
             self.flows = memory.iter().map(|&x| S::of(x as i64)).collect();
-            if !self.flowing.is_empty() {
-                // Exactly the edges the restored memory has flowing.
-                let mut words = vec![0u64; self.flowing.len()];
-                for (e, _) in memory.iter().enumerate().filter(|&(_, &y)| y != 0.0) {
-                    words[e / 64] |= 1 << (e % 64);
-                }
-                self.flowing = words.into_iter().map(|w| S::of(w as i64)).collect();
-            }
         } else {
             self.prev = memory.iter().map(|&x| S::of(x)).collect();
         }
     }
 
     /// Bytes of per-node and per-edge simulation state: loads, integral
-    /// flows, stored memory and framework fractions. The block partials,
-    /// the matching rounds' landing slots (zero between rounds) and their
-    /// flowing-edge words are round scratch and excluded.
+    /// flows, stored memory and framework fractions, so `8·n` for a
+    /// pairwise run. The block partials and the matching rounds' landing
+    /// slots (zero between rounds) are round scratch and excluded.
     pub fn state_bytes(&self) -> usize {
         let edges = self.prev.len() + self.frac.len() + self.flows.len();
         8 * (self.loads_i.len() + self.loads_f.len() + edges)
@@ -421,8 +426,8 @@ impl RoundState<PlainSlots> {
             frac: kernel::cells(&mut self.frac),
             flows: kernel::cells(&mut self.flows),
             block_sums: kernel::cells(&mut self.block_sums),
-            sent: kernel::cells(&mut self.sent),
-            flowing: kernel::cells(&mut self.flowing),
+            sent_i: kernel::cells(&mut self.sent_i),
+            sent_f: kernel::cells(&mut self.sent_f),
         }
     }
 }
@@ -437,8 +442,8 @@ impl RoundState<AtomicSlots> {
             frac: Atomics(&self.frac),
             flows: Atomics(&self.flows),
             block_sums: Atomics(&self.block_sums),
-            sent: Atomics(&self.sent),
-            flowing: Atomics(&self.flowing),
+            sent_i: Atomics(&self.sent_i),
+            sent_f: Atomics(&self.sent_f),
         }
     }
 }
@@ -458,24 +463,23 @@ pub(crate) struct ChunkBufs<I, F> {
     pub prev: F,
     /// Per-edge signed fractional parts `Ŷ_e − trunc(Ŷ_e)`, written by
     /// the framework's scatter and read back by its rounding phase
-    /// (framework flow pass only).
+    /// (framework flow pass of the diffusion plan only).
     pub frac: F,
-    /// Per-edge integral flows (discrete mode), kept across rounds: they
-    /// are the SOS memory under [`FlowMemory::Rounded`].
+    /// Per-edge integral flows (discrete diffusion), kept across rounds:
+    /// they are the SOS memory under [`FlowMemory::Rounded`].
     pub flows: I,
     /// Per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials of
     /// the apply pass; node chunks are block-aligned, so each has one
     /// writer per round.
     pub block_sums: F,
     /// Per-node signed flow `σ·y` the node's matching edge landed this
-    /// round, zero otherwise (matching rounds): written by the edge step,
-    /// read and reset to zero by the node step.
-    pub sent: I,
-    /// Words of the edges whose integral flow may be nonzero (matching
-    /// rounds): the edges the next edge step must zero if they are
-    /// inactive then. Each word has one writer, the participant whose
-    /// word-aligned edge chunk holds it.
-    pub flowing: I,
+    /// round, zero otherwise (matching rounds; `sent_i` for tokens,
+    /// `sent_f` for fluid): written by the edge step, read and reset to
+    /// zero by the node step. Each slot has one writer per round, since
+    /// the round's active set is a matching.
+    pub sent_i: I,
+    /// Fluid landing slots (continuous matching rounds); see `sent_i`.
+    pub sent_f: F,
 }
 
 impl<I, F: Buf<Val = f64>> ChunkBufs<I, F> {
@@ -612,30 +616,6 @@ impl SchemeKernel {
         }
     }
 
-    /// Whether the flow pass keeps the randomized framework's per-edge
-    /// fractions: every framework round except the matching rounds whose
-    /// edge step rounds inline ([`Self::sparse_rounding`]).
-    pub fn needs_fracs(&self) -> bool {
-        matches!(self.flow, FlowPass::Framework { .. }) && self.sparse_rounding().is_none()
-    }
-
-    /// The rounding a matching round's edge step applies inline, if the
-    /// plan's rounds are matching rounds: a matching plan in discrete mode
-    /// under [`FlowMemory::Rounded`]. Under a fluid memory (continuous
-    /// mode, or [`FlowMemory::Scheduled`]) an inactive edge records
-    /// `0.0·Ŷ_e = ±0.0`, and checkpoints and the golden traces keep that
-    /// sign, so those rounds write every edge's memory in the gated phases.
-    fn sparse_rounding(&self) -> Option<Rounding> {
-        if !self.plan.is_matching() || self.flow_memory != FlowMemory::Rounded {
-            return None;
-        }
-        match self.flow {
-            FlowPass::Continuous => None,
-            FlowPass::EdgeLocal(rounding) => Some(rounding),
-            FlowPass::Framework { seed } => Some(Rounding::RandomizedFramework { seed }),
-        }
-    }
-
     /// The sweep family and its repair style, if the plan is a sweep.
     /// Crate-visible so checkpoint restore can re-derive the membership
     /// epoch the snapshot was taken in.
@@ -689,12 +669,12 @@ impl SchemeKernel {
 
     /// One participant's share of a round, over its `edges` and `nodes`,
     /// on the `masks` [`Self::prepare`] returned, as given: a matching
-    /// round ([`Self::sparse_rounding`]) runs [`Self::matching_round`] on
-    /// its active words; every other round runs [`Self::phases`] gated by
-    /// [`MaskBits`] over the active words if there are any, else
-    /// [`AllEdges`]. `sync` runs between phases: a no-op for the
-    /// sequential executor's one participant over every edge and node,
-    /// the barrier on the pool. The only caller of both.
+    /// plan's round runs [`Self::matching_round`] on its active words; a
+    /// diffusion round runs [`Self::phases`] gated by [`MaskBits`] over
+    /// the active words if there are any, else [`AllEdges`]. `sync` runs
+    /// between phases: a no-op for the sequential executor's one
+    /// participant over every edge and node, the barrier on the pool. The
+    /// only caller of both.
     #[allow(clippy::too_many_arguments)] // one participant's full round context
     pub fn participate<I: Buf<Val = i64>, F: Buf<Val = f64>>(
         &self,
@@ -707,37 +687,33 @@ impl SchemeKernel {
         sync: impl Fn(),
     ) -> LoadStats {
         let stale = masks.stale;
-        match (masks.active, self.sparse_rounding()) {
-            (Some(words), Some(rounding)) => {
-                self.matching_round(args, rounding, edges, nodes, bufs, words, stale, sync)
+        match masks.active {
+            Some(words) if self.plan.is_matching() => {
+                self.matching_round(args, edges, nodes, bufs, words, stale, sync)
             }
-            (Some(words), None) => {
-                let gate = MaskBits(words);
-                self.phases(args, edges, nodes, bufs, fw, gate, stale, sync)
-            }
-            (None, _) => self.phases(args, edges, nodes, bufs, fw, AllEdges, stale, sync),
+            Some(words) => self.phases(args, edges, nodes, bufs, fw, MaskBits(words), stale, sync),
+            None => self.phases(args, edges, nodes, bufs, fw, AllEdges, stale, sync),
         }
     }
 
     /// One participant's share of a matching round (a `Sweep` or `Random`
-    /// plan in discrete mode under [`FlowMemory::Rounded`], whose `active`
-    /// words are a matching): an edge step over the participant's
-    /// word-aligned `edges`, `sync`, then a node step over its `nodes`:
-    /// two phases with one barrier on the pool.
+    /// plan, whose `active` words are a matching), in any mode: an edge
+    /// step over the participant's word-aligned `edges`, `sync`, then a
+    /// node step over its `nodes`: two phases with one barrier on the
+    /// pool.
     ///
     /// The edge step ([`kernel::pair_edge_step`]) visits only the
-    /// matching: it computes and rounds each active edge's flow with
-    /// `rounding` and lands each non-stale one at its two endpoints
-    /// ([`ChunkBufs::sent`]). The node step ([`kernel::pair_node_step`])
+    /// matching: it computes each active edge's flow, rounded inline in
+    /// discrete mode, and lands each non-stale one at its two endpoints
+    /// ([`ChunkBufs::sent_i`]). The node step ([`kernel::pair_node_step`])
     /// applies the landed flows and folds the fused statistics in node
-    /// order. The result is the gated phase sequence's ([`Self::phases`])
-    /// bit for bit: an inactive edge's flow is zero there and moves no
-    /// load.
+    /// order. The loads are those of the gated phase sequence
+    /// ([`Self::phases`]) bit for bit: an inactive edge's flow is zero
+    /// there and moves no load.
     #[allow(clippy::too_many_arguments)] // one participant's full round context
     fn matching_round<I: Buf<Val = i64>, F: Buf<Val = f64>>(
         &self,
         args: &RoundArgs,
-        rounding: Rounding,
         edges: Range<usize>,
         nodes: Range<usize>,
         bufs: &ChunkBufs<I, F>,
@@ -746,22 +722,22 @@ impl SchemeKernel {
         sync: impl Fn(),
     ) -> LoadStats {
         let &RoundArgs { mem, gain, round } = args;
-        let (t, flows, sent) = (&self.tables, &bufs.flows, &bufs.sent);
-        let x = |i| bufs.loads_i.get(i) as f64;
-        kernel::pair_edge_step(
-            t,
-            edges,
-            active,
-            stale,
-            (mem, gain, round),
-            rounding,
-            x,
-            flows,
-            &bufs.flowing,
-            sent,
-        );
-        sync();
-        kernel::pair_node_step(t, nodes, sent, &bufs.loads_i, &bufs.block_sums)
+        let t = &self.tables;
+        macro_rules! steps {
+            ($loads:expr, $sent:expr, $flow:expr) => {{
+                let (loads, sent) = ($loads, $sent);
+                kernel::pair_edge_step(t, edges, active, stale, (mem, gain), loads, sent, $flow);
+                sync();
+                kernel::pair_node_step(t, nodes, sent, loads, &bufs.block_sums)
+            }};
+        }
+        let rounding = match self.flow {
+            FlowPass::Continuous => return steps!(&bufs.loads_f, &bufs.sent_f, |_, s| s),
+            FlowPass::EdgeLocal(rounding) => rounding,
+            FlowPass::Framework { seed } => Rounding::RandomizedFramework { seed },
+        };
+        let flow = kernel::pair_rounding(t, rounding, round);
+        steps!(&bufs.loads_i, &bufs.sent_i, flow)
     }
 
     /// The one phase sequence of a round, over one participant's `edges`
@@ -975,17 +951,99 @@ mod tests {
         let mut scratch = RoundScratch::new();
         let stats = discrete_round(&k, 0, &mut state, &mut scratch);
         assert_eq!(state.loads_i64().unwrap(), &[5, 5][..]);
-        // Under `Rounded` the flow slot is the SOS memory: no `f64`
-        // memory is stored beside it.
-        assert_eq!(state.memory(), &[5.0][..]);
-        assert_eq!(state.state_bytes(), 8 * (2 + 1));
+        // A pairwise run keeps no flow memory: it reads as zeros, and
+        // the state is the loads alone.
+        assert_eq!(state.memory(), &[0.0][..]);
+        assert_eq!(state.state_bytes(), 8 * 2);
         assert_eq!(stats.min_transient, 0.0); // node 1: 0 − 0; node 0: 10 − 5
+    }
+
+    /// The pairwise schemes, and the modes a pairwise run can take:
+    /// discrete under either flow memory, with an edge-local rounding and
+    /// the randomized framework, and continuous.
+    fn pairwise_configs(g: &Graph) -> Vec<Config> {
+        let schemes = [
+            Scheme::dimension_exchange(1.0),
+            Scheme::matching_round_robin(1.0),
+            Scheme::matching_random(3, 1.0),
+        ];
+        let mut modes = vec![(Mode::Continuous, FlowMemory::Rounded)];
+        for flow_memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
+            for rounding in [Rounding::nearest(), Rounding::randomized(5)] {
+                modes.push((Mode::Discrete(rounding), flow_memory));
+            }
+        }
+        let mut configs = Vec::new();
+        for scheme in schemes {
+            for &(mode, flow_memory) in &modes {
+                configs.push(Config {
+                    scheme,
+                    mode,
+                    flow_memory,
+                    ..Config::new(g)
+                });
+            }
+        }
+        configs
+    }
+
+    /// A pairwise run holds its loads alone, `8·n` bytes, in every mode
+    /// and on both executors, before and after its rounds run.
+    #[test]
+    fn pairwise_state_is_the_loads_alone() {
+        use crate::pool::{RoundJob, WorkerPool};
+        let g = generators::torus2d(6, 6);
+        let (n, m) = (g.node_count(), g.edge_count());
+        let pool = WorkerPool::new(3);
+        for config in pairwise_configs(&g) {
+            let what = format!(
+                "{} {:?} {:?}",
+                config.scheme, config.mode, config.flow_memory
+            );
+            let total = 100 * n as i64;
+            let k = Arc::new(SchemeKernel::new(
+                &config,
+                &g,
+                &Speeds::uniform(n),
+                total as f64,
+            ));
+            let mut loads = vec![0; n];
+            loads[0] = total;
+            let mut state = RoundState::<PlainSlots>::new(&k, loads.clone());
+            let pooled = RoundState::<AtomicSlots>::new(&k, loads);
+            let mut job = Arc::new(RoundJob::new(pool.threads(), Arc::clone(&k), pooled));
+            let (mut scratch, mut pooled_scratch) = (RoundScratch::new(), RoundScratch::new());
+            for round in 0..3 {
+                assert_eq!(state.state_bytes(), 8 * n, "{what}");
+                assert_eq!(job.state.state_bytes(), 8 * n, "{what} (pooled)");
+                let args = RoundArgs {
+                    gain: 1.0,
+                    round,
+                    ..Default::default()
+                };
+                let bufs = state.bufs();
+                let masks = k.prepare(round, &bufs, &mut scratch.matchgen, &mut scratch.perturb);
+                let stats = k.participate(&args, 0..m, 0..n, &bufs, masks, &mut scratch.fw, || {});
+                let stats = bufs.collect([stats]);
+                Arc::get_mut(&mut job)
+                    .unwrap()
+                    .prepare(args, &mut pooled_scratch);
+                assert_eq!(
+                    pool.run_round(&job, &mut pooled_scratch.fw),
+                    stats,
+                    "{what}"
+                );
+            }
+            assert_eq!(state.loads(), job.state.loads(), "{what}");
+            assert!(state.load_of(0) < total as f64, "{what}: node 0 sent load");
+            assert_eq!(state.memory().into_owned(), vec![0.0; m], "{what}");
+        }
     }
 
     #[test]
     fn inactive_color_class_moves_nothing() {
-        // On a 4-cycle (2 color classes) only the active class's edges
-        // carry flow each round.
+        // On a 4-cycle (2 color classes) only the endpoints of the active
+        // class's edges change load each round.
         let g = generators::cycle(4);
         let mode = Mode::Discrete(Rounding::nearest());
         let k = kernel(
@@ -997,17 +1055,30 @@ mod tests {
         let mut state = RoundState::new(&k, vec![100, 0, 0, 0]);
         let mut scratch = RoundScratch::new();
         for round in 0..2 {
+            let before = state.loads_i64().unwrap().into_owned();
             discrete_round(&k, round, &mut state, &mut scratch);
             let ActivePlan::Sweep { masks, .. } = &k.plan else {
                 unreachable!()
             };
             let words = &masks[(round % masks.len() as u64) as usize];
-            for (e, &f) in state.memory().iter().enumerate() {
-                let active = (words[e >> 6] >> (e & 63)) & 1 == 1;
-                if !active {
-                    assert_eq!(f, 0.0, "round {round}: inactive edge {e} moved {f}");
+            let mut touched = [false; 4];
+            for (e, &(u, v)) in g.edges().iter().enumerate() {
+                if (words[e >> 6] >> (e & 63)) & 1 == 1 {
+                    (touched[u as usize], touched[v as usize]) = (true, true);
                 }
             }
+            let after = state.loads_i64().unwrap();
+            for v in (0..4).filter(|&v| !touched[v]) {
+                assert_eq!(
+                    after[v], before[v],
+                    "round {round}: unmatched node {v} moved"
+                );
+            }
+            assert_ne!(
+                after,
+                &before[..],
+                "round {round}: the active class moved load"
+            );
         }
         let total: i64 = state.loads_i64().unwrap().iter().sum();
         assert_eq!(total, 100, "tokens conserved");

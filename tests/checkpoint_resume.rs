@@ -100,7 +100,7 @@ const GOLDEN: &[Golden] = &[
         rounds: 60,
         resume_at: 29,
         threads: &[1, 3],
-        checksum: 0x1059328902898be5,
+        checksum: 0x293596f41a179cc5,
     },
     Golden {
         name: "torus_de_randomized",
@@ -109,7 +109,7 @@ const GOLDEN: &[Golden] = &[
         rounds: 60,
         resume_at: 37,
         threads: &[1, 3],
-        checksum: 0x309b74ddad5025da,
+        checksum: 0x79ddcb82b6ab9903,
     },
     Golden {
         name: "cycle_matching_rr",
@@ -117,7 +117,7 @@ const GOLDEN: &[Golden] = &[
         rounds: 45,
         resume_at: 23,
         threads: &[1, 3],
-        checksum: 0xc26364164de48acf,
+        checksum: 0x25b4d1eb89f2313f,
     },
     Golden {
         // `resume_at: 33` straddles the crash channel's 16-round epoch:
@@ -161,7 +161,7 @@ const GOLDEN: &[Golden] = &[
         rounds: 80,
         resume_at: 43,
         threads: &[1, 4],
-        checksum: 0x7cbb471521179a82,
+        checksum: 0x3399f37f952ba7fb,
     },
 ];
 
@@ -520,4 +520,57 @@ fn ckpt_policy_that_does_not_parse_back_is_refused() {
     let ckpt = read_checkpoint(&base.join("plain").join("my scenario.ckpt")).unwrap();
     assert_eq!(ckpt.spec.name, "my_scenario");
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// A pairwise checkpoint written while the pairwise schemes still kept
+/// the last round's integral flows as a memory resumes exactly. The
+/// committed fixture (`tests/fixtures/checkpoint_v2_pairwise.ckpt`) is
+/// the `torus_de_randomized` golden scenario frozen at round 37 by such
+/// a build, with nonzero flows in its memory section. Restore checks that
+/// memory and ignores it, and the resumed run reaches the loads of the
+/// uninterrupted one, and the pinned golden checksum, on both executors.
+#[test]
+fn pairwise_checkpoint_with_stored_flows_resumes_exactly() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/checkpoint_v2_pairwise.ckpt");
+    let bytes = std::fs::read(&path).unwrap();
+    let ckpt = read_checkpoint(&path).unwrap();
+    assert_eq!(ckpt.snapshot.round(), 37);
+    let graph = ckpt.spec.build_graph().unwrap();
+    let m = graph.edge_count();
+    let dir = scratch_dir("pairwise");
+    for threads in [1, 3] {
+        let mut spec = ckpt.spec.clone();
+        spec.threads = threads;
+        let experiment = spec.experiment_on(&graph).unwrap();
+
+        // A fresh write at the same round differs from the fixture in
+        // one `m`-value window only, the memory: this build writes zeros.
+        let mut fresh = experiment.simulator();
+        fresh.run_until(StopCondition::MaxRounds(37));
+        let rewritten = dir.join(format!("fresh-t{threads}.ckpt"));
+        write_checkpoint(&rewritten, &ckpt.spec, &fresh.snapshot()).unwrap();
+        let fresh_bytes = std::fs::read(&rewritten).unwrap();
+        assert_eq!(fresh_bytes.len(), bytes.len());
+        let body = bytes.len() - 8; // the trailing checksum differs too
+        let differ: Vec<usize> = (0..body).filter(|&i| bytes[i] != fresh_bytes[i]).collect();
+        let (first, last) = (differ[0], differ[differ.len() - 1]);
+        assert!(last - first < 8 * m, "only the memory section differs");
+
+        let mut whole = experiment.simulator();
+        whole.run_until(StopCondition::MaxRounds(60));
+        let mut resumed = experiment.simulator();
+        resumed.restore(&ckpt.snapshot).unwrap();
+        assert!(resumed.previous_flows().iter().all(|&f| f.to_bits() == 0));
+        resumed.run_until(StopCondition::MaxRounds(60 - 37));
+        assert_eq!(resumed.loads_i64(), whole.loads_i64(), "t{threads}: loads");
+        assert_eq!(
+            resumed.min_transient_load().to_bits(),
+            whole.min_transient_load().to_bits(),
+            "t{threads}: minimum transient load"
+        );
+        let golden = GOLDEN.iter().find(|g| g.name == "torus_de_randomized");
+        assert_eq!(state_checksum(&resumed), golden.unwrap().checksum);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

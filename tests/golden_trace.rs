@@ -30,13 +30,25 @@
 //! 4. the commit re-pinning the value must state what changed and why
 //!    the old trace could not be preserved.
 //!
-//! Applied once so far: `regular_matching_random_heterogeneous`, when
-//! the random-matching generator's `O(m log m)` full-key sort was
-//! replaced by the `O(m)` counting-scatter bucket pass — the greedy
-//! visit order became "key-prefix bucket, then edge id" instead of the
-//! full `(key, edge)` order, so rounds draw different (equally valid)
-//! maximal matchings. Diffusion, dimension-exchange, and round-robin
-//! matching traces were unaffected.
+//! Applied twice so far:
+//!
+//! * `regular_matching_random_heterogeneous`, when the random-matching
+//!   generator's `O(m log m)` full-key sort was replaced by the `O(m)`
+//!   counting-scatter bucket pass — the greedy visit order became
+//!   "key-prefix bucket, then edge id" instead of the full `(key, edge)`
+//!   order, so rounds draw different (equally valid) maximal matchings.
+//!   Diffusion, dimension-exchange, and round-robin matching traces were
+//!   unaffected.
+//! * Memory that no round reads. Dimension exchange and matching
+//!   balancing run with `mem = 0`, so no round ever read the flow memory
+//!   their runs kept; when they stopped keeping one, their
+//!   `previous_flows()` became `m` zeros. Every pairwise row's full
+//!   checksum was re-pinned then, and only those rows. The case falls
+//!   outside rule 1 — nothing random or arithmetic changed — and the
+//!   proof that it changed nothing a run computes is the second pin of
+//!   every row, [`loads_checksum`] (loads and minimum transient load,
+//!   pinned in its own commit before the change): every one of them held,
+//!   on both executors, as did every diffusion row's full checksum.
 
 use sodiff::graph::generators;
 use sodiff::prelude::*;
@@ -231,7 +243,7 @@ fn torus_dimension_exchange_nearest() {
         );
         run_and_check(
             "torus_de_nearest",
-            (0x1059328902898be5, 0x9f5ac034fdf74cc5),
+            (0x293596f41a179cc5, 0x9f5ac034fdf74cc5),
             sim,
             60,
         );
@@ -252,7 +264,7 @@ fn torus_dimension_exchange_randomized_framework() {
         );
         run_and_check(
             "torus_de_randomized",
-            (0x309b74ddad5025da, 0x44fa2a31a64f6903),
+            (0x79ddcb82b6ab9903, 0x44fa2a31a64f6903),
             sim,
             60,
         );
@@ -271,7 +283,7 @@ fn cycle_matching_round_robin() {
         );
         run_and_check(
             "cycle_matching_rr",
-            (0xc26364164de48acf, 0xb79e68758bdd915f),
+            (0x25b4d1eb89f2313f, 0xb79e68758bdd915f),
             sim,
             45,
         );
@@ -409,7 +421,7 @@ fn regular_matching_random_heterogeneous() {
             .simulator();
         run_and_check(
             "regular_matching_random",
-            (0x7cbb471521179a82, 0xc235b9b0b18379bb),
+            (0x3399f37f952ba7fb, 0xc235b9b0b18379bb),
             sim,
             80,
         );
@@ -528,66 +540,66 @@ const PERTURBATION_TABLE: &[(&str, &str, &str, u64, u64, u64)] = &[
     ("sos", "crash+shock+flux+adversarial", "continuous", 0xa93004c93aa76e06, 0xfd2593939e3fa97c, 0x092f772aff1dfb1c),
     ("sos", "flux+load", "nearest", 0xd25684a554bfaca9, 0x292580e9856dee51, 0x168c2d9184208ffc),
     ("sos", "flux+load", "continuous", 0x18d3450cef851cf8, 0xd9bec46cd3206b73, 0x19b4dbc345915dd0),
-    ("de", "crash+edgedrop+stale+shock", "nearest", 0x78cc71f89d2dd2c6, 0xd32819649f47ba7d, 0xef398a34c05c8a43),
-    ("de", "crash+edgedrop+stale+shock", "continuous", 0x021ca16ba42e487f, 0x87b4009785a7daa3, 0xef398a34c05c8a43),
-    ("de", "shock+stale", "nearest", 0x2fc64b57819521d2, 0xd694265bc1b15289, 0x4a157713be699537),
-    ("de", "shock+stale", "continuous", 0x6850be8e328e61d5, 0xaf80b863924e097d, 0x4a157713be699537),
-    ("de", "flux", "nearest", 0x380d2c46aba31273, 0x1bf94bd4cfd6707b, 0x82ad8397c7322d52),
-    ("de", "flux", "continuous", 0x3927beb03818dceb, 0xeffdc64bf2ea6908, 0x82ad8397c7322d52),
-    ("de", "crash+flux+edgedrop", "nearest", 0xb84e33c5b77bcfcf, 0x20ac9f6d790b3997, 0xeec0b9a6663f5917),
-    ("de", "crash+flux+edgedrop", "continuous", 0xaf329f08d132175e, 0xb2be8101dd8af0e5, 0xeec0b9a6663f5917),
-    ("de", "crash+shock+flux+adversarial", "nearest", 0x71daa547c78bfce8, 0x682199ca07edd018, 0xbd41b0a7be047b06),
-    ("de", "crash+shock+flux+adversarial", "continuous", 0xaca59aa497d03bfb, 0xb59a430a1e90c3f7, 0x6d6112680ba8c1dd),
-    ("de", "flux+load", "nearest", 0xe5d073fb0f3acc5d, 0x6489549ee2248c6c, 0x168c2d9184208ffc),
-    ("de", "flux+load", "continuous", 0x1b81826a144b8809, 0x1baf2a63cd094c15, 0x19b4dbc345915dd0),
-    ("matching_rr", "crash+edgedrop+stale+shock", "nearest", 0xfa27c8fd7ee3d605, 0x4d472fe136cc4c9b, 0xb6683f18ae4b48a0),
-    ("matching_rr", "crash+edgedrop+stale+shock", "continuous", 0x8f6baf7fe24616ba, 0x9677fb275cdb04ff, 0xb6683f18ae4b48a0),
-    ("matching_rr", "shock+stale", "nearest", 0x2fc64b57819521d2, 0xd694265bc1b15289, 0x4a157713be699537),
-    ("matching_rr", "shock+stale", "continuous", 0x6850be8e328e61d5, 0xaf80b863924e097d, 0x4a157713be699537),
-    ("matching_rr", "flux", "nearest", 0xa26d99bce7117b50, 0x362cf977cbce44c5, 0x82ad8397c7322d52),
-    ("matching_rr", "flux", "continuous", 0x26cb2d1c87b6cf24, 0x4f4b694047464837, 0x82ad8397c7322d52),
-    ("matching_rr", "crash+flux+edgedrop", "nearest", 0x2e2bf2a8811d0ac0, 0x40a4b8dd7594b7b1, 0x9b01a59fa2332f83),
-    ("matching_rr", "crash+flux+edgedrop", "continuous", 0xab0504f4c04b256a, 0x8ab81ce936479a9f, 0x9b01a59fa2332f83),
-    ("matching_rr", "crash+shock+flux+adversarial", "nearest", 0xc043fd8d449fe80e, 0x8bdf62f6e58191e4, 0xde6b3aaaa4d13e41),
-    ("matching_rr", "crash+shock+flux+adversarial", "continuous", 0xf38c63f9d5bfdc15, 0xd35f450231cf56bd, 0xf84411d080ca8a36),
-    ("matching_rr", "flux+load", "nearest", 0x43a100a184da730e, 0x2e76f6cd64d62db6, 0x168c2d9184208ffc),
-    ("matching_rr", "flux+load", "continuous", 0x460f06b5fab8da7f, 0x0001cd43b601fef8, 0x19b4dbc345915dd0),
-    ("matching_random", "crash+edgedrop+stale+shock", "nearest", 0xde1e5ccd37fbf208, 0x07f4be6ac6cdd131, 0xf2a7d75dbb36da1a),
-    ("matching_random", "crash+edgedrop+stale+shock", "continuous", 0x69432fb076d9c6a2, 0xb822e5099dacd9c8, 0xf2a7d75dbb36da1a),
-    ("matching_random", "shock+stale", "nearest", 0xd3dd6bd011627c1f, 0x03f4726e44a956c9, 0x244342cf3ac82384),
-    ("matching_random", "shock+stale", "continuous", 0x8915086d0aeb556d, 0x3c26f066ca269efd, 0x244342cf3ac82384),
-    ("matching_random", "flux", "nearest", 0xb7dca1178fad6aae, 0x35788e88eb10dfd5, 0x8e39bff394471315),
-    ("matching_random", "flux", "continuous", 0xbbecaa521709a051, 0x9f5f67823a131902, 0x8e39bff394471315),
-    ("matching_random", "crash+flux+edgedrop", "nearest", 0xb68477ddc75884ec, 0x263e86ba00f0c841, 0x576f3d3d9a5ec952),
-    ("matching_random", "crash+flux+edgedrop", "continuous", 0xd3aee2afc04f822d, 0xb798d600d0051cbf, 0x576f3d3d9a5ec952),
-    ("matching_random", "crash+shock+flux+adversarial", "nearest", 0x049a2dcfa7223f8d, 0x2ba69266fc2f95cc, 0xe952114f0de4d6ac),
-    ("matching_random", "crash+shock+flux+adversarial", "continuous", 0x52c629e494a3edce, 0xb7acaa27a15fa99e, 0xa9fc9b35772d05e1),
-    ("matching_random", "flux+load", "nearest", 0xec5ed01d103fa36b, 0x2f4efa6fdeb307f2, 0x168c2d9184208ffc),
-    ("matching_random", "flux+load", "continuous", 0x31dbeefe772249ed, 0x818950bbabef4f90, 0x19b4dbc345915dd0),
+    ("de", "crash+edgedrop+stale+shock", "nearest", 0x86cea9daef238a7d, 0xd32819649f47ba7d, 0xef398a34c05c8a43),
+    ("de", "crash+edgedrop+stale+shock", "continuous", 0xf1d68e93ab9e0aa3, 0x87b4009785a7daa3, 0xef398a34c05c8a43),
+    ("de", "shock+stale", "nearest", 0x79471381e23de289, 0xd694265bc1b15289, 0x4a157713be699537),
+    ("de", "shock+stale", "continuous", 0xc4cb33804319d97d, 0xaf80b863924e097d, 0x4a157713be699537),
+    ("de", "flux", "nearest", 0xe49c26bd948a207b, 0x1bf94bd4cfd6707b, 0x82ad8397c7322d52),
+    ("de", "flux", "continuous", 0x920b5ee0b79ae908, 0xeffdc64bf2ea6908, 0x82ad8397c7322d52),
+    ("de", "crash+flux+edgedrop", "nearest", 0xd06b27e939c0a997, 0x20ac9f6d790b3997, 0xeec0b9a6663f5917),
+    ("de", "crash+flux+edgedrop", "continuous", 0x951dfb7aac6d40e5, 0xb2be8101dd8af0e5, 0xeec0b9a6663f5917),
+    ("de", "crash+shock+flux+adversarial", "nearest", 0x49973708bf819018, 0x682199ca07edd018, 0xbd41b0a7be047b06),
+    ("de", "crash+shock+flux+adversarial", "continuous", 0xa011d28c59a1f3f7, 0xb59a430a1e90c3f7, 0x6d6112680ba8c1dd),
+    ("de", "flux+load", "nearest", 0x75465459774d5c6c, 0x6489549ee2248c6c, 0x168c2d9184208ffc),
+    ("de", "flux+load", "continuous", 0x27e6cd5f31fb8c15, 0x1baf2a63cd094c15, 0x19b4dbc345915dd0),
+    ("matching_rr", "crash+edgedrop+stale+shock", "nearest", 0x9da34198b1c1fc9b, 0x4d472fe136cc4c9b, 0xb6683f18ae4b48a0),
+    ("matching_rr", "crash+edgedrop+stale+shock", "continuous", 0x7450cd48f9e6f4ff, 0x9677fb275cdb04ff, 0xb6683f18ae4b48a0),
+    ("matching_rr", "shock+stale", "nearest", 0x79471381e23de289, 0xd694265bc1b15289, 0x4a157713be699537),
+    ("matching_rr", "shock+stale", "continuous", 0xc4cb33804319d97d, 0xaf80b863924e097d, 0x4a157713be699537),
+    ("matching_rr", "flux", "nearest", 0x912947f6376e94c5, 0x362cf977cbce44c5, 0x82ad8397c7322d52),
+    ("matching_rr", "flux", "continuous", 0xfe233ab1fb65b837, 0x4f4b694047464837, 0x82ad8397c7322d52),
+    ("matching_rr", "crash+flux+edgedrop", "nearest", 0x8383b5bbc313c7b1, 0x40a4b8dd7594b7b1, 0x9b01a59fa2332f83),
+    ("matching_rr", "crash+flux+edgedrop", "continuous", 0x93c1132cbb2d8a9f, 0x8ab81ce936479a9f, 0x9b01a59fa2332f83),
+    ("matching_rr", "crash+shock+flux+adversarial", "nearest", 0xb3177c6746ad91e4, 0x8bdf62f6e58191e4, 0xde6b3aaaa4d13e41),
+    ("matching_rr", "crash+shock+flux+adversarial", "continuous", 0x131782d2b454e6bd, 0xd35f450231cf56bd, 0xf84411d080ca8a36),
+    ("matching_rr", "flux+load", "nearest", 0xd6e7a639a59c9db6, 0x2e76f6cd64d62db6, 0x168c2d9184208ffc),
+    ("matching_rr", "flux+load", "continuous", 0x7a6ff6b7879b8ef8, 0x0001cd43b601fef8, 0x19b4dbc345915dd0),
+    ("matching_random", "crash+edgedrop+stale+shock", "nearest", 0x9eca06c9ebe4e131, 0x07f4be6ac6cdd131, 0xf2a7d75dbb36da1a),
+    ("matching_random", "crash+edgedrop+stale+shock", "continuous", 0x61d4d44dbc6959c8, 0xb822e5099dacd9c8, 0xf2a7d75dbb36da1a),
+    ("matching_random", "shock+stale", "nearest", 0x29b6c25ac679e6c9, 0x03f4726e44a956c9, 0x244342cf3ac82384),
+    ("matching_random", "shock+stale", "continuous", 0xc9d912af3a4a6efd, 0x3c26f066ca269efd, 0x244342cf3ac82384),
+    ("matching_random", "flux", "nearest", 0xe836cad020a22fd5, 0x35788e88eb10dfd5, 0x8e39bff394471315),
+    ("matching_random", "flux", "continuous", 0x972394fdde2b3902, 0x9f5f67823a131902, 0x8e39bff394471315),
+    ("matching_random", "crash+flux+edgedrop", "nearest", 0xc448172c65b8d841, 0x263e86ba00f0c841, 0x576f3d3d9a5ec952),
+    ("matching_random", "crash+flux+edgedrop", "continuous", 0xccf62f119d8d0cbf, 0xb798d600d0051cbf, 0x576f3d3d9a5ec952),
+    ("matching_random", "crash+shock+flux+adversarial", "nearest", 0xbdc455e6466a15cc, 0x2ba69266fc2f95cc, 0xe952114f0de4d6ac),
+    ("matching_random", "crash+shock+flux+adversarial", "continuous", 0x9e5ee3fbb3d7499e, 0xb7acaa27a15fa99e, 0xa9fc9b35772d05e1),
+    ("matching_random", "flux+load", "nearest", 0x9d13ab8da71537f2, 0x2f4efa6fdeb307f2, 0x168c2d9184208ffc),
+    ("matching_random", "flux+load", "continuous", 0x237339f77b0b5f90, 0x818950bbabef4f90, 0x19b4dbc345915dd0),
     ("sos", "crash+edgedrop+stale+shock", "randomized", 0xf3524ad8f4376b89, 0xec957b4fddc1446f, 0x7dce1b91e068a362),
     ("sos", "shock+stale", "randomized", 0x1f956c47722adb1b, 0xb0f1441802a4f5db, 0x3c8b2bcc4670a1c4),
     ("sos", "flux", "randomized", 0xa9f16b97b6adacf1, 0x0072cd6c8421ee49, 0x82ad8397c7322d52),
     ("sos", "crash+flux+edgedrop", "randomized", 0xc46117b3ca360059, 0x76f28994061bd6d9, 0x4b068d43602a8aa1),
     ("sos", "crash+shock+flux+adversarial", "randomized", 0xf93a149cb4b0a4a9, 0x458552ee7aa3fc98, 0x8c5f9ca8331c0a44),
     ("sos", "flux+load", "randomized", 0x34016d2255c8d615, 0x22872b496443f7d7, 0x168c2d9184208ffc),
-    ("de", "crash+edgedrop+stale+shock", "randomized", 0x52bb28d18e920fff, 0xaee477152c778a39, 0xef398a34c05c8a43),
-    ("de", "shock+stale", "randomized", 0x22cb348e3b961fa4, 0x088086f88f3adba3, 0x4a157713be699537),
-    ("de", "flux", "randomized", 0x52443d4dfd2b0290, 0x9954e25dff821585, 0x82ad8397c7322d52),
-    ("de", "crash+flux+edgedrop", "randomized", 0x20a3df73e8c523ad, 0x49af08b6f2e138d5, 0xeec0b9a6663f5917),
-    ("de", "crash+shock+flux+adversarial", "randomized", 0xe65b023323b8c2be, 0xb7f1609df4394b42, 0x447360a809a13cb6),
-    ("de", "flux+load", "randomized", 0x3dd5ac859bf5ecd6, 0x004ccf7ae47a5fc2, 0x168c2d9184208ffc),
-    ("matching_rr", "crash+edgedrop+stale+shock", "randomized", 0x95587227d8e91b6a, 0x38d90110878e4d39, 0xb6683f18ae4b48a0),
-    ("matching_rr", "shock+stale", "randomized", 0x22cb348e3b961fa4, 0x088086f88f3adba3, 0x4a157713be699537),
-    ("matching_rr", "flux", "randomized", 0x6a4de8156925a992, 0x77925f86f9ab41c3, 0x82ad8397c7322d52),
-    ("matching_rr", "crash+flux+edgedrop", "randomized", 0x89b6d6c2de4c85d9, 0x44a4c95da9af8769, 0x9b01a59fa2332f83),
-    ("matching_rr", "crash+shock+flux+adversarial", "randomized", 0x2be4b4d7c5d97f3e, 0x10aa6f52739a45d2, 0x420a2aa9bc34a731),
-    ("matching_rr", "flux+load", "randomized", 0x15d54cf93ce54651, 0xd1fb2ace3b659b60, 0x168c2d9184208ffc),
-    ("matching_random", "crash+edgedrop+stale+shock", "randomized", 0x7ffac1a67bdb0186, 0x0b2877a2d9256cf7, 0xf2a7d75dbb36da1a),
-    ("matching_random", "shock+stale", "randomized", 0x4e756aa06dc70a9a, 0x0504fe4c00e28b07, 0x244342cf3ac82384),
-    ("matching_random", "flux", "randomized", 0xca88a5fa94e3e4d5, 0x8b730021327219b5, 0x8e39bff394471315),
-    ("matching_random", "crash+flux+edgedrop", "randomized", 0x587b9d4878021b8b, 0xd1e0c8594149fc95, 0x576f3d3d9a5ec952),
-    ("matching_random", "crash+shock+flux+adversarial", "randomized", 0xd1a686f06af88fd8, 0xdeae7572acba5473, 0x196f094e9825d024),
-    ("matching_random", "flux+load", "randomized", 0xf50da1e4c9b6cdca, 0x0345a44702942436, 0x168c2d9184208ffc),
+    ("de", "crash+edgedrop+stale+shock", "randomized", 0xa61773364b3f1a39, 0xaee477152c778a39, 0xef398a34c05c8a43),
+    ("de", "shock+stale", "randomized", 0x54b6b20129410ba3, 0x088086f88f3adba3, 0x4a157713be699537),
+    ("de", "flux", "randomized", 0x16e40dd85b2e6585, 0x9954e25dff821585, 0x82ad8397c7322d52),
+    ("de", "crash+flux+edgedrop", "randomized", 0x3e7388a1d20288d5, 0x49af08b6f2e138d5, 0xeec0b9a6663f5917),
+    ("de", "crash+shock+flux+adversarial", "randomized", 0x7d99675400a7ab42, 0xb7f1609df4394b42, 0x447360a809a13cb6),
+    ("de", "flux+load", "randomized", 0x9d9432addb298fc2, 0x004ccf7ae47a5fc2, 0x168c2d9184208ffc),
+    ("matching_rr", "crash+edgedrop+stale+shock", "randomized", 0xd2cda163de85dd39, 0x38d90110878e4d39, 0xb6683f18ae4b48a0),
+    ("matching_rr", "shock+stale", "randomized", 0x54b6b20129410ba3, 0x088086f88f3adba3, 0x4a157713be699537),
+    ("matching_rr", "flux", "randomized", 0xa137b3a89a9371c3, 0x77925f86f9ab41c3, 0x82ad8397c7322d52),
+    ("matching_rr", "crash+flux+edgedrop", "randomized", 0x49972c4fd90a1769, 0x44a4c95da9af8769, 0x9b01a59fa2332f83),
+    ("matching_rr", "crash+shock+flux+adversarial", "randomized", 0xe0827792af11a5d2, 0x10aa6f52739a45d2, 0x420a2aa9bc34a731),
+    ("matching_rr", "flux+load", "randomized", 0x2af7f1bdf716ab60, 0xd1fb2ace3b659b60, 0x168c2d9184208ffc),
+    ("matching_random", "crash+edgedrop+stale+shock", "randomized", 0x47738e418290dcf7, 0x0b2877a2d9256cf7, 0xf2a7d75dbb36da1a),
+    ("matching_random", "shock+stale", "randomized", 0xc567a27ae86efb07, 0x0504fe4c00e28b07, 0x244342cf3ac82384),
+    ("matching_random", "flux", "randomized", 0x245c917afb2169b5, 0x8b730021327219b5, 0x8e39bff394471315),
+    ("matching_random", "crash+flux+edgedrop", "randomized", 0x0f82a0c0eba74c95, 0xd1e0c8594149fc95, 0x576f3d3d9a5ec952),
+    ("matching_random", "crash+shock+flux+adversarial", "randomized", 0x015c61803a0fc473, 0xdeae7572acba5473, 0x196f094e9825d024),
+    ("matching_random", "flux+load", "randomized", 0x00383bc71ee29436, 0x0345a44702942436, 0x168c2d9184208ffc),
 ];
 
 #[test]

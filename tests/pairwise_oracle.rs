@@ -2,8 +2,9 @@
 //! rule with plain `Vec` loops, checked against the engine round by round.
 //!
 //! In a dimension-exchange or matching round each active edge `e = (u, v)`
-//! schedules `Ŷ_e = mem·y_e(t−1) + gain·(c_tail·x_u − c_head·x_v)` with
-//! the λ-scaled harmonic-speed coefficients of the kernel tables, sends
+//! schedules `Ŷ_e = gain·(c_tail·x_u − c_head·x_v)` with the λ-scaled
+//! harmonic-speed coefficients of the kernel tables (the pairwise schemes
+//! have no memory term: only SOS remembers flows), sends
 //! its rounded flow (or, in continuous mode, `Ŷ_e` itself) from tail to
 //! head, and every node's new load is its load minus the flows it sent.
 //! The discrete roundings are the paper's: truncation, nearest, the
@@ -14,10 +15,13 @@
 //!
 //! The model takes the engine's prepared round inputs (the loads after
 //! the perturbation channels ran, the active and stale edges) through the
-//! `step_inspect` hook and its own memory from its previous round, and
-//! compares every round's loads, memory bits and fused statistics bits.
-//! Random specs cover every rounding under both flow memories and the
-//! continuous mode, the golden perturbation sets, and threads {1, 3}.
+//! `step_inspect` hook, and compares every round's loads and fused
+//! statistics bits. A pairwise run keeps no flow memory in any mode, so
+//! its memory must read as zeros and its state must be its loads alone
+//! (`8·n` bytes): the fluid modes run the same matching round as the
+//! token modes. Random specs cover every rounding under both flow
+//! memories and the continuous mode, the golden perturbation sets, and
+//! threads {1, 3}.
 
 use sodiff::core::kernel::LoadStats;
 use sodiff::core::metrics::DEV_BLOCK;
@@ -50,7 +54,6 @@ struct Tables {
 /// What one reference round yields.
 struct Outcome {
     loads: Vec<f64>,
-    memory: Vec<f64>,
     stats: LoadStats,
     stale_active: u64,
 }
@@ -78,29 +81,23 @@ fn rounded(rounding: Rounding, e: usize, (u, v): (u32, u32), round: u64, s: f64)
     }
 }
 
-/// One pairwise round from the paper's rule, on `inputs` with the memory
-/// `memory` the previous round left.
-fn reference_round(
-    t: &Tables,
-    process: Process,
-    inputs: &RoundInputs<'_>,
-    memory: &[f64],
-) -> Outcome {
+/// One pairwise round from the paper's rule, on `inputs`.
+fn reference_round(t: &Tables, process: Process, inputs: &RoundInputs<'_>) -> Outcome {
+    assert_eq!(inputs.mem, 0.0, "a pairwise round has no memory term");
     let (n, x) = (t.ideal.len(), &inputs.loads);
     let active = |e| inputs.active.is_none_or(|w| bit(w, e));
     let stale = |e| inputs.stale.is_some_and(|w| bit(w, e));
     let (mut net_i, mut out_i) = (vec![0i64; n], vec![0i64; n]);
     let (mut net_f, mut out_f) = (vec![0.0f64; n], vec![0.0f64; n]);
-    let mut next_memory = Vec::with_capacity(t.edges.len());
     let mut stale_active = 0;
     for (e, &(u, v)) in t.edges.iter().enumerate() {
         let (a, b) = (u as usize, v as usize);
-        let s = inputs.mem * memory[e] + inputs.gain * (t.tail[e] * x[a] - t.head[e] * x[b]);
+        let s = inputs.gain * (t.tail[e] * x[a] - t.head[e] * x[b]);
         let on = active(e);
         let lands = on && !stale(e);
         stale_active += u64::from(on && stale(e));
         match process {
-            Process::Discrete(rounding, flow_memory) => {
+            Process::Discrete(rounding, _) => {
                 let y = if on {
                     rounded(rounding, e, (u, v), inputs.round, s)
                 } else {
@@ -110,11 +107,6 @@ fn reference_round(
                     (net_i[a], out_i[a]) = (net_i[a] + y, out_i[a] + y.max(0));
                     (net_i[b], out_i[b]) = (net_i[b] - y, out_i[b] + (-y).max(0));
                 }
-                next_memory.push(match flow_memory {
-                    FlowMemory::Rounded => y as f64,
-                    // A fluid memory records `0·Ŷ_e` on an inactive edge.
-                    FlowMemory::Scheduled => (if on { 1.0 } else { 0.0 }) * s,
-                });
             }
             Process::Continuous => {
                 let y = (if on { 1.0 } else { 0.0 }) * s;
@@ -123,7 +115,6 @@ fn reference_round(
                     (net_f[a], out_f[a]) = (net_f[a] + y, out_f[a] + pos(y));
                     (net_f[b], out_f[b]) = (net_f[b] + -y, out_f[b] + pos(-y));
                 }
-                next_memory.push(y);
             }
         }
     }
@@ -163,7 +154,6 @@ fn reference_round(
     stats.sum_sq_dev = total;
     Outcome {
         loads,
-        memory: next_memory,
         stats,
         stale_active,
     }
@@ -315,7 +305,7 @@ fn differential(
     };
     // Only shocks, churn and injection move loads outside the rounds.
     let moved_outside = set != "none";
-    let mut memory = vec![0.0; g.edge_count()];
+    let no_memory = vec![0u64; g.edge_count()];
     let mut last_loads = sims[0].loads_to_f64();
     for _ in 0..rounds {
         let mut seen = Vec::new();
@@ -323,7 +313,7 @@ fn differential(
             let stale_before = sim.fault_events().stale_edges;
             let mut prepared = None;
             sim.step_inspect(&mut |inputs| {
-                let want = reference_round(&t, process, &inputs, &memory);
+                let want = reference_round(&t, process, &inputs);
                 let masks = (
                     inputs.active.map(<[u64]>::to_vec),
                     inputs.stale.map(<[u64]>::to_vec),
@@ -345,11 +335,8 @@ fn differential(
                 bits(&want.loads),
                 "{case}: loads"
             );
-            assert_eq!(
-                bits(&sim.previous_flows()),
-                bits(&want.memory),
-                "{case}: memory"
-            );
+            assert_eq!(bits(&sim.previous_flows()), no_memory, "{case}: memory");
+            assert_eq!(sim.state_bytes(), 8 * g.node_count(), "{case}: state");
             let stats = sim.round_stats().expect("a round ran");
             assert_eq!(stats_bits(&stats), stats_bits(&want.stats), "{case}: stats");
             let stale = sim.fault_events().stale_edges - stale_before;
@@ -364,7 +351,6 @@ fn differential(
         assert_eq!(pooled.1, sequential.1, "{set}: masks across threads");
         let events = |s: &Simulator<'_>| (s.fault_events(), s.load_events(), s.churn_events());
         assert_eq!(events(&sims[0]), events(&sims[1]), "{set}: event counters");
-        memory = sequential.2.memory;
         last_loads = sequential.2.loads;
     }
 }
