@@ -1044,9 +1044,11 @@ impl Perturb {
     }
 
     /// Draws one per-round Bernoulli edge mask: the drop mask, or the
-    /// stale mask.
+    /// stale mask. Each 64-edge word's draws go to a stack array and the
+    /// word is built in a register: the draws of [`bulk_draws`], without
+    /// an `m`-long buffer or a scattered OR per edge.
     fn fill_edge_mask(&mut self, drop: bool, c: FaultChannel, salt: u64, round: u64, m: usize) {
-        let draws = bulk_draws(&mut self.draws, c.seed, salt, round, m);
+        let key = salted_stream_key(c.seed, salt, round);
         let out = if drop {
             &mut self.drop
         } else {
@@ -1054,8 +1056,15 @@ impl Perturb {
         };
         out.clear();
         out.resize(m.div_ceil(64).max(1), 0);
-        for (e, &draw) in draws.iter().enumerate() {
-            out[e >> 6] |= u64::from(unit_f64(draw) < c.p) << (e & 63);
+        let mut draws = [0u64; 64];
+        for (w, word) in out.iter_mut().enumerate() {
+            let draws = &mut draws[..m.saturating_sub(64 * w).min(64)];
+            fill_first_draws(key, 64 * w, draws);
+            let mut bits = 0;
+            for (b, &draw) in draws.iter().enumerate() {
+                bits |= u64::from(unit_f64(draw) < c.p) << b;
+            }
+            *word = bits;
         }
     }
 
@@ -1681,6 +1690,27 @@ mod tests {
             );
         }
         assert!(state.faults.edges_dropped > 0);
+    }
+
+    /// Each mask word is built from its own 64 draws, which are the
+    /// per-edge draws of one `m`-long sweep: the same bits, for edge
+    /// counts that do and do not fill the last word.
+    #[test]
+    fn edge_masks_are_the_bulk_draws_bit_for_bit() {
+        let c = FaultChannel { p: 0.3, seed: 9 };
+        let mut state = Perturb::default();
+        for m in [0, 1, 63, 64, 65, 200, 1024] {
+            for (drop, salt) in [(true, DROP_SALT), (false, STALE_SALT)] {
+                state.fill_edge_mask(drop, c, salt, 7, m);
+                let got = if drop { &state.drop } else { &state.stale };
+                let mut want = vec![0u64; m.div_ceil(64).max(1)];
+                let mut buf = Vec::new();
+                for (e, &draw) in bulk_draws(&mut buf, c.seed, salt, 7, m).iter().enumerate() {
+                    want[e >> 6] |= u64::from(unit_f64(draw) < c.p) << (e & 63);
+                }
+                assert_eq!(got, &want, "m = {m}, drop = {drop}");
+            }
+        }
     }
 
     #[test]
