@@ -119,11 +119,26 @@ fn measure(graph: &Graph, case: &Case, budget_secs: f64) -> Measurement {
     for _ in 0..3 {
         sim.step();
     }
-    // Tokens moved per round, sampled outside the timed region.
+    // Tokens moved per round, sampled outside the timed region. The
+    // pairwise schemes keep no flow memory, so their rows count the loads'
+    // change instead: in an unperturbed matching round each moved token
+    // leaves one endpoint and reaches the other, so `Σ|Δx_i| / 2` is exact.
     let mut tokens_per_round = 0.0;
     for _ in 0..3 {
+        let before = sim.loads_to_f64();
         sim.step();
-        tokens_per_round += sim.previous_flows().iter().map(|f| f.abs()).sum::<f64>() / 3.0;
+        let moved = if case.scheme.is_diffusion() {
+            sim.previous_flows().iter().map(|f| f.abs()).sum::<f64>()
+        } else {
+            let after = sim.loads_to_f64();
+            before
+                .iter()
+                .zip(after)
+                .map(|(x, y)| (x - y).abs())
+                .sum::<f64>()
+                / 2.0
+        };
+        tokens_per_round += moved / 3.0;
     }
     let start = Instant::now();
     let mut rounds = 0u64;
@@ -558,10 +573,12 @@ fn main() {
                 ckpt: None,
             },
         ),
-        // Pairwise schemes (scheme-kernel layer): the masked edge pass
-        // over the torus's exact 4-coloring, the round-robin maximal
-        // matching sweep, and the random-matching plan whose per-round
-        // greedy matching generation is part of the measured cost.
+        // Pairwise schemes (scheme-kernel layer): the matching round over
+        // the torus's exact 4-coloring, the round-robin maximal matching
+        // sweep, and the random-matching plan whose per-round greedy
+        // matching generation is part of the measured cost. None is
+        // perturbed, so their moved tokens are counted exactly from the
+        // loads.
         (
             &mid,
             Case {
