@@ -1430,8 +1430,9 @@ pub(crate) fn pair_edge_step<S: Buf>(
         edges.start.is_multiple_of(64) && (edges.end.is_multiple_of(64) || edges.end == t.m),
         "matching-round edge chunks must be cut at word boundaries"
     );
-    let (gate, x) = (MaskBits(active), |i| loads.get(i).to_f64());
-    let sched = Schedule::new(t, &gate, 0..t.m, mem, gain, &x, &NoMemory);
+    // Only active edges are visited, so no gate is applied.
+    let x = |i| loads.get(i).to_f64();
+    let sched = Schedule::new(t, &AllEdges, 0..t.m, mem, gain, &x, &NoMemory);
     let pairs = t.graph().edges();
     for_each_set_bit(active, edges.start / 64..edges.end.div_ceil(64), |e| {
         let y = flow(e, sched.flow(e));
