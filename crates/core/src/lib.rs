@@ -339,9 +339,9 @@
 //! fault axis already pays for, so the steady per-round cost rides the
 //! existing masked kernels (`sos_churn_flux`, ratio-gated at +25%).
 //!
-//! The pairwise schemes sweep all `m` edges per round with a branchless
-//! activity mask (only the active matching carries flow), so their
-//! ns-per-edge cost is not comparable to diffusion's tokens-moved rate.
+//! The pairwise schemes' rounds touch only the round's matching (the
+//! matching round above), so their ns-per-edge cost, taken over all `m`
+//! edges, is not comparable to diffusion's.
 //! The random-matching plan's remaining premium over round-robin
 //! (~14 ns/edge) is the per-round `O(m)` bucket generation — counting,
 //! scatter, and greedy passes that are random-access bound; see

@@ -1044,9 +1044,9 @@ impl Perturb {
     }
 
     /// Draws one per-round Bernoulli edge mask: the drop mask, or the
-    /// stale mask. Each 64-edge word's draws go to a stack array and the
-    /// word is built in a register: the draws of [`bulk_draws`], without
-    /// an `m`-long buffer or a scattered OR per edge.
+    /// stale mask. Each 64-edge word's draws, the same as those of
+    /// [`bulk_draws`], go to a stack array, and the word is built in a
+    /// local.
     fn fill_edge_mask(&mut self, drop: bool, c: FaultChannel, salt: u64, round: u64, m: usize) {
         let key = salted_stream_key(c.seed, salt, round);
         let out = if drop {
