@@ -668,7 +668,10 @@ fn main() {
     }
 
     // The driver-batch entries are skipped under `--case` (the filter is
-    // a per-case regression gate, not a batch benchmark).
+    // a per-case regression gate, not a batch benchmark). On one core the
+    // concurrent entry's speedup is scheduling overhead, so the row says
+    // how many cores the host offered.
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let driver_entries = if case_filters.is_empty() {
         let (specs, source) = match &scenario_file {
             Some(path) => {
@@ -701,11 +704,14 @@ fn main() {
             dbc.separate_secs,
             dbc.separate_secs / dbc.driver_secs
         );
-        println!(
-            "note: this container is single-core — concurrent-scenario and pooled speedups \
-             measure scheduling overhead here, not parallel wall-clock gains; re-measure on a \
-             multi-core host"
-        );
+        println!("host cores (available_parallelism): {cores}");
+        if cores == 1 {
+            println!(
+                "note: this host is single-core — concurrent-scenario and pooled speedups \
+                 measure scheduling overhead here, not parallel wall-clock gains; re-measure on \
+                 a multi-core host"
+            );
+        }
         Some((db, dbc))
     } else {
         None
@@ -735,6 +741,12 @@ fn main() {
     }
     if let Some((db, dbc)) = &driver_entries {
         json.push_str("  ],\n");
+        let note = if cores == 1 {
+            ", \"note\": \"single-core host: speedup measures scheduling overhead, not parallel \
+             wall-clock\""
+        } else {
+            ""
+        };
         writeln!(
             json,
             "  \"driver_batch\": {{\"source\": \"{}\", \"scenarios\": {}, \"threads\": {}, \"total_rounds\": {}, \"driver_secs\": {:.4}, \"separate_secs\": {:.4}, \"speedup\": {:.3}}},",
@@ -749,7 +761,7 @@ fn main() {
         .unwrap();
         writeln!(
             json,
-            "  \"driver_batch_concurrent\": {{\"source\": \"{}\", \"scenarios\": {}, \"workers\": {}, \"total_rounds\": {}, \"concurrent_secs\": {:.4}, \"sequential_secs\": {:.4}, \"speedup\": {:.3}, \"note\": \"single-core container: speedup measures scheduling overhead, not parallel wall-clock\"}}",
+            "  \"driver_batch_concurrent\": {{\"source\": \"{}\", \"scenarios\": {}, \"workers\": {}, \"total_rounds\": {}, \"concurrent_secs\": {:.4}, \"sequential_secs\": {:.4}, \"speedup\": {:.3}, \"cores\": {cores}{note}}}",
             json_escape(&dbc.source),
             dbc.scenarios,
             dbc.threads,

@@ -182,7 +182,7 @@ pub fn refined_local_divergence_at(
         for i in graph.nodes() {
             let ri = row[i as usize];
             let mut worst = 0.0f64;
-            for &j in graph.neighbor_nodes(i) {
+            for j in graph.neighbor_nodes(i) {
                 let d = ri - row[j as usize];
                 worst = worst.max(d * d);
             }

@@ -74,13 +74,13 @@
 //!    `|g_e|`, the receiver's `0.0`. It sums the shares to `r`, writing
 //!    each running sum once into a reusable prefix buffer, skips nodes
 //!    with `r = 0` — the common case away from the diffusion wavefront —
-//!    and distributes the `⌈r⌉` excess tokens using per-node RNG streams
-//!    whose warmed-up states a flat [`crate::rng::fill_node_states`]
-//!    sweep precomputed into a scratch buffer (one `mix64` per node
-//!    instead of key construction plus a discarded warm-up draw); each
-//!    token's draw comes straight off the stream counter
-//!    ([`crate::rng::nth_u64`]), so draws are independent `mix64` chains
-//!    with no serial dependency, and the target arc is found by a
+//!    and distributes the `⌈r⌉` excess tokens using per-node RNG streams.
+//!    Only a sending node computes its warmed-up state, from the hoisted
+//!    round key with one `mix64` (`rng::warmed_state`, instead of key
+//!    construction plus a discarded warm-up draw), so the phase keeps no
+//!    per-node buffer; each token's draw comes straight off the stream
+//!    counter ([`crate::rng::nth_u64`]), so draws are independent `mix64`
+//!    chains with no serial dependency, and the target arc is found by a
 //!    branchless count of passed prefix sums.
 //!
 //! The pipeline is bit-identical to the original formulation (golden
@@ -998,15 +998,11 @@ pub fn edge_pass_continuous_gated<G: EdgeGate, P: Buf<Val = f64>>(
 }
 
 /// Reusable per-participant scratch of the randomized framework's
-/// rounding phase: the bulk-swept RNG states of the participant's node
-/// chunk, and one node's prefix sums of its arcs' fractions.
+/// rounding phase: one node's prefix sums of its arcs' fractions. It
+/// grows to the largest degree seen and is then reused; nothing in it is
+/// per node.
 #[derive(Default)]
 pub struct FwScratch {
-    /// Warmed-up SplitMix64 states, one per node of the current chunk
-    /// (filled by [`crate::rng::fill_node_states`]).
-    states: Vec<u64>,
-    /// The current node's running fraction sums, one per arc; grows to
-    /// the largest degree seen and is then reused.
     prefix: Vec<f64>,
 }
 
@@ -1033,13 +1029,12 @@ impl FwScratch {
 /// edge has a positive share of it, so flow slots have one writer.
 ///
 /// The per-node random streams are keyed by `(seed, node, round)` — so
-/// the result is independent of chunking — but their warmed-up states are
-/// precomputed by a flat [`crate::rng::fill_node_states`] sweep into
-/// `scratch.states` (one `mix64` per node instead of key construction
-/// plus a discarded draw), and the `k`-th token draw is computed directly
-/// from the stream counter ([`crate::rng::nth_u64`]), so successive draws
-/// have no serial RNG dependency. Draw-for-draw identical to
-/// [`SplitMix64::for_node_round`].
+/// the result is independent of chunking. A sending node's warmed-up
+/// state is computed only after its `r == 0` skip, from the hoisted
+/// round key (one `mix64`, the warm-up discard fused into the key mix),
+/// and the `k`-th token draw is computed directly from the stream counter
+/// ([`crate::rng::nth_u64`]), so successive draws have no serial RNG
+/// dependency. Draw-for-draw identical to [`SplitMix64::for_node_round`].
 pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
     t: &KernelTables,
     nodes: Range<usize>,
@@ -1049,11 +1044,8 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
     flows: &F,
     scratch: &mut FwScratch,
 ) {
-    let FwScratch { states, prefix } = scratch;
-    if states.len() != nodes.len() {
-        states.resize(nodes.len(), 0);
-    }
-    rng::fill_node_states(rng::round_key(seed, round), nodes.start, states);
+    let FwScratch { prefix } = scratch;
+    let round_key = rng::round_key(seed, round);
     let fracs = frac.elems();
     // Walk the chunk's arc ranges by splitting running slices instead of
     // re-slicing from `offsets` per node — one length computation and
@@ -1062,7 +1054,7 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
     let chunk_arcs = offsets[0]..offsets[offsets.len() - 1];
     let mut edges_rest = &t.graph().arc_edge_ids()[chunk_arcs.clone()];
     let mut signs_rest = &t.graph().arc_orientations()[chunk_arcs];
-    for (deg, &state) in offsets.windows(2).map(|w| w[1] - w[0]).zip(states.iter()) {
+    for (node, deg) in nodes.zip(offsets.windows(2).map(|w| w[1] - w[0])) {
         let (edges, rest) = edges_rest.split_at(deg);
         edges_rest = rest;
         let (signs, rest) = signs_rest.split_at(deg);
@@ -1109,6 +1101,7 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
             // old formulation sent no tokens for such nodes either.
             continue;
         }
+        let state = rng::warmed_state(round_key, node as u64);
         let denom = tokens as f64;
         for k in 0..tokens as u64 {
             // P(arc j) = share_j / ⌈r⌉; P(stay) = 1 − r/⌈r⌉. The draw is

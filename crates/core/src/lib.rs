@@ -224,11 +224,11 @@
 //! derives each arc's share from that slot and the arc's orientation,
 //! builds the node's prefix sums once, skips token-free nodes, and
 //! distributes excess tokens with per-node RNG streams whose warmed-up
-//! states come from a flat bulk sweep (`rng::fill_node_states`, the
-//! warm-up discard fused into the key mix) and whose draws come straight
-//! off the stream counter (`rng::nth_u64`) with a branchless
-//! prefix-count selection — no serial RNG dependency, no data-dependent
-//! branch per entry. All outputs are **bit-identical** to the original
+//! states are computed only for sending nodes, from a hoisted round key
+//! (one `mix64`, the warm-up discard fused into the key mix), and whose
+//! draws come straight off the stream counter (`rng::nth_u64`) with a
+//! branchless prefix-count selection — no serial RNG dependency, no
+//! data-dependent branch per entry. All outputs are **bit-identical** to the original
 //! per-node `SplitMix64` formulation (`tests/golden_trace.rs`,
 //! `tests/golden_rng.rs`).
 //!
@@ -289,7 +289,9 @@
 //! sort in isolation by a since-retired criterion bench; perfbench's
 //! `matchgen.ns_per_edge` times the pass today), the fused metrics
 //! reduction above, lane-chunked bulk RNG sweeps
-//! ([`rng::fill_node_states`] / [`rng::fill_first_draws`], ~8%), and
+//! ([`rng::fill_node_states`] / [`rng::fill_first_draws`], ~8%; the
+//! rounding phase has since replaced its state sweep with one state per
+//! sending node, and the first-draw sweep still keys [`matchgen`]), and
 //! running-slice apply iteration (which alone took the masked pairwise
 //! rounds from ~16.1 to ~9.6 ns/edge). Same-day A/B on the build
 //! container (baseline tree → this tree):
@@ -350,8 +352,8 @@
 //! **8-lane chunked SIMD edge/apply kernels** (PR 9). Every hot per-edge pass — the fused discrete kernels, the
 //! framework's scatter pass and the continuous kernel, under either
 //! edge gate, and the apply pass — now runs as 8-lane
-//! chunks with a scalar tail, the same shape that paid off in
-//! [`rng::fill_node_states`]. Per-edge work is independent and each
+//! chunks with a scalar tail, the same shape that paid off in the bulk
+//! RNG sweeps ([`rng::fill_first_draws`]). Per-edge work is independent and each
 //! lane performs the identical operation sequence on its own edge, so
 //! the chunked loops are **bit-identical** to the scalar originals (the
 //! full argument lives in the `kernel` module docs; every pinned
@@ -431,13 +433,14 @@
 //! bytes + table bytes + state bytes
 //! ([`sodiff_graph::Graph::memory_bytes`] + [`Simulator::table_bytes`] +
 //! [`Simulator::state_bytes`]); on the 256² torus (SOS, randomized
-//! rounding) that is 3 932 168 + 2 621 440 + 3 670 016 B, where the
+//! rounding) that was 3 932 168 + 2 621 440 + 3 670 016 B, where the
 //! tables held 6 553 608 B before. Every table is fully written when it
 //! is built, so the saving is resident for the whole run: VmRSS right
 //! after the simulator is built drops 15.9 → 12.1 MB, and the
 //! `torus_sos_balance` peak RSS (VmHWM) 19.53 → 15.78 MB (medians of 10
 //! alternating pairs, 2-vCPU host), with identical rounds and final
-//! imbalance.
+//! imbalance. After the two entries below, the same run's footprint is
+//! 2 883 592 + 1 572 864 + 2 621 440 B.
 //!
 //! **One rounding fraction per edge** (2026-10). Every edge has exactly
 //! one sender, so the randomized framework keeps one signed fraction
@@ -455,6 +458,17 @@
 //! saved in the scatter. `torus_sos_balance` process CPU rose by 6.6%
 //! (2.47 → 2.63 s by median), and `mixed_sweep`'s fell by 9.8%
 //! (3.79 → 3.42 s, with a spread as wide as the change).
+//!
+//! **One copy of every neighbour** (2026-10). The CSR no longer stores
+//! an arc-indexed neighbour array: an arc's neighbour is the endpoint of
+//! its edge that its orientation sign does not name, so
+//! [`sodiff_graph::Graph::neighbors`] derives it from the edge list. No
+//! round kernel read the stored array; the churn handoff, BFS and
+//! [`divergence`] walk the derived neighbours. The graph's bytes go from
+//! `8·(n + 1) + 26·m` to `8·(n + 1) + 18·m`: 3 932 168 → 2 883 592 B on
+//! the 256² torus. In the same change the randomized framework stopped
+//! keeping a per-node RNG-state buffer: the rounding phase computes a
+//! node's warmed-up state only once the node is known to send tokens.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1151,9 +1151,8 @@ impl Perturb {
             }
             let targets: Vec<usize> = graph
                 .neighbor_nodes(v)
-                .iter()
-                .filter(|&&u| self.active.is_active(u))
-                .map(|&u| u as usize)
+                .filter(|&u| self.active.is_active(u))
+                .map(|u| u as usize)
                 .collect();
             loads.add(v as usize, -load);
             let k = targets.len();
@@ -1990,7 +1989,7 @@ mod tests {
         let mut loads = [7i64, 0, 0, 0];
         state.flux(flux, &g, 0, &cells(&mut loads));
         let mut expected = [0i64; 4];
-        for (&u, share) in g.neighbor_nodes(0).iter().zip([3, 2, 2]) {
+        for (u, share) in g.neighbor_nodes(0).zip([3, 2, 2]) {
             expected[u as usize] = share;
         }
         assert_eq!(loads, expected);

@@ -8,14 +8,17 @@
 //! nodes in any order produces bit-identical flows.
 //!
 //! The hot path does not construct a [`SplitMix64`] per node: the
-//! per-round part of the key is hoisted by [`round_key`], and
-//! [`fill_node_states`] computes the warmed-up stream states for a whole
-//! node range in one flat, auto-vectorizable sweep (one `mix64` per node
-//! instead of the two finalizer rounds plus discarded warm-up draw the
-//! keyed constructor pays). The sweep is bit-identical to
-//! [`SplitMix64::for_node_round`]: resuming a state it produced with
-//! [`SplitMix64::new`] yields exactly the canonical `(seed, node, round)`
-//! stream, which `tests/golden_rng.rs` proves draw by draw.
+//! per-round part of the key is hoisted by [`round_key`], and the
+//! rounding phase computes a sending node's warmed-up stream state on
+//! the spot with `warmed_state` (one `mix64` instead of the two
+//! finalizer rounds plus discarded warm-up draw the keyed constructor
+//! pays), so it keeps no per-node state buffer. [`fill_node_states`] runs
+//! the same computation over a whole node range in one flat sweep; it is
+//! the reference the state derivation is checked and timed against.
+//! Both are bit-identical to [`SplitMix64::for_node_round`]: resuming a
+//! state they produce with [`SplitMix64::new`] yields exactly the
+//! canonical `(seed, node, round)` stream, which `tests/golden_rng.rs`
+//! proves draw by draw.
 //!
 //! # No serial RNG state — the checkpointing invariant
 //!
@@ -140,7 +143,10 @@ const SWEEP_LANES: usize = 8;
 
 /// Bulk draw sweep: fills `out[i]` with the **warmed-up** SplitMix64 state
 /// of node `first_node + i` for the round baked into `round_key` (from
-/// [`round_key`]).
+/// [`round_key`]). The rounding phase no longer calls it (it computes a
+/// state only for a node that sends tokens); the sweep stays as the
+/// bulk form that `tests/golden_rng.rs` checks against the keyed
+/// constructor and perfbench's `rng.node_states_ns_per_node` times.
 ///
 /// The per-node cost is a single `mix64` (see `warmed_state` above) in a
 /// flat pass over consecutive node ids, restructured into fixed

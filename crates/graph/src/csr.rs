@@ -47,17 +47,19 @@ pub enum GraphKind {
 /// order, so the arrays are a function of the edge set alone. Generators
 /// and [`crate::GraphBuilder`] build them in `O(n + m)` without hashing:
 /// a counting sort of the edge list by tail, then one fill pass that
-/// writes offsets, targets, edge ids and signs together. Besides the
-/// edge list and these arrays, that assembly holds at most a 4-byte head
-/// per edge and one `n`-entry array (the builder's duplicate-detecting
-/// hash set lives only until it assembles).
+/// writes offsets, edge ids and signs together. Besides the edge list
+/// and these arrays, that assembly holds at most a 4-byte head per edge
+/// and one `n`-entry array (the builder's duplicate-detecting hash set
+/// lives only until it assembles).
 ///
-/// The adjacency is stored as a structure-of-arrays: per directed arc the
-/// neighbor id, the edge id, and the orientation sign live in three flat
-/// parallel arrays ([`Self::arc_targets`], [`Self::arc_edge_ids`],
-/// [`Self::arc_orientations`]), so kernel code that only needs one of the
-/// three streams (the simulator's apply pass, BFS, the rounding framework)
-/// touches a third of the memory an array-of-pairs layout would.
+/// Four streams are stored: the offsets, and per directed arc the edge
+/// id and the orientation sign in two flat parallel arrays
+/// ([`Self::arc_edge_ids`], [`Self::arc_orientations`]), next to the
+/// canonical edge list, so a kernel pass reads only the streams it needs
+/// (the simulator's apply pass the edge ids alone, the rounding framework
+/// both). An arc's neighbor is not stored: it is the endpoint of the
+/// arc's edge that the sign does not name as the owner, which
+/// [`Self::neighbors`] and [`Self::neighbor_nodes`] derive.
 ///
 /// The arrays are immutable after construction and live behind one
 /// shared allocation, so `clone` is a reference-count bump that shares
@@ -76,8 +78,6 @@ pub struct Graph {
 struct Csr {
     /// CSR offsets, length `n + 1`.
     offsets: Vec<usize>,
-    /// Arc-indexed neighbor ids.
-    adj_nodes: Vec<NodeId>,
     /// Arc-indexed edge ids.
     adj_edges: Vec<EdgeId>,
     /// Arc-indexed orientation signs: `+1` when the owning node is the
@@ -92,10 +92,10 @@ impl Graph {
     /// with no repeated pair, as [`crate::builder::sort_edges`] leaves it.
     ///
     /// One degree-count pass sizes every node's arc range; one scatter
-    /// pass then appends edge `e`'s two arcs to the ranges of `u` (sign
-    /// `+1`) and `v` (sign `-1`). Edges are visited in id order, so every
-    /// node's arcs follow edge-id order. The fill allocates nothing but
-    /// the arrays it returns.
+    /// pass then appends edge `e`'s two arcs, each an edge id and a sign,
+    /// to the ranges of `u` (sign `+1`) and `v` (sign `-1`). Edges are
+    /// visited in id order, so every node's arcs follow edge-id order.
+    /// The fill allocates nothing but the arrays it returns.
     ///
     /// # Panics
     ///
@@ -122,7 +122,6 @@ impl Graph {
             offsets[v + 1] += offsets[v];
         }
         let arcs = offsets[node_count];
-        let mut adj_nodes = vec![0 as NodeId; arcs];
         let mut adj_edges = vec![0 as EdgeId; arcs];
         let mut adj_signs = vec![0i8; arcs];
         // `offsets[v]` serves as v's write cursor: the scatter advances it
@@ -130,10 +129,9 @@ impl Graph {
         // shifting the array one place to the right restores the offsets.
         for (e, &(u, v)) in edges.iter().enumerate() {
             let e = e as EdgeId;
-            for (from, to, sign) in [(u, v, 1), (v, u, -1)] {
+            for (from, sign) in [(u, 1), (v, -1)] {
                 let p = offsets[from as usize];
                 offsets[from as usize] += 1;
-                adj_nodes[p] = to;
                 adj_edges[p] = e;
                 adj_signs[p] = sign;
             }
@@ -144,7 +142,6 @@ impl Graph {
         Self {
             csr: Arc::new(Csr {
                 offsets,
-                adj_nodes,
                 adj_edges,
                 adj_signs,
                 edges,
@@ -193,20 +190,27 @@ impl Graph {
         0..self.node_count() as NodeId
     }
 
-    /// The neighbors of `v` with the id of the connecting edge.
+    /// The neighbors of `v` with the id of the connecting edge (arc
+    /// order). Each neighbor is derived from the arc's edge and sign: the
+    /// edge's head where `v` is its canonical tail (`+1`), else its tail.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
         let r = self.arc_range(v);
-        self.csr.adj_nodes[r.clone()]
+        self.csr.adj_edges[r.clone()]
             .iter()
-            .copied()
-            .zip(self.csr.adj_edges[r].iter().copied())
+            .zip(&self.csr.adj_signs[r])
+            .map(move |(&e, &sign)| {
+                let (tail, head) = self.csr.edges[e as usize];
+                let (owner, far) = if sign > 0 { (tail, head) } else { (head, tail) };
+                debug_assert_eq!(owner, v, "arc of node {v} on edge {e} has the wrong sign");
+                (far, e)
+            })
     }
 
-    /// The neighbor ids of `v` (arc order).
+    /// The neighbor ids of `v` (arc order), derived as in [`Self::neighbors`].
     #[inline]
-    pub fn neighbor_nodes(&self, v: NodeId) -> &[NodeId] {
-        &self.csr.adj_nodes[self.arc_range(v)]
+    pub fn neighbor_nodes(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.neighbors(v).map(|(u, _)| u)
     }
 
     /// The incident edge ids of `v` (arc order).
@@ -224,16 +228,10 @@ impl Graph {
 
     /// Number of directed arcs (`2·m`); arcs are the entries of the flat
     /// adjacency arrays, so arc `p` in [`Self::arc_range`]`(v)` is the
-    /// directed half-edge leaving `v` towards `self.arc_targets()[p]`.
+    /// directed half-edge leaving `v` along edge `self.arc_edge_ids()[p]`.
     #[inline]
     pub fn arc_count(&self) -> usize {
-        self.csr.adj_nodes.len()
-    }
-
-    /// The full arc-indexed neighbor array (see [`Self::arc_range`]).
-    #[inline]
-    pub fn arc_targets(&self) -> &[NodeId] {
-        &self.csr.adj_nodes
+        self.csr.adj_edges.len()
     }
 
     /// The full arc-indexed edge-id array.
@@ -299,7 +297,7 @@ impl Graph {
         } else {
             (v, u)
         };
-        self.neighbor_nodes(a).contains(&b)
+        self.neighbor_nodes(a).any(|w| w == b)
     }
 
     /// Structural provenance set by the generator that produced this graph.
@@ -322,17 +320,16 @@ impl Graph {
         crate::traversal::connected_components(self) <= 1
     }
 
-    /// Heap bytes of the graph's CSR arrays: the offsets, the three
-    /// arc-indexed adjacency streams, and the canonical edge list.
-    /// Clones share these arrays, so they are counted once however many
-    /// clones (the simulator's kernel tables hold one) are alive. Useful
-    /// together with the simulator's table and state accounting when
-    /// sizing runs against available memory (a 10⁸-edge graph is ~2.9 GB
-    /// here).
+    /// Heap bytes of the graph's CSR arrays, `8·(n + 1) + 18·m`: the
+    /// offsets, the two arc-indexed adjacency streams, and the canonical
+    /// edge list. Clones share these arrays, so they are counted once
+    /// however many clones (the simulator's kernel tables hold one) are
+    /// alive. Useful together with the simulator's table and state
+    /// accounting when sizing runs against available memory (a 10⁸-edge
+    /// torus, 5·10⁷ nodes, is ~2.2 GB here).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.csr.offsets.len() * size_of::<usize>()
-            + self.csr.adj_nodes.len() * size_of::<NodeId>()
             + self.csr.adj_edges.len() * size_of::<EdgeId>()
             + self.csr.adj_signs.len() * size_of::<i8>()
             + self.csr.edges.len() * size_of::<(NodeId, NodeId)>()
@@ -522,7 +519,7 @@ mod tests {
         let g = triangle();
         for u in g.nodes() {
             let pairs: Vec<_> = g.neighbors(u).collect();
-            let nodes = g.neighbor_nodes(u);
+            let nodes: Vec<_> = g.neighbor_nodes(u).collect();
             let edges = g.neighbor_edges(u);
             let signs = g.neighbor_signs(u);
             assert_eq!(pairs.len(), nodes.len());
@@ -537,12 +534,10 @@ mod tests {
             }
         }
         // The flat arrays are the concatenation of the per-node views.
-        assert_eq!(g.arc_targets().len(), g.arc_count());
         assert_eq!(g.arc_edge_ids().len(), g.arc_count());
         assert_eq!(g.arc_orientations().len(), g.arc_count());
         for u in g.nodes() {
             let r = g.arc_range(u);
-            assert_eq!(&g.arc_targets()[r.clone()], g.neighbor_nodes(u));
             assert_eq!(&g.arc_edge_ids()[r.clone()], g.neighbor_edges(u));
             assert_eq!(&g.arc_orientations()[r], g.neighbor_signs(u));
         }
@@ -575,8 +570,8 @@ mod tests {
     #[test]
     fn memory_bytes_counts_all_arrays() {
         let g = triangle();
-        // 4 offsets × 8 + 6 arcs × (4 + 4 + 1) + 3 edges × 8.
-        assert_eq!(g.memory_bytes(), 4 * 8 + 6 * 9 + 3 * 8);
+        // 4 offsets × 8 + 6 arcs × (4 + 1) + 3 edges × 8.
+        assert_eq!(g.memory_bytes(), 4 * 8 + 6 * 5 + 3 * 8);
     }
 
     #[test]

@@ -519,7 +519,7 @@ mod tests {
         assert_eq!(*g.kind(), GraphKind::Hypercube(6));
         // Adjacency iff Hamming distance 1.
         for u in g.nodes() {
-            for &v in g.neighbor_nodes(u) {
+            for v in g.neighbor_nodes(u) {
                 assert_eq!((u ^ v).count_ones(), 1);
             }
         }

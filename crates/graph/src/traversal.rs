@@ -18,7 +18,7 @@ pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<u32> {
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
         let du = dist[u as usize];
-        for &v in g.neighbor_nodes(u) {
+        for v in g.neighbor_nodes(u) {
             if dist[v as usize] == UNREACHABLE {
                 dist[v as usize] = du + 1;
                 queue.push_back(v);
@@ -41,7 +41,7 @@ pub fn component_labels(g: &Graph) -> Vec<u32> {
         label[start as usize] = next;
         queue.push_back(start);
         while let Some(u) = queue.pop_front() {
-            for &v in g.neighbor_nodes(u) {
+            for v in g.neighbor_nodes(u) {
                 if label[v as usize] == u32::MAX {
                     label[v as usize] = next;
                     queue.push_back(v);

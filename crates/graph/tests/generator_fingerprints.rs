@@ -1,8 +1,9 @@
 //! Byte-for-byte pins of every generator's output.
 //!
-//! Each case hashes all five CSR arrays of one generated graph (offsets,
-//! arc targets, arc edge ids, arc orientation signs and the canonical
-//! edge list) with 64-bit FNV-1a. A change to how graphs are assembled
+//! Each case hashes five arc-indexed or edge-indexed streams of one
+//! generated graph (offsets, arc targets, arc edge ids, arc orientation
+//! signs and the canonical edge list) with 64-bit FNV-1a; the targets are
+//! derived from the edge list, the other four are stored. A change to how graphs are assembled
 //! must leave every hash as it is: the simulator's trajectories, plans,
 //! goldens and checkpoints all depend on the exact edge ids and arc
 //! order.
@@ -36,7 +37,11 @@ impl Fnv {
 fn fingerprint(g: &Graph) -> u64 {
     let mut h = Fnv::new();
     h.array(g.arc_offsets(), |&o| (o as u64).to_le_bytes());
-    h.array(g.arc_targets(), |v| v.to_le_bytes());
+    // The arc targets are derived, not stored; hashed exactly as the
+    // stored array was (length, then each target), so the pins also
+    // check that the derived adjacency is the one the assembly built.
+    let targets: Vec<_> = g.nodes().flat_map(|v| g.neighbor_nodes(v)).collect();
+    h.array(&targets, |v| v.to_le_bytes());
     h.array(g.arc_edge_ids(), |e| e.to_le_bytes());
     h.array(g.arc_orientations(), |s| s.to_le_bytes());
     h.array(g.edges(), |&(u, v)| {
