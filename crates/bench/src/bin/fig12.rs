@@ -4,7 +4,7 @@
 //! behave almost identically. `λ` comes from the Lanczos solver, printed
 //! with its certified residual.
 
-use sodiff_bench::{save_recorder, ExpOpts};
+use sodiff_bench::{run_figure, Cut, ExpOpts, Series};
 use sodiff_core::prelude::*;
 use sodiff_graph::generators;
 use sodiff_linalg::spectral;
@@ -24,26 +24,18 @@ fn main() {
         beta
     );
 
-    for (name, scheme, switch) in [
-        ("fig12_sos", Scheme::sos(beta), None),
-        ("fig12_fos", Scheme::fos(), None),
-        ("fig12_fos_at12", Scheme::sos(beta), Some(12u64)),
-    ] {
-        let mut builder = Experiment::on(&graph)
-            .discrete(Rounding::randomized(opts.seed))
-            .scheme(scheme)
-            .init(InitialLoad::paper_default(n))
-            .stop(StopCondition::MaxRounds(rounds as usize));
-        if let Some(at) = switch {
-            builder = builder.hybrid(SwitchPolicy::AtRound(at));
-        }
-        let mut rec = Recorder::new();
-        builder
-            .build()
-            .expect("valid experiment")
-            .run_with(&mut rec);
-        save_recorder(&opts, name, &rec);
-    }
+    let paper = |scheme, switch| Series::paper(scheme, opts.seed, n, switch);
+    let series = [
+        paper(Scheme::sos(beta), None),
+        paper(Scheme::fos(), None),
+        paper(Scheme::sos(beta), Some(SwitchPolicy::AtRound(12))),
+    ];
+    let outputs = [
+        ("fig12_sos", Cut::every_round(0, rounds)),
+        ("fig12_fos", Cut::every_round(1, rounds)),
+        ("fig12_fos_at12", Cut::every_round(2, rounds)),
+    ];
+    run_figure(&opts, &graph, &series, &outputs, &[]);
 
     println!();
     println!("expected shape (paper): all three curves drop within ~20-40");

@@ -3,7 +3,7 @@
 //! slight advantage for SOS and a remaining imbalance within one token of
 //! FOS's.
 
-use sodiff_bench::{save_recorder, ExpOpts};
+use sodiff_bench::{run_figure, Cut, ExpOpts, Series};
 use sodiff_core::prelude::*;
 use sodiff_graph::generators;
 use sodiff_linalg::spectral;
@@ -21,26 +21,18 @@ fn main() {
         spec.lambda, beta
     );
 
-    for (name, scheme, switch) in [
-        ("fig13_sos", Scheme::sos(beta), None),
-        ("fig13_fos", Scheme::fos(), None),
-        ("fig13_fos_at50", Scheme::sos(beta), Some(50u64)),
-    ] {
-        let mut builder = Experiment::on(&graph)
-            .discrete(Rounding::randomized(opts.seed))
-            .scheme(scheme)
-            .init(InitialLoad::paper_default(n))
-            .stop(StopCondition::MaxRounds(rounds as usize));
-        if let Some(at) = switch {
-            builder = builder.hybrid(SwitchPolicy::AtRound(at));
-        }
-        let mut rec = Recorder::new();
-        builder
-            .build()
-            .expect("valid experiment")
-            .run_with(&mut rec);
-        save_recorder(&opts, name, &rec);
-    }
+    let paper = |scheme, switch| Series::paper(scheme, opts.seed, n, switch);
+    let series = [
+        paper(Scheme::sos(beta), None),
+        paper(Scheme::fos(), None),
+        paper(Scheme::sos(beta), Some(SwitchPolicy::AtRound(50))),
+    ];
+    let outputs = [
+        ("fig13_sos", Cut::every_round(0, rounds)),
+        ("fig13_fos", Cut::every_round(1, rounds)),
+        ("fig13_fos_at50", Cut::every_round(2, rounds)),
+    ];
+    run_figure(&opts, &graph, &series, &outputs, &[]);
 
     println!();
     println!("expected shape (paper): FOS needs only slightly more rounds");

@@ -5,7 +5,7 @@
 //! solver, printed with its certified residual (`--full --seed 1`:
 //! λ₂ = 0.994395…).
 
-use sodiff_bench::{save_recorder, ExpOpts};
+use sodiff_bench::{run_figure, Cut, ExpOpts, Series};
 use sodiff_core::prelude::*;
 use sodiff_graph::generators;
 use sodiff_linalg::spectral;
@@ -25,26 +25,18 @@ fn main() {
         beta
     );
 
-    for (name, scheme, switch) in [
-        ("fig14_sos", Scheme::sos(beta), None),
-        ("fig14_fos", Scheme::fos(), None),
-        ("fig14_fos_at500", Scheme::sos(beta), Some(500u64)),
-    ] {
-        let mut builder = Experiment::on(&graph)
-            .discrete(Rounding::randomized(opts.seed))
-            .scheme(scheme)
-            .init(InitialLoad::paper_default(n))
-            .stop(StopCondition::MaxRounds(rounds as usize));
-        if let Some(at) = switch {
-            builder = builder.hybrid(SwitchPolicy::AtRound(at));
-        }
-        let mut rec = Recorder::new();
-        builder
-            .build()
-            .expect("valid experiment")
-            .run_with(&mut rec);
-        save_recorder(&opts, name, &rec);
-    }
+    let paper = |scheme, switch| Series::paper(scheme, opts.seed, n, switch);
+    let series = [
+        paper(Scheme::sos(beta), None),
+        paper(Scheme::fos(), None),
+        paper(Scheme::sos(beta), Some(SwitchPolicy::AtRound(500))),
+    ];
+    let outputs = [
+        ("fig14_sos", Cut::every_round(0, rounds)),
+        ("fig14_fos", Cut::every_round(1, rounds)),
+        ("fig14_fos_at500", Cut::every_round(2, rounds)),
+    ];
+    run_figure(&opts, &graph, &series, &outputs, &[]);
 
     println!();
     println!("expected shape (paper): similar to the torus — a less");

@@ -1,7 +1,21 @@
-//! Shared harness for the per-figure experiment binaries.
+//! Shared harness for the paper-figure experiment binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper. Each accepts:
+//! Which binary in `src/bin/` regenerates which part of the paper:
+//!
+//! | Paper | Binary |
+//! |---|---|
+//! | Figures 1–6 (2-D torus: SOS vs FOS, initial load, idealized runs, the SOS→FOS switch, float drift) | `fig01_06` |
+//! | Figure 7 (eigenvector impact) | `fig07` |
+//! | Figure 8 (switch-round sweep on the 100² torus) | `fig08` |
+//! | Figures 9–10 (wavefront renders) | `fig09` |
+//! | Figure 11 (FOS smoothing renders) | `fig11` |
+//! | Figures 12, 13, 14 (configuration model, hypercube, random geometric graph) | `fig12`, `fig13`, `fig14` |
+//! | Figure 15 (metrics and eigen-impact overlay) | `fig15` |
+//! | Table I (graph classes and `β_opt`) | `table1` |
+//! | Theorems and design choices | `ablation_*` |
+//!
+//! `perf_baseline` times the round executor and writes
+//! `BENCH_rounds.json`. Each figure and ablation binary accepts:
 //!
 //! * `--full` — run the paper-scale configuration (10⁶-node graphs, 5000
 //!   rounds); the default is a scaled-down configuration with the same
@@ -12,7 +26,10 @@
 //!
 //! Series are CSV files with one row per recorded round; the columns are
 //! the paper's metrics (`max − avg`, max local difference, potential/n,
-//! minimum load, minimum transient load, total load).
+//! minimum load, minimum transient load, total load). The figure binaries
+//! that write series run them through [`run_series`]: each distinct
+//! [`Series`] runs once, and every CSV that reads it is a [`Cut`] of its
+//! rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,7 +38,11 @@ use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use sodiff_core::{MetricsRow, Recorder};
+use sodiff_core::{
+    Experiment, InitialLoad, MetricsRow, Mode, Observer, Recorder, Rounding, RunReport, Scheme,
+    Simulator, StopCondition, SwitchPolicy,
+};
+use sodiff_graph::Graph;
 
 /// Common command-line options of the experiment binaries.
 #[derive(Debug, Clone)]
@@ -113,14 +134,14 @@ pub fn write_series(path: &Path, rows: &[MetricsRow]) {
     }
 }
 
-/// Writes a recorder's rows and prints a one-line summary.
-pub fn save_recorder(opts: &ExpOpts, name: &str, rec: &Recorder) {
+/// Writes a series as `<name>.csv` and prints a one-line summary.
+pub fn save_series(opts: &ExpOpts, name: &str, rows: &[MetricsRow]) {
     let path = opts.path(name);
-    write_series(&path, rec.rows());
-    if let Some(last) = rec.last() {
+    write_series(&path, rows);
+    if let Some(last) = rows.last() {
         println!(
             "{name}: {} rows -> {} (final max-avg {:.2}, local diff {:.2})",
-            rec.rows().len(),
+            rows.len(),
             path.display(),
             last.metrics.max_minus_avg,
             last.metrics.max_local_diff
@@ -128,6 +149,159 @@ pub fn save_recorder(opts: &ExpOpts, name: &str, rec: &Recorder) {
     } else {
         println!("{name}: 0 rows -> {}", path.display());
     }
+}
+
+/// One simulation of a figure: an experiment configuration on the
+/// figure's graph.
+#[derive(Debug, Clone)]
+pub struct Series {
+    /// The scheme the run starts with.
+    pub scheme: Scheme,
+    /// Idealized, or discrete under a rounding (which carries the seed).
+    pub mode: Mode,
+    /// The initial load.
+    pub init: InitialLoad,
+    /// The SOS→FOS switch of a hybrid run.
+    pub switch: Option<SwitchPolicy>,
+}
+
+impl Series {
+    /// The paper's default run of `scheme` on an `n`-node graph:
+    /// randomized rounding under `seed`, from `1000·n` tokens on node 0.
+    pub fn paper(scheme: Scheme, seed: u64, n: usize, switch: Option<SwitchPolicy>) -> Self {
+        Self {
+            scheme,
+            mode: Mode::Discrete(Rounding::randomized(seed)),
+            init: InitialLoad::paper_default(n),
+            switch,
+        }
+    }
+
+    /// This series as an experiment that stops after `rounds` rounds.
+    fn experiment<'g>(&self, graph: &'g Graph, rounds: u64) -> Experiment<'g> {
+        let builder = match self.mode {
+            Mode::Continuous => Experiment::on(graph).continuous(),
+            Mode::Discrete(rounding) => Experiment::on(graph).discrete(rounding),
+        };
+        let mut builder = builder
+            .scheme(self.scheme)
+            .init(self.init.clone())
+            .stop(StopCondition::MaxRounds(rounds as usize));
+        if let Some(policy) = self.switch {
+            builder = builder.hybrid(policy);
+        }
+        builder.build().expect("valid experiment")
+    }
+}
+
+/// The rows one output reads from a series: every `stride`-th round up
+/// to `horizon`.
+///
+/// A row at round `r` depends only on the state after round `r`, so a
+/// cut of a longer run holds exactly the rows [`Recorder::every`]
+/// records over a run of `horizon` rounds.
+#[derive(Debug, Clone, Copy)]
+pub struct Cut {
+    /// Index of the series in the slice passed to [`run_series`].
+    pub series: usize,
+    /// The last round read.
+    pub horizon: u64,
+    /// Reads every `stride`-th round.
+    pub stride: u64,
+}
+
+impl Cut {
+    /// Every round of `series` up to `horizon`.
+    pub fn every_round(series: usize, horizon: u64) -> Self {
+        Self {
+            series,
+            horizon,
+            stride: 1,
+        }
+    }
+
+    fn wants(&self, round: u64) -> bool {
+        round <= self.horizon && round.is_multiple_of(self.stride)
+    }
+
+    /// This cut's rows of `runs`, the result of [`run_series`].
+    pub fn rows(&self, runs: &[Run]) -> Vec<MetricsRow> {
+        let rows = &runs[self.series].rows;
+        rows.iter()
+            .copied()
+            .filter(|r| self.wants(r.round))
+            .collect()
+    }
+}
+
+/// A series after its run.
+#[derive(Debug)]
+pub struct Run {
+    /// The rows of the rounds some cut wants.
+    pub rows: Vec<MetricsRow>,
+    /// The run's report.
+    pub report: RunReport,
+}
+
+/// Hands the rounds some cut wants to a [`Recorder`], so every row is
+/// the one a recorder writes.
+struct Wanted<'c> {
+    cuts: Vec<&'c Cut>,
+    rec: Recorder,
+}
+
+impl Observer for Wanted<'_> {
+    fn on_round(&mut self, sim: &Simulator<'_>) {
+        if self.cuts.iter().any(|c| c.wants(sim.round())) {
+            self.rec.on_round(sim);
+        }
+    }
+}
+
+/// Runs every series once, up to the longest horizon of the cuts on it,
+/// and records only the rounds some cut wants.
+///
+/// # Panics
+///
+/// Panics if a series does not build (experiment binaries treat that as
+/// fatal).
+pub fn run_series(graph: &Graph, series: &[Series], cuts: &[Cut]) -> Vec<Run> {
+    let run = |(i, s): (usize, &Series)| {
+        let cuts: Vec<&Cut> = cuts.iter().filter(|c| c.series == i).collect();
+        let horizon = cuts.iter().map(|c| c.horizon).max().unwrap_or(0);
+        let mut wanted = Wanted {
+            cuts,
+            rec: Recorder::new(),
+        };
+        let report = s.experiment(graph, horizon).run_with(&mut wanted);
+        Run {
+            rows: wanted.rec.rows().to_vec(),
+            report,
+        }
+    };
+    series.iter().enumerate().map(run).collect()
+}
+
+/// Runs a figure's series ([`run_series`]) and writes each named cut
+/// with [`save_series`]. The `extra` cuts are recorded for tables the
+/// binary writes itself.
+pub fn run_figure(
+    opts: &ExpOpts,
+    graph: &Graph,
+    series: &[Series],
+    outputs: &[(&str, Cut)],
+    extra: &[Cut],
+) -> Vec<Run> {
+    let cuts: Vec<Cut> = outputs
+        .iter()
+        .map(|&(_, cut)| cut)
+        .chain(extra.iter().copied())
+        .collect();
+    let runs = run_series(graph, series, &cuts);
+    for (name, cut) in outputs {
+        save_series(opts, name, &cut.rows(&runs));
+    }
+    runs
 }
 
 /// Writes a generic CSV table (for non-series experiments like Table I).
@@ -192,5 +366,101 @@ mod tests {
         assert!(text.starts_with("round,max_minus_avg"));
         assert_eq!(text.lines().count(), 6);
         fs::remove_file(path).ok();
+    }
+
+    /// The CSV text `write_series` writes for `rows`.
+    fn csv(name: &str, rows: &[MetricsRow]) -> String {
+        let dir = std::env::temp_dir().join("sodiff_bench_test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}.csv"));
+        write_series(&path, rows);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::remove_file(path).ok();
+        text
+    }
+
+    /// The rows of a stand-alone run of `series` for `rounds` rounds,
+    /// recorded by `Recorder::every(stride)`.
+    fn alone(g: &Graph, series: &Series, rounds: u64, stride: u64) -> Vec<MetricsRow> {
+        let mut rec = Recorder::every(stride);
+        series.experiment(g, rounds).run_with(&mut rec);
+        rec.rows().to_vec()
+    }
+
+    /// The 12² torus, its node count and its `β_opt`.
+    fn torus() -> (Graph, usize, f64) {
+        let g = sodiff_graph::generators::torus2d(12, 12);
+        let n = g.node_count();
+        let beta =
+            sodiff_linalg::spectral::analyze(&g, &sodiff_graph::Speeds::uniform(n)).beta_opt();
+        (g, n, beta)
+    }
+
+    #[test]
+    fn cuts_of_a_shared_run_equal_separate_runs() {
+        let (g, n, beta) = torus();
+        let series = [
+            Series::paper(Scheme::sos(beta), 3, n, None),
+            Series {
+                mode: Mode::Continuous,
+                ..Series::paper(Scheme::fos(), 3, n, None)
+            },
+        ];
+        let cuts =
+            [(0, 90, 1), (0, 61, 4), (0, 35, 7), (1, 50, 5)].map(|(series, horizon, stride)| Cut {
+                series,
+                horizon,
+                stride,
+            });
+        let runs = run_series(&g, &series, &cuts);
+        assert_eq!(runs[0].report.rounds, 90);
+        assert_eq!(runs[1].report.rounds, 50);
+        // Series 1 recorded only the ten rounds its one cut reads.
+        assert_eq!(runs[1].rows.len(), 10);
+        for (k, cut) in cuts.iter().enumerate() {
+            let shared = csv(&format!("shared{k}"), &cut.rows(&runs));
+            let separate = alone(&g, &series[cut.series], cut.horizon, cut.stride);
+            assert_eq!(shared, csv(&format!("separate{k}"), &separate), "cut {k}");
+        }
+    }
+
+    #[test]
+    fn switch_series_equals_a_switch_at_that_round() {
+        let (g, n, beta) = torus();
+        let at = 30;
+        let series = [Series::paper(
+            Scheme::sos(beta),
+            5,
+            n,
+            Some(SwitchPolicy::AtRound(at)),
+        )];
+        let cut = Cut::every_round(0, 60);
+        let runs = run_series(&g, &series, &[cut]);
+        assert_eq!(runs[0].report.switch_round, Some(at));
+        let rows = cut.rows(&runs);
+        assert_eq!(
+            csv("switch_shared", &rows),
+            csv("switch_alone", &alone(&g, &series[0], 60, 1))
+        );
+        // The same run stepped by hand, switching to FOS before round
+        // `at + 1`.
+        let mut sim = Experiment::on(&g)
+            .discrete(Rounding::randomized(5))
+            .sos(beta)
+            .init(InitialLoad::paper_default(n))
+            .build()
+            .unwrap()
+            .simulator();
+        for row in &rows {
+            if row.round == at + 1 {
+                sim.switch_scheme(Scheme::fos());
+            }
+            sim.step();
+            assert_eq!(sim.round(), row.round);
+            assert_eq!(
+                sim.metrics().max_minus_avg.to_bits(),
+                row.metrics.max_minus_avg.to_bits()
+            );
+        }
     }
 }

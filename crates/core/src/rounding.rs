@@ -12,10 +12,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use sodiff_graph::Graph;
-
 use crate::error::{BuildError, ParseError};
-use crate::rng::SplitMix64;
 
 /// A rounding scheme *kind*, without its RNG seed: the serializable form
 /// used by [`crate::ScenarioSpec`]. Seeds are supplied separately
@@ -160,14 +157,23 @@ impl Rounding {
     /// so that every round draws fresh randomness while remaining
     /// reproducible and iteration-order independent.
     ///
-    /// This is the reference (unchunked) implementation; the simulator's
-    /// hot path runs the equivalent fused kernels in `crate::kernel`,
-    /// which are tested against this form.
+    /// The paper's rounding written the plain way, kept as the test
+    /// reference: no round calls it. The unit tests here check its
+    /// properties, and `kernel`'s tests check the simulator's streamed
+    /// scatter and rounding passes against it.
     ///
     /// # Panics
     ///
     /// Panics if the slice lengths mismatch the graph.
-    pub fn round_flows(&self, graph: &Graph, scheduled: &[f64], round: u64, out: &mut [i64]) {
+    #[cfg(test)]
+    pub(crate) fn round_flows(
+        &self,
+        graph: &sodiff_graph::Graph,
+        scheduled: &[f64],
+        round: u64,
+        out: &mut [i64],
+    ) {
+        use crate::rng::SplitMix64;
         assert_eq!(scheduled.len(), graph.edge_count());
         assert_eq!(out.len(), graph.edge_count());
         match *self {
@@ -239,7 +245,7 @@ impl Rounding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sodiff_graph::generators;
+    use sodiff_graph::{generators, Graph};
 
     #[test]
     fn rounding_spec_roundtrip_and_seeding() {

@@ -61,5 +61,5 @@ fn main() {
 
     println!("SOS converges roughly quadratically faster; its residual");
     println!("imbalance can be removed by switching to FOS — see the");
-    println!("hybrid_switching example.");
+    println!("fig08 binary (cargo run --release -p sodiff-bench --bin fig08).");
 }
