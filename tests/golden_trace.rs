@@ -186,6 +186,32 @@ fn cycle_fos_odd_size() {
     );
 }
 
+/// An irregular graph under uniform speeds: the grid's corner, border
+/// and interior nodes have degrees 2, 3 and 4, so its `α_e/s` entries
+/// differ from edge to edge and the coefficients stay one per-edge table
+/// shared by both halves. Checked on the sequential executor and, with
+/// the same checksum, on the pool.
+#[test]
+fn grid_sos_uniform_irregular() {
+    let g = generators::grid2d(8, 8);
+    for threads in [1, 3] {
+        let sim = Experiment::on(&g)
+            .discrete(Rounding::randomized(5))
+            .sos(1.8)
+            .threads(threads)
+            .init(InitialLoad::point(0, 6400))
+            .build()
+            .unwrap()
+            .simulator();
+        run_and_check(
+            "grid_sos_uniform",
+            (0xa69edc38e8cbb000, 0x8f79fcc38143e271),
+            sim,
+            60,
+        );
+    }
+}
+
 /// The pooled executor reproduces the same golden trace: the pipeline's
 /// bit-identity holds across chunking too.
 #[test]
