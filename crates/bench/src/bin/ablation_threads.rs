@@ -1,7 +1,9 @@
 //! Ablation: thread scaling of the round executor (the paper's simulator
 //! used OpenMP on a 4-core i7). Measures rounds/second of discrete SOS on
 //! a large torus for increasing thread counts and verifies the runs are
-//! bit-identical.
+//! bit-identical. The CSV holds only what a run determines (threads,
+//! rounds, loads checksum), so two runs write the same bytes; the timings
+//! go to stdout.
 
 use std::time::Instant;
 
@@ -63,11 +65,11 @@ fn main() {
             Some(r) => assert_eq!(r, &loads, "parallel run diverged at {threads} threads"),
         }
         println!("{threads:>8} {secs:>12.3} {rps:>12.1} {speedup:>10.2} {checksum:>14}");
-        rows.push(format!("{threads},{secs},{rps},{speedup}"));
+        rows.push(format!("{threads},{rounds},{checksum}"));
     }
     sodiff_bench::write_table(
         &opts.path("ablation_threads"),
-        "threads,seconds,rounds_per_sec,speedup",
+        "threads,rounds,loads_checksum",
         &rows,
     );
     println!("\nwrote {}", opts.path("ablation_threads").display());

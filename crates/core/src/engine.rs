@@ -583,7 +583,9 @@ impl<'g> Simulator<'g> {
     /// Heap bytes of the kernel tables this simulator owns: the
     /// coefficient tables its rounds read (the diffusion `α_e/s` pair, or
     /// the pairwise schemes' λ-scaled pair; one shared buffer under
-    /// uniform speeds) and the balanced-load table. The graph's CSR is not
+    /// uniform speeds) and the balanced loads. A table whose entries all
+    /// hold the same value is stored as that value and counts nothing, so
+    /// a regular graph under uniform speeds reads 0. The graph's CSR is not
     /// counted: the tables share it with the caller's graph, whose
     /// [`Graph::memory_bytes`](sodiff_graph::Graph::memory_bytes) counts
     /// it once. A diffusion run's footprint is therefore

@@ -31,23 +31,30 @@
 //! every plan: `edge_pass_*_gated` take the gate, and the fused and
 //! scatter passes keep all-edges entry points ([`edge_pass_fused`],
 //! [`edge_pass_scatter`]). No pass takes coefficients of its own: each
-//! reads the pair held by the [`KernelTables`] it is given.
+//! reads the pair held by the [`KernelTables`] it is given, once per call
+//! choosing the loop for how the tables store it (one value or one entry
+//! per edge), as it chooses the loop for the flow memory.
 //!
 //! Because both executors run byte-for-byte the same arithmetic in the
 //! same per-element order, parallel results are bit-identical to
 //! sequential ones by construction — the property `tests/determinism.rs`
 //! checks exhaustively.
 //!
-//! The per-edge work is division-free: [`KernelTables`] precomputes the
-//! coefficient tables `coef_tail[e] = α_e/s_u` and `coef_head[e] = α_e/s_v`
-//! at simulator construction (for the pairwise schemes
-//! `λ·s_v/(s_u+s_v)` and `λ·s_u/(s_u+s_v)` instead; one shared table
-//! under uniform speeds, where the two are the same numbers), so the
-//! scheduled-flow pass is a fused multiply–add over the graph's canonical
-//! `(u, v)` edge list, the two coefficient slices and the flow memory
-//! (`Ŷ_e = mem·prev_e + gain·(coef_tail[e]·x_u − coef_head[e]·x_v)`)
-//! instead of the two `f64` divisions per edge the naive form
-//! `α_e·(x_u/s_u − x_v/s_v)` costs. The tables own no adjacency: the
+//! The per-edge work is division-free: [`KernelTables`] computes each
+//! edge's coefficient pair `(c_tail, c_head) = (α_e/s_u, α_e/s_v)` at
+//! simulator construction (for the pairwise schemes
+//! `(λ·s_v/(s_u+s_v), λ·s_u/(s_u+s_v))` instead), so the scheduled-flow
+//! pass is a fused multiply–add over the graph's canonical `(u, v)` edge
+//! list, the coefficients and the flow memory
+//! (`Ŷ_e = mem·prev_e + gain·(c_tail·x_u − c_head·x_v)`) instead of the
+//! two `f64` divisions per edge the naive form `α_e·(x_u/s_u − x_v/s_v)`
+//! costs. A pair every edge shares bit for bit — every regular graph's
+//! `α_e/s` pair and every graph's λ-scaled pair under uniform speeds — is
+//! stored as that one pair, and the pass reads it from registers;
+//! otherwise the tables hold one table per half, one shared table under
+//! uniform speeds, where the two halves are the same numbers. The
+//! balanced loads are one value in the same way under uniform speeds.
+//! The tables own no adjacency: the
 //! passes read the CSR arrays of the [`Graph`] clone the tables hold,
 //! which shares its arrays with the caller's graph. For the edge-local
 //! rounding schemes the rounding is fused into the same pass, saving a
@@ -205,16 +212,20 @@ const _: () = assert!(DEV_BLOCK.is_multiple_of(LANES));
 ///
 /// The graph's arrays are shared, not copied ([`Graph`]'s `clone` bumps a
 /// reference count), so the tables own only what the graph does not
-/// have: the coefficient tables and the balanced-load table
+/// have: the coefficient pair [`Self::coefs`] and the balanced loads
 /// [`Self::ideal`]. The randomized framework needs nothing more: its
 /// scatter writes one fraction per edge and its rounding phase reads it
 /// back through the arc's edge id, which the CSR already holds.
 /// The coefficients are the ones the simulation's rounds read: the
 /// diffusion `α_e/s` pair that [`Self::new`] builds, or the pairwise
-/// schemes' λ-scaled harmonic-speed pair. Under uniform speeds each pair's
-/// two halves are the same `f64`, so [`Self::coef_tail`] and
-/// [`Self::coef_head`] then share one buffer; the passes read the two
-/// slices either way.
+/// schemes' λ-scaled harmonic-speed pair.
+///
+/// A table whose entries all hold the same `f64` bits is stored as that
+/// one value: the coefficient pair of every regular graph under uniform
+/// speeds, and of the pairwise schemes on any graph under uniform speeds,
+/// and the balanced loads of every uniform-speed run. The passes then
+/// read it from a register instead of a stream, with the
+/// same operands in the same order, so the bits do not move.
 pub struct KernelTables {
     /// Node count.
     pub(crate) n: usize,
@@ -222,30 +233,77 @@ pub struct KernelTables {
     pub m: usize,
     /// The simulated graph (shares the caller's CSR arrays).
     graph: Graph,
-    /// The tail coefficient per edge: `α_e / s_tail` for diffusion,
-    /// `λ·s_head/(s_tail+s_head)` for the pairwise schemes.
-    pub coef_tail: Arc<[f64]>,
-    /// The head coefficient per edge: `α_e / s_head` for diffusion,
-    /// `λ·s_tail/(s_tail+s_head)` for the pairwise schemes (the same
-    /// buffer as [`Self::coef_tail`] under uniform speeds).
-    pub coef_head: Arc<[f64]>,
+    /// The coefficient pair per edge: `(α_e/s_tail, α_e/s_head)` for
+    /// diffusion, `(λ·s_head/(s_tail+s_head), λ·s_tail/(s_tail+s_head))`
+    /// for the pairwise schemes.
+    pub coefs: Coefs,
     /// Per-node speed-proportional balanced load `x̄_i = T·s_i/S`, where
     /// `T` is the total load passed at construction (the conserved
     /// initial total for real simulations). The apply pass reduces load
-    /// deviations against this table in the same sweep that applies
-    /// flows, so stop conditions never pay a separate metrics pass.
-    pub ideal: Vec<f64>,
+    /// deviations against it in the same sweep that applies flows, so
+    /// stop conditions never pay a separate metrics pass.
+    pub ideal: Ideal,
+}
+
+/// The per-edge `(c_tail, c_head)` coefficient pair of [`KernelTables`].
+#[derive(Clone, Debug)]
+pub enum Coefs {
+    /// Every edge has this pair.
+    Same(f64, f64),
+    /// One pair per edge, as a tail and a head table; both are one shared
+    /// buffer when they hold the same numbers (uniform speeds).
+    Each(Arc<[f64]>, Arc<[f64]>),
+}
+
+impl Coefs {
+    /// Edge `e`'s pair.
+    pub fn get(&self, e: usize) -> (f64, f64) {
+        match self {
+            Self::Same(tail, head) => (*tail, *head),
+            Self::Each(tail, head) => (tail[e], head[e]),
+        }
+    }
+}
+
+/// The per-node balanced loads of [`KernelTables`].
+#[derive(Clone, Debug)]
+pub enum Ideal {
+    /// Every node has this balanced load.
+    Same(f64),
+    /// One balanced load per node.
+    Each(Box<[f64]>),
+}
+
+impl Ideal {
+    /// Node `i`'s balanced load.
+    pub fn get(&self, i: usize) -> f64 {
+        match self {
+            Self::Same(x) => *x,
+            Self::Each(x) => x[i],
+        }
+    }
+}
+
+/// The one value every item of `values` holds, compared by `bits`, or
+/// `None` at the first item that differs (or when there is none). It
+/// allocates nothing, so a table is allocated only once it is known to
+/// vary.
+fn one_value<T: Copy, B: PartialEq>(
+    mut values: impl Iterator<Item = T>,
+    bits: impl Fn(T) -> B,
+) -> Option<T> {
+    let first = values.next()?;
+    values.all(|v| bits(v) == bits(first)).then_some(first)
 }
 
 impl KernelTables {
     /// Builds the diffusion tables for `graph` with the given speeds.
-    /// `total_load` seeds the [`KernelTables::ideal`] balanced-load table
+    /// `total_load` seeds the balanced loads [`KernelTables::ideal`]
     /// (pass the initial total; callers that ignore the fused stats may
     /// pass any value).
     ///
-    /// The third argument is ignored (every caller in this workspace
-    /// passes `false`); it remains only so that existing callers keep
-    /// compiling.
+    /// The third argument is ignored, whatever its value; it remains only
+    /// so that existing callers keep compiling.
     pub fn new(graph: &Graph, speeds: &Speeds, _arc_plan: bool, total_load: f64) -> Self {
         let coefs = coef_pair(graph, speeds, |u, v| {
             let alpha = graph.alpha(u, v);
@@ -258,25 +316,26 @@ impl KernelTables {
     }
 
     /// [`Self::new`] with the coefficient pair `coefs` in place of the
-    /// diffusion `α_e/s` tables: the pairwise schemes' λ-scaled pair.
+    /// diffusion `α_e/s` pair: the pairwise schemes' λ-scaled pair.
     pub(crate) fn with_coefs(
         graph: &Graph,
         speeds: &Speeds,
-        (coef_tail, coef_head): CoefPair,
+        coefs: Coefs,
         total_load: f64,
     ) -> Self {
         let n = graph.node_count();
         // Same per-node expression as `metrics::snapshot_with_total`, so
         // the fused deviations match a from-scratch recompute bit for bit.
-        let ideal = (0..n)
-            .map(|i| total_load * speeds.get(i) / speeds.total())
-            .collect();
+        let ideal_of = |i| total_load * speeds.get(i) / speeds.total();
+        let ideal = match one_value((0..n).map(ideal_of), f64::to_bits) {
+            Some(x) => Ideal::Same(x),
+            None => Ideal::Each((0..n).map(ideal_of).collect()),
+        };
         Self {
             n,
             m: graph.edge_count(),
             graph: graph.clone(),
-            coef_tail,
-            coef_head,
+            coefs,
             ideal,
         }
     }
@@ -287,49 +346,142 @@ impl KernelTables {
         &self.graph
     }
 
-    /// Heap bytes the tables own: the coefficient tables (a shared
-    /// coefficient buffer counts once) and [`Self::ideal`]. The graph's
-    /// CSR is not counted; it is [`Graph::memory_bytes`].
+    /// Heap bytes the tables own: the per-edge coefficient tables (a
+    /// shared buffer counts once) and the per-node balanced loads. A
+    /// table stored as one value lives inline and counts nothing. The
+    /// graph's CSR is not counted; it is [`Graph::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let coef_buffers = if Arc::ptr_eq(&self.coef_tail, &self.coef_head) {
-            1
-        } else {
-            2
+        let coefs = match &self.coefs {
+            Coefs::Same(..) => 0,
+            Coefs::Each(tail, head) if Arc::ptr_eq(tail, head) => self.m,
+            Coefs::Each(..) => 2 * self.m,
         };
-        (coef_buffers * self.m + self.ideal.len()) * size_of::<f64>()
+        let ideal = match &self.ideal {
+            Ideal::Same(_) => 0,
+            Ideal::Each(x) => x.len(),
+        };
+        (coefs + ideal) * std::mem::size_of::<f64>()
     }
 }
 
-/// A per-edge `(coef_tail, coef_head)` coefficient table pair; both
-/// halves are one shared buffer when they hold the same numbers.
-pub(crate) type CoefPair = (Arc<[f64]>, Arc<[f64]>);
-
-/// Builds a per-edge `(coef_tail, coef_head)` table pair from `coefs(u,
-/// v)` over the canonical edges. Under uniform speeds every coefficient
-/// this crate builds is symmetric in the two endpoint speeds, so both
-/// halves are the same `f64` and one table is built and shared; otherwise
-/// the two tables are built separately.
+/// Builds the coefficient pair from `coefs(u, v)` over the canonical
+/// edges. A pair every edge shares, bit for bit, is stored as that pair.
+/// Otherwise, under uniform speeds every coefficient this crate builds is
+/// symmetric in the two endpoint speeds, so both halves are the same
+/// `f64` and one table is built and shared; under other speeds the two
+/// tables are built separately.
 pub(crate) fn coef_pair(
     graph: &Graph,
     speeds: &Speeds,
     coefs: impl Fn(u32, u32) -> (f64, f64),
-) -> CoefPair {
-    let edges = graph.edges().iter();
-    if speeds.is_uniform() {
-        let shared: Arc<[f64]> = edges
-            .map(|&(u, v)| {
-                let (tail, head) = coefs(u, v);
-                debug_assert_eq!(tail.to_bits(), head.to_bits(), "asymmetric coefficient");
-                tail
-            })
-            .collect();
-        (Arc::clone(&shared), shared)
-    } else {
-        let tail = edges.clone().map(|&(u, v)| coefs(u, v).0).collect();
-        let head = edges.map(|&(u, v)| coefs(u, v).1).collect();
+) -> Coefs {
+    let uniform = speeds.is_uniform();
+    let pairs = graph.edges().iter().map(|&(u, v)| {
+        let (tail, head) = coefs(u, v);
+        debug_assert!(
+            !uniform || tail.to_bits() == head.to_bits(),
+            "asymmetric coefficient"
+        );
         (tail, head)
+    });
+    if let Some((tail, head)) = one_value(pairs.clone(), |(t, h)| (t.to_bits(), h.to_bits())) {
+        Coefs::Same(tail, head)
+    } else if uniform {
+        let shared: Arc<[f64]> = pairs.map(|(tail, _)| tail).collect();
+        Coefs::Each(Arc::clone(&shared), shared)
+    } else {
+        let tail = pairs.clone().map(|(tail, _)| tail).collect();
+        Coefs::Each(tail, pairs.map(|(_, head)| head).collect())
     }
+}
+
+/// A read-only table the passes index by position within their range:
+/// a slice, a pair of slices, or one value for every position
+/// ([`Repeat`]), which the lane loops then hold in a register.
+trait Column: Copy {
+    /// One entry.
+    type Item: Copy;
+    /// The entries at `r`.
+    fn slice(self, r: Range<usize>) -> Self;
+    /// Entry `k`.
+    fn at(self, k: usize) -> Self::Item;
+}
+
+/// One value at every position: the [`Column`] view of a table stored as
+/// one value.
+#[derive(Clone, Copy)]
+struct Repeat<T>(T);
+
+impl<T: Copy> Column for Repeat<T> {
+    type Item = T;
+    #[inline(always)]
+    fn slice(self, _r: Range<usize>) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn at(self, _k: usize) -> T {
+        self.0
+    }
+}
+
+impl Column for &[f64] {
+    type Item = f64;
+    #[inline(always)]
+    fn slice(self, r: Range<usize>) -> Self {
+        &self[r]
+    }
+    #[inline(always)]
+    fn at(self, k: usize) -> f64 {
+        self[k]
+    }
+}
+
+impl Column for (&[f64], &[f64]) {
+    type Item = (f64, f64);
+    #[inline(always)]
+    fn slice(self, r: Range<usize>) -> Self {
+        (&self.0[r.clone()], &self.1[r])
+    }
+    #[inline(always)]
+    fn at(self, k: usize) -> (f64, f64) {
+        (self.0[k], self.1[k])
+    }
+}
+
+/// Evaluates `$body` with `$coefs` bound to the coefficient pair of the
+/// tables `$t` as a [`Column`]: [`Repeat`] of the one pair, or the two
+/// per-edge slices. Each pass dispatches once per call, so each form
+/// compiles to its own loop.
+macro_rules! with_coefs {
+    ($t:expr, |$coefs:ident| $body:expr) => {
+        match &$t.coefs {
+            Coefs::Same(tail, head) => {
+                let $coefs = Repeat((*tail, *head));
+                $body
+            }
+            Coefs::Each(tail, head) => {
+                let $coefs = (&tail[..], &head[..]);
+                $body
+            }
+        }
+    };
+}
+
+/// [`with_coefs!`] for the balanced loads: `$ideal` is [`Repeat`] of the
+/// one value or the per-node slice.
+macro_rules! with_ideal {
+    ($t:expr, |$ideal:ident| $body:expr) => {
+        match &$t.ideal {
+            Ideal::Same(x) => {
+                let $ideal = Repeat(*x);
+                $body
+            }
+            Ideal::Each(x) => {
+                let $ideal = &x[..];
+                $body
+            }
+        }
+    };
 }
 
 /// Per-chunk load statistics fused into the apply pass: the round's
@@ -674,7 +826,7 @@ impl EdgeGate for MaskBits<'_> {
 /// The scheduled-flow operands of one edge range, sliced once: the
 /// canonical endpoints, the coefficient pair and the flow memory, plus
 /// the round's gate, scalars and load reader.
-struct Schedule<'a, G, M: Buf, X> {
+struct Schedule<'a, G, M: Buf, X, C> {
     gate: &'a G,
     x: &'a X,
     mem: f64,
@@ -682,15 +834,23 @@ struct Schedule<'a, G, M: Buf, X> {
     /// Global id of local edge 0 (the gate indexes bits by global id).
     e0: usize,
     pairs: &'a [(u32, u32)],
-    cts: &'a [f64],
-    chs: &'a [f64],
+    coefs: C,
     memory: &'a [M::Elem],
 }
 
-impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M, X> {
-    /// The schedule over the edges `edges` of `t`.
+impl<'a, G, M, X, C> Schedule<'a, G, M, X, C>
+where
+    G: EdgeGate,
+    M: Buf<Val = f64>,
+    X: Fn(usize) -> f64,
+    C: Column<Item = (f64, f64)>,
+{
+    /// The schedule over the edges `edges` of `t`, whose coefficient
+    /// pair is `coefs` ([`with_coefs!`]).
+    #[allow(clippy::too_many_arguments)] // the operands of one flow expression
     fn new(
         t: &'a KernelTables,
+        coefs: C,
         gate: &'a G,
         edges: Range<usize>,
         mem: f64,
@@ -705,8 +865,7 @@ impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M,
             gain,
             e0: edges.start,
             pairs: &t.graph().edges()[edges.clone()],
-            cts: &t.coef_tail[edges.clone()],
-            chs: &t.coef_head[edges.clone()],
+            coefs: coefs.slice(edges.clone()),
             memory: &memory.elems()[edges],
         }
     }
@@ -720,24 +879,24 @@ impl<'a, G: EdgeGate, M: Buf<Val = f64>, X: Fn(usize) -> f64> Schedule<'a, G, M,
         Self {
             e0: self.e0 + k0,
             pairs: &self.pairs[r.clone()],
-            cts: &self.cts[r.clone()],
-            chs: &self.chs[r.clone()],
+            coefs: self.coefs.slice(r.clone()),
             memory: &self.memory[r],
             ..*self
         }
     }
 
     /// Local edge `k`'s gated scheduled flow
-    /// `Ŷ_e = mem·prev_e + gain·(coef_tail·x_u − coef_head·x_v)`: the one
+    /// `Ŷ_e = mem·prev_e + gain·(c_tail·x_u − c_head·x_v)`: the one
     /// place the edge passes compute it.
     #[inline(always)]
     fn flow(&self, k: usize) -> f64 {
         let (u, v) = self.pairs[k];
+        let (ct, ch) = self.coefs.at(k);
         let x = self.x;
         self.gate.gate(
             self.e0 + k,
             self.mem * M::read(&self.memory[k])
-                + self.gain * (self.cts[k] * x(u as usize) - self.chs[k] * x(v as usize)),
+                + self.gain * (ct * x(u as usize) - ch * x(v as usize)),
         )
     }
 
@@ -908,7 +1067,10 @@ pub fn edge_pass_fused_gated<G: EdgeGate, P: Buf<Val = f64>, F: Buf<Val = i64>>(
     flows: &F,
 ) {
     with_memory!(flow_memory, prev, flows, |memory| {
-        Schedule::new(t, gate, edges.clone(), mem, gain, &x, memory).fused(round, rounding, flows)
+        with_coefs!(t, |coefs| {
+            Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory)
+                .fused(round, rounding, flows)
+        })
     })
 }
 
@@ -976,7 +1138,9 @@ pub fn edge_pass_scatter_gated<
     prev: &P,
 ) {
     with_memory!(flow_memory, prev, flows, |memory| {
-        Schedule::new(t, gate, edges.clone(), mem, gain, &x, memory).scatter(frac, flows)
+        with_coefs!(t, |coefs| {
+            Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory).scatter(frac, flows)
+        })
     })
 }
 
@@ -994,7 +1158,9 @@ pub fn edge_pass_continuous_gated<G: EdgeGate, P: Buf<Val = f64>>(
     x: impl Fn(usize) -> f64,
     prev: &P,
 ) {
-    Schedule::new(t, gate, edges, mem, gain, &x, prev).continuous();
+    with_coefs!(t, |coefs| {
+        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, prev).continuous()
+    })
 }
 
 /// Reusable per-participant scratch of the randomized framework's
@@ -1220,6 +1386,20 @@ pub fn apply<L: Buf>(
     loads: &L,
     block_sums: &impl Buf<Val = f64>,
 ) -> LoadStats {
+    with_ideal!(t, |ideal| apply_over(
+        t, ideal, nodes, flows, loads, block_sums
+    ))
+}
+
+/// [`apply`] against the balanced loads `ideal` ([`with_ideal!`]).
+fn apply_over<L: Buf>(
+    t: &KernelTables,
+    ideal: impl Column<Item = f64>,
+    nodes: Range<usize>,
+    flows: impl Fn(usize) -> L::Val,
+    loads: &L,
+    block_sums: &impl Buf<Val = f64>,
+) -> LoadStats {
     debug_assert!(
         nodes.start.is_multiple_of(DEV_BLOCK),
         "chunk must be block-aligned"
@@ -1232,7 +1412,7 @@ pub fn apply<L: Buf>(
     let chunk_arcs = offsets[0]..offsets[offsets.len() - 1];
     let mut edges_rest = &t.graph().arc_edge_ids()[chunk_arcs.clone()];
     let mut signs_rest = &t.graph().arc_orientations()[chunk_arcs];
-    let ideals = &t.ideal[nodes.clone()];
+    let ideals = ideal.slice(nodes.clone());
     let load_elems = &loads.elems()[nodes.clone()];
     // Local node `k`'s arc reduction, in its exact sequential arc order:
     // its new load `x − Σ y` and its transient load `x − Σ max(y, 0)`.
@@ -1286,14 +1466,14 @@ pub fn apply<L: Buf>(
             (news[l], transients[l]) = reduce!(k0 + l);
         }
         for l in 0..LANES {
-            fold.node(news[l].to_f64(), ideals[k0 + l], transients[l].to_f64());
+            fold.node(news[l].to_f64(), ideals.at(k0 + l), transients[l].to_f64());
             L::write(&load_elems[k0 + l], news[l]);
         }
         fold.close(start + k0 + LANES, last, block_sums);
     }
     for k in main..len {
         let (new, transient) = reduce!(k);
-        fold.node(new.to_f64(), ideals[k], transient.to_f64());
+        fold.node(new.to_f64(), ideals.at(k), transient.to_f64());
         fold.close(start + k + 1, last, block_sums);
         L::write(&load_elems[k], new);
     }
@@ -1425,14 +1605,17 @@ pub(crate) fn pair_edge_step<S: Buf>(
     );
     // Only active edges are visited, so no gate is applied.
     let x = |i| loads.get(i).to_f64();
-    let sched = Schedule::new(t, &AllEdges, 0..t.m, mem, gain, &x, &NoMemory);
     let pairs = t.graph().edges();
-    for_each_set_bit(active, edges.start / 64..edges.end.div_ceil(64), |e| {
-        let y = flow(e, sched.flow(e));
-        if !is_stale(stale, e) {
-            land(sent, pairs[e], y);
-        }
-    });
+    let words = edges.start / 64..edges.end.div_ceil(64);
+    with_coefs!(t, |coefs| {
+        let sched = Schedule::new(t, coefs, &AllEdges, 0..t.m, mem, gain, &x, &NoMemory);
+        for_each_set_bit(active, words.clone(), |e| {
+            let y = flow(e, sched.flow(e));
+            if !is_stale(stale, e) {
+                land(sent, pairs[e], y);
+            }
+        });
+    })
 }
 
 /// A matching edge's integral flow in `round` for its scheduled flow `s`,
@@ -1476,6 +1659,20 @@ pub(crate) fn pair_node_step<L: Buf>(
     loads: &L,
     block_sums: &impl Buf<Val = f64>,
 ) -> LoadStats {
+    with_ideal!(t, |ideal| pair_node_step_over(
+        ideal, nodes, sent, loads, block_sums
+    ))
+}
+
+/// [`pair_node_step`] against the balanced loads `ideal`
+/// ([`with_ideal!`]).
+fn pair_node_step_over<L: Buf>(
+    ideal: impl Column<Item = f64>,
+    nodes: Range<usize>,
+    sent: &L,
+    loads: &L,
+    block_sums: &impl Buf<Val = f64>,
+) -> LoadStats {
     debug_assert!(
         nodes.start.is_multiple_of(DEV_BLOCK),
         "chunk must be block-aligned"
@@ -1486,16 +1683,17 @@ pub(crate) fn pair_node_step<L: Buf>(
         block: 0.0,
     };
     let (start, last) = (nodes.start, nodes.end);
+    let ideals = ideal.slice(nodes.clone());
     let slots = loads.elems()[nodes.clone()]
         .iter()
-        .zip(&sent.elems()[nodes.clone()]);
-    for ((k, (le, se)), &ideal) in slots.enumerate().zip(&t.ideal[nodes]) {
+        .zip(&sent.elems()[nodes]);
+    for (k, (le, se)) in slots.enumerate() {
         let y = L::read(se);
         L::write(se, zero);
         let x = L::read(le);
         let net = zero + y;
         let outgoing = zero + select_unpredictable(y > zero, y, zero);
-        fold.node((x - net).to_f64(), ideal, (x - outgoing).to_f64());
+        fold.node((x - net).to_f64(), ideals.at(k), (x - outgoing).to_f64());
         fold.close(start + k + 1, last, block_sums);
         L::write(le, x - net);
     }
@@ -1511,24 +1709,60 @@ mod tests {
     fn tables_match_graph_structure() {
         let g = generators::torus2d(4, 5);
         let s = Speeds::linear_ramp(20, 3.0);
-        let t = KernelTables::new(&g, &s, false, 0.0);
+        let t = KernelTables::new(&g, &s, false, 60.0);
         assert_eq!(t.n, 20);
         assert_eq!(t.m, g.edge_count());
         for e in 0..t.m {
             let (u, v) = g.edge(e as u32);
             assert_eq!(g.edges()[e], (u, v));
             let alpha = g.alpha(u, v);
-            assert_eq!(t.coef_tail[e], alpha / s.get(u as usize));
-            assert_eq!(t.coef_head[e], alpha / s.get(v as usize));
+            let pair = (alpha / s.get(u as usize), alpha / s.get(v as usize));
+            assert_eq!(t.coefs.get(e), pair);
         }
         assert_eq!(t.graph().arc_offsets().len(), 21);
         assert_eq!(*t.graph().arc_offsets().last().unwrap(), g.arc_count());
         // Heterogeneous speeds keep two coefficient tables.
-        assert!(!Arc::ptr_eq(&t.coef_tail, &t.coef_head));
+        assert!(matches!(&t.coefs, Coefs::Each(tail, head) if !Arc::ptr_eq(tail, head)));
         // The tables own the coefficients and `ideal`, nothing else.
         assert_eq!(t.memory_bytes(), 8 * (2 * t.m + t.n));
-        let uniform = KernelTables::new(&g, &Speeds::uniform(20), false, 0.0);
-        assert_eq!(uniform.memory_bytes(), 8 * (t.m + t.n));
+    }
+
+    /// Each table is one value exactly when all its entries hold the same
+    /// bits: the regular torus under uniform speeds stores one pair and
+    /// one balanced load, the irregular grid under uniform speeds one
+    /// shared coefficient table, and a star under speeds that vary only
+    /// at the leaves a per-edge pair (its tails are all the hub's).
+    #[test]
+    fn tables_store_one_value_when_every_entry_is_the_same() {
+        let torus = KernelTables::new(
+            &generators::torus2d(4, 5),
+            &Speeds::uniform(20),
+            false,
+            60.0,
+        );
+        assert!(matches!(torus.coefs, Coefs::Same(c, h) if c == 0.2 && h == 0.2));
+        assert!(matches!(torus.ideal, Ideal::Same(x) if x == 3.0));
+        assert_eq!(torus.memory_bytes(), 0);
+        let g = generators::grid2d(4, 5);
+        let grid = KernelTables::new(&g, &Speeds::uniform(20), false, 60.0);
+        assert!(matches!(&grid.coefs, Coefs::Each(tail, head) if Arc::ptr_eq(tail, head)));
+        assert!(matches!(grid.ideal, Ideal::Same(x) if x == 3.0));
+        assert_eq!(grid.memory_bytes(), 8 * grid.m);
+        for (e, &(u, v)) in g.edges().iter().enumerate() {
+            assert_eq!(grid.coefs.get(e), (g.alpha(u, v), g.alpha(u, v)));
+        }
+        let star = generators::star(6);
+        let speeds = Speeds::new((0..6).map(|i| 1.0 + i as f64).collect());
+        let t = KernelTables::new(&star, &speeds, false, 21.0);
+        assert!(star.edges().iter().all(|&(u, _)| u == 0));
+        assert!(matches!(&t.coefs, Coefs::Each(tail, head) if !Arc::ptr_eq(tail, head)));
+        assert_eq!(t.memory_bytes(), 8 * (2 * t.m + t.n));
+        for i in 0..6 {
+            assert_eq!(t.ideal.get(i), 21.0 * speeds.get(i) / speeds.total());
+        }
+        // No edges: the pair is vacuously one value.
+        let lone = KernelTables::new(&generators::star(1), &Speeds::uniform(1), false, 3.0);
+        assert_eq!((lone.m, lone.memory_bytes()), (0, 0));
     }
 
     #[test]
@@ -1611,10 +1845,8 @@ mod tests {
             );
             let sched: Vec<f64> = (0..m)
                 .map(|e| {
-                    0.4 * prev_init[e]
-                        + 1.6
-                            * (t.coef_tail[e] * loads[t.graph().edges()[e].0 as usize]
-                                - t.coef_head[e] * loads[t.graph().edges()[e].1 as usize])
+                    let ((u, v), (ct, ch)) = (t.graph().edges()[e], t.coefs.get(e));
+                    0.4 * prev_init[e] + 1.6 * (ct * loads[u as usize] - ch * loads[v as usize])
                 })
                 .collect();
             assert_eq!(fused_prev, sched, "{rounding:?} flow memory");
@@ -1647,9 +1879,8 @@ mod tests {
         let g = t.graph();
         (0..t.m)
             .map(|e| {
-                let (u, v) = g.edges()[e];
-                let s = mem * remembered[e]
-                    + gain * (t.coef_tail[e] * x(u as usize) - t.coef_head[e] * x(v as usize));
+                let ((u, v), (ct, ch)) = (g.edges()[e], t.coefs.get(e));
+                let s = mem * remembered[e] + gain * (ct * x(u as usize) - ch * x(v as usize));
                 bits.map_or(s, |b| bit(b, e) as f64 * s)
             })
             .collect()
@@ -2101,5 +2332,100 @@ mod tests {
         }
         flows[e] = -3;
         assert_eq!(apply_run(&t, &init, &mut flows, Some(&stale)), want);
+    }
+
+    /// `t` with each table stored one entry per edge or node, as a table
+    /// whose entries differ is stored.
+    fn per_entry(t: &KernelTables) -> KernelTables {
+        let (tail, head): (Vec<f64>, Vec<f64>) = (0..t.m).map(|e| t.coefs.get(e)).unzip();
+        KernelTables {
+            n: t.n,
+            m: t.m,
+            graph: t.graph.clone(),
+            coefs: Coefs::Each(tail.into(), head.into()),
+            ideal: Ideal::Each((0..t.n).map(|i| t.ideal.get(i)).collect()),
+        }
+    }
+
+    /// One matching round through the real edge and node steps over
+    /// `active`, from `init` (round 4): the loads as `f64` bits and the
+    /// statistics' bits.
+    fn matching_run<V: Value>(
+        t: &KernelTables,
+        active: &[u64],
+        flow: impl Fn(usize, f64) -> V,
+        init: &[V],
+    ) -> (Vec<u64>, [u64; 5]) {
+        let mut loads = init.to_vec();
+        let mut sent = vec![V::ZERO; t.n];
+        let mut sums = vec![0.0f64; dev_blocks(t.n)];
+        let (l, sn, b) = (cells(&mut loads), cells(&mut sent), cells(&mut sums));
+        pair_edge_step(t, 0..t.m, active, None, (0.0, 1.3), &l, &sn, flow);
+        let mut st = pair_node_step(t, 0..t.n, &sn, &l, &b);
+        st.sum_sq_dev = fold_block_sums(dev_blocks(t.n), &b);
+        let loads = loads.iter().map(|x| x.to_f64().to_bits()).collect();
+        (loads, stats_bits(&st))
+    }
+
+    /// A table stored as one value reads exactly as the same table stored
+    /// per entry: every edge pass under both gates and flow memories, the
+    /// apply pass and both steps of a matching round leave the same bits.
+    /// The torus's node and edge counts leave scalar tails, and its node
+    /// count spans two potential blocks.
+    #[test]
+    fn one_value_tables_read_as_per_entry_tables() {
+        let g = generators::torus2d(9, 11);
+        let (n, m) = (g.node_count(), g.edge_count());
+        assert!(!n.is_multiple_of(LANES) && !m.is_multiple_of(LANES) && n > DEV_BLOCK);
+        let init: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 29 - 6).collect();
+        let total = init.iter().sum::<i64>() as f64;
+        let one = KernelTables::new(&g, &Speeds::uniform(n), false, total);
+        assert!(matches!(one.coefs, Coefs::Same(..)) && matches!(one.ideal, Ideal::Same(_)));
+        let each = per_entry(&one);
+        let bits = |(flows, prev, frac): (Vec<i64>, Vec<f64>, Vec<f64>)| {
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            (flows, bits(prev), bits(frac))
+        };
+        let mut rng = SplitMix64::new(5);
+        let mask: Vec<u64> = (0..m.div_ceil(64)).map(|_| rng.next_u64()).collect();
+        for (pass, rounding) in [
+            (0, Rounding::nearest()),
+            (0, Rounding::unbiased_edge(7)),
+            (1, Rounding::randomized(1)),
+            (2, Rounding::nearest()),
+        ] {
+            for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
+                let case = format!("pass {pass} {rounding:?} {memory:?}");
+                let bounds = [0, 13, m];
+                let run = |t| bits(run_gated(t, pass, rounding, memory, &AllEdges, &bounds));
+                assert_eq!(run(&one), run(&each), "{case}");
+                let gate = MaskBits(&mask[..]);
+                let run = |t| bits(run_gated(t, pass, rounding, memory, &gate, &bounds));
+                assert_eq!(run(&one), run(&each), "{case} masked");
+            }
+        }
+        let mut flows: Vec<i64> = (0..m as i64).map(|e| (e * 11) % 9 - 4).collect();
+        let init_f: Vec<f64> = init.iter().map(|&x| x as f64 * 0.7).collect();
+        let mut flows_f: Vec<f64> = flows.iter().map(|&y| y as f64 * 1.1).collect();
+        assert_eq!(
+            apply_run(&one, &init, &mut flows, None),
+            apply_run(&each, &init, &mut flows, None)
+        );
+        assert_eq!(
+            apply_run(&one, &init_f, &mut flows_f, None),
+            apply_run(&each, &init_f, &mut flows_f, None)
+        );
+        let active = &sodiff_graph::matching::edge_coloring(&g).class_masks()[0];
+        let tokens = |t: &KernelTables| {
+            matching_run(
+                t,
+                active,
+                pair_rounding(t, Rounding::randomized(3), 4),
+                &init,
+            )
+        };
+        assert_eq!(tokens(&one), tokens(&each));
+        let fluid = |t: &KernelTables| matching_run(t, active, |_, s| s, &init_f);
+        assert_eq!(fluid(&one), fluid(&each));
     }
 }

@@ -196,13 +196,13 @@
 //!
 //! **Division-free fused edge kernels** (`kernel` module, crate-private).
 //! At construction the simulator's scheme kernel precomputes the
-//! per-edge coefficient tables its rounds read — `coef_tail[e] = α_e/s_u`
-//! and `coef_head[e] = α_e/s_v` for FOS/SOS, the λ-scaled pair
-//! `λ·s_v/(s_u+s_v)` and `λ·s_u/(s_u+s_v)` for dimension exchange and
-//! matchings, and nothing else (one shared table under uniform speeds,
-//! where the two halves are the same `f64`) — so the
+//! per-edge coefficient pair its rounds read — `(α_e/s_u, α_e/s_v)` for
+//! FOS/SOS, the λ-scaled pair `(λ·s_v/(s_u+s_v), λ·s_u/(s_u+s_v))` for
+//! dimension exchange and matchings, and nothing else (one value when
+//! every edge has the same pair, else one shared table under uniform
+//! speeds, where the two halves are the same `f64`) — so the
 //! scheduled-flow pass is a pure multiply–add sweep
-//! `Ŷ_e = mem·prev_e + gain·(coef_tail[e]·x_u − coef_head[e]·x_v)` with no
+//! `Ŷ_e = mem·prev_e + gain·(c_tail·x_u − c_head·x_v)` with no
 //! `f64` division and no `Speeds::get` indirection. The endpoints come
 //! from the graph's canonical `(u, v)` edge list and the apply pass
 //! walks the graph's own flat arc arrays (edge ids, orientation signs):
@@ -272,7 +272,7 @@
 //! **Fused in-loop metrics** (`kernel::LoadStats` + the apply pass).
 //! The apply pass reduces, in the same sweep that applies flows, the
 //! minimum transient load, the post-round min/max deviations against a
-//! precomputed balanced-load table ([`KernelTables`'s `ideal`]), and
+//! precomputed balanced loads ([`KernelTables`'s `ideal`]), and
 //! per-64-node-block squared-deviation partials folded in block order.
 //! Threshold/plateau-stopped runs therefore make exactly **one pass
 //! over the node loads per round** — the old per-round `O(n + m)`
@@ -439,8 +439,8 @@
 //! after the simulator is built drops 15.9 → 12.1 MB, and the
 //! `torus_sos_balance` peak RSS (VmHWM) 19.53 → 15.78 MB (medians of 10
 //! alternating pairs, 2-vCPU host), with identical rounds and final
-//! imbalance. After the two entries below, the same run's footprint is
-//! 2 883 592 + 1 572 864 + 2 621 440 B.
+//! imbalance. After the entries below, the same run's footprint is
+//! 2 883 592 + 0 + 2 621 440 B.
 //!
 //! **One rounding fraction per edge** (2026-10). Every edge has exactly
 //! one sender, so the randomized framework keeps one signed fraction

@@ -88,11 +88,12 @@
 //! The kernel's tables hold only the coefficients its rounds read. For
 //! FOS/SOS those are the diffusion `α_e/s` pair. The pairwise schemes'
 //! tables hold the λ-scaled harmonic-speed pair
-//! `coef_tail = λ·s_v/(s_u+s_v)`, `coef_head = λ·s_u/(s_u+s_v)` instead,
+//! `c_tail = λ·s_v/(s_u+s_v)`, `c_head = λ·s_u/(s_u+s_v)` instead,
 //! so an active edge schedules
 //! `y = λ·(s_u·s_v/(s_u+s_v))·(x_u/s_u − x_v/s_v)` — exact pairwise
-//! averaging at `λ = 1` under uniform speeds — and no pairwise run
-//! builds a diffusion table.
+//! averaging at `λ = 1` under uniform speeds, where the pair is the one
+//! value `(λ/2, λ/2)` on every edge — and no pairwise run builds a
+//! diffusion table.
 //!
 //! See the "adding a scheme" walkthrough in the crate docs
 //! ([`crate`]) for the end-to-end list of touch points.
@@ -107,7 +108,7 @@ use crate::engine::{FlowMemory, Mode};
 use crate::error::BuildError;
 use crate::experiment::Config;
 use crate::kernel::{
-    self, AllEdges, Atomics, Buf, Cells, CoefPair, EdgeGate, FwScratch, KernelTables, LoadStats,
+    self, AllEdges, Atomics, Buf, Cells, Coefs, EdgeGate, FwScratch, KernelTables, LoadStats,
     MaskBits, Value,
 };
 use crate::matchgen::{self, MatchScratch};
@@ -527,10 +528,10 @@ pub(crate) struct SchemeKernel {
     pub perturb: PerturbSpec,
 }
 
-/// The λ-scaled harmonic-speed coefficient tables of the pairwise
-/// schemes: `coef_tail[e] = λ·s_v/(s_u+s_v)`, `coef_head[e] = λ·s_u/(s_u+s_v)`,
-/// so `y_e = coef_tail·x_u − coef_head·x_v = λ·(s_u·s_v/(s_u+s_v))·(x_u/s_u − x_v/s_v)`.
-fn exchange_coefs(graph: &Graph, speeds: &Speeds, lambda: f64) -> CoefPair {
+/// The λ-scaled harmonic-speed coefficient pair of the pairwise
+/// schemes: `c_tail = λ·s_v/(s_u+s_v)`, `c_head = λ·s_u/(s_u+s_v)`,
+/// so `y_e = c_tail·x_u − c_head·x_v = λ·(s_u·s_v/(s_u+s_v))·(x_u/s_u − x_v/s_v)`.
+fn exchange_coefs(graph: &Graph, speeds: &Speeds, lambda: f64) -> Coefs {
     kernel::coef_pair(graph, speeds, |u, v| {
         let su = speeds.get(u as usize);
         let sv = speeds.get(v as usize);
@@ -856,18 +857,20 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_coefficients_share_one_table_under_uniform_speeds() {
+    fn pairwise_coefficients_are_one_pair_under_uniform_speeds() {
+        // `λ·s_v/(s_u+s_v) = λ/2` on every edge of every graph, regular
+        // or not.
+        for g in [generators::torus2d(6, 6), generators::grid2d(6, 6)] {
+            let coefs = exchange_coefs(&g, &Speeds::uniform(36), 0.5);
+            assert!(matches!(coefs, Coefs::Same(t, h) if t == 0.25 && h == 0.25));
+        }
         let g = generators::torus2d(6, 6);
-        let (tail, head) = exchange_coefs(&g, &Speeds::uniform(36), 0.5);
-        assert!(Arc::ptr_eq(&tail, &head));
-        assert!(tail.iter().all(|&c| c == 0.25));
         let speeds = Speeds::two_class(36, 9, 3.0);
-        let (tail, head) = exchange_coefs(&g, &speeds, 0.5);
-        assert!(!Arc::ptr_eq(&tail, &head));
+        let coefs = exchange_coefs(&g, &speeds, 0.5);
+        assert!(matches!(&coefs, Coefs::Each(tail, head) if !Arc::ptr_eq(tail, head)));
         for (e, &(u, v)) in g.edges().iter().enumerate() {
             let (su, sv) = (speeds.get(u as usize), speeds.get(v as usize));
-            assert_eq!(tail[e], 0.5 * sv / (su + sv));
-            assert_eq!(head[e], 0.5 * su / (su + sv));
+            assert_eq!(coefs.get(e), (0.5 * sv / (su + sv), 0.5 * su / (su + sv)));
         }
     }
 
@@ -928,10 +931,10 @@ mod tests {
     fn exchange_coefs_harmonic() {
         let g = generators::path(2);
         let speeds = Speeds::new(vec![1.0, 3.0]);
-        let (ct, ch) = exchange_coefs(&g, &speeds, 0.5);
+        let (ct, ch) = exchange_coefs(&g, &speeds, 0.5).get(0);
         // λ·s_v/(s_u+s_v) and λ·s_u/(s_u+s_v) for (s_u, s_v) = (1, 3).
-        assert!((ct[0] - 0.5 * 3.0 / 4.0).abs() < 1e-15);
-        assert!((ch[0] - 0.5 * 1.0 / 4.0).abs() < 1e-15);
+        assert!((ct - 0.5 * 3.0 / 4.0).abs() < 1e-15);
+        assert!((ch - 0.5 * 1.0 / 4.0).abs() < 1e-15);
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //!
 //! In a dimension-exchange or matching round each active edge `e = (u, v)`
 //! schedules `Ŷ_e = gain·(c_tail·x_u − c_head·x_v)` with the λ-scaled
-//! harmonic-speed coefficients of the kernel tables (the pairwise schemes
-//! have no memory term: only SOS remembers flows), sends
+//! harmonic-speed coefficients `c_tail = λ·s_v/(s_u+s_v)` and
+//! `c_head = λ·s_u/(s_u+s_v)`, built here from the speeds (the pairwise
+//! schemes have no memory term: only SOS remembers flows), sends
 //! its rounded flow (or, in continuous mode, `Ŷ_e` itself) from tail to
 //! head, and every node's new load is its load minus the flows it sent.
+//! The fused statistics measure deviations from the balanced loads
+//! `x̄_i = T·s_i/S` of the initial total `T`, also built here.
 //! The discrete roundings are the paper's: truncation, nearest, the
 //! edge-local unbiased coin on the edge's `(seed, e, round)` stream, and
 //! the node-centric randomized framework, whose sender sends its excess
@@ -49,6 +52,31 @@ struct Tables {
     tail: Vec<f64>,
     head: Vec<f64>,
     ideal: Vec<f64>,
+}
+
+impl Tables {
+    /// The tables of `scheme` on `g` under `speeds` from the paper's
+    /// formulas, for the initial loads `init`: the λ-scaled pair per edge
+    /// and `x̄_i = T·s_i/S` per node.
+    fn new(g: &Graph, scheme: Scheme, speeds: &Speeds, init: &[f64]) -> Self {
+        let lambda = match scheme {
+            Scheme::DimensionExchange { lambda } | Scheme::Matching { lambda, .. } => lambda,
+            Scheme::Fos | Scheme::Sos { .. } => panic!("{scheme} is not pairwise"),
+        };
+        let edges = g.edges().to_vec();
+        let s = |u: u32| speeds.get(u as usize);
+        let tail = edges.iter().map(|&(u, v)| lambda * s(v) / (s(u) + s(v)));
+        let head = edges.iter().map(|&(u, v)| lambda * s(u) / (s(u) + s(v)));
+        let total: f64 = init.iter().sum();
+        Self {
+            tail: tail.collect(),
+            head: head.collect(),
+            ideal: (0..init.len())
+                .map(|i| total * speeds.get(i) / speeds.total())
+                .collect(),
+            edges,
+        }
+    }
 }
 
 /// What one reference round yields.
@@ -294,15 +322,7 @@ fn differential(
             .simulator()
     };
     let mut sims = [build(1), build(3)];
-    let t = {
-        let k = sims[0].kernel_tables();
-        Tables {
-            edges: g.edges().to_vec(),
-            tail: k.coef_tail.to_vec(),
-            head: k.coef_head.to_vec(),
-            ideal: k.ideal.clone(),
-        }
-    };
+    let t = Tables::new(g, *scheme, speeds, &sims[0].loads_to_f64());
     // Only shocks, churn and injection move loads outside the rounds.
     let moved_outside = set != "none";
     let no_memory = vec![0u64; g.edge_count()];
