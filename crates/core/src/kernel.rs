@@ -246,7 +246,7 @@ pub struct KernelTables {
 }
 
 /// The per-edge `(c_tail, c_head)` coefficient pair of [`KernelTables`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum Coefs {
     /// Every edge has this pair.
     Same(f64, f64),
@@ -266,7 +266,7 @@ impl Coefs {
 }
 
 /// The per-node balanced loads of [`KernelTables`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum Ideal {
     /// Every node has this balanced load.
     Same(f64),

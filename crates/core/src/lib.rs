@@ -469,6 +469,21 @@
 //! the 256² torus. In the same change the randomized framework stopped
 //! keeping a per-node RNG-state buffer: the rounding phase computes a
 //! node's warmed-up state only once the node is known to send tokens.
+//!
+//! **One value for a table that does not vary** (2026-10). A coefficient
+//! pair or balanced-load table whose entries all hold the same `f64`
+//! bits is stored as that value, and each edge, apply and matching pass
+//! picks its loop once per call, so the lane loops read the value from a
+//! register with the same operands in the same order. Under uniform
+//! speeds that covers every regular graph's `α_e/s` pair, every graph's
+//! λ-scaled pair and every run's balanced loads. An irregular graph under
+//! uniform speeds keeps one shared coefficient table (`8·m` bytes), and
+//! non-uniform speeds keep two tables and per-node balanced loads
+//! (`16·m + 8·n`). On the 256² torus the table bytes go from 1 572 864
+//! to 0, so building the simulator faults 738 pages instead of 1 122,
+//! and the `torus_sos_balance` peak RSS (VmHWM) falls 11.08 → 9.55 MB
+//! (medians of 10 alternating pairs, 2-vCPU host; 11.08 → 9.57 MB at
+//! seed 1234), with identical rounds and final imbalance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
