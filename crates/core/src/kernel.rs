@@ -1730,8 +1730,9 @@ mod tests {
     /// Each table is one value exactly when all its entries hold the same
     /// bits: the regular torus under uniform speeds stores one pair and
     /// one balanced load, the irregular grid under uniform speeds one
-    /// shared coefficient table, and a star under speeds that vary only
-    /// at the leaves a per-edge pair (its tails are all the hub's).
+    /// shared coefficient table, and a star under non-uniform speeds a
+    /// per-edge pair: its tails are all the hub's one coefficient, but its
+    /// heads vary, so the pair does.
     #[test]
     fn tables_store_one_value_when_every_entry_is_the_same() {
         let torus = KernelTables::new(
@@ -2348,8 +2349,8 @@ mod tests {
     }
 
     /// One matching round through the real edge and node steps over
-    /// `active`, from `init` (round 4): the loads as `f64` bits and the
-    /// statistics' bits.
+    /// `active`, from `init`: the loads as `f64` bits and the statistics'
+    /// bits.
     fn matching_run<V: Value>(
         t: &KernelTables,
         active: &[u64],

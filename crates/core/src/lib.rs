@@ -427,9 +427,9 @@
 //! behind one shared allocation, so a [`sodiff_graph::Graph`] clone is a
 //! reference-count bump. The kernel tables hold such a clone and read
 //! the adjacency and the canonical edge list from it instead of copying
-//! them, and under uniform speeds `coef_tail` and `coef_head` (and the
-//! pairwise schemes' λ-scaled pair) are one buffer, since the two halves
-//! are the same `f64`s. A simulation's footprint is therefore graph
+//! them, and under uniform speeds the tail and head coefficient tables
+//! (and the pairwise schemes' λ-scaled pair) are one buffer, since the
+//! two halves are the same `f64`s. A simulation's footprint is therefore graph
 //! bytes + table bytes + state bytes
 //! ([`sodiff_graph::Graph::memory_bytes`] + [`Simulator::table_bytes`] +
 //! [`Simulator::state_bytes`]); on the 256² torus (SOS, randomized
