@@ -109,7 +109,7 @@ fn main() {
         horizon,
         stride: 1,
     });
-    let runs = run_figure(&opts, &graph, &series, &outputs, &comparison);
+    let runs = run_figure(&opts, &graph, &series, &outputs, &comparison, None);
     for (&switch, run) in [switch_a, switch_b].iter().zip(&runs[SWITCH_A..]) {
         println!(
             "  switch at {switch}: fired at {:?}, final max-avg {:.1}, local diff {:.1}",

@@ -35,7 +35,7 @@ fn main() {
         ("fig12_fos", Cut::every_round(1, rounds)),
         ("fig12_fos_at12", Cut::every_round(2, rounds)),
     ];
-    run_figure(&opts, &graph, &series, &outputs, &[]);
+    run_figure(&opts, &graph, &series, &outputs, &[], None);
 
     println!();
     println!("expected shape (paper): all three curves drop within ~20-40");

@@ -32,7 +32,7 @@ fn main() {
         ("fig13_fos", Cut::every_round(1, rounds)),
         ("fig13_fos_at50", Cut::every_round(2, rounds)),
     ];
-    run_figure(&opts, &graph, &series, &outputs, &[]);
+    run_figure(&opts, &graph, &series, &outputs, &[], None);
 
     println!();
     println!("expected shape (paper): FOS needs only slightly more rounds");

@@ -36,7 +36,7 @@ fn main() {
         ("fig14_fos", Cut::every_round(1, rounds)),
         ("fig14_fos_at500", Cut::every_round(2, rounds)),
     ];
-    run_figure(&opts, &graph, &series, &outputs, &[]);
+    run_figure(&opts, &graph, &series, &outputs, &[], None);
 
     println!();
     println!("expected shape (paper): similar to the torus — a less");

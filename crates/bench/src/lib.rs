@@ -5,14 +5,11 @@
 //! | Paper | Binary |
 //! |---|---|
 //! | Figures 1–6 (2-D torus: SOS vs FOS, initial load, idealized runs, the SOS→FOS switch, float drift) | `fig01_06` |
-//! | Figure 7 (eigenvector impact) | `fig07` |
-//! | Figure 8 (switch-round sweep on the 100² torus) | `fig08` |
-//! | Figures 9–10 (wavefront renders) | `fig09` |
-//! | Figure 11 (FOS smoothing renders) | `fig11` |
+//! | Figures 7, 8, 15 (100² torus: eigenvector impact, switch-round sweep, metrics and eigen-impact overlay) | `fig07_08_15` |
+//! | Figures 9–11 (one torus run: wavefront renders, then FOS smoothing renders) | `fig09_11` |
 //! | Figures 12, 13, 14 (configuration model, hypercube, random geometric graph) | `fig12`, `fig13`, `fig14` |
-//! | Figure 15 (metrics and eigen-impact overlay) | `fig15` |
 //! | Table I (graph classes and `β_opt`) | `table1` |
-//! | Theorems and design choices | `ablation_*` |
+//! | Theorems and design choices (rounding schemes and SOS flow memory in `ablation_rounding`) | `ablation_*` |
 //!
 //! `perf_baseline` times the round executor and writes
 //! `BENCH_rounds.json`. Each figure and ablation binary accepts:
@@ -29,7 +26,8 @@
 //! minimum load, minimum transient load, total load). The figure binaries
 //! that write series run them through [`run_series`]: each distinct
 //! [`Series`] runs once, and every CSV that reads it is a [`Cut`] of its
-//! rows.
+//! rows, or is written by a [`Hook`] that sees the run's simulator after
+//! every round.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -243,35 +241,56 @@ pub struct Run {
     pub report: RunReport,
 }
 
+/// A per-round hook: called after every round of every series with the
+/// series' index and its simulator, for outputs that read more than the
+/// recorded metrics.
+pub type Hook<'h> = &'h mut dyn FnMut(usize, &Simulator<'_>);
+
 /// Hands the rounds some cut wants to a [`Recorder`], so every row is
-/// the one a recorder writes.
-struct Wanted<'c> {
+/// the one a recorder writes, and every round to the hook.
+struct Wanted<'c, 'h> {
+    series: usize,
     cuts: Vec<&'c Cut>,
     rec: Recorder,
+    hook: Hook<'h>,
 }
 
-impl Observer for Wanted<'_> {
+impl Observer for Wanted<'_, '_> {
     fn on_round(&mut self, sim: &Simulator<'_>) {
         if self.cuts.iter().any(|c| c.wants(sim.round())) {
             self.rec.on_round(sim);
         }
+        (self.hook)(self.series, sim);
     }
 }
 
 /// Runs every series once, up to the longest horizon of the cuts on it,
-/// and records only the rounds some cut wants.
+/// records only the rounds some cut wants, and hands every round to the
+/// `hook`, if any.
 ///
 /// # Panics
 ///
 /// Panics if a series does not build (experiment binaries treat that as
 /// fatal).
-pub fn run_series(graph: &Graph, series: &[Series], cuts: &[Cut]) -> Vec<Run> {
+pub fn run_series(
+    graph: &Graph,
+    series: &[Series],
+    cuts: &[Cut],
+    hook: Option<Hook<'_>>,
+) -> Vec<Run> {
+    let mut quiet = |_: usize, _: &Simulator<'_>| {};
+    let hook: Hook<'_> = match hook {
+        Some(hook) => hook,
+        None => &mut quiet,
+    };
     let run = |(i, s): (usize, &Series)| {
         let cuts: Vec<&Cut> = cuts.iter().filter(|c| c.series == i).collect();
         let horizon = cuts.iter().map(|c| c.horizon).max().unwrap_or(0);
         let mut wanted = Wanted {
+            series: i,
             cuts,
             rec: Recorder::new(),
+            hook: &mut *hook,
         };
         let report = s.experiment(graph, horizon).run_with(&mut wanted);
         Run {
@@ -291,13 +310,14 @@ pub fn run_figure(
     series: &[Series],
     outputs: &[(&str, Cut)],
     extra: &[Cut],
+    hook: Option<Hook<'_>>,
 ) -> Vec<Run> {
     let cuts: Vec<Cut> = outputs
         .iter()
         .map(|&(_, cut)| cut)
         .chain(extra.iter().copied())
         .collect();
-    let runs = run_series(graph, series, &cuts);
+    let runs = run_series(graph, series, &cuts, hook);
     for (name, cut) in outputs {
         save_series(opts, name, &cut.rows(&runs));
     }
@@ -412,7 +432,7 @@ mod tests {
                 horizon,
                 stride,
             });
-        let runs = run_series(&g, &series, &cuts);
+        let runs = run_series(&g, &series, &cuts, None);
         assert_eq!(runs[0].report.rounds, 90);
         assert_eq!(runs[1].report.rounds, 50);
         // Series 1 recorded only the ten rounds its one cut reads.
@@ -435,7 +455,13 @@ mod tests {
             Some(SwitchPolicy::AtRound(at)),
         )];
         let cut = Cut::every_round(0, 60);
-        let runs = run_series(&g, &series, &[cut]);
+        // The loads the hook sees after each round.
+        let mut seen = Vec::new();
+        let mut hook = |i: usize, sim: &Simulator<'_>| {
+            assert_eq!(i, 0);
+            seen.push(sim.loads_i64().expect("discrete run").into_owned());
+        };
+        let runs = run_series(&g, &series, &[cut], Some(&mut hook));
         assert_eq!(runs[0].report.switch_round, Some(at));
         let rows = cut.rows(&runs);
         assert_eq!(
@@ -451,7 +477,8 @@ mod tests {
             .build()
             .unwrap()
             .simulator();
-        for row in &rows {
+        assert_eq!(seen.len(), rows.len());
+        for (row, loads) in rows.iter().zip(&seen) {
             if row.round == at + 1 {
                 sim.switch_scheme(Scheme::fos());
             }
@@ -461,6 +488,7 @@ mod tests {
                 sim.metrics().max_minus_avg.to_bits(),
                 row.metrics.max_minus_avg.to_bits()
             );
+            assert_eq!(sim.loads_i64().unwrap().as_ref(), loads.as_slice());
         }
     }
 }

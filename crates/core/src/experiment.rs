@@ -469,7 +469,8 @@ impl<'g> Experiment<'g> {
 
     /// Runs this experiment's discrete process in lockstep with its
     /// continuous twin for `rounds` rounds, recording the per-round
-    /// deviation `max_k |x_k^D − x_k^C|` (paper Theorems 3, 8, 9).
+    /// deviation `max_k |x_k^D − x_k^C|` (paper Theorems 3, 8, 9) and
+    /// the discrete run's final metrics and minimum transient load.
     ///
     /// # Errors
     ///
@@ -493,7 +494,11 @@ impl<'g> Experiment<'g> {
             continuous.step();
             per_round.push(discrete.deviation_from(&continuous));
         }
-        Ok(DeviationSeries { per_round })
+        Ok(DeviationSeries {
+            per_round,
+            final_metrics: discrete.metrics(),
+            min_transient: discrete.min_transient_load(),
+        })
     }
 }
 

@@ -396,8 +396,11 @@
 //! at 2²⁹ tokens, so it refused the paper's own `init=paper` on every
 //! torus from 1024² up — the only sizes where the saving mattered),
 //! splatting a
-//! uniform coefficient across lanes (no gain — the loads are the
-//! bottleneck, not the coefficient reads), a degree-4 specialization of
+//! uniform coefficient across lanes for speed (no gain — the loads are
+//! the bottleneck, not the coefficient reads; `kernel::Coefs::Same` now
+//! does exactly that, for memory: a pair that every edge shares is held
+//! as one value and read by every lane, so no table is stored), a
+//! degree-4 specialization of
 //! the apply pass (regressed irregular graphs), and replacing
 //! nearest-rounding with truncation (~1–1.5 ns/edge cheaper but
 //! bit-pinned: rounding mode is part of the golden surface).
@@ -523,7 +526,7 @@ pub use experiment::{Experiment, ExperimentBuilder, NeedsMode, Ready};
 pub use hybrid::SwitchPolicy;
 pub use init::InitialLoad;
 pub use metrics::MetricsSnapshot;
-pub use observer::{MetricsRow, MultiObserver, NullObserver, Observer, Recorder};
+pub use observer::{MetricsRow, NullObserver, Observer, Recorder};
 pub use perturb::{
     AdversarialLoad, ChurnChannel, ChurnEvents, ChurnSpec, DiurnalLoad, FaultChannel, FaultEvents,
     FaultSpec, HotspotLoad, LoadEvents, LoadSpec, PoissonLoad, EPOCH_LEN, MAX_BURST, MAX_RATE,
@@ -545,7 +548,7 @@ pub mod prelude {
     pub use crate::hybrid::SwitchPolicy;
     pub use crate::init::InitialLoad;
     pub use crate::metrics::MetricsSnapshot;
-    pub use crate::observer::{MetricsRow, MultiObserver, NullObserver, Observer, Recorder};
+    pub use crate::observer::{MetricsRow, NullObserver, Observer, Recorder};
     pub use crate::perturb::{
         AdversarialLoad, ChurnChannel, ChurnEvents, ChurnSpec, DiurnalLoad, FaultChannel,
         FaultEvents, FaultSpec, HotspotLoad, LoadEvents, LoadSpec, PoissonLoad,

@@ -112,26 +112,6 @@ impl Observer for Recorder {
     }
 }
 
-/// An observer that fans out to several observers in order.
-pub struct MultiObserver<'a> {
-    observers: Vec<&'a mut dyn Observer>,
-}
-
-impl<'a> MultiObserver<'a> {
-    /// Wraps a list of observers.
-    pub fn new(observers: Vec<&'a mut dyn Observer>) -> Self {
-        Self { observers }
-    }
-}
-
-impl Observer for MultiObserver<'_> {
-    fn on_round(&mut self, sim: &Simulator<'_>) {
-        for obs in &mut self.observers {
-            obs.on_round(sim);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,24 +149,5 @@ mod tests {
         let mut rec = Recorder::new();
         sim.run_until_with(StopCondition::MaxRounds(20), &mut rec);
         assert!(rec.rows().iter().all(|r| r.total_load == 900.0));
-    }
-
-    #[test]
-    fn multi_observer_fans_out() {
-        let g = generators::cycle(5);
-        let mut sim = Experiment::on(&g)
-            .continuous()
-            .init(InitialLoad::point(0, 50))
-            .build()
-            .unwrap()
-            .simulator();
-        let mut a = Recorder::new();
-        let mut b = Recorder::every(2);
-        {
-            let mut multi = MultiObserver::new(vec![&mut a, &mut b]);
-            sim.run_until_with(StopCondition::MaxRounds(4), &mut multi);
-        }
-        assert_eq!(a.rows().len(), 4);
-        assert_eq!(b.rows().len(), 2);
     }
 }

@@ -61,5 +61,5 @@ fn main() {
 
     println!("SOS converges roughly quadratically faster; its residual");
     println!("imbalance can be removed by switching to FOS — see the");
-    println!("fig08 binary (cargo run --release -p sodiff-bench --bin fig08).");
+    println!("fig07_08_15 binary (cargo run --release -p sodiff-bench --bin fig07_08_15).");
 }

@@ -165,13 +165,18 @@ fn threshold_reports_bit_identical_across_thread_counts() {
     }
 }
 
-/// Records the from-scratch `metrics()` of every round, the way
-/// `Recorder` did before it switched to the fused snapshot.
-struct ScratchRecorder(Vec<(u64, MetricsSnapshot)>);
+/// Records every round twice: through a `Recorder` (the fused snapshot)
+/// and as the from-scratch `metrics()`, the way `Recorder` did before it
+/// switched to the fused snapshot.
+struct ScratchRecorder {
+    rec: Recorder,
+    scratch: Vec<(u64, MetricsSnapshot)>,
+}
 
 impl Observer for ScratchRecorder {
     fn on_round(&mut self, sim: &Simulator<'_>) {
-        self.0.push((sim.round(), sim.metrics()));
+        self.rec.on_round(sim);
+        self.scratch.push((sim.round(), sim.metrics()));
     }
 }
 
@@ -197,14 +202,13 @@ fn recorder_rows_match_from_scratch_metrics() {
             let graph = spec.build_graph().unwrap();
             let experiment = spec.experiment_on(&graph).unwrap();
             let mut sim = experiment.simulator();
-            let mut rec = Recorder::new();
-            let mut scratch = ScratchRecorder(Vec::new());
-            {
-                let mut both = MultiObserver::new(vec![&mut rec, &mut scratch]);
-                sim.run_until_with(StopCondition::MaxRounds(40), &mut both);
-            }
-            assert_eq!(rec.rows().len(), 40);
-            for (row, (round, metrics)) in rec.rows().iter().zip(&scratch.0) {
+            let mut both = ScratchRecorder {
+                rec: Recorder::new(),
+                scratch: Vec::new(),
+            };
+            sim.run_until_with(StopCondition::MaxRounds(40), &mut both);
+            assert_eq!(both.rec.rows().len(), 40);
+            for (row, (round, metrics)) in both.rec.rows().iter().zip(&both.scratch) {
                 assert_eq!(row.round, *round);
                 let bits = |m: &MetricsSnapshot| {
                     [
