@@ -484,6 +484,12 @@ impl<'g> Simulator<'g> {
         self.graph
     }
 
+    /// The round at which the current run's SOS→FOS switch fired, if it
+    /// has: rounds after it run FOS.
+    pub(crate) fn switch_round(&self) -> Option<u64> {
+        self.run.switch_round
+    }
+
     /// The node speeds.
     pub fn speeds(&self) -> &Speeds {
         &self.speeds

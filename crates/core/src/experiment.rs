@@ -472,6 +472,11 @@ impl<'g> Experiment<'g> {
     /// deviation `max_k |x_k^D − x_k^C|` (paper Theorems 3, 8, 9) and
     /// the discrete run's final metrics and minimum transient load.
     ///
+    /// The discrete process runs through the run loop under the
+    /// experiment's hybrid policy, as [`Experiment::run`] does, and the
+    /// twin switches to FOS before the same round, so the two stay
+    /// coupled. Neither writes a checkpoint.
+    ///
     /// # Errors
     ///
     /// Returns [`BuildError::RequiresDiscrete`] for continuous-mode
@@ -480,25 +485,48 @@ impl<'g> Experiment<'g> {
         if !matches!(self.config.mode, Mode::Discrete(_)) {
             return Err(BuildError::RequiresDiscrete("coupled_deviation"));
         }
-        let mut discrete = self.simulator();
-        // The twin is a transient comparison run; never checkpoint it.
-        let twin = Config {
-            mode: Mode::Continuous,
+        // Transient comparison runs; never checkpoint them.
+        let config = Config {
             ckpt: None,
             ..self.config.clone()
         };
-        let mut continuous = Simulator::build(self.graph, &twin, None);
-        let mut per_round = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            discrete.step();
-            continuous.step();
-            per_round.push(discrete.deviation_from(&continuous));
-        }
+        let mut discrete = Simulator::build(self.graph, &config, None);
+        let twin = Config {
+            mode: Mode::Continuous,
+            ..config
+        };
+        let mut twin = Twin {
+            sim: Simulator::build(self.graph, &twin, None),
+            per_round: Vec::with_capacity(rounds),
+        };
+        self.run_to(&mut discrete, StopCondition::MaxRounds(rounds), &mut twin);
         Ok(DeviationSeries {
-            per_round,
+            per_round: twin.per_round,
             final_metrics: discrete.metrics(),
             min_transient: discrete.min_transient_load(),
         })
+    }
+}
+
+/// The continuous twin of [`Experiment::coupled_deviation`], stepped once
+/// after each discrete round.
+struct Twin<'g> {
+    sim: Simulator<'g>,
+    per_round: Vec<f64>,
+}
+
+impl Observer for Twin<'_> {
+    fn on_round(&mut self, discrete: &Simulator<'_>) {
+        // A switch the discrete run records at round `s`, by its policy
+        // (before round `s + 1`) or its watchdog (after round `s`), takes
+        // effect from round `s + 1` on. The twin is one round behind here,
+        // so it reaches round `s` at exactly one call: the one that
+        // switches it.
+        if discrete.switch_round() == Some(self.sim.round()) {
+            self.sim.switch_scheme(Scheme::fos());
+        }
+        self.sim.step();
+        self.per_round.push(discrete.deviation_from(&self.sim));
     }
 }
 

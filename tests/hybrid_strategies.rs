@@ -129,3 +129,54 @@ fn parallel_coupled_deviation() {
     assert_eq!(series.per_round.len(), 150);
     assert!(series.max() < 100.0, "deviation {}", series.max());
 }
+
+/// `coupled_deviation` runs both processes under the experiment's hybrid
+/// policy: the discrete run ends where `run()` ends, and each round's
+/// deviation is the one between a discrete and a continuous run that
+/// both switch to FOS after round 10.
+#[test]
+fn coupled_deviation_follows_the_hybrid_switch() {
+    let g = generators::torus2d(12, 12);
+    let n = g.node_count();
+    let (switch, rounds) = (10, 60);
+    let build = |discrete: bool| {
+        let b = Experiment::on(&g);
+        let b = if discrete {
+            b.discrete(Rounding::randomized(4))
+        } else {
+            b.continuous()
+        };
+        b.sos(1.8)
+            .init(InitialLoad::paper_default(n))
+            .hybrid(SwitchPolicy::AtRound(switch))
+            .stop(StopCondition::MaxRounds(rounds))
+            .build()
+            .unwrap()
+    };
+    let exp = build(true);
+    let series = exp.coupled_deviation(rounds).unwrap();
+    let report = exp.run();
+    assert_eq!(report.switch_round, Some(switch));
+    let bits = |m: &MetricsSnapshot| {
+        let (lo, diff) = (m.min_minus_avg, m.max_local_diff);
+        [m.max_minus_avg, lo, diff, m.potential_over_n, m.min_load].map(f64::to_bits)
+    };
+    assert_eq!(bits(&series.final_metrics), bits(&report.final_metrics));
+    // The same lockstep by hand: both processes switch before round 11.
+    let (mut d, mut c) = (exp.simulator(), build(false).simulator());
+    let mut per_round = Vec::new();
+    for round in 0..rounds as u64 {
+        if round == switch {
+            d.switch_scheme(Scheme::fos());
+            c.switch_scheme(Scheme::fos());
+        }
+        d.step();
+        c.step();
+        per_round.push(d.deviation_from(&c));
+    }
+    assert_eq!(series.per_round, per_round);
+    assert_eq!(
+        series.min_transient.to_bits(),
+        d.min_transient_load().to_bits()
+    );
+}
