@@ -8,8 +8,8 @@
 //!   tokens (`i64`, the discrete process) and fluid (`f64`, the
 //!   continuous one). The two processes share one update rule, so the
 //!   trait carries only what differs between them: the `f64` view, zero,
-//!   the conversion from `f64`, and relaxed-atomic storage (arc signs
-//!   convert through `From<i8>`).
+//!   the conversion from `f64`, and relaxed-atomic storage (the in-arc
+//!   sign `−1` converts through `From<i8>`).
 //! * one storage trait, [`Buf`], reads and writes either value type
 //!   through one of two views: the sequential executor's [`Cells`], a
 //!   zero-cost shared-writable view of a plain slice via
@@ -56,9 +56,12 @@
 //! balanced loads are one value in the same way under uniform speeds.
 //! The tables own no adjacency: the
 //! passes read the CSR arrays of the [`Graph`] clone the tables hold,
-//! which shares its arrays with the caller's graph. For the edge-local
-//! rounding schemes the rounding is fused into the same pass, saving a
-//! full sweep over the edge arrays per round.
+//! which shares its arrays with the caller's graph. The node passes walk
+//! each node's arcs as the CSR stores them, in-arcs then out-arcs: the
+//! in-arcs (orientation σ = −1) through their edge ids, the out-arcs
+//! (σ = +1) as one contiguous edge range, so no pass reads a sign. For
+//! the edge-local rounding schemes the rounding is fused into the same
+//! pass, saving a full sweep over the edge arrays per round.
 //!
 //! # The streaming randomized pipeline
 //!
@@ -75,11 +78,14 @@
 //!    `m`-long buffer: three contiguous stores per edge and no per-edge
 //!    select. For [`FlowMemory::Scheduled`] the SOS memory is updated in
 //!    the same pass.
-//! 2. [`arc_round_streamed`] — one sweep over nodes gathers `g_e` through
-//!    each arc's edge id (which the walk reads anyway) and takes its own
-//!    share `max(σ·g_e, 0)` for the arc's orientation σ: the sender's
-//!    `|g_e|`, the receiver's `0.0`. It sums the shares to `r`, writing
-//!    each running sum once into a reusable prefix buffer, skips nodes
+//! 2. [`arc_round_streamed`] — one sweep over nodes walks each node's
+//!    in-arcs, gathering `g_e` through their edge ids, then its out-arcs,
+//!    reading `g_e` straight from the node's contiguous edge range, and
+//!    takes its own share `max(σ·g_e, 0)` for the arc's orientation σ
+//!    (`−1` on an in-arc, `+1` on an out-arc): the sender's `|g_e|`, the
+//!    receiver's `0.0`. It sums the shares to `r`, writing each running
+//!    sum once into a reusable prefix buffer and the arc's edge id beside
+//!    it, skips nodes
 //!    with `r = 0` — the common case away from the diffusion wavefront —
 //!    and distributes the `⌈r⌉` excess tokens using per-node RNG streams.
 //!    Only a sending node computes its warmed-up state, from the hoisted
@@ -165,9 +171,9 @@
 //! writes therefore never changes an operand, and no f64
 //! addition is regrouped anywhere. The same argument covers the apply
 //! pass: each node's arc reduction keeps its exact sequential order
-//! inside its lane, and the fused statistics (`StatsFold::node` and
-//! the per-block squared-deviation partials) are folded lane 0..8 in node
-//! order, identical to the scalar sequence. Hence all golden-trace
+//! (in-arcs, then out-arcs) inside its lane, and the fused statistics
+//! (`StatsFold::node` and the per-block squared-deviation partials) are
+//! folded lane 0..8 in node order, identical to the scalar sequence. Hence all golden-trace
 //! checksums are unchanged by construction — the property
 //! `tests/golden_trace.rs` pins. The same holds across value types:
 //! each [`Value`] operation monomorphizes to the plain `i64` or `f64`
@@ -177,8 +183,9 @@
 //! sum, whose sequential f64 prefix is itself the pinned quantity: it
 //! feeds `⌈r⌉`, and every token compares its draw against the exact
 //! running prefix. The prefix is therefore built once per node, in arc
-//! order, and only read by the token loop; regrouping it across lanes
-//! would change which arc a token picks (see the comment there).
+//! order (in-arcs, then out-arcs), and only read by the token loop;
+//! regrouping it across lanes would change which arc a token picks (see
+//! the comment there).
 //!
 //! This module is exported `#[doc(hidden)]` so the stand-alone
 //! `perfbench` package can time each phase in isolation; it is **not** a
@@ -1164,12 +1171,13 @@ pub fn edge_pass_continuous_gated<G: EdgeGate, P: Buf<Val = f64>>(
 }
 
 /// Reusable per-participant scratch of the randomized framework's
-/// rounding phase: one node's prefix sums of its arcs' fractions. It
-/// grows to the largest degree seen and is then reused; nothing in it is
-/// per node.
+/// rounding phase: one node's prefix sums of its arcs' fractions, and its
+/// arcs' edge ids. It grows to the largest degree seen and is then
+/// reused; nothing in it is per node.
 #[derive(Default)]
 pub struct FwScratch {
     prefix: Vec<f64>,
+    arc_edges: Vec<u32>,
 }
 
 impl FwScratch {
@@ -1183,12 +1191,15 @@ impl FwScratch {
 /// distribution over `nodes` (paper Section III-B). Phase 1 already wrote
 /// every edge's truncated base flow and its signed fraction `g_e` into
 /// `frac` (indexed by edge id; a longer buffer is accepted). Each node
-/// walks its arcs, gathers `g_e` through the arc's edge id and takes its
-/// own share `max(σ·g_e, 0)`, σ the arc's orientation: the sender gets
-/// `|g_e|` and the receiver `0.0`, the classic positive-outflow fraction.
+/// walks its arcs — its in-arcs through their edge ids, then its
+/// out-arcs, one contiguous edge range — and takes its own share
+/// `max(σ·g_e, 0)`, σ the arc's orientation (`−1` on an in-arc, `+1` on
+/// an out-arc): the sender gets `|g_e|` and the receiver `0.0`, the
+/// classic positive-outflow fraction.
 /// It sums the shares to `r`, writing each running sum into
-/// `scratch.prefix`, skips out when `r == 0` — the common case away from
-/// the diffusion wavefront — and otherwise sends `⌈r⌉` excess tokens:
+/// `scratch.prefix` and each arc's edge id beside it, skips out when
+/// `r == 0` — the common case away from the diffusion wavefront — and
+/// otherwise sends `⌈r⌉` excess tokens:
 /// each token picks the first arc whose prefix sum exceeds its draw, via
 /// a branchless count of passed prefix sums (zero-share arcs can never be
 /// selected), and increments that edge's flow. Exactly one endpoint of an
@@ -1210,25 +1221,30 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
     flows: &F,
     scratch: &mut FwScratch,
 ) {
-    let FwScratch { prefix } = scratch;
+    let FwScratch { prefix, arc_edges } = scratch;
+    let graph = t.graph();
     let round_key = rng::round_key(seed, round);
     let fracs = frac.elems();
-    // Walk the chunk's arc ranges by splitting running slices instead of
-    // re-slicing from `offsets` per node — one length computation and
-    // two `split_at`s per node, no repeated global-range checks.
-    let offsets = &t.graph().arc_offsets()[nodes.start..=nodes.end];
-    let chunk_arcs = offsets[0]..offsets[offsets.len() - 1];
-    let mut edges_rest = &t.graph().arc_edge_ids()[chunk_arcs.clone()];
-    let mut signs_rest = &t.graph().arc_orientations()[chunk_arcs];
-    for (node, deg) in nodes.zip(offsets.windows(2).map(|w| w[1] - w[0])) {
-        let (edges, rest) = edges_rest.split_at(deg);
-        edges_rest = rest;
-        let (signs, rest) = signs_rest.split_at(deg);
-        signs_rest = rest;
+    let share = |x: f64| select_unpredictable(x <= 0.0, 0.0, x);
+    // Walk the chunk's arcs by splitting a running slice of its in-arcs
+    // instead of re-slicing from the offsets per node: one length
+    // computation and one `split_at` per node, no repeated global-range
+    // checks. The out-arcs are each node's edge range.
+    let in_offsets = &graph.in_offsets()[nodes.start..=nodes.end];
+    let out_offsets = &graph.out_offsets()[nodes.start..=nodes.end];
+    let chunk_ins = in_offsets[0] as usize..in_offsets[in_offsets.len() - 1] as usize;
+    let mut ins_rest = &graph.in_edge_ids()[chunk_ins];
+    let bounds = in_offsets.windows(2).zip(out_offsets.windows(2));
+    for (node, (i, o)) in nodes.zip(bounds) {
+        let (ins, rest) = ins_rest.split_at((i[1] - i[0]) as usize);
+        ins_rest = rest;
+        let outs = &fracs[o[0] as usize..o[1] as usize];
+        let deg = ins.len() + outs.len();
         if prefix.len() < deg {
             prefix.resize(deg, 0.0);
+            arc_edges.resize(deg, 0);
         }
-        let prefix = &mut prefix[..deg];
+        let (prefix, arc_edges) = (&mut prefix[..deg], &mut arc_edges[..deg]);
         // Why the share sum and the prefix-count selection below stay
         // scalar while the RNG sweeps are lane-chunked: both reduce a
         // *sequential* f64 prefix whose per-element bit pattern is pinned
@@ -1244,18 +1260,23 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
         // stores below (this node sends on it, so no other participant
         // ever writes that edge).
         let mut first = 0usize;
-        for ((p, &e), &sg) in prefix.iter_mut().zip(edges).zip(signs) {
-            // The arc's share `max(σ·g_e, 0)`, branchless. `σ·g_e` is
-            // the exact negation of `g_e` on a head arc, so it is taken
-            // as a sign-bit flip (cheaper than converting σ and
-            // multiplying), and the select keeps it only where positive.
-            // The sign of a zero share changes no sum or comparison, and
-            // a NaN fraction stays NaN at both ends, so neither sends a
-            // token.
-            let flip = (i64::from(sg) as u64) & (1 << 63);
-            let x = f64::from_bits(A::read(&fracs[e as usize]).to_bits() ^ flip);
-            r += select_unpredictable(x <= 0.0, 0.0, x);
-            *p = r;
+        // Each arc's running sum goes to `prefix` and its edge id beside
+        // it, so a token finds its edge with one load whichever group its
+        // arc is in. The arc's share `max(σ·g_e, 0)` is branchless: on an
+        // in-arc `σ·g_e` is the exact negation of `g_e`, a sign-bit flip,
+        // and the select keeps it only where positive. The sign of a zero
+        // share changes no sum or comparison, and a NaN fraction stays
+        // NaN at both ends, so neither sends a token.
+        let (in_prefix, out_prefix) = prefix.split_at_mut(ins.len());
+        let (in_arcs, out_arcs) = arc_edges.split_at_mut(ins.len());
+        for ((p, a), &e) in in_prefix.iter_mut().zip(in_arcs).zip(ins) {
+            r += share(-A::read(&fracs[e as usize]));
+            (*p, *a) = (r, e);
+            first += usize::from(r == 0.0);
+        }
+        for (((p, a), g), e) in out_prefix.iter_mut().zip(out_arcs).zip(outs).zip(o[0]..) {
+            r += share(A::read(g));
+            (*p, *a) = (r, e);
             first += usize::from(r == 0.0);
         }
         if r == 0.0 {
@@ -1281,8 +1302,9 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
             let sel: usize = prefix.iter().map(|&cum| usize::from(u >= cum)).sum();
             let sent = sel < deg;
             let j = if sent { sel } else { first };
-            let fe = &flows.elems()[edges[j] as usize];
-            F::write(fe, F::read(fe) + signs[j] as i64 * i64::from(sent));
+            let sign = 1 - 2 * i64::from(j < ins.len());
+            let fe = &flows.elems()[arc_edges[j] as usize];
+            F::write(fe, F::read(fe) + sign * i64::from(sent));
         }
     }
 }
@@ -1370,7 +1392,10 @@ impl StatsFold {
 }
 
 /// Node-centric application of this round's `flows` to `nodes`, over
-/// whole tokens or fluid alike; returns the chunk's fused [`LoadStats`] —
+/// whole tokens or fluid alike. Each node sums its arcs' signed flows in
+/// arc order, in-arcs then out-arcs: `−y_e` over its in-arcs, read
+/// through their edge ids, then `+y_e` over its out-arcs, one contiguous
+/// edge range. It returns the chunk's fused [`LoadStats`] —
 /// the minimum transient load `min_i (x_i − Σ outgoing)` plus the
 /// post-round min/max/deviation reduction against
 /// [`KernelTables::ideal`] — computed in the same sweep, so stop
@@ -1405,40 +1430,45 @@ fn apply_over<L: Buf>(
         "chunk must be block-aligned"
     );
     let zero = L::Val::ZERO;
-    // Walk the chunk's arc ranges by splitting running slices (as
+    // Walk the chunk's in-arcs by splitting a running slice (as
     // `arc_round_streamed` does) and zip the per-node tables, so the
-    // inner loop carries no repeated global-range bounds checks.
-    let offsets = &t.graph().arc_offsets()[nodes.start..=nodes.end];
-    let chunk_arcs = offsets[0]..offsets[offsets.len() - 1];
-    let mut edges_rest = &t.graph().arc_edge_ids()[chunk_arcs.clone()];
-    let mut signs_rest = &t.graph().arc_orientations()[chunk_arcs];
+    // inner loops carry no repeated global-range bounds checks.
+    let graph = t.graph();
+    let in_off = &graph.in_offsets()[nodes.start..=nodes.end];
+    let out_off = &graph.out_offsets()[nodes.start..=nodes.end];
+    let mut ins_rest = &graph.in_edge_ids()[in_off[0] as usize..in_off[nodes.len()] as usize];
     let ideals = ideal.slice(nodes.clone());
     let load_elems = &loads.elems()[nodes.clone()];
-    // Local node `k`'s arc reduction, in its exact sequential arc order:
-    // its new load `x − Σ y` and its transient load `x − Σ max(y, 0)`.
+    // Local node `k`'s arc reduction, in its exact sequential arc order,
+    // in-arcs (σ = −1) then out-arcs (σ = +1): its new load `x − Σ y` and
+    // its transient load `x − Σ max(y, 0)`. Nodes are reduced in order,
+    // as the running in-arc slice requires.
     // A macro, not a closure, so that every use is inline: LLVM outlined
     // the closure's stale-flow instance, one call per node (+8% per
     // round on a 5%-stale run).
     macro_rules! reduce {
         ($k:expr) => {{
             let k: usize = $k;
-            let deg = offsets[k + 1] - offsets[k];
-            let (arc_edges, rest) = edges_rest.split_at(deg);
-            edges_rest = rest;
-            let (arc_signs, rest) = signs_rest.split_at(deg);
-            signs_rest = rest;
+            let (ins, rest) = ins_rest.split_at((in_off[k + 1] - in_off[k]) as usize);
+            ins_rest = rest;
+            let outs = out_off[k] as usize..out_off[k + 1] as usize;
             let (mut outgoing, mut net) = (zero, zero);
-            for (&e, &sg) in arc_edges.iter().zip(arc_signs) {
-                let y = flows(e as usize) * L::Val::from(sg);
-                // The positive part, branchless: flow direction is essentially
-                // random mid-run, so a `y > 0` branch would mispredict about
-                // half the time. The select, hinted as unpredictable,
-                // compiles to a conditional move (tokens) or `maxsd` (fluid)
-                // in every instance (a plain `if` became a branch in the
-                // stale-flow ones) and yields exactly `y` or zero;
-                // a fluid accumulator that starts at `+0.0` and only adds
-                // these is never `-0.0`, so `acc + 0.0 == acc` bit for bit:
-                // identical to skipping non-positive `y`, NaN included.
+            // The positive part, branchless: flow direction is essentially
+            // random mid-run, so a `y > 0` branch would mispredict about
+            // half the time. The select, hinted as unpredictable,
+            // compiles to a conditional move (tokens) or `maxsd` (fluid)
+            // in every instance (a plain `if` became a branch in the
+            // stale-flow ones) and yields exactly `y` or zero;
+            // a fluid accumulator that starts at `+0.0` and only adds
+            // these is never `-0.0`, so `acc + 0.0 == acc` bit for bit:
+            // identical to skipping non-positive `y`, NaN included.
+            for &e in ins {
+                let y = flows(e as usize) * L::Val::from(-1);
+                outgoing = outgoing + select_unpredictable(y > zero, y, zero);
+                net = net + y;
+            }
+            for e in outs {
+                let y = flows(e);
                 outgoing = outgoing + select_unpredictable(y > zero, y, zero);
                 net = net + y;
             }
@@ -1544,9 +1574,10 @@ impl Buf for NoMemory {
 
 /// Lands the flow `y` of the matching edge `(u, v)` at its endpoints:
 /// each endpoint's signed flow `σ·y` goes into its slot of `sent`, with
-/// the arc orientation σ the apply pass multiplies by (`+1` at the tail,
-/// `−1` at the head). The endpoints are matched to no other edge, so each
-/// slot has this one writer in the round.
+/// the arc orientation σ the apply pass applies (`+1` at the tail, on
+/// its out-arc, `−1` at the head, on its in-arc). The endpoints are
+/// matched to no other edge, so each slot has this one writer in the
+/// round.
 #[inline(always)]
 fn land<S: Buf>(sent: &S, (u, v): (u32, u32), y: S::Val) {
     sent.set(u as usize, y);
@@ -1719,8 +1750,8 @@ mod tests {
             let pair = (alpha / s.get(u as usize), alpha / s.get(v as usize));
             assert_eq!(t.coefs.get(e), pair);
         }
-        assert_eq!(t.graph().arc_offsets().len(), 21);
-        assert_eq!(*t.graph().arc_offsets().last().unwrap(), g.arc_count());
+        assert_eq!(t.graph().in_offsets().len(), 21);
+        assert_eq!(t.graph().arc_offset(20), g.arc_count());
         // Heterogeneous speeds keep two coefficient tables.
         assert!(matches!(&t.coefs, Coefs::Each(tail, head) if !Arc::ptr_eq(tail, head)));
         // The tables own the coefficients and `ideal`, nothing else.
@@ -2056,9 +2087,10 @@ mod tests {
         let (u, v) = g.edges()[bad];
         let mut checked = 0;
         for w in [u, v] {
-            for (&e, &sg) in g.neighbor_edges(w).iter().zip(g.neighbor_signs(w)) {
+            for e in g.neighbor_edges(w) {
+                let sg = g.orientation(w, e);
                 let e = e as usize;
-                if e == bad || sched[e] * f64::from(sg) > 0.0 {
+                if e == bad || sched[e] * sg > 0.0 {
                     assert_eq!(fl.get(e), sched[e].trunc() as i64, "node {w} edge {e}");
                     checked += 1;
                 }

@@ -205,9 +205,11 @@
 //! `Ŷ_e = mem·prev_e + gain·(c_tail·x_u − c_head·x_v)` with no
 //! `f64` division and no `Speeds::get` indirection. The endpoints come
 //! from the graph's canonical `(u, v)` edge list and the apply pass
-//! walks the graph's own flat arc arrays (edge ids, orientation signs):
-//! the kernel tables hold a clone of the [`sodiff_graph::Graph`], whose
-//! CSR arrays are shared, not copied. For the edge-local rounding schemes
+//! walks the graph's own CSR, each node's in-arcs through their edge ids
+//! and then its out-arcs as one contiguous edge range, so no orientation
+//! sign is stored or read: the kernel tables hold a clone of the
+//! [`sodiff_graph::Graph`], whose CSR arrays are shared, not copied. For
+//! the edge-local rounding schemes
 //! (round-down, nearest, per-edge unbiased) the rounding and the SOS
 //! flow-memory update are fused into the same sweep, and rounding itself
 //! avoids libm (`trunc`/`round`/`floor` become exact integer-cast
@@ -443,7 +445,7 @@
 //! `torus_sos_balance` peak RSS (VmHWM) 19.53 → 15.78 MB (medians of 10
 //! alternating pairs, 2-vCPU host), with identical rounds and final
 //! imbalance. After the entries below, the same run's footprint is
-//! 2 883 592 + 0 + 2 621 440 B.
+//! 2 097 160 + 0 + 2 621 440 B.
 //!
 //! **One rounding fraction per edge** (2026-10). Every edge has exactly
 //! one sender, so the randomized framework keeps one signed fraction
@@ -464,7 +466,7 @@
 //!
 //! **One copy of every neighbour** (2026-10). The CSR no longer stores
 //! an arc-indexed neighbour array: an arc's neighbour is the endpoint of
-//! its edge that its orientation sign does not name, so
+//! its edge that does not own the arc, so
 //! [`sodiff_graph::Graph::neighbors`] derives it from the edge list. No
 //! round kernel read the stored array; the churn handoff, BFS and
 //! [`divergence`] walk the derived neighbours. The graph's bytes go from
@@ -487,6 +489,22 @@
 //! and the `torus_sos_balance` peak RSS (VmHWM) falls 11.08 → 9.55 MB
 //! (medians of 10 alternating pairs, 2-vCPU host; 11.08 → 9.57 MB at
 //! seed 1234), with identical rounds and final imbalance.
+//!
+//! **In-arcs, then out-arcs** (2026-10). Edges are sorted by
+//! `(tail, head)`, so a node's out-arcs are one contiguous edge-id range
+//! and each of its in-arcs has a smaller id than any of its out-arcs. The
+//! CSR stores two `u32` offset arrays and one in-arc edge id per edge;
+//! no orientation sign and no out-arc edge id. The apply and rounding
+//! passes read the in-arcs (σ = −1) through their ids and the out-arcs
+//! (σ = +1) as a range, in the arc order they read before, so every sum
+//! and prefix keeps its bits. The graph's bytes go from
+//! `8·(n + 1) + 18·m` to `8·(n + 1) + 12·m`: 2 883 592 → 2 097 160 B on
+//! the 256² torus. In the same change [`sodiff_graph::Speeds`] stores
+//! equal speeds as one value, so a homogeneous simulator no longer holds
+//! `n` copies of 1.0 (524 288 B on the torus). The `torus_sos_balance`
+//! peak RSS (VmHWM) falls 9.57 → 8.23 MB (medians of 10 alternating
+//! pairs, 2-vCPU host; 9.59 → 8.22 MB at seed 1234), with identical
+//! rounds and final imbalance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -202,8 +202,8 @@ impl Rounding {
                 for v in graph.nodes() {
                     excess.clear();
                     let mut r = 0.0f64;
-                    for (&e, &s) in graph.neighbor_edges(v).iter().zip(graph.neighbor_signs(v)) {
-                        let sign = s as f64;
+                    for e in graph.neighbor_edges(v) {
+                        let sign = graph.orientation(v, e);
                         let outflow = scheduled[e as usize] * sign;
                         if outflow > 0.0 {
                             let base = outflow.floor();

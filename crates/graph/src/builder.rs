@@ -20,7 +20,7 @@
 //! step); everywhere else the edges are distinct by construction and a
 //! repeat is a bug, which debug builds assert.
 //!
-//! Besides the input list and the finished graph (`8·(n + 1) + 18·m`
+//! Besides the input list and the finished graph (`8·(n + 1) + 12·m`
 //! bytes), an assembly holds a 4-byte head per edge and one `n`-entry
 //! `usize` array at a time. [`GraphBuilder`] additionally keeps a hash
 //! set of its edges (about 18 bytes per edge at typical load) so that it

@@ -43,23 +43,34 @@ pub enum GraphKind {
 /// together with its [`EdgeId`]. Self-loops and parallel edges are rejected
 /// at construction time.
 ///
-/// Edge ids follow `(u, v)` order and each node's arcs follow edge-id
-/// order, so the arrays are a function of the edge set alone. Generators
-/// and [`crate::GraphBuilder`] build them in `O(n + m)` without hashing:
-/// a counting sort of the edge list by tail, then one fill pass that
-/// writes offsets, edge ids and signs together. Besides the edge list
-/// and these arrays, that assembly holds at most a 4-byte head per edge
-/// and one `n`-entry array (the builder's duplicate-detecting hash set
-/// lives only until it assembles).
+/// Edge ids follow `(u, v)` order, so the arrays are a function of the
+/// edge set alone. Generators and [`crate::GraphBuilder`] build them in
+/// `O(n + m)` without hashing: a counting sort of the edge list by tail,
+/// then one count pass and one fill pass over the sorted list. Besides
+/// the edge list and these arrays, that assembly holds at most a 4-byte
+/// head per edge and one `n`-entry array (the builder's
+/// duplicate-detecting hash set lives only until it assembles).
 ///
-/// Four streams are stored: the offsets, and per directed arc the edge
-/// id and the orientation sign in two flat parallel arrays
-/// ([`Self::arc_edge_ids`], [`Self::arc_orientations`]), next to the
-/// canonical edge list, so a kernel pass reads only the streams it needs
-/// (the simulator's apply pass the edge ids alone, the rounding framework
-/// both). An arc's neighbor is not stored: it is the endpoint of the
-/// arc's edge that the sign does not name as the owner, which
-/// [`Self::neighbors`] and [`Self::neighbor_nodes`] derive.
+/// Each node's arcs are its *in-arcs*, the edges whose canonical head it
+/// is (orientation σ = −1), then its *out-arcs*, the edges whose
+/// canonical tail it is (σ = +1), each group in ascending edge id. That is
+/// edge-id order: an in-arc's edge `(u, v)` has `u < v`, so it sorts
+/// before every edge whose tail is `v`. The out-arcs of `v` are one
+/// contiguous edge-id range, so the orientation and half of the arc edge
+/// ids are implicit, and three streams besides the canonical edge list
+/// are stored, the first two `u32` of length `n + 1`:
+///
+/// * [`Self::out_offsets`]: `v`'s out-arcs are edges
+///   `out_offsets[v]..out_offsets[v + 1]`;
+/// * [`Self::in_offsets`]: `v`'s in-arcs are positions
+///   `in_offsets[v]..in_offsets[v + 1]` of
+/// * [`Self::in_edge_ids`]: one edge id per edge, grouped by head.
+///
+/// The flat arc numbering ([`Self::arc_range`]) numbers the arcs node by
+/// node in this order; it is derived, not stored. An arc's neighbor is
+/// not stored either: it is the endpoint of the arc's edge that does not
+/// own the arc, which [`Self::neighbors`] and [`Self::neighbor_nodes`]
+/// derive.
 ///
 /// The arrays are immutable after construction and live behind one
 /// shared allocation, so `clone` is a reference-count bump that shares
@@ -76,13 +87,13 @@ pub struct Graph {
 /// The shared CSR arrays of a [`Graph`].
 #[derive(PartialEq, Eq)]
 struct Csr {
-    /// CSR offsets, length `n + 1`.
-    offsets: Vec<usize>,
-    /// Arc-indexed edge ids.
-    adj_edges: Vec<EdgeId>,
-    /// Arc-indexed orientation signs: `+1` when the owning node is the
-    /// canonical tail of the arc's edge, `-1` otherwise.
-    adj_signs: Vec<i8>,
+    /// Out-arc offsets, length `n + 1`: node `v`'s out-arcs are the edges
+    /// `out_offsets[v]..out_offsets[v + 1]`, those whose tail is `v`.
+    out_offsets: Vec<u32>,
+    /// In-arc offsets into `in_edges`, length `n + 1`.
+    in_offsets: Vec<u32>,
+    /// The in-arcs' edge ids, grouped by head, ascending within a node.
+    in_edges: Vec<EdgeId>,
     /// Canonical edge list, `edges[e] = (u, v)` with `u < v`.
     edges: Vec<(NodeId, NodeId)>,
 }
@@ -91,11 +102,11 @@ impl Graph {
     /// Fills the CSR arrays from a canonical edge list sorted by `(u, v)`
     /// with no repeated pair, as [`crate::builder::sort_edges`] leaves it.
     ///
-    /// One degree-count pass sizes every node's arc range; one scatter
-    /// pass then appends edge `e`'s two arcs, each an edge id and a sign,
-    /// to the ranges of `u` (sign `+1`) and `v` (sign `-1`). Edges are
-    /// visited in id order, so every node's arcs follow edge-id order.
-    /// The fill allocates nothing but the arrays it returns.
+    /// One pass counts every node's out-degree and in-degree; one scatter
+    /// pass then appends each edge's id to its head's in-arc range.
+    /// Edges are visited in id order, so every node's in-arcs follow
+    /// edge-id order. The fill allocates nothing but the arrays it
+    /// returns.
     ///
     /// # Panics
     ///
@@ -112,38 +123,35 @@ impl Graph {
             edges.len()
         );
         debug_assert!(edges.is_sorted_by(|a, b| a < b));
-        let mut offsets = vec![0usize; node_count + 1];
+        let mut out_offsets = vec![0u32; node_count + 1];
+        let mut in_offsets = vec![0u32; node_count + 1];
         for &(u, v) in &edges {
             debug_assert!(u < v, "edge ({u}, {v}) is not canonical");
-            offsets[u as usize + 1] += 1;
-            offsets[v as usize + 1] += 1;
+            out_offsets[u as usize + 1] += 1;
+            in_offsets[v as usize + 1] += 1;
         }
         for v in 0..node_count {
-            offsets[v + 1] += offsets[v];
+            out_offsets[v + 1] += out_offsets[v];
+            in_offsets[v + 1] += in_offsets[v];
         }
-        let arcs = offsets[node_count];
-        let mut adj_edges = vec![0 as EdgeId; arcs];
-        let mut adj_signs = vec![0i8; arcs];
-        // `offsets[v]` serves as v's write cursor: the scatter advances it
-        // to where v's range ends, which is where v + 1's range starts, so
-        // shifting the array one place to the right restores the offsets.
-        for (e, &(u, v)) in edges.iter().enumerate() {
-            let e = e as EdgeId;
-            for (from, sign) in [(u, 1), (v, -1)] {
-                let p = offsets[from as usize];
-                offsets[from as usize] += 1;
-                adj_edges[p] = e;
-                adj_signs[p] = sign;
-            }
+        let mut in_edges = vec![0 as EdgeId; edges.len()];
+        // `in_offsets[v]` serves as v's write cursor: the scatter advances
+        // it to where v's range ends, which is where v + 1's range starts,
+        // so shifting the array one place to the right restores the
+        // offsets.
+        for (e, &(_, v)) in edges.iter().enumerate() {
+            let cursor = &mut in_offsets[v as usize];
+            in_edges[*cursor as usize] = e as EdgeId;
+            *cursor += 1;
         }
-        debug_assert!(node_count == 0 || offsets[node_count - 1] == arcs);
-        offsets.copy_within(0..node_count, 1);
-        offsets[0] = 0;
+        debug_assert!(node_count == 0 || in_offsets[node_count - 1] as usize == edges.len());
+        in_offsets.copy_within(0..node_count, 1);
+        in_offsets[0] = 0;
         Self {
             csr: Arc::new(Csr {
-                offsets,
-                adj_edges,
-                adj_signs,
+                out_offsets,
+                in_offsets,
+                in_edges,
                 edges,
             }),
             kind,
@@ -153,7 +161,7 @@ impl Graph {
     /// Number of nodes `n`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.csr.offsets.len() - 1
+        self.csr.out_offsets.len() - 1
     }
 
     /// Number of undirected edges `m`.
@@ -165,8 +173,19 @@ impl Graph {
     /// Degree of node `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        let v = v as usize;
-        self.csr.offsets[v + 1] - self.csr.offsets[v]
+        self.in_degree(v) + self.out_degree(v)
+    }
+
+    /// Number of `v`'s in-arcs: the edges whose canonical head is `v`.
+    #[inline]
+    pub fn in_degree(&self, v: NodeId) -> usize {
+        self.in_edges(v).len()
+    }
+
+    /// Number of `v`'s out-arcs: the edges whose canonical tail is `v`.
+    #[inline]
+    pub fn out_degree(&self, v: NodeId) -> usize {
+        self.out_edges(v).len()
     }
 
     /// Maximum degree over all nodes (0 for the empty graph).
@@ -191,20 +210,22 @@ impl Graph {
     }
 
     /// The neighbors of `v` with the id of the connecting edge (arc
-    /// order). Each neighbor is derived from the arc's edge and sign: the
-    /// edge's head where `v` is its canonical tail (`+1`), else its tail.
+    /// order). Each neighbor is derived from the arc's edge: its tail on
+    /// an in-arc, its head on an out-arc.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
-        let r = self.arc_range(v);
-        self.csr.adj_edges[r.clone()]
-            .iter()
-            .zip(&self.csr.adj_signs[r])
-            .map(move |(&e, &sign)| {
-                let (tail, head) = self.csr.edges[e as usize];
-                let (owner, far) = if sign > 0 { (tail, head) } else { (head, tail) };
-                debug_assert_eq!(owner, v, "arc of node {v} on edge {e} has the wrong sign");
-                (far, e)
-            })
+        let edges = &self.csr.edges;
+        let ins = self.in_edges(v).iter().map(move |&e| {
+            let (tail, head) = edges[e as usize];
+            debug_assert_eq!(head, v, "in-arc of node {v} on edge {e}");
+            (tail, e)
+        });
+        let outs = self.out_edges(v).map(move |e| {
+            let (tail, head) = edges[e];
+            debug_assert_eq!(tail, v, "out-arc of node {v} on edge {e}");
+            (head, e as EdgeId)
+        });
+        ins.chain(outs)
     }
 
     /// The neighbor ids of `v` (arc order), derived as in [`Self::neighbors`].
@@ -213,54 +234,73 @@ impl Graph {
         self.neighbors(v).map(|(u, _)| u)
     }
 
-    /// The incident edge ids of `v` (arc order).
+    /// The incident edge ids of `v` (arc order: in-arcs, then out-arcs).
     #[inline]
-    pub fn neighbor_edges(&self, v: NodeId) -> &[EdgeId] {
-        &self.csr.adj_edges[self.arc_range(v)]
+    pub fn neighbor_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeId> + Clone + '_ {
+        let outs = self.out_edges(v).map(|e| e as EdgeId);
+        self.in_edges(v).iter().copied().chain(outs)
     }
 
-    /// Orientation signs of `v`'s incident edges (arc order): `+1` when
-    /// `v` is the canonical tail, `-1` otherwise.
+    /// The edge ids of `v`'s in-arcs (ascending): the edges whose
+    /// canonical head is `v`, on which `v`'s orientation is `−1`.
     #[inline]
-    pub fn neighbor_signs(&self, v: NodeId) -> &[i8] {
-        &self.csr.adj_signs[self.arc_range(v)]
+    pub fn in_edges(&self, v: NodeId) -> &[EdgeId] {
+        let v = v as usize;
+        let offsets = &self.csr.in_offsets;
+        &self.csr.in_edges[offsets[v] as usize..offsets[v + 1] as usize]
     }
 
-    /// Number of directed arcs (`2·m`); arcs are the entries of the flat
-    /// adjacency arrays, so arc `p` in [`Self::arc_range`]`(v)` is the
-    /// directed half-edge leaving `v` along edge `self.arc_edge_ids()[p]`.
+    /// The edge ids of `v`'s out-arcs, one contiguous range: the edges
+    /// whose canonical tail is `v`, on which `v`'s orientation is `+1`.
+    #[inline]
+    pub fn out_edges(&self, v: NodeId) -> std::ops::Range<usize> {
+        let v = v as usize;
+        let offsets = &self.csr.out_offsets;
+        offsets[v] as usize..offsets[v + 1] as usize
+    }
+
+    /// Number of directed arcs (`2·m`): every edge is an in-arc of its
+    /// head and an out-arc of its tail.
     #[inline]
     pub fn arc_count(&self) -> usize {
-        self.csr.adj_edges.len()
+        2 * self.edge_count()
     }
 
-    /// The full arc-indexed edge-id array.
+    /// The full out-arc offset array (length `n + 1`): node `v`'s
+    /// out-arcs are edges `out_offsets[v]..out_offsets[v + 1]`.
     #[inline]
-    pub fn arc_edge_ids(&self) -> &[EdgeId] {
-        &self.csr.adj_edges
+    pub fn out_offsets(&self) -> &[u32] {
+        &self.csr.out_offsets
     }
 
-    /// The full arc-indexed orientation-sign array (`+1` = arc leaves the
-    /// canonical tail of its edge).
+    /// The full in-arc offset array (length `n + 1`): node `v`'s in-arcs
+    /// are positions `in_offsets[v]..in_offsets[v + 1]` of
+    /// [`Self::in_edge_ids`].
     #[inline]
-    pub fn arc_orientations(&self) -> &[i8] {
-        &self.csr.adj_signs
+    pub fn in_offsets(&self) -> &[u32] {
+        &self.csr.in_offsets
     }
 
-    /// The arc-index range owned by node `v` (positions into the flat
-    /// adjacency array). Used by the parallel executor to give every node
-    /// an exclusive, contiguous slice of per-arc state.
+    /// Every node's in-arc edge ids, concatenated in node order.
+    #[inline]
+    pub fn in_edge_ids(&self) -> &[EdgeId] {
+        &self.csr.in_edges
+    }
+
+    /// Where node `v`'s arcs start in the flat arc numbering, for `v` in
+    /// `0..=n`: the number of arcs owned by the nodes below `v`. It is
+    /// derived, `in_offsets[v] + out_offsets[v]`.
+    #[inline]
+    pub fn arc_offset(&self, v: usize) -> usize {
+        self.csr.in_offsets[v] as usize + self.csr.out_offsets[v] as usize
+    }
+
+    /// The arc-index range owned by node `v` in the flat arc numbering
+    /// (`0..2m`): an exclusive, contiguous slice for per-arc state.
     #[inline]
     pub fn arc_range(&self, v: NodeId) -> std::ops::Range<usize> {
         let v = v as usize;
-        self.csr.offsets[v]..self.csr.offsets[v + 1]
-    }
-
-    /// The full CSR offset array (length `n + 1`): node `v`'s arcs are
-    /// positions `offsets[v]..offsets[v + 1]` of the flat arc arrays.
-    #[inline]
-    pub fn arc_offsets(&self) -> &[usize] {
-        &self.csr.offsets
+        self.arc_offset(v)..self.arc_offset(v + 1)
     }
 
     /// The canonical endpoints `(u, v)` with `u < v` of edge `e`.
@@ -320,18 +360,17 @@ impl Graph {
         crate::traversal::connected_components(self) <= 1
     }
 
-    /// Heap bytes of the graph's CSR arrays, `8·(n + 1) + 18·m`: the
-    /// offsets, the two arc-indexed adjacency streams, and the canonical
-    /// edge list. Clones share these arrays, so they are counted once
-    /// however many clones (the simulator's kernel tables hold one) are
-    /// alive. Useful together with the simulator's table and state
-    /// accounting when sizing runs against available memory (a 10⁸-edge
-    /// torus, 5·10⁷ nodes, is ~2.2 GB here).
+    /// Heap bytes of the graph's CSR arrays, `8·(n + 1) + 12·m`: the two
+    /// `u32` offset arrays, the in-arc edge ids, and the canonical edge
+    /// list. Clones share these arrays, so they are counted once however
+    /// many clones (the simulator's kernel tables hold one) are alive.
+    /// Useful together with the simulator's table and state accounting
+    /// when sizing runs against available memory (a 10⁸-edge torus,
+    /// 5·10⁷ nodes, is ~1.6 GB here).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.csr.offsets.len() * size_of::<usize>()
-            + self.csr.adj_edges.len() * size_of::<EdgeId>()
-            + self.csr.adj_signs.len() * size_of::<i8>()
+        (self.csr.out_offsets.len() + self.csr.in_offsets.len()) * size_of::<u32>()
+            + self.csr.in_edges.len() * size_of::<EdgeId>()
             + self.csr.edges.len() * size_of::<(NodeId, NodeId)>()
     }
 }
@@ -520,27 +559,28 @@ mod tests {
         for u in g.nodes() {
             let pairs: Vec<_> = g.neighbors(u).collect();
             let nodes: Vec<_> = g.neighbor_nodes(u).collect();
-            let edges = g.neighbor_edges(u);
-            let signs = g.neighbor_signs(u);
-            assert_eq!(pairs.len(), nodes.len());
-            assert_eq!(pairs.len(), edges.len());
-            assert_eq!(pairs.len(), signs.len());
+            let edges: Vec<_> = g.neighbor_edges(u).collect();
+            assert_eq!(pairs.len(), g.degree(u));
+            assert_eq!(nodes.len(), g.degree(u));
+            assert_eq!(edges.len(), g.degree(u));
+            let in_degree = g.in_degree(u);
             for (k, &(v, e)) in pairs.iter().enumerate() {
                 assert_eq!(nodes[k], v);
                 assert_eq!(edges[k], e);
-                let expected = if u < v { 1 } else { -1 };
-                assert_eq!(signs[k], expected);
-                assert_eq!(signs[k] as f64, g.orientation(u, e));
+                // In-arcs (the lower neighbors, σ = −1) come first.
+                let expected = if k < in_degree { -1.0 } else { 1.0 };
+                assert_eq!(expected, if u < v { 1.0 } else { -1.0 });
+                assert_eq!(expected, g.orientation(u, e));
             }
         }
-        // The flat arrays are the concatenation of the per-node views.
-        assert_eq!(g.arc_edge_ids().len(), g.arc_count());
-        assert_eq!(g.arc_orientations().len(), g.arc_count());
+        // The flat numbering concatenates the per-node arcs.
+        assert_eq!(g.arc_offset(0), 0);
+        assert_eq!(g.arc_offset(g.node_count()), g.arc_count());
         for u in g.nodes() {
-            let r = g.arc_range(u);
-            assert_eq!(&g.arc_edge_ids()[r.clone()], g.neighbor_edges(u));
-            assert_eq!(&g.arc_orientations()[r], g.neighbor_signs(u));
+            assert_eq!(g.arc_range(u).len(), g.degree(u));
         }
+        let ins: Vec<_> = g.nodes().flat_map(|u| g.in_edges(u).to_vec()).collect();
+        assert_eq!(ins, g.in_edge_ids());
     }
 
     #[test]
@@ -570,8 +610,8 @@ mod tests {
     #[test]
     fn memory_bytes_counts_all_arrays() {
         let g = triangle();
-        // 4 offsets × 8 + 6 arcs × (4 + 1) + 3 edges × 8.
-        assert_eq!(g.memory_bytes(), 4 * 8 + 6 * 5 + 3 * 8);
+        // 2 × 4 offsets × 4 + 3 in-arc edge ids × 4 + 3 edges × 8.
+        assert_eq!(g.memory_bytes(), 2 * 4 * 4 + 3 * 4 + 3 * 8);
     }
 
     #[test]

@@ -89,8 +89,8 @@ impl EdgeColoring {
         }
         for v in graph.nodes() {
             let incident = graph.neighbor_edges(v);
-            for (i, &e1) in incident.iter().enumerate() {
-                for &e2 in &incident[i + 1..] {
+            for (i, e1) in incident.clone().enumerate() {
+                for e2 in incident.clone().skip(i + 1) {
                     if self.colors[e1 as usize] == self.colors[e2 as usize] {
                         return false;
                     }
@@ -218,17 +218,17 @@ pub fn greedy_edge_coloring(graph: &Graph) -> EdgeColoring {
 fn greedy_coloring_counting_spills(graph: &Graph) -> (EdgeColoring, usize) {
     const UNSET: u32 = u32::MAX;
     let n = graph.node_count();
-    let offsets = graph.arc_offsets();
-    // Node `w`'s words start at `w + offsets[w]/32`: it gets at least
-    // `1 + ⌊deg(w)/32⌋ ≥ ⌈2·deg(w)/64⌉` of them, `n + m/16` in all.
-    let start = |w: usize| w + offsets[w] / 32;
+    // Node `w`'s words start at `w + a(w)/32`, `a(w)` where its arcs
+    // start: it gets at least `1 + ⌊deg(w)/32⌋ ≥ ⌈2·deg(w)/64⌉` of them,
+    // `n + m/16` in all.
+    let start = |w: usize| w + graph.arc_offset(w) / 32;
     let mut bits = vec![0u64; start(n)];
     let mut spilled = vec![false; n];
     let mut colors = vec![UNSET; graph.edge_count()];
     let mut spill_scans = 0;
     for (e, &(u, v)) in graph.edges().iter().enumerate() {
+        let (du, dv) = (graph.degree(u), graph.degree(v));
         let (u, v) = (u as usize, v as usize);
-        let (du, dv) = (offsets[u + 1] - offsets[u], offsets[v + 1] - offsets[v]);
         let (h, l) = if du >= dv { (u, v) } else { (v, u) };
         let range = du + dv - 1;
         let high = &bits[start(h)..start(h) + range.div_ceil(64)];
@@ -238,7 +238,7 @@ fn greedy_coloring_counting_spills(graph: &Graph) -> (EdgeColoring, usize) {
             let mut word = high[k] | low.get(k).copied().unwrap_or(0);
             if spilled[l] && k >= low.len() && word != u64::MAX {
                 spill_scans += 1;
-                for &e2 in graph.neighbor_edges(l as NodeId) {
+                for e2 in graph.neighbor_edges(l as NodeId) {
                     let c2 = colors[e2 as usize] as usize;
                     if c2 / 64 == k {
                         word |= 1u64 << (c2 % 64);
@@ -522,7 +522,7 @@ mod tests {
         let mut used = vec![u32::MAX; cap]; // used[c] == e means blocked
         for (e, &(u, v)) in graph.edges().iter().enumerate() {
             for w in [u, v] {
-                for &e2 in graph.neighbor_edges(w) {
+                for e2 in graph.neighbor_edges(w) {
                     let c = colors[e2 as usize];
                     if c != UNSET {
                         used[c as usize] = e as u32;

@@ -20,12 +20,22 @@ use rand::{RngExt, SeedableRng};
 /// assert_eq!(s.total(), 2.0 + 2.0 * 8.0);
 /// assert!(!s.is_uniform());
 /// ```
+///
+/// Speeds that are all equal are stored as one value, however they were
+/// built: the homogeneous model allocates nothing per node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Speeds {
-    values: Vec<f64>,
+    values: Values,
+    len: usize,
     total: f64,
     max: f64,
-    uniform: bool,
+}
+
+/// The speeds of a [`Speeds`]: one value for every node, or one per node.
+#[derive(Debug, Clone, PartialEq)]
+enum Values {
+    Same(f64),
+    Each(Box<[f64]>),
 }
 
 impl Speeds {
@@ -40,24 +50,28 @@ impl Speeds {
             values.iter().all(|&s| s.is_finite() && s >= 1.0),
             "speeds must be finite and >= 1"
         );
+        let len = values.len();
         let total = values.iter().sum();
         let max = values.iter().copied().fold(1.0, f64::max);
-        let uniform = values.windows(2).all(|w| w[0] == w[1]);
+        let values = match values.first() {
+            Some(&first) if values.iter().any(|&s| s != first) => Values::Each(values.into()),
+            first => Values::Same(first.copied().unwrap_or(1.0)),
+        };
         Self {
             values,
+            len,
             total,
             max,
-            uniform,
         }
     }
 
     /// The homogeneous model: `n` nodes of speed 1.
     pub fn uniform(n: usize) -> Self {
         Self {
-            values: vec![1.0; n],
+            values: Values::Same(1.0),
+            len: n,
             total: n as f64,
             max: 1.0,
-            uniform: true,
         }
     }
 
@@ -97,23 +111,29 @@ impl Speeds {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
     /// Returns `true` if there are no nodes.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
     /// Speed of node `i`.
     #[inline]
     pub fn get(&self, i: usize) -> f64 {
-        self.values[i]
+        match &self.values {
+            Values::Same(s) => {
+                assert!(i < self.len, "node {i} out of {} speeds", self.len);
+                *s
+            }
+            Values::Each(values) => values[i],
+        }
     }
 
-    /// All speeds.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.values
+    /// All speeds, in node order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        (0..self.len).map(|i| self.get(i))
     }
 
     /// `s = Σ s_i`.
@@ -128,21 +148,27 @@ impl Speeds {
 
     /// Returns `true` for the homogeneous model (all speeds equal).
     pub fn is_uniform(&self) -> bool {
-        self.uniform
+        matches!(self.values, Values::Same(_))
     }
 
     /// Returns `true` if every speed is exactly 1 (the normalized
     /// homogeneous model for which analytic spectra apply).
     pub fn is_unit(&self) -> bool {
-        self.uniform && self.values.first().map(|&v| v == 1.0).unwrap_or(true)
+        self.values == Values::Same(1.0)
     }
 
     /// The balanced (ideal) load `x̄_i = m·s_i/s` for total load `m`.
     pub fn balanced_load(&self, total_load: f64) -> Vec<f64> {
-        self.values
-            .iter()
-            .map(|&s| total_load * s / self.total)
-            .collect()
+        self.iter().map(|s| total_load * s / self.total).collect()
+    }
+
+    /// Heap bytes the speeds hold: `8·n` for per-node speeds, 0 when they
+    /// are all equal and stored as one value.
+    pub fn memory_bytes(&self) -> usize {
+        match &self.values {
+            Values::Same(_) => 0,
+            Values::Each(values) => std::mem::size_of_val(&**values),
+        }
     }
 }
 
@@ -168,7 +194,7 @@ mod tests {
     #[test]
     fn two_class_layout() {
         let s = Speeds::two_class(5, 2, 4.0);
-        assert_eq!(s.as_slice(), &[4.0, 4.0, 1.0, 1.0, 1.0]);
+        assert!(s.iter().eq([4.0, 4.0, 1.0, 1.0, 1.0]));
         assert_eq!(s.max(), 4.0);
     }
 
@@ -183,7 +209,7 @@ mod tests {
     #[test]
     fn random_skewed_within_bounds() {
         let s = Speeds::random_skewed(100, 16.0, 2.0, 7);
-        assert!(s.as_slice().iter().all(|&v| (1.0..=16.0).contains(&v)));
+        assert!(s.iter().all(|v| (1.0..=16.0).contains(&v)));
         assert_eq!(s, Speeds::random_skewed(100, 16.0, 2.0, 7));
     }
 
@@ -200,5 +226,31 @@ mod tests {
         // analytic-spectrum dispatch... except the model scales differ.
         let s = Speeds::new(vec![2.0, 2.0]);
         assert!(s.is_uniform());
+        assert!(!s.is_unit());
+        assert_eq!((s.get(1), s.total(), s.max()), (2.0, 4.0, 2.0));
+    }
+
+    #[test]
+    fn uniform_speeds_allocate_nothing_per_node() {
+        let n = 1 << 20;
+        let s = Speeds::uniform(n);
+        assert_eq!(s.memory_bytes(), 0);
+        assert_eq!(s.len(), n);
+        assert_eq!(s.get(n - 1), 1.0);
+        assert!(s.is_unit());
+        // Equal speeds passed one per node collapse to one value too, and
+        // compare equal to the homogeneous model.
+        let ones = Speeds::new(vec![1.0; 1000]);
+        assert_eq!(ones.memory_bytes(), 0);
+        assert_eq!(ones, Speeds::uniform(1000));
+        assert_eq!(Speeds::new(Vec::new()), Speeds::uniform(0));
+        // Speeds that differ keep one value per node.
+        assert_eq!(Speeds::two_class(1000, 1, 2.0).memory_bytes(), 8 * 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of 3 speeds")]
+    fn uniform_speeds_bound_their_index() {
+        Speeds::uniform(3).get(3);
     }
 }

@@ -1,9 +1,13 @@
 //! Byte-for-byte pins of every generator's output.
 //!
 //! Each case hashes five arc-indexed or edge-indexed streams of one
-//! generated graph (offsets, arc targets, arc edge ids, arc orientation
-//! signs and the canonical edge list) with 64-bit FNV-1a; the targets are
-//! derived from the edge list, the other four are stored. A change to how graphs are assembled
+//! generated graph (arc offsets, arc targets, arc edge ids, arc
+//! orientation signs and the canonical edge list) with 64-bit FNV-1a.
+//! Only the edge list is stored as such; the other four are the logical
+//! content of the CSR, rebuilt from its accessors in the layout an
+//! earlier CSR stored them in (degree-prefix offsets as `u64`, then per
+//! arc, in arc order, its target, its edge id and its `i8` sign), so the
+//! pins outlive a change of layout. A change to how graphs are assembled
 //! must leave every hash as it is: the simulator's trajectories, plans,
 //! goldens and checkpoints all depend on the exact edge ids and arc
 //! order.
@@ -36,14 +40,23 @@ impl Fnv {
 
 fn fingerprint(g: &Graph) -> u64 {
     let mut h = Fnv::new();
-    h.array(g.arc_offsets(), |&o| (o as u64).to_le_bytes());
-    // The arc targets are derived, not stored; hashed exactly as the
-    // stored array was (length, then each target), so the pins also
-    // check that the derived adjacency is the one the assembly built.
+    let offsets: Vec<u64> = (0..=g.node_count())
+        .map(|v| g.arc_offset(v) as u64)
+        .collect();
+    h.array(&offsets, |o| o.to_le_bytes());
     let targets: Vec<_> = g.nodes().flat_map(|v| g.neighbor_nodes(v)).collect();
     h.array(&targets, |v| v.to_le_bytes());
-    h.array(g.arc_edge_ids(), |e| e.to_le_bytes());
-    h.array(g.arc_orientations(), |s| s.to_le_bytes());
+    let arc_edges: Vec<_> = g.nodes().flat_map(|v| g.neighbor_edges(v)).collect();
+    h.array(&arc_edges, |e| e.to_le_bytes());
+    // A node's in-arcs (sign −1) precede its out-arcs (sign +1).
+    let signs: Vec<i8> = g
+        .nodes()
+        .flat_map(|v| {
+            let (ins, outs) = (g.in_degree(v), g.out_degree(v));
+            std::iter::repeat_n(-1, ins).chain(std::iter::repeat_n(1, outs))
+        })
+        .collect();
+    h.array(&signs, |s| s.to_le_bytes());
     h.array(g.edges(), |&(u, v)| {
         let mut b = [0u8; 8];
         b[..4].copy_from_slice(&u.to_le_bytes());

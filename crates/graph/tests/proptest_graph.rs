@@ -35,8 +35,19 @@ proptest! {
         let mut total_arcs = 0;
         for u in g.nodes() {
             let range = g.arc_range(u);
+            prop_assert_eq!(range.start, total_arcs);
             prop_assert_eq!(range.len(), g.degree(u));
+            prop_assert_eq!(g.in_degree(u) + g.out_degree(u), g.degree(u));
             total_arcs += range.len();
+            // Arcs are the in-arcs (u is the edge's head), then the
+            // out-arcs (u is its tail), in ascending edge id.
+            let arcs: Vec<_> = g.neighbor_edges(u).collect();
+            prop_assert!(arcs.windows(2).all(|w| w[0] < w[1]));
+            for (k, &e) in arcs.iter().enumerate() {
+                let (tail, head) = g.edge(e);
+                let owner = if k < g.in_degree(u) { head } else { tail };
+                prop_assert_eq!(owner, u);
+            }
             for (v, e) in g.neighbors(u) {
                 prop_assert!(g.neighbors(v).any(|(w, f)| w == u && f == e));
                 let (a, b2) = g.edge(e);

@@ -55,7 +55,7 @@ impl<'a> DiffusionOperator<'a> {
             .iter()
             .map(|&(u, v)| graph.alpha(u, v))
             .collect();
-        let sqrt_speeds = speeds.as_slice().iter().map(|s| s.sqrt()).collect();
+        let sqrt_speeds = speeds.iter().map(f64::sqrt).collect();
         Self {
             graph,
             speeds,

@@ -43,9 +43,9 @@ fn graph_clone_shares_its_arrays() {
     let g = generators::torus2d(8, 8);
     let c = g.clone();
     assert_eq!(c, g);
-    assert!(same(c.arc_offsets(), g.arc_offsets()));
-    assert!(same(c.arc_edge_ids(), g.arc_edge_ids()));
-    assert!(same(c.arc_orientations(), g.arc_orientations()));
+    assert!(same(c.out_offsets(), g.out_offsets()));
+    assert!(same(c.in_offsets(), g.in_offsets()));
+    assert!(same(c.in_edge_ids(), g.in_edge_ids()));
     assert!(same(c.edges(), g.edges()));
 }
 
@@ -62,10 +62,15 @@ fn kernel_tables_read_the_graph_csr_and_hold_one_value_on_the_torus() {
         let sim = simulator(&g, sos, Speeds::uniform(n), rounding, threads);
         let t = sim.kernel_tables();
         let tg = t.graph();
-        assert!(same(tg.arc_offsets(), g.arc_offsets()));
-        assert!(same(tg.arc_edge_ids(), g.arc_edge_ids()));
-        assert!(same(tg.arc_orientations(), g.arc_orientations()));
+        assert!(same(tg.out_offsets(), g.out_offsets()));
+        assert!(same(tg.in_offsets(), g.in_offsets()));
+        assert!(same(tg.in_edge_ids(), g.in_edge_ids()));
         assert!(same(tg.edges(), g.edges()));
+        // Two `u32` offset arrays, one in-arc edge id and one canonical
+        // edge per edge: `8·(n + 1) + 12·m`.
+        assert_eq!(tg.memory_bytes(), 2_097_160);
+        // The homogeneous speeds are one value.
+        assert_eq!(sim.speeds().memory_bytes(), 0);
         assert!(matches!(t.coefs, Coefs::Same(c, h) if c == 0.2 && h == 0.2));
         assert!(matches!(t.ideal, Ideal::Same(x) if x == 100.0));
         // Both tables are one value each: no per-edge or per-node bytes.
