@@ -84,16 +84,15 @@
 //!    takes its own share `max(σ·g_e, 0)` for the arc's orientation σ
 //!    (`−1` on an in-arc, `+1` on an out-arc): the sender's `|g_e|`, the
 //!    receiver's `0.0`. It sums the shares to `r`, writing each running
-//!    sum once into a reusable prefix buffer and the arc's edge id beside
-//!    it, skips nodes
-//!    with `r = 0` — the common case away from the diffusion wavefront —
-//!    and distributes the `⌈r⌉` excess tokens using per-node RNG streams.
-//!    Only a sending node computes its warmed-up state, from the hoisted
-//!    round key with one `mix64` (`rng::warmed_state`, instead of key
-//!    construction plus a discarded warm-up draw), so the phase keeps no
-//!    per-node buffer; each token's draw comes straight off the stream
-//!    counter ([`crate::rng::nth_u64`]), so draws are independent `mix64`
-//!    chains with no serial dependency, and the target arc is found by a
+//!    sum once into a reusable prefix buffer, skips nodes with `r = 0` —
+//!    the common case away from the diffusion wavefront — and distributes
+//!    the `⌈r⌉` excess tokens using per-node RNG streams. Only a sending
+//!    node computes its warmed-up state, from the hoisted round key with
+//!    one `mix64` (`rng::warmed_state`, instead of key construction plus
+//!    a discarded warm-up draw), so the phase keeps no per-node buffer;
+//!    each token's draw comes straight off the stream counter
+//!    ([`crate::rng::nth_u64`]), so draws are independent `mix64` chains
+//!    with no serial dependency, and the target arc is found by a
 //!    branchless count of passed prefix sums.
 //!
 //! The pipeline is bit-identical to the original formulation (golden
@@ -1171,13 +1170,12 @@ pub fn edge_pass_continuous_gated<G: EdgeGate, P: Buf<Val = f64>>(
 }
 
 /// Reusable per-participant scratch of the randomized framework's
-/// rounding phase: one node's prefix sums of its arcs' fractions, and its
-/// arcs' edge ids. It grows to the largest degree seen and is then
-/// reused; nothing in it is per node.
+/// rounding phase: one node's prefix sums of its arcs' fractions. It
+/// grows to the largest degree seen and is then reused; nothing in it is
+/// per node.
 #[derive(Default)]
 pub struct FwScratch {
     prefix: Vec<f64>,
-    arc_edges: Vec<u32>,
 }
 
 impl FwScratch {
@@ -1197,9 +1195,8 @@ impl FwScratch {
 /// an out-arc): the sender gets `|g_e|` and the receiver `0.0`, the
 /// classic positive-outflow fraction.
 /// It sums the shares to `r`, writing each running sum into
-/// `scratch.prefix` and each arc's edge id beside it, skips out when
-/// `r == 0` — the common case away from the diffusion wavefront — and
-/// otherwise sends `⌈r⌉` excess tokens:
+/// `scratch.prefix`, skips out when `r == 0` — the common case away from
+/// the diffusion wavefront — and otherwise sends `⌈r⌉` excess tokens:
 /// each token picks the first arc whose prefix sum exceeds its draw, via
 /// a branchless count of passed prefix sums (zero-share arcs can never be
 /// selected), and increments that edge's flow. Exactly one endpoint of an
@@ -1221,7 +1218,7 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
     flows: &F,
     scratch: &mut FwScratch,
 ) {
-    let FwScratch { prefix, arc_edges } = scratch;
+    let FwScratch { prefix } = scratch;
     let graph = t.graph();
     let round_key = rng::round_key(seed, round);
     let fracs = frac.elems();
@@ -1233,7 +1230,8 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
     let in_offsets = &graph.in_offsets()[nodes.start..=nodes.end];
     let out_offsets = &graph.out_offsets()[nodes.start..=nodes.end];
     let chunk_ins = in_offsets[0] as usize..in_offsets[in_offsets.len() - 1] as usize;
-    let mut ins_rest = &graph.in_edge_ids()[chunk_ins];
+    let all_ins = graph.in_edge_ids();
+    let mut ins_rest = &all_ins[chunk_ins];
     let bounds = in_offsets.windows(2).zip(out_offsets.windows(2));
     for (node, (i, o)) in nodes.zip(bounds) {
         let (ins, rest) = ins_rest.split_at((i[1] - i[0]) as usize);
@@ -1242,9 +1240,8 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
         let deg = ins.len() + outs.len();
         if prefix.len() < deg {
             prefix.resize(deg, 0.0);
-            arc_edges.resize(deg, 0);
         }
-        let (prefix, arc_edges) = (&mut prefix[..deg], &mut arc_edges[..deg]);
+        let prefix = &mut prefix[..deg];
         // Why the share sum and the prefix-count selection below stay
         // scalar while the RNG sweeps are lane-chunked: both reduce a
         // *sequential* f64 prefix whose per-element bit pattern is pinned
@@ -1260,23 +1257,20 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
         // stores below (this node sends on it, so no other participant
         // ever writes that edge).
         let mut first = 0usize;
-        // Each arc's running sum goes to `prefix` and its edge id beside
-        // it, so a token finds its edge with one load whichever group its
-        // arc is in. The arc's share `max(σ·g_e, 0)` is branchless: on an
-        // in-arc `σ·g_e` is the exact negation of `g_e`, a sign-bit flip,
-        // and the select keeps it only where positive. The sign of a zero
+        // The arc's share `max(σ·g_e, 0)` is branchless: on an in-arc
+        // `σ·g_e` is the exact negation of `g_e`, a sign-bit flip, and
+        // the select keeps it only where positive. The sign of a zero
         // share changes no sum or comparison, and a NaN fraction stays
         // NaN at both ends, so neither sends a token.
         let (in_prefix, out_prefix) = prefix.split_at_mut(ins.len());
-        let (in_arcs, out_arcs) = arc_edges.split_at_mut(ins.len());
-        for ((p, a), &e) in in_prefix.iter_mut().zip(in_arcs).zip(ins) {
+        for (p, &e) in in_prefix.iter_mut().zip(ins) {
             r += share(-A::read(&fracs[e as usize]));
-            (*p, *a) = (r, e);
+            *p = r;
             first += usize::from(r == 0.0);
         }
-        for (((p, a), g), e) in out_prefix.iter_mut().zip(out_arcs).zip(outs).zip(o[0]..) {
+        for (p, g) in out_prefix.iter_mut().zip(outs) {
             r += share(A::read(g));
-            (*p, *a) = (r, e);
+            *p = r;
             first += usize::from(r == 0.0);
         }
         if r == 0.0 {
@@ -1302,8 +1296,18 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
             let sel: usize = prefix.iter().map(|&cum| usize::from(u >= cum)).sum();
             let sent = sel < deg;
             let j = if sent { sel } else { first };
-            let sign = 1 - 2 * i64::from(j < ins.len());
-            let fe = &flows.elems()[arc_edges[j] as usize];
+            // Arc `j` is an in-arc (σ = −1) through its edge id, or an
+            // out-arc (σ = +1) at its offset in the node's edge range.
+            // Which one a token takes is a coin flip, so both ids are
+            // formed and one kept, branch-free: for an out-arc the in-arc
+            // read lands on a later node's in-arc (clamped to the array;
+            // a sending node has an arc, so the array is not empty).
+            let in_arc = j < ins.len();
+            let in_e = all_ins[(i[0] as usize + j).min(all_ins.len() - 1)];
+            let out_e = o[0].wrapping_add(j.wrapping_sub(ins.len()) as u32);
+            let e = select_unpredictable(in_arc, in_e, out_e);
+            let sign = 1 - 2 * i64::from(in_arc);
+            let fe = &flows.elems()[e as usize];
             F::write(fe, F::read(fe) + sign * i64::from(sent));
         }
     }

@@ -119,21 +119,13 @@ pub fn snapshot_with_total(
 /// callers that already have the node-derived fields from the fused
 /// in-loop reduction (the run loop's final report, the
 /// `MaxLocalDiffBelow` switch policy) pay exactly this sweep and nothing
-/// else. Under unit speeds it divides by nothing: `x / 1.0 == x` for
-/// every `f64`, so the value keeps its bits.
+/// else.
 pub fn local_diff_with(graph: &Graph, speeds: &Speeds, load_of: impl Fn(usize) -> f64) -> f64 {
-    if speeds.is_unit() {
-        max_edge_diff(graph, load_of)
-    } else {
-        max_edge_diff(graph, |i| load_of(i) / speeds.get(i))
-    }
-}
-
-/// `max_{(u,v)∈E} |y(u) − y(v)|`, 0 without edges.
-fn max_edge_diff(graph: &Graph, y: impl Fn(usize) -> f64) -> f64 {
     let mut max_local = 0.0f64;
     for &(u, v) in graph.edges() {
-        max_local = max_local.max((y(u as usize) - y(v as usize)).abs());
+        let (u, v) = (u as usize, v as usize);
+        let diff = (load_of(u) / speeds.get(u) - load_of(v) / speeds.get(v)).abs();
+        max_local = max_local.max(diff);
     }
     max_local
 }
@@ -252,29 +244,6 @@ mod tests {
         // Homogeneous-looking vector is *not* balanced here.
         let m = snapshot(&g, &s, &[20.0, 20.0, 20.0]);
         assert!(m.max_minus_avg > 0.0);
-    }
-
-    #[test]
-    fn local_diff_keeps_its_bits_without_the_unit_division() {
-        let g = generators::torus2d(4, 4);
-        let loads: Vec<f64> = (0..16).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
-        let divided = |s: &Speeds| {
-            let diffs = g.edges().iter().map(|&(u, v)| {
-                let (u, v) = (u as usize, v as usize);
-                (loads[u] / s.get(u) - loads[v] / s.get(v)).abs()
-            });
-            diffs.fold(0.0f64, f64::max)
-        };
-        // Unit speeds skip the division; speeds of 2 are uniform but
-        // still divide, as do speeds that differ.
-        for s in [
-            Speeds::uniform(16),
-            Speeds::new(vec![2.0; 16]),
-            Speeds::linear_ramp(16, 3.0),
-        ] {
-            let fast = local_diff_with(&g, &s, |i| loads[i]);
-            assert_eq!(fast.to_bits(), divided(&s).to_bits());
-        }
     }
 
     #[test]

@@ -161,15 +161,6 @@ impl Speeds {
     pub fn balanced_load(&self, total_load: f64) -> Vec<f64> {
         self.iter().map(|s| total_load * s / self.total).collect()
     }
-
-    /// Heap bytes the speeds hold: `8·n` for per-node speeds, 0 when they
-    /// are all equal and stored as one value.
-    pub fn memory_bytes(&self) -> usize {
-        match &self.values {
-            Values::Same(_) => 0,
-            Values::Each(values) => std::mem::size_of_val(&**values),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,18 +225,19 @@ mod tests {
     fn uniform_speeds_allocate_nothing_per_node() {
         let n = 1 << 20;
         let s = Speeds::uniform(n);
-        assert_eq!(s.memory_bytes(), 0);
+        assert_eq!(s.values, Values::Same(1.0));
         assert_eq!(s.len(), n);
         assert_eq!(s.get(n - 1), 1.0);
         assert!(s.is_unit());
         // Equal speeds passed one per node collapse to one value too, and
         // compare equal to the homogeneous model.
         let ones = Speeds::new(vec![1.0; 1000]);
-        assert_eq!(ones.memory_bytes(), 0);
+        assert_eq!(ones.values, Values::Same(1.0));
         assert_eq!(ones, Speeds::uniform(1000));
         assert_eq!(Speeds::new(Vec::new()), Speeds::uniform(0));
         // Speeds that differ keep one value per node.
-        assert_eq!(Speeds::two_class(1000, 1, 2.0).memory_bytes(), 8 * 1000);
+        let two = Speeds::two_class(1000, 1, 2.0);
+        assert!(matches!(&two.values, Values::Each(v) if v.len() == 1000));
     }
 
     #[test]

@@ -130,10 +130,45 @@ fn parallel_coupled_deviation() {
     assert!(series.max() < 100.0, "deviation {}", series.max());
 }
 
+/// Checks `coupled_deviation` on the discrete experiment `exp` against
+/// its continuous twin `twin`: the discrete run ends where `run()` ends,
+/// and each round's deviation is the one between a discrete and a
+/// continuous process stepped by hand that both switch to FOS after the
+/// round `run()` recorded as its switch. Returns that report.
+fn assert_coupled_matches_run(
+    exp: &Experiment<'_>,
+    twin: &Experiment<'_>,
+    rounds: u64,
+) -> RunReport {
+    let series = exp.coupled_deviation(rounds as usize).unwrap();
+    let report = exp.run();
+    assert_eq!(report.rounds, rounds);
+    let bits = |m: &MetricsSnapshot| {
+        let (lo, diff) = (m.min_minus_avg, m.max_local_diff);
+        [m.max_minus_avg, lo, diff, m.potential_over_n, m.min_load].map(f64::to_bits)
+    };
+    assert_eq!(bits(&series.final_metrics), bits(&report.final_metrics));
+    let (mut d, mut c) = (exp.simulator(), twin.simulator());
+    let mut per_round = Vec::new();
+    for round in 0..rounds {
+        if report.switch_round == Some(round) {
+            d.switch_scheme(Scheme::fos());
+            c.switch_scheme(Scheme::fos());
+        }
+        d.step();
+        c.step();
+        per_round.push(d.deviation_from(&c));
+    }
+    assert_eq!(series.per_round, per_round);
+    assert_eq!(
+        series.min_transient.to_bits(),
+        d.min_transient_load().to_bits()
+    );
+    report
+}
+
 /// `coupled_deviation` runs both processes under the experiment's hybrid
-/// policy: the discrete run ends where `run()` ends, and each round's
-/// deviation is the one between a discrete and a continuous run that
-/// both switch to FOS after round 10.
+/// policy, which switches both to FOS before round 11.
 #[test]
 fn coupled_deviation_follows_the_hybrid_switch() {
     let g = generators::torus2d(12, 12);
@@ -153,30 +188,34 @@ fn coupled_deviation_follows_the_hybrid_switch() {
             .build()
             .unwrap()
     };
-    let exp = build(true);
-    let series = exp.coupled_deviation(rounds).unwrap();
-    let report = exp.run();
+    let report = assert_coupled_matches_run(&build(true), &build(false), rounds as u64);
     assert_eq!(report.switch_round, Some(switch));
-    let bits = |m: &MetricsSnapshot| {
-        let (lo, diff) = (m.min_minus_avg, m.max_local_diff);
-        [m.max_minus_avg, lo, diff, m.potential_over_n, m.min_load].map(f64::to_bits)
+    assert!(!report.degraded);
+}
+
+/// `coupled_deviation` also follows the divergence watchdog, which
+/// records its SOS→FOS switch after the round that tripped it (not
+/// before the next one, as a policy does): a load shock on a balanced
+/// cycle degrades a run with no hybrid policy.
+#[test]
+fn coupled_deviation_follows_the_watchdog_switch() {
+    let g = generators::cycle(16);
+    let rounds = 400;
+    let build = |discrete: bool| {
+        let b = Experiment::on(&g);
+        let b = if discrete {
+            b.discrete(Rounding::nearest())
+        } else {
+            b.continuous()
+        };
+        b.sos(1.9)
+            .init(InitialLoad::EqualPerNode(1000))
+            .faults(FaultSpec::none().with_shock(0.02, 40))
+            .stop(StopCondition::MaxRounds(rounds))
+            .build()
+            .unwrap()
     };
-    assert_eq!(bits(&series.final_metrics), bits(&report.final_metrics));
-    // The same lockstep by hand: both processes switch before round 11.
-    let (mut d, mut c) = (exp.simulator(), build(false).simulator());
-    let mut per_round = Vec::new();
-    for round in 0..rounds as u64 {
-        if round == switch {
-            d.switch_scheme(Scheme::fos());
-            c.switch_scheme(Scheme::fos());
-        }
-        d.step();
-        c.step();
-        per_round.push(d.deviation_from(&c));
-    }
-    assert_eq!(series.per_round, per_round);
-    assert_eq!(
-        series.min_transient.to_bits(),
-        d.min_transient_load().to_bits()
-    );
+    let report = assert_coupled_matches_run(&build(true), &build(false), rounds as u64);
+    assert!(report.degraded, "watchdog missed the deviation burst");
+    assert!(report.switch_round.is_some_and(|s| s < rounds as u64));
 }

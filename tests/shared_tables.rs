@@ -69,8 +69,6 @@ fn kernel_tables_read_the_graph_csr_and_hold_one_value_on_the_torus() {
         // Two `u32` offset arrays, one in-arc edge id and one canonical
         // edge per edge: `8·(n + 1) + 12·m`.
         assert_eq!(tg.memory_bytes(), 2_097_160);
-        // The homogeneous speeds are one value.
-        assert_eq!(sim.speeds().memory_bytes(), 0);
         assert!(matches!(t.coefs, Coefs::Same(c, h) if c == 0.2 && h == 0.2));
         assert!(matches!(t.ideal, Ideal::Same(x) if x == 100.0));
         // Both tables are one value each: no per-edge or per-node bytes.
