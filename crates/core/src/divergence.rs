@@ -60,11 +60,7 @@ impl<'g> PropagationRows<'g> {
         );
         let mut current = vec![0.0; n];
         current[k as usize] = 1.0;
-        let edge_alpha = graph
-            .edges()
-            .iter()
-            .map(|&(u, v)| graph.alpha(u, v))
-            .collect();
+        let edge_alpha = graph.edges().map(|(u, v)| graph.alpha(u, v)).collect();
         Self {
             graph,
             speeds,
@@ -91,7 +87,7 @@ impl<'g> PropagationRows<'g> {
     /// `(r·M)_j = r_j + (1/s_j)·Σ_{i∈N(j)} α_{ij}(r_i − r_j)`.
     fn row_times_m(&self, r: &[f64], out: &mut [f64]) {
         out.copy_from_slice(r);
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
+        for (e, (u, v)) in self.graph.edges().enumerate() {
             let (u, v) = (u as usize, v as usize);
             let a = self.edge_alpha[e];
             // Column j = v receives α·(r_u − r_v)/s_v; column j = u the

@@ -53,7 +53,7 @@ use crate::error::{BuildError, CheckpointError, ParseError};
 use crate::experiment::Config;
 use crate::hybrid::SwitchPolicy;
 use crate::kernel::{Buf, KernelTables, LoadStats};
-use crate::metrics::{local_diff_with, snapshot_with_total, MetricsSnapshot};
+use crate::metrics::{snapshot_with_total, MetricsSnapshot};
 use crate::observer::Observer;
 use crate::perturb::{ChurnEvents, FaultEvents, LoadEvents, Perturb, RoundMasks};
 use crate::pool::{RoundJob, WorkerPool};
@@ -788,10 +788,17 @@ impl<'g> Simulator<'g> {
         Some(MetricsSnapshot {
             max_minus_avg: stats.max_dev,
             min_minus_avg: stats.min_dev,
-            max_local_diff: local_diff_with(self.graph, &self.speeds, |i| self.load_of(i)),
+            max_local_diff: self.local_diff(),
             potential_over_n: stats.sum_sq_dev / self.graph.node_count() as f64,
             min_load: stats.min_load,
         })
+    }
+
+    /// `φ_local` of the current state: one edge sweep over the typed
+    /// loads, the store dispatched once.
+    fn local_diff(&self) -> f64 {
+        with_state!(&self.store, |state| state
+            .local_diff(self.graph, &self.speeds))
     }
 
     /// Fused `max − avg` of the current state: free after any round, one
@@ -1017,7 +1024,7 @@ impl<'g> Simulator<'g> {
                         SwitchPolicy::MaxLocalDiffBelow(t) => {
                             // An edge metric: the one policy that costs a
                             // sweep (over edges) per round while armed.
-                            local_diff_with(self.graph, &self.speeds, |i| self.load_of(i)) <= t
+                            self.local_diff() <= t
                         }
                         SwitchPolicy::MaxMinusAvgBelow(t) => self.max_minus_avg() <= t,
                         SwitchPolicy::Never => false,

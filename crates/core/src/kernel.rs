@@ -44,8 +44,8 @@
 //! edge's coefficient pair `(c_tail, c_head) = (α_e/s_u, α_e/s_v)` at
 //! simulator construction (for the pairwise schemes
 //! `(λ·s_v/(s_u+s_v), λ·s_u/(s_u+s_v))` instead), so the scheduled-flow
-//! pass is a fused multiply–add over the graph's canonical `(u, v)` edge
-//! list, the coefficients and the flow memory
+//! pass is a fused multiply–add over the graph's canonical `(u, v)`
+//! edges, the coefficients and the flow memory
 //! (`Ŷ_e = mem·prev_e + gain·(c_tail·x_u − c_head·x_v)`) instead of the
 //! two `f64` divisions per edge the naive form `α_e·(x_u/s_u − x_v/s_v)`
 //! costs. A pair every edge shares bit for bit — every regular graph's
@@ -56,7 +56,13 @@
 //! balanced loads are one value in the same way under uniform speeds.
 //! The tables own no adjacency: the
 //! passes read the CSR arrays of the [`Graph`] clone the tables hold,
-//! which shares its arrays with the caller's graph. The node passes walk
+//! which shares its arrays with the caller's graph. The CSR stores each
+//! edge's head and no tail: the edges of a node's out-range are the ones
+//! it is the tail of. So the edge passes walk their edge range
+//! node-major, each tail's out-range in turn, reading `x_u` once per
+//! node; a range the pool cuts at a 64-edge word can start inside a
+//! node's out-range, so each pass finds its first tail once, by one
+//! search of the out-offsets. The node passes walk
 //! each node's arcs as the CSR stores them, in-arcs then out-arcs: the
 //! in-arcs (orientation σ = −1) through their edge ids, the out-arcs
 //! (σ = +1) as one contiguous edge range, so no pass reads a sign. For
@@ -114,7 +120,9 @@
 //!
 //! 1. The edge step (`pair_edge_step`) visits only the set bits of the
 //!    round's active words in a participant's edge chunk, which the pool
-//!    cuts at 64-edge word boundaries. Each active edge computes `Ŷ_e`
+//!    cuts at 64-edge word boundaries, in ascending id, so a forward
+//!    cursor over the out-offsets ([`sodiff_graph::Tails`]) finds each
+//!    active edge's tail. Each active edge computes `Ŷ_e`
 //!    through the one scheduled-flow expression, against a memory that
 //!    reads `+0.0`, and turns it into its flow: fluid keeps it, and
 //!    tokens round it inline — the edge-local roundings as the fused
@@ -151,25 +159,26 @@
 //! pairwise schemes keep none (see the matching rounds above), and
 //! their `previous_flows()` read zeros.
 //!
-//! # Lane-chunked SIMD form, and why it is bit-exact
+//! # Loop shapes, and why they are bit-exact
 //!
-//! The edge passes and the apply pass run in [`LANES`]-wide chunks with
-//! a scalar tail (the same shape as the bulk RNG sweeps in
-//! [`crate::rng`]): each chunk first computes the eight scheduled flows —
-//! a pure independent multiply–add chain the compiler keeps in vector
-//! registers — and then rounds/writes the eight results in ascending edge
-//! order. This is a pure *reassociation of instructions, not of
-//! arithmetic*: every per-edge value is computed by exactly the
-//! expression the scalar loop used, on exactly the operands the scalar
-//! loop read, because per-edge work is independent — edge `e` reads only
-//! `loads[..]` (not written in this pass), its own memory slot (`prev[e]`,
-//! or `flows[e]` under [`FlowMemory::Rounded`]), its own mask bit under
-//! [`MaskBits`], and the constant tables,
-//! and writes only `prev[e]`, `flows[e]`, and (scatter pass) `frac[e]`.
-//! Hoisting the eight memory reads above the eight
-//! writes therefore never changes an operand, and no f64
-//! addition is regrouped anywhere. The same argument covers the apply
-//! pass: each node's arc reduction keeps its exact sequential order
+//! Per-edge work is independent: edge `e` reads only `loads[..]` (not
+//! written in this pass), its own memory slot (`prev[e]`, or `flows[e]`
+//! under [`FlowMemory::Rounded`]), its own mask bit under [`MaskBits`],
+//! and the constant tables, and writes only `prev[e]`, `flows[e]`, and
+//! (scatter pass) `frac[e]`. So the order in which a pass visits its
+//! edges, and whether it reads a tail's load once or once per edge,
+//! never changes an operand: every per-edge value is computed by exactly
+//! the one expression, on exactly the same operands, and no f64 addition
+//! is regrouped anywhere. The edge passes visit their range node-major
+//! in edge-id order. An edge-major loop in eight-edge lanes with a
+//! forward tail cursor measured slower than the node-major walk on the
+//! 256² torus, whether it read the tail's load per edge or kept it per
+//! node: the cursor is a serial dependence from lane to lane.
+//!
+//! The apply pass runs in [`LANES`]-wide chunks of nodes with a scalar
+//! tail (the same shape as the bulk RNG sweeps in [`crate::rng`]): a
+//! pure *reassociation of instructions, not of arithmetic*. Each node's
+//! arc reduction keeps its exact sequential order
 //! (in-arcs, then out-arcs) inside its lane, and the fused statistics
 //! (`StatsFold::node` and the per-block squared-deviation partials) are
 //! folded lane 0..8 in node order, identical to the scalar sequence. Hence all golden-trace
@@ -177,9 +186,9 @@
 //! `tests/golden_trace.rs` pins. The same holds across value types:
 //! each [`Value`] operation monomorphizes to the plain `i64` or `f64`
 //! operation, so the token pass and the fluid pass each compute exactly
-//! what a pass written by hand for that type would. The one
-//! deliberately scalar loop is [`arc_round_streamed`]'s per-node share
-//! sum, whose sequential f64 prefix is itself the pinned quantity: it
+//! what a pass written by hand for that type would. The one loop that
+//! must keep its order is [`arc_round_streamed`]'s per-node share sum,
+//! whose sequential f64 prefix is itself the pinned quantity: it
 //! feeds `⌈r⌉`, and every token compares its draw against the exact
 //! running prefix. The prefix is therefore built once per node, in arc
 //! order (in-arcs, then out-arcs), and only read by the token loop;
@@ -196,7 +205,7 @@ use std::ops::{Add, Div, Mul, Range, Sub};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use sodiff_graph::{Graph, Speeds};
+use sodiff_graph::{EdgeId, Graph, Speeds};
 
 use crate::engine::FlowMemory;
 use crate::metrics::DEV_BLOCK;
@@ -382,7 +391,7 @@ pub(crate) fn coef_pair(
     coefs: impl Fn(u32, u32) -> (f64, f64),
 ) -> Coefs {
     let uniform = speeds.is_uniform();
-    let pairs = graph.edges().iter().map(|&(u, v)| {
+    let pairs = graph.edges().map(|(u, v)| {
         let (tail, head) = coefs(u, v);
         debug_assert!(
             !uniform || tail.to_bits() == head.to_bits(),
@@ -830,8 +839,9 @@ impl EdgeGate for MaskBits<'_> {
 }
 
 /// The scheduled-flow operands of one edge range, sliced once: the
-/// canonical endpoints, the coefficient pair and the flow memory, plus
-/// the round's gate, scalars and load reader.
+/// heads, the coefficient pair and the flow memory, plus the out-offsets
+/// and the first edge's tail (the tails are derived from them), and the
+/// round's gate, scalars and load reader.
 struct Schedule<'a, G, M: Buf, X, C> {
     gate: &'a G,
     x: &'a X,
@@ -839,7 +849,12 @@ struct Schedule<'a, G, M: Buf, X, C> {
     gain: f64,
     /// Global id of local edge 0 (the gate indexes bits by global id).
     e0: usize,
-    pairs: &'a [(u32, u32)],
+    /// The graph's out-offsets: node `u`'s out-arcs are the edges
+    /// `out_offsets[u]..out_offsets[u + 1]`.
+    out_offsets: &'a [u32],
+    /// The tail of local edge 0 (`0` for an empty range).
+    tail0: usize,
+    heads: &'a [u32],
     coefs: C,
     memory: &'a [M::Elem],
 }
@@ -852,7 +867,9 @@ where
     C: Column<Item = (f64, f64)>,
 {
     /// The schedule over the edges `edges` of `t`, whose coefficient
-    /// pair is `coefs` ([`with_coefs!`]).
+    /// pair is `coefs` ([`with_coefs!`]). A range may start inside a
+    /// node's out-range (the pool cuts edge chunks at 64-edge words), so
+    /// its first tail is found once, by one search.
     #[allow(clippy::too_many_arguments)] // the operands of one flow expression
     fn new(
         t: &'a KernelTables,
@@ -864,45 +881,56 @@ where
         x: &'a X,
         memory: &'a M,
     ) -> Self {
+        let graph = t.graph();
+        let tail0 = if edges.is_empty() {
+            0
+        } else {
+            graph.tail(edges.start as EdgeId) as usize
+        };
         Self {
             gate,
             x,
             mem,
             gain,
             e0: edges.start,
-            pairs: &t.graph().edges()[edges.clone()],
+            out_offsets: graph.out_offsets(),
+            tail0,
+            heads: &graph.heads()[edges.clone()],
             coefs: coefs.slice(edges.clone()),
             memory: &memory.elems()[edges],
         }
     }
 
-    /// The schedule over the [`LANES`]-edge chunk at local edge `k0`,
-    /// whose fixed length lets the compiler drop the lane loop's bounds
-    /// checks.
+    /// Calls `f(x_u, local)` for each tail `u` of the range, in edge
+    /// order, with `u`'s load and the local edge range of its out-arcs
+    /// in the range: the range walked node-major, one load read per
+    /// tail. Nodes without an out-arc in the range are stepped over.
     #[inline(always)]
-    fn chunk(&self, k0: usize) -> Self {
-        let r = k0..k0 + LANES;
-        Self {
-            e0: self.e0 + k0,
-            pairs: &self.pairs[r.clone()],
-            coefs: self.coefs.slice(r.clone()),
-            memory: &self.memory[r],
-            ..*self
+    fn for_each_tail(&self, mut f: impl FnMut(f64, Range<usize>)) {
+        let len = self.heads.len();
+        // Every local range the walk yields ends at or below `len`, so
+        // this length lets the compiler drop the per-edge bounds checks.
+        assert!(self.memory.len() == len);
+        let (mut u, mut start) = (self.tail0, 0);
+        while start < len {
+            let end = (self.out_offsets[u + 1] as usize - self.e0).min(len);
+            if end > start {
+                f((self.x)(u), start..end);
+            }
+            (u, start) = (u + 1, end);
         }
     }
 
     /// Local edge `k`'s gated scheduled flow
-    /// `Ŷ_e = mem·prev_e + gain·(c_tail·x_u − c_head·x_v)`: the one
-    /// place the edge passes compute it.
+    /// `Ŷ_e = mem·prev_e + gain·(c_tail·x_u − c_head·x_v)`, given its
+    /// tail's load `x_u`: the one place the edge passes compute it.
     #[inline(always)]
-    fn flow(&self, k: usize) -> f64 {
-        let (u, v) = self.pairs[k];
+    fn flow(&self, k: usize, x_u: f64) -> f64 {
         let (ct, ch) = self.coefs.at(k);
-        let x = self.x;
+        let x_v = (self.x)(self.heads[k] as usize);
         self.gate.gate(
             self.e0 + k,
-            self.mem * M::read(&self.memory[k])
-                + self.gain * (ct * x(u as usize) - ch * x(v as usize)),
+            self.mem * M::read(&self.memory[k]) + self.gain * (ct * x_u - ch * x_v),
         )
     }
 
@@ -910,37 +938,19 @@ where
     /// schedule's memory view: rounds each flow into `flows` and records
     /// `Ŷ_e` in the memory (a no-op write for [`FlowsAsMemory`]).
     fn fused<F: Buf<Val = i64>>(&self, round: u64, rounding: Rounding, flows: &F) {
-        let (e0, len) = (self.e0, self.pairs.len());
+        let (e0, len) = (self.e0, self.heads.len());
         let flow_elems = &flows.elems()[e0..e0 + len];
-        let main = len - len % LANES;
         macro_rules! fused_loop {
-            (|$k:ident, $s:ident| $round_expr:expr) => {{
-                // Lane-chunked main loop (see the module docs for the
-                // bit-exactness argument): lane 1 computes the eight
-                // independent scheduled flows, lane 2 rounds and writes
-                // them in the same ascending edge order as the scalar tail.
-                for k0 in (0..main).step_by(LANES) {
-                    let c = self.chunk(k0);
-                    let fc = &flow_elems[k0..k0 + LANES];
-                    let mut s_lanes = [0.0f64; LANES];
-                    for (l, s) in s_lanes.iter_mut().enumerate() {
-                        *s = c.flow(l);
-                    }
-                    for l in 0..LANES {
-                        let $k = k0 + l;
-                        let $s = s_lanes[l];
+            (|$k:ident, $s:ident| $round_expr:expr) => {
+                self.for_each_tail(|x_u, local| {
+                    for $k in local {
+                        let $s = self.flow($k, x_u);
                         let y: i64 = $round_expr;
-                        F::write(&fc[l], y);
-                        M::write(&c.memory[l], $s);
+                        F::write(&flow_elems[$k], y);
+                        M::write(&self.memory[$k], $s);
                     }
-                }
-                for $k in main..len {
-                    let $s = self.flow($k);
-                    let y: i64 = $round_expr;
-                    F::write(&flow_elems[$k], y);
-                    M::write(&self.memory[$k], $s);
-                }
-            }};
+                })
+            };
         }
         match rounding {
             Rounding::RoundDown => fused_loop!(|_k, s| trunc_i64(s)),
@@ -959,61 +969,33 @@ where
     /// `trunc(Ŷ_e)` into `flows` and its signed fraction
     /// `Ŷ_e − trunc(Ŷ_e)` into `frac`, both indexed by edge.
     fn scatter<A: Buf<Val = f64>, F: Buf<Val = i64>>(&self, frac: &A, flows: &F) {
-        let (e0, len) = (self.e0, self.pairs.len());
+        let (e0, len) = (self.e0, self.heads.len());
         let flow_elems = &flows.elems()[e0..e0 + len];
         let frac_elems = &frac.elems()[e0..e0 + len];
-        let main = len - len % LANES;
         // `trunc(Ŷ) = sign·⌊|Ŷ|⌋` *is* the signed base flow, and
         // `Ŷ − trunc(Ŷ)` is exact (Sterbenz for `|Ŷ| ≥ 1`, trivially
         // below), so one saturating cast replaces the abs/floor/sign
         // chain. Which end sends is left to the rounding phase: the
         // fraction's sign says it, with no per-edge select here.
-        let scatter_one = |fr: &A::Elem, pe: &M::Elem, fe: &F::Elem, s: f64| {
-            let base = trunc_i64(s);
-            A::write(fr, s - base as f64);
-            F::write(fe, base);
-            M::write(pe, s);
-        };
-        // Unlike the fused pass, compute and store stay fused per lane:
-        // staging the eight scheduled flows first was measured about 10%
-        // slower here, even with all three stores contiguous. The chunk
-        // still earns its keep by hoisting the bounds checks into the
-        // slice splits.
-        for k0 in (0..main).step_by(LANES) {
-            let c = self.chunk(k0);
-            let (frc, fc) = (&frac_elems[k0..k0 + LANES], &flow_elems[k0..k0 + LANES]);
-            for l in 0..LANES {
-                scatter_one(&frc[l], &c.memory[l], &fc[l], c.flow(l));
+        self.for_each_tail(|x_u, local| {
+            for k in local {
+                let s = self.flow(k, x_u);
+                let base = trunc_i64(s);
+                A::write(&frac_elems[k], s - base as f64);
+                F::write(&flow_elems[k], base);
+                M::write(&self.memory[k], s);
             }
-        }
-        for k in main..len {
-            scatter_one(
-                &frac_elems[k],
-                &self.memory[k],
-                &flow_elems[k],
-                self.flow(k),
-            );
-        }
+        });
     }
 
     /// The continuous pass ([`edge_pass_continuous_gated`]): writes each
     /// scheduled flow into the memory.
     fn continuous(&self) {
-        let len = self.pairs.len();
-        let main = len - len % LANES;
-        for k0 in (0..main).step_by(LANES) {
-            let c = self.chunk(k0);
-            let mut s_lanes = [0.0f64; LANES];
-            for (l, s) in s_lanes.iter_mut().enumerate() {
-                *s = c.flow(l);
+        self.for_each_tail(|x_u, local| {
+            for k in local {
+                M::write(&self.memory[k], self.flow(k, x_u));
             }
-            for (l, &s) in s_lanes.iter().enumerate() {
-                M::write(&c.memory[l], s);
-            }
-        }
-        for k in main..len {
-            M::write(&self.memory[k], self.flow(k));
-        }
+        });
     }
 }
 
@@ -1630,7 +1612,7 @@ pub(crate) fn pair_edge_step<S: Buf>(
     (mem, gain): (f64, f64),
     loads: &S,
     sent: &S,
-    flow: impl Fn(usize, f64) -> S::Val,
+    flow: impl Fn(usize, (u32, u32), f64) -> S::Val,
 ) {
     // The pool cuts a matching round's edge chunks at word boundaries,
     // so each word is visited by one participant.
@@ -1638,40 +1620,40 @@ pub(crate) fn pair_edge_step<S: Buf>(
         edges.start.is_multiple_of(64) && (edges.end.is_multiple_of(64) || edges.end == t.m),
         "matching-round edge chunks must be cut at word boundaries"
     );
-    // Only active edges are visited, so no gate is applied.
+    // Only active edges are visited, so no gate is applied. They come in
+    // ascending id, so a forward cursor finds their tails.
     let x = |i| loads.get(i).to_f64();
-    let pairs = t.graph().edges();
+    let (mut tails, heads) = (t.graph().tails(), t.graph().heads());
     let words = edges.start / 64..edges.end.div_ceil(64);
     with_coefs!(t, |coefs| {
         let sched = Schedule::new(t, coefs, &AllEdges, 0..t.m, mem, gain, &x, &NoMemory);
         for_each_set_bit(active, words.clone(), |e| {
-            let y = flow(e, sched.flow(e));
+            let uv = (tails.of(e), heads[e]);
+            let y = flow(e, uv, sched.flow(e, x(uv.0 as usize)));
             if !is_stale(stale, e) {
-                land(sent, pairs[e], y);
+                land(sent, uv, y);
             }
         });
     })
 }
 
-/// A matching edge's integral flow in `round` for its scheduled flow `s`,
-/// rounded inline: by the edge-local roundings as the fused pass rounds,
-/// and by the randomized framework as its sender's one draw
-/// ([`framework_token`]), so no fraction buffer and no node-state sweep
-/// are needed.
+/// A matching edge `e = (u, v)`'s integral flow in `round` for its
+/// scheduled flow `s`, rounded inline: by the edge-local roundings as the
+/// fused pass rounds, and by the randomized framework as its sender's one
+/// draw ([`framework_token`]), so no fraction buffer and no node-state
+/// sweep are needed.
 pub(crate) fn pair_rounding(
-    t: &KernelTables,
     rounding: Rounding,
     round: u64,
-) -> impl Fn(usize, f64) -> i64 + '_ {
-    let pairs = t.graph().edges();
-    move |e, s| match rounding {
+) -> impl Fn(usize, (u32, u32), f64) -> i64 {
+    move |e, uv, s| match rounding {
         Rounding::RoundDown => trunc_i64(s),
         Rounding::Nearest => round_i64(s),
         Rounding::UnbiasedEdge { seed } => unbiased_edge(seed, e, round, s),
         Rounding::RandomizedFramework { seed } => {
             let base = trunc_i64(s);
             let rk = rng::round_key(seed, round);
-            base + framework_token(rk, pairs[e], s - base as f64)
+            base + framework_token(rk, uv, s - base as f64)
         }
     }
 }
@@ -1749,7 +1731,7 @@ mod tests {
         assert_eq!(t.m, g.edge_count());
         for e in 0..t.m {
             let (u, v) = g.edge(e as u32);
-            assert_eq!(g.edges()[e], (u, v));
+            assert_eq!(g.edges().nth(e), Some((u, v)));
             let alpha = g.alpha(u, v);
             let pair = (alpha / s.get(u as usize), alpha / s.get(v as usize));
             assert_eq!(t.coefs.get(e), pair);
@@ -1784,13 +1766,13 @@ mod tests {
         assert!(matches!(&grid.coefs, Coefs::Each(tail, head) if Arc::ptr_eq(tail, head)));
         assert!(matches!(grid.ideal, Ideal::Same(x) if x == 3.0));
         assert_eq!(grid.memory_bytes(), 8 * grid.m);
-        for (e, &(u, v)) in g.edges().iter().enumerate() {
+        for (e, (u, v)) in g.edges().enumerate() {
             assert_eq!(grid.coefs.get(e), (g.alpha(u, v), g.alpha(u, v)));
         }
         let star = generators::star(6);
         let speeds = Speeds::new((0..6).map(|i| 1.0 + i as f64).collect());
         let t = KernelTables::new(&star, &speeds, false, 21.0);
-        assert!(star.edges().iter().all(|&(u, _)| u == 0));
+        assert!(star.edges().all(|(u, _)| u == 0));
         assert!(matches!(&t.coefs, Coefs::Each(tail, head) if !Arc::ptr_eq(tail, head)));
         assert_eq!(t.memory_bytes(), 8 * (2 * t.m + t.n));
         for i in 0..6 {
@@ -1881,7 +1863,7 @@ mod tests {
             );
             let sched: Vec<f64> = (0..m)
                 .map(|e| {
-                    let ((u, v), (ct, ch)) = (t.graph().edges()[e], t.coefs.get(e));
+                    let ((u, v), (ct, ch)) = (t.graph().edge(e as EdgeId), t.coefs.get(e));
                     0.4 * prev_init[e] + 1.6 * (ct * loads[u as usize] - ch * loads[v as usize])
                 })
                 .collect();
@@ -1915,7 +1897,7 @@ mod tests {
         let g = t.graph();
         (0..t.m)
             .map(|e| {
-                let ((u, v), (ct, ch)) = (g.edges()[e], t.coefs.get(e));
+                let ((u, v), (ct, ch)) = (g.edge(e as EdgeId), t.coefs.get(e));
                 let s = mem * remembered[e] + gain * (ct * x(u as usize) - ch * x(v as usize));
                 bits.map_or(s, |b| bit(b, e) as f64 * s)
             })
@@ -2088,7 +2070,7 @@ mod tests {
         assert!(fr.get(bad).is_nan());
         assert_eq!(fl.get(bad), 0);
         arc_round_streamed(&t, 0..16, 3, 2, &fr, &fl, &mut FwScratch::new());
-        let (u, v) = g.edges()[bad];
+        let (u, v) = g.edge(bad as EdgeId);
         let mut checked = 0;
         for w in [u, v] {
             for e in g.neighbor_edges(w) {
@@ -2137,6 +2119,56 @@ mod tests {
             }
         }
         (flows, prev, frac)
+    }
+
+    /// Every edge pass walks its chunk node-major from the chunk's first
+    /// tail, so a chunk cut at any 64-edge word, as the pool cuts them,
+    /// leaves the bits of the one-chunk pass. The graphs make the walk's
+    /// edge cases happen: chunks that start inside a node's out-range
+    /// (the star's hub owns every edge), nodes with no out-arcs (every
+    /// leaf, the hypercube's top node, the rgg's last nodes), and the
+    /// per-edge coefficient tables of irregular graphs.
+    #[test]
+    fn edge_passes_keep_their_bits_when_cut_at_every_word() {
+        let rgg = generators::random_geometric(300, 2.5, 7);
+        let graphs = [generators::hypercube(8), generators::star(300), rgg];
+        for g in &graphs {
+            let (n, m) = (g.node_count(), g.edge_count());
+            let words: Vec<usize> = (0..m).step_by(64).chain([m]).collect();
+            assert!(words.len() > 3, "several words");
+            assert!(words[1..words.len() - 1]
+                .iter()
+                .any(|&e| g.tail(e as EdgeId) == g.tail(e as EdgeId - 1)));
+            assert!(g.nodes().any(|v| g.out_degree(v) == 0));
+            let speeds = Speeds::new((0..n).map(|i| 1.0 + (i % 3) as f64).collect());
+            for t in [
+                KernelTables::new(g, &Speeds::uniform(n), false, 0.0),
+                KernelTables::new(g, &speeds, false, 0.0),
+            ] {
+                for (pass, rounding) in [
+                    (0, Rounding::round_down()),
+                    (0, Rounding::nearest()),
+                    (0, Rounding::unbiased_edge(7)),
+                    (1, Rounding::randomized(1)),
+                    (2, Rounding::nearest()),
+                ] {
+                    for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
+                        let run = |bounds: &[usize]| {
+                            let (flows, prev, frac) =
+                                run_gated(&t, pass, rounding, memory, &AllEdges, bounds);
+                            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+                            (flows, bits(prev), bits(frac))
+                        };
+                        let whole: (Vec<i64>, Vec<u64>, Vec<u64>) = run(&[0, m]);
+                        assert_eq!(
+                            run(&words),
+                            whole,
+                            "{g:?} pass {pass} {rounding:?} {memory:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Every gated pass, under both flow memories: an all-ones
@@ -2390,7 +2422,7 @@ mod tests {
     fn matching_run<V: Value>(
         t: &KernelTables,
         active: &[u64],
-        flow: impl Fn(usize, f64) -> V,
+        flow: impl Fn(usize, (u32, u32), f64) -> V,
         init: &[V],
     ) -> (Vec<u64>, [u64; 5]) {
         let mut loads = init.to_vec();
@@ -2454,15 +2486,10 @@ mod tests {
         );
         let active = &sodiff_graph::matching::edge_coloring(&g).class_masks()[0];
         let tokens = |t: &KernelTables| {
-            matching_run(
-                t,
-                active,
-                pair_rounding(t, Rounding::randomized(3), 4),
-                &init,
-            )
+            matching_run(t, active, pair_rounding(Rounding::randomized(3), 4), &init)
         };
         assert_eq!(tokens(&one), tokens(&each));
-        let fluid = |t: &KernelTables| matching_run(t, active, |_, s| s, &init_f);
+        let fluid = |t: &KernelTables| matching_run(t, active, |_, _, s| s, &init_f);
         assert_eq!(fluid(&one), fluid(&each));
     }
 }

@@ -203,8 +203,9 @@
 //! speeds, where the two halves are the same `f64`) — so the
 //! scheduled-flow pass is a pure multiply–add sweep
 //! `Ŷ_e = mem·prev_e + gain·(c_tail·x_u − c_head·x_v)` with no
-//! `f64` division and no `Speeds::get` indirection. The endpoints come
-//! from the graph's canonical `(u, v)` edge list and the apply pass
+//! `f64` division and no `Speeds::get` indirection. The sweep walks
+//! each tail's out-range, reading the heads the CSR stores and the
+//! tail's load once, and the apply pass
 //! walks the graph's own CSR, each node's in-arcs through their edge ids
 //! and then its out-arcs as one contiguous edge range, so no orientation
 //! sign is stored or read: the kernel tables hold a clone of the
@@ -431,8 +432,8 @@
 //! **One copy of every table** (2026-10). The graph's CSR arrays live
 //! behind one shared allocation, so a [`sodiff_graph::Graph`] clone is a
 //! reference-count bump. The kernel tables hold such a clone and read
-//! the adjacency and the canonical edge list from it instead of copying
-//! them, and under uniform speeds the tail and head coefficient tables
+//! the adjacency and the edges from it instead of copying them, and
+//! under uniform speeds the tail and head coefficient tables
 //! (and the pairwise schemes' λ-scaled pair) are one buffer, since the
 //! two halves are the same `f64`s. A simulation's footprint is therefore graph
 //! bytes + table bytes + state bytes
@@ -445,7 +446,7 @@
 //! `torus_sos_balance` peak RSS (VmHWM) 19.53 → 15.78 MB (medians of 10
 //! alternating pairs, 2-vCPU host), with identical rounds and final
 //! imbalance. After the entries below, the same run's footprint is
-//! 2 097 160 + 0 + 2 621 440 B.
+//! 1 572 872 + 0 + 2 621 440 B.
 //!
 //! **One rounding fraction per edge** (2026-10). Every edge has exactly
 //! one sender, so the randomized framework keeps one signed fraction
@@ -467,7 +468,7 @@
 //! **One copy of every neighbour** (2026-10). The CSR no longer stores
 //! an arc-indexed neighbour array: an arc's neighbour is the endpoint of
 //! its edge that does not own the arc, so
-//! [`sodiff_graph::Graph::neighbors`] derives it from the edge list. No
+//! [`sodiff_graph::Graph::neighbors`] derives it from the arc's edge. No
 //! round kernel read the stored array; the churn handoff, BFS and
 //! [`divergence`] walk the derived neighbours. The graph's bytes go from
 //! `8·(n + 1) + 26·m` to `8·(n + 1) + 18·m`: 3 932 168 → 2 883 592 B on
@@ -505,6 +506,25 @@
 //! peak RSS (VmHWM) falls 9.57 → 8.23 MB (medians of 10 alternating
 //! pairs, 2-vCPU host; 9.59 → 8.22 MB at seed 1234), with identical
 //! rounds and final imbalance.
+//!
+//! **Each edge's head only** (2026-10). Edges are sorted by
+//! `(tail, head)`, so edge `e`'s tail is the node whose out-range holds
+//! `e`: the CSR stores one head per edge and no tail, and the graph
+//! derives a tail by walking the out-ranges, by one search, or with a
+//! forward cursor ([`sodiff_graph::Tails`]). The edge passes walk their
+//! range node-major and read `x_u` once per node; the matching round and
+//! the random-matching generator find their edges' tails with the
+//! cursor, so the random plan no longer keeps an endpoint table (8 B per
+//! edge). The operands of every flow keep their order, so no value
+//! moves. The graph's bytes go from `8·(n + 1) + 12·m` to
+//! `8·(n + 1) + 8·m`: 2 097 160 → 1 572 872 B on the 256² torus, which
+//! is now built without a pair list. The `torus_sos_balance` peak RSS
+//! (VmHWM) falls 8.29 → 7.73 MB (medians of 10 alternating pairs,
+//! 2-vCPU host; 8.32 → 7.70 MB at seed 1234), with identical rounds and
+//! final imbalance. The node-major walk costs the edge passes about
+//! 5–13% per edge on the torus (fused 3.54 → 3.99 ns, scatter
+//! 2.38 → 2.50, min of 4 alternating runs), which the end-to-end
+//! `cpu_s` does not show.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

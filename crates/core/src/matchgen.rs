@@ -15,8 +15,9 @@
 //!    (`k ≈ ⌈log₂ m⌉ − 3`, so buckets hold ~8 edges on average and the
 //!    counts table stays cache-resident), a prefix sum turns counts into
 //!    bucket offsets, and a stable scatter lays `(edge id, packed
-//!    endpoints)` pairs out in bucket order — the endpoint word
-//!    ([`edge_pairs`]) is a *sequential* read at scatter time, so
+//!    endpoints)` pairs out in bucket order — the scatter visits the
+//!    edges in ascending id, so it packs each endpoint word from the
+//!    graph's heads and a forward tail cursor, *sequential* reads, and
 //!    carrying it costs a wider store but removes the random
 //!    `uv[order[i]]` gather that used to dominate the next pass;
 //! 3. the greedy matcher streams the scattered pairs **sequentially** —
@@ -87,18 +88,20 @@ fn bucket_bits(m: usize) -> u32 {
         .clamp(1, 16)
 }
 
-/// The packed endpoint table the bucket scatter carries: edge `e`'s
-/// canonical tail in the low 32 bits, head in the high 32 — the graph's
-/// `(tail, head)` pairs as one `u64` word each, so each scattered slot is
-/// a single `(edge id, word)` store. Built once per simulation (the
-/// scheme kernel owns it for the random plan only) and shared across
-/// rounds.
+/// Edge `(u, v)` as the endpoint word the bucket scatter carries: the
+/// canonical tail in the low 32 bits, the head in the high 32, so each
+/// scattered slot is a single `(edge id, word)` store.
+#[inline(always)]
+fn pack((u, v): (u32, u32)) -> u64 {
+    u as u64 | ((v as u64) << 32)
+}
+
+/// Every edge's endpoint word, packed from the graph's edge walk. No
+/// simulation keeps this table, since [`fill_random_matching`] packs
+/// each word as its scatter reaches the edge; it remains for callers of
+/// the old signature.
 pub fn edge_pairs(t: &KernelTables) -> Vec<u64> {
-    t.graph()
-        .edges()
-        .iter()
-        .map(|&(u, v)| u as u64 | ((v as u64) << 32))
-        .collect()
+    t.graph().edges().map(pack).collect()
 }
 
 /// Greedy maximal matching over the scattered `(edge, endpoints)` stream,
@@ -124,11 +127,15 @@ fn greedy_match_packed(slots: &[(EdgeId, u64)], matched: &mut [u64], mask: &mut 
 /// counting-scatter bucket pass described in the module docs.
 /// Deterministic per `(seed, round)` and independent of the executor:
 /// only the control thread runs this.
+///
+/// The fourth argument is ignored, whatever its value: the endpoints are
+/// read from the graph. It remains only so that existing callers keep
+/// compiling.
 pub fn fill_random_matching(
     seed: u64,
     round: u64,
     t: &KernelTables,
-    uv: &[u64],
+    _uv: &[u64],
     mg: &mut MatchScratch,
 ) {
     let m = t.m;
@@ -165,17 +172,20 @@ pub fn fill_random_matching(
     }
     // Stable scatter: edges arrive in increasing id, so within a bucket
     // the visit order is edge-id order — the effective greedy key is
-    // (key >> shift, edge id). The endpoint word rides along: `uv` is
-    // read sequentially here, turning the greedy pass's random
-    // `uv[order[i]]` gathers into one wider sequential stream.
+    // (key >> shift, edge id). The endpoint word rides along, packed from
+    // sequential reads of the heads and a forward tail cursor, turning
+    // the greedy pass's random endpoint gathers into one wider sequential
+    // stream.
     mg.slots.resize(m, (0, 0));
+    let (mut tails, heads) = (t.graph().tails(), t.graph().heads());
     let mut e0 = 0usize;
     while e0 < m {
         let len = (m - e0).min(64);
         rng::fill_first_draws(rk, e0, &mut draws[..len]);
         for (i, &draw) in draws[..len].iter().enumerate() {
             let slot = &mut mg.counts[(draw >> shift) as usize];
-            mg.slots[*slot as usize] = ((e0 + i) as EdgeId, uv[e0 + i]);
+            let e = e0 + i;
+            mg.slots[*slot as usize] = (e as EdgeId, pack((tails.of(e), heads[e])));
             *slot += 1;
         }
         e0 += len;

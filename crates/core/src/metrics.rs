@@ -120,12 +120,23 @@ pub fn snapshot_with_total(
 /// in-loop reduction (the run loop's final report, the
 /// `MaxLocalDiffBelow` switch policy) pay exactly this sweep and nothing
 /// else.
+///
+/// The sweep walks the edges node-major, each tail's out-range in turn,
+/// so `x_u/s_u` is read once per node. A maximum does not depend on the
+/// order of its operands, and each difference is the same expression on
+/// the same operands as an edge-by-edge sweep, so the result is that
+/// sweep's bit for bit.
 pub fn local_diff_with(graph: &Graph, speeds: &Speeds, load_of: impl Fn(usize) -> f64) -> f64 {
+    let heads = graph.heads();
+    let out_ranges = graph.out_offsets().windows(2);
     let mut max_local = 0.0f64;
-    for &(u, v) in graph.edges() {
-        let (u, v) = (u as usize, v as usize);
-        let diff = (load_of(u) / speeds.get(u) - load_of(v) / speeds.get(v)).abs();
-        max_local = max_local.max(diff);
+    for (u, range) in out_ranges.enumerate() {
+        let x_u = load_of(u) / speeds.get(u);
+        for &v in &heads[range[0] as usize..range[1] as usize] {
+            let v = v as usize;
+            let diff = (x_u - load_of(v) / speeds.get(v)).abs();
+            max_local = max_local.max(diff);
+        }
     }
     max_local
 }

@@ -1283,7 +1283,7 @@ impl Perturb {
         self.up_edges.clear();
         self.up_edges
             .resize(graph.edge_count().div_ceil(64).max(1), 0);
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
+        for (e, (u, v)) in graph.edges().enumerate() {
             let both = bit(&self.up, u as usize) && bit(&self.up, v as usize);
             self.up_edges[e >> 6] |= u64::from(both) << (e & 63);
         }
@@ -1681,7 +1681,7 @@ mod tests {
         let drop = state.drop.clone();
         let eff = state.compose(&spec, None, 0, m).active.unwrap().to_vec();
         let live = fs.live_nodes(0, g.node_count());
-        for (e, &(u, v)) in g.edges().iter().enumerate() {
+        for (e, (u, v)) in g.edges().enumerate() {
             assert_eq!(
                 bit(&eff, e),
                 live[u as usize] && live[v as usize] && !bit(&drop, e),

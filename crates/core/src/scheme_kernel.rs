@@ -112,6 +112,7 @@ use crate::kernel::{
     MaskBits, Value,
 };
 use crate::matchgen::{self, MatchScratch};
+use crate::metrics::local_diff_with;
 use crate::perturb::{Perturb, PerturbSpec, RoundMasks};
 use crate::rounding::Rounding;
 use crate::scheme::{MatchingStrategy, Scheme};
@@ -344,6 +345,19 @@ impl<S: Storage> RoundState<S> {
         }
     }
 
+    /// `φ_local` of the loads ([`crate::metrics::local_diff_with`]), read
+    /// from the typed store: the mode is matched once per sweep, not once
+    /// per load read.
+    pub fn local_diff(&self, graph: &Graph, speeds: &Speeds) -> f64 {
+        if self.discrete {
+            let loads = &self.loads_i;
+            local_diff_with(graph, speeds, |i| S::get(&loads[i]) as f64)
+        } else {
+            let loads = &self.loads_f;
+            local_diff_with(graph, speeds, |i| S::get(&loads[i]))
+        }
+    }
+
     /// The integer loads (`None` in continuous mode).
     pub fn loads_i64(&self) -> Option<Cow<'_, [i64]>> {
         self.discrete.then(|| S::values(&self.loads_i))
@@ -521,9 +535,6 @@ pub(crate) struct SchemeKernel {
     pub tables: KernelTables,
     /// Which flow the SOS memory remembers.
     flow_memory: FlowMemory,
-    /// Packed per-edge endpoints for the random-matching generator's
-    /// greedy pass ([`matchgen::edge_pairs`]; empty for other plans).
-    match_pairs: Vec<u64>,
     /// The fault, load and churn channels (all `none` = unperturbed).
     pub perturb: PerturbSpec,
 }
@@ -603,16 +614,11 @@ impl SchemeKernel {
             }
             None => KernelTables::new(graph, speeds, false, total_load),
         };
-        let match_pairs = match plan {
-            ActivePlan::Random { .. } => matchgen::edge_pairs(&tables),
-            _ => Vec::new(),
-        };
         Self {
             flow,
             plan,
             tables,
             flow_memory: config.flow_memory,
-            match_pairs,
             perturb: config.perturb,
         }
     }
@@ -653,7 +659,7 @@ impl SchemeKernel {
                 Some(&masks[(round % masks.len() as u64) as usize][..])
             }
             ActivePlan::Random { seed } => {
-                matchgen::fill_random_matching(seed, round, t, &self.match_pairs, matchgen);
+                matchgen::fill_random_matching(seed, round, t, &[], matchgen);
                 Some(&matchgen.mask[..])
             }
         };
@@ -733,11 +739,11 @@ impl SchemeKernel {
             }};
         }
         let rounding = match self.flow {
-            FlowPass::Continuous => return steps!(&bufs.loads_f, &bufs.sent_f, |_, s| s),
+            FlowPass::Continuous => return steps!(&bufs.loads_f, &bufs.sent_f, |_, _, s| s),
             FlowPass::EdgeLocal(rounding) => rounding,
             FlowPass::Framework { seed } => Rounding::RandomizedFramework { seed },
         };
-        let flow = kernel::pair_rounding(t, rounding, round);
+        let flow = kernel::pair_rounding(rounding, round);
         steps!(&bufs.loads_i, &bufs.sent_i, flow)
     }
 
@@ -868,7 +874,7 @@ mod tests {
         let speeds = Speeds::two_class(36, 9, 3.0);
         let coefs = exchange_coefs(&g, &speeds, 0.5);
         assert!(matches!(&coefs, Coefs::Each(tail, head) if !Arc::ptr_eq(tail, head)));
-        for (e, &(u, v)) in g.edges().iter().enumerate() {
+        for (e, (u, v)) in g.edges().enumerate() {
             let (su, sv) = (speeds.get(u as usize), speeds.get(v as usize));
             assert_eq!(coefs.get(e), (0.5 * sv / (su + sv), 0.5 * su / (su + sv)));
         }
@@ -1065,7 +1071,7 @@ mod tests {
             };
             let words = &masks[(round % masks.len() as u64) as usize];
             let mut touched = [false; 4];
-            for (e, &(u, v)) in g.edges().iter().enumerate() {
+            for (e, (u, v)) in g.edges().enumerate() {
                 if (words[e >> 6] >> (e & 63)) & 1 == 1 {
                     (touched[u as usize], touched[v as usize]) = (true, true);
                 }

@@ -1,6 +1,6 @@
 //! Graph assembly: the [`GraphBuilder`] for hand-built graphs and the
-//! crate-internal [`assemble`] routine every generator and the builder
-//! finish with.
+//! crate-internal [`assemble`] and [`assemble_sorted`] routines every
+//! generator and the builder finish with.
 //!
 //! # Cost of an assembly
 //!
@@ -8,11 +8,13 @@
 //! and runs in `O(n + m)` time plus the sort of each node's bucket of
 //! higher-numbered neighbors (`O(m log Δ)` at worst, linear for the
 //! short, mostly ordered buckets the generators emit): a counting sort
-//! by tail, a per-bucket sort by head, then the CSR fill of
-//! [`Graph::from_sorted_edges`]. A list that is already in `(u, v)`
-//! order with no repeat, as the torus, hypercube, path, star, complete
-//! and grid generators emit it, skips the sort after one scan. There is
-//! no hashing and no comparison sort over all `m` edges.
+//! by tail into the out-offsets and the heads, a per-bucket sort by
+//! head, then the in-arc fill of [`Graph::from_out_lists`]. A list that
+//! is already in `(u, v)` order with no repeat skips the sort after one
+//! scan. There is no hashing and no comparison sort over all `m` edges.
+//! The generators whose edges come out in order (torus, hypercube,
+//! cycle, path, complete, star and grid) skip the pair list altogether:
+//! [`assemble_sorted`] takes each node's heads as they push them.
 //!
 //! Repeated pairs are dropped only where a generator asks for it
 //! ([`Repeats::Drop`]: the configuration model, whose stub pairing makes
@@ -20,16 +22,16 @@
 //! step); everywhere else the edges are distinct by construction and a
 //! repeat is a bug, which debug builds assert.
 //!
-//! Besides the input list and the finished graph (`8·(n + 1) + 12·m`
-//! bytes), an assembly holds a 4-byte head per edge and one `n`-entry
-//! `usize` array at a time. [`GraphBuilder`] additionally keeps a hash
-//! set of its edges (about 18 bytes per edge at typical load) so that it
-//! can report a duplicate at insertion; it drops the set before it
-//! assembles.
+//! Besides the input list and the finished graph (`8·(n + 1) + 8·m`
+//! bytes), an assembly holds nothing: the sort writes the out-offsets
+//! and the heads the graph keeps. [`GraphBuilder`] additionally keeps a
+//! hash set of its edges (about 18 bytes per edge at typical load) so
+//! that it can report a duplicate at insertion; it drops the set before
+//! it assembles.
 
 use std::collections::HashSet;
 
-use crate::csr::{Graph, GraphKind, NodeId};
+use crate::csr::{EdgeId, Graph, GraphKind, NodeId};
 use crate::error::GraphError;
 
 /// Whether the edge list handed to [`assemble`] may repeat a pair.
@@ -46,60 +48,106 @@ pub(crate) enum Repeats {
 /// order, so the result depends on the edge set alone.
 pub(crate) fn assemble(
     node_count: usize,
-    mut edges: Vec<(NodeId, NodeId)>,
+    edges: Vec<(NodeId, NodeId)>,
     repeats: Repeats,
     kind: GraphKind,
 ) -> Graph {
-    sort_edges(node_count, &mut edges, repeats);
-    Graph::from_sorted_edges(node_count, edges, kind)
+    let (out_offsets, heads) = sort_edges(node_count, edges, repeats);
+    Graph::from_out_lists(out_offsets, heads, kind)
 }
 
-/// Sorts canonical edges (`u < v < node_count`) into `(u, v)` order in
-/// place, dropping repeated pairs under [`Repeats::Drop`].
-///
-/// A list already in strictly ascending order is left as it is.
-/// Otherwise a counting sort scatters the heads into one bucket per
-/// tail; each bucket is then sorted by head and written back behind its
-/// tail.
-pub(crate) fn sort_edges(node_count: usize, edges: &mut Vec<(NodeId, NodeId)>, repeats: Repeats) {
-    if edges.is_sorted_by(|a, b| a < b) {
-        return;
+/// Assembles the graph on `node_count` nodes whose node `u` has the
+/// out-arcs `push_heads(u, heads)` appends: the heads of its edges,
+/// strictly ascending and above `u` (debug builds check it). The nodes
+/// are visited in ascending order, so the edges come out in `(u, v)`
+/// order with nothing to sort. `edge_count` is a capacity hint.
+pub(crate) fn assemble_sorted(
+    node_count: usize,
+    edge_count: usize,
+    kind: GraphKind,
+    mut push_heads: impl FnMut(usize, &mut Vec<NodeId>),
+) -> Graph {
+    let mut out_offsets = Vec::with_capacity(node_count + 1);
+    let mut heads = Vec::with_capacity(edge_count);
+    out_offsets.push(0);
+    for u in 0..node_count {
+        push_heads(u, &mut heads);
+        out_offsets.push(EdgeId::try_from(heads.len()).expect("edge count fits the edge-id type"));
     }
-    // `bucket_end[u]` first counts u's edges one slot to the right; after
-    // the prefix sum it is where u's bucket starts, and after the scatter
-    // (which advances it past each head it places) where the bucket ends.
-    let mut bucket_end = vec![0usize; node_count + 1];
-    for &(u, v) in edges.iter() {
+    Graph::from_out_lists(out_offsets, heads, kind)
+}
+
+/// Sorts canonical edges (`u < v < node_count`) into `(u, v)` order,
+/// dropping repeated pairs under [`Repeats::Drop`], and returns them as
+/// the out-offsets (length `node_count + 1`) and the heads the CSR keeps.
+///
+/// A list already in strictly ascending order is only split into the
+/// two arrays. Otherwise a counting sort scatters the heads into one
+/// bucket per tail; each bucket is then sorted by head and compacted in
+/// place.
+pub(crate) fn sort_edges(
+    node_count: usize,
+    edges: Vec<(NodeId, NodeId)>,
+    repeats: Repeats,
+) -> (Vec<u32>, Vec<NodeId>) {
+    assert!(
+        EdgeId::try_from(edges.len()).is_ok(),
+        "{} edges do not fit the edge-id type",
+        edges.len()
+    );
+    // `offsets[u]` first counts u's edges one slot to the right; after
+    // the prefix sum it is where u's bucket starts.
+    let mut offsets = vec![0u32; node_count + 1];
+    for &(u, v) in &edges {
         debug_assert!(
             u < v && (v as usize) < node_count,
             "edge ({u}, {v}) is not canonical on {node_count} nodes"
         );
-        bucket_end[u as usize + 1] += 1;
+        offsets[u as usize + 1] += 1;
     }
     for u in 0..node_count {
-        bucket_end[u + 1] += bucket_end[u];
+        offsets[u + 1] += offsets[u];
+    }
+    if edges.is_sorted_by(|a, b| a < b) {
+        // Not an in-place `collect`, which would keep the pair list's
+        // allocation, twice the heads' size, alive in the graph.
+        let mut heads = Vec::with_capacity(edges.len());
+        heads.extend(edges.iter().map(|&(_, v)| v));
+        return (offsets, heads);
     }
     let mut heads = vec![0 as NodeId; edges.len()];
-    for &(u, v) in edges.iter() {
-        heads[bucket_end[u as usize]] = v;
-        bucket_end[u as usize] += 1;
+    // The scatter advances `offsets[u]` past each head it places, to
+    // where u's bucket ends.
+    for &(u, v) in &edges {
+        heads[offsets[u as usize] as usize] = v;
+        offsets[u as usize] += 1;
     }
-    edges.clear();
-    let mut start = 0;
-    for (u, &end) in bucket_end[..node_count].iter().enumerate() {
-        let bucket = &mut heads[start..end];
-        start = end;
-        bucket.sort_unstable();
+    drop(edges);
+    // Sort each bucket and compact it to the front: `kept` never passes
+    // the read position, and `offsets[u]` (u's bucket end) is read before
+    // it is overwritten with where u's kept heads start.
+    let (mut start, mut kept) = (0, 0);
+    for (u, offset) in offsets[..node_count].iter_mut().enumerate() {
+        let end = *offset as usize;
+        *offset = kept as u32;
+        heads[start..end].sort_unstable();
         let mut prev = None;
-        for &v in bucket.iter() {
+        for i in start..end {
+            let v = heads[i];
             if prev == Some(v) {
                 debug_assert_eq!(repeats, Repeats::Drop, "repeated edge ({u}, {v})");
                 continue;
             }
             prev = Some(v);
-            edges.push((u as NodeId, v));
+            heads[kept] = v;
+            kept += 1;
         }
+        start = end;
     }
+    offsets[node_count] = kept as u32;
+    heads.truncate(kept);
+    heads.shrink_to_fit();
+    (offsets, heads)
 }
 
 /// Incremental builder for an undirected [`Graph`].
@@ -295,7 +343,7 @@ mod tests {
             let assembled = assemble(n, canonical, Repeats::Drop, GraphKind::Generic);
             proptest::prop_assert_eq!(&assembled, &built);
             // A repeat-free list, in order or not, needs no dropping.
-            let sorted = built.edges().to_vec();
+            let sorted: Vec<_> = built.edges().collect();
             let reversed = sorted.iter().rev().copied().collect();
             for distinct in [sorted, reversed] {
                 let distinct = assemble(n, distinct, Repeats::Absent, GraphKind::Generic);

@@ -38,18 +38,19 @@ pub enum GraphKind {
 
 /// An immutable undirected graph in compressed-sparse-row form.
 ///
-/// Every undirected edge `{u, v}` is stored exactly once in the canonical
-/// edge list with `u < v`, and appears in the adjacency of both endpoints
-/// together with its [`EdgeId`]. Self-loops and parallel edges are rejected
-/// at construction time.
+/// Every undirected edge `{u, v}` is stored exactly once as the canonical
+/// pair `(u, v)` with `u < v`, and appears in the adjacency of both
+/// endpoints together with its [`EdgeId`]. Self-loops and parallel edges
+/// are rejected at construction time.
 ///
 /// Edge ids follow `(u, v)` order, so the arrays are a function of the
 /// edge set alone. Generators and [`crate::GraphBuilder`] build them in
-/// `O(n + m)` without hashing: a counting sort of the edge list by tail,
-/// then one count pass and one fill pass over the sorted list. Besides
-/// the edge list and these arrays, that assembly holds at most a 4-byte
-/// head per edge and one `n`-entry array (the builder's
-/// duplicate-detecting hash set lives only until it assembles).
+/// `O(n + m)` without hashing: a counting sort of the edge list by tail
+/// (or, for generators that emit in order, each node's heads pushed as
+/// they come), then one count pass and one fill pass over the heads.
+/// Besides the input list and these arrays, that assembly holds nothing
+/// per edge (the builder's duplicate-detecting hash set lives only until
+/// it assembles).
 ///
 /// Each node's arcs are its *in-arcs*, the edges whose canonical head it
 /// is (orientation σ = −1), then its *out-arcs*, the edges whose
@@ -57,15 +58,21 @@ pub enum GraphKind {
 /// edge-id order: an in-arc's edge `(u, v)` has `u < v`, so it sorts
 /// before every edge whose tail is `v`. The out-arcs of `v` are one
 /// contiguous edge-id range, so the orientation and half of the arc edge
-/// ids are implicit, and three streams besides the canonical edge list
-/// are stored, the first two `u32` of length `n + 1`:
+/// ids are implicit, and so is every edge's tail: edge `e`'s tail is the
+/// node whose out-range holds `e`. Four streams are stored, each `u32`,
+/// the offsets of length `n + 1` and the rest of length `m`:
 ///
 /// * [`Self::out_offsets`]: `v`'s out-arcs are edges
 ///   `out_offsets[v]..out_offsets[v + 1]`;
+/// * [`Self::heads`]: edge `e`'s canonical head, ascending within each
+///   out-range;
 /// * [`Self::in_offsets`]: `v`'s in-arcs are positions
 ///   `in_offsets[v]..in_offsets[v + 1]` of
 /// * [`Self::in_edge_ids`]: one edge id per edge, grouped by head.
 ///
+/// A tail is derived, never stored: [`Self::edges`] walks the out-ranges
+/// in edge-id order, [`Self::edge`] searches the out-offsets for one
+/// edge, and [`Tails`] follows ascending edge ids with a forward cursor.
 /// The flat arc numbering ([`Self::arc_range`]) numbers the arcs node by
 /// node in this order; it is derived, not stored. An arc's neighbor is
 /// not stored either: it is the endpoint of the arc's edge that does not
@@ -76,8 +83,8 @@ pub enum GraphKind {
 /// shared allocation, so `clone` is a reference-count bump that shares
 /// them rather than a copy. The simulator relies on this: its kernel
 /// tables (which its worker threads own) hold a clone of the graph and
-/// read the adjacency and the canonical edge list from it, so a run keeps
-/// exactly one copy of the CSR.
+/// read the adjacency and the heads from it, so a run keeps exactly one
+/// copy of the CSR.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     csr: Arc<Csr>,
@@ -90,69 +97,73 @@ struct Csr {
     /// Out-arc offsets, length `n + 1`: node `v`'s out-arcs are the edges
     /// `out_offsets[v]..out_offsets[v + 1]`, those whose tail is `v`.
     out_offsets: Vec<u32>,
+    /// Each edge's canonical head, in edge-id order; its tail is the node
+    /// whose out-range holds the edge.
+    heads: Vec<NodeId>,
     /// In-arc offsets into `in_edges`, length `n + 1`.
     in_offsets: Vec<u32>,
     /// The in-arcs' edge ids, grouped by head, ascending within a node.
     in_edges: Vec<EdgeId>,
-    /// Canonical edge list, `edges[e] = (u, v)` with `u < v`.
-    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl Graph {
-    /// Fills the CSR arrays from a canonical edge list sorted by `(u, v)`
-    /// with no repeated pair, as [`crate::builder::sort_edges`] leaves it.
+    /// Fills the CSR arrays from each node's out-arcs: node `v`'s edges
+    /// are `out_offsets[v]..out_offsets[v + 1]`, whose heads
+    /// `heads[out_offsets[v]..out_offsets[v + 1]]` are strictly ascending
+    /// and above `v`, as [`crate::builder::sort_edges`] leaves them.
     ///
-    /// One pass counts every node's out-degree and in-degree; one scatter
-    /// pass then appends each edge's id to its head's in-arc range.
-    /// Edges are visited in id order, so every node's in-arcs follow
-    /// edge-id order. The fill allocates nothing but the arrays it
-    /// returns.
+    /// One pass counts every node's in-degree; one scatter pass then
+    /// appends each edge's id to its head's in-arc range. Edges are
+    /// visited in id order, so every node's in-arcs follow edge-id order.
+    /// The fill allocates nothing but the two in-arc arrays.
     ///
     /// # Panics
     ///
-    /// Panics if there are more edges than [`EdgeId`] can number, or if a
-    /// node id is `>= node_count`.
-    pub(crate) fn from_sorted_edges(
-        node_count: usize,
-        edges: Vec<(NodeId, NodeId)>,
+    /// Panics if there are more edges than [`EdgeId`] can number, if the
+    /// offsets do not end at the edge count, or if a head is
+    /// `>= node_count`.
+    pub(crate) fn from_out_lists(
+        out_offsets: Vec<u32>,
+        heads: Vec<NodeId>,
         kind: GraphKind,
     ) -> Self {
         assert!(
-            EdgeId::try_from(edges.len()).is_ok(),
+            EdgeId::try_from(heads.len()).is_ok(),
             "{} edges do not fit the edge-id type",
-            edges.len()
+            heads.len()
         );
-        debug_assert!(edges.is_sorted_by(|a, b| a < b));
-        let mut out_offsets = vec![0u32; node_count + 1];
+        let node_count = out_offsets.len() - 1;
+        assert_eq!(out_offsets[node_count] as usize, heads.len());
+        debug_assert!((0..node_count).all(|u| {
+            let hs = &heads[out_offsets[u] as usize..out_offsets[u + 1] as usize];
+            hs.first().is_none_or(|&v| v as usize > u) && hs.is_sorted_by(|a, b| a < b)
+        }));
         let mut in_offsets = vec![0u32; node_count + 1];
-        for &(u, v) in &edges {
-            debug_assert!(u < v, "edge ({u}, {v}) is not canonical");
-            out_offsets[u as usize + 1] += 1;
+        for &v in &heads {
             in_offsets[v as usize + 1] += 1;
         }
         for v in 0..node_count {
-            out_offsets[v + 1] += out_offsets[v];
             in_offsets[v + 1] += in_offsets[v];
         }
-        let mut in_edges = vec![0 as EdgeId; edges.len()];
+        let mut in_edges = vec![0 as EdgeId; heads.len()];
         // `in_offsets[v]` serves as v's write cursor: the scatter advances
         // it to where v's range ends, which is where v + 1's range starts,
         // so shifting the array one place to the right restores the
         // offsets.
-        for (e, &(_, v)) in edges.iter().enumerate() {
+        for (e, &v) in heads.iter().enumerate() {
             let cursor = &mut in_offsets[v as usize];
             in_edges[*cursor as usize] = e as EdgeId;
             *cursor += 1;
         }
-        debug_assert!(node_count == 0 || in_offsets[node_count - 1] as usize == edges.len());
+        debug_assert!(node_count == 0 || in_offsets[node_count - 1] as usize == heads.len());
         in_offsets.copy_within(0..node_count, 1);
         in_offsets[0] = 0;
         Self {
             csr: Arc::new(Csr {
                 out_offsets,
+                heads,
                 in_offsets,
                 in_edges,
-                edges,
             }),
             kind,
         }
@@ -167,7 +178,7 @@ impl Graph {
     /// Number of undirected edges `m`.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.csr.edges.len()
+        self.csr.heads.len()
     }
 
     /// Degree of node `v`.
@@ -211,20 +222,16 @@ impl Graph {
 
     /// The neighbors of `v` with the id of the connecting edge (arc
     /// order). Each neighbor is derived from the arc's edge: its tail on
-    /// an in-arc, its head on an out-arc.
+    /// an in-arc ([`Self::edge`], one search of the out-offsets), its
+    /// head on an out-arc.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
-        let edges = &self.csr.edges;
         let ins = self.in_edges(v).iter().map(move |&e| {
-            let (tail, head) = edges[e as usize];
+            let (tail, head) = self.edge(e);
             debug_assert_eq!(head, v, "in-arc of node {v} on edge {e}");
             (tail, e)
         });
-        let outs = self.out_edges(v).map(move |e| {
-            let (tail, head) = edges[e];
-            debug_assert_eq!(tail, v, "out-arc of node {v} on edge {e}");
-            (head, e as EdgeId)
-        });
+        let outs = self.out_edges(v).map(|e| (self.csr.heads[e], e as EdgeId));
         ins.chain(outs)
     }
 
@@ -273,6 +280,12 @@ impl Graph {
         &self.csr.out_offsets
     }
 
+    /// Every edge's canonical head, in edge-id order (length `m`).
+    #[inline]
+    pub fn heads(&self) -> &[NodeId] {
+        &self.csr.heads
+    }
+
     /// The full in-arc offset array (length `n + 1`): node `v`'s in-arcs
     /// are positions `in_offsets[v]..in_offsets[v + 1]` of
     /// [`Self::in_edge_ids`].
@@ -303,16 +316,37 @@ impl Graph {
         self.arc_offset(v)..self.arc_offset(v + 1)
     }
 
-    /// The canonical endpoints `(u, v)` with `u < v` of edge `e`.
+    /// The tail of edge `e`: the node whose out-range holds `e`, found
+    /// by one binary search of the out-offsets.
     #[inline]
-    pub fn edge(&self, e: EdgeId) -> (NodeId, NodeId) {
-        self.csr.edges[e as usize]
+    pub fn tail(&self, e: EdgeId) -> NodeId {
+        let e = e as usize;
+        debug_assert!(e < self.edge_count(), "edge {e} out of range");
+        (self.csr.out_offsets.partition_point(|&o| o as usize <= e) - 1) as NodeId
     }
 
-    /// All canonical edges in id order.
+    /// The canonical endpoints `(u, v)` with `u < v` of edge `e`; the
+    /// tail is found as in [`Self::tail`].
     #[inline]
-    pub fn edges(&self) -> &[(NodeId, NodeId)] {
-        &self.csr.edges
+    pub fn edge(&self, e: EdgeId) -> (NodeId, NodeId) {
+        (self.tail(e), self.csr.heads[e as usize])
+    }
+
+    /// All canonical edges `(u, v)` in id order, each tail derived by a
+    /// walk of the out-ranges.
+    #[inline]
+    pub fn edges(&self) -> Edges<'_> {
+        Edges {
+            tails: self.tails(),
+            heads: &self.csr.heads,
+            next: 0,
+        }
+    }
+
+    /// A forward cursor that finds the tails of ascending edge ids.
+    #[inline]
+    pub fn tails(&self) -> Tails<'_> {
+        Tails::new(&self.csr.out_offsets)
     }
 
     /// Sign convention for flows: `+1` if `v` is the canonical tail
@@ -323,21 +357,20 @@ impl Graph {
     /// endpoint.
     #[inline]
     pub fn orientation(&self, v: NodeId, e: EdgeId) -> f64 {
-        if self.csr.edges[e as usize].0 == v {
+        if self.out_edges(v).contains(&(e as usize)) {
             1.0
         } else {
             -1.0
         }
     }
 
-    /// Returns `true` if `u` and `v` are adjacent.
+    /// Returns `true` if `u` and `v` are adjacent: the larger is among
+    /// the heads of the smaller's out-range.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbor_nodes(a).any(|w| w == b)
+        let (tail, head) = (u.min(v), u.max(v));
+        self.csr.heads[self.out_edges(tail)]
+            .binary_search(&head)
+            .is_ok()
     }
 
     /// Structural provenance set by the generator that produced this graph.
@@ -360,20 +393,118 @@ impl Graph {
         crate::traversal::connected_components(self) <= 1
     }
 
-    /// Heap bytes of the graph's CSR arrays, `8·(n + 1) + 12·m`: the two
-    /// `u32` offset arrays, the in-arc edge ids, and the canonical edge
-    /// list. Clones share these arrays, so they are counted once however
-    /// many clones (the simulator's kernel tables hold one) are alive.
-    /// Useful together with the simulator's table and state accounting
-    /// when sizing runs against available memory (a 10⁸-edge torus,
-    /// 5·10⁷ nodes, is ~1.6 GB here).
+    /// Heap bytes of the graph's CSR arrays, `8·(n + 1) + 8·m`: the two
+    /// `u32` offset arrays, the heads and the in-arc edge ids. Clones
+    /// share these arrays, so they are counted once however many clones
+    /// (the simulator's kernel tables hold one) are alive. Useful
+    /// together with the simulator's table and state accounting when
+    /// sizing runs against available memory (a 10⁸-edge torus, 5·10⁷
+    /// nodes, is ~1.2 GB here).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.csr.out_offsets.len() + self.csr.in_offsets.len()) * size_of::<u32>()
+            + self.csr.heads.len() * size_of::<NodeId>()
             + self.csr.in_edges.len() * size_of::<EdgeId>()
-            + self.csr.edges.len() * size_of::<(NodeId, NodeId)>()
     }
 }
+
+/// A forward cursor over the out-offsets that finds the tail of each edge
+/// id it is given, for callers that visit edges in ascending id
+/// ([`Graph::tails`]). An edge of the last tail found costs one
+/// comparison; a step to a later node a few more; a jump over many nodes
+/// searches forward by doubling, so a sparse visit costs a logarithm of
+/// the gap, never a scan of it.
+#[derive(Clone, Debug)]
+pub struct Tails<'a> {
+    out_offsets: &'a [u32],
+    /// The tail of the last edge asked for (node 0 before the first).
+    tail: usize,
+    /// Where `tail`'s out-range ends, `out_offsets[tail + 1]`.
+    end: usize,
+}
+
+impl<'a> Tails<'a> {
+    /// A cursor at node 0.
+    fn new(out_offsets: &'a [u32]) -> Self {
+        Self {
+            out_offsets,
+            tail: 0,
+            end: out_offsets.get(1).map_or(0, |&o| o as usize),
+        }
+    }
+
+    /// The tail of edge `e`, which must not precede the last edge asked
+    /// for.
+    #[inline]
+    pub fn of(&mut self, e: usize) -> NodeId {
+        debug_assert!(
+            self.out_offsets[self.tail] as usize <= e
+                && e < self.out_offsets[self.out_offsets.len() - 1] as usize,
+            "edge {e} is out of range or behind the cursor"
+        );
+        if e >= self.end {
+            // The next two nodes cover the next edge of a walk and the
+            // next edge of most matchings; a longer jump searches.
+            let offsets = self.out_offsets;
+            let mut tail = self.tail + 1;
+            let mut end = offsets[tail + 1] as usize;
+            if end <= e {
+                tail += 1;
+                end = offsets[tail + 1] as usize;
+                if end <= e {
+                    (tail, end) = Self::jump(offsets, tail + 1, e);
+                }
+            }
+            (self.tail, self.end) = (tail, end);
+        }
+        self.tail as NodeId
+    }
+
+    /// The tail of `e` and where its out-range ends, searching forward
+    /// from node `from` (whose out-range starts at or below `e`): `from`
+    /// plus the number of later offsets at or below `e`. A window
+    /// doubles until it ends above `e` (the last offset, `m`, always
+    /// does), and a binary search inside it counts them.
+    #[inline(never)]
+    fn jump(offsets: &[u32], from: usize, e: usize) -> (usize, usize) {
+        let rest = &offsets[from + 1..];
+        let mut window = 1;
+        while window < rest.len() && rest[window - 1] as usize <= e {
+            window *= 2;
+        }
+        let tail = from + rest[..window.min(rest.len())].partition_point(|&o| o as usize <= e);
+        (tail, offsets[tail + 1] as usize)
+    }
+}
+
+/// The canonical edges `(u, v)` of a graph in edge-id order
+/// ([`Graph::edges`]), each tail taken from a [`Tails`] cursor.
+#[derive(Clone, Debug)]
+pub struct Edges<'a> {
+    tails: Tails<'a>,
+    heads: &'a [NodeId],
+    next: usize,
+}
+
+impl Iterator for Edges<'_> {
+    type Item = (NodeId, NodeId);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, NodeId)> {
+        let head = *self.heads.get(self.next)?;
+        let tail = self.tails.of(self.next);
+        self.next += 1;
+        Some((tail, head))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.heads.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Edges<'_> {}
 
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -528,7 +659,7 @@ mod tests {
     #[test]
     fn canonical_edges_are_ordered() {
         let g = triangle();
-        for &(u, v) in g.edges() {
+        for (u, v) in g.edges() {
             assert!(u < v);
         }
     }
@@ -610,8 +741,8 @@ mod tests {
     #[test]
     fn memory_bytes_counts_all_arrays() {
         let g = triangle();
-        // 2 × 4 offsets × 4 + 3 in-arc edge ids × 4 + 3 edges × 8.
-        assert_eq!(g.memory_bytes(), 2 * 4 * 4 + 3 * 4 + 3 * 8);
+        // 2 × 4 offsets × 4 + 3 heads × 4 + 3 in-arc edge ids × 4.
+        assert_eq!(g.memory_bytes(), 2 * 4 * 4 + 3 * 4 + 3 * 4);
     }
 
     #[test]
@@ -662,7 +793,7 @@ mod tests {
         a.deactivate(2);
         let mut mask = vec![(1u64 << g.edge_count()) - 1];
         crate::matching::mask_dead_edges(&g, a.words(), &mut mask);
-        for (e, &(u, v)) in g.edges().iter().enumerate() {
+        for (e, (u, v)) in g.edges().enumerate() {
             let kept = (mask[0] >> e) & 1 == 1;
             assert_eq!(kept, u != 2 && v != 2);
         }

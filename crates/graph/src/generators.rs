@@ -4,23 +4,25 @@
 //! All randomized generators take an explicit seed and are fully
 //! deterministic for a fixed seed.
 //!
-//! Every generator emits its canonical `(u, v)` edge list (`u < v`) and
-//! hands it to one assembly routine that counting-sorts it into
-//! `(u, v)` order (a list already in order skips the sort) and fills
-//! the CSR arrays in `O(n + m)`, with no per-edge hashing. Edge ids
-//! therefore follow `(u, v)` order whatever order a generator emits in.
-//! Only [`random_regular`] (and [`random_graph_cm`] through it) and the
-//! component patch step of [`random_geometric`] can emit a pair twice,
-//! and only there are repeats dropped; the other generators emit each
-//! edge once. While it builds, a generator holds its edge list (8 bytes
-//! per edge) and at most a 4-byte head per edge and one `n`-entry array
-//! next to the finished graph.
+//! Every generator hands its edges to one of two assembly routines,
+//! which fill the CSR arrays in `O(n + m)` with no per-edge hashing. The
+//! generators whose edges come out in `(u, v)` order (torus, hypercube,
+//! cycle, path, complete, star, grid) push each node's heads straight
+//! into the graph's head array. The others emit a canonical `(u, v)`
+//! list (`u < v`), which is counting-sorted into `(u, v)` order (a list
+//! already in order skips the sort). Edge ids therefore follow `(u, v)`
+//! order whatever order a generator emits in. Only [`random_regular`]
+//! (and [`random_graph_cm`] through it) and the component patch step of
+//! [`random_geometric`] can emit a pair twice, and only there are
+//! repeats dropped; the other generators emit each edge once. While it
+//! builds, a generator that emits a list holds it (8 bytes per edge)
+//! next to the graph's arrays.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::builder::{assemble, sort_edges, Repeats};
+use crate::builder::{assemble, assemble_sorted, sort_edges, Repeats};
 use crate::csr::{Graph, GraphKind, NodeId};
 use crate::error::GraphError;
 use crate::traversal::component_labels;
@@ -53,23 +55,23 @@ pub fn torus(dims: &[usize]) -> Graph {
     for i in (0..dims.len().saturating_sub(1)).rev() {
         strides[i] = strides[i + 1] * dims[i + 1];
     }
-    let mut edges = Vec::with_capacity(n * dims.len());
-    // `coords` steps through the row-major coordinates of `v`.
+    // `coords` steps through the row-major coordinates of the node whose
+    // heads are pushed.
     let mut coords = vec![0usize; dims.len()];
-    for v in 0..n {
-        // Each edge is emitted once, from its lower end: the direct edge
+    let kind = GraphKind::Torus(dims.iter().map(|&d| d as u32).collect());
+    assemble_sorted(n, n * dims.len(), kind, |v, heads| {
+        // Each edge is pushed once, from its lower end: the direct edge
         // to the next coordinate, and from coordinate 0 the wrap-around
         // edge to the last one. A side of 1 has no edge, and on a side of
         // 2 the wrap-around edge is the direct one. The axes go from the
         // last (stride 1) to the first, so the heads come out ascending
-        // (`(len - 1)·stride < len·stride`, the next axis's stride) and
-        // the list is already in `(u, v)` order.
+        // (`(len - 1)·stride < len·stride`, the next axis's stride).
         for ((&coord, &len), &stride) in coords.iter().zip(dims).zip(&strides).rev() {
             if coord + 1 < len {
-                edges.push((v as NodeId, (v + stride) as NodeId));
+                heads.push((v + stride) as NodeId);
             }
             if coord == 0 && len > 2 {
-                edges.push((v as NodeId, (v + (len - 1) * stride) as NodeId));
+                heads.push((v + (len - 1) * stride) as NodeId);
             }
         }
         for (coord, &len) in coords.iter_mut().zip(dims).rev() {
@@ -79,9 +81,7 @@ pub fn torus(dims: &[usize]) -> Graph {
             }
             *coord = 0;
         }
-    }
-    let dims = dims.iter().map(|&d| d as u32).collect();
-    assemble(n, edges, Repeats::Absent, GraphKind::Torus(dims))
+    })
 }
 
 /// Hypercube of dimension `dim` on `2^dim` nodes; nodes are adjacent iff
@@ -93,16 +93,16 @@ pub fn torus(dims: &[usize]) -> Graph {
 pub fn hypercube(dim: u32) -> Graph {
     assert!(dim < 32, "hypercube dimension must be < 32");
     let n = 1usize << dim;
-    let mut edges = Vec::with_capacity(n * dim as usize / 2);
-    for v in 0..n {
-        for bit in 0..dim {
-            let u = v ^ (1usize << bit);
-            if u > v {
-                edges.push((v as NodeId, u as NodeId));
-            }
-        }
-    }
-    assemble(n, edges, Repeats::Absent, GraphKind::Hypercube(dim))
+    let kind = GraphKind::Hypercube(dim);
+    assemble_sorted(n, n * dim as usize / 2, kind, |v, heads| {
+        // The zero bits of `v`, lowest first: ascending heads.
+        heads.extend(
+            (0..dim)
+                .map(|bit| v | (1usize << bit))
+                .filter(|&u| u > v)
+                .map(|u| u as NodeId),
+        );
+    })
 }
 
 /// Cycle on `n ≥ 3` nodes.
@@ -112,48 +112,60 @@ pub fn hypercube(dim: u32) -> Graph {
 /// Panics if `n < 3`.
 pub fn cycle(n: usize) -> Graph {
     assert!(n >= 3, "cycle needs at least 3 nodes");
-    let mut edges: Vec<_> = (1..n as NodeId).map(|v| (v - 1, v)).collect();
-    edges.push((0, n as NodeId - 1));
-    assemble(n, edges, Repeats::Absent, GraphKind::Cycle)
+    // The last node's two edges are both in-arcs.
+    assemble_sorted(n, n, GraphKind::Cycle, |v, heads| {
+        if v + 1 < n {
+            heads.push(v as NodeId + 1);
+        }
+        if v == 0 {
+            heads.push(n as NodeId - 1);
+        }
+    })
 }
 
 /// Path on `n ≥ 1` nodes.
 pub fn path(n: usize) -> Graph {
-    let edges = (1..n as NodeId).map(|v| (v - 1, v)).collect();
-    assemble(n, edges, Repeats::Absent, GraphKind::Path)
+    assemble_sorted(n, n.saturating_sub(1), GraphKind::Path, |v, heads| {
+        if v + 1 < n {
+            heads.push(v as NodeId + 1);
+        }
+    })
 }
 
 /// Complete graph on `n` nodes.
 pub fn complete(n: usize) -> Graph {
-    let n_id = n as NodeId;
-    let edges = (0..n_id)
-        .flat_map(|u| (u + 1..n_id).map(move |v| (u, v)))
-        .collect();
-    assemble(n, edges, Repeats::Absent, GraphKind::Complete)
+    let m = n * n.saturating_sub(1) / 2;
+    assemble_sorted(n, m, GraphKind::Complete, |u, heads| {
+        heads.extend(u as NodeId + 1..n as NodeId);
+    })
 }
 
 /// Star with hub 0 and `n - 1` leaves.
 pub fn star(n: usize) -> Graph {
-    let edges = (1..n as NodeId).map(|v| (0, v)).collect();
-    assemble(n, edges, Repeats::Absent, GraphKind::Star)
+    assemble_sorted(n, n.saturating_sub(1), GraphKind::Star, |v, heads| {
+        if v == 0 {
+            heads.extend(1..n as NodeId);
+        }
+    })
 }
 
 /// Open (non-periodic) 2D grid `rows × cols` in row-major order.
 pub fn grid2d(rows: usize, cols: usize) -> Graph {
     let n = rows * cols;
-    let mut edges = Vec::with_capacity(2 * n);
-    for r in 0..rows {
-        for c in 0..cols {
-            let v = (r * cols + c) as NodeId;
-            if c + 1 < cols {
-                edges.push((v, v + 1));
-            }
-            if r + 1 < rows {
-                edges.push((v, v + cols as NodeId));
-            }
+    // `(r, c)` steps through the row-major coordinates of node `v`.
+    let (mut r, mut c) = (0, 0);
+    assemble_sorted(n, 2 * n, GraphKind::Generic, |v, heads| {
+        if c + 1 < cols {
+            heads.push((v + 1) as NodeId);
         }
-    }
-    assemble(n, edges, Repeats::Absent, GraphKind::Generic)
+        if r + 1 < rows {
+            heads.push((v + cols) as NodeId);
+        }
+        c += 1;
+        if c == cols {
+            (r, c) = (r + 1, 0);
+        }
+    })
 }
 
 /// Erdős–Rényi `G(n, p)` graph.
@@ -219,7 +231,7 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<Graph, GraphError
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let attempts = 4;
-    let mut best: Option<Vec<(NodeId, NodeId)>> = None;
+    let mut best: Option<(Vec<u32>, Vec<NodeId>)> = None;
     for _ in 0..attempts {
         // Stubs: node v owns stubs v*d .. (v+1)*d. A uniform perfect
         // matching on stubs is a random pairing of a shuffled list.
@@ -234,21 +246,21 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<Graph, GraphError
                 .filter(|pair| pair[0] != pair[1])
                 .map(|pair| (pair[0].min(pair[1]), pair[0].max(pair[1]))),
         );
-        sort_edges(n, &mut edges, Repeats::Drop);
+        let (offsets, heads) = sort_edges(n, edges, Repeats::Drop);
         let better = match &best {
             None => true,
-            Some(prev) => edges.len() > prev.len(),
+            Some((_, prev)) => heads.len() > prev.len(),
         };
         if better {
-            let perfect = edges.len() == n * d / 2;
-            best = Some(edges);
+            let perfect = heads.len() == n * d / 2;
+            best = Some((offsets, heads));
             if perfect {
                 break;
             }
         }
     }
-    let edges = best.expect("at least one attempt");
-    Ok(Graph::from_sorted_edges(n, edges, GraphKind::Generic))
+    let (offsets, heads) = best.expect("at least one attempt");
+    Ok(Graph::from_out_lists(offsets, heads, GraphKind::Generic))
 }
 
 /// Random geometric graph: `n` points uniform in `[0, √n]²`, nodes joined
@@ -310,7 +322,7 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
         let giant_nodes = (0..n as NodeId).filter(|&v| labels[v as usize] == giant);
         let giant_grid = CellGrid::new(cell_size, cells_per_side, &points, giant_nodes);
         let mut edges = Vec::with_capacity(g.edge_count() + num_components - 1);
-        edges.extend_from_slice(g.edges());
+        edges.extend(g.edges());
         edges.extend(closest_giant_pairs(&points, &giant_grid, &labels, giant));
         return assemble(n, edges, Repeats::Drop, GraphKind::Generic);
     }

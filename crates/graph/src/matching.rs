@@ -126,7 +126,7 @@ pub fn edge_coloring(graph: &Graph) -> EdgeColoring {
 /// coloring with `dim` colors (each class is the perfect matching along
 /// that axis).
 fn hypercube_coloring(graph: &Graph) -> EdgeColoring {
-    let axes = graph.edges().iter().map(|&(u, v)| (u ^ v).trailing_zeros());
+    let axes = graph.edges().map(|(u, v)| (u ^ v).trailing_zeros());
     EdgeColoring::from_colors(axes.collect())
 }
 
@@ -157,7 +157,7 @@ fn torus_coloring(graph: &Graph, dims: &[u32]) -> EdgeColoring {
     }
     let coord = |v: NodeId, a: usize| (v as u64 / strides[a]) % dims[a] as u64;
     let mut colors = Vec::with_capacity(graph.edge_count());
-    for &(u, v) in graph.edges() {
+    for (u, v) in graph.edges() {
         let axis = (0..dims.len())
             .find(|&a| coord(u, a) != coord(v, a))
             .expect("torus edge endpoints differ in exactly one axis");
@@ -190,7 +190,7 @@ fn torus_coloring(graph: &Graph, dims: &[u32]) -> EdgeColoring {
 /// Paths alternate two colors along the line (one color for a single
 /// edge).
 fn path_coloring(graph: &Graph) -> EdgeColoring {
-    EdgeColoring::from_colors(graph.edges().iter().map(|&(u, _)| u % 2).collect())
+    EdgeColoring::from_colors(graph.edges().map(|(u, _)| u % 2).collect())
 }
 
 /// Deterministic greedy edge coloring: edges in id order each take the
@@ -226,7 +226,7 @@ fn greedy_coloring_counting_spills(graph: &Graph) -> (EdgeColoring, usize) {
     let mut spilled = vec![false; n];
     let mut colors = vec![UNSET; graph.edge_count()];
     let mut spill_scans = 0;
-    for (e, &(u, v)) in graph.edges().iter().enumerate() {
+    for (e, (u, v)) in graph.edges().enumerate() {
         let (du, dv) = (graph.degree(u), graph.degree(v));
         let (u, v) = (u as usize, v as usize);
         let (h, l) = if du >= dv { (u, v) } else { (v, u) };
@@ -274,8 +274,8 @@ pub fn is_matching(graph: &Graph, edges: &[EdgeId]) -> bool {
 /// that no further edge can be added to.
 pub fn is_maximal_matching(graph: &Graph, edges: &[EdgeId]) -> bool {
     matched_nodes(graph, edges).is_some_and(|matched| {
-        let covered = |&(u, v): &(NodeId, NodeId)| matched[u as usize] || matched[v as usize];
-        graph.edges().iter().all(covered)
+        let covered = |(u, v): (NodeId, NodeId)| matched[u as usize] || matched[v as usize];
+        graph.edges().all(covered)
     })
 }
 
@@ -316,27 +316,12 @@ fn matched_nodes(graph: &Graph, edges: &[EdgeId]) -> Option<Vec<bool>> {
 /// its mask words and one over the nodes, each unmatched node searching
 /// only its edges to higher neighbours; no class rescans all the edges.
 pub fn maximal_matchings(graph: &Graph, coloring: &EdgeColoring) -> Vec<Vec<u64>> {
-    let tails = tail_ranges(graph);
     let mut matched = vec![u32::MAX; graph.node_count()]; // stamp buffer keyed by color
     let mut masks = coloring.class_masks();
     for (c, mask) in (0..).zip(&mut masks) {
-        extend_greedy(graph, &tails, mask, &mut matched, c, |_| true);
+        extend_greedy(graph, mask, &mut matched, c, |_| true);
     }
     masks
-}
-
-/// Where each node's edges to higher neighbours start in the canonical
-/// edge list: edges are sorted by `(u, v)` with `u < v`, so node `u`'s
-/// are the ids `tails[u]..tails[u + 1]`, in ascending `v`.
-fn tail_ranges(graph: &Graph) -> Vec<usize> {
-    let mut tails = Vec::with_capacity(graph.node_count() + 1);
-    for (e, &(u, _)) in graph.edges().iter().enumerate() {
-        while tails.len() <= u as usize {
-            tails.push(e);
-        }
-    }
-    tails.resize(graph.node_count() + 1, graph.edge_count());
-    tails
 }
 
 /// The greedy extension behind [`maximal_matchings`] and
@@ -346,24 +331,25 @@ fn tail_ranges(graph: &Graph) -> Vec<usize> {
 /// It first marks the endpoints of the matching `mask` in `matched` (a
 /// node is matched iff its entry equals `stamp`, so one buffer serves
 /// many calls with no reset). It then visits the nodes in ascending id;
-/// each unmatched eligible node `u` takes the first edge of its range in
-/// `tails` ([`tail_ranges`]) whose head is eligible and unmatched. That
+/// each unmatched eligible node `u` takes the first edge of its
+/// out-range (its edges to higher neighbours, in ascending head) whose
+/// head is eligible and unmatched. That
 /// is the scan's choice: an eligible lower neighbour of `u` is matched by
 /// the time `u` is visited (it was offered `u` on its own turn), and a
 /// matched or ineligible node's range is skipped without a look.
 fn extend_greedy(
     graph: &Graph,
-    tails: &[usize],
     mask: &mut [u64],
     matched: &mut [u32],
     stamp: u32,
     eligible: impl Fn(NodeId) -> bool,
 ) {
-    let edges = graph.edges();
+    let (mut tails, heads) = (graph.tails(), graph.heads());
     for (w, &word) in mask.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
-            let (u, v) = edges[64 * w + bits.trailing_zeros() as usize];
+            let e = 64 * w + bits.trailing_zeros() as usize;
+            let (u, v) = (tails.of(e), heads[e]);
             matched[u as usize] = stamp;
             matched[v as usize] = stamp;
             bits &= bits - 1;
@@ -373,12 +359,12 @@ fn extend_greedy(
         if matched[u as usize] == stamp || !eligible(u) {
             continue;
         }
-        let range = tails[u as usize]..tails[u as usize + 1];
-        let free = |&(_, v): &(NodeId, NodeId)| matched[v as usize] != stamp && eligible(v);
-        if let Some(k) = edges[range.clone()].iter().position(free) {
+        let range = graph.out_edges(u);
+        let free = |&v: &NodeId| matched[v as usize] != stamp && eligible(v);
+        if let Some(k) = heads[range.clone()].iter().position(free) {
             let e = range.start + k;
             matched[u as usize] = stamp;
-            matched[edges[e].1 as usize] = stamp;
+            matched[heads[e] as usize] = stamp;
             mask[e >> 6] |= 1u64 << (e & 63);
         }
     }
@@ -397,7 +383,7 @@ fn live(live_nodes: &[u64], v: NodeId) -> bool {
 /// of a proper [`edge_coloring`] stays a valid (possibly smaller)
 /// matching after masking, with no recompute of the coloring.
 pub fn mask_dead_edges(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {
-    for (e, &(u, v)) in graph.edges().iter().enumerate() {
+    for (e, (u, v)) in graph.edges().enumerate() {
         if !live(live_nodes, u) || !live(live_nodes, v) {
             mask[e >> 6] &= !(1u64 << (e & 63));
         }
@@ -437,10 +423,7 @@ pub fn repair_matching(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {
 /// maximal on the live-induced subgraph.
 pub fn extend_matching(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {
     let mut matched = vec![u32::MAX; graph.node_count()];
-    let tails = tail_ranges(graph);
-    extend_greedy(graph, &tails, mask, &mut matched, 0, |v| {
-        live(live_nodes, v)
-    });
+    extend_greedy(graph, mask, &mut matched, 0, |v| live(live_nodes, v));
 }
 
 #[cfg(test)]
@@ -520,7 +503,7 @@ mod tests {
         let mut num_colors = 0u32;
         let cap = (2 * graph.max_degree()).saturating_sub(1).max(1);
         let mut used = vec![u32::MAX; cap]; // used[c] == e means blocked
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
+        for (e, (u, v)) in graph.edges().enumerate() {
             for w in [u, v] {
                 for e2 in graph.neighbor_edges(w) {
                     let c = colors[e2 as usize];
@@ -664,13 +647,13 @@ mod tests {
     /// whose endpoints are both live and unmatched.
     fn extend_by_rescan(graph: &Graph, live_nodes: &[u64], mask: &mut [u64]) {
         let mut matched = vec![false; graph.node_count()];
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
+        for (e, (u, v)) in graph.edges().enumerate() {
             if (mask[e >> 6] >> (e & 63)) & 1 == 1 {
                 matched[u as usize] = true;
                 matched[v as usize] = true;
             }
         }
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
+        for (e, (u, v)) in graph.edges().enumerate() {
             let (u, v) = (u as usize, v as usize);
             let addable = !matched[u] && !matched[v];
             if addable && live(live_nodes, u as NodeId) && live(live_nodes, v as NodeId) {
@@ -828,7 +811,7 @@ mod tests {
         let mut mask = edge_mask(&g, &all);
         let live = node_mask(g.node_count(), &[3, 7]);
         mask_dead_edges(&g, &live, &mut mask);
-        for (e, &(u, v)) in g.edges().iter().enumerate() {
+        for (e, (u, v)) in g.edges().enumerate() {
             let kept = (mask[e >> 6] >> (e & 63)) & 1 == 1;
             let touches_dead = u == 3 || v == 3 || u == 7 || v == 7;
             assert_eq!(kept, !touches_dead, "edge {e} ({u},{v})");
@@ -846,9 +829,8 @@ mod tests {
         let g = generators::cycle(4);
         let base: Vec<EdgeId> = g
             .edges()
-            .iter()
             .enumerate()
-            .filter(|&(_, &(u, v))| (u, v) == (0, 1) || (u, v) == (2, 3))
+            .filter(|&(_, (u, v))| (u, v) == (0, 1) || (u, v) == (2, 3))
             .map(|(e, _)| e as EdgeId)
             .collect();
         assert_eq!(base.len(), 2);
@@ -932,7 +914,7 @@ mod tests {
                     matched[u as usize] = true;
                     matched[v as usize] = true;
                 }
-                for (e, &(u, v)) in g.edges().iter().enumerate() {
+                for (e, (u, v)) in g.edges().enumerate() {
                     let extendable = live(&final_live, u)
                         && live(&final_live, v)
                         && !matched[u as usize]

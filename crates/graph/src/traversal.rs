@@ -3,6 +3,7 @@
 use std::collections::VecDeque;
 
 use crate::csr::{Graph, NodeId};
+use crate::unionfind::UnionFind;
 
 /// Sentinel distance for unreachable nodes.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -29,28 +30,31 @@ pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<u32> {
 }
 
 /// Labels each node with a component id in `0..k`; returns the labels.
+///
+/// Components are numbered in the order of their smallest node, as a
+/// BFS started from each unlabeled node in ascending order numbers them.
+/// The labels come from a union-find over the edge walk, which derives
+/// each tail from the out-ranges without a search.
 pub fn component_labels(g: &Graph) -> Vec<u32> {
     let n = g.node_count();
-    let mut label = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut queue = VecDeque::new();
-    for start in 0..n as NodeId {
-        if label[start as usize] != u32::MAX {
-            continue;
-        }
-        label[start as usize] = next;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            for v in g.neighbor_nodes(u) {
-                if label[v as usize] == u32::MAX {
-                    label[v as usize] = next;
-                    queue.push_back(v);
-                }
-            }
-        }
-        next += 1;
+    let mut sets = UnionFind::new(n);
+    for (u, v) in g.edges() {
+        sets.union(u, v);
     }
-    label
+    // `root_label[r]` is the label of the component whose root is `r`,
+    // given when its smallest node is met.
+    let mut root_label = vec![u32::MAX; n];
+    let mut next = 0u32;
+    (0..n as NodeId)
+        .map(|v| {
+            let label = &mut root_label[sets.find(v) as usize];
+            if *label == u32::MAX {
+                *label = next;
+                next += 1;
+            }
+            *label
+        })
+        .collect()
 }
 
 /// Number of connected components (0 for the empty graph).

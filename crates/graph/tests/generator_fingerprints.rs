@@ -3,11 +3,12 @@
 //! Each case hashes five arc-indexed or edge-indexed streams of one
 //! generated graph (arc offsets, arc targets, arc edge ids, arc
 //! orientation signs and the canonical edge list) with 64-bit FNV-1a.
-//! Only the edge list is stored as such; the other four are the logical
-//! content of the CSR, rebuilt from its accessors in the layout an
-//! earlier CSR stored them in (degree-prefix offsets as `u64`, then per
-//! arc, in arc order, its target, its edge id and its `i8` sign), so the
-//! pins outlive a change of layout. A change to how graphs are assembled
+//! None is stored as such: each is the logical content of the CSR,
+//! rebuilt from its accessors in the layout an earlier CSR stored it in
+//! (degree-prefix offsets as `u64`, then per arc, in arc order, its
+//! target, its edge id and its `i8` sign, then the `(u, v)` pairs of
+//! [`Graph::edges`] in id order), so the pins outlive a change of
+//! layout. A change to how graphs are assembled
 //! must leave every hash as it is: the simulator's trajectories, plans,
 //! goldens and checkpoints all depend on the exact edge ids and arc
 //! order.
@@ -57,7 +58,8 @@ fn fingerprint(g: &Graph) -> u64 {
         })
         .collect();
     h.array(&signs, |s| s.to_le_bytes());
-    h.array(g.edges(), |&(u, v)| {
+    let edges: Vec<_> = g.edges().collect();
+    h.array(&edges, |&(u, v)| {
         let mut b = [0u8; 8];
         b[..4].copy_from_slice(&u.to_le_bytes());
         b[4..].copy_from_slice(&v.to_le_bytes());

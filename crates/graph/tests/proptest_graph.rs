@@ -28,7 +28,8 @@ proptest! {
         prop_assert_eq!(degree_sum, 2 * g.edge_count());
         prop_assert_eq!(g.arc_count(), 2 * g.edge_count());
         // Canonical edges ordered and unique.
-        for w in g.edges().windows(2) {
+        let edges: Vec<_> = g.edges().collect();
+        for w in edges.windows(2) {
             prop_assert!(w[0] < w[1]);
         }
         // Adjacency symmetric with matching edge ids; arc ranges partition.
@@ -55,6 +56,40 @@ proptest! {
             }
         }
         prop_assert_eq!(total_arcs, g.arc_count());
+    }
+
+    /// The edges the graph derives are exactly the canonical pairs it was
+    /// given, sorted: `edges()` yields them in id order with an exact
+    /// length, `edge(e)` and a forward `tails()` cursor agree with it for
+    /// every `e`, and one head is stored per edge.
+    #[test]
+    fn derived_tails_give_back_the_pairs((n, candidates) in edge_candidates()) {
+        let mut b = GraphBuilder::new(n);
+        let mut given = Vec::new();
+        for (u, v) in candidates {
+            if b.add_edge_dedup(u, v) {
+                given.push((u.min(v), u.max(v)));
+            }
+        }
+        given.sort_unstable();
+        let g = b.build();
+        prop_assert_eq!(g.heads().len(), g.edge_count());
+        prop_assert_eq!(g.edges().len(), given.len());
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), given.clone());
+        let mut tails = g.tails();
+        for (e, &(u, v)) in given.iter().enumerate() {
+            prop_assert_eq!(g.edge(e as u32), (u, v));
+            prop_assert_eq!(g.tail(e as u32), u);
+            prop_assert_eq!(tails.of(e), u);
+        }
+        // Cursors that skip edges, by a step or past many nodes at once,
+        // find the same tails.
+        for step in [3, 11, 40] {
+            let mut sparse = g.tails();
+            for (e, &(u, _)) in given.iter().enumerate().step_by(step) {
+                prop_assert_eq!(sparse.of(e), u);
+            }
+        }
     }
 
     /// Component labels agree with pairwise BFS reachability.

@@ -50,11 +50,7 @@ impl<'a> DiffusionOperator<'a> {
             graph.node_count(),
             "speeds length must match node count"
         );
-        let edge_alpha = graph
-            .edges()
-            .iter()
-            .map(|&(u, v)| graph.alpha(u, v))
-            .collect();
+        let edge_alpha = graph.edges().map(|(u, v)| graph.alpha(u, v)).collect();
         let sqrt_speeds = speeds.iter().map(f64::sqrt).collect();
         Self {
             graph,
@@ -82,19 +78,26 @@ impl<'a> DiffusionOperator<'a> {
         for (i, o) in out.iter_mut().enumerate() {
             *o = y(i);
         }
-        let edges = self.graph.edges().iter().zip(&self.edge_alpha);
-        if self.speeds.is_unit() {
+        // The edges in id order, node-major: each tail's out-range, with
+        // the tail's term read once.
+        let (offsets, heads) = (self.graph.out_offsets(), self.graph.heads());
+        let out_ranges = offsets.windows(2).map(|o| o[0] as usize..o[1] as usize);
+        let unit = self.speeds.is_unit();
+        for (u, range) in out_ranges.enumerate() {
             // `y / 1.0 == y` exactly: the general loop's bits, no divides.
-            for (&(u, v), &alpha) in edges {
-                let (u, v) = (u as usize, v as usize);
-                let flow = alpha * (y(u) - y(v));
-                out[u] -= flow;
-                out[v] += flow;
-            }
-        } else {
-            for (&(u, v), &alpha) in edges {
-                let (u, v) = (u as usize, v as usize);
-                let flow = alpha * (y(u) / self.speeds.get(u) - y(v) / self.speeds.get(v));
+            let y_u = if unit {
+                y(u)
+            } else {
+                y(u) / self.speeds.get(u)
+            };
+            for (&v, &alpha) in heads[range.clone()].iter().zip(&self.edge_alpha[range]) {
+                let v = v as usize;
+                let y_v = if unit {
+                    y(v)
+                } else {
+                    y(v) / self.speeds.get(v)
+                };
+                let flow = alpha * (y_u - y_v);
                 out[u] -= flow;
                 out[v] += flow;
             }
@@ -131,7 +134,7 @@ impl<'a> DiffusionOperator<'a> {
     pub fn to_dense(&self) -> DenseMatrix {
         let n = self.len();
         let mut m = DenseMatrix::identity(n);
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
+        for (e, (u, v)) in self.graph.edges().enumerate() {
             let a = self.edge_alpha[e];
             let (u, v) = (u as usize, v as usize);
             m[(u, u)] -= a / self.speeds.get(u);
@@ -282,7 +285,7 @@ mod tests {
         let op = DiffusionOperator::new(&g, &s);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 1e3).collect();
         let mut expected = x.clone();
-        for (e, &(u, v)) in g.edges().iter().enumerate() {
+        for (e, (u, v)) in g.edges().enumerate() {
             let (u, v) = (u as usize, v as usize);
             let flow = op.edge_alpha[e] * (x[u] / s.get(u) - x[v] / s.get(v));
             expected[u] -= flow;

@@ -63,7 +63,7 @@ impl Tables {
             Scheme::DimensionExchange { lambda } | Scheme::Matching { lambda, .. } => lambda,
             Scheme::Fos | Scheme::Sos { .. } => panic!("{scheme} is not pairwise"),
         };
-        let edges = g.edges().to_vec();
+        let edges: Vec<_> = g.edges().collect();
         let s = |u: u32| speeds.get(u as usize);
         let tail = edges.iter().map(|&(u, v)| lambda * s(v) / (s(u) + s(v)));
         let head = edges.iter().map(|&(u, v)| lambda * s(u) / (s(u) + s(v)));

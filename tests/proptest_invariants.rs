@@ -188,7 +188,7 @@ proptest! {
         let flows = sim.previous_flows();
         // after = before - B·flows where B is the incidence matrix.
         let mut reconstructed = before.clone();
-        for (e, &(u, v)) in g.edges().iter().enumerate() {
+        for (e, (u, v)) in g.edges().enumerate() {
             let y = flows[e] as i64;
             reconstructed[u as usize] -= y;
             reconstructed[v as usize] += y;

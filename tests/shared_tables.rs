@@ -46,7 +46,7 @@ fn graph_clone_shares_its_arrays() {
     assert!(same(c.out_offsets(), g.out_offsets()));
     assert!(same(c.in_offsets(), g.in_offsets()));
     assert!(same(c.in_edge_ids(), g.in_edge_ids()));
-    assert!(same(c.edges(), g.edges()));
+    assert!(same(c.heads(), g.heads()));
 }
 
 #[test]
@@ -65,10 +65,10 @@ fn kernel_tables_read_the_graph_csr_and_hold_one_value_on_the_torus() {
         assert!(same(tg.out_offsets(), g.out_offsets()));
         assert!(same(tg.in_offsets(), g.in_offsets()));
         assert!(same(tg.in_edge_ids(), g.in_edge_ids()));
-        assert!(same(tg.edges(), g.edges()));
-        // Two `u32` offset arrays, one in-arc edge id and one canonical
-        // edge per edge: `8·(n + 1) + 12·m`.
-        assert_eq!(tg.memory_bytes(), 2_097_160);
+        assert!(same(tg.heads(), g.heads()));
+        // Two `u32` offset arrays, and one head and one in-arc edge id
+        // per edge: `8·(n + 1) + 8·m`.
+        assert_eq!(tg.memory_bytes(), 1_572_872);
         assert!(matches!(t.coefs, Coefs::Same(c, h) if c == 0.2 && h == 0.2));
         assert!(matches!(t.ideal, Ideal::Same(x) if x == 100.0));
         // Both tables are one value each: no per-edge or per-node bytes.
@@ -93,7 +93,7 @@ fn irregular_graphs_share_one_coefficient_table_under_uniform_speeds() {
         );
         let t = sim.kernel_tables();
         assert!(matches!(&t.coefs, Coefs::Each(tail, head) if Arc::ptr_eq(tail, head)));
-        for (e, &(u, v)) in g.edges().iter().enumerate() {
+        for (e, (u, v)) in g.edges().enumerate() {
             assert_eq!(t.coefs.get(e), (g.alpha(u, v), g.alpha(u, v)), "edge {e}");
         }
         assert!(matches!(t.ideal, Ideal::Same(x) if x == 100.0));
@@ -116,7 +116,7 @@ fn pairwise_tables_hold_the_lambda_pair_as_one_value() {
             for threads in [1, 2] {
                 let sim = simulator(&g, scheme, Speeds::uniform(n), Rounding::nearest(), threads);
                 let t = sim.kernel_tables();
-                assert!(same(t.graph().edges(), g.edges()), "{scheme}");
+                assert!(same(t.graph().heads(), g.heads()), "{scheme}");
                 assert!(matches!(t.coefs, Coefs::Same(c, h) if c == 0.25 && h == 0.25));
                 assert!(matches!(t.ideal, Ideal::Same(x) if x == 100.0));
                 assert_eq!(sim.table_bytes(), 0, "{scheme}");
@@ -136,12 +136,12 @@ fn heterogeneous_speeds_keep_two_coefficient_tables() {
     for scheme in [Scheme::sos(1.9), Scheme::matching_round_robin(0.5)] {
         let sim = simulator(&g, scheme, speeds.clone(), Rounding::nearest(), 1);
         let t = sim.kernel_tables();
-        assert!(same(t.graph().edges(), g.edges()), "{scheme}");
+        assert!(same(t.graph().heads(), g.heads()), "{scheme}");
         assert!(
             matches!(&t.coefs, Coefs::Each(tail, head) if !Arc::ptr_eq(tail, head)),
             "{scheme}"
         );
-        for (e, &(u, v)) in g.edges().iter().enumerate() {
+        for (e, (u, v)) in g.edges().enumerate() {
             let (su, sv) = (speeds.get(u as usize), speeds.get(v as usize));
             let (tail, head) = match scheme {
                 Scheme::Sos { .. } => (g.alpha(u, v) / su, g.alpha(u, v) / sv),
