@@ -9,7 +9,7 @@
 //! | Figures 9–11 (one torus run: wavefront renders, then FOS smoothing renders) | `fig09_11` |
 //! | Figures 12, 13, 14 (configuration model, hypercube, random geometric graph) | `fig12`, `fig13`, `fig14` |
 //! | Table I (graph classes and `β_opt`) | `table1` |
-//! | Theorems and design choices (rounding schemes and SOS flow memory in `ablation_rounding`) | `ablation_*` |
+//! | Theorems and design choices (rounding schemes in `ablation_rounding`) | `ablation_*` |
 //!
 //! `perf_baseline` times the round executor and writes
 //! `BENCH_rounds.json`. Each figure and ablation binary accepts:

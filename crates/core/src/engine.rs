@@ -71,21 +71,6 @@ pub enum Mode {
     Discrete(Rounding),
 }
 
-/// Which previous-flow value the SOS memory term uses in the discrete
-/// process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlowMemory {
-    /// The integral flow actually sent in the previous round — the
-    /// *stateless* process the paper analyzes ("the amount that was sent
-    /// in step t−1").
-    #[default]
-    Rounded,
-    /// The unrounded scheduled flow of the previous round (an ablation:
-    /// slightly less noise accumulation, but requires remembering a real
-    /// number per edge).
-    Scheduled,
-}
-
 /// When to stop a [`Simulator::run_until`] loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopCondition {
@@ -561,11 +546,12 @@ impl<'g> Simulator<'g> {
     }
 
     /// Flow sent in the previous round, per canonical edge (the SOS
-    /// memory), as `f64`. Borrowed where the simulator stores an `f64`
-    /// memory vector (sequential continuous and
-    /// [`FlowMemory::Scheduled`] diffusion runs); otherwise a copy made
-    /// on request — materialized from the integral flows under
-    /// [`FlowMemory::Rounded`], read out of the job on the worker pool.
+    /// memory), as `f64`. A discrete run remembers the integral flows it
+    /// sent, "the amount that was sent in step t−1", and a continuous run
+    /// its `f64` flows. Borrowed where the simulator stores an `f64`
+    /// vector (sequential continuous diffusion runs); otherwise a copy
+    /// made on request — materialized from the integral flows in discrete
+    /// mode, read out of the job on the worker pool.
     /// The pairwise schemes keep no flow memory (only SOS reads one), so
     /// a dimension-exchange or matching run reads `m` zeros here, and its
     /// checkpoints store those.
@@ -574,10 +560,9 @@ impl<'g> Simulator<'g> {
     }
 
     /// Bytes of per-node and per-edge simulation state this simulator
-    /// holds, wherever it lives: loads, integral flows, a stored SOS
-    /// memory (continuous and [`FlowMemory::Scheduled`] runs only — under
-    /// [`FlowMemory::Rounded`] the integral flows are the memory), and
-    /// one fraction per edge (randomized framework). A pairwise run holds
+    /// holds, wherever it lives: loads, the last round's flows (integral
+    /// in discrete mode, `f64` in continuous mode), which are the SOS
+    /// memory, and one fraction per edge (randomized framework). A pairwise run holds
     /// its loads alone, `8·n` bytes. Each piece is held once: on the
     /// worker pool the job's atomics are the only copy. Auxiliary
     /// metadata (masks, per-block partials, the matching rounds' landing
@@ -656,9 +641,8 @@ impl<'g> Simulator<'g> {
     ///
     /// [`CheckpointError::Mismatch`] when the snapshot does not fit this
     /// simulation (wrong node/edge count, wrong mode, a different
-    /// initial total, for a run that remembers rounded flows a flow
-    /// memory that is not integral or does not fit the flow storage, or
-    /// a churn overlay that does not fit the run's churn plan and node
+    /// initial total, for a discrete run a flow memory that is not
+    /// integral or does not fit the flow storage, or a churn overlay that does not fit the run's churn plan and node
     /// count). The simulator is left unmodified on error.
     ///
     /// A pairwise run keeps no flow memory: its snapshot's memory passes
@@ -703,19 +687,18 @@ impl<'g> Simulator<'g> {
                 snap.initial_total, self.initial_total
             )));
         }
-        // Under `Rounded` the memory is written into the integral `i64`
+        // A discrete run's memory is written into the integral `i64`
         // flows, so every value must be one this run could have sent (a
         // pairwise run, which ignores it, is held to the same check).
         // Validated BEFORE touching any state so the simulator stays
         // unmodified on error. Comparing bits also refuses `-0.0`, which
         // no `i64 → f64` cast produces.
-        let rounded = with_state!(&self.store, |state| state.rounded_memory());
-        if rounded {
+        if self.is_discrete() {
             let integral = |x: f64| (x as i64 as f64).to_bits() == x.to_bits();
             if let Some(&bad) = snap.prev_flow.iter().find(|&&x| !integral(x)) {
                 return Err(CheckpointError::Mismatch(format!(
                     "snapshot flow memory {bad} is not an integral flow of the \
-                     i64 flow storage (this run remembers rounded flows)"
+                     i64 flow storage (a discrete run remembers the flows it sent)"
                 )));
             }
         }
@@ -1365,27 +1348,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_memory_modes_differ_but_both_conserve() {
-        let g = generators::torus2d(6, 6);
-        let spec = sodiff_linalg::spectral::analyze(&g, &Speeds::uniform(36));
-        let beta = spec.beta_opt();
-        let mut runs = Vec::new();
-        for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
-            let mut sim = Experiment::on(&g)
-                .discrete(Rounding::randomized(9))
-                .sos(beta)
-                .flow_memory(memory)
-                .build()
-                .unwrap()
-                .simulator();
-            sim.run_until(StopCondition::MaxRounds(200));
-            assert_eq!(sim.total_load(), 36_000.0);
-            runs.push(sim.loads_i64().unwrap().to_vec());
-        }
-        assert_ne!(runs[0], runs[1], "memory modes should diverge");
-    }
-
-    #[test]
     fn balanced_threshold_stops_early() {
         let g = generators::complete(16);
         let mut sim = Experiment::on(&g)
@@ -1523,7 +1485,7 @@ mod tests {
         assert_eq!(sim.loads_f64().unwrap(), &[0.0, 40.0, 0.0, 0.0][..]);
     }
 
-    /// Under `Rounded` restore writes the memory into the integral flow
+    /// A discrete run's restore writes the memory into the integral flow
     /// slots, so it refuses any value those slots could not hold — on
     /// both executors — and leaves the target untouched.
     #[test]

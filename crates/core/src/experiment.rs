@@ -38,7 +38,7 @@ use sodiff_graph::{Graph, Speeds};
 
 use crate::checkpoint::{CheckpointConfig, Snapshot};
 use crate::deviation::DeviationSeries;
-use crate::engine::{FlowMemory, Mode, RunReport, Simulator, StopCondition};
+use crate::engine::{Mode, RunReport, Simulator, StopCondition};
 use crate::error::{BuildError, CheckpointError};
 use crate::hybrid::SwitchPolicy;
 use crate::init::InitialLoad;
@@ -70,8 +70,6 @@ pub(crate) struct Config {
     pub mode: Mode,
     /// Node speeds; `None` means the homogeneous model.
     pub speeds: Option<Speeds>,
-    /// SOS memory source in discrete mode (ignored otherwise).
-    pub flow_memory: FlowMemory,
     /// Worker threads for the round executor (1 = sequential).
     pub threads: usize,
     /// The initial token placement.
@@ -97,7 +95,6 @@ impl Config {
             scheme: Scheme::Fos,
             mode: Mode::Continuous,
             speeds: None,
-            flow_memory: FlowMemory::default(),
             threads: 1,
             init: InitialLoad::paper_default(graph.node_count()),
             hybrid: None,
@@ -208,13 +205,6 @@ impl<'g, S> ExperimentBuilder<'g, S> {
     /// [`BuildError::InvalidSpeeds`].
     pub fn speeds(mut self, speeds: Speeds) -> Self {
         self.config.speeds = Some(speeds);
-        self
-    }
-
-    /// Sets the SOS flow-memory source (discrete mode; default
-    /// [`FlowMemory::Rounded`], the stateless process the paper analyzes).
-    pub fn flow_memory(mut self, memory: FlowMemory) -> Self {
-        self.config.flow_memory = memory;
         self
     }
 

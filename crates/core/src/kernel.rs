@@ -33,7 +33,7 @@
 //! [`edge_pass_scatter`]). No pass takes coefficients of its own: each
 //! reads the pair held by the [`KernelTables`] it is given, once per call
 //! choosing the loop for how the tables store it (one value or one entry
-//! per edge), as it chooses the loop for the flow memory.
+//! per edge).
 //!
 //! Because both executors run byte-for-byte the same arithmetic in the
 //! same per-element order, parallel results are bit-identical to
@@ -81,9 +81,8 @@
 //!    instead of one floor per positive arc), writes the signed base
 //!    `trunc(Ŷ_e)` straight into the edge's flow slot and the signed
 //!    fraction `g_e = Ŷ_e − trunc(Ŷ_e)` into the edge's slot of an
-//!    `m`-long buffer: three contiguous stores per edge and no per-edge
-//!    select. For [`FlowMemory::Scheduled`] the SOS memory is updated in
-//!    the same pass.
+//!    `m`-long buffer: two contiguous stores per edge and no per-edge
+//!    select.
 //! 2. [`arc_round_streamed`] — one sweep over nodes walks each node's
 //!    in-arcs, gathering `g_e` through their edge ids, then its out-arcs,
 //!    reading `g_e` straight from the node's contiguous edge range, and
@@ -143,7 +142,7 @@
 //! to no token and lands as `+0.0`. Validated inputs keep `Ŷ_e` finite,
 //! so no `0·∞` NaN arises on either path.
 //!
-//! # The SOS memory under [`FlowMemory::Rounded`]
+//! # The SOS memory
 //!
 //! The memory the paper's discrete SOS process uses — "the amount that
 //! was sent in step t−1" — *is* the integral flow each round leaves in an
@@ -153,8 +152,9 @@
 //! needs two internal barriers per round under the worker pool.
 //! That memory becomes an `f64` vector only on request (the simulator's
 //! `previous_flows()` accessor and its checkpoint snapshots), by the
-//! cast [`prev_from_flows`] performs. The `prev` buffer the passes take is used only
-//! under [`FlowMemory::Scheduled`], whose memory is the unrounded `Ŷ_e`.
+//! cast [`prev_from_flows`] performs. A continuous run's memory is its
+//! `f64` flows, which the continuous pass writes into `prev` and the
+//! apply pass reads back as the round's flows.
 //! Only SOS reads the memory, and only FOS shares its rounds; the
 //! pairwise schemes keep none (see the matching rounds above), and
 //! their `previous_flows()` read zeros.
@@ -162,9 +162,9 @@
 //! # Loop shapes, and why they are bit-exact
 //!
 //! Per-edge work is independent: edge `e` reads only `loads[..]` (not
-//! written in this pass), its own memory slot (`prev[e]`, or `flows[e]`
-//! under [`FlowMemory::Rounded`]), its own mask bit under [`MaskBits`],
-//! and the constant tables, and writes only `prev[e]`, `flows[e]`, and
+//! written in this pass), its own memory slot (`flows[e]` in discrete
+//! mode, `prev[e]` in continuous mode), its own mask bit under
+//! [`MaskBits`], and the constant tables, and writes only that slot and
 //! (scatter pass) `frac[e]`. So the order in which a pass visits its
 //! edges, and whether it reads a tail's load once or once per edge,
 //! never changes an operand: every per-edge value is computed by exactly
@@ -207,7 +207,6 @@ use std::sync::Arc;
 
 use sodiff_graph::{EdgeId, Graph, Speeds};
 
-use crate::engine::FlowMemory;
 use crate::metrics::DEV_BLOCK;
 use crate::rng::{self, SplitMix64};
 use crate::rounding::Rounding;
@@ -707,11 +706,11 @@ pub fn cells<V>(s: &mut [V]) -> Cells<'_, V> {
 // The per-type names the stand-alone `perfbench` package calls.
 pub use self::{apply as apply_discrete, cells as cells_f64, cells as cells_i64};
 
-/// The SOS memory under [`FlowMemory::Rounded`]: an `f64` view of the
-/// integral flows, where edge `e`'s memory is `flows[e] as f64`. That is
-/// bit for bit what a stored `f64` copy of the last flows would hold (an
-/// `i64 → f64` cast never yields `-0.0`), so the flow slot *is* the
-/// memory and no per-edge `f64` copy is kept. Writes are no-ops: the
+/// A discrete run's SOS memory: an `f64` view of the integral flows,
+/// where edge `e`'s memory is `flows[e] as f64`. That is bit for bit what
+/// a stored `f64` copy of the last flows would hold (an `i64 → f64` cast
+/// never yields `-0.0`), so the flow slot *is* the memory and no
+/// per-edge `f64` copy is kept. Writes are no-ops: the
 /// edge pass updates the memory by writing the new flow.
 pub struct FlowsAsMemory<'a, F>(pub &'a F);
 
@@ -728,25 +727,6 @@ impl<F: Buf<Val = i64>> Buf for FlowsAsMemory<'_, F> {
     }
     #[inline(always)]
     fn write(_e: &F::Elem, _v: f64) {}
-}
-
-/// Evaluates `$body` with `$memory` bound to the SOS memory `flow_memory`
-/// selects: `prev` itself under [`FlowMemory::Scheduled`], the integral
-/// flows through [`FlowsAsMemory`] under [`FlowMemory::Rounded`] (where
-/// `prev` is never touched and may be empty).
-macro_rules! with_memory {
-    ($flow_memory:expr, $prev:expr, $flows:expr, |$memory:ident| $body:expr) => {
-        match $flow_memory {
-            FlowMemory::Rounded => {
-                let $memory = &FlowsAsMemory($flows);
-                $body
-            }
-            FlowMemory::Scheduled => {
-                let $memory = $prev;
-                $body
-            }
-        }
-    };
 }
 
 /// `s.trunc() as i64` without the libm call: the `f64 → i64` cast *is*
@@ -934,9 +914,8 @@ where
         )
     }
 
-    /// The edge-local discrete pass ([`edge_pass_fused_gated`]) over this
-    /// schedule's memory view: rounds each flow into `flows` and records
-    /// `Ŷ_e` in the memory (a no-op write for [`FlowsAsMemory`]).
+    /// The edge-local discrete pass ([`edge_pass_fused_gated`]): rounds
+    /// each flow into `flows`, which are the next round's memory.
     fn fused<F: Buf<Val = i64>>(&self, round: u64, rounding: Rounding, flows: &F) {
         let (e0, len) = (self.e0, self.heads.len());
         let flow_elems = &flows.elems()[e0..e0 + len];
@@ -947,7 +926,6 @@ where
                         let $s = self.flow($k, x_u);
                         let y: i64 = $round_expr;
                         F::write(&flow_elems[$k], y);
-                        M::write(&self.memory[$k], $s);
                     }
                 })
             };
@@ -964,10 +942,10 @@ where
         }
     }
 
-    /// The framework's scatter pass ([`edge_pass_scatter_gated`]) over
-    /// this schedule's memory view: writes each edge's signed base flow
-    /// `trunc(Ŷ_e)` into `flows` and its signed fraction
-    /// `Ŷ_e − trunc(Ŷ_e)` into `frac`, both indexed by edge.
+    /// The framework's scatter pass ([`edge_pass_scatter_gated`]): writes
+    /// each edge's signed base flow `trunc(Ŷ_e)` into `flows` and its
+    /// signed fraction `Ŷ_e − trunc(Ŷ_e)` into `frac`, both indexed by
+    /// edge.
     fn scatter<A: Buf<Val = f64>, F: Buf<Val = i64>>(&self, frac: &A, flows: &F) {
         let (e0, len) = (self.e0, self.heads.len());
         let flow_elems = &flows.elems()[e0..e0 + len];
@@ -983,7 +961,6 @@ where
                 let base = trunc_i64(s);
                 A::write(&frac_elems[k], s - base as f64);
                 F::write(&flow_elems[k], base);
-                M::write(&self.memory[k], s);
             }
         });
     }
@@ -999,13 +976,23 @@ where
     }
 }
 
+/// What the SOS memory of a discrete run remembers. It has one value:
+/// the integral flow sent in the previous round, "the amount that was
+/// sent in step t−1". The all-edges [`edge_pass_fused`] and
+/// [`edge_pass_scatter`] wrappers accept it, and ignore it, so that
+/// their callers outside this crate keep compiling.
+#[derive(Debug, Clone, Copy)]
+pub enum FlowMemory {
+    /// The integral flow sent in the previous round.
+    Rounded,
+}
+
 /// Fused edge pass for the **edge-local** rounding schemes in discrete
 /// mode, over every edge with the tables' coefficients: computes the
-/// scheduled flow `Ŷ_e` (see the module docs), rounds it, and updates the SOS
-/// flow memory, all in one sweep over `edges`. Under
-/// [`FlowMemory::Rounded`] the memory is the flow slot itself
-/// ([`FlowsAsMemory`]) and `prev` is left untouched; under
-/// [`FlowMemory::Scheduled`] `prev` records `Ŷ_e`.
+/// scheduled flow `Ŷ_e` (see the module docs) from the SOS memory, which
+/// is the flow slot itself ([`FlowsAsMemory`]), and rounds it into that
+/// slot, all in one sweep over `edges`. `_flow_memory` and `_prev` are
+/// ignored.
 ///
 /// # Panics
 ///
@@ -1019,29 +1006,17 @@ pub fn edge_pass_fused<P: Buf<Val = f64>, F: Buf<Val = i64>>(
     gain: f64,
     round: u64,
     rounding: Rounding,
-    flow_memory: FlowMemory,
+    _flow_memory: FlowMemory,
     x: impl Fn(usize) -> f64,
-    prev: &P,
+    _prev: &P,
     flows: &F,
 ) {
-    edge_pass_fused_gated(
-        t,
-        &AllEdges,
-        edges,
-        mem,
-        gain,
-        round,
-        rounding,
-        flow_memory,
-        x,
-        prev,
-        flows,
-    );
+    edge_pass_fused_gated(t, &AllEdges, edges, mem, gain, round, rounding, x, flows);
 }
 
 /// [`edge_pass_fused`] with an edge `gate` ([`AllEdges`] or [`MaskBits`]).
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_fused_gated<G: EdgeGate, P: Buf<Val = f64>, F: Buf<Val = i64>>(
+pub fn edge_pass_fused_gated<G: EdgeGate, F: Buf<Val = i64>>(
     t: &KernelTables,
     gate: &G,
     edges: Range<usize>,
@@ -1049,31 +1024,27 @@ pub fn edge_pass_fused_gated<G: EdgeGate, P: Buf<Val = f64>, F: Buf<Val = i64>>(
     gain: f64,
     round: u64,
     rounding: Rounding,
-    flow_memory: FlowMemory,
     x: impl Fn(usize) -> f64,
-    prev: &P,
     flows: &F,
 ) {
-    with_memory!(flow_memory, prev, flows, |memory| {
-        with_coefs!(t, |coefs| {
-            Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory)
-                .fused(round, rounding, flows)
-        })
+    let memory = &FlowsAsMemory(flows);
+    with_coefs!(t, |coefs| {
+        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory)
+            .fused(round, rounding, flows)
     })
 }
 
 /// Phase 1 of the randomized framework, over every edge with the
-/// tables' coefficients: computes the scheduled flow `Ŷ_e`, **truncates
-/// it right here** (the sending side's outflow is `|Ŷ_e|` and its floor
-/// is the edge's base flow, so the per-arc floor pass of the old
-/// formulation collapses into this per-edge one), writes the signed base
-/// `trunc(Ŷ_e)` into the edge's flow slot and the signed fraction
-/// `Ŷ_e − trunc(Ŷ_e)` into the edge's slot of `frac`. The fraction's sign
-/// names the sender (positive: the tail; negative: the head), so the
-/// node-centric rounding phase derives each arc's share from it. For
-/// [`FlowMemory::Scheduled`] the SOS memory is updated in the same sweep;
-/// under [`FlowMemory::Rounded`] it is read from the flow slots
-/// ([`FlowsAsMemory`]) and `prev` is left untouched.
+/// tables' coefficients: computes the scheduled flow `Ŷ_e` from the SOS
+/// memory, which is the flow slot itself ([`FlowsAsMemory`]),
+/// **truncates it right here** (the sending side's outflow is `|Ŷ_e|`
+/// and its floor is the edge's base flow, so the per-arc floor pass of
+/// the old formulation collapses into this per-edge one), writes the
+/// signed base `trunc(Ŷ_e)` into the edge's flow slot and the signed
+/// fraction `Ŷ_e − trunc(Ŷ_e)` into the edge's slot of `frac`. The
+/// fraction's sign names the sender (positive: the tail; negative: the
+/// head), so the node-centric rounding phase derives each arc's share
+/// from it. `_flow_memory` and `_prev` are ignored.
 ///
 /// `frac` is indexed by edge id; a longer buffer (such as one sized by
 /// arc count) is accepted and its tail left alone.
@@ -1083,24 +1054,13 @@ pub fn edge_pass_scatter<A: Buf<Val = f64>, F: Buf<Val = i64>, P: Buf<Val = f64>
     edges: Range<usize>,
     mem: f64,
     gain: f64,
-    flow_memory: FlowMemory,
+    _flow_memory: FlowMemory,
     x: impl Fn(usize) -> f64,
     frac: &A,
     flows: &F,
-    prev: &P,
+    _prev: &P,
 ) {
-    edge_pass_scatter_gated(
-        t,
-        &AllEdges,
-        edges,
-        mem,
-        gain,
-        flow_memory,
-        x,
-        frac,
-        flows,
-        prev,
-    );
+    edge_pass_scatter_gated(t, &AllEdges, edges, mem, gain, x, frac, flows);
 }
 
 /// [`edge_pass_scatter`] with an edge `gate`.
@@ -1108,27 +1068,19 @@ pub fn edge_pass_scatter<A: Buf<Val = f64>, F: Buf<Val = i64>, P: Buf<Val = f64>
 /// rounding phase ([`arc_round_streamed`]) runs unchanged: a node whose
 /// arcs are all inactive sums `r = 0` and skips out.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_scatter_gated<
-    G: EdgeGate,
-    A: Buf<Val = f64>,
-    F: Buf<Val = i64>,
-    P: Buf<Val = f64>,
->(
+pub fn edge_pass_scatter_gated<G: EdgeGate, A: Buf<Val = f64>, F: Buf<Val = i64>>(
     t: &KernelTables,
     gate: &G,
     edges: Range<usize>,
     mem: f64,
     gain: f64,
-    flow_memory: FlowMemory,
     x: impl Fn(usize) -> f64,
     frac: &A,
     flows: &F,
-    prev: &P,
 ) {
-    with_memory!(flow_memory, prev, flows, |memory| {
-        with_coefs!(t, |coefs| {
-            Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory).scatter(frac, flows)
-        })
+    let memory = &FlowsAsMemory(flows);
+    with_coefs!(t, |coefs| {
+        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory).scatter(frac, flows)
     })
 }
 
@@ -1295,7 +1247,7 @@ pub fn arc_round_streamed<A: Buf<Val = f64>, F: Buf<Val = i64>>(
     }
 }
 
-/// Materializes the [`FlowMemory::Rounded`] SOS memory: a pure zipped
+/// Materializes a discrete run's SOS memory: a pure zipped
 /// sweep copying the integral flows into `prev`. No round phase runs
 /// it — the edge passes read the memory straight from the flows
 /// ([`FlowsAsMemory`]); it is the kernel form of the cast the round
@@ -1841,33 +1793,32 @@ mod tests {
         let t = KernelTables::new(&g, &s, false, 0.0);
         let m = t.m;
         let loads: Vec<f64> = (0..25).map(|i| ((i * 13) % 17) as f64).collect();
-        let prev_init: Vec<f64> = (0..m).map(|e| (e as f64) * 0.21 - 1.5).collect();
+        // The last round's integral flows: the memory.
+        let last: Vec<i64> = (0..m as i64).map(|e| (e * 3) % 7 - 3).collect();
         for rounding in [
             Rounding::round_down(),
             Rounding::nearest(),
             Rounding::unbiased_edge(7),
         ] {
-            let mut fused_prev = prev_init.clone();
-            let mut fused_flows = vec![0i64; m];
-            edge_pass_fused(
+            let mut fused_flows = last.clone();
+            let x = |i| loads[i];
+            edge_pass_fused_gated(
                 &t,
+                &AllEdges,
                 0..m,
                 0.4,
                 1.6,
                 9,
                 rounding,
-                FlowMemory::Scheduled,
-                |i| loads[i],
-                &cells(&mut fused_prev),
+                x,
                 &cells(&mut fused_flows),
             );
             let sched: Vec<f64> = (0..m)
                 .map(|e| {
                     let ((u, v), (ct, ch)) = (t.graph().edge(e as EdgeId), t.coefs.get(e));
-                    0.4 * prev_init[e] + 1.6 * (ct * loads[u as usize] - ch * loads[v as usize])
+                    0.4 * last[e] as f64 + 1.6 * (ct * loads[u as usize] - ch * loads[v as usize])
                 })
                 .collect();
-            assert_eq!(fused_prev, sched, "{rounding:?} flow memory");
             for e in 0..m {
                 let expected = match rounding {
                     Rounding::RoundDown => sched[e].trunc() as i64,
@@ -1904,26 +1855,24 @@ mod tests {
             .collect()
     }
 
-    /// One framework round through the real passes, from `flows` and
-    /// `prev`: [`edge_pass_scatter_gated`] over chunks of `5·split` edges,
-    /// then [`arc_round_streamed`] over chunks of `split` nodes (round 5,
-    /// seed 11). The fraction buffer is longer than `m`, with a NaN tail
-    /// that would poison any token it reached.
+    /// One framework round through the real passes, from the last
+    /// round's `flows`: [`edge_pass_scatter_gated`] over chunks of
+    /// `5·split` edges, then [`arc_round_streamed`] over chunks of `split`
+    /// nodes (round 5, seed 11). The fraction buffer is longer than `m`,
+    /// with a NaN tail that would poison any token it reached.
     fn framework_round<G: EdgeGate>(
         t: &KernelTables,
         gate: &G,
-        memory: FlowMemory,
         split: usize,
         x: impl Fn(usize) -> f64 + Copy,
         flows: &mut [i64],
-        prev: &mut [f64],
     ) {
         let (n, m) = (t.n, t.m);
         let mut frac = vec![f64::NAN; t.graph().arc_count()];
-        let (fr, fl, pr) = (cells(&mut frac), cells(flows), cells(prev));
+        let (fr, fl) = (cells(&mut frac), cells(flows));
         for lo in (0..m).step_by(5 * split) {
             let edges = lo..(lo + 5 * split).min(m);
-            edge_pass_scatter_gated(t, gate, edges, 0.4, 1.6, memory, x, &fr, &fl, &pr);
+            edge_pass_scatter_gated(t, gate, edges, 0.4, 1.6, x, &fr, &fl);
         }
         let mut scratch = FwScratch::new();
         for lo in (0..n).step_by(split) {
@@ -1937,7 +1886,7 @@ mod tests {
     /// independently recomputed scheduled flows bit for bit: on a
     /// configuration-model graph with degree-1 nodes, a geometric graph
     /// whose maximum degree exceeds 32 and a hypercube; under every edge
-    /// gate, both flow memories and any chunking.
+    /// gate and any chunking.
     #[test]
     fn streamed_pipeline_matches_round_flows() {
         let graphs = [
@@ -1952,43 +1901,28 @@ mod tests {
             let t = KernelTables::new(g, &Speeds::linear_ramp(n, 2.5), false, 0.0);
             let x = |i: usize| ((i * 37) % 23) as f64 * 1.3;
             let flows_init: Vec<i64> = (0..m as i64).map(|e| (e * 7) % 9 - 4).collect();
-            let prev_init: Vec<f64> = (0..m).map(|e| (e % 13) as f64 * 0.71 - 4.0).collect();
+            let remembered: Vec<f64> = flows_init.iter().map(|&y| y as f64).collect();
             let mut rng = SplitMix64::new(m as u64);
             let mask: Vec<u64> = (0..m.div_ceil(64)).map(|_| rng.next_u64()).collect();
-            for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
-                let remembered: Vec<f64> = match memory {
-                    FlowMemory::Rounded => flows_init.iter().map(|&y| y as f64).collect(),
-                    FlowMemory::Scheduled => prev_init.clone(),
-                };
-                for bits in [None, Some(&mask[..])] {
-                    let sched = scheduled(&t, bits, (0.4, 1.6), &remembered, x);
-                    let mut direct = vec![0i64; m];
-                    Rounding::randomized(11).round_flows(g, &sched, 5, &mut direct);
-                    for split in [1, 3, n] {
-                        let case =
-                            format!("n={n} {memory:?} mask={} split {split}", bits.is_some());
-                        let (mut flows, mut prev) = (flows_init.clone(), prev_init.clone());
-                        let (f, p) = (&mut flows[..], &mut prev[..]);
-                        match bits {
-                            None => framework_round(&t, &AllEdges, memory, split, x, f, p),
-                            Some(b) => framework_round(&t, &MaskBits(b), memory, split, x, f, p),
-                        }
-                        assert_eq!(flows, direct, "{case}");
-                        let bits_of = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
-                        match memory {
-                            // The next round's memory is the rounded flows,
-                            // copied by `prev_from_flows`.
-                            FlowMemory::Rounded => {
-                                let mut copy = vec![0.5f64; m];
-                                prev_from_flows(0..m, &cells(&mut flows), &cells(&mut copy));
-                                let as_f64: Vec<f64> = direct.iter().map(|&y| y as f64).collect();
-                                assert_eq!(bits_of(&copy), bits_of(&as_f64), "{case} flow memory");
-                            }
-                            FlowMemory::Scheduled => {
-                                assert_eq!(bits_of(&prev), bits_of(&sched), "{case} memory");
-                            }
-                        }
+            for bits in [None, Some(&mask[..])] {
+                let sched = scheduled(&t, bits, (0.4, 1.6), &remembered, x);
+                let mut direct = vec![0i64; m];
+                Rounding::randomized(11).round_flows(g, &sched, 5, &mut direct);
+                for split in [1, 3, n] {
+                    let case = format!("n={n} mask={} split {split}", bits.is_some());
+                    let mut flows = flows_init.clone();
+                    match bits {
+                        None => framework_round(&t, &AllEdges, split, x, &mut flows),
+                        Some(b) => framework_round(&t, &MaskBits(b), split, x, &mut flows),
                     }
+                    assert_eq!(flows, direct, "{case}");
+                    // The next round's memory is the rounded flows, copied
+                    // by `prev_from_flows`.
+                    let bits_of = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                    let mut copy = vec![0.5f64; m];
+                    prev_from_flows(0..m, &cells(&mut flows), &cells(&mut copy));
+                    let as_f64: Vec<f64> = direct.iter().map(|&y| y as f64).collect();
+                    assert_eq!(bits_of(&copy), bits_of(&as_f64), "{case} flow memory");
                 }
             }
         }
@@ -2001,88 +1935,78 @@ mod tests {
         let t = KernelTables::new(&g, &s, false, 0.0);
         let m = t.m;
         let loads: Vec<f64> = (0..12).map(|i| ((i * 7) % 5) as f64).collect();
-        let prev_init: Vec<f64> = (0..m).map(|e| (e as f64) * 0.11 - 0.9).collect();
-        // The last round's integral flows: the memory under `Rounded`.
+        // The last round's integral flows: the memory.
         let flows_init: Vec<i64> = (0..m as i64).map(|e| e % 7 - 3).collect();
-        for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
-            let remembered: Vec<f64> = match memory {
-                FlowMemory::Rounded => flows_init.iter().map(|&y| y as f64).collect(),
-                FlowMemory::Scheduled => prev_init.clone(),
-            };
-            let expected = scheduled(&t, None, (0.3, 1.7), &remembered, |i| loads[i]);
-            assert!(expected.iter().any(|&y| y > 0.0 && y.fract() != 0.0));
-            assert!(expected.iter().any(|&y| y < 0.0 && y.fract() != 0.0));
-            let mut frac = vec![9.9f64; m];
-            let mut flows = flows_init.clone();
-            let mut prev = prev_init.clone();
-            edge_pass_scatter(
-                &t,
-                0..m,
-                0.3,
-                1.7,
-                memory,
-                |i| loads[i],
-                &cells(&mut frac),
-                &cells(&mut flows),
-                &cells(&mut prev),
-            );
-            for (e, &s) in expected.iter().enumerate() {
-                // The signed base and the signed fraction: the fraction
-                // carries the sign of the flow, so it names the sender.
-                assert_eq!(flows[e], s.trunc() as i64, "{memory:?} base flow {e}");
-                assert_eq!(frac[e], s - s.trunc(), "{memory:?} fraction {e}");
-            }
-            match memory {
-                FlowMemory::Rounded => assert_eq!(prev, prev_init, "prev is left untouched"),
-                FlowMemory::Scheduled => assert_eq!(prev, expected),
-            }
+        let remembered: Vec<f64> = flows_init.iter().map(|&y| y as f64).collect();
+        let expected = scheduled(&t, None, (0.3, 1.7), &remembered, |i| loads[i]);
+        assert!(expected.iter().any(|&y| y > 0.0 && y.fract() != 0.0));
+        assert!(expected.iter().any(|&y| y < 0.0 && y.fract() != 0.0));
+        let mut frac = vec![9.9f64; m];
+        let mut flows = flows_init.clone();
+        let mut prev = vec![f64::NAN; m];
+        edge_pass_scatter(
+            &t,
+            0..m,
+            0.3,
+            1.7,
+            FlowMemory::Rounded,
+            |i| loads[i],
+            &cells(&mut frac),
+            &cells(&mut flows),
+            &cells(&mut prev),
+        );
+        for (e, &s) in expected.iter().enumerate() {
+            // The signed base and the signed fraction: the fraction
+            // carries the sign of the flow, so it names the sender.
+            assert_eq!(flows[e], s.trunc() as i64, "base flow {e}");
+            assert_eq!(frac[e], s - s.trunc(), "fraction {e}");
         }
+        assert!(prev.iter().all(|p| p.is_nan()), "prev is left untouched");
     }
 
     /// A NaN scheduled flow truncates to a zero base and leaves a NaN
     /// fraction at both ends, so neither endpoint sends a token on any of
-    /// its arcs: each of their sending edges keeps its base flow.
+    /// its arcs: each of their sending edges keeps its base flow. A NaN
+    /// load makes every edge of its node NaN.
     #[test]
     fn nan_flow_sends_no_tokens() {
         let g = generators::torus2d(4, 4);
         let t = KernelTables::new(&g, &Speeds::uniform(16), false, 0.0);
         let m = t.m;
-        let loads: Vec<f64> = (0..16).map(|i| ((i * 13) % 17) as f64).collect();
-        let mut prev: Vec<f64> = (0..m).map(|e| (e % 5) as f64 * 0.9 - 2.0).collect();
         let bad = 5;
-        prev[bad] = f64::NAN;
-        let sched = scheduled(&t, None, (0.4, 1.6), &prev, |i| loads[i]);
-        assert!(sched[bad].is_nan() && sched.iter().filter(|y| y.is_nan()).count() == 1);
+        let load = |i: usize| ((i * 13) % 17) as f64;
+        let loads: Vec<f64> = (0..16)
+            .map(|i| if i == bad { f64::NAN } else { load(i) })
+            .collect();
+        let mut flows: Vec<i64> = (0..m as i64).map(|e| e % 5 - 2).collect();
+        let remembered: Vec<f64> = flows.iter().map(|&y| y as f64).collect();
+        let sched = scheduled(&t, None, (0.4, 1.6), &remembered, |i| loads[i]);
+        let nan_edges: Vec<usize> = (0..m).filter(|&e| sched[e].is_nan()).collect();
+        let bad_edges: Vec<usize> = g.neighbor_edges(bad as u32).map(|e| e as usize).collect();
+        assert_eq!(nan_edges.len(), bad_edges.len(), "the NaN node's edges");
         let mut frac = vec![0.0f64; m];
-        let mut flows = vec![0i64; m];
         let (fr, fl) = (cells(&mut frac), cells(&mut flows));
-        edge_pass_scatter(
-            &t,
-            0..m,
-            0.4,
-            1.6,
-            FlowMemory::Scheduled,
-            |i| loads[i],
-            &fr,
-            &fl,
-            &cells(&mut prev),
-        );
-        assert!(fr.get(bad).is_nan());
-        assert_eq!(fl.get(bad), 0);
+        edge_pass_scatter_gated(&t, &AllEdges, 0..m, 0.4, 1.6, |i| loads[i], &fr, &fl);
+        for &e in &nan_edges {
+            assert!(fr.get(e).is_nan());
+            assert_eq!(fl.get(e), 0);
+        }
         arc_round_streamed(&t, 0..16, 3, 2, &fr, &fl, &mut FwScratch::new());
-        let (u, v) = g.edge(bad as EdgeId);
         let mut checked = 0;
-        for w in [u, v] {
+        for w in std::iter::once(bad as u32).chain(g.neighbors(bad as u32).map(|(w, _)| w)) {
             for e in g.neighbor_edges(w) {
                 let sg = g.orientation(w, e);
                 let e = e as usize;
-                if e == bad || sched[e] * sg > 0.0 {
+                if sched[e].is_nan() || sched[e] * sg > 0.0 {
                     assert_eq!(fl.get(e), sched[e].trunc() as i64, "node {w} edge {e}");
                     checked += 1;
                 }
             }
         }
-        assert!(checked > 2, "the endpoints send on other edges too");
+        assert!(
+            checked > 2 * nan_edges.len(),
+            "the neighbours send on other edges too"
+        );
         // Elsewhere tokens still move: some edge carries more than its base.
         assert!((0..m).any(|e| fl.get(e) != sched[e].trunc() as i64));
     }
@@ -2095,7 +2019,6 @@ mod tests {
         t: &KernelTables,
         pass: usize,
         rounding: Rounding,
-        memory: FlowMemory,
         gate: &G,
         bounds: &[usize],
     ) -> (Vec<i64>, Vec<f64>, Vec<f64>) {
@@ -2110,10 +2033,8 @@ mod tests {
             for w in bounds.windows(2) {
                 let r = w[0]..w[1];
                 match pass {
-                    0 => edge_pass_fused_gated(
-                        t, gate, r, 0.4, 1.6, 9, rounding, memory, x, &pr, &fl,
-                    ),
-                    1 => edge_pass_scatter_gated(t, gate, r, 0.4, 1.6, memory, x, &af, &fl, &pr),
+                    0 => edge_pass_fused_gated(t, gate, r, 0.4, 1.6, 9, rounding, x, &fl),
+                    1 => edge_pass_scatter_gated(t, gate, r, 0.4, 1.6, x, &af, &fl),
                     _ => edge_pass_continuous_gated(t, gate, r, 0.4, 1.6, x, &pr),
                 }
             }
@@ -2152,26 +2073,19 @@ mod tests {
                     (1, Rounding::randomized(1)),
                     (2, Rounding::nearest()),
                 ] {
-                    for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
-                        let run = |bounds: &[usize]| {
-                            let (flows, prev, frac) =
-                                run_gated(&t, pass, rounding, memory, &AllEdges, bounds);
-                            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
-                            (flows, bits(prev), bits(frac))
-                        };
-                        let whole: (Vec<i64>, Vec<u64>, Vec<u64>) = run(&[0, m]);
-                        assert_eq!(
-                            run(&words),
-                            whole,
-                            "{g:?} pass {pass} {rounding:?} {memory:?}"
-                        );
-                    }
+                    let run = |bounds: &[usize]| {
+                        let (flows, prev, frac) = run_gated(&t, pass, rounding, &AllEdges, bounds);
+                        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+                        (flows, bits(prev), bits(frac))
+                    };
+                    let whole: (Vec<i64>, Vec<u64>, Vec<u64>) = run(&[0, m]);
+                    assert_eq!(run(&words), whole, "{g:?} pass {pass} {rounding:?}");
                 }
             }
         }
     }
 
-    /// Every gated pass, under both flow memories: an all-ones
+    /// Every gated pass: an all-ones
     /// [`MaskBits`] equals [`AllEdges`] bit for bit, and a random mask run
     /// as two chunks split off the lane grid equals one whole-range pass
     /// — the gate indexes bits by global edge id `e0 + k`, not by the
@@ -2192,36 +2106,35 @@ mod tests {
             (1, Rounding::randomized(1)),
             (2, Rounding::nearest()),
         ] {
-            for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
-                let case = format!("pass {pass} {rounding:?} {memory:?}");
-                let run = |gate: &MaskBits<'_>, bounds: &[usize]| {
-                    run_gated(&t, pass, rounding, memory, gate, bounds)
-                };
-                let all = run_gated(&t, pass, rounding, memory, &AllEdges, &[0, m]);
-                assert_eq!(run(&MaskBits(&ones[..]), &[0, m]), all, "{case}");
-                let whole = run(&MaskBits(&random[..]), &[0, m]);
-                assert_ne!(whole, all, "{case}: the mask changes the pass");
-                for a in [1, 13, 37, 67, 83] {
-                    assert_ne!(a % LANES, 0);
-                    let split = run(&MaskBits(&random[..]), &[0, a, m]);
-                    assert_eq!(split, whole, "{case} split at {a}");
-                }
-                // A gated-out edge carries no flow (continuous: its flow
-                // is the memory slot).
-                let (flows, prev, _) = &whole;
-                for e in (0..m).filter(|&e| bit(&random, e) == 0) {
-                    match pass {
-                        2 => assert_eq!(prev[e], 0.0, "{case} edge {e}"),
-                        _ => assert_eq!(flows[e], 0, "{case} edge {e}"),
-                    }
+            let case = format!("pass {pass} {rounding:?}");
+            let run =
+                |gate: &MaskBits<'_>, bounds: &[usize]| run_gated(&t, pass, rounding, gate, bounds);
+            let all = run_gated(&t, pass, rounding, &AllEdges, &[0, m]);
+            assert_eq!(run(&MaskBits(&ones[..]), &[0, m]), all, "{case}");
+            let whole = run(&MaskBits(&random[..]), &[0, m]);
+            assert_ne!(whole, all, "{case}: the mask changes the pass");
+            for a in [1, 13, 37, 67, 83] {
+                assert_ne!(a % LANES, 0);
+                let split = run(&MaskBits(&random[..]), &[0, a, m]);
+                assert_eq!(split, whole, "{case} split at {a}");
+            }
+            // A gated-out edge carries no flow (continuous: its flow is
+            // the memory slot).
+            let (flows, prev, _) = &whole;
+            for e in (0..m).filter(|&e| bit(&random, e) == 0) {
+                match pass {
+                    2 => assert_eq!(prev[e], 0.0, "{case} edge {e}"),
+                    _ => assert_eq!(flows[e], 0, "{case} edge {e}"),
                 }
             }
         }
     }
 
-    /// Under `Rounded` the fused pass reads the memory from the flow
-    /// slots — exactly what a stored `f64` copy of the last flows would
-    /// hold — and never touches `prev`.
+    /// The fused pass reads the memory from the flow slots — exactly
+    /// what a stored `f64` copy of the last flows would hold — and never
+    /// touches `prev`: its flows are the plain model's, the scheduled
+    /// flows recomputed from the last flows and rounded by
+    /// [`Rounding::round_flows`].
     #[test]
     fn rounded_memory_is_read_from_flows() {
         let g = generators::torus2d(5, 5);
@@ -2229,28 +2142,25 @@ mod tests {
         let m = t.m;
         let loads: Vec<f64> = (0..25).map(|i| ((i * 13) % 17) as f64).collect();
         let last: Vec<i64> = (0..m as i64).map(|e| (e * 5) % 11 - 5).collect();
-        let run = |flows: &mut Vec<i64>, prev: &mut Vec<f64>, memory| {
-            edge_pass_fused(
-                &t,
-                0..m,
-                0.4,
-                1.6,
-                3,
-                Rounding::nearest(),
-                memory,
-                |i| loads[i],
-                &cells(prev),
-                &cells(flows),
-            )
-        };
-        // Reference: the last flows stored as `Scheduled` memory.
-        let mut ref_flows = vec![0i64; m];
-        let mut ref_prev: Vec<f64> = last.iter().map(|&y| y as f64).collect();
-        run(&mut ref_flows, &mut ref_prev, FlowMemory::Scheduled);
+        let remembered: Vec<f64> = last.iter().map(|&y| y as f64).collect();
+        let sched = scheduled(&t, None, (0.4, 1.6), &remembered, |i| loads[i]);
+        let mut expected = vec![0i64; m];
+        Rounding::nearest().round_flows(&g, &sched, 3, &mut expected);
         let mut flows = last.clone();
         let mut untouched = vec![f64::NAN; m];
-        run(&mut flows, &mut untouched, FlowMemory::Rounded);
-        assert_eq!(flows, ref_flows);
+        edge_pass_fused(
+            &t,
+            0..m,
+            0.4,
+            1.6,
+            3,
+            Rounding::nearest(),
+            FlowMemory::Rounded,
+            |i| loads[i],
+            &cells(&mut untouched),
+            &cells(&mut flows),
+        );
+        assert_eq!(flows, expected);
         assert!(
             untouched.iter().all(|p| p.is_nan()),
             "prev is never read or written"
@@ -2437,7 +2347,7 @@ mod tests {
     }
 
     /// A table stored as one value reads exactly as the same table stored
-    /// per entry: every edge pass under both gates and flow memories, the
+    /// per entry: every edge pass under both gates, the
     /// apply pass and both steps of a matching round leave the same bits.
     /// The torus's node and edge counts leave scalar tails, and its node
     /// count spans two potential blocks.
@@ -2463,15 +2373,13 @@ mod tests {
             (1, Rounding::randomized(1)),
             (2, Rounding::nearest()),
         ] {
-            for memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
-                let case = format!("pass {pass} {rounding:?} {memory:?}");
-                let bounds = [0, 13, m];
-                let run = |t| bits(run_gated(t, pass, rounding, memory, &AllEdges, &bounds));
-                assert_eq!(run(&one), run(&each), "{case}");
-                let gate = MaskBits(&mask[..]);
-                let run = |t| bits(run_gated(t, pass, rounding, memory, &gate, &bounds));
-                assert_eq!(run(&one), run(&each), "{case} masked");
-            }
+            let case = format!("pass {pass} {rounding:?}");
+            let bounds = [0, 13, m];
+            let run = |t| bits(run_gated(t, pass, rounding, &AllEdges, &bounds));
+            assert_eq!(run(&one), run(&each), "{case}");
+            let gate = MaskBits(&mask[..]);
+            let run = |t| bits(run_gated(t, pass, rounding, &gate, &bounds));
+            assert_eq!(run(&one), run(&each), "{case} masked");
         }
         let mut flows: Vec<i64> = (0..m as i64).map(|e| (e * 11) % 9 - 4).collect();
         let init_f: Vec<f64> = init.iter().map(|&x| x as f64 * 0.7).collect();

@@ -105,7 +105,9 @@
 //! incrementally repaired sweep family.
 //! `faults=none`, `load=none`, and `churn=none` plans keep every hot
 //! loop on the original unperturbed kernels.
-//! State is `i64` tokens and `f64` loads and flow memory throughout.
+//! State is `i64` tokens and flows in discrete mode and `f64` loads and
+//! flows in continuous mode; a diffusion run's last flows are its SOS
+//! memory.
 //! Perturbation load changes are written on
 //! the control thread before each round's flow pass (and before the
 //! pool's first barrier), so both the sequential executor and the
@@ -202,7 +204,8 @@
 //! every edge has the same pair, else one shared table under uniform
 //! speeds, where the two halves are the same `f64`) — so the
 //! scheduled-flow pass is a pure multiply–add sweep
-//! `Ŷ_e = mem·prev_e + gain·(c_tail·x_u − c_head·x_v)` with no
+//! `Ŷ_e = mem·y_e + gain·(c_tail·x_u − c_head·x_v)`, `y_e` the last
+//! round's flow, with no
 //! `f64` division and no `Speeds::get` indirection. The sweep walks
 //! each tail's out-range, reading the heads the CSR stores and the
 //! tail's load once, and the apply pass
@@ -211,8 +214,9 @@
 //! sign is stored or read: the kernel tables hold a clone of the
 //! [`sodiff_graph::Graph`], whose CSR arrays are shared, not copied. For
 //! the edge-local rounding schemes
-//! (round-down, nearest, per-edge unbiased) the rounding and the SOS
-//! flow-memory update are fused into the same sweep, and rounding itself
+//! (round-down, nearest, per-edge unbiased) the rounding is fused into
+//! the same sweep, whose integral flows are the next round's SOS
+//! memory, and rounding itself
 //! avoids libm (`trunc`/`round`/`floor` become exact integer-cast
 //! sequences — on baseline x86-64 the libm calls dominated the old
 //! kernel). Hot loops zip pre-sliced ranges so bounds checks vanish
@@ -416,12 +420,12 @@
 //! [`Simulator::loads_i64`], [`Simulator::loads_f64`] and
 //! [`Simulator::previous_flows`] hand out a copy only when asked
 //! (borrowed on the sequential executor, which keeps plain vectors so
-//! its kernels stay plain loads and stores rather than atomics). Under
-//! the default [`FlowMemory::Rounded`] the SOS memory is the integral
-//! flow itself, read as `flows[e] as f64` by every discrete edge pass —
-//! bit for bit the value the old stored `f64` copy held — so that copy
-//! and its per-round rewrite are gone; a stored memory remains only for
-//! continuous runs and [`FlowMemory::Scheduled`]. State bytes on the
+//! its kernels stay plain loads and stores rather than atomics). A
+//! discrete run's SOS memory is the integral flow itself, read as
+//! `flows[e] as f64` by every discrete edge pass — bit for bit the value
+//! the old stored `f64` copy held — so that copy and its per-round
+//! rewrite are gone; an `f64` memory remains only in continuous runs,
+//! where it is the round's flows. State bytes on the
 //! 256² torus (SOS, randomized rounding): 7 340 032 → 3 670 016 on the
 //! 2-thread pool (loads 0.5 MiB, arc fractions 2 MiB, flows 1 MiB) and
 //! 4 718 592 → 3 670 016 sequential. End to end on the
@@ -558,11 +562,15 @@ pub use checkpoint::{
     read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig, CheckpointPolicy, Snapshot,
 };
 pub use driver::{BatchReport, Driver, ScenarioError, ScenarioFailure, ScenarioReport};
-pub use engine::{FlowMemory, Mode, RoundInputs, RunReport, Simulator, StopCondition, StopReason};
+pub use engine::{Mode, RoundInputs, RunReport, Simulator, StopCondition, StopReason};
+// Accepted and ignored by the all-edges kernel wrappers that the
+// stand-alone `perfbench` package calls.
 pub use error::{BuildError, CheckpointError, ParseError};
 pub use experiment::{Experiment, ExperimentBuilder, NeedsMode, Ready};
 pub use hybrid::SwitchPolicy;
 pub use init::InitialLoad;
+#[doc(hidden)]
+pub use kernel::FlowMemory;
 pub use metrics::MetricsSnapshot;
 pub use observer::{MetricsRow, NullObserver, Observer, Recorder};
 pub use perturb::{
@@ -580,7 +588,7 @@ pub mod prelude {
         read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig, CheckpointPolicy, Snapshot,
     };
     pub use crate::driver::{BatchReport, Driver, ScenarioError, ScenarioFailure, ScenarioReport};
-    pub use crate::engine::{FlowMemory, Mode, RunReport, Simulator, StopCondition, StopReason};
+    pub use crate::engine::{Mode, RunReport, Simulator, StopCondition, StopReason};
     pub use crate::error::{BuildError, CheckpointError, ParseError};
     pub use crate::experiment::{Experiment, ExperimentBuilder};
     pub use crate::hybrid::SwitchPolicy;

@@ -45,12 +45,20 @@
 //! | `init` | `paper`, `point:NODE:TOTAL`, `equal:PER`, `ramp:MAX`, `random:TOTAL:SEED` | `paper` |
 //! | `stop` | `rounds:N`, `balanced:THRESHOLD:MAX`, `plateau:WINDOW:MAX`, `steady:WINDOW`, `horizon:R` | `rounds:1000` |
 //! | `threads` | positive integer | `1` |
-//! | `flow_memory` | `rounded`, `scheduled` | `rounded` |
 //! | `faults` | `none`, or `+`-joined `crash:P:SEED`, `edgedrop:P:SEED`, `shock:RATE:SEED`, `stale:P:SEED` (see [`crate::perturb`]) | `none` |
 //! | `load` | `none`, or `+`-joined `poisson:RATE:SEED`, `hotspot:NODE:BURST:PERIOD:SEED`, `diurnal:AMP:PERIOD`, `adversarial:BURST:PERIOD:SEED` (see [`crate::perturb`]) | `none` |
 //! | `churn` | `none`, or `flux:P_LEAVE:P_JOIN:SEED[:INIT]` (epoch-aligned node join/leave with conservation-exact handoff; see [`crate::perturb`]) | `none` |
 //! | `ckpt` | `every:N:DIR` (snapshot to `DIR/<name>.ckpt` every `N` rounds; see [`crate::checkpoint`]) | *unset* |
 //! | `hybrid` | `at:R`, `local_diff:T`, `max_minus_avg:T`, `never` | *unset* |
+//! | `flow_memory` | `rounded` only, a legacy value: any other is refused | *unset* |
+//!
+//! A discrete SOS run remembers the integral flows it sent, "the amount
+//! that was sent in step t−1", and a continuous one its `f64` flows, so
+//! no key chooses the memory. Lines written before the unrounded memory
+//! (`flow_memory=scheduled`) was retired carry `flow_memory=rounded`:
+//! checkpoint headers and batch journals among them. The parser still
+//! reads that key, so such a line parses to the same spec as the line
+//! without it; `Display` never writes it.
 
 use std::fmt;
 use std::str::FromStr;
@@ -59,7 +67,7 @@ use sodiff_graph::{Graph, Speeds, TopologySpec};
 use sodiff_linalg::spectral::SpectralError;
 
 use crate::checkpoint::{CheckpointConfig, CheckpointPolicy};
-use crate::engine::{FlowMemory, RunReport, StopCondition};
+use crate::engine::{RunReport, StopCondition};
 use crate::error::{BuildError, ParseError};
 use crate::experiment::Experiment;
 use crate::hybrid::SwitchPolicy;
@@ -497,8 +505,6 @@ pub struct ScenarioSpec {
     /// Worker threads (a batch [`crate::Driver`] overrides this with its
     /// own pool size; results are thread-count independent).
     pub threads: usize,
-    /// SOS flow-memory source.
-    pub flow_memory: FlowMemory,
     /// Deterministic fault injection ([`FaultSpec::none`] = clean run).
     pub faults: FaultSpec,
     /// Deterministic dynamic-load injection ([`LoadSpec::none`] = the
@@ -534,7 +540,6 @@ impl PartialEq for ScenarioSpec {
             && self.init == other.init
             && self.stop == other.stop
             && self.threads == other.threads
-            && self.flow_memory == other.flow_memory
             && self.faults == other.faults
             && self.load == other.load
             && self.churn == other.churn
@@ -556,7 +561,6 @@ impl ScenarioSpec {
             init: InitSpec::default(),
             stop: StopCondition::default(),
             threads: 1,
-            flow_memory: FlowMemory::default(),
             faults: FaultSpec::none(),
             load: LoadSpec::none(),
             churn: ChurnSpec::none(),
@@ -628,7 +632,6 @@ impl ScenarioSpec {
         let scheme = self.scheme.resolve(graph, &speeds)?;
         let mut builder = Experiment::on(graph)
             .scheme(scheme)
-            .flow_memory(self.flow_memory)
             .threads(self.threads)
             .init(self.init.resolve(n))
             .stop(self.stop)
@@ -719,11 +722,6 @@ impl fmt::Display for ScenarioSpec {
         }
         write!(f, " init={} stop={}", self.init, self.stop)?;
         write!(f, " threads={}", self.threads)?;
-        let memory = match self.flow_memory {
-            FlowMemory::Rounded => "rounded",
-            FlowMemory::Scheduled => "scheduled",
-        };
-        write!(f, " flow_memory={memory}")?;
         if !self.faults.is_none() {
             write!(f, " faults={}", self.faults)?;
         }
@@ -743,7 +741,8 @@ impl fmt::Display for ScenarioSpec {
     }
 }
 
-/// The scenario line's keys, in `Display` order: the slots of
+/// The scenario line's keys, in `Display` order, then the legacy
+/// `flow_memory`, which `Display` never writes: the slots of
 /// [`ScenarioSpec::from_str`]'s key table.
 const KEYS: [&str; 16] = [
     "name",
@@ -756,12 +755,12 @@ const KEYS: [&str; 16] = [
     "init",
     "stop",
     "threads",
-    "flow_memory",
     "faults",
     "load",
     "churn",
     "ckpt",
     "hybrid",
+    "flow_memory",
 ];
 
 /// Parses a key's value, or takes `default` when the key is absent.
@@ -789,11 +788,11 @@ impl FromStr for ScenarioSpec {
                 return Err(ParseError::new(format!("duplicate key '{key}'")));
             }
         }
-        let [name, topology, speeds, scheme, mode, rounding, seed, init, stop, threads, flow_memory, faults, load, churn, ckpt, hybrid] =
+        let [name, topology, speeds, scheme, mode, rounding, seed, init, stop, threads, faults, load, churn, ckpt, hybrid, flow_memory] =
             table;
         let topology =
             topology.ok_or_else(|| ParseError::new("missing required key 'topology'"))?;
-        Ok(ScenarioSpec {
+        let spec = ScenarioSpec {
             name: name.unwrap_or("scenario").to_string(),
             topology: topology
                 .parse()
@@ -828,22 +827,20 @@ impl FromStr for ScenarioSpec {
                 v.parse()
                     .map_err(|_| ParseError::new(format!("invalid thread count '{v}'")))
             })?,
-            flow_memory: match flow_memory {
-                None | Some("rounded") => FlowMemory::Rounded,
-                Some("scheduled") => FlowMemory::Scheduled,
-                Some(other) => {
-                    return Err(ParseError::new(format!(
-                        "unknown flow memory '{other}' (expected rounded or scheduled)"
-                    )))
-                }
-            },
             faults: value_or(faults, FaultSpec::none)?,
             load: value_or(load, LoadSpec::none)?,
             churn: value_or(churn, ChurnSpec::none)?,
             ckpt: ckpt.map(str::parse).transpose()?,
             hybrid: hybrid.map(str::parse).transpose()?,
             source_line: None,
-        })
+        };
+        match flow_memory {
+            None | Some("rounded") => Ok(spec),
+            Some(other) => Err(ParseError::new(format!(
+                "unsupported flow_memory '{other}': a discrete run remembers the flows it \
+                 sent, and the key accepts only its legacy value 'rounded'"
+            ))),
+        }
     }
 }
 
@@ -865,7 +862,7 @@ mod tests {
     fn display_roundtrip_full() {
         let spec: ScenarioSpec = "name=hetero topology=torus2d:6:6 speeds=two_class:9:4 \
              scheme=sos:1.75 mode=discrete rounding=unbiased seed=3 init=point:0:36000 \
-             stop=plateau:40:5000 threads=2 flow_memory=scheduled hybrid=local_diff:12.5"
+             stop=plateau:40:5000 threads=2 hybrid=local_diff:12.5"
             .parse()
             .unwrap();
         let text = spec.to_string();

@@ -5,8 +5,8 @@
 //! A [`SchemeKernel`] is the simulation's one immutable round plan: the
 //! simulator and its pool job hold it as one `Arc`. It owns everything a
 //! round reads that never changes: the [`KernelTables`] with the
-//! scheme's coefficients, the flow memory, the active plan (with the
-//! random-matching endpoint table), and the perturbation spec.
+//! scheme's coefficients, the flow pass, the active plan, and the
+//! perturbation spec.
 //!
 //! Before this layer existed, the flow computation was hard-wired through
 //! the engine (sequential rounds) and the worker pool (chunked rounds):
@@ -104,7 +104,7 @@ use std::ops::Range;
 use sodiff_graph::{matching, Graph, Speeds};
 
 use crate::checkpoint::LoadsSnapshot;
-use crate::engine::{FlowMemory, Mode};
+use crate::engine::Mode;
 use crate::error::BuildError;
 use crate::experiment::Config;
 use crate::kernel::{
@@ -246,9 +246,10 @@ impl Storage for AtomicSlots {
 }
 
 /// One simulation's evolving round state, in the one layout both
-/// executors share: loads, the integral flows (the SOS memory "sent in
-/// step t−1" under [`FlowMemory::Rounded`]), the stored SOS memory, the
-/// randomized framework's per-edge fractions, the apply pass's
+/// executors share: loads, the integral flows (a discrete run's SOS
+/// memory, "the amount that was sent in step t−1"), the `f64` flows (a
+/// continuous run's memory), the randomized framework's per-edge
+/// fractions, the apply pass's
 /// per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials, and the
 /// matching rounds' per-node landing slots. Each piece lives here and
 /// nowhere else. A pairwise run holds only its loads, its landing slots
@@ -274,9 +275,6 @@ pub(crate) struct RoundState<S: Storage> {
     sent_i: Vec<S::Slot<i64>>,
     sent_f: Vec<S::Slot<f64>>,
     discrete: bool,
-    /// Whether the memory is integral: discrete mode under
-    /// [`FlowMemory::Rounded`], whose SOS memory is the integral flows.
-    rounded: bool,
     /// The edge count of a run that keeps no flow memory (the pairwise
     /// plans), whose memory reads as that many zeros; `None` for the
     /// diffusion plan.
@@ -285,19 +283,17 @@ pub(crate) struct RoundState<S: Storage> {
 
 impl<S: Storage> RoundState<S> {
     /// The round-0 state for `loads`, sized by the one rule: loads of the
-    /// mode's kind, and then by plan. The diffusion plan keeps `flows` in
-    /// discrete mode, `prev` only where the SOS memory is not the integral
-    /// flows (continuous mode — whose `prev` also carries the round's
-    /// flows — and [`FlowMemory::Scheduled`]), and `frac` (one slot per
-    /// edge) only for the randomized framework's rounding phase. The
-    /// matching plans keep one landing slot per node, of the mode's value
-    /// type, and nothing per edge.
+    /// mode's kind, and then by plan. The diffusion plan keeps its flows,
+    /// which are its SOS memory: `flows` in discrete mode, `prev` in
+    /// continuous mode; and `frac` (one slot per edge) only for the
+    /// randomized framework's rounding phase. The matching plans keep one
+    /// landing slot per node, of the mode's value type, and nothing per
+    /// edge.
     pub fn new(k: &SchemeKernel, loads: Vec<i64>) -> Self {
-        let (t, flow_memory) = (&k.tables, k.flow_memory);
+        let t = &k.tables;
         let discrete = !matches!(k.flow, FlowPass::Continuous);
         let pairwise = k.plan.is_matching();
         let diffusion = !pairwise;
-        let stored_prev = diffusion && (!discrete || flow_memory == FlowMemory::Scheduled);
         let framework = matches!(k.flow, FlowPass::Framework { .. });
         let zeros = |len: usize| (0..len).map(|_| S::of(0.0)).collect();
         let ints = |len: usize| (0..len).map(|_| S::of(0)).collect();
@@ -311,14 +307,13 @@ impl<S: Storage> RoundState<S> {
         Self {
             loads_i,
             loads_f,
-            prev: zeros(sized(stored_prev, t.m)),
+            prev: zeros(sized(diffusion && !discrete, t.m)),
             frac: zeros(sized(diffusion && framework, t.m)),
             flows: ints(sized(diffusion && discrete, t.m)),
             block_sums: zeros(kernel::dev_blocks(t.n)),
             sent_i: ints(sized(pairwise && discrete, t.n)),
             sent_f: zeros(sized(pairwise && !discrete, t.n)),
             discrete,
-            rounded: discrete && flow_memory == FlowMemory::Rounded,
             zero_memory: pairwise.then_some(t.m),
         }
     }
@@ -326,13 +321,6 @@ impl<S: Storage> RoundState<S> {
     /// Whether the state holds discrete (integer-token) loads.
     pub fn is_discrete(&self) -> bool {
         self.discrete
-    }
-
-    /// Whether the memory is integral: discrete mode under
-    /// [`FlowMemory::Rounded`], where the SOS memory is the integral
-    /// flows themselves.
-    pub fn rounded_memory(&self) -> bool {
-        self.rounded
     }
 
     /// Load of node `i` as `f64`.
@@ -387,13 +375,13 @@ impl<S: Storage> RoundState<S> {
     }
 
     /// The SOS memory as `f64`: `m` zeros for the pairwise plans, which
-    /// keep none; materialized from the integral flows under
-    /// [`FlowMemory::Rounded`] (the values [`kernel::prev_from_flows`]
-    /// produces), `prev` otherwise.
+    /// keep none; materialized from the integral flows in discrete mode
+    /// (the values [`kernel::prev_from_flows`] produces), `prev` in
+    /// continuous mode.
     pub fn memory(&self) -> Cow<'_, [f64]> {
         if let Some(m) = self.zero_memory {
             Cow::Owned(vec![0.0; m])
-        } else if self.rounded {
+        } else if self.discrete {
             Cow::Owned(self.flows.iter().map(|y| S::get(y) as f64).collect())
         } else {
             S::values(&self.prev)
@@ -402,8 +390,8 @@ impl<S: Storage> RoundState<S> {
 
     /// Overwrites the loads and the SOS memory (checkpoint restore). The
     /// caller has checked that the snapshot matches the mode and the
-    /// node and edge counts and, under [`FlowMemory::Rounded`], that every
-    /// memory value is integral, so each store is exact. A pairwise run
+    /// node and edge counts and, in discrete mode, that every memory value
+    /// is integral, so each store is exact. A pairwise run
     /// keeps no memory and ignores it: no round of its scheme reads one.
     pub fn write_state(&mut self, loads: &LoadsSnapshot, memory: &[f64]) {
         match loads {
@@ -414,16 +402,15 @@ impl<S: Storage> RoundState<S> {
         }
         if self.zero_memory.is_some() {
             // Nothing to restore.
-        } else if self.rounded {
+        } else if self.discrete {
             self.flows = memory.iter().map(|&x| S::of(x as i64)).collect();
         } else {
             self.prev = memory.iter().map(|&x| S::of(x)).collect();
         }
     }
 
-    /// Bytes of per-node and per-edge simulation state: loads, integral
-    /// flows, stored memory and framework fractions, so `8·n` for a
-    /// pairwise run. The block partials and the matching rounds' landing
+    /// Bytes of per-node and per-edge simulation state: loads, flows (the
+    /// memory) and framework fractions, so `8·n` for a pairwise run. The block partials and the matching rounds' landing
     /// slots (zero between rounds) are round scratch and excluded.
     pub fn state_bytes(&self) -> usize {
         let edges = self.prev.len() + self.frac.len() + self.flows.len();
@@ -472,16 +459,16 @@ pub(crate) struct ChunkBufs<I, F> {
     pub loads_i: I,
     /// Continuous loads (continuous mode).
     pub loads_f: F,
-    /// Per-edge SOS memory (continuous mode — where it also carries the
-    /// round's flows — and [`FlowMemory::Scheduled`]; empty under
-    /// [`FlowMemory::Rounded`], whose memory is `flows`).
+    /// Per-edge `f64` flows of the last round, the SOS memory of a
+    /// continuous diffusion run (empty otherwise: a discrete run's memory
+    /// is `flows`).
     pub prev: F,
     /// Per-edge signed fractional parts `Ŷ_e − trunc(Ŷ_e)`, written by
     /// the framework's scatter and read back by its rounding phase
     /// (framework flow pass of the diffusion plan only).
     pub frac: F,
     /// Per-edge integral flows (discrete diffusion), kept across rounds:
-    /// they are the SOS memory under [`FlowMemory::Rounded`].
+    /// they are the SOS memory.
     pub flows: I,
     /// Per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials of
     /// the apply pass; node chunks are block-aligned, so each has one
@@ -533,8 +520,6 @@ pub(crate) struct SchemeKernel {
     /// diffusion `α_e/s` pair, or the pairwise schemes' λ-scaled pair
     /// ([`exchange_coefs`]).
     pub tables: KernelTables,
-    /// Which flow the SOS memory remembers.
-    flow_memory: FlowMemory,
     /// The fault, load and churn channels (all `none` = unperturbed).
     pub perturb: PerturbSpec,
 }
@@ -618,7 +603,6 @@ impl SchemeKernel {
             flow,
             plan,
             tables,
-            flow_memory: config.flow_memory,
             perturb: config.perturb,
         }
     }
@@ -769,7 +753,7 @@ impl SchemeKernel {
         sync: impl Fn(),
     ) -> LoadStats {
         let &RoundArgs { mem, gain, round } = args;
-        let (t, flow_memory) = (&self.tables, self.flow_memory);
+        let t = &self.tables;
         let (flows, prev, sums) = (&bufs.flows, &bufs.prev, &bufs.block_sums);
         let x = |i| bufs.loads_i.get(i) as f64;
         match self.flow {
@@ -777,33 +761,12 @@ impl SchemeKernel {
                 let x = |i| bufs.loads_f.get(i);
                 kernel::edge_pass_continuous_gated(t, &gate, edges, mem, gain, x, prev);
             }
-            FlowPass::EdgeLocal(rounding) => kernel::edge_pass_fused_gated(
-                t,
-                &gate,
-                edges,
-                mem,
-                gain,
-                round,
-                rounding,
-                flow_memory,
-                x,
-                prev,
-                flows,
-            ),
+            FlowPass::EdgeLocal(rounding) => {
+                kernel::edge_pass_fused_gated(t, &gate, edges, mem, gain, round, rounding, x, flows)
+            }
             FlowPass::Framework { seed } => {
                 let frac = &bufs.frac;
-                kernel::edge_pass_scatter_gated(
-                    t,
-                    &gate,
-                    edges,
-                    mem,
-                    gain,
-                    flow_memory,
-                    x,
-                    frac,
-                    flows,
-                    prev,
-                );
+                kernel::edge_pass_scatter_gated(t, &gate, edges, mem, gain, x, frac, flows);
                 sync();
                 kernel::arc_round_streamed(t, nodes.clone(), seed, round, frac, flows, fw);
             }
@@ -825,8 +788,8 @@ mod tests {
     use sodiff_graph::generators;
     use std::sync::Arc;
 
-    /// The kernel of `scheme` in `mode` on `g` (uniform speeds, rounded
-    /// memory, balanced loads of a zero total).
+    /// The kernel of `scheme` in `mode` on `g` (uniform speeds, balanced
+    /// loads of a zero total).
     fn kernel(g: &Graph, scheme: Scheme, mode: Mode, perturb: PerturbSpec) -> SchemeKernel {
         let config = Config {
             scheme,
@@ -968,27 +931,25 @@ mod tests {
     }
 
     /// The pairwise schemes, and the modes a pairwise run can take:
-    /// discrete under either flow memory, with an edge-local rounding and
-    /// the randomized framework, and continuous.
+    /// discrete, with an edge-local rounding and the randomized
+    /// framework, and continuous.
     fn pairwise_configs(g: &Graph) -> Vec<Config> {
         let schemes = [
             Scheme::dimension_exchange(1.0),
             Scheme::matching_round_robin(1.0),
             Scheme::matching_random(3, 1.0),
         ];
-        let mut modes = vec![(Mode::Continuous, FlowMemory::Rounded)];
-        for flow_memory in [FlowMemory::Rounded, FlowMemory::Scheduled] {
-            for rounding in [Rounding::nearest(), Rounding::randomized(5)] {
-                modes.push((Mode::Discrete(rounding), flow_memory));
-            }
-        }
+        let modes = [
+            Mode::Continuous,
+            Mode::Discrete(Rounding::nearest()),
+            Mode::Discrete(Rounding::randomized(5)),
+        ];
         let mut configs = Vec::new();
         for scheme in schemes {
-            for &(mode, flow_memory) in &modes {
+            for mode in modes {
                 configs.push(Config {
                     scheme,
                     mode,
-                    flow_memory,
                     ..Config::new(g)
                 });
             }
@@ -1005,10 +966,7 @@ mod tests {
         let (n, m) = (g.node_count(), g.edge_count());
         let pool = WorkerPool::new(3);
         for config in pairwise_configs(&g) {
-            let what = format!(
-                "{} {:?} {:?}",
-                config.scheme, config.mode, config.flow_memory
-            );
+            let what = format!("{} {:?}", config.scheme, config.mode);
             let total = 100 * n as i64;
             let k = Arc::new(SchemeKernel::new(
                 &config,

@@ -250,6 +250,37 @@ fn malformed_journals_error_with_line_numbers() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// Journals written by older builds: a spec line that names the
+/// retired unrounded memory (`flow_memory=scheduled`) is refused with a
+/// typed error at its line, and one that carries the legacy
+/// `flow_memory=rounded`, as every line of an older journal does,
+/// resumes to the report of the same spec without the key.
+#[test]
+fn journals_from_older_builds_resume_or_fail_typed() {
+    let dir = scratch_dir("legacy");
+    let journal = dir.join("old.journal");
+    let line = "name=ring topology=cycle:12 speeds=uniform scheme=fos mode=discrete \
+                rounding=randomized seed=6 init=paper stop=rounds:60 threads=1";
+    let write = |memory: &str| {
+        let text = format!("sodiff-journal v1\nspec {line} flow_memory={memory}\n");
+        fs::write(&journal, text).unwrap();
+    };
+    write("scheduled");
+    match Driver::new().resume_batch(&journal).unwrap_err() {
+        CheckpointError::Journal { line: 2, message } => {
+            assert!(message.contains("flow_memory"), "{message}")
+        }
+        other => panic!("expected a typed journal error, got {other:?}"),
+    }
+    write("rounded");
+    let report = Driver::new().resume_batch(&journal).unwrap();
+    let spec: ScenarioSpec = line.parse().unwrap();
+    assert_eq!(report.scenarios.len(), 1);
+    assert_eq!(report.scenarios[0].spec, spec.to_string());
+    assert_eq!(report.scenarios[0].report, spec.run().unwrap());
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// A durable batch refuses, before it creates the journal, a spec whose
 /// line does not parse back: journaling it would make the whole journal
 /// unreadable to `resume_batch`.

@@ -169,17 +169,35 @@ fn resumed_digest(ckpt: &sodiff::Checkpoint, end: u64) -> u64 {
     h
 }
 
+/// `bytes` with the scenario line of its header replaced by `line`, the
+/// length prefix and the checksum trailer recomputed.
+fn with_spec_line(bytes: &[u8], line: &str) -> Vec<u8> {
+    let old_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let mut out = bytes[..12].to_vec();
+    out.extend_from_slice(&(line.len() as u32).to_le_bytes());
+    out.extend_from_slice(line.as_bytes());
+    out.extend_from_slice(&bytes[16 + old_len..]);
+    rechecksum(&mut out);
+    out
+}
+
 /// The current on-disk format, pinned: the committed version-2 fixture
 /// (`tests/fixtures/checkpoint_v2.ckpt`, the churn golden scenario
 /// frozen at round 33) is byte-identical to a checkpoint written fresh
-/// from its own spec, and resumes to the exact pinned golden checksum of
-/// `tests/golden_trace.rs::torus_sos_flux`.
+/// from its own spec, but for the header's scenario line, and resumes to
+/// the exact pinned golden checksum of
+/// `tests/golden_trace.rs::torus_sos_flux`. The fixture's line carries
+/// `flow_memory=rounded`, which `Display` no longer writes: the fresh
+/// write equals the fixture with its line printed anew.
 #[test]
 fn committed_v2_fixture_matches_a_fresh_write_and_resumes() {
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v2.ckpt");
     let bytes = fs::read(&path).unwrap();
     assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
+    let line_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let line = std::str::from_utf8(&bytes[16..16 + line_len]).unwrap();
+    assert!(line.contains(" flow_memory=rounded"), "{line}");
     let ckpt = read_checkpoint(&path).unwrap();
     assert_eq!(ckpt.snapshot.round(), 33);
     assert!(!ckpt.spec.churn.is_none(), "the fixture exercises churn");
@@ -191,7 +209,7 @@ fn committed_v2_fixture_matches_a_fresh_write_and_resumes() {
     let rewritten = dir.join("v2fix.ckpt");
     write_checkpoint(&rewritten, &ckpt.spec, &fresh.snapshot()).unwrap();
     assert!(
-        fs::read(&rewritten).unwrap() == bytes,
+        fs::read(&rewritten).unwrap() == with_spec_line(&bytes, &ckpt.spec.to_string()),
         "a fresh write of the fixture's spec must reproduce its bytes"
     );
     fs::remove_dir_all(&dir).ok();
@@ -201,6 +219,29 @@ fn committed_v2_fixture_matches_a_fresh_write_and_resumes() {
         0x7e2c2b500623f7e6,
         "v2 fixture resumed diverged from the pinned golden trace"
     );
+}
+
+/// A checkpoint whose scenario line names the retired unrounded memory
+/// (`flow_memory=scheduled`, which older builds wrote into the header
+/// of such a run) fails to load with a typed spec error that names the
+/// key, and does not panic.
+#[test]
+fn header_naming_the_retired_memory_is_refused() {
+    let dir = scratch_dir("retired");
+    let bytes = checkpoint_bytes(&dir);
+    let spec_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let line = std::str::from_utf8(&bytes[16..16 + spec_len]).unwrap();
+    let path = dir.join("scheduled.ckpt");
+    fs::write(
+        &path,
+        with_spec_line(&bytes, &format!("{line} flow_memory=scheduled")),
+    )
+    .unwrap();
+    match read_checkpoint(&path).unwrap_err() {
+        CheckpointError::Spec(e) => assert!(e.message.contains("flow_memory"), "{e}"),
+        other => panic!("unexpected {other:?}"),
+    }
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Exact checkpoint/resume over the golden-trace suite.
 //!
 //! For every pinned configuration of `tests/golden_trace.rs` — all
-//! schemes, flow-memory modes, heterogeneous speeds, and the fault- and
+//! schemes, both modes, heterogeneous speeds, and the fault- and
 //! load-injected runs, on the sequential executor and on the pool —
 //! this suite proves the resume-exactness contract of the checkpoint
 //! subsystem: running straight to round `R` and running to `k`,
@@ -67,15 +67,6 @@ const GOLDEN: &[Golden] = &[
         resume_at: 30,
         threads: &[1, 3],
         checksum: 0xc6a410e2f5b1eac5,
-    },
-    Golden {
-        name: "torus_sos_scheduled",
-        spec: "topology=torus2d:8:8 rounding=randomized seed=7 scheme=sos:1.8 \
-               flow_memory=scheduled",
-        rounds: 60,
-        resume_at: 31,
-        threads: &[1, 3],
-        checksum: 0xdef99d824410227d,
     },
     Golden {
         name: "regular_sos_het",
@@ -546,14 +537,21 @@ fn pairwise_checkpoint_with_stored_flows_resumes_exactly() {
 
         // A fresh write at the same round differs from the fixture in
         // one `m`-value window only, the memory: this build writes zeros.
+        // The headers' scenario lines differ too, by the fixture's
+        // `flow_memory=rounded`, which `Display` no longer writes, so
+        // the snapshots that follow them are compared.
         let mut fresh = experiment.simulator();
         fresh.run_until(StopCondition::MaxRounds(37));
         let rewritten = dir.join(format!("fresh-t{threads}.ckpt"));
         write_checkpoint(&rewritten, &ckpt.spec, &fresh.snapshot()).unwrap();
         let fresh_bytes = std::fs::read(&rewritten).unwrap();
-        assert_eq!(fresh_bytes.len(), bytes.len());
-        let body = bytes.len() - 8; // the trailing checksum differs too
-        let differ: Vec<usize> = (0..body).filter(|&i| bytes[i] != fresh_bytes[i]).collect();
+        let snapshot = |b: &[u8]| {
+            let line_len = u32::from_le_bytes(b[12..16].try_into().unwrap()) as usize;
+            b[16 + line_len..b.len() - 8].to_vec() // the checksums differ too
+        };
+        let (old, new) = (snapshot(&bytes), snapshot(&fresh_bytes));
+        assert_eq!(old.len(), new.len());
+        let differ: Vec<usize> = (0..old.len()).filter(|&i| old[i] != new[i]).collect();
         let (first, last) = (differ[0], differ[differ.len() - 1]);
         assert!(last - first < 8 * m, "only the memory section differs");
 

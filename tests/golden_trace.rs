@@ -7,8 +7,8 @@
 //! layer refactor unchanged. The dimension-exchange and matching-based
 //! checksums pin the pairwise kernels since their introduction. Any
 //! deviation — loads, flow memory, or minimum transient load, after
-//! dozens of rounds across schemes, flow-memory modes, and heterogeneous
-//! speeds — fails these tests; each pairwise configuration is checked on
+//! dozens of rounds across schemes, modes, and heterogeneous speeds —
+//! fails these tests; each pairwise configuration is checked on
 //! the sequential executor *and*, against the same checksum, on the pool.
 //!
 //! # Re-pin policy for distribution-changing optimizations
@@ -127,24 +127,6 @@ fn torus_fos_rounded_memory() {
     run_and_check(
         "torus_fos_rounded",
         (0xc6a410e2f5b1eac5, 0x5f653c8fe6998745),
-        sim,
-        60,
-    );
-}
-
-#[test]
-fn torus_sos_scheduled_memory() {
-    let g = generators::torus2d(8, 8);
-    let sim = Experiment::on(&g)
-        .discrete(Rounding::randomized(7))
-        .sos(1.8)
-        .flow_memory(FlowMemory::Scheduled)
-        .build()
-        .unwrap()
-        .simulator();
-    run_and_check(
-        "torus_sos_scheduled",
-        (0xdef99d824410227d, 0x6de5e429d2815e79),
         sim,
         60,
     );

@@ -363,11 +363,6 @@ fn spec_from(
                 spec.faults = faults;
                 spec.churn = churn;
                 spec.threads = threads;
-                spec.flow_memory = if seeded {
-                    FlowMemory::Scheduled
-                } else {
-                    FlowMemory::Rounded
-                };
                 spec.hybrid = hybrid;
                 spec.ckpt = ckpt;
                 spec
@@ -515,7 +510,7 @@ fn scenario_parse_error_paths_are_specific() {
         ("topology=cycle:8 threads=none", "invalid thread count"),
         (
             "topology=cycle:8 flow_memory=forgetful",
-            "unknown flow memory",
+            "unsupported flow_memory 'forgetful'",
         ),
         ("topology=cycle:8 mode=both", "unknown mode"),
         ("topology=cycle:8 rounding=banker", "unknown rounding"),
@@ -583,6 +578,41 @@ fn mem_key_is_rejected() {
         assert_eq!(err.line, 4, "{value}");
         assert!(err.message.contains("unknown key 'mem'"), "{}", err.message);
     }
+}
+
+/// A discrete run remembers the flows it sent, and no key chooses
+/// another memory. `flow_memory=scheduled`, the unrounded memory that
+/// was retired, is refused with a typed [`ParseError`] that names the
+/// key, from a single line and from a scenario file. A line in the
+/// older format, which always wrote `flow_memory=rounded`, parses to the
+/// same spec as the same line without the key, and `Display` does not
+/// write it back.
+#[test]
+fn flow_memory_key_is_legacy() {
+    let line = "topology=cycle:8 scheme=sos:1.7 flow_memory=scheduled";
+    let err = line.parse::<ScenarioSpec>().unwrap_err();
+    assert_eq!(err.line, 1);
+    assert!(
+        err.message.contains("flow_memory 'scheduled'"),
+        "{}",
+        err.message
+    );
+    let err = ScenarioSpec::parse_many(&format!(
+        "topology=cycle:8
+{line}
+"
+    ))
+    .unwrap_err();
+    assert_eq!(err.line, 2);
+    assert!(err.message.contains("flow_memory"), "{}", err.message);
+
+    let old = "name=v2fix topology=torus2d:8:8 speeds=uniform scheme=sos:1.7 mode=discrete \
+               rounding=nearest init=point:0:6400 stop=rounds:64 threads=1 flow_memory=rounded \
+               churn=flux:0.08:0.3:9:25";
+    let spec: ScenarioSpec = old.parse().unwrap();
+    let without: ScenarioSpec = old.replace(" flow_memory=rounded", "").parse().unwrap();
+    assert_eq!(spec, without);
+    assert_eq!(spec.to_string(), old.replace(" flow_memory=rounded", ""));
 }
 
 /// Initial loads whose total does not fit the `i64` token counters are

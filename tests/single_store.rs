@@ -1,13 +1,12 @@
 //! One copy of the round state, observed through every accessor.
 //!
 //! On the worker pool the job's atomics are the simulation's only state
-//! store, and under `flow_memory=rounded` the integral flows are the SOS
-//! memory. These tests pin that neither changes anything observable:
+//! store, and in discrete mode the integral flows are the SOS memory. These tests pin that neither changes anything observable:
 //! after single `step()`s and after a whole `run_until`, every thread
 //! count reports the sequential run's loads, flow memory, total load,
 //! metrics and checkpoint bytes bit for bit; a snapshot restored into
 //! any executor continues exactly; and a snapshot whose memory a
-//! rounded run could never have held is refused with a typed error.
+//! discrete run could never have held is refused with a typed error.
 
 use std::path::{Path, PathBuf};
 
@@ -15,13 +14,11 @@ use sodiff::prelude::*;
 use sodiff::{read_checkpoint, write_checkpoint, ScenarioSpec};
 
 /// Spec bodies (without `name=`, `threads=`, `stop=`) covering both
-/// memory sources, both rounding pipelines and both modes,
-/// plus the perturbation axes that write loads on the control thread.
+/// rounding pipelines and both modes, plus the perturbation axes that
+/// write loads on the control thread.
 const SPECS: &[&str] = &[
     "topology=torus2d:9:7 scheme=sos:1.7 rounding=randomized seed=3 init=point:0:63000",
     "topology=torus2d:9:7 scheme=sos:1.7 rounding=nearest init=point:0:63000",
-    "topology=torus2d:9:7 scheme=sos:1.7 rounding=randomized seed=3 init=point:0:63000 \
-     flow_memory=scheduled",
     "topology=torus2d:9:7 scheme=sos:1.7 rounding=unbiased seed=5 init=point:0:63000",
     "topology=torus2d:9:7 scheme=sos:1.7 mode=continuous init=point:0:63000",
     "topology=hypercube:6 scheme=matching:random:7:1 rounding=randomized seed=2 \
@@ -139,8 +136,8 @@ fn pooled_accessors_match_sequential_bit_for_bit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A run's state bytes count each piece once: under `Rounded` no `f64`
-/// memory exists beside the flows, and the pool holds no second copy.
+/// A run's state bytes count each piece once: a discrete run keeps no
+/// `f64` memory beside its flows, and the pool holds no second copy.
 #[test]
 fn state_bytes_count_one_copy() {
     let (n, m) = (63usize, 126usize);
@@ -154,10 +151,8 @@ fn state_bytes_count_one_copy() {
         assert_eq!(bytes(SPECS[0]), 8 * (n + m + m), "{threads} threads");
         // loads + flows.
         assert_eq!(bytes(SPECS[1]), 8 * (n + m), "{threads} threads");
-        // Scheduled memory is stored beside the flows.
-        assert_eq!(bytes(SPECS[2]), 8 * (n + 2 * m + m), "{threads} threads");
         // Continuous: loads + memory (which carries the flows).
-        assert_eq!(bytes(SPECS[4]), 8 * (n + m), "{threads} threads");
+        assert_eq!(bytes(SPECS[3]), 8 * (n + m), "{threads} threads");
     }
 }
 
@@ -200,23 +195,38 @@ fn restore_into_pool_continues_exactly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A run that remembers rounded flows keeps its memory in the integral
-/// flow slots, so a snapshot whose memory is not integral (here: one
-/// taken under `flow_memory=scheduled`) cannot be restored into it — on
-/// either executor — and the refusal leaves the target untouched.
+/// A discrete run keeps its memory in the integral flow slots, so a
+/// snapshot whose memory is not integral (here: one holding an unrounded
+/// scheduled flow, as a run that remembered those would have written)
+/// cannot be restored into it — on either executor — and the refusal
+/// leaves the target untouched.
 #[test]
 fn rounded_restore_refuses_non_integral_memory() {
     let dir = scratch_dir("refuse");
     let body = SPECS[0];
-    let scheduled = spec(&format!("{body} flow_memory=scheduled"), 1, 30);
-    let graph = scheduled.build_graph().unwrap();
-    let mut source = scheduled.experiment_on(&graph).unwrap().simulator();
+    let line = spec(body, 1, 30);
+    let graph = line.build_graph().unwrap();
+    let mut source = line.experiment_on(&graph).unwrap().simulator();
     source.run_until(StopCondition::MaxRounds(12));
-    let snap = source.snapshot();
-    assert!(
-        source.previous_flows().iter().any(|f| f.fract() != 0.0),
-        "the scheduled memory must hold a non-integral value"
-    );
+    // The snapshot's memory section is the flows' `f64` bits in edge
+    // order: a quarter token goes into one sent flow, and the checksum
+    // trailer (FNV-1a over everything before it) is recomputed.
+    let path = dir.join("source.ckpt");
+    write_checkpoint(&path, &line, &source.snapshot()).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let flows = source.previous_flows();
+    let section: Vec<u8> = flows.iter().flat_map(|f| f.to_le_bytes()).collect();
+    let at = bytes.windows(section.len()).position(|w| w == section);
+    let sent = at.unwrap() + 8 * flows.iter().position(|&f| f != 0.0).unwrap();
+    let value = f64::from_le_bytes(bytes[sent..sent + 8].try_into().unwrap()) + 0.25;
+    bytes[sent..sent + 8].copy_from_slice(&value.to_le_bytes());
+    let end = bytes.len() - 8;
+    let fnv = bytes[..end].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    });
+    bytes[end..].copy_from_slice(&fnv.to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
+    let snap = read_checkpoint(&path).unwrap().snapshot;
     for threads in [1, 3] {
         let rounded = spec(body, threads, 30);
         let mut target = rounded.experiment_on(&graph).unwrap().simulator();
