@@ -1801,7 +1801,7 @@ mod tests {
             Rounding::unbiased_edge(7),
         ] {
             let mut fused_flows = last.clone();
-            let x = |i| loads[i];
+            let flows = cells(&mut fused_flows);
             edge_pass_fused_gated(
                 &t,
                 &AllEdges,
@@ -1810,8 +1810,8 @@ mod tests {
                 1.6,
                 9,
                 rounding,
-                x,
-                &cells(&mut fused_flows),
+                |i| loads[i],
+                &flows,
             );
             let sched: Vec<f64> = (0..m)
                 .map(|e| {
