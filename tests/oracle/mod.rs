@@ -59,9 +59,6 @@ use sodiff::core::RoundInputs;
 use sodiff::graph::{generators, Graph};
 use sodiff::prelude::*;
 
-/// Specs run per scheme.
-const SPECS: usize = 64;
-
 /// Rounds compared per run.
 const ROUNDS: usize = 36;
 
@@ -534,11 +531,11 @@ const PROCESSES: [Process; 5] = [
     Process::Discrete(Rounding::RandomizedFramework { seed: 23 }),
 ];
 
-/// Checks [`SPECS`] random specs of `kind` against the model, each under
+/// Checks `specs` random specs of `kind` against the model, each under
 /// every process, with the perturbation sets taken in turn.
-pub fn run_kind(kind: Kind) {
+pub fn run_kind(kind: Kind, specs: usize) {
     let mut rng = SplitMix64::new(0x0ac1e + kind as u64);
-    for i in 0..SPECS {
+    for i in 0..specs {
         let spec = random_spec(&mut rng, kind);
         for (p, &process) in PROCESSES.iter().enumerate() {
             differential(&spec, process, SETS[(i + p) % SETS.len()]);
