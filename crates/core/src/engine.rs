@@ -387,7 +387,7 @@ pub struct Simulator<'g> {
     graph: &'g Graph,
     speeds: Speeds,
     /// The scheme-kernel layer: the simulation's immutable round plan
-    /// (kernel tables, flow pass, active plan, perturbation spec), shared
+    /// (kernel tables, mode, active plan, perturbation spec), shared
     /// with the worker pool.
     scheme_kernel: Arc<SchemeKernel>,
     scheme: Scheme,

@@ -380,21 +380,6 @@ impl<'g> Experiment<'g> {
         self.config.threads
     }
 
-    /// The fault-injection plan ([`FaultSpec::none`] when unset).
-    pub fn faults(&self) -> FaultSpec {
-        self.config.perturb.faults
-    }
-
-    /// The dynamic-load plan ([`LoadSpec::none`] when unset).
-    pub fn load(&self) -> LoadSpec {
-        self.config.perturb.load
-    }
-
-    /// The live-topology churn plan ([`ChurnSpec::none`] when unset).
-    pub fn churn(&self) -> ChurnSpec {
-        self.config.perturb.churn
-    }
-
     /// Mints a fresh simulator at round 0. The experiment can create any
     /// number of independent simulators (e.g. for lockstep comparisons).
     pub fn simulator(&self) -> Simulator<'g> {

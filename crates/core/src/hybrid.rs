@@ -12,9 +12,8 @@
 //! [`SwitchPolicy`] with [`crate::ExperimentBuilder::hybrid`], or call
 //! [`crate::Simulator::run_hybrid`] /
 //! [`crate::Simulator::run_hybrid_with`] / [`crate::Simulator::run_when`]
-//! on an existing simulator. (The pre-0.2 free `run_hybrid*` functions
-//! and `HybridReport` were removed after their deprecation release; the
-//! switch round now lives in [`RunReport::switch_round`].)
+//! on an existing simulator. The round the run switched at is reported
+//! in [`RunReport::switch_round`].
 //!
 //! [`RunReport::switch_round`]: crate::RunReport
 

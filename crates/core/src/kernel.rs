@@ -19,21 +19,33 @@
 //! The apply pass ([`apply`], with its stale-edge form [`apply_flows`])
 //! exists once for both value types: each node's arc reduction and the
 //! fused statistics are written once, and the lane loop and the scalar
-//! tail share them. The three edge passes (fused, scatter, continuous)
-//! compute the scheduled flow through one inline helper, so the
-//! expression exists once, with the same operands in the same order in
-//! every pass.
+//! tail share them. The diffusion edge pass exists once too: one
+//! per-edge loop computes edge `e`'s scheduled flow `Ŷ_e` and stores
+//! `y(e, Ŷ_e)` into `e`'s flow slot, for a store `y` of the round's mode.
+//! The paper gets its discrete schemes by rounding the flow the
+//! continuous scheme generates, so a continuous round is a discrete round
+//! whose rounding is the identity:
 //!
-//! The edge passes are also generic over *which* edges carry flow, an
+//! * continuous mode stores `Ŷ_e` itself, into the `f64` flows;
+//! * an edge-local rounding (round-down, nearest, unbiased per edge)
+//!   stores its rounded value, into the integral flows;
+//! * the randomized framework's scatter stores the truncation and writes
+//!   the fraction on the side (see the streaming pipeline below).
+//!
+//! The three edge-local roundings are spelled out once, in the
+//! crate-internal `with_edge_rounding!` dispatch, which the edge pass and
+//! the matching rounds' edge step share; each rounding is its own closure
+//! type, so each compiles to its own loop. [`edge_pass_fused`] and
+//! [`edge_pass_scatter`] are the all-edges entry points of the rounded
+//! and the scatter stores.
+//!
+//! The edge pass is also generic over *which* edges carry flow, an
 //! [`EdgeGate`]: [`AllEdges`] for the diffusion plan, with no mask test
 //! in the loop, or [`MaskBits`], which reads a round's active-edge bitset
-//! straight from its `&[u64]` words. So each pass has one loop body for
-//! every plan: `edge_pass_*_gated` take the gate, and the fused and
-//! scatter passes keep all-edges entry points ([`edge_pass_fused`],
-//! [`edge_pass_scatter`]). No pass takes coefficients of its own: each
-//! reads the pair held by the [`KernelTables`] it is given, once per call
-//! choosing the loop for how the tables store it (one value or one entry
-//! per edge).
+//! straight from its `&[u64]` words, so the loop has one body for every
+//! plan. No pass takes coefficients of its own: each reads the pair held
+//! by the [`KernelTables`] it is given, once per call choosing the loop
+//! for how the tables store it (one value or one entry per edge).
 //!
 //! Because both executors run byte-for-byte the same arithmetic in the
 //! same per-element order, parallel results are bit-identical to
@@ -58,16 +70,16 @@
 //! passes read the CSR arrays of the [`Graph`] clone the tables hold,
 //! which shares its arrays with the caller's graph. The CSR stores each
 //! edge's head and no tail: the edges of a node's out-range are the ones
-//! it is the tail of. So the edge passes walk their edge range
-//! node-major, each tail's out-range in turn, reading `x_u` once per
-//! node; a range the pool cuts at a 64-edge word can start inside a
-//! node's out-range, so each pass finds its first tail once, by one
-//! search of the out-offsets. The node passes walk
+//! it is the tail of. So the edge pass walks its edge range node-major,
+//! each tail's out-range in turn, reading `x_u` once per node; a range
+//! the pool cuts at a 64-edge word can start inside a node's out-range,
+//! so the pass finds its first tail once, by one search of the
+//! out-offsets. The node passes walk
 //! each node's arcs as the CSR stores them, in-arcs then out-arcs: the
 //! in-arcs (orientation σ = −1) through their edge ids, the out-arcs
-//! (σ = +1) as one contiguous edge range, so no pass reads a sign. For
-//! the edge-local rounding schemes the rounding is fused into the same
-//! pass, saving a full sweep over the edge arrays per round.
+//! (σ = +1) as one contiguous edge range, so no pass reads a sign. An
+//! edge-local rounding runs inside the edge pass, saving a full sweep
+//! over the edge arrays per round.
 //!
 //! # The streaming randomized pipeline
 //!
@@ -76,7 +88,8 @@
 //! one sender, so a round needs only one fractional part per edge. The
 //! framework runs as two streaming phases ahead of the apply pass:
 //!
-//! 1. [`edge_pass_scatter`] — one sweep over edges computes the scheduled
+//! 1. The scatter ([`edge_pass_scatter`] over every edge) — the edge
+//!    pass's one sweep over edges computes the scheduled
 //!    flow `Ŷ_e`, truncates it on the spot (one truncation per edge
 //!    instead of one floor per positive arc), writes the signed base
 //!    `trunc(Ŷ_e)` straight into the edge's flow slot and the signed
@@ -123,11 +136,10 @@
 //!    cursor over the out-offsets ([`sodiff_graph::Tails`]) finds each
 //!    active edge's tail. Each active edge computes `Ŷ_e`
 //!    through the one scheduled-flow expression, against a memory that
-//!    reads `+0.0`, and turns it into its flow: fluid keeps it, and
-//!    tokens round it inline — the edge-local roundings as the fused
-//!    pass does, and the randomized framework by the sender's one draw,
-//!    since a sender with a single positive share `|g_e| < 1` has
-//!    `⌈r⌉ = 1`. Unless the edge is stale, it lands the signed flow
+//!    reads `+0.0`, and turns it into its flow as the edge pass does:
+//!    fluid keeps it, an edge-local rounding rounds it by the same one
+//!    copy, and the randomized framework by the sender's one draw, since
+//!    a sender with a single positive share `|g_e| < 1` has `⌈r⌉ = 1`. Unless the edge is stale, it lands the signed flow
 //!    `σ·y` in a per-node slot at each endpoint. Nothing is stored per
 //!    edge.
 //! 2. The node step (`pair_node_step`) applies each node's one landed
@@ -144,33 +156,32 @@
 //!
 //! # The SOS memory
 //!
-//! The memory the paper's discrete SOS process uses — "the amount that
-//! was sent in step t−1" — *is* the integral flow each round leaves in an
-//! edge's flow slot. Every discrete diffusion edge pass therefore reads
-//! it as `flows[e] as f64` ([`FlowsAsMemory`]) and keeps no per-edge
-//! `f64` copy: no round phase writes a memory vector, and the framework
-//! needs two internal barriers per round under the worker pool.
-//! That memory becomes an `f64` vector only on request (the simulator's
-//! `previous_flows()` accessor and its checkpoint snapshots), by the
-//! cast [`prev_from_flows`] performs. A continuous run's memory is its
-//! `f64` flows, which the continuous pass writes into `prev` and the
-//! apply pass reads back as the round's flows.
-//! Only SOS reads the memory, and only FOS shares its rounds; the
-//! pairwise schemes keep none (see the matching rounds above), and
-//! their `previous_flows()` read zeros.
+//! The memory the paper's SOS process uses — "the amount that was sent
+//! in step t−1" — *is* the flow each round leaves in an edge's flow
+//! slot, in both modes: the integral flow of a discrete run, the `f64`
+//! flow of a continuous one. The edge pass therefore reads it from the
+//! slot it is about to overwrite, as `flows[e]` in `f64`
+//! ([`FlowsAsMemory`]), and keeps no separate memory: no round phase
+//! writes a memory vector, and the framework needs two internal barriers
+//! per round under the worker pool. A discrete run's memory becomes an
+//! `f64` vector only on request (the simulator's `previous_flows()`
+//! accessor and its checkpoint snapshots), by the cast
+//! [`prev_from_flows`] performs. Only SOS reads the memory, and only
+//! FOS shares its rounds; the pairwise schemes keep none (see the
+//! matching rounds above), and their `previous_flows()` read zeros.
 //!
 //! # Loop shapes, and why they are bit-exact
 //!
 //! Per-edge work is independent: edge `e` reads only `loads[..]` (not
-//! written in this pass), its own memory slot (`flows[e]` in discrete
-//! mode, `prev[e]` in continuous mode), its own mask bit under
-//! [`MaskBits`], and the constant tables, and writes only that slot and
-//! (scatter pass) `frac[e]`. So the order in which a pass visits its
+//! written in this pass), its own flow slot, which holds its memory, its
+//! own mask bit under [`MaskBits`], and the constant tables, and writes
+//! only that slot and (the framework's scatter) `frac[e]`. So the order
+//! in which a pass visits its
 //! edges, and whether it reads a tail's load once or once per edge,
 //! never changes an operand: every per-edge value is computed by exactly
 //! the one expression, on exactly the same operands, and no f64 addition
-//! is regrouped anywhere. The edge passes visit their range node-major
-//! in edge-id order. An edge-major loop in eight-edge lanes with a
+//! is regrouped anywhere. The edge pass visits its range node-major in
+//! edge-id order. An edge-major loop in eight-edge lanes with a
 //! forward tail cursor measured slower than the node-major walk on the
 //! 256² torus, whether it read the tail's load per edge or kept it per
 //! node: the cursor is a serial dependence from lane to lane.
@@ -706,15 +717,16 @@ pub fn cells<V>(s: &mut [V]) -> Cells<'_, V> {
 // The per-type names the stand-alone `perfbench` package calls.
 pub use self::{apply as apply_discrete, cells as cells_f64, cells as cells_i64};
 
-/// A discrete run's SOS memory: an `f64` view of the integral flows,
-/// where edge `e`'s memory is `flows[e] as f64`. That is bit for bit what
-/// a stored `f64` copy of the last flows would hold (an `i64 → f64` cast
-/// never yields `-0.0`), so the flow slot *is* the memory and no
-/// per-edge `f64` copy is kept. Writes are no-ops: the
-/// edge pass updates the memory by writing the new flow.
+/// A diffusion run's SOS memory: an `f64` view of the flows, where edge
+/// `e`'s memory is `flows[e]` as `f64`. For fluid that is the flow
+/// itself; for tokens it is bit for bit what a stored `f64` copy of the
+/// last flows would hold (an `i64 → f64` cast never yields `-0.0`). So
+/// the flow slot *is* the memory in both modes and no per-edge copy is
+/// kept. Writes are no-ops: the edge pass updates the memory by writing
+/// the new flow.
 pub struct FlowsAsMemory<'a, F>(pub &'a F);
 
-impl<F: Buf<Val = i64>> Buf for FlowsAsMemory<'_, F> {
+impl<F: Buf> Buf for FlowsAsMemory<'_, F> {
     type Val = f64;
     type Elem = F::Elem;
     #[inline(always)]
@@ -723,7 +735,7 @@ impl<F: Buf<Val = i64>> Buf for FlowsAsMemory<'_, F> {
     }
     #[inline(always)]
     fn read(e: &F::Elem) -> f64 {
-        F::read(e) as f64
+        F::read(e).to_f64()
     }
     #[inline(always)]
     fn write(_e: &F::Elem, _v: f64) {}
@@ -733,7 +745,7 @@ impl<F: Buf<Val = i64>> Buf for FlowsAsMemory<'_, F> {
 /// truncation toward zero (`cvttsd2si`), with the same saturating
 /// overflow/NaN behavior as trunc-then-cast.
 #[inline(always)]
-fn trunc_i64(s: f64) -> i64 {
+pub(crate) fn trunc_i64(s: f64) -> i64 {
     s as i64
 }
 
@@ -746,7 +758,7 @@ fn trunc_i64(s: f64) -> i64 {
 /// The adjustment saturates so `|s| ≥ 2⁶³` keeps the cast's saturating
 /// behavior instead of wrapping.
 #[inline(always)]
-fn round_i64(s: f64) -> i64 {
+pub(crate) fn round_i64(s: f64) -> i64 {
     let t = s as i64;
     let frac = s - t as f64;
     t.saturating_add(i64::from(frac >= 0.5))
@@ -765,11 +777,43 @@ fn floor_frac(s: f64) -> (i64, f64) {
 /// Edge `e`'s unbiased rounding of `s` in `round`: `⌊s⌋ + 1` with
 /// probability `s − ⌊s⌋`, drawn from the edge's `(seed, e, round)` stream.
 #[inline(always)]
-fn unbiased_edge(seed: u64, e: usize, round: u64, s: f64) -> i64 {
+pub(crate) fn unbiased_edge(seed: u64, e: usize, round: u64, s: f64) -> i64 {
     let mut rng = SplitMix64::for_node_round(seed, e as u32, round);
     let (floor, frac) = floor_frac(s);
     floor + i64::from(rng.next_f64() < frac)
 }
+
+/// Evaluates `$body` with `$y` bound to the edge-local rounding
+/// `$rounding` in round `$round`: a closure from an edge's global id and
+/// its scheduled flow `s` to its integral flow. Round-down truncates `s`,
+/// nearest rounds it half away from zero, and the unbiased rounding adds
+/// the edge's coin to `⌊s⌋`. This is the one place the three are spelled
+/// out, for the edge pass and the matching rounds' edge step alike. Each
+/// is its own closure type, so a loop in `$body` compiles once per
+/// rounding. The randomized framework is node-centric, not edge-local:
+/// for it the macro evaluates `$framework`, with `$seed` bound to its
+/// seed.
+macro_rules! with_edge_rounding {
+    ($rounding:expr, $round:expr, |$y:ident| $body:expr, |$seed:pat_param| $framework:expr) => {
+        match $rounding {
+            $crate::rounding::Rounding::RoundDown => {
+                let $y = |_: usize, s: f64| $crate::kernel::trunc_i64(s);
+                $body
+            }
+            $crate::rounding::Rounding::Nearest => {
+                let $y = |_: usize, s: f64| $crate::kernel::round_i64(s);
+                $body
+            }
+            $crate::rounding::Rounding::UnbiasedEdge { seed } => {
+                let round: u64 = $round;
+                let $y = move |e: usize, s: f64| $crate::kernel::unbiased_edge(seed, e, round, s);
+                $body
+            }
+            $crate::rounding::Rounding::RandomizedFramework { seed: $seed } => $framework,
+        }
+    };
+}
+pub(crate) use with_edge_rounding;
 
 /// `r.ceil() as i64` for `r ≥ 0`, without libm (saturating).
 #[inline(always)]
@@ -881,29 +925,9 @@ where
         }
     }
 
-    /// Calls `f(x_u, local)` for each tail `u` of the range, in edge
-    /// order, with `u`'s load and the local edge range of its out-arcs
-    /// in the range: the range walked node-major, one load read per
-    /// tail. Nodes without an out-arc in the range are stepped over.
-    #[inline(always)]
-    fn for_each_tail(&self, mut f: impl FnMut(f64, Range<usize>)) {
-        let len = self.heads.len();
-        // Every local range the walk yields ends at or below `len`, so
-        // this length lets the compiler drop the per-edge bounds checks.
-        assert!(self.memory.len() == len);
-        let (mut u, mut start) = (self.tail0, 0);
-        while start < len {
-            let end = (self.out_offsets[u + 1] as usize - self.e0).min(len);
-            if end > start {
-                f((self.x)(u), start..end);
-            }
-            (u, start) = (u + 1, end);
-        }
-    }
-
     /// Local edge `k`'s gated scheduled flow
     /// `Ŷ_e = mem·prev_e + gain·(c_tail·x_u − c_head·x_v)`, given its
-    /// tail's load `x_u`: the one place the edge passes compute it.
+    /// tail's load `x_u`: the one place the passes compute it.
     #[inline(always)]
     fn flow(&self, k: usize, x_u: f64) -> f64 {
         let (ct, ch) = self.coefs.at(k);
@@ -914,65 +938,73 @@ where
         )
     }
 
-    /// The edge-local discrete pass ([`edge_pass_fused_gated`]): rounds
-    /// each flow into `flows`, which are the next round's memory.
-    fn fused<F: Buf<Val = i64>>(&self, round: u64, rounding: Rounding, flows: &F) {
+    /// The one per-edge loop: stores `y(e, Ŷ_e)` into each edge `e`'s
+    /// slot of `flows`. The range is walked node-major, each tail's
+    /// out-range in turn, with one load read per tail; nodes without an
+    /// out-arc in the range are stepped over.
+    #[inline(always)]
+    fn store<F: Buf>(&self, flows: &F, y: impl Fn(usize, f64) -> F::Val) {
         let (e0, len) = (self.e0, self.heads.len());
-        let flow_elems = &flows.elems()[e0..e0 + len];
-        macro_rules! fused_loop {
-            (|$k:ident, $s:ident| $round_expr:expr) => {
-                self.for_each_tail(|x_u, local| {
-                    for $k in local {
-                        let $s = self.flow($k, x_u);
-                        let y: i64 = $round_expr;
-                        F::write(&flow_elems[$k], y);
-                    }
-                })
-            };
-        }
-        match rounding {
-            Rounding::RoundDown => fused_loop!(|_k, s| trunc_i64(s)),
-            Rounding::Nearest => fused_loop!(|_k, s| round_i64(s)),
-            Rounding::UnbiasedEdge { seed } => {
-                fused_loop!(|k, s| unbiased_edge(seed, e0 + k, round, s))
+        let slots = &flows.elems()[e0..e0 + len];
+        // Every local range the walk yields ends at or below `len`, so
+        // this length lets the compiler drop the per-edge bounds checks.
+        assert!(self.memory.len() == len);
+        let (mut u, mut start) = (self.tail0, 0);
+        while start < len {
+            let end = (self.out_offsets[u + 1] as usize - e0).min(len);
+            if end > start {
+                let x_u = (self.x)(u);
+                // Indexed, not zipped: `k` indexes every operand of the
+                // flow too, and the zipped loop measured slower.
+                #[allow(clippy::needless_range_loop)]
+                for k in start..end {
+                    F::write(&slots[k], y(e0 + k, self.flow(k, x_u)));
+                }
             }
-            Rounding::RandomizedFramework { .. } => {
-                panic!("the randomized framework is node-centric; use the arc passes")
-            }
+            (u, start) = (u + 1, end);
         }
     }
+}
 
-    /// The framework's scatter pass ([`edge_pass_scatter_gated`]): writes
-    /// each edge's signed base flow `trunc(Ŷ_e)` into `flows` and its
-    /// signed fraction `Ŷ_e − trunc(Ŷ_e)` into `frac`, both indexed by
-    /// edge.
-    fn scatter<A: Buf<Val = f64>, F: Buf<Val = i64>>(&self, frac: &A, flows: &F) {
-        let (e0, len) = (self.e0, self.heads.len());
-        let flow_elems = &flows.elems()[e0..e0 + len];
-        let frac_elems = &frac.elems()[e0..e0 + len];
-        // `trunc(Ŷ) = sign·⌊|Ŷ|⌋` *is* the signed base flow, and
-        // `Ŷ − trunc(Ŷ)` is exact (Sterbenz for `|Ŷ| ≥ 1`, trivially
-        // below), so one saturating cast replaces the abs/floor/sign
-        // chain. Which end sends is left to the rounding phase: the
-        // fraction's sign says it, with no per-edge select here.
-        self.for_each_tail(|x_u, local| {
-            for k in local {
-                let s = self.flow(k, x_u);
-                let base = trunc_i64(s);
-                A::write(&frac_elems[k], s - base as f64);
-                F::write(&flow_elems[k], base);
-            }
-        });
-    }
+/// The diffusion edge pass over `edges`, gated by `gate`: stores
+/// `y(e, Ŷ_e)` into each edge's slot of `flows`, where `Ŷ_e` (see the
+/// module docs) reads its memory from that slot ([`FlowsAsMemory`]).
+/// `y` is the mode's store: the identity into the `f64` flows, an
+/// edge-local rounding (`with_edge_rounding!`) or the framework's
+/// scatter ([`scatter`]) into the integral flows.
+#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
+pub(crate) fn edge_pass<G: EdgeGate, F: Buf>(
+    t: &KernelTables,
+    gate: &G,
+    edges: Range<usize>,
+    mem: f64,
+    gain: f64,
+    x: impl Fn(usize) -> f64,
+    flows: &F,
+    y: impl Fn(usize, f64) -> F::Val,
+) {
+    let memory = &FlowsAsMemory(flows);
+    with_coefs!(t, |coefs| {
+        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory).store(flows, &y)
+    })
+}
 
-    /// The continuous pass ([`edge_pass_continuous_gated`]): writes each
-    /// scheduled flow into the memory.
-    fn continuous(&self) {
-        self.for_each_tail(|x_u, local| {
-            for k in local {
-                M::write(&self.memory[k], self.flow(k, x_u));
-            }
-        });
+/// The randomized framework's store for the edge pass: the signed base
+/// flow `trunc(Ŷ_e)`, with the signed fraction `Ŷ_e − trunc(Ŷ_e)`
+/// written into edge `e`'s slot of `frac` on the side.
+///
+/// `trunc(Ŷ) = sign·⌊|Ŷ|⌋` *is* the signed base flow, and `Ŷ − trunc(Ŷ)`
+/// is exact (Sterbenz for `|Ŷ| ≥ 1`, trivially below), so one saturating
+/// cast replaces the abs/floor/sign chain. Which end sends is left to the
+/// rounding phase: the fraction's sign says it, with no per-edge select
+/// here.
+#[inline(always)]
+pub(crate) fn scatter<A: Buf<Val = f64>>(frac: &A) -> impl Fn(usize, f64) -> i64 + '_ {
+    let fracs = frac.elems();
+    move |e, s| {
+        let base = trunc_i64(s);
+        A::write(&fracs[e], s - base as f64);
+        base
     }
 }
 
@@ -987,12 +1019,11 @@ pub enum FlowMemory {
     Rounded,
 }
 
-/// Fused edge pass for the **edge-local** rounding schemes in discrete
-/// mode, over every edge with the tables' coefficients: computes the
-/// scheduled flow `Ŷ_e` (see the module docs) from the SOS memory, which
-/// is the flow slot itself ([`FlowsAsMemory`]), and rounds it into that
-/// slot, all in one sweep over `edges`. `_flow_memory` and `_prev` are
-/// ignored.
+/// The edge pass over every edge with an **edge-local** rounding:
+/// computes the scheduled flow `Ŷ_e` (see the module docs) from the SOS
+/// memory, which is the flow slot itself ([`FlowsAsMemory`]), and rounds
+/// it into that slot, all in one sweep over `edges`. `_flow_memory` and
+/// `_prev` are ignored.
 ///
 /// # Panics
 ///
@@ -1011,32 +1042,17 @@ pub fn edge_pass_fused<P: Buf<Val = f64>, F: Buf<Val = i64>>(
     _prev: &P,
     flows: &F,
 ) {
-    edge_pass_fused_gated(t, &AllEdges, edges, mem, gain, round, rounding, x, flows);
+    with_edge_rounding!(
+        rounding,
+        round,
+        |y| edge_pass(t, &AllEdges, edges, mem, gain, x, flows, y),
+        |_| panic!("the randomized framework is node-centric; use the arc passes")
+    )
 }
 
-/// [`edge_pass_fused`] with an edge `gate` ([`AllEdges`] or [`MaskBits`]).
-#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_fused_gated<G: EdgeGate, F: Buf<Val = i64>>(
-    t: &KernelTables,
-    gate: &G,
-    edges: Range<usize>,
-    mem: f64,
-    gain: f64,
-    round: u64,
-    rounding: Rounding,
-    x: impl Fn(usize) -> f64,
-    flows: &F,
-) {
-    let memory = &FlowsAsMemory(flows);
-    with_coefs!(t, |coefs| {
-        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory)
-            .fused(round, rounding, flows)
-    })
-}
-
-/// Phase 1 of the randomized framework, over every edge with the
-/// tables' coefficients: computes the scheduled flow `Ŷ_e` from the SOS
-/// memory, which is the flow slot itself ([`FlowsAsMemory`]),
+/// Phase 1 of the randomized framework, over every edge: the edge pass
+/// with the framework's scatter store. It computes the scheduled flow `Ŷ_e` from
+/// the SOS memory, which is the flow slot itself ([`FlowsAsMemory`]),
 /// **truncates it right here** (the sending side's outflow is `|Ŷ_e|`
 /// and its floor is the edge's base flow, so the per-arc floor pass of
 /// the old formulation collapses into this per-edge one), writes the
@@ -1044,7 +1060,9 @@ pub fn edge_pass_fused_gated<G: EdgeGate, F: Buf<Val = i64>>(
 /// fraction `Ŷ_e − trunc(Ŷ_e)` into the edge's slot of `frac`. The
 /// fraction's sign names the sender (positive: the tail; negative: the
 /// head), so the node-centric rounding phase derives each arc's share
-/// from it. `_flow_memory` and `_prev` are ignored.
+/// from it. A gated-out edge writes a zero base flow and a zero
+/// fraction, so a node whose arcs are all inactive sums `r = 0` there
+/// and skips out. `_flow_memory` and `_prev` are ignored.
 ///
 /// `frac` is indexed by edge id; a longer buffer (such as one sized by
 /// arc count) is accepted and its tail left alone.
@@ -1060,47 +1078,7 @@ pub fn edge_pass_scatter<A: Buf<Val = f64>, F: Buf<Val = i64>, P: Buf<Val = f64>
     flows: &F,
     _prev: &P,
 ) {
-    edge_pass_scatter_gated(t, &AllEdges, edges, mem, gain, x, frac, flows);
-}
-
-/// [`edge_pass_scatter`] with an edge `gate`.
-/// A gated-out edge writes a zero base flow and a zero fraction, so the
-/// rounding phase ([`arc_round_streamed`]) runs unchanged: a node whose
-/// arcs are all inactive sums `r = 0` and skips out.
-#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_scatter_gated<G: EdgeGate, A: Buf<Val = f64>, F: Buf<Val = i64>>(
-    t: &KernelTables,
-    gate: &G,
-    edges: Range<usize>,
-    mem: f64,
-    gain: f64,
-    x: impl Fn(usize) -> f64,
-    frac: &A,
-    flows: &F,
-) {
-    let memory = &FlowsAsMemory(flows);
-    with_coefs!(t, |coefs| {
-        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, memory).scatter(frac, flows)
-    })
-}
-
-/// Edge pass for continuous mode, with an edge `gate` (a gated-out edge
-/// carries a zero flow this round): the scheduled flow *is* the flow, so
-/// it is written straight into the flow memory, which the apply pass then
-/// reads as this round's flows.
-#[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
-pub fn edge_pass_continuous_gated<G: EdgeGate, P: Buf<Val = f64>>(
-    t: &KernelTables,
-    gate: &G,
-    edges: Range<usize>,
-    mem: f64,
-    gain: f64,
-    x: impl Fn(usize) -> f64,
-    prev: &P,
-) {
-    with_coefs!(t, |coefs| {
-        Schedule::new(t, coefs, gate, edges.clone(), mem, gain, &x, prev).continuous()
-    })
+    edge_pass(t, &AllEdges, edges, mem, gain, x, flows, scatter(frac));
 }
 
 /// Reusable per-participant scratch of the randomized framework's
@@ -1552,9 +1530,10 @@ fn framework_token(rk: u64, (u, v): (u32, u32), g: f64) -> i64 {
 /// matching. Each active edge computes its scheduled flow `Ŷ_e` from the
 /// `loads` through [`Schedule::flow`] — the expression and operands of
 /// every edge pass, against a memory that reads `+0.0` ([`NoMemory`]) —
-/// turns it into its flow `flow(e, Ŷ_e)` (fluid keeps it, tokens round
-/// it: [`pair_rounding`]), and [`land`]s that at both endpoints unless
-/// the edge is stale. Nothing is stored per edge.
+/// turns it into its flow `flow(e, Ŷ_e)` (fluid keeps it; tokens round
+/// it by an edge-local rounding, `with_edge_rounding!`, or by
+/// [`pair_framework`]), and [`land`]s that at both endpoints unless the
+/// edge is stale. Nothing is stored per edge.
 #[allow(clippy::too_many_arguments)] // a flat hot-path kernel; a params struct would obscure it
 pub(crate) fn pair_edge_step<S: Buf>(
     t: &KernelTables,
@@ -1589,24 +1568,15 @@ pub(crate) fn pair_edge_step<S: Buf>(
     })
 }
 
-/// A matching edge `e = (u, v)`'s integral flow in `round` for its
-/// scheduled flow `s`, rounded inline: by the edge-local roundings as the
-/// fused pass rounds, and by the randomized framework as its sender's one
-/// draw ([`framework_token`]), so no fraction buffer and no node-state
-/// sweep are needed.
-pub(crate) fn pair_rounding(
-    rounding: Rounding,
-    round: u64,
-) -> impl Fn(usize, (u32, u32), f64) -> i64 {
-    move |e, uv, s| match rounding {
-        Rounding::RoundDown => trunc_i64(s),
-        Rounding::Nearest => round_i64(s),
-        Rounding::UnbiasedEdge { seed } => unbiased_edge(seed, e, round, s),
-        Rounding::RandomizedFramework { seed } => {
-            let base = trunc_i64(s);
-            let rk = rng::round_key(seed, round);
-            base + framework_token(rk, uv, s - base as f64)
-        }
+/// The randomized framework's integral flow on a matching edge
+/// `(u, v)` in `round` for its scheduled flow `s`: the truncation plus
+/// the sender's one excess token ([`framework_token`]), so a matching
+/// round needs no fraction buffer and no node-state sweep.
+pub(crate) fn pair_framework(seed: u64, round: u64) -> impl Fn(usize, (u32, u32), f64) -> i64 {
+    let rk = rng::round_key(seed, round);
+    move |_, uv, s| {
+        let base = trunc_i64(s);
+        base + framework_token(rk, uv, s - base as f64)
     }
 }
 
@@ -1802,17 +1772,7 @@ mod tests {
         ] {
             let mut fused_flows = last.clone();
             let flows = cells(&mut fused_flows);
-            edge_pass_fused_gated(
-                &t,
-                &AllEdges,
-                0..m,
-                0.4,
-                1.6,
-                9,
-                rounding,
-                |i| loads[i],
-                &flows,
-            );
+            rounded(&t, &AllEdges, 0..m, 9, rounding, |i| loads[i], &flows);
             let sched: Vec<f64> = (0..m)
                 .map(|e| {
                     let ((u, v), (ct, ch)) = (t.graph().edge(e as EdgeId), t.coefs.get(e));
@@ -1835,7 +1795,26 @@ mod tests {
         }
     }
 
-    /// The scheduled flows `Ŷ_e` the edge passes compute, recomputed
+    /// The edge pass with the edge-local `rounding` in `round`, gated by
+    /// `gate` (`mem = 0.4`, `gain = 1.6`).
+    fn rounded<G: EdgeGate>(
+        t: &KernelTables,
+        gate: &G,
+        edges: Range<usize>,
+        round: u64,
+        rounding: Rounding,
+        x: impl Fn(usize) -> f64,
+        flows: &impl Buf<Val = i64>,
+    ) {
+        with_edge_rounding!(
+            rounding,
+            round,
+            |y| edge_pass(t, gate, edges, 0.4, 1.6, x, flows, y),
+            |_| unreachable!("the framework is no edge-local rounding")
+        )
+    }
+
+    /// The scheduled flows `Ŷ_e` the edge pass computes, recomputed
     /// edge by edge with the same expression and operand order, gated by
     /// `bits` (`None`: every edge).
     fn scheduled(
@@ -1856,7 +1835,7 @@ mod tests {
     }
 
     /// One framework round through the real passes, from the last
-    /// round's `flows`: [`edge_pass_scatter_gated`] over chunks of
+    /// round's `flows`: the [`scatter`] edge pass over chunks of
     /// `5·split` edges, then [`arc_round_streamed`] over chunks of `split`
     /// nodes (round 5, seed 11). The fraction buffer is longer than `m`,
     /// with a NaN tail that would poison any token it reached.
@@ -1872,7 +1851,7 @@ mod tests {
         let (fr, fl) = (cells(&mut frac), cells(flows));
         for lo in (0..m).step_by(5 * split) {
             let edges = lo..(lo + 5 * split).min(m);
-            edge_pass_scatter_gated(t, gate, edges, 0.4, 1.6, x, &fr, &fl);
+            edge_pass(t, gate, edges, 0.4, 1.6, x, &fl, scatter(&fr));
         }
         let mut scratch = FwScratch::new();
         for lo in (0..n).step_by(split) {
@@ -1986,7 +1965,16 @@ mod tests {
         assert_eq!(nan_edges.len(), bad_edges.len(), "the NaN node's edges");
         let mut frac = vec![0.0f64; m];
         let (fr, fl) = (cells(&mut frac), cells(&mut flows));
-        edge_pass_scatter_gated(&t, &AllEdges, 0..m, 0.4, 1.6, |i| loads[i], &fr, &fl);
+        edge_pass(
+            &t,
+            &AllEdges,
+            0..m,
+            0.4,
+            1.6,
+            |i| loads[i],
+            &fl,
+            scatter(&fr),
+        );
         for &e in &nan_edges {
             assert!(fr.get(e).is_nan());
             assert_eq!(fl.get(e), 0);
@@ -2011,9 +1999,10 @@ mod tests {
         assert!((0..m).any(|e| fl.get(e) != sched[e].trunc() as i64));
     }
 
-    /// Runs one gated edge pass (`0` fused, `1` scatter, `2` continuous)
-    /// over each chunk between consecutive `bounds` in turn, from a fixed mid-run state on a
-    /// heterogeneous-speed torus; returns the flows, memory and
+    /// Runs the gated edge pass with one store (`0` an edge-local
+    /// rounding, `1` the scatter, `2` the continuous identity) over each
+    /// chunk between consecutive `bounds` in turn, from a fixed mid-run
+    /// state; returns the integral flows, the `f64` flows and the
     /// fractions it leaves.
     fn run_gated<G: EdgeGate>(
         t: &KernelTables,
@@ -2025,21 +2014,21 @@ mod tests {
         let m = t.m;
         let x = |i: usize| ((i * 13) % 17) as f64;
         let mut flows: Vec<i64> = (0..m as i64).map(|e| e % 5 - 2).collect();
-        let mut prev: Vec<f64> = (0..m).map(|e| e as f64 * 0.17 - 2.0).collect();
+        let mut fluid: Vec<f64> = (0..m).map(|e| e as f64 * 0.17 - 2.0).collect();
         let mut frac = vec![9.9f64; m];
         {
-            let (fl, pr) = (cells(&mut flows), cells(&mut prev));
+            let (fl, fu) = (cells(&mut flows), cells(&mut fluid));
             let af = cells(&mut frac);
             for w in bounds.windows(2) {
                 let r = w[0]..w[1];
                 match pass {
-                    0 => edge_pass_fused_gated(t, gate, r, 0.4, 1.6, 9, rounding, x, &fl),
-                    1 => edge_pass_scatter_gated(t, gate, r, 0.4, 1.6, x, &af, &fl),
-                    _ => edge_pass_continuous_gated(t, gate, r, 0.4, 1.6, x, &pr),
+                    0 => rounded(t, gate, r, 9, rounding, x, &fl),
+                    1 => edge_pass(t, gate, r, 0.4, 1.6, x, &fl, scatter(&af)),
+                    _ => edge_pass(t, gate, r, 0.4, 1.6, x, &fu, |_, s| s),
                 }
             }
         }
-        (flows, prev, frac)
+        (flows, fluid, frac)
     }
 
     /// Every edge pass walks its chunk node-major from the chunk's first
@@ -2393,9 +2382,7 @@ mod tests {
             apply_run(&each, &init_f, &mut flows_f, None)
         );
         let active = &sodiff_graph::matching::edge_coloring(&g).class_masks()[0];
-        let tokens = |t: &KernelTables| {
-            matching_run(t, active, pair_rounding(Rounding::randomized(3), 4), &init)
-        };
+        let tokens = |t: &KernelTables| matching_run(t, active, pair_framework(3, 4), &init);
         assert_eq!(tokens(&one), tokens(&each));
         let fluid = |t: &KernelTables| matching_run(t, active, |_, _, s| s, &init_f);
         assert_eq!(fluid(&one), fluid(&each));

@@ -77,19 +77,22 @@
 //! ```
 //!
 //! The builder and the `Simulator` methods above are the only entry
-//! points: the configuration struct they fill is crate-internal, and the
-//! pre-0.2 constructors and `run_hybrid*` free functions are gone.
+//! points: the configuration struct they fill is crate-internal.
 //!
 //! # The scheme-kernel layer, and adding a scheme
 //!
 //! Every scheme's per-round flow computation — edge pass, rounding hook,
 //! apply pass, and barrier plan — lives in one crate-internal layer, the
-//! `scheme_kernel` module. A scheme is the combination of two
-//! statically dispatched axes: a *flow pass* (continuous / fused
-//! edge-local discrete / the three-phase randomized-framework pipeline)
-//! and an *active plan* (all edges every round, a precomputed family of
-//! edge bitmasks swept round-robin, or a fresh random maximal matching
-//! per round). Around that update rule sits one *perturbation layer*
+//! `scheme_kernel` module. A simulation is the combination of two
+//! statically dispatched axes: its *mode*, which decides what an edge
+//! sends for its scheduled flow, and an *active plan* (all edges every
+//! round, a precomputed family of edge bitmasks swept round-robin, or a
+//! fresh random maximal matching per round). Every mode runs the one
+//! edge pass, which stores a value per edge into its flow slot: the
+//! scheduled flow itself in continuous mode, its rounded value under an
+//! edge-local rounding, and its truncation under the randomized
+//! framework, whose node-centric rounding phase then sends the excess
+//! tokens. Around that update rule sits one *perturbation layer*
 //! (the `perturb` module docs): a *fault plan* ([`FaultSpec`]:
 //! deterministic node crash/rejoin, per-round edge drops, load shocks,
 //! and stale-flow injection), a *load plan* ([`LoadSpec`]: Poisson
@@ -100,7 +103,7 @@
 //! with conservation-exact handoff of a departing node's entire load to
 //! its live neighbors). All three draw from salted counter-indexed RNG
 //! streams, write their load changes on the control thread before the
-//! flow pass, and share one membership layer: crash and churn derive
+//! edge pass, and share one membership layer: crash and churn derive
 //! one up-node set per 16-round epoch, its up-edge mask, and one
 //! incrementally repaired sweep family.
 //! `faults=none`, `load=none`, and `churn=none` plans keep every hot
@@ -109,7 +112,7 @@
 //! flows in continuous mode; a diffusion run's last flows are its SOS
 //! memory.
 //! Perturbation load changes are written on
-//! the control thread before each round's flow pass (and before the
+//! the control thread before each round's edge pass (and before the
 //! pool's first barrier), so both the sequential executor and the
 //! worker pool balance identical per-round loads and run the same
 //! kernel calls in the same per-element order — pooled results are
@@ -128,8 +131,8 @@
 //!    parameter validation in `Scheme::check`, and its `(memory, gain)`
 //!    coefficients (return `(0.0, 1.0)` if the scheme has no flow
 //!    memory).
-//! 2. **`scheme_kernel.rs`** — map the variant to a flow pass × active
-//!    plan in `SchemeKernel::new`, which is infallible: it only ever
+//! 2. **`scheme_kernel.rs`** — map the variant to an active plan in
+//!    `SchemeKernel::new`, which is infallible: it only ever
 //!    receives a configuration validated at build. If the scheme
 //!    activates a subset of edges, build its masks here (e.g. from
 //!    [`sodiff_graph::matching`]) and return the round's class from
@@ -422,7 +425,7 @@
 //! (borrowed on the sequential executor, which keeps plain vectors so
 //! its kernels stay plain loads and stores rather than atomics). A
 //! discrete run's SOS memory is the integral flow itself, read as
-//! `flows[e] as f64` by every discrete edge pass — bit for bit the value
+//! `flows[e] as f64` by the edge pass — bit for bit the value
 //! the old stored `f64` copy held — so that copy and its per-round
 //! rewrite are gone; an `f64` memory remains only in continuous runs,
 //! where it is the round's flows. State bytes on the

@@ -353,7 +353,7 @@ mod tests {
         assert_eq!(stats.min_dev, 0.0);
         assert_eq!(stats.sum_sq_dev, 0.0);
         assert_eq!(job.state.loads(), LoadsSnapshot::Discrete(vec![10; 16]));
-        // Rounded discrete memory lives in the flows: no `prev` atomics.
+        // A discrete run's memory is its integral flows: no `f64` flows.
         assert_eq!(job.state.state_bytes(), 8 * (16 + 32));
         drop(pool); // must not hang
     }

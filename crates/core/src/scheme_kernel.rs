@@ -5,21 +5,22 @@
 //! A [`SchemeKernel`] is the simulation's one immutable round plan: the
 //! simulator and its pool job hold it as one `Arc`. It owns everything a
 //! round reads that never changes: the [`KernelTables`] with the
-//! scheme's coefficients, the flow pass, the active plan, and the
+//! scheme's coefficients, the mode, the active plan, and the
 //! perturbation spec.
 //!
 //! Before this layer existed, the flow computation was hard-wired through
 //! the engine (sequential rounds) and the worker pool (chunked rounds):
 //! adding a scheme meant re-threading its phase sequence through both by
 //! hand. A [`SchemeKernel`] now captures the two orthogonal choices a
-//! scheme makes, as plain enums dispatched statically:
+//! simulation makes, as plain enums dispatched statically:
 //!
-//! * [`FlowPass`] — *how* an active edge's flow is computed and rounded:
-//!   the continuous pass, the fused edge-local discrete pass, or the
-//!   three-phase randomized-framework pipeline (scatter, node-centric
-//!   rounding, apply). These call straight into the division-free
-//!   kernels of [`crate::kernel`] (pinned bit-for-bit by
-//!   `tests/golden_trace.rs`).
+//! * the [`Mode`] — *what* an active edge sends for its scheduled flow.
+//!   Every mode runs the one edge pass of [`crate::kernel`], which
+//!   stores each edge's `y(e, Ŷ_e)` into its flow slot: continuous mode
+//!   stores `Ŷ_e` itself, an edge-local rounding its rounded value, and
+//!   the randomized framework the truncation, with the fraction written
+//!   on the side for its node-centric rounding phase. The kernels are
+//!   division-free and pinned bit for bit by `tests/golden_trace.rs`.
 //! * [`ActivePlan`] — *which* edges are active each round: all of them
 //!   (diffusion), a precomputed family of bitmasks swept round-robin
 //!   (dimension exchange over the color classes of an edge coloring;
@@ -116,22 +117,6 @@ use crate::metrics::local_diff_with;
 use crate::perturb::{Perturb, PerturbSpec, RoundMasks};
 use crate::rounding::Rounding;
 use crate::scheme::{MatchingStrategy, Scheme};
-
-/// How an active edge's flow is computed and rounded (the per-mode phase
-/// sequence).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FlowPass {
-    /// Continuous mode: the scheduled flow is the flow.
-    Continuous,
-    /// Discrete mode with an edge-local rounding: one fused sweep.
-    EdgeLocal(Rounding),
-    /// Discrete mode with the node-centric randomized framework: the
-    /// streaming scatter + rounding pipeline.
-    Framework {
-        /// RNG seed of the framework's per-(node, round) streams.
-        seed: u64,
-    },
-}
 
 /// Which edges are active each round.
 ///
@@ -268,9 +253,9 @@ impl Storage for AtomicSlots {
 pub(crate) struct RoundState<S: Storage> {
     loads_i: Vec<S::Slot<i64>>,
     loads_f: Vec<S::Slot<f64>>,
-    prev: Vec<S::Slot<f64>>,
+    flows_i: Vec<S::Slot<i64>>,
+    flows_f: Vec<S::Slot<f64>>,
     frac: Vec<S::Slot<f64>>,
-    flows: Vec<S::Slot<i64>>,
     block_sums: Vec<S::Slot<f64>>,
     sent_i: Vec<S::Slot<i64>>,
     sent_f: Vec<S::Slot<f64>>,
@@ -282,19 +267,18 @@ pub(crate) struct RoundState<S: Storage> {
 }
 
 impl<S: Storage> RoundState<S> {
-    /// The round-0 state for `loads`, sized by the one rule: loads of the
-    /// mode's kind, and then by plan. The diffusion plan keeps its flows,
-    /// which are its SOS memory: `flows` in discrete mode, `prev` in
-    /// continuous mode; and `frac` (one slot per edge) only for the
-    /// randomized framework's rounding phase. The matching plans keep one
-    /// landing slot per node, of the mode's value type, and nothing per
-    /// edge.
+    /// The round-0 state for `loads`, sized by the one rule: loads and
+    /// flows of the mode's value type, and then by plan. The diffusion
+    /// plan keeps its flows, which are its SOS memory, and `frac` (one
+    /// slot per edge) only for the randomized framework's rounding
+    /// phase. The matching plans keep one landing slot per node and
+    /// nothing per edge.
     pub fn new(k: &SchemeKernel, loads: Vec<i64>) -> Self {
         let t = &k.tables;
-        let discrete = !matches!(k.flow, FlowPass::Continuous);
+        let discrete = matches!(k.mode, Mode::Discrete(_));
         let pairwise = k.plan.is_matching();
         let diffusion = !pairwise;
-        let framework = matches!(k.flow, FlowPass::Framework { .. });
+        let framework = matches!(k.mode, Mode::Discrete(Rounding::RandomizedFramework { .. }));
         let zeros = |len: usize| (0..len).map(|_| S::of(0.0)).collect();
         let ints = |len: usize| (0..len).map(|_| S::of(0)).collect();
         let sized = |yes: bool, len: usize| if yes { len } else { 0 };
@@ -307,9 +291,9 @@ impl<S: Storage> RoundState<S> {
         Self {
             loads_i,
             loads_f,
-            prev: zeros(sized(diffusion && !discrete, t.m)),
+            flows_i: ints(sized(diffusion && discrete, t.m)),
+            flows_f: zeros(sized(diffusion && !discrete, t.m)),
             frac: zeros(sized(diffusion && framework, t.m)),
-            flows: ints(sized(diffusion && discrete, t.m)),
             block_sums: zeros(kernel::dev_blocks(t.n)),
             sent_i: ints(sized(pairwise && discrete, t.n)),
             sent_f: zeros(sized(pairwise && !discrete, t.n)),
@@ -374,17 +358,17 @@ impl<S: Storage> RoundState<S> {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// The SOS memory as `f64`: `m` zeros for the pairwise plans, which
-    /// keep none; materialized from the integral flows in discrete mode
-    /// (the values [`kernel::prev_from_flows`] produces), `prev` in
-    /// continuous mode.
+    /// The SOS memory as `f64`, which is the flows: `m` zeros for the
+    /// pairwise plans, which keep none; materialized from the integral
+    /// flows in discrete mode (the values [`kernel::prev_from_flows`]
+    /// produces), the `f64` flows in continuous mode.
     pub fn memory(&self) -> Cow<'_, [f64]> {
         if let Some(m) = self.zero_memory {
             Cow::Owned(vec![0.0; m])
         } else if self.discrete {
-            Cow::Owned(self.flows.iter().map(|y| S::get(y) as f64).collect())
+            Cow::Owned(self.flows_i.iter().map(|y| S::get(y) as f64).collect())
         } else {
-            S::values(&self.prev)
+            S::values(&self.flows_f)
         }
     }
 
@@ -403,17 +387,18 @@ impl<S: Storage> RoundState<S> {
         if self.zero_memory.is_some() {
             // Nothing to restore.
         } else if self.discrete {
-            self.flows = memory.iter().map(|&x| S::of(x as i64)).collect();
+            self.flows_i = memory.iter().map(|&x| S::of(x as i64)).collect();
         } else {
-            self.prev = memory.iter().map(|&x| S::of(x)).collect();
+            self.flows_f = memory.iter().map(|&x| S::of(x)).collect();
         }
     }
 
     /// Bytes of per-node and per-edge simulation state: loads, flows (the
-    /// memory) and framework fractions, so `8·n` for a pairwise run. The block partials and the matching rounds' landing
-    /// slots (zero between rounds) are round scratch and excluded.
+    /// memory) and framework fractions, so `8·n` for a pairwise run. The
+    /// block partials and the matching rounds' landing slots (zero
+    /// between rounds) are round scratch and excluded.
     pub fn state_bytes(&self) -> usize {
-        let edges = self.prev.len() + self.frac.len() + self.flows.len();
+        let edges = self.flows_i.len() + self.flows_f.len() + self.frac.len();
         8 * (self.loads_i.len() + self.loads_f.len() + edges)
     }
 }
@@ -424,9 +409,9 @@ impl RoundState<PlainSlots> {
         ChunkBufs {
             loads_i: kernel::cells(&mut self.loads_i),
             loads_f: kernel::cells(&mut self.loads_f),
-            prev: kernel::cells(&mut self.prev),
+            flows_i: kernel::cells(&mut self.flows_i),
+            flows_f: kernel::cells(&mut self.flows_f),
             frac: kernel::cells(&mut self.frac),
-            flows: kernel::cells(&mut self.flows),
             block_sums: kernel::cells(&mut self.block_sums),
             sent_i: kernel::cells(&mut self.sent_i),
             sent_f: kernel::cells(&mut self.sent_f),
@@ -440,9 +425,9 @@ impl RoundState<AtomicSlots> {
         ChunkBufs {
             loads_i: Atomics(&self.loads_i),
             loads_f: Atomics(&self.loads_f),
-            prev: Atomics(&self.prev),
+            flows_i: Atomics(&self.flows_i),
+            flows_f: Atomics(&self.flows_f),
             frac: Atomics(&self.frac),
-            flows: Atomics(&self.flows),
             block_sums: Atomics(&self.block_sums),
             sent_i: Atomics(&self.sent_i),
             sent_f: Atomics(&self.sent_f),
@@ -459,17 +444,16 @@ pub(crate) struct ChunkBufs<I, F> {
     pub loads_i: I,
     /// Continuous loads (continuous mode).
     pub loads_f: F,
-    /// Per-edge `f64` flows of the last round, the SOS memory of a
-    /// continuous diffusion run (empty otherwise: a discrete run's memory
-    /// is `flows`).
-    pub prev: F,
-    /// Per-edge signed fractional parts `Ŷ_e − trunc(Ŷ_e)`, written by
-    /// the framework's scatter and read back by its rounding phase
-    /// (framework flow pass of the diffusion plan only).
-    pub frac: F,
     /// Per-edge integral flows (discrete diffusion), kept across rounds:
     /// they are the SOS memory.
-    pub flows: I,
+    pub flows_i: I,
+    /// Per-edge `f64` flows (continuous diffusion), kept across rounds:
+    /// they are the SOS memory.
+    pub flows_f: F,
+    /// Per-edge signed fractional parts `Ŷ_e − trunc(Ŷ_e)`, written by
+    /// the framework's scatter and read back by its rounding phase (the
+    /// diffusion plan under the randomized framework only).
+    pub frac: F,
     /// Per-[`crate::metrics::DEV_BLOCK`] squared-deviation partials of
     /// the apply pass; node chunks are block-aligned, so each has one
     /// writer per round.
@@ -514,7 +498,7 @@ pub(crate) struct RoundArgs {
 /// round plan, which the simulator and its pool job share as one `Arc`.
 /// See the module docs above.
 pub(crate) struct SchemeKernel {
-    flow: FlowPass,
+    mode: Mode,
     plan: ActivePlan,
     /// The tables the rounds read, with the scheme's coefficients: the
     /// diffusion `α_e/s` pair, or the pairwise schemes' λ-scaled pair
@@ -561,14 +545,9 @@ impl SchemeKernel {
 
     /// Builds the round plan of one simulation whose `config` passed
     /// [`SchemeKernel::validate`] and the perturbation checks at build:
-    /// the flow pass, the active plan, and the tables with the scheme's
+    /// the mode, the active plan, and the tables with the scheme's
     /// coefficients and the balanced loads of `total_load` over `speeds`.
     pub fn new(config: &Config, graph: &Graph, speeds: &Speeds, total_load: f64) -> Self {
-        let flow = match config.mode {
-            Mode::Continuous => FlowPass::Continuous,
-            Mode::Discrete(Rounding::RandomizedFramework { seed }) => FlowPass::Framework { seed },
-            Mode::Discrete(rounding) => FlowPass::EdgeLocal(rounding),
-        };
         let (plan, lambda) = match config.scheme {
             Scheme::Fos | Scheme::Sos { .. } => (ActivePlan::All, None),
             Scheme::DimensionExchange { lambda } => (
@@ -600,7 +579,7 @@ impl SchemeKernel {
             None => KernelTables::new(graph, speeds, false, total_load),
         };
         Self {
-            flow,
+            mode: config.mode,
             plan,
             tables,
             perturb: config.perturb,
@@ -633,9 +612,9 @@ impl SchemeKernel {
     ) -> RoundMasks<'a> {
         let (spec, sweep, t) = (&self.perturb, self.sweep_family(), &self.tables);
         let graph = t.graph();
-        match self.flow {
-            FlowPass::Continuous => perturb.begin_round(spec, graph, round, sweep, &bufs.loads_f),
-            _ => perturb.begin_round(spec, graph, round, sweep, &bufs.loads_i),
+        match self.mode {
+            Mode::Continuous => perturb.begin_round(spec, graph, round, sweep, &bufs.loads_f),
+            Mode::Discrete(_) => perturb.begin_round(spec, graph, round, sweep, &bufs.loads_i),
         }
         let plan = match self.plan {
             ActivePlan::All => None,
@@ -722,13 +701,19 @@ impl SchemeKernel {
                 kernel::pair_node_step(t, nodes, sent, loads, &bufs.block_sums)
             }};
         }
-        let rounding = match self.flow {
-            FlowPass::Continuous => return steps!(&bufs.loads_f, &bufs.sent_f, |_, _, s| s),
-            FlowPass::EdgeLocal(rounding) => rounding,
-            FlowPass::Framework { seed } => Rounding::RandomizedFramework { seed },
-        };
-        let flow = kernel::pair_rounding(rounding, round);
-        steps!(&bufs.loads_i, &bufs.sent_i, flow)
+        match self.mode {
+            Mode::Continuous => steps!(&bufs.loads_f, &bufs.sent_f, |_, _, s| s),
+            Mode::Discrete(rounding) => kernel::with_edge_rounding!(
+                rounding,
+                round,
+                |y| steps!(&bufs.loads_i, &bufs.sent_i, |e, _, s| y(e, s)),
+                |seed| steps!(
+                    &bufs.loads_i,
+                    &bufs.sent_i,
+                    kernel::pair_framework(seed, round)
+                )
+            ),
+        }
     }
 
     /// The one phase sequence of a round, over one participant's `edges`
@@ -754,30 +739,35 @@ impl SchemeKernel {
     ) -> LoadStats {
         let &RoundArgs { mem, gain, round } = args;
         let t = &self.tables;
-        let (flows, prev, sums) = (&bufs.flows, &bufs.prev, &bufs.block_sums);
-        let x = |i| bufs.loads_i.get(i) as f64;
-        match self.flow {
-            FlowPass::Continuous => {
-                let x = |i| bufs.loads_f.get(i);
-                kernel::edge_pass_continuous_gated(t, &gate, edges, mem, gain, x, prev);
-            }
-            FlowPass::EdgeLocal(rounding) => {
-                kernel::edge_pass_fused_gated(t, &gate, edges, mem, gain, round, rounding, x, flows)
-            }
-            FlowPass::Framework { seed } => {
-                let frac = &bufs.frac;
-                kernel::edge_pass_scatter_gated(t, &gate, edges, mem, gain, x, frac, flows);
+        // The one body, over tokens or fluid: the edge pass stores
+        // `$y(e, Ŷ_e)` into each edge's flow slot, the optional
+        // `$between` runs before the barrier ahead of the apply pass, and
+        // the apply-with-stale step lands every flow but the stale ones,
+        // which stay recorded in the flow memory.
+        macro_rules! diffuse {
+            ($loads:expr, $flows:expr, $y:expr $(, $between:block)?) => {{
+                let (loads, flows) = ($loads, $flows);
+                let x = |i| loads.get(i).to_f64();
+                kernel::edge_pass(t, &gate, edges, mem, gain, x, flows, $y);
+                $($between)?
                 sync();
-                kernel::arc_round_streamed(t, nodes.clone(), seed, round, frac, flows, fw);
-            }
+                kernel::apply_flows(t, nodes, flows, stale, loads, &bufs.block_sums)
+            }};
         }
-        sync();
-        // The one apply-with-stale step: a stale edge's flow was computed
-        // and recorded in the flow memory above, but it never lands. The
-        // continuous flows are the memory the edge pass just wrote.
-        match self.flow {
-            FlowPass::Continuous => kernel::apply_flows(t, nodes, prev, stale, &bufs.loads_f, sums),
-            _ => kernel::apply_flows(t, nodes, flows, stale, &bufs.loads_i, sums),
+        match self.mode {
+            Mode::Continuous => diffuse!(&bufs.loads_f, &bufs.flows_f, |_, s| s),
+            Mode::Discrete(rounding) => kernel::with_edge_rounding!(
+                rounding,
+                round,
+                |y| diffuse!(&bufs.loads_i, &bufs.flows_i, y),
+                // The framework's rounding phase distributes the excess
+                // tokens of the fractions its scatter wrote.
+                |seed| diffuse!(&bufs.loads_i, &bufs.flows_i, kernel::scatter(&bufs.frac), {
+                    sync();
+                    let (frac, flows) = (&bufs.frac, &bufs.flows_i);
+                    kernel::arc_round_streamed(t, nodes.clone(), seed, round, frac, flows, fw)
+                })
+            ),
         }
     }
 }

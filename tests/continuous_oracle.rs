@@ -32,6 +32,15 @@
 //! `64·(t + 1)·(10⁻¹²·n + (Δ + n)·u)·X`; the factor 64 covers the
 //! transient gain of the second-order recurrence. The runs here stay
 //! orders of magnitude inside it.
+//!
+//! **The discrete mean.** Every round is linear in the loads and the
+//! flows, and the SOS memory is the flow the edge sent. So when the
+//! rounding is unbiased per edge, `E[y_e] = Ŷ_e` given the past, and the
+//! expected discrete load follows the continuous recurrence from the same
+//! integral start. Over [`SEEDS`] seeds of `rounding=unbiased`, each
+//! node's mean load must lie within 5 standard errors of the closed form,
+//! plus the bound above. A node whose sample variance is zero gets no
+//! statistical slack: it must match within the closed form's own bound.
 
 use sodiff::core::prelude::*;
 use sodiff::graph::{generators, Graph};
@@ -40,6 +49,12 @@ use sodiff::linalg::jacobi;
 
 /// Rounds compared per run.
 const ROUNDS: usize = 80;
+
+/// Seeds of the unbiased rounding per discrete-mean check.
+const SEEDS: u64 = 400;
+
+/// Rounds compared per discrete-mean check.
+const MEAN_ROUNDS: usize = 30;
 
 /// Every generator family, up to 48 nodes, all connected.
 fn graphs() -> Vec<(&'static str, Graph)> {
@@ -116,6 +131,15 @@ impl Oracle {
             beta_opt: 2.0 / (1.0 + (1.0 - lambda * lambda).sqrt()),
             max_degree: degree.into_iter().max().unwrap_or(0),
         }
+    }
+
+    /// The error bound of the module docs at round `t` from the loads
+    /// `x0`.
+    fn bound(&self, t: usize, x0: &[f64]) -> f64 {
+        let n = x0.len();
+        let x_max = x0.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let per_round = 1e-12 * n as f64 + (self.max_degree + n) as f64 * (f64::EPSILON / 2.0);
+        64.0 * (t + 1) as f64 * per_round * x_max
     }
 
     /// The loads `x(t)` for `t` in `0..=rounds`: SOS with `beta` before
@@ -203,12 +227,9 @@ fn check(
         }
     }
     let expected = oracle.trajectory(&x0, beta, switch.unwrap_or(usize::MAX), ROUNDS);
-    let x_max = x0.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-    let unit = f64::EPSILON / 2.0;
     assert_eq!(engine.len(), expected.len(), "{name}");
     for (t, (got, want)) in engine.iter().zip(&expected).enumerate() {
-        let per_round = 1e-12 * n as f64 + (oracle.max_degree + n) as f64 * unit;
-        let bound = 64.0 * (t + 1) as f64 * per_round * x_max;
+        let bound = oracle.bound(t, &x0);
         for i in 0..n {
             let err = (got[i] - want[i]).abs();
             assert!(
@@ -235,6 +256,71 @@ fn continuous_rounds_follow_the_closed_form() {
             check(name, &g, &speeds, &oracle, Some(oracle.beta_opt), None);
             check(name, &g, &speeds, &oracle, Some(1.9), None);
             check(name, &g, &speeds, &oracle, Some(1.9), Some(12));
+        }
+    }
+}
+
+/// Runs the discrete process under [`SEEDS`] seeds of the unbiased
+/// per-edge rounding and checks each node's mean load after every round
+/// against the closed form (see the module docs).
+fn check_discrete_mean(name: &str, g: &Graph, speeds: &Speeds, oracle: &Oracle, beta: Option<f64>) {
+    let n = g.node_count();
+    let loads = initial_loads(n);
+    let x0: Vec<f64> = loads.iter().map(|&x| x as f64).collect();
+    let scheme = beta.map_or(Scheme::fos(), Scheme::sos);
+    // Per round and node, the sum of the loads and of their squares over
+    // the seeds, exact in integers.
+    let mut sums = vec![vec![(0i128, 0i128); n]; MEAN_ROUNDS + 1];
+    for seed in 0..SEEDS {
+        let mut sim = Experiment::on(g)
+            .discrete(Rounding::unbiased_edge(seed))
+            .scheme(scheme)
+            .speeds(speeds.clone())
+            .init(InitialLoad::Custom(loads.clone()))
+            .build()
+            .unwrap()
+            .simulator();
+        for (t, row) in sums.iter_mut().enumerate() {
+            if t > 0 {
+                sim.step();
+            }
+            for (s, &x) in row.iter_mut().zip(sim.loads_i64().unwrap().iter()) {
+                *s = (s.0 + i128::from(x), s.1 + i128::from(x) * i128::from(x));
+            }
+        }
+    }
+    let expected = oracle.trajectory(&x0, beta, usize::MAX, MEAN_ROUNDS);
+    let r = SEEDS as f64;
+    for (t, (row, want)) in sums.iter().zip(&expected).enumerate() {
+        let bound = oracle.bound(t, &x0);
+        for (i, &(sum, squares)) in row.iter().enumerate() {
+            let mean = sum as f64 / r;
+            // `R·Σx² − (Σx)²` is zero exactly when every seed agrees.
+            let spread = (SEEDS as i128 * squares - sum * sum) as f64;
+            let std_err = (spread / (r * r * (r - 1.0))).sqrt();
+            let err = (mean - want[i]).abs();
+            assert!(
+                err <= 5.0 * std_err + bound,
+                "{name}, {scheme}: node {i} round {t}: mean {mean} vs closed form {} \
+                 (error {err:.3e}, standard error {std_err:.3e})",
+                want[i]
+            );
+        }
+    }
+}
+
+#[test]
+fn unbiased_rounding_follows_the_closed_form_in_the_mean() {
+    let (torus, grid) = (generators::torus2d(4, 5), generators::grid2d(4, 4));
+    let cases = [
+        ("torus 4x5", &torus, Speeds::uniform(20)),
+        ("grid 4x4", &grid, Speeds::two_class(16, 4, 3.0)),
+    ];
+    for (name, g, speeds) in cases {
+        let values: Vec<f64> = (0..g.node_count()).map(|i| speeds.get(i)).collect();
+        let oracle = Oracle::new(g, &values);
+        for beta in [None, Some(oracle.beta_opt)] {
+            check_discrete_mean(name, g, &speeds, &oracle, beta);
         }
     }
 }
