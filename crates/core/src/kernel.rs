@@ -246,11 +246,19 @@ const _: () = assert!(DEV_BLOCK.is_multiple_of(LANES));
 /// schemes' λ-scaled harmonic-speed pair.
 ///
 /// A table whose entries all hold the same `f64` bits is stored as that
-/// one value: the coefficient pair of every regular graph under uniform
+/// one value: the coefficient pair of every graph whose edges share their
+/// larger endpoint degree (every regular graph, and a star) under uniform
 /// speeds, and of the pairwise schemes on any graph under uniform speeds,
 /// and the balanced loads of every uniform-speed run. The passes then
 /// read it from a register instead of a stream, with the
 /// same operands in the same order, so the bits do not move.
+///
+/// Under uniform speeds the structure decides each table, with no entry
+/// computed twice and no bits compared: the degrees decide the diffusion
+/// pair ([`Self::new`]), and the pairwise pair and the balanced loads are
+/// one value with no pass. Under other speeds every entry is computed
+/// and the table is one value only if all their bits agree
+/// (`coef_pair`).
 pub struct KernelTables {
     /// Node count.
     pub(crate) n: usize,
@@ -312,7 +320,8 @@ impl Ideal {
 /// The one value every item of `values` holds, compared by `bits`, or
 /// `None` at the first item that differs (or when there is none). It
 /// allocates nothing, so a table is allocated only once it is known to
-/// vary.
+/// vary. Under uniform speeds the structure decides every non-empty
+/// table, so only other speeds and empty tables reach it.
 fn one_value<T: Copy, B: PartialEq>(
     mut values: impl Iterator<Item = T>,
     bits: impl Fn(T) -> B,
@@ -327,21 +336,32 @@ impl KernelTables {
     /// (pass the initial total; callers that ignore the fused stats may
     /// pass any value).
     ///
+    /// Under uniform speeds the degrees decide the coefficient pair
+    /// (`alpha_pair_by_degree`); other speeds take `coef_pair`.
+    ///
     /// The third argument is ignored, whatever its value; it remains only
     /// so that existing callers keep compiling.
     pub fn new(graph: &Graph, speeds: &Speeds, _arc_plan: bool, total_load: f64) -> Self {
-        let coefs = coef_pair(graph, speeds, |u, v| {
-            let alpha = graph.alpha(u, v);
-            (
-                alpha / speeds.get(u as usize),
-                alpha / speeds.get(v as usize),
-            )
-        });
+        let coefs = if speeds.is_uniform() && graph.edge_count() > 0 {
+            alpha_pair_by_degree(graph, speeds.get(0))
+        } else {
+            coef_pair(graph, |u, v| {
+                let alpha = graph.alpha(u, v);
+                (
+                    alpha / speeds.get(u as usize),
+                    alpha / speeds.get(v as usize),
+                )
+            })
+        };
         Self::with_coefs(graph, speeds, coefs, total_load)
     }
 
     /// [`Self::new`] with the coefficient pair `coefs` in place of the
     /// diffusion `α_e/s` pair: the pairwise schemes' λ-scaled pair.
+    ///
+    /// The balanced loads are one value under uniform speeds, with no
+    /// pass; other speeds take the per-node build, stored as one value
+    /// only if every entry holds the same bits.
     pub(crate) fn with_coefs(
         graph: &Graph,
         speeds: &Speeds,
@@ -352,9 +372,13 @@ impl KernelTables {
         // Same per-node expression as `metrics::snapshot_with_total`, so
         // the fused deviations match a from-scratch recompute bit for bit.
         let ideal_of = |i| total_load * speeds.get(i) / speeds.total();
-        let ideal = match one_value((0..n).map(ideal_of), f64::to_bits) {
-            Some(x) => Ideal::Same(x),
-            None => Ideal::Each((0..n).map(ideal_of).collect()),
+        let ideal = if speeds.is_uniform() && n > 0 {
+            Ideal::Same(ideal_of(0))
+        } else {
+            match one_value((0..n).map(ideal_of), f64::to_bits) {
+                Some(x) => Ideal::Same(x),
+                None => Ideal::Each((0..n).map(ideal_of).collect()),
+            }
         };
         Self {
             n,
@@ -389,31 +413,43 @@ impl KernelTables {
     }
 }
 
-/// Builds the coefficient pair from `coefs(u, v)` over the canonical
-/// edges. A pair every edge shares, bit for bit, is stored as that pair.
-/// Otherwise, under uniform speeds every coefficient this crate builds is
-/// symmetric in the two endpoint speeds, so both halves are the same
-/// `f64` and one table is built and shared; under other speeds the two
-/// tables are built separately.
-pub(crate) fn coef_pair(
-    graph: &Graph,
-    speeds: &Speeds,
-    coefs: impl Fn(u32, u32) -> (f64, f64),
-) -> Coefs {
-    let uniform = speeds.is_uniform();
-    let pairs = graph.edges().map(|(u, v)| {
-        let (tail, head) = coefs(u, v);
+/// The diffusion pair of a graph with edges under the uniform speed `s`:
+/// edge `e`'s pair is `(c_d, c_d)` with `c_d = 1/(d + 1)/s` and `d` its
+/// larger endpoint degree, so it is one pair exactly when every edge has
+/// the same `d`. One pass over the offsets finds the degree range (a
+/// regular graph ends there), and one integer pass over the edges settles
+/// the rest, with no division. A table that varies is filled from a
+/// lookup of `c_d` per degree, the per-edge rule's expression
+/// (`Graph::alpha` divided by the speed), so every entry keeps its bits;
+/// both halves are that one shared table.
+fn alpha_pair_by_degree(graph: &Graph, s: f64) -> Coefs {
+    let coef = |d: usize| 1.0 / (d as f64 + 1.0) / s;
+    let edge_degree = |(u, v)| graph.degree(u).max(graph.degree(v));
+    let (min, max) = graph.degree_range();
+    if min == max || graph.edges().all(|e| edge_degree(e) == max) {
+        let c = coef(max);
         debug_assert!(
-            !uniform || tail.to_bits() == head.to_bits(),
-            "asymmetric coefficient"
+            graph
+                .edges()
+                .all(|(u, v)| (graph.alpha(u, v) / s).to_bits() == c.to_bits()),
+            "the one pair differs from the per-edge rule"
         );
-        (tail, head)
-    });
+        return Coefs::Same(c, c);
+    }
+    let by_degree: Vec<f64> = (0..=max).map(coef).collect();
+    let shared: Arc<[f64]> = graph.edges().map(|e| by_degree[edge_degree(e)]).collect();
+    Coefs::Each(Arc::clone(&shared), shared)
+}
+
+/// The per-edge build of a coefficient pair, for the speeds whose
+/// structure does not decide it (non-uniform speeds, or a graph with no
+/// edges): computes `coefs(u, v)` over the canonical edges and stores a
+/// pair every edge shares, bit for bit, as that pair; otherwise it
+/// builds the tail and the head table separately.
+pub(crate) fn coef_pair(graph: &Graph, coefs: impl Fn(u32, u32) -> (f64, f64)) -> Coefs {
+    let pairs = graph.edges().map(|(u, v)| coefs(u, v));
     if let Some((tail, head)) = one_value(pairs.clone(), |(t, h)| (t.to_bits(), h.to_bits())) {
         Coefs::Same(tail, head)
-    } else if uniform {
-        let shared: Arc<[f64]> = pairs.map(|(tail, _)| tail).collect();
-        Coefs::Each(Arc::clone(&shared), shared)
     } else {
         let tail = pairs.clone().map(|(tail, _)| tail).collect();
         Coefs::Each(tail, pairs.map(|(_, head)| head).collect())
@@ -1700,7 +1736,7 @@ mod tests {
         for i in 0..6 {
             assert_eq!(t.ideal.get(i), 21.0 * speeds.get(i) / speeds.total());
         }
-        // No edges: the pair is vacuously one value.
+        // No edges: an empty pair of tables, which own no bytes.
         let lone = KernelTables::new(&generators::star(1), &Speeds::uniform(1), false, 3.0);
         assert_eq!((lone.m, lone.memory_bytes()), (0, 0));
     }

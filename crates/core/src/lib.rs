@@ -408,8 +408,9 @@
 //! splatting a
 //! uniform coefficient across lanes for speed (no gain — the loads are
 //! the bottleneck, not the coefficient reads; `kernel::Coefs::Same` now
-//! does exactly that, for memory: a pair that every edge shares is held
-//! as one value and read by every lane, so no table is stored), a
+//! does exactly that, for memory: a pair that every edge shares, which
+//! the degrees and the speeds decide at build, is held as one value and
+//! read by every lane, so no table is stored), a
 //! degree-4 specialization of
 //! the apply pass (regressed irregular graphs), and replacing
 //! nearest-rounding with truncation (~1–1.5 ns/edge cheaper but
@@ -488,8 +489,9 @@
 //! bits is stored as that value, and each edge, apply and matching pass
 //! picks its loop once per call, so the lane loops read the value from a
 //! register with the same operands in the same order. Under uniform
-//! speeds that covers every regular graph's `α_e/s` pair, every graph's
-//! λ-scaled pair and every run's balanced loads. An irregular graph under
+//! speeds that covers the `α_e/s` pair of every graph whose edges share
+//! their larger endpoint degree (every regular graph, and a star), every
+//! graph's λ-scaled pair and every run's balanced loads. An irregular graph under
 //! uniform speeds keeps one shared coefficient table (`8·m` bytes), and
 //! non-uniform speeds keep two tables and per-node balanced loads
 //! (`16·m + 8·n`). On the 256² torus the table bytes go from 1 572 864
@@ -532,6 +534,22 @@
 //! 5–13% per edge on the torus (fused 3.54 → 3.99 ns, scatter
 //! 2.38 → 2.50, min of 4 alternating runs), which the end-to-end
 //! `cpu_s` does not show.
+//!
+//! **Tables decided by the structure** (2026-10). Under uniform speeds
+//! the degrees and the speeds decide every table, so the build no
+//! longer computes each entry to find out that they agree. The
+//! diffusion pair is one value exactly when every edge has the same
+//! larger endpoint degree: one pass over the offsets finds the degree
+//! range (a regular graph stops there), one integer pass over the edges
+//! settles the rest, and an irregular graph's shared table is filled
+//! from a per-degree lookup of `1/(d + 1)/s`, the per-edge expression,
+//! so every entry keeps its bits. The pairwise λ pair and the balanced
+//! loads are one value with no pass. Non-uniform speeds keep the
+//! per-edge build. `KernelTables::new` on the 256² torus takes 0.028 ms
+//! (was 1.25; median of 40 calls), and the `torus_sos_balance`
+//! `setup_s` falls 3.42 → 2.23 ms (medians of 10 alternating pairs,
+//! 2-vCPU host; lower in 10 of 10), with identical rounds, final
+//! imbalance, state bytes and table bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

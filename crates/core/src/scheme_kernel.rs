@@ -511,11 +511,18 @@ pub(crate) struct SchemeKernel {
 /// The λ-scaled harmonic-speed coefficient pair of the pairwise
 /// schemes: `c_tail = λ·s_v/(s_u+s_v)`, `c_head = λ·s_u/(s_u+s_v)`,
 /// so `y_e = c_tail·x_u − c_head·x_v = λ·(s_u·s_v/(s_u+s_v))·(x_u/s_u − x_v/s_v)`.
+/// Under uniform speeds both halves are `λ·s/(s+s)` on every edge, so
+/// the pair is computed once; other speeds take the per-edge build.
 fn exchange_coefs(graph: &Graph, speeds: &Speeds, lambda: f64) -> Coefs {
-    kernel::coef_pair(graph, speeds, |u, v| {
-        let su = speeds.get(u as usize);
-        let sv = speeds.get(v as usize);
-        (lambda * sv / (su + sv), lambda * su / (su + sv))
+    let pair = |su: f64, sv: f64| (lambda * sv / (su + sv), lambda * su / (su + sv));
+    if speeds.is_uniform() && graph.edge_count() > 0 {
+        let s = speeds.get(0);
+        let (tail, head) = pair(s, s);
+        debug_assert_eq!(tail.to_bits(), head.to_bits(), "asymmetric pair");
+        return Coefs::Same(tail, head);
+    }
+    kernel::coef_pair(graph, |u, v| {
+        pair(speeds.get(u as usize), speeds.get(v as usize))
     })
 }
 

@@ -181,10 +181,16 @@ impl Graph {
         self.csr.heads.len()
     }
 
-    /// Degree of node `v`.
+    /// Degree of node `v`, read from the two offset arrays.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.in_degree(v) + self.out_degree(v)
+        let v = v as usize;
+        let Csr {
+            out_offsets: o,
+            in_offsets: i,
+            ..
+        } = &*self.csr;
+        (o[v + 1] - o[v] + i[v + 1] - i[v]) as usize
     }
 
     /// Number of `v`'s in-arcs: the edges whose canonical head is `v`.
@@ -201,18 +207,28 @@ impl Graph {
 
     /// Maximum degree over all nodes (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        (0..self.node_count() as NodeId)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
+        self.degree_range().1
     }
 
     /// Minimum degree over all nodes (0 for the empty graph).
     pub fn min_degree(&self) -> usize {
-        (0..self.node_count() as NodeId)
-            .map(|v| self.degree(v))
-            .min()
-            .unwrap_or(0)
+        self.degree_range().0
+    }
+
+    /// The minimum and the maximum degree over all nodes, `(0, 0)` for
+    /// the empty graph, from one pass over the two offset arrays.
+    pub fn degree_range(&self) -> (usize, usize) {
+        let Csr {
+            out_offsets: o,
+            in_offsets: i,
+            ..
+        } = &*self.csr;
+        let degrees = o.windows(2).zip(i.windows(2));
+        let (min, max) = degrees.fold((u32::MAX, 0), |(min, max), (o, i)| {
+            let d = o[1] - o[0] + i[1] - i[0];
+            (min.min(d), max.max(d))
+        });
+        (min.min(max) as usize, max as usize)
     }
 
     /// Iterator over all node ids.
@@ -654,6 +670,22 @@ mod tests {
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.max_degree(), 2);
         assert_eq!(g.min_degree(), 2);
+    }
+
+    #[test]
+    fn degrees_read_from_the_offsets_match_the_arc_lists() {
+        // A star on nodes 0..4 and an isolated node 5.
+        let mut b = GraphBuilder::new(6);
+        for v in 1..5 {
+            b.add_edge(0, v).unwrap();
+        }
+        let g = b.build();
+        for v in g.nodes() {
+            assert_eq!(g.degree(v), g.neighbor_edges(v).count(), "node {v}");
+        }
+        assert_eq!(g.degree_range(), (0, 4));
+        assert_eq!((g.min_degree(), g.max_degree()), (0, 4));
+        assert_eq!(GraphBuilder::new(0).build().degree_range(), (0, 0));
     }
 
     #[test]
