@@ -320,8 +320,8 @@ impl Ideal {
 /// The one value every item of `values` holds, compared by `bits`, or
 /// `None` at the first item that differs (or when there is none). It
 /// allocates nothing, so a table is allocated only once it is known to
-/// vary. Under uniform speeds the structure decides every non-empty
-/// table, so only other speeds and empty tables reach it.
+/// vary. Under uniform speeds the structure decides every table, so
+/// only non-uniform speeds reach it.
 fn one_value<T: Copy, B: PartialEq>(
     mut values: impl Iterator<Item = T>,
     bits: impl Fn(T) -> B,
@@ -342,8 +342,10 @@ impl KernelTables {
     /// The third argument is ignored, whatever its value; it remains only
     /// so that existing callers keep compiling.
     pub fn new(graph: &Graph, speeds: &Speeds, _arc_plan: bool, total_load: f64) -> Self {
-        let coefs = if speeds.is_uniform() && graph.edge_count() > 0 {
-            alpha_pair_by_degree(graph, speeds.get(0))
+        let coefs = if speeds.is_uniform() {
+            // The one speed; unlike `get(0)`, `max()` is defined when the
+            // graph has no nodes.
+            alpha_pair_by_degree(graph, speeds.max())
         } else {
             coef_pair(graph, |u, v| {
                 let alpha = graph.alpha(u, v);
@@ -413,7 +415,7 @@ impl KernelTables {
     }
 }
 
-/// The diffusion pair of a graph with edges under the uniform speed `s`:
+/// The diffusion pair of a graph under the uniform speed `s`:
 /// edge `e`'s pair is `(c_d, c_d)` with `c_d = 1/(d + 1)/s` and `d` its
 /// larger endpoint degree, so it is one pair exactly when every edge has
 /// the same `d`. One pass over the offsets finds the degree range (a
@@ -421,9 +423,10 @@ impl KernelTables {
 /// the rest, with no division. A table that varies is filled from a
 /// lookup of `c_d` per degree, the per-edge rule's expression
 /// (`Graph::alpha` divided by the speed), so every entry keeps its bits;
-/// both halves are that one shared table.
+/// both halves are that one shared table. A graph without edges has the
+/// degree range `(0, 0)` and so one pair.
 fn alpha_pair_by_degree(graph: &Graph, s: f64) -> Coefs {
-    let coef = |d: usize| 1.0 / (d as f64 + 1.0) / s;
+    let coef = |d: usize| Graph::alpha_of_degree(d) / s;
     let edge_degree = |(u, v)| graph.degree(u).max(graph.degree(v));
     let (min, max) = graph.degree_range();
     if min == max || graph.edges().all(|e| edge_degree(e) == max) {
@@ -441,9 +444,9 @@ fn alpha_pair_by_degree(graph: &Graph, s: f64) -> Coefs {
     Coefs::Each(Arc::clone(&shared), shared)
 }
 
-/// The per-edge build of a coefficient pair, for the speeds whose
-/// structure does not decide it (non-uniform speeds, or a graph with no
-/// edges): computes `coefs(u, v)` over the canonical edges and stores a
+/// The per-edge build of a coefficient pair, for non-uniform speeds,
+/// whose pair the structure does not decide: computes `coefs(u, v)`
+/// over the canonical edges and stores a
 /// pair every edge shares, bit for bit, as that pair; otherwise it
 /// builds the tail and the head table separately.
 pub(crate) fn coef_pair(graph: &Graph, coefs: impl Fn(u32, u32) -> (f64, f64)) -> Coefs {

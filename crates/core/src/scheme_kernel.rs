@@ -515,8 +515,10 @@ pub(crate) struct SchemeKernel {
 /// the pair is computed once; other speeds take the per-edge build.
 fn exchange_coefs(graph: &Graph, speeds: &Speeds, lambda: f64) -> Coefs {
     let pair = |su: f64, sv: f64| (lambda * sv / (su + sv), lambda * su / (su + sv));
-    if speeds.is_uniform() && graph.edge_count() > 0 {
-        let s = speeds.get(0);
+    if speeds.is_uniform() {
+        // The one speed; unlike `get(0)`, `max()` is defined when the
+        // graph has no nodes.
+        let s = speeds.max();
         let (tail, head) = pair(s, s);
         debug_assert_eq!(tail.to_bits(), head.to_bits(), "asymmetric pair");
         return Coefs::Same(tail, head);

@@ -399,7 +399,14 @@ impl Graph {
     /// the paper for both FOS and SOS (Section II).
     #[inline]
     pub fn alpha(&self, u: NodeId, v: NodeId) -> f64 {
-        1.0 / (self.degree(u).max(self.degree(v)) as f64 + 1.0)
+        Self::alpha_of_degree(self.degree(u).max(self.degree(v)))
+    }
+
+    /// The diffusion weight [`Self::alpha`] of an edge whose larger
+    /// endpoint degree is `d`: `1 / (d + 1)`.
+    #[inline]
+    pub fn alpha_of_degree(d: usize) -> f64 {
+        1.0 / (d as f64 + 1.0)
     }
 
     /// Returns `true` if the graph has a single connected component.

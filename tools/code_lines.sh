@@ -5,19 +5,14 @@
 # module ends at the first line that is its opening line's indentation
 # followed by `}`.
 #
-# Usage: tools/code_lines.sh [-v] DIR...
-#   -v  also print each file's count.
+# Usage: tools/code_lines.sh DIR...
 #
-# Prints one `<count> <dir>` line per directory.
+# Prints each file's count, then one `<count> <dir>` total line per
+# directory.
 set -eu
 
-verbose=0
-if [ "${1:-}" = "-v" ]; then
-    verbose=1
-    shift
-fi
 if [ "$#" -eq 0 ]; then
-    echo "usage: $0 [-v] DIR..." >&2
+    echo "usage: $0 DIR..." >&2
     exit 2
 fi
 
@@ -39,8 +34,8 @@ for dir in "$@"; do
         /^[ \t]*\/\// { next }
         { count++ }
         END { if (file != "") print count, file }
-    ' | awk -v verbose="$verbose" -v dir="$dir" '
-        { total += $1; if (verbose) printf "%7d %s\n", $1, $2 }
+    ' | awk -v dir="$dir" '
+        { total += $1; printf "%7d %s\n", $1, $2 }
         END { printf "%d %s\n", total, dir }
     '
 done
